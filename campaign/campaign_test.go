@@ -31,7 +31,7 @@ func sameSamples(t *testing.T, what string, got, want []float64) {
 
 // TestEmulationMatchesInternalSweep pins the refactor: a latency study on
 // the Emulation engine must be bit-identical to the pre-refactor internal
-// API (experiment.RunLatencySweep) at 1, 2, and 8 workers.
+// API (experiment.RunLatencySweepContext) at 1, 2, and 8 workers.
 func TestEmulationMatchesInternalSweep(t *testing.T) {
 	ns := []int{3, 5}
 	const execs, seed = 60, 11
@@ -41,7 +41,7 @@ func TestEmulationMatchesInternalSweep(t *testing.T) {
 		specs[i] = experiment.LatencySpec{N: n, Executions: execs, Seed: seed}
 		points[i] = campaign.LatencyPoint{N: n, Executions: execs, Seed: seed}
 	}
-	ref, err := experiment.RunLatencySweep(specs, 1)
+	ref, err := experiment.RunLatencySweepContext(bg, specs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestEmulationMatchesInternalSweep(t *testing.T) {
 }
 
 // TestSANMatchesInternalSimulate pins the SAN engine against the
-// pre-refactor sanmodel.SimulateWorkers at 1, 2, and 8 workers.
+// pre-refactor sanmodel.SimulateContext at 1, 2, and 8 workers.
 func TestSANMatchesInternalSimulate(t *testing.T) {
 	const n, replicas, tmax, seed = 3, 250, 1e6, 9
 	p := sanmodel.DefaultParams(n)
-	ref, err := sanmodel.SimulateWorkers(p, replicas, tmax, seed, 1)
+	ref, err := sanmodel.SimulateContext(bg, p, replicas, tmax, seed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,14 +83,14 @@ func TestSANMatchesInternalSimulate(t *testing.T) {
 }
 
 // TestScenarioMatchesInternalCampaign pins the Scenario engine against
-// the pre-refactor scenario.RunCampaign at 1, 2, and 8 workers.
+// the pre-refactor scenario.RunCampaignContext at 1, 2, and 8 workers.
 func TestScenarioMatchesInternalCampaign(t *testing.T) {
 	s, err := scenario.Get("paper-baseline")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const replicas, execs, seed = 3, 40, 21
-	refReports, err := scenario.RunCampaign(scenario.CampaignSpec{
+	refReports, err := scenario.RunCampaignContext(bg, scenario.CampaignSpec{
 		Scenarios:  []*scenario.Scenario{s},
 		Replicas:   replicas,
 		Executions: execs,

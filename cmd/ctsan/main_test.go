@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -73,12 +74,29 @@ func reference(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// lockedBuffer is a bytes.Buffer safe for concurrent writers: shard
+// supervisors and the subprocess stderr copiers log concurrently, which
+// os.Stderr tolerates and a bare bytes.Buffer does not.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
 // ctsan invokes the CLI in-process (subprocesses still fork for real).
 func ctsan(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
-	var out, errb bytes.Buffer
+	var (
+		out  bytes.Buffer
+		errb lockedBuffer
+	)
 	code = run(context.Background(), args, &out, &errb)
-	return code, out.String(), errb.String()
+	return code, out.String(), errb.buf.String()
 }
 
 func TestShardedRunMatchesSingleProcess(t *testing.T) {

@@ -27,8 +27,10 @@
 // simulator assembly per worker instead of constructing per replica:
 // the SAN workers rewind a shared model's simulator (san.Sim.Reset),
 // and the emulation/scenario workers rewind a whole cluster + protocol
-// stack + consensus engine + failure detector assembly
-// (netsim.Cluster.Reset and the layer reset hooks), with pooled
+// stack + consensus engine + failure detector assembly — one replica
+// harness (experiment.Harness) that latency experiments and scenarios
+// both configure — (netsim.Cluster.Reset and the layer reset hooks),
+// with pooled
 // message-transit and timer records making the steady-state delivery
 // path allocation-free — reset-then-run is bit-identical to
 // construct-then-run. The inner loop itself is allocation-free end to
@@ -125,7 +127,9 @@
 // passes -debug-addr, and cmd/benchjson gates BENCH_emulation.json
 // drift in CI.
 //
-// See README.md for the layout, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for the reproduced tables and figures. The benchmarks in
-// bench_test.go regenerate every evaluation artifact of the paper.
+// See ROADMAP.md for the layout, the north star and the open items,
+// PERFORMANCE.md for the determinism contract and the measured
+// performance of each layer, and benchmark/README.md for the end-to-end
+// and per-layer benchmark. The benchmarks in bench_test.go regenerate
+// every evaluation artifact of the paper.
 package ctsan

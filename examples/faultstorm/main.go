@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -42,7 +43,7 @@ func main() {
 	}
 	baseline.N = 5 // same cluster size as the storm, for a fair baseline
 
-	reports, err := scenario.RunCampaign(scenario.CampaignSpec{
+	reports, err := scenario.RunCampaignContext(context.Background(), scenario.CampaignSpec{
 		Scenarios: []*scenario.Scenario{baseline, storm},
 		Replicas:  4,
 		Workers:   0, // one per CPU; results identical at any count

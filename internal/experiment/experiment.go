@@ -14,21 +14,27 @@
 //     executions, §4) and reduced to the Chen et al. metrics;
 //   - end-to-end delay measurements used to parameterize the SAN model
 //     (§5.1, Fig. 6).
+//
+// The measurement loop itself exists once, as the replica Harness
+// (harness.go): the cluster + stack + engine + detector assembly, the
+// per-execution state machine with its watchdog, and the rewind that lets
+// one assembly serve successive campaigns bit-identically to fresh ones.
+// A latency campaign is the harness with an empty timeline, the static
+// up-set and a fixed gap; the crash-transient experiment adds a crash in
+// the plan's Prepare step; the throughput experiment chains executions on
+// the same assembly; internal/scenario configures the same harness with
+// a compiled fault timeline.
 package experiment
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"reflect"
 
-	"ctsan/internal/consensus"
 	"ctsan/internal/fd"
 	"ctsan/internal/metrics"
 	"ctsan/internal/neko"
 	"ctsan/internal/netsim"
-	"ctsan/internal/obs"
-	"ctsan/internal/rng"
 	"ctsan/internal/stats"
 )
 
@@ -89,7 +95,7 @@ func (r *LatencyResult) MeanRounds() float64 {
 	return r.Rounds.Mean()
 }
 
-// validate applies defaults and sanity-checks the spec.
+// validate applies the run-time defaults and sanity-checks the spec.
 func (s *LatencySpec) validate() error {
 	if s.N < 2 {
 		return fmt.Errorf("experiment: need n >= 2, got %d", s.N)
@@ -106,83 +112,56 @@ func (s *LatencySpec) validate() error {
 	if s.Warmup == 0 {
 		s.Warmup = 20
 	}
-	if s.MaxRounds == 0 {
-		s.MaxRounds = 256
-	}
 	if s.Deadline == 0 {
 		s.Deadline = 500
 	}
-	if s.FDMode == 0 {
-		s.FDMode = FDOracle
-	}
-	if s.FDMode == FDHeartbeat {
-		if s.TimeoutT <= 0 {
-			return fmt.Errorf("experiment: heartbeat campaign needs TimeoutT > 0")
-		}
-		if s.PeriodTh == 0 {
-			s.PeriodTh = 0.7 * s.TimeoutT
-		}
-	}
-	if s.Params.N == 0 {
-		s.Params = netsim.DefaultParams(s.N)
-	}
-	s.Params.N = s.N
-	s.Params.Crashed = s.Crashed
 	return nil
 }
 
-// campaign is a reusable latency-campaign harness: the cluster, protocol
-// stacks, engines and detectors are assembled once (newCampaign for a
-// construction-compatible spec), then rewound and rerun per campaign
-// (runWith). RunLatencySweep keeps one harness per worker and reuses it
-// across same-shape specs — the replica-reuse discipline of san.Transient
-// — so sweep campaigns that differ only in seed construct nothing per
-// campaign. A reused harness is bit-identical to a fresh one.
-type campaign struct {
-	ctx        context.Context
-	spec       LatencySpec
-	cluster    *netsim.Cluster
-	engines    []*consensus.Engine
-	heartbeats []*fd.Heartbeat
-	crashed    map[neko.ProcessID]bool
-	res        *LatencyResult
-	correct    int
-	// rec receives each completed execution's latency; it defaults to the
-	// result digest. trace, when set by a hook (the crash-transient
-	// harness), additionally observes (execution index, latency) pairs —
-	// watchdogged executions produce no trace call.
-	rec   metrics.Recorder
-	trace func(k int, lat float64)
-	// Per-process Propose decision/abort hooks, allocated once. They
-	// read the current execution index at fire time, which is safe:
-	// engine callbacks only fire while their instance is active, and
-	// instances are forgotten when their execution closes.
-	decideFns []func(consensus.Decision)
-	doneFns   []func()
-	// startFree recycles the per-arm StartAt records (see expStartCall);
-	// startAll retains every record ever created so runWith can reclaim
-	// the ones stranded in the wiped event queue between campaigns.
-	// wdFree/wdAll likewise for the watchdog records (see expWdCall).
-	startFree []*expStartCall
-	startAll  []*expStartCall
-	wdFree    []*expWdCall
-	wdAll     []*expWdCall
-	// root and clusterRand are retained randomness streams, reseeded in
-	// place per campaign so rewinding constructs nothing.
-	root        rng.Stream
-	clusterRand rng.Stream
+// shape resolves the spec's assembly-time fields (N, Params, Crashed, the
+// FD configuration, MaxRounds) into a harness shape: netsim defaults for
+// zero Params, the oracle for a zero FDMode.
+func (s LatencySpec) shape() (Shape, error) {
+	params := s.Params
+	if params.N == 0 {
+		params = netsim.DefaultParams(s.N)
+	}
+	params.N = s.N
+	params.Crashed = s.Crashed
+	shape := Shape{Params: params, MaxRounds: s.MaxRounds}
+	switch s.FDMode {
+	case 0, FDOracle:
+	case FDHeartbeat:
+		if s.TimeoutT <= 0 {
+			return Shape{}, fmt.Errorf("experiment: heartbeat detector needs TimeoutT > 0")
+		}
+		shape.TimeoutT, shape.PeriodTh = s.TimeoutT, s.PeriodTh
+	default:
+		return Shape{}, fmt.Errorf("experiment: unknown FD mode %d", s.FDMode)
+	}
+	return shape, nil
+}
 
-	// Current execution state.
-	running  bool
-	execIdx  int
-	execT0   float64
-	closed   bool
-	finished int // processes that decided or aborted in the current execution
-	decided  bool
-	firstAt  float64
-	round    int
-	val      int64
-	err      error
+// plan validates the spec and resolves it into a configuration of the
+// replica harness: the assembly shape it needs and the run plan — an empty
+// timeline, the static up-set, a fixed gap.
+func (s LatencySpec) plan() (Shape, Plan, error) {
+	if err := s.validate(); err != nil {
+		return Shape{}, Plan{}, err
+	}
+	shape, err := s.shape()
+	if err != nil {
+		return Shape{}, Plan{}, err
+	}
+	return shape, Plan{
+		Label:      "experiment",
+		Seed:       s.Seed ^ 0x5eedc0de,
+		Executions: s.Executions,
+		Warmup:     s.Warmup,
+		Gap:        s.Gap,
+		Deadline:   s.Deadline,
+		History:    &fd.History{},
+	}, nil
 }
 
 // RunLatency executes a latency campaign and returns its results.
@@ -194,324 +173,30 @@ func RunLatency(spec LatencySpec) (*LatencyResult, error) {
 // checked between consensus executions, so a canceled campaign stops at
 // the next execution boundary and returns ctx.Err().
 func RunLatencyContext(ctx context.Context, spec LatencySpec) (*LatencyResult, error) {
-	c, err := runCampaign(ctx, spec, nil)
+	shape, plan, err := spec.plan()
 	if err != nil {
 		return nil, err
 	}
-	return c.res, nil
-}
-
-// runCampaign is the one-shot campaign core. hook (may be nil) runs after
-// the cluster is built and started, before the first execution — used by
-// the crash-transient experiment to inject mid-run crashes.
-func runCampaign(ctx context.Context, spec LatencySpec, hook func(*campaign)) (*campaign, error) {
-	c, err := newCampaign(spec)
+	h, err := NewHarness(shape)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.runWith(ctx, spec, hook); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return runLatency(ctx, h, plan)
 }
 
-// constructionKey covers the LatencySpec fields baked into the harness at
-// assembly time; specs that agree on it can share a harness and differ
-// freely in the run-time fields (Seed, Executions, Gap, Warmup,
-// Deadline).
-type constructionKey struct {
-	N         int
-	Params    netsim.Params
-	FDMode    FDMode
-	TimeoutT  float64
-	PeriodTh  float64
-	Crashed   []neko.ProcessID
-	MaxRounds int
-}
-
-func (s *LatencySpec) construction() constructionKey {
-	return constructionKey{
-		N: s.N, Params: s.Params, FDMode: s.FDMode,
-		TimeoutT: s.TimeoutT, PeriodTh: s.PeriodTh,
-		Crashed: s.Crashed, MaxRounds: s.MaxRounds,
-	}
-}
-
-// compatibleWith reports whether the harness can run the (already
-// validated) spec without reassembly.
-func (c *campaign) compatibleWith(spec LatencySpec) bool {
-	return reflect.DeepEqual(c.spec.construction(), spec.construction())
-}
-
-// newCampaign validates the spec and assembles the harness. No
-// randomness is drawn here (netsim.NewIdle): runWith rewinds the cluster
-// from the run spec's seed before executing.
-func newCampaign(spec LatencySpec) (*campaign, error) {
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	cluster, err := netsim.NewIdle(spec.Params)
+// runLatency executes a latency plan on h, which must have the plan's shape.
+func runLatency(ctx context.Context, h *Harness, plan Plan) (*LatencyResult, error) {
+	out, err := h.Run(ctx, plan)
 	if err != nil {
 		return nil, err
 	}
-	c := &campaign{
-		spec:      spec,
-		cluster:   cluster,
-		engines:   make([]*consensus.Engine, spec.N+1),
-		crashed:   make(map[neko.ProcessID]bool, len(spec.Crashed)),
-		decideFns: make([]func(consensus.Decision), spec.N+1),
-		doneFns:   make([]func(), spec.N+1),
-	}
-	for _, id := range spec.Crashed {
-		c.crashed[id] = true
-	}
-	c.correct = spec.N - len(spec.Crashed)
-
-	for i := 1; i <= spec.N; i++ {
-		id := neko.ProcessID(i)
-		stack := neko.NewStack(cluster.Context(id))
-		var det neko.FailureDetector
-		switch spec.FDMode {
-		case FDOracle:
-			det = fd.NewOracle(spec.Crashed...)
-		case FDHeartbeat:
-			hb := fd.NewHeartbeat(stack, spec.TimeoutT, spec.PeriodTh, nil)
-			c.heartbeats = append(c.heartbeats, hb)
-			det = hb
-		default:
-			return nil, fmt.Errorf("experiment: unknown FD mode %d", spec.FDMode)
-		}
-		c.engines[i] = consensus.NewEngine(stack, det, consensus.Options{MaxRounds: spec.MaxRounds})
-		cluster.Attach(id, stack)
-		c.decideFns[i] = func(d consensus.Decision) { c.onDecision(c.execIdx, d) }
-		c.doneFns[i] = func() { c.onProcessDone(c.execIdx) }
-	}
-	return c, nil
-}
-
-// expStartCall is a pooled StartAt callback carrying the execution index
-// it was armed for: a stale call — possible when a sub-clock-skew
-// Deadline lets the watchdog close an execution before its StartAts fire
-// — is a no-op instead of proposing into the successor execution.
-type expStartCall struct {
-	c     *campaign
-	i, k  int
-	runFn func()
-}
-
-func (c *campaign) newStartCall(i, k int) *expStartCall {
-	var sc *expStartCall
-	if n := len(c.startFree); n > 0 {
-		sc = c.startFree[n-1]
-		c.startFree[n-1] = nil
-		c.startFree = c.startFree[:n-1]
-	} else {
-		sc = &expStartCall{c: c}
-		sc.runFn = sc.run
-		c.startAll = append(c.startAll, sc)
-	}
-	sc.i, sc.k = i, k
-	return sc
-}
-
-// expWdCall is a pooled per-execution watchdog callback: stale deadline
-// events of executions that closed normally fire as no-ops (closeExec's
-// execIdx guard) and return the record then. The pool stabilizes at
-// roughly Deadline/Gap in-flight records, after which arming watchdogs
-// allocates nothing.
-type expWdCall struct {
-	c     *campaign
-	k     int
-	runFn func()
-}
-
-func (c *campaign) newWdCall(k int) *expWdCall {
-	var w *expWdCall
-	if n := len(c.wdFree); n > 0 {
-		w = c.wdFree[n-1]
-		c.wdFree[n-1] = nil
-		c.wdFree = c.wdFree[:n-1]
-	} else {
-		w = &expWdCall{c: c}
-		w.runFn = w.run
-		c.wdAll = append(c.wdAll, w)
-	}
-	w.k = k
-	return w
-}
-
-func (w *expWdCall) run() {
-	c, k := w.c, w.k
-	c.wdFree = append(c.wdFree, w)
-	c.closeExec(k)
-}
-
-func (sc *expStartCall) run() {
-	c, i, k := sc.c, sc.i, sc.k
-	c.startFree = append(c.startFree, sc)
-	if c.closed || k != c.execIdx {
-		return
-	}
-	c.engines[i].Propose(uint64(k), int64(i), c.decideFns[i], c.doneFns[i])
-}
-
-// runWith rewinds the harness and executes one campaign for spec, which
-// must be construction-compatible with the harness (same assembly-time
-// fields; see compatibleWith). The result lands in c.res.
-func (c *campaign) runWith(ctx context.Context, spec LatencySpec, hook func(*campaign)) error {
-	if err := spec.validate(); err != nil {
-		return err
-	}
-	c.root.Reseed(spec.Seed ^ 0x5eedc0de)
-	c.root.ChildInto(&c.clusterRand, 1)
-	c.cluster.Reset(&c.clusterRand)
-	// Rebuild the pooled-callback free lists: the wiped event queue
-	// stranded the in-flight start and watchdog records of the previous
-	// campaign.
-	c.startFree = append(c.startFree[:0], c.startAll...)
-	c.wdFree = append(c.wdFree[:0], c.wdAll...)
-	for _, e := range c.engines {
-		if e != nil {
-			e.Reset()
-		}
-	}
-	c.ctx = ctx
-	c.spec = spec
-	c.res = &LatencyResult{History: &fd.History{}}
-	for _, hb := range c.heartbeats {
-		hb.Reset(c.res.History)
-	}
-	c.rec = &c.res.Digest
-	c.trace = nil
-	c.running = false
-	c.closed = false
-	c.err = nil
-
-	c.cluster.Start()
-	if hook != nil {
-		hook(c)
-	}
-	c.startExec(0, spec.Warmup)
-	c.cluster.Run(func() bool { return !c.running || c.err != nil })
-	if c.err != nil {
-		return c.err
-	}
-
-	c.res.Texp = c.cluster.Now()
-	c.res.Events = c.cluster.Steps()
-	for _, hb := range c.heartbeats {
-		hb.Stop()
-	}
-	if spec.FDMode == FDHeartbeat {
-		c.res.QoS = fd.EstimateQoS(c.res.History, c.res.Texp, spec.N)
-	}
-	return nil
-}
-
-// startExec launches execution k at local time t0 on every correct process.
-func (c *campaign) startExec(k int, t0 float64) {
-	c.running = true
-	c.execIdx = k
-	c.execT0 = t0
-	c.closed = false
-	c.finished = 0
-	c.decided = false
-	c.firstAt = math.Inf(1)
-	c.round = 0
-	c.val = 0
-	for i := 1; i <= c.spec.N; i++ {
-		id := neko.ProcessID(i)
-		if c.crashed[id] {
-			continue
-		}
-		c.cluster.StartAt(id, t0, c.newStartCall(i, k).runFn)
-	}
-	// Watchdog: executions with catastrophic failure detection, or with a
-	// process crashing mid-campaign, must not hang the campaign (cf. the
-	// paper's footnote 2 on increasing the separation when latencies
-	// exceeded the 10 ms gap). Scheduled globally so that no crash can
-	// silence it; stale watchdogs are ignored via execIdx.
-	c.cluster.AtGlobal(t0+c.spec.Deadline, c.newWdCall(k).runFn)
-}
-
-// onDecision records a decision event of execution k. Decisions of an
-// execution already force-closed by the watchdog are ignored.
-func (c *campaign) onDecision(k int, d consensus.Decision) {
-	if c.closed || k != c.execIdx {
-		return
-	}
-	if !c.decided {
-		c.decided = true
-		c.firstAt = d.At
-		c.round = d.Round
-		c.val = d.Val
-	} else {
-		if d.Val != c.val {
-			c.err = fmt.Errorf("experiment: agreement violated in execution %d: decisions %d and %d", k, c.val, d.Val)
-			return
-		}
-		if d.At < c.firstAt {
-			c.firstAt = d.At
-			c.round = d.Round
-		}
-	}
-	if v := d.Val; v < 1 || int(v) > c.spec.N || c.crashed[neko.ProcessID(v)] {
-		c.err = fmt.Errorf("experiment: validity violated in execution %d: decided %d", k, d.Val)
-		return
-	}
-	c.onProcessDone(k)
-}
-
-// onProcessDone counts a process having finished (decided or aborted) the
-// execution; when all correct processes are done, the execution closes.
-func (c *campaign) onProcessDone(k int) {
-	if c.closed || k != c.execIdx {
-		return
-	}
-	c.finished++
-	if c.finished >= c.correct {
-		c.closeExec(k)
-	}
-}
-
-// closeExec finalizes execution k (normally or via watchdog) and schedules
-// the next one. Stale calls (watchdogs of already-closed executions) are
-// ignored.
-func (c *campaign) closeExec(k int) {
-	if c.closed || k != c.execIdx {
-		return
-	}
-	c.closed = true
-	obs.Executions.Add(1)
-	if c.decided {
-		lat := c.firstAt - c.execT0
-		c.rec.Add(lat)
-		c.res.Rounds.Add(float64(c.round))
-		if c.trace != nil {
-			c.trace(k, lat)
-		}
-	} else {
-		c.res.Aborted++
-	}
-	for i := 1; i <= c.spec.N; i++ {
-		if c.engines[i] != nil {
-			c.engines[i].Forget(uint64(k))
-		}
-	}
-	if k+1 >= c.spec.Executions {
-		c.running = false
-		return
-	}
-	if err := c.ctx.Err(); err != nil {
-		// Cancellation lands at execution boundaries: the campaign stops
-		// scheduling and surfaces the clean context error.
-		c.err = err
-		c.running = false
-		return
-	}
-	next := c.execT0 + c.spec.Gap
-	if now := c.cluster.Now(); now+2 > next {
-		next = now + 2
-	}
-	c.startExec(k+1, next)
+	return &LatencyResult{
+		Digest:  out.Digest,
+		Rounds:  out.Rounds,
+		Aborted: out.Aborted,
+		Texp:    out.Texp,
+		QoS:     out.QoS,
+		History: plan.History,
+		Events:  out.Events,
+	}, nil
 }

@@ -151,12 +151,16 @@ func TestClass3QoSShape(t *testing.T) {
 }
 
 func TestHeartbeatPeriodDefault(t *testing.T) {
-	spec := LatencySpec{N: 3, Executions: 1, FDMode: FDHeartbeat, TimeoutT: 10}
-	if err := spec.validate(); err != nil {
+	shape, _, err := LatencySpec{N: 3, Executions: 1, FDMode: FDHeartbeat, TimeoutT: 10}.plan()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.PeriodTh != 7 {
-		t.Fatalf("default T_h = %v, want 0.7·T (§5.4)", spec.PeriodTh)
+	h, err := NewHarness(shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.heartbeats[0].Period(); got != 7 {
+		t.Fatalf("default T_h = %v, want 0.7·T (§5.4)", got)
 	}
 }
 

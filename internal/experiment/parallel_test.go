@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"ctsan/internal/neko"
@@ -18,12 +19,12 @@ func TestLatencySweepDeterministicAcrossWorkers(t *testing.T) {
 		{N: 3, Executions: 30, Seed: 9, FDMode: FDHeartbeat, TimeoutT: 10},
 		{N: 5, Executions: 25, Seed: 11, Crashed: []neko.ProcessID{1}},
 	}
-	ref, err := RunLatencySweep(specs, 1)
+	ref, err := RunLatencySweepContext(context.Background(), specs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 8} {
-		got, err := RunLatencySweep(specs, w)
+		got, err := RunLatencySweepContext(context.Background(), specs, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,11 +93,11 @@ func TestClass3DeterministicAcrossWorkers(t *testing.T) {
 // Fig. 7(b), Table 1 and Fig. 9(b).
 func TestSimulateWorkersDeterministic(t *testing.T) {
 	p := sanmodel.DefaultParams(3)
-	ref, err := sanmodel.SimulateWorkers(p, 200, 1e6, 5, 1)
+	ref, err := sanmodel.SimulateContext(context.Background(), p, 200, 1e6, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sanmodel.SimulateWorkers(p, 200, 1e6, 5, 7)
+	got, err := sanmodel.SimulateContext(context.Background(), p, 200, 1e6, 5, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +108,47 @@ func TestSimulateWorkersDeterministic(t *testing.T) {
 	for i := range rs {
 		if gs[i] != rs[i] {
 			t.Fatalf("sample %d = %v, want %v (bit-exact)", i, gs[i], rs[i])
+		}
+	}
+}
+
+// TestLatencyReuseMatchesFresh is the latency-level reset ≡ fresh
+// differential (the mirror of scenario.TestRunReuseMatchesFresh):
+// rerunning one harness across seeds must produce bit-identical results
+// to assembling a fresh harness per seed — for all three run classes.
+func TestLatencyReuseMatchesFresh(t *testing.T) {
+	for _, spec := range []LatencySpec{
+		{N: 3, Executions: 40},
+		{N: 5, Executions: 40, Crashed: []neko.ProcessID{1}},
+		{N: 3, Executions: 40, FDMode: FDHeartbeat, TimeoutT: 10},
+	} {
+		var reused *Harness
+		for seed := uint64(1); seed <= 5; seed++ {
+			spec.Seed = seed
+			want, err := RunLatencyContext(context.Background(), spec) // fresh assembly per campaign
+			if err != nil {
+				t.Fatal(err)
+			}
+			shape, plan, err := spec.plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := reused.For(shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reused != nil && h != reused {
+				t.Fatalf("n=%d seed %d: same-shape spec reassembled the harness", spec.N, seed)
+			}
+			reused = h
+			got, err := runLatency(context.Background(), reused, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d seed %d: reused harness result differs from fresh assembly:\n got %+v\nwant %+v",
+					spec.N, seed, got, want)
+			}
 		}
 	}
 }

@@ -13,16 +13,9 @@ func innerWorkers(workers, items int) int {
 	return parallel.InnerWorkers(workers, items)
 }
 
-// RunLatencySweep runs independent latency campaigns — one per spec —
+// RunLatencySweepContext runs independent latency campaigns — one per spec —
 // across at most `workers` goroutines (0 = one per CPU, 1 = serial) and
-// returns the results in spec order. It is a thin adapter over
-// RunLatencySweepContext with a background context, kept for call sites
-// that have no context to thread.
-func RunLatencySweep(specs []LatencySpec, workers int) ([]*LatencyResult, error) {
-	return RunLatencySweepContext(context.Background(), specs, workers)
-}
-
-// RunLatencySweepContext is the sweep core: each campaign draws all its
+// returns the results in spec order. Each campaign draws all its
 // random streams from its spec's Seed, so the returned results are
 // bit-identical to running the specs serially, regardless of the worker
 // count. This is the unit of parallelism for the paper's measurement
@@ -38,28 +31,15 @@ func RunLatencySweep(specs []LatencySpec, workers int) ([]*LatencyResult, error)
 // bit-identical to fresh ones, so the determinism guarantee is
 // unaffected (pinned by TestLatencySweepDeterministicAcrossWorkers).
 func RunLatencySweepContext(ctx context.Context, specs []LatencySpec, workers int) ([]*LatencyResult, error) {
-	cache := make([]*campaign, parallel.Workers(workers))
+	cache := make([]*Harness, parallel.Workers(workers))
 	return parallel.Map(ctx, workers, len(specs), func(w, i int) (*LatencyResult, error) {
-		spec := specs[i]
-		// Validate (normalize) before the compatibility check: the cached
-		// harness holds a defaulted spec, and an un-defaulted copy (zero
-		// Params, FDMode, ...) would never compare equal — silently
-		// disabling reuse for every spec that relies on the defaults.
-		if err := spec.validate(); err != nil {
+		shape, plan, err := specs[i].plan()
+		if err != nil {
 			return nil, err
 		}
-		c := cache[w]
-		if c == nil || !c.compatibleWith(spec) {
-			var err error
-			c, err = newCampaign(spec)
-			if err != nil {
-				return nil, err
-			}
-			cache[w] = c
-		}
-		if err := c.runWith(ctx, spec, nil); err != nil {
+		if cache[w], err = cache[w].For(shape); err != nil {
 			return nil, err
 		}
-		return c.res, nil
+		return runLatency(ctx, cache[w], plan)
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"ctsan/internal/consensus"
-	"ctsan/internal/fd"
 	"ctsan/internal/neko"
 	"ctsan/internal/netsim"
 	"ctsan/internal/rng"
@@ -72,55 +71,23 @@ func RunThroughputContext(ctx context.Context, spec ThroughputSpec) (*Throughput
 	if spec.Warmup >= spec.Executions {
 		return nil, fmt.Errorf("experiment: warmup %d must be below executions %d", spec.Warmup, spec.Executions)
 	}
-	if spec.MaxRounds == 0 {
-		spec.MaxRounds = 256
-	}
-	if spec.FDMode == 0 {
-		spec.FDMode = FDOracle
-	}
-	if spec.FDMode == FDHeartbeat {
-		if spec.TimeoutT <= 0 {
-			return nil, fmt.Errorf("experiment: heartbeat throughput needs TimeoutT > 0")
-		}
-		if spec.PeriodTh == 0 {
-			spec.PeriodTh = 0.7 * spec.TimeoutT
-		}
-	}
-	if spec.Params.N == 0 {
-		spec.Params = netsim.DefaultParams(spec.N)
-	}
-	spec.Params.N = spec.N
-	spec.Params.Crashed = spec.Crashed
-
-	root := rng.New(spec.Seed ^ 0x7a709)
-	cluster, err := netsim.New(spec.Params, root.Child(1))
+	shape, err := LatencySpec{
+		N: spec.N, Params: spec.Params, Crashed: spec.Crashed, MaxRounds: spec.MaxRounds,
+		FDMode: spec.FDMode, TimeoutT: spec.TimeoutT, PeriodTh: spec.PeriodTh,
+	}.shape()
 	if err != nil {
 		return nil, err
 	}
-	crashed := make(map[neko.ProcessID]bool, len(spec.Crashed))
-	for _, id := range spec.Crashed {
-		crashed[id] = true
+	h, err := NewHarness(shape)
+	if err != nil {
+		return nil, err
 	}
-
-	res := &ThroughputResult{}
-	var (
-		firstDecided = make(map[uint64]float64) // instance -> first decision (global ms)
-		engines      = make([]*consensus.Engine, spec.N+1)
-	)
-	for i := 1; i <= spec.N; i++ {
-		id := neko.ProcessID(i)
-		stack := neko.NewStack(cluster.Context(id))
-		var det neko.FailureDetector
-		if spec.FDMode == FDHeartbeat {
-			det = fd.NewHeartbeat(stack, spec.TimeoutT, spec.PeriodTh, nil)
-		} else {
-			det = fd.NewOracle(spec.Crashed...)
-		}
-		engines[i] = consensus.NewEngine(stack, det, consensus.Options{MaxRounds: spec.MaxRounds})
-		cluster.Attach(id, stack)
-	}
+	cluster, engines := h.cluster, h.engines
+	cluster.Reset(rng.New(spec.Seed ^ 0x7a709).Child(1))
 	cluster.Start()
 
+	res := &ThroughputResult{}
+	firstDecided := make(map[uint64]float64) // instance -> first decision (global ms)
 	remaining := spec.N - len(spec.Crashed)
 	finished := 0
 	canceled := false
@@ -151,10 +118,9 @@ func RunThroughputContext(ctx context.Context, spec ThroughputSpec) (*Throughput
 		})
 	}
 	for i := 1; i <= spec.N; i++ {
-		if crashed[neko.ProcessID(i)] {
+		if h.crashed[i] {
 			continue
 		}
-		i := i
 		cluster.StartAt(neko.ProcessID(i), 1.0, func() { chain(i, 0) })
 	}
 	cluster.Run(func() bool { return finished >= remaining })

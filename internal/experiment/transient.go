@@ -58,13 +58,12 @@ func RunCrashTransientContext(ctx context.Context, spec CrashTransientSpec) (*Cr
 	if spec.CrashID < 1 || int(spec.CrashID) > spec.N {
 		return nil, fmt.Errorf("experiment: crash id %d out of range", spec.CrashID)
 	}
-	// Reuse the latency campaign machinery with a live heartbeat FD and a
-	// mid-run crash injected through the cluster scheduler: we drive
-	// RunLatency's internals by running two campaigns is not equivalent
-	// (FD state would reset), so this uses the low-level pieces directly.
+	// The latency harness with a live heartbeat FD and a mid-run crash
+	// injected through the plan's Prepare step (running two campaigns would
+	// not be equivalent: FD state would reset between them).
 	res := &CrashTransientResult{}
 	gap := 10.0
-	spec2 := LatencySpec{
+	shape, plan, err := LatencySpec{
 		N:          spec.N,
 		Executions: spec.Executions,
 		Gap:        gap,
@@ -76,31 +75,33 @@ func RunCrashTransientContext(ctx context.Context, spec CrashTransientSpec) (*Cr
 		// that the campaign proceeds but long enough to capture the
 		// detection-transient latencies (up to ~T + T_h).
 		Deadline: 3*spec.TimeoutT + 60,
-	}
-	if err := spec2.validate(); err != nil {
+	}.plan()
+	if err != nil {
 		return nil, err
 	}
-	crashLocal := spec2.Warmup + float64(spec.CrashAfter)*gap - 0.5
-	// The per-execution trace is collected through the campaign's trace
-	// hook as executions close (undecided executions keep their NaN), so
-	// the campaign itself retains no raw sample slice.
+	h, err := NewHarness(shape)
+	if err != nil {
+		return nil, err
+	}
+	crashLocal := plan.Warmup + float64(spec.CrashAfter)*gap - 0.5
+	res.CrashAt = crashLocal
+	plan.Prepare = func() error {
+		h.cluster.CrashAt(spec.CrashID, crashLocal)
+		return nil
+	}
+	// The per-execution trace is collected through the plan's trace hook
+	// as executions close (undecided executions keep their NaN), so the
+	// campaign itself retains no raw sample slice.
 	res.Latency = make([]float64, spec.Executions)
 	for i := range res.Latency {
 		res.Latency[i] = math.NaN()
 	}
-	run, err := runCampaign(ctx, spec2, func(c *campaign) {
-		c.cluster.CrashAt(spec.CrashID, crashLocal)
-		res.CrashAt = crashLocal
-		c.trace = func(k int, lat float64) {
-			if k < len(res.Latency) {
-				res.Latency[k] = lat
-			}
-		}
-	})
+	plan.Trace = func(k int, lat float64) { res.Latency[k] = lat }
+	run, err := runLatency(ctx, h, plan)
 	if err != nil {
 		return nil, err
 	}
-	tds := fd.DetectionTimes(run.res.History, spec.CrashID, crashLocal, spec.N)
+	tds := fd.DetectionTimes(run.History, spec.CrashID, crashLocal, spec.N)
 	sum, cnt := 0.0, 0
 	for p, td := range tds {
 		if p == spec.CrashID || math.IsInf(td, 1) {

@@ -18,13 +18,6 @@ func Simulate(p Params, replicas int, tmax float64, seed uint64) (*san.Transient
 	return SimulateContext(context.Background(), p, replicas, tmax, seed, 0)
 }
 
-// SimulateWorkers is Simulate with an explicit worker count. It is a thin
-// adapter over SimulateContext with a background context, kept for call
-// sites that have no context to thread.
-func SimulateWorkers(p Params, replicas int, tmax float64, seed uint64, workers int) (*san.TransientResult, error) {
-	return SimulateContext(context.Background(), p, replicas, tmax, seed, workers)
-}
-
 // SimulateContext is the transient-study core: workers 0 (or negative)
 // means one per CPU, 1 forces the serial reference path, and ctx cancels
 // the study between replicas. The model is built once and shared by every

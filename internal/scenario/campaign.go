@@ -72,18 +72,12 @@ type Report struct {
 	Digest metrics.Digest `json:"-"`
 }
 
-// RunCampaign executes every (scenario, replica) pair of the grid on the
-// deterministic worker pool and folds per-scenario reports in grid order.
-// It is a thin adapter over RunCampaignContext with a background context,
-// kept for call sites that have no context to thread.
-func RunCampaign(spec CampaignSpec) ([]*Report, error) {
-	return RunCampaignContext(context.Background(), spec)
-}
-
-// RunCampaignContext is the campaign core. Results are bit-identical at
-// any worker count: each (scenario, replica) pair owns a child random
-// stream keyed by its flat grid index, and the fold is serial. ctx
-// cancels between grid units; a canceled campaign returns ctx.Err().
+// RunCampaignContext executes every (scenario, replica) pair of the grid
+// on the deterministic worker pool and folds per-scenario reports in grid
+// order. Results are bit-identical at any worker count: each (scenario,
+// replica) pair owns a child random stream keyed by its flat grid index,
+// and the fold is serial. ctx cancels between grid units and between the
+// executions inside each replica; a canceled campaign returns ctx.Err().
 //
 // The spec is validated up front: an empty scenario list, a non-positive
 // replica count, a negative execution override, and invalid scenarios all
@@ -112,29 +106,23 @@ func RunCampaignContext(ctx context.Context, spec CampaignSpec) ([]*Report, erro
 	}
 	seeds := rng.New(spec.Seed ^ 0xca3faa16)
 	units := len(spec.Scenarios) * spec.Replicas
-	// Each worker owns one reusable replica assembly (cluster, stacks,
-	// engines, detectors) and rewinds it per grid unit instead of
-	// constructing per replica; it is rebuilt only when the worker moves
-	// to a different scenario. Reused and fresh assemblies are
-	// bit-identical (see replica.run), so the campaign stays
-	// deterministic at any worker count.
-	cache := make([]*replica, parallel.Workers(spec.Workers))
+	// Each worker owns one reusable replica (harness, timeline buffers)
+	// and rewinds it per grid unit instead of constructing per replica;
+	// moving to a different scenario rebinds it, reassembling the harness
+	// only on an assembly-shape change. Reused and fresh assemblies are
+	// bit-identical (see replica), so the campaign stays deterministic at
+	// any worker count.
+	cfg := RunConfig{Executions: spec.Executions, MaxRounds: spec.MaxRounds, Deadline: spec.Deadline}
+	cache := make([]replica, parallel.Workers(spec.Workers))
 	results, err := parallel.Map(ctx, spec.Workers, units, func(w, i int) (*Result, error) {
 		s := spec.Scenarios[i/spec.Replicas]
-		rep := cache[w]
-		if rep == nil || rep.s != s {
-			var err error
-			rep, err = newReplica(s, RunConfig{
-				Executions: spec.Executions,
-				MaxRounds:  spec.MaxRounds,
-				Deadline:   spec.Deadline,
-			})
-			if err != nil {
+		rep := &cache[w]
+		if rep.s != s {
+			if err := rep.bind(s, cfg); err != nil {
 				return nil, err
 			}
-			cache[w] = rep
 		}
-		return rep.run(seeds.Child(uint64(i)).Uint64())
+		return rep.run(ctx, seeds.Child(uint64(i)).Uint64())
 	})
 	if err != nil {
 		return nil, err

@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"context"
 	"reflect"
 	"testing"
+
+	"ctsan/internal/experiment"
 )
 
 // TestRunReuseMatchesFresh is the scenario-level reset ≡ fresh
@@ -27,7 +30,7 @@ func TestRunReuseMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := reused.run(seed)
+			got, err := reused.run(context.Background(), seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,13 +66,13 @@ func TestScenarioReplicaSteadyStateAllocs(t *testing.T) {
 	// different event interleavings and pool high-water marks).
 	seed := uint64(1)
 	for ; seed <= 3; seed++ {
-		if _, err := r.run(seed); err != nil {
+		if _, err := r.run(context.Background(), seed); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		seed++
-		if _, err := r.run(seed); err != nil {
+		if _, err := r.run(context.Background(), seed); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -84,17 +87,43 @@ func TestScenarioReplicaSteadyStateAllocs(t *testing.T) {
 // execution index it was armed for — not a ghost Propose into the
 // successor execution. With a 0.02 ms deadline no consensus can complete
 // (one hop needs ~0.1 ms), so every execution must be cleanly aborted
-// and nothing may decide, panic, or trip the agreement checks.
+// and nothing may decide, panic, or trip the agreement checks — in both
+// configurations of the shared execution machine.
 func TestSubSkewDeadline(t *testing.T) {
-	s := New("tiny-deadline", 3).WithExecutions(30)
-	for seed := uint64(1); seed <= 20; seed++ {
-		res, err := Run(s, RunConfig{Seed: seed, Deadline: 0.02})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Decided != 0 || res.Aborted != 30 {
-			t.Fatalf("seed %d: %d decided / %d aborted, want 0/30 (ghost proposals leaked?)",
-				seed, res.Decided, res.Aborted)
-		}
+	cases := []struct {
+		name string
+		run  func(seed uint64) (decided, aborted int, err error)
+	}{
+		{"experiment", func(seed uint64) (int, int, error) {
+			res, err := experiment.RunLatencyContext(context.Background(), experiment.LatencySpec{
+				N: 3, Executions: 30, Seed: seed, Deadline: 0.02,
+			})
+			if err != nil {
+				return 0, 0, err
+			}
+			return res.Digest.N(), res.Aborted, nil
+		}},
+		{"scenario", func(seed uint64) (int, int, error) {
+			s := New("tiny-deadline", 3).WithExecutions(30)
+			res, err := Run(s, RunConfig{Seed: seed, Deadline: 0.02})
+			if err != nil {
+				return 0, 0, err
+			}
+			return res.Decided, res.Aborted, nil
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 20; seed++ {
+				decided, aborted, err := tc.run(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if decided != 0 || aborted != 30 {
+					t.Fatalf("seed %d: %d decided / %d aborted, want 0/30 (ghost proposals leaked?)",
+						seed, decided, aborted)
+				}
+			}
+		})
 	}
 }

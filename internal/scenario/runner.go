@@ -1,15 +1,14 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
-	"math"
 
-	"ctsan/internal/consensus"
+	"ctsan/internal/experiment"
 	"ctsan/internal/fd"
 	"ctsan/internal/metrics"
 	"ctsan/internal/neko"
 	"ctsan/internal/netsim"
-	"ctsan/internal/obs"
 	"ctsan/internal/rng"
 	"ctsan/internal/stats"
 	"ctsan/internal/trace"
@@ -82,58 +81,27 @@ func (r *Result) DecisionsPerSec() float64 {
 	return float64(r.Decided) / r.Texp * 1000
 }
 
-// replica is one reusable scenario executor: the cluster, protocol
-// stacks, consensus engines and failure detectors are assembled once
-// (newReplica), then rewound and rerun for every Monte-Carlo replica of
-// the scenario (run). Campaign workers keep one replica per worker — the
-// san.Transient pattern — so steady-state campaign execution constructs
+// replica is a scenario configured onto the one replica harness
+// (experiment.Harness): on top of a latency experiment it adds the
+// post-rewind step that attaches the tracer and compiles the timeline
+// onto the cluster, the timeline-driven up-set and gap, and
+// ground-truthed suspicion counting over the run's fd.History. Campaign
+// workers keep one per worker, so steady-state execution constructs
 // nothing per replica; run(seed) on a reused replica is bit-identical to
-// a fresh construct-then-run from the same seed.
+// a fresh construct-then-run from the same seed (TestRunReuseMatchesFresh).
 type replica struct {
-	s          *Scenario
-	cfg        RunConfig
-	cluster    *netsim.Cluster
-	engines    []*consensus.Engine
-	heartbeats []*fd.Heartbeat
-	history    *fd.History
-	// Per-process Propose decision/abort hooks, allocated once. They
-	// read the current execution index at fire time, which is safe:
-	// engine callbacks only fire while their instance is active, and
-	// instances are forgotten when their execution closes.
-	decideFns []func(consensus.Decision)
-	doneFns   []func()
-	phaseFn   func(name string, at float64)
-	// startFree recycles the per-arm StartAt records (see startCall);
-	// startAll retains every record ever created so run can reclaim the
-	// ones stranded in the wiped event queue between runs. wdFree/wdAll
-	// likewise for the per-execution watchdog records (see wdCall).
-	startFree []*startCall
-	startAll  []*startCall
-	wdFree    []*wdCall
-	wdAll     []*wdCall
-	// root, clusterRand and injRand are the replica's retained randomness
-	// streams, reseeded in place per run; prog is the retained compiled
-	// timeline. Both exist so run constructs nothing.
-	root        rng.Stream
-	clusterRand rng.Stream
-	injRand     rng.Stream
-	prog        program
-
-	// Per-run state.
-	tl       *Timeline
-	res      *Result
-	curGap   float64
-	running  bool
-	execIdx  int
-	execT0   float64
-	closed   bool
-	upCount  int
-	finished int
-	decided  bool
-	firstAt  float64
-	round    int
-	val      int64
-	err      error
+	s   *Scenario
+	cfg RunConfig
+	h   *experiment.Harness
+	// plan holds the per-scenario run configuration; only Seed changes
+	// between runs. history, injRand and prog are retained so that run
+	// constructs nothing: the transition log, the injection randomness
+	// stream (reseeded in place) and the compiled timeline.
+	plan    experiment.Plan
+	phaseFn func(name string, at float64)
+	history fd.History
+	injRand rng.Stream
+	prog    program
 }
 
 // Run executes one replica of the scenario and returns its result.
@@ -142,25 +110,26 @@ func Run(s *Scenario, cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.run(cfg.Seed)
+	return r.run(context.Background(), cfg.Seed)
 }
 
-// newReplica validates the scenario, applies config defaults, and builds
-// the cluster + protocol assembly. No randomness is drawn here
-// (netsim.NewIdle): run always rewinds the cluster from the replica seed
-// before executing, so fresh and reused replicas take the same path.
 func newReplica(s *Scenario, cfg RunConfig) (*replica, error) {
+	r := &replica{}
+	return r, r.bind(s, cfg)
+}
+
+// bind validates the scenario, applies config defaults and points the
+// replica at it, keeping the harness when the scenario needs the
+// assembly shape it already has.
+func (r *replica) bind(s *Scenario, cfg RunConfig) error {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.Executions == 0 {
 		cfg.Executions = s.Executions
 	}
 	if cfg.Executions < 1 {
-		return nil, fmt.Errorf("scenario %s: need at least 1 execution", s.Name)
-	}
-	if cfg.MaxRounds == 0 {
-		cfg.MaxRounds = 256
+		return fmt.Errorf("scenario %s: need at least 1 execution", s.Name)
 	}
 	if cfg.Deadline == 0 {
 		if s.TimeoutT > 0 {
@@ -177,292 +146,80 @@ func newReplica(s *Scenario, cfg RunConfig) (*replica, error) {
 	if s.PauseDur != nil {
 		params.PauseDur = s.PauseDur
 	}
-	cluster, err := netsim.NewIdle(params)
+	h, err := r.h.For(experiment.Shape{
+		Params: params, TimeoutT: s.TimeoutT, PeriodTh: s.PeriodTh, MaxRounds: cfg.MaxRounds,
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r := &replica{
-		s:         s,
-		cfg:       cfg,
-		cluster:   cluster,
-		engines:   make([]*consensus.Engine, s.N+1),
-		history:   &fd.History{},
-		decideFns: make([]func(consensus.Decision), s.N+1),
-		doneFns:   make([]func(), s.N+1),
+	r.s, r.cfg, r.h = s, cfg, h
+	r.phaseFn = r.onPhase
+	r.plan = experiment.Plan{
+		Label:      "scenario " + s.Name,
+		Executions: cfg.Executions,
+		Warmup:     20, // matches the latency experiment (§4)
+		Gap:        s.Gap,
+		Deadline:   cfg.Deadline,
+		History:    &r.history,
+		Up:         r.prog.tl.UpAt,
+		Prepare:    r.prepare,
 	}
-	r.phaseFn = func(_ string, at float64) { r.curGap = r.tl.GapAt(at) }
-
-	periodTh := s.PeriodTh
-	if s.TimeoutT > 0 && periodTh == 0 {
-		periodTh = 0.7 * s.TimeoutT
-	}
-	for i := 1; i <= s.N; i++ {
-		id := neko.ProcessID(i)
-		stack := neko.NewStack(cluster.Context(id))
-		var det neko.FailureDetector
-		if s.TimeoutT > 0 {
-			hb := fd.NewHeartbeat(stack, s.TimeoutT, periodTh, r.history)
-			r.heartbeats = append(r.heartbeats, hb)
-			det = hb
-		} else {
-			det = fd.NewOracle(s.InitialCrashed...)
-		}
-		r.engines[i] = consensus.NewEngine(stack, det, consensus.Options{MaxRounds: cfg.MaxRounds})
-		cluster.Attach(id, stack)
-		r.decideFns[i] = func(d consensus.Decision) { r.onDecision(r.execIdx, d) }
-		r.doneFns[i] = func() { r.onProcessDone(r.execIdx) }
-	}
-	return r, nil
+	return nil
 }
 
-// startCall is a pooled StartAt callback carrying the execution index it
-// was armed for: a stale call — possible when a sub-clock-skew Deadline
-// lets the watchdog close an execution before its StartAts fire — is a
-// no-op instead of proposing into the successor execution.
-type startCall struct {
-	r     *replica
-	i, k  int
-	runFn func()
-}
-
-func (r *replica) newStartCall(i, k int) *startCall {
-	var sc *startCall
-	if n := len(r.startFree); n > 0 {
-		sc = r.startFree[n-1]
-		r.startFree[n-1] = nil
-		r.startFree = r.startFree[:n-1]
-	} else {
-		sc = &startCall{r: r}
-		sc.runFn = sc.run
-		r.startAll = append(r.startAll, sc)
-	}
-	sc.i, sc.k = i, k
-	return sc
-}
-
-func (sc *startCall) run() {
-	r, i, k := sc.r, sc.i, sc.k
-	r.startFree = append(r.startFree, sc)
-	if r.closed || k != r.execIdx {
-		return
-	}
-	r.engines[i].Propose(uint64(k), int64(i), r.decideFns[i], r.doneFns[i])
-}
-
-// wdCall is a pooled per-execution watchdog callback: the deadline event
-// of an execution that closed normally fires late as a stale no-op
-// (closeExec's execIdx guard), returning the record then. The pool
-// stabilizes at roughly Deadline/Gap in-flight records, after which
-// arming watchdogs allocates nothing.
-type wdCall struct {
-	r     *replica
-	k     int
-	runFn func()
-}
-
-func (r *replica) newWdCall(k int) *wdCall {
-	var w *wdCall
-	if n := len(r.wdFree); n > 0 {
-		w = r.wdFree[n-1]
-		r.wdFree[n-1] = nil
-		r.wdFree = r.wdFree[:n-1]
-	} else {
-		w = &wdCall{r: r}
-		w.runFn = w.run
-		r.wdAll = append(r.wdAll, w)
-	}
-	w.k = k
-	return w
-}
-
-func (w *wdCall) run() {
-	r, k := w.r, w.k
-	r.wdFree = append(r.wdFree, w)
-	r.closeExec(k)
-}
-
-// run rewinds the whole assembly to the given replica seed and executes
-// the scenario once. The rewind reproduces construction exactly —
-// cluster randomness, timeline compilation, protocol state — so a reused
-// replica is bit-identical to a freshly built one (pinned by
-// TestRunReuseMatchesFresh).
-func (r *replica) run(seed uint64) (*Result, error) {
-	r.root.Reseed(seed ^ 0x5ce7a51ed)
-	r.root.ChildInto(&r.clusterRand, 1)
-	r.cluster.Reset(&r.clusterRand)
-	// The wiped event queue stranded the in-flight start and watchdog
-	// records of the previous run; rebuild the free lists from the
-	// retained full sets (the netsim reclaimAll treatment).
-	r.startFree = append(r.startFree[:0], r.startAll...)
-	r.wdFree = append(r.wdFree[:0], r.wdAll...)
-	for _, e := range r.engines {
-		if e != nil {
-			e.Reset()
-		}
-	}
-	r.history.Reset()
-	for _, hb := range r.heartbeats {
-		hb.Reset(r.history)
-	}
-	r.res = &Result{}
-	r.curGap = r.s.Gap
-	r.running = false
-	r.closed = false
-	r.err = nil
-
-	// Attach the tracer after the resets (which detach) and before the
+// prepare is the scenario's post-rewind, pre-start step.
+func (r *replica) prepare() error {
+	// Attach the tracer after the rewind (which detaches) and before the
 	// timeline compiles, so the injection-scheduling prefix is captured.
 	// Tracing consumes no randomness and emits in DES execution order, so
 	// the trace is a pure function of the replica seed (rule 6).
 	if tr := r.cfg.Tracer; tr != nil {
 		tr.Reset()
-		r.cluster.SetTracer(tr)
-		for _, e := range r.engines {
-			if e != nil {
-				e.SetTracer(tr)
-			}
-		}
-		for _, hb := range r.heartbeats {
-			hb.SetTracer(tr)
-		}
+		r.h.SetTracer(tr)
 	}
-
-	r.root.ChildInto(&r.injRand, 2)
-	if err := r.s.compileInto(&r.prog, r.cluster, &r.injRand); err != nil {
-		return nil, err
+	r.h.Root().ChildInto(&r.injRand, 2)
+	if err := r.s.compileInto(&r.prog, r.h.Cluster(), &r.injRand); err != nil {
+		return err
 	}
-	r.tl = &r.prog.tl
 	// Workload phases arrive through the cluster's phase hook, so the gap
 	// switch happens at the injected instant of simulated time.
-	r.cluster.OnPhase(r.phaseFn)
+	r.h.Cluster().OnPhase(r.phaseFn)
+	return nil
+}
 
-	r.cluster.Start()
-	r.startExec(0, 20) // warmup matches the experiment harness (§4)
-	r.cluster.Run(func() bool { return !r.running || r.err != nil })
-	if r.err != nil {
-		return nil, r.err
+func (r *replica) onPhase(_ string, at float64) { r.h.SetGap(r.prog.tl.GapAt(at)) }
+
+// run rewinds the whole assembly to the given replica seed and executes
+// the scenario once.
+func (r *replica) run(ctx context.Context, seed uint64) (*Result, error) {
+	r.history.Reset()
+	r.plan.Seed = seed ^ 0x5ce7a51ed
+	out, err := r.h.Run(ctx, r.plan)
+	if err != nil {
+		return nil, err
 	}
-	r.res.Texp = r.cluster.Now()
-	r.res.Events = r.cluster.Steps()
-	for _, hb := range r.heartbeats {
-		hb.Stop()
-	}
-	if r.s.TimeoutT > 0 {
-		r.res.QoS = fd.EstimateQoS(r.history, r.res.Texp, r.s.N)
+	res := &Result{
+		Digest:  out.Digest,
+		Rounds:  out.Rounds,
+		Decided: out.Digest.N(),
+		Aborted: out.Aborted,
+		Texp:    out.Texp,
+		Events:  out.Events,
+		QoS:     out.QoS,
 	}
 	for _, e := range r.history.Events() {
 		if e.Suspected {
-			r.res.Suspicions++
-			if r.tl.UpAt(e.Q, e.At) {
-				r.res.WrongSuspicions++
+			res.Suspicions++
+			if r.prog.tl.UpAt(e.Q, e.At) {
+				res.WrongSuspicions++
 				if r.cfg.Tracer != nil {
-					r.res.Wrong = append(r.res.Wrong, WrongSuspicion{P: e.P, Q: e.Q, At: e.At})
+					res.Wrong = append(res.Wrong, WrongSuspicion{P: e.P, Q: e.Q, At: e.At})
 				}
 			}
 		}
 	}
 	if r.cfg.Tracer != nil {
-		r.res.Trace = r.cfg.Tracer.Snapshot()
+		res.Trace = r.cfg.Tracer.Snapshot()
 	}
-	return r.res, nil
-}
-
-// startExec launches execution k at local time t0 on every process that
-// the timeline says is up (crashed processes never start; the cluster
-// additionally guards against races at the boundary).
-func (r *replica) startExec(k int, t0 float64) {
-	r.running = true
-	r.execIdx = k
-	r.execT0 = t0
-	r.closed = false
-	r.finished = 0
-	r.decided = false
-	r.firstAt = math.Inf(1)
-	r.round = 0
-	r.val = 0
-	r.upCount = 0
-	for i := 1; i <= r.s.N; i++ {
-		id := neko.ProcessID(i)
-		if !r.tl.UpAt(id, t0) {
-			continue
-		}
-		r.upCount++
-		r.cluster.StartAt(id, t0, r.newStartCall(i, k).runFn)
-	}
-	// Watchdog: mid-run crashes, partitions, and catastrophic suspicion
-	// storms must not hang the campaign. Scheduled globally so no host
-	// state can silence it.
-	r.cluster.AtGlobal(t0+r.cfg.Deadline, r.newWdCall(k).runFn)
-	if r.upCount == 0 {
-		// Nobody can propose; close via the watchdog path immediately.
-		r.cluster.AtGlobal(t0, r.newWdCall(k).runFn)
-	}
-}
-
-func (r *replica) onDecision(k int, d consensus.Decision) {
-	if r.closed || k != r.execIdx {
-		return
-	}
-	if !r.decided {
-		r.decided = true
-		r.firstAt = d.At
-		r.round = d.Round
-		r.val = d.Val
-	} else {
-		if d.Val != r.val {
-			r.err = fmt.Errorf("scenario %s: agreement violated in execution %d: decisions %d and %d",
-				r.s.Name, k, r.val, d.Val)
-			return
-		}
-		if d.At < r.firstAt {
-			r.firstAt = d.At
-			r.round = d.Round
-		}
-	}
-	if v := d.Val; v < 1 || int(v) > r.s.N {
-		r.err = fmt.Errorf("scenario %s: validity violated in execution %d: decided %d", r.s.Name, k, d.Val)
-		return
-	}
-	r.onProcessDone(k)
-}
-
-func (r *replica) onProcessDone(k int) {
-	if r.closed || k != r.execIdx {
-		return
-	}
-	r.finished++
-	if r.finished >= r.upCount {
-		r.closeExec(k)
-	}
-}
-
-// closeExec finalizes execution k (normally or via watchdog) and
-// schedules the next one a current-workload-gap later.
-func (r *replica) closeExec(k int) {
-	if r.closed || k != r.execIdx {
-		return
-	}
-	r.closed = true
-	obs.Executions.Add(1)
-	if r.decided {
-		r.res.Digest.Add(r.firstAt - r.execT0)
-		r.res.Rounds.Add(float64(r.round))
-		r.res.Decided++
-	} else {
-		r.res.Aborted++
-	}
-	for i := 1; i <= r.s.N; i++ {
-		if r.engines[i] != nil {
-			r.engines[i].Forget(uint64(k))
-		}
-	}
-	if k+1 >= r.cfg.Executions {
-		r.running = false
-		return
-	}
-	next := r.execT0 + r.curGap
-	if now := r.cluster.Now(); now+2 > next {
-		next = now + 2
-	}
-	r.startExec(k+1, next)
+	return res, nil
 }

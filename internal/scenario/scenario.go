@@ -14,8 +14,12 @@
 //   - a Scenario is a value: build one with New and the fluent builder
 //     methods, or load one from JSON (LoadJSON);
 //   - Run executes one replica of a scenario and reports latencies,
-//     wrong-suspicion counts and decision throughput;
-//   - RunCampaign fans a scenario × replica grid across CPUs via
+//     wrong-suspicion counts and decision throughput — as a configuration
+//     of the one replica harness (experiment.Harness): the scenario adds
+//     only the post-rewind step that compiles its timeline onto the
+//     cluster, the timeline-driven up-set and gap, and ground-truthed
+//     suspicion counting;
+//   - RunCampaignContext fans a scenario × replica grid across CPUs via
 //     internal/parallel with bit-identical results at any worker count;
 //   - the registry (Get, Names, Register) holds named built-ins —
 //     paper-baseline, crash-n3-anomaly, rolling-crash, split-brain,

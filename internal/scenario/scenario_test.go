@@ -12,6 +12,7 @@ import (
 	"ctsan/internal/experiment"
 	"ctsan/internal/neko"
 	"ctsan/internal/netsim"
+	"ctsan/internal/obs"
 	"ctsan/internal/rng"
 )
 
@@ -262,7 +263,7 @@ func TestPaperBaselineMatchesExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, err := RunCampaign(CampaignSpec{
+	reports, err := RunCampaignContext(context.Background(), CampaignSpec{
 		Scenarios: []*Scenario{s}, Replicas: reps, Executions: execs, Workers: 0, Seed: 11,
 	})
 	if err != nil {
@@ -280,7 +281,7 @@ func TestPaperBaselineMatchesExperiment(t *testing.T) {
 	for i := range specs {
 		specs[i] = experiment.LatencySpec{N: s.N, Executions: execs, Seed: uint64(100 + i)}
 	}
-	results, err := experiment.RunLatencySweep(specs, 0)
+	results, err := experiment.RunLatencySweepContext(context.Background(), specs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +314,7 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 		all = append(all, s)
 	}
 	run := func(workers int) []*Report {
-		reports, err := RunCampaign(CampaignSpec{
+		reports, err := RunCampaignContext(context.Background(), CampaignSpec{
 			Scenarios:  all,
 			Replicas:   2,
 			Executions: 60,
@@ -386,7 +387,7 @@ func TestBurstLoadRaisesThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, err := RunCampaign(CampaignSpec{
+	reports, err := RunCampaignContext(context.Background(), CampaignSpec{
 		Scenarios:  []*Scenario{burst, base},
 		Replicas:   1,
 		Executions: 300,
@@ -410,27 +411,28 @@ func TestRunConfigValidation(t *testing.T) {
 	if _, err := Run(s, RunConfig{}); err == nil {
 		t.Error("zero executions accepted")
 	}
-	if _, err := RunCampaign(CampaignSpec{}); err == nil {
+	if _, err := RunCampaignContext(context.Background(), CampaignSpec{}); err == nil {
 		t.Error("empty campaign accepted")
 	}
-	if _, err := RunCampaign(CampaignSpec{Scenarios: []*Scenario{New("x", 3)}, Replicas: -1}); err == nil {
+	if _, err := RunCampaignContext(context.Background(), CampaignSpec{Scenarios: []*Scenario{New("x", 3)}, Replicas: -1}); err == nil {
 		t.Error("negative replicas accepted")
 	}
-	if _, err := RunCampaign(CampaignSpec{Scenarios: []*Scenario{New("x", 3)}, Executions: -5}); err == nil {
+	if _, err := RunCampaignContext(context.Background(), CampaignSpec{Scenarios: []*Scenario{New("x", 3)}, Executions: -5}); err == nil {
 		t.Error("negative execution override accepted")
 	}
-	if _, err := RunCampaign(CampaignSpec{Scenarios: []*Scenario{New("x", 3), nil}}); err == nil {
+	if _, err := RunCampaignContext(context.Background(), CampaignSpec{Scenarios: []*Scenario{New("x", 3), nil}}); err == nil {
 		t.Error("nil scenario accepted")
 	}
 	// The errors must be descriptive, not silent empty reports.
-	_, err := RunCampaign(CampaignSpec{})
+	_, err := RunCampaignContext(context.Background(), CampaignSpec{})
 	if err == nil || !strings.Contains(err.Error(), "no scenarios") {
 		t.Errorf("empty-campaign error not descriptive: %v", err)
 	}
 }
 
 // TestCampaignCancellation pins the cooperative-cancellation contract: a
-// canceled campaign stops between grid units and returns ctx.Err().
+// canceled campaign stops between grid units — and, inside a replica,
+// between consensus executions — and returns ctx.Err().
 func TestCampaignCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -441,6 +443,38 @@ func TestCampaignCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+
+	// Mid-replica: one long serial replica whose context reports
+	// cancellation from its 4th poll on. The worker pool polls once before
+	// the unit, so the cancellation can only land at an execution boundary
+	// inside the replica, after the first executions have closed.
+	before := obs.Executions.Value()
+	_, err = RunCampaignContext(&cancelAfterPolls{Context: context.Background(), polls: 3}, CampaignSpec{
+		Scenarios: []*Scenario{New("long", 3).WithExecutions(100000)},
+		Workers:   1,
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-replica cancel: err = %v, want context.Canceled", err)
+	}
+	if ran := obs.Executions.Value() - before; ran < 1 || ran >= 100000 {
+		t.Fatalf("mid-replica cancel: %d executions closed, want a few", ran)
+	}
+}
+
+// cancelAfterPolls is a context whose Err reports cancellation after the
+// first `polls` calls: a deterministic, single-goroutine stand-in for a
+// cancel arriving mid-run.
+type cancelAfterPolls struct {
+	context.Context
+	polls int
+}
+
+func (c *cancelAfterPolls) Err() error {
+	if c.polls > 0 {
+		c.polls--
+		return nil
+	}
+	return context.Canceled
 }
 
 // benchCampaign runs an 8-replica gc-storm campaign at the given worker
@@ -452,7 +486,7 @@ func benchCampaign(b *testing.B, workers int) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := RunCampaign(CampaignSpec{
+		if _, err := RunCampaignContext(context.Background(), CampaignSpec{
 			Scenarios: []*Scenario{s}, Replicas: 8, Executions: 150,
 			Workers: workers, Seed: uint64(i) + 1,
 		}); err != nil {

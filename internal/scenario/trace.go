@@ -86,7 +86,7 @@ func RunTraced(ctx context.Context, spec TraceSpec) ([]*TracedReplica, error) {
 			cache[w] = ws
 		}
 		seed := seeds.Child(uint64(i)).Uint64()
-		res, err := ws.rep.run(seed)
+		res, err := ws.rep.run(ctx, seed)
 		if err != nil {
 			return nil, err
 		}

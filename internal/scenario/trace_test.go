@@ -151,13 +151,13 @@ func TestTracedReplicaSteadyStateAllocs(t *testing.T) {
 	}
 	seed := uint64(1)
 	for ; seed <= 3; seed++ {
-		if _, err := r.run(seed); err != nil {
+		if _, err := r.run(context.Background(), seed); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		seed++
-		if _, err := r.run(seed); err != nil {
+		if _, err := r.run(context.Background(), seed); err != nil {
 			t.Fatal(err)
 		}
 	})

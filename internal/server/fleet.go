@@ -77,6 +77,8 @@ type FleetStatus struct {
 // leaseMgr is the per-study lease ledger. All mutation happens under mu;
 // methods return the work to do outside the lock (hub lines to emit,
 // cache entries to feed) so HTTP handlers never hold it across I/O.
+// Callers that stream the emitted lines hold study.ingest across the
+// ledger call and the hub appends.
 type leaseMgr struct {
 	studyID string
 	name    string
@@ -556,25 +558,27 @@ func (s *Server) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("lease")
+	st.ingest.Lock()
 	out := st.fleet.complete(time.Now(), id, splitRecordLines(body))
+	st.stream(out)
+	st.ingest.Unlock()
 	obs.UploadBytes.Add(int64(len(body)))
 	obs.UploadRecords.Add(int64(out.accepted))
 	obs.UploadRejected.Add(int64(out.rejected))
-	s.applyIngest(st, out, true)
+	if s.cache != nil {
+		for _, f := range out.feed {
+			s.cache.PutEncoded(f.hash, f.line)
+		}
+	}
 	s.cfg.Logf("study %s: lease %s upload: %d accepted, %d rejected, %d duplicate (%d/%d streamed)",
 		st.id, id, out.accepted, out.rejected, out.dup, out.flushed, len(st.points))
 	writeJSON(w, http.StatusOK, completeReply{Accepted: out.accepted, Rejected: out.rejected, Duplicate: out.dup, Done: out.done})
 }
 
-// applyIngest performs an ingest's side effects outside the manager
-// lock: feed the content-addressed cache, stream the newly contiguous
-// result prefix, and advance progress.
-func (s *Server) applyIngest(st *study, out ingestResult, feedCache bool) {
-	if feedCache && s.cache != nil {
-		for _, f := range out.feed {
-			s.cache.PutEncoded(f.hash, f.line)
-		}
-	}
+// stream releases an ingest's newly contiguous result prefix to the hub
+// and advances progress. The caller holds st.ingest across the ledger
+// call that produced out and this.
+func (st *study) stream(out ingestResult) {
 	for _, line := range out.emit {
 		st.hub.append(line)
 	}
@@ -591,18 +595,25 @@ func (s *Server) runFleetStudy(st *study) {
 	m := st.fleet
 	obs.StudiesActive.Add(1)
 	defer obs.StudiesActive.Add(-1)
+	st.ingest.Lock()
 	out := m.preserve(s.cache, st.countLookup)
 	st.setRunning() // leases are granted only from "running"
-	s.applyIngest(st, out, false)
+	st.stream(out)
+	st.ingest.Unlock()
 	s.cfg.Logf("study %s (%q): fleet dispatch of %d points (%d cache-served)", st.id, st.spec.Name, len(st.points), out.accepted)
 	ticker := time.NewTicker(min(m.ttl/2, time.Second))
 	defer ticker.Stop()
 	for {
 		select {
 		case <-m.done:
+			// done closes inside the ingest section of the upload that
+			// completed the grid; finishing under the same lock orders it
+			// after that upload's lines have reached the hub.
+			st.ingest.Lock()
 			st.setFinished(nil)
 			final := st.snapshot()
 			st.hub.finish("")
+			st.ingest.Unlock()
 			s.cfg.Logf("study %s: done (%d points, %d leases granted, %d completed, %d expired)",
 				st.id, final.Points, final.Fleet.Granted, final.Fleet.Completed, final.Fleet.Expired)
 			return

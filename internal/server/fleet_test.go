@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"sync"
@@ -496,5 +497,150 @@ func TestServerCacheSpillAcrossRestart(t *testing.T) {
 	final := h2.waitTerminal(t, warm.ID)
 	if final.CacheHits != int64(points) || final.CacheMisses != 0 {
 		t.Errorf("post-restart study: hits=%d misses=%d, want %d/0", final.CacheHits, final.CacheMisses, points)
+	}
+}
+
+// wideStudy is a grid of n three-replica SAN points: trivial to execute,
+// but wide enough that per-point coordinator work (cache pre-serve, hub
+// appends) spans a scheduling quantum.
+func wideStudy(n int) *campaign.Study {
+	st := campaign.NewStudy("wide")
+	for i := 0; i < n; i++ {
+		st.Add(campaign.SANPoint{N: 3, Replicas: 3})
+	}
+	return st
+}
+
+// TestFleetSubmitWhileStatusPolled is the regression test for the ABBA
+// deadlock between study.snapshot (study.mu, then the ledger lock for
+// the fleet block) and leaseMgr.preserve (ledger lock, then study.mu per
+// counted cache lookup): a fleet study POSTed to an idle daemon starts
+// its pre-serve pass at once, while the 202 reply and any status poller
+// snapshot the same study. The cache is warmed first so the pass does
+// real per-point work and the two paths overlap for certain. Every
+// request carries a timeout, so a wedged daemon fails the test instead
+// of hanging it.
+func TestFleetSubmitWhileStatusPolled(t *testing.T) {
+	spec, err := campaign.EncodeStudy(wideStudy(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newTestServer(t, Config{Workers: 2, MaxActive: 1, QueueDepth: 8, CacheBytes: 64 << 20})
+	warm := h.mustSubmit(t, spec, "")
+	if st := h.waitTerminal(t, warm.ID); st.Status != "done" {
+		t.Fatalf("warming study: %+v", st)
+	}
+
+	client := &http.Client{Timeout: 10 * time.Second}
+	status := func() (Status, error) {
+		var st Status
+		resp, err := client.Get(h.ts.URL + "/api/v1/studies/s000002") // the server's second study
+		if err != nil {
+			return st, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusOK { // 404 until admitted
+			err = json.NewDecoder(resp.Body).Decode(&st)
+		}
+		return st, err
+	}
+	stop := make(chan struct{})
+	var pollers sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		pollers.Add(1)
+		go func() {
+			defer pollers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := status(); err != nil {
+					t.Errorf("status poll: %v (daemon wedged?)", err)
+					return
+				}
+			}
+		}()
+	}
+	resp, err := client.Post(h.ts.URL+"/api/v1/studies?mode=fleet", "application/json", bytes.NewReader(spec))
+	if err != nil {
+		t.Fatalf("submit: %v (daemon wedged?)", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	// Every point is cache-resident, so the pre-serve pass completes the
+	// study without a lease.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		st, err := status()
+		if err != nil {
+			t.Fatalf("status: %v (daemon wedged?)", err)
+		}
+		if st.Status == "done" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("warm fleet study never finished: %+v", st)
+		}
+	}
+	close(stop)
+	pollers.Wait()
+}
+
+// TestFleetStreamEndsAfterLastUpload is the regression test for the
+// truncated fleet stream: the upload that completes the grid signals the
+// dispatch loop, which must not finish the hub before that upload's own
+// lines have been appended. A subscriber attached before the upload must
+// read exactly one line per point before EOF, every time.
+func TestFleetStreamEndsAfterLastUpload(t *testing.T) {
+	const points = 400
+	study := wideStudy(points)
+	spec, err := campaign.EncodeStudy(study)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Execute the grid once; determinism makes the records valid for every
+	// resubmission of the same spec and seed.
+	frozen, err := campaign.Frozen(study, campaign.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := checkpoint.Open(filepath.Join(t.TempDir(), "all.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := campaign.RunShardRange(context.Background(), frozen, 0, points, store,
+		func(int, []byte) error { return nil }, campaign.WithWorkers(1)); err != nil {
+		t.Fatal(err)
+	}
+	recs := store.Records()
+
+	h := newTestServer(t, Config{Workers: 1, MaxActive: 1, QueueDepth: 8, CacheBytes: -1})
+	w := &testWorker{h: h, name: "w"}
+	for round := 0; round < 20; round++ {
+		st := h.mustSubmit(t, spec, "?mode=fleet")
+		h.waitRunning(t, st.ID)
+		// The response headers arrive once the handler has taken its first
+		// hub snapshot, so the subscriber is following the live tail.
+		stream, err := http.Get(h.ts.URL + "/api/v1/studies/" + st.ID + "/results")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One upload carries the whole grid (no lease: late records are
+		// verified and accepted like any others).
+		if out := w.upload(t, st.ID, "l999999", recs); out.Accepted != points || !out.Done {
+			t.Fatalf("round %d: upload: %+v", round, out)
+		}
+		data, err := io.ReadAll(stream.Body)
+		stream.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bytes.Count(data, []byte{'\n'}); got != points {
+			t.Fatalf("round %d: stream ended after %d lines, want %d", round, got, points)
+		}
+		h.waitTerminal(t, st.ID)
 	}
 }

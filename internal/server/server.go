@@ -127,6 +127,11 @@ type study struct {
 	// fleet, when non-nil, marks the study as fleet-dispatched: it is
 	// executed by external workers pulling leases, not the local pool.
 	fleet *leaseMgr
+	// ingest makes a ledger ingest and the hub appends of the lines it
+	// released one critical section, so lines reach the hub in flush order
+	// across concurrent uploads and the stream is finished only after the
+	// last one (see runFleetStudy).
+	ingest sync.Mutex
 
 	mu       sync.Mutex
 	status   string // "queued", "running", "done", "failed", "canceled"
@@ -163,6 +168,14 @@ type Status struct {
 }
 
 func (st *study) snapshot() Status {
+	// Lock order is leaseMgr.mu before study.mu (preserve counts cache
+	// lookups under the ledger lock), so the ledger is read first, never
+	// under st.mu.
+	var fleet *FleetStatus
+	if st.fleet != nil {
+		fs := st.fleet.stats()
+		fleet = &fs
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	s := Status{
@@ -180,10 +193,9 @@ func (st *study) snapshot() Status {
 		Submitted:   st.submitted.UTC().Format(time.RFC3339Nano),
 		Mode:        "local",
 	}
-	if st.fleet != nil {
+	if fleet != nil {
 		s.Mode = "fleet"
-		fs := st.fleet.stats()
-		s.Fleet = &fs
+		s.Fleet = fleet
 	}
 	if !st.started.IsZero() {
 		s.Started = st.started.UTC().Format(time.RFC3339Nano)

@@ -6,6 +6,7 @@
 package ctsan
 
 import (
+	"context"
 	"testing"
 
 	"ctsan/internal/sanmodel"
@@ -15,7 +16,7 @@ import (
 func transientPoint(b *testing.B, workers int) {
 	p := sanmodel.DefaultParams(5)
 	for i := 0; i < b.N; i++ {
-		res, err := sanmodel.SimulateWorkers(p, 600, 1e6, uint64(i)+1, workers)
+		res, err := sanmodel.SimulateContext(context.Background(), p, 600, 1e6, uint64(i)+1, workers)
 		if err != nil {
 			b.Fatal(err)
 		}
