@@ -123,11 +123,11 @@
 // after each result reaches the sinks (its ordering guarantees are part
 // of the API — see the option's doc). Process-wide telemetry counters
 // (points and executions completed, shard attempts/retries, checkpoint
-// appends, worker utilization) tick in internal/obs and are served over
-// expvar + pprof when a CLI runs with -debug-addr; they read wall
-// clocks and so live deliberately outside the bit-identical contract —
-// nothing in a Result depends on them. Per-event execution tracing of
-// the emulated cluster lives one layer down (internal/trace, surfaced
-// by cmd/scenario trace) and is equally result-neutral: attaching a
-// tracer changes no Result bit.
+// appends and bytes, worker utilization) tick in internal/obs and are
+// served over expvar + pprof when a CLI runs with -debug-addr; they
+// read wall clocks and so live deliberately outside the bit-identical
+// contract — nothing in a Result depends on them. Per-event execution
+// tracing of the emulated cluster lives one layer down (internal/trace,
+// surfaced by cmd/scenario trace) and is equally result-neutral:
+// attaching a tracer changes no Result bit.
 package campaign

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -319,6 +320,64 @@ func TestShardResume(t *testing.T) {
 	}
 	if executed != 0 {
 		t.Fatalf("fully-checkpointed shard re-executed %d points", executed)
+	}
+
+	// Torn tails: the store appends in place, so a crash can leave the
+	// record in flight cut anywhere, and bit rot can break a record's CRC
+	// with its newline intact. Either way the two records before the
+	// damage are reused verbatim, the rest re-execute, and the merged
+	// output is byte-identical to the uninterrupted run.
+	want, _, err := MergeShardRecords(frozen, full.Records())
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact := append(bytes.Join(full.Records()[:2], []byte("\n")), '\n')
+	third := full.Records()[2]
+	rotted := append([]byte(nil), third...)
+	rotted[len(rotted)/2] ^= 0x01
+	for _, damage := range []struct {
+		name string
+		tail []byte
+	}{
+		{"cut after 1 byte", third[:1]},
+		{"cut mid-record", third[:len(third)/2]},
+		{"cut before the newline", third},
+		{"CRC mismatch", append(rotted, '\n')},
+	} {
+		name := damage.name
+		path := filepath.Join(t.TempDir(), "torn")
+		if err := os.WriteFile(path, append(intact[:len(intact):len(intact)], damage.tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store, err := checkpoint.Open(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		executed = 0
+		if err := RunShardRange(ctx, frozen, 0, 5, store, count, WithWorkers(1)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if executed != 3 {
+			t.Fatalf("%s: resume executed %d points, want 3", name, executed)
+		}
+		onDisk, dropped, err := checkpoint.Load(path)
+		if err != nil || dropped != 0 {
+			t.Fatalf("%s: resumed store dirty: dropped=%d err=%v", name, dropped, err)
+		}
+		for i := 0; i < 2; i++ {
+			if !bytes.Equal(onDisk[i], full.Records()[i]) {
+				t.Fatalf("%s: surviving record %d not reused verbatim", name, i)
+			}
+		}
+		got, _, err := MergeShardRecords(frozen, onDisk)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range want {
+			if !bytes.Equal(got[i].Result, want[i].Result) || !bytes.Equal(got[i].Digest, want[i].Digest) {
+				t.Fatalf("%s: merged point %d differs from the uninterrupted run", name, i)
+			}
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -23,6 +24,8 @@ import (
 type fleetHarness struct {
 	srv *server.Server
 	ts  *httptest.Server
+	// workerDirs maps each started worker's name to its -dir.
+	workerDirs map[string]string
 }
 
 func newFleetHarness(t *testing.T, cfg server.Config) *fleetHarness {
@@ -30,7 +33,7 @@ func newFleetHarness(t *testing.T, cfg server.Config) *fleetHarness {
 	srv := server.New(cfg)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return &fleetHarness{srv: srv, ts: ts}
+	return &fleetHarness{srv: srv, ts: ts, workerDirs: map[string]string{}}
 }
 
 // submitFleet posts the test study under ?mode=fleet&seed=21 and
@@ -114,11 +117,12 @@ func (h *fleetHarness) startWorker(t *testing.T, id, name string, extra ...strin
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.workerDirs[name] = t.TempDir()
 	args := append([]string{"worker",
 		"-server", h.ts.URL,
 		"-study-id", id,
 		"-name", name,
-		"-dir", t.TempDir(),
+		"-dir", h.workerDirs[name],
 		"-workers", "1",
 	}, extra...)
 	cmd := exec.Command(self, args...)
@@ -130,6 +134,16 @@ func (h *fleetHarness) startWorker(t *testing.T, id, name string, extra ...strin
 		t.Fatal(err)
 	}
 	return cmd, logs
+}
+
+// leaseStores lists the per-lease checkpoint files in a worker's -dir.
+func (h *fleetHarness) leaseStores(t *testing.T, worker string) []string {
+	t.Helper()
+	stores, err := filepath.Glob(filepath.Join(h.workerDirs[worker], "*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stores
 }
 
 // TestFleetMatchesSingleProcess is the fleet acceptance differential at
@@ -168,6 +182,13 @@ func TestFleetMatchesSingleProcess(t *testing.T) {
 	all := logs[0].String() + logs[1].String() + logs[2].String()
 	if !strings.Contains(all, ": starting (") || !strings.Contains(all, ": complete after upload (") {
 		t.Errorf("worker logs missing per-lease lines:\n%s", all)
+	}
+	// Every lease was uploaded and accepted, so no worker keeps a store:
+	// the -dir of a long-lived worker stays bounded.
+	for name := range h.workerDirs {
+		if stores := h.leaseStores(t, name); len(stores) != 0 {
+			t.Errorf("worker %s kept stores of accepted leases: %v", name, stores)
+		}
 	}
 
 	// Warm path: a repeat submission is served wholly from the
@@ -229,6 +250,14 @@ func TestFleetWorkerKilledMidLease(t *testing.T) {
 	}
 	if st.Fleet.Expired < 1 || st.Fleet.Requeued < 1 {
 		t.Errorf("coordinator never expired the victim's lease: %+v", st.Fleet)
+	}
+	// Only an accepted upload retires a lease's store: the victim never
+	// uploaded, so its checkpoint survives for a restart to resume from.
+	if stores := h.leaseStores(t, "victim"); len(stores) != 1 {
+		t.Errorf("victim's interrupted lease store: %v, want exactly one", stores)
+	}
+	if stores := h.leaseStores(t, "live"); len(stores) != 0 {
+		t.Errorf("live worker kept stores of accepted leases: %v", stores)
 	}
 }
 

@@ -33,9 +33,11 @@ import (
 // RunShardRange/checkpoint machinery `ctsan shard` uses (a worker
 // restarted on the same -dir resumes instead of re-executing), and
 // uploads the range's CRC-framed shard records in one gzip-compressed
-// batch. A renewal goroutine extends the lease at TTL/3 while execution
-// runs; a worker that dies mid-lease simply stops renewing, and the
-// coordinator re-leases the range at the deadline.
+// batch; once the coordinator has accepted them the lease's store is
+// removed, so -dir holds only unfinished leases. A renewal goroutine
+// extends the lease at TTL/3 while execution runs; a worker that dies
+// mid-lease simply stops renewing, and the coordinator re-leases the
+// range at the deadline.
 
 // leaseResp is every shape the lease endpoint answers with: a grant
 // (Lease non-empty), done, or a retry hint.
@@ -326,6 +328,12 @@ func (w *fleetWorker) serveLease(ctx context.Context, id string, grant *leaseRes
 	}
 	if up.Rejected > 0 {
 		return fmt.Errorf("lease %s: coordinator rejected %d of %d records", grant.Lease, up.Rejected, len(store.Records()))
+	}
+	// The coordinator holds every record now; the store only mattered for
+	// resuming this range, so drop it and keep -dir bounded. (Any error
+	// above keeps it: a re-granted range resumes from the checkpoint.)
+	if err := os.Remove(store.Path()); err != nil {
+		w.logf("lease %s %s: %v", grant.Lease, r, err)
 	}
 	w.logf("lease %s %s: complete after upload (%d accepted, %d duplicate, %.1fs)",
 		grant.Lease, r, up.Accepted, up.Duplicate, time.Since(start).Seconds())

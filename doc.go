@@ -75,8 +75,8 @@
 // (campaign.Frozen), contiguous index ranges are planned and supervised
 // as isolated subprocesses with timeouts, bounded retries, and
 // exponential backoff (internal/shard), and every completed point is
-// checkpointed durably as a CRC-framed record via atomic file
-// replacement (internal/checkpoint, internal/atomicio). A shard that
+// checkpointed durably as a CRC-framed record appended and fsynced to
+// an append-only log (internal/checkpoint). A shard that
 // crashes, panics, or is SIGKILLed loses at most the point in flight
 // and resumes from its checkpoint; the merge folds records in
 // grid-index order and is byte-identical to an uninterrupted 1-process
@@ -122,10 +122,10 @@
 // it as JSONL or a Chrome trace_event file loadable in Perfetto, and
 // -explain prints the causal event window behind each ground-truthed
 // wrong suspicion. Campaign-level telemetry (internal/obs) — execution
-// and point counters, shard retry/backoff, checkpoint appends, worker
-// utilization — is exported via expvar and net/http/pprof when a CLI
-// passes -debug-addr, and cmd/benchjson gates BENCH_emulation.json
-// drift in CI.
+// and point counters, shard retry/backoff, checkpoint appends and
+// bytes, worker utilization — is exported via expvar and
+// net/http/pprof when a CLI passes -debug-addr, and cmd/benchjson gates
+// BENCH_emulation.json drift in CI.
 //
 // See ROADMAP.md for the layout, the north star and the open items,
 // PERFORMANCE.md for the determinism contract and the measured

@@ -5,10 +5,12 @@
 // content, never a prefix.
 //
 // It is the single implementation of that sequence in the repository:
-// the checkpoint store (internal/checkpoint) appends through it,
-// cmd/benchjson writes BENCH_emulation.json with it, and golden-file
-// -update writers use it, so an interrupted run can never leave a
-// half-written artifact that a later run (or a resume) trips over.
+// the checkpoint store (internal/checkpoint) creates its file and
+// repairs a damaged tail with it (appends go in place), cmd/benchjson
+// writes BENCH_emulation.json with it, cmd/ctsan its merged output, and
+// golden-file -update writers use it, so an interrupted run can never
+// leave a half-written artifact that a later run (or a resume) trips
+// over.
 package atomicio
 
 import (

@@ -1,28 +1,38 @@
 // Package checkpoint is a crash-safe JSONL record store for sharded
-// campaign results. A store is a single file of newline-terminated
-// records (one campaign shard record per line, see campaign's shard wire
-// format) with two guarantees the sharded execution layer is built on:
+// campaign results. A store is a single append-only file of
+// newline-terminated records (one campaign shard record per line, see
+// campaign's shard wire format) with two guarantees the sharded
+// execution layer is built on:
 //
-//   - Atomic appends. Append rewrites the whole file through
-//     internal/atomicio (temp file, fsync, rename, directory fsync), so
-//     at every instant the path holds a complete, valid JSONL prefix of
-//     the record history — a SIGKILL mid-append loses at most the record
-//     being appended, never earlier ones, and never leaves a torn file.
-//     Checkpoint files are small (one ~kB line per campaign point), so
-//     the O(records²) bytes rewritten over a shard's life are noise next
-//     to the Monte-Carlo work each record represents.
+//   - Durable O(1) appends. Append hands only the new record's bytes to
+//     one write(2) on an O_APPEND descriptor and fsyncs the file before
+//     it returns; the descriptor is closed again, so a store holds no OS
+//     resource between calls. Earlier bytes are never rewritten, so a
+//     SIGKILL or power cut mid-append can only leave the record(s) in
+//     flight as a torn tail after the last fsynced record — it loses at
+//     most those, never an earlier one. The very first append creates
+//     the file through internal/atomicio (temp file, fsync, rename,
+//     directory fsync), the only time the directory entry changes.
 //
 //   - Corruption-tolerant loads. Load never fails on damaged content: it
 //     returns the longest prefix of intact records and stops at the
-//     first bad line (torn tail from a foreign writer, truncation, bit
-//     rot — anything that is not a complete newline-terminated line).
-//     Deeper validation (CRC, spec hash) belongs to the record format
-//     layered on top; the store only guarantees line integrity, so a
-//     resumed run re-executes damaged work instead of aborting.
+//     first bad line (the torn tail of a crashed or still-running
+//     append, truncation, bit rot — anything that is not a complete
+//     newline-terminated line). Deeper validation (CRC, spec hash)
+//     belongs to the record format layered on top; the store only
+//     guarantees line integrity, so a resumed run re-executes damaged
+//     work instead of aborting.
 //
 // Open combines the two: it loads the intact prefix and, if anything was
-// discarded, immediately rewrites the file to that clean prefix so the
-// on-disk state and the in-memory state agree from then on.
+// discarded, immediately replaces the file with that clean prefix
+// (atomically, the one rewrite this package does) so the next append
+// lands on a record boundary and two crashes in a row cannot compound.
+//
+// Two consequences of appending in place, both harmless to the callers:
+// a Load racing an append may see the new record's line half-written
+// (it drops it, exactly like a crash tail, and sees it whole on the next
+// Load), and a crash inside AppendBatch keeps a prefix of the batch, in
+// order, rather than all or none of it.
 package checkpoint
 
 import (
@@ -39,13 +49,18 @@ import (
 // campaign layer gives every shard its own store file.
 type Store struct {
 	path string
-	// content is the exact current file content: every intact record,
-	// newline-terminated.
-	content []byte
-	// records indexes content line by line (without the newline).
+	// records holds every intact record, oldest first (without the
+	// newline): the ones Open read, then each appended batch's own copy.
 	records [][]byte
+	// size is the byte length of the file, which is exactly the intact
+	// records with their newlines; created is false until the file exists.
+	size    int64
+	created bool
 	// dropped reports how many bytes of damaged tail Open discarded.
 	dropped int
+	// broken is set when a failed append could not be rolled back: the
+	// file may end in torn bytes, so further appends are refused.
+	broken error
 }
 
 // Open opens (or creates) the store at path, keeping the longest intact
@@ -57,14 +72,14 @@ func Open(path string) (*Store, error) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	records, intact := Scan(data)
-	s := &Store{path: path, records: records, dropped: len(data) - intact}
-	s.content = append(s.content, data[:intact]...)
+	s := &Store{path: path, records: records, size: int64(intact), created: err == nil, dropped: len(data) - intact}
 	if s.dropped > 0 {
-		// Repair now: rewrite the clean prefix atomically so a second
-		// crash cannot stack new corruption on old.
-		if err := atomicio.WriteFile(path, s.content, 0o644); err != nil {
+		// Repair now: replace the file with the clean prefix atomically so
+		// a second crash cannot stack new corruption on old.
+		if err := atomicio.WriteFile(path, data[:intact], 0o644); err != nil {
 			return nil, err
 		}
+		obs.CheckpointBytes.Add(s.size)
 	}
 	return s, nil
 }
@@ -105,7 +120,7 @@ func Scan(data []byte) (records [][]byte, intact int) {
 }
 
 // Records returns the intact records, oldest first. The slices alias the
-// store's buffer; callers must not modify them.
+// store's buffers; callers must not modify them.
 func (s *Store) Records() [][]byte { return s.records }
 
 // Dropped reports how many damaged tail bytes Open discarded (0 for a
@@ -115,31 +130,30 @@ func (s *Store) Dropped() int { return s.dropped }
 // Path returns the store's file path.
 func (s *Store) Path() string { return s.path }
 
-// Append durably adds one record: the new content is written to a temp
-// file, fsynced, and renamed over the store path, so the append is
-// all-or-nothing even against SIGKILL. The record must be non-empty and
-// must not contain a newline (it is the line framing).
+// Append durably adds one record: its bytes are appended to the file
+// and fsynced before Append returns, so a SIGKILL loses at most this
+// record. The record must be non-empty and must not contain a newline
+// (it is the line framing).
 func (s *Store) Append(record []byte) error {
-	if len(record) == 0 {
-		return fmt.Errorf("checkpoint: empty record")
-	}
-	if bytes.IndexByte(record, '\n') >= 0 {
-		return fmt.Errorf("checkpoint: record contains a newline")
-	}
 	return s.AppendBatch([][]byte{record})
 }
 
-// AppendBatch durably adds records as one atomic write: all of them land
-// or none do. It exists for bulk writers — the result-cache spill
-// persists whole LRU generations — where per-record Append would pay one
-// full rewrite-and-fsync each. Every record must satisfy the Append
-// rules (non-empty, no newline); a batch with an invalid record writes
+// AppendBatch durably adds records with one write and one fsync. It
+// exists for bulk writers — the result-cache spill persists whole LRU
+// generations — where per-record Append would pay one fsync each. A
+// crash mid-batch keeps a prefix of the batch, in order; an error
+// returned here means none of it is in Records() and the file was
+// rolled back to match. Every record must satisfy the Append rules
+// (non-empty, no newline); a batch with an invalid record writes
 // nothing.
 func (s *Store) AppendBatch(records [][]byte) error {
 	if len(records) == 0 {
 		return nil
 	}
-	n := len(s.content)
+	if s.broken != nil {
+		return s.broken
+	}
+	n := 0
 	for _, record := range records {
 		if len(record) == 0 {
 			return fmt.Errorf("checkpoint: empty record")
@@ -149,21 +163,57 @@ func (s *Store) AppendBatch(records [][]byte) error {
 		}
 		n += len(record) + 1
 	}
-	next := make([]byte, 0, n)
-	next = append(next, s.content...)
-	offsets := make([]int, 0, len(records))
+	// buf is both the bytes written and the store's copy of the records.
+	buf := make([]byte, 0, n)
 	for _, record := range records {
-		offsets = append(offsets, len(next))
-		next = append(next, record...)
-		next = append(next, '\n')
+		buf = append(buf, record...)
+		buf = append(buf, '\n')
 	}
-	if err := atomicio.WriteFile(s.path, next, 0o644); err != nil {
+	if err := s.write(buf); err != nil {
 		return err
 	}
-	s.content = next
-	for i, record := range records {
-		s.records = append(s.records, next[offsets[i]:offsets[i]+len(record)])
+	s.size += int64(n)
+	off := 0
+	for _, record := range records {
+		s.records = append(s.records, buf[off:off+len(record)])
+		off += len(record) + 1
 	}
 	obs.CheckpointAppends.Add(int64(len(records)))
+	obs.CheckpointBytes.Add(int64(n))
+	return nil
+}
+
+// writeFile is the append path's write(2); tests replace it to fail
+// partway through.
+var writeFile = (*os.File).Write
+
+// write makes buf durable at the end of the file. On failure the file
+// is rolled back to its last good length, so the records in memory and
+// the bytes on disk never disagree; if even that fails the store
+// refuses further appends rather than write after torn bytes.
+func (s *Store) write(buf []byte) error {
+	if !s.created {
+		if err := atomicio.WriteFile(s.path, buf, 0o644); err != nil {
+			return err
+		}
+		s.created = true
+		return nil
+	}
+	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	// Close cannot lose data already fsynced; its error adds nothing.
+	defer f.Close()
+	_, err = writeFile(f, buf)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		if terr := f.Truncate(s.size); terr != nil {
+			s.broken = fmt.Errorf("checkpoint: %s unusable after failed append (%v) and failed rollback: %w", s.path, err, terr)
+		}
+		return fmt.Errorf("checkpoint: %w", err)
+	}
 	return nil
 }

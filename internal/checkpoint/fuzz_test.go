@@ -50,7 +50,8 @@ func FuzzScan(f *testing.F) {
 
 // FuzzOpenRepairs checks the full Open path on arbitrary on-disk
 // content: it must always succeed, and the file afterwards must be the
-// clean intact prefix — so two crashed runs in a row cannot compound.
+// clean intact prefix — so two crashed runs in a row cannot compound —
+// and an append after the repair must land on that clean boundary.
 func FuzzOpenRepairs(f *testing.F) {
 	f.Add([]byte("rec1\nrec2\ntorn"))
 	f.Add([]byte{0xff, 0xfe, 0x00, '\n', '\n'})
@@ -71,15 +72,17 @@ func FuzzOpenRepairs(f *testing.F) {
 		if !bytes.Equal(onDisk, data[:intact]) {
 			t.Fatalf("Open left %q on disk, want the intact prefix %q", onDisk, data[:intact])
 		}
+		// Appending after the repair extends the intact prefix in place:
+		// a re-Load sees exactly the old records and then the new one.
+		want, _ := Scan(append(append([]byte(nil), data[:intact]...), "after\n"...))
 		if err := s.Append([]byte("after")); err != nil {
 			t.Fatal(err)
 		}
+		mustEqualRecords(t, "store after repair+append", s.Records(), want)
 		records, dropped, err := Load(path)
 		if err != nil || dropped != 0 {
 			t.Fatalf("store dirty after repair+append: dropped=%d err=%v", dropped, err)
 		}
-		if len(records) != len(s.Records()) {
-			t.Fatalf("reload sees %d records, store has %d", len(records), len(s.Records()))
-		}
+		mustEqualRecords(t, "reload after repair+append", records, want)
 	})
 }

@@ -40,6 +40,11 @@ var (
 	ShardBackoffMS = expvar.NewInt("ctsan.shard_backoff_ms")
 	// CheckpointAppends counts durable checkpoint records written.
 	CheckpointAppends = expvar.NewInt("ctsan.checkpoint_appends")
+	// CheckpointBytes counts the bytes the checkpoint store handed to
+	// write(2): appended records plus the rare tail repair. Divided by
+	// CheckpointAppends it is the write cost of one record, which stays
+	// near the record size because the store never rewrites old bytes.
+	CheckpointBytes = expvar.NewInt("ctsan.checkpoint_bytes")
 	// CacheHits / CacheMisses / CacheEvictions count result-cache
 	// lookups that were served from memory, lookups that fell through to
 	// the engine, and entries dropped by the LRU bound (the campaign

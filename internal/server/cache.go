@@ -94,11 +94,10 @@ func (c *Cache) EnableSpill(dir string) (loaded int, err error) {
 		_, exists := c.items[rec.PointHash]
 		fits := c.size+int64(len(line)) <= c.max
 		if !exists && fits {
-			// Own the bytes: store.Records() aliases the store's buffer,
-			// which AppendBatch replaces wholesale on the next spill.
-			own := append([]byte(nil), line...)
-			c.items[rec.PointHash] = c.ll.PushBack(&cacheEntry{hash: rec.PointHash, line: own})
-			c.size += int64(len(own))
+			// Share the bytes: the store never rewrites a record it holds,
+			// and the cache never modifies a line.
+			c.items[rec.PointHash] = c.ll.PushBack(&cacheEntry{hash: rec.PointHash, line: line})
+			c.size += int64(len(line))
 			loaded++
 		}
 		c.mu.Unlock()
@@ -125,8 +124,10 @@ func (c *Cache) SpillAll() error {
 }
 
 // spillEntries appends the not-yet-persisted entries to the spill store
-// as one atomic batch. Entry lines are immutable once cached, so
-// reading them outside mu is safe.
+// as one batch (one write, one fsync). A crash mid-batch keeps a prefix
+// of it, which is fine: the records are independent and CRC-checked,
+// and onDisk is rebuilt at startup from what decodes. Entry lines are
+// immutable once cached, so reading them outside mu is safe.
 func (c *Cache) spillEntries(entries []*cacheEntry) error {
 	if len(entries) == 0 {
 		return nil

@@ -6,6 +6,14 @@
 # ctsan.executions_completed counter advanced between the samples — the
 # observable promise of internal/obs, checked against the real binary.
 #
+# A second stage checks the checkpoint store's write cost the same way:
+# a ctsand with a 1 MiB point cache and -cache-dir spills evicted
+# records through the store while a 600-point study runs, and
+# ctsan.checkpoint_bytes / ctsan.checkpoint_appends must stay within 2x
+# the mean record size of the spill file — appends cost O(record), not
+# O(file). It is the production twin of the benchmark's
+# checkpoint.wchar_bytes_per_point.
+#
 # The campaign itself is sized to outlive the sampling and then killed:
 # this script gates the telemetry surface, not campaign completion
 # (kill_resume.sh and the test suite cover that).
@@ -13,10 +21,11 @@ set -eu
 cd "$(dirname "$0")/.."
 
 LOG="$(mktemp)"
+WORK="$(mktemp -d)"
 PID=""
 cleanup() {
     [ -n "$PID" ] && kill "$PID" 2>/dev/null || true
-    rm -f "$LOG"
+    rm -rf "$LOG" "$WORK"
 }
 trap cleanup EXIT
 
@@ -29,32 +38,78 @@ go build -o /tmp/scenario-smoke ./cmd/scenario
     >/dev/null 2>"$LOG" &
 PID=$!
 
-# The bound port is ephemeral; the CLI logs it on startup.
-ADDR=""
-i=0
-while [ $i -lt 100 ]; do
-    ADDR="$(sed -n 's#.*listening on http://\([^/]*\)/.*#\1#p' "$LOG")"
-    [ -n "$ADDR" ] && break
-    kill -0 "$PID" 2>/dev/null || { echo "campaign exited early:" >&2; cat "$LOG" >&2; exit 1; }
-    sleep 0.1
-    i=$((i + 1))
-done
-[ -n "$ADDR" ] || { echo "debug server never logged its address" >&2; cat "$LOG" >&2; exit 1; }
+# wait_addr polls $LOG for the ephemeral address the process logs on
+# startup and sets ADDR.
+wait_addr() {
+    ADDR=""
+    i=0
+    while [ $i -lt 100 ]; do
+        ADDR="$(sed -n 's#.*listening on http://\([^/]*\)/.*#\1#p' "$LOG" | head -n 1)"
+        [ -n "$ADDR" ] && break
+        kill -0 "$PID" 2>/dev/null || { echo "process exited early:" >&2; cat "$LOG" >&2; exit 1; }
+        sleep 0.1
+        i=$((i + 1))
+    done
+    [ -n "$ADDR" ] || { echo "debug server never logged its address" >&2; cat "$LOG" >&2; exit 1; }
+}
+wait_addr
 echo "debug server at $ADDR" >&2
 
-counter() {
+counter() { # counter <name>
     curl -sf "http://$ADDR/debug/vars" |
-        sed -n 's/.*"ctsan\.executions_completed": \([0-9]*\).*/\1/p'
+        sed -n "s/.*\"ctsan\\.$1\": \\([0-9]*\\).*/\\1/p"
 }
 
-V1="$(counter)"
+V1="$(counter executions_completed)"
 [ -n "$V1" ] || { echo "ctsan.executions_completed missing from /debug/vars" >&2; exit 1; }
 
 CODE="$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/debug/pprof/profile?seconds=1")"
 [ "$CODE" = "200" ] || { echo "/debug/pprof/profile returned $CODE" >&2; exit 1; }
 
-V2="$(counter)"
+V2="$(counter executions_completed)"
 [ -n "$V2" ] || { echo "second /debug/vars sample failed" >&2; exit 1; }
 [ "$V2" -gt "$V1" ] || { echo "executions_completed did not advance ($V1 -> $V2)" >&2; exit 1; }
 
 echo "debug smoke OK: executions_completed $V1 -> $V2, pprof profile served" >&2
+kill "$PID" 2>/dev/null || true
+wait "$PID" 2>/dev/null || true
+PID=""
+
+# Stage 2: checkpoint write cost per record, observed on a live ctsand.
+go build -o /tmp/ctsand-smoke ./cmd/ctsand
+: >"$LOG"
+/tmp/ctsand-smoke -addr 127.0.0.1:0 -workers 2 -cache-mb 1 -cache-dir "$WORK/cache" 2>"$LOG" &
+PID=$!
+wait_addr
+
+# 600 distinct ~2.7 kB records overflow the 1 MiB cache, so a few hundred
+# evictions are appended to the spill store one at a time.
+{
+    printf '{"v":1,"name":"debug-smoke","points":['
+    i=1
+    while [ $i -le 600 ]; do
+        [ $i -gt 1 ] && printf ','
+        printf '{"engine":"san","spec":{"N":3,"Replicas":200,"TSend":0.%04d}}' $i
+        i=$((i + 1))
+    done
+    printf ']}'
+} >"$WORK/spec.json"
+ID="$(curl -sf -X POST --data-binary @"$WORK/spec.json" "http://$ADDR/api/v1/studies" |
+    sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
+[ -n "$ID" ] || { echo "study submission rejected" >&2; exit 1; }
+# The results stream follows the live tail to completion.
+curl -sfN "http://$ADDR/api/v1/studies/$ID/results" >/dev/null
+
+APPENDS="$(counter checkpoint_appends)"
+BYTES="$(counter checkpoint_bytes)"
+[ -n "$APPENDS" ] && [ -n "$BYTES" ] || { echo "checkpoint counters missing from /debug/vars" >&2; exit 1; }
+[ "$APPENDS" -ge 100 ] || { echo "only $APPENDS spill appends; the study no longer overflows the cache" >&2; exit 1; }
+SPILL="$WORK/cache/pointcache.jsonl"
+FILE_BYTES="$(wc -c <"$SPILL")"
+FILE_RECORDS="$(wc -l <"$SPILL")"
+# bytes/appends <= 2 * file_bytes/file_records, cross-multiplied.
+[ $((BYTES * FILE_RECORDS)) -le $((2 * FILE_BYTES * APPENDS)) ] || {
+    echo "checkpoint store wrote $BYTES bytes for $APPENDS appends; mean record is $((FILE_BYTES / FILE_RECORDS)) bytes" >&2
+    exit 1
+}
+echo "debug smoke OK: $APPENDS checkpoint appends wrote $BYTES bytes ($((BYTES / APPENDS)) per append, mean record $((FILE_BYTES / FILE_RECORDS)))" >&2
