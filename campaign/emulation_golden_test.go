@@ -53,9 +53,14 @@ func TestEmulationGolden(t *testing.T) {
 		fmt.Fprintf(&buf, "throughput mode=%d rate=%v decided=%d aborted=%d duration=%v events=%d inter_mean=%v\n",
 			mode, th.Rate, th.Decided, th.Aborted, th.Duration, th.Events, th.InterDecision.Mean())
 	}
-	got := buf.Bytes()
+	checkGolden(t, "emulation.golden", buf.Bytes())
+}
 
-	golden := filepath.Join("testdata", "emulation.golden")
+// checkGolden compares got with testdata/<name>, rewriting the file first
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		// Atomic replace: an interrupted -update must not leave a torn golden.
 		if err := atomicio.WriteFile(golden, got, 0o644); err != nil {
@@ -67,6 +72,6 @@ func TestEmulationGolden(t *testing.T) {
 		t.Fatalf("read golden (regenerate with -update): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("emulation output diverged from the golden.\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		t.Errorf("output diverged from %s.\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
 	}
 }

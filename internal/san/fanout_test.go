@@ -1,0 +1,82 @@
+package san
+
+import (
+	"fmt"
+	"math"
+	"testing"
+	"time"
+
+	"ctsan/internal/dist"
+	"ctsan/internal/rng"
+)
+
+// fanoutModel is the cost shape of the consensus model's network stage in
+// isolation: one resource shared by one busy seize/serve pipeline, which
+// cycles a single token forever, and by idle pipelines of the same form
+// whose queues never receive a token. Every completion of the busy
+// pipeline flips the resource, which every idle seizer has as an input.
+func fanoutModel(idle int) *Model {
+	m := NewModel(fmt.Sprintf("fanout-%d", idle))
+	resource := m.Place("resource", 1)
+	stage := func(name string, tokens int) (q *Place, serve *Activity) {
+		q = m.Place(name+".q", tokens)
+		busy := m.Place(name+".busy", 0)
+		m.Instant(name+".seize", 1).Input(q, resource).FIFO(q).Output(busy)
+		return q, m.Timed(name+".serve", Fixed(dist.Det(1))).Input(busy).Output(resource)
+	}
+	for i := 0; i < idle; i++ {
+		stage(fmt.Sprintf("idle%d", i), 0)
+	}
+	q, serve := stage("busy", 1)
+	serve.Output(q)
+	return m
+}
+
+// runFirings advances s by n completions and returns the time it took.
+func runFirings(s *Sim, n uint64) time.Duration {
+	target := s.Fired() + n
+	start := time.Now()
+	s.Run(1e18, func(*Marking) bool { return s.Fired() >= target })
+	return time.Since(start)
+}
+
+// BenchmarkSettleFanout reports the cost of one completion (one op is one
+// firing) with 8 and with 512 idle seizers on the flipping resource. The
+// two must read alike: per-firing cost follows the tokens that moved, not
+// the number of activities that mention the place they moved through.
+func BenchmarkSettleFanout(b *testing.B) {
+	for _, idle := range []int{8, 512} {
+		b.Run(fmt.Sprintf("idle=%d", idle), func(b *testing.B) {
+			s := NewSim(fanoutModel(idle), rng.New(1))
+			runFirings(s, 100) // past the first settle, buffers grown
+			b.ReportAllocs()
+			b.ResetTimer()
+			runFirings(s, uint64(b.N))
+		})
+	}
+}
+
+// TestSettleCostIndependentOfIdleSeizers is the same comparison as a
+// test: a completion with 512 idle seizers on the resource may cost at
+// most twice one with 8. When every dependent of a written place is
+// re-evaluated the ratio is about 64/2, so the factor of two separates
+// the two designs on any machine; the best of several rounds is taken on
+// each side to keep scheduling noise out of it.
+func TestSettleCostIndependentOfIdleSeizers(t *testing.T) {
+	const firings = 20_000
+	few := NewSim(fanoutModel(8), rng.New(1))
+	many := NewSim(fanoutModel(512), rng.New(1))
+	runFirings(few, 100)
+	runFirings(many, 100)
+	dFew, dMany := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for round := 0; round < 9; round++ {
+		dFew = min(dFew, runFirings(few, firings))
+		dMany = min(dMany, runFirings(many, firings))
+	}
+	perFew := float64(dFew.Nanoseconds()) / firings
+	perMany := float64(dMany.Nanoseconds()) / firings
+	t.Logf("ns/firing: %.1f with 8 idle seizers, %.1f with 512", perFew, perMany)
+	if perMany > 2*perFew {
+		t.Fatalf("a completion costs %.1f ns with 512 idle seizers and %.1f ns with 8: cost grows with the seizers sharing the resource", perMany, perFew)
+	}
+}

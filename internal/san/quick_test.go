@@ -1,6 +1,8 @@
 package san
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -8,10 +10,15 @@ import (
 	"ctsan/internal/rng"
 )
 
-// buildRandomModel constructs a random but well-formed SAN: a ring of
-// places connected by timed activities with random delays, plus gated
-// instantaneous activities and a shared resource, exercising every engine
-// feature.
+// buildRandomModel constructs a random but well-formed SAN exercising
+// every engine feature: a ring of places connected by timed activities
+// with random delays and cases, a gated instantaneous activity, and a
+// pool of servers contended by several gate-free seizers — FIFO and not,
+// at equal and unequal priorities, with queues and pool marked by zero to
+// two tokens initially — which is the shape the simulator's watch lists
+// exist for. Output gates blip places the seizers wait on (0 -> 1 -> 0 and
+// 1 -> 0 -> 1 inside one completion) and steal pool tokens, so enabled
+// seizers get disabled by someone else's completion too.
 func buildRandomModel(r *rng.Stream) (*Model, *Place) {
 	m := NewModel("random")
 	n := 3 + r.Intn(6)
@@ -25,6 +32,34 @@ func buildRandomModel(r *rng.Stream) (*Model, *Place) {
 	}
 	resource := m.Place("resource", 1)
 	done := m.Place("done", 0)
+
+	// The contended pool: seizer j moves a token from its queue and one
+	// from the pool into busy_j; a timed serve returns the pool token.
+	pool := m.Place("pool", r.Intn(3))
+	k := 2 + r.Intn(4)
+	queues := make([]*Place, k)
+	for j := range queues {
+		queues[j] = m.Place(name("q", j), r.Intn(3))
+		busy := m.Place(name("busy", j), 0)
+		seize := m.Instant(name("seize", j), 1+r.Intn(2)).Input(queues[j], pool).Output(busy)
+		if r.Float64() < 0.6 {
+			seize.FIFO(queues[j])
+		}
+		m.Timed(name("serve", j), Fixed(dist.U(0.05, 0.1+r.Float64()))).Input(busy).Output(pool, done)
+	}
+	// blip writes p twice and leaves it as it was.
+	blip := func(p *Place) func(mk *Marking) {
+		return func(mk *Marking) {
+			if mk.Get(p) > 0 {
+				mk.Add(p, -1)
+				mk.Add(p, 1)
+			} else {
+				mk.Add(p, 1)
+				mk.Add(p, -1)
+			}
+		}
+	}
+
 	for i := 0; i < n; i++ {
 		src := places[i]
 		dst := places[(i+1)%n]
@@ -38,15 +73,17 @@ func buildRandomModel(r *rng.Stream) (*Model, *Place) {
 			d = dist.U(0.1, 0.2+r.Float64())
 		}
 		a := m.Timed(name("t", i), Fixed(d)).Input(src)
+		feed := queues[r.Intn(k)]
 		if r.Float64() < 0.5 {
-			a.Case(0.4).Output(dst)
-			a.Case(0.6).Output(dst, done)
+			a.Case(0.4).Output(dst, feed)
+			a.Case(0.6).Output(dst, done).Gate("blipPool", blip(pool))
 		} else {
-			a.Output(dst, done)
+			a.Output(dst, done, feed).OutputGate("blipQueue", blip(queues[r.Intn(k)]))
 		}
 	}
 	// A gated instantaneous activity consuming the resource when a place
-	// is doubly marked.
+	// is doubly marked; it also takes a pool token if there is one, behind
+	// the back of whichever seizers were enabled by it.
 	watch := places[r.Intn(n)]
 	sink := m.Place("sink", 0)
 	m.Instant("gated", 1).
@@ -56,29 +93,142 @@ func buildRandomModel(r *rng.Stream) (*Model, *Place) {
 		OutputGate("drain", func(mk *Marking) {
 			mk.Set(watch, 0)
 			mk.Add(sink, 1)
+			if mk.Get(pool) > 0 {
+				mk.Add(pool, -1)
+			}
 		})
+	// Give the resource back now and then so gated fires more than once.
+	m.Timed("refill", Fixed(dist.Exp(2))).Input(sink).Output(resource, pool)
 	return m, done
 }
 
 func name(prefix string, i int) string { return prefix + string(rune('a'+i)) }
 
-// TestQuickDepTrackingEquivalence: on random models, the dependency-
-// tracked simulator and the full-rescan simulator must produce identical
-// trajectories (stop time and firing counts).
+// firingTrace runs s to the stop condition and returns one line per
+// completion: the activity, the chosen case, and every activity enabled in
+// the marking it leaves behind. Two simulators with equal traces chose the
+// same activity at every step and passed through the same markings as far
+// as enabling can tell.
+func firingTrace(s *Sim, tmax float64, stop func(mk *Marking) bool) []string {
+	var lines []string
+	s.OnFire(func(a *Activity, caseIdx int) {
+		lines = append(lines, fmt.Sprintf("%s/%d -> %s", a.Name(), caseIdx, strings.Join(s.EnabledActivities(), ",")))
+	})
+	at, stopped := s.Run(tmax, stop)
+	return append(lines, fmt.Sprintf("end t=%v stopped=%v fired=%d", at, stopped, s.Fired()))
+}
+
+// diffTraces reports the first line at which two traces part, or "".
+func diffTraces(got, want []string) string {
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			return fmt.Sprintf("line %d:\n  got  %s\n  want %s", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d lines, want %d", len(got), len(want))
+	}
+	return ""
+}
+
+// checkQuiescent verifies the bookkeeping invariant between events, when
+// settle has run to the end: no instantaneous activity is enabled, every
+// watched one waits on an empty input place of its own, and a timed
+// activity is armed exactly when it is enabled.
+func checkQuiescent(s *Sim) error {
+	if len(s.on) != 0 {
+		return fmt.Errorf("%d activities left in the enabled set", len(s.on))
+	}
+	waitsOn := make(map[int]int)
+	for pi, ai := range s.watchHead {
+		for ; ai >= 0; ai = s.watchNext[ai] {
+			if _, dup := waitsOn[ai]; dup {
+				return fmt.Errorf("%s is on two watch lists", s.model.activities[ai].name)
+			}
+			waitsOn[ai] = pi
+		}
+	}
+	for ai, a := range s.model.activities {
+		switch {
+		case a.timed:
+			if en := a.enabled(&s.marking); en != s.isArmed[ai] {
+				return fmt.Errorf("%s: enabled %v, armed %v", a.name, en, s.isArmed[ai])
+			}
+		case a.enabled(&s.marking):
+			return fmt.Errorf("%s is enabled after settle", a.name)
+		case s.watchIn[ai] != nil:
+			pi, ok := waitsOn[ai]
+			if !ok {
+				return fmt.Errorf("%s is disabled but on no watch list", a.name)
+			}
+			if s.marking.m[pi] != 0 {
+				return fmt.Errorf("%s waits on marked place %s", a.name, s.model.places[pi].name)
+			}
+			own := false
+			for _, in := range s.watchIn[ai] {
+				own = own || in == pi
+			}
+			if !own {
+				return fmt.Errorf("%s waits on %s, not one of its inputs", a.name, s.model.places[pi].name)
+			}
+		}
+	}
+	return nil
+}
+
+// TestQuickDepTrackingEquivalence: on random models, the incremental
+// simulator and the full-rescan simulator must complete the same
+// activities with the same cases in the same order and leave the same
+// activities enabled after each one, and the incremental bookkeeping must
+// be consistent with the marking between events.
 func TestQuickDepTrackingEquivalence(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
-		gen := rng.New(seed)
-		model, done := buildRandomModel(gen)
-		run := func(full bool) (float64, uint64) {
+		model, done := buildRandomModel(rng.New(seed))
+		var broken error
+		run := func(full bool) []string {
 			s := NewSim(model, rng.New(seed^0xabc))
 			s.SetFullRescan(full)
-			at, _ := s.Run(50, func(mk *Marking) bool { return mk.Get(done) >= 20 })
-			return at, s.Fired()
+			return firingTrace(s, 50, func(mk *Marking) bool {
+				if !full && broken == nil {
+					broken = checkQuiescent(s)
+				}
+				return mk.Get(done) >= 40
+			})
 		}
-		t1, f1 := run(false)
-		t2, f2 := run(true)
-		return t1 == t2 && f1 == f2
-	}, &quick.Config{MaxCount: 60}); err != nil {
+		got, want := run(false), run(true)
+		if d := diffTraces(got, want); d != "" {
+			t.Logf("seed %d: incremental vs full rescan: %s", seed, d)
+			return false
+		}
+		if broken != nil {
+			t.Logf("seed %d: %v", seed, broken)
+			return false
+		}
+		return true
+	}, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickResetEquivalentToNewSim: on random models, a simulator that has
+// already run — to a different end, under a different stream — and is then
+// Reset must replay exactly what a fresh NewSim does from the same stream.
+func TestQuickResetEquivalentToNewSim(t *testing.T) {
+	if err := quick.Check(func(seed uint64) bool {
+		model, done := buildRandomModel(rng.New(seed))
+		stop := func(mk *Marking) bool { return mk.Get(done) >= 25 }
+		reused := NewSim(model, rng.New(seed+99))
+		reused.Run(7, nil) // leave tokens, armed activities and watch lists behind
+		for k := uint64(0); k < 3; k++ {
+			want := firingTrace(NewSim(model, rng.New(seed^k)), 40, stop)
+			reused.Reset(rng.New(seed ^ k))
+			if d := diffTraces(firingTrace(reused, 40, stop), want); d != "" {
+				t.Logf("seed %d, replica %d: reset vs fresh: %s", seed, k, d)
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package san
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"ctsan/internal/dist"
@@ -101,24 +102,52 @@ func TestTransientDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestTransientReplicaLoopAllocs: with a shared model and Sim reuse, the
-// per-replica steady state must stay allocation-lean. The bound is loose
-// (ECDF-free replica bodies still grow Samples), but catches regressions
-// to per-replica NewSim, which allocates the whole simulator state.
+// TestTransientReplicaLoopAllocs: with a shared model, Sim reuse and a
+// stream re-derived in place, the replica body allocates nothing at all.
+// Any object per replica — a fresh simulator, a fresh stream, a closure —
+// fails this.
 func TestTransientReplicaLoopAllocs(t *testing.T) {
 	m, done := branching()
-	sim := NewSim(m, rng.New(1))
+	root, child := rng.New(1), rng.New(1)
+	sim := NewSim(m, child)
 	stop := func(mk *Marking) bool { return mk.Get(done) >= 1 }
 	// Warm up, then measure the Reset+Run replica body.
-	sim.Reset(rng.New(2))
 	sim.Run(1e6, stop)
-	seed := uint64(3)
+	replica := uint64(0)
 	if allocs := testing.AllocsPerRun(200, func() {
-		sim.Reset(rng.New(seed))
-		seed++
+		root.ChildInto(child, replica)
+		replica++
+		sim.Reset(child)
 		sim.Run(1e6, stop)
-	}); allocs > 2 {
-		t.Fatalf("replica loop allocates %.1f objects/op, want ~0", allocs)
+	}); allocs != 0 {
+		t.Fatalf("replica loop allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestTransientAllocsIndependentOfReplicas: a whole Transient study pays
+// for its outcome slice, one simulator and one stream per worker, and the
+// result; nothing is allocated per replica. The only growth left is the
+// simulator's buffers (event pool, token queues) stretching to the largest
+// replica seen so far, a handful of objects over thousands of replicas.
+// (Every replica is discarded by Measure so the digest stays empty.)
+func TestTransientAllocsIndependentOfReplicas(t *testing.T) {
+	m, done := branching()
+	study := func(replicas int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			_, err := Transient(context.Background(), func() *Model { return m }, rng.New(5), TransientSpec{
+				Replicas: replicas,
+				Tmax:     1e6,
+				Workers:  1,
+				Stop:     func(mk *Marking) bool { return mk.Get(done) >= 1 },
+				Measure:  func(*Marking, float64) float64 { return math.NaN() },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := study(50), study(2000); many > few+20 {
+		t.Fatalf("Transient allocates %.0f objects for 50 replicas and %.0f for 2000: something is allocated per replica", few, many)
 	}
 }
 
@@ -126,11 +155,13 @@ func TestTransientReplicaLoopAllocs(t *testing.T) {
 func BenchmarkSimReset(b *testing.B) {
 	m, done := branching()
 	stop := func(mk *Marking) bool { return mk.Get(done) >= 1 }
-	sim := NewSim(m, rng.New(1))
+	root, child := rng.New(1), rng.New(1)
+	sim := NewSim(m, child)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.Reset(rng.New(uint64(i) + 1))
+		root.ChildInto(child, uint64(i))
+		sim.Reset(child)
 		sim.Run(1e6, stop)
 	}
 }

@@ -61,6 +61,10 @@ func (p *Place) Name() string { return p.name }
 type Marking struct {
 	m     []int
 	dirty []int // place indices written since the last drain
+	// touched lists the places written since the last reset, each once
+	// (isTouched), so resetting costs what the replica wrote.
+	touched   []int
+	isTouched []bool
 	// arr[i] holds the arrival times of the tokens currently in place i,
 	// oldest first (arr[i][head[i]:]). now is maintained by the simulator.
 	arr  [][]float64
@@ -91,9 +95,13 @@ func (mk *Marking) Set(p *Place, v int) {
 	if old == v {
 		return
 	}
-	mk.m[p.idx] = v
-	mk.dirty = append(mk.dirty, p.idx)
 	i := p.idx
+	mk.m[i] = v
+	mk.dirty = append(mk.dirty, i)
+	if !mk.isTouched[i] {
+		mk.isTouched[i] = true
+		mk.touched = append(mk.touched, i)
+	}
 	for ; old < v; old++ { // tokens added now
 		mk.arr[i] = append(mk.arr[i], mk.now)
 	}
@@ -104,6 +112,26 @@ func (mk *Marking) Set(p *Place, v int) {
 		mk.arr[i] = mk.arr[i][:0]
 		mk.head[i] = 0
 	}
+}
+
+// reset restores the initial marking of places (indexed like the marking),
+// every token having arrived at time zero. Only the places written since
+// the last reset are visited.
+func (mk *Marking) reset(places []*Place) {
+	for _, i := range mk.touched {
+		mk.isTouched[i] = false
+		n := places[i].initial
+		mk.m[i] = n
+		arr := mk.arr[i][:0]
+		for ; n > 0; n-- {
+			arr = append(arr, 0)
+		}
+		mk.arr[i] = arr
+		mk.head[i] = 0
+	}
+	mk.touched = mk.touched[:0]
+	mk.dirty = mk.dirty[:0]
+	mk.now = 0
 }
 
 // Add adjusts the tokens in p by delta (which may be negative).

@@ -288,3 +288,47 @@ func TestMarkingFIFOArrivals(t *testing.T) {
 		t.Fatalf("empty place arrival = %v, want +Inf", got)
 	}
 }
+
+// TestTimedArmingOrder pins the one schedule-dependent thing the simulator
+// exposes: the order in which timed activities draw their delays. In the
+// first settle it is creation order, whatever instantaneous completions
+// enabled them; afterwards it is the order in which a completion's writes
+// reach them (the completing activity itself first, then the dependents of
+// each written place in write order).
+func TestTimedArmingOrder(t *testing.T) {
+	m := NewModel("order")
+	pa := m.Place("pa", 0)
+	pb := m.Place("pb", 1)
+	pc := m.Place("pc", 0)
+	pd := m.Place("pd", 0)
+	src := m.Place("src", 1)
+	kick := m.Place("kick", 1)
+	m.Timed("a", Fixed(dist.Exp(1))).Input(pa) // enabled by "start" during the first settle
+	m.Timed("b", Fixed(dist.Exp(1))).Input(pb) // enabled by the initial marking
+	m.Timed("c", Fixed(dist.Exp(1))).Input(pc)
+	m.Timed("d", Fixed(dist.Exp(1))).Input(pd)
+	m.Timed("late", Fixed(dist.Det(100))).Input(src).Output(pd, pc) // writes pd before pc
+	m.Instant("start", 0).Input(kick).Output(pa)
+
+	const seed = 7
+	r := rng.New(seed)
+	want := map[string]float64{}
+	for _, name := range []string{"a", "b"} { // first settle: creation order, not b (listed) before a (touched)
+		want[name] = dist.Exp(1).Sample(r)
+	}
+	for _, name := range []string{"d", "c"} { // at t=100: write order, not creation order
+		want[name] = 100 + dist.Exp(1).Sample(r)
+	}
+	for _, full := range []bool{false, true} {
+		s := NewSim(m, rng.New(seed))
+		s.SetFullRescan(full)
+		got := map[string]float64{}
+		s.OnFire(func(a *Activity, _ int) { got[a.Name()] = s.Now() })
+		s.Run(1e6, nil)
+		for name, at := range want {
+			if got[name] != at {
+				t.Errorf("full rescan %v: %s completed at %v, want %v", full, name, got[name], at)
+			}
+		}
+	}
+}

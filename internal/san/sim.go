@@ -10,14 +10,40 @@ import (
 )
 
 // Sim executes one stochastic realization of a SAN model. Create it with
-// NewSim, then call Run (or Step). The same Model may back many Sims.
+// NewSim, call Run, and Reset it to run the next replica on the same model.
+// The same Model may back many Sims.
 //
-// The simulator re-evaluates an activity's enabling only when a place it
-// depends on (default input arcs plus declared gate Reads) changes marking.
-// This makes event cost proportional to the local fan-out of the firing
-// rather than to model size — essential for the paper's consensus model,
-// whose joined submodels have hundreds of activities. SetFullRescan
-// disables the optimization for differential testing.
+// Enabling is a pure function of the marking (gate predicates are
+// side-effect free and read only their declared places). Two things are
+// observable from outside: which instantaneous activity completes next,
+// chosen from the enabled set by a total order (highest priority, then
+// oldest FIFO arrival, then lowest creation index), and the order in which
+// timed activities are armed and cancelled, because arming draws the delay
+// from the replica's random stream. Any schedule of enabling evaluations
+// that yields the same enabled set at each selection and the same timed
+// arm/cancel sequence is therefore observably identical, and the
+// bookkeeping below evaluates as little as that allows:
+//
+//   - An instantaneous activity with input arcs and no gates (every
+//     resource seizer of the consensus model, about half of its
+//     activities) is "watched": while disabled it waits on exactly one of
+//     its currently empty input places and is looked at again only when
+//     that place is marked; while enabled it is re-checked only when some
+//     place is emptied. The invariant after every drain: a disabled
+//     watched activity is on the watch list of an empty input place of
+//     its own, an enabled one is in the enabled set. Releasing a resource
+//     that hundreds of seizers share therefore touches only the seizers
+//     that also have a queued token, not all of them.
+//   - Gated instantaneous activities and all timed activities stay on the
+//     place -> dependents index (default input arcs plus declared gate
+//     Reads). Timed activities are left there deliberately: the index
+//     fixes the order in which they are touched, hence armed, hence the
+//     random draws — a cleverer schedule would have to reproduce that
+//     order to keep every published number, and arming is not where the
+//     time goes.
+//
+// SetFullRescan ignores all of it and re-evaluates every activity after
+// every completion: the reference the differential tests compare against.
 type Sim struct {
 	model   *Model
 	marking Marking
@@ -30,13 +56,35 @@ type Sim struct {
 	isArmed []bool
 	fireFns []func() // per activity; reused across armings and Resets
 
-	deps       [][]int // place idx -> dependent activity idxs
-	pending    []int
+	// watchIn[activity] lists the input place idxs of a watched activity
+	// (instantaneous, input arcs only) and is nil for every other one.
+	watchIn [][]int
+	deps    [][]int // place idx -> dependent timed and gated activity idxs
+
+	// on is the set of enabled instantaneous activities, dense; onPos maps
+	// an activity to its position in on plus one, 0 when absent.
+	on    []int
+	onPos []int
+	// Watch lists, singly linked through the activities: watchHead[place]
+	// is the first disabled watched activity waiting on the place (-1 for
+	// none), watchNext[activity] the next one waiting on the same place.
+	watchHead []int
+	watchNext []int
+
+	pending    []int // gated and timed activities to re-evaluate
 	inPending  []bool
-	instON     []bool // instantaneous activity currently enabled
-	numInstON  int
 	timedTouch []int // timed activities to (re)examine at the end of settle
 	inTouch    []bool
+	fresh      bool // no settle has run since NewSim or Reset
+
+	// initial is the bookkeeping of the initial marking, computed once by
+	// NewSim and copied back by Reset.
+	initial struct {
+		on                   []int // watched activities enabled initially
+		watchHead, watchNext []int
+		pending              []int // gated instantaneous, input arcs marked
+		timed                []int // timed, input arcs marked
+	}
 
 	fullRescan bool
 	instLimit  int
@@ -50,99 +98,131 @@ func NewSim(m *Model, r *rng.Stream) *Sim {
 	if err := root.Validate(); err != nil {
 		panic(err)
 	}
-	nA := len(root.activities)
+	nP, nA := len(root.places), len(root.activities)
 	s := &Sim{
 		model:     root,
-		rand:      r,
 		armed:     make([]des.Handle, nA),
 		isArmed:   make([]bool, nA),
+		fireFns:   make([]func(), nA),
+		watchIn:   make([][]int, nA),
+		deps:      make([][]int, nP),
+		onPos:     make([]int, nA),
+		watchHead: make([]int, nP),
+		watchNext: make([]int, nA),
 		inPending: make([]bool, nA),
-		instON:    make([]bool, nA),
 		inTouch:   make([]bool, nA),
 		instLimit: 1_000_000,
 	}
-	s.marking = Marking{
-		m:    make([]int, len(root.places)),
-		arr:  make([][]float64, len(root.places)),
-		head: make([]int, len(root.places)),
+	mk := &s.marking
+	*mk = Marking{
+		m:         make([]int, nP),
+		arr:       make([][]float64, nP),
+		head:      make([]int, nP),
+		isTouched: make([]bool, nP),
 	}
+	init := &s.initial
 	for _, p := range root.places {
-		s.marking.m[p.idx] = p.initial
-		for k := 0; k < p.initial; k++ {
-			s.marking.arr[p.idx] = append(s.marking.arr[p.idx], 0)
+		mk.m[p.idx] = p.initial
+		mk.arr[p.idx] = make([]float64, p.initial) // arrived at time zero
+		s.watchHead[p.idx] = -1
+	}
+	// Classify the activities against the initial marking, and index the
+	// unwatched ones by the places they depend on. stamp[p] == ai+1 once
+	// place p is recorded as a dependency of activity ai.
+	stamp := make([]int, nP)
+	nIn := 0
+	for _, a := range root.activities {
+		nIn += len(a.inputs)
+	}
+	inputs := make([]int, 0, nIn) // backs every watchIn entry, never regrown
+	depend := func(ai int, p *Place) {
+		if stamp[p.idx] != ai+1 {
+			stamp[p.idx] = ai + 1
+			s.deps[p.idx] = append(s.deps[p.idx], ai)
 		}
 	}
-	// Build the place -> activities dependency index.
-	s.deps = make([][]int, len(root.places))
 	for _, a := range root.activities {
-		seen := make(map[int]bool)
-		add := func(p *Place) {
-			if !seen[p.idx] {
-				seen[p.idx] = true
-				s.deps[p.idx] = append(s.deps[p.idx], a.idx)
+		// One completion closure per activity, allocated once: arming an
+		// activity must not allocate in the steady state.
+		a := a
+		s.fireFns[a.idx] = func() { s.fire(a) }
+		if !a.timed && len(a.gates) == 0 {
+			first := len(inputs)
+			for _, p := range a.inputs {
+				inputs = append(inputs, p.idx)
 			}
+			s.watchIn[a.idx] = inputs[first:len(inputs):len(inputs)]
+			s.watch(a.idx)
+			continue
 		}
+		marked := true
 		for _, p := range a.inputs {
-			add(p)
+			depend(a.idx, p)
+			marked = marked && p.initial > 0
 		}
 		for _, g := range a.gates {
 			for _, p := range g.Reads {
-				add(p)
+				depend(a.idx, p)
 			}
 		}
+		// An activity whose input arcs the initial marking does not satisfy
+		// is disabled whatever its gates say, and is enqueued through deps
+		// as soon as one of those places changes.
+		switch {
+		case !marked:
+		case a.timed:
+			init.timed = append(init.timed, a.idx)
+		default:
+			init.pending = append(init.pending, a.idx)
+		}
 	}
-	// One completion closure per activity, allocated once: arming an
-	// activity must not allocate in the steady state.
-	s.fireFns = make([]func(), nA)
-	for i, a := range root.activities {
-		a := a
-		s.fireFns[i] = func() { s.fire(a) }
-	}
-	// Every activity starts pending.
-	for i := 0; i < nA; i++ {
-		s.pending = append(s.pending, i)
-		s.inPending[i] = true
-	}
+	init.on = append([]int(nil), s.on...)
+	init.watchHead = append([]int(nil), s.watchHead...)
+	init.watchNext = append([]int(nil), s.watchNext...)
+	s.Reset(r)
 	return s
 }
 
 // Reset returns the simulator to the model's initial marking with a fresh
 // random stream, reusing every internal allocation (marking arrays,
 // dependency index, event pool). It is observably equivalent to
-// NewSim(model, r) but allocation-free, which matters in Monte-Carlo
-// replica loops where a worker runs thousands of realizations. The OnFire
-// observer, full-rescan mode, and instantaneous-loop limit are preserved.
+// NewSim(model, r) but allocation-free and does not evaluate a single
+// activity: the enabled set, the watch lists and the activities the first
+// settle must look at are copied back from the state NewSim computed for
+// the initial marking. That matters in Monte-Carlo replica loops, where a
+// worker runs thousands of realizations. The OnFire observer, full-rescan
+// mode, and instantaneous-loop limit are preserved.
 func (s *Sim) Reset(r *rng.Stream) {
 	s.rand = r
 	s.fired = 0
 	s.sim.Reset()
-	mk := &s.marking
-	for _, p := range s.model.places {
-		i := p.idx
-		mk.m[i] = p.initial
-		mk.arr[i] = mk.arr[i][:0]
-		mk.head[i] = 0
-		for k := 0; k < p.initial; k++ {
-			mk.arr[i] = append(mk.arr[i], 0)
-		}
+	init := &s.initial
+	s.marking.reset(s.model.places)
+	clear(s.isArmed)
+	clear(s.inPending)
+	clear(s.inTouch)
+	clear(s.onPos)
+	s.on = append(s.on[:0], init.on...)
+	for i, ai := range s.on {
+		s.onPos[ai] = i + 1
 	}
-	mk.dirty = mk.dirty[:0]
-	mk.now = 0
-	s.pending = s.pending[:0]
-	for i := range s.model.activities {
-		s.isArmed[i] = false
-		s.instON[i] = false
-		s.inTouch[i] = false
-		s.inPending[i] = true
-		s.pending = append(s.pending, i)
+	copy(s.watchHead, init.watchHead)
+	copy(s.watchNext, init.watchNext)
+	s.pending = append(s.pending[:0], init.pending...)
+	for _, ai := range s.pending {
+		s.inPending[ai] = true
 	}
-	s.numInstON = 0
-	s.timedTouch = s.timedTouch[:0]
+	s.timedTouch = append(s.timedTouch[:0], init.timed...)
+	for _, ai := range s.timedTouch {
+		s.inTouch[ai] = true
+	}
+	s.fresh = true
 }
 
 // SetFullRescan forces re-evaluation of every activity after every firing,
-// ignoring declared dependencies. Slow; used to validate gate Reads
-// declarations in tests.
+// ignoring declared dependencies and watch lists. Slow; used to validate
+// gate Reads declarations and the incremental bookkeeping in tests. Set it
+// before the first Run after NewSim or Reset.
 func (s *Sim) SetFullRescan(on bool) { s.fullRescan = on }
 
 // Marking exposes the live marking (for reward observation between events).
@@ -167,21 +247,102 @@ func (s *Sim) enqueue(ai int) {
 	}
 }
 
-// drainDirty propagates marking writes into the pending set.
-func (s *Sim) drainDirty() {
-	if s.fullRescan {
-		s.marking.dirty = s.marking.dirty[:0]
-		for i := range s.model.activities {
-			s.enqueue(i)
+// setOn adds instantaneous activity ai to the enabled set or removes it.
+func (s *Sim) setOn(ai int, on bool) {
+	pos := s.onPos[ai]
+	switch {
+	case on && pos == 0:
+		s.on = append(s.on, ai)
+		s.onPos[ai] = len(s.on)
+	case !on && pos != 0:
+		last := len(s.on) - 1
+		moved := s.on[last]
+		s.on[pos-1] = moved
+		s.onPos[moved] = pos
+		s.on = s.on[:last]
+		s.onPos[ai] = 0
+	}
+}
+
+// emptyInput returns the first empty input place of watched activity ai,
+// or -1 when all are marked and the activity is enabled.
+func (s *Sim) emptyInput(ai int) int {
+	for _, pi := range s.watchIn[ai] {
+		if s.marking.m[pi] == 0 {
+			return pi
 		}
+	}
+	return -1
+}
+
+// watch files watched activity ai, currently in neither the enabled set
+// nor a watch list, under the current marking: on the watch list of its
+// first empty input place, or in the enabled set when it has none.
+func (s *Sim) watch(ai int) {
+	pi := s.emptyInput(ai)
+	if pi < 0 {
+		s.setOn(ai, true)
 		return
 	}
-	for _, pi := range s.marking.dirty {
+	s.watchNext[ai] = s.watchHead[pi]
+	s.watchHead[pi] = ai
+}
+
+// drainDirty propagates marking writes: dependents of a written place
+// become pending, the activities waiting on a place that is now marked
+// are filed again, and if any place was emptied the enabled watched
+// activities are re-checked. Only the marking as it stands now matters —
+// a place taken 1 -> 0 -> 1 inside one completion is simply marked.
+//
+// In full-rescan mode every instantaneous activity becomes pending
+// instead. The dependents are still enqueued first: the order in which
+// timed activities are first touched is the order they are armed in, and
+// the reference must not differ from the simulator there for any reason
+// other than a dependency the simulator missed (settle sweeps up the
+// untouched timed activities before arming).
+func (s *Sim) drainDirty() {
+	mk := &s.marking
+	emptied := false
+	for _, pi := range mk.dirty {
 		for _, ai := range s.deps[pi] {
 			s.enqueue(ai)
 		}
+		if s.fullRescan {
+			continue
+		}
+		if mk.m[pi] == 0 {
+			emptied = true
+			continue
+		}
+		ai := s.watchHead[pi]
+		s.watchHead[pi] = -1
+		for ai >= 0 {
+			next := s.watchNext[ai]
+			s.watch(ai)
+			ai = next
+		}
 	}
-	s.marking.dirty = s.marking.dirty[:0]
+	mk.dirty = mk.dirty[:0]
+	if s.fullRescan {
+		for i, a := range s.model.activities {
+			if !a.timed {
+				s.enqueue(i)
+			}
+		}
+		return
+	}
+	if !emptied {
+		return
+	}
+	for i := 0; i < len(s.on); {
+		ai := s.on[i]
+		if s.watchIn[ai] == nil || s.emptyInput(ai) < 0 {
+			i++
+			continue
+		}
+		s.setOn(ai, false) // moves the last entry to position i
+		s.watch(ai)
+	}
 }
 
 // refreshPending folds the pending set into the enabled-instantaneous set
@@ -197,22 +358,36 @@ func (s *Sim) refreshPending() {
 			}
 			continue
 		}
-		on := a.enabled(&s.marking)
-		if on != s.instON[ai] {
-			s.instON[ai] = on
-			if on {
-				s.numInstON++
-			} else {
-				s.numInstON--
-			}
-		}
+		s.setOn(ai, a.enabled(&s.marking))
 	}
 	s.pending = s.pending[:0]
 }
 
-// settle completes enabled instantaneous activities (highest priority
-// first, creation order as tie-break) until none is enabled, then re-arms
-// timed activities to match the final marking.
+// nextInstant returns the enabled instantaneous activity to complete
+// next: highest priority, then oldest FIFO arrival (an activity without a
+// FIFO queue goes before any that has one), then lowest creation index.
+// It returns nil when none is enabled.
+func (s *Sim) nextInstant() *Activity {
+	var best *Activity
+	bestKey := 0.0
+	for _, ai := range s.on {
+		a := s.model.activities[ai]
+		key := math.Inf(-1)
+		if a.fifoKey != nil {
+			key = s.marking.OldestArrival(a.fifoKey)
+		}
+		if best == nil || a.priority > best.priority ||
+			(a.priority == best.priority && (key < bestKey || (key == bestKey && a.idx < best.idx))) {
+			best = a
+			bestKey = key
+		}
+	}
+	return best
+}
+
+// settle completes enabled instantaneous activities in nextInstant order
+// until none is enabled, then re-arms timed activities to match the final
+// marking.
 func (s *Sim) settle() {
 	s.drainDirty()
 	for iter := 0; ; iter++ {
@@ -220,32 +395,30 @@ func (s *Sim) settle() {
 			panic(fmt.Sprintf("san: instantaneous activity loop in model %q", s.model.name))
 		}
 		s.refreshPending()
-		if s.numInstON == 0 {
+		best := s.nextInstant()
+		if best == nil {
 			break
 		}
-		var best *Activity
-		bestKey := 0.0
-		for ai, on := range s.instON {
-			if !on {
-				continue
-			}
-			a := s.model.activities[ai]
-			key := math.Inf(-1)
-			if a.fifoKey != nil {
-				key = s.marking.OldestArrival(a.fifoKey)
-			}
-			if best == nil || a.priority > best.priority ||
-				(a.priority == best.priority && key < bestKey) {
-				best = a
-				bestKey = key
-			}
-		}
-		if best == nil {
-			break // stale count; repaired by refresh above
-		}
 		s.complete(best)
-		s.enqueue(best.idx)
+		if s.watchIn[best.idx] == nil {
+			s.enqueue(best.idx)
+		}
 		s.drainDirty()
+	}
+	if s.fullRescan {
+		for i, a := range s.model.activities {
+			if a.timed && !s.inTouch[i] {
+				s.inTouch[i] = true
+				s.timedTouch = append(s.timedTouch, i)
+			}
+		}
+	}
+	if s.fresh {
+		// The first settle arms in creation order. The list holds the
+		// activities Reset put there followed by those the instantaneous
+		// completions touched, so it has to be sorted.
+		s.fresh = false
+		sort.Ints(s.timedTouch)
 	}
 	// Re-arm touched timed activities against the stable marking.
 	for _, ai := range s.timedTouch {

@@ -68,7 +68,8 @@ type replicaOutcome struct {
 //
 // Workers whose build returns the same *Model for consecutive replicas
 // reuse one simulator via Sim.Reset, so the steady-state replica loop does
-// not allocate simulator state.
+// not allocate at all: beyond the per-replica outcome slice, allocations
+// do not depend on Replicas.
 //
 // ctx cancels the study between replicas (a replica that has started runs
 // to completion); a canceled study returns ctx.Err().
@@ -83,15 +84,28 @@ func Transient(ctx context.Context, build func() *Model, r *rng.Stream, spec Tra
 		return nil, fmt.Errorf("san: transient study needs a positive Tmax")
 	}
 	outs := make([]replicaOutcome, spec.Replicas)
-	sims := make([]*Sim, parallel.Workers(spec.Workers))
+	// One simulator and one random stream per worker, allocated by the
+	// worker on its first replica and re-derived in place for the next:
+	// ChildInto leaves the stream bit-identical to Child(i).
+	type worker struct {
+		sim  *Sim
+		rand rng.Stream
+	}
+	workers := make([]*worker, parallel.Workers(spec.Workers))
 	err := parallel.ForEach(ctx, spec.Workers, spec.Replicas, func(w, i int) error {
+		wk := workers[w]
+		if wk == nil {
+			wk = &worker{}
+			workers[w] = wk
+		}
+		r.ChildInto(&wk.rand, uint64(i))
 		m := build()
-		sim := sims[w]
+		sim := wk.sim
 		if sim != nil && sim.model == m.rootModel() {
-			sim.Reset(r.Child(uint64(i)))
+			sim.Reset(&wk.rand)
 		} else {
-			sim = NewSim(m, r.Child(uint64(i)))
-			sims[w] = sim
+			sim = NewSim(m, &wk.rand)
+			wk.sim = sim
 		}
 		t, stopped := sim.Run(spec.Tmax, spec.Stop)
 		out := &outs[i]

@@ -1,7 +1,7 @@
 package sanmodel
 
 import (
-	"math"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -190,31 +190,96 @@ func TestRoundsGuard(t *testing.T) {
 }
 
 // TestDepTrackingMatchesFullRescan is the differential test for the
-// dependency-tracked simulator: the consensus model (hundreds of gated
-// activities) must behave identically with and without the optimization.
+// incremental simulator on the model it was built for: across n, the
+// three run classes and both modeling ablations, it must complete the
+// same activities with the same cases in the same order as the
+// full-rescan reference, and leave the same activities enabled after
+// every completion. A gate with an incomplete Reads declaration, or a
+// seizer the watch lists lost track of, parts the two traces.
 func TestDepTrackingMatchesFullRescan(t *testing.T) {
-	p := DefaultParams(5)
-	p.FD = FDModel{TMR: 15, TM: 2, Kind: FDExponential}
-	model, err := Build(p)
-	if err != nil {
-		t.Fatal(err)
+	expFD := FDModel{TMR: 15, TM: 2, Kind: FDExponential}
+	cases := []struct {
+		name  string
+		seeds uint64
+		p     func() Params
+	}{
+		{"class1-n3", 6, func() Params { return DefaultParams(3) }},
+		{"class1-n7", 3, func() Params { return DefaultParams(7) }},
+		{"class2-n5-coordinator", 4, func() Params {
+			p := DefaultParams(5)
+			p.Crashed = []int{1}
+			return p
+		}},
+		{"class2-n7-participant", 3, func() Params {
+			p := DefaultParams(7)
+			p.Crashed = []int{3}
+			return p
+		}},
+		{"class3-n3-det", 6, func() Params {
+			p := DefaultParams(3)
+			p.FD = FDModel{TMR: 10, TM: 3, Kind: FDDeterministic}
+			return p
+		}},
+		{"class3-n5-exp", 12, func() Params {
+			p := DefaultParams(5)
+			p.FD = expFD
+			return p
+		}},
+		{"class3-n7-exp", 3, func() Params {
+			p := DefaultParams(7)
+			p.FD = expFD
+			return p
+		}},
+		{"unicast-broadcast-n3-crash2", 6, func() Params {
+			p := DefaultParams(3)
+			p.UnicastBroadcast = true
+			p.Crashed = []int{2}
+			return p
+		}},
+		{"unicast-broadcast-n5-exp", 4, func() Params {
+			p := DefaultParams(5)
+			p.UnicastBroadcast = true
+			p.FD = expFD
+			return p
+		}},
+		{"fd-correlated-n5-exp", 4, func() Params {
+			p := DefaultParams(5)
+			p.FDCorrelated = true
+			p.FD = expFD
+			return p
+		}},
 	}
-	run := func(full bool, seed uint64) (float64, uint64) {
-		sim := san.NewSim(model.SAN, rng.New(seed))
-		sim.SetFullRescan(full)
-		at, stopped := sim.Run(1e6, model.Done)
-		if !stopped {
-			t.Fatal("did not stop")
-		}
-		return at, sim.Fired()
-	}
-	for seed := uint64(1); seed <= 25; seed++ {
-		t1, f1 := run(false, seed)
-		t2, f2 := run(true, seed)
-		if math.Abs(t1-t2) > 1e-12 || f1 != f2 {
-			t.Fatalf("seed %d: optimized (%v, %d firings) != full rescan (%v, %d firings): missing gate Reads declaration",
-				seed, t1, f1, t2, f2)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			model, err := Build(c.p())
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(full bool, seed uint64) []string {
+				sim := san.NewSim(model.SAN, rng.New(seed))
+				sim.SetFullRescan(full)
+				var trace []string
+				sim.OnFire(func(a *san.Activity, caseIdx int) {
+					trace = append(trace, fmt.Sprintf("%s/%d -> %s", a.Name(), caseIdx, strings.Join(sim.EnabledActivities(), ",")))
+				})
+				at, stopped := sim.Run(1e6, model.Done)
+				if !stopped {
+					t.Fatal("did not stop")
+				}
+				return append(trace, fmt.Sprintf("end t=%v fired=%d", at, sim.Fired()))
+			}
+			for seed := uint64(1); seed <= c.seeds; seed++ {
+				got, want := run(false, seed), run(true, seed)
+				for i := 0; i < len(got) && i < len(want); i++ {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d, completion %d:\n  incremental %s\n  full rescan %s", seed, i, got[i], want[i])
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("seed %d: %d completions, full rescan %d", seed, len(got)-1, len(want)-1)
+				}
+			}
+		})
 	}
 }
 

@@ -1,8 +1,12 @@
 #!/usr/bin/env sh
 # Runs the emulation-path benchmark suite — the scenario campaign
 # benchmarks, the cluster reset-vs-construct pair, the campaign
-# memory benchmark, and the SAN campaign baseline — and writes the
-# results to BENCH_emulation.json via
+# memory benchmark — and the SAN simulator's rows: the campaign baseline
+# (mostly model construction at 40 replicas), one n = 5 realization including
+# NewSim (BenchmarkSANEngine), the Reset+Run replica body
+# (BenchmarkSimReset) and one completion with 8 and 512 idle seizers on
+# the flipping resource (BenchmarkSettleFanout, the pair must read
+# alike) — and writes the results to BENCH_emulation.json via
 # cmd/benchjson, so the perf trajectory of the allocation-lean emulator
 # is tracked per commit (CI uploads the file as a build artifact).
 #
@@ -30,9 +34,9 @@ TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
 go test -run=- \
-    -bench 'BenchmarkScenarioCampaign(Serial|Parallel|Traced)|BenchmarkCluster(Reset|NewPerReplica)|BenchmarkCampaignMemory|BenchmarkDESSchedule$|BenchmarkSANCampaignSerial' \
+    -bench 'BenchmarkScenarioCampaign(Serial|Parallel|Traced)|BenchmarkCluster(Reset|NewPerReplica)|BenchmarkCampaignMemory|BenchmarkDESSchedule$|BenchmarkSANCampaignSerial|BenchmarkSANEngine$|BenchmarkSimReset$|BenchmarkSettleFanout' \
     -benchmem -benchtime "$BENCHTIME" \
-    ./internal/scenario/ ./internal/netsim/ ./internal/metrics/ ./internal/des/ ./campaign/ \
+    ./internal/scenario/ ./internal/netsim/ ./internal/metrics/ ./internal/des/ ./internal/san/ ./campaign/ . \
     >"$TMP"
 cat "$TMP" >&2
 
