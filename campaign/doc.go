@@ -34,8 +34,8 @@
 //
 // Results are engine-uniform (Result with a latency Summary, abort
 // counts, failure-detector QoS where measured); Sink implementations
-// Collect, JSONLWriter, and TableSink cover programmatic, pipeline, and
-// human consumption. The cmd/ binaries (testbed, sanrun, fdqos,
+// Collect and JSONLWriter cover programmatic and pipeline
+// consumption. The cmd/ binaries (testbed, sanrun, fdqos,
 // scenario, repro) are thin shells over this package.
 //
 // Memory scales with the study, not with the execution count: every
@@ -87,8 +87,9 @@
 // records (CRC), stale records (point-hash mismatch after a spec
 // edit), and duplicates, and failing loudly if any point is missing.
 // The merged output is byte-identical to an uninterrupted 1-process
-// campaign; cmd/ctsan wraps this in a plan/supervise/merge CLI with
-// subprocess isolation, retry, and SIGKILL-resume differential tests.
+// campaign; cmd/ctsan wraps this in a lease/execute/fold CLI
+// (internal/shard's Ledger) with subprocess isolation, retry, and
+// SIGKILL-resume differential tests.
 //
 // FrozenPoints exposes the same materialization as a value — one
 // FrozenPoint per grid cell with its index, label, engine, derived
@@ -107,14 +108,14 @@
 // any number of live subscribers.
 //
 // The same pieces compose once more into fleet dispatch: the service
-// coordinates studies submitted with ?mode=fleet by leasing contiguous
-// frozen-grid ranges to pulling `ctsan worker` processes, which
-// execute them via RunShardRange and upload the checkpoint records.
-// VerifyShardRecord is the coordinator's acceptance check — CRC plus
-// the PointHash its own freeze derived for the index — and the fold is
-// the same grid-index order as MergeShardRecords, so a fleet of any
-// size (surviving any number of worker crashes via lease expiry)
-// streams bytes identical to one in-process Run.
+// serves the same lease ledger `ctsan run` drives in-process to pulling
+// `ctsan worker` processes, which execute their leases via
+// RunShardRange and upload the checkpoint records. VerifyShardRecord is
+// the ledger's acceptance check — CRC plus the PointHash the
+// coordinator's own freeze derived for the index — and the fold is the
+// same grid-index order as MergeShardRecords, so a fleet of any size
+// (surviving any number of worker crashes via lease expiry) streams
+// bytes identical to one in-process Run.
 //
 // # Observability
 //
@@ -122,7 +123,7 @@
 // WithProgress delivers a serialized, point-index-ordered callback
 // after each result reaches the sinks (its ordering guarantees are part
 // of the API — see the option's doc). Process-wide telemetry counters
-// (points and executions completed, shard attempts/retries, checkpoint
+// (points and executions completed, dispatch leases, checkpoint
 // appends and bytes, worker utilization) tick in internal/obs and are
 // served over expvar + pprof when a CLI runs with -debug-addr; they
 // read wall clocks and so live deliberately outside the bit-identical

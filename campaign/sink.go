@@ -2,9 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"strings"
 )
 
 // Sink consumes study results as they stream out of Run. Emit is called
@@ -52,72 +50,3 @@ func (j *JSONLWriter) Emit(r *Result) error { return j.enc.Encode(r) }
 
 // Close implements Sink.
 func (j *JSONLWriter) Close() error { return nil }
-
-// TableSink renders results as an aligned text table. Rows accumulate as
-// results stream in; the table is written on Close (column widths need
-// the full set).
-type TableSink struct {
-	w    io.Writer
-	rows [][]string
-}
-
-// NewTableSink returns a table sink writing to w on Close.
-func NewTableSink(w io.Writer) *TableSink { return &TableSink{w: w} }
-
-var tableHeader = []string{
-	"point", "engine", "n", "mean[ms]", "p50", "p90", "p99", "aborted", "wrong-susp",
-}
-
-// Emit implements Sink.
-func (t *TableSink) Emit(r *Result) error {
-	ws := "-"
-	if r.Suspicions > 0 || r.WrongSuspicions > 0 {
-		ws = fmt.Sprintf("%d/%d", r.WrongSuspicions, r.Suspicions)
-	}
-	t.rows = append(t.rows, []string{
-		r.Point,
-		r.Engine.String(),
-		fmt.Sprintf("%d", r.Latency.N),
-		fmt.Sprintf("%.3f", r.Latency.Mean),
-		fmt.Sprintf("%.3f", r.Latency.P50),
-		fmt.Sprintf("%.3f", r.Latency.P90),
-		fmt.Sprintf("%.3f", r.Latency.P99),
-		fmt.Sprintf("%d", r.Aborted),
-		ws,
-	})
-	return nil
-}
-
-// Close implements Sink: it renders the accumulated rows.
-func (t *TableSink) Close() error {
-	widths := make([]int, len(tableHeader))
-	for i, h := range tableHeader {
-		widths[i] = len(h)
-	}
-	for _, row := range t.rows {
-		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) string {
-		var b strings.Builder
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		return strings.TrimRight(b.String(), " ")
-	}
-	if _, err := fmt.Fprintln(t.w, line(tableHeader)); err != nil {
-		return err
-	}
-	for _, row := range t.rows {
-		if _, err := fmt.Fprintln(t.w, line(row)); err != nil {
-			return err
-		}
-	}
-	return nil
-}

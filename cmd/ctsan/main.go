@@ -1,6 +1,6 @@
-// Command ctsan is the crash-safe sharded campaign executor: it splits a
-// study grid into contiguous shard ranges, runs each range as an
-// isolated, checkpointed subprocess, and merges the per-point records
+// Command ctsan is the crash-safe sharded campaign executor: it leases a
+// study grid out as contiguous index ranges, runs each range as an
+// isolated, checkpointed subprocess, and folds the per-point records
 // back into the exact JSONL a single uninterrupted process would emit.
 //
 //	ctsan run    -study spec.json -shards 4 -dir ckpt/ -o results.jsonl
@@ -8,24 +8,28 @@
 //	ctsan merge  -study spec.json -dir ckpt/ -o results.jsonl
 //	ctsan worker -server http://host:8080 -dir ckpt/
 //
-// `run` is the supervisor: it plans the shard layout, re-executes this
-// binary once per range (`ctsan shard`), retries crashed, hung, or
-// panicked shards with exponential backoff, and finishes with a merge.
-// `shard` executes one range, appending each completed point to an
-// atomically-updated checkpoint file in -dir and skipping points that
-// file already holds — so a shard killed mid-run loses at most the
-// point in flight. `merge` folds every checkpoint record in -dir, in
-// grid-index order, verifying each record's CRC and point-spec hash.
+// `run` is the supervisor: an in-process lease ledger (internal/shard)
+// over the grid, preloaded with every record -dir already holds, and
+// -procs slots that each take a lease, re-execute this binary for its
+// range (`ctsan shard`), and complete the lease with what the
+// subprocess checkpointed. A crashed, hung, or panicked shard leaves
+// holes; the ledger leases them again (after an exponential backoff,
+// up to -retries times) and folds results in grid-index order into -o.
+// `shard` executes one range, appending each completed point to a
+// checkpoint file in -dir and skipping points that file already holds —
+// so a shard killed mid-run loses at most the point in flight. `merge`
+// folds every checkpoint record in -dir, in grid-index order, verifying
+// each record's CRC and point-spec hash.
 //
-// `worker` is the pull side of fleet dispatch: it leases contiguous
-// ranges from a campaign service (ctsand, with studies submitted under
-// ?mode=fleet), executes them through the same checkpointed range
-// runner `shard` uses, and uploads the records for the coordinator to
-// verify and fold.
+// `worker` is the pull side of fleet dispatch: the same ledger, served
+// by a campaign service (ctsand, for studies submitted under
+// ?mode=fleet). It leases ranges over HTTP, executes them through the
+// same checkpointed range runner `shard` uses, and uploads the records
+// for the coordinator's ledger to verify and fold.
 //
 // All commands freeze the study deterministically from the same
 // (spec, seed, replicas) inputs, so the grid — per-point seeds
-// included — is identical in every participating process, and the merged
+// included — is identical in every participating process, and the
 // output is bit-identical to `run` with -shards 1, at any shard count
 // or worker fleet size, across any number of crashes and resumes.
 package main
@@ -41,12 +45,15 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"ctsan/campaign"
 	"ctsan/internal/atomicio"
 	"ctsan/internal/checkpoint"
 	"ctsan/internal/cliflags"
+	"ctsan/internal/parallel"
 	"ctsan/internal/shard"
 )
 
@@ -59,7 +66,7 @@ func main() {
 const usageText = `usage: ctsan <command> [flags]
 
 commands:
-  run     plan shards, supervise them as subprocesses, and merge
+  run     lease the grid to shard subprocesses, supervise them, and merge
   shard   execute one shard range with durable per-point checkpoints
   merge   fold checkpoint records into the final results JSONL
   worker  pull fleet leases from a campaign service and execute them
@@ -80,7 +87,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	case "shard":
 		err = cmdShard(ctx, args[1:], stderr)
 	case "merge":
-		err = cmdMerge(args[1:], stdout)
+		err = cmdMerge(args[1:], stdout, stderr)
 	case "worker":
 		err = cmdWorker(ctx, args[1:], stderr)
 	default:
@@ -132,9 +139,8 @@ func (sf studyFlags) frozen() (*campaign.Study, error) {
 		campaign.WithSeed(*sf.seed), campaign.WithReplicas(*sf.replicas))
 }
 
-// storePath names the checkpoint file of one shard range. Records carry
-// full-grid indices and point hashes, so merge does not depend on this
-// layout — it reads every shard-*.jsonl in the directory.
+// storePath names the checkpoint file of one shard range; storedRecords
+// reads them all back.
 func storePath(dir string, r shard.Range) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%06d-%06d.jsonl", r.Start, r.End))
 }
@@ -209,9 +215,14 @@ func cmdRun(ctx context.Context, args []string, stderr io.Writer) error {
 	if *dir == "" || *out == "" {
 		return fmt.Errorf("-dir and -o are required")
 	}
-	stopDebug, err := cliflags.StartDebug(*debugAddr, func(format string, args ...any) {
+	total := len(frozen.Points)
+	if total == 0 || *shards <= 0 {
+		return fmt.Errorf("cannot split %d points into %d shards", total, *shards)
+	}
+	logf := func(format string, args ...any) {
 		fmt.Fprintf(stderr, "ctsan run: "+format+"\n", args...)
-	})
+	}
+	stopDebug, err := cliflags.StartDebug(*debugAddr, logf)
 	if err != nil {
 		return err
 	}
@@ -223,49 +234,180 @@ func cmdRun(ctx context.Context, args []string, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ranges, err := shard.Plan(len(frozen.Points), *shards)
+	hashes, err := campaign.StudyPointHashes(frozen)
 	if err != nil {
 		return err
 	}
 
-	complete := func(r shard.Range) (bool, error) {
-		records, _, err := checkpoint.Load(storePath(*dir, r))
-		if err != nil {
-			return false, err
-		}
-		missing, _, err := campaign.MissingPoints(frozen, r.Start, r.End, records)
-		if err != nil {
-			return false, err
-		}
-		return len(missing) == 0, nil
+	// The fold: emitted in grid order under the ledger's lock, the very
+	// bytes an in-process campaign.JSONLWriter would write.
+	var results []byte
+	ledger := shard.NewLedger(hashes, slotLeaseTTL, leaseSizes(total, *shards), func(_ int, result []byte) {
+		results = append(append(results, result...), '\n')
+	})
+	stored, err := storedRecords(*dir, stderr)
+	if err != nil {
+		return err
 	}
-	exec := func(ctx context.Context, r shard.Range, attempt int) error {
+	pre := ledger.Preload(stored)
+	if len(pre.Accepted) > 0 {
+		logf("%d of %d points already checkpointed, skipping them", len(pre.Accepted), total)
+	}
+	if skipped := pre.Rejected + pre.Duplicate; skipped > 0 {
+		logf("skipped %d stale, duplicate, or corrupt records", skipped)
+	}
+
+	// attempt runs one lease as a `ctsan shard` subprocess and completes
+	// it with whatever that left in its checkpoint. The checkpoint, not
+	// the exit status, decides: a shard that died after persisting its
+	// last point is done, and one that exited cleanly with holes is not.
+	attempt := func(l *shard.Lease) error {
+		if l.Attempt > 1 {
+			delay := *backoff << (l.Attempt - 2)
+			logf("shard %s: retrying in %v", l.Range, delay)
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(delay):
+			}
+		}
+		logf("shard %s: attempt %d/%d starting (%d points)", l.Range, l.Attempt, *retries+1, l.Len())
 		sub := []string{"shard",
 			"-study", *sf.study,
 			"-seed", strconv.FormatUint(*sf.seed, 10),
 			"-replicas", strconv.Itoa(*sf.replicas),
-			"-range", r.String(),
+			"-range", l.Range.String(),
 			"-dir", *dir,
 			"-workers", strconv.Itoa(*workers),
 		}
-		if *crashAfter > 0 && attempt == 0 {
+		if *crashAfter > 0 && l.Attempt == 1 {
 			sub = append(sub, "-crash-after", strconv.Itoa(*crashAfter))
 		}
-		return runShardProcess(ctx, self, sub, stderr)
+		attemptCtx, cancel := ctx, context.CancelFunc(func() {})
+		if *timeout > 0 {
+			attemptCtx, cancel = context.WithTimeout(ctx, *timeout)
+		}
+		start := time.Now()
+		execErr := runShardProcess(attemptCtx, self, sub, stderr)
+		cancel()
+		records, _, err := checkpoint.Load(storePath(*dir, l.Range))
+		if err != nil {
+			return fmt.Errorf("shard %s: checkpoint: %w", l.Range, err)
+		}
+		c := ledger.Complete(time.Now(), l.ID, records)
+		if c.Holes == 0 {
+			logf("shard %s: complete after attempt %d (%.1fs)", l.Range, l.Attempt, time.Since(start).Seconds())
+			return nil
+		}
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if execErr == nil {
+			execErr = fmt.Errorf("exec reported success but checkpoint is incomplete")
+		}
+		if l.Attempt > *retries {
+			return fmt.Errorf("shard %s: failed after %d attempts: %w", l.Range, l.Attempt, execErr)
+		}
+		logf("shard %s: attempt %d failed (%v), %d points pending again", l.Range, l.Attempt, execErr, c.Holes)
+		return nil
 	}
-	err = shard.Run(ctx, ranges, shard.Options{
-		Timeout: *timeout,
-		Retries: *retries,
-		Backoff: *backoff,
-		Procs:   *procs,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(stderr, "ctsan run: "+format+"\n", args...)
-		},
-	}, exec, complete)
-	if err != nil {
+
+	// Each slot leases, attempts and completes until the ledger has
+	// nothing left to grant; holes an attempt leaves are pending again, so
+	// the slot that left them (at least) finds them on its next grant.
+	// Once a shard exhausts its attempts in-flight ones finish, no new
+	// one starts, and the lowest-index failure is reported. Completed
+	// points keep their checkpoints, so re-running resumes.
+	var (
+		mu       sync.Mutex
+		failed   error
+		failedAt int
+		wg       sync.WaitGroup
+	)
+	for slot := 0; slot < min(parallel.Workers(*procs), *shards); slot++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				mu.Lock()
+				stop := failed != nil
+				mu.Unlock()
+				if stop {
+					return
+				}
+				l, _, _ := ledger.Grant(time.Now(), fmt.Sprintf("slot-%d", slot))
+				if l == nil {
+					return
+				}
+				if err := attempt(l); err != nil {
+					mu.Lock()
+					if failed == nil || l.Start < failedAt {
+						failed, failedAt = err, l.Start
+					}
+					mu.Unlock()
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if failed != nil {
+		return failed
+	}
+	select {
+	case <-ledger.Done():
+	default:
+		return fmt.Errorf("dispatch ended with %d of %d points missing", ledger.Stats().Pending, total)
+	}
+	if err := atomicio.WriteFile(*out, results, 0o644); err != nil {
 		return err
 	}
-	return mergeDir(frozen, *dir, *out, stderr)
+	logf("merged %d points into %s", total, *out)
+	return nil
+}
+
+// leaseSizes is `ctsan run`'s lease-size policy: one lease per shard on
+// a fresh grid. The first `shards` grants are sized total/shards, the
+// first total%shards of them taking one extra point, so they cover the
+// grid exactly; later grants (the holes a failed attempt left) are
+// bounded by the same size.
+func leaseSizes(total, shards int) func() int {
+	var grants atomic.Int64
+	return func() int {
+		if int(grants.Add(1)) <= total%shards {
+			return total/shards + 1
+		}
+		return max(total/shards, 1)
+	}
+}
+
+// slotLeaseTTL is the lease lifetime `ctsan run` asks of its ledger. A
+// slot lives in the supervisor's own process and always completes its
+// lease — a dead subprocess is a completion with holes — so leases must
+// never expire underneath one; -timeout bounds an attempt instead.
+const slotLeaseTTL = 100 * 365 * 24 * time.Hour
+
+// storedRecords loads every record line checkpointed under dir. Records
+// carry full-grid indices and point hashes, so neither resume nor merge
+// depends on which range a file was written for.
+func storedRecords(dir string, stderr io.Writer) ([][]byte, error) {
+	files, err := filepath.Glob(filepath.Join(dir, "shard-*.jsonl"))
+	if err != nil {
+		return nil, err
+	}
+	sort.Strings(files)
+	var lines [][]byte
+	for _, f := range files {
+		records, dropped, err := checkpoint.Load(f)
+		if err != nil {
+			return nil, err
+		}
+		if dropped > 0 {
+			fmt.Fprintf(stderr, "ctsan: %s: dropped %d damaged trailing bytes\n", f, dropped)
+		}
+		lines = append(lines, records...)
+	}
+	return lines, nil
 }
 
 // runShardProcess re-executes this binary for one shard attempt. The
@@ -280,8 +422,9 @@ func runShardProcess(ctx context.Context, self string, args []string, stderr io.
 	return cmd.Run()
 }
 
-func cmdMerge(args []string, stdout io.Writer) error {
+func cmdMerge(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("ctsan merge", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	sf := registerStudyFlags(fs)
 	dir := fs.String("dir", "", "checkpoint directory (required)")
 	out := fs.String("o", "", "results JSONL file (default stdout)")
@@ -295,66 +438,42 @@ func cmdMerge(args []string, stdout io.Writer) error {
 	if *dir == "" {
 		return fmt.Errorf("-dir is required")
 	}
-	if *out == "" {
-		return merge(frozen, *dir, stdout)
-	}
-	return mergeDir(frozen, *dir, *out, io.Discard)
-}
-
-// mergeDir merges into a file through the shared atomic-replace helper,
-// so a crash during merge never leaves a half-written results file.
-func mergeDir(frozen *campaign.Study, dir, out string, stderr io.Writer) error {
-	var buf []byte
-	w := &appendWriter{buf: &buf}
-	if err := merge(frozen, dir, w); err != nil {
-		return err
-	}
-	if err := atomicio.WriteFile(out, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "ctsan: merged %d points into %s\n", len(frozen.Points), out)
-	return nil
-}
-
-type appendWriter struct{ buf *[]byte }
-
-func (w *appendWriter) Write(p []byte) (int, error) {
-	*w.buf = append(*w.buf, p...)
-	return len(p), nil
-}
-
-// merge folds every checkpoint record under dir and emits, in grid-index
-// order, the exact Result JSON bytes each point's shard persisted — the
-// same bytes an in-process campaign.JSONLWriter emits, making sharded
-// and unsharded runs byte-identical.
-func merge(frozen *campaign.Study, dir string, w io.Writer) error {
-	files, err := filepath.Glob(filepath.Join(dir, "shard-*.jsonl"))
+	merged, err := merge(frozen, *dir, stderr)
 	if err != nil {
 		return err
 	}
-	sort.Strings(files)
-	var lines [][]byte
-	for _, f := range files {
-		records, dropped, err := checkpoint.Load(f)
-		if err != nil {
-			return err
-		}
-		if dropped > 0 {
-			fmt.Fprintf(os.Stderr, "ctsan merge: %s: dropped %d damaged trailing bytes\n", f, dropped)
-		}
-		lines = append(lines, records...)
+	if *out == "" {
+		_, err := stdout.Write(merged)
+		return err
+	}
+	// Atomic replace: a crash during merge never leaves a half-written
+	// results file.
+	if err := atomicio.WriteFile(*out, merged, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "ctsan merge: merged %d points into %s\n", len(frozen.Points), *out)
+	return nil
+}
+
+// merge folds every checkpoint record under dir and returns, in
+// grid-index order, the exact Result JSON bytes each point's shard
+// persisted — the same bytes an in-process campaign.JSONLWriter emits,
+// making sharded and unsharded runs byte-identical.
+func merge(frozen *campaign.Study, dir string, stderr io.Writer) ([]byte, error) {
+	lines, err := storedRecords(dir, stderr)
+	if err != nil {
+		return nil, err
 	}
 	records, skipped, err := campaign.MergeShardRecords(frozen, lines)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if skipped > 0 {
-		fmt.Fprintf(os.Stderr, "ctsan merge: skipped %d stale, duplicate, or corrupt records\n", skipped)
+		fmt.Fprintf(stderr, "ctsan merge: skipped %d stale, duplicate, or corrupt records\n", skipped)
 	}
+	var merged []byte
 	for _, rec := range records {
-		if _, err := w.Write(append(rec.Result, '\n')); err != nil {
-			return err
-		}
+		merged = append(append(merged, rec.Result...), '\n')
 	}
-	return nil
+	return merged, nil
 }

@@ -20,15 +20,19 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 
 	"ctsan/internal/cliflags"
 	"ctsan/internal/experiment"
 )
 
+// artifacts are the values -what accepts.
+var artifacts = []string{"all", "fig6", "fig7a", "fig7b", "table1", "fig8", "fig9a", "fig9b"}
+
 func main() {
 	var (
-		what     = flag.String("what", "all", "which artifact to regenerate: all, fig6, fig7a, fig7b, table1, fig8, fig9a, fig9b")
+		what     = flag.String("what", "all", "which artifact to regenerate: "+strings.Join(artifacts, ", "))
 		fidelity = flag.String("fidelity", "quick", "experiment sizes: quick or paper (paper is slow)")
 		scale    = flag.Float64("scale", 1, "multiply workload sizes by this factor")
 		seed     = cliflags.Seed(flag.CommandLine)
@@ -38,6 +42,11 @@ func main() {
 	)
 	flag.Parse()
 
+	sel := strings.ToLower(*what)
+	if !slices.Contains(artifacts, sel) {
+		fmt.Fprintf(os.Stderr, "repro: unknown artifact %q (-what takes one of: %s)\n", *what, strings.Join(artifacts, ", "))
+		os.Exit(2)
+	}
 	var f experiment.Fidelity
 	switch *fidelity {
 	case "quick":
@@ -61,7 +70,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	sel := strings.ToLower(*what)
 	want := func(id string) bool { return sel == "all" || sel == id }
 	if err := run(ctx, f, *seed, want, progress, *plot); err != nil {
 		cliflags.Fail("repro", err)

@@ -12,7 +12,7 @@
 // campaign.Run(ctx, study, opts...) call executes any mix of them with
 // functional options (WithSeed, WithWorkers, WithReplicas, WithProgress,
 // WithSink), streaming per-point results to Sink implementations
-// (Collect, JSONLWriter, TableSink) in deterministic point-index order,
+// (Collect, JSONLWriter) in deterministic point-index order,
 // and honoring context cancellation down to execution and replica
 // boundaries. See campaign's package example for the same latency study
 // run on both the model and the emulator.
@@ -70,19 +70,27 @@
 // wrong-suspicion rates, and decision throughput.
 //
 // Campaigns larger than one process shard across subprocesses — and
-// machines — through cmd/ctsan: a study spec plus (seed, replicas)
-// freezes deterministically into the identical grid everywhere
-// (campaign.Frozen), contiguous index ranges are planned and supervised
-// as isolated subprocesses with timeouts, bounded retries, and
-// exponential backoff (internal/shard), and every completed point is
-// checkpointed durably as a CRC-framed record appended and fsynced to
-// an append-only log (internal/checkpoint). A shard that
-// crashes, panics, or is SIGKILLed loses at most the point in flight
-// and resumes from its checkpoint; the merge folds records in
-// grid-index order and is byte-identical to an uninterrupted 1-process
-// run, a property pinned by differential tests and fuzzed wire formats
-// (the versioned metrics.Digest binary/JSON encodings, study specs,
-// shard records, and checkpoint framing).
+// machines. A study spec plus (seed, replicas) freezes deterministically
+// into the identical grid everywhere (campaign.Frozen), every completed
+// point is checkpointed durably as a CRC-framed record appended and
+// fsynced to an append-only log (internal/checkpoint), and one dispatch
+// mechanism decides who runs what: the lease ledger (internal/shard).
+// It hands out contiguous index ranges as leases, verifies every record
+// that comes back against the frozen grid (CRC + PointHash), returns
+// what a dead or partial executor left unfinished to the pending set,
+// and folds results in grid-index order — so the output is
+// byte-identical to an uninterrupted 1-process run however the grid was
+// split and however often an executor died (determinism rule 5 in
+// PERFORMANCE.md). The property is pinned by differential tests, a
+// model-checked state-machine test of the ledger, and fuzzed wire
+// formats (the versioned metrics.Digest binary/JSON encodings, study
+// specs, shard records, and checkpoint framing).
+//
+// `ctsan run -shards N` (cmd/ctsan) drives the ledger in-process: its
+// slots run each lease as an isolated `ctsan shard` subprocess, with
+// per-attempt timeouts, bounded retries and exponential backoff, so a
+// shard that crashes, panics, or is SIGKILLed loses at most the point
+// in flight and only its holes are leased again.
 //
 // The same campaigns are served long-running by cmd/ctsand
 // (internal/server): an HTTP service where concurrent users POST the
@@ -99,17 +107,13 @@
 // resimulating them.
 //
 // The service is also the fleet coordinator: a study submitted with
-// ?mode=fleet is not run on the local pool but dispatched to pulling
-// `ctsan worker` processes on any machines that can reach it. Workers
-// lease contiguous frozen-grid ranges (adaptively sized to ~1s of
-// work), execute them through the same RunShardRange checkpoint
-// machinery the shard CLI uses, and upload the CRC-framed records; the
-// coordinator verifies every record against its own freeze (CRC +
-// PointHash), requeues expired leases of dead workers, and folds
-// accepted records in grid-index order — so the streamed JSONL is
-// byte-identical to a single-process run at any fleet size, and a
-// SIGKILLed worker costs one lease of re-execution, never a wrong
-// result (determinism rule 7 in PERFORMANCE.md).
+// ?mode=fleet is not run on the local pool; the same ledger is served
+// over HTTP to pulling `ctsan worker` processes on any machines that
+// can reach it. Workers lease ranges (adaptively sized to ~1s of work),
+// execute them through the same RunShardRange checkpoint machinery the
+// shard CLI uses, and upload the records; leases of dead workers expire
+// and are granted again, so a SIGKILLed worker costs one lease of
+// re-execution, never a wrong result.
 //
 // Every engine layer is traceable: an optional internal/trace tracer
 // captures typed, sim-timed records — kernel scheduling, message
@@ -122,7 +126,7 @@
 // it as JSONL or a Chrome trace_event file loadable in Perfetto, and
 // -explain prints the causal event window behind each ground-truthed
 // wrong suspicion. Campaign-level telemetry (internal/obs) — execution
-// and point counters, shard retry/backoff, checkpoint appends and
+// and point counters, lease grants and expiries, checkpoint appends and
 // bytes, worker utilization — is exported via expvar and
 // net/http/pprof when a CLI passes -debug-addr, and cmd/benchjson gates
 // BENCH_emulation.json drift in CI.

@@ -1,6 +1,6 @@
 // Package obs is the runtime telemetry of long campaigns: process-wide
 // counters and gauges for work completed (executions, campaign points,
-// shard attempts/retries, checkpoint appends) and worker-pool activity,
+// dispatch leases, checkpoint appends) and worker-pool activity,
 // published through the standard expvar registry, plus an optional HTTP
 // listener exposing /debug/vars and the net/http/pprof profiling
 // endpoints (the -debug-addr flag of cmd/ctsan and cmd/scenario).
@@ -32,12 +32,6 @@ var (
 	Executions = expvar.NewInt("ctsan.executions_completed")
 	// Points counts completed campaign grid points.
 	Points = expvar.NewInt("ctsan.points_completed")
-	// ShardAttempts counts shard subprocess launches (first tries and
-	// retries); ShardRetries only the re-launches after a failure;
-	// ShardBackoffMS the total milliseconds slept in retry backoff.
-	ShardAttempts  = expvar.NewInt("ctsan.shard_attempts")
-	ShardRetries   = expvar.NewInt("ctsan.shard_retries")
-	ShardBackoffMS = expvar.NewInt("ctsan.shard_backoff_ms")
 	// CheckpointAppends counts durable checkpoint records written.
 	CheckpointAppends = expvar.NewInt("ctsan.checkpoint_appends")
 	// CheckpointBytes counts the bytes the checkpoint store handed to
@@ -56,11 +50,12 @@ var (
 	// point-cache spill store and records validated back in at startup.
 	CacheSpills    = expvar.NewInt("ctsan.cache_spills")
 	CacheWarmLoads = expvar.NewInt("ctsan.cache_warm_loads")
-	// Fleet-dispatch counters (the coordinator's lease ledger):
-	// LeasesGranted counts ranges handed to workers, LeasesCompleted
-	// leases whose full range came back verified, LeasesExpired leases
-	// reaped past their deadline, and LeasePointsRequeued the individual
-	// points returned to the pending set by expiry or partial uploads.
+	// Dispatch counters (shard.Ledger, under `ctsan run` and ctsand
+	// alike): LeasesGranted counts ranges handed to shard subprocesses or
+	// fleet workers, LeasesCompleted leases whose full range came back
+	// verified, LeasesExpired leases reaped past their deadline, and
+	// LeasePointsRequeued the individual points returned to the pending
+	// set by expiry or partial completions.
 	LeasesGranted       = expvar.NewInt("ctsan.leases_granted")
 	LeasesCompleted     = expvar.NewInt("ctsan.leases_completed")
 	LeasesExpired       = expvar.NewInt("ctsan.leases_expired")
@@ -85,9 +80,9 @@ var (
 	// StudiesActive the number currently executing.
 	QueueDepth    = expvar.NewInt("ctsan.queue_depth")
 	StudiesActive = expvar.NewInt("ctsan.studies_active")
-	// FleetWorkersBusy is the number of distinct fleet workers currently
-	// holding at least one unexpired lease — the coordinator's view of
-	// worker saturation.
+	// FleetWorkersBusy is the number of distinct holders (fleet workers,
+	// or `ctsan run` slots) currently holding at least one unexpired
+	// lease — the ledger's view of saturation.
 	FleetWorkersBusy = expvar.NewInt("ctsan.fleet_workers_busy")
 )
 

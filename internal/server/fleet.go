@@ -4,10 +4,9 @@ import (
 	"bytes"
 	"compress/gzip"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"ctsan/campaign"
@@ -18,34 +17,24 @@ import (
 // Fleet dispatch: the coordinator side of multi-process campaigns.
 //
 // A study submitted with ?mode=fleet is not executed by the service's
-// own worker pool. Instead its grid becomes a lease ledger: workers
-// (`ctsan worker -server <url>`) POST to the study's lease endpoint and
-// receive contiguous frozen-point ranges with deadlines, execute them
-// through the exact RunShardRange/checkpoint machinery the sharded CLI
-// uses, and upload the resulting CRC-framed shard records in one batched
-// body. The coordinator verifies every record (CRC + PointHash against
-// the frozen grid), folds them in grid-index order into the study's
-// result stream — bit-identical to an in-process run by determinism
-// rule 5 — and re-leases any range whose deadline passes, so a SIGKILLed
-// worker costs at most one lease of re-execution, never a wrong result.
+// own worker pool. Its grid becomes a shard.Ledger — the same lease
+// state machine `ctsan run` drives in-process — served over HTTP:
+// workers (`ctsan worker -server <url>`) POST to the study's lease
+// endpoint and receive contiguous frozen-point ranges with deadlines,
+// execute them through the exact RunShardRange/checkpoint machinery the
+// sharded CLI uses, and upload the resulting CRC-framed shard records in
+// one batched body. The ledger verifies every record, folds the results
+// in grid-index order straight into the study's hub — bit-identical to
+// an in-process run by determinism rule 5 — and re-leases any range
+// whose deadline passes, so a SIGKILLed worker costs at most one lease
+// of re-execution, never a wrong result.
 //
-// Lease sizing is adaptive: the first lease per study is a single-point
-// probe; afterwards the manager targets leaseTarget (default ~1s) of
-// work per lease from an EWMA of observed per-point completion time, so
-// HTTP round-trips amortize over fast grids while a straggler can only
-// hold back one target-sized range.
-
-// fleetLease is one outstanding range grant.
-type fleetLease struct {
-	id       string
-	r        shard.Range
-	worker   string
-	granted  time.Time
-	deadline time.Time
-}
+// Locks: the ledger's emit callback appends to the hub, so the order is
+// ledger, then hub, and nothing else nests. The handlers below hold no
+// lock of their own across a ledger call.
 
 // leaseGrant is the wire shape of a granted lease (one of the three
-// lease-endpoint responses; see leaseMgr.grant).
+// lease-endpoint responses; see handleLease).
 type leaseGrant struct {
 	Lease    string `json:"lease"`
 	Study    string `json:"study"`
@@ -58,392 +47,83 @@ type leaseGrant struct {
 
 // FleetStatus is the fleet block of a study's Status: the live lease
 // ledger.
-type FleetStatus struct {
-	// Pending is the number of incomplete, unleased points; Leases the
-	// number of outstanding (unexpired) leases.
-	Pending int `json:"pending"`
-	Leases  int `json:"leases"`
-	// Granted/Completed/Expired count leases over the study's life;
-	// Requeued counts points returned to the pending set by lease expiry
-	// or partial uploads.
-	Granted   int64 `json:"granted"`
-	Completed int64 `json:"completed"`
-	Expired   int64 `json:"expired"`
-	Requeued  int64 `json:"requeued"`
-	// WorkersBusy is the number of distinct workers holding a lease.
-	WorkersBusy int `json:"workers_busy"`
+type FleetStatus = shard.Stats
+
+// maxLeasePoints caps one lease however fast the grid runs.
+const maxLeasePoints = 1024
+
+// leaseSizer is the daemon's lease-size policy: the first lease per
+// study is a single-point probe; afterwards it targets a fixed wall time
+// of work per lease from an EWMA of the observed per-point grant-to-
+// complete time, so HTTP round-trips amortize over fast grids while a
+// straggler can only hold back one target-sized range.
+type leaseSizer struct {
+	target   time.Duration
+	avgPoint atomic.Int64 // ns; 0 until a fulfilled lease has calibrated it
 }
 
-// leaseMgr is the per-study lease ledger. All mutation happens under mu;
-// methods return the work to do outside the lock (hub lines to emit,
-// cache entries to feed) so HTTP handlers never hold it across I/O.
-// Callers that stream the emitted lines hold study.ingest across the
-// ledger call and the hub appends.
-type leaseMgr struct {
-	studyID string
-	name    string
-	hashes  []string
-	labels  []string
-	ttl     time.Duration
-	target  time.Duration
-	maxSize int
-
-	mu        sync.Mutex
-	pending   shard.RangeSet
-	leases    map[string]*fleetLease
-	records   []*campaign.ShardRecord // per grid index; nil until verified
-	lines     [][]byte                // the encoded record per grid index
-	remaining int
-	flushed   int // in-order streaming cursor into records
-	nextID    int
-	avgPoint  time.Duration // EWMA of observed per-point completion time
-	canceled  bool
-
-	granted   int64
-	completed int64
-	expired   int64
-	requeued  int64
-	workers   map[string]int // worker -> outstanding leases
-
-	done chan struct{} // closed when every point has a verified record
-}
-
-func newLeaseMgr(studyID string, spec *campaign.Study, points []campaign.FrozenPoint, ttl, target time.Duration) *leaseMgr {
-	if ttl <= 0 {
-		ttl = 15 * time.Second
-	}
-	if target <= 0 {
-		target = time.Second
-	}
-	m := &leaseMgr{
-		studyID:   studyID,
-		name:      spec.Name,
-		hashes:    make([]string, len(points)),
-		labels:    make([]string, len(points)),
-		ttl:       ttl,
-		target:    target,
-		maxSize:   1024,
-		leases:    map[string]*fleetLease{},
-		records:   make([]*campaign.ShardRecord, len(points)),
-		lines:     make([][]byte, len(points)),
-		remaining: len(points),
-		workers:   map[string]int{},
-		done:      make(chan struct{}),
-	}
-	for i, fp := range points {
-		m.hashes[i] = fp.Hash
-		m.labels[i] = fp.Label
-	}
-	m.pending.Add(shard.Range{Start: 0, End: len(points)})
-	return m
-}
-
-// sizeLocked is the adaptive lease size: a single-point probe until a
-// completed lease has calibrated the EWMA, then however many points fit
-// the target duration, clamped to [1, maxSize].
-func (m *leaseMgr) sizeLocked() int {
-	if m.avgPoint <= 0 {
+func (z *leaseSizer) size() int {
+	avg := z.avgPoint.Load()
+	if avg <= 0 {
 		return 1
 	}
-	n := int(m.target / m.avgPoint)
-	if n < 1 {
-		n = 1
-	}
-	if n > m.maxSize {
-		n = m.maxSize
-	}
-	return n
+	return int(min(max(int64(z.target)/avg, 1), maxLeasePoints))
 }
 
-// expireLocked reaps leases past their deadline, returning their
-// unfinished points to the pending set.
-func (m *leaseMgr) expireLocked(now time.Time) {
-	for id, l := range m.leases {
-		if now.Before(l.deadline) {
-			continue
+// observe calibrates on a fulfilled lease. The wall time includes the
+// HTTP overhead being amortized — which is exactly what the target
+// bounds.
+func (z *leaseSizer) observe(points int, held time.Duration) {
+	per := int64(held) / int64(points)
+	if per <= 0 {
+		per = int64(time.Millisecond)
+	}
+	for {
+		old := z.avgPoint.Load()
+		avg := per
+		if old > 0 {
+			avg = (7*old + 3*per) / 10
 		}
-		delete(m.leases, id)
-		m.dropWorkerLocked(l.worker)
-		requeued := 0
-		for i := l.r.Start; i < l.r.End; i++ {
-			if m.records[i] == nil {
-				m.pending.Add(shard.Range{Start: i, End: i + 1})
-				requeued++
+		if z.avgPoint.CompareAndSwap(old, avg) {
+			return
+		}
+	}
+}
+
+// newFleet builds a fleet study's ledger, folding into its hub.
+func (st *study) newFleet(ttl, target time.Duration) {
+	hashes := make([]string, len(st.points))
+	for i, fp := range st.points {
+		hashes[i] = fp.Hash
+	}
+	st.sizer = &leaseSizer{target: target}
+	st.fleet = shard.NewLedger(hashes, ttl, st.sizer.size,
+		func(_ int, result []byte) { st.hub.append(result) })
+}
+
+// cachedRecords encodes every cache-resident point of the study as a
+// record line for the ledger to preload — the warm-fleet path: a
+// restarted coordinator (or a repeated study) re-streams cached records
+// instead of re-dispatching them. The cached statistics are
+// content-addressed; identity (study name, point label, index) is
+// rewritten to this study's values exactly as the in-process cache hit
+// path does, so the streamed bytes stay byte-identical to a cold run.
+func (st *study) cachedRecords(cache *Cache) [][]byte {
+	var lines [][]byte
+	for i, fp := range st.points {
+		res, hit := cache.Get(fp.Hash)
+		if hit {
+			res.Study, res.Point, res.Index = st.spec.Name, fp.Label, i
+			line, err := campaign.EncodeShardRecord(fp.Hash, res)
+			if err == nil {
+				lines = append(lines, line)
 			}
+			hit = err == nil
 		}
-		m.expired++
-		m.requeued += int64(requeued)
-		obs.LeasesExpired.Add(1)
-		obs.LeasePointsRequeued.Add(int64(requeued))
+		st.countLookup(hit)
 	}
+	return lines
 }
-
-func (m *leaseMgr) dropWorkerLocked(worker string) {
-	if m.workers[worker] <= 1 {
-		delete(m.workers, worker)
-	} else {
-		m.workers[worker]--
-	}
-	obs.FleetWorkersBusy.Set(int64(len(m.workers)))
-}
-
-// grant hands the next contiguous pending range to worker. Exactly one
-// of the three returns is meaningful: a lease, done=true (every point
-// has a record — or the study was canceled and the worker should move
-// on), or a retry hint when all remaining work is currently leased out.
-func (m *leaseMgr) grant(now time.Time, worker string) (g *leaseGrant, retryIn time.Duration, done bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.canceled || m.remaining == 0 {
-		return nil, 0, true
-	}
-	m.expireLocked(now)
-	r := m.pending.TakeFront(m.sizeLocked())
-	if r.Len() == 0 {
-		// Everything outstanding: suggest coming back around the earliest
-		// deadline (an expiry means re-leasable work).
-		retry := m.ttl / 4
-		for _, l := range m.leases {
-			if d := l.deadline.Sub(now); d > 0 && d < retry {
-				retry = d
-			}
-		}
-		if retry < 50*time.Millisecond {
-			retry = 50 * time.Millisecond
-		}
-		return nil, retry, false
-	}
-	m.nextID++
-	l := &fleetLease{
-		id:       formatLeaseID(m.nextID),
-		r:        r,
-		worker:   worker,
-		granted:  now,
-		deadline: now.Add(m.ttl),
-	}
-	m.leases[l.id] = l
-	m.workers[worker]++
-	m.granted++
-	obs.LeasesGranted.Add(1)
-	obs.FleetWorkersBusy.Set(int64(len(m.workers)))
-	return &leaseGrant{
-		Lease:    l.id,
-		Study:    m.studyID,
-		Start:    r.Start,
-		End:      r.End,
-		Points:   r.Len(),
-		TTLMS:    m.ttl.Milliseconds(),
-		Deadline: l.deadline.UTC().Format(time.RFC3339Nano),
-	}, 0, false
-}
-
-// renew extends a lease's deadline. A false return means the lease is
-// unknown or already expired — the worker may finish and upload anyway
-// (late records are verified like any others), but the range may be
-// re-executed elsewhere.
-func (m *leaseMgr) renew(now time.Time, id string) (deadline time.Time, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.expireLocked(now)
-	l := m.leases[id]
-	if l == nil {
-		return time.Time{}, false
-	}
-	l.deadline = now.Add(m.ttl)
-	return l.deadline, true
-}
-
-// ingestResult is what one verified upload produced, to be applied
-// outside the manager lock: emit streams the newly contiguous prefix of
-// result lines to the study's hub, feed carries (hash, encoded record)
-// pairs for the content-addressed cache.
-type ingestResult struct {
-	accepted int
-	rejected int
-	dup      int
-	flushed  int  // in-order results streamed so far (progress)
-	done     bool // every point now has a verified record
-	emit     [][]byte
-	feed     []cacheFeed
-}
-
-type cacheFeed struct {
-	hash string
-	line []byte
-}
-
-// complete ingests a worker's batched record upload for a lease. Every
-// line is verified independently (CRC, index bounds, PointHash), so a
-// corrupt or stale line rejects that line, never the batch. The lease is
-// fulfilled when its whole range holds records; a final-but-partial
-// upload requeues the holes. Late uploads for an expired (or unknown)
-// lease are still ingested — determinism makes their records exactly as
-// good, and any duplicate with a re-executed range is dropped as a dup.
-func (m *leaseMgr) complete(now time.Time, leaseID string, lineList [][]byte) ingestResult {
-	m.mu.Lock()
-	out := ingestResult{}
-	for _, line := range lineList {
-		rec, err := campaign.VerifyShardRecord(m.hashes, line)
-		if err != nil {
-			out.rejected++
-			continue
-		}
-		if m.records[rec.Index] != nil {
-			out.dup++
-			continue
-		}
-		m.records[rec.Index] = rec
-		m.lines[rec.Index] = line
-		m.remaining--
-		m.pending.Remove(rec.Index) // present when the point was requeued
-		out.accepted++
-		out.feed = append(out.feed, cacheFeed{hash: m.hashes[rec.Index], line: line})
-	}
-	if l := m.leases[leaseID]; l != nil {
-		// The upload is the lease's final word: fulfilled if its range is
-		// covered, otherwise the holes go back to pending.
-		delete(m.leases, leaseID)
-		m.dropWorkerLocked(l.worker)
-		holes := 0
-		for i := l.r.Start; i < l.r.End; i++ {
-			if m.records[i] == nil {
-				m.pending.Add(shard.Range{Start: i, End: i + 1})
-				holes++
-			}
-		}
-		if holes == 0 {
-			m.completed++
-			obs.LeasesCompleted.Add(1)
-			// Calibrate the sizing EWMA on the observed grant-to-complete
-			// wall time per point (includes the HTTP overhead being
-			// amortized — which is exactly what the target bounds).
-			per := now.Sub(l.granted) / time.Duration(l.r.Len())
-			if per <= 0 {
-				per = time.Millisecond
-			}
-			if m.avgPoint <= 0 {
-				m.avgPoint = per
-			} else {
-				m.avgPoint = (7*m.avgPoint + 3*per) / 10
-			}
-		} else {
-			m.requeued += int64(holes)
-			obs.LeasePointsRequeued.Add(int64(holes))
-		}
-	}
-	m.expireLocked(now)
-	out.emit = m.flushLocked()
-	out.flushed = m.flushed
-	out.done = m.remaining == 0
-	if out.done && !m.canceled {
-		select {
-		case <-m.done:
-		default:
-			close(m.done)
-		}
-	}
-	m.mu.Unlock()
-	return out
-}
-
-// preserve satisfies every cache-resident point before any lease is
-// granted — the warm-fleet path: a restarted coordinator (or a repeated
-// study) re-streams cached records instead of re-dispatching them. The
-// cached statistics are content-addressed; identity (study name, point
-// label, index) is rewritten to this study's values exactly as the
-// in-process cache hit path does, so the streamed bytes stay
-// byte-identical to a cold run.
-func (m *leaseMgr) preserve(cache *Cache, countLookup func(hit bool)) ingestResult {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := ingestResult{}
-	for i := range m.records {
-		hit := false
-		if cache != nil {
-			if res, ok := cache.Get(m.hashes[i]); ok {
-				res.Study = m.name
-				res.Point = m.labels[i]
-				res.Index = i
-				if line, err := campaign.EncodeShardRecord(m.hashes[i], res); err == nil {
-					if rec, err := campaign.VerifyShardRecord(m.hashes, line); err == nil {
-						m.records[i] = rec
-						m.lines[i] = line
-						m.remaining--
-						m.pending.Remove(i)
-						out.accepted++
-						hit = true
-					}
-				}
-			}
-		}
-		if countLookup != nil {
-			countLookup(hit)
-		}
-	}
-	out.emit = m.flushLocked()
-	out.flushed = m.flushed
-	out.done = m.remaining == 0
-	if out.done {
-		select {
-		case <-m.done:
-		default:
-			close(m.done)
-		}
-	}
-	return out
-}
-
-// flushLocked advances the in-order streaming cursor: the determinism
-// rule for lease folding. Records may arrive in any order from any
-// worker, but results are released to the hub strictly in grid-index
-// order, as the contiguous completed prefix grows — the same fold order
-// as the in-process serial path and the sharded merge, so the streamed
-// JSONL is byte-identical to both.
-func (m *leaseMgr) flushLocked() [][]byte {
-	var emit [][]byte
-	for m.flushed < len(m.records) && m.records[m.flushed] != nil {
-		emit = append(emit, m.records[m.flushed].Result)
-		m.flushed++
-	}
-	return emit
-}
-
-// tick runs periodic maintenance from the dispatch loop: expiry without
-// waiting for the next worker request.
-func (m *leaseMgr) tick(now time.Time) {
-	m.mu.Lock()
-	m.expireLocked(now)
-	m.mu.Unlock()
-}
-
-// cancel marks the study over (shutdown or run-context cancellation):
-// grants start answering done so workers move on.
-func (m *leaseMgr) cancel() {
-	m.mu.Lock()
-	m.canceled = true
-	for id, l := range m.leases {
-		delete(m.leases, id)
-		m.dropWorkerLocked(l.worker)
-	}
-	m.mu.Unlock()
-}
-
-// stats snapshots the ledger for the status endpoint.
-func (m *leaseMgr) stats() FleetStatus {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return FleetStatus{
-		Pending:     m.pending.Points(),
-		Leases:      len(m.leases),
-		Granted:     m.granted,
-		Completed:   m.completed,
-		Expired:     m.expired,
-		Requeued:    m.requeued,
-		WorkersBusy: len(m.workers),
-	}
-}
-
-func formatLeaseID(n int) string { return fmt.Sprintf("l%06d", n) }
 
 // --- HTTP surface and dispatch loop ---
 
@@ -505,15 +185,23 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, leaseReply{Done: true})
 		return
 	}
-	g, retry, done := st.fleet.grant(time.Now(), worker)
+	l, retry, done := st.fleet.Grant(time.Now(), worker)
 	switch {
 	case done:
 		writeJSON(w, http.StatusOK, leaseReply{Done: true})
-	case g == nil:
+	case l == nil:
 		writeJSON(w, http.StatusOK, leaseReply{RetryMS: retry.Milliseconds()})
 	default:
-		s.cfg.Logf("study %s: lease %s %d:%d granted to %s (%d points)", st.id, g.Lease, g.Start, g.End, worker, g.Points)
-		writeJSON(w, http.StatusOK, g)
+		s.cfg.Logf("study %s: lease %s %s granted to %s (%d points)", st.id, l.ID, l.Range, worker, l.Len())
+		writeJSON(w, http.StatusOK, leaseGrant{
+			Lease:    l.ID,
+			Study:    st.id,
+			Start:    l.Start,
+			End:      l.End,
+			Points:   l.Len(),
+			TTLMS:    s.cfg.LeaseTTL.Milliseconds(),
+			Deadline: l.Deadline.UTC().Format(time.RFC3339Nano),
+		})
 	}
 }
 
@@ -525,7 +213,7 @@ func (s *Server) handleLeaseRenew(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("lease")
-	deadline, ok := st.fleet.renew(time.Now(), id)
+	deadline, ok := st.fleet.Renew(time.Now(), id)
 	if !ok {
 		writeError(w, http.StatusGone, "lease %q is unknown or expired", id)
 		return
@@ -533,7 +221,7 @@ func (s *Server) handleLeaseRenew(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"lease":    id,
 		"deadline": deadline.UTC().Format(time.RFC3339Nano),
-		"ttl_ms":   st.fleet.ttl.Milliseconds(),
+		"ttl_ms":   s.cfg.LeaseTTL.Milliseconds(),
 	})
 }
 
@@ -558,67 +246,49 @@ func (s *Server) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("lease")
-	st.ingest.Lock()
-	out := st.fleet.complete(time.Now(), id, splitRecordLines(body))
-	st.stream(out)
-	st.ingest.Unlock()
+	now := time.Now()
+	out := st.fleet.Complete(now, id, splitRecordLines(body))
+	if out.Lease != nil && out.Holes == 0 {
+		st.sizer.observe(out.Lease.Len(), now.Sub(out.Lease.Granted))
+	}
 	obs.UploadBytes.Add(int64(len(body)))
-	obs.UploadRecords.Add(int64(out.accepted))
-	obs.UploadRejected.Add(int64(out.rejected))
-	if s.cache != nil {
-		for _, f := range out.feed {
-			s.cache.PutEncoded(f.hash, f.line)
-		}
+	obs.UploadRecords.Add(int64(len(out.Accepted)))
+	obs.UploadRejected.Add(int64(out.Rejected))
+	for _, rec := range out.Accepted {
+		s.cache.PutEncoded(st.points[rec.Index].Hash, rec.Line)
 	}
 	s.cfg.Logf("study %s: lease %s upload: %d accepted, %d rejected, %d duplicate (%d/%d streamed)",
-		st.id, id, out.accepted, out.rejected, out.dup, out.flushed, len(st.points))
-	writeJSON(w, http.StatusOK, completeReply{Accepted: out.accepted, Rejected: out.rejected, Duplicate: out.dup, Done: out.done})
+		st.id, id, len(out.Accepted), out.Rejected, out.Duplicate, out.Emitted, len(st.points))
+	writeJSON(w, http.StatusOK, completeReply{Accepted: len(out.Accepted), Rejected: out.Rejected, Duplicate: out.Duplicate, Done: out.Done})
 }
 
-// stream releases an ingest's newly contiguous result prefix to the hub
-// and advances progress. The caller holds st.ingest across the ledger
-// call that produced out and this.
-func (st *study) stream(out ingestResult) {
-	for _, line := range out.emit {
-		st.hub.append(line)
-	}
-	st.setProgress(out.flushed)
-}
-
-// runFleetStudy is a fleet study's slot occupancy: pre-serve every
-// cache-resident point (the warm-fleet path — a repeated study streams
-// without a single lease), open the lease window, and wait for the
-// workers to complete the grid. The slot's local worker budget stays
-// idle: fleet studies cost the coordinator verification and folding
-// only.
+// runFleetStudy is a fleet study's slot occupancy: preload every
+// cache-resident point (a repeated study streams without a single
+// lease), open the lease window, and wait for the workers to complete
+// the grid. The slot's local worker budget stays idle: fleet studies
+// cost the coordinator verification and folding only.
 func (s *Server) runFleetStudy(st *study) {
 	m := st.fleet
 	obs.StudiesActive.Add(1)
 	defer obs.StudiesActive.Add(-1)
-	st.ingest.Lock()
-	out := m.preserve(s.cache, st.countLookup)
+	warm := m.Preload(st.cachedRecords(s.cache))
 	st.setRunning() // leases are granted only from "running"
-	st.stream(out)
-	st.ingest.Unlock()
-	s.cfg.Logf("study %s (%q): fleet dispatch of %d points (%d cache-served)", st.id, st.spec.Name, len(st.points), out.accepted)
-	ticker := time.NewTicker(min(m.ttl/2, time.Second))
+	s.cfg.Logf("study %s (%q): fleet dispatch of %d points (%d cache-served)", st.id, st.spec.Name, len(st.points), len(warm.Accepted))
+	ticker := time.NewTicker(min(s.cfg.LeaseTTL/2, time.Second))
 	defer ticker.Stop()
 	for {
 		select {
-		case <-m.done:
-			// done closes inside the ingest section of the upload that
-			// completed the grid; finishing under the same lock orders it
-			// after that upload's lines have reached the hub.
-			st.ingest.Lock()
+		case <-m.Done():
+			// Done closes under the ledger's lock, after the last result
+			// line has reached the hub.
 			st.setFinished(nil)
 			final := st.snapshot()
 			st.hub.finish("")
-			st.ingest.Unlock()
 			s.cfg.Logf("study %s: done (%d points, %d leases granted, %d completed, %d expired)",
 				st.id, final.Points, final.Fleet.Granted, final.Fleet.Completed, final.Fleet.Expired)
 			return
 		case <-s.runCtx.Done():
-			m.cancel()
+			m.Cancel()
 			err := s.runCtx.Err()
 			st.setFinished(err)
 			st.hub.finish(err.Error())
@@ -627,7 +297,7 @@ func (s *Server) runFleetStudy(st *study) {
 		case <-ticker.C:
 			// Expire overdue leases even when no worker is calling in, so
 			// the status surface and saturation gauge stay honest.
-			m.tick(time.Now())
+			m.Tick(time.Now())
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"ctsan/campaign"
 	"ctsan/internal/checkpoint"
+	"ctsan/internal/shard"
 )
 
 // testWorker is the in-test fleet worker: the lease → execute → upload
@@ -270,10 +271,11 @@ func TestFleetUploadVerification(t *testing.T) {
 	}
 }
 
-// TestFleetPartialUploadRequeuesHoles drives the lease ledger directly:
-// a lease answered with only part of its range requeues exactly the
-// holes, late duplicates are dropped, and the in-order flush emits the
-// reference bytes in grid order regardless of arrival order.
+// TestFleetPartialUploadRequeuesHoles drives a fleet study's ledger as
+// the handlers do (newFleet wires it to the sizer and the hub): a lease
+// answered with only part of its range requeues exactly the holes, late
+// duplicates are dropped, and the hub receives the reference bytes in
+// grid order regardless of arrival order.
 func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 	frozen, err := campaign.Frozen(testStudy(), campaign.WithSeed(1))
 	if err != nil {
@@ -298,51 +300,59 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 	}
 
 	now := time.Now()
-	m := newLeaseMgr("s000001", frozen, points, time.Minute, time.Second)
-	g, _, done := m.grant(now, "w")
+	st := &study{points: points, hub: newHub()}
+	st.newFleet(time.Minute, time.Second)
+	m := st.fleet
+	// complete is handleLeaseComplete's ledger half.
+	complete := func(at time.Time, lease string, lines [][]byte) shard.Completion {
+		out := m.Complete(at, lease, lines)
+		if out.Lease != nil && out.Holes == 0 {
+			st.sizer.observe(out.Lease.Len(), at.Sub(out.Lease.Granted))
+		}
+		return out
+	}
+	g, _, done := m.Grant(now, "w")
 	if done || g == nil || g.Start != 0 || g.End != 1 {
 		t.Fatalf("first grant = %+v, done=%v; want single-point probe 0:1", g, done)
 	}
 	// Complete the probe; the EWMA calibrates and the next lease covers
 	// more than one point (the elapsed time is ~0, so size clamps up).
-	out := m.complete(now.Add(time.Millisecond), g.Lease, recs[:1])
-	if out.accepted != 1 || out.flushed != 1 || len(out.emit) != 1 {
+	out := complete(now.Add(time.Millisecond), g.ID, recs[:1])
+	if len(out.Accepted) != 1 || out.Emitted != 1 || st.hub.count() != 1 {
 		t.Fatalf("probe completion: %+v", out)
 	}
-	g2, _, _ := m.grant(now, "w")
+	g2, _, _ := m.Grant(now, "w")
 	if g2 == nil || g2.Start != 1 || g2.End != 3 {
 		t.Fatalf("second grant = %+v, want calibrated range 1:3", g2)
 	}
 	// Answer it with only the LAST record: index 1 is a hole — requeued —
 	// and index 2 must not stream yet (in-order fold).
-	out = m.complete(now.Add(2*time.Millisecond), g2.Lease, recs[2:3])
-	if out.accepted != 1 || out.done || len(out.emit) != 0 || out.flushed != 1 {
+	out = complete(now.Add(2*time.Millisecond), g2.ID, recs[2:3])
+	if len(out.Accepted) != 1 || out.Done || out.Holes != 1 || out.Emitted != 1 || st.hub.count() != 1 {
 		t.Fatalf("partial completion: %+v", out)
 	}
-	if st := m.stats(); st.Pending != 1 || st.Requeued != 1 {
-		t.Fatalf("after partial upload: %+v", st)
+	if fs := m.Stats(); fs.Pending != 1 || fs.Requeued != 1 {
+		t.Fatalf("after partial upload: %+v", fs)
 	}
 	// The hole re-leases; completing it releases BOTH remaining lines in
 	// grid order, and a late duplicate of record 2 is dropped.
-	g3, _, _ := m.grant(now, "w2")
-	if g3 == nil || g3.Start != 1 || g3.End != 2 {
-		t.Fatalf("re-lease = %+v, want 1:2", g3)
+	g3, _, _ := m.Grant(now, "w2")
+	if g3 == nil || g3.Start != 1 || g3.End != 2 || g3.Attempt != 2 {
+		t.Fatalf("re-lease = %+v, want 1:2 on its second attempt", g3)
 	}
-	out = m.complete(now.Add(3*time.Millisecond), g3.Lease, [][]byte{recs[1], recs[2]})
-	if out.accepted != 1 || out.dup != 1 || !out.done || len(out.emit) != 2 {
+	out = complete(now.Add(3*time.Millisecond), g3.ID, [][]byte{recs[1], recs[2]})
+	if len(out.Accepted) != 1 || out.Duplicate != 1 || !out.Done || out.Emitted != 3 {
 		t.Fatalf("hole completion: %+v", out)
 	}
 	select {
-	case <-m.done:
+	case <-m.Done():
 	default:
-		t.Fatal("manager did not signal done")
+		t.Fatal("ledger did not signal done")
 	}
-	// Reassemble the stream: it must be the records' Result lines in grid
-	// order.
-	var stream [][]byte
-	stream = append(stream, m.records[0].Result)
-	for i := range out.emit {
-		stream = append(stream, out.emit[i])
+	// The hub holds the records' Result lines in grid order.
+	stream, _, _, _ := st.hub.snapshot(0)
+	if len(stream) != len(recs) {
+		t.Fatalf("hub holds %d lines, want %d", len(stream), len(recs))
 	}
 	for i, rec := range recs {
 		dec, err := campaign.DecodeShardRecord(rec)
@@ -356,23 +366,38 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 }
 
 // TestFleetAdaptiveLeaseSizing pins the sizing rule: single-point probe
-// until calibrated, then target/avg clamped to [1, maxSize].
+// until calibrated, then target/avg clamped to [1, maxLeasePoints].
 func TestFleetAdaptiveLeaseSizing(t *testing.T) {
-	m := &leaseMgr{target: time.Second, maxSize: 1024}
+	z := &leaseSizer{target: time.Second}
 	cases := []struct {
 		avg  time.Duration
 		want int
 	}{
 		{0, 1}, // uncalibrated: probe
 		{100 * time.Millisecond, 10},
-		{2 * time.Second, 1},     // slower than target: floor
-		{time.Microsecond, 1024}, // faster than target/maxSize: ceiling
+		{2 * time.Second, 1},               // slower than target: floor
+		{time.Microsecond, maxLeasePoints}, // faster than target/max: ceiling
 	}
 	for _, tc := range cases {
-		m.avgPoint = tc.avg
-		if got := m.sizeLocked(); got != tc.want {
-			t.Errorf("sizeLocked(avg=%v) = %d, want %d", tc.avg, got, tc.want)
+		z.avgPoint.Store(int64(tc.avg))
+		if got := z.size(); got != tc.want {
+			t.Errorf("size(avg=%v) = %d, want %d", tc.avg, got, tc.want)
 		}
+	}
+	// A fulfilled lease calibrates: first observation as is, later ones
+	// folded 7:3; a lease that took no measurable time counts 1ms a point.
+	z.avgPoint.Store(0)
+	z.observe(10, time.Second)
+	if got := time.Duration(z.avgPoint.Load()); got != 100*time.Millisecond {
+		t.Errorf("first observation gave %v, want 100ms", got)
+	}
+	z.observe(10, 0)
+	if got := time.Duration(z.avgPoint.Load()); got != (700*time.Millisecond+3*time.Millisecond)/10 {
+		t.Errorf("second observation gave %v", got)
+	}
+	z.observe(1000, 100*time.Millisecond) // 100µs a point, taken as is
+	if got := time.Duration(z.avgPoint.Load()); got != (7*70300*time.Microsecond+3*100*time.Microsecond)/10 {
+		t.Errorf("third observation gave %v", got)
 	}
 }
 
@@ -513,8 +538,9 @@ func wideStudy(n int) *campaign.Study {
 
 // TestFleetSubmitWhileStatusPolled is the regression test for the ABBA
 // deadlock between study.snapshot (study.mu, then the ledger lock for
-// the fleet block) and leaseMgr.preserve (ledger lock, then study.mu per
-// counted cache lookup): a fleet study POSTed to an idle daemon starts
+// the fleet block) and the cache pre-serve pass (ledger lock, then
+// study.mu per counted cache lookup) that a fleet study used to run —
+// neither nests any more: a fleet study POSTed to an idle daemon starts
 // its pre-serve pass at once, while the 202 reply and any status poller
 // snapshot the same study. The cache is warmed first so the pass does
 // real per-point work and the two paths overlap for certain. Every

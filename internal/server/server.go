@@ -47,6 +47,7 @@ import (
 	"ctsan/internal/obs"
 	"ctsan/internal/parallel"
 	"ctsan/internal/scenario"
+	"ctsan/internal/shard"
 )
 
 // Config sizes the service; the zero value gets sensible defaults.
@@ -126,12 +127,9 @@ type study struct {
 	submitted time.Time
 	// fleet, when non-nil, marks the study as fleet-dispatched: it is
 	// executed by external workers pulling leases, not the local pool.
-	fleet *leaseMgr
-	// ingest makes a ledger ingest and the hub appends of the lines it
-	// released one critical section, so lines reach the hub in flush order
-	// across concurrent uploads and the stream is finished only after the
-	// last one (see runFleetStudy).
-	ingest sync.Mutex
+	// The ledger folds straight into hub; sizer is its lease-size policy.
+	fleet *shard.Ledger
+	sizer *leaseSizer
 
 	mu       sync.Mutex
 	status   string // "queued", "running", "done", "failed", "canceled"
@@ -168,16 +166,7 @@ type Status struct {
 }
 
 func (st *study) snapshot() Status {
-	// Lock order is leaseMgr.mu before study.mu (preserve counts cache
-	// lookups under the ledger lock), so the ledger is read first, never
-	// under st.mu.
-	var fleet *FleetStatus
-	if st.fleet != nil {
-		fs := st.fleet.stats()
-		fleet = &fs
-	}
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	s := Status{
 		ID:          st.id,
 		Name:        st.spec.Name,
@@ -193,15 +182,19 @@ func (st *study) snapshot() Status {
 		Submitted:   st.submitted.UTC().Format(time.RFC3339Nano),
 		Mode:        "local",
 	}
-	if fleet != nil {
-		s.Mode = "fleet"
-		s.Fleet = fleet
-	}
 	if !st.started.IsZero() {
 		s.Started = st.started.UTC().Format(time.RFC3339Nano)
 	}
 	if !st.finished.IsZero() {
 		s.Finished = st.finished.UTC().Format(time.RFC3339Nano)
+	}
+	st.mu.Unlock()
+	if st.fleet != nil {
+		// Read after the status, outside st.mu (a leaf lock): a fleet
+		// study's progress is what its ledger has folded into the hub, and
+		// it turns "done" only after the last line has.
+		fs := st.fleet.Stats()
+		s.Mode, s.Fleet, s.Done = "fleet", &fs, st.hub.count()
 	}
 	return s
 }
@@ -542,7 +535,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.nextID++
 	st.id = fmt.Sprintf("s%06d", s.nextID)
 	if mode == "fleet" {
-		st.fleet = newLeaseMgr(st.id, spec, points, s.cfg.LeaseTTL, s.cfg.LeaseTarget)
+		st.newFleet(s.cfg.LeaseTTL, s.cfg.LeaseTarget)
 	}
 	select {
 	case s.queue <- st:

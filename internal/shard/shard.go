@@ -1,28 +1,21 @@
-// Package shard plans and supervises the pieces of a sharded campaign.
+// Package shard is the dispatch core of multi-process campaigns: index
+// ranges (Range, RangeSet) and the lease Ledger that hands them out,
+// verifies what comes back, survives a dead executor and folds results
+// in grid-index order.
 //
-// A sharded run splits a study grid into contiguous index ranges (Plan),
-// executes each range as an isolated attempt — typically a subprocess,
-// so a panic or OOM kill takes down one shard, not the campaign — and
-// verifies completion against the shard's checkpoint before moving on
-// (Run). Failed or incomplete shards are retried with exponential
-// backoff up to a bounded attempt budget; because every completed point
-// is checkpointed durably, a retry re-executes only what the previous
-// attempt did not finish.
-//
-// The package is deliberately mechanism-only: it knows nothing about
-// studies, checkpoints, or processes. Callers supply an Exec that runs
-// one attempt and a Complete predicate that inspects durable state, so
-// the same supervisor drives subprocess shards in cmd/ctsan and plain
-// in-process functions in tests.
+// There is one mechanism and two users. `ctsan run -shards N` drives a
+// Ledger in-process: its slots take leases, run each as an isolated
+// `ctsan shard` subprocess — so a panic or OOM kill takes down one
+// range, not the campaign — and complete the lease with whatever the
+// subprocess checkpointed. ctsand serves a Ledger per ?mode=fleet study
+// over HTTP to `ctsan worker` processes. The package knows neither
+// processes nor HTTP nor retry policy; holders bring those.
 package shard
 
 import (
-	"context"
 	"fmt"
-	"time"
-
-	"ctsan/internal/obs"
-	"ctsan/internal/parallel"
+	"strconv"
+	"strings"
 )
 
 // Range is a half-open interval [Start, End) of grid indices.
@@ -36,147 +29,17 @@ func (r Range) String() string { return fmt.Sprintf("%d:%d", r.Start, r.End) }
 // Len is the number of indices in the range.
 func (r Range) Len() int { return r.End - r.Start }
 
-// Plan splits total grid points into min(shards, total) contiguous
-// ranges whose lengths differ by at most one, earlier ranges getting the
-// remainder. The plan is a pure function of (total, shards): every
-// participant of a distributed run computes the identical layout.
-func Plan(total, shards int) ([]Range, error) {
-	if total <= 0 {
-		return nil, fmt.Errorf("shard: plan over %d points", total)
-	}
-	if shards <= 0 {
-		return nil, fmt.Errorf("shard: plan with %d shards", shards)
-	}
-	if shards > total {
-		shards = total
-	}
-	ranges := make([]Range, shards)
-	base, rem := total/shards, total%shards
-	start := 0
-	for i := range ranges {
-		n := base
-		if i < rem {
-			n++
-		}
-		ranges[i] = Range{Start: start, End: start + n}
-		start += n
-	}
-	return ranges, nil
-}
-
-// ParseRange parses the a:b form produced by Range.String.
+// ParseRange parses the a:b form produced by Range.String, and nothing
+// else: two decimal integers around a single colon.
 func ParseRange(s string) (Range, error) {
-	var r Range
-	if _, err := fmt.Sscanf(s, "%d:%d", &r.Start, &r.End); err != nil {
+	a, b, ok := strings.Cut(s, ":")
+	start, errA := strconv.Atoi(a)
+	end, errB := strconv.Atoi(b)
+	if !ok || errA != nil || errB != nil {
 		return Range{}, fmt.Errorf("shard: range %q is not start:end", s)
 	}
-	if r.Start < 0 || r.End <= r.Start {
+	if start < 0 || end <= start {
 		return Range{}, fmt.Errorf("shard: empty or negative range %q", s)
 	}
-	return r, nil
-}
-
-// Exec runs one attempt at completing a range (attempt counts from 0).
-// The context carries the per-attempt timeout; an Exec that launches a
-// subprocess should kill it when the context ends.
-type Exec func(ctx context.Context, r Range, attempt int) error
-
-// Complete reports whether a range's durable state (its checkpoint)
-// holds every point. It is consulted before the first attempt (resume:
-// finished shards are skipped) and after every attempt (verification:
-// an attempt only counts if the checkpoint proves it).
-type Complete func(r Range) (bool, error)
-
-// Options tunes the supervisor.
-type Options struct {
-	// Timeout bounds each attempt; 0 means no per-attempt deadline.
-	Timeout time.Duration
-	// Retries is how many times a failed or incomplete shard is re-run
-	// after its first attempt (so Retries+1 attempts total).
-	Retries int
-	// Backoff is the delay before the first retry, doubling with each
-	// subsequent one. 0 defaults to 250ms.
-	Backoff time.Duration
-	// Procs caps how many shards run concurrently; <=0 means one per CPU.
-	Procs int
-	// Logf, when non-nil, receives supervisor progress lines (skips,
-	// retries, failures).
-	Logf func(format string, args ...any)
-}
-
-// Run supervises all ranges to completion. Shards run concurrently up
-// to Procs; each is skipped if already complete, otherwise attempted up
-// to Retries+1 times with exponential backoff, and an attempt succeeds
-// only if Complete confirms the checkpoint afterwards — an Exec error
-// with a complete checkpoint (crash after the last point was persisted)
-// still counts as success, and a clean Exec exit with holes in the
-// checkpoint does not.
-//
-// A shard that exhausts its attempts fails the run: in-flight shards
-// finish, unstarted ones are not launched, and the lowest-index failure
-// is returned. Completed shards keep their checkpoints, so re-running
-// resumes instead of restarting.
-func Run(ctx context.Context, ranges []Range, o Options, exec Exec, complete Complete) error {
-	logf := o.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	backoff := o.Backoff
-	if backoff <= 0 {
-		backoff = 250 * time.Millisecond
-	}
-	return parallel.ForEach(ctx, o.Procs, len(ranges), func(_, i int) error {
-		return supervise(ctx, ranges[i], o, backoff, logf, exec, complete)
-	})
-}
-
-func supervise(ctx context.Context, r Range, o Options, backoff time.Duration, logf func(string, ...any), exec Exec, complete Complete) error {
-	if done, err := complete(r); err != nil {
-		return fmt.Errorf("shard %s: checkpoint: %w", r, err)
-	} else if done {
-		logf("shard %s: already complete, skipping", r)
-		return nil
-	}
-	var lastErr error
-	for attempt := 0; attempt <= o.Retries; attempt++ {
-		if attempt > 0 {
-			delay := backoff << (attempt - 1)
-			obs.ShardRetries.Add(1)
-			obs.ShardBackoffMS.Add(delay.Milliseconds())
-			logf("shard %s: attempt %d failed (%v), retrying in %v", r, attempt, lastErr, delay)
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(delay):
-			}
-		}
-		obs.ShardAttempts.Add(1)
-		logf("shard %s: attempt %d/%d starting (%d points)", r, attempt+1, o.Retries+1, r.Len())
-		attemptCtx, cancel := ctx, context.CancelFunc(func() {})
-		if o.Timeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, o.Timeout)
-		}
-		start := time.Now()
-		execErr := exec(attemptCtx, r, attempt)
-		cancel()
-		// The checkpoint, not the exit status, decides: a shard that died
-		// after persisting its last point is done, and one that exited
-		// cleanly with holes in its checkpoint is not.
-		done, err := complete(r)
-		if err != nil {
-			return fmt.Errorf("shard %s: checkpoint: %w", r, err)
-		}
-		if done {
-			logf("shard %s: complete after attempt %d (%.1fs)", r, attempt+1, time.Since(start).Seconds())
-			return nil
-		}
-		if execErr == nil {
-			execErr = fmt.Errorf("exec reported success but checkpoint is incomplete")
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		lastErr = execErr
-	}
-	return fmt.Errorf("shard %s: failed after %d attempts: %w", r, o.Retries+1, lastErr)
+	return Range{Start: start, End: end}, nil
 }

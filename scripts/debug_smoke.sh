@@ -5,6 +5,10 @@
 # asserts that (a) the pprof endpoint serves a profile and (b) the
 # ctsan.executions_completed counter advanced between the samples — the
 # observable promise of internal/obs, checked against the real binary.
+# The same stage then watches a `ctsan run -shards 8 -procs 1` the same
+# way: ctsan.leases_granted and ctsan.leases_completed are the dispatch
+# ledger's counters and must both advance while shards finish one after
+# another.
 #
 # A second stage checks the checkpoint store's write cost the same way:
 # a ctsand with a 1 MiB point cache and -cache-dir spills evicted
@@ -71,6 +75,48 @@ V2="$(counter executions_completed)"
 [ "$V2" -gt "$V1" ] || { echo "executions_completed did not advance ($V1 -> $V2)" >&2; exit 1; }
 
 echo "debug smoke OK: executions_completed $V1 -> $V2, pprof profile served" >&2
+kill "$PID" 2>/dev/null || true
+wait "$PID" 2>/dev/null || true
+PID=""
+
+# Stage 1b: the dispatch ledger's counters on a live `ctsan run`. Eight
+# one-point shards run one at a time (-procs 1), each long enough to be
+# sampled between.
+go build -o /tmp/ctsan-smoke ./cmd/ctsan
+{
+    printf '{"v":1,"name":"debug-smoke-run","points":['
+    i=1
+    while [ $i -le 8 ]; do
+        [ $i -gt 1 ] && printf ','
+        printf '{"engine":"san","spec":{"N":5,"Replicas":100000,"TSend":0.0%d}}' $i
+        i=$((i + 1))
+    done
+    printf ']}'
+} >"$WORK/run.json"
+: >"$LOG"
+/tmp/ctsan-smoke run -debug-addr 127.0.0.1:0 -study "$WORK/run.json" -shards 8 -procs 1 \
+    -workers 1 -dir "$WORK/run-ckpt" -o "$WORK/run.jsonl" 2>"$LOG" &
+PID=$!
+wait_addr
+G1="" C1="" G2="" C2=""
+i=0
+while [ $i -lt 600 ] && kill -0 "$PID" 2>/dev/null; do
+    G="$(counter leases_granted || true)"
+    C="$(counter leases_completed || true)"
+    if [ -n "$G" ] && [ -n "$C" ]; then
+        [ -n "$G1" ] || { G1="$G"; C1="$C"; }
+        G2="$G"; C2="$C"
+        [ "$G2" -gt "$G1" ] && [ "$C2" -gt "$C1" ] && break
+    fi
+    sleep 0.1
+    i=$((i + 1))
+done
+[ -n "$G1" ] || { echo "ctsan run never served its lease counters" >&2; cat "$LOG" >&2; exit 1; }
+[ "$G2" -gt "$G1" ] && [ "$C2" -gt "$C1" ] || {
+    echo "lease counters did not advance during ctsan run (granted $G1 -> $G2, completed $C1 -> $C2)" >&2
+    exit 1
+}
+echo "debug smoke OK: ctsan run leases_granted $G1 -> $G2, leases_completed $C1 -> $C2" >&2
 kill "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null || true
 PID=""
