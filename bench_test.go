@@ -5,7 +5,7 @@
 // Each reproduction benchmark runs a scaled-down campaign per iteration
 // and reports the headline quantity as a custom metric (ms), so
 // `go test -bench=. -benchmem` both exercises and summarizes the
-// reproduction. cmd/repro regenerates the full-resolution artifacts.
+// reproduction. `ctsan repro` regenerates the full-resolution artifacts.
 package ctsan
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -319,6 +320,47 @@ func TestSinkErrorParallelSurfaces(t *testing.T) {
 	for _, r := range collect.Results {
 		if r.Index > 2 {
 			t.Fatalf("second sink received index %d after the failure", r.Index)
+		}
+	}
+}
+
+// countingCache sees every execution of a cached run: a miss is a Get
+// that found nothing, followed by a Put once the point has run.
+type countingCache struct{ gets, puts int }
+
+func (c *countingCache) Get(string) (*Result, bool) { c.gets++; return nil, false }
+func (c *countingCache) Put(string, *Result)        { c.puts++ }
+
+// TestUnrunnablePointFailsBeforeAnyExecution: what only an engine used to
+// reject — a crashed id outside 1..n, no correct majority — is rejected
+// at freeze, so a bad late point costs no execution of the points before
+// it, in Run and in everything that freezes (Frozen, FrozenPoints: the
+// sharded and fleet paths).
+func TestUnrunnablePointFailsBeforeAnyExecution(t *testing.T) {
+	good := SANPoint{N: 3, Replicas: 5}
+	for _, tc := range []struct {
+		bad  Point
+		want string
+	}{
+		{SANPoint{N: 3, Crashed: []int{9}}, "crashed process 9 out of range 1..3"},
+		{SANPoint{N: 3, Crashed: []int{1, 2}}, "majority-correct"},
+		{LatencyPoint{N: 3, Executions: 5, Crashed: []int{0}}, "crashed process 0 out of range 1..3"},
+		{LatencyPoint{N: 4, Executions: 5, Crashed: []int{1, 2}}, "majority-correct"},
+	} {
+		study := NewStudy("bad-second", good, tc.bad)
+		var cache countingCache
+		err := Run(context.Background(), study, WithWorkers(1), WithPointCache(&cache))
+		if err == nil || !strings.Contains(err.Error(), "point 1") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: Run error %v, want point 1 rejected with %q", tc.bad, err, tc.want)
+		}
+		if cache.gets != 0 || cache.puts != 0 {
+			t.Errorf("%+v: %d lookups and %d executions before the error, want none", tc.bad, cache.gets, cache.puts)
+		}
+		if _, err := Frozen(study); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: Frozen error %v, want %q", tc.bad, err, tc.want)
+		}
+		if _, err := study.FrozenPoints(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: FrozenPoints error %v, want %q", tc.bad, err, tc.want)
 		}
 	}
 }

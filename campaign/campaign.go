@@ -68,9 +68,14 @@ type Point interface {
 	// Label returns the point's display name (may be empty; Run falls
 	// back to "engine[index]").
 	Label() string
-	// prepare validates the point against the study options and returns
-	// its runner. Sealing method: only this package implements Point.
-	prepare(o *options, index int) (pointRunner, error)
+	// freeze returns the point with every default Run would otherwise
+	// resolve lazily materialized under the study options — display
+	// label, derived seed, replica count — and validated: the one place
+	// a point is checked, before anything runs or is leased out. Sealing
+	// method: only this package implements Point.
+	freeze(o *options, index int) (Point, error)
+	// prepare returns the runner of a frozen point.
+	prepare(o *options) (pointRunner, error)
 }
 
 // pointRunner executes one prepared point under a context.

@@ -35,8 +35,9 @@
 // Results are engine-uniform (Result with a latency Summary, abort
 // counts, failure-detector QoS where measured); Sink implementations
 // Collect and JSONLWriter cover programmatic and pipeline
-// consumption. The cmd/ binaries (testbed, sanrun, fdqos,
-// scenario, repro) are thin shells over this package.
+// consumption. The ctsan commands that build a study from flags
+// (testbed, sanrun, fdqos, scenario run) are thin shells over this
+// package.
 //
 // Memory scales with the study, not with the execution count: every
 // engine folds its samples into a streaming digest (internal/metrics),
@@ -129,6 +130,6 @@
 // read wall clocks and so live deliberately outside the bit-identical
 // contract — nothing in a Result depends on them. Per-event execution
 // tracing of the emulated cluster lives one layer down (internal/trace,
-// surfaced by cmd/scenario trace) and is equally result-neutral:
+// surfaced by `ctsan scenario trace`) and is equally result-neutral:
 // attaching a tracer changes no Result bit.
 package campaign

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"ctsan/internal/experiment"
@@ -47,16 +48,21 @@ func (p LatencyPoint) Engine() Engine { return Emulation }
 // Label implements Point.
 func (p LatencyPoint) Label() string { return p.Name }
 
-func (p LatencyPoint) prepare(o *options, index int) (pointRunner, error) {
-	if p.N < 2 {
-		return nil, fmt.Errorf("campaign: point %d (%s): need n >= 2, got %d", index, label(p, index), p.N)
+func (p LatencyPoint) freeze(o *options, index int) (Point, error) {
+	p.Name = label(p, index)
+	p.Seed = o.pointSeed(index, p.Seed)
+	switch {
+	case p.N < 2:
+		return nil, fmt.Errorf("need n >= 2, got %d", p.N)
+	case p.Executions < 1:
+		return nil, errors.New("need at least 1 execution")
+	case p.TimeoutT < 0:
+		return nil, fmt.Errorf("negative heartbeat timeout %g (0 selects the oracle FD)", p.TimeoutT)
 	}
-	if p.Executions < 1 {
-		return nil, fmt.Errorf("campaign: point %d (%s): need at least 1 execution", index, label(p, index))
-	}
-	if p.TimeoutT < 0 {
-		return nil, fmt.Errorf("campaign: point %d (%s): negative heartbeat timeout %g (0 selects the oracle FD)", index, label(p, index), p.TimeoutT)
-	}
+	return p, checkCrashed(p.N, p.Crashed)
+}
+
+func (p LatencyPoint) prepare(*options) (pointRunner, error) {
 	spec := experiment.LatencySpec{
 		N:          p.N,
 		Executions: p.Executions,
@@ -64,7 +70,7 @@ func (p LatencyPoint) prepare(o *options, index int) (pointRunner, error) {
 		Warmup:     p.Warmup,
 		MaxRounds:  p.MaxRounds,
 		Deadline:   p.Deadline,
-		Seed:       o.pointSeed(index, p.Seed),
+		Seed:       p.Seed,
 	}
 	if p.TimeoutT > 0 {
 		spec.FDMode = experiment.FDHeartbeat
@@ -133,10 +139,20 @@ func (p SANPoint) Engine() Engine { return SAN }
 // Label implements Point.
 func (p SANPoint) Label() string { return p.Name }
 
-func (p SANPoint) prepare(o *options, index int) (pointRunner, error) {
-	if p.N < 2 {
-		return nil, fmt.Errorf("campaign: point %d (%s): need n >= 2, got %d", index, label(p, index), p.N)
+func (p SANPoint) freeze(o *options, index int) (Point, error) {
+	p.Name = label(p, index)
+	p.Seed = o.pointSeed(index, p.Seed)
+	p.Replicas = o.pointReplicas(p.Replicas, 1000)
+	switch {
+	case p.N < 2:
+		return nil, fmt.Errorf("need n >= 2, got %d", p.N)
+	case p.Replicas < 0:
+		return nil, fmt.Errorf("negative replica count %d", p.Replicas)
 	}
+	return p, checkCrashed(p.N, p.Crashed)
+}
+
+func (p SANPoint) prepare(o *options) (pointRunner, error) {
 	params := sanmodel.DefaultParams(p.N)
 	if p.TSend > 0 {
 		params.TSend = p.TSend
@@ -150,31 +166,20 @@ func (p SANPoint) prepare(o *options, index int) (pointRunner, error) {
 		}
 		params.FD = sanmodel.FDModel{TMR: p.TMR, TM: p.TM, Kind: kind}
 	}
-	replicas := p.Replicas
-	if replicas == 0 {
-		replicas = o.replicas
-	}
-	if replicas == 0 {
-		replicas = 1000
-	}
-	if replicas < 0 {
-		return nil, fmt.Errorf("campaign: point %d (%s): negative replica count %d", index, label(p, index), replicas)
-	}
 	tmax := p.Tmax
 	if tmax == 0 {
 		tmax = 1e7
 	}
-	seed := o.pointSeed(index, p.Seed)
 	inner := o.innerWorkers()
 	return func(ctx context.Context) (*Result, error) {
-		res, err := sanmodel.SimulateContext(ctx, params, replicas, tmax, seed, inner)
+		res, err := sanmodel.SimulateContext(ctx, params, p.Replicas, tmax, p.Seed, inner)
 		if err != nil {
 			return nil, err
 		}
 		return &Result{
 			Engine:   SAN,
-			Seed:     seed,
-			Replicas: replicas,
+			Seed:     p.Seed,
+			Replicas: p.Replicas,
 			digest:   &res.Digest,
 			Latency:  summarize(&res.Digest),
 			Aborted:  res.Truncated,
@@ -188,11 +193,11 @@ func (p SANPoint) prepare(o *options, index int) (pointRunner, error) {
 // the emulated cluster, reporting ground-truthed wrong suspicions along
 // with latency.
 type ScenarioPoint struct {
-	// Name is the registry scenario to run (see `scenario list`), and the
-	// point label. With SpecJSON set, Name only labels the point.
+	// Name is the registry scenario to run (see `ctsan scenario list`),
+	// and the point label. With SpecJSON set, Name only labels the point.
 	Name string
 	// SpecJSON, when non-nil, is a declarative JSON scenario definition
-	// (the `scenario run -spec` format) used instead of the registry.
+	// (the `ctsan scenario run -spec` format) used instead of the registry.
 	SpecJSON []byte
 	// Replicas is the number of independent replicas; 0 takes the study
 	// default (WithReplicas, else 1).
@@ -215,43 +220,47 @@ func (p ScenarioPoint) Engine() Engine { return Scenario }
 // Label implements Point.
 func (p ScenarioPoint) Label() string { return p.Name }
 
-func (p ScenarioPoint) prepare(o *options, index int) (pointRunner, error) {
-	var (
-		s   *scenario.Scenario
-		err error
-	)
+// scenario resolves the timeline the point runs: the inline definition
+// when there is one, the registry entry otherwise.
+func (p ScenarioPoint) scenario() (*scenario.Scenario, error) {
 	switch {
 	case p.SpecJSON != nil:
-		s, err = scenario.LoadJSON(p.SpecJSON)
+		return scenario.LoadJSON(p.SpecJSON)
 	case p.Name != "":
-		s, err = scenario.Get(p.Name)
-	default:
-		err = fmt.Errorf("need a registry scenario name or an inline SpecJSON")
+		return scenario.Get(p.Name)
 	}
+	return nil, errors.New("need a registry scenario name or an inline SpecJSON")
+}
+
+func (p ScenarioPoint) freeze(o *options, index int) (Point, error) {
+	if _, err := p.scenario(); err != nil {
+		return nil, err
+	}
+	p.Name = label(p, index)
+	p.Seed = o.pointSeed(index, p.Seed)
+	p.Replicas = o.pointReplicas(p.Replicas, 1)
+	switch {
+	case p.Replicas < 1:
+		return nil, fmt.Errorf("need at least 1 replica, got %d", p.Replicas)
+	case p.Executions < 0:
+		return nil, fmt.Errorf("negative execution override %d", p.Executions)
+	}
+	return p, nil
+}
+
+func (p ScenarioPoint) prepare(o *options) (pointRunner, error) {
+	s, err := p.scenario()
 	if err != nil {
-		return nil, fmt.Errorf("campaign: point %d (%s): %w", index, label(p, index), err)
-	}
-	replicas := p.Replicas
-	if replicas == 0 {
-		replicas = o.replicas
-	}
-	if replicas == 0 {
-		replicas = 1
+		return nil, err
 	}
 	spec := scenario.CampaignSpec{
 		Scenarios:  []*scenario.Scenario{s},
-		Replicas:   replicas,
+		Replicas:   p.Replicas,
 		Executions: p.Executions,
 		Workers:    o.innerWorkers(),
-		Seed:       o.pointSeed(index, p.Seed),
+		Seed:       p.Seed,
 		MaxRounds:  p.MaxRounds,
 		Deadline:   p.Deadline,
-	}
-	if replicas < 1 {
-		return nil, fmt.Errorf("campaign: point %d (%s): need at least 1 replica, got %d", index, label(p, index), replicas)
-	}
-	if p.Executions < 0 {
-		return nil, fmt.Errorf("campaign: point %d (%s): negative execution override %d", index, label(p, index), p.Executions)
 	}
 	return func(ctx context.Context) (*Result, error) {
 		reports, err := scenario.RunCampaignContext(ctx, spec)
@@ -262,7 +271,7 @@ func (p ScenarioPoint) prepare(o *options, index int) (pointRunner, error) {
 		return &Result{
 			Engine:          Scenario,
 			Seed:            spec.Seed,
-			Replicas:        replicas,
+			Replicas:        p.Replicas,
 			digest:          &rep.Digest,
 			Latency:         summarize(&rep.Digest),
 			Aborted:         rep.Aborted,
@@ -275,6 +284,22 @@ func (p ScenarioPoint) prepare(o *options, index int) (pointRunner, error) {
 			raw:             rep,
 		}, nil
 	}, nil
+}
+
+// checkCrashed validates an initially-crashed set against n processes:
+// ids in 1..n and a correct majority left (◇S consensus needs one to
+// terminate). The engines make the same checks, but only once the point
+// runs — after earlier points have already executed.
+func checkCrashed(n int, crashed []int) error {
+	for _, id := range crashed {
+		if id < 1 || id > n {
+			return fmt.Errorf("crashed process %d out of range 1..%d", id, n)
+		}
+	}
+	if len(crashed) >= (n+1)/2 {
+		return fmt.Errorf("%d crashes violate the majority-correct requirement for n=%d", len(crashed), n)
+	}
+	return nil
 }
 
 // label resolves a point's display name, falling back to "engine[index]".

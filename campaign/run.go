@@ -21,6 +21,18 @@ func (o *options) pointSeed(index int, explicit uint64) uint64 {
 	return rng.New(o.seed ^ 0xca_4a16).Child(uint64(index)).Uint64()
 }
 
+// pointReplicas resolves a point's replica count: its own, else the
+// study default (WithReplicas), else the engine's.
+func (o *options) pointReplicas(explicit, engineDefault int) int {
+	switch {
+	case explicit != 0:
+		return explicit
+	case o.replicas != 0:
+		return o.replicas
+	}
+	return engineDefault
+}
+
 // innerWorkers splits the worker budget between the fan-out over points
 // and the Monte-Carlo replicas inside each point (see
 // parallel.InnerWorkers).
@@ -59,41 +71,33 @@ func Run(ctx context.Context, study *Study, opts ...Option) error {
 	return err
 }
 
-// run validates, prepares, and executes the study (sink closing is Run's
+// run freezes, prepares, and executes the study (sink closing is Run's
 // job).
 func run(ctx context.Context, study *Study, o *options) error {
 	if study == nil || len(study.Points) == 0 {
 		return errors.New("campaign: study with no points (nothing to run)")
 	}
+	// Freeze — and so validate — every point before anything runs: a typo
+	// in point 7 must not cost the six campaigns before it.
+	study, err := frozenWith(study, o)
+	if err != nil {
+		return err
+	}
 	o.totalPoints = len(study.Points)
-
-	// Prepare (and validate) every point before anything runs: a typo in
-	// point 7 must not cost the six campaigns before it.
 	runners := make([]pointRunner, len(study.Points))
 	for i, p := range study.Points {
-		if p == nil {
-			return fmt.Errorf("campaign: study point %d is nil", i)
+		if runners[i], err = p.prepare(o); err != nil {
+			return fmt.Errorf("campaign: point %d (%s): %w", i, p.Label(), err)
 		}
-		r, err := p.prepare(o, i)
-		if err != nil {
-			return err
-		}
-		runners[i] = r
 	}
 
 	// With a result cache installed, every point's content hash is
-	// derived up front from the frozen study — the same materialization
-	// Frozen performs — so cache keys cover the effective seed and
-	// replica count, not just the user-written spec.
+	// derived up front from the frozen points, so cache keys cover the
+	// effective seed and replica count, not just the user-written spec.
 	var hashes []string
 	if o.cache != nil {
-		fps, err := frozenPoints(study, o)
-		if err != nil {
+		if hashes, err = StudyPointHashes(study); err != nil {
 			return err
-		}
-		hashes = make([]string, len(fps))
-		for i, fp := range fps {
-			hashes[i] = fp.Hash
 		}
 	}
 
@@ -105,17 +109,17 @@ func run(ctx context.Context, study *Study, o *options) error {
 					// Re-identify the cached result for this study: the
 					// statistics are content-addressed, the identity is not.
 					res.Study = study.Name
-					res.Point = label(study.Points[i], i)
+					res.Point = study.Points[i].Label()
 					res.Index = i
 					return res, nil
 				}
 			}
 			res, err := runners[i](ctx)
 			if err != nil {
-				return nil, fmt.Errorf("campaign: point %d (%s): %w", i, label(study.Points[i], i), err)
+				return nil, fmt.Errorf("campaign: point %d (%s): %w", i, study.Points[i].Label(), err)
 			}
 			res.Study = study.Name
-			res.Point = label(study.Points[i], i)
+			res.Point = study.Points[i].Label()
 			res.Index = i
 			if o.cache != nil {
 				o.cache.Put(hashes[i], res)

@@ -154,6 +154,11 @@ func PointHash(p Point) (string, error) {
 // sub-range of a frozen study therefore reproduces, bit for bit, the
 // results those points have inside a full 1-process run — the property
 // the sharded executor (cmd/ctsan) is built on.
+//
+// Freezing is also where a study is validated: a point no engine could
+// run (n < 2, a crashed id outside 1..n, no correct majority, an unknown
+// scenario, …) fails here, naming the point, before any other point has
+// executed or been leased to a worker.
 func Frozen(study *Study, opts ...Option) (*Study, error) {
 	o := &options{seed: 1}
 	for _, opt := range opts {
@@ -163,8 +168,9 @@ func Frozen(study *Study, opts ...Option) (*Study, error) {
 }
 
 // frozenWith is Frozen over already-resolved options: the form run()
-// uses internally, so the cache key derivation and the public freeze
-// cannot disagree about how defaults materialize.
+// starts from, so execution, the cache key derivation and the public
+// freeze cannot disagree about how defaults materialize or which points
+// are valid.
 func frozenWith(study *Study, o *options) (*Study, error) {
 	if study == nil || len(study.Points) == 0 {
 		return nil, fmt.Errorf("campaign: freeze of an empty study")
@@ -174,35 +180,11 @@ func frozenWith(study *Study, o *options) (*Study, error) {
 		if p == nil {
 			return nil, fmt.Errorf("campaign: study point %d is nil", i)
 		}
-		name := label(p, i)
-		switch q := p.(type) {
-		case LatencyPoint:
-			q.Name = name
-			q.Seed = o.pointSeed(i, q.Seed)
-			out.Points[i] = q
-		case SANPoint:
-			q.Name = name
-			q.Seed = o.pointSeed(i, q.Seed)
-			if q.Replicas == 0 {
-				q.Replicas = o.replicas
-			}
-			if q.Replicas == 0 {
-				q.Replicas = 1000
-			}
-			out.Points[i] = q
-		case ScenarioPoint:
-			q.Name = name
-			q.Seed = o.pointSeed(i, q.Seed)
-			if q.Replicas == 0 {
-				q.Replicas = o.replicas
-			}
-			if q.Replicas == 0 {
-				q.Replicas = 1
-			}
-			out.Points[i] = q
-		default:
-			return nil, fmt.Errorf("campaign: unsupported point type %T", p)
+		q, err := p.freeze(o, i)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: point %d (%s): %w", i, label(p, i), err)
 		}
+		out.Points[i] = q
 	}
 	return out, nil
 }
@@ -235,8 +217,7 @@ func (s *Study) FrozenPoints(opts ...Option) ([]FrozenPoint, error) {
 	return frozenPoints(s, o)
 }
 
-// frozenPoints is FrozenPoints over resolved options (run()'s cache path
-// shares it).
+// frozenPoints is FrozenPoints over resolved options.
 func frozenPoints(study *Study, o *options) ([]FrozenPoint, error) {
 	fz, err := frozenWith(study, o)
 	if err != nil {

@@ -263,7 +263,7 @@ func TestFleetWorkerKilledMidLease(t *testing.T) {
 
 // TestWorkerFlagErrors pins the worker's flag surface.
 func TestWorkerFlagErrors(t *testing.T) {
-	if code, _, errb := ctsan(t, "worker"); code != 1 || !strings.Contains(errb, "-server") {
+	if code, _, errb := ctsan(t, "worker"); code != 2 || !strings.Contains(errb, "-server") {
 		t.Fatalf("missing -server: exit %d, stderr %q", code, errb)
 	}
 }

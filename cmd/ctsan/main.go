@@ -1,12 +1,40 @@
-// Command ctsan is the crash-safe sharded campaign executor: it leases a
-// study grid out as contiguous index ranges, runs each range as an
-// isolated, checkpointed subprocess, and folds the per-point records
-// back into the exact JSONL a single uninterrupted process would emit.
+// Command ctsan is the repository's one command-line front end: it
+// dispatches studies as crash-safe sharded campaigns, reproduces the
+// paper's evaluation from its two halves (solve the SAN model, measure
+// the implementation), and runs fault-injection scenarios. The campaign
+// service daemon, ctsand, is the only other binary.
+//
+// Dispatch — lease a study grid out as contiguous index ranges, run each
+// range as an isolated, checkpointed process, and fold the per-point
+// records back into the exact JSONL one uninterrupted process would emit:
 //
 //	ctsan run    -study spec.json -shards 4 -dir ckpt/ -o results.jsonl
 //	ctsan shard  -study spec.json -range 0:12 -dir ckpt/
 //	ctsan merge  -study spec.json -dir ckpt/ -o results.jsonl
 //	ctsan worker -server http://host:8080 -dir ckpt/
+//
+// Paper reproduction — each a thin shell over the campaign API or the
+// figure functions of internal/experiment:
+//
+//	ctsan repro   -what fig7b -scale 0.3 -q     # tables and figures of §5
+//	ctsan sanrun  -n 5 -tmr 20 -tm 2 -fd exp    # the SAN model, explicit parameters
+//	ctsan testbed -n 5 -T 10 -execs 1000        # one campaign on the emulated cluster
+//	ctsan fdqos   -n 3 -T 5,30                  # heartbeat FD QoS over a timeout grid
+//
+// Scenarios — declarative fault and workload timelines
+// (internal/scenario); flags precede the scenario names:
+//
+//	ctsan scenario list
+//	ctsan scenario describe split-brain
+//	ctsan scenario run -replicas 4 -json split-brain gc-storm
+//	ctsan scenario run -spec my-scenario.json -execs 100
+//	ctsan scenario trace -explain flaky-link
+//
+// Every command is one entry of the commands table — name, synopsis,
+// func(ctx, args, stdout, stderr) error — behind the injectable run seam;
+// the usage text is generated from the table and the exit status from the
+// returned error by cliflags.ExitStatus (0 ok or -h, 1 failed, 2 usage
+// error, 130 interrupted). No command exits on its own.
 //
 // `run` is the supervisor: an in-process lease ledger (internal/shard)
 // over the grid, preloaded with every record -dir already holds, and
@@ -27,11 +55,17 @@
 // same checkpointed range runner `shard` uses, and uploads the records
 // for the coordinator's ledger to verify and fold.
 //
-// All commands freeze the study deterministically from the same
+// The dispatch commands freeze the study deterministically from the same
 // (spec, seed, replicas) inputs, so the grid — per-point seeds
 // included — is identical in every participating process, and the
 // output is bit-identical to `run` with -shards 1, at any shard count
 // or worker fleet size, across any number of crashes and resumes.
+//
+// `scenario run` executes its scenarios as one campaign study: one
+// Scenario point per name, every point seeded with the same -seed
+// (common random numbers, so scenarios are compared under identical
+// draws). Like every campaign here its results are bit-identical at any
+// -workers count for a given -seed and stream out in argument order.
 package main
 
 import (
@@ -43,8 +77,10 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,42 +99,82 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-const usageText = `usage: ctsan <command> [flags]
+// command is one entry of the CLI: results go to stdout, diagnostics to
+// stderr, and the returned error decides the exit status.
+type command struct {
+	group    string // usage heading
+	name     string // the words that select it, e.g. "scenario run"
+	synopsis string
+	run      func(ctx context.Context, args []string, stdout, stderr io.Writer) error
+}
 
-commands:
-  run     lease the grid to shard subprocesses, supervise them, and merge
-  shard   execute one shard range with durable per-point checkpoints
-  merge   fold checkpoint records into the final results JSONL
-  worker  pull fleet leases from a campaign service and execute them
-`
+// commands is the whole CLI, in usage order.
+var commands = []command{
+	{"dispatch", "run", "lease the grid to shard subprocesses, supervise them, and merge", cmdRun},
+	{"dispatch", "shard", "execute one shard range with durable per-point checkpoints", cmdShard},
+	{"dispatch", "merge", "fold checkpoint records into the final results JSONL", cmdMerge},
+	{"dispatch", "worker", "pull fleet leases from a campaign service and execute them", cmdWorker},
+	{"paper reproduction", "repro", "regenerate the tables and figures of the paper's evaluation (§5)", cmdRepro},
+	{"paper reproduction", "sanrun", "solve the SAN model with explicit parameters", cmdSanrun},
+	{"paper reproduction", "testbed", "run one measurement campaign on the emulated cluster", cmdTestbed},
+	{"paper reproduction", "fdqos", "measure heartbeat failure-detector QoS over a timeout grid", cmdFdqos},
+	{"scenarios", "scenario list", "show the registered scenarios", cmdScenarioList},
+	{"scenarios", "scenario describe", "show docs and timeline of the named scenarios", cmdScenarioDescribe},
+	{"scenarios", "scenario run", "run named scenarios, or a -spec JSON one, as a campaign", cmdScenarioRun},
+	{"scenarios", "scenario trace", "run one scenario with execution tracing", cmdScenarioTrace},
+}
+
+// usage renders the command table.
+func usage() string {
+	var b strings.Builder
+	b.WriteString("usage: ctsan <command> [flags] [args]   (ctsan <command> -h lists the flags)\n")
+	group := ""
+	for _, c := range commands {
+		if c.group != group {
+			group = c.group
+			fmt.Fprintf(&b, "\n%s:\n", group)
+		}
+		fmt.Fprintf(&b, "  %-18s %s\n", c.name, c.synopsis)
+	}
+	return b.String()
+}
+
+// lookup finds the command the leading words of args select and returns
+// it with the remaining arguments.
+func lookup(args []string) (*command, []string) {
+	for i, c := range commands {
+		words := strings.Fields(c.name)
+		if len(args) >= len(words) && slices.Equal(args[:len(words)], words) {
+			return &commands[i], args[len(words):]
+		}
+	}
+	return nil, nil
+}
 
 // run dispatches a ctsan invocation; it is the whole binary behind an
-// injectable seam (args, streams, exit code) so the differential tests
-// can drive real subprocess supervision through the test binary itself.
+// injectable seam (args, streams, exit code) so tests can drive every
+// command — and real subprocess supervision, through the test binary
+// itself — without a process boundary.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	if len(args) < 1 {
-		fmt.Fprint(stderr, usageText)
-		return 2
+	cmd, rest := lookup(args)
+	if cmd == nil {
+		if len(args) == 0 {
+			return cliflags.ExitStatus("ctsan", cliflags.Usagef("missing command\n%s", usage()), stderr)
+		}
+		word := args[0] // or two, under a group word such as "scenario"
+		if len(args) > 1 && slices.ContainsFunc(commands, func(c command) bool { return strings.HasPrefix(c.name, word+" ") }) {
+			word += " " + args[1]
+		}
+		return cliflags.ExitStatus("ctsan", cliflags.Usagef("unknown command %q\n%s", word, usage()), stderr)
 	}
-	var err error
-	switch args[0] {
-	case "run":
-		err = cmdRun(ctx, args[1:], stderr)
-	case "shard":
-		err = cmdShard(ctx, args[1:], stderr)
-	case "merge":
-		err = cmdMerge(args[1:], stdout, stderr)
-	case "worker":
-		err = cmdWorker(ctx, args[1:], stderr)
-	default:
-		fmt.Fprintf(stderr, "ctsan: unknown command %q\n%s", args[0], usageText)
-		return 2
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "ctsan %s: %v\n", args[0], err)
-		return 1
-	}
-	return 0
+	return cliflags.ExitStatus("ctsan "+cmd.name, cmd.run(ctx, rest, stdout, stderr), stderr)
+}
+
+// flagSet returns the FlagSet of the named command, reporting to stderr.
+func flagSet(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("ctsan "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
 }
 
 // studyFlags are the inputs every command freezes the grid from; they
@@ -122,7 +198,7 @@ func registerStudyFlags(fs *flag.FlagSet) studyFlags {
 // deterministic step that makes every process see the identical grid.
 func (sf studyFlags) frozen() (*campaign.Study, error) {
 	if *sf.study == "" {
-		return nil, fmt.Errorf("-study is required")
+		return nil, cliflags.Usagef("-study is required")
 	}
 	if err := cliflags.CheckSeed(*sf.seed); err != nil {
 		return nil, err
@@ -145,16 +221,15 @@ func storePath(dir string, r shard.Range) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%06d-%06d.jsonl", r.Start, r.End))
 }
 
-func cmdShard(ctx context.Context, args []string, stderr io.Writer) error {
-	fs := flag.NewFlagSet("ctsan shard", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func cmdShard(ctx context.Context, args []string, _, stderr io.Writer) error {
+	fs := flagSet("shard", stderr)
 	sf := registerStudyFlags(fs)
 	rangeArg := fs.String("range", "", "grid index range start:end (required)")
 	dir := fs.String("dir", "", "checkpoint directory (required)")
 	workers := cliflags.Workers(fs)
 	throttle := fs.Duration("throttle", 0, "pause after each checkpointed point (rate limiting and crash testing)")
 	crashAfter := fs.Int("crash-after", 0, "fault injection: panic after N newly checkpointed points")
-	if err := fs.Parse(args); err != nil {
+	if err := cliflags.Parse(fs, args); err != nil {
 		return err
 	}
 	frozen, err := sf.frozen()
@@ -162,11 +237,11 @@ func cmdShard(ctx context.Context, args []string, stderr io.Writer) error {
 		return err
 	}
 	if *rangeArg == "" || *dir == "" {
-		return fmt.Errorf("-range and -dir are required")
+		return cliflags.Usagef("-range and -dir are required")
 	}
 	r, err := shard.ParseRange(*rangeArg)
 	if err != nil {
-		return err
+		return cliflags.Usagef("%v", err)
 	}
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err
@@ -191,9 +266,8 @@ func cmdShard(ctx context.Context, args []string, stderr io.Writer) error {
 		campaign.WithWorkers(*workers))
 }
 
-func cmdRun(ctx context.Context, args []string, stderr io.Writer) error {
-	fs := flag.NewFlagSet("ctsan run", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func cmdRun(ctx context.Context, args []string, _, stderr io.Writer) error {
+	fs := flagSet("run", stderr)
 	sf := registerStudyFlags(fs)
 	shards := fs.Int("shards", 1, "number of shard subprocesses to plan")
 	dir := fs.String("dir", "", "checkpoint directory (required)")
@@ -205,7 +279,7 @@ func cmdRun(ctx context.Context, args []string, stderr io.Writer) error {
 	backoff := fs.Duration("backoff", 250*time.Millisecond, "first retry delay, doubling per retry")
 	crashAfter := fs.Int("crash-after", 0, "fault injection: shards panic after N points on their first attempt")
 	debugAddr := cliflags.DebugAddr(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflags.Parse(fs, args); err != nil {
 		return err
 	}
 	frozen, err := sf.frozen()
@@ -213,11 +287,11 @@ func cmdRun(ctx context.Context, args []string, stderr io.Writer) error {
 		return err
 	}
 	if *dir == "" || *out == "" {
-		return fmt.Errorf("-dir and -o are required")
+		return cliflags.Usagef("-dir and -o are required")
 	}
 	total := len(frozen.Points)
-	if total == 0 || *shards <= 0 {
-		return fmt.Errorf("cannot split %d points into %d shards", total, *shards)
+	if *shards <= 0 {
+		return cliflags.Usagef("cannot split %d points into %d shards", total, *shards)
 	}
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(stderr, "ctsan run: "+format+"\n", args...)
@@ -422,13 +496,12 @@ func runShardProcess(ctx context.Context, self string, args []string, stderr io.
 	return cmd.Run()
 }
 
-func cmdMerge(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("ctsan merge", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func cmdMerge(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("merge", stderr)
 	sf := registerStudyFlags(fs)
 	dir := fs.String("dir", "", "checkpoint directory (required)")
 	out := fs.String("o", "", "results JSONL file (default stdout)")
-	if err := fs.Parse(args); err != nil {
+	if err := cliflags.Parse(fs, args); err != nil {
 		return err
 	}
 	frozen, err := sf.frozen()
@@ -436,7 +509,7 @@ func cmdMerge(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if *dir == "" {
-		return fmt.Errorf("-dir is required")
+		return cliflags.Usagef("-dir is required")
 	}
 	merged, err := merge(frozen, *dir, stderr)
 	if err != nil {

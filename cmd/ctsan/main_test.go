@@ -487,8 +487,8 @@ func TestRunHonorsCancellation(t *testing.T) {
 	cancel()
 	select {
 	case code := <-exit:
-		if code != 1 || !strings.Contains(errb.String(), "context canceled") {
-			t.Fatalf("exit %d\n%s", code, errb.String())
+		if code != 130 || !strings.Contains(errb.String(), "ctsan run: interrupted") {
+			t.Fatalf("exit %d, want 130 and \"interrupted\"\n%s", code, errb.String())
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancellation did not interrupt the backoff sleep")
@@ -538,29 +538,30 @@ func TestMergeReportsSkippedRecordsOnStderr(t *testing.T) {
 		!strings.Contains(errb, "skipped 1") || !strings.Contains(errb, "merged 5 points into "+out) {
 		t.Fatalf("merge -o: exit %d, stderr %q", code, errb)
 	}
-	if code, _, errb = ctsan(t, "merge", "-bogus"); code != 1 || !strings.Contains(errb, "flag provided but not defined") {
+	if code, _, errb = ctsan(t, "merge", "-bogus"); code != 2 || !strings.Contains(errb, "flag provided but not defined") {
 		t.Fatalf("merge -bogus: exit %d, stderr %q", code, errb)
 	}
 }
 
+// TestUsageAndFlagErrors: a missing required flag is a usage error that
+// names it; a range the grid does not have is a failure of the run. (The
+// per-command -h / unknown-flag / -seed 0 contract is
+// TestCommandTableConformance.)
 func TestUsageAndFlagErrors(t *testing.T) {
-	if code, _, _ := ctsan(t); code != 2 {
-		t.Fatal("no-command invocation must exit 2")
-	}
-	if code, _, _ := ctsan(t, "bogus"); code != 2 {
-		t.Fatal("unknown command must exit 2")
-	}
-	if code, _, errb := ctsan(t, "shard", "-range", "0:1", "-dir", t.TempDir()); code != 1 ||
-		!strings.Contains(errb, "-study") {
-		t.Fatalf("missing -study: exit %d, stderr %q", code, errb)
-	}
 	spec := writeSpec(t)
-	if code, _, _ := ctsan(t, "shard", "-study", spec, "-seed", "0",
-		"-range", "0:1", "-dir", t.TempDir()); code != 1 {
-		t.Fatal("reserved seed 0 must be rejected")
-	}
-	if code, _, _ := ctsan(t, "shard", "-study", spec, "-range", "3:99",
-		"-dir", t.TempDir()); code != 1 {
-		t.Fatal("out-of-grid range must be rejected")
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"shard", "-range", "0:1", "-dir", t.TempDir()}, 2, "-study is required"},
+		{[]string{"shard", "-study", spec}, 2, "-range and -dir are required"},
+		{[]string{"run", "-study", spec}, 2, "-dir and -o are required"},
+		{[]string{"merge", "-study", spec}, 2, "-dir is required"},
+		{[]string{"shard", "-study", spec, "-range", "3:99", "-dir", t.TempDir()}, 1, "outside study of 5 points"},
+	} {
+		if code, _, errb := ctsan(t, tc.args...); code != tc.code || !strings.Contains(errb, tc.want) {
+			t.Errorf("ctsan %v: exit %d, stderr %q; want %d mentioning %q", tc.args, code, errb, tc.code, tc.want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,9 +15,9 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
 // TestRunJSONGolden pins the public JSON report schema of
-// `scenario run -json`: external users script against these field names
+// `ctsan scenario run -json`: external users script against these field names
 // and this document shape, so any change here is a deliberate,
-// documented break. Regenerate with `go test ./cmd/scenario -update`
+// documented break. Regenerate with `go test ./cmd/ctsan -update`
 // after such a change.
 //
 // The run is fully deterministic (fixed seed, serial workers), so the
@@ -26,7 +27,7 @@ func TestRunJSONGolden(t *testing.T) {
 	var buf strings.Builder
 	args := []string{"-json", "-execs", "40", "-replicas", "2", "-workers", "1", "-seed", "1",
 		"paper-baseline", "flaky-link"}
-	if err := runCmd(context.Background(), args, &buf); err != nil {
+	if err := cmdScenarioRun(context.Background(), args, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.String()
@@ -59,7 +60,7 @@ func TestRunJSONGoldenWorkersInvariant(t *testing.T) {
 		var buf strings.Builder
 		args := []string{"-json", "-execs", "40", "-replicas", "2", "-workers", workers, "-seed", "1",
 			"paper-baseline", "flaky-link"}
-		if err := runCmd(context.Background(), args, &buf); err != nil {
+		if err := cmdScenarioRun(context.Background(), args, &buf, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

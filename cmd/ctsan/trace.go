@@ -3,8 +3,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -14,17 +12,14 @@ import (
 	"ctsan/internal/trace"
 )
 
-// traceCmd parses trace-subcommand flags and runs one scenario with the
-// execution tracer attached, dumping the captured events as JSONL (and
-// optionally a Chrome trace_event file, or wrong-suspicion explanations).
-// Factored from main so tests can pin the trace output byte-for-byte.
-func traceCmd(ctx context.Context, args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
+// cmdScenarioTrace runs one scenario with the execution tracer attached,
+// dumping the captured events as JSONL (and optionally a Chrome
+// trace_event file, or wrong-suspicion explanations).
+func cmdScenarioTrace(ctx context.Context, args []string, out, stderr io.Writer) error {
+	fs := newCampaignFlags("scenario trace", stderr)
 	var (
 		replicas = fs.Int("replicas", 1, "independent replicas to trace")
 		execs    = fs.Int("execs", 0, "consensus executions per replica (0 = per-scenario default)")
-		workers  = cliflags.Workers(fs)
-		seed     = cliflags.Seed(fs)
 		specFile = fs.String("spec", "", "path to a JSON scenario definition to trace")
 		outFile  = fs.String("o", "", "write the JSONL trace here instead of stdout")
 		chrome   = fs.String("chrome", "", "also write a Chrome trace_event file (load in Perfetto or chrome://tracing)")
@@ -32,13 +27,7 @@ func traceCmd(ctx context.Context, args []string, out io.Writer) error {
 		window   = fs.Float64("window", 50, "milliseconds of trace shown before each wrong suspicion with -explain")
 		cap      = fs.Int("cap", 0, "per-replica trace ring capacity in events (0 = default)")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return errUsage
-	}
-	if err := cliflags.CheckSeed(*seed); err != nil {
+	if err := fs.parse(args); err != nil {
 		return err
 	}
 	s, err := traceScenario(*specFile, fs.Args())
@@ -49,8 +38,8 @@ func traceCmd(ctx context.Context, args []string, out io.Writer) error {
 		Scenario:   s,
 		Replicas:   *replicas,
 		Executions: *execs,
-		Workers:    *workers,
-		Seed:       *seed,
+		Workers:    *fs.workers,
+		Seed:       *fs.seed,
 		Cap:        *cap,
 	})
 	if err != nil {
@@ -64,23 +53,37 @@ func traceCmd(ctx context.Context, args []string, out io.Writer) error {
 	if *explain {
 		return writeExplanations(out, reps, *window)
 	}
-	w := out
+	jsonl := func(w io.Writer) error {
+		for _, r := range reps {
+			if err := r.Result.Trace.WriteJSONL(w, r.Replica); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	if *outFile != "" {
-		f, err := os.Create(*outFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		bw := bufio.NewWriter(f)
-		defer bw.Flush()
-		w = bw
+		return writeFile(*outFile, jsonl)
 	}
-	for _, r := range reps {
-		if err := r.Result.Trace.WriteJSONL(w, r.Replica); err != nil {
-			return err
-		}
+	return jsonl(out)
+}
+
+// writeFile creates path and streams write's output into it through a
+// buffer. The flush and the close are part of the write: an error there
+// (a full disk shows up no earlier) fails the command.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return nil
+	bw := bufio.NewWriter(f)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // traceScenario resolves the single scenario to trace: either the -spec
@@ -88,7 +91,7 @@ func traceCmd(ctx context.Context, args []string, out io.Writer) error {
 func traceScenario(specFile string, names []string) (*scenario.Scenario, error) {
 	if specFile != "" {
 		if len(names) > 0 {
-			return nil, fmt.Errorf("trace: give -spec or one scenario name, not both")
+			return nil, cliflags.Usagef("give -spec or one scenario name, not both")
 		}
 		data, err := os.ReadFile(specFile)
 		if err != nil {
@@ -97,7 +100,7 @@ func traceScenario(specFile string, names []string) (*scenario.Scenario, error) 
 		return scenario.LoadJSON(data)
 	}
 	if len(names) != 1 {
-		return nil, fmt.Errorf("trace: need exactly one scenario name or -spec (known: %v)", scenario.Names())
+		return nil, cliflags.Usagef("need exactly one scenario name or -spec (known: %v)", scenario.Names())
 	}
 	return scenario.Get(names[0])
 }
@@ -105,25 +108,18 @@ func traceScenario(specFile string, names []string) (*scenario.Scenario, error) 
 // writeChrome dumps every replica's trace into one Chrome trace_event
 // document: replicas become pids, simulated processes become tids.
 func writeChrome(path string, reps []*scenario.TracedReplica) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	bw := bufio.NewWriter(f)
-	cw, err := trace.NewChromeWriter(bw)
-	if err != nil {
-		return err
-	}
-	for _, r := range reps {
-		if err := cw.Add(r.Replica, r.Result.Trace); err != nil {
+	return writeFile(path, func(w io.Writer) error {
+		cw, err := trace.NewChromeWriter(w)
+		if err != nil {
 			return err
 		}
-	}
-	if err := cw.Close(); err != nil {
-		return err
-	}
-	return bw.Flush()
+		for _, r := range reps {
+			if err := cw.Add(r.Replica, r.Result.Trace); err != nil {
+				return err
+			}
+		}
+		return cw.Close()
+	})
 }
 
 // writeExplanations prints causal windows for every ground-truthed wrong

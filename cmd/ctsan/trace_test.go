@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,7 +18,7 @@ func traceOut(t *testing.T, workers string) string {
 	var buf strings.Builder
 	args := []string{"-execs", "20", "-replicas", "2", "-workers", workers, "-seed", "1",
 		"flaky-link"}
-	if err := traceCmd(context.Background(), args, &buf); err != nil {
+	if err := cmdScenarioTrace(context.Background(), args, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -28,12 +29,12 @@ func traceOut(t *testing.T, workers string) string {
 // it, Perfetto loads its Chrome form), and — determinism rule 6 — it is
 // a pure function of the seed, so the golden file pins both the record
 // schema and the exact event stream. Regenerate with
-// `go test ./cmd/scenario -update` after a deliberate change.
+// `go test ./cmd/ctsan -update` after a deliberate change.
 func TestTraceGolden(t *testing.T) {
 	var buf strings.Builder
 	args := []string{"-execs", "5", "-replicas", "1", "-workers", "1", "-seed", "1",
 		"flaky-link"}
-	if err := traceCmd(context.Background(), args, &buf); err != nil {
+	if err := cmdScenarioTrace(context.Background(), args, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.String()
@@ -81,7 +82,7 @@ func TestTraceExplainRuns(t *testing.T) {
 	var buf strings.Builder
 	args := []string{"-explain", "-execs", "20", "-replicas", "4", "-workers", "1", "-seed", "1",
 		"flaky-link"}
-	if err := traceCmd(context.Background(), args, &buf); err != nil {
+	if err := cmdScenarioTrace(context.Background(), args, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -97,7 +98,7 @@ func TestTraceChromeFile(t *testing.T) {
 	var buf strings.Builder
 	args := []string{"-o", os.DevNull, "-chrome", path, "-execs", "5", "-workers", "1", "-seed", "1",
 		"flaky-link"}
-	if err := traceCmd(context.Background(), args, &buf); err != nil {
+	if err := cmdScenarioTrace(context.Background(), args, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -111,15 +112,34 @@ func TestTraceChromeFile(t *testing.T) {
 }
 
 // TestTraceUsageErrors pins the argument contract: exactly one scenario,
-// and -spec excludes a positional name.
+// and -spec excludes a positional name; anything else is a usage error.
 func TestTraceUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{},
 		{"flaky-link", "gc-storm"},
 		{"-spec", "x.json", "flaky-link"},
 	} {
-		if err := traceCmd(context.Background(), args, &strings.Builder{}); err == nil {
-			t.Errorf("traceCmd(%v) succeeded, want error", args)
+		if code, stdout, _ := ctsan(t, append([]string{"scenario", "trace"}, args...)...); code != 2 || stdout != "" {
+			t.Errorf("scenario trace %v: exit %d, stdout %q; want a usage error", args, code, stdout)
+		}
+	}
+}
+
+// TestTraceOutputWriteErrorFails: the trace is smaller than the write
+// buffer, so a full device only shows at the flush — which -o and
+// -chrome must not drop.
+func TestTraceOutputWriteErrorFails(t *testing.T) {
+	const full = "/dev/full"
+	if _, err := os.Stat(full); err != nil {
+		t.Skipf("%s: %v", full, err)
+	}
+	for _, args := range [][]string{
+		{"-o", full},
+		{"-o", os.DevNull, "-chrome", full},
+	} {
+		args = append(append([]string{"scenario", "trace", "-execs", "1", "-cap", "8"}, args...), "flaky-link")
+		if code, _, errb := ctsan(t, args...); code != 1 || !strings.Contains(errb, "no space left") {
+			t.Errorf("ctsan %v: exit %d, stderr %q; want the write error", args, code, errb)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -76,9 +75,8 @@ type workerStudy struct {
 	frozen *campaign.Study
 }
 
-func cmdWorker(ctx context.Context, args []string, stderr io.Writer) error {
-	fs := flag.NewFlagSet("ctsan worker", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func cmdWorker(ctx context.Context, args []string, _, stderr io.Writer) error {
+	fs := flagSet("worker", stderr)
 	server := fs.String("server", "", "campaign service base URL, e.g. http://localhost:8080 (required)")
 	studyID := fs.String("study-id", "", "serve only this study and exit when it is done (default: serve every fleet study)")
 	name := fs.String("name", "", "worker name in the coordinator's ledger (default worker-<pid>@<host>)")
@@ -86,11 +84,11 @@ func cmdWorker(ctx context.Context, args []string, stderr io.Writer) error {
 	workers := cliflags.Workers(fs)
 	throttle := fs.Duration("throttle", 0, "pause after each checkpointed point (rate limiting and crash testing)")
 	idleExit := fs.Duration("idle-exit", 0, "exit after this long with no fleet work anywhere; 0 = run until interrupted (ignored with -study-id)")
-	if err := fs.Parse(args); err != nil {
+	if err := cliflags.Parse(fs, args); err != nil {
 		return err
 	}
 	if *server == "" {
-		return fmt.Errorf("-server is required")
+		return cliflags.Usagef("-server is required")
 	}
 	base := strings.TrimRight(*server, "/")
 	if *name == "" {

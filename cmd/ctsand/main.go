@@ -49,7 +49,13 @@ import (
 )
 
 func main() {
-	fs := flag.NewFlagSet("ctsand", flag.ExitOnError)
+	os.Exit(cliflags.ExitStatus("ctsand", run(os.Args[1:]), os.Stderr))
+}
+
+// run is the whole daemon; its error becomes the exit status by the rule
+// every ctsan command follows (cliflags.ExitStatus).
+func run(args []string) error {
+	fs := flag.NewFlagSet("ctsand", flag.ContinueOnError)
 	var (
 		addr         = fs.String("addr", "localhost:8321", "listen address (use :0 for an ephemeral port)")
 		workers      = cliflags.Workers(fs)
@@ -64,12 +70,20 @@ func main() {
 		debug        = fs.Bool("debug", true, "serve /debug/vars and /debug/pprof on the service listener")
 		debugAddr    = cliflags.DebugAddr(fs)
 	)
-	fs.Parse(os.Args[1:])
+	if err := cliflags.Parse(fs, args); err != nil {
+		return err
+	}
+	if err := cliflags.CheckSeed(*seed); err != nil {
+		return err
+	}
 	cacheBytes := int64(*cacheMB) << 20
 	if *cacheMB <= 0 {
 		cacheBytes = -1 // disabled, not "default"
 	}
-	cfg := server.Config{
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "ctsand: "+format+"\n", args...)
+	}
+	srv := server.New(server.Config{
 		Workers:     *workers,
 		MaxActive:   *maxActive,
 		QueueDepth:  *queueDepth,
@@ -78,38 +92,24 @@ func main() {
 		LeaseTTL:    *leaseTTL,
 		LeaseTarget: *leaseTarget,
 		Debug:       *debug,
-	}
-	if err := run(*addr, cfg, *cacheDir, *drainTimeout, *debugAddr); err != nil {
-		cliflags.Fail("ctsand", err)
-	}
-}
-
-func run(addr string, cfg server.Config, cacheDir string, drainTimeout time.Duration, debugAddr string) error {
-	if err := cliflags.CheckSeed(cfg.DefaultSeed); err != nil {
-		return err
-	}
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "ctsand: "+format+"\n", args...)
-	}
-	cfg.Logf = logf
-
-	srv := server.New(cfg)
-	if cacheDir != "" {
-		if err := os.MkdirAll(cacheDir, 0o755); err != nil {
+		Logf:        logf,
+	})
+	if *cacheDir != "" {
+		if err := os.MkdirAll(*cacheDir, 0o755); err != nil {
 			return err
 		}
-		if _, err := srv.EnableCacheSpill(cacheDir); err != nil {
+		if _, err := srv.EnableCacheSpill(*cacheDir); err != nil {
 			return fmt.Errorf("-cache-dir: %w", err)
 		}
 	}
 
-	stopDebug, err := cliflags.StartDebug(debugAddr, logf)
+	stopDebug, err := cliflags.StartDebug(*debugAddr, logf)
 	if err != nil {
 		return err
 	}
 	defer stopDebug()
 
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
@@ -127,8 +127,8 @@ func run(addr string, cfg server.Config, cacheDir string, drainTimeout time.Dura
 		return err
 	}
 
-	logf("draining (budget %s): running studies finish, new submissions get 503", drainTimeout)
-	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	logf("draining (budget %s): running studies finish, new submissions get 503", *drainTimeout)
+	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	// Drain the campaign queue first — subscribers keep their streams
 	// until every study is terminal — then close the HTTP side.

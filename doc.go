@@ -41,9 +41,12 @@
 // the DES kernel schedules through an adaptive calendar queue whose
 // eager cancellation keeps the pop path free of dead entries — in
 // total ~1.7 allocations per consensus execution, all per-replica
-// bookkeeping. See PERFORMANCE.md for the scheme and the shared
-// -workers/-seed flags (internal/cliflags) of cmd/repro, cmd/sanrun,
-// cmd/fdqos, cmd/testbed, and cmd/scenario.
+// bookkeeping. See PERFORMANCE.md for the scheme. One command-line
+// front end, cmd/ctsan, reaches all of it — `ctsan repro`, `sanrun`,
+// `testbed`, `fdqos` for the paper's evaluation, `ctsan scenario …` for
+// fault injection, `ctsan run|shard|merge|worker` for dispatch — with
+// shared -workers/-seed flags and one exit-status rule
+// (internal/cliflags).
 //
 // All three engines observe their samples through the streaming metrics
 // core (internal/metrics): per-execution latencies fold into a
@@ -64,10 +67,10 @@
 // PauseAt, PhaseAt), and fanned as scenario × replica campaigns through
 // the worker pool. A registry of named built-ins (paper-baseline,
 // crash-n3-anomaly, rolling-crash, split-brain, gc-storm, burst-load,
-// flaky-link) is exposed by cmd/scenario (list, describe, run — whose
-// -json report schema is pinned by a golden test) and the -scenario flag
-// of cmd/testbed; reports carry latency percentiles, ground-truthed
-// wrong-suspicion rates, and decision throughput.
+// flaky-link) is exposed by `ctsan scenario` (list, describe, run — whose
+// -json report schema is pinned by a golden test); reports carry latency
+// percentiles, ground-truthed wrong-suspicion rates, and decision
+// throughput.
 //
 // Campaigns larger than one process shard across subprocesses — and
 // machines. A study spec plus (seed, replicas) freezes deterministically
@@ -122,13 +125,13 @@
 // into a bounded per-replica ring at zero steady-state allocation, and
 // a nil tracer costs one branch per emit site. The trace is itself
 // deterministic output: bit-identical at any worker count for a fixed
-// seed (determinism rule 6 in PERFORMANCE.md). cmd/scenario trace dumps
-// it as JSONL or a Chrome trace_event file loadable in Perfetto, and
+// seed (determinism rule 6 in PERFORMANCE.md). `ctsan scenario trace`
+// dumps it as JSONL or a Chrome trace_event file loadable in Perfetto, and
 // -explain prints the causal event window behind each ground-truthed
 // wrong suspicion. Campaign-level telemetry (internal/obs) — execution
 // and point counters, lease grants and expiries, checkpoint appends and
 // bytes, worker utilization — is exported via expvar and
-// net/http/pprof when a CLI passes -debug-addr, and cmd/benchjson gates
+// net/http/pprof when a command is given -debug-addr, and cmd/benchjson gates
 // BENCH_emulation.json drift in CI.
 //
 // See ROADMAP.md for the layout, the north star and the open items,

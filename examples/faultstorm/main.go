@@ -3,7 +3,7 @@
 // the emulator could express: a GC pause storm on the coordinator's
 // host, an asymmetric flaky link, a jittered mid-run crash with
 // recovery, and a workload burst, all overlapping. The same timeline can
-// be written as JSON and run with `scenario run -spec` (see
+// be written as JSON and run with `ctsan scenario run -spec` (see
 // scenario.LoadJSON); this example uses the fluent form and compares the
 // storm against the fault-free baseline.
 package main

@@ -18,10 +18,10 @@ import (
 	"sync"
 	"time"
 
+	"ctsan/examples/internal/realnet"
 	"ctsan/internal/consensus"
 	"ctsan/internal/fd"
 	"ctsan/internal/neko"
-	"ctsan/internal/realnet"
 )
 
 // replica is one actively replicated state machine: a tiny account store.

@@ -12,10 +12,10 @@ import (
 	"sync"
 	"time"
 
+	"ctsan/examples/internal/realnet"
 	"ctsan/internal/consensus"
 	"ctsan/internal/fd"
 	"ctsan/internal/neko"
-	"ctsan/internal/realnet"
 )
 
 func main() {

@@ -1,13 +1,24 @@
-// Package cliflags centralizes the CLI conventions every binary under
-// cmd/ shares — the campaign root seed, the worker-pool size, and JSON
-// output flags, plus error-exit behavior — so that names, defaults, help
-// text, and exit codes cannot drift between tools (they once did: sanrun
-// described -workers differently from repro). A command registers the
-// flags it needs on its FlagSet:
+// Package cliflags centralizes the CLI conventions the repository's two
+// binaries, ctsan and ctsand, share — the campaign root seed, the
+// worker-pool size, JSON output and debug-listener flags, and the one
+// rule that turns a command's error into an exit status — so that names,
+// defaults, help text, and exit codes cannot drift between commands (they
+// once did, across eight binaries). A command registers the flags it
+// needs on its FlagSet and parses through Parse:
 //
-//	seed := cliflags.Seed(flag.CommandLine)
-//	workers := cliflags.Workers(flag.CommandLine)
-//	flag.Parse()
+//	seed := cliflags.Seed(fs)
+//	workers := cliflags.Workers(fs)
+//	if err := cliflags.Parse(fs, args); err != nil {
+//		return err
+//	}
+//
+// Exit statuses (ExitStatus is the only place they are decided):
+//
+//	0    success, or -h / -help (the FlagSet printed the usage)
+//	1    the command ran and failed
+//	2    usage error: flag parse failure, a missing or invalid flag
+//	     value, the reserved seed 0, an unknown command (Usagef, Parse)
+//	130  interrupted (context.Canceled); prints "<prog>: interrupted"
 package cliflags
 
 import (
@@ -15,12 +26,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 
 	"ctsan/internal/obs"
 )
 
-// Flag names and help text shared by all binaries. Exported so tests can
+// Flag names and help text shared by all commands. Exported so tests can
 // pin them and commands can reference the canonical spelling.
 const (
 	SeedName  = "seed"
@@ -77,27 +88,64 @@ func StartDebug(addr string, logf func(format string, args ...any)) (func() erro
 	return shutdown, nil
 }
 
-// CheckSeed rejects the reserved seed 0. Campaign points treat a zero
-// Seed as "derive one from the study seed and the point index", so a
-// literal 0 cannot be pinned from the command line; accepting it would
-// silently run under different derived seeds and break the
-// "bit-identical for a given seed" help-text promise.
+// CheckSeed rejects the reserved seed 0 as a usage error. Campaign points
+// treat a zero Seed as "derive one from the study seed and the point
+// index", so a literal 0 cannot be pinned from the command line;
+// accepting it would silently run under different derived seeds and
+// break the "bit-identical for a given seed" help-text promise.
 func CheckSeed(seed uint64) error {
 	if seed == 0 {
-		return fmt.Errorf("-%s 0 is reserved (seeds start at 1)", SeedName)
+		return Usagef("-%s 0 is reserved (seeds start at 1)", SeedName)
 	}
 	return nil
 }
 
-// Fail reports err and exits with the shared convention: a canceled
-// campaign (Ctrl-C through signal.NotifyContext) prints "interrupted"
-// and exits with the conventional SIGINT status 130, so scripts can tell
-// an interrupt from a real failure (status 1).
-func Fail(prog string, err error) {
-	if errors.Is(err, context.Canceled) {
-		fmt.Fprintf(os.Stderr, "%s: interrupted\n", prog)
-		os.Exit(130)
+// usageError marks an error as the caller's mistake (exit status 2).
+// reported is set when the FlagSet already printed the message.
+type usageError struct {
+	err      error
+	reported bool
+}
+
+func (e *usageError) Error() string { return e.err.Error() }
+func (e *usageError) Unwrap() error { return e.err }
+
+// Usagef builds a usage error: a missing or invalid flag value, an
+// unknown command or name the command line had to pick from a fixed set.
+func Usagef(format string, args ...any) error {
+	return &usageError{err: fmt.Errorf(format, args...)}
+}
+
+// Parse is fs.Parse with the failure classified: -h passes through as
+// flag.ErrHelp, and anything else is a usage error whose message (and
+// the flag list) the FlagSet has already written to its output.
+func Parse(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
-	os.Exit(1)
+	return &usageError{err: err, reported: true}
+}
+
+// ExitStatus reports err on stderr, prefixed with prog, and returns the
+// process exit status for it — the rule in the package comment. A
+// canceled campaign (Ctrl-C through signal.NotifyContext) exits with the
+// conventional SIGINT status so scripts can tell an interrupt from a
+// real failure.
+func ExitStatus(prog string, err error, stderr io.Writer) int {
+	var usage *usageError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, context.Canceled):
+		fmt.Fprintf(stderr, "%s: interrupted\n", prog)
+		return 130
+	case errors.As(err, &usage):
+		if !usage.reported {
+			fmt.Fprintf(stderr, "%s: %v\n", prog, err)
+		}
+		return 2
+	}
+	fmt.Fprintf(stderr, "%s: %v\n", prog, err)
+	return 1
 }

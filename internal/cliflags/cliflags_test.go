@@ -1,12 +1,17 @@
 package cliflags
 
 import (
+	"context"
+	"errors"
 	"flag"
+	"fmt"
+	"io"
+	"strings"
 	"testing"
 )
 
 // TestSharedDefinitions pins the shared names, defaults, and usage
-// strings: every cmd/ binary registers these helpers, so a change here is
+// strings: every command registers these helpers, so a change here is
 // a deliberate, repository-wide CLI change.
 func TestSharedDefinitions(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
@@ -53,5 +58,39 @@ func TestCheckSeed(t *testing.T) {
 	}
 	if err := CheckSeed(1); err != nil {
 		t.Errorf("seed 1 rejected: %v", err)
+	}
+}
+
+// TestExitStatus pins the one error→status rule of ctsan and ctsand, and
+// what each case prints.
+func TestExitStatus(t *testing.T) {
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	parseErr := Parse(fs, []string{"-bogus"})
+	for _, tc := range []struct {
+		name   string
+		err    error
+		status int
+		stderr string
+	}{
+		{"success", nil, 0, ""},
+		{"help", Parse(fs, []string{"-h"}), 0, ""},
+		{"wrapped help", fmt.Errorf("cmd: %w", flag.ErrHelp), 0, ""},
+		{"failure", errors.New("disk on fire"), 1, "prog: disk on fire\n"},
+		{"deadline is a failure", context.DeadlineExceeded, 1, "prog: context deadline exceeded\n"},
+		{"usage", Usagef("-fd %q: want det or exp", "x"), 2, "prog: -fd \"x\": want det or exp\n"},
+		{"wrapped usage", fmt.Errorf("point 3: %w", Usagef("bad")), 2, "prog: point 3: bad\n"},
+		{"reserved seed", CheckSeed(0), 2, "prog: -seed 0 is reserved (seeds start at 1)\n"},
+		{"flag parse, already reported by the FlagSet", parseErr, 2, ""},
+		{"interrupted", context.Canceled, 130, "prog: interrupted\n"},
+		{"wrapped interrupt", fmt.Errorf("campaign: point 2: %w", context.Canceled), 130, "prog: interrupted\n"},
+	} {
+		var stderr strings.Builder
+		if got := ExitStatus("prog", tc.err, &stderr); got != tc.status || stderr.String() != tc.stderr {
+			t.Errorf("%s: status %d, stderr %q; want %d, %q", tc.name, got, stderr.String(), tc.status, tc.stderr)
+		}
+	}
+	if parseErr == nil || !strings.Contains(parseErr.Error(), "-bogus") {
+		t.Errorf("Parse(-bogus) = %v, want the flag package's error", parseErr)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // AsciiPlot renders a figure's series as a terminal scatter plot, so that
-// cmd/repro output can be eyeballed against the paper's figures without
+// `ctsan repro` output can be eyeballed against the paper's figures without
 // external tooling. Each series is drawn with its own glyph; a legend maps
 // glyphs to labels. logX/logY select logarithmic axes (Figs. 8 and 9 are
 // log-log in the paper).

@@ -220,7 +220,7 @@ const ecdfGridPoints = 2048
 // path (Figs. 6/7, KS distances), bit-identical to the historical
 // slice-built ECDF. Beyond the cap it is reconstructed from a dense
 // quantile grid of the sketch: an approximation with the sketch's rank
-// accuracy, so oversized campaigns (e.g. repro -scale pushed past the
+// accuracy, so oversized campaigns (e.g. ctsan repro -scale past the
 // cap) degrade gracefully instead of losing the distribution.
 func (d *Digest) ECDF() *stats.ECDF {
 	if d.sk == nil {

@@ -3,7 +3,7 @@
 // run the Chandra–Toueg consensus implementation: the same algorithm code
 // executes unmodified either inside a discrete-event cluster emulator
 // (internal/netsim, virtual time) or on a real-time transport
-// (internal/realnet, in-process channels or TCP).
+// (examples/internal/realnet, in-process channels or TCP).
 //
 // A Process is a Stack of protocol layers attached to an execution Context.
 // Protocols communicate through typed messages and timers. Time is a

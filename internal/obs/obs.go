@@ -3,7 +3,8 @@
 // dispatch leases, checkpoint appends) and worker-pool activity,
 // published through the standard expvar registry, plus an optional HTTP
 // listener exposing /debug/vars and the net/http/pprof profiling
-// endpoints (the -debug-addr flag of cmd/ctsan and cmd/scenario).
+// endpoints (the -debug-addr flag of `ctsan run`, `ctsan scenario run`
+// and ctsand).
 //
 // The counters are plain atomics: hot paths pay one atomic add per
 // counted unit and never allocate, so instrumented code is safe to leave

@@ -23,7 +23,7 @@
 //     internal/parallel with bit-identical results at any worker count;
 //   - the registry (Get, Names, Register) holds named built-ins —
 //     paper-baseline, crash-n3-anomaly, rolling-crash, split-brain,
-//     gc-storm, burst-load, flaky-link — exercised by cmd/scenario.
+//     gc-storm, burst-load, flaky-link — exercised by `ctsan scenario`.
 //
 // All times are float64 milliseconds of global simulated time, as
 // everywhere in the repository.

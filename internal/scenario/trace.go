@@ -13,7 +13,7 @@ import (
 // TraceSpec configures a traced campaign of one scenario: the replicas
 // run exactly as a CampaignSpec campaign of that single scenario would —
 // the same per-replica seed derivation, the same grid order — so trace
-// replica i is the execution behind replica i of `cmd/scenario run` at
+// replica i is the execution behind replica i of `ctsan scenario run` at
 // the same seed.
 type TraceSpec struct {
 	Scenario *Scenario

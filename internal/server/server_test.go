@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ctsan/campaign"
+	"ctsan/internal/obs"
 	"ctsan/internal/scenario"
 )
 
@@ -574,6 +575,42 @@ func TestSubmitValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET unknown study%s: status %d, want 404", ep, resp.StatusCode)
 		}
+	}
+}
+
+// TestSubmitRejectsUnrunnablePoints: a point no engine could run is a
+// submission error in both modes, behind valid points too. Admitted, a
+// local study would fail only once the earlier points had run; a fleet
+// study would never end — every lease of the bad point fails on its
+// worker, expires, and is granted again, holding a MaxActive slot.
+func TestSubmitRejectsUnrunnablePoints(t *testing.T) {
+	h := newTestServer(t, Config{Workers: 1, MaxActive: 1, QueueDepth: 4, CacheBytes: -1})
+	good := `{"engine":"san","spec":{"N":3,"Replicas":5}},`
+	granted := obs.LeasesGranted.Value()
+	for _, tc := range []struct{ name, point, want string }{
+		{"san n=1", `{"engine":"san","spec":{"N":1}}`, "need n >= 2"},
+		{"san crashed id out of range", `{"engine":"san","spec":{"N":3,"Crashed":[9]}}`, "crashed process 9 out of range 1..3"},
+		{"san no correct majority", `{"engine":"san","spec":{"N":3,"Crashed":[1,2]}}`, "majority-correct"},
+		{"emulation crashed id out of range", `{"engine":"emulation","spec":{"N":3,"Executions":5,"Crashed":[0]}}`, "crashed process 0 out of range 1..3"},
+		{"emulation no correct majority", `{"engine":"emulation","spec":{"N":4,"Executions":5,"Crashed":[1,2]}}`, "majority-correct"},
+		{"emulation no executions", `{"engine":"emulation","spec":{"N":3}}`, "at least 1 execution"},
+		{"unknown scenario", `{"engine":"scenario","spec":{"Name":"no-such"}}`, "unknown scenario"},
+	} {
+		for _, mode := range []string{"local", "fleet"} {
+			body := []byte(`{"v":1,"name":"bad","points":[` + good + tc.point + `]}`)
+			resp, data := h.post(t, "/api/v1/studies?mode="+mode, body)
+			var eb errorBody
+			if err := json.Unmarshal(data, &eb); resp.StatusCode != http.StatusBadRequest || err != nil ||
+				!strings.Contains(eb.Error, "point 1") || !strings.Contains(eb.Error, tc.want) {
+				t.Errorf("%s, mode=%s: status %d, body %s; want 400 naming point 1 and %q", tc.name, mode, resp.StatusCode, data, tc.want)
+			}
+		}
+	}
+	if _, data := h.get(t, "/api/v1/studies"); strings.TrimSpace(string(data)) != "[]" {
+		t.Errorf("rejected submissions were registered: %s", data)
+	}
+	if got := obs.LeasesGranted.Value(); got != granted {
+		t.Errorf("leases_granted moved %d -> %d on rejected submissions", granted, got)
 	}
 }
 

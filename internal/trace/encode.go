@@ -9,7 +9,7 @@ import (
 // This file renders trace snapshots in two interchange formats:
 //
 //   - JSONL: one JSON object per event, the stable machine-readable dump
-//     of `cmd/scenario trace`. Zero-valued fields are omitted, floats are
+//     of `ctsan scenario trace`. Zero-valued fields are omitted, floats are
 //     rendered with strconv's shortest round-trip formatting, and field
 //     order is fixed — so the bytes are a pure function of the events,
 //     which is what lets the golden and differential worker-count tests

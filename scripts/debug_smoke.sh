@@ -35,9 +35,9 @@ trap cleanup EXIT
 
 # Build first so the background process is the real binary, not a
 # compile step racing the address poll below.
-go build -o /tmp/scenario-smoke ./cmd/scenario
+go build -o /tmp/ctsan-smoke ./cmd/ctsan
 
-/tmp/scenario-smoke run -debug-addr 127.0.0.1:0 \
+/tmp/ctsan-smoke scenario run -debug-addr 127.0.0.1:0 \
     -execs 300 -replicas 20000 -workers 2 -seed 1 paper-baseline \
     >/dev/null 2>"$LOG" &
 PID=$!
@@ -82,7 +82,6 @@ PID=""
 # Stage 1b: the dispatch ledger's counters on a live `ctsan run`. Eight
 # one-point shards run one at a time (-procs 1), each long enough to be
 # sampled between.
-go build -o /tmp/ctsan-smoke ./cmd/ctsan
 {
     printf '{"v":1,"name":"debug-smoke-run","points":['
     i=1
