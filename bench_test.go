@@ -141,7 +141,7 @@ func BenchmarkAblationBroadcastModel(b *testing.B) {
 			p := sanmodel.DefaultParams(3)
 			p.UnicastBroadcast = unicast
 			p.Crashed = crashed
-			res, err := sanmodel.Simulate(p, 800, 1e6, uint64(i)+1)
+			res, err := sanmodel.SimulateContext(context.Background(), p, 800, 1e6, uint64(i)+1, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -163,7 +163,7 @@ func BenchmarkAblationFDCorrelation(b *testing.B) {
 			p := sanmodel.DefaultParams(5)
 			p.FD = sanmodel.FDModel{TMR: 8, TM: 2, Kind: sanmodel.FDExponential}
 			p.FDCorrelated = correlated
-			res, err := sanmodel.Simulate(p, 500, 1e6, uint64(i)+1)
+			res, err := sanmodel.SimulateContext(context.Background(), p, 500, 1e6, uint64(i)+1, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -182,7 +182,7 @@ func BenchmarkAblationSchedulerQuantum(b *testing.B) {
 		run := func(gridProb float64) float64 {
 			params := netsim.DefaultParams(5)
 			params.GridProb = gridProb
-			res, err := experiment.RunLatency(experiment.LatencySpec{
+			res, err := experiment.RunLatencyContext(context.Background(), experiment.LatencySpec{
 				N: 5, Executions: 150, Seed: uint64(i) + 1,
 				Params: params, FDMode: experiment.FDHeartbeat, TimeoutT: 10,
 			})
@@ -216,7 +216,7 @@ func BenchmarkSANEngine(b *testing.B) {
 // emulated cluster.
 func BenchmarkClusterEmulator(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunLatency(experiment.LatencySpec{
+		if _, err := experiment.RunLatencyContext(context.Background(), experiment.LatencySpec{
 			N: 5, Executions: 1, Seed: uint64(i) + 1,
 		}); err != nil {
 			b.Fatal(err)
@@ -228,7 +228,7 @@ func BenchmarkClusterEmulator(b *testing.B) {
 // heavier: n² heartbeats flow continuously).
 func BenchmarkClusterEmulatorClass3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunLatency(experiment.LatencySpec{
+		if _, err := experiment.RunLatencyContext(context.Background(), experiment.LatencySpec{
 			N: 5, Executions: 5, Seed: uint64(i) + 1,
 			FDMode: experiment.FDHeartbeat, TimeoutT: 10,
 		}); err != nil {
@@ -240,7 +240,7 @@ func BenchmarkClusterEmulatorClass3(b *testing.B) {
 // BenchmarkCrashScenario measures a class-2 (coordinator crash) execution.
 func BenchmarkCrashScenario(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunLatency(experiment.LatencySpec{
+		if _, err := experiment.RunLatencyContext(context.Background(), experiment.LatencySpec{
 			N: 5, Executions: 1, Seed: uint64(i) + 1, Crashed: []neko.ProcessID{1},
 		}); err != nil {
 			b.Fatal(err)
@@ -252,7 +252,7 @@ func BenchmarkCrashScenario(b *testing.B) {
 // extension: chained consensus instances (#k+1 starts when #k decides).
 func BenchmarkThroughputSequentialConsensus(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunThroughput(experiment.ThroughputSpec{
+		res, err := experiment.RunThroughputContext(context.Background(), experiment.ThroughputSpec{
 			N: 5, Executions: 150, Warmup: 30, Seed: uint64(i) + 1,
 		})
 		if err != nil {
@@ -268,7 +268,7 @@ func BenchmarkThroughputSequentialConsensus(b *testing.B) {
 // failure detector.
 func BenchmarkCrashTransient(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunCrashTransient(experiment.CrashTransientSpec{
+		res, err := experiment.RunCrashTransientContext(context.Background(), experiment.CrashTransientSpec{
 			N: 5, CrashID: 1, CrashAfter: 10, Executions: 40, TimeoutT: 20, Seed: uint64(i) + 1,
 		})
 		if err != nil {

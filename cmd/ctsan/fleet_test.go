@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"ctsan/internal/server"
+	"ctsan/internal/shard"
 )
 
 // fleetHarness is a live campaign service plus helpers for driving real
@@ -40,11 +42,17 @@ func newFleetHarness(t *testing.T, cfg server.Config) *fleetHarness {
 // returns its ID.
 func (h *fleetHarness) submitFleet(t *testing.T) string {
 	t.Helper()
+	return h.submit(t, "?mode=fleet&seed=21")
+}
+
+// submit posts the test study with the given query string.
+func (h *fleetHarness) submit(t *testing.T, query string) string {
+	t.Helper()
 	spec, err := os.ReadFile(writeSpec(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(h.ts.URL+"/api/v1/studies?mode=fleet&seed=21", "application/json", bytes.NewReader(spec))
+	resp, err := http.Post(h.ts.URL+"/api/v1/studies"+query, "application/json", bytes.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,6 +266,86 @@ func TestFleetWorkerKilledMidLease(t *testing.T) {
 	}
 	if stores := h.leaseStores(t, "live"); len(stores) != 0 {
 		t.Errorf("live worker kept stores of accepted leases: %v", stores)
+	}
+}
+
+// TestPinnedWorkerFailsOnPermanentRefusal: a worker pinned to a study
+// the coordinator will never lease — a local-mode one (409) or an unknown
+// id (404) — exits 1 naming the coordinator's reason instead of retrying
+// every 500 ms until killed.
+func TestPinnedWorkerFailsOnPermanentRefusal(t *testing.T) {
+	h := newFleetHarness(t, server.Config{MaxActive: 1, QueueDepth: 8, CacheBytes: -1})
+	local := h.submit(t, "?seed=21")
+	h.stream(t, local)
+	for _, c := range []struct{ id, reason string }{
+		{local, "not fleet-dispatched"},
+		{"s999999", "unknown study"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		var out bytes.Buffer
+		var errb lockedBuffer
+		code := run(ctx, []string{"worker", "-server", h.ts.URL, "-study-id", c.id, "-name", "pinned", "-dir", t.TempDir()}, &out, &errb)
+		cancel()
+		if code != 1 || !strings.Contains(errb.String(), c.reason) || strings.Contains(errb.String(), "retrying") {
+			t.Errorf("worker pinned to %s: exit %d, want 1 naming %q without retrying; stderr:\n%s", c.id, code, c.reason, errb.String())
+		}
+	}
+}
+
+// TestWorkerDecodesTheCoordinatorsLeaseBodies drives the worker's own
+// lease and upload calls against the real handlers: each of the three
+// lease shapes — a grant, {"retry_ms":N}, {"done":true} — and the upload
+// accounting arrive intact in the shared internal/shard wire types.
+func TestWorkerDecodesTheCoordinatorsLeaseBodies(t *testing.T) {
+	h := newFleetHarness(t, server.Config{MaxActive: 1, QueueDepth: 8, CacheBytes: -1})
+	id := h.submitFleet(t)
+	for h.status(t, id).Status != "running" {
+		time.Sleep(5 * time.Millisecond)
+	}
+	ctx := context.Background()
+	w := &fleetWorker{base: h.ts.URL, name: "decoder", dir: t.TempDir(), workers: 1,
+		client: &http.Client{}, studies: map[string]*workerStudy{}, stderr: io.Discard}
+
+	points := len(testStudy().Points)
+	var grants []*shard.LeaseResponse
+	for leased := 0; leased < points; {
+		resp, err := w.lease(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Lease == "" || resp.Study != id || resp.Start != leased || resp.End <= resp.Start ||
+			resp.Points != resp.End-resp.Start || resp.TTLMS <= 0 || resp.Deadline == "" || resp.Done || resp.RetryMS != 0 {
+			t.Fatalf("grant decoded as %+v with %d points already leased", resp, leased)
+		}
+		leased = resp.End
+		grants = append(grants, resp)
+	}
+	resp, err := w.lease(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Lease != "" || resp.Done || resp.RetryMS <= 0 {
+		t.Fatalf("lease with every point leased out decoded as %+v, want a retry hint", resp)
+	}
+	for _, g := range grants {
+		if err := w.serveLease(ctx, id, &g.LeaseGrant); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if resp, err = w.lease(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Done || resp.Lease != "" || resp.RetryMS != 0 {
+		t.Fatalf("lease on the finished study decoded as %+v, want done", resp)
+	}
+	// serveLease read the upload accounting of real batches; an empty
+	// batch to the finished study pins the reply's zero counts and done.
+	up, err := w.upload(ctx, id, grants[0].Lease, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *up != (shard.CompleteReply{Done: true}) {
+		t.Fatalf("empty upload to the finished study decoded as %+v", *up)
 	}
 }
 

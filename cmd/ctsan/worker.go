@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -38,26 +39,10 @@ import (
 // mid-lease simply stops renewing, and the coordinator re-leases the
 // range at the deadline.
 
-// leaseResp is every shape the lease endpoint answers with: a grant
-// (Lease non-empty), done, or a retry hint.
-type leaseResp struct {
-	Lease   string `json:"lease"`
-	Study   string `json:"study"`
-	Start   int    `json:"start"`
-	End     int    `json:"end"`
-	Points  int    `json:"points"`
-	TTLMS   int64  `json:"ttl_ms"`
-	Done    bool   `json:"done"`
-	RetryMS int64  `json:"retry_ms"`
-}
-
-// uploadResp is the complete endpoint's accounting.
-type uploadResp struct {
-	Accepted  int  `json:"accepted"`
-	Rejected  int  `json:"rejected"`
-	Duplicate int  `json:"duplicate"`
-	Done      bool `json:"done"`
-}
+// errLeaseRefused marks a lease request the coordinator will never
+// grant — the study is unknown (404) or not fleet-dispatched (409) — so
+// asking again cannot change the answer.
+var errLeaseRefused = errors.New("lease refused")
 
 // studyStatus is the subset of the service's status JSON the worker
 // needs to freeze the identical grid.
@@ -138,7 +123,8 @@ func (w *fleetWorker) logf(format string, args ...any) {
 // loop is the worker's life: find a fleet study, lease, execute, upload,
 // repeat. Transient failures (coordinator restarting, upload refused)
 // are logged and retried after a beat — the lease ledger guarantees
-// nothing is lost either way.
+// nothing is lost either way. A refused lease is permanent: the pinned
+// worker fails with it, a discovering one drops the study and looks again.
 func (w *fleetWorker) loop(ctx context.Context, pinned string, idleExit time.Duration) error {
 	var idleSince time.Time
 	for ctx.Err() == nil {
@@ -164,6 +150,12 @@ func (w *fleetWorker) loop(ctx context.Context, pinned string, idleExit time.Dur
 			if ctx.Err() != nil {
 				break
 			}
+			if errors.Is(err, errLeaseRefused) {
+				if pinned != "" {
+					return err
+				}
+				delete(w.studies, id)
+			}
 			w.logf("%s: lease request for %s failed (%v), retrying", w.name, id, err)
 			sleepCtx(ctx, 500*time.Millisecond)
 			continue
@@ -179,7 +171,7 @@ func (w *fleetWorker) loop(ctx context.Context, pinned string, idleExit time.Dur
 		case resp.Lease == "":
 			sleepCtx(ctx, time.Duration(max(resp.RetryMS, 50))*time.Millisecond)
 		default:
-			if err := w.serveLease(ctx, id, resp); err != nil && ctx.Err() == nil {
+			if err := w.serveLease(ctx, id, &resp.LeaseGrant); err != nil && ctx.Err() == nil {
 				w.logf("%s: lease %s %d:%d failed (%v)", w.name, resp.Lease, resp.Start, resp.End, err)
 				sleepCtx(ctx, 500*time.Millisecond)
 			}
@@ -245,7 +237,7 @@ func (w *fleetWorker) study(id string) (*workerStudy, error) {
 }
 
 // lease requests the next range for study id.
-func (w *fleetWorker) lease(ctx context.Context, id string) (*leaseResp, error) {
+func (w *fleetWorker) lease(ctx context.Context, id string) (*shard.LeaseResponse, error) {
 	u := w.base + "/api/v1/studies/" + id + "/lease?worker=" + url.QueryEscape(w.name)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
 	if err != nil {
@@ -257,9 +249,13 @@ func (w *fleetWorker) lease(ctx context.Context, id string) (*leaseResp, error) 
 	}
 	defer res.Body.Close()
 	if res.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("lease: %s", res.Status)
+		body, _ := io.ReadAll(io.LimitReader(res.Body, 512))
+		if res.StatusCode == http.StatusNotFound || res.StatusCode == http.StatusConflict {
+			return nil, fmt.Errorf("%w: %s: %s", errLeaseRefused, res.Status, bytes.TrimSpace(body))
+		}
+		return nil, fmt.Errorf("lease: %s: %s", res.Status, bytes.TrimSpace(body))
 	}
-	var out leaseResp
+	var out shard.LeaseResponse
 	if err := json.NewDecoder(res.Body).Decode(&out); err != nil {
 		return nil, err
 	}
@@ -269,7 +265,7 @@ func (w *fleetWorker) lease(ctx context.Context, id string) (*leaseResp, error) 
 // serveLease executes one granted range and uploads its records: the
 // worker's unit of work. Per-lease logs mirror the shard supervisor's
 // format ("lease <id> <range>: starting (N points)" / "complete").
-func (w *fleetWorker) serveLease(ctx context.Context, id string, grant *leaseResp) error {
+func (w *fleetWorker) serveLease(ctx context.Context, id string, grant *shard.LeaseGrant) error {
 	ws, err := w.study(id)
 	if err != nil {
 		return err
@@ -360,7 +356,7 @@ func (w *fleetWorker) renew(ctx context.Context, id, lease string) bool {
 }
 
 // upload posts the lease's records as one gzip-compressed JSONL batch.
-func (w *fleetWorker) upload(ctx context.Context, id, lease string, records [][]byte) (*uploadResp, error) {
+func (w *fleetWorker) upload(ctx context.Context, id, lease string, records [][]byte) (*shard.CompleteReply, error) {
 	var buf bytes.Buffer
 	gz := gzip.NewWriter(&buf)
 	for _, rec := range records {
@@ -386,7 +382,7 @@ func (w *fleetWorker) upload(ctx context.Context, id, lease string, records [][]
 		body, _ := io.ReadAll(io.LimitReader(res.Body, 512))
 		return nil, fmt.Errorf("upload: %s: %s", res.Status, bytes.TrimSpace(body))
 	}
-	var out uploadResp
+	var out shard.CompleteReply
 	if err := json.NewDecoder(res.Body).Decode(&out); err != nil {
 		return nil, err
 	}

@@ -86,8 +86,8 @@
 // split and however often an executor died (determinism rule 5 in
 // PERFORMANCE.md). The property is pinned by differential tests, a
 // model-checked state-machine test of the ledger, and fuzzed wire
-// formats (the versioned metrics.Digest binary/JSON encodings, study
-// specs, shard records, and checkpoint framing).
+// formats (the versioned metrics.Digest binary encoding, study specs,
+// shard records, and checkpoint framing).
 //
 // `ctsan run -shards N` (cmd/ctsan) drives the ledger in-process: its
 // slots run each lease as an isolated `ctsan shard` subprocess, with

@@ -61,11 +61,6 @@ type Decision struct {
 
 // Options tune protocol variants.
 type Options struct {
-	// RelayDecide re-broadcasts the decision upon first reception,
-	// implementing reliable broadcast (needed if the decider may crash
-	// mid-broadcast). Default off: the paper's scenarios have no crashes
-	// after t_0, and the latency measure stops at the first decision.
-	RelayDecide bool
 	// MaxRounds aborts an instance after this many rounds (0 = unlimited).
 	// Campaigns with very bad failure-detector QoS use it as a safety
 	// valve; aborted instances are reported, never silently dropped.
@@ -88,8 +83,12 @@ type Engine struct {
 	// cannot alias a recycled record.
 	lastIn *Instance
 	// pending buffers messages for instances not yet started locally
-	// (start-time skew between hosts, §4).
-	pending map[uint64][]neko.Message
+	// (start-time skew between hosts, §4). forgotten is one past the
+	// highest id Forget has seen: ids run upward, so a message for a
+	// lower, non-active id is a straggler of a finished instance and is
+	// dropped rather than parked here until Reset.
+	pending   map[uint64][]neko.Message
+	forgotten uint64
 	// instFree and bufFree recycle finished instances and drained pending
 	// buffers: sequential campaigns run thousands of instances per
 	// process, and rebuilding the per-instance maps for each was a top
@@ -191,8 +190,11 @@ func (e *Engine) recycleBuf(buf []neko.Message) {
 
 // Forget discards a finished instance's state (sequential campaigns would
 // otherwise accumulate per-instance buffers). The instance record and its
-// buffers return to the engine's free lists for the next Propose.
+// buffers return to the engine's free lists for the next Propose. Callers
+// number instances upward: messages that still arrive for cid, or for any
+// lower id that is not active, are dropped from here on.
 func (e *Engine) Forget(cid uint64) {
+	e.forgotten = max(e.forgotten, cid+1)
 	if in, ok := e.active[cid]; ok {
 		delete(e.active, cid)
 		if e.lastIn == in {
@@ -213,6 +215,7 @@ func (e *Engine) Forget(cid uint64) {
 // does not interact with timers or in-flight messages.
 func (e *Engine) Reset() {
 	e.lastIn = nil
+	e.forgotten = 0
 	for cid, in := range e.active {
 		delete(e.active, cid)
 		in.recycle()
@@ -225,8 +228,9 @@ func (e *Engine) Reset() {
 	e.tr = nil
 }
 
-// route dispatches a ct.* message to its instance, or buffers it if the
-// instance has not started locally yet.
+// route dispatches a ct.* message to its instance, buffers it if the
+// instance has not started locally yet, and drops it if the instance is
+// already forgotten.
 func (e *Engine) route(m *neko.Message) {
 	// Every ct.* payload variant carries the instance id in the same union
 	// field — the pre-union type switch devirtualized away.
@@ -238,6 +242,9 @@ func (e *Engine) route(m *neko.Message) {
 	if in, ok := e.active[cid]; ok {
 		e.lastIn = in
 		in.handle(m)
+		return
+	}
+	if cid < e.forgotten {
 		return
 	}
 	// Bound the pending buffer: a malformed flood must not exhaust memory.
@@ -439,7 +446,7 @@ func (in *Instance) handle(m *neko.Message) {
 	case neko.PayloadAck:
 		in.handleAck(p.Round, p.OK)
 	case neko.PayloadDecide:
-		in.deliverDecision(p.Val, 0, true)
+		in.deliverDecision(p.Val, 0)
 	}
 }
 
@@ -601,7 +608,7 @@ func (in *Instance) maybeConclude(r int) {
 			Type:    MsgDecide,
 			Payload: neko.Payload{Kind: neko.PayloadDecide, Cid: in.cid, Val: in.est},
 		})
-		in.deliverDecision(in.est, r, false)
+		in.deliverDecision(in.est, r)
 		return
 	}
 	// At least one negative acknowledgment: the round failed. The
@@ -612,11 +619,11 @@ func (in *Instance) maybeConclude(r int) {
 	}
 }
 
-// deliverDecision finalizes the instance. relayed marks decisions learned
-// from the decide broadcast rather than concluded locally; round 0 means
-// "the local current round" (the wire Decide payload stays minimal — the
+// deliverDecision finalizes the instance. Round 0 — a decision learned
+// from the decide broadcast rather than concluded locally — means "the
+// local current round" (the wire Decide payload stays minimal — the
 // paper's messages are ~100 bytes, §2.5).
-func (in *Instance) deliverDecision(val int64, round int, relayed bool) {
+func (in *Instance) deliverDecision(val int64, round int) {
 	if in.decided || in.aborted {
 		return
 	}
@@ -627,12 +634,6 @@ func (in *Instance) deliverDecision(val int64, round int, relayed bool) {
 	in.decision = Decision{Cid: in.cid, Val: val, At: in.e.ctx.Now(), Round: round}
 	if tr := in.e.tr; tr != nil {
 		tr.Emit(trace.Event{T: in.e.ctx.Now(), P: int32(in.e.ctx.ID()), Kind: trace.KindDecide, A: int64(in.cid), B: int64(round), X: float64(val)})
-	}
-	if relayed && in.e.opts.RelayDecide {
-		neko.Broadcast(in.e.ctx, neko.Message{
-			Type:    MsgDecide,
-			Payload: neko.Payload{Kind: neko.PayloadDecide, Cid: in.cid, Val: val},
-		})
 	}
 	if in.onDecide != nil {
 		in.onDecide(in.decision)

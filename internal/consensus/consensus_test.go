@@ -255,6 +255,43 @@ func TestSequentialInstances(t *testing.T) {
 	}
 }
 
+// TestRouteDropsLateBuffersEarly pins route's two slow paths: a straggler
+// for an instance the engine has forgotten is dropped (it used to be
+// parked in pending until Reset — one buffer per finished instance), and
+// a message for an instance not started here yet is buffered and
+// replayed by Propose.
+func TestRouteDropsLateBuffersEarly(t *testing.T) {
+	h := newHarness(t, quietParams(3), Options{}, nil)
+	e := h.engines[2]
+	e.Propose(0, 2, nil, nil)
+	e.Forget(0)
+
+	late := neko.Message{From: 3, To: 2, Type: MsgAck, Payload: neko.Payload{Kind: neko.PayloadAck, Cid: 0, Round: 1, OK: true}}
+	e.route(&late)
+	if len(e.pending) != 0 {
+		t.Fatalf("late ack for forgotten instance 0 was buffered: %v", e.pending)
+	}
+
+	early := neko.Message{From: 1, To: 2, Type: MsgDecide, Payload: neko.Payload{Kind: neko.PayloadDecide, Cid: 1, Val: 77}}
+	e.route(&early)
+	if len(e.pending[1]) != 1 {
+		t.Fatalf("early decide for instance 1 not buffered: %v", e.pending)
+	}
+	var got Decision
+	e.Propose(1, 5, func(d Decision) { got = d }, nil)
+	if got.Val != 77 || len(e.pending) != 0 {
+		t.Fatalf("early decide not replayed by Propose: decision %+v, pending %v", got, e.pending)
+	}
+
+	// Reset starts a new campaign replica: ids begin again from 0, so
+	// instance 0 is a future instance once more.
+	e.Reset()
+	e.route(&late)
+	if len(e.pending[0]) != 1 {
+		t.Fatalf("after Reset a message for instance 0 must be buffered: %v", e.pending)
+	}
+}
+
 func TestDuplicateProposePanics(t *testing.T) {
 	h := newHarness(t, quietParams(3), Options{}, nil)
 	defer func() {

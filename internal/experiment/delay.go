@@ -11,16 +11,18 @@ import (
 
 // DelaySpec configures an end-to-end delay measurement (§5.1, Fig. 6): a
 // sender transmits Count probe messages — unicast to process 2, or
-// broadcast to all — spaced by Spacing ms, and the delay from the Send
-// call to delivery at each destination is recorded.
+// broadcast to all — one per probeGap, on the default cluster for N, and
+// the delay from the Send call to delivery at each destination is
+// recorded.
 type DelaySpec struct {
 	N         int
 	Broadcast bool
 	Count     int
-	Spacing   float64 // ms between probes; 0 = 1.0
-	Params    netsim.Params
 	Seed      uint64
 }
+
+// probeGap is the time between probes, ms.
+const probeGap = 1.0
 
 // probeProto emits the probes.
 type probeProto struct {
@@ -52,20 +54,15 @@ func (p *probeProto) emit() {
 	} else {
 		p.ctx.Send(neko.Message{To: 2, Type: msgProbe, Payload: pl})
 	}
-	p.ctx.SetTimer(p.spec.Spacing, p.emit)
+	p.ctx.SetTimer(probeGap, p.emit)
 }
 
-// MeasureDelays runs the probe experiment and returns one delay sample per
-// probe: for unicast, the end-to-end delay; for broadcast, the delay
-// "averaged over the destinations" as in Fig. 6.
-func MeasureDelays(spec DelaySpec) ([]float64, error) {
-	return MeasureDelaysContext(context.Background(), spec)
-}
-
-// MeasureDelaysContext is MeasureDelays with an entry cancellation check:
-// one probe campaign is a single uninterruptible DES run (seconds at
-// paper fidelity), so ctx gates whether it starts; fan-outs over several
-// campaigns cancel between them.
+// MeasureDelaysContext runs the probe experiment and returns one delay
+// sample per probe: for unicast, the end-to-end delay; for broadcast, the
+// delay "averaged over the destinations" as in Fig. 6. One probe campaign
+// is a single uninterruptible DES run (seconds at paper fidelity), so ctx
+// gates whether it starts; fan-outs over several campaigns cancel between
+// them.
 func MeasureDelaysContext(ctx context.Context, spec DelaySpec) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -76,17 +73,10 @@ func MeasureDelaysContext(ctx context.Context, spec DelaySpec) ([]float64, error
 	if spec.Count < 1 {
 		return nil, fmt.Errorf("experiment: delay measurement needs at least 1 probe")
 	}
-	if spec.Spacing == 0 {
-		spec.Spacing = 1.0
-	}
-	if spec.Params.N == 0 {
-		spec.Params = netsim.DefaultParams(spec.N)
-	}
-	spec.Params.N = spec.N
 	// Timer lateness would contaminate the probe spacing, not the per-probe
 	// delay; keep the cluster defaults so contention is realistic.
 	root := rng.New(spec.Seed ^ 0xde1a7)
-	cluster, err := netsim.New(spec.Params, root.Child(1))
+	cluster, err := netsim.New(netsim.DefaultParams(spec.N), root.Child(1))
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +112,7 @@ func MeasureDelaysContext(ctx context.Context, spec DelaySpec) ([]float64, error
 	cluster.Start()
 	// The probe timer chain suffers scheduler lateness (grid deferrals can
 	// add several ms per wake-up); budget generously so every probe fires.
-	deadline := float64(spec.Count)*(spec.Spacing+8) + 100
+	deadline := float64(spec.Count)*(probeGap+8) + 100
 	cluster.RunUntil(deadline)
 
 	want := 1

@@ -78,8 +78,7 @@ type LatencyResult struct {
 	Aborted int     // executions where no process decided (MaxRounds/deadline)
 	Texp    float64 // total experiment duration (global ms), QoS denominator
 	QoS     fd.QoS  // valid for FDHeartbeat campaigns
-	History *fd.History
-	Events  uint64 // DES events executed (cost metric)
+	Events  uint64  // DES events executed (cost metric)
 }
 
 // ECDF returns the empirical CDF of the latencies: exact (built from
@@ -164,14 +163,9 @@ func (s LatencySpec) plan() (Shape, Plan, error) {
 	}, nil
 }
 
-// RunLatency executes a latency campaign and returns its results.
-func RunLatency(spec LatencySpec) (*LatencyResult, error) {
-	return RunLatencyContext(context.Background(), spec)
-}
-
-// RunLatencyContext is RunLatency with cooperative cancellation: ctx is
-// checked between consensus executions, so a canceled campaign stops at
-// the next execution boundary and returns ctx.Err().
+// RunLatencyContext executes a latency campaign and returns its results.
+// ctx is checked between consensus executions, so a canceled campaign
+// stops at the next execution boundary and returns ctx.Err().
 func RunLatencyContext(ctx context.Context, spec LatencySpec) (*LatencyResult, error) {
 	shape, plan, err := spec.plan()
 	if err != nil {
@@ -196,7 +190,6 @@ func runLatency(ctx context.Context, h *Harness, plan Plan) (*LatencyResult, err
 		Aborted: out.Aborted,
 		Texp:    out.Texp,
 		QoS:     out.QoS,
-		History: plan.History,
 		Events:  out.Events,
 	}, nil
 }

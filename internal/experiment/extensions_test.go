@@ -10,22 +10,22 @@ import (
 )
 
 func TestThroughputValidation(t *testing.T) {
-	if _, err := RunThroughput(ThroughputSpec{N: 1, Executions: 10}); err == nil {
+	if _, err := RunThroughputContext(context.Background(), ThroughputSpec{N: 1, Executions: 10}); err == nil {
 		t.Error("n=1 accepted")
 	}
-	if _, err := RunThroughput(ThroughputSpec{N: 3, Executions: 0}); err == nil {
+	if _, err := RunThroughputContext(context.Background(), ThroughputSpec{N: 3, Executions: 0}); err == nil {
 		t.Error("0 executions accepted")
 	}
-	if _, err := RunThroughput(ThroughputSpec{N: 3, Executions: 5, Warmup: 5}); err == nil {
+	if _, err := RunThroughputContext(context.Background(), ThroughputSpec{N: 3, Executions: 5, Warmup: 5}); err == nil {
 		t.Error("warmup >= executions accepted")
 	}
-	if _, err := RunThroughput(ThroughputSpec{N: 3, Executions: 5, FDMode: FDHeartbeat}); err == nil {
+	if _, err := RunThroughputContext(context.Background(), ThroughputSpec{N: 3, Executions: 5, FDMode: FDHeartbeat}); err == nil {
 		t.Error("heartbeat mode without timeout accepted")
 	}
 }
 
 func TestThroughputChainedInstances(t *testing.T) {
-	res, err := RunThroughput(ThroughputSpec{N: 3, Executions: 120, Warmup: 20, Seed: 3})
+	res, err := RunThroughputContext(context.Background(), ThroughputSpec{N: 3, Executions: 120, Warmup: 20, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,11 @@ func TestThroughputResourceBound(t *testing.T) {
 	// decision latency, which ignores trailing acks and decides. The gap
 	// therefore sits above the isolated latency but far below the 10 ms
 	// isolation gap of the latency campaigns.
-	lat, err := RunLatency(LatencySpec{N: 5, Executions: 200, Seed: 4})
+	lat, err := RunLatencyContext(context.Background(), LatencySpec{N: 5, Executions: 200, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	thr, err := RunThroughput(ThroughputSpec{N: 5, Executions: 200, Warmup: 40, Seed: 4})
+	thr, err := RunThroughputContext(context.Background(), ThroughputSpec{N: 5, Executions: 200, Warmup: 40, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestThroughputResourceBound(t *testing.T) {
 }
 
 func TestThroughputWithCrash(t *testing.T) {
-	res, err := RunThroughput(ThroughputSpec{
+	res, err := RunThroughputContext(context.Background(), ThroughputSpec{
 		N: 5, Executions: 80, Warmup: 10, Seed: 5,
 		Crashed: []neko.ProcessID{2},
 	})
@@ -87,7 +87,7 @@ func TestThroughputWithCrash(t *testing.T) {
 }
 
 func TestCrashTransient(t *testing.T) {
-	res, err := RunCrashTransient(CrashTransientSpec{
+	res, err := RunCrashTransientContext(context.Background(), CrashTransientSpec{
 		N: 5, CrashID: 1, CrashAfter: 10, Executions: 40, TimeoutT: 20, Seed: 6,
 	})
 	if err != nil {
@@ -133,10 +133,10 @@ func TestExtensionsCancellation(t *testing.T) {
 }
 
 func TestCrashTransientValidation(t *testing.T) {
-	if _, err := RunCrashTransient(CrashTransientSpec{N: 3, CrashID: 1, CrashAfter: 10, Executions: 5, TimeoutT: 10}); err == nil {
+	if _, err := RunCrashTransientContext(context.Background(), CrashTransientSpec{N: 3, CrashID: 1, CrashAfter: 10, Executions: 5, TimeoutT: 10}); err == nil {
 		t.Error("crash point beyond campaign accepted")
 	}
-	if _, err := RunCrashTransient(CrashTransientSpec{N: 3, CrashID: 9, CrashAfter: 1, Executions: 5, TimeoutT: 10}); err == nil {
+	if _, err := RunCrashTransientContext(context.Background(), CrashTransientSpec{N: 3, CrashID: 9, CrashAfter: 1, Executions: 5, TimeoutT: 10}); err == nil {
 		t.Error("bad crash id accepted")
 	}
 }

@@ -74,10 +74,13 @@ func (f Fidelity) Scale(k float64) Fidelity {
 }
 
 // Fits bundles the §5.1 parameter-estimation products: the bi-modal fits
-// of measured end-to-end delays used to configure the SAN model.
+// of measured end-to-end delays used to configure the SAN model, and the
+// delay samples they were fitted from (Fig. 6 plots those).
 type Fits struct {
-	Unicast   fit.Bimodal
-	Broadcast map[int]fit.Bimodal // per n
+	Unicast         fit.Bimodal
+	Broadcast       map[int]fit.Bimodal // per n
+	UnicastDelays   []float64
+	BroadcastDelays map[int][]float64 // per n
 }
 
 // MeasureFits reproduces §5.1: measure unicast and broadcast end-to-end
@@ -86,8 +89,9 @@ type Fits struct {
 // concurrently under f.Workers.
 func MeasureFits(ctx context.Context, f Fidelity, seed uint64, ns []int) (*Fits, error) {
 	type fitOut struct {
-		n int
-		b fit.Bimodal
+		n       int
+		b       fit.Bimodal
+		samples []float64
 	}
 	// Index 0 is the unicast campaign; 1..len(ns) the broadcast ones.
 	fits, err := parallel.Map(ctx, f.Workers, len(ns)+1, func(_, i int) (fitOut, error) {
@@ -97,7 +101,7 @@ func MeasureFits(ctx context.Context, f Fidelity, seed uint64, ns []int) (*Fits,
 			n = ns[i-1]
 			spec = DelaySpec{N: n, Count: f.DelayProbes, Broadcast: true, Seed: seed + uint64(n)}
 		}
-		samples, err := MeasureDelays(spec)
+		samples, err := MeasureDelaysContext(ctx, spec)
 		if err != nil {
 			return fitOut{}, err
 		}
@@ -105,14 +109,20 @@ func MeasureFits(ctx context.Context, f Fidelity, seed uint64, ns []int) (*Fits,
 		if err != nil {
 			return fitOut{}, err
 		}
-		return fitOut{n: n, b: b}, nil
+		return fitOut{n: n, b: b, samples: samples}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &Fits{Unicast: fits[0].b, Broadcast: make(map[int]fit.Bimodal)}
+	out := &Fits{
+		Unicast:         fits[0].b,
+		Broadcast:       make(map[int]fit.Bimodal),
+		UnicastDelays:   fits[0].samples,
+		BroadcastDelays: make(map[int][]float64),
+	}
 	for _, fo := range fits[1:] {
 		out.Broadcast[fo.n] = fo.b
+		out.BroadcastDelays[fo.n] = fo.samples
 	}
 	return out, nil
 }
@@ -144,11 +154,8 @@ func cdfSeries(label string, e *stats.ECDF, hi float64, steps int) Series {
 // Fig6 reproduces Fig. 6: the cumulative distribution of the end-to-end
 // delay of unicast and broadcast messages, and reports the bi-modal fits.
 func Fig6(ctx context.Context, f Fidelity, seed uint64) (*Figure, *Fits, error) {
-	fits, err := MeasureFits(ctx, f, seed, []int{3, 5})
-	if err != nil {
-		return nil, nil, err
-	}
-	uni, err := MeasureDelaysContext(ctx, DelaySpec{N: 3, Count: f.DelayProbes, Seed: seed})
+	bns := []int{3, 5}
+	fits, err := MeasureFits(ctx, f, seed, bns)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -161,17 +168,9 @@ func Fig6(ctx context.Context, f Fidelity, seed uint64) (*Figure, *Fits, error) 
 			fmt.Sprintf("unicast bi-modal fit: %s (paper: U[0.1,0.13] w.p. 0.80 + U[0.145,0.35] w.p. 0.20)", fits.Unicast),
 		},
 	}
-	fig.Series = append(fig.Series, cdfSeries("unicast", stats.NewECDF(uni), 0.6, f.CDFGridSteps))
-	bns := []int{3, 5}
-	bcs, err := parallel.Map(ctx, f.Workers, len(bns), func(_, i int) ([]float64, error) {
-		n := bns[i]
-		return MeasureDelaysContext(ctx, DelaySpec{N: n, Count: f.DelayProbes, Broadcast: true, Seed: seed + uint64(n)})
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for i, n := range bns {
-		fig.Series = append(fig.Series, cdfSeries(fmt.Sprintf("broadcast to %d", n), stats.NewECDF(bcs[i]), 0.6, f.CDFGridSteps))
+	fig.Series = append(fig.Series, cdfSeries("unicast", stats.NewECDF(fits.UnicastDelays), 0.6, f.CDFGridSteps))
+	for _, n := range bns {
+		fig.Series = append(fig.Series, cdfSeries(fmt.Sprintf("broadcast to %d", n), stats.NewECDF(fits.BroadcastDelays[n]), 0.6, f.CDFGridSteps))
 		fig.Notes = append(fig.Notes, fmt.Sprintf("broadcast-to-%d fit: %s", n, fits.Broadcast[n]))
 	}
 	return fig, fits, nil

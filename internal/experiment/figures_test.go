@@ -3,8 +3,13 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"expvar"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+
+	"ctsan/internal/stats"
 )
 
 // tinyFidelity keeps figure tests fast.
@@ -42,6 +47,35 @@ func TestFig6(t *testing.T) {
 	fig.Fprint(&buf)
 	if !strings.Contains(buf.String(), "FIG6") {
 		t.Error("rendered figure missing ID")
+	}
+}
+
+// TestFig6PlotsTheFittedSamples: Fig. 6 measures each delay campaign
+// once. Its curves are the ECDFs of the very samples the bi-modal fits
+// were estimated from (it used to re-run all three probe campaigns with
+// the same spec and seed to plot them), and the pool's own telemetry
+// shows three work units — one per probe campaign — not more.
+func TestFig6PlotsTheFittedSamples(t *testing.T) {
+	f := tinyFidelity()
+	units := func() int64 {
+		n, _ := strconv.ParseInt(expvar.Get("ctsan.work_units_completed").String(), 10, 64)
+		return n
+	}
+	before := units()
+	fig, fits, err := Fig6(context.Background(), f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := units() - before; got != 3 {
+		t.Errorf("Fig6 ran %d pool work units, want 3 (unicast + 2 broadcast probe campaigns)", got)
+	}
+	want := []Series{
+		cdfSeries("unicast", stats.NewECDF(fits.UnicastDelays), 0.6, f.CDFGridSteps),
+		cdfSeries("broadcast to 3", stats.NewECDF(fits.BroadcastDelays[3]), 0.6, f.CDFGridSteps),
+		cdfSeries("broadcast to 5", stats.NewECDF(fits.BroadcastDelays[5]), 0.6, f.CDFGridSteps),
+	}
+	if len(fits.UnicastDelays) == 0 || !reflect.DeepEqual(fig.Series, want) {
+		t.Errorf("Fig6 series are not the ECDFs of the fitted samples:\n got %+v\nwant %+v", fig.Series, want)
 	}
 }
 

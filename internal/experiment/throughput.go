@@ -45,13 +45,6 @@ type ThroughputResult struct {
 	Events        uint64
 }
 
-// RunThroughput chains consensus executions back to back on each process
-// under a background context, kept for call sites that have no context
-// to thread.
-func RunThroughput(spec ThroughputSpec) (*ThroughputResult, error) {
-	return RunThroughputContext(context.Background(), spec)
-}
-
 // RunThroughputContext chains consensus executions back to back on each
 // process: process p proposes instance k+1 the moment it finishes
 // instance k. This pipelines rounds across instances (unlike the

@@ -39,12 +39,6 @@ type CrashTransientResult struct {
 	SteadyBefore, PeakDuring, SteadyAfter float64
 }
 
-// RunCrashTransient executes the campaign with a background context,
-// kept for call sites that have no context to thread.
-func RunCrashTransient(spec CrashTransientSpec) (*CrashTransientResult, error) {
-	return RunCrashTransientContext(context.Background(), spec)
-}
-
 // RunCrashTransientContext executes the campaign. The crash is injected
 // just before execution CrashAfter starts, so that execution runs
 // against a crashed-but-not-yet-suspected coordinator — the worst case
@@ -97,11 +91,10 @@ func RunCrashTransientContext(ctx context.Context, spec CrashTransientSpec) (*Cr
 		res.Latency[i] = math.NaN()
 	}
 	plan.Trace = func(k int, lat float64) { res.Latency[k] = lat }
-	run, err := runLatency(ctx, h, plan)
-	if err != nil {
+	if _, err := h.Run(ctx, plan); err != nil {
 		return nil, err
 	}
-	tds := fd.DetectionTimes(run.History, spec.CrashID, crashLocal, spec.N)
+	tds := fd.DetectionTimes(plan.History, spec.CrashID, crashLocal, spec.N)
 	sum, cnt := 0.0, 0
 	for p, td := range tds {
 		if p == spec.CrashID || math.IsInf(td, 1) {

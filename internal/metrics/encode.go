@@ -4,19 +4,16 @@ package metrics
 // records, internal/checkpoint) must move digests across process
 // boundaries without losing the repository's bit-identical determinism
 // guarantee, so serialization is exact: every float64 travels as its
-// IEEE-754 bit pattern (binary) or its shortest round-trip decimal
-// (JSON, which Go's strconv guarantees parses back to the same bits),
-// and the exact buffer keeps its insertion order. A digest restored from
-// either encoding is indistinguishable from the original — Merge, Add,
-// Quantile, and a re-serialization all produce identical bits — which
-// property tests in encode_test.go pin.
+// IEEE-754 bit pattern and the exact buffer keeps its insertion order. A
+// digest restored from the encoding is indistinguishable from the
+// original — Merge, Add, Quantile, and a re-serialization all produce
+// identical bits — which property tests in encode_test.go pin.
 //
-// Both encodings are versioned. Version bumps are deliberate breaks:
+// The encoding is versioned. Version bumps are deliberate breaks:
 // decoding rejects unknown versions instead of guessing.
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -27,8 +24,7 @@ import (
 // digest at all" before any length is trusted.
 const digestMagic = "CTDG"
 
-// DigestWireVersion is the current serialization version, shared by the
-// binary and JSON encodings.
+// DigestWireVersion is the current serialization version.
 const DigestWireVersion = 1
 
 // MarshalBinary encodes the digest's complete state — configured cap,
@@ -183,89 +179,6 @@ func (d *Digest) UnmarshalBinary(data []byte) error {
 	d.exact = exact
 	d.sk = sk
 	return nil
-}
-
-// digestJSON is the JSON shape of a digest: the same state as the binary
-// layout, human-readable. Floats rely on Go's shortest-round-trip
-// encoding, so JSON round-trips are bit-exact too.
-type digestJSON struct {
-	V        int       `json:"v"`
-	ExactCap int       `json:"exact_cap,omitempty"`
-	N        int       `json:"n"`
-	Mean     float64   `json:"mean"`
-	M2       float64   `json:"m2"`
-	Min      float64   `json:"min"`
-	Max      float64   `json:"max"`
-	Exact    []float64 `json:"exact,omitempty"`
-	Sketch   *struct {
-		LevelCap    int         `json:"level_cap"`
-		Compactions []uint64    `json:"compactions"`
-		Levels      [][]float64 `json:"levels"`
-	} `json:"sketch,omitempty"`
-}
-
-// MarshalJSON implements json.Marshaler with the digestJSON schema.
-func (d *Digest) MarshalJSON() ([]byte, error) {
-	n, mean, m2, mn, mx := d.acc.State()
-	out := digestJSON{
-		V:        DigestWireVersion,
-		ExactCap: d.exactCap,
-		N:        n,
-		Mean:     mean,
-		M2:       m2,
-		Min:      mn,
-		Max:      mx,
-		Exact:    d.exact,
-	}
-	if d.sk != nil {
-		out.Sketch = &struct {
-			LevelCap    int         `json:"level_cap"`
-			Compactions []uint64    `json:"compactions"`
-			Levels      [][]float64 `json:"levels"`
-		}{LevelCap: d.sk.levelCap, Compactions: d.sk.compactions, Levels: d.sk.levels}
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON implements json.Unmarshaler. It applies the same
-// structural validation as UnmarshalBinary, by funneling the decoded
-// state through the binary encoder: one validator, two formats.
-func (d *Digest) UnmarshalJSON(data []byte) error {
-	var in digestJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("metrics: digest JSON: %w", err)
-	}
-	if in.V != DigestWireVersion {
-		return fmt.Errorf("metrics: unsupported digest wire version %d", in.V)
-	}
-	tmp := Digest{exactCap: in.ExactCap, exact: in.Exact}
-	if in.ExactCap < 0 || in.N < 0 {
-		return fmt.Errorf("metrics: negative digest counts")
-	}
-	acc, err := stats.AccumulatorFromState(in.N, in.Mean, in.M2, in.Min, in.Max)
-	if err != nil {
-		return err
-	}
-	tmp.acc = acc
-	if in.Sketch != nil {
-		if len(in.Sketch.Compactions) != len(in.Sketch.Levels) {
-			return fmt.Errorf("metrics: sketch with %d compaction counters for %d levels",
-				len(in.Sketch.Compactions), len(in.Sketch.Levels))
-		}
-		tmp.sk = &sketch{
-			levelCap:    in.Sketch.LevelCap,
-			levels:      in.Sketch.Levels,
-			compactions: in.Sketch.Compactions,
-		}
-		if tmp.sk.levelCap < 2 {
-			return fmt.Errorf("metrics: implausible sketch level cap %d", tmp.sk.levelCap)
-		}
-	}
-	bin, err := tmp.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	return d.UnmarshalBinary(bin)
 }
 
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }

@@ -12,10 +12,7 @@
 // continuous simulated clock; real-time executors convert at the boundary.
 package neko
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ProcessID identifies a process, 1-based as in the paper (p_1 … p_n).
 type ProcessID int
@@ -171,9 +168,9 @@ func (s *Stack) Handle(msgType string, h func(Message)) {
 // HandleKind registers a handler for messages of one payload kind, and —
 // under msgType — for the string-dispatch path as well (transports and
 // tests that look messages up by type see the same handler). Hot
-// executors dispatch on the kind array; the map entry keeps HandledTypes
-// and string-keyed delivery coherent. Duplicate registration of either
-// the kind or the type panics.
+// executors dispatch on the kind array; the map entry keeps string-keyed
+// delivery coherent. Duplicate registration of either the kind or the
+// type panics.
 func (s *Stack) HandleKind(k PayloadKind, msgType string, h func(*Message)) {
 	if k == PayloadNone || k >= numPayloadKinds {
 		panic(fmt.Sprintf("neko: HandleKind with invalid payload kind %d", k))
@@ -217,16 +214,6 @@ func (s *Stack) Dispatch(m *Message) {
 	if h, ok := s.handlers[m.Type]; ok {
 		h(*m)
 	}
-}
-
-// HandledTypes returns the registered message types, sorted (for tests).
-func (s *Stack) HandledTypes() []string {
-	ts := make([]string, 0, len(s.handlers))
-	for t := range s.handlers {
-		ts = append(ts, t)
-	}
-	sort.Strings(ts)
-	return ts
 }
 
 // Broadcast sends m to every process except the sender, as n−1 unicast

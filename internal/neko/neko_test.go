@@ -98,15 +98,6 @@ type layerFunc func()
 
 func (f layerFunc) Start() { f() }
 
-func TestHandledTypes(t *testing.T) {
-	s := NewStack(&fakeContext{id: 1, n: 2})
-	s.Handle("z", func(Message) {})
-	s.Handle("a", func(Message) {})
-	if got := s.HandledTypes(); !reflect.DeepEqual(got, []string{"a", "z"}) {
-		t.Fatalf("HandledTypes = %v", got)
-	}
-}
-
 func TestWireSize(t *testing.T) {
 	if (Message{}).WireSize() != DefaultMessageSize {
 		t.Errorf("default wire size = %d", (Message{}).WireSize())

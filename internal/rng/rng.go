@@ -158,29 +158,3 @@ func (r *Stream) Uniform(lo, hi float64) float64 {
 	}
 	return lo + (hi-lo)*r.Float64()
 }
-
-// Normal returns a normally distributed sample with the given mean and
-// standard deviation, using the polar (Marsaglia) method.
-func (r *Stream) Normal(mean, stddev float64) float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return mean + stddev*u*math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// Perm returns a random permutation of [0, n) (Fisher–Yates).
-func (r *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -66,8 +66,7 @@ func TestTransientDeterministicAcrossWorkers(t *testing.T) {
 			},
 		}
 	}
-	build := func() *Model { return m }
-	ref, err := Transient(context.Background(), build, rng.New(42), spec(1))
+	ref, err := Transient(context.Background(), m, rng.New(42), spec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestTransientDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("weak reference: %d samples, %d truncated — tune the spec", ref.Digest.N(), ref.Truncated)
 	}
 	for _, w := range []int{2, 8} {
-		got, err := Transient(context.Background(), build, rng.New(42), spec(w))
+		got, err := Transient(context.Background(), m, rng.New(42), spec(w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +133,7 @@ func TestTransientAllocsIndependentOfReplicas(t *testing.T) {
 	m, done := branching()
 	study := func(replicas int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			_, err := Transient(context.Background(), func() *Model { return m }, rng.New(5), TransientSpec{
+			_, err := Transient(context.Background(), m, rng.New(5), TransientSpec{
 				Replicas: replicas,
 				Tmax:     1e6,
 				Workers:  1,

@@ -51,29 +51,23 @@ type replicaOutcome struct {
 	truncated bool
 }
 
-// Transient runs the replicated transient study, fanning replicas across
-// Workers goroutines. Each replica draws from a child stream of r keyed by
-// its index, so results are independent of replica scheduling and
-// reproducible at any worker count. build is invoked once per replica to
-// construct a fresh model instance (models carry no run-time state, but
-// the builder pattern lets callers randomize structure or parameters per
-// replica if desired).
+// Transient runs the replicated transient study of m, fanning replicas
+// across Workers goroutines. Each replica draws from a child stream of r
+// keyed by its index, so results are independent of replica scheduling
+// and reproducible at any worker count. The model carries no run-time
+// state and the simulator never mutates it, so every worker shares m.
 //
-// With Workers != 1, build, Stop, and Measure are called concurrently and
-// must be safe for concurrent use. The common idioms are: return one
-// shared, fully built model from build and only read the passed Marking in
-// Stop/Measure (always safe — the simulator never mutates the model); or
-// build an independent model per replica from replica-local state. A
-// builder that mutates state shared with Stop/Measure requires Workers: 1.
+// With Workers != 1, Stop and Measure are called concurrently; they only
+// read the Marking they are passed.
 //
-// Workers whose build returns the same *Model for consecutive replicas
-// reuse one simulator via Sim.Reset, so the steady-state replica loop does
-// not allocate at all: beyond the per-replica outcome slice, allocations
-// do not depend on Replicas.
+// Each worker builds one simulator on its first replica and rewinds it
+// (Sim.Reset) for the next, so the steady-state replica loop does not
+// allocate at all: beyond the per-replica outcome slice, allocations do
+// not depend on Replicas.
 //
 // ctx cancels the study between replicas (a replica that has started runs
 // to completion); a canceled study returns ctx.Err().
-func Transient(ctx context.Context, build func() *Model, r *rng.Stream, spec TransientSpec) (*TransientResult, error) {
+func Transient(ctx context.Context, m *Model, r *rng.Stream, spec TransientSpec) (*TransientResult, error) {
 	if spec.Replicas <= 0 {
 		return nil, fmt.Errorf("san: transient study needs at least 1 replica, got %d", spec.Replicas)
 	}
@@ -99,14 +93,12 @@ func Transient(ctx context.Context, build func() *Model, r *rng.Stream, spec Tra
 			workers[w] = wk
 		}
 		r.ChildInto(&wk.rand, uint64(i))
-		m := build()
-		sim := wk.sim
-		if sim != nil && sim.model == m.rootModel() {
-			sim.Reset(&wk.rand)
+		if wk.sim == nil {
+			wk.sim = NewSim(m, &wk.rand)
 		} else {
-			sim = NewSim(m, &wk.rand)
-			wk.sim = sim
+			wk.sim.Reset(&wk.rand)
 		}
+		sim := wk.sim
 		t, stopped := sim.Run(spec.Tmax, spec.Stop)
 		out := &outs[i]
 		if !stopped {

@@ -1,6 +1,9 @@
 package sanmodel
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestUnicastBroadcastReproducesAnomaly: with broadcasts modeled as n−1
 // unicasts (the implementation's behaviour), the SAN must reproduce the
@@ -11,7 +14,7 @@ func TestUnicastBroadcastReproducesAnomaly(t *testing.T) {
 		p := DefaultParams(3)
 		p.UnicastBroadcast = unicast
 		p.Crashed = crashed
-		res, err := Simulate(p, 1500, 1e6, 5)
+		res, err := SimulateContext(context.Background(), p, 1500, 1e6, 5, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +38,7 @@ func TestCorrelatedFDBuilds(t *testing.T) {
 		p := DefaultParams(5)
 		p.FD = FDModel{TMR: 10, TM: 2, Kind: FDExponential}
 		p.FDCorrelated = correlated
-		res, err := Simulate(p, 800, 1e6, 5)
+		res, err := SimulateContext(context.Background(), p, 800, 1e6, 5, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package sanmodel
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -40,7 +41,7 @@ func TestBuildValidation(t *testing.T) {
 
 func TestClass1Decides(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 7} {
-		res, err := Simulate(DefaultParams(n), 50, 1e6, 3)
+		res, err := SimulateContext(context.Background(), DefaultParams(n), 50, 1e6, 3, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func TestClass1Decides(t *testing.T) {
 func TestLatencyGrowsWithN(t *testing.T) {
 	means := map[int]float64{}
 	for _, n := range []int{3, 5, 7} {
-		res, err := Simulate(DefaultParams(n), 400, 1e6, 3)
+		res, err := SimulateContext(context.Background(), DefaultParams(n), 400, 1e6, 3, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,19 +73,19 @@ func TestLatencyGrowsWithN(t *testing.T) {
 // crash decreases it (broadcast is a single message, so even at n=3).
 func TestTable1Directions(t *testing.T) {
 	for _, n := range []int{3, 5} {
-		base, err := Simulate(DefaultParams(n), 600, 1e6, 3)
+		base, err := SimulateContext(context.Background(), DefaultParams(n), 600, 1e6, 3, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pc := DefaultParams(n)
 		pc.Crashed = []int{1}
-		coord, err := Simulate(pc, 600, 1e6, 3)
+		coord, err := SimulateContext(context.Background(), pc, 600, 1e6, 3, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pp := DefaultParams(n)
 		pp.Crashed = []int{2}
-		part, err := Simulate(pp, 600, 1e6, 3)
+		part, err := SimulateContext(context.Background(), pp, 600, 1e6, 3, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func TestFDQoSMonotonicity(t *testing.T) {
 		if tmr > 0 {
 			p.FD = FDModel{TMR: tmr, TM: 2, Kind: FDExponential}
 		}
-		res, err := Simulate(p, 800, 1e6, 9)
+		res, err := SimulateContext(context.Background(), p, 800, 1e6, 9, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +148,7 @@ func TestFDKindsDiffer(t *testing.T) {
 	mean := func(kind FDDistKind) float64 {
 		p := DefaultParams(3)
 		p.FD = FDModel{TMR: 10, TM: 3, Kind: kind}
-		res, err := Simulate(p, 600, 1e6, 5)
+		res, err := SimulateContext(context.Background(), p, 600, 1e6, 5, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +180,7 @@ func TestRoundsGuard(t *testing.T) {
 	p := DefaultParams(3)
 	p.FD = FDModel{TMR: 1.0, TM: 0.98, Kind: FDDeterministic} // almost always suspected
 	p.MaxRoundsGuard = 30
-	res, err := Simulate(p, 30, 1e5, 7)
+	res, err := SimulateContext(context.Background(), p, 30, 1e5, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,18 +33,6 @@ import (
 // ledger, then hub, and nothing else nests. The handlers below hold no
 // lock of their own across a ledger call.
 
-// leaseGrant is the wire shape of a granted lease (one of the three
-// lease-endpoint responses; see handleLease).
-type leaseGrant struct {
-	Lease    string `json:"lease"`
-	Study    string `json:"study"`
-	Start    int    `json:"start"`
-	End      int    `json:"end"`
-	Points   int    `json:"points"`
-	TTLMS    int64  `json:"ttl_ms"`
-	Deadline string `json:"deadline"`
-}
-
 // FleetStatus is the fleet block of a study's Status: the live lease
 // ledger.
 type FleetStatus = shard.Stats
@@ -107,8 +95,13 @@ func (st *study) newFleet(ttl, target time.Duration) {
 // instead of re-dispatching them. The cached statistics are
 // content-addressed; identity (study name, point label, index) is
 // rewritten to this study's values exactly as the in-process cache hit
-// path does, so the streamed bytes stay byte-identical to a cold run.
+// path does, so the streamed bytes stay byte-identical to a cold run. A
+// disabled cache is not looked up, so it counts no misses — as in local
+// mode.
 func (st *study) cachedRecords(cache *Cache) [][]byte {
+	if cache == nil {
+		return nil
+	}
 	var lines [][]byte
 	for i, fp := range st.points {
 		res, hit := cache.Get(fp.Hash)
@@ -126,23 +119,6 @@ func (st *study) cachedRecords(cache *Cache) [][]byte {
 }
 
 // --- HTTP surface and dispatch loop ---
-
-// leaseReply is the non-grant lease response: done means the study needs
-// no more work (finished, failed, or canceled — the worker moves on),
-// retry_ms means all remaining work is leased out (or the study has not
-// started), come back later.
-type leaseReply struct {
-	Done    bool  `json:"done,omitempty"`
-	RetryMS int64 `json:"retry_ms,omitempty"`
-}
-
-// completeReply reports what a record upload achieved.
-type completeReply struct {
-	Accepted  int  `json:"accepted"`
-	Rejected  int  `json:"rejected"`
-	Duplicate int  `json:"duplicate"`
-	Done      bool `json:"done"`
-}
 
 func (st *study) statusNow() string {
 	st.mu.Lock()
@@ -166,7 +142,7 @@ func (s *Server) fleetLookup(w http.ResponseWriter, r *http.Request) *study {
 // handleLease grants the next contiguous pending range to the calling
 // worker (?worker=<name> labels the ledger; the remote address is the
 // fallback). The response is always 200 with one of three JSON shapes:
-// a lease grant, {"done":true}, or {"retry_ms":N}.
+// a shard.LeaseGrant, {"done":true}, or {"retry_ms":N}.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	st := s.fleetLookup(w, r)
 	if st == nil {
@@ -178,22 +154,22 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	switch st.statusNow() {
 	case "queued":
-		writeJSON(w, http.StatusOK, leaseReply{RetryMS: 200})
+		writeJSON(w, http.StatusOK, shard.LeaseReply{RetryMS: 200})
 		return
 	case "running":
 	default: // done, failed, canceled: nothing left to lease
-		writeJSON(w, http.StatusOK, leaseReply{Done: true})
+		writeJSON(w, http.StatusOK, shard.LeaseReply{Done: true})
 		return
 	}
 	l, retry, done := st.fleet.Grant(time.Now(), worker)
 	switch {
 	case done:
-		writeJSON(w, http.StatusOK, leaseReply{Done: true})
+		writeJSON(w, http.StatusOK, shard.LeaseReply{Done: true})
 	case l == nil:
-		writeJSON(w, http.StatusOK, leaseReply{RetryMS: retry.Milliseconds()})
+		writeJSON(w, http.StatusOK, shard.LeaseReply{RetryMS: retry.Milliseconds()})
 	default:
 		s.cfg.Logf("study %s: lease %s %s granted to %s (%d points)", st.id, l.ID, l.Range, worker, l.Len())
-		writeJSON(w, http.StatusOK, leaseGrant{
+		writeJSON(w, http.StatusOK, shard.LeaseGrant{
 			Lease:    l.ID,
 			Study:    st.id,
 			Start:    l.Start,
@@ -259,7 +235,7 @@ func (s *Server) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cfg.Logf("study %s: lease %s upload: %d accepted, %d rejected, %d duplicate (%d/%d streamed)",
 		st.id, id, len(out.Accepted), out.Rejected, out.Duplicate, out.Emitted, len(st.points))
-	writeJSON(w, http.StatusOK, completeReply{Accepted: len(out.Accepted), Rejected: out.Rejected, Duplicate: out.Duplicate, Done: out.Done})
+	writeJSON(w, http.StatusOK, shard.CompleteReply{Accepted: len(out.Accepted), Rejected: out.Rejected, Duplicate: out.Duplicate, Done: out.Done})
 }
 
 // runFleetStudy is a fleet study's slot occupancy: preload every

@@ -31,27 +31,17 @@ type testWorker struct {
 	misbehave func([][]byte) [][]byte
 }
 
-func (w *testWorker) leaseOnce(t *testing.T, id string) leaseResp {
+func (w *testWorker) leaseOnce(t *testing.T, id string) shard.LeaseResponse {
 	t.Helper()
 	resp, data := w.h.post(t, "/api/v1/studies/"+id+"/lease?worker="+w.name, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("worker %s: lease status %d (%s)", w.name, resp.StatusCode, data)
 	}
-	var lr leaseResp
+	var lr shard.LeaseResponse
 	if err := json.Unmarshal(data, &lr); err != nil {
 		t.Fatalf("worker %s: decode lease: %v", w.name, err)
 	}
 	return lr
-}
-
-// leaseResp mirrors the worker CLI's view of the lease endpoint.
-type leaseResp struct {
-	Lease   string `json:"lease"`
-	Start   int    `json:"start"`
-	End     int    `json:"end"`
-	TTLMS   int64  `json:"ttl_ms"`
-	Done    bool   `json:"done"`
-	RetryMS int64  `json:"retry_ms"`
 }
 
 // serve works the study to completion: lease, execute the range through
@@ -91,7 +81,7 @@ func (w *testWorker) serve(t *testing.T, id string) {
 	}
 }
 
-func (w *testWorker) upload(t *testing.T, id, lease string, lines [][]byte) completeReply {
+func (w *testWorker) upload(t *testing.T, id, lease string, lines [][]byte) shard.CompleteReply {
 	t.Helper()
 	var buf bytes.Buffer
 	gz := gzip.NewWriter(&buf)
@@ -110,7 +100,7 @@ func (w *testWorker) upload(t *testing.T, id, lease string, lines [][]byte) comp
 		t.Fatalf("upload: %v", err)
 	}
 	defer res.Body.Close()
-	var out completeReply
+	var out shard.CompleteReply
 	if err := json.NewDecoder(res.Body).Decode(&out); err != nil {
 		t.Fatalf("upload: decode reply (status %d): %v", res.StatusCode, err)
 	}
@@ -175,6 +165,29 @@ func TestFleetDifferentialByteIdentity(t *testing.T) {
 	}
 	if wst.CacheHits != int64(points) || wst.CacheMisses != 0 {
 		t.Errorf("warm fleet study: hits=%d misses=%d, want %d/0", wst.CacheHits, wst.CacheMisses, points)
+	}
+}
+
+// TestCacheOffAccountingSameInBothModes: with the cache disabled no
+// lookup happens, so a study reports 0 hits / 0 misses however it is
+// dispatched (the fleet preload used to count a miss per point against
+// the nil cache while local mode and /api/v1/stats said 0).
+func TestCacheOffAccountingSameInBothModes(t *testing.T) {
+	spec := testSpecBytes(t)
+	h := newTestServer(t, Config{Workers: 1, MaxActive: 1, QueueDepth: 8, CacheBytes: -1})
+
+	local := h.mustSubmit(t, spec, "")
+	lst := h.waitTerminal(t, local.ID)
+
+	fleet := h.mustSubmit(t, spec, "?mode=fleet")
+	(&testWorker{h: h, name: "w", dir: t.TempDir()}).serve(t, fleet.ID)
+	fst := h.waitTerminal(t, fleet.ID)
+
+	for _, st := range []Status{lst, fst} {
+		if st.Status != "done" || st.CacheHits != 0 || st.CacheMisses != 0 {
+			t.Errorf("%s study with the cache off: status %s, hits=%d misses=%d, want done 0/0",
+				st.Mode, st.Status, st.CacheHits, st.CacheMisses)
+		}
 	}
 }
 

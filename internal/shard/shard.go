@@ -9,7 +9,8 @@
 // range, not the campaign — and complete the lease with whatever the
 // subprocess checkpointed. ctsand serves a Ledger per ?mode=fleet study
 // over HTTP to `ctsan worker` processes. The package knows neither
-// processes nor HTTP nor retry policy; holders bring those.
+// processes nor HTTP nor retry policy; holders bring those. (wire.go
+// only declares the JSON bodies those two exchange, once for both.)
 package shard
 
 import (

@@ -324,7 +324,10 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	if i+1 >= n {
 		return sorted[n-1]
 	}
-	return sorted[i]*(1-frac) + sorted[i+1]*frac
+	// The weighted sum can round an ulp outside its two neighbours (always
+	// when they are equal and frac is inexact); a quantile never leaves them.
+	lo, hi := sorted[i], sorted[i+1]
+	return min(max(lo*(1-frac)+hi*frac, lo), hi)
 }
 
 // Grid evaluates the ECDF on an evenly spaced grid of k+1 points spanning
@@ -371,44 +374,4 @@ func KSDistance(a, b *ECDF) float64 {
 		}
 	}
 	return d
-}
-
-// Histogram counts observations into equal-width bins over [lo, hi).
-// Observations outside the range are clamped into the first/last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with the given bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
 }

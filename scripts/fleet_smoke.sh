@@ -5,7 +5,8 @@
 # coordinator must expire and re-lease its range — and byte-compares
 # the coordinator's folded JSONL against a single-process `ctsan run`
 # of the same study. A killed worker may cost a lease of re-execution;
-# it must never change a result bit.
+# it must never change a result bit. Last, a worker pinned to a study
+# the coordinator will never lease must fail at once, not retry forever.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -113,10 +114,42 @@ EXPIRED="$(fleet_field expired)"
     exit 1
 }
 
+# A worker pinned to a study the coordinator will never lease — a
+# local-mode one (409) or an unknown id (404) — exits 1 with the
+# coordinator's reason instead of retrying until killed.
+LOCAL="$(curl -sf -X POST --data-binary @"$SPEC" "http://$ADDR/api/v1/studies" |
+    sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
+[ -n "$LOCAL" ] || { echo "local submission rejected" >&2; exit 1; }
+refused() { # refused <study-id> <reason>
+    /tmp/ctsan-fleet-smoke worker -server "http://$ADDR" -study-id "$1" \
+        -name pinned -dir "$WORKDIR/pinned" 2>"$WLOG" &
+    WPID=$!
+    i=0
+    while [ $i -lt 30 ] && kill -0 "$WPID" 2>/dev/null; do
+        sleep 0.1
+        i=$((i + 1))
+    done
+    kill -0 "$WPID" 2>/dev/null && {
+        echo "worker pinned to $1 still running after 3s:" >&2
+        cat "$WLOG" >&2
+        exit 1
+    }
+    RC=0
+    wait "$WPID" || RC=$?
+    WPID=""
+    [ "$RC" = "1" ] && grep -q "$2" "$WLOG" || {
+        echo "worker pinned to $1 exited $RC, want 1 naming '$2':" >&2
+        cat "$WLOG" >&2
+        exit 1
+    }
+}
+refused "$LOCAL" "not fleet-dispatched"
+refused "s999999" "unknown study"
+
 kill -TERM "$PID"
 RC=0
 wait "$PID" || RC=$?
 PID=""
 [ "$RC" = "0" ] || { echo "graceful shutdown exited $RC" >&2; cat "$LOG" >&2; exit 1; }
 
-echo "fleet smoke OK: $EXPIRED lease(s) expired after SIGKILL, stream byte-identical to ctsan run, clean drain" >&2
+echo "fleet smoke OK: $EXPIRED lease(s) expired after SIGKILL, stream byte-identical to ctsan run, pinned worker refused at once, clean drain" >&2
