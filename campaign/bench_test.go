@@ -1,6 +1,7 @@
 package campaign_test
 
 import (
+	"fmt"
 	"testing"
 
 	"ctsan/campaign"
@@ -29,6 +30,50 @@ func BenchmarkSANCampaignSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := campaign.Run(bg, study,
 			campaign.WithSeed(uint64(i)+1),
+			campaign.WithWorkers(1),
+			campaign.WithSink(discard{}),
+		); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// fineGrid is the benchmark's `fine-grid` study (benchmark/workloads.go):
+// 750 tiny points cycling SAN / Emulation / Scenario over n = 3, 5, 7 —
+// nine point kinds, six distinct engine assemblies.
+func fineGrid(points int) *campaign.Study {
+	s := campaign.NewStudy("fine-grid")
+	for i := 0; i < points; i++ {
+		n := []int{3, 5, 7}[(i/3)%3]
+		switch i % 3 {
+		case 0:
+			s.Add(campaign.SANPoint{Name: fmt.Sprintf("san-%04d", i), N: n, Replicas: 20})
+		case 1:
+			s.Add(campaign.LatencyPoint{Name: fmt.Sprintf("emu-%04d", i), N: n, Executions: 50})
+		case 2:
+			p := campaign.ScenarioPoint{Name: "paper-baseline", Replicas: 1, Executions: 50}
+			if n != 3 {
+				p.Name = fmt.Sprintf("baseline-n%d", n)
+				p.SpecJSON = []byte(fmt.Sprintf(`{"name":%q,"n":%d}`, p.Name, n))
+			}
+			s.Add(p)
+		}
+	}
+	return s
+}
+
+// BenchmarkFineGridCampaignSerial runs the 750-point fine grid on one
+// worker: engines do little per point, so what it measures is what a
+// study pays per point around them — freeze, assembly, summary. With the
+// per-worker keyed set of assemblies a pass builds six assemblies, not
+// 750 (≤ 100,000 allocs/op; 2.76 million when every point built its own).
+func BenchmarkFineGridCampaignSerial(b *testing.B) {
+	study := fineGrid(750)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := campaign.Run(bg, study,
+			campaign.WithSeed(1),
 			campaign.WithWorkers(1),
 			campaign.WithSink(discard{}),
 		); err != nil {

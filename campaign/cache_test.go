@@ -332,10 +332,12 @@ func (c *countingCache) Get(string) (*Result, bool) { c.gets++; return nil, fals
 func (c *countingCache) Put(string, *Result)        { c.puts++ }
 
 // TestUnrunnablePointFailsBeforeAnyExecution: what only an engine used to
-// reject — a crashed id outside 1..n, no correct majority — is rejected
-// at freeze, so a bad late point costs no execution of the points before
-// it, in Run and in everything that freezes (Frozen, FrozenPoints: the
-// sharded and fleet paths).
+// reject — a crashed id outside 1..n, no correct majority — or used to
+// panic on (FD QoS with TM >= TMR, a negative heartbeat period) or to
+// turn silently into garbage (negative times, guards and horizons) is
+// rejected at freeze, so a bad late point costs no execution of the
+// points before it, in Run and in everything that freezes (Frozen,
+// FrozenPoints: the sharded and fleet paths).
 func TestUnrunnablePointFailsBeforeAnyExecution(t *testing.T) {
 	good := SANPoint{N: 3, Replicas: 5}
 	for _, tc := range []struct {
@@ -346,6 +348,21 @@ func TestUnrunnablePointFailsBeforeAnyExecution(t *testing.T) {
 		{SANPoint{N: 3, Crashed: []int{1, 2}}, "majority-correct"},
 		{LatencyPoint{N: 3, Executions: 5, Crashed: []int{0}}, "crashed process 0 out of range 1..3"},
 		{LatencyPoint{N: 4, Executions: 5, Crashed: []int{1, 2}}, "majority-correct"},
+		{SANPoint{N: 3, TMR: 10, TM: 10}, "0 < TM < TMR"},
+		{SANPoint{N: 3, TMR: 10}, "0 < TM < TMR"},
+		{SANPoint{N: 3, TMR: 10, TM: 12, FDExponential: true}, "0 < TM < TMR"},
+		{SANPoint{N: 3, TMR: -1}, "negative FD QoS"},
+		{SANPoint{N: 3, TMR: 10, TM: -2}, "negative FD QoS"},
+		{SANPoint{N: 3, TSend: -1}, "negative t_send"},
+		{SANPoint{N: 3, Tmax: -1}, "negative horizon"},
+		{LatencyPoint{N: 3, Executions: 5, TimeoutT: 10, PeriodTh: -1}, "negative heartbeat period"},
+		{LatencyPoint{N: 3, Executions: 5, Gap: -5}, "negative gap"},
+		{LatencyPoint{N: 3, Executions: 5, Warmup: -50}, "warmup"},
+		{LatencyPoint{N: 3, Executions: 5, Deadline: -5}, "negative execution deadline"},
+		{LatencyPoint{N: 3, Executions: 5, MaxRounds: -1}, "negative round guard"},
+		{ScenarioPoint{Name: "paper-baseline", Deadline: -5}, "negative execution deadline"},
+		{ScenarioPoint{Name: "paper-baseline", MaxRounds: -1}, "negative round guard"},
+		{ScenarioPoint{Name: "hb", SpecJSON: []byte(`{"name":"hb","n":3,"timeout_t":10,"period_th":-1}`)}, "negative heartbeat period"},
 	} {
 		study := NewStudy("bad-second", good, tc.bad)
 		var cache countingCache

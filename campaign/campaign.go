@@ -3,6 +3,9 @@ package campaign
 import (
 	"context"
 	"fmt"
+
+	"ctsan/internal/experiment"
+	"ctsan/internal/sanmodel"
 )
 
 // Engine identifies which evaluation engine executes a Point. The paper's
@@ -78,8 +81,26 @@ type Point interface {
 	prepare(o *options) (pointRunner, error)
 }
 
-// pointRunner executes one prepared point under a context.
-type pointRunner func(ctx context.Context) (*Result, error)
+// pointRunner executes one prepared point under a context, on the engine
+// assemblies of the pool worker running it.
+type pointRunner func(ctx context.Context, a *assemblies) (*Result, error)
+
+// assemblies is what one pool worker retains across the points of a Run:
+// the engine assemblies it has built so far, in bounded sets keyed by
+// shape (internal/keyed). A point whose shape the worker has seen builds
+// nothing — the retained assembly is rewound, bit-identically to a fresh
+// one — so a study pays for each distinct shape once per worker, not once
+// per point. Nothing here outlives the Run that made it.
+type assemblies struct {
+	// harnesses holds the replica harnesses of Emulation and Scenario
+	// points, one set per inner worker: Latency points run on set 0,
+	// Scenario replicas fan out over all of them, and equal shapes share
+	// one harness across both engines.
+	harnesses []experiment.Harnesses
+	// models holds the built SAN models with their per-inner-worker
+	// simulators, keyed by everything the build reads.
+	models sanmodel.Models
+}
 
 // Study is a named grid of points, executed by Run. The zero value is
 // unusable; build studies with NewStudy (or a composite literal with
@@ -114,6 +135,10 @@ type options struct {
 	// totalPoints is set by Run before preparing points; it feeds the
 	// outer/inner worker-budget split.
 	totalPoints int
+	// slots is set by Run before the pool starts: one set of retained
+	// engine assemblies per pool worker, dropped with the options when
+	// Run returns.
+	slots []assemblies
 }
 
 // Option configures a Run call.

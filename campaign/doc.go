@@ -49,21 +49,32 @@
 // while it is exact and returns nil beyond the cap; Quantile queries the
 // digest directly at any scale.
 //
-// Allocation follows the same discipline: the Emulation and Scenario
-// engines do not construct a cluster per Monte-Carlo replica. Each
-// worker of the pool owns one reusable assembly — emulated cluster,
-// protocol stacks, consensus engines, failure detectors — and rewinds
-// it between replicas (netsim.Cluster.Reset plus per-layer reset
-// hooks), with message-transit, timer and consensus-instance records
-// pooled on free lists, protocol payloads crossing the stack as flat
-// typed values rather than heap-boxed any, per-execution watchdogs
-// pooled, scenario timelines compiled once per assembly, and the DES
-// kernel scheduling through a calendar queue with eager cancellation —
-// steady-state campaign execution is down to ~1.7 allocations per
-// consensus execution, all per-replica bookkeeping. Rewinding is
-// bit-identical to fresh construction (see PERFORMANCE.md, "Reusable
-// emulation assemblies"), which is why the determinism guarantee above
-// survives the reuse.
+// Allocation follows the same discipline: no engine constructs per
+// Monte-Carlo replica, and none constructs per point either. Each worker
+// of the pool keeps, for exactly the duration of one Run, a bounded set
+// of the engine assemblies it has built, keyed by shape (internal/keyed):
+// replica harnesses — emulated cluster, protocol stacks, consensus
+// engines, failure detectors — keyed by everything baked in at assembly,
+// shared by Emulation and Scenario points of equal shape; and built SAN
+// models with their simulators, keyed by everything the build reads. An
+// assembly is built when its shape is first seen by a worker, rewound
+// for every later point of that shape (netsim.Cluster.Reset plus
+// per-layer reset hooks; san.Sim.Reset), and dropped when the set is at
+// capacity (eight per kind, least recently used first) or when Run
+// returns — so a 750-point grid over six shapes builds six assemblies
+// per worker, a sweep over thousands of shapes holds eight, and a daemon
+// retains nothing between studies. Inside an assembly, message-transit,
+// timer and consensus-instance records are pooled on free lists,
+// protocol payloads cross the stack as flat typed values rather than
+// heap-boxed any, per-execution watchdogs are pooled, scenario timelines
+// compile once per replica binding, and the DES kernel schedules through
+// a calendar queue with eager cancellation — steady-state execution is
+// down to ~1.7 allocations per consensus execution and none per SAN
+// replica. Rewinding is bit-identical to fresh construction (see
+// PERFORMANCE.md, "Reusable emulation assemblies" and "Per-worker engine
+// assemblies"), which is why the determinism guarantee above survives
+// the reuse: a point's result does not depend on what its worker ran
+// before it.
 //
 // # Sharding and resume
 //

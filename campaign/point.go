@@ -58,6 +58,13 @@ func (p LatencyPoint) freeze(o *options, index int) (Point, error) {
 		return nil, errors.New("need at least 1 execution")
 	case p.TimeoutT < 0:
 		return nil, fmt.Errorf("negative heartbeat timeout %g (0 selects the oracle FD)", p.TimeoutT)
+	case p.PeriodTh < 0:
+		return nil, fmt.Errorf("negative heartbeat period %g (0 selects 0.7·T)", p.PeriodTh)
+	case p.Gap < 0 || p.Warmup < 0:
+		return nil, fmt.Errorf("negative gap %g or warmup %g ms (0 selects the default)", p.Gap, p.Warmup)
+	}
+	if err := checkGuards(p.MaxRounds, p.Deadline); err != nil {
+		return nil, err
 	}
 	return p, checkCrashed(p.N, p.Crashed)
 }
@@ -80,8 +87,8 @@ func (p LatencyPoint) prepare(*options) (pointRunner, error) {
 	for _, id := range p.Crashed {
 		spec.Crashed = append(spec.Crashed, neko.ProcessID(id))
 	}
-	return func(ctx context.Context) (*Result, error) {
-		res, err := experiment.RunLatencyContext(ctx, spec)
+	return func(ctx context.Context, a *assemblies) (*Result, error) {
+		res, err := a.harnesses[0].RunLatency(ctx, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -148,6 +155,14 @@ func (p SANPoint) freeze(o *options, index int) (Point, error) {
 		return nil, fmt.Errorf("need n >= 2, got %d", p.N)
 	case p.Replicas < 0:
 		return nil, fmt.Errorf("negative replica count %d", p.Replicas)
+	case p.TSend < 0:
+		return nil, fmt.Errorf("negative t_send %g (0 keeps the model default)", p.TSend)
+	case p.Tmax < 0:
+		return nil, fmt.Errorf("negative horizon Tmax %g (0 selects 1e7)", p.Tmax)
+	case p.TMR < 0 || p.TM < 0:
+		return nil, fmt.Errorf("negative FD QoS TMR=%g TM=%g (TMR 0 disables wrong suspicions)", p.TMR, p.TM)
+	case p.TMR > 0 && !(0 < p.TM && p.TM < p.TMR):
+		return nil, fmt.Errorf("FD QoS needs 0 < TM < TMR, got TM=%g TMR=%g", p.TM, p.TMR)
 	}
 	return p, checkCrashed(p.N, p.Crashed)
 }
@@ -171,8 +186,8 @@ func (p SANPoint) prepare(o *options) (pointRunner, error) {
 		tmax = 1e7
 	}
 	inner := o.innerWorkers()
-	return func(ctx context.Context) (*Result, error) {
-		res, err := sanmodel.SimulateContext(ctx, params, p.Replicas, tmax, p.Seed, inner)
+	return func(ctx context.Context, a *assemblies) (*Result, error) {
+		res, err := a.models.Simulate(ctx, params, p.Replicas, tmax, p.Seed, inner)
 		if err != nil {
 			return nil, err
 		}
@@ -245,10 +260,10 @@ func (p ScenarioPoint) freeze(o *options, index int) (Point, error) {
 	case p.Executions < 0:
 		return nil, fmt.Errorf("negative execution override %d", p.Executions)
 	}
-	return p, nil
+	return p, checkGuards(p.MaxRounds, p.Deadline)
 }
 
-func (p ScenarioPoint) prepare(o *options) (pointRunner, error) {
+func (p ScenarioPoint) prepare(*options) (pointRunner, error) {
 	s, err := p.scenario()
 	if err != nil {
 		return nil, err
@@ -257,13 +272,12 @@ func (p ScenarioPoint) prepare(o *options) (pointRunner, error) {
 		Scenarios:  []*scenario.Scenario{s},
 		Replicas:   p.Replicas,
 		Executions: p.Executions,
-		Workers:    o.innerWorkers(),
 		Seed:       p.Seed,
 		MaxRounds:  p.MaxRounds,
 		Deadline:   p.Deadline,
 	}
-	return func(ctx context.Context) (*Result, error) {
-		reports, err := scenario.RunCampaignContext(ctx, spec)
+	return func(ctx context.Context, a *assemblies) (*Result, error) {
+		reports, err := scenario.RunCampaignOn(ctx, a.harnesses, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -298,6 +312,19 @@ func checkCrashed(n int, crashed []int) error {
 	}
 	if len(crashed) >= (n+1)/2 {
 		return fmt.Errorf("%d crashes violate the majority-correct requirement for n=%d", len(crashed), n)
+	}
+	return nil
+}
+
+// checkGuards validates the per-execution guards of Emulation and
+// Scenario points; 0 selects each engine's default. A negative deadline
+// would force-close every execution before it starts.
+func checkGuards(maxRounds int, deadline float64) error {
+	if maxRounds < 0 {
+		return fmt.Errorf("negative round guard MaxRounds %d (0 selects 256)", maxRounds)
+	}
+	if deadline < 0 {
+		return fmt.Errorf("negative execution deadline %g ms (0 selects the default)", deadline)
 	}
 	return nil
 }

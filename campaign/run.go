@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"ctsan/internal/experiment"
 	"ctsan/internal/obs"
 	"ctsan/internal/parallel"
 	"ctsan/internal/rng"
@@ -101,9 +102,18 @@ func run(ctx context.Context, study *Study, o *options) error {
 		}
 	}
 
+	// One slot of retained engine assemblies per pool worker, alive for
+	// exactly this run: the pool never overlaps two units of one worker
+	// index, so a slot needs no locking.
+	o.slots = make([]assemblies, parallel.Workers(o.workers))
+	inner := o.innerWorkers()
+	for w := range o.slots {
+		o.slots[w].harnesses = make([]experiment.Harnesses, inner)
+	}
+
 	total := len(runners)
 	return parallel.Stream(ctx, o.workers, total,
-		func(_, i int) (*Result, error) {
+		func(w, i int) (*Result, error) {
 			if o.cache != nil {
 				if res, ok := o.cache.Get(hashes[i]); ok && res != nil {
 					// Re-identify the cached result for this study: the
@@ -114,7 +124,7 @@ func run(ctx context.Context, study *Study, o *options) error {
 					return res, nil
 				}
 			}
-			res, err := runners[i](ctx)
+			res, err := runners[i](ctx, &o.slots[w])
 			if err != nil {
 				return nil, fmt.Errorf("campaign: point %d (%s): %w", i, study.Points[i].Label(), err)
 			}

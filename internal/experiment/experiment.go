@@ -163,23 +163,20 @@ func (s LatencySpec) plan() (Shape, Plan, error) {
 	}, nil
 }
 
-// RunLatencyContext executes a latency campaign and returns its results.
-// ctx is checked between consensus executions, so a canceled campaign
-// stops at the next execution boundary and returns ctx.Err().
-func RunLatencyContext(ctx context.Context, spec LatencySpec) (*LatencyResult, error) {
+// RunLatency executes a latency campaign on the set's harness of the
+// spec's shape — assembled now if this is the first run of that shape,
+// rewound otherwise; the results are bit-identical either way. ctx is
+// checked between consensus executions, so a canceled campaign stops at
+// the next execution boundary and returns ctx.Err().
+func (hs *Harnesses) RunLatency(ctx context.Context, spec LatencySpec) (*LatencyResult, error) {
 	shape, plan, err := spec.plan()
 	if err != nil {
 		return nil, err
 	}
-	h, err := NewHarness(shape)
+	h, err := hs.For(shape)
 	if err != nil {
 		return nil, err
 	}
-	return runLatency(ctx, h, plan)
-}
-
-// runLatency executes a latency plan on h, which must have the plan's shape.
-func runLatency(ctx context.Context, h *Harness, plan Plan) (*LatencyResult, error) {
 	out, err := h.Run(ctx, plan)
 	if err != nil {
 		return nil, err
@@ -192,4 +189,11 @@ func runLatency(ctx context.Context, h *Harness, plan Plan) (*LatencyResult, err
 		QoS:     out.QoS,
 		Events:  out.Events,
 	}, nil
+}
+
+// RunLatencyContext is RunLatency on a set of its own: the harness is
+// assembled, run once and dropped.
+func RunLatencyContext(ctx context.Context, spec LatencySpec) (*LatencyResult, error) {
+	var hs Harnesses
+	return hs.RunLatency(ctx, spec)
 }

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"reflect"
 
 	"ctsan/internal/consensus"
 	"ctsan/internal/fd"
+	"ctsan/internal/keyed"
 	"ctsan/internal/metrics"
 	"ctsan/internal/neko"
 	"ctsan/internal/netsim"
@@ -81,10 +81,11 @@ type Outcome struct {
 
 // Harness is the one reusable replica executor: a cluster, one protocol
 // stack, consensus engine and failure detector per process, assembled
-// once (NewHarness) and rewound per run (Run). Campaign workers keep one
-// per worker — the san.Transient pattern — so steady-state campaigns
-// construct nothing per replica; a reused harness is bit-identical to a
-// fresh one (TestLatencyReuseMatchesFresh, scenario.TestRunReuseMatchesFresh).
+// once (NewHarness) and rewound per run (Run). Campaign workers keep a
+// keyed set of them (Harnesses), so a study assembles each shape once per
+// worker and constructs nothing per replica or per point; a reused
+// harness is bit-identical to a fresh one (TestLatencyReuseMatchesFresh,
+// scenario.TestRunReuseMatchesFresh).
 type Harness struct {
 	shape      Shape
 	cluster    *netsim.Cluster
@@ -178,18 +179,28 @@ func (s *Shape) defaults() {
 	}
 }
 
-// For returns a harness assembled for shape: h itself when it already has
-// that shape (a nil h never does), a newly assembled one otherwise. It is
-// the per-worker reuse check of every campaign: sweeps of Monte-Carlo
-// repetitions reuse one assembly end to end, heterogeneous grids
-// reassemble on shape changes.
-func (h *Harness) For(shape Shape) (*Harness, error) {
-	shape.defaults()
-	if h != nil && reflect.DeepEqual(&h.shape, &shape) {
-		return h, nil
-	}
-	return NewHarness(shape)
+// Harnesses is a worker's bounded set of assembled harnesses keyed by
+// Shape — the reuse rule of every campaign on the emulated cluster: a
+// harness is assembled when the worker first sees its shape, rewound
+// (Run) for every later run of that shape, and dropped at capacity or
+// with the set. Latency points and scenario replicas of equal shape share
+// one harness; sweeps of Monte-Carlo repetitions reuse one assembly end
+// to end, heterogeneous grids keep one per shape. The zero value is an
+// empty set; a set belongs to one worker and is not safe for concurrent
+// use.
+type Harnesses struct {
+	set keyed.Set[Shape, *Harness]
 }
+
+// For returns the harness assembled for shape, assembling it first when
+// the set holds none.
+func (hs *Harnesses) For(shape Shape) (*Harness, error) {
+	shape.defaults()
+	return hs.set.Get(shape, NewHarness)
+}
+
+// Len reports how many harnesses the set retains.
+func (hs *Harnesses) Len() int { return hs.set.Len() }
 
 // Cluster exposes the emulated cluster to Plan.Prepare steps.
 func (h *Harness) Cluster() *netsim.Cluster { return h.cluster }

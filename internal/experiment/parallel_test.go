@@ -122,28 +122,19 @@ func TestLatencyReuseMatchesFresh(t *testing.T) {
 		{N: 5, Executions: 40, Crashed: []neko.ProcessID{1}},
 		{N: 3, Executions: 40, FDMode: FDHeartbeat, TimeoutT: 10},
 	} {
-		var reused *Harness
+		var reused Harnesses
 		for seed := uint64(1); seed <= 5; seed++ {
 			spec.Seed = seed
 			want, err := RunLatencyContext(context.Background(), spec) // fresh assembly per campaign
 			if err != nil {
 				t.Fatal(err)
 			}
-			shape, plan, err := spec.plan()
+			got, err := reused.RunLatency(context.Background(), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			h, err := reused.For(shape)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if reused != nil && h != reused {
-				t.Fatalf("n=%d seed %d: same-shape spec reassembled the harness", spec.N, seed)
-			}
-			reused = h
-			got, err := runLatency(context.Background(), reused, plan)
-			if err != nil {
-				t.Fatal(err)
+			if reused.Len() != 1 {
+				t.Fatalf("n=%d seed %d: same-shape spec reassembled the harness (%d retained)", spec.N, seed, reused.Len())
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d seed %d: reused harness result differs from fresh assembly:\n got %+v\nwant %+v",

@@ -23,23 +23,15 @@ func innerWorkers(workers, items int) int {
 // Figs. 8–9. ctx cancels between campaigns and between the executions
 // inside each campaign.
 //
-// Each worker keeps one harness (cluster, stacks, engines, detectors) and
-// rewinds it for every spec that shares the cached harness's
-// construction shape — sweeps of Monte-Carlo repetitions differ only in
-// Seed and reuse one assembly end to end; heterogeneous sweeps (per-n
-// figures) reassemble on shape changes. Reused harnesses are
-// bit-identical to fresh ones, so the determinism guarantee is
-// unaffected (pinned by TestLatencySweepDeterministicAcrossWorkers).
+// Each worker keeps a keyed set of harnesses (Harnesses) for the sweep:
+// sweeps of Monte-Carlo repetitions differ only in Seed and reuse one
+// assembly end to end; heterogeneous sweeps (per-n figures) assemble each
+// shape once per worker. Reused harnesses are bit-identical to fresh
+// ones, so the determinism guarantee is unaffected (pinned by
+// TestLatencySweepDeterministicAcrossWorkers).
 func RunLatencySweepContext(ctx context.Context, specs []LatencySpec, workers int) ([]*LatencyResult, error) {
-	cache := make([]*Harness, parallel.Workers(workers))
+	sets := make([]Harnesses, parallel.Workers(workers))
 	return parallel.Map(ctx, workers, len(specs), func(w, i int) (*LatencyResult, error) {
-		shape, plan, err := specs[i].plan()
-		if err != nil {
-			return nil, err
-		}
-		if cache[w], err = cache[w].For(shape); err != nil {
-			return nil, err
-		}
-		return runLatency(ctx, cache[w], plan)
+		return sets[w].RunLatency(ctx, specs[i])
 	})
 }

@@ -3,6 +3,7 @@ package san
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"ctsan/internal/dist"
@@ -66,7 +67,7 @@ func TestTransientDeterministicAcrossWorkers(t *testing.T) {
 			},
 		}
 	}
-	ref, err := Transient(context.Background(), m, rng.New(42), spec(1))
+	ref, err := NewSolver(m).Transient(context.Background(), rng.New(42), spec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestTransientDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("weak reference: %d samples, %d truncated — tune the spec", ref.Digest.N(), ref.Truncated)
 	}
 	for _, w := range []int{2, 8} {
-		got, err := Transient(context.Background(), m, rng.New(42), spec(w))
+		got, err := NewSolver(m).Transient(context.Background(), rng.New(42), spec(w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,6 +98,35 @@ func TestTransientDeterministicAcrossWorkers(t *testing.T) {
 			if got.Digest.Quantile(q) != ref.Digest.Quantile(q) {
 				t.Fatalf("workers=%d: q=%g differs", w, q)
 			}
+		}
+	}
+}
+
+// TestSolverReuseMatchesFresh: successive studies on one Solver — other
+// seeds, worker counts growing and shrinking between them — return what a
+// fresh Solver returns for each, bit for bit: the simulators a Solver
+// keeps between studies never show in a result.
+func TestSolverReuseMatchesFresh(t *testing.T) {
+	m, done := branching()
+	spec := TransientSpec{
+		Replicas: 200,
+		Tmax:     3,
+		Stop:     func(mk *Marking) bool { return mk.Get(done) >= 2 },
+	}
+	reused := NewSolver(m)
+	for i, workers := range []int{1, 8, 2, 1, 8} {
+		spec.Workers = workers
+		seed := uint64(40 + i)
+		want, err := NewSolver(m).Transient(context.Background(), rng.New(seed), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := reused.Transient(context.Background(), rng.New(seed), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Truncated != want.Truncated || !reflect.DeepEqual(got.Digest.Exact(), want.Digest.Exact()) {
+			t.Fatalf("study %d (workers=%d): reused solver differs from a fresh one", i, workers)
 		}
 	}
 }
@@ -133,7 +163,7 @@ func TestTransientAllocsIndependentOfReplicas(t *testing.T) {
 	m, done := branching()
 	study := func(replicas int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			_, err := Transient(context.Background(), m, rng.New(5), TransientSpec{
+			_, err := NewSolver(m).Transient(context.Background(), rng.New(5), TransientSpec{
 				Replicas: replicas,
 				Tmax:     1e6,
 				Workers:  1,

@@ -51,23 +51,46 @@ type replicaOutcome struct {
 	truncated bool
 }
 
-// Transient runs the replicated transient study of m, fanning replicas
-// across Workers goroutines. Each replica draws from a child stream of r
-// keyed by its index, so results are independent of replica scheduling
-// and reproducible at any worker count. The model carries no run-time
-// state and the simulator never mutates it, so every worker shares m.
+// Solver runs replicated transient studies of one model and keeps what
+// they can share: one simulator and one random stream per worker, built
+// by the worker on its first replica and rewound (Sim.Reset) for every
+// later one — of this study and of the next on the same Solver. A rewound
+// simulator is bit-identical to a fresh one (reset_test.go), so how many
+// studies a Solver has served never shows in a result. The model carries
+// no run-time state and the simulator never mutates it, so every worker
+// shares it. One study at a time: a Solver is per-worker state of its
+// owner, not safe for concurrent Transient calls.
+type Solver struct {
+	m       *Model
+	workers []*solverWorker
+}
+
+// solverWorker is one worker's retained simulator; the stream is
+// re-derived in place per replica (ChildInto leaves it bit-identical to
+// Child(i)).
+type solverWorker struct {
+	sim  *Sim
+	rand rng.Stream
+}
+
+// NewSolver returns a solver for m holding no simulators yet.
+func NewSolver(m *Model) *Solver { return &Solver{m: m} }
+
+// Transient runs the replicated transient study described by spec,
+// fanning replicas across spec.Workers goroutines. Each replica draws
+// from a child stream of r keyed by its index, so results are independent
+// of replica scheduling and reproducible at any worker count.
 //
 // With Workers != 1, Stop and Measure are called concurrently; they only
 // read the Marking they are passed.
 //
-// Each worker builds one simulator on its first replica and rewinds it
-// (Sim.Reset) for the next, so the steady-state replica loop does not
-// allocate at all: beyond the per-replica outcome slice, allocations do
-// not depend on Replicas.
+// The steady-state replica loop does not allocate at all: beyond the
+// per-replica outcome slice, allocations do not depend on Replicas, and
+// a study on a Solver that has run before builds nothing.
 //
 // ctx cancels the study between replicas (a replica that has started runs
 // to completion); a canceled study returns ctx.Err().
-func Transient(ctx context.Context, m *Model, r *rng.Stream, spec TransientSpec) (*TransientResult, error) {
+func (s *Solver) Transient(ctx context.Context, r *rng.Stream, spec TransientSpec) (*TransientResult, error) {
 	if spec.Replicas <= 0 {
 		return nil, fmt.Errorf("san: transient study needs at least 1 replica, got %d", spec.Replicas)
 	}
@@ -78,23 +101,18 @@ func Transient(ctx context.Context, m *Model, r *rng.Stream, spec TransientSpec)
 		return nil, fmt.Errorf("san: transient study needs a positive Tmax")
 	}
 	outs := make([]replicaOutcome, spec.Replicas)
-	// One simulator and one random stream per worker, allocated by the
-	// worker on its first replica and re-derived in place for the next:
-	// ChildInto leaves the stream bit-identical to Child(i).
-	type worker struct {
-		sim  *Sim
-		rand rng.Stream
+	if n := parallel.Workers(spec.Workers); len(s.workers) < n {
+		s.workers = append(s.workers, make([]*solverWorker, n-len(s.workers))...)
 	}
-	workers := make([]*worker, parallel.Workers(spec.Workers))
 	err := parallel.ForEach(ctx, spec.Workers, spec.Replicas, func(w, i int) error {
-		wk := workers[w]
+		wk := s.workers[w]
 		if wk == nil {
-			wk = &worker{}
-			workers[w] = wk
+			wk = &solverWorker{}
+			s.workers[w] = wk
 		}
 		r.ChildInto(&wk.rand, uint64(i))
 		if wk.sim == nil {
-			wk.sim = NewSim(m, &wk.rand)
+			wk.sim = NewSim(s.m, &wk.rand)
 		} else {
 			wk.sim.Reset(&wk.rand)
 		}

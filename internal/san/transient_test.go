@@ -25,7 +25,7 @@ func TestTransientEstimatesMean(t *testing.T) {
 	// instance can back every (possibly concurrent) replica.
 	m := expModel(2)()
 	donePlace := m.Places()[1]
-	res, err := Transient(context.Background(), m, rng.New(3), TransientSpec{
+	res, err := NewSolver(m).Transient(context.Background(), rng.New(3), TransientSpec{
 		Replicas: 4000,
 		Tmax:     1e6,
 		Stop:     func(mk *Marking) bool { return mk.Get(donePlace) == 1 },
@@ -51,7 +51,7 @@ func TestTransientEstimatesMean(t *testing.T) {
 func TestTransientTruncation(t *testing.T) {
 	m := expModel(10)()
 	donePlace := m.Places()[1]
-	res, err := Transient(context.Background(), m, rng.New(3), TransientSpec{
+	res, err := NewSolver(m).Transient(context.Background(), rng.New(3), TransientSpec{
 		Replicas: 500,
 		Tmax:     1, // most replicas exceed this horizon
 		Stop:     func(mk *Marking) bool { return mk.Get(donePlace) == 1 },
@@ -67,7 +67,7 @@ func TestTransientTruncation(t *testing.T) {
 func TestTransientMeasureDiscard(t *testing.T) {
 	m := expModel(1)()
 	donePlace := m.Places()[1]
-	res, err := Transient(context.Background(), m, rng.New(3), TransientSpec{
+	res, err := NewSolver(m).Transient(context.Background(), rng.New(3), TransientSpec{
 		Replicas: 100,
 		Tmax:     1e6,
 		Stop:     func(mk *Marking) bool { return mk.Get(donePlace) == 1 },
@@ -91,13 +91,13 @@ func TestTransientMeasureDiscard(t *testing.T) {
 
 func TestTransientSpecValidation(t *testing.T) {
 	m := expModel(1)()
-	if _, err := Transient(context.Background(), m, rng.New(1), TransientSpec{Replicas: 0, Tmax: 1, Stop: func(*Marking) bool { return true }}); err == nil {
+	if _, err := NewSolver(m).Transient(context.Background(), rng.New(1), TransientSpec{Replicas: 0, Tmax: 1, Stop: func(*Marking) bool { return true }}); err == nil {
 		t.Error("zero replicas accepted")
 	}
-	if _, err := Transient(context.Background(), m, rng.New(1), TransientSpec{Replicas: 1, Tmax: 1}); err == nil {
+	if _, err := NewSolver(m).Transient(context.Background(), rng.New(1), TransientSpec{Replicas: 1, Tmax: 1}); err == nil {
 		t.Error("nil stop accepted")
 	}
-	if _, err := Transient(context.Background(), m, rng.New(1), TransientSpec{Replicas: 1, Tmax: 0, Stop: func(*Marking) bool { return true }}); err == nil {
+	if _, err := NewSolver(m).Transient(context.Background(), rng.New(1), TransientSpec{Replicas: 1, Tmax: 0, Stop: func(*Marking) bool { return true }}); err == nil {
 		t.Error("zero Tmax accepted")
 	}
 }

@@ -84,6 +84,20 @@ type Report struct {
 // fail with a descriptive error instead of silently producing an empty
 // report.
 func RunCampaignContext(ctx context.Context, spec CampaignSpec) ([]*Report, error) {
+	return RunCampaignOn(ctx, make([]experiment.Harnesses, parallel.Workers(spec.Workers)), spec)
+}
+
+// RunCampaignOn is RunCampaignContext on the caller's harness sets: one
+// worker per set (spec.Workers is not consulted), worker w taking every
+// harness it needs from sets[w] and leaving what it assembled there. A
+// caller running many campaigns — campaign.Run, one per Scenario point —
+// passes the same sets each time, so a shape is assembled once per worker
+// rather than once per campaign; the reports do not depend on what the
+// sets held.
+func RunCampaignOn(ctx context.Context, sets []experiment.Harnesses, spec CampaignSpec) ([]*Report, error) {
+	if len(sets) == 0 {
+		return nil, fmt.Errorf("scenario: campaign with no harness sets (no workers)")
+	}
 	if len(spec.Scenarios) == 0 {
 		return nil, fmt.Errorf("scenario: campaign with no scenarios (nothing to run)")
 	}
@@ -106,17 +120,20 @@ func RunCampaignContext(ctx context.Context, spec CampaignSpec) ([]*Report, erro
 	}
 	seeds := rng.New(spec.Seed ^ 0xca3faa16)
 	units := len(spec.Scenarios) * spec.Replicas
-	// Each worker owns one reusable replica (harness, timeline buffers)
-	// and rewinds it per grid unit instead of constructing per replica;
-	// moving to a different scenario rebinds it, reassembling the harness
-	// only on an assembly-shape change. Reused and fresh assemblies are
-	// bit-identical (see replica), so the campaign stays deterministic at
-	// any worker count.
+	// Each worker owns one reusable replica (timeline buffers, transition
+	// log) over its harness set and rewinds it per grid unit instead of
+	// constructing per replica; moving to a different scenario rebinds it
+	// to the set's harness of the new shape. Reused and fresh assemblies
+	// are bit-identical (see replica), so the campaign stays deterministic
+	// at any worker count.
 	cfg := RunConfig{Executions: spec.Executions, MaxRounds: spec.MaxRounds, Deadline: spec.Deadline}
-	cache := make([]replica, parallel.Workers(spec.Workers))
-	results, err := parallel.Map(ctx, spec.Workers, units, func(w, i int) (*Result, error) {
+	reps := make([]replica, len(sets))
+	for w := range reps {
+		reps[w].hs = &sets[w]
+	}
+	results, err := parallel.Map(ctx, len(sets), units, func(w, i int) (*Result, error) {
 		s := spec.Scenarios[i/spec.Replicas]
-		rep := &cache[w]
+		rep := &reps[w]
 		if rep.s != s {
 			if err := rep.bind(s, cfg); err != nil {
 				return nil, err

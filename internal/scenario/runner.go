@@ -85,13 +85,18 @@ func (r *Result) DecisionsPerSec() float64 {
 // (experiment.Harness): on top of a latency experiment it adds the
 // post-rewind step that attaches the tracer and compiles the timeline
 // onto the cluster, the timeline-driven up-set and gap, and
-// ground-truthed suspicion counting over the run's fd.History. Campaign
-// workers keep one per worker, so steady-state execution constructs
-// nothing per replica; run(seed) on a reused replica is bit-identical to
-// a fresh construct-then-run from the same seed (TestRunReuseMatchesFresh).
+// ground-truthed suspicion counting over the run's fd.History. A campaign
+// keeps one per worker, so steady-state execution constructs nothing per
+// replica; run(seed) on a reused replica is bit-identical to a fresh
+// construct-then-run from the same seed (TestRunReuseMatchesFresh). The
+// harness comes from the worker's keyed set (hs): binding to a scenario
+// takes the set's harness of that scenario's shape, so scenarios — and
+// latency points — of equal shape share one assembly, across campaigns
+// when the caller keeps the sets (RunCampaignOn).
 type replica struct {
 	s   *Scenario
 	cfg RunConfig
+	hs  *experiment.Harnesses
 	h   *experiment.Harness
 	// plan holds the per-scenario run configuration; only Seed changes
 	// between runs. history, injRand and prog are retained so that run
@@ -113,14 +118,14 @@ func Run(s *Scenario, cfg RunConfig) (*Result, error) {
 	return r.run(context.Background(), cfg.Seed)
 }
 
+// newReplica returns a replica of s on a harness set of its own.
 func newReplica(s *Scenario, cfg RunConfig) (*replica, error) {
-	r := &replica{}
+	r := &replica{hs: new(experiment.Harnesses)}
 	return r, r.bind(s, cfg)
 }
 
 // bind validates the scenario, applies config defaults and points the
-// replica at it, keeping the harness when the scenario needs the
-// assembly shape it already has.
+// replica at it, on the set's harness of the shape the scenario needs.
 func (r *replica) bind(s *Scenario, cfg RunConfig) error {
 	if err := s.Validate(); err != nil {
 		return err
@@ -146,7 +151,7 @@ func (r *replica) bind(s *Scenario, cfg RunConfig) error {
 	if s.PauseDur != nil {
 		params.PauseDur = s.PauseDur
 	}
-	h, err := r.h.For(experiment.Shape{
+	h, err := r.hs.For(experiment.Shape{
 		Params: params, TimeoutT: s.TimeoutT, PeriodTh: s.PeriodTh, MaxRounds: cfg.MaxRounds,
 	})
 	if err != nil {

@@ -236,6 +236,9 @@ func (s *Scenario) Validate() error {
 	if s.TimeoutT < 0 || (s.PeriodTh != 0 && s.TimeoutT == 0) {
 		return fmt.Errorf("scenario %s: heartbeat period without timeout", s.Name)
 	}
+	if s.PeriodTh < 0 {
+		return fmt.Errorf("scenario %s: negative heartbeat period %g", s.Name, s.PeriodTh)
+	}
 	if len(s.InitialCrashed) >= (s.N+1)/2 {
 		return fmt.Errorf("scenario %s: %d initial crashes violate the majority-correct requirement for n=%d",
 			s.Name, len(s.InitialCrashed), s.N)

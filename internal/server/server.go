@@ -279,6 +279,10 @@ type Server struct {
 	// it lets tests hold studies "running" deterministically to exercise
 	// queue admission and shutdown without timing assumptions.
 	testGate chan struct{}
+	// testCache, when non-nil, stands in for the point cache of local
+	// studies. Test-only: a cache whose Get panics is how tests make one
+	// point of one study blow up inside the worker pool.
+	testCache campaign.PointCache
 }
 
 // New builds the service and starts its MaxActive scheduler slots.
@@ -385,10 +389,13 @@ func (s *Server) runStudy(st *study) {
 		campaign.WithSink(&hubSink{hub: st.hub}),
 		campaign.WithProgress(func(done, total int, _ *campaign.Result) { st.setProgress(done) }),
 	}
-	if s.cache != nil {
+	switch {
+	case s.testCache != nil:
+		opts = append(opts, campaign.WithPointCache(s.testCache))
+	case s.cache != nil:
 		opts = append(opts, campaign.WithPointCache(&countingCache{c: s.cache, st: st}))
 	}
-	err := campaign.Run(s.runCtx, st.spec, opts...)
+	err := s.runContained(st, opts)
 	obs.StudiesActive.Add(-1)
 	st.setFinished(err)
 	final := st.snapshot()
@@ -399,6 +406,28 @@ func (s *Server) runStudy(st *study) {
 	}
 	st.hub.finish("")
 	s.cfg.Logf("study %s: done (%d points, %d cache hits)", st.id, final.Points, final.CacheHits)
+}
+
+// runContained is campaign.Run with a panicking work unit contained to
+// the study it belongs to. Submissions are validated at freeze, so a
+// panic inside the pool is an engine bug, not bad input — but the daemon
+// is shared: one tenant's study hitting it must end "failed", naming the
+// unit, while every other study keeps running. Anything that is not a
+// pool unit's panic is re-raised untouched.
+func (s *Server) runContained(st *study, opts []campaign.Option) (err error) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		up, ok := r.(*parallel.UnitPanic)
+		if !ok {
+			panic(r)
+		}
+		s.cfg.Logf("study %s: %v", st.id, up)
+		err = fmt.Errorf("work unit %d panicked: %v", up.Index, up.Value)
+	}()
+	return campaign.Run(s.runCtx, st.spec, opts...)
 }
 
 //go:embed index.html

@@ -595,6 +595,12 @@ func TestSubmitRejectsUnrunnablePoints(t *testing.T) {
 		{"emulation no correct majority", `{"engine":"emulation","spec":{"N":4,"Executions":5,"Crashed":[1,2]}}`, "majority-correct"},
 		{"emulation no executions", `{"engine":"emulation","spec":{"N":3}}`, "at least 1 execution"},
 		{"unknown scenario", `{"engine":"scenario","spec":{"Name":"no-such"}}`, "unknown scenario"},
+		// These two used to be accepted and then kill the process from
+		// inside the pool (sanmodel's and fd's constructor panics).
+		{"san TM >= TMR", `{"engine":"san","spec":{"N":3,"Replicas":5,"TMR":10,"TM":10}}`, "0 < TM < TMR"},
+		{"emulation negative period", `{"engine":"emulation","spec":{"N":3,"Executions":5,"TimeoutT":10,"PeriodTh":-1}}`, "negative heartbeat period"},
+		{"emulation negative deadline", `{"engine":"emulation","spec":{"N":3,"Executions":5,"Deadline":-5}}`, "negative execution deadline"},
+		{"san negative horizon", `{"engine":"san","spec":{"N":3,"Tmax":-1}}`, "negative horizon"},
 	} {
 		for _, mode := range []string{"local", "fleet"} {
 			body := []byte(`{"v":1,"name":"bad","points":[` + good + tc.point + `]}`)
@@ -611,6 +617,80 @@ func TestSubmitRejectsUnrunnablePoints(t *testing.T) {
 	}
 	if got := obs.LeasesGranted.Value(); got != granted {
 		t.Errorf("leases_granted moved %d -> %d on rejected submissions", granted, got)
+	}
+}
+
+// panickyCache is a point cache whose lookup panics for the hashes in
+// bad and misses for every other: the test-side way to make chosen
+// points blow up inside the worker pool.
+type panickyCache struct{ bad map[string]bool }
+
+func (c panickyCache) Get(hash string) (*campaign.Result, bool) {
+	if c.bad[hash] {
+		panic("injected point failure")
+	}
+	return nil, false
+}
+
+func (panickyCache) Put(string, *campaign.Result) {}
+
+// TestPanickingPointFailsItsStudyOnly: a work unit that panics takes down
+// its own study — status "failed", the unit and the panic message in the
+// error, the stream finished — and nothing else: a study running beside
+// it completes with the reference bytes, and the service keeps admitting
+// and running studies afterwards. (Before the containment the panic
+// re-raised on the slot goroutine and ended the process.)
+func TestPanickingPointFailsItsStudyOnly(t *testing.T) {
+	boom := campaign.NewStudy("boom",
+		campaign.SANPoint{N: 3, Replicas: 5},
+		campaign.SANPoint{Name: "bad", N: 3, Replicas: 5, Seed: 99},
+	)
+	points, err := boom.FrozenPoints(campaign.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	boomSpec, err := campaign.EncodeStudy(boom)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(Config{Workers: 2, MaxActive: 2, QueueDepth: 4, CacheBytes: -1})
+	gate := make(chan struct{})
+	s.testGate = gate
+	s.testCache = panickyCache{bad: map[string]bool{points[1].Hash: true}}
+	ts := httptest.NewServer(s.Handler())
+	h := &testServer{s: s, ts: ts}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+		ts.Close()
+	})
+
+	// Hold both studies "running" on their slots, then release them
+	// together so the panic lands while the good study executes.
+	bad := h.mustSubmit(t, boomSpec, "")
+	good := h.mustSubmit(t, testSpecBytes(t), "")
+	h.waitRunning(t, bad.ID)
+	h.waitRunning(t, good.ID)
+	close(gate)
+
+	if st := h.waitTerminal(t, bad.ID); st.Status != "failed" ||
+		!strings.Contains(st.Error, "work unit 1 panicked") || !strings.Contains(st.Error, "injected point failure") {
+		t.Errorf("panicking study ended %q with error %q; want failed, naming unit 1 and the panic", st.Status, st.Error)
+	}
+	if st := h.waitTerminal(t, good.ID); st.Status != "done" || st.Done != 3 {
+		t.Errorf("study beside the panic ended %+v, want done with 3 points", st)
+	}
+	if got, want := h.streamResults(t, good.ID), referenceJSONL(t, 1); !bytes.Equal(got, want) {
+		t.Errorf("study beside the panic streamed\n%s\nwant\n%s", got, want)
+	}
+	if resp, _ := h.get(t, "/healthz"); resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after the panic: %d", resp.StatusCode)
+	}
+	after := h.mustSubmit(t, testSpecBytes(t), "")
+	if st := h.waitTerminal(t, after.ID); st.Status != "done" {
+		t.Errorf("study submitted after the panic ended %+v, want done", st)
 	}
 }
 

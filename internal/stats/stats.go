@@ -172,6 +172,13 @@ func tQuantile(p float64, df int) float64 {
 	}
 	for i := 0; i < 200; i++ {
 		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			// lo and hi are adjacent floats (or equal): by the loop's
+			// invariant (tCDF(lo) < target <= tCDF(hi)) every further
+			// iteration leaves both — and so the midpoint returned —
+			// where they are, at the price of one regIncBeta each.
+			break
+		}
 		if tCDF(mid, df) < target {
 			lo = mid
 		} else {

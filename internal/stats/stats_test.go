@@ -131,6 +131,58 @@ func TestTQuantile(t *testing.T) {
 	}
 }
 
+// tQuantileFullBisection is tQuantile as it was before the early exit:
+// always 200 bisection steps. Kept here as the reference the shortened
+// loop must match bit for bit.
+func tQuantileFullBisection(p float64, df int) float64 {
+	if p == 0.5 {
+		return 0
+	}
+	lo, hi := 0.0, 1.0
+	target := p
+	flip := false
+	if target < 0.5 {
+		target = 1 - target
+		flip = true
+	}
+	for tCDF(hi, df) < target {
+		hi *= 2
+		if hi > 1e9 {
+			break
+		}
+	}
+	for i := 0; i < 200; i++ {
+		mid := (lo + hi) / 2
+		if tCDF(mid, df) < target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	q := (lo + hi) / 2
+	if flip {
+		return -q
+	}
+	return q
+}
+
+// TestTQuantileEarlyExitBitIdentical: stopping the bisection once lo and
+// hi are adjacent floats changes no bit of any quantile — over df 1..200
+// at the tail probabilities of the confidence levels in use (0.90 → 0.95)
+// and around it, both tails, plus probabilities so extreme that the
+// bracket search gives up (hi > 1e9) before the invariant holds.
+func TestTQuantileEarlyExitBitIdentical(t *testing.T) {
+	ps := []float64{0.95, 0.975, 0.995, 0.9, 0.75, 0.05, 0.025, 0.4, 0.6, 1 - 1e-9, 1 - 1e-15, 1e-12}
+	for df := 1; df <= 200; df++ {
+		for _, p := range ps {
+			got, want := tQuantile(p, df), tQuantileFullBisection(p, df)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("tQuantile(%g, %d) = %x, 200-step reference %x", p, df, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+}
+
 // TestCICoverage: a 90% CI computed from normal samples should contain the
 // true mean roughly 90% of the time.
 func TestCICoverage(t *testing.T) {

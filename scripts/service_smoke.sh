@@ -4,7 +4,10 @@
 # twice, and asserts (a) both result streams are byte-identical — the
 # determinism promise over HTTP — (b) the second run is served >= 90%
 # from the content-addressed result cache, and (c) SIGTERM drains the
-# service to a clean exit 0.
+# service to a clean exit 0. Before any of that it submits two hostile
+# but well-formed specs that used to be accepted and then kill the
+# process from inside the worker pool; they must be refused with a 400
+# that says why, and the daemon must still be there for (a)-(c).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -46,6 +49,23 @@ cat >"$SPEC" <<'EOF'
   {"engine":"san","spec":{"N":7,"Replicas":100}}]}
 EOF
 
+# Hostile submit: FD QoS with TM >= TMR (sanmodel's constructor panic)
+# and a negative heartbeat period (fd's). Each must come back 400 with
+# the reason in the body; then /healthz must still answer 200.
+hostile() { # hostile <point JSON> <reason the body must contain>
+    BODY="$(curl -s -o - -w '\n%{http_code}' -X POST \
+        -d "{\"v\":1,\"name\":\"hostile\",\"points\":[$1]}" "http://$ADDR/api/v1/studies")" ||
+        { echo "hostile submit got no answer: $1" >&2; cat "$LOG" >&2; exit 1; }
+    CODE="$(printf '%s' "$BODY" | tail -n 1)"
+    [ "$CODE" = "400" ] || { echo "hostile submit $1: status $CODE, want 400: $BODY" >&2; exit 1; }
+    printf '%s' "$BODY" | grep -q "$2" ||
+        { echo "hostile submit $1: 400 without the reason \"$2\": $BODY" >&2; exit 1; }
+}
+hostile '{"engine":"san","spec":{"N":3,"Replicas":5,"TMR":10,"TM":10}}' 'FD QoS needs'
+hostile '{"engine":"emulation","spec":{"N":3,"Executions":5,"TimeoutT":10,"PeriodTh":-1}}' 'negative heartbeat period'
+curl -sf "http://$ADDR/healthz" >/dev/null ||
+    { echo "ctsand stopped answering /healthz after the hostile submits:" >&2; cat "$LOG" >&2; exit 1; }
+
 submit() {
     curl -sf -X POST --data-binary @"$SPEC" "http://$ADDR/api/v1/studies" |
         sed -n 's/.*"id":"\([^"]*\)".*/\1/p'
@@ -83,4 +103,4 @@ wait "$PID" || RC=$?
 PID=""
 [ "$RC" = "0" ] || { echo "graceful shutdown exited $RC" >&2; cat "$LOG" >&2; exit 1; }
 
-echo "service smoke OK: $HITS/$POINTS cache hits on warm run, streams byte-identical, clean drain" >&2
+echo "service smoke OK: hostile specs refused (400), $HITS/$POINTS cache hits on warm run, streams byte-identical, clean drain" >&2
