@@ -88,12 +88,18 @@
 // same points inside a full 1-process run.
 //
 // On top of that, RunShardRange executes points [start, end) of a
-// frozen study with one durable checkpoint record per completed point
-// (a CRC-framed JSONL line in an internal/checkpoint store, carrying
-// the point-spec hash, the public Result JSON verbatim, and the binary
-// metrics.Digest encoding). Points the store already holds are skipped,
-// so a shard killed mid-run loses at most the point in flight and
-// resumes from its checkpoint. MergeShardRecords folds the union of
+// frozen study with one checkpoint record per completed point (a
+// CRC-framed JSONL line in an internal/checkpoint store, carrying the
+// point-spec hash, the public Result JSON verbatim, and the binary
+// metrics.Digest encoding). A record is written the moment its point
+// completes and the store is fsynced once per fixed 25 ms slice of wall
+// time (and when the range ends), so a grid of sub-millisecond points
+// runs at engine speed while a long point still gets an fsync to
+// itself. Points the store already holds are skipped on resume, so a
+// dead executor costs bounded re-execution, never a wrong result: a
+// shard that is killed loses only the points in flight (what it wrote
+// outlives the process), and a power cut loses at most the records of
+// one slice, which the resume re-executes. MergeShardRecords folds the union of
 // every shard's records back into the complete grid in index order —
 // the same serial fold order as an in-process run — rejecting corrupt
 // records (CRC), stale records (point-hash mismatch after a spec

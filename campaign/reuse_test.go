@@ -3,7 +3,6 @@ package campaign
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -210,19 +209,8 @@ func TestEvictionKeepsResultsAndBound(t *testing.T) {
 // kinds but six assemblies: one SAN model per n, and one oracle harness
 // per n that the Emulation and the Scenario points share.
 func TestFineGridBuildsSixAssemblies(t *testing.T) {
-	var grid []Point
-	for cycle := 0; cycle < 2; cycle++ {
-		for _, n := range []int{3, 5, 7} {
-			sc := ScenarioPoint{Name: "paper-baseline", Executions: 10}
-			if n != 3 {
-				sc.Name = fmt.Sprintf("baseline-n%d", n)
-				sc.SpecJSON = []byte(fmt.Sprintf(`{"name":%q,"n":%d}`, sc.Name, n))
-			}
-			grid = append(grid, SANPoint{N: n, Replicas: 5}, LatencyPoint{N: n, Executions: 10}, sc)
-		}
-	}
 	var o *options
-	if _, err := RunCollect(context.Background(), NewStudy("fine", grid...), WithWorkers(1), captureOptions(&o)); err != nil {
+	if _, err := RunCollect(context.Background(), tinyGrid(18), WithWorkers(1), captureOptions(&o)); err != nil {
 		t.Fatal(err)
 	}
 	if m, h := o.slots[0].models.Len(), o.slots[0].harnesses[0].Len(); m != 3 || h != 3 {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"time"
 
 	"ctsan/internal/checkpoint"
 	"ctsan/internal/metrics"
@@ -208,58 +209,73 @@ func siftRecords(hashes []string, lines [][]byte) (byIndex map[int]*ShardRecord,
 	return byIndex, skipped
 }
 
-// MissingPoints reports which grid indices of [start, end) have no valid
-// checkpoint record among lines, plus how many lines were skipped as
-// invalid or stale. A shard whose range comes back empty is complete and
-// can be skipped on resume.
-func MissingPoints(frozen *Study, start, end int, lines [][]byte) (missing []int, skipped int, err error) {
-	if err := checkRange(frozen, start, end); err != nil {
-		return nil, 0, err
-	}
-	hashes, err := StudyPointHashes(frozen)
-	if err != nil {
-		return nil, 0, err
-	}
-	byIndex, skipped := siftRecords(hashes, lines)
+// missingPoints reports which grid indices of [start, end) have no valid
+// checkpoint record among lines, given the study's per-index point
+// hashes. A shard whose range comes back empty is complete and can be
+// skipped on resume.
+func missingPoints(hashes []string, start, end int, lines [][]byte) (missing []int) {
+	byIndex, _ := siftRecords(hashes, lines)
 	for i := start; i < end; i++ {
 		if _, ok := byIndex[i]; !ok {
 			missing = append(missing, i)
 		}
 	}
-	return missing, skipped, nil
+	return missing
 }
+
+// syncSlice is how much wall time one checkpoint fsync covers. A shard
+// writes every record the moment its point completes and fsyncs once the
+// slice that began at the previous fsync is this old: a grid of tiny
+// points pays one fsync per slice instead of one per point, while a
+// point that runs longer than the slice still gets an fsync to itself.
+// It is a constant on purpose — large enough to amortise the fsync over
+// tens of sub-millisecond points, small enough that what a power cut can
+// cost is noise next to restarting the shard process.
+const syncSlice = 25 * time.Millisecond
+
+// now is the clock syncSlice is measured on; tests replace it.
+var now = time.Now
 
 // RunShardRange executes points [start, end) of a frozen study,
 // checkpointing each completed point into store and skipping points the
-// store already holds valid records for — so a shard killed mid-run
-// loses at most the point in flight and re-executes only the remainder
-// when restarted. The frozen study must be the *full* grid (records
-// carry full-grid indices); opts typically just caps workers, since
-// seeds and replica counts are already pinned by Frozen.
+// store already holds valid records for, so a restarted shard
+// re-executes only what is missing. The frozen study must be the *full*
+// grid (records carry full-grid indices); opts typically just caps
+// workers, since seeds and replica counts are already pinned by Frozen.
+//
+// Durability is per time slice, not per point. Each record is written to
+// the store as soon as its point completes — from then on it is in
+// store.Records() and visible to checkpoint.Load, and it outlives this
+// process however it dies (panic, SIGKILL, a supervisor's timeout) — and
+// the store is fsynced when syncSlice has passed since the previous
+// fsync, and once more before RunShardRange returns, on every exit path.
+// So a dead executor costs bounded re-execution, never a wrong result:
+// process death loses only the points in flight; power loss loses at
+// most the records of one slice, all written within syncSlice of each
+// other, which a resume finds missing (or torn, and drops) and
+// re-executes.
 //
 // onPoint, when non-nil, observes each record line just after it is
-// durably appended — the fault-injection hook the crash-safety tests
-// use, and a progress hook for supervisors.
+// written — "checkpointed" in the sense above: readable by a resume or a
+// merge, not necessarily fsynced yet. It is the fault-injection hook the
+// crash-safety tests use, and a progress hook for supervisors.
 func RunShardRange(ctx context.Context, frozen *Study, start, end int, store *checkpoint.Store, onPoint func(index int, line []byte) error, opts ...Option) error {
 	if err := checkRange(frozen, start, end); err != nil {
 		return err
-	}
-	missing, _, err := MissingPoints(frozen, start, end, store.Records())
-	if err != nil {
-		return err
-	}
-	if len(missing) == 0 {
-		return nil
 	}
 	hashes, err := StudyPointHashes(frozen)
 	if err != nil {
 		return err
 	}
+	missing := missingPoints(hashes, start, end, store.Records())
+	if len(missing) == 0 {
+		return nil
+	}
 	sub := &Study{Name: frozen.Name, Points: make([]Point, len(missing))}
 	for li, gi := range missing {
 		sub.Points[li] = frozen.Points[gi]
 	}
-	sink := &shardSink{store: store, hashes: hashes, global: missing, onPoint: onPoint}
+	sink := &shardSink{store: store, hashes: hashes, global: missing, onPoint: onPoint, sliceStart: now()}
 	return Run(ctx, sub, append(opts, WithSink(sink))...)
 }
 
@@ -276,12 +292,19 @@ func checkRange(s *Study, start, end int) error {
 
 // shardSink checkpoints each emitted result, rewriting its sub-study
 // index to the full-grid index first (emission order is sub-study order,
-// which preserves grid order over the executed subset).
+// which preserves grid order over the executed subset). Emit writes the
+// record at once and fsyncs only when the current slice is syncSlice
+// old; Close — which Run calls on every exit path, cancellation and
+// sink errors included — fsyncs whatever the last slice left. Nothing is
+// buffered in memory and there is no timer: the clock is read in Emit.
 type shardSink struct {
 	store   *checkpoint.Store
 	hashes  []string
 	global  []int
 	onPoint func(index int, line []byte) error
+	// sliceStart is when the current slice began: the previous fsync, or
+	// the start of the range.
+	sliceStart time.Time
 }
 
 func (s *shardSink) Emit(res *Result) error {
@@ -291,16 +314,22 @@ func (s *shardSink) Emit(res *Result) error {
 	if err != nil {
 		return err
 	}
-	if err := s.store.Append(line); err != nil {
+	if err := s.store.Write(line); err != nil {
 		return err
 	}
 	if s.onPoint != nil {
-		return s.onPoint(gi, line)
+		if err := s.onPoint(gi, line); err != nil {
+			return err
+		}
+	}
+	if t := now(); t.Sub(s.sliceStart) >= syncSlice {
+		s.sliceStart = t
+		return s.store.Sync()
 	}
 	return nil
 }
 
-func (s *shardSink) Close() error { return nil }
+func (s *shardSink) Close() error { return s.store.Sync() }
 
 // MergeShardRecords folds checkpoint lines (typically the union of every
 // shard's store) into the complete, index-ordered record set of a frozen

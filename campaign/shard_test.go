@@ -281,11 +281,11 @@ func TestShardResume(t *testing.T) {
 	if err := RunShardRange(ctx, frozen, 0, 2, store, nil, WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
-	missing, _, err := MissingPoints(frozen, 0, 5, store.Records())
+	hashes, err := StudyPointHashes(frozen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(missing) != 3 {
+	if missing := missingPoints(hashes, 0, 5, store.Records()); len(missing) != 3 {
 		t.Fatalf("missing = %v, want the 3 unexecuted points", missing)
 	}
 

@@ -45,7 +45,9 @@
 // up to -retries times) and folds results in grid-index order into -o.
 // `shard` executes one range, appending each completed point to a
 // checkpoint file in -dir and skipping points that file already holds —
-// so a shard killed mid-run loses at most the point in flight. `merge`
+// so a shard killed mid-run loses only the points in flight ("appending"
+// is a write per point and an fsync per 25 ms slice; see
+// campaign.RunShardRange for what a power cut can cost). `merge`
 // folds every checkpoint record in -dir, in grid-index order, verifying
 // each record's CRC and point-spec hash.
 //
@@ -111,7 +113,7 @@ type command struct {
 // commands is the whole CLI, in usage order.
 var commands = []command{
 	{"dispatch", "run", "lease the grid to shard subprocesses, supervise them, and merge", cmdRun},
-	{"dispatch", "shard", "execute one shard range with durable per-point checkpoints", cmdShard},
+	{"dispatch", "shard", "execute one shard range, checkpointing each completed point", cmdShard},
 	{"dispatch", "merge", "fold checkpoint records into the final results JSONL", cmdMerge},
 	{"dispatch", "worker", "pull fleet leases from a campaign service and execute them", cmdWorker},
 	{"paper reproduction", "repro", "regenerate the tables and figures of the paper's evaluation (§5)", cmdRepro},

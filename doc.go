@@ -75,8 +75,11 @@
 // Campaigns larger than one process shard across subprocesses — and
 // machines. A study spec plus (seed, replicas) freezes deterministically
 // into the identical grid everywhere (campaign.Frozen), every completed
-// point is checkpointed durably as a CRC-framed record appended and
-// fsynced to an append-only log (internal/checkpoint), and one dispatch
+// point is checkpointed as a CRC-framed record appended at once to an
+// append-only log that is fsynced once per 25 ms slice of wall time
+// (internal/checkpoint: a killed executor loses nothing it wrote, a
+// power cut at most one slice of records, re-executed on resume), and
+// one dispatch
 // mechanism decides who runs what: the lease ledger (internal/shard).
 // It hands out contiguous index ranges as leases, verifies every record
 // that comes back against the frozen grid (CRC + PointHash), returns

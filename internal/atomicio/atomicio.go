@@ -5,8 +5,8 @@
 // content, never a prefix.
 //
 // It is the single implementation of that sequence in the repository:
-// the checkpoint store (internal/checkpoint) creates its file and
-// repairs a damaged tail with it (appends go in place), cmd/benchjson
+// the checkpoint store (internal/checkpoint) repairs a damaged tail with
+// it (creation and appends go in place), cmd/benchjson
 // writes BENCH_emulation.json with it, cmd/ctsan its merged output, and
 // golden-file -update writers use it, so an interrupted run can never
 // leave a half-written artifact that a later run (or a resume) trips
@@ -53,14 +53,15 @@ func WriteFile(path string, data []byte, perm os.FileMode) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("atomicio: %w", err)
 	}
-	return syncDir(dir)
+	return SyncDir(dir)
 }
 
-// syncDir fsyncs a directory so a just-performed rename is durable. Some
-// filesystems refuse to fsync directories; those errors are ignored —
-// the rename is still atomic, just not yet guaranteed durable, which is
-// the best available on such systems.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so a just-performed rename (or, for the
+// checkpoint store, file creation) is durable. Some filesystems refuse
+// to fsync directories; those errors are ignored — the entry is still
+// there, just not yet guaranteed durable, which is the best available on
+// such systems.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("atomicio: %w", err)

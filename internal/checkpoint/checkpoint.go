@@ -4,20 +4,30 @@
 // campaign's shard wire format) with two guarantees the sharded
 // execution layer is built on:
 //
-//   - Durable O(1) appends. Append hands only the new record's bytes to
-//     one write(2) on an O_APPEND descriptor and fsyncs the file before
-//     it returns; the descriptor is closed again, so a store holds no OS
-//     resource between calls. Earlier bytes are never rewritten, so a
-//     SIGKILL or power cut mid-append can only leave the record(s) in
-//     flight as a torn tail after the last fsynced record — it loses at
-//     most those, never an earlier one. The very first append creates
-//     the file through internal/atomicio (temp file, fsync, rename,
-//     directory fsync), the only time the directory entry changes.
+//   - Write now, sync per slice. Write hands only the new records' bytes
+//     to one write(2) on an O_APPEND descriptor and returns: the records
+//     are in Records(), in the file and visible to Load, but not yet
+//     fsynced. Sync is the one durability point: a single fsync covering
+//     everything written since the previous one (plus the directory
+//     entry, the first time after the file was created). Append and
+//     AppendBatch are Write followed by Sync, durable on return. The
+//     descriptor is closed after each call, so a store holds no OS
+//     resource between calls, and earlier bytes are never rewritten.
+//     What the two kinds of failure can lose follows from that:
+//     the death of the process (panic, SIGKILL, a supervisor's timeout)
+//     loses nothing that was written — the page cache outlives it — and
+//     at worst leaves the record in flight as a torn tail; a power cut or
+//     kernel crash loses at most what was written since the last Sync,
+//     of which the kernel may have flushed any prefix, again possibly
+//     torn. Neither can damage a record before the last synced one. How
+//     much sits between two Syncs is the writer's choice: the sharded
+//     campaign sink syncs once per fixed time slice, the result-cache
+//     spill once per batch.
 //
 //   - Corruption-tolerant loads. Load never fails on damaged content: it
 //     returns the longest prefix of intact records and stops at the
 //     first bad line (the torn tail of a crashed or still-running
-//     append, truncation, bit rot — anything that is not a complete
+//     write, truncation, bit rot — anything that is not a complete
 //     newline-terminated line). Deeper validation (CRC, spec hash)
 //     belongs to the record format layered on top; the store only
 //     guarantees line integrity, so a resumed run re-executes damaged
@@ -25,20 +35,28 @@
 //
 // Open combines the two: it loads the intact prefix and, if anything was
 // discarded, immediately replaces the file with that clean prefix
-// (atomically, the one rewrite this package does) so the next append
-// lands on a record boundary and two crashes in a row cannot compound.
+// (atomically through internal/atomicio, the one rewrite this package
+// does) so the next write lands on a record boundary and two crashes in
+// a row cannot compound.
 //
 // Two consequences of appending in place, both harmless to the callers:
-// a Load racing an append may see the new record's line half-written
+// a Load racing a write may see the new record's line half-written
 // (it drops it, exactly like a crash tail, and sees it whole on the next
-// Load), and a crash inside AppendBatch keeps a prefix of the batch, in
-// order, rather than all or none of it.
+// Load), and a crash inside a multi-record Write keeps a prefix of it,
+// in order, rather than all or none of it.
+//
+// A failed fsync is final. The kernel marks the dirty pages clean when
+// writeback fails, so a later fsync can succeed without the data being
+// on disk; a store whose Sync failed therefore refuses every further
+// Write and Sync with that error, and whoever retries must Open the file
+// again and trust only what it finds there.
 package checkpoint
 
 import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"ctsan/internal/atomicio"
 	"ctsan/internal/obs"
@@ -50,29 +68,33 @@ import (
 type Store struct {
 	path string
 	// records holds every intact record, oldest first (without the
-	// newline): the ones Open read, then each appended batch's own copy.
+	// newline): the ones Open read, then each Write's own copy.
 	records [][]byte
 	// size is the byte length of the file, which is exactly the intact
-	// records with their newlines; created is false until the file exists.
+	// records with their newlines; synced is how much of it the last Sync
+	// covered (or Open found). created is false until the file exists.
 	size    int64
+	synced  int64
 	created bool
 	// dropped reports how many bytes of damaged tail Open discarded.
 	dropped int
-	// broken is set when a failed append could not be rolled back: the
-	// file may end in torn bytes, so further appends are refused.
+	// broken is set when the file can no longer be trusted to match
+	// records — a failed write that could not be rolled back, or a failed
+	// sync — so further writes and syncs are refused.
 	broken error
 }
 
 // Open opens (or creates) the store at path, keeping the longest intact
 // record prefix and truncating any damaged tail on disk. A missing file
-// is an empty store, ready to append.
+// is an empty store, ready to write; the file appears with the first
+// Write.
 func Open(path string) (*Store, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	records, intact := Scan(data)
-	s := &Store{path: path, records: records, size: int64(intact), created: err == nil, dropped: len(data) - intact}
+	s := &Store{path: path, records: records, size: int64(intact), synced: int64(intact), created: err == nil, dropped: len(data) - intact}
 	if s.dropped > 0 {
 		// Repair now: replace the file with the clean prefix atomically so
 		// a second crash cannot stack new corruption on old.
@@ -130,23 +152,14 @@ func (s *Store) Dropped() int { return s.dropped }
 // Path returns the store's file path.
 func (s *Store) Path() string { return s.path }
 
-// Append durably adds one record: its bytes are appended to the file
-// and fsynced before Append returns, so a SIGKILL loses at most this
-// record. The record must be non-empty and must not contain a newline
-// (it is the line framing).
-func (s *Store) Append(record []byte) error {
-	return s.AppendBatch([][]byte{record})
-}
-
-// AppendBatch durably adds records with one write and one fsync. It
-// exists for bulk writers — the result-cache spill persists whole LRU
-// generations — where per-record Append would pay one fsync each. A
-// crash mid-batch keeps a prefix of the batch, in order; an error
-// returned here means none of it is in Records() and the file was
-// rolled back to match. Every record must satisfy the Append rules
-// (non-empty, no newline); a batch with an invalid record writes
-// nothing.
-func (s *Store) AppendBatch(records [][]byte) error {
+// Write adds records to the end of the file with one write(2) and no
+// fsync. When it returns they are in Records() and readable by Load, and
+// they survive the death of this process; they survive a power cut only
+// after the next Sync. An error means none of them is in Records() and
+// the file was rolled back to match. Every record must be non-empty and
+// must not contain a newline (it is the line framing); a call with an
+// invalid record writes nothing.
+func (s *Store) Write(records ...[]byte) error {
 	if len(records) == 0 {
 		return nil
 	}
@@ -183,35 +196,86 @@ func (s *Store) AppendBatch(records [][]byte) error {
 	return nil
 }
 
-// writeFile is the append path's write(2); tests replace it to fail
-// partway through.
-var writeFile = (*os.File).Write
-
-// write makes buf durable at the end of the file. On failure the file
-// is rolled back to its last good length, so the records in memory and
-// the bytes on disk never disagree; if even that fails the store
-// refuses further appends rather than write after torn bytes.
-func (s *Store) write(buf []byte) error {
-	if !s.created {
-		if err := atomicio.WriteFile(s.path, buf, 0o644); err != nil {
-			return err
-		}
-		s.created = true
+// Sync makes everything written so far durable with one fsync of the
+// file (and one of its directory if the file is new); with nothing
+// written since the last Sync it does nothing. A failure is final: the
+// store is broken from then on (see the package comment).
+func (s *Store) Sync() error {
+	if s.broken != nil {
+		return s.broken
+	}
+	if s.synced == s.size {
 		return nil
 	}
-	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(s.path, os.O_WRONLY, 0)
+	if err == nil {
+		err = syncFile(f)
+		// Close cannot lose data already fsynced; its error adds nothing.
+		f.Close()
+	}
+	if err == nil && s.synced == 0 {
+		// The first sync of this file: it may be one this store created,
+		// whose directory entry is not durable yet either.
+		err = atomicio.SyncDir(filepath.Dir(s.path))
+	}
+	if err != nil {
+		s.broken = fmt.Errorf("checkpoint: %s unusable after failed sync: %w", s.path, err)
+		return s.broken
+	}
+	s.synced = s.size
+	obs.CheckpointSyncs.Add(1)
+	return nil
+}
+
+// Append durably adds one record: Write, then Sync, so not even a power
+// cut loses it once Append has returned.
+func (s *Store) Append(record []byte) error {
+	return s.AppendBatch([][]byte{record})
+}
+
+// AppendBatch durably adds records with one write and one fsync. It
+// exists for bulk writers — the result-cache spill persists whole LRU
+// generations — that want a durability point per batch. A crash
+// mid-batch keeps a prefix of the batch, in order. A write error means
+// none of it is in Records(); a sync error leaves it there, written but
+// of unknown durability, in a store that is broken from then on.
+func (s *Store) AppendBatch(records [][]byte) error {
+	if err := s.Write(records...); err != nil {
+		return err
+	}
+	return s.Sync()
+}
+
+// writeFile and syncFile are the store's write(2) and fsync(2); tests
+// replace them to fail partway through.
+var (
+	writeFile = (*os.File).Write
+	syncFile  = (*os.File).Sync
+)
+
+// write puts buf at the end of the file, creating it on first use. On
+// failure the file is rolled back to its last good length, so the
+// records in memory and the bytes on disk never disagree; if even that
+// fails the store refuses further writes rather than write after torn
+// bytes.
+func (s *Store) write(buf []byte) error {
+	flags := os.O_WRONLY | os.O_APPEND
+	if !s.created {
+		// O_EXCL: Open saw no file, so one that has appeared since is
+		// somebody else's.
+		flags |= os.O_CREATE | os.O_EXCL
+	}
+	f, err := os.OpenFile(s.path, flags, 0o644)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	// Close cannot lose data already fsynced; its error adds nothing.
+	// Close adds nothing: a write-back error surfaces at the next Sync's
+	// fsync, which is the call that promises durability.
 	defer f.Close()
-	_, err = writeFile(f, buf)
-	if err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
+	s.created = true
+	if _, err := writeFile(f, buf); err != nil {
 		if terr := f.Truncate(s.size); terr != nil {
-			s.broken = fmt.Errorf("checkpoint: %s unusable after failed append (%v) and failed rollback: %w", s.path, err, terr)
+			s.broken = fmt.Errorf("checkpoint: %s unusable after failed write (%v) and failed rollback: %w", s.path, err, terr)
 		}
 		return fmt.Errorf("checkpoint: %w", err)
 	}

@@ -46,6 +46,35 @@ func TestOpenMissingFileIsEmpty(t *testing.T) {
 	}
 }
 
+func TestFirstWriteCreatesTheFile(t *testing.T) {
+	// Open of a missing path touches nothing; the first Write creates the
+	// file, and refuses one that somebody else created in the meantime —
+	// appending to it, or rolling back to this store's idea of its length,
+	// would damage records this store never saw.
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckpt.jsonl")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("Open created the file (stat: %v)", err)
+	}
+	foreign := []byte("{\"theirs\":true}\n")
+	if err := os.WriteFile(path, foreign, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write([]byte(`{"i":0}`)); !errors.Is(err, os.ErrExist) {
+		t.Fatalf("Write over a file that appeared after Open = %v, want os.ErrExist", err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, foreign) {
+		t.Fatalf("foreign file changed: %q", got)
+	}
+	if len(s.Records()) != 0 {
+		t.Fatalf("refused write left %d records", len(s.Records()))
+	}
+}
+
 func TestOpenTruncatesTornTail(t *testing.T) {
 	// Simulate a SIGKILL mid-write from a non-atomic writer: two complete
 	// records and a torn third line with no newline.
@@ -255,6 +284,124 @@ func TestFailedAppendRollsBack(t *testing.T) {
 		t.Fatalf("file dirty after recovery: dropped=%d err=%v", dropped, err)
 	}
 	mustEqualRecords(t, "Load after recovery", got, want)
+}
+
+func TestWriteIsVisibleBeforeSync(t *testing.T) {
+	// Write is the whole of what process death can see: the records are in
+	// Records() and a fresh Load reads them whole, with no fsync issued.
+	// Sync then covers everything written since the previous one with a
+	// single fsync, and is free when there is nothing to cover.
+	syncs := 0
+	syncFile = func(f *os.File) error { syncs++; return f.Sync() }
+	defer func() { syncFile = (*os.File).Sync }()
+
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]byte
+	for i := 0; i < 5; i++ {
+		r := []byte(fmt.Sprintf(`{"i":%d}`, i))
+		if err := s.Write(r); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, r)
+		mustEqualRecords(t, "Records after Write", s.Records(), want)
+		got, dropped, err := Load(path)
+		if err != nil || dropped != 0 {
+			t.Fatalf("Load after Write %d: dropped=%d err=%v", i, dropped, err)
+		}
+		mustEqualRecords(t, "Load after Write", got, want)
+	}
+	if syncs != 0 {
+		t.Fatalf("5 Writes issued %d fsyncs, want none", syncs)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if syncs != 1 {
+		t.Fatalf("3 Syncs over 5 written records issued %d fsyncs, want 1", syncs)
+	}
+	// Append and AppendBatch are Write + Sync: one fsync each, whatever
+	// the batch size.
+	if err := s.Append([]byte(`{"i":5}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendBatch([][]byte{[]byte(`{"i":6}`), []byte(`{"i":7}`), []byte(`{"i":8}`)}); err != nil {
+		t.Fatal(err)
+	}
+	if syncs != 3 {
+		t.Fatalf("Append + AppendBatch brought the fsync count to %d, want 3", syncs)
+	}
+}
+
+func TestFailedSyncPoisonsStore(t *testing.T) {
+	// After a failed fsync the kernel marks the dirty pages clean, so a
+	// later fsync can succeed without the data on disk. The store must not
+	// offer that second chance: the k-th sync failing makes every further
+	// Write, Append and Sync fail with the same error, while what was
+	// written stays readable for whoever opens the file afresh — and that
+	// fresh store works.
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ioErr := errors.New("input/output error")
+	const k = 3
+	calls := 0
+	syncFile = func(f *os.File) error {
+		if calls++; calls == k {
+			return ioErr
+		}
+		return f.Sync()
+	}
+	defer func() { syncFile = (*os.File).Sync }()
+
+	var want [][]byte
+	for i := 0; i < k; i++ {
+		r := []byte(fmt.Sprintf(`{"i":%d}`, i))
+		want = append(want, r)
+		err := s.Append(r)
+		if i < k-1 && err != nil {
+			t.Fatal(err)
+		}
+		if i == k-1 && !errors.Is(err, ioErr) {
+			t.Fatalf("Append = %v on the failing sync, want the injected fsync failure", err)
+		}
+	}
+	// The kernel would let the next fsync succeed; the store does not ask.
+	if err := s.Sync(); !errors.Is(err, ioErr) {
+		t.Fatalf("Sync after a failed sync = %v, want the first failure", err)
+	}
+	if err := s.Write([]byte(`{"i":3}`)); !errors.Is(err, ioErr) {
+		t.Fatalf("Write after a failed sync = %v, want the first failure", err)
+	}
+	if err := s.AppendBatch([][]byte{[]byte(`{"i":4}`)}); !errors.Is(err, ioErr) {
+		t.Fatalf("AppendBatch after a failed sync = %v, want the first failure", err)
+	}
+	if calls != k {
+		t.Fatalf("a broken store issued %d more fsyncs", calls-k)
+	}
+	mustEqualRecords(t, "Records of the broken store", s.Records(), want)
+
+	re, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualRecords(t, "fresh Open after a failed sync", re.Records(), want)
+	next := []byte(`{"i":3}`)
+	if err := re.Append(next); err != nil {
+		t.Fatal(err)
+	}
+	got, dropped, err := Load(path)
+	if err != nil || dropped != 0 {
+		t.Fatalf("file dirty after recovery: dropped=%d err=%v", dropped, err)
+	}
+	mustEqualRecords(t, "Load after recovery", got, append(want, next))
 }
 
 func TestAppendCostIsIndependentOfStoreSize(t *testing.T) {

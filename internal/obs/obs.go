@@ -33,8 +33,14 @@ var (
 	Executions = expvar.NewInt("ctsan.executions_completed")
 	// Points counts completed campaign grid points.
 	Points = expvar.NewInt("ctsan.points_completed")
-	// CheckpointAppends counts durable checkpoint records written.
+	// CheckpointAppends counts checkpoint records written to a store:
+	// in the file and readable by a resume or merge, durable against
+	// power loss only once a sync has covered them.
 	CheckpointAppends = expvar.NewInt("ctsan.checkpoint_appends")
+	// CheckpointSyncs counts the fsyncs that made written records
+	// durable. A sharded run syncs once per time slice, not per record,
+	// so on a grid of tiny points it stays far below CheckpointAppends.
+	CheckpointSyncs = expvar.NewInt("ctsan.checkpoint_syncs")
 	// CheckpointBytes counts the bytes the checkpoint store handed to
 	// write(2): appended records plus the rare tail repair. Divided by
 	// CheckpointAppends it is the write cost of one record, which stays

@@ -61,7 +61,7 @@ func TestServeExposesVarsAndPprof(t *testing.T) {
 	}
 	for _, key := range []string{
 		"ctsan.executions_completed", "ctsan.points_completed",
-		"ctsan.leases_granted", "ctsan.leases_completed", "ctsan.checkpoint_appends", "ctsan.checkpoint_bytes",
+		"ctsan.leases_granted", "ctsan.leases_completed", "ctsan.checkpoint_appends", "ctsan.checkpoint_syncs", "ctsan.checkpoint_bytes",
 		"ctsan.exec_per_sec", "ctsan.worker_utilization",
 	} {
 		if _, ok := vars[key]; !ok {

@@ -39,7 +39,7 @@ type Cache struct {
 	// persisted as encoded records through a checkpoint store, so a
 	// restarted service warm-loads its cache instead of re-executing.
 	// spillMu guards the store and the onDisk set; it is never taken
-	// while holding mu (appends fsync — too slow for the lookup path).
+	// while holding mu (a batch append fsyncs — too slow for the lookup path).
 	spillMu sync.Mutex
 	spill   *checkpoint.Store
 	onDisk  map[string]bool

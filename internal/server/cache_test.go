@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ctsan/campaign"
+	"ctsan/internal/obs"
 )
 
 // makeResult produces one real campaign Result (cache entries are
@@ -118,6 +119,41 @@ func TestCacheOversizeRecordSkipped(t *testing.T) {
 	}
 	if _, ok := c.Get("sha256:big"); ok {
 		t.Errorf("oversize record served")
+	}
+}
+
+// TestCacheSpillSyncsOncePerBatch: the spill store is written through
+// AppendBatch, which stays durable on return — one fsync per batch,
+// however many records it carries, the first batch (which creates the
+// file) included. Nothing to spill means nothing to sync.
+func TestCacheSpillSyncsOncePerBatch(t *testing.T) {
+	c := NewCache(1 << 20)
+	if _, err := c.EnableSpill(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	seed := uint64(1)
+	for batch, size := range []int{3, 1, 4} {
+		for i := 0; i < size; i++ {
+			c.Put(fmt.Sprintf("sha256:batch%d-%d", batch, i), makeResult(t, seed))
+			seed++
+		}
+		appends, syncs := obs.CheckpointAppends.Value(), obs.CheckpointSyncs.Value()
+		if err := c.SpillAll(); err != nil {
+			t.Fatal(err)
+		}
+		if got := obs.CheckpointAppends.Value() - appends; got != int64(size) {
+			t.Errorf("batch %d: %d records appended, want %d", batch, got, size)
+		}
+		if got := obs.CheckpointSyncs.Value() - syncs; got != 1 {
+			t.Errorf("batch %d of %d records: %d syncs, want 1", batch, size, got)
+		}
+	}
+	syncs := obs.CheckpointSyncs.Value()
+	if err := c.SpillAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.CheckpointSyncs.Value() - syncs; got != 0 {
+		t.Errorf("a spill with nothing new synced %d times", got)
 	}
 }
 

@@ -5,10 +5,15 @@
 #
 #   1. run an uninterrupted sharded campaign → reference JSONL;
 #   2. start a throttled shard, SIGKILL it once its checkpoint holds at
-#      least one record but not all of them;
+#      least two records but not all of them;
 #   3. resume under the supervisor and merge;
 #   4. the resumed output must be byte-identical to the reference, and
-#      the records that survived the kill must be reused verbatim.
+#      the records that survived the kill must be reused verbatim;
+#   5. power cut: a shard fsyncs once per time slice, not per record, so
+#      losing power (unlike losing the process) can keep any prefix of
+#      the last slice. Cut one copy of the surviving store mid-way
+#      through its last record and another at the record boundary before
+#      it, resume each, and require the reference bytes again.
 #
 # Exit status 0 iff all of that holds.
 set -eu
@@ -48,12 +53,13 @@ echo "== interrupted: throttled shard, SIGKILL mid-range"
 DIR="$WORK/ckpt"
 STORE="$DIR/shard-000000-000006.jsonl"
 "$CTSAN" shard -study "$SPEC" -seed 21 -range 0:6 -dir "$DIR" \
-    -workers 1 -throttle 60s 2>"$WORK/shard.log" &
+    -workers 1 -throttle 3s 2>"$WORK/shard.log" &
 SHARD_PID=$!
 
-# Wait until the checkpoint holds at least one intact record.
+# Wait until the checkpoint holds at least two intact records (so the
+# power-cut stage below has a survivor to keep and a record to lose).
 i=0
-while [ ! -f "$STORE" ] || [ "$(wc -l <"$STORE")" -lt 1 ]; do
+while [ ! -f "$STORE" ] || [ "$(wc -l <"$STORE")" -lt 2 ]; do
   i=$((i + 1))
   if [ "$i" -gt 600 ]; then
     echo "shard produced no checkpoint record in time" >&2
@@ -72,7 +78,7 @@ if [ "$SURVIVED" -ge 6 ]; then
   exit 1
 fi
 echo "   killed with $SURVIVED/6 points checkpointed"
-cp "$STORE" "$WORK/survived.jsonl"
+head -n "$SURVIVED" "$STORE" >"$WORK/survived.jsonl"
 
 echo "== resume under the supervisor"
 "$CTSAN" run -study "$SPEC" -seed 21 -shards 1 \
@@ -90,4 +96,21 @@ cmp "$WORK/reference.jsonl" "$WORK/resumed.jsonl" || {
   echo "kill-and-resume output differs from the uninterrupted run" >&2
   exit 1
 }
+
+echo "== power cut: resume from stores that lost their unsynced tail"
+SIZE="$(wc -c <"$WORK/survived.jsonl")"
+LAST="$(tail -n 1 "$WORK/survived.jsonl" | wc -c)"
+BOUNDARY=$((SIZE - LAST))
+for CUT in $((BOUNDARY + LAST / 2)) "$BOUNDARY"; do
+  CUTDIR="$WORK/cut-$CUT"
+  mkdir "$CUTDIR"
+  head -c "$CUT" "$WORK/survived.jsonl" >"$CUTDIR/shard-000000-000006.jsonl"
+  "$CTSAN" run -study "$SPEC" -seed 21 -shards 1 \
+      -dir "$CUTDIR" -o "$WORK/cut-$CUT.jsonl" -backoff 100ms
+  cmp "$WORK/reference.jsonl" "$WORK/cut-$CUT.jsonl" || {
+    echo "resume from a store cut at byte $CUT of $SIZE differs from the uninterrupted run" >&2
+    exit 1
+  }
+  echo "   cut at byte $CUT of $SIZE: byte-identical"
+done
 echo "OK: kill-and-resume output is byte-identical ($(wc -l <"$WORK/resumed.jsonl") points)"
