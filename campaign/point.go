@@ -133,7 +133,8 @@ type SANPoint struct {
 	TMR, TM       float64
 	FDExponential bool
 	// Tmax is the simulation horizon in ms (0 = 1e7); replicas that reach
-	// it undecided count as Aborted.
+	// it undecided count as Aborted, and so do replicas the model's rounds
+	// guard ends without a decision.
 	Tmax float64
 	// Seed pins this point's campaign seed; 0 derives one from the study
 	// seed and the point index.
@@ -197,7 +198,7 @@ func (p SANPoint) prepare(o *options) (pointRunner, error) {
 			Replicas: p.Replicas,
 			digest:   &res.Digest,
 			Latency:  summarize(&res.Digest),
-			Aborted:  res.Truncated,
+			Aborted:  res.Truncated + res.Discarded,
 			raw:      res,
 		}, nil
 	}, nil

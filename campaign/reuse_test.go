@@ -152,6 +152,10 @@ func checkGridMatchesAlone(t *testing.T, name string, seed uint64, grid []Point)
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i, res := range results {
+			if res.Engine == SAN && res.Latency.N+res.Aborted != res.Replicas {
+				t.Fatalf("workers=%d point %d (%s): %d samples + %d aborted, %d replicas asked for",
+					workers, i, res.Point, res.Latency.N, res.Aborted, res.Replicas)
+			}
 			got, err := EncodeShardRecord(hashes[i], res)
 			if err != nil {
 				t.Fatal(err)

@@ -430,17 +430,23 @@ func (s *Sim) RunUntil(tmax float64) {
 // construct-then-run; callers that trace successive runs re-attach after
 // Reset. (Bucket geometry carried over from the previous run is internal
 // layout only — it cannot influence event order.)
+//
+// The queue is drained by its live entries: every one of them has
+// vb >= curVB, so the walk starts at the cursor and ends with the last
+// entry found — at once when nothing is queued — instead of visiting
+// every bucket of the ring.
 func (s *Sim) Reset() {
-	for i := range s.buckets {
-		bb := s.buckets[i]
+	for vb := s.curVB; s.live > 0; vb++ {
+		b := &s.buckets[int(vb&s.mask)]
+		bb := *b
 		for j := range bb {
 			s.release(bb[j].ev)
 			bb[j] = entry{}
 		}
-		s.buckets[i] = bb[:0]
+		s.live -= len(bb)
+		*b = bb[:0]
 	}
 	s.curVB = 0
-	s.live = 0
 	s.now, s.seq, s.nsteps = 0, 0, 0
 	s.popLastT, s.gapSum, s.gapN, s.sincePop = 0, 0, 0, 0
 	s.tr = nil

@@ -3,7 +3,9 @@ package parallel
 import (
 	"context"
 	"errors"
+	"expvar"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -366,5 +368,109 @@ func TestStreamCancellation(t *testing.T) {
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestForEachChunkCoversEveryIndexOnce: whatever the pool, the count and
+// the chunk cap, every index runs exactly once, the indices one worker
+// runs back to back ascend (a chunk is contiguous and in order), and the
+// pool's unit counter moves by chunks, not by indices.
+func TestForEachChunkCoversEveryIndexOnce(t *testing.T) {
+	for _, w := range []int{1, 2, 7, 64} {
+		for _, n := range []int{0, 1, 5, 63, 64, 65, 1000} {
+			for _, maxChunk := range []int{1, 8, 64} {
+				hits := make([]atomic.Int32, n)
+				last := make([]int, Workers(w))
+				for i := range last {
+					last[i] = -1
+				}
+				if err := ForEachChunk(bg, w, n, maxChunk, func(worker, i int) error {
+					hits[i].Add(1)
+					if i <= last[worker] {
+						t.Errorf("workers=%d n=%d maxChunk=%d: worker %d ran index %d after %d", w, n, maxChunk, worker, i, last[worker])
+					}
+					last[worker] = i
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				for i := range hits {
+					if got := hits[i].Load(); got != 1 {
+						t.Fatalf("workers=%d n=%d maxChunk=%d: index %d executed %d times", w, n, maxChunk, i, got)
+					}
+				}
+			}
+		}
+	}
+	units := func() int64 {
+		n, _ := strconv.ParseInt(expvar.Get("ctsan.work_units_completed").String(), 10, 64)
+		return n
+	}
+	before := units()
+	if err := ForEachChunk(bg, 1, 640, 64, func(_, _ int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got := units() - before; got != 10 {
+		t.Fatalf("640 indices in chunks of 64 were accounted for as %d units, want 10", got)
+	}
+}
+
+// TestForEachChunkStopsAtTheFailingIndex: an error ends the run at its
+// index — the rest of its chunk does not run on the serial path — and
+// beats a cancellation observed in the same chunk; a cancellation alone,
+// seen between two indices of one chunk, returns ctx.Err().
+func TestForEachChunkStopsAtTheFailingIndex(t *testing.T) {
+	sentinel := errors.New("unit failed")
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	ran := 0
+	err := ForEachChunk(ctx, 1, 100, 64, func(_, i int) error {
+		ran++
+		if i == 3 {
+			cancel()
+			return sentinel
+		}
+		return nil
+	})
+	if !errors.Is(err, sentinel) || ran != 4 {
+		t.Fatalf("err = %v after %d indices, want the unit error after 4", err, ran)
+	}
+	ctx, cancel = context.WithCancel(bg)
+	defer cancel()
+	ran = 0
+	err = ForEachChunk(ctx, 1, 100, 64, func(_, i int) error {
+		ran++
+		if i == 3 {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) || ran != 4 {
+		t.Fatalf("err = %v after %d indices, want context.Canceled after 4", err, ran)
+	}
+}
+
+// TestForEachChunkPanicNamesTheIndex: a panic inside a chunk is wrapped
+// with the index whose fn panicked, not the chunk's.
+func TestForEachChunkPanicNamesTheIndex(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		func() {
+			defer func() {
+				up, ok := recover().(*UnitPanic)
+				if !ok {
+					t.Fatalf("workers=%d: panic value is not *UnitPanic", w)
+				}
+				if up.Index != 77 || up.Value != "kaboom" || !strings.Contains(string(up.Stack), "parallel_test") {
+					t.Fatalf("workers=%d: wrapped panic = {index %d, value %v}", w, up.Index, up.Value)
+				}
+			}()
+			_ = ForEachChunk(bg, w, 1000, 64, func(_, i int) error {
+				if i == 77 {
+					panic("kaboom")
+				}
+				return nil
+			})
+			t.Fatal("unreachable: panic expected")
+		}()
 	}
 }

@@ -80,3 +80,46 @@ func TestSettleCostIndependentOfIdleSeizers(t *testing.T) {
 		t.Fatalf("a completion costs %.1f ns with 512 idle seizers and %.1f ns with 8: cost grows with the seizers sharing the resource", perMany, perFew)
 	}
 }
+
+// TestResetCostIndependentOfModelSize: rewinding after a replica of the
+// busy pipeline — its token mid-way, a timed activity still armed — may
+// cost at most half as much again beside 512 idle stages as beside 8. A
+// Reset that clears or copies per-place and per-activity tables on top of
+// a walk over every bucket of the event queue read 344 ns against 648 ns
+// here (1.9x, and five times either figure of the Reset that replaced
+// it), hence the factor 1.5 rather than 2. Each Reset is timed on its own,
+// after a replica that is not; the best of several rounds is taken on
+// each side.
+func TestResetCostIndependentOfModelSize(t *testing.T) {
+	const replicas = 2000
+	r := rng.New(1)
+	resets := func(s *Sim) time.Duration {
+		var d time.Duration
+		for i := 0; i < replicas; i++ {
+			runFirings(s, 20)
+			start := time.Now()
+			s.Reset(r)
+			d += time.Since(start)
+		}
+		return d
+	}
+	few := NewSim(fanoutModel(8), r)
+	many := NewSim(fanoutModel(512), r)
+	dFew, dMany := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for round := 0; round < 9; round++ {
+		dFew = min(dFew, resets(few))
+		dMany = min(dMany, resets(many))
+	}
+	perFew := float64(dFew.Nanoseconds()) / replicas
+	perMany := float64(dMany.Nanoseconds()) / replicas
+	t.Logf("ns/Reset (clock reads included): %.1f with 8 idle stages, %.1f with 512", perFew, perMany)
+	if perMany > 1.5*perFew {
+		t.Fatalf("Reset costs %.1f ns with 512 idle stages and %.1f ns with 8: cost grows with the model, not with what the replica touched", perMany, perFew)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		runFirings(many, 20)
+		many.Reset(r)
+	}); allocs != 0 {
+		t.Fatalf("Reset+Run allocates %.1f objects/op beside 512 idle stages, want 0", allocs)
+	}
+}

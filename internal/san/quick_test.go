@@ -2,6 +2,7 @@ package san
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -18,7 +19,10 @@ import (
 // two tokens initially — which is the shape the simulator's watch lists
 // exist for. Output gates blip places the seizers wait on (0 -> 1 -> 0 and
 // 1 -> 0 -> 1 inside one completion) and steal pool tokens, so enabled
-// seizers get disabled by someone else's completion too.
+// seizers get disabled by someone else's completion too. One more queue,
+// "shared", is the FIFO key of one seizer and a plain input arc of
+// another, and only output gates ever fill or trim it: arrival order is
+// kept for keys only, and a key is written by more than arcs.
 func buildRandomModel(r *rng.Stream) (*Model, *Place) {
 	m := NewModel("random")
 	n := 3 + r.Intn(6)
@@ -46,6 +50,21 @@ func buildRandomModel(r *rng.Stream) (*Model, *Place) {
 			seize.FIFO(queues[j])
 		}
 		m.Timed(name("serve", j), Fixed(dist.U(0.05, 0.1+r.Float64()))).Input(busy).Output(pool, done)
+	}
+	shared := m.Place("shared", r.Intn(3))
+	busyShared := m.Place("busyShared", 0)
+	m.Instant("seizeShared", 1+r.Intn(2)).Input(shared, pool).FIFO(shared).Output(busyShared)
+	m.Timed("serveShared", Fixed(dist.U(0.05, 0.3))).Input(busyShared).Output(pool, done)
+	plain := m.Instant("takeShared", 1+r.Intn(2)).Input(shared, resource).Output(done)
+	if r.Float64() < 0.5 {
+		plain.FIFO(resource)
+	}
+	// fill adds a token to the shared queue; trim takes its oldest away.
+	fill := func(mk *Marking) { mk.Add(shared, 1) }
+	trim := func(mk *Marking) {
+		if mk.Get(shared) > 1 {
+			mk.Add(shared, -1)
+		}
 	}
 	// blip writes p twice and leaves it as it was.
 	blip := func(p *Place) func(mk *Marking) {
@@ -75,10 +94,13 @@ func buildRandomModel(r *rng.Stream) (*Model, *Place) {
 		a := m.Timed(name("t", i), Fixed(d)).Input(src)
 		feed := queues[r.Intn(k)]
 		if r.Float64() < 0.5 {
-			a.Case(0.4).Output(dst, feed)
-			a.Case(0.6).Output(dst, done).Gate("blipPool", blip(pool))
+			a.Case(0.4).Output(dst, feed).Gate("fillShared", fill)
+			a.Case(0.6).Output(dst, done).Gate("blipPool", blip(pool)).Gate("trimShared", trim)
 		} else {
 			a.Output(dst, done, feed).OutputGate("blipQueue", blip(queues[r.Intn(k)]))
+			if r.Float64() < 0.5 {
+				a.OutputGate("fillShared", fill)
+			}
 		}
 	}
 	// A gated instantaneous activity consuming the resource when a place
@@ -139,38 +161,39 @@ func checkQuiescent(s *Sim) error {
 	if len(s.on) != 0 {
 		return fmt.Errorf("%d activities left in the enabled set", len(s.on))
 	}
-	waitsOn := make(map[int]int)
-	for pi, ai := range s.watchHead {
-		for ; ai >= 0; ai = s.watchNext[ai] {
+	waitsOn := make(map[int32]int)
+	for pi := range s.places {
+		for ai := s.places[pi].head; ai >= 0; ai = s.acts[ai].next {
 			if _, dup := waitsOn[ai]; dup {
 				return fmt.Errorf("%s is on two watch lists", s.model.activities[ai].name)
 			}
 			waitsOn[ai] = pi
 		}
 	}
-	for ai, a := range s.model.activities {
+	for i := range s.acts {
+		ai, a := int32(i), &s.acts[i]
+		armed := a.flags&flagArmed != 0
 		switch {
-		case a.timed:
-			if en := a.enabled(&s.marking); en != s.isArmed[ai] {
-				return fmt.Errorf("%s: enabled %v, armed %v", a.name, en, s.isArmed[ai])
+		case a.kind == kindTimed:
+			if en := s.enabled(a); en != armed {
+				return fmt.Errorf("%s: enabled %v, armed %v", s.model.activities[i].name, en, armed)
 			}
-		case a.enabled(&s.marking):
-			return fmt.Errorf("%s is enabled after settle", a.name)
-		case s.watchIn[ai] != nil:
+		case s.enabled(a):
+			return fmt.Errorf("%s is enabled after settle", s.model.activities[i].name)
+		case a.kind == kindWatched:
 			pi, ok := waitsOn[ai]
 			if !ok {
-				return fmt.Errorf("%s is disabled but on no watch list", a.name)
+				return fmt.Errorf("%s is disabled but on no watch list", s.model.activities[i].name)
 			}
 			if s.marking.m[pi] != 0 {
-				return fmt.Errorf("%s waits on marked place %s", a.name, s.model.places[pi].name)
+				return fmt.Errorf("%s waits on marked place %s", s.model.activities[i].name, s.model.places[pi].name)
 			}
-			own := false
-			for _, in := range s.watchIn[ai] {
-				own = own || in == pi
+			if !slices.Contains(a.in, int32(pi)) {
+				return fmt.Errorf("%s waits on %s, not one of its inputs", s.model.activities[i].name, s.model.places[pi].name)
 			}
-			if !own {
-				return fmt.Errorf("%s waits on %s, not one of its inputs", a.name, s.model.places[pi].name)
-			}
+		}
+		if armed && a.flags&flagLogged == 0 {
+			return fmt.Errorf("%s is armed and Reset does not know", s.model.activities[i].name)
 		}
 	}
 	return nil
@@ -212,18 +235,34 @@ func TestQuickDepTrackingEquivalence(t *testing.T) {
 
 // TestQuickResetEquivalentToNewSim: on random models, a simulator that has
 // already run — to a different end, under a different stream — and is then
-// Reset must replay exactly what a fresh NewSim does from the same stream.
+// Reset must replay exactly what a fresh NewSim does from the same stream,
+// and its bookkeeping must be consistent with the marking it ends in.
+// Every other replica is cut short by Tmax, tokens mid-way and timed
+// activities still armed: the state Reset has to undo from what the
+// replica touched alone.
 func TestQuickResetEquivalentToNewSim(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		model, done := buildRandomModel(rng.New(seed))
 		stop := func(mk *Marking) bool { return mk.Get(done) >= 25 }
 		reused := NewSim(model, rng.New(seed+99))
 		reused.Run(7, nil) // leave tokens, armed activities and watch lists behind
-		for k := uint64(0); k < 3; k++ {
-			want := firingTrace(NewSim(model, rng.New(seed^k)), 40, stop)
+		for k := uint64(0); k < 8; k++ {
+			tmax := []float64{40, 1.5}[k%2]
+			full := k/2%2 == 1 // the reference is rewound too, and switched to and from
+			fresh := NewSim(model, rng.New(seed^k))
+			fresh.SetFullRescan(full)
+			want := firingTrace(fresh, tmax, stop)
+			if k >= 4 {
+				reused.Reset(rng.New(seed)) // a Reset nothing runs after
+			}
 			reused.Reset(rng.New(seed ^ k))
-			if d := diffTraces(firingTrace(reused, 40, stop), want); d != "" {
-				t.Logf("seed %d, replica %d: reset vs fresh: %s", seed, k, d)
+			reused.SetFullRescan(full)
+			if d := diffTraces(firingTrace(reused, tmax, stop), want); d != "" {
+				t.Logf("seed %d, replica %d (full rescan %v): reset vs fresh: %s", seed, k, full, d)
+				return false
+			}
+			if err := checkQuiescent(reused); err != nil && !full {
+				t.Logf("seed %d, replica %d: %v", seed, k, err)
 				return false
 			}
 		}

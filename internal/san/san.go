@@ -37,11 +37,6 @@ import (
 	"ctsan/internal/dist"
 )
 
-// Note on time: Marking tracks token arrival instants so that competing
-// instantaneous activities can be served in arrival order (FIFO queueing
-// for shared resources, §3.3 of the paper: a message "waits until the
-// network is available"). The simulator keeps Marking.now current.
-
 // Place is a SAN place. Places are created through Model.Place and hold a
 // non-negative integer marking.
 type Place struct {
@@ -54,88 +49,160 @@ type Place struct {
 func (p *Place) Name() string { return p.name }
 
 // Marking is the state of a SAN: one non-negative integer per place.
-// Gate predicates and functions receive the live marking. Writes are
-// recorded so the simulator can re-evaluate only affected activities, and
-// token arrival times are tracked per place to support FIFO resource
-// queues (Activity.FIFO).
+// Gate predicates and functions receive the live marking and address it
+// by *Place; the simulator's own arcs address the same vector by index.
+// It keeps only what something reads. Every write is recorded — once per
+// drain so the simulator re-evaluates only the affected activities
+// (dirty), once per replica so Reset restores only what the replica wrote
+// (touched) — and the arrival instants of tokens are kept for the places
+// declared as some activity's FIFO key and for no other: competing
+// instantaneous activities are served in arrival order of their queues
+// (§3.3 of the paper: a message "waits until the network is available"),
+// and nothing else in a SAN can tell one token from another.
 type Marking struct {
-	m     []int
-	dirty []int // place indices written since the last drain
+	m       []int
+	places  []*Place // indexed like m; names, for panics
+	initial []int    // the model's initial marking, restored by reset
+	dirty   []int32  // place indices written since the last drain
 	// touched lists the places written since the last reset, each once
-	// (isTouched), so resetting costs what the replica wrote.
-	touched   []int
-	isTouched []bool
-	// arr[i] holds the arrival times of the tokens currently in place i,
-	// oldest first (arr[i][head[i]:]). now is maintained by the simulator.
-	arr  [][]float64
-	head []int
-	now  float64
+	// (placeTouched), so resetting costs what the replica wrote.
+	touched []int32
+	flags   []uint8 // placeTouched | placeKeyed
+	// The arrival times of the tokens currently in FIFO-key place i,
+	// oldest first: first[i], then more[q][head[q]:] with q = queue[i]. A
+	// queue mostly holds one token or none, and then only first is
+	// touched. Every other place has queue[i] = -1 and no entry in more
+	// and head. now is maintained by the simulator.
+	first []float64
+	queue []int32
+	more  [][]float64
+	head  []int
+	now   float64
 }
+
+// Per-place flags of a Marking.
+const (
+	placeTouched uint8 = 1 << iota // in Marking.touched
+	placeKeyed                     // some activity's FIFO key: arrivals kept
+)
 
 // Get returns the number of tokens in p.
 func (mk *Marking) Get(p *Place) int { return mk.m[p.idx] }
 
 // OldestArrival returns the arrival time of the oldest token in p, or
-// +Inf if p is empty. Used by FIFO activity selection.
+// +Inf if p is empty. Arrival order exists only where the model asked for
+// it: p must be the FIFO key of some activity (Activity.FIFO). Tokens of
+// any other place carry no arrival time, and asking for one panics — it
+// is a modeling bug, like a negative marking.
 func (mk *Marking) OldestArrival(p *Place) float64 {
-	i := p.idx
-	if mk.head[i] >= len(mk.arr[i]) {
+	if mk.flags[p.idx]&placeKeyed == 0 {
+		panic(fmt.Sprintf("san: OldestArrival of place %q, which is no activity's FIFO key", p.name))
+	}
+	return mk.oldest(int32(p.idx))
+}
+
+// oldest is OldestArrival for FIFO-key place i.
+func (mk *Marking) oldest(i int32) float64 {
+	if mk.m[i] == 0 {
 		return math.Inf(1)
 	}
-	return mk.arr[i][mk.head[i]]
+	return mk.first[i]
 }
 
 // Set assigns the number of tokens in p. Negative counts panic: they always
 // indicate a modeling bug.
-func (mk *Marking) Set(p *Place, v int) {
-	if v < 0 {
-		panic(fmt.Sprintf("san: negative marking for place %q", p.name))
+func (mk *Marking) Set(p *Place, v int) { mk.set(int32(p.idx), v) }
+
+// Add adjusts the tokens in p by delta (which may be negative).
+func (mk *Marking) Add(p *Place, delta int) { mk.set(int32(p.idx), mk.m[p.idx]+delta) }
+
+// move adds d = ±1 token to every place of arcs, an activity's input arcs
+// or the output arcs of one of its cases. A place the replica has written
+// before — all but the first write to most places — needs no more than
+// the count and the drain's notice if it is nobody's FIFO key, and the
+// arrival time on top when a key goes from empty to one token.
+func (mk *Marking) move(arcs []int32, d int) {
+	for _, i := range arcs {
+		v := mk.m[i] + d
+		switch f := mk.flags[i]; {
+		case f == placeTouched && v >= 0:
+		case f == placeTouched|placeKeyed && v == 1 && d > 0:
+			mk.first[i] = mk.now
+		case f == placeTouched|placeKeyed && v == 0:
+		default:
+			mk.set(i, v)
+			continue
+		}
+		mk.m[i] = v
+		mk.dirty = append(mk.dirty, i)
 	}
-	old := mk.m[p.idx]
+}
+
+// set is Set by place index.
+func (mk *Marking) set(i int32, v int) {
+	old := mk.m[i]
 	if old == v {
 		return
 	}
-	i := p.idx
+	if v < 0 {
+		panic(fmt.Sprintf("san: negative marking for place %q", mk.places[i].name))
+	}
 	mk.m[i] = v
 	mk.dirty = append(mk.dirty, i)
-	if !mk.isTouched[i] {
-		mk.isTouched[i] = true
+	f := mk.flags[i]
+	if f&placeTouched == 0 {
+		mk.flags[i] = f | placeTouched
 		mk.touched = append(mk.touched, i)
 	}
-	for ; old < v; old++ { // tokens added now
-		mk.arr[i] = append(mk.arr[i], mk.now)
-	}
-	for ; old > v; old-- { // oldest tokens leave first
-		mk.head[i]++
-	}
-	if mk.head[i] >= len(mk.arr[i]) { // reclaim the drained prefix
-		mk.arr[i] = mk.arr[i][:0]
-		mk.head[i] = 0
+	if f&placeKeyed != 0 {
+		mk.stamp(i, old, v)
 	}
 }
 
-// reset restores the initial marking of places (indexed like the marking),
-// every token having arrived at time zero. Only the places written since
-// the last reset are visited.
-func (mk *Marking) reset(places []*Place) {
-	for _, i := range mk.touched {
-		mk.isTouched[i] = false
-		n := places[i].initial
-		mk.m[i] = n
-		arr := mk.arr[i][:0]
-		for ; n > 0; n-- {
-			arr = append(arr, 0)
+// stamp moves FIFO-key place i's arrival queue from old to v tokens: new
+// tokens arrive now, the oldest leave first.
+func (mk *Marking) stamp(i int32, old, v int) {
+	q := mk.queue[i]
+	for ; old < v; old++ {
+		if old == 0 {
+			mk.first[i] = mk.now
+		} else {
+			mk.more[q] = append(mk.more[q], mk.now)
 		}
-		mk.arr[i] = arr
-		mk.head[i] = 0
 	}
-	mk.touched = mk.touched[:0]
+	for ; old > v && old > 1; old-- {
+		mk.first[i] = mk.more[q][mk.head[q]]
+		mk.head[q]++
+	}
+	if mk.head[q] > 0 && mk.head[q] == len(mk.more[q]) { // reclaim the drained prefix
+		mk.more[q] = mk.more[q][:0]
+		mk.head[q] = 0
+	}
+}
+
+// reset restores the initial marking, every token having arrived at time
+// zero. Only the touched places are visited; the list of them is left for
+// the simulator to propagate the restoring writes from, and to clear.
+func (mk *Marking) reset() {
+	for _, i := range mk.touched {
+		n := mk.initial[i]
+		mk.m[i] = n
+		if mk.flags[i]&placeKeyed != 0 {
+			mk.first[i] = 0
+			if q := mk.queue[i]; n > 1 || len(mk.more[q]) > 0 {
+				more := mk.more[q][:0]
+				for ; n > 1; n-- {
+					more = append(more, 0)
+				}
+				mk.more[q] = more
+				mk.head[q] = 0
+			}
+		}
+		mk.flags[i] &^= placeTouched
+	}
 	mk.dirty = mk.dirty[:0]
 	mk.now = 0
 }
-
-// Add adjusts the tokens in p by delta (which may be negative).
-func (mk *Marking) Add(p *Place, delta int) { mk.Set(p, mk.m[p.idx]+delta) }
 
 // InputGate controls the enabling of an activity and transforms the marking
 // when the activity completes. Enabled must be side-effect free and must
@@ -256,21 +323,6 @@ func (a *Activity) OutputGate(name string, fn func(mk *Marking)) *Activity {
 func (a *Activity) FIFO(q *Place) *Activity {
 	a.fifoKey = q
 	return a
-}
-
-// enabled reports whether the activity may fire in marking mk.
-func (a *Activity) enabled(mk *Marking) bool {
-	for _, p := range a.inputs {
-		if mk.Get(p) < 1 {
-			return false
-		}
-	}
-	for _, g := range a.gates {
-		if !g.Enabled(mk) {
-			return false
-		}
-	}
-	return true
 }
 
 // Model is a SAN under construction. Build places and activities, then

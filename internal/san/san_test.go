@@ -272,6 +272,9 @@ func TestEnabledActivities(t *testing.T) {
 func TestMarkingFIFOArrivals(t *testing.T) {
 	m := NewModel("arr")
 	p := m.Place("p", 2)
+	// Arrival order is kept for FIFO keys only: declare p one, on an
+	// activity that never completes.
+	m.Instant("never", 0).Input(p, m.Place("closed", 0)).FIFO(p)
 	s := NewSim(m, rng.New(1))
 	mk := s.Marking()
 	if got := mk.OldestArrival(p); got != 0 {
@@ -331,4 +334,39 @@ func TestTimedArmingOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFIFOKeyWrittenByGates: arrival order is kept for a FIFO key whoever
+// writes it. Both queues are filled by output gates — b's at t=1, a's at
+// t=2 — and qa is, besides the key of seizeA, a plain input arc of an
+// activity that never completes. When the resource comes back at t=3, b
+// was first.
+func TestFIFOKeyWrittenByGates(t *testing.T) {
+	m := NewModel("fifo-gates")
+	qa := m.Place("qa", 0)
+	qb := m.Place("qb", 0)
+	res := m.Place("res", 0)
+	aDone := m.Place("aDone", 0)
+	bDone := m.Place("bDone", 0)
+	m.Timed("fillB", Fixed(dist.Det(1))).Input(m.Place("feedB", 1)).
+		OutputGate("putB", func(mk *Marking) { mk.Add(qb, 1) })
+	m.Timed("fillA", Fixed(dist.Det(2))).Input(m.Place("feedA", 1)).
+		OutputGate("putA", func(mk *Marking) { mk.Set(qa, 1) })
+	m.Timed("release", Fixed(dist.Det(3))).Input(m.Place("held", 1)).Output(res)
+	m.Instant("seizeA", 0).Input(qa, res).FIFO(qa).Output(aDone)
+	m.Instant("seizeB", 0).Input(qb, res).FIFO(qb).Output(bDone)
+	m.Instant("never", 0).Input(qa, m.Place("closed", 0))
+	s := NewSim(m, rng.New(1))
+	for replica := 0; replica < 2; replica++ { // fresh, then rewound
+		s.Run(10, func(mk *Marking) bool { return mk.Get(aDone)+mk.Get(bDone) > 0 })
+		if s.Marking().Get(bDone) != 1 {
+			t.Fatalf("replica %d: FIFO violated: a=%d b=%d", replica, s.Marking().Get(aDone), s.Marking().Get(bDone))
+		}
+		if got := s.Marking().OldestArrival(qa); got != 2 {
+			t.Fatalf("replica %d: oldest arrival in qa = %v, want 2", replica, got)
+		}
+		s.Reset(rng.New(1))
+	}
+	defer expectPanic(t, "FIFO key")
+	s.Marking().OldestArrival(res) // nobody's key: no arrival order is kept
 }

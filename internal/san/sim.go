@@ -3,7 +3,7 @@ package san
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ctsan/internal/des"
 	"ctsan/internal/rng"
@@ -12,6 +12,17 @@ import (
 // Sim executes one stochastic realization of a SAN model. Create it with
 // NewSim, call Run, and Reset it to run the next replica on the same model.
 // The same Model may back many Sims.
+//
+// NewSim compiles the net: the *Model the builder API produced —
+// activities pointing at places pointing at names — is lowered once into
+// flat tables. An activity becomes one record holding its kind, priority
+// and FIFO-key place, its input arcs and the output arcs of each of its
+// cases as place indices, and its gate functions side by side (every such
+// list a range of one slice filled for the whole net); a place becomes its
+// dependents and its watch list. Every step of a replica runs on those
+// indices into the marking vector. The gate closures of the model —
+// predicates, input and output functions, delay distributions — are
+// called exactly as the model wrote them, with the live *Marking.
 //
 // Enabling is a pure function of the marking (gate predicates are
 // side-effect free and read only their declared places). Two things are
@@ -42,8 +53,14 @@ import (
 //     order to keep every published number, and arming is not where the
 //     time goes.
 //
-// SetFullRescan ignores all of it and re-evaluates every activity after
-// every completion: the reference the differential tests compare against.
+// A replica is paid for by the tokens it moved, Reset included: Reset
+// writes the initial tokens back into the places the replica touched and
+// propagates those writes the way a completion's are, instead of
+// re-initialising per-place and per-activity tables.
+//
+// SetFullRescan ignores the bookkeeping and re-evaluates every activity
+// after every completion: the reference the differential tests compare
+// against.
 type Sim struct {
 	model   *Model
 	marking Marking
@@ -52,169 +69,373 @@ type Sim struct {
 	onFire  func(a *Activity, caseIdx int)
 	fired   uint64
 
-	armed   []des.Handle // per activity; meaningful when isArmed
-	isArmed []bool
-	fireFns []func() // per activity; reused across armings and Resets
+	// The compiled net. Every list an activity, a case or a place holds is
+	// a range of one slice NewSim filled for all of them: the two the
+	// replica loop walks several times per completion (act.in, place.deps)
+	// as slices, the rest as spans of the slices below, which keeps the
+	// records small.
+	acts   []act
+	places []place
+	arcs   []int32             // ccase.out (and act.in)
+	cases  []ccase             // act.cases
+	gates  []gate              // act.gates
+	outFns []func(mk *Marking) // ccase.fns
+	timers []timer             // act.timer, one per timed activity
 
-	// watchIn[activity] lists the input place idxs of a watched activity
-	// (instantaneous, input arcs only) and is nil for every other one.
-	watchIn [][]int
-	deps    [][]int // place idx -> dependent timed and gated activity idxs
+	// on is the set of enabled instantaneous activities, dense; act.onPos
+	// is an activity's position in it plus one, 0 when absent.
+	on []int32
 
-	// on is the set of enabled instantaneous activities, dense; onPos maps
-	// an activity to its position in on plus one, 0 when absent.
-	on    []int
-	onPos []int
-	// Watch lists, singly linked through the activities: watchHead[place]
-	// is the first disabled watched activity waiting on the place (-1 for
-	// none), watchNext[activity] the next one waiting on the same place.
-	watchHead []int
-	watchNext []int
+	pending    []int32 // instantaneous activities to re-evaluate
+	timedTouch []int32 // timed activities to (re)examine at the end of settle
+	fresh      bool    // no settle has run since NewSim or Reset
 
-	pending    []int // gated and timed activities to re-evaluate
-	inPending  []bool
-	timedTouch []int // timed activities to (re)examine at the end of settle
-	inTouch    []bool
-	fresh      bool // no settle has run since NewSim or Reset
+	// armLog lists, each once (flagLogged), the timed activities armed
+	// since the last Reset: the only ones that can still be.
+	armLog []int32
 
-	// initial is the bookkeeping of the initial marking, computed once by
-	// NewSim and copied back by Reset.
+	// initial lists the unwatched activities whose input arcs the initial
+	// marking satisfies, computed once by NewSim and put back by Reset: the
+	// ones the first settle must look at. Every other one is disabled
+	// whatever its gates say, and is enqueued through deps as soon as one
+	// of its places changes.
 	initial struct {
-		on                   []int // watched activities enabled initially
-		watchHead, watchNext []int
-		pending              []int // gated instantaneous, input arcs marked
-		timed                []int // timed, input arcs marked
+		pending []int32 // gated instantaneous
+		timed   []int32
 	}
 
 	fullRescan bool
 	instLimit  int
 }
 
-// NewSim prepares a simulation of the model with the given random stream.
-// It panics if the model fails Validate; validate explicitly for a
-// recoverable error.
+// Activity kinds of the compiled net.
+const (
+	kindTimed   uint8 = iota
+	kindWatched       // instantaneous, input arcs only: on the watch lists
+	kindGated         // instantaneous with input gates: on the deps index
+)
+
+// Run-time flags of an activity.
+const (
+	flagArmed   uint8 = 1 << iota // timed: completion scheduled (timer.armed)
+	flagPending                   // in Sim.pending
+	flagTouch                     // in Sim.timedTouch
+	flagLogged                    // in Sim.armLog
+)
+
+// act is one activity of the compiled net: the run-time state of the
+// replica first, then what NewSim derived from the model.
+type act struct {
+	onPos int32 // position in Sim.on plus one, 0 when absent
+	// next links the watch list this (disabled, watched) activity is on:
+	// the next activity waiting on the same place, -1 at the end.
+	next  int32
+	flags uint8
+
+	kind     uint8
+	priority int32   // instantaneous only; higher completes first
+	fifo     int32   // instantaneous only: FIFO-key place, -1 for none
+	timer    int32   // timed only: index in Sim.timers
+	in       []int32 // input-arc places
+	cases    span    // in Sim.cases
+	gates    span    // input gates, in Sim.gates
+}
+
+// span is a [lo,hi) range of one of the Sim's shared slices.
+type span struct{ lo, hi int32 }
+
+// gate is the run-time half of an InputGate.
+type gate struct {
+	enabled func(mk *Marking) bool
+	fn      func(mk *Marking) // may be nil
+}
+
+// timer is what arming a timed activity needs.
+type timer struct {
+	armed des.Handle // meaningful with flagArmed
+	delay DistFunc
+	// fire is the completion closure, allocated once: arming must not
+	// allocate in the steady state.
+	fire func()
+}
+
+// ccase is one case of a compiled activity.
+type ccase struct {
+	acc float64 // cumulative probability up to and including this case
+	out span    // output-arc places, in Sim.arcs
+	fns span    // output-gate functions, in Sim.outFns
+}
+
+// place is the simulator's side of a place; its tokens are in the Marking.
+type place struct {
+	deps []int32 // dependent timed and gated activities
+	// head is the first disabled watched activity waiting on this place
+	// (-1 for none; the list continues through act.next).
+	head int32
+	// watched: some watched activity has an input arc here, so emptying
+	// the place can disable an enabled one.
+	watched bool
+}
+
+// NewSim compiles the model and prepares a simulation of it with the given
+// random stream. It panics if the model fails Validate; validate
+// explicitly for a recoverable error.
 func NewSim(m *Model, r *rng.Stream) *Sim {
 	root := m.rootModel()
 	if err := root.Validate(); err != nil {
 		panic(err)
 	}
 	nP, nA := len(root.places), len(root.activities)
+	nTimed, nArcs, nCases, nGates, nFns := 0, 0, 0, 0, 0
+	for _, a := range root.activities {
+		if a.timed {
+			nTimed++
+		}
+		nArcs += len(a.inputs)
+		nCases += len(a.cases)
+		nGates += len(a.gates)
+		for _, c := range a.cases {
+			nArcs += len(c.outputs)
+			nFns += len(c.gates)
+		}
+	}
 	s := &Sim{
 		model:     root,
-		armed:     make([]des.Handle, nA),
-		isArmed:   make([]bool, nA),
-		fireFns:   make([]func(), nA),
-		watchIn:   make([][]int, nA),
-		deps:      make([][]int, nP),
-		onPos:     make([]int, nA),
-		watchHead: make([]int, nP),
-		watchNext: make([]int, nA),
-		inPending: make([]bool, nA),
-		inTouch:   make([]bool, nA),
+		acts:      make([]act, nA),
+		places:    make([]place, nP),
+		arcs:      make([]int32, 0, nArcs),
+		cases:     make([]ccase, 0, nCases),
+		gates:     make([]gate, 0, nGates),
+		outFns:    make([]func(mk *Marking), 0, nFns),
+		timers:    make([]timer, 0, nTimed),
 		instLimit: 1_000_000,
 	}
 	mk := &s.marking
 	*mk = Marking{
-		m:         make([]int, nP),
-		arr:       make([][]float64, nP),
-		head:      make([]int, nP),
-		isTouched: make([]bool, nP),
+		m:       make([]int, nP),
+		places:  root.places,
+		initial: make([]int, nP),
+		flags:   make([]uint8, nP),
+		first:   make([]float64, nP),
+		queue:   make([]int32, nP),
 	}
-	init := &s.initial
 	for _, p := range root.places {
 		mk.m[p.idx] = p.initial
-		mk.arr[p.idx] = make([]float64, p.initial) // arrived at time zero
-		s.watchHead[p.idx] = -1
+		mk.initial[p.idx] = p.initial
+		mk.queue[p.idx] = -1
+		s.places[p.idx].head = -1
 	}
-	// Classify the activities against the initial marking, and index the
-	// unwatched ones by the places they depend on. stamp[p] == ai+1 once
-	// place p is recorded as a dependency of activity ai.
-	stamp := make([]int, nP)
-	nIn := 0
-	for _, a := range root.activities {
-		nIn += len(a.inputs)
+	// s.arcs is sized above and never regrown, so the slices cut from it
+	// stay where they are.
+	arcs := func(places []*Place) span {
+		lo := int32(len(s.arcs))
+		for _, p := range places {
+			s.arcs = append(s.arcs, int32(p.idx))
+		}
+		return span{lo, int32(len(s.arcs))}
 	}
-	inputs := make([]int, 0, nIn) // backs every watchIn entry, never regrown
-	depend := func(ai int, p *Place) {
-		if stamp[p.idx] != ai+1 {
-			stamp[p.idx] = ai + 1
-			s.deps[p.idx] = append(s.deps[p.idx], ai)
+	for _, src := range root.activities {
+		ai := int32(src.idx)
+		a := &s.acts[ai]
+		*a = act{
+			next: -1, fifo: -1,
+			kind:     kindTimed,
+			priority: int32(src.priority),
 		}
-	}
-	for _, a := range root.activities {
-		// One completion closure per activity, allocated once: arming an
-		// activity must not allocate in the steady state.
-		a := a
-		s.fireFns[a.idx] = func() { s.fire(a) }
-		if !a.timed && len(a.gates) == 0 {
-			first := len(inputs)
-			for _, p := range a.inputs {
-				inputs = append(inputs, p.idx)
-			}
-			s.watchIn[a.idx] = inputs[first:len(inputs):len(inputs)]
-			s.watch(a.idx)
-			continue
+		in := arcs(src.inputs)
+		a.in = s.arcs[in.lo:in.hi:in.hi]
+		a.gates.lo = int32(len(s.gates))
+		for _, g := range src.gates {
+			s.gates = append(s.gates, gate{g.Enabled, g.Fn})
 		}
-		marked := true
-		for _, p := range a.inputs {
-			depend(a.idx, p)
-			marked = marked && p.initial > 0
-		}
-		for _, g := range a.gates {
-			for _, p := range g.Reads {
-				depend(a.idx, p)
-			}
-		}
-		// An activity whose input arcs the initial marking does not satisfy
-		// is disabled whatever its gates say, and is enqueued through deps
-		// as soon as one of those places changes.
+		a.gates.hi = int32(len(s.gates))
 		switch {
-		case !marked:
-		case a.timed:
-			init.timed = append(init.timed, a.idx)
+		case src.timed:
+			a.timer = int32(len(s.timers))
+			s.timers = append(s.timers, timer{delay: src.delay, fire: func() { s.fire(ai) }})
+		case len(src.gates) > 0:
+			a.kind = kindGated
 		default:
-			init.pending = append(init.pending, a.idx)
+			a.kind = kindWatched
+		}
+		if q := src.fifoKey; q != nil {
+			a.fifo = int32(q.idx)
+			if mk.flags[q.idx]&placeKeyed == 0 {
+				mk.flags[q.idx] |= placeKeyed
+				mk.queue[q.idx] = int32(len(mk.more))
+				mk.more = append(mk.more, make([]float64, max(q.initial-1, 0))) // all arrived at time zero
+				mk.head = append(mk.head, 0)
+			}
+		}
+		a.cases.lo = int32(len(s.cases))
+		acc := 0.0
+		for _, c := range src.cases {
+			acc += c.p
+			fns := span{lo: int32(len(s.outFns))}
+			for _, g := range c.gates {
+				s.outFns = append(s.outFns, g.Fn)
+			}
+			fns.hi = int32(len(s.outFns))
+			s.cases = append(s.cases, ccase{acc: acc, out: arcs(c.outputs), fns: fns})
+		}
+		a.cases.hi = int32(len(s.cases))
+		if a.kind == kindWatched {
+			for _, p := range src.inputs {
+				s.places[p.idx].watched = true
+			}
 		}
 	}
-	init.on = append([]int(nil), s.on...)
-	init.watchHead = append([]int(nil), s.watchHead...)
-	init.watchNext = append([]int(nil), s.watchNext...)
+	s.indexDeps()
+	// Classify the activities against the initial marking.
+	init := &s.initial
+	for i := range s.acts {
+		ai, a := int32(i), &s.acts[i]
+		switch {
+		case a.kind == kindWatched || s.emptyInput(a) >= 0:
+		case a.kind == kindTimed:
+			init.timed = append(init.timed, ai)
+		default:
+			init.pending = append(init.pending, ai)
+		}
+	}
+	s.fileAll()
 	s.Reset(r)
 	return s
 }
 
+// fileAll files every watched activity from scratch under the current
+// marking, and empties the enabled set of everything else.
+func (s *Sim) fileAll() {
+	for i := range s.places {
+		s.places[i].head = -1
+	}
+	s.on = s.on[:0]
+	for i := range s.acts {
+		a := &s.acts[i]
+		a.onPos = 0
+		if a.kind == kindWatched {
+			s.watch(int32(i), a)
+		}
+	}
+}
+
+// indexDeps fills place.deps: for every place, the timed and gated
+// activities with an input arc on it or a gate reading it, each once, in
+// creation order. Two passes over the same pairs — count, then fill — so
+// the index is one allocation, not one per place.
+func (s *Sim) indexDeps() {
+	// stamp[p] == gen once p is recorded as a dependency of the activity
+	// being visited.
+	stamp, gen := make([]int32, len(s.places)), int32(0)
+	eachDep := func(visit func(ai int32, pi int)) {
+		for _, src := range s.model.activities {
+			if s.acts[src.idx].kind == kindWatched {
+				continue
+			}
+			gen++
+			dep := func(p *Place) {
+				if stamp[p.idx] != gen {
+					stamp[p.idx] = gen
+					visit(int32(src.idx), p.idx)
+				}
+			}
+			for _, p := range src.inputs {
+				dep(p)
+			}
+			for _, g := range src.gates {
+				for _, p := range g.Reads {
+					dep(p)
+				}
+			}
+		}
+	}
+	end := make([]int32, len(s.places)) // end[p]: one past p's range, once both passes are done
+	total := int32(0)
+	eachDep(func(_ int32, pi int) { end[pi]++; total++ })
+	lo := int32(0)
+	for pi, n := range end { // end[p] = start of p's range, advanced by the fill
+		end[pi], lo = lo, lo+n
+	}
+	index := make([]int32, total)
+	eachDep(func(ai int32, pi int) { index[end[pi]] = ai; end[pi]++ })
+	lo = 0
+	for pi, hi := range end {
+		s.places[pi].deps = index[lo:hi:hi]
+		lo = hi
+	}
+}
+
 // Reset returns the simulator to the model's initial marking with a fresh
-// random stream, reusing every internal allocation (marking arrays,
-// dependency index, event pool). It is observably equivalent to
-// NewSim(model, r) but allocation-free and does not evaluate a single
-// activity: the enabled set, the watch lists and the activities the first
-// settle must look at are copied back from the state NewSim computed for
-// the initial marking. That matters in Monte-Carlo replica loops, where a
-// worker runs thousands of realizations. The OnFire observer, full-rescan
-// mode, and instantaneous-loop limit are preserved.
+// random stream, reusing every internal allocation (marking arrays, the
+// compiled net, event pool). It is observably equivalent to
+// NewSim(model, r) but allocation-free, evaluates no gate, and costs what
+// the last replica touched, not what the model holds:
+//
+//   - the timed activities the replica armed are on a log and are marked
+//     unarmed again; the completions still scheduled — a replica cut
+//     short by Tmax or by its stop condition leaves some — go with the
+//     event queue, which drains by its live entries (des.Sim.Reset);
+//   - the places the replica wrote get their initial tokens back, and a
+//     place marked again by that hands the watched activities waiting on
+//     it on, exactly as a completion marking it would. The watch lists are
+//     therefore not the ones NewSim built, but they satisfy the same
+//     invariant for the same marking, which is all a run can observe;
+//   - the unwatched activities the first settle must look at are put back
+//     from the lists NewSim computed for the initial marking.
+//
+// That matters in Monte-Carlo replica loops, where a worker runs
+// thousands of realizations of ten microseconds each. The OnFire observer,
+// full-rescan mode, and instantaneous-loop limit are preserved.
 func (s *Sim) Reset(r *rng.Stream) {
 	s.rand = r
 	s.fired = 0
-	s.sim.Reset()
-	init := &s.initial
-	s.marking.reset(s.model.places)
-	clear(s.isArmed)
-	clear(s.inPending)
-	clear(s.inTouch)
-	clear(s.onPos)
-	s.on = append(s.on[:0], init.on...)
-	for i, ai := range s.on {
-		s.onPos[ai] = i + 1
+	for _, ai := range s.armLog {
+		s.acts[ai].flags &^= flagArmed | flagLogged
 	}
-	copy(s.watchHead, init.watchHead)
-	copy(s.watchNext, init.watchNext)
+	s.armLog = s.armLog[:0]
+	s.sim.Reset() // drops the completions still scheduled
+	// The work lists are empty whenever Run has returned (they hold
+	// something only after a panic inside a gate), and so is the enabled
+	// set unless nothing ran since NewSim or the last Reset. What it holds
+	// is taken out and, if watched, filed again under the initial marking.
+	for _, ai := range s.pending {
+		s.acts[ai].flags &^= flagPending
+	}
+	for _, ai := range s.timedTouch {
+		s.acts[ai].flags &^= flagTouch
+	}
+	s.pending = append(s.pending[:0], s.on...)
+	stale := s.pending
+	for _, ai := range stale {
+		s.acts[ai].onPos = 0
+	}
+	s.on = s.on[:0]
+	mk := &s.marking
+	mk.reset()
+	if s.fullRescan {
+		s.fileAll() // the reference keeps no watch list up to date
+	} else {
+		for _, pi := range mk.touched {
+			if p := &s.places[pi]; mk.m[pi] > 0 && p.head >= 0 {
+				s.wake(p)
+			}
+		}
+		for _, ai := range stale {
+			if a := &s.acts[ai]; a.kind == kindWatched {
+				s.watch(ai, a)
+			}
+		}
+	}
+	mk.touched = mk.touched[:0]
+
+	init := &s.initial
 	s.pending = append(s.pending[:0], init.pending...)
 	for _, ai := range s.pending {
-		s.inPending[ai] = true
+		s.acts[ai].flags |= flagPending
 	}
 	s.timedTouch = append(s.timedTouch[:0], init.timed...)
 	for _, ai := range s.timedTouch {
-		s.inTouch[ai] = true
+		s.acts[ai].flags |= flagTouch
 	}
 	s.fresh = true
 }
@@ -239,126 +460,176 @@ func (s *Sim) Fired() uint64 { return s.fired }
 // variables ("impulse rewards" in SAN terminology).
 func (s *Sim) OnFire(fn func(a *Activity, caseIdx int)) { s.onFire = fn }
 
-// enqueue marks activity ai for re-evaluation.
-func (s *Sim) enqueue(ai int) {
-	if !s.inPending[ai] {
-		s.inPending[ai] = true
-		s.pending = append(s.pending, ai)
+// enabled reports whether activity a may complete in the current marking.
+func (s *Sim) enabled(a *act) bool {
+	if s.emptyInput(a) >= 0 {
+		return false
 	}
+	for _, g := range s.gates[a.gates.lo:a.gates.hi] {
+		if !g.enabled(&s.marking) {
+			return false
+		}
+	}
+	return true
 }
 
-// setOn adds instantaneous activity ai to the enabled set or removes it.
-func (s *Sim) setOn(ai int, on bool) {
-	pos := s.onPos[ai]
-	switch {
-	case on && pos == 0:
-		s.on = append(s.on, ai)
-		s.onPos[ai] = len(s.on)
-	case !on && pos != 0:
-		last := len(s.on) - 1
-		moved := s.on[last]
-		s.on[pos-1] = moved
-		s.onPos[moved] = pos
-		s.on = s.on[:last]
-		s.onPos[ai] = 0
-	}
-}
-
-// emptyInput returns the first empty input place of watched activity ai,
-// or -1 when all are marked and the activity is enabled.
-func (s *Sim) emptyInput(ai int) int {
-	for _, pi := range s.watchIn[ai] {
-		if s.marking.m[pi] == 0 {
+// emptyInput returns the first empty input-arc place of a, or -1 when all
+// are marked (which for a watched activity means enabled).
+func (s *Sim) emptyInput(a *act) int32 {
+	m := s.marking.m
+	for _, pi := range a.in {
+		if m[pi] == 0 {
 			return pi
 		}
 	}
 	return -1
 }
 
+// enqueue marks activity ai for re-evaluation: an instantaneous one in the
+// next refreshPending, a timed one when settle re-arms.
+func (s *Sim) enqueue(ai int32, a *act) {
+	switch {
+	case a.kind != kindTimed:
+		if a.flags&flagPending == 0 {
+			a.flags |= flagPending
+			s.pending = append(s.pending, ai)
+		}
+	case a.flags&flagTouch == 0:
+		a.flags |= flagTouch
+		s.timedTouch = append(s.timedTouch, ai)
+	}
+}
+
+// setOn adds instantaneous activity ai to the enabled set or removes it.
+func (s *Sim) setOn(ai int32, a *act, on bool) {
+	pos := a.onPos
+	switch {
+	case on && pos == 0:
+		s.on = append(s.on, ai)
+		a.onPos = int32(len(s.on))
+	case !on && pos != 0:
+		last := len(s.on) - 1
+		moved := s.on[last]
+		s.on[pos-1] = moved
+		s.acts[moved].onPos = pos
+		s.on = s.on[:last]
+		a.onPos = 0
+	}
+}
+
 // watch files watched activity ai, currently in neither the enabled set
 // nor a watch list, under the current marking: on the watch list of its
 // first empty input place, or in the enabled set when it has none.
-func (s *Sim) watch(ai int) {
-	pi := s.emptyInput(ai)
-	if pi < 0 {
-		s.setOn(ai, true)
-		return
+func (s *Sim) watch(ai int32, a *act) {
+	if pi := s.emptyInput(a); pi < 0 {
+		s.on = append(s.on, ai)
+		a.onPos = int32(len(s.on))
+	} else {
+		s.file(ai, a, pi)
 	}
-	s.watchNext[ai] = s.watchHead[pi]
-	s.watchHead[pi] = ai
+}
+
+// file puts disabled watched activity ai on the watch list of pi, an empty
+// input place of its own.
+func (s *Sim) file(ai int32, a *act, pi int32) {
+	p := &s.places[pi]
+	a.next = p.head
+	p.head = ai
+}
+
+// wake takes the activities waiting on p, which is now marked, off its
+// watch list and files each of them again.
+func (s *Sim) wake(p *place) {
+	ai := p.head
+	p.head = -1
+	for ai >= 0 {
+		a := &s.acts[ai]
+		next := a.next
+		s.watch(ai, a)
+		ai = next
+	}
 }
 
 // drainDirty propagates marking writes: dependents of a written place
 // become pending, the activities waiting on a place that is now marked
-// are filed again, and if any place was emptied the enabled watched
-// activities are re-checked. Only the marking as it stands now matters —
-// a place taken 1 -> 0 -> 1 inside one completion is simply marked.
-//
-// In full-rescan mode every instantaneous activity becomes pending
-// instead. The dependents are still enqueued first: the order in which
-// timed activities are first touched is the order they are armed in, and
-// the reference must not differ from the simulator there for any reason
-// other than a dependency the simulator missed (settle sweeps up the
-// untouched timed activities before arming).
+// are filed again, and if a place some enabled watched activity may have
+// as input was emptied, the enabled watched activities are re-checked.
+// Only the marking as it stands now matters — a place taken 1 -> 0 -> 1
+// inside one completion is simply marked.
 func (s *Sim) drainDirty() {
+	if s.fullRescan {
+		s.drainFull()
+		return
+	}
 	mk := &s.marking
 	emptied := false
 	for _, pi := range mk.dirty {
-		for _, ai := range s.deps[pi] {
-			s.enqueue(ai)
+		p := &s.places[pi]
+		for _, ai := range p.deps {
+			// A gated activity outside the enabled set whose input arcs
+			// are not all marked is disabled whatever its gates read.
+			if a := &s.acts[ai]; a.kind == kindTimed || a.onPos != 0 || s.emptyInput(a) < 0 {
+				s.enqueue(ai, a)
+			}
 		}
-		if s.fullRescan {
-			continue
-		}
-		if mk.m[pi] == 0 {
-			emptied = true
-			continue
-		}
-		ai := s.watchHead[pi]
-		s.watchHead[pi] = -1
-		for ai >= 0 {
-			next := s.watchNext[ai]
-			s.watch(ai)
-			ai = next
+		switch {
+		case mk.m[pi] == 0:
+			emptied = emptied || p.watched
+		case p.head >= 0:
+			s.wake(p)
 		}
 	}
 	mk.dirty = mk.dirty[:0]
-	if s.fullRescan {
-		for i, a := range s.model.activities {
-			if !a.timed {
-				s.enqueue(i)
-			}
-		}
-		return
-	}
 	if !emptied {
 		return
 	}
 	for i := 0; i < len(s.on); {
 		ai := s.on[i]
-		if s.watchIn[ai] == nil || s.emptyInput(ai) < 0 {
+		a := &s.acts[ai]
+		pi := int32(-1)
+		if a.kind == kindWatched {
+			pi = s.emptyInput(a)
+		}
+		if pi < 0 {
 			i++
 			continue
 		}
-		s.setOn(ai, false) // moves the last entry to position i
-		s.watch(ai)
+		s.setOn(ai, a, false) // moves the last entry to position i
+		s.file(ai, a, pi)
 	}
 }
 
-// refreshPending folds the pending set into the enabled-instantaneous set
-// and the touched-timed list.
+// drainFull is drainDirty in full-rescan mode: every instantaneous
+// activity becomes pending. The timed dependents of the written places
+// are still enqueued first, in write order: the order in which timed
+// activities are first touched is the order they are armed in, and the
+// reference must not differ from the simulator there for any reason other
+// than a dependency the simulator missed (settle sweeps up the untouched
+// timed activities before arming).
+func (s *Sim) drainFull() {
+	mk := &s.marking
+	for _, pi := range mk.dirty {
+		for _, ai := range s.places[pi].deps {
+			if a := &s.acts[ai]; a.kind == kindTimed {
+				s.enqueue(ai, a)
+			}
+		}
+	}
+	mk.dirty = mk.dirty[:0]
+	for i := range s.acts {
+		if a := &s.acts[i]; a.kind != kindTimed {
+			s.enqueue(int32(i), a)
+		}
+	}
+}
+
+// refreshPending folds the pending instantaneous activities into the
+// enabled set.
 func (s *Sim) refreshPending() {
 	for _, ai := range s.pending {
-		s.inPending[ai] = false
-		a := s.model.activities[ai]
-		if a.timed {
-			if !s.inTouch[ai] {
-				s.inTouch[ai] = true
-				s.timedTouch = append(s.timedTouch, ai)
-			}
-			continue
-		}
-		s.setOn(ai, a.enabled(&s.marking))
+		a := &s.acts[ai]
+		a.flags &^= flagPending
+		s.setOn(ai, a, s.enabled(a))
 	}
 	s.pending = s.pending[:0]
 }
@@ -366,20 +637,18 @@ func (s *Sim) refreshPending() {
 // nextInstant returns the enabled instantaneous activity to complete
 // next: highest priority, then oldest FIFO arrival (an activity without a
 // FIFO queue goes before any that has one), then lowest creation index.
-// It returns nil when none is enabled.
-func (s *Sim) nextInstant() *Activity {
-	var best *Activity
-	bestKey := 0.0
+// The enabled set is not empty.
+func (s *Sim) nextInstant() int32 {
+	best, bestPrio, bestKey := int32(-1), int32(0), 0.0
 	for _, ai := range s.on {
-		a := s.model.activities[ai]
+		a := &s.acts[ai]
 		key := math.Inf(-1)
-		if a.fifoKey != nil {
-			key = s.marking.OldestArrival(a.fifoKey)
+		if a.fifo >= 0 {
+			key = s.marking.oldest(a.fifo)
 		}
-		if best == nil || a.priority > best.priority ||
-			(a.priority == best.priority && (key < bestKey || (key == bestKey && a.idx < best.idx))) {
-			best = a
-			bestKey = key
+		if best < 0 || a.priority > bestPrio ||
+			(a.priority == bestPrio && (key < bestKey || (key == bestKey && ai < best))) {
+			best, bestPrio, bestKey = ai, a.priority, key
 		}
 	}
 	return best
@@ -394,22 +663,23 @@ func (s *Sim) settle() {
 		if iter >= s.instLimit {
 			panic(fmt.Sprintf("san: instantaneous activity loop in model %q", s.model.name))
 		}
-		s.refreshPending()
-		best := s.nextInstant()
-		if best == nil {
+		if len(s.pending) > 0 {
+			s.refreshPending()
+		}
+		if len(s.on) == 0 {
 			break
 		}
+		best := s.nextInstant()
 		s.complete(best)
-		if s.watchIn[best.idx] == nil {
-			s.enqueue(best.idx)
+		if a := &s.acts[best]; a.kind != kindWatched {
+			s.enqueue(best, a)
 		}
 		s.drainDirty()
 	}
 	if s.fullRescan {
-		for i, a := range s.model.activities {
-			if a.timed && !s.inTouch[i] {
-				s.inTouch[i] = true
-				s.timedTouch = append(s.timedTouch, i)
+		for i := range s.acts {
+			if a := &s.acts[i]; a.kind == kindTimed {
+				s.enqueue(int32(i), a)
 			}
 		}
 	}
@@ -418,76 +688,73 @@ func (s *Sim) settle() {
 		// activities Reset put there followed by those the instantaneous
 		// completions touched, so it has to be sorted.
 		s.fresh = false
-		sort.Ints(s.timedTouch)
+		slices.Sort(s.timedTouch)
 	}
 	// Re-arm touched timed activities against the stable marking.
 	for _, ai := range s.timedTouch {
-		s.inTouch[ai] = false
-		a := s.model.activities[ai]
-		en := a.enabled(&s.marking)
+		a := &s.acts[ai]
+		a.flags &^= flagTouch
+		en, armed := s.enabled(a), a.flags&flagArmed != 0
 		switch {
-		case en && !s.isArmed[a.idx]:
-			d := a.delay(&s.marking).Sample(s.rand)
-			s.isArmed[a.idx] = true
-			s.armed[a.idx] = s.sim.After(d, s.fireFns[a.idx])
-		case !en && s.isArmed[a.idx]:
-			s.sim.Cancel(s.armed[a.idx])
-			s.isArmed[a.idx] = false
+		case en && !armed:
+			t := &s.timers[a.timer]
+			d := t.delay(&s.marking).Sample(s.rand)
+			if a.flags&flagLogged == 0 {
+				s.armLog = append(s.armLog, ai)
+			}
+			a.flags |= flagArmed | flagLogged
+			t.armed = s.sim.After(d, t.fire)
+		case !en && armed:
+			s.sim.Cancel(s.timers[a.timer].armed)
+			a.flags &^= flagArmed
 		}
 	}
 	s.timedTouch = s.timedTouch[:0]
 }
 
-// fire handles the scheduled completion of a timed activity.
-func (s *Sim) fire(a *Activity) {
-	s.isArmed[a.idx] = false
-	s.enqueue(a.idx) // may need re-arming if still enabled afterwards
+// fire handles the scheduled completion of timed activity ai.
+func (s *Sim) fire(ai int32) {
+	a := &s.acts[ai]
+	a.flags &^= flagArmed
+	s.enqueue(ai, a) // may need re-arming if still enabled afterwards
 	// The activity was continuously enabled since arming (we cancel on
 	// disable), but a same-timestamp event may have disabled it; re-check.
-	if !a.enabled(&s.marking) {
-		s.settle()
-		return
+	if s.enabled(a) {
+		s.complete(ai)
 	}
-	s.complete(a)
 	s.settle()
 }
 
 // complete applies the effect of an activity completion: input arcs and
 // gate functions, case selection, then output arcs and gate functions.
-func (s *Sim) complete(a *Activity) {
-	s.marking.now = s.sim.Now()
-	for _, p := range a.inputs {
-		s.marking.Add(p, -1)
-	}
-	for _, g := range a.gates {
-		if g.Fn != nil {
-			g.Fn(&s.marking)
+func (s *Sim) complete(ai int32) {
+	a := &s.acts[ai]
+	mk := &s.marking
+	mk.now = s.sim.Now()
+	mk.move(a.in, -1)
+	for _, g := range s.gates[a.gates.lo:a.gates.hi] {
+		if g.fn != nil {
+			g.fn(mk)
 		}
 	}
+	cases := s.cases[a.cases.lo:a.cases.hi]
 	caseIdx := 0
-	if len(a.cases) > 1 {
+	if len(cases) > 1 {
 		u := s.rand.Float64()
-		acc := 0.0
-		for i, c := range a.cases {
-			acc += c.p
-			if u < acc || i == len(a.cases)-1 {
-				caseIdx = i
-				break
-			}
+		for caseIdx < len(cases)-1 && u >= cases[caseIdx].acc {
+			caseIdx++
 		}
 	}
-	if len(a.cases) > 0 {
-		c := a.cases[caseIdx]
-		for _, p := range c.outputs {
-			s.marking.Add(p, 1)
-		}
-		for _, g := range c.gates {
-			g.Fn(&s.marking)
+	if len(cases) > 0 {
+		c := &cases[caseIdx]
+		mk.move(s.arcs[c.out.lo:c.out.hi], 1)
+		for _, fn := range s.outFns[c.fns.lo:c.fns.hi] {
+			fn(mk)
 		}
 	}
 	s.fired++
 	if s.onFire != nil {
-		s.onFire(a, caseIdx)
+		s.onFire(s.model.activities[ai], caseIdx)
 	}
 }
 
@@ -515,11 +782,11 @@ func (s *Sim) Run(tmax float64, stop func(mk *Marking) bool) (t float64, stopped
 // sorted; useful in tests and debugging.
 func (s *Sim) EnabledActivities() []string {
 	var names []string
-	for _, a := range s.model.activities {
-		if a.enabled(&s.marking) {
-			names = append(names, a.name)
+	for i := range s.acts {
+		if s.enabled(&s.acts[i]) {
+			names = append(names, s.model.activities[i].name)
 		}
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }

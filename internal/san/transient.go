@@ -28,28 +28,38 @@ type TransientSpec struct {
 	Stop func(mk *Marking) bool
 	// Measure, if non-nil, overrides the recorded value for a replica
 	// (default: the virtual stop time). It receives the final marking and
-	// stop time; return NaN to discard the replica.
+	// stop time; return NaN to discard the replica, which counts it in the
+	// result's Discarded.
 	Measure func(mk *Marking, t float64) float64
 }
 
 // TransientResult aggregates the per-replica measures. Kept replicas
 // fold into the Digest in replica order, so retained memory is bounded
-// by the digest's exact cap regardless of the replica count.
+// by the digest's exact cap regardless of the replica count. Every
+// replica is accounted for: Digest.N() + Truncated + Discarded equals
+// the Replicas asked for.
 type TransientResult struct {
 	Digest    metrics.Digest
 	Truncated int // replicas that hit Tmax without satisfying Stop
+	Discarded int // replicas that stopped and Measure rejected (NaN)
 }
 
 // ECDF returns the empirical CDF of the replica measures: exact up to
 // the digest cap, a sketch-grid approximation beyond it.
 func (r *TransientResult) ECDF() *stats.ECDF { return r.Digest.ECDF() }
 
-// replicaOutcome is one replica's contribution before the ordered fold.
+// replicaOutcome is one replica's contribution before the ordered fold:
+// neither kept nor truncated means discarded by Measure.
 type replicaOutcome struct {
 	v         float64
 	kept      bool
 	truncated bool
 }
+
+// replicaChunk is how many replicas the pool accounts for at once (see
+// parallel.ForEachChunk): a replica of the consensus net is 5-15 µs, so a
+// chunk is about half a millisecond of work for one bracket.
+const replicaChunk = 64
 
 // Solver runs replicated transient studies of one model and keeps what
 // they can share: one simulator and one random stream per worker, built
@@ -77,9 +87,12 @@ type solverWorker struct {
 func NewSolver(m *Model) *Solver { return &Solver{m: m} }
 
 // Transient runs the replicated transient study described by spec,
-// fanning replicas across spec.Workers goroutines. Each replica draws
-// from a child stream of r keyed by its index, so results are independent
-// of replica scheduling and reproducible at any worker count.
+// fanning replicas across spec.Workers goroutines in contiguous chunks of
+// at most replicaChunk — fewer when the study is short for the pool, so
+// it still spreads over every worker. Each replica draws from a child
+// stream of r keyed by its index and lands in its own outcome slot, so
+// results are independent of chunking and scheduling and reproducible at
+// any worker count.
 //
 // With Workers != 1, Stop and Measure are called concurrently; they only
 // read the Marking they are passed.
@@ -88,8 +101,10 @@ func NewSolver(m *Model) *Solver { return &Solver{m: m} }
 // per-replica outcome slice, allocations do not depend on Replicas, and
 // a study on a Solver that has run before builds nothing.
 //
-// ctx cancels the study between replicas (a replica that has started runs
-// to completion); a canceled study returns ctx.Err().
+// ctx cancels the study between replicas, inside a chunk too (a replica
+// that has started runs to completion); a canceled study returns
+// ctx.Err(). A panic in Stop, Measure or a gate surfaces as a
+// *parallel.UnitPanic whose Index is the replica.
 func (s *Solver) Transient(ctx context.Context, r *rng.Stream, spec TransientSpec) (*TransientResult, error) {
 	if spec.Replicas <= 0 {
 		return nil, fmt.Errorf("san: transient study needs at least 1 replica, got %d", spec.Replicas)
@@ -104,7 +119,7 @@ func (s *Solver) Transient(ctx context.Context, r *rng.Stream, spec TransientSpe
 	if n := parallel.Workers(spec.Workers); len(s.workers) < n {
 		s.workers = append(s.workers, make([]*solverWorker, n-len(s.workers))...)
 	}
-	err := parallel.ForEach(ctx, spec.Workers, spec.Replicas, func(w, i int) error {
+	err := parallel.ForEachChunk(ctx, spec.Workers, spec.Replicas, replicaChunk, func(w, i int) error {
 		wk := s.workers[w]
 		if wk == nil {
 			wk = &solverWorker{}
@@ -146,6 +161,8 @@ func (s *Solver) Transient(ctx context.Context, r *rng.Stream, spec TransientSpe
 			res.Truncated++
 		case outs[i].kept:
 			res.Digest.Add(outs[i].v)
+		default:
+			res.Discarded++
 		}
 	}
 	return res, nil

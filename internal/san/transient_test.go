@@ -2,10 +2,15 @@ package san
 
 import (
 	"context"
+	"errors"
 	"math"
+	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ctsan/internal/dist"
+	"ctsan/internal/parallel"
 	"ctsan/internal/rng"
 )
 
@@ -132,5 +137,142 @@ func TestMM1Theory(t *testing.T) {
 	want := rho / (1 - rho)
 	if math.Abs(avg-want) > 0.08 {
 		t.Fatalf("M/M/1 mean number in system %v, want %v", avg, want)
+	}
+}
+
+// replicaByReplica is Transient without a pool, a Solver or a chunk: one
+// fresh simulator per replica on the parent stream's Child(i), folded in
+// order. What the chunked study must reproduce bit for bit.
+func replicaByReplica(m *Model, r *rng.Stream, spec TransientSpec) *TransientResult {
+	res := &TransientResult{}
+	for i := 0; i < spec.Replicas; i++ {
+		sim := NewSim(m, r.Child(uint64(i)))
+		t, stopped := sim.Run(spec.Tmax, spec.Stop)
+		if !stopped {
+			res.Truncated++
+		} else if v := spec.Measure(sim.Marking(), t); v != v {
+			res.Discarded++
+		} else {
+			res.Digest.Add(v)
+		}
+	}
+	return res
+}
+
+// TestTransientChunkBoundaries: replica counts around the chunk size, at
+// 1, 2 and 8 workers (the chunk shrinks with the pool), return what the
+// replica-by-replica reference returns — same samples in the same order,
+// same truncations and discards, every replica accounted for once.
+func TestTransientChunkBoundaries(t *testing.T) {
+	m, done := branching()
+	for _, replicas := range []int{1, replicaChunk - 1, replicaChunk, replicaChunk + 1, 10*replicaChunk + 3} {
+		spec := TransientSpec{
+			Replicas: replicas,
+			Tmax:     3, // truncates some replicas
+			Stop:     func(mk *Marking) bool { return mk.Get(done) >= 2 },
+			Measure: func(mk *Marking, tt float64) float64 {
+				if tt < 1.5 {
+					return math.NaN() // discards some more
+				}
+				return tt
+			},
+		}
+		want := replicaByReplica(m, rng.New(11), spec)
+		if got := want.Digest.N() + want.Truncated + want.Discarded; got != replicas {
+			t.Fatalf("reference accounts for %d of %d replicas", got, replicas)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			spec.Workers = workers
+			got, err := NewSolver(m).Transient(context.Background(), rng.New(11), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Truncated != want.Truncated || got.Discarded != want.Discarded ||
+				!reflect.DeepEqual(got.Digest.Exact(), want.Digest.Exact()) || got.Digest.Mean() != want.Digest.Mean() {
+				t.Fatalf("%d replicas, workers=%d: %d kept / %d truncated / %d discarded (mean %v), replica by replica %d / %d / %d (mean %v)",
+					replicas, workers, got.Digest.N(), got.Truncated, got.Discarded, got.Digest.Mean(),
+					want.Digest.N(), want.Truncated, want.Discarded, want.Digest.Mean())
+			}
+		}
+	}
+}
+
+// TestTransientCancelsInsideAChunk: cancellation is observed between two
+// replicas of one chunk, not at the next chunk boundary. On one worker no
+// replica starts after the one that cancelled; on two, at most the one
+// the other worker was in the middle of.
+func TestTransientCancelsInsideAChunk(t *testing.T) {
+	m := expModel(1)()
+	donePlace := m.Places()[1]
+	const cancelAt = 10 // well inside the first chunk
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var measured atomic.Int64
+		_, err := NewSolver(m).Transient(ctx, rng.New(3), TransientSpec{
+			Replicas: 10 * replicaChunk,
+			Tmax:     1e6,
+			Workers:  workers,
+			Stop:     func(mk *Marking) bool { return mk.Get(donePlace) == 1 },
+			Measure: func(_ *Marking, tt float64) float64 {
+				if measured.Add(1) == cancelAt {
+					cancel()
+				}
+				return tt
+			},
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: canceled study returned %v", workers, err)
+		}
+		if n := measured.Load(); n < cancelAt || n > cancelAt+int64(workers)-1 {
+			t.Fatalf("workers=%d: %d replicas ran, cancellation came during number %d", workers, n, cancelAt)
+		}
+	}
+}
+
+// TestTransientPanicNamesItsReplica: a panic inside a replica — here in
+// Measure, recognising its victim by its stop time — reaches the caller
+// as a *parallel.UnitPanic carrying the replica's index, not the index of
+// the chunk it ran in, with the original value and stack.
+func TestTransientPanicNamesItsReplica(t *testing.T) {
+	m := expModel(1)()
+	donePlace := m.Places()[1]
+	stop := func(mk *Marking) bool { return mk.Get(donePlace) == 1 }
+	const replicas, victim = 3 * replicaChunk, replicaChunk + 7
+	root := rng.New(9)
+	var victimTime float64
+	for i := 0; i < replicas; i++ {
+		tt, _ := NewSim(m, root.Child(uint64(i))).Run(1e6, stop)
+		switch {
+		case i == victim:
+			victimTime = tt
+		case tt == victimTime:
+			t.Fatalf("replica %d stops at the victim's time %v: pick another seed", i, tt)
+		}
+	}
+	for _, workers := range []int{1, 8} {
+		func() {
+			defer func() {
+				up, ok := recover().(*parallel.UnitPanic)
+				if !ok {
+					t.Fatalf("workers=%d: no *parallel.UnitPanic reached the caller", workers)
+				}
+				if up.Index != victim || up.Value != "boom" || !strings.Contains(string(up.Stack), "TestTransientPanicNamesItsReplica") {
+					t.Fatalf("workers=%d: panic reported for unit %d (%v), want replica %d", workers, up.Index, up.Value, victim)
+				}
+			}()
+			_, _ = NewSolver(m).Transient(context.Background(), rng.New(9), TransientSpec{
+				Replicas: replicas,
+				Tmax:     1e6,
+				Workers:  workers,
+				Stop:     stop,
+				Measure: func(_ *Marking, tt float64) float64 {
+					if tt == victimTime {
+						panic("boom")
+					}
+					return tt
+				},
+			})
+		}()
 	}
 }

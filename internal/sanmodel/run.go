@@ -52,8 +52,9 @@ func (ms *Models) Len() int { return ms.set.Len() }
 
 // Simulate runs a replicated transient study of the model for p: each
 // replica executes one consensus until the first decision (§2.3's latency)
-// or the rounds guard trips. Replicas that abort or exceed tmax are
-// discarded and counted in the result's Truncated field. workers 0 (or
+// or the rounds guard trips. Replicas that exceed tmax are counted in the
+// result's Truncated field, replicas the guard aborted in its Discarded
+// field; neither contributes a sample. workers 0 (or
 // negative) means one per CPU, 1 forces the serial reference path, and ctx
 // cancels the study between replicas. The model is shared by every
 // replica — it carries no run-time state — and each replica draws from

@@ -3,6 +3,7 @@ package sanmodel
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -175,19 +176,34 @@ func TestInvalidFDPanics(t *testing.T) {
 }
 
 // TestRoundsGuard: with all processes suspecting each other through an
-// impossible QoS, the guard must abort instead of running forever.
+// impossible QoS and a guard of four rounds, most replicas are ended by
+// the guard, not by a decision. Every one of them must be accounted for —
+// kept, truncated or discarded — and identically at any worker count.
 func TestRoundsGuard(t *testing.T) {
 	p := DefaultParams(3)
 	p.FD = FDModel{TMR: 1.0, TM: 0.98, Kind: FDDeterministic} // almost always suspected
-	p.MaxRoundsGuard = 30
-	res, err := SimulateContext(context.Background(), p, 30, 1e5, 7, 0)
-	if err != nil {
-		t.Fatal(err)
+	p.MaxRoundsGuard = 4
+	const replicas = 200
+	var ref *san.TransientResult
+	for _, workers := range []int{1, 2, 8} {
+		res, err := SimulateContext(context.Background(), p, replicas, 1e5, 7, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Discarded == 0 {
+			t.Fatalf("workers=%d: the rounds guard never tripped", workers)
+		}
+		if got := res.Digest.N() + res.Truncated + res.Discarded; got != replicas {
+			t.Fatalf("workers=%d: %d kept + %d truncated + %d discarded = %d, want %d replicas",
+				workers, res.Digest.N(), res.Truncated, res.Discarded, got, replicas)
+		}
+		if ref == nil {
+			ref = res
+		} else if res.Discarded != ref.Discarded || res.Truncated != ref.Truncated || !reflect.DeepEqual(res.Digest.Exact(), ref.Digest.Exact()) {
+			t.Fatalf("workers=%d: %d kept, %d truncated, %d discarded; one worker had %d, %d, %d",
+				workers, res.Digest.N(), res.Truncated, res.Discarded, ref.Digest.N(), ref.Truncated, ref.Discarded)
+		}
 	}
-	if res.Truncated == 0 {
-		t.Log("note: no truncations; guard untested under this QoS")
-	}
-	// The run must terminate either way — reaching here is the assertion.
 }
 
 // TestDepTrackingMatchesFullRescan is the differential test for the

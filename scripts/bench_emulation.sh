@@ -3,10 +3,13 @@
 # benchmarks, the cluster reset-vs-construct pair, the campaign
 # memory benchmark — and the SAN simulator's rows: the campaign baseline
 # (mostly model construction at 40 replicas), one n = 5 realization including
-# NewSim (BenchmarkSANEngine), the Reset+Run replica body
-# (BenchmarkSimReset) and one completion with 8 and 512 idle seizers on
-# the flipping resource (BenchmarkSettleFanout, the pair must read
-# alike) — and writes the results to BENCH_emulation.json via
+# NewSim (BenchmarkSANEngine: construction, compiling the net included),
+# the Reset+Run replica body on a toy model (BenchmarkSimReset) and on the
+# consensus net, the path a SAN study spends its time in
+# (BenchmarkConsensusReplica/{c1_n5,c1_n7,c3_n5}, with ns/firing), and one
+# completion with 8 and 512 idle seizers on the flipping resource
+# (BenchmarkSettleFanout, the pair must read alike) — and writes the
+# results to BENCH_emulation.json via
 # cmd/benchjson, so the perf trajectory of the allocation-lean emulator
 # is tracked per commit (CI uploads the file as a build artifact).
 #
@@ -16,10 +19,11 @@
 #
 # PROFILE_DIR, when set, additionally captures CPU and heap profiles of
 # the scenario-campaign benchmark (the hot emulation path) into that
-# directory as scenario.cpu.pprof / scenario.mem.pprof; CI uploads them
-# as artifacts so a perf regression ships with the profile that explains
-# it. Profiling is a separate single-package run because -cpuprofile
-# applies per test binary.
+# directory as scenario.cpu.pprof / scenario.mem.pprof, and a CPU profile
+# of the consensus-net replica loop (the hot SAN path) as san.cpu.pprof;
+# CI uploads them as artifacts so a perf regression ships with the
+# profile that explains it. Profiling is a separate single-package run
+# each because -cpuprofile applies per test binary.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -34,9 +38,9 @@ TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
 go test -run=- \
-    -bench 'BenchmarkScenarioCampaign(Serial|Parallel|Traced)|BenchmarkCluster(Reset|NewPerReplica)|BenchmarkCampaignMemory|BenchmarkDESSchedule$|BenchmarkSANCampaignSerial|BenchmarkSANEngine$|BenchmarkSimReset$|BenchmarkSettleFanout' \
+    -bench 'BenchmarkScenarioCampaign(Serial|Parallel|Traced)|BenchmarkCluster(Reset|NewPerReplica)|BenchmarkCampaignMemory|BenchmarkDESSchedule$|BenchmarkSANCampaignSerial|BenchmarkSANEngine$|BenchmarkSimReset$|BenchmarkSettleFanout|BenchmarkConsensusReplica' \
     -benchmem -benchtime "$BENCHTIME" \
-    ./internal/scenario/ ./internal/netsim/ ./internal/metrics/ ./internal/des/ ./internal/san/ ./campaign/ . \
+    ./internal/scenario/ ./internal/netsim/ ./internal/metrics/ ./internal/des/ ./internal/san/ ./internal/sanmodel/ ./campaign/ . \
     >"$TMP"
 cat "$TMP" >&2
 
@@ -52,4 +56,10 @@ if [ -n "$PROFILE_DIR" ]; then
         -o "$PROFILE_DIR/scenario.test" \
         ./internal/scenario/ >&2
     echo "wrote $PROFILE_DIR/scenario.cpu.pprof and scenario.mem.pprof" >&2
+    go test -run=- -bench 'BenchmarkConsensusReplica' \
+        -benchtime "$BENCHTIME" \
+        -cpuprofile "$PROFILE_DIR/san.cpu.pprof" \
+        -o "$PROFILE_DIR/sanmodel.test" \
+        ./internal/sanmodel/ >&2
+    echo "wrote $PROFILE_DIR/san.cpu.pprof" >&2
 fi
