@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"ctsan/campaign"
 	"ctsan/internal/checkpoint"
@@ -39,6 +40,47 @@ func BenchmarkSANCampaignSerial(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSANGridTwoWorkers is the benchmark's `san-grid` study
+// (benchmark/workloads.go) at quarter size on two workers — six points of
+// unequal length, 23 to 91 ms at full size, so two workers handing out
+// whole points end on one of them running alone. ns/op is the two-worker
+// wall; speedup is the one-worker wall of the same study, measured in the
+// same iteration off the clock, over it: 2 is every worker busy to the
+// end, and what keeps it there is an idle worker joining the replicas of
+// the point still running (1.7 when each point stayed on one worker).
+func BenchmarkSANGridTwoWorkers(b *testing.B) {
+	const big, small = 7500 / 4, 3750 / 4
+	study := campaign.NewStudy("san-grid",
+		campaign.SANPoint{Name: "c1-n3", N: 3, Replicas: big},
+		campaign.SANPoint{Name: "c1-n5", N: 5, Replicas: big},
+		campaign.SANPoint{Name: "c1-n7", N: 7, Replicas: big},
+		campaign.SANPoint{Name: "c2-n5", N: 5, Replicas: big, Crashed: []int{1}},
+		campaign.SANPoint{Name: "c3-n3", N: 3, Replicas: small, TMR: 30, TM: 2},
+		campaign.SANPoint{Name: "c3-n5", N: 5, Replicas: small, TMR: 30, TM: 2},
+	)
+	run := func(workers int) time.Duration {
+		start := time.Now()
+		if err := campaign.Run(bg, study,
+			campaign.WithSeed(1),
+			campaign.WithWorkers(workers),
+			campaign.WithSink(discard{}),
+		); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	var one, two time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		one += run(1)
+		b.StartTimer()
+		two += run(2)
+	}
+	b.ReportMetric(float64(one)/float64(two), "speedup")
 }
 
 // fineGrid is the benchmark's `fine-grid` study (benchmark/workloads.go):

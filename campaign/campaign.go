@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ctsan/internal/experiment"
+	"ctsan/internal/parallel"
 	"ctsan/internal/sanmodel"
 )
 
@@ -78,28 +79,38 @@ type Point interface {
 	// method: only this package implements Point.
 	freeze(o *options, index int) (Point, error)
 	// prepare returns the runner of a frozen point.
-	prepare(o *options) (pointRunner, error)
+	prepare() (pointRunner, error)
 }
 
-// pointRunner executes one prepared point under a context, on the engine
-// assemblies of the pool worker running it.
-type pointRunner func(ctx context.Context, a *assemblies) (*Result, error)
+// pointRunner executes one prepared point under a context, as worker w of
+// the run's pool, on the run's engine assemblies.
+type pointRunner func(ctx context.Context, a *assemblies, w int) (*Result, error)
 
-// assemblies is what one pool worker retains across the points of a Run:
-// the engine assemblies it has built so far, in bounded sets keyed by
-// shape (internal/keyed). A point whose shape the worker has seen builds
-// nothing — the retained assembly is rewound, bit-identically to a fresh
-// one — so a study pays for each distinct shape once per worker, not once
-// per point. Nothing here outlives the Run that made it.
+// assemblies is what the pool workers of one Run retain across its points:
+// the engine assemblies each has built so far, in bounded sets keyed by
+// shape (internal/keyed), one set per kind and pool worker. A point whose
+// shape the worker has seen builds nothing — the retained assembly is
+// rewound, bit-identically to a fresh one — so a study pays for each
+// distinct shape once per worker, not once per point. The pool never
+// overlaps two calls under one worker index, at either level, so entry w
+// of each slice is worker w's alone and needs no locking. Nothing here
+// outlives the Run that made it.
 type assemblies struct {
-	// harnesses holds the replica harnesses of Emulation and Scenario
-	// points, one set per inner worker: Latency points run on set 0,
-	// Scenario replicas fan out over all of them, and equal shapes share
-	// one harness across both engines.
+	// pool is the run's one worker budget: points are its top-level
+	// units, and SAN and Scenario points open their replica loops on it,
+	// so a worker with no point left to start runs replicas of the points
+	// still in flight.
+	pool *parallel.Pool
+	// harnesses holds each worker's replica harnesses: a Latency point
+	// runs on its worker's set, a Scenario replica on the set of whichever
+	// worker runs it, and equal shapes share one harness across both
+	// engines.
 	harnesses []experiment.Harnesses
-	// models holds the built SAN models with their per-inner-worker
-	// simulators, keyed by everything the build reads.
-	models sanmodel.Models
+	// models holds each worker's built SAN models, keyed by everything the
+	// build reads. A model's solver keeps one simulator per pool worker
+	// that has run its replicas: the worker whose point it is, and any
+	// that joined at the study's tail.
+	models []sanmodel.Models
 }
 
 // Study is a named grid of points, executed by Run. The zero value is
@@ -132,13 +143,9 @@ type options struct {
 	sinks    []Sink
 	progress func(done, total int, last *Result)
 	cache    PointCache
-	// totalPoints is set by Run before preparing points; it feeds the
-	// outer/inner worker-budget split.
-	totalPoints int
-	// slots is set by Run before the pool starts: one set of retained
-	// engine assemblies per pool worker, dropped with the options when
-	// Run returns.
-	slots []assemblies
+	// built is set by Run before the pool starts: the pool and what its
+	// workers retain, dropped with the options when Run returns.
+	built *assemblies
 }
 
 // Option configures a Run call.
@@ -150,9 +157,10 @@ type Option func(*options)
 // worker count.
 func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
 
-// WithWorkers caps the worker goroutines fanning out study points and
-// their inner Monte-Carlo replicas: 0 (the default) means one per CPU,
-// 1 forces the serial reference path. Results do not depend on the count.
+// WithWorkers sets the width of the one pool a study runs on — its points,
+// and the Monte-Carlo replicas inside them once fewer points than workers
+// are left: 0 (the default) means one worker per CPU, 1 forces the serial
+// reference path. Results do not depend on the count.
 func WithWorkers(w int) Option { return func(o *options) { o.workers = w } }
 
 // WithReplicas sets the default replica count for SAN and Scenario points

@@ -1,7 +1,9 @@
 package campaign_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -122,7 +124,11 @@ func TestScenarioMatchesInternalCampaign(t *testing.T) {
 
 // TestStudyDeterministicAcrossWorkers runs a mixed three-engine study —
 // the API's reason to exist — and requires bit-identical results and
-// identical emission order at 1, 2, and 8 workers.
+// identical emission order at 1, 2, 3 and 8 workers. The shapes after it
+// are the ones where workers run out of points while points still run:
+// fewer points than workers, and a last point far longer than the rest —
+// there the idle workers join the replicas of the point in flight, and
+// every result must still encode to the bytes of the one-worker run.
 func TestStudyDeterministicAcrossWorkers(t *testing.T) {
 	study := func() *campaign.Study {
 		return campaign.NewStudy("mixed",
@@ -138,7 +144,7 @@ func TestStudyDeterministicAcrossWorkers(t *testing.T) {
 	if len(ref) != 3 {
 		t.Fatalf("expected 3 results, got %d", len(ref))
 	}
-	for _, w := range []int{2, 8} {
+	for _, w := range []int{2, 3, 8} {
 		got, err := campaign.RunCollect(bg, study(), campaign.WithSeed(5), campaign.WithWorkers(w))
 		if err != nil {
 			t.Fatal(err)
@@ -150,6 +156,40 @@ func TestStudyDeterministicAcrossWorkers(t *testing.T) {
 			sameSamples(t, "mixed study point "+ref[i].Point, got[i].Samples(), ref[i].Samples())
 			if got[i].Seed != ref[i].Seed {
 				t.Fatalf("workers=%d: derived seed changed: %d vs %d", w, got[i].Seed, ref[i].Seed)
+			}
+		}
+	}
+
+	encoded := func(s *campaign.Study, workers int) []byte {
+		t.Helper()
+		results, err := campaign.RunCollect(bg, s, campaign.WithSeed(5), campaign.WithWorkers(workers))
+		if err != nil {
+			t.Fatalf("%s at %d workers: %v", s.Name, workers, err)
+		}
+		out, err := json.Marshal(results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	class3 := campaign.SANPoint{N: 5, Replicas: 400, TMR: 30, TM: 2, Tmax: 1e5}
+	faults := campaign.ScenarioPoint{Name: "rolling-crash", Replicas: 6, Executions: 40}
+	for _, s := range []*campaign.Study{
+		campaign.NewStudy("one-san-point", class3),
+		campaign.NewStudy("one-scenario-point", faults),
+		campaign.NewStudy("two-points", faults, class3),
+		campaign.NewStudy("long-tail",
+			campaign.SANPoint{N: 3, Replicas: 40},
+			campaign.LatencyPoint{N: 3, Executions: 20},
+			campaign.ScenarioPoint{Name: "paper-baseline", Replicas: 1, Executions: 20},
+			campaign.SANPoint{N: 5, Replicas: 60, Crashed: []int{1}},
+			campaign.SANPoint{N: 7, Replicas: 1500, TMR: 30, TM: 2, FDExponential: true, Tmax: 1e5},
+		),
+	} {
+		want := encoded(s, 1)
+		for _, w := range []int{2, 3, 8} {
+			if got := encoded(s, w); !bytes.Equal(got, want) {
+				t.Errorf("%s: results at %d workers differ from the one-worker encoding\n got %s\nwant %s", s.Name, w, got, want)
 			}
 		}
 	}

@@ -69,7 +69,7 @@ func (p LatencyPoint) freeze(o *options, index int) (Point, error) {
 	return p, checkCrashed(p.N, p.Crashed)
 }
 
-func (p LatencyPoint) prepare(*options) (pointRunner, error) {
+func (p LatencyPoint) prepare() (pointRunner, error) {
 	spec := experiment.LatencySpec{
 		N:          p.N,
 		Executions: p.Executions,
@@ -87,8 +87,8 @@ func (p LatencyPoint) prepare(*options) (pointRunner, error) {
 	for _, id := range p.Crashed {
 		spec.Crashed = append(spec.Crashed, neko.ProcessID(id))
 	}
-	return func(ctx context.Context, a *assemblies) (*Result, error) {
-		res, err := a.harnesses[0].RunLatency(ctx, spec)
+	return func(ctx context.Context, a *assemblies, w int) (*Result, error) {
+		res, err := a.harnesses[w].RunLatency(ctx, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +168,7 @@ func (p SANPoint) freeze(o *options, index int) (Point, error) {
 	return p, checkCrashed(p.N, p.Crashed)
 }
 
-func (p SANPoint) prepare(o *options) (pointRunner, error) {
+func (p SANPoint) prepare() (pointRunner, error) {
 	params := sanmodel.DefaultParams(p.N)
 	if p.TSend > 0 {
 		params.TSend = p.TSend
@@ -186,9 +186,8 @@ func (p SANPoint) prepare(o *options) (pointRunner, error) {
 	if tmax == 0 {
 		tmax = 1e7
 	}
-	inner := o.innerWorkers()
-	return func(ctx context.Context, a *assemblies) (*Result, error) {
-		res, err := a.models.Simulate(ctx, params, p.Replicas, tmax, p.Seed, inner)
+	return func(ctx context.Context, a *assemblies, w int) (*Result, error) {
+		res, err := a.models[w].Simulate(ctx, a.pool, w, params, p.Replicas, tmax, p.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -264,7 +263,7 @@ func (p ScenarioPoint) freeze(o *options, index int) (Point, error) {
 	return p, checkGuards(p.MaxRounds, p.Deadline)
 }
 
-func (p ScenarioPoint) prepare(*options) (pointRunner, error) {
+func (p ScenarioPoint) prepare() (pointRunner, error) {
 	s, err := p.scenario()
 	if err != nil {
 		return nil, err
@@ -277,8 +276,8 @@ func (p ScenarioPoint) prepare(*options) (pointRunner, error) {
 		MaxRounds:  p.MaxRounds,
 		Deadline:   p.Deadline,
 	}
-	return func(ctx context.Context, a *assemblies) (*Result, error) {
-		reports, err := scenario.RunCampaignOn(ctx, a.harnesses, spec)
+	return func(ctx context.Context, a *assemblies, w int) (*Result, error) {
+		reports, err := scenario.RunCampaignOn(ctx, a.pool, w, a.harnesses, spec)
 		if err != nil {
 			return nil, err
 		}

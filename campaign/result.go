@@ -10,7 +10,8 @@ import (
 type Summary struct {
 	// N is the number of recorded samples.
 	N int `json:"n"`
-	// Mean and CI90 are the sample mean and its 90% confidence half-width.
+	// Mean and CI90 are the sample mean and its 90% confidence half-width;
+	// CI90 is 0 — no interval — when N < 2, where none is defined.
 	Mean float64 `json:"mean_ms"`
 	CI90 float64 `json:"ci90_ms"`
 	// P50/P90/P99 are latency quantiles (exact below the digest's cap,
@@ -23,22 +24,28 @@ type Summary struct {
 }
 
 // summarize flattens a digest into a Summary. An empty digest yields the
-// zero Summary (a point whose every execution aborted).
+// zero Summary (a point whose every execution aborted). One sample has no
+// confidence interval: the digest says +Inf, which JSON cannot carry, so
+// the summary says 0 as the empty one does (how many samples a point keeps
+// is known only after it ran, so freeze cannot reject it).
 func summarize(d *metrics.Digest) Summary {
 	if d.N() == 0 {
 		return Summary{}
 	}
 	ps := d.Quantiles(0.50, 0.90, 0.99)
-	return Summary{
+	s := Summary{
 		N:    d.N(),
 		Mean: d.Mean(),
-		CI90: d.CI(0.90),
 		P50:  ps[0],
 		P90:  ps[1],
 		P99:  ps[2],
 		Min:  d.Min(),
 		Max:  d.Max(),
 	}
+	if s.N >= 2 {
+		s.CI90 = d.CI(0.90)
+	}
+	return s
 }
 
 // Result is the outcome of one study point, shaped identically across

@@ -3,8 +3,10 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"errors"
 	"runtime"
 	"testing"
+	"time"
 
 	"ctsan/internal/rng"
 )
@@ -106,22 +108,19 @@ func recordsAlone(t *testing.T, frozen *Study, hashes []string) [][]byte {
 }
 
 // captureOptions is an Option that exposes the resolved options of the
-// Run it is passed to — and with them the workers' assembly slots.
+// Run it is passed to — and with them the workers' retained assemblies.
 func captureOptions(dst **options) Option { return func(o *options) { *dst = o } }
 
 // retained reports the largest number of assemblies of one kind any
-// worker slot holds.
+// pool worker holds.
 func retained(o *options) (most int) {
-	for w := range o.slots {
-		most = max(most, o.slots[w].models.Len())
-		for i := range o.slots[w].harnesses {
-			most = max(most, o.slots[w].harnesses[i].Len())
-		}
+	for w := range o.built.models {
+		most = max(most, o.built.models[w].Len(), o.built.harnesses[w].Len())
 	}
 	return most
 }
 
-// checkGridMatchesAlone runs the grid whole at 1, 2 and 8 workers and
+// checkGridMatchesAlone runs the grid whole at 1, 2, 3 and 8 workers and
 // requires every point's shard record to equal, byte for byte, the record
 // of that point run alone. At one worker it also checks the retained
 // count after every point (the progress callback runs on the only worker,
@@ -137,7 +136,7 @@ func checkGridMatchesAlone(t *testing.T, name string, seed uint64, grid []Point)
 		t.Fatal(err)
 	}
 	want := recordsAlone(t, frozen, hashes)
-	for _, workers := range []int{1, 2, 8} {
+	for _, workers := range []int{1, 2, 3, 8} {
 		var o *options
 		opts := []Option{WithWorkers(workers), captureOptions(&o)}
 		if workers == 1 {
@@ -172,10 +171,45 @@ func checkGridMatchesAlone(t *testing.T, name string, seed uint64, grid []Point)
 }
 
 // TestReusedAssembliesMatchOnePointStudies is the differential of the
-// keyed sets on generated heterogeneous grids.
+// keyed sets on generated heterogeneous grids — and of the pool's helping
+// on the shapes where it happens: fewer points than workers, and a grid
+// whose last point is by far its longest, so that replicas of one point
+// run on simulators and harnesses of several workers.
 func TestReusedAssembliesMatchOnePointStudies(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		checkGridMatchesAlone(t, "reuse", seed, heterogeneousGrid(seed, 40))
+	}
+	longSAN := SANPoint{N: 5, Replicas: 1200, TMR: 30, TM: 2, Tmax: 1e5}
+	longScenario := ScenarioPoint{Name: "inline-faults", SpecJSON: []byte(partitionJSON), Replicas: 6, Executions: 30}
+	checkGridMatchesAlone(t, "one-point", 4, []Point{longSAN})
+	checkGridMatchesAlone(t, "two-points", 5, []Point{longScenario, longSAN})
+	checkGridMatchesAlone(t, "long-san-tail", 6, append(heterogeneousGrid(6, 6), longSAN))
+	checkGridMatchesAlone(t, "long-scenario-tail", 7, append(heterogeneousGrid(7, 6), longScenario))
+}
+
+// TestIdleWorkerRunsReplicasOfTheLastPoint: two points on two workers,
+// the second twenty times the first. The worker whose point ends first
+// has none left to start and joins the other's replicas: it ran a SAN
+// point only, yet it ends holding the harness the Scenario point runs on
+// — a worker assembles one only by running a replica on it. (The SAN
+// side of the same fact is san's TestTailStudyRunsOnBothWorkers: which
+// simulators a solver built is not visible from here.)
+func TestIdleWorkerRunsReplicasOfTheLastPoint(t *testing.T) {
+	var o *options
+	study := NewStudy("tail",
+		SANPoint{N: 3, Replicas: 100},
+		ScenarioPoint{Name: "rolling-crash", Replicas: 60, Executions: 80},
+	)
+	if _, err := RunCollect(context.Background(), study, WithWorkers(2), captureOptions(&o)); err != nil {
+		t.Fatal(err)
+	}
+	for w := range o.built.harnesses {
+		if n := o.built.harnesses[w].Len(); n != 1 {
+			t.Errorf("worker %d holds %d harnesses after the study, want 1: both workers run replicas of the Scenario point", w, n)
+		}
+	}
+	if a, b := o.built.models[0].Len(), o.built.models[1].Len(); a+b != 1 {
+		t.Errorf("workers hold %d and %d SAN models, want one between them", a, b)
 	}
 }
 
@@ -203,7 +237,7 @@ func TestEvictionKeepsResultsAndBound(t *testing.T) {
 	if _, err := RunCollect(context.Background(), NewStudy("evict", grid...), WithWorkers(1), captureOptions(&o)); err != nil {
 		t.Fatal(err)
 	}
-	if m, h := o.slots[0].models.Len(), o.slots[0].harnesses[0].Len(); m != setCapacity || h != setCapacity {
+	if m, h := o.built.models[0].Len(), o.built.harnesses[0].Len(); m != setCapacity || h != setCapacity {
 		t.Errorf("after %d shapes per kind the worker retains %d models and %d harnesses, want %d of each", shapes, m, h, setCapacity)
 	}
 }
@@ -217,7 +251,7 @@ func TestFineGridBuildsSixAssemblies(t *testing.T) {
 	if _, err := RunCollect(context.Background(), tinyGrid(18), WithWorkers(1), captureOptions(&o)); err != nil {
 		t.Fatal(err)
 	}
-	if m, h := o.slots[0].models.Len(), o.slots[0].harnesses[0].Len(); m != 3 || h != 3 {
+	if m, h := o.built.models[0].Len(), o.built.harnesses[0].Len(); m != 3 || h != 3 {
 		t.Errorf("fine grid built %d SAN models and %d harnesses on its worker, want 3 and 3", m, h)
 	}
 }
@@ -274,5 +308,30 @@ func TestNothingOutlivesRun(t *testing.T) {
 	if end := live(); end > base+256<<10 {
 		t.Errorf("live heap grew from %d B after 5 studies to %d B after 50 (+%d KiB), want within 256 KiB",
 			base, end, (end-base)>>10)
+	}
+
+	// Nor does a goroutine: not after those fifty runs, and not when a
+	// cancel lands while one worker is inside the other's point — point 0
+	// is out, its worker has joined the replicas of point 1 (600 ms of
+	// them), and the cancel arrives a moment into that.
+	goroutines := runtime.NumGoroutine()
+	for i := 0; i < 8; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		study := NewStudy("cancel-tail",
+			SANPoint{N: 3, Replicas: 50},
+			SANPoint{N: 7, Replicas: 20000, TMR: 30, TM: 2, Tmax: 1e5},
+		)
+		err := Run(ctx, study, WithWorkers(2), WithProgress(func(int, int, *Result) {
+			time.AfterFunc(time.Duration(i)*500*time.Microsecond, cancel)
+		}))
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled run %d returned %v, want context.Canceled", i, err)
+		}
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the canceled runs, %d before", runtime.NumGoroutine(), goroutines)
+		}
 	}
 }

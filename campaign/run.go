@@ -9,6 +9,7 @@ import (
 	"ctsan/internal/obs"
 	"ctsan/internal/parallel"
 	"ctsan/internal/rng"
+	"ctsan/internal/sanmodel"
 )
 
 // pointSeed resolves the effective seed of point `index`: an explicit
@@ -34,18 +35,14 @@ func (o *options) pointReplicas(explicit, engineDefault int) int {
 	return engineDefault
 }
 
-// innerWorkers splits the worker budget between the fan-out over points
-// and the Monte-Carlo replicas inside each point (see
-// parallel.InnerWorkers).
-func (o *options) innerWorkers() int {
-	return parallel.InnerWorkers(o.workers, o.totalPoints)
-}
-
-// Run executes every point of the study on the deterministic worker pool
+// Run executes every point of the study on one deterministic worker pool
 // and streams results to the attached sinks in point-index order — the
 // first point's result is delivered while later points are still
 // running, yet the emission order (and every result bit) is independent
-// of the worker count.
+// of the worker count. Points start in index order; a worker with no
+// point left to start runs replicas of the SAN and Scenario points still
+// in flight (an Emulation point is one sequential chain of executions and
+// cannot be joined).
 //
 // ctx cancels the study cooperatively: between points, between the
 // Monte-Carlo replicas inside SAN and Scenario points, and between the
@@ -84,10 +81,9 @@ func run(ctx context.Context, study *Study, o *options) error {
 	if err != nil {
 		return err
 	}
-	o.totalPoints = len(study.Points)
 	runners := make([]pointRunner, len(study.Points))
 	for i, p := range study.Points {
-		if runners[i], err = p.prepare(o); err != nil {
+		if runners[i], err = p.prepare(); err != nil {
 			return fmt.Errorf("campaign: point %d (%s): %w", i, p.Label(), err)
 		}
 	}
@@ -102,17 +98,17 @@ func run(ctx context.Context, study *Study, o *options) error {
 		}
 	}
 
-	// One slot of retained engine assemblies per pool worker, alive for
-	// exactly this run: the pool never overlaps two units of one worker
-	// index, so a slot needs no locking.
-	o.slots = make([]assemblies, parallel.Workers(o.workers))
-	inner := o.innerWorkers()
-	for w := range o.slots {
-		o.slots[w].harnesses = make([]experiment.Harnesses, inner)
+	// One pool and one set of retained engine assemblies per pool worker,
+	// alive for exactly this run.
+	pool := parallel.NewPool(o.workers)
+	o.built = &assemblies{
+		pool:      pool,
+		harnesses: make([]experiment.Harnesses, pool.Workers()),
+		models:    make([]sanmodel.Models, pool.Workers()),
 	}
 
 	total := len(runners)
-	return parallel.Stream(ctx, o.workers, total,
+	return parallel.StreamOn(ctx, pool, total,
 		func(w, i int) (*Result, error) {
 			if o.cache != nil {
 				if res, ok := o.cache.Get(hashes[i]); ok && res != nil {
@@ -124,7 +120,7 @@ func run(ctx context.Context, study *Study, o *options) error {
 					return res, nil
 				}
 			}
-			res, err := runners[i](ctx, &o.slots[w])
+			res, err := runners[i](ctx, o.built, w)
 			if err != nil {
 				return nil, fmt.Errorf("campaign: point %d (%s): %w", i, study.Points[i].Label(), err)
 			}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ctsan/internal/checkpoint"
+	"ctsan/internal/metrics"
 )
 
 // shardTestStudy is a small cross-engine grid: fast enough for unit
@@ -464,4 +465,64 @@ func FuzzDecodeShardRecord(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSingleSampleSummaryHasNoInterval: one sample has a mean and no
+// confidence interval. The digest's +Inf must not reach the Summary —
+// JSON cannot carry it, so the point's result could not be encoded and
+// the whole study failed at its first record.
+func TestSingleSampleSummaryHasNoInterval(t *testing.T) {
+	var d metrics.Digest
+	d.Add(1.25)
+	if ci := d.CI(0.90); !math.IsInf(ci, 1) {
+		t.Fatalf("digest CI of one sample = %v, want +Inf (its other callers rely on it)", ci)
+	}
+	got := summarize(&d)
+	want := Summary{N: 1, Mean: 1.25, P50: 1.25, P90: 1.25, P99: 1.25, Min: 1.25, Max: 1.25}
+	if got != want {
+		t.Fatalf("summarize(one sample) = %+v, want %+v", got, want)
+	}
+	if _, err := json.Marshal(got); err != nil {
+		t.Fatalf("one-sample summary does not encode: %v", err)
+	}
+	d.Add(1.75)
+	if two := summarize(&d); !(two.CI90 > 0) || math.IsInf(two.CI90, 0) {
+		t.Fatalf("two samples: ci90 = %v, want a finite positive half-width", two.CI90)
+	}
+}
+
+// TestSingleSamplePointsSurviveTheStore: a one-replica SAN point and a
+// one-execution Emulation point run through RunShardRange into a store,
+// and come back through MergeShardRecords as the results of the
+// in-process run, n = 1 and ci90 = 0.
+func TestSingleSamplePointsSurviveTheStore(t *testing.T) {
+	study := NewStudy("tiny",
+		SANPoint{Name: "one-replica", N: 3, Replicas: 1},
+		LatencyPoint{Name: "one-execution", N: 3, Executions: 1},
+	)
+	frozen, err := Frozen(study, WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := resultLines(t, frozen, WithSeed(3), WithWorkers(1))
+	store := openStore(t)
+	if err := RunShardRange(context.Background(), frozen, 0, len(frozen.Points), store, nil, WithWorkers(1)); err != nil {
+		t.Fatalf("RunShardRange over single-sample points: %v", err)
+	}
+	records, skipped, err := MergeShardRecords(frozen, store.Records())
+	if err != nil || skipped != 0 || len(records) != len(want) {
+		t.Fatalf("merge: %d records, %d skipped, err %v; want %d records", len(records), skipped, err, len(want))
+	}
+	for i, rec := range records {
+		if !bytes.Equal(rec.Result, want[i]) {
+			t.Errorf("point %d: stored result differs from the in-process run\n got %s\nwant %s", i, rec.Result, want[i])
+		}
+		res, err := rec.DecodeResult()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Latency.N != 1 || res.Latency.CI90 != 0 || res.Latency.Mean <= 0 {
+			t.Errorf("point %d: latency summary %+v, want n=1, ci90=0 and a positive mean", i, res.Latency)
+		}
+	}
 }

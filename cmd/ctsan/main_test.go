@@ -565,3 +565,36 @@ func TestUsageAndFlagErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRunSingleSamplePoints: points that keep exactly one sample — one
+// SAN replica, one emulated execution — used to fail `ctsan run` after
+// three attempts ("encode result: json: unsupported value: +Inf": the
+// undefined confidence interval of one sample). They run, first attempt,
+// and report ci90_ms 0.
+func TestRunSingleSamplePoints(t *testing.T) {
+	dir := t.TempDir()
+	spec := filepath.Join(dir, "tiny.json")
+	if err := os.WriteFile(spec, []byte(`{"v":1,"name":"tiny","points":[
+		{"engine":"san","spec":{"Name":"a","N":3,"Replicas":1}},
+		{"engine":"emulation","spec":{"Name":"b","N":3,"Executions":1}}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "results.jsonl")
+	code, _, errb := ctsan(t, "run", "-study", spec, "-shards", "1", "-dir", filepath.Join(dir, "ck"), "-o", out, "-backoff", "10ms")
+	if code != 0 || strings.Contains(errb, "retrying") {
+		t.Fatalf("exit %d\n%s", code, errb)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(got), []byte("\n"))
+	if len(lines) != 2 {
+		t.Fatalf("%d result lines, want 2:\n%s", len(lines), got)
+	}
+	for _, line := range lines {
+		if !bytes.Contains(line, []byte(`"latency":{"n":1,`)) || !bytes.Contains(line, []byte(`"ci90_ms":0,`)) {
+			t.Errorf("result without n=1 and ci90_ms=0: %s", line)
+		}
+	}
+}

@@ -176,16 +176,19 @@ func Fig9b(ctx context.Context, points []Class3Point, f Fidelity, seed uint64) (
 			}
 		}
 		// One SAN simulation pair per retained grid point, all independent:
-		// fan them out and fold in point order.
+		// fan them out on one pool — a worker with no point left joins the
+		// replicas of the simulations still running — and fold in point
+		// order.
 		type simPair struct{ det, exp float64 }
-		inner := innerWorkers(f.Workers, len(kept))
-		pairs, err := parallel.Map(ctx, f.Workers, len(kept), func(_, i int) (simPair, error) {
+		pool := parallel.NewPool(f.Workers)
+		pairs, err := parallel.MapOn(ctx, pool, len(kept), func(w, i int) (simPair, error) {
 			p := kept[i]
 			var out simPair
 			for _, kind := range []sanmodel.FDDistKind{sanmodel.FDDeterministic, sanmodel.FDExponential} {
 				sp := fits.SANParams(n, 0.025)
 				sp.FD = fdModelFromQoS(p.QoS, kind)
-				res, err := sanmodel.SimulateContext(ctx, sp, f.Replicas, 1e6, seed+uint64(n)*17+uint64(p.T), inner)
+				var ms sanmodel.Models
+				res, err := ms.Simulate(ctx, pool, w, sp, f.Replicas, 1e6, seed+uint64(n)*17+uint64(p.T))
 				if err != nil {
 					return simPair{}, err
 				}

@@ -25,10 +25,10 @@ type Fidelity struct {
 	TGrid        []float64 // failure-detection timeouts T for Figs. 8/9
 	TSendSweep   []float64 // Fig. 7b t_send values
 	CDFGridSteps int
-	// Workers caps the goroutines used for independent campaign points and
-	// Monte-Carlo replicas: 0 (or negative) means one per CPU, 1 forces
-	// serial execution. Every campaign is bit-identical at any worker
-	// count; see PERFORMANCE.md.
+	// Workers is the width of the pool independent campaign points and
+	// their Monte-Carlo replicas share: 0 (or negative) means one worker
+	// per CPU, 1 forces serial execution. Every campaign is bit-identical
+	// at any worker count; see PERFORMANCE.md.
 	Workers int
 }
 
@@ -242,18 +242,21 @@ func Fig7b(ctx context.Context, f Fidelity, seed uint64) (*Figure, float64, erro
 		YLabel: "probability",
 	}
 	// Each t_send value is an independent simulation campaign; sweep them
-	// concurrently and fold in sweep order so the figure (and the selected
-	// best t_send) is identical at any worker count.
+	// concurrently on one pool (a worker with no value left joins the
+	// replicas of the campaigns still running) and fold in sweep order so
+	// the figure (and the selected best t_send) is identical at any worker
+	// count.
 	type sweepOut struct {
 		e    *stats.ECDF
 		ks   float64
 		mean float64
 	}
-	inner := innerWorkers(f.Workers, len(f.TSendSweep))
-	sweep, err := parallel.Map(ctx, f.Workers, len(f.TSendSweep), func(_, i int) (sweepOut, error) {
+	pool := parallel.NewPool(f.Workers)
+	sweep, err := parallel.MapOn(ctx, pool, len(f.TSendSweep), func(w, i int) (sweepOut, error) {
 		ts := f.TSendSweep[i]
 		p := fits.SANParams(5, ts)
-		res, err := sanmodel.SimulateContext(ctx, p, f.Replicas, 1e6, seed+uint64(ts*1e4), inner)
+		var ms sanmodel.Models
+		res, err := ms.Simulate(ctx, pool, w, p, f.Replicas, 1e6, seed+uint64(ts*1e4))
 		if err != nil {
 			return sweepOut{}, err
 		}
@@ -309,8 +312,9 @@ func Table1(ctx context.Context, f Fidelity, seed uint64) (*Table, error) {
 		}
 	}
 	// Every (scenario, n) cell is an independent measurement campaign plus
-	// an optional SAN simulation; run all of them concurrently and fold in
-	// table order.
+	// an optional SAN simulation; run all of them concurrently on one pool
+	// (a worker with no cell left joins the replicas of the simulations
+	// still running) and fold in table order.
 	type cellJob struct {
 		scenario int
 		n        int
@@ -321,8 +325,8 @@ func Table1(ctx context.Context, f Fidelity, seed uint64) (*Table, error) {
 			jobs = append(jobs, cellJob{scenario: si, n: n})
 		}
 	}
-	inner := innerWorkers(f.Workers, len(jobs))
-	cells, err := parallel.Map(ctx, f.Workers, len(jobs), func(_, i int) ([]string, error) {
+	pool := parallel.NewPool(f.Workers)
+	cells, err := parallel.MapOn(ctx, pool, len(jobs), func(w, i int) ([]string, error) {
 		job := jobs[i]
 		sc := scenarios[job.scenario]
 		res, err := RunLatencyContext(ctx, LatencySpec{N: job.n, Executions: f.Executions, Seed: seed, Crashed: sc.crashed})
@@ -337,7 +341,8 @@ func Table1(ctx context.Context, f Fidelity, seed uint64) (*Table, error) {
 			}
 			p := fits.SANParams(job.n, 0.025)
 			p.Crashed = simCrash
-			sim, err := sanmodel.SimulateContext(ctx, p, f.Replicas, 1e6, seed+uint64(job.n), inner)
+			var ms sanmodel.Models
+			sim, err := ms.Simulate(ctx, pool, w, p, f.Replicas, 1e6, seed+uint64(job.n))
 			if err != nil {
 				return nil, err
 			}

@@ -6,13 +6,6 @@ import (
 	"ctsan/internal/parallel"
 )
 
-// innerWorkers splits the worker budget between an outer fan-out over
-// `items` independent campaigns and the Monte-Carlo replicas inside each
-// (see parallel.InnerWorkers).
-func innerWorkers(workers, items int) int {
-	return parallel.InnerWorkers(workers, items)
-}
-
 // RunLatencySweepContext runs independent latency campaigns — one per spec —
 // across at most `workers` goroutines (0 = one per CPU, 1 = serial) and
 // returns the results in spec order. Each campaign draws all its

@@ -6,6 +6,13 @@
 // (rng.Stream.Child), this yields bit-for-bit reproducible experiments at
 // any worker count.
 //
+// A Pool is one worker budget for a whole run, not one per level: its
+// workers draw the units of a top-level loop (StreamOn, MapOn, Do), a unit
+// may open a nested loop over its own indices (Pool.ForEachChunk), and a
+// worker with no top-level unit left to start joins the nested loops
+// still open instead of idling. ForEach, ForEachChunk, Map and Stream are
+// the same draw loop on a pool of their own.
+//
 // Every entry point takes a context.Context and cancels cooperatively:
 // the pool checks the context between work units (a unit that has started
 // runs to completion), so a canceled campaign stops promptly and returns
@@ -17,6 +24,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -26,7 +34,7 @@ import (
 // UnitPanic is the value re-raised when a work unit panics: it carries
 // the index of the unit that blew up and the stack of the original
 // panic site, which the re-raise on the calling goroutine would
-// otherwise lose. Nested pools (points fanning out into replicas) keep
+// otherwise lose. Nested loops (points fanning out into replicas) keep
 // the innermost UnitPanic, whose stack shows the full nesting.
 type UnitPanic struct {
 	// Index is the work-unit index passed to fn.
@@ -49,38 +57,6 @@ func (p *UnitPanic) Unwrap() error {
 	return nil
 }
 
-// call invokes one work unit, converting a panic into a re-raised
-// *UnitPanic identifying the unit. Each unit is bracketed by the obs
-// worker-activity accounting: a deferred recover frame, two clock reads
-// and three atomic adds on one cache line every worker shares — a
-// hundred-odd nanoseconds, more under contention. A unit is whatever the
-// caller indexes: a campaign point, a scenario replica, an emulated
-// execution batch are milliseconds of simulation, and the bracket is
-// noise. A SAN replica is 5-15 µs, where it was 2-4% of the study; callers
-// with units that small go through ForEachChunk, which pays it once per
-// chunk.
-func call(fn func(worker, i int) error, worker, i int) error {
-	h := obs.UnitStart()
-	defer func() {
-		obs.UnitEnd(h)
-		if r := recover(); r != nil {
-			reraise(i, r)
-		}
-	}()
-	return fn(worker, i)
-}
-
-// reraise panics with r, recovered from work unit i, wrapped as a
-// *UnitPanic. An already-wrapped panic — from a nested pool, or from a
-// unit inside a chunk — passes through untouched, so the innermost index
-// and stack survive.
-func reraise(i int, r any) {
-	if _, wrapped := r.(*UnitPanic); wrapped {
-		panic(r)
-	}
-	panic(&UnitPanic{Index: i, Value: r, Stack: debug.Stack()})
-}
-
 // Workers resolves a requested worker count: values <= 0 mean "one worker
 // per available CPU" (runtime.GOMAXPROCS(0)).
 func Workers(requested int) int {
@@ -90,161 +66,317 @@ func Workers(requested int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// InnerWorkers splits a worker budget between an outer fan-out over
-// `items` independent units and the parallelism inside each unit: the
-// product of outer and inner concurrency stays near the budget instead
-// of multiplying into budget² goroutines. With many outer items the
-// inner work runs serially; with few items the leftover budget goes to
-// their inner units.
-func InnerWorkers(workers, items int) int {
-	w := Workers(workers)
-	if items < 1 {
-		items = 1
-	}
-	return (w + items - 1) / items
+// loop is one indexed loop over [0, n), drawn chunk by chunk through an
+// atomic counter by every worker inside drain. Top-level and nested loops
+// are the same thing; they differ only in who opened them.
+type loop struct {
+	ctx    context.Context
+	fn     func(worker, i int) error
+	n      int
+	chunk  int
+	chunks int
+
+	next atomic.Int64 // next chunk to start
+	// stop: an index failed, panicked, or was skipped on a canceled ctx,
+	// so no further chunk starts.
+	stop atomic.Bool
+
+	mu       sync.Mutex // guards the outcome, until every worker has left drain
+	errIdx   int
+	err      error
+	panicked *UnitPanic
+	cut      bool
+
+	helpers int // workers other than the opener inside drain; guarded by Pool.mu
 }
 
-// ForEach runs fn(worker, i) for every i in [0, n), distributing indices
-// across at most Workers(workers) goroutines via an atomic work counter.
-// Two calls with the same worker value never overlap, so callers may keep
-// per-worker scratch state (a reusable simulator, a buffer) in a slice
-// indexed by worker without locking.
+// newLoop sizes a loop for a pool of `width` workers. A chunk holds at
+// most maxChunk indices, and fewer when n is small for the pool: every
+// worker gets at least four chunks to draw, so a short loop still spreads
+// over all of them and ends on a short tail.
+func newLoop(ctx context.Context, width, n, maxChunk int, fn func(worker, i int) error) *loop {
+	chunk := min(maxChunk, max(1, n/(4*min(width, n))))
+	return &loop{ctx: ctx, fn: fn, n: n, chunk: chunk, chunks: (n + chunk - 1) / chunk}
+}
+
+// drain draws chunks as `worker` until none is left to start.
+func (l *loop) drain(worker int) {
+	for !l.stop.Load() {
+		c := int(l.next.Add(1)) - 1
+		if c >= l.chunks {
+			return
+		}
+		l.runChunk(worker, c)
+	}
+}
+
+// runChunk runs the indices of chunk c in order, checking ctx before each
+// and ending the loop at the first that fails, panics or finds ctx
+// canceled. The chunk is bracketed by the obs worker-activity accounting:
+// a deferred recover frame, two clock reads and three atomic adds on one
+// cache line every worker shares — a hundred-odd nanoseconds, more under
+// contention. That is noise for a campaign point, a scenario replica or an
+// emulated execution batch (milliseconds each, chunks of one); a SAN
+// replica is 5-15 µs, so its loops ask for chunks of many.
+func (l *loop) runChunk(worker, c int) {
+	i := c * l.chunk
+	h := obs.UnitStart()
+	defer func() {
+		obs.UnitEnd(h)
+		if r := recover(); r != nil {
+			// An already-wrapped panic — from a loop the index opened —
+			// passes through, so the innermost index and stack survive.
+			up, wrapped := r.(*UnitPanic)
+			if !wrapped {
+				up = &UnitPanic{Index: i, Value: r, Stack: debug.Stack()}
+			}
+			l.finish(func() {
+				if l.panicked == nil {
+					l.panicked = up
+				}
+			})
+		}
+	}()
+	for end := min(i+l.chunk, l.n); i < end; i++ {
+		if l.ctx.Err() != nil {
+			l.finish(func() { l.cut = true })
+			return
+		}
+		if err := l.fn(worker, i); err != nil {
+			l.finish(func() {
+				if l.err == nil || i < l.errIdx {
+					l.errIdx, l.err = i, err
+				}
+			})
+			return
+		}
+	}
+}
+
+// finish records why the loop ends early and stops further draws.
+func (l *loop) finish(record func()) {
+	l.mu.Lock()
+	record()
+	l.mu.Unlock()
+	l.stop.Store(true)
+}
+
+// outcome reports the loop's result on the goroutine that opened it, once
+// every worker has left drain: a panic is re-raised, else the error of the
+// lowest failing index wins, else a cancellation that cost an index is
+// ctx.Err(). A loop whose every index ran is a success even if ctx was
+// canceled meanwhile — the result set is whole.
+func (l *loop) outcome() error {
+	switch {
+	case l.panicked != nil:
+		panic(l.panicked)
+	case l.err != nil:
+		return l.err
+	case l.cut:
+		return l.ctx.Err()
+	}
+	return nil
+}
+
+// Pool is a fixed set of workers, numbered 0..Workers()-1, sharing one
+// budget between a top-level loop and the loops its units open. A worker
+// draws top-level units first, in index order; once none is left to start
+// it does not idle while other workers are still inside theirs: it joins
+// the nested loops they have open (ForEachChunk) until the last top-level
+// unit has finished. So the wall time of a run tracks total work / width
+// whenever its last units are divisible, with no split of the budget
+// decided up front.
+//
+// One worker index serves both levels: two fn calls with the same worker
+// value never overlap, whichever loops they belong to, so per-worker
+// scratch state stays lock-free. A pool runs one top-level loop at a time.
+type Pool struct {
+	width int
+
+	mu   sync.Mutex
+	wake sync.Cond // a loop opened, emptied of helpers, or the last top-level unit ended
+	open []*loop   // nested loops whose opener is still inside, oldest first
+	top  int       // workers still drawing top-level units
+}
+
+// NewPool returns a pool of Workers(workers) workers. It holds no
+// goroutines between loops.
+func NewPool(workers int) *Pool {
+	p := &Pool{width: Workers(workers)}
+	p.wake.L = &p.mu
+	return p
+}
+
+// Workers is the pool's width: worker indices are below it.
+func (p *Pool) Workers() int { return p.width }
+
+// run executes l as the pool's top-level loop and returns its outcome. A
+// pool of one runs it inline on the calling goroutine as worker 0 — the
+// reference serial path every schedule must be indistinguishable from;
+// otherwise no goroutine outlives the call.
+func (p *Pool) run(l *loop) error {
+	if p.width == 1 {
+		l.drain(0)
+		return l.outcome()
+	}
+	p.top = p.width
+	var wg sync.WaitGroup
+	wg.Add(p.width)
+	for w := range p.width {
+		go func() {
+			defer wg.Done()
+			l.drain(w)
+			p.help(w)
+		}()
+	}
+	wg.Wait()
+	return l.outcome()
+}
+
+// help is what a worker does once no top-level unit is left for it: draw
+// from the open nested loops, oldest first, parking while there is
+// nothing to draw, until no worker is inside a top-level unit any more.
+// Every way a top-level unit can end — done, error, panic, cancellation —
+// ends its worker's drain, so the last one out wakes whoever is parked.
+func (p *Pool) help(worker int) {
+	p.mu.Lock()
+	if p.top--; p.top == 0 {
+		p.wake.Broadcast()
+	}
+	for p.top > 0 {
+		l := p.drawable()
+		if l == nil {
+			p.wake.Wait()
+			continue
+		}
+		l.helpers++
+		p.mu.Unlock()
+		l.drain(worker)
+		p.mu.Lock()
+		if l.helpers--; l.helpers == 0 {
+			p.wake.Broadcast() // its opener may be waiting to return
+		}
+	}
+	p.mu.Unlock()
+}
+
+// drawable returns the oldest open loop with a chunk left to start.
+func (p *Pool) drawable() *loop {
+	for _, l := range p.open {
+		if !l.stop.Load() && int(l.next.Load()) < l.chunks {
+			return l
+		}
+	}
+	return nil
+}
+
+// ForEachChunk runs fn(w, i) for every i in [0, n) as a loop nested in the
+// unit the caller is running as pool worker `worker`: the caller draws
+// chunks itself, workers with no top-level unit left join it under their
+// own indices, and the call returns when every chunk — the helpers'
+// included — is done. Chunks are sized from the pool's width (see
+// newLoop), so the only unit of a one-unit run still spreads over every
+// worker. Everything the package-level ForEachChunk states about order
+// within a chunk, ctx, errors and panics holds here; a panic on a helper
+// is re-raised on the caller's goroutine.
+func (p *Pool) ForEachChunk(ctx context.Context, worker, n, maxChunk int, fn func(worker, i int) error) error {
+	if n <= 0 {
+		return nil
+	}
+	l := newLoop(ctx, p.width, n, maxChunk, fn)
+	shared := p.width > 1 && l.chunks > 1
+	if shared {
+		p.mu.Lock()
+		p.open = append(p.open, l)
+		p.wake.Broadcast()
+		p.mu.Unlock()
+	}
+	l.drain(worker)
+	if shared {
+		p.mu.Lock()
+		p.open = slices.DeleteFunc(p.open, func(o *loop) bool { return o == l })
+		for l.helpers > 0 {
+			p.wake.Wait()
+		}
+		p.mu.Unlock()
+	}
+	return l.outcome()
+}
+
+// Do runs fn as the only top-level unit of a new pool of Workers(workers):
+// the loops fn opens on p spread over all of them. It is how a study that
+// is all one divisible unit — a transient solve, a scenario campaign —
+// runs standalone on the code path it takes inside a larger run.
+func Do[T any](ctx context.Context, workers int, fn func(p *Pool, worker int) (T, error)) (T, error) {
+	p := NewPool(workers)
+	var out T
+	err := p.forEach(ctx, 1, func(w, _ int) (err error) {
+		out, err = fn(p, w)
+		return err
+	})
+	return out, err
+}
+
+// ForEach runs fn(worker, i) for every i in [0, n) on a pool of its own:
+// at most Workers(workers) goroutines drawing indices through an atomic
+// counter. Two calls with the same worker value never overlap — on a Pool
+// that spans its nested loops too — so callers may keep per-worker scratch
+// state (a reusable simulator, a buffer) in a slice indexed by worker
+// without locking.
 //
 // When the resolved worker count is 1 — or n < 2 — everything runs inline
 // on the calling goroutine with worker == 0; this is the reference serial
 // path the parallel schedule must be indistinguishable from.
 //
-// ctx is checked between work units: once it is canceled no new unit
+// ctx is checked before every index: once it is canceled no new unit
 // starts, in-flight units finish, and ForEach returns ctx.Err() (unless a
 // unit already failed — fn errors take precedence, and the error observed
 // for the lowest index is returned). A panic in fn is re-raised on the
 // calling goroutine, wrapped as *UnitPanic so the failing unit's index and
 // original stack survive the goroutine hop.
 func ForEach(ctx context.Context, workers, n int, fn func(worker, i int) error) error {
+	return ForEachChunk(ctx, workers, n, 1, fn)
+}
+
+// ForEachChunk is ForEach for units of microseconds: the pool's work unit
+// is a contiguous chunk of at most maxChunk indices (see newLoop) — the
+// caller's statement of how many of its units make the per-unit accounting
+// negligible — and fn still runs once per index, in index order within a
+// chunk. The bracket (see runChunk) and the shared work counter are paid
+// once per chunk; ctx is still checked before every index, a panic is
+// still reported with the index whose fn panicked, and an error still
+// stops the run at that index. Everything ForEach guarantees about worker
+// slots, the serial path, error precedence and cancellation holds as
+// stated there.
+func ForEachChunk(ctx context.Context, workers, n, maxChunk int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil // vacuously complete, like a run whose units all finished
 	}
 	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := call(fn, 0, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next   atomic.Int64
-		done   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-
-		mu       sync.Mutex
-		errIdx   = -1
-		firstErr error
-		panicked any
-		panicSet bool
-	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if errIdx < 0 || i < errIdx {
-			errIdx, firstErr = i, err
-		}
-		mu.Unlock()
-		failed.Store(true)
-	}
-	for wk := 0; wk < w; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if !panicSet {
-						panicSet, panicked = true, r
-					}
-					mu.Unlock()
-					failed.Store(true)
-				}
-			}()
-			for !failed.Load() && ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := call(fn, wk, i); err != nil {
-					fail(i, err)
-					return
-				}
-				done.Add(1)
-			}
-		}(wk)
-	}
-	wg.Wait()
-	if panicSet {
-		panic(panicked)
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	if done.Load() == int64(n) {
-		// Every unit completed before the cancellation landed: the result
-		// set is whole, so report success — exactly what the serial path
-		// does when the last unit finishes under a just-canceled context.
-		return nil
-	}
-	return ctx.Err()
+	l := newLoop(ctx, w, n, maxChunk, fn)
+	// fn cannot reach this pool to nest in it, so workers beyond the
+	// chunk count would only park.
+	return NewPool(min(w, l.chunks)).run(l)
 }
 
-// ForEachChunk is ForEach for units of microseconds: the pool's work unit
-// is a contiguous chunk of indices, fn still runs once per index, in
-// index order within a chunk. The per-unit bracket (see call) and the
-// shared work counter are paid once per chunk; ctx is still checked
-// before every index, a panic is still reported with the index whose fn
-// panicked, and an error still stops the run at that index. Everything
-// ForEach guarantees about worker slots, the serial path, error
-// precedence and cancellation holds as stated there.
-//
-// A chunk holds at most maxChunk indices — the caller's statement of how
-// many of its units make the bracket negligible — and fewer when n is
-// small for the pool: every worker gets at least four chunks to draw, so
-// a short run still spreads over all of them and ends on a short tail.
-func ForEachChunk(ctx context.Context, workers, n, maxChunk int, fn func(worker, i int) error) error {
+// forEach is ForEach as p's top-level loop.
+func (p *Pool) forEach(ctx context.Context, n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	chunk := min(maxChunk, max(1, n/(4*min(Workers(workers), n))))
-	// cut: some chunk stopped short on a canceled ctx. That is not an fn
-	// error (those take precedence), and its chunk did not complete.
-	var cut atomic.Bool
-	err := ForEach(ctx, workers, (n+chunk-1)/chunk, func(w, c int) error {
-		i := c * chunk
-		defer func() {
-			if r := recover(); r != nil {
-				reraise(i, r)
-			}
-		}()
-		for end := min(i+chunk, n); i < end; i++ {
-			if ctx.Err() != nil {
-				cut.Store(true)
-				return nil
-			}
-			if err := fn(w, i); err != nil {
-				return err
-			}
+	return p.run(newLoop(ctx, p.width, n, 1, fn))
+}
+
+// collect adapts a Map body to a loop body storing into out.
+func collect[T any](out []T, fn func(worker, i int) (T, error)) func(worker, i int) error {
+	return func(w, i int) error {
+		v, err := fn(w, i)
+		if err != nil {
+			return err
 		}
+		out[i] = v
 		return nil
-	})
-	if err == nil && cut.Load() {
-		return ctx.Err()
 	}
-	return err
 }
 
 // Map runs fn for every index and collects the results in index order, so
@@ -253,30 +385,25 @@ func ForEachChunk(ctx context.Context, workers, n, maxChunk int, fn func(worker,
 // error — or ctx.Err() — is returned.
 func Map[T any](ctx context.Context, workers, n int, fn func(worker, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := ForEach(ctx, workers, n, func(w, i int) error {
-		v, err := fn(w, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
+	if err := ForEach(ctx, workers, n, collect(out, fn)); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// Stream is Map with streaming delivery: as soon as the contiguous prefix
-// of results is complete, each result is handed to emit(i, v) in strict
-// index order, regardless of which workers produced them or when. emit
-// calls are serialized (never concurrent with one another) but may run on
-// different worker goroutines; they must not block on the producers.
-//
-// An error from emit aborts the run like an error from fn. On error or
-// cancellation, results already emitted stay emitted — Stream makes no
-// attempt to retract them — and undelivered buffered results are dropped.
-func Stream[T any](ctx context.Context, workers, n int, fn func(worker, i int) (T, error), emit func(i int, v T) error) error {
+// MapOn is Map as p's top-level loop: fn may open nested loops on p under
+// the worker index it is passed.
+func MapOn[T any](ctx context.Context, p *Pool, n int, fn func(worker, i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	if err := p.forEach(ctx, n, collect(out, fn)); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ordered adapts a Stream body and its emit to a loop body: each result is
+// buffered until the contiguous prefix before it is complete.
+func ordered[T any](n int, fn func(worker, i int) (T, error), emit func(i int, v T) error) func(worker, i int) error {
 	var (
 		mu       sync.Mutex
 		buf      = make([]T, n)
@@ -284,7 +411,7 @@ func Stream[T any](ctx context.Context, workers, n int, fn func(worker, i int) (
 		nextOut  int
 		emitDead bool // a previous emit failed; never emit again
 	)
-	return ForEach(ctx, workers, n, func(w, i int) error {
+	return func(w, i int) error {
 		v, err := fn(w, i)
 		if err != nil {
 			return err
@@ -302,5 +429,26 @@ func Stream[T any](ctx context.Context, workers, n int, fn func(worker, i int) (
 			nextOut++
 		}
 		return nil
-	})
+	}
+}
+
+// Stream is Map with streaming delivery: as soon as the contiguous prefix
+// of results is complete, each result is handed to emit(i, v) in strict
+// index order, regardless of which workers produced them or when. emit
+// calls are serialized (never concurrent with one another) but may run on
+// different worker goroutines; they must not block on the producers.
+//
+// An error from emit aborts the run like an error from fn. On error or
+// cancellation, results already emitted stay emitted — Stream makes no
+// attempt to retract them — and undelivered buffered results are dropped.
+func Stream[T any](ctx context.Context, workers, n int, fn func(worker, i int) (T, error), emit func(i int, v T) error) error {
+	return ForEach(ctx, workers, n, ordered(n, fn, emit))
+}
+
+// StreamOn is Stream as p's top-level loop: fn may open nested loops on p
+// under the worker index it is passed. Units are still started in index
+// order, so emission order and per-worker unit sequences are what they
+// are without nesting.
+func StreamOn[T any](ctx context.Context, p *Pool, n int, fn func(worker, i int) (T, error), emit func(i int, v T) error) error {
+	return p.forEach(ctx, n, ordered(n, fn, emit))
 }

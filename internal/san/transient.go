@@ -18,11 +18,12 @@ import (
 type TransientSpec struct {
 	Replicas int
 	Tmax     float64
-	// Workers caps the goroutines running replicas: 0 (or negative) means
-	// one per CPU, 1 forces the serial reference path. Results are
-	// bit-identical for every worker count: replica i always draws from
-	// the parent stream's Child(i), and per-replica outcomes are folded in
-	// replica order.
+	// Workers sizes the pool Transient runs the study on when it is not
+	// part of a larger run: 0 (or negative) means one worker per CPU, 1
+	// forces the serial reference path. TransientOn runs on its caller's
+	// pool and does not consult it. Results are bit-identical for every
+	// worker count: replica i always draws from the parent stream's
+	// Child(i), and per-replica outcomes are folded in replica order.
 	Workers int
 	// Stop is the absorbing condition, e.g. "a decide place is marked".
 	Stop func(mk *Marking) bool
@@ -62,17 +63,18 @@ type replicaOutcome struct {
 const replicaChunk = 64
 
 // Solver runs replicated transient studies of one model and keeps what
-// they can share: one simulator and one random stream per worker, built
-// by the worker on its first replica and rewound (Sim.Reset) for every
-// later one — of this study and of the next on the same Solver. A rewound
-// simulator is bit-identical to a fresh one (reset_test.go), so how many
-// studies a Solver has served never shows in a result. The model carries
-// no run-time state and the simulator never mutates it, so every worker
-// shares it. One study at a time: a Solver is per-worker state of its
-// owner, not safe for concurrent Transient calls.
+// they can share: one simulator and one random stream per pool worker,
+// built by that worker on its first replica and rewound (Sim.Reset) for
+// every later one — of this study and of the next on the same Solver. A
+// rewound simulator is bit-identical to a fresh one (reset_test.go), so
+// how many studies a Solver has served never shows in a result. The model
+// carries no run-time state and the simulator never mutates it, so every
+// worker shares it. A Solver belongs to the pool worker that opens its
+// studies, one study at a time; the workers that join a study touch only
+// the slot of their own index.
 type Solver struct {
 	m       *Model
-	workers []*solverWorker
+	workers []*solverWorker // indexed by pool worker
 }
 
 // solverWorker is one worker's retained simulator; the stream is
@@ -86,26 +88,36 @@ type solverWorker struct {
 // NewSolver returns a solver for m holding no simulators yet.
 func NewSolver(m *Model) *Solver { return &Solver{m: m} }
 
-// Transient runs the replicated transient study described by spec,
-// fanning replicas across spec.Workers goroutines in contiguous chunks of
-// at most replicaChunk — fewer when the study is short for the pool, so
-// it still spreads over every worker. Each replica draws from a child
-// stream of r keyed by its index and lands in its own outcome slot, so
-// results are independent of chunking and scheduling and reproducible at
-// any worker count.
+// Transient is TransientOn on a pool of its own, spec.Workers wide.
+func (s *Solver) Transient(ctx context.Context, r *rng.Stream, spec TransientSpec) (*TransientResult, error) {
+	return parallel.Do(ctx, spec.Workers, func(p *parallel.Pool, w int) (*TransientResult, error) {
+		return s.TransientOn(ctx, p, w, r, spec)
+	})
+}
+
+// TransientOn runs the replicated transient study described by spec as a
+// loop nested in the unit its caller is running as worker `worker` of p:
+// replicas go out in contiguous chunks of at most replicaChunk — fewer
+// when the study is short for the pool, so it still spreads over every
+// worker — to the caller and to every pool worker with no unit of its own
+// left. Each replica draws from a child stream of r keyed by its index
+// and lands in its own outcome slot, so results are independent of
+// chunking, of who helped and of scheduling, and reproducible at any pool
+// width.
 //
-// With Workers != 1, Stop and Measure are called concurrently; they only
-// read the Marking they are passed.
+// On a pool wider than one, Stop and Measure are called concurrently;
+// they only read the Marking they are passed.
 //
 // The steady-state replica loop does not allocate at all: beyond the
 // per-replica outcome slice, allocations do not depend on Replicas, and
-// a study on a Solver that has run before builds nothing.
+// a study on a Solver that has run before builds nothing (a worker that
+// joins for the first time builds its one simulator).
 //
 // ctx cancels the study between replicas, inside a chunk too (a replica
 // that has started runs to completion); a canceled study returns
 // ctx.Err(). A panic in Stop, Measure or a gate surfaces as a
 // *parallel.UnitPanic whose Index is the replica.
-func (s *Solver) Transient(ctx context.Context, r *rng.Stream, spec TransientSpec) (*TransientResult, error) {
+func (s *Solver) TransientOn(ctx context.Context, p *parallel.Pool, worker int, r *rng.Stream, spec TransientSpec) (*TransientResult, error) {
 	if spec.Replicas <= 0 {
 		return nil, fmt.Errorf("san: transient study needs at least 1 replica, got %d", spec.Replicas)
 	}
@@ -116,10 +128,10 @@ func (s *Solver) Transient(ctx context.Context, r *rng.Stream, spec TransientSpe
 		return nil, fmt.Errorf("san: transient study needs a positive Tmax")
 	}
 	outs := make([]replicaOutcome, spec.Replicas)
-	if n := parallel.Workers(spec.Workers); len(s.workers) < n {
+	if n := p.Workers(); len(s.workers) < n {
 		s.workers = append(s.workers, make([]*solverWorker, n-len(s.workers))...)
 	}
-	err := parallel.ForEachChunk(ctx, spec.Workers, spec.Replicas, replicaChunk, func(w, i int) error {
+	err := p.ForEachChunk(ctx, worker, spec.Replicas, replicaChunk, func(w, i int) error {
 		wk := s.workers[w]
 		if wk == nil {
 			wk = &solverWorker{}

@@ -276,3 +276,45 @@ func TestTransientPanicNamesItsReplica(t *testing.T) {
 		}()
 	}
 }
+
+// TestTailStudyRunsOnBothWorkers: two studies are the two units of a pool
+// of two, the second twenty times the first. Whichever worker is left
+// without a unit joins the long study's replicas, so its solver ends with
+// a simulator under both worker indices — and the study's numbers are
+// those of the serial reference, whoever ran which replica.
+func TestTailStudyRunsOnBothWorkers(t *testing.T) {
+	m, done := branching()
+	spec := func(replicas int) TransientSpec {
+		return TransientSpec{
+			Replicas: replicas,
+			Tmax:     3,
+			Stop:     func(mk *Marking) bool { return mk.Get(done) >= 2 },
+		}
+	}
+	ctx := context.Background()
+	replicas := []int{1500, 30000}
+	solvers := []*Solver{NewSolver(m), NewSolver(m)}
+	p := parallel.NewPool(2)
+	got, err := parallel.MapOn(ctx, p, 2, func(w, i int) (*TransientResult, error) {
+		return solvers[i].TransientOn(ctx, p, w, rng.New(7), spec(replicas[i]))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < 2; w++ {
+		if wk := solvers[1].workers[w]; wk == nil || wk.sim == nil {
+			t.Errorf("the long study ran no replica under worker index %d", w)
+		}
+	}
+	serial := spec(replicas[1])
+	serial.Workers = 1
+	ref, err := NewSolver(m).Transient(ctx, rng.New(7), serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[1].Truncated != ref.Truncated || got[1].Digest.N() != ref.Digest.N() || got[1].Digest.Mean() != ref.Digest.Mean() ||
+		!reflect.DeepEqual(got[1].Digest.Quantiles(0.5, 0.9, 0.99), ref.Digest.Quantiles(0.5, 0.9, 0.99)) {
+		t.Errorf("helped study differs from the serial reference: %d truncated, n %d, mean %v; want %d, %d, %v",
+			got[1].Truncated, got[1].Digest.N(), got[1].Digest.Mean(), ref.Truncated, ref.Digest.N(), ref.Digest.Mean())
+	}
+}

@@ -84,19 +84,23 @@ type Report struct {
 // fail with a descriptive error instead of silently producing an empty
 // report.
 func RunCampaignContext(ctx context.Context, spec CampaignSpec) ([]*Report, error) {
-	return RunCampaignOn(ctx, make([]experiment.Harnesses, parallel.Workers(spec.Workers)), spec)
+	return parallel.Do(ctx, spec.Workers, func(p *parallel.Pool, w int) ([]*Report, error) {
+		return RunCampaignOn(ctx, p, w, make([]experiment.Harnesses, p.Workers()), spec)
+	})
 }
 
-// RunCampaignOn is RunCampaignContext on the caller's harness sets: one
-// worker per set (spec.Workers is not consulted), worker w taking every
-// harness it needs from sets[w] and leaving what it assembled there. A
-// caller running many campaigns — campaign.Run, one per Scenario point —
-// passes the same sets each time, so a shape is assembled once per worker
-// rather than once per campaign; the reports do not depend on what the
-// sets held.
-func RunCampaignOn(ctx context.Context, sets []experiment.Harnesses, spec CampaignSpec) ([]*Report, error) {
-	if len(sets) == 0 {
-		return nil, fmt.Errorf("scenario: campaign with no harness sets (no workers)")
+// RunCampaignOn is RunCampaignContext nested in the unit its caller is
+// running as worker `worker` of p (spec.Workers is not consulted): the
+// grid units go to the caller and to every pool worker with no unit of
+// its own left. sets holds one harness set per pool worker; worker w takes
+// every harness it needs from sets[w] — its own, whoever opened the
+// campaign — and leaves what it assembled there. A caller running many
+// campaigns — campaign.Run, one per Scenario point — passes the same sets
+// each time, so a shape is assembled once per worker rather than once per
+// campaign; the reports do not depend on what the sets held.
+func RunCampaignOn(ctx context.Context, p *parallel.Pool, worker int, sets []experiment.Harnesses, spec CampaignSpec) ([]*Report, error) {
+	if len(sets) < p.Workers() {
+		return nil, fmt.Errorf("scenario: %d harness sets for a pool of %d workers", len(sets), p.Workers())
 	}
 	if len(spec.Scenarios) == 0 {
 		return nil, fmt.Errorf("scenario: campaign with no scenarios (nothing to run)")
@@ -131,15 +135,17 @@ func RunCampaignOn(ctx context.Context, sets []experiment.Harnesses, spec Campai
 	for w := range reps {
 		reps[w].hs = &sets[w]
 	}
-	results, err := parallel.Map(ctx, len(sets), units, func(w, i int) (*Result, error) {
+	results := make([]*Result, units)
+	err := p.ForEachChunk(ctx, worker, units, 1, func(w, i int) (err error) {
 		s := spec.Scenarios[i/spec.Replicas]
 		rep := &reps[w]
 		if rep.s != s {
 			if err := rep.bind(s, cfg); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		return rep.run(ctx, seeds.Child(uint64(i)).Uint64())
+		results[i], err = rep.run(ctx, seeds.Child(uint64(i)).Uint64())
+		return err
 	})
 	if err != nil {
 		return nil, err

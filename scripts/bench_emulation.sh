@@ -2,8 +2,11 @@
 # Runs the emulation-path benchmark suite — the scenario campaign
 # benchmarks, the cluster reset-vs-construct pair, the campaign
 # memory benchmark — and the SAN simulator's rows: the campaign baseline
-# (mostly model construction at 40 replicas), one n = 5 realization including
-# NewSim (BenchmarkSANEngine: construction, compiling the net included),
+# (mostly model construction at 40 replicas), the quarter-size san-grid
+# study on two workers with its speed-up over one (BenchmarkSANGridTwoWorkers:
+# the row that sees a study ending on one point running alone), one n = 5
+# realization including NewSim (BenchmarkSANEngine: construction,
+# compiling the net included),
 # the Reset+Run replica body on a toy model (BenchmarkSimReset) and on the
 # consensus net, the path a SAN study spends its time in
 # (BenchmarkConsensusReplica/{c1_n5,c1_n7,c3_n5}, with ns/firing), and one
@@ -38,7 +41,7 @@ TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
 go test -run=- \
-    -bench 'BenchmarkScenarioCampaign(Serial|Parallel|Traced)|BenchmarkCluster(Reset|NewPerReplica)|BenchmarkCampaignMemory|BenchmarkDESSchedule$|BenchmarkSANCampaignSerial|BenchmarkSANEngine$|BenchmarkSimReset$|BenchmarkSettleFanout|BenchmarkConsensusReplica' \
+    -bench 'BenchmarkScenarioCampaign(Serial|Parallel|Traced)|BenchmarkCluster(Reset|NewPerReplica)|BenchmarkCampaignMemory|BenchmarkDESSchedule$|BenchmarkSANCampaignSerial|BenchmarkSANGridTwoWorkers|BenchmarkSANEngine$|BenchmarkSimReset$|BenchmarkSettleFanout|BenchmarkConsensusReplica' \
     -benchmem -benchtime "$BENCHTIME" \
     ./internal/scenario/ ./internal/netsim/ ./internal/metrics/ ./internal/des/ ./internal/san/ ./internal/sanmodel/ ./campaign/ . \
     >"$TMP"
