@@ -68,7 +68,8 @@
 // protocol payloads cross the stack as flat typed values rather than
 // heap-boxed any, per-execution watchdogs are pooled, scenario timelines
 // compile once per replica binding, and the DES kernel schedules through
-// a calendar queue with eager cancellation — steady-state execution is
+// a calendar queue of linked, pooled event records with eager
+// cancellation — steady-state execution is
 // down to ~1.7 allocations per consensus execution and none per SAN
 // replica. Rewinding is bit-identical to fresh construction (see
 // PERFORMANCE.md, "Reusable emulation assemblies" and "Per-worker engine

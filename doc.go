@@ -39,7 +39,8 @@
 // heap-boxed any, watchdog and injection callbacks are pooled records,
 // scenario timelines compile once per assembly and rewind in place, and
 // the DES kernel schedules through an adaptive calendar queue whose
-// eager cancellation keeps the pop path free of dead entries — in
+// nodes are the pooled event records themselves, linked and unlinked
+// (eagerly, on cancellation too) without moving memory — in
 // total ~1.7 allocations per consensus execution, all per-replica
 // bookkeeping. See PERFORMANCE.md for the scheme. One command-line
 // front end, cmd/ctsan, reaches all of it — `ctsan repro`, `sanrun`,

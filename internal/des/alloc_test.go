@@ -19,6 +19,18 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 	}); allocs > 0 {
 		t.Fatalf("steady-state schedule+fire allocates %.1f objects/op, want 0", allocs)
 	}
+	// The same cycle through a standing pile of equal times: each Step
+	// takes the pile's head, each At links behind its tail.
+	at := s.Now() + 1
+	for i := 0; i < 256; i++ {
+		s.At(at, fn)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		s.At(at, fn)
+		s.Step()
+	}); allocs > 0 {
+		t.Fatalf("schedule+fire on an equal-time pile allocates %.1f objects/op, want 0", allocs)
+	}
 }
 
 // TestCancelSteadyStateAllocs: schedule→cancel must also be allocation-free
@@ -33,6 +45,20 @@ func TestCancelSteadyStateAllocs(t *testing.T) {
 		s.Cancel(s.After(1, fn))
 	}); allocs > 0 {
 		t.Fatalf("steady-state schedule+cancel allocates %.1f objects/op, want 0", allocs)
+	}
+	// Cancelling inside a pile of equal times: unlink from the middle,
+	// file a replacement behind the tail.
+	var pile [256]Handle
+	for i := range pile {
+		pile[i] = s.At(1, fn)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		s.Cancel(pile[i])
+		pile[i] = s.At(1, fn)
+		i = (i + 101) % len(pile)
+	}); allocs > 0 {
+		t.Fatalf("cancel+schedule inside an equal-time pile allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -130,5 +156,23 @@ func BenchmarkDESScheduleCancel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Cancel(s.After(1, fn))
+	}
+}
+
+// BenchmarkDESEqualTimePile measures schedule-one/fire-one through a
+// standing pile of 256 simultaneous events. FIFO among ties files every
+// new event last, so this is the shape that needs the bucket's tail
+// pointer: a walk from the head would cost O(pile) per schedule.
+func BenchmarkDESEqualTimePile(b *testing.B) {
+	var s Sim
+	fn := func() {}
+	for i := 0; i < 256; i++ {
+		s.At(1, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.At(1, fn)
+		s.Step()
 	}
 }

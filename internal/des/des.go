@@ -7,49 +7,75 @@
 // of scheduling, which keeps simulations deterministic.
 //
 // The queue is a calendar queue (Brown 1988): a ring of time buckets,
-// each holding a small (time, seq)-sorted run of entries. Scheduling
-// drops an entry into its bucket (amortized O(1): buckets hold a couple
-// of entries each), and popping takes the head of the first bucket that
-// owns the current time slot — no per-event heap sift, which was the top
-// CPU consumer of the campaign benchmark under both container/heap and
-// the hand-rolled 4-ary heap that preceded this (see PERFORMANCE.md).
-// The bucket width adapts to the observed event density, so the same
-// kernel serves the sub-millisecond message traffic of the emulator and
-// the arbitrary time scales of the SAN solver. Cancellation is eager:
-// the event record remembers its home bucket, so Cancel removes the
-// entry with a short in-bucket scan. Unlike lazy cancellation (a heap's
-// only option short of sift-removal), this keeps every queued entry
-// live — the pop path never touches scattered event records to test for
-// staleness, which is exactly the cache miss the calendar was adopted
-// to avoid.
+// each a (time, seq)-sorted singly linked list of the pooled event
+// records themselves — the record is the queue node. Scheduling links
+// the record behind its bucket's tail (one comparison; a walk from the
+// head only when it belongs earlier), popping unlinks the head of the
+// first bucket that owns the current time slot, and a retired record
+// joins a free list threaded through the same link — no per-event heap
+// sift, which was the top CPU consumer of the campaign benchmark under
+// both container/heap and the hand-rolled 4-ary heap that preceded the
+// calendar, and no memory moved to keep a bucket sorted (see
+// PERFORMANCE.md). The bucket width adapts to the observed event
+// density, so the same kernel serves the sub-millisecond message traffic
+// of the emulator and the arbitrary time scales of the SAN solver.
+// Cancellation is eager: the record remembers its home bucket, so Cancel
+// unlinks it with a short walk of that bucket and no dead node is ever
+// left for the pop path to skip.
+//
+// Finding the next event reads the head record of every bucket it
+// passes, a pointer load that buckets of inline keys would not pay. It
+// is cheap at the sizes this repository runs — 30 to 60 live events on
+// the emulation workloads, a bucket holding about one, the whole pool
+// resident in L1 (measured at PR 24) — and the first thing to re-measure
+// if a model ever keeps tens of thousands of events queued.
 //
 // The (time, seq) order is strict and total — equal times always share a
-// bucket, where entries are kept sorted — so the sequence of *live*
-// events executed, and therefore every simulation result, is
-// bit-identical to the heap implementations this replaces. Bucket
-// geometry (width, ring size) only ever changes internal layout, never
-// the surfacing order.
+// bucket, whose list is kept sorted — so the sequence of events executed,
+// and therefore every simulation result, is bit-identical to the heap
+// implementations this replaces. Bucket geometry (width, ring size) only
+// ever changes internal layout, never the surfacing order.
 //
-// Event records are pooled on a per-Sim free list: once the pool is warm,
-// scheduling and firing events performs no heap allocation, which matters
-// for the Monte-Carlo campaigns that execute hundreds of millions of
-// events. Handles carry a generation number so that a handle to a fired or
-// cancelled event stays invalid even after its record is recycled.
+// Once the pool is warm, scheduling and firing events performs no heap
+// allocation, which matters for the Monte-Carlo campaigns that execute
+// hundreds of millions of events. Handles carry a generation number so
+// that a handle to a fired or cancelled event stays invalid even after
+// its record is recycled.
 package des
 
 import (
+	"math"
+
 	"ctsan/internal/trace"
 )
 
-// event is a scheduled callback record. Records are recycled through the
-// owning Sim's free list; gen disambiguates incarnations. vb is the
-// virtual bucket the record's queue entry currently lives in (maintained
-// by insert, so rebucketing keeps it accurate) — it lets Cancel walk
-// straight to the entry and remove it.
+// event is a scheduled callback and its own queue node. While queued,
+// (time, seq) is its ordering key, vb its home virtual bucket (cached by
+// insert so scans compare integers and Cancel can walk straight to it)
+// and next the following record of that bucket's list; once retired, next
+// threads the owning Sim's free list. gen disambiguates incarnations.
 type event struct {
-	fn  func()
-	gen uint64 // incremented on every recycle
-	vb  int64
+	time float64
+	seq  uint64
+	vb   int64 // virtual bucket: floor(time / width) at insertion
+	next *event
+	fn   func()
+	gen  uint64 // incremented on every recycle
+}
+
+// before is the strict total event order: time, then FIFO by seq.
+func (e *event) before(o *event) bool {
+	if e.time != o.time {
+		return e.time < o.time
+	}
+	return e.seq < o.seq
+}
+
+// bucket is one (time, seq)-sorted list of queued records. It is empty
+// when head is nil; tail is meaningful only while it is not, which lets
+// a pop leave it alone.
+type bucket struct {
+	head, tail *event
 }
 
 // Handle identifies a scheduled event so it can be cancelled. The zero
@@ -68,27 +94,8 @@ func (h Handle) Valid() bool {
 	return h.ev != nil && h.gen == h.ev.gen
 }
 
-// entry is one queued event: the ordering key, the home virtual bucket
-// (cached at insertion so scans compare integers, not recomputed floats),
-// and the event record. Every queued entry is live — Cancel removes
-// entries eagerly.
-type entry struct {
-	time float64
-	seq  uint64
-	vb   int64 // virtual bucket: floor(time / width) at insertion
-	ev   *event
-}
-
-// before is the strict total event order: time, then FIFO by seq.
-func (e *entry) before(o *entry) bool {
-	if e.time != o.time {
-		return e.time < o.time
-	}
-	return e.seq < o.seq
-}
-
 // Calendar geometry and adaptation constants. The ring starts small and
-// doubles whenever occupancy exceeds two entries per bucket; the width
+// doubles whenever occupancy exceeds two events per bucket; the width
 // re-adapts at most once per rewidthPeriod fired events, and only when
 // the observed inter-event gap has drifted a factor of two from the
 // current bucket width.
@@ -101,24 +108,21 @@ const (
 // Sim is a discrete-event simulator. The zero value is ready to use.
 // Sim is not safe for concurrent use.
 type Sim struct {
-	now float64
-	seq uint64
-	// live counts queued entries (cancellation is eager, so every queued
-	// entry is live).
-	live   int
-	free   []*event // recycled event records
+	now    float64
+	seq    uint64
+	live   int    // queued events; cancellation is eager, so none of them is dead
+	free   *event // recycled records, linked through next
 	nsteps uint64
 	tr     *trace.Tracer
 
-	// Calendar queue state. buckets is a power-of-two ring; an entry with
-	// virtual bucket vb lives in buckets[vb&mask], sorted by (time, seq).
-	// curVB is the scan cursor: every queued entry has vb >= curVB.
-	buckets  [][]entry
+	// Calendar queue state. buckets is a power-of-two ring; an event with
+	// virtual bucket vb is linked into buckets[vb&mask]. curVB is the
+	// scan cursor: every queued event has vb >= curVB.
+	buckets  []bucket
 	mask     int64
 	width    float64
 	invWidth float64
 	curVB    int64
-	scratch  []entry // rebucket staging buffer
 
 	// Width adaptation: mean positive gap between consecutive fired-event
 	// times over the current observation window.
@@ -141,43 +145,28 @@ func (s *Sim) Steps() uint64 { return s.nsteps }
 
 // alloc takes an event record off the free list, or allocates one.
 func (s *Sim) alloc() *event {
-	if n := len(s.free); n > 0 {
-		ev := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return ev
+	ev := s.free
+	if ev == nil {
+		return &event{}
 	}
-	return &event{}
+	s.free = ev.next
+	return ev
 }
 
-// release retires an event record to the free list, invalidating every
-// outstanding Handle to it by bumping the generation.
+// release retires an unlinked event record to the free list, invalidating
+// every outstanding Handle to it by bumping the generation.
 func (s *Sim) release(ev *event) {
 	ev.fn = nil
 	ev.gen++
-	s.free = append(s.free, ev)
-}
-
-// push files an entry into the calendar, growing the ring when occupancy
-// exceeds two entries per bucket.
-func (s *Sim) push(e entry) {
-	if len(s.buckets) == 0 {
-		s.buckets = make([][]entry, initialBuckets)
-		s.mask = initialBuckets - 1
-		s.width, s.invWidth = 1, 1
-	}
-	s.insert(e)
-	s.live++
-	if s.live >= 2*len(s.buckets) {
-		s.rebucket(2*len(s.buckets), s.width)
-	}
+	ev.next = s.free
+	s.free = ev
 }
 
 // maxVB caps virtual-bucket indices so an extreme event time (or a tiny
 // adapted width) cannot overflow the float64→int64 conversion, which
-// would yield a negative index and break both the curVB invariant and
-// locate's best >= 0 fallback. Clamped entries all share one bucket,
-// where the (time, seq) sort keeps them correctly ordered.
+// would yield a negative index and break the vb >= curVB invariant.
+// Clamped events all share one bucket, where the (time, seq) sort keeps
+// them correctly ordered.
 const maxVB = int64(1) << 62
 
 // vbucket maps an event time to its virtual bucket under the current
@@ -190,103 +179,105 @@ func (s *Sim) vbucket(t float64) int64 {
 	return int64(v)
 }
 
-// insert places e into its bucket, keeping the bucket sorted by
-// (time, seq). Buckets hold a handful of entries, so the insertion scan
-// is short; a new entry usually belongs at the back of its bucket.
-func (s *Sim) insert(e entry) {
-	e.vb = s.vbucket(e.time)
-	e.ev.vb = e.vb
-	b := &s.buckets[int(e.vb&s.mask)]
-	bb := append(*b, e)
-	i := len(bb) - 1
-	for i > 0 && e.before(&bb[i-1]) {
-		bb[i] = bb[i-1]
-		i--
+// insert links ev into its bucket, keeping the list sorted by
+// (time, seq). A new event almost always belongs behind the tail — a
+// bucket holds about one event, and ties fire in scheduling order — so
+// the walk from the head is the rare path, and it ends before the tail.
+func (s *Sim) insert(ev *event) {
+	ev.vb = s.vbucket(ev.time)
+	b := &s.buckets[int(ev.vb&s.mask)]
+	switch {
+	case b.head == nil:
+		b.head = ev
+	case !ev.before(b.tail):
+		b.tail.next = ev
+	default:
+		at := &b.head
+		for !ev.before(*at) {
+			at = &(*at).next
+		}
+		ev.next, *at = *at, ev
+		return
 	}
-	bb[i] = e
-	*b = bb
+	ev.next, b.tail = nil, ev
 }
 
-// remove deletes the entry owned by ev from its home bucket, preserving
-// bucket order. The scan is short: buckets hold a couple of entries.
+// remove unlinks ev from its home bucket. The walk is short: buckets
+// hold a couple of events.
 func (s *Sim) remove(ev *event) {
 	b := &s.buckets[int(ev.vb&s.mask)]
-	bb := *b
-	for i := range bb {
-		if bb[i].ev == ev {
-			n := copy(bb[i:], bb[i+1:]) + i
-			bb[n] = entry{} // drop the ev pointer so the pool is not pinned
-			*b = bb[:n]
-			s.live--
-			return
+	var prev *event
+	at := &b.head
+	for *at != ev {
+		if prev = *at; prev == nil {
+			panic("des: cancelled event not found in its home bucket")
 		}
+		at = &prev.next
 	}
-	panic("des: cancelled event not found in its home bucket")
+	if *at = ev.next; ev.next == nil {
+		b.tail = prev
+	}
+	s.live--
 }
 
-// locate finds the bucket holding the earliest queued entry. Entries
-// within a bucket are sorted and equal times always map to the same
+// locate finds the earliest queued event, or nil if there is none.
+// A bucket's list is sorted and equal times always map to the same
 // bucket, so the first bucket that owns its current time slot holds the
-// global minimum; if a whole rotation owns nothing (every entry is at
-// least a ring-span ahead), the earliest bucket head is the global
-// minimum. locate never moves curVB — Step advances it only when an
-// entry is actually consumed.
-func (s *Sim) locate() (int64, bool) {
+// global minimum at its head; if a whole rotation owns nothing (every
+// event is at least a ring-span ahead), the earliest bucket head is the
+// global minimum. locate never moves curVB — StepUntil advances it only
+// when an event is actually consumed.
+func (s *Sim) locate() *event {
 	if s.live == 0 {
-		return 0, false
+		return nil
 	}
 	n := int64(len(s.buckets))
 	for k := int64(0); k < n; k++ {
 		i := s.curVB + k
-		if bb := s.buckets[int(i&s.mask)]; len(bb) > 0 && bb[0].vb == i {
-			return i, true
+		if h := s.buckets[int(i&s.mask)].head; h != nil && h.vb == i {
+			return h
 		}
 	}
-	best := int64(-1)
-	var bt float64
-	var bs uint64
+	var best *event
 	for i := range s.buckets {
-		bb := s.buckets[i]
-		if len(bb) == 0 {
-			continue
-		}
-		if best < 0 || bb[0].time < bt || (bb[0].time == bt && bb[0].seq < bs) {
-			best, bt, bs = bb[0].vb, bb[0].time, bb[0].seq
+		if h := s.buckets[i].head; h != nil && (best == nil || h.before(best)) {
+			best = h
 		}
 	}
-	return best, best >= 0
+	return best
 }
 
-// rebucket refiles every live entry under a new ring size and/or bucket
-// width. The surfacing order of live events is a function of (time, seq)
+// rebucket refiles every queued event under a new ring size and/or bucket
+// width. The surfacing order of events is a function of (time, seq)
 // alone, so rebucketing never affects simulation results.
 func (s *Sim) rebucket(nb int, width float64) {
-	s.scratch = s.scratch[:0]
-	for i := range s.buckets {
-		bb := s.buckets[i]
-		for j := range bb {
-			s.scratch = append(s.scratch, bb[j])
-			bb[j] = entry{}
+	// Chain the bucket lists together, last ring slot first, so the
+	// chain runs in ring order and each stretch of it is already sorted:
+	// refiling then mostly links behind a tail.
+	var chain *event
+	for i := len(s.buckets) - 1; i >= 0; i-- {
+		if b := &s.buckets[i]; b.head != nil {
+			b.tail.next = chain
+			chain, b.head = b.head, nil
 		}
-		s.buckets[i] = bb[:0]
 	}
 	if nb > len(s.buckets) {
-		s.buckets = make([][]entry, nb)
+		s.buckets = make([]bucket, nb)
 		s.mask = int64(nb - 1)
 	}
 	s.width, s.invWidth = width, 1/width
 	// A width change redefines the virtual-bucket units, so the scan
-	// cursor must be rebased too: every live entry has time >= now, so
+	// cursor must be rebased too: every queued event has time >= now, so
 	// vbucket(now) restores the vb >= curVB invariant. Leaving the old
 	// cursor in place after a width increase would let locate's fast path
-	// exact-match a far-future entry whose shrunken vb lands inside
+	// exact-match a far-future event whose shrunken vb lands inside
 	// [curVB, curVB+ring) and fire it early.
 	s.curVB = s.vbucket(s.now)
-	for _, e := range s.scratch {
-		s.insert(e)
+	for chain != nil {
+		ev := chain
+		chain = ev.next
+		s.insert(ev)
 	}
-	clear(s.scratch)
-	s.scratch = s.scratch[:0]
 }
 
 // maybeRewidth re-adapts the bucket width to the mean positive gap
@@ -309,16 +300,25 @@ func (s *Sim) maybeRewidth() {
 	s.rebucket(len(s.buckets), target)
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it always indicates a model bug.
+// At schedules fn to run at absolute time t. Scheduling in the past, or
+// at a NaN time (which no bucket would ever surface), panics: it always
+// indicates a model bug.
 func (s *Sim) At(t float64, fn func()) Handle {
-	if t < s.now {
-		panic("des: scheduling event in the past")
+	if !(t >= s.now) {
+		panic("des: scheduling event in the past or at NaN")
+	}
+	if len(s.buckets) == 0 {
+		s.buckets = make([]bucket, initialBuckets)
+		s.mask = initialBuckets - 1
+		s.width, s.invWidth = 1, 1
 	}
 	ev := s.alloc()
-	ev.fn = fn
-	s.push(entry{time: t, seq: s.seq, ev: ev})
+	ev.time, ev.seq, ev.fn = t, s.seq, fn
 	s.seq++
+	s.insert(ev)
+	if s.live++; s.live >= 2*len(s.buckets) {
+		s.rebucket(2*len(s.buckets), s.width)
+	}
 	if s.tr != nil {
 		s.tr.Emit(trace.Event{T: s.now, Kind: trace.KindSchedule, X: t})
 	}
@@ -334,11 +334,11 @@ func (s *Sim) After(d float64, fn func()) Handle {
 }
 
 // Cancel prevents a scheduled event from firing. Cancelling an already
-// fired or cancelled event is a no-op. The entry is removed from its
-// home bucket on the spot (a short in-bucket scan), so workloads that
-// cancel far more events than they fire — the heartbeat failure detector
-// re-arms a timer on every observed message — never accumulate dead
-// entries for the pop path to skip over.
+// fired or cancelled event is a no-op. The record is unlinked from its
+// home bucket on the spot (a short walk of that bucket), so workloads
+// that cancel far more events than they fire — the heartbeat failure
+// detector re-arms a timer on every observed message — never accumulate
+// dead nodes for the pop path to skip over.
 func (s *Sim) Cancel(h Handle) {
 	if !h.Valid() {
 		return
@@ -352,45 +352,45 @@ func (s *Sim) Empty() bool { return s.live == 0 }
 
 // PeekTime returns the time of the next event, or ok=false if none.
 func (s *Sim) PeekTime() (t float64, ok bool) {
-	vb, found := s.locate()
-	if !found {
+	ev := s.locate()
+	if ev == nil {
 		return 0, false
 	}
-	return s.buckets[int(vb&s.mask)][0].time, true
+	return ev.time, true
 }
 
 // Step executes the next event. It reports whether an event was executed.
-func (s *Sim) Step() bool {
-	vb, found := s.locate()
-	if !found {
+func (s *Sim) Step() bool { return s.StepUntil(math.Inf(1)) }
+
+// StepUntil executes the next event if its time is <= tmax, locating it
+// once. It reports whether an event was executed; a later event stays
+// queued and the clock does not move.
+func (s *Sim) StepUntil(tmax float64) bool {
+	ev := s.locate()
+	if ev == nil || ev.time > tmax {
 		return false
 	}
-	s.curVB = vb
-	b := &s.buckets[int(vb&s.mask)]
-	bb := *b
-	e := bb[0]
-	n := copy(bb, bb[1:])
-	bb[n] = entry{}
-	*b = bb[:n]
-	s.now = e.time
+	s.curVB = ev.vb
+	s.buckets[int(ev.vb&s.mask)].head = ev.next
+	s.now = ev.time
 	s.nsteps++
 	s.live--
 	// Feed the width adaptation: mean positive gap between fired events.
-	if e.time > s.popLastT {
-		s.gapSum += e.time - s.popLastT
+	if ev.time > s.popLastT {
+		s.gapSum += ev.time - s.popLastT
 		s.gapN++
 	}
-	s.popLastT = e.time
+	s.popLastT = ev.time
 	if s.sincePop++; s.sincePop >= rewidthPeriod {
 		s.maybeRewidth()
 	}
 	if s.tr != nil {
 		s.tr.Emit(trace.Event{T: s.now, Kind: trace.KindFire})
 	}
-	fn := e.ev.fn
+	fn := ev.fn
 	// Release before running so fn can immediately reuse the record; the
 	// handle to this event is already stale either way.
-	s.release(e.ev)
+	s.release(ev)
 	fn()
 	return true
 }
@@ -410,12 +410,7 @@ func (s *Sim) Run(stop func() bool) float64 {
 // RunUntil executes events with time <= tmax. Events beyond tmax remain
 // queued; the clock is advanced to tmax if the run was truncated.
 func (s *Sim) RunUntil(tmax float64) {
-	for {
-		t, ok := s.PeekTime()
-		if !ok || t > tmax {
-			break
-		}
-		s.Step()
+	for s.StepUntil(tmax) {
 	}
 	if s.now < tmax {
 		s.now = tmax
@@ -431,20 +426,19 @@ func (s *Sim) RunUntil(tmax float64) {
 // Reset. (Bucket geometry carried over from the previous run is internal
 // layout only — it cannot influence event order.)
 //
-// The queue is drained by its live entries: every one of them has
+// The queue is drained by its queued events: every one of them has
 // vb >= curVB, so the walk starts at the cursor and ends with the last
-// entry found — at once when nothing is queued — instead of visiting
+// event found — at once when nothing is queued — instead of visiting
 // every bucket of the ring.
 func (s *Sim) Reset() {
 	for vb := s.curVB; s.live > 0; vb++ {
 		b := &s.buckets[int(vb&s.mask)]
-		bb := *b
-		for j := range bb {
-			s.release(bb[j].ev)
-			bb[j] = entry{}
+		for ev := b.head; ev != nil; s.live-- {
+			next := ev.next
+			s.release(ev)
+			ev = next
 		}
-		s.live -= len(bb)
-		*b = bb[:0]
+		b.head = nil
 	}
 	s.curVB = 0
 	s.now, s.seq, s.nsteps = 0, 0, 0

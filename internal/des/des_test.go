@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -92,6 +93,33 @@ func TestPastPanics(t *testing.T) {
 		}
 	}()
 	s.At(1, func() {})
+}
+
+// TestNaNPanics: a NaN time compares false with everything, so it would
+// pass a t < now check, be filed under a negative virtual bucket and
+// never surface — Run would return with Empty() false for ever.
+func TestNaNPanics(t *testing.T) {
+	for name, schedule := range map[string]func(*Sim){
+		"At":    func(s *Sim) { s.At(math.NaN(), func() {}) },
+		"After": func(s *Sim) { s.After(math.NaN(), func() {}) },
+	} {
+		var s Sim
+		var fired []float64
+		s.At(1, func() { fired = append(fired, s.Now()) })
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(NaN) did not panic", name)
+				}
+			}()
+			schedule(&s)
+		}()
+		s.At(2, func() { fired = append(fired, s.Now()) })
+		s.Run(nil)
+		if len(fired) != 2 || fired[0] != 1 || fired[1] != 2 || !s.Empty() {
+			t.Errorf("%s(NaN): fired %v, Empty() = %v; want [1 2] and an empty queue", name, fired, s.Empty())
+		}
+	}
 }
 
 func TestNegativeAfterClamps(t *testing.T) {

@@ -604,7 +604,7 @@ func (h *host) pauseBody() {
 // occasional deferral to the host's next absolute scheduler tick (the
 // 10 ms jiffy grid of Linux 2.2), plus kernel wake-up latency.
 func (h *host) wakeLateness(ideal float64) float64 {
-	p := h.c.params
+	p := &h.c.params
 	late := p.ThreadJitter.Sample(h.schedRand)
 	if p.GridProb > 0 && h.schedRand.Float64() < p.GridProb {
 		g := p.SleepGranularity

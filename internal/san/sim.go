@@ -766,16 +766,12 @@ func (s *Sim) Run(tmax float64, stop func(mk *Marking) bool) (t float64, stopped
 	if stop != nil && stop(&s.marking) {
 		return s.sim.Now(), true
 	}
-	for {
-		nt, ok := s.sim.PeekTime()
-		if !ok || nt > tmax {
-			return s.sim.Now(), false
-		}
-		s.sim.Step()
+	for s.sim.StepUntil(tmax) {
 		if stop != nil && stop(&s.marking) {
 			return s.sim.Now(), true
 		}
 	}
+	return s.sim.Now(), false
 }
 
 // EnabledActivities returns the names of currently enabled activities,

@@ -11,8 +11,11 @@
 # consensus net, the path a SAN study spends its time in
 # (BenchmarkConsensusReplica/{c1_n5,c1_n7,c3_n5}, with ns/firing), and one
 # completion with 8 and 512 idle seizers on the flipping resource
-# (BenchmarkSettleFanout, the pair must read alike) — and writes the
-# results to BENCH_emulation.json via
+# (BenchmarkSettleFanout, the pair must read alike) — and the event
+# kernel's three cycles on a standing queue (BenchmarkDESSchedule,
+# BenchmarkDESScheduleCancel, and BenchmarkDESEqualTimePile: 256
+# simultaneous events, the row that goes O(pile) if a bucket loses its
+# tail pointer) — and writes the results to BENCH_emulation.json via
 # cmd/benchjson, so the perf trajectory of the allocation-lean emulator
 # is tracked per commit (CI uploads the file as a build artifact).
 #
@@ -41,7 +44,7 @@ TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
 go test -run=- \
-    -bench 'BenchmarkScenarioCampaign(Serial|Parallel|Traced)|BenchmarkCluster(Reset|NewPerReplica)|BenchmarkCampaignMemory|BenchmarkDESSchedule$|BenchmarkSANCampaignSerial|BenchmarkSANGridTwoWorkers|BenchmarkSANEngine$|BenchmarkSimReset$|BenchmarkSettleFanout|BenchmarkConsensusReplica' \
+    -bench 'BenchmarkScenarioCampaign(Serial|Parallel|Traced)|BenchmarkCluster(Reset|NewPerReplica)|BenchmarkCampaignMemory|BenchmarkDES(Schedule|ScheduleCancel|EqualTimePile)$|BenchmarkSANCampaignSerial|BenchmarkSANGridTwoWorkers|BenchmarkSANEngine$|BenchmarkSimReset$|BenchmarkSettleFanout|BenchmarkConsensusReplica' \
     -benchmem -benchtime "$BENCHTIME" \
     ./internal/scenario/ ./internal/netsim/ ./internal/metrics/ ./internal/des/ ./internal/san/ ./internal/sanmodel/ ./campaign/ . \
     >"$TMP"

@@ -18,4 +18,5 @@ done <<'TARGETS'
 ./internal/checkpoint FuzzOpenRepairs
 ./internal/metrics FuzzDigestQuantile
 ./internal/server FuzzSubmitStudy
+./internal/des FuzzQueue
 TARGETS
