@@ -1,11 +1,8 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (§5), plus ablations of the modeling choices DESIGN.md calls
-// out and micro-benchmarks of the two engines.
-//
-// Each reproduction benchmark runs a scaled-down campaign per iteration
-// and reports the headline quantity as a custom metric (ms), so
-// `go test -bench=. -benchmem` both exercises and summarizes the
-// reproduction. `ctsan repro` regenerates the full-resolution artifacts.
+// Ablations of the SAN model's and the emulator's modeling choices, each
+// reporting its headline quantity as a custom metric, plus
+// micro-benchmarks of the two engines and of the §6 extensions. The
+// paper's tables and figures are benchmarked end to end by cmd/ctsan's
+// BenchmarkRepro (`ctsan repro -what all`).
 package ctsan
 
 import (
@@ -19,118 +16,6 @@ import (
 	"ctsan/internal/san"
 	"ctsan/internal/sanmodel"
 )
-
-// benchFidelity keeps one benchmark iteration around a second.
-func benchFidelity() experiment.Fidelity {
-	f := experiment.QuickFidelity()
-	f.Executions = 150
-	f.QoSExecs = 80
-	f.Replicas = 150
-	f.DelayProbes = 1500
-	f.Ns = []int{3, 5}
-	f.SimNs = []int{3, 5}
-	f.TGrid = []float64{2, 10, 30, 100}
-	f.CDFGridSteps = 40
-	return f
-}
-
-// BenchmarkFig6EndToEndDelay regenerates Fig. 6: the end-to-end delay
-// CDFs and the §5.1 bi-modal fit.
-func BenchmarkFig6EndToEndDelay(b *testing.B) {
-	f := benchFidelity()
-	for i := 0; i < b.N; i++ {
-		_, fits, err := experiment.Fig6(context.Background(), f, uint64(i)+1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(fits.Unicast.Mean(), "unicast-mean-ms")
-		b.ReportMetric(fits.Unicast.P1, "mode1-prob")
-	}
-}
-
-// BenchmarkFig7aLatencyCDFMeasured regenerates Fig. 7(a): class-1 latency
-// CDFs from measurements for every n.
-func BenchmarkFig7aLatencyCDFMeasured(b *testing.B) {
-	f := benchFidelity()
-	for i := 0; i < b.N; i++ {
-		_, results, err := experiment.Fig7a(context.Background(), f, uint64(i)+1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(results[3].Digest.Mean(), "n3-latency-ms")
-		b.ReportMetric(results[5].Digest.Mean(), "n5-latency-ms")
-	}
-}
-
-// BenchmarkFig7bLatencyCDFSimulated regenerates Fig. 7(b): the SAN t_send
-// sweep against the measured CDF for n = 5.
-func BenchmarkFig7bLatencyCDFSimulated(b *testing.B) {
-	f := benchFidelity()
-	for i := 0; i < b.N; i++ {
-		_, best, err := experiment.Fig7b(context.Background(), f, uint64(i)+1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(best*1000, "best-tsend-us")
-	}
-}
-
-// BenchmarkTable1CrashScenarios regenerates Table 1: measured and
-// simulated latency under the three crash scenarios.
-func BenchmarkTable1CrashScenarios(b *testing.B) {
-	f := benchFidelity()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Table1(context.Background(), f, uint64(i)+1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig8FDQoS regenerates Fig. 8: the failure detector QoS metrics
-// T_MR and T_M versus the timeout T.
-func BenchmarkFig8FDQoS(b *testing.B) {
-	f := benchFidelity()
-	for i := 0; i < b.N; i++ {
-		points, err := experiment.RunClass3(context.Background(), f, uint64(i)+1, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		a, tm := experiment.Fig8(points)
-		if len(a.Series) == 0 || len(tm.Series) == 0 {
-			b.Fatal("empty figure")
-		}
-		b.ReportMetric(points[0].QoS.TMR, "tmr-at-smallest-T-ms")
-	}
-}
-
-// BenchmarkFig9aLatencyVsTimeoutMeasured regenerates Fig. 9(a).
-func BenchmarkFig9aLatencyVsTimeoutMeasured(b *testing.B) {
-	f := benchFidelity()
-	for i := 0; i < b.N; i++ {
-		points, err := experiment.RunClass3(context.Background(), f, uint64(i)+1, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fig := experiment.Fig9a(points)
-		first, last := fig.Series[0].Y[0], fig.Series[0].Y[len(fig.Series[0].Y)-1]
-		b.ReportMetric(first/last, "smallT-over-plateau")
-	}
-}
-
-// BenchmarkFig9bLatencyVsTimeoutSimulated regenerates Fig. 9(b): SAN with
-// measured QoS (det and exp FD sojourns) against measurements.
-func BenchmarkFig9bLatencyVsTimeoutSimulated(b *testing.B) {
-	f := benchFidelity()
-	for i := 0; i < b.N; i++ {
-		points, err := experiment.RunClass3(context.Background(), f, uint64(i)+1, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := experiment.Fig9b(context.Background(), points, f, uint64(i)+1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkAblationBroadcastModel compares the paper's single-message
 // broadcast model with the unicast-broadcast ablation on the n = 3

@@ -31,9 +31,9 @@ func sameSamples(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// TestEmulationMatchesInternalSweep pins the refactor: a latency study on
-// the Emulation engine must be bit-identical to the pre-refactor internal
-// API (experiment.RunLatencySweepContext) at 1, 2, and 8 workers.
+// TestEmulationMatchesInternalSweep pins the Emulation engine: a latency
+// study must be bit-identical, at 1, 2, and 8 workers, to running its
+// specs one after the other through experiment.RunLatencyContext.
 func TestEmulationMatchesInternalSweep(t *testing.T) {
 	ns := []int{3, 5}
 	const execs, seed = 60, 11
@@ -43,9 +43,12 @@ func TestEmulationMatchesInternalSweep(t *testing.T) {
 		specs[i] = experiment.LatencySpec{N: n, Executions: execs, Seed: seed}
 		points[i] = campaign.LatencyPoint{N: n, Executions: execs, Seed: seed}
 	}
-	ref, err := experiment.RunLatencySweepContext(bg, specs, 1)
-	if err != nil {
-		t.Fatal(err)
+	ref := make([]*experiment.LatencyResult, len(specs))
+	for i, spec := range specs {
+		var err error
+		if ref[i], err = experiment.RunLatencyContext(bg, spec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, w := range []int{1, 2, 8} {
 		results, err := campaign.RunCollect(bg, campaign.NewStudy("emu", points...), campaign.WithWorkers(w))

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"ctsan/internal/experiment"
+	"ctsan/internal/fit"
 	"ctsan/internal/neko"
 	"ctsan/internal/sanmodel"
 	"ctsan/internal/scenario"
@@ -124,6 +126,11 @@ type SANPoint struct {
 	// TSend overrides t_send = t_receive in ms (0 keeps the model default
 	// 0.025, the value the paper settles on in §5.2).
 	TSend float64
+	// Net, when set, is the measured network (§5.1): the model's unicast
+	// and broadcast network activities take its end-to-end delay fits
+	// shifted by −2·t_send (floored at 0.001 ms) instead of the model's
+	// default delays. Nil keeps the defaults.
+	Net *NetFit `json:",omitempty"`
 	// Crashed lists initially crashed processes (class-2 runs).
 	Crashed []int
 	// TMR > 0 enables the abstract failure-detector submodels of §3.4
@@ -165,7 +172,32 @@ func (p SANPoint) freeze(o *options, index int) (Point, error) {
 	case p.TMR > 0 && !(0 < p.TM && p.TM < p.TMR):
 		return nil, fmt.Errorf("FD QoS needs 0 < TM < TMR, got TM=%g TMR=%g", p.TM, p.TMR)
 	}
+	if p.Net != nil {
+		if err := errors.Join(checkFit("unicast", p.Net.Unicast), checkFit("broadcast", p.Net.Broadcast)); err != nil {
+			return nil, err
+		}
+	}
 	return p, checkCrashed(p.N, p.Crashed)
+}
+
+// NetFit is a measured network: the bi-modal uniform fits of unicast and
+// broadcast end-to-end delays (§5.1) a SANPoint's network activities
+// take instead of the model's defaults.
+type NetFit struct {
+	Unicast   fit.Bimodal
+	Broadcast fit.Bimodal
+}
+
+// checkFit rejects a fit the distribution constructors would panic on:
+// a non-finite value (every comparison is false on NaN), a probability
+// outside [0, 1], a negative bound, or a mode with Lo > Hi.
+func checkFit(name string, b fit.Bimodal) error {
+	if 0 <= b.P1 && b.P1 <= 1 && 0 <= b.Lo1 && b.Lo1 <= b.Hi1 && 0 <= b.Lo2 && b.Lo2 <= b.Hi2 &&
+		!math.IsInf(b.Hi1, 1) && !math.IsInf(b.Hi2, 1) {
+		return nil
+	}
+	return fmt.Errorf("%s delay fit P1=%g U[%g,%g] U[%g,%g]: want finite values, 0 <= P1 <= 1 and 0 <= Lo <= Hi in both modes",
+		name, b.P1, b.Lo1, b.Hi1, b.Lo2, b.Hi2)
 }
 
 func (p SANPoint) prepare() (pointRunner, error) {
@@ -173,6 +205,10 @@ func (p SANPoint) prepare() (pointRunner, error) {
 	if p.TSend > 0 {
 		params.TSend = p.TSend
 		params.TReceive = p.TSend
+	}
+	if p.Net != nil { // the fits are end to end: sending and receiving take 2·t_send of them
+		params.NetUnicast = p.Net.Unicast.Shift(2*params.TSend, 0.001).Dist()
+		params.NetBroadcast = p.Net.Broadcast.Shift(2*params.TSend, 0.001).Dist()
 	}
 	params.Crashed = append(params.Crashed, p.Crashed...)
 	if p.TMR > 0 {

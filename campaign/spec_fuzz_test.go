@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"testing"
+
+	"ctsan/internal/fit"
 )
 
 // specSeeds is the seed corpus of the study-spec decoder fuzz — valid
@@ -13,6 +15,10 @@ import (
 func specSeeds(f *testing.F) {
 	study := NewStudy("seed",
 		SANPoint{N: 3, Replicas: 10},
+		SANPoint{N: 5, Replicas: 10, Net: &NetFit{
+			Unicast:   fit.Bimodal{P1: 0.8, Lo1: 0.1, Hi1: 0.13, Lo2: 0.145, Hi2: 0.35},
+			Broadcast: fit.Bimodal{P1: 0.7, Lo1: 0.15, Hi1: 0.2, Lo2: 0.22, Hi2: 0.5},
+		}},
 		LatencyPoint{N: 3, Executions: 5},
 		ScenarioPoint{Name: "paper-baseline", Replicas: 1, Executions: 5},
 	)
@@ -28,6 +34,8 @@ func specSeeds(f *testing.F) {
 		`{"v":1,"name":"x","points":[{"engine":"quantum","spec":{}}]}`,
 		`{"v":1,"name":"x","points":[{"engine":"san","spec":{"N":3,"Replicaz":10}}]}`,
 		`{"v":1,"name":"x","points":[{"engine":"emulation","spec":{"N":1e309}}]}`,
+		`{"v":1,"name":"x","points":[{"engine":"san","spec":{"N":3,"Net":{"Unicast":{"P1":2,"Lo1":0.3,"Hi1":0.1},"Broadcast":{"Lo2":-1}}}}]}`,
+		`{"v":1,"name":"x","points":[{"engine":"san","spec":{"N":3,"Net":{"Unicast":{"P1z":1}}}}]}`,
 		`{"v":1,"name":"x","points":[null]}`,
 		`{"v":1}`,
 		`[]`,

@@ -99,7 +99,8 @@ func TestCommandTableConformance(t *testing.T) {
 // TestInvalidFlagValuesAreUsageErrors is the reject table: values a
 // command line must not accept, each a usage error that says what would
 // have been accepted. The first two used to run — the deterministic FD,
-// and no crash at all — and exit 0.
+// and no crash at all — and exit 0, and so did every -scale row, each
+// running every campaign at the floor size of 8.
 func TestInvalidFlagValuesAreUsageErrors(t *testing.T) {
 	spec := writeSpec(t)
 	for _, tc := range []struct {
@@ -114,6 +115,11 @@ func TestInvalidFlagValuesAreUsageErrors(t *testing.T) {
 		{"fdqos -T 5,abc", `"abc"`},
 		{"repro -what bogus", "fig7b"},
 		{"repro -fidelity bogus", "quick or paper"},
+		{"repro -scale 0", "finite factor > 0"},
+		{"repro -scale -1", "finite factor > 0"},
+		{"repro -scale NaN", "finite factor > 0"},
+		{"repro -scale Inf", "finite factor > 0"},
+		{"repro -scale -Inf", "finite factor > 0"},
 		{"scenario describe", "split-brain"},
 		{"scenario run", "split-brain"},
 		{"shard -study " + spec + " -dir . -range 0:5junk", "start:end"},

@@ -29,8 +29,11 @@ import (
 //
 // CTSAN_TEST_SHARD makes re-exec'd `shard` subprocesses misbehave in ways
 // a real one cannot be asked to: "lie" exits 0 without executing
-// anything, and "hang-once:<marker>" blocks forever the first time (it
-// creates the marker) and runs normally afterwards.
+// anything, and "hang-once:<marker>" hangs the first time (it creates the
+// marker) and runs normally afterwards. The hang is a long sleep, not an
+// empty select: a process whose every goroutine blocks forever is a
+// deadlock the runtime may detect and exit on (it does on 386), where the
+// test needs one that -timeout has to kill.
 func TestMain(m *testing.M) {
 	if os.Getenv("CTSAN_EXEC") == "1" {
 		if mode := os.Getenv("CTSAN_TEST_SHARD"); mode != "" && os.Args[1] == "shard" {
@@ -40,7 +43,7 @@ func TestMain(m *testing.M) {
 			marker := strings.TrimPrefix(mode, "hang-once:")
 			if f, err := os.OpenFile(marker, os.O_CREATE|os.O_EXCL, 0o644); err == nil {
 				f.Close()
-				select {}
+				time.Sleep(time.Hour)
 			}
 		}
 		os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -12,13 +13,16 @@ import (
 	"ctsan/campaign"
 	"ctsan/internal/cliflags"
 	"ctsan/internal/experiment"
+	"ctsan/internal/metrics"
 	"ctsan/internal/neko"
+	"ctsan/internal/san"
 )
 
-// The paper-reproduction commands: repro regenerates §5 from the figure
-// functions; sanrun, testbed and fdqos each build one study from their
-// flags — the SAN half, the measurement half, and the FD-QoS pipeline
-// between them (§5.4).
+// The paper-reproduction commands, each a builder of campaign studies:
+// repro regenerates §5 — calibration, then the figures' points as at most
+// two studies, then the renderers; sanrun, testbed and fdqos each build
+// one study from their flags — the SAN half, the measurement half, and
+// the FD-QoS pipeline between them (§5.4).
 
 // campaignFlags is what the commands that run campaigns from flags share:
 // -seed and -workers, the reserved-seed check, the -debug-addr listener
@@ -58,9 +62,9 @@ func (f *campaignFlags) run(ctx context.Context, study *campaign.Study, opts ...
 }
 
 // collect is run returning every result in point order.
-func (f *campaignFlags) collect(ctx context.Context, study *campaign.Study) ([]*campaign.Result, error) {
+func (f *campaignFlags) collect(ctx context.Context, study *campaign.Study, opts ...campaign.Option) ([]*campaign.Result, error) {
 	var c campaign.Collect
-	if err := f.run(ctx, study, campaign.WithSink(&c)); err != nil {
+	if err := f.run(ctx, study, append(opts, campaign.WithSink(&c))...); err != nil {
 		return nil, err
 	}
 	return c.Results, nil
@@ -142,7 +146,10 @@ func cmdSanrun(ctx context.Context, args []string, stdout, stderr io.Writer) err
 // prints summary statistics — the "experiments on a cluster of PCs" half
 // of the paper's methodology. The plain campaign is one LatencyPoint
 // study; the -throughput and -transient extensions drive the internal
-// harness directly. (Named injection scenarios are `ctsan scenario run`.)
+// harness directly, on purpose: each is one campaign, so a study would
+// add no fan-out, and each reports a shape campaign.Result does not
+// carry — a decision rate, a per-execution latency trace around the
+// crash. (Named injection scenarios are `ctsan scenario run`.)
 //
 //	ctsan testbed -n 5 -execs 5000          # class 1 (§5.2)
 //	ctsan testbed -n 5 -crash 1             # class 2, coordinator crash
@@ -301,11 +308,21 @@ func cmdFdqos(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 // artifacts are the values repro's -what accepts.
 var artifacts = []string{"all", "fig6", "fig7a", "fig7b", "table1", "fig8", "fig9a", "fig9b"}
 
-// cmdRepro regenerates every table and figure of the paper's evaluation
-// section (§5) from this repository's implementations: measurements on
-// the emulated cluster and transient simulations of the SAN model.
-// Output is plain text: one block per figure/table, with the paper's
-// reference values quoted in notes for comparison.
+// cmdRepro regenerates the tables and figures of the paper's evaluation
+// section (§5) by the paper's own method, in three steps:
+//
+//  1. Calibrate once: measure unicast and broadcast end-to-end delays on
+//     the emulated cluster and fit them (§5.1).
+//  2. Run at most two studies: the measurement campaigns the selection
+//     renders together with the SAN simulations fed with the fits, then
+//     Fig. 9b's simulations, which also take the failure-detector QoS the
+//     first study measured.
+//  3. Render: experiment's Fig*/Table1 turn the results into plain text,
+//     one block per artifact, with the paper's values quoted in notes.
+//
+// Every point pins its own seed (seed, seed+n, seed+⌊10⁴·t_send⌋,
+// seed+1000n+⌊10T⌋, seed+17n+⌊T⌋), so an artifact's output depends
+// neither on what else -what selects nor on -workers.
 func cmdRepro(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := newCampaignFlags("repro", stderr)
 	var (
@@ -314,7 +331,6 @@ func cmdRepro(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		scale    = fs.Float64("scale", 1, "multiply workload sizes by this factor")
 		quiet    = fs.Bool("q", false, "suppress progress output on stderr")
 		plot     = fs.Bool("plot", false, "append ASCII plots of the figures")
-		seed     = fs.seed
 	)
 	if err := fs.parse(args); err != nil {
 		return err
@@ -332,16 +348,17 @@ func cmdRepro(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	default:
 		return cliflags.Usagef("unknown fidelity %q (-fidelity takes quick or paper)", *fidelity)
 	}
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		return cliflags.Usagef("-scale %g: want a finite factor > 0", *scale)
+	}
 	if *scale != 1 {
 		f = f.Scale(*scale)
 	}
-	f.Workers = *fs.workers
 	progress := func(s string) {
 		if !*quiet {
 			fmt.Fprintln(stderr, s)
 		}
 	}
-	want := func(id string) bool { return sel == "all" || sel == id }
 	show := func(fig *experiment.Figure, logX, logY bool) {
 		fig.Fprint(stdout)
 		if *plot {
@@ -349,63 +366,244 @@ func cmdRepro(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		}
 		fmt.Fprintln(stdout)
 	}
+	run := func(s *reproStudy) ([]*campaign.Result, error) {
+		if len(s.Points) == 0 {
+			return nil, nil
+		}
+		return fs.collect(ctx, s.Study, campaign.WithProgress(func(done, total int, r *campaign.Result) {
+			progress(fmt.Sprintf("%s [%d/%d] %s: latency %.3f ms, T_MR=%.3g ms, T_M=%.3g ms, aborted=%d",
+				s.Name, done, total, r.Point, r.Latency.Mean, r.TMR, r.TM, r.Aborted))
+		}))
+	}
 
-	if want("fig6") {
-		progress("measuring end-to-end delays (Fig. 6)...")
-		fig, _, err := experiment.Fig6(ctx, f, *seed)
-		if err != nil {
+	r := &repro{f: f, seed: *fs.seed, sel: sel}
+	if ns := r.fitNs(); ns != nil {
+		progress("measuring end-to-end delays (§5.1)...")
+		var err error
+		if r.fits, err = experiment.MeasureFits(ctx, f, r.seed, ns); err != nil {
 			return err
 		}
-		show(fig, false, false)
 	}
-	if want("fig7a") {
-		progress("running class-1 latency campaigns (Fig. 7a)...")
-		fig, _, err := experiment.Fig7a(ctx, f, *seed)
-		if err != nil {
-			return err
-		}
-		show(fig, false, false)
+	if r.want("fig6") {
+		show(experiment.Fig6(f, r.fits), false, false)
 	}
-	if want("fig7b") {
-		progress("sweeping t_send in the SAN model (Fig. 7b)...")
-		fig, best, err := experiment.Fig7b(ctx, f, *seed)
-		if err != nil {
-			return err
-		}
+	p := r.plan()
+	res, err := run(p.reproStudy)
+	if err != nil {
+		return err
+	}
+	if r.want("fig7a") {
+		show(experiment.Fig7a(f, digests(res, p.fig7a)), false, false)
+	}
+	if r.want("fig7b") {
+		fig, best := experiment.Fig7b(f, digests(res, p.fig7b)[0], digests(res, p.fig7b[1:]))
 		show(fig, false, false)
 		progress(fmt.Sprintf("best-matching t_send: %g ms", best))
 	}
-	if want("table1") {
-		progress("running crash scenarios (Table 1)...")
-		tab, err := experiment.Table1(ctx, f, *seed)
-		if err != nil {
-			return err
+	if r.want("table1") {
+		var meas, sims [][]*metrics.Digest
+		for s := range experiment.CrashScenarios {
+			meas, sims = append(meas, digests(res, p.table1Meas[s])), append(sims, digests(res, p.table1Sims[s]))
 		}
-		tab.Fprint(stdout)
+		experiment.Table1(f, meas, sims).Fprint(stdout)
 		fmt.Fprintln(stdout)
 	}
-	if want("fig8") || want("fig9a") || want("fig9b") {
-		progress("running class-3 campaigns (Figs. 8 and 9)...")
-		points, err := experiment.RunClass3(ctx, f, *seed, progress)
+	points := p.class3Points(res)
+	if r.want("fig8") {
+		a, b := experiment.Fig8(points)
+		show(a, true, false)
+		show(b, true, false)
+	}
+	if r.want("fig9a") {
+		show(experiment.Fig9a(points), true, true)
+	}
+	if r.want("fig9b") {
+		sims, det, exp := r.qosPlan(points)
+		res, err := run(sims)
 		if err != nil {
 			return err
 		}
-		if want("fig8") {
-			a, b := experiment.Fig8(points)
-			show(a, true, false)
-			show(b, true, false)
-		}
-		if want("fig9a") {
-			show(experiment.Fig9a(points), true, true)
-		}
-		if want("fig9b") {
-			progress("running SAN simulations with measured QoS (Fig. 9b)...")
-			fig, err := experiment.Fig9b(ctx, points, f, *seed)
-			if err != nil {
-				return err
-			}
-			show(fig, true, true)
-		}
+		show(experiment.Fig9b(f, points, digests(res, det), digests(res, exp)), true, true)
 	}
 	return nil
+}
+
+// repro is one `ctsan repro` invocation: its fidelity, seed and -what
+// selection, and the fits its calibration measured.
+type repro struct {
+	f    experiment.Fidelity
+	seed uint64
+	sel  string
+	fits *experiment.Fits
+}
+
+func (r *repro) want(id string) bool { return r.sel == "all" || r.sel == id }
+
+// fitNs are the process counts whose broadcast delays the calibration
+// fits — Fig. 6 plots 3 and 5, Fig. 7b simulates 5, Table 1 and Fig. 9b
+// simulate the SimNs — or nil when the selection fits nothing.
+func (r *repro) fitNs() []int {
+	if !r.want("fig6") && !r.want("fig7b") && !r.want("table1") && !r.want("fig9b") {
+		return nil
+	}
+	ns := slices.Concat([]int{3, 5}, r.f.SimNs)
+	slices.Sort(ns)
+	return slices.Compact(ns)
+}
+
+// measured is the class-1 campaign on n processes, or with crashed
+// processes the class-2 one.
+func (r *repro) measured(n int, crashed []int) campaign.LatencyPoint {
+	return campaign.LatencyPoint{Name: fmt.Sprintf("meas n=%d crashed=%v", n, crashed),
+		N: n, Executions: r.f.Executions, Crashed: crashed, Seed: r.seed}
+}
+
+// simulated is a SAN point on n processes whose network is the calibrated
+// one; t_send 0 is the model's, the paper's 0.025 ms.
+func (r *repro) simulated(name string, n int, tsend float64, crashed []int, seed uint64) campaign.SANPoint {
+	return campaign.SANPoint{Name: name, N: n, Replicas: r.f.Replicas, TSend: tsend,
+		Net:     &campaign.NetFit{Unicast: r.fits.Unicast, Broadcast: r.fits.Broadcast[n]},
+		Crashed: crashed, Tmax: 1e6, Seed: seed}
+}
+
+// reproPlan is repro's first study and the indices of each artifact's
+// points in it: per f.Ns (Fig. 7a; Table 1 per row of
+// experiment.CrashScenarios, -1 where a size is not simulated), Fig. 7b's
+// measurement then its simulation per f.TSendSweep value, and the (n, T)
+// grid of class-3 campaigns, n-major.
+type reproPlan struct {
+	*reproStudy
+	fig7a, fig7b, class3   []int
+	table1Meas, table1Sims [][]int
+}
+
+// plan builds the first study from what the selection renders.
+// Measurements come first: each is one chain of executions no idle
+// worker can join, while the SAN points after them hand out replicas any
+// worker can take, so they fill the study's tail.
+func (r *repro) plan() *reproPlan {
+	f := r.f
+	p := &reproPlan{reproStudy: newReproStudy("repro")}
+	if r.want("fig7a") {
+		for _, n := range f.Ns {
+			p.fig7a = append(p.fig7a, p.add(r.measured(n, nil)))
+		}
+	}
+	if r.want("fig7b") {
+		p.fig7b = append(p.fig7b, p.add(r.measured(5, nil)))
+	}
+	if r.want("table1") {
+		for _, sc := range experiment.CrashScenarios {
+			var row []int
+			for _, n := range f.Ns {
+				row = append(row, p.add(r.measured(n, sc.Crashed)))
+			}
+			p.table1Meas = append(p.table1Meas, row)
+		}
+	}
+	for _, n := range f.Ns {
+		for _, T := range f.TGrid {
+			if r.want("fig8") || r.want("fig9a") || r.want("fig9b") && slices.Contains(f.SimNs, n) {
+				p.class3 = append(p.class3, p.add(campaign.LatencyPoint{Name: fmt.Sprintf("meas n=%d T=%g", n, T),
+					N: n, Executions: f.QoSExecs, TimeoutT: T, Seed: r.seed + uint64(n)*1000 + uint64(T*10)}))
+			}
+		}
+	}
+	if r.want("fig7b") {
+		for _, ts := range f.TSendSweep {
+			p.fig7b = append(p.fig7b, p.add(r.simulated(fmt.Sprintf("sim n=5 tsend=%g", ts), 5, ts, nil, r.seed+uint64(ts*1e4))))
+		}
+	}
+	if r.want("table1") {
+		for _, sc := range experiment.CrashScenarios {
+			var row []int
+			for _, n := range f.Ns {
+				i := -1
+				if slices.Contains(f.SimNs, n) {
+					i = p.add(r.simulated(fmt.Sprintf("sim n=%d crashed=%v", n, sc.Crashed), n, 0, sc.Crashed, r.seed+uint64(n)))
+				}
+				row = append(row, i)
+			}
+			p.table1Sims = append(p.table1Sims, row)
+		}
+	}
+	return p
+}
+
+// class3Points pairs the class-3 grid with its results.
+func (p *reproPlan) class3Points(res []*campaign.Result) []experiment.Class3Point {
+	var points []experiment.Class3Point
+	for _, i := range p.class3 {
+		pt := p.Points[i].(campaign.LatencyPoint)
+		points = append(points, experiment.Class3Point{N: pt.N, T: pt.TimeoutT, Res: res[i].Raw().(*experiment.LatencyResult)})
+	}
+	return points
+}
+
+// qosPlan builds the second study, Fig. 9b's: per class-3 point on SimNs
+// processes that kept a latency sample, the model whose failure detectors
+// take its measured QoS with deterministic and with exponential sojourns
+// (§3.4) — one point when the QoS shows no mistake, or one the submodel
+// cannot take, since the detectors are then accurate under either kind.
+// det[i] and exp[i] index points[i]'s, -1 where it has none.
+func (r *repro) qosPlan(points []experiment.Class3Point) (s *reproStudy, det, exp []int) {
+	s = newReproStudy("repro-fig9b")
+	for _, pt := range points {
+		i, j := -1, -1
+		if slices.Contains(r.f.SimNs, pt.N) && pt.Res.Digest.N() > 0 {
+			sim := func(exponential bool) int {
+				p := r.simulated("", pt.N, 0, nil, r.seed+uint64(pt.N)*17+uint64(pt.T))
+				if q := pt.Res.QoS; q.Transitions != 0 && 0 < q.TM && q.TM < q.TMR {
+					p.TMR, p.TM, p.FDExponential = q.TMR, q.TM, exponential
+				}
+				p.Name = fmt.Sprintf("sim n=%d T=%g exp=%t", pt.N, pt.T, p.FDExponential)
+				return s.add(p)
+			}
+			i, j = sim(false), sim(true)
+		}
+		det, exp = append(det, i), append(exp, j)
+	}
+	return s, det, exp
+}
+
+// reproStudy is a study whose points are added once: a point two
+// artifacts share (the no-crash campaigns of Fig. 7a and Table 1) is
+// found by its PointHash, and add returns its index either way.
+type reproStudy struct {
+	*campaign.Study
+	index map[string]int
+}
+
+func newReproStudy(name string) *reproStudy {
+	return &reproStudy{Study: campaign.NewStudy(name), index: map[string]int{}}
+}
+
+func (s *reproStudy) add(p campaign.Point) int {
+	h, err := campaign.PointHash(p)
+	if i, ok := s.index[h]; ok {
+		return i
+	}
+	s.Add(p)
+	if err == nil { // a point that cannot be encoded is kept as it is: Run's freeze judges it
+		s.index[h] = len(s.Points) - 1
+	}
+	return len(s.Points) - 1
+}
+
+// digests maps point indices to their results' latency digests, and -1
+// to nil.
+func digests(res []*campaign.Result, idx []int) []*metrics.Digest {
+	out := make([]*metrics.Digest, len(idx))
+	for i, j := range idx {
+		if j < 0 {
+			continue
+		}
+		switch raw := res[j].Raw().(type) {
+		case *experiment.LatencyResult:
+			out[i] = &raw.Digest
+		case *san.TransientResult:
+			out[i] = &raw.Digest
+		}
+	}
+	return out
 }

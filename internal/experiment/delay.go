@@ -61,8 +61,8 @@ func (p *probeProto) emit() {
 // sample per probe: for unicast, the end-to-end delay; for broadcast, the
 // delay "averaged over the destinations" as in Fig. 6. One probe campaign
 // is a single uninterruptible DES run (seconds at paper fidelity), so ctx
-// gates whether it starts; fan-outs over several campaigns cancel between
-// them.
+// gates whether it starts; MeasureFits, which runs several, cancels
+// between them.
 func MeasureDelaysContext(ctx context.Context, spec DelaySpec) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -81,11 +81,6 @@ type LatencyResult struct {
 	Events  uint64  // DES events executed (cost metric)
 }
 
-// ECDF returns the empirical CDF of the latencies: exact (built from
-// the digest's retained samples) up to the digest cap, a sketch-grid
-// approximation beyond it.
-func (r *LatencyResult) ECDF() *stats.ECDF { return r.Digest.ECDF() }
-
 // MeanRounds returns the average deciding round.
 func (r *LatencyResult) MeanRounds() float64 {
 	if r.Rounds.N() == 0 {

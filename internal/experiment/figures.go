@@ -4,13 +4,18 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"ctsan/internal/fit"
-	"ctsan/internal/neko"
-	"ctsan/internal/parallel"
-	"ctsan/internal/sanmodel"
+	"ctsan/internal/metrics"
 	"ctsan/internal/stats"
 )
+
+// The paper's artifacts. MeasureFits is the one step that runs anything
+// here (the §5.1 calibration); Fig*/Table1 only render results computed
+// elsewhere — `ctsan repro` runs the campaigns and the SAN simulations
+// as campaign studies and hands each renderer the latency digests of the
+// points it draws.
 
 // Fidelity scales every campaign. PaperFidelity matches §5 (5000
 // executions for classes 1/2, 20×1000 for class 3, all n); QuickFidelity
@@ -25,11 +30,6 @@ type Fidelity struct {
 	TGrid        []float64 // failure-detection timeouts T for Figs. 8/9
 	TSendSweep   []float64 // Fig. 7b t_send values
 	CDFGridSteps int
-	// Workers is the width of the pool independent campaign points and
-	// their Monte-Carlo replicas share: 0 (or negative) means one worker
-	// per CPU, 1 forces serial execution. Every campaign is bit-identical
-	// at any worker count; see PERFORMANCE.md.
-	Workers int
 }
 
 // QuickFidelity returns a configuration small enough for tests/benches.
@@ -84,65 +84,31 @@ type Fits struct {
 }
 
 // MeasureFits reproduces §5.1: measure unicast and broadcast end-to-end
-// delays on the cluster and fit bi-modal uniform mixtures. The unicast and
-// per-n broadcast measurements are independent campaigns and run
-// concurrently under f.Workers.
+// delays on the cluster and fit bi-modal uniform mixtures — one unicast
+// probe campaign on 3 processes, then one broadcast campaign per n in
+// ns, one after the other; ctx is checked before each.
 func MeasureFits(ctx context.Context, f Fidelity, seed uint64, ns []int) (*Fits, error) {
-	type fitOut struct {
-		n       int
-		b       fit.Bimodal
-		samples []float64
-	}
-	// Index 0 is the unicast campaign; 1..len(ns) the broadcast ones.
-	fits, err := parallel.Map(ctx, f.Workers, len(ns)+1, func(_, i int) (fitOut, error) {
-		spec := DelaySpec{N: 3, Count: f.DelayProbes, Seed: seed}
-		n := 0
-		if i > 0 {
-			n = ns[i-1]
-			spec = DelaySpec{N: n, Count: f.DelayProbes, Broadcast: true, Seed: seed + uint64(n)}
-		}
+	measure := func(spec DelaySpec) ([]float64, fit.Bimodal, error) {
 		samples, err := MeasureDelaysContext(ctx, spec)
 		if err != nil {
-			return fitOut{}, err
+			return nil, fit.Bimodal{}, err
 		}
 		b, err := fit.FitBimodal(samples)
-		if err != nil {
-			return fitOut{}, err
-		}
-		return fitOut{n: n, b: b, samples: samples}, nil
-	})
-	if err != nil {
+		return samples, b, err
+	}
+	out := &Fits{Broadcast: make(map[int]fit.Bimodal), BroadcastDelays: make(map[int][]float64)}
+	var err error
+	if out.UnicastDelays, out.Unicast, err = measure(DelaySpec{N: 3, Count: f.DelayProbes, Seed: seed}); err != nil {
 		return nil, err
 	}
-	out := &Fits{
-		Unicast:         fits[0].b,
-		Broadcast:       make(map[int]fit.Bimodal),
-		UnicastDelays:   fits[0].samples,
-		BroadcastDelays: make(map[int][]float64),
-	}
-	for _, fo := range fits[1:] {
-		out.Broadcast[fo.n] = fo.b
-		out.BroadcastDelays[fo.n] = fo.samples
+	for _, n := range ns {
+		samples, b, err := measure(DelaySpec{N: n, Count: f.DelayProbes, Broadcast: true, Seed: seed + uint64(n)})
+		if err != nil {
+			return nil, err
+		}
+		out.Broadcast[n], out.BroadcastDelays[n] = b, samples
 	}
 	return out, nil
-}
-
-// SANParams derives the SAN model parameters for n processes from the
-// measured fits, with the given t_send = t_receive split (§5.1/§5.2; the
-// paper settles on 0.025 ms via the Fig. 7b sweep).
-func (fs *Fits) SANParams(n int, tsend float64) sanmodel.Params {
-	p := sanmodel.DefaultParams(n)
-	p.TSend = tsend
-	p.TReceive = tsend
-	// The floor keeps the network activity strictly positive even when
-	// 2·t_send exceeds the smallest measured delay during the sweep.
-	p.NetUnicast = fs.Unicast.Shift(2*tsend, 0.001).Dist()
-	bb, ok := fs.Broadcast[n]
-	if !ok {
-		bb = fs.Unicast
-	}
-	p.NetBroadcast = bb.Shift(2*tsend, 0.001).Dist()
-	return p
 }
 
 // cdfSeries converts an ECDF into a plot series over [0, hi].
@@ -151,14 +117,10 @@ func cdfSeries(label string, e *stats.ECDF, hi float64, steps int) Series {
 	return Series{Label: label, X: xs, Y: ps}
 }
 
-// Fig6 reproduces Fig. 6: the cumulative distribution of the end-to-end
-// delay of unicast and broadcast messages, and reports the bi-modal fits.
-func Fig6(ctx context.Context, f Fidelity, seed uint64) (*Figure, *Fits, error) {
-	bns := []int{3, 5}
-	fits, err := MeasureFits(ctx, f, seed, bns)
-	if err != nil {
-		return nil, nil, err
-	}
+// Fig6 renders Fig. 6: the cumulative distribution of the end-to-end
+// delay of unicast and broadcast messages (to 3 and to 5 processes), and
+// the bi-modal fits.
+func Fig6(f Fidelity, fits *Fits) *Figure {
 	fig := &Figure{
 		ID:     "FIG6",
 		Title:  "cumulative distribution of the end-to-end delay of unicast and broadcast messages",
@@ -169,39 +131,30 @@ func Fig6(ctx context.Context, f Fidelity, seed uint64) (*Figure, *Fits, error) 
 		},
 	}
 	fig.Series = append(fig.Series, cdfSeries("unicast", stats.NewECDF(fits.UnicastDelays), 0.6, f.CDFGridSteps))
-	for _, n := range bns {
+	for _, n := range []int{3, 5} {
 		fig.Series = append(fig.Series, cdfSeries(fmt.Sprintf("broadcast to %d", n), stats.NewECDF(fits.BroadcastDelays[n]), 0.6, f.CDFGridSteps))
 		fig.Notes = append(fig.Notes, fmt.Sprintf("broadcast-to-%d fit: %s", n, fits.Broadcast[n]))
 	}
-	return fig, fits, nil
+	return fig
 }
 
-// Fig7a reproduces Fig. 7(a): the latency CDF from measurements for every
-// n, plus the §5.2 mean values.
-func Fig7a(ctx context.Context, f Fidelity, seed uint64) (*Figure, map[int]*LatencyResult, error) {
+// Fig7a renders Fig. 7(a): the latency CDF from measurements for every
+// n, plus the §5.2 mean values. meas[i] is the class-1 campaign on
+// f.Ns[i] processes.
+func Fig7a(f Fidelity, meas []*metrics.Digest) *Figure {
 	fig := &Figure{
 		ID:     "FIG7a",
 		Title:  "cumulative distribution of consensus latency (measurements, no failures, no suspicions)",
 		XLabel: "latency [ms]",
 		YLabel: "probability",
 	}
-	specs := make([]LatencySpec, len(f.Ns))
 	for i, n := range f.Ns {
-		specs[i] = LatencySpec{N: n, Executions: f.Executions, Seed: seed}
-	}
-	sweep, err := RunLatencySweepContext(ctx, specs, f.Workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	results := make(map[int]*LatencyResult, len(f.Ns))
-	for i, n := range f.Ns {
-		res := sweep[i]
-		results[n] = res
-		fig.Series = append(fig.Series, cdfSeries(fmt.Sprintf("%d processes (meas.)", n), res.ECDF(), 6, f.CDFGridSteps))
+		d := meas[i]
+		fig.Series = append(fig.Series, cdfSeries(fmt.Sprintf("%d processes (meas.)", n), d.ECDF(), 6, f.CDFGridSteps))
 		fig.Notes = append(fig.Notes, fmt.Sprintf("n=%d mean latency %.3f ms ± %.3f (90%% CI; paper: %s ms)",
-			n, res.Digest.Mean(), res.Digest.CI(0.90), paperClass1Mean(n)))
+			n, d.Mean(), d.CI(0.90), paperClass1Mean(n)))
 	}
-	return fig, results, nil
+	return fig
 }
 
 // paperClass1Mean returns the paper's §5.2 measured mean as a string.
@@ -221,19 +174,12 @@ func paperClass1Mean(n int) string {
 	return "n/a"
 }
 
-// Fig7b reproduces Fig. 7(b): simulated latency CDFs for n = 5 with the
-// same end-to-end delay but varying t_send, against the measured CDF. The
-// t_send whose curve best matches the measurement (KS distance) is
-// reported — the paper selects 0.025 ms this way.
-func Fig7b(ctx context.Context, f Fidelity, seed uint64) (*Figure, float64, error) {
-	fits, err := MeasureFits(ctx, f, seed, []int{5})
-	if err != nil {
-		return nil, 0, err
-	}
-	meas, err := RunLatencyContext(ctx, LatencySpec{N: 5, Executions: f.Executions, Seed: seed})
-	if err != nil {
-		return nil, 0, err
-	}
+// Fig7b renders Fig. 7(b): simulated latency CDFs for n = 5 with the same
+// end-to-end delay but varying t_send (sims[i] is the simulation at
+// f.TSendSweep[i]), against the measured CDF. It returns the t_send whose
+// curve best matches the measurement (KS distance) — the paper selects
+// 0.025 ms this way.
+func Fig7b(f Fidelity, meas *metrics.Digest, sims []*metrics.Digest) (*Figure, float64) {
 	measECDF := meas.ECDF()
 	fig := &Figure{
 		ID:     "FIG7b",
@@ -241,61 +187,38 @@ func Fig7b(ctx context.Context, f Fidelity, seed uint64) (*Figure, float64, erro
 		XLabel: "latency [ms]",
 		YLabel: "probability",
 	}
-	// Each t_send value is an independent simulation campaign; sweep them
-	// concurrently on one pool (a worker with no value left joins the
-	// replicas of the campaigns still running) and fold in sweep order so
-	// the figure (and the selected best t_send) is identical at any worker
-	// count.
-	type sweepOut struct {
-		e    *stats.ECDF
-		ks   float64
-		mean float64
-	}
-	pool := parallel.NewPool(f.Workers)
-	sweep, err := parallel.MapOn(ctx, pool, len(f.TSendSweep), func(w, i int) (sweepOut, error) {
-		ts := f.TSendSweep[i]
-		p := fits.SANParams(5, ts)
-		var ms sanmodel.Models
-		res, err := ms.Simulate(ctx, pool, w, p, f.Replicas, 1e6, seed+uint64(ts*1e4))
-		if err != nil {
-			return sweepOut{}, err
-		}
-		e := res.ECDF()
-		return sweepOut{e: e, ks: stats.KSDistance(e, measECDF), mean: res.Digest.Mean()}, nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
 	bestT, bestKS := 0.0, math.Inf(1)
 	for i, ts := range f.TSendSweep {
-		out := sweep[i]
-		if out.ks < bestKS {
-			bestKS, bestT = out.ks, ts
+		e := sims[i].ECDF()
+		ks := stats.KSDistance(e, measECDF)
+		if ks < bestKS {
+			bestKS, bestT = ks, ts
 		}
-		fig.Series = append(fig.Series, cdfSeries(fmt.Sprintf("tsend = %g ms (sim.)", ts), out.e, 3.5, f.CDFGridSteps))
-		fig.Notes = append(fig.Notes, fmt.Sprintf("tsend=%g: mean %.3f ms, KS distance to measurement %.3f", ts, out.mean, out.ks))
+		fig.Series = append(fig.Series, cdfSeries(fmt.Sprintf("tsend = %g ms (sim.)", ts), e, 3.5, f.CDFGridSteps))
+		fig.Notes = append(fig.Notes, fmt.Sprintf("tsend=%g: mean %.3f ms, KS distance to measurement %.3f", ts, sims[i].Mean(), ks))
 	}
 	fig.Series = append(fig.Series, cdfSeries("measured", measECDF, 3.5, f.CDFGridSteps))
 	fig.Notes = append(fig.Notes,
 		fmt.Sprintf("best match at tsend = %g ms (paper: 0.025 ms)", bestT))
-	return fig, bestT, nil
+	return fig, bestT
 }
 
-// Table1 reproduces Table 1: latency for the crash scenarios, measured for
-// every n and simulated for the SimNs.
-func Table1(ctx context.Context, f Fidelity, seed uint64) (*Table, error) {
-	fits, err := MeasureFits(ctx, f, seed, f.SimNs)
-	if err != nil {
-		return nil, err
-	}
-	scenarios := []struct {
-		name    string
-		crashed []neko.ProcessID
-	}{
-		{"no crash", nil},
-		{"coordinator crash", []neko.ProcessID{1}},
-		{"participant crash", []neko.ProcessID{2}},
-	}
+// CrashScenarios are Table 1's rows: a label and the processes crashed
+// from the start of every execution.
+var CrashScenarios = []struct {
+	Name    string
+	Crashed []int
+}{
+	{"no crash", nil},
+	{"coordinator crash", []int{1}},
+	{"participant crash", []int{2}},
+}
+
+// Table1 renders Table 1: latency for the crash scenarios, measured for
+// every n and simulated for the SimNs. meas[s][i] and sims[s][i] are row
+// s of CrashScenarios on f.Ns[i] processes; sims[s][i] is read only when
+// f.Ns[i] is one of f.SimNs.
+func Table1(f Fidelity, meas, sims [][]*metrics.Digest) *Table {
 	t := &Table{
 		ID:    "TABLE1",
 		Title: "latency (ms) for various crash scenarios from measurements and simulations",
@@ -307,69 +230,19 @@ func Table1(ctx context.Context, f Fidelity, seed uint64) (*Table, error) {
 	t.Header = []string{"latency [ms]"}
 	for _, n := range f.Ns {
 		t.Header = append(t.Header, fmt.Sprintf("n=%d meas.", n))
-		if contains(f.SimNs, n) {
+		if slices.Contains(f.SimNs, n) {
 			t.Header = append(t.Header, fmt.Sprintf("n=%d sim.", n))
 		}
 	}
-	// Every (scenario, n) cell is an independent measurement campaign plus
-	// an optional SAN simulation; run all of them concurrently on one pool
-	// (a worker with no cell left joins the replicas of the simulations
-	// still running) and fold in table order.
-	type cellJob struct {
-		scenario int
-		n        int
-	}
-	var jobs []cellJob
-	for si := range scenarios {
-		for _, n := range f.Ns {
-			jobs = append(jobs, cellJob{scenario: si, n: n})
-		}
-	}
-	pool := parallel.NewPool(f.Workers)
-	cells, err := parallel.MapOn(ctx, pool, len(jobs), func(w, i int) ([]string, error) {
-		job := jobs[i]
-		sc := scenarios[job.scenario]
-		res, err := RunLatencyContext(ctx, LatencySpec{N: job.n, Executions: f.Executions, Seed: seed, Crashed: sc.crashed})
-		if err != nil {
-			return nil, err
-		}
-		cell := []string{fmt.Sprintf("%.3f", res.Digest.Mean())}
-		if contains(f.SimNs, job.n) {
-			var simCrash []int
-			for _, id := range sc.crashed {
-				simCrash = append(simCrash, int(id))
-			}
-			p := fits.SANParams(job.n, 0.025)
-			p.Crashed = simCrash
-			var ms sanmodel.Models
-			sim, err := ms.Simulate(ctx, pool, w, p, f.Replicas, 1e6, seed+uint64(job.n))
-			if err != nil {
-				return nil, err
-			}
-			cell = append(cell, fmt.Sprintf("%.3f", sim.Digest.Mean()))
-		}
-		return cell, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for si, sc := range scenarios {
-		row := []string{sc.name}
-		for i, job := range jobs {
-			if job.scenario == si {
-				row = append(row, cells[i]...)
+	for s, sc := range CrashScenarios {
+		row := []string{sc.Name}
+		for i, n := range f.Ns {
+			row = append(row, fmt.Sprintf("%.3f", meas[s][i].Mean()))
+			if slices.Contains(f.SimNs, n) {
+				row = append(row, fmt.Sprintf("%.3f", sims[s][i].Mean()))
 			}
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	return t, nil
-}
-
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
+	return t
 }

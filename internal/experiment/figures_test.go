@@ -3,14 +3,21 @@ package experiment
 import (
 	"bytes"
 	"context"
-	"expvar"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
+	"ctsan/internal/fit"
+	"ctsan/internal/metrics"
+	"ctsan/internal/neko"
+	"ctsan/internal/sanmodel"
 	"ctsan/internal/stats"
 )
+
+// The renderers run nothing: each test below computes the engine results
+// a figure draws — campaigns on the emulated cluster, simulations of the
+// SAN model — and hands them over, as `ctsan repro` does with the results
+// of its studies.
 
 // tinyFidelity keeps figure tests fast.
 func tinyFidelity() Fidelity {
@@ -27,11 +34,33 @@ func tinyFidelity() Fidelity {
 	return f
 }
 
-func TestFig6(t *testing.T) {
-	fig, fits, err := Fig6(context.Background(), tinyFidelity(), 1)
+// measure runs one campaign on the emulated cluster.
+func measure(t *testing.T, spec LatencySpec) *LatencyResult {
+	t.Helper()
+	res, err := RunLatencyContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+// simulate solves the SAN model for p with f's replica count.
+func simulate(t *testing.T, f Fidelity, p sanmodel.Params, seed uint64) *metrics.Digest {
+	t.Helper()
+	res, err := sanmodel.SimulateContext(context.Background(), p, f.Replicas, 1e6, seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &res.Digest
+}
+
+func TestFig6(t *testing.T) {
+	f := tinyFidelity()
+	fits, err := MeasureFits(context.Background(), f, 1, []int{3, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig := Fig6(f, fits)
 	if len(fig.Series) != 3 {
 		t.Fatalf("Fig6 series %d, want unicast + 2 broadcasts", len(fig.Series))
 	}
@@ -50,25 +79,16 @@ func TestFig6(t *testing.T) {
 	}
 }
 
-// TestFig6PlotsTheFittedSamples: Fig. 6 measures each delay campaign
-// once. Its curves are the ECDFs of the very samples the bi-modal fits
-// were estimated from (it used to re-run all three probe campaigns with
-// the same spec and seed to plot them), and the pool's own telemetry
-// shows three work units — one per probe campaign — not more.
+// TestFig6PlotsTheFittedSamples: Fig. 6's curves are the ECDFs of the
+// very samples the bi-modal fits were estimated from — MeasureFits runs
+// each probe campaign once and keeps both.
 func TestFig6PlotsTheFittedSamples(t *testing.T) {
 	f := tinyFidelity()
-	units := func() int64 {
-		n, _ := strconv.ParseInt(expvar.Get("ctsan.work_units_completed").String(), 10, 64)
-		return n
-	}
-	before := units()
-	fig, fits, err := Fig6(context.Background(), f, 1)
+	fits, err := MeasureFits(context.Background(), f, 1, []int{3, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := units() - before; got != 3 {
-		t.Errorf("Fig6 ran %d pool work units, want 3 (unicast + 2 broadcast probe campaigns)", got)
-	}
+	fig := Fig6(f, fits)
 	want := []Series{
 		cdfSeries("unicast", stats.NewECDF(fits.UnicastDelays), 0.6, f.CDFGridSteps),
 		cdfSeries("broadcast to 3", stats.NewECDF(fits.BroadcastDelays[3]), 0.6, f.CDFGridSteps),
@@ -77,17 +97,31 @@ func TestFig6PlotsTheFittedSamples(t *testing.T) {
 	if len(fits.UnicastDelays) == 0 || !reflect.DeepEqual(fig.Series, want) {
 		t.Errorf("Fig6 series are not the ECDFs of the fitted samples:\n got %+v\nwant %+v", fig.Series, want)
 	}
+	check := func(name string, got fit.Bimodal, samples []float64) {
+		want, err := fit.FitBimodal(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s fit %v is not the fit of the plotted samples %v", name, got, want)
+		}
+	}
+	check("unicast", fits.Unicast, fits.UnicastDelays)
+	check("broadcast-to-3", fits.Broadcast[3], fits.BroadcastDelays[3])
+	check("broadcast-to-5", fits.Broadcast[5], fits.BroadcastDelays[5])
 }
 
 func TestFig7a(t *testing.T) {
-	fig, results, err := Fig7a(context.Background(), tinyFidelity(), 1)
-	if err != nil {
-		t.Fatal(err)
+	f := tinyFidelity()
+	var meas []*metrics.Digest
+	for _, n := range f.Ns {
+		meas = append(meas, &measure(t, LatencySpec{N: n, Executions: f.Executions, Seed: 1}).Digest)
 	}
+	fig := Fig7a(f, meas)
 	if len(fig.Series) != 2 {
 		t.Fatalf("series %d", len(fig.Series))
 	}
-	if results[3].Digest.Mean() >= results[5].Digest.Mean() {
+	if meas[0].Mean() >= meas[1].Mean() {
 		t.Error("latency not increasing with n")
 	}
 	// CDFs end at 1.
@@ -100,10 +134,14 @@ func TestFig7a(t *testing.T) {
 
 func TestFig7b(t *testing.T) {
 	f := tinyFidelity()
-	fig, best, err := Fig7b(context.Background(), f, 1)
-	if err != nil {
-		t.Fatal(err)
+	meas := measure(t, LatencySpec{N: 5, Executions: f.Executions, Seed: 1})
+	var sims []*metrics.Digest
+	for _, ts := range f.TSendSweep {
+		p := sanmodel.DefaultParams(5)
+		p.TSend, p.TReceive = ts, ts
+		sims = append(sims, simulate(t, f, p, 1+uint64(ts*1e4)))
 	}
+	fig, best := Fig7b(f, &meas.Digest, sims)
 	if len(fig.Series) != len(f.TSendSweep)+1 {
 		t.Fatalf("series %d", len(fig.Series))
 	}
@@ -119,10 +157,25 @@ func TestFig7b(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	tab, err := Table1(context.Background(), tinyFidelity(), 1)
-	if err != nil {
-		t.Fatal(err)
+	f := tinyFidelity()
+	var meas, sims [][]*metrics.Digest
+	for _, sc := range CrashScenarios {
+		mrow, srow := make([]*metrics.Digest, len(f.Ns)), make([]*metrics.Digest, len(f.Ns))
+		for i, n := range f.Ns {
+			spec := LatencySpec{N: n, Executions: f.Executions, Seed: 1}
+			p := sanmodel.DefaultParams(n)
+			for _, id := range sc.Crashed {
+				spec.Crashed = append(spec.Crashed, neko.ProcessID(id))
+			}
+			p.Crashed = sc.Crashed
+			mrow[i] = &measure(t, spec).Digest
+			if n == f.SimNs[0] {
+				srow[i] = simulate(t, f, p, 1+uint64(n))
+			}
+		}
+		meas, sims = append(meas, mrow), append(sims, srow)
 	}
+	tab := Table1(f, meas, sims)
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}
@@ -140,12 +193,12 @@ func TestTable1(t *testing.T) {
 
 func TestClass3AndFigs89(t *testing.T) {
 	f := tinyFidelity()
-	points, err := RunClass3(context.Background(), f, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != len(f.Ns)*len(f.TGrid) {
-		t.Fatalf("points %d", len(points))
+	var points []Class3Point
+	for _, n := range f.Ns {
+		for _, T := range f.TGrid {
+			res := measure(t, LatencySpec{N: n, Executions: f.QoSExecs, Seed: 1 + uint64(n)*1000 + uint64(T*10), FDMode: FDHeartbeat, TimeoutT: T})
+			points = append(points, Class3Point{N: n, T: T, Res: res})
+		}
 	}
 	a, b := Fig8(points)
 	if len(a.Series) != 2 || len(b.Series) != 2 {
@@ -155,13 +208,26 @@ func TestClass3AndFigs89(t *testing.T) {
 	if len(f9a.Series) != 2 {
 		t.Fatalf("Fig9a series %d", len(f9a.Series))
 	}
-	f9b, err := Fig9b(context.Background(), points, f, 1)
-	if err != nil {
-		t.Fatal(err)
+	det, exp := make([]*metrics.Digest, len(points)), make([]*metrics.Digest, len(points))
+	for i, pt := range points {
+		if pt.N != f.SimNs[0] || pt.Res.Digest.N() == 0 {
+			continue
+		}
+		p := sanmodel.DefaultParams(pt.N)
+		if q := pt.Res.QoS; q.Transitions != 0 && 0 < q.TM && q.TM < q.TMR {
+			p.FD = sanmodel.FDModel{TMR: q.TMR, TM: q.TM, Kind: sanmodel.FDDeterministic}
+		}
+		det[i] = simulate(t, f, p, 1+uint64(pt.N)*17+uint64(pt.T))
+		p.FD.Kind = sanmodel.FDExponential
+		exp[i] = simulate(t, f, p, 1+uint64(pt.N)*17+uint64(pt.T))
 	}
-	// Per simulated n: det + exp + measured.
+	f9b := Fig9b(f, points, det, exp)
+	// Per simulated n: det + exp + measured, one point per simulated T.
 	if len(f9b.Series) != 3*len(f.SimNs) {
 		t.Fatalf("Fig9b series %d", len(f9b.Series))
+	}
+	if got := len(f9b.Series[0].X); got != len(f.TGrid) {
+		t.Errorf("Fig9b draws %d timeouts for n=%d, want %d", got, f.SimNs[0], len(f.TGrid))
 	}
 }
 

@@ -7,7 +7,7 @@
 // any worker count.
 //
 // A Pool is one worker budget for a whole run, not one per level: its
-// workers draw the units of a top-level loop (StreamOn, MapOn, Do), a unit
+// workers draw the units of a top-level loop (StreamOn, Do), a unit
 // may open a nested loop over its own indices (Pool.ForEachChunk), and a
 // worker with no top-level unit left to start joins the nested loops
 // still open instead of idling. ForEach, ForEachChunk, Map and Stream are
@@ -386,16 +386,6 @@ func collect[T any](out []T, fn func(worker, i int) (T, error)) func(worker, i i
 func Map[T any](ctx context.Context, workers, n int, fn func(worker, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if err := ForEach(ctx, workers, n, collect(out, fn)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MapOn is Map as p's top-level loop: fn may open nested loops on p under
-// the worker index it is passed.
-func MapOn[T any](ctx context.Context, p *Pool, n int, fn func(worker, i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	if err := p.forEach(ctx, n, collect(out, fn)); err != nil {
 		return nil, err
 	}
 	return out, nil

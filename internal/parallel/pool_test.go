@@ -41,11 +41,11 @@ func TestIdleWorkerJoinsNestedLoop(t *testing.T) {
 		seen = map[int]bool{}
 		both = make(chan struct{})
 	)
-	_, err := MapOn(bg, p, 2, func(w, i int) (int, error) {
+	err := p.forEach(bg, 2, func(w, i int) error {
 		if i == 0 {
-			return 0, nil
+			return nil
 		}
-		return 0, p.ForEachChunk(bg, w, 16, 1, func(hw, _ int) error {
+		return p.ForEachChunk(bg, w, 16, 1, func(hw, _ int) error {
 			mu.Lock()
 			if seen[hw] = true; len(seen) == 2 {
 				select {
@@ -246,11 +246,11 @@ func TestNestedCancellationWithinOneIndex(t *testing.T) {
 		// A second top-level unit that opens nothing: its worker goes
 		// helping, or parks if the loop is already stopped.
 		p := NewPool(width)
-		_, err := MapOn(ctx, p, 2, func(w, i int) (int, error) {
+		err := p.forEach(ctx, 2, func(w, i int) error {
 			if i == 1 {
-				return 0, nil
+				return nil
 			}
-			return 0, p.ForEachChunk(ctx, w, 64*4*width, 64, func(_, _ int) error {
+			return p.ForEachChunk(ctx, w, 64*4*width, 64, func(_, _ int) error {
 				if started.Add(1) == 5 {
 					cancel()
 				}

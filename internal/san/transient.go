@@ -7,7 +7,6 @@ import (
 	"ctsan/internal/metrics"
 	"ctsan/internal/parallel"
 	"ctsan/internal/rng"
-	"ctsan/internal/stats"
 )
 
 // TransientSpec describes a replicated transient study: run Replicas
@@ -44,10 +43,6 @@ type TransientResult struct {
 	Truncated int // replicas that hit Tmax without satisfying Stop
 	Discarded int // replicas that stopped and Measure rejected (NaN)
 }
-
-// ECDF returns the empirical CDF of the replica measures: exact up to
-// the digest cap, a sketch-grid approximation beyond it.
-func (r *TransientResult) ECDF() *stats.ECDF { return r.Digest.ECDF() }
 
 // replicaOutcome is one replica's contribution before the ordered fold:
 // neither kept nor truncated means discarded by Measure.

@@ -44,11 +44,11 @@ func TestTransientEstimatesMean(t *testing.T) {
 	if res.Truncated != 0 {
 		t.Fatalf("unexpected truncations: %d", res.Truncated)
 	}
-	if res.ECDF().N() != 4000 {
-		t.Fatalf("sample count %d", res.ECDF().N())
+	if res.Digest.ECDF().N() != 4000 {
+		t.Fatalf("sample count %d", res.Digest.ECDF().N())
 	}
 	// Exponential median = mean*ln2.
-	if med := res.ECDF().Quantile(0.5); math.Abs(med-2*math.Ln2) > 0.12 {
+	if med := res.Digest.ECDF().Quantile(0.5); math.Abs(med-2*math.Ln2) > 0.12 {
 		t.Fatalf("median %v, want ~%v", med, 2*math.Ln2)
 	}
 }
@@ -295,8 +295,12 @@ func TestTailStudyRunsOnBothWorkers(t *testing.T) {
 	replicas := []int{1500, 30000}
 	solvers := []*Solver{NewSolver(m), NewSolver(m)}
 	p := parallel.NewPool(2)
-	got, err := parallel.MapOn(ctx, p, 2, func(w, i int) (*TransientResult, error) {
+	got := make([]*TransientResult, 2)
+	err := parallel.StreamOn(ctx, p, 2, func(w, i int) (*TransientResult, error) {
 		return solvers[i].TransientOn(ctx, p, w, rng.New(7), spec(replicas[i]))
+	}, func(i int, r *TransientResult) error {
+		got[i] = r
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -277,19 +277,16 @@ func TestPaperBaselineMatchesExperiment(t *testing.T) {
 		t.Fatalf("decided %d, want %d", rep.Decided, execs*reps)
 	}
 
-	specs := make([]experiment.LatencySpec, reps)
-	for i := range specs {
-		specs[i] = experiment.LatencySpec{N: s.N, Executions: execs, Seed: uint64(100 + i)}
-	}
-	results, err := experiment.RunLatencySweepContext(context.Background(), specs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var expMean float64
-	for _, r := range results {
+	for i := range reps {
+		r, err := experiment.RunLatencyContext(context.Background(),
+			experiment.LatencySpec{N: s.N, Executions: execs, Seed: uint64(100 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
 		expMean += r.Digest.Mean()
 	}
-	expMean /= float64(len(results))
+	expMean /= reps
 
 	if diff := math.Abs(rep.Mean - expMean); diff > 0.15*expMean {
 		t.Fatalf("paper-baseline mean %.3f ms vs experiment harness %.3f ms: diff %.3f beyond 15%%",
