@@ -60,6 +60,32 @@ func BenchmarkSANGridTwoWorkers(b *testing.B) {
 		campaign.SANPoint{Name: "c3-n3", N: 3, Replicas: small, TMR: 30, TM: 2},
 		campaign.SANPoint{Name: "c3-n5", N: 5, Replicas: small, TMR: 30, TM: 2},
 	)
+	twoWorkers(b, study)
+}
+
+// BenchmarkEmuGridTwoWorkers is the benchmark's `emu-grid` study
+// (benchmark/workloads.go) at a tenth of its size on two workers — six
+// Emulation points, each one chain of executions no second worker can
+// join, so the study's wall is decided by which chains share a worker.
+// Started heaviest first (campaign.Run's start order) they end level;
+// started in index order they ended on the long class-3 chain that
+// started last. ns/op and speedup as in BenchmarkSANGridTwoWorkers.
+func BenchmarkEmuGridTwoWorkers(b *testing.B) {
+	const big, small = 31250 / 10, 12500 / 10
+	twoWorkers(b, campaign.NewStudy("emu-grid",
+		campaign.LatencyPoint{Name: "c1-n3", N: 3, Executions: big},
+		campaign.LatencyPoint{Name: "c1-n5", N: 5, Executions: big},
+		campaign.LatencyPoint{Name: "c1-n7", N: 7, Executions: big},
+		campaign.LatencyPoint{Name: "c2-n5", N: 5, Executions: big, Crashed: []int{1}},
+		campaign.LatencyPoint{Name: "c3-n3-T10", N: 3, Executions: small, TimeoutT: 10},
+		campaign.LatencyPoint{Name: "c3-n5-T10", N: 5, Executions: small, TimeoutT: 10},
+	))
+}
+
+// twoWorkers times study on two workers (ns/op) and reports the one-worker
+// wall of the same study, measured in the same iteration off the clock,
+// over it as speedup.
+func twoWorkers(b *testing.B, study *campaign.Study) {
 	run := func(workers int) time.Duration {
 		start := time.Now()
 		if err := campaign.Run(bg, study,

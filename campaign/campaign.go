@@ -78,8 +78,10 @@ type Point interface {
 	// a point is checked, before anything runs or is leased out. Sealing
 	// method: only this package implements Point.
 	freeze(o *options, index int) (Point, error)
-	// prepare returns the runner of a frozen point.
-	prepare() (pointRunner, error)
+	// prepare returns the runner of a frozen point and, for a chain — a
+	// point no second worker can join — its estimated cost (chainCost);
+	// 0 marks a divisible point, whose replica loop idle workers join.
+	prepare() (pointRunner, float64, error)
 }
 
 // pointRunner executes one prepared point under a context, as worker w of
@@ -143,6 +145,12 @@ type options struct {
 	sinks    []Sink
 	progress func(done, total int, last *Result)
 	cache    PointCache
+	// completed, when set, sees each result on the worker that produced
+	// it, the moment its point completes — in completion order, not index
+	// order, and before the result is buffered for emission. Calls are
+	// not serialized. An error fails the point. RunShardRange checkpoints
+	// through it.
+	completed func(i int, res *Result) error
 	// built is set by Run before the pool starts: the pool and what its
 	// workers retain, dropped with the options when Run returns.
 	built *assemblies

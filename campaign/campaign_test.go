@@ -409,3 +409,30 @@ func TestProgressOrderingGuarantees(t *testing.T) {
 		}
 	}
 }
+
+// TestHeartbeatPointAllocsIndependentOfExecutions: a heartbeat point's
+// detectors fold their QoS per pair as they record transitions, so ten
+// times the executions allocate about what the shorter point does —
+// the digest's exact buffer is what grows. At T = 1 ms, where the
+// detectors flap most, the point used to keep every transition and copy
+// and sort them all to estimate QoS: 19 MB at 200 executions, 228 MB at
+// 2,000.
+func TestHeartbeatPointAllocsIndependentOfExecutions(t *testing.T) {
+	allocated := func(executions int) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := campaign.RunCollect(bg,
+			campaign.NewStudy("flapping", campaign.LatencyPoint{N: 5, Executions: executions, TimeoutT: 1}),
+			campaign.WithWorkers(1)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short, long := allocated(200), allocated(2000)
+	t.Logf("allocated %d KiB at 200 executions, %d KiB at 2,000", short>>10, long>>10)
+	if long > 2*short {
+		t.Errorf("2,000 executions allocated %d bytes, more than twice the %d of 200", long, short)
+	}
+}

@@ -27,7 +27,10 @@
 //     per-point folds are serial (see PERFORMANCE.md);
 //   - ordered streaming: sinks receive results in point-index order, as
 //     soon as the contiguous prefix is complete — early points stream out
-//     while later points still run;
+//     while later points still run. Points start in a fixed order of the
+//     study's own (the chains no second worker can join heaviest first,
+//     then the divisible points, see Run), so a study ends level; the
+//     order decides when results arrive, never which or in what order;
 //   - cancellation: the context is honored between points, between
 //     replicas, and between consensus executions, so Ctrl-C (or a test
 //     timeout) stops a campaign promptly with ctx.Err().
@@ -89,7 +92,8 @@
 // same points inside a full 1-process run.
 //
 // On top of that, RunShardRange executes points [start, end) of a
-// frozen study with one checkpoint record per completed point (a
+// frozen study with one checkpoint record per completed point, in the
+// order the points complete (a
 // CRC-framed JSONL line in an internal/checkpoint store, carrying the
 // point-spec hash, the public Result JSON verbatim, and the binary
 // metrics.Digest encoding). A record is written the moment its point

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 	"ctsan/internal/rng"
 )
 
-// Durability per time slice (shardSink): a record is written the moment
+// Durability per time slice (shardWriter): a record is written the moment
 // its point completes and fsynced once per syncSlice. These tests drive
 // the policy on an injected clock — no sleeps — and model the one
 // failure it trades against: a power cut that keeps an arbitrary prefix
@@ -146,11 +147,12 @@ func TestFailedSyncFailsTheAttempt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stepClock(t, syncSlice) // every Emit syncs
+	stepClock(t, syncSlice) // every record syncs
 	store := openStore(t)
 	path, away := store.Path(), store.Path()+".away"
-	onPoint := func(i int, _ []byte) error {
-		if i == 2 {
+	written := 0
+	onPoint := func(int, []byte) error {
+		if written++; written == 3 {
 			// The file leaves between the third record's write and its
 			// sync, so that sync has nothing to open.
 			return os.Rename(path, away)
@@ -189,10 +191,27 @@ func TestFailedSyncFailsTheAttempt(t *testing.T) {
 	if err != nil || dropped != 0 || len(onDisk) != points {
 		t.Fatalf("retried store: %d records, dropped=%d err=%v", len(onDisk), dropped, err)
 	}
-	for i, rec := range full.Records() {
+	for i, rec := range full.Records()[:3] {
 		if !bytes.Equal(onDisk[i], rec) {
 			t.Fatalf("record %d differs from the uninterrupted run", i)
 		}
+	}
+	sameRecords(t, frozen, onDisk, full.Records())
+}
+
+// sameRecords fails unless two stores hold the same records, byte for
+// byte: a store lists them in the order its points completed, which a
+// resume changes, so they are compared as sets and as merged output.
+func sameRecords(t *testing.T, frozen *Study, got, want [][]byte) {
+	t.Helper()
+	sorted := func(lines [][]byte) [][]byte {
+		return slices.SortedFunc(slices.Values(lines), bytes.Compare)
+	}
+	if !slices.EqualFunc(sorted(got), sorted(want), bytes.Equal) {
+		t.Fatalf("store holds %d records unlike the uninterrupted run's %d", len(got), len(want))
+	}
+	if _, _, err := MergeShardRecords(frozen, got); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -290,7 +309,14 @@ func TestPowerCutAtEveryUnsyncedByte(t *testing.T) {
 					t.Fatalf("%s: surviving record %d is not the uninterrupted run's", what, i)
 				}
 			}
-			if again := len(missingPoints(hashes, 0, m.writeRecs, survivors)); again > m.writeRecs-m.syncedRecs {
+			missing := missingPoints(hashes, 0, points, survivors)
+			again := 0
+			for _, rec := range full.Records()[:m.writeRecs] {
+				if slices.Contains(missing, recordIndex(t, rec)) {
+					again++
+				}
+			}
+			if again > m.writeRecs-m.syncedRecs {
 				t.Fatalf("%s: %d written points to re-execute, more than the %d written since the last sync", what, again, m.writeRecs-m.syncedRecs)
 			}
 			torn := cut - boundary
@@ -338,6 +364,16 @@ func TestPowerCutAtEveryUnsyncedByte(t *testing.T) {
 		}
 	}
 	t.Logf("%d points in %d slices, longest %d records, %d cuts resumed for real", points, len(moments), longest, resumes)
+}
+
+// recordIndex is the grid index a checkpoint line carries.
+func recordIndex(t *testing.T, line []byte) int {
+	t.Helper()
+	rec, err := DecodeShardRecord(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.Index
 }
 
 // tinyGrid is the shape of the benchmark's fine grid — SAN, Emulation and

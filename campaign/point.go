@@ -71,7 +71,7 @@ func (p LatencyPoint) freeze(o *options, index int) (Point, error) {
 	return p, checkCrashed(p.N, p.Crashed)
 }
 
-func (p LatencyPoint) prepare() (pointRunner, error) {
+func (p LatencyPoint) prepare() (pointRunner, float64, error) {
 	spec := experiment.LatencySpec{
 		N:          p.N,
 		Executions: p.Executions,
@@ -109,7 +109,7 @@ func (p LatencyPoint) prepare() (pointRunner, error) {
 			out.TMR, out.TM = res.QoS.TMR, res.QoS.TM
 		}
 		return out, nil
-	}, nil
+	}, chainCost(p.Executions, p.N, p.Gap, p.TimeoutT, p.PeriodTh), nil
 }
 
 // SANPoint is a SAN-engine point: a replicated transient study of the
@@ -200,7 +200,7 @@ func checkFit(name string, b fit.Bimodal) error {
 		name, b.P1, b.Lo1, b.Hi1, b.Lo2, b.Hi2)
 }
 
-func (p SANPoint) prepare() (pointRunner, error) {
+func (p SANPoint) prepare() (pointRunner, float64, error) {
 	params := sanmodel.DefaultParams(p.N)
 	if p.TSend > 0 {
 		params.TSend = p.TSend
@@ -236,7 +236,7 @@ func (p SANPoint) prepare() (pointRunner, error) {
 			Aborted:  res.Truncated + res.Discarded,
 			raw:      res,
 		}, nil
-	}, nil
+	}, 0, nil
 }
 
 // ScenarioPoint is a Scenario-engine point: a named registry scenario —
@@ -299,10 +299,10 @@ func (p ScenarioPoint) freeze(o *options, index int) (Point, error) {
 	return p, checkGuards(p.MaxRounds, p.Deadline)
 }
 
-func (p ScenarioPoint) prepare() (pointRunner, error) {
+func (p ScenarioPoint) prepare() (pointRunner, float64, error) {
 	s, err := p.scenario()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	spec := scenario.CampaignSpec{
 		Scenarios:  []*scenario.Scenario{s},
@@ -311,6 +311,14 @@ func (p ScenarioPoint) prepare() (pointRunner, error) {
 		Seed:       p.Seed,
 		MaxRounds:  p.MaxRounds,
 		Deadline:   p.Deadline,
+	}
+	chain := 0.0
+	if p.Replicas == 1 {
+		execs := p.Executions
+		if execs == 0 {
+			execs = s.Executions
+		}
+		chain = chainCost(execs, s.N, s.Gap, s.TimeoutT, s.PeriodTh)
 	}
 	return func(ctx context.Context, a *assemblies, w int) (*Result, error) {
 		reports, err := scenario.RunCampaignOn(ctx, a.pool, w, a.harnesses, spec)
@@ -333,7 +341,31 @@ func (p ScenarioPoint) prepare() (pointRunner, error) {
 			TM:              rep.TM,
 			raw:             rep,
 		}, nil
-	}, nil
+	}, chain, nil
+}
+
+// chainCost estimates what a chain — a point no second worker can join: a
+// LatencyPoint, or a ScenarioPoint of one replica — costs its one worker,
+// as the messages it sends: executions × (3(n−1) + n(n−1)·gap/Th), the
+// heartbeat term only when the detector runs (timeoutT > 0), with the
+// engines' defaults gap = 10 ms (§4) and Th = 0.7·T (§5.4). 3(n−1) is
+// what a first-round decision exchanges with each participant in
+// internal/consensus — proposal, ack, decision; counting the phase-1
+// estimates too, 4(n−1), rates heartbeat points lighter than their
+// measured times, as every heartbeat also re-arms a suspicion timer in
+// internal/fd. Only the ranking matters (startOrder), never the value.
+func chainCost(executions, n int, gap, timeoutT, periodTh float64) float64 {
+	perExec := 3 * float64(n-1)
+	if timeoutT > 0 {
+		if gap == 0 {
+			gap = 10
+		}
+		if periodTh == 0 {
+			periodTh = 0.7 * timeoutT
+		}
+		perExec += float64(n*(n-1)) * gap / periodTh
+	}
+	return float64(executions) * perExec
 }
 
 // checkCrashed validates an initially-crashed set against n processes:

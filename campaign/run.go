@@ -1,9 +1,11 @@
 package campaign
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"ctsan/internal/experiment"
 	"ctsan/internal/obs"
@@ -36,13 +38,18 @@ func (o *options) pointReplicas(explicit, engineDefault int) int {
 }
 
 // Run executes every point of the study on one deterministic worker pool
-// and streams results to the attached sinks in point-index order — the
-// first point's result is delivered while later points are still
-// running, yet the emission order (and every result bit) is independent
-// of the worker count. Points start in index order; a worker with no
-// point left to start runs replicas of the SAN and Scenario points still
-// in flight (an Emulation point is one sequential chain of executions and
-// cannot be joined).
+// and streams results to the attached sinks in point-index order: result i
+// is delivered as soon as results 0..i are complete, while later points
+// may still run, and the emission order (and every result bit) is
+// independent of the worker count. Points start in the study's start
+// order (startOrder): the chains — points no second worker can join, an
+// Emulation point or a one-replica Scenario point, each one sequential
+// chain of executions — heaviest first, then the divisible points in
+// index order, whose replicas a worker with no point left to start joins.
+// So a study ends level instead of on a long chain that started last; the
+// price is prompt delivery — point 0 may start late, and with it every
+// result. A failing run reports the error of the point at the lowest
+// failing start position.
 //
 // ctx cancels the study cooperatively: between points, between the
 // Monte-Carlo replicas inside SAN and Scenario points, and between the
@@ -82,8 +89,9 @@ func run(ctx context.Context, study *Study, o *options) error {
 		return err
 	}
 	runners := make([]pointRunner, len(study.Points))
+	chains := make([]float64, len(study.Points))
 	for i, p := range study.Points {
-		if runners[i], err = p.prepare(); err != nil {
+		if runners[i], chains[i], err = p.prepare(); err != nil {
 			return fmt.Errorf("campaign: point %d (%s): %w", i, p.Label(), err)
 		}
 	}
@@ -108,27 +116,33 @@ func run(ctx context.Context, study *Study, o *options) error {
 	}
 
 	total := len(runners)
-	return parallel.StreamOn(ctx, pool, total,
+	return parallel.StreamOn(ctx, pool, startOrder(chains),
 		func(w, i int) (*Result, error) {
+			var res *Result
 			if o.cache != nil {
-				if res, ok := o.cache.Get(hashes[i]); ok && res != nil {
-					// Re-identify the cached result for this study: the
-					// statistics are content-addressed, the identity is not.
-					res.Study = study.Name
-					res.Point = study.Points[i].Label()
-					res.Index = i
-					return res, nil
+				if cached, ok := o.cache.Get(hashes[i]); ok {
+					res = cached
 				}
 			}
-			res, err := runners[i](ctx, o.built, w)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: point %d (%s): %w", i, study.Points[i].Label(), err)
+			fresh := res == nil
+			if fresh {
+				var err error
+				if res, err = runners[i](ctx, o.built, w); err != nil {
+					return nil, fmt.Errorf("campaign: point %d (%s): %w", i, study.Points[i].Label(), err)
+				}
 			}
+			// Identify the result for this study: a cached result's
+			// statistics are content-addressed, its identity is not.
 			res.Study = study.Name
 			res.Point = study.Points[i].Label()
 			res.Index = i
-			if o.cache != nil {
+			if fresh && o.cache != nil {
 				o.cache.Put(hashes[i], res)
+			}
+			if o.completed != nil {
+				if err := o.completed(i, res); err != nil {
+					return nil, fmt.Errorf("campaign: point %d (%s): %w", i, study.Points[i].Label(), err)
+				}
 			}
 			return res, nil
 		},
@@ -144,6 +158,25 @@ func run(ctx context.Context, study *Study, o *options) error {
 			}
 			return nil
 		})
+}
+
+// startOrder is the order a study's points start in, given each point's
+// chain estimate (0 for a divisible point): the chains in descending
+// order of their estimates — longest processing time first (Graham,
+// "Bounds on multiprocessing timing anomalies", SIAM J. Appl. Math.
+// 17(2), 1969) — then the divisible points, so the workers that run out
+// of chains fill the study's tail by joining their replica loops. Ties
+// and the divisible points keep index order. The order is a function of
+// the frozen study alone — the same at every worker count — so a run's
+// results, their emission order and its error do not depend on the
+// width.
+func startOrder(chains []float64) []int {
+	order := make([]int, len(chains))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(chains[b], chains[a]) })
+	return order
 }
 
 // RunCollect is Run with an implicit Collect sink: it returns every

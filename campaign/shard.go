@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"sync"
 	"time"
 
 	"ctsan/internal/checkpoint"
@@ -73,10 +74,19 @@ func EncodeShardRecord(pointHash string, res *Result) ([]byte, error) {
 	if res == nil {
 		return nil, fmt.Errorf("campaign: encode nil result")
 	}
+	return encodeShardRecord(pointHash, res.Index, res)
+}
+
+// encodeShardRecord is EncodeShardRecord of res as the point at grid
+// index `index`, without touching res — a sub-study's result is still
+// owned by the run that will emit it under its sub-study index.
+func encodeShardRecord(pointHash string, index int, res *Result) ([]byte, error) {
 	if res.digest == nil {
-		return nil, fmt.Errorf("campaign: result of point %d carries no digest", res.Index)
+		return nil, fmt.Errorf("campaign: result of point %d carries no digest", index)
 	}
-	resultJSON, err := json.Marshal(res)
+	at := *res
+	at.Index = index
+	resultJSON, err := json.Marshal(&at)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: encode result: %w", err)
 	}
@@ -87,7 +97,7 @@ func EncodeShardRecord(pointHash string, res *Result) ([]byte, error) {
 	body, err := json.Marshal(ShardRecord{
 		V:         ShardRecordVersion,
 		Study:     res.Study,
-		Index:     res.Index,
+		Index:     index,
 		PointHash: pointHash,
 		Seed:      res.Seed,
 		Result:    resultJSON,
@@ -244,20 +254,24 @@ var now = time.Now
 // workers, since seeds and replica counts are already pinned by Frozen.
 //
 // Durability is per time slice, not per point. Each record is written to
-// the store as soon as its point completes — from then on it is in
+// the store the moment its point completes, on the worker that ran it —
+// not when the point's turn to be emitted comes: points start in the
+// study's start order (see Run), so a point may complete while a lower
+// index still runs, and the store holds records in completion order
+// (merge and resume fold by index). From then on the record is in
 // store.Records() and visible to checkpoint.Load, and it outlives this
-// process however it dies (panic, SIGKILL, a supervisor's timeout) — and
-// the store is fsynced when syncSlice has passed since the previous
-// fsync, and once more before RunShardRange returns, on every exit path.
-// So a dead executor costs bounded re-execution, never a wrong result:
-// process death loses only the points in flight; power loss loses at
-// most the records of one slice, all written within syncSlice of each
-// other, which a resume finds missing (or torn, and drops) and
-// re-executes.
+// process however it dies (panic, SIGKILL, a supervisor's timeout); the
+// store is fsynced when syncSlice has passed since the previous fsync,
+// and once more before RunShardRange returns, on every exit path. So a
+// dead executor costs bounded re-execution, never a wrong result: process
+// death loses only the points in flight; power loss loses at most the
+// records of one slice, all written within syncSlice of each other, which
+// a resume finds missing (or torn, and drops) and re-executes.
 //
 // onPoint, when non-nil, observes each record line just after it is
 // written — "checkpointed" in the sense above: readable by a resume or a
-// merge, not necessarily fsynced yet. It is the fault-injection hook the
+// merge, not necessarily fsynced yet. Calls are serialized, in the order
+// the records are written. It is the fault-injection hook the
 // crash-safety tests use, and a progress hook for supervisors.
 func RunShardRange(ctx context.Context, frozen *Study, start, end int, store *checkpoint.Store, onPoint func(index int, line []byte) error, opts ...Option) error {
 	if err := checkRange(frozen, start, end); err != nil {
@@ -275,8 +289,14 @@ func RunShardRange(ctx context.Context, frozen *Study, start, end int, store *ch
 	for li, gi := range missing {
 		sub.Points[li] = frozen.Points[gi]
 	}
-	sink := &shardSink{store: store, hashes: hashes, global: missing, onPoint: onPoint, sliceStart: now()}
-	return Run(ctx, sub, append(opts, WithSink(sink))...)
+	w := &shardWriter{store: store, hashes: hashes, global: missing, onPoint: onPoint, sliceStart: now()}
+	err = Run(ctx, sub, append(opts, func(o *options) { o.completed = w.write })...)
+	// Whatever the last slice wrote is fsynced on every exit path,
+	// cancellation and failed points included.
+	if serr := store.Sync(); serr != nil && err == nil {
+		err = serr
+	}
+	return err
 }
 
 // checkRange validates a shard range against a study.
@@ -290,30 +310,33 @@ func checkRange(s *Study, start, end int) error {
 	return nil
 }
 
-// shardSink checkpoints each emitted result, rewriting its sub-study
-// index to the full-grid index first (emission order is sub-study order,
-// which preserves grid order over the executed subset). Emit writes the
-// record at once and fsyncs only when the current slice is syncSlice
-// old; Close — which Run calls on every exit path, cancellation and
-// sink errors included — fsyncs whatever the last slice left. Nothing is
-// buffered in memory and there is no timer: the clock is read in Emit.
-type shardSink struct {
+// shardWriter checkpoints each result the moment its point completes,
+// encoded under its full-grid index (global maps the sub-study of missing
+// points back to the grid). write runs on the worker that completed the
+// point, under mu; it writes the record at once and fsyncs only when the
+// current slice is syncSlice old — RunShardRange fsyncs what the last
+// slice left. Nothing is buffered in memory and there is no timer: the
+// clock is read in write.
+type shardWriter struct {
 	store   *checkpoint.Store
 	hashes  []string
 	global  []int
 	onPoint func(index int, line []byte) error
+
+	mu sync.Mutex
 	// sliceStart is when the current slice began: the previous fsync, or
 	// the start of the range.
 	sliceStart time.Time
 }
 
-func (s *shardSink) Emit(res *Result) error {
-	gi := s.global[res.Index]
-	res.Index = gi
-	line, err := EncodeShardRecord(s.hashes[gi], res)
+func (s *shardWriter) write(i int, res *Result) error {
+	gi := s.global[i]
+	line, err := encodeShardRecord(s.hashes[gi], gi, res)
 	if err != nil {
 		return err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.store.Write(line); err != nil {
 		return err
 	}
@@ -328,8 +351,6 @@ func (s *shardSink) Emit(res *Result) error {
 	}
 	return nil
 }
-
-func (s *shardSink) Close() error { return s.store.Sync() }
 
 // MergeShardRecords folds checkpoint lines (typically the union of every
 // shard's store) into the complete, index-ordered record set of a frozen

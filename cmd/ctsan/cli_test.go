@@ -124,6 +124,19 @@ func TestInvalidFlagValuesAreUsageErrors(t *testing.T) {
 		{"scenario run", "split-brain"},
 		{"shard -study " + spec + " -dir . -range 0:5junk", "start:end"},
 		{"run -study " + spec + " -dir . -o x -shards 0", "0 shards"},
+		{"run -study " + spec + " -dir . -o x -retries -1", "0 or more re-runs"},
+		{"run -study " + spec + " -dir . -o x -backoff -1s", "-backoff -1s"},
+		{"run -study " + spec + " -dir . -o x -timeout -1s", "-timeout -1s"},
+		{"run -study " + spec + " -dir . -o x -procs -1", "-procs -1"},
+		{"run -study " + spec + " -dir . -o x -workers -1", "-workers -1"},
+		{"shard -study " + spec + " -dir . -range 0:1 -workers -2", "-workers -2"},
+		{"worker -server http://127.0.0.1:1 -dir . -workers -1", "-workers -1"},
+		{"sanrun -workers -1", "-workers -1"},
+		{"testbed -workers -1", "-workers -1"},
+		{"fdqos -workers -1", "-workers -1"},
+		{"repro -workers -1", "-workers -1"},
+		{"scenario run -workers -1 paper-baseline", "-workers -1"},
+		{"scenario trace -workers -1 flaky-link", "-workers -1"},
 	} {
 		code, stdout, stderr := ctsan(t, strings.Fields(tc.args)...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, tc.want) {

@@ -292,8 +292,17 @@ func cmdRun(ctx context.Context, args []string, _, stderr io.Writer) error {
 		return cliflags.Usagef("-dir and -o are required")
 	}
 	total := len(frozen.Points)
-	if *shards <= 0 {
+	switch {
+	case *shards <= 0:
 		return cliflags.Usagef("cannot split %d points into %d shards", total, *shards)
+	case *procs < 0:
+		return cliflags.Usagef("-procs %d: want 0 (one per CPU) or a positive count", *procs)
+	case *retries < 0:
+		return cliflags.Usagef("-retries %d: want 0 or more re-runs", *retries)
+	case *timeout < 0:
+		return cliflags.Usagef("-timeout %v: want 0 (none) or a positive duration", *timeout)
+	case *backoff < 0:
+		return cliflags.Usagef("-backoff %v: want 0 or a positive duration", *backoff)
 	}
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(stderr, "ctsan run: "+format+"\n", args...)

@@ -54,7 +54,7 @@ func detectionTime(n int, timeout float64) float64 {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hist := &fd.History{}
+	hist := &fd.History{Keep: true}
 	for i := 1; i <= n; i++ {
 		stack := neko.NewStack(cluster.Context(neko.ProcessID(i)))
 		fd.NewHeartbeat(stack, timeout, 0.7*timeout, hist)

@@ -118,13 +118,20 @@ func Usagef(format string, args ...any) error {
 
 // Parse is fs.Parse with the failure classified: -h passes through as
 // flag.ErrHelp, and anything else is a usage error whose message (and
-// the flag list) the FlagSet has already written to its output.
+// the flag list) the FlagSet has already written to its output. A
+// negative -workers (the shared flag, on whichever command registers it)
+// is a usage error too.
 func Parse(fs *flag.FlagSet, args []string) error {
 	err := fs.Parse(args)
-	if err == nil || errors.Is(err, flag.ErrHelp) {
-		return err
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return &usageError{err: err, reported: true}
 	}
-	return &usageError{err: err, reported: true}
+	if f := fs.Lookup(WorkersName); err == nil && f != nil {
+		if w := f.Value.(flag.Getter).Get().(int); w < 0 {
+			return Usagef("-%s %d: want 0 (one per CPU) or a positive count", WorkersName, w)
+		}
+	}
+	return err
 }
 
 // ExitStatus reports err on stderr, prefixed with prog, and returns the

@@ -94,3 +94,28 @@ func TestExitStatus(t *testing.T) {
 		t.Errorf("Parse(-bogus) = %v, want the flag package's error", parseErr)
 	}
 }
+
+// TestParseRejectsNegativeWorkers: Parse holds the shared -workers flag to
+// its help text on every command that registers it — 0 or a positive
+// count — and leaves FlagSets without it alone.
+func TestParseRejectsNegativeWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		ok   bool
+	}{
+		{[]string{"-workers", "-1"}, false},
+		{[]string{"-workers", "0"}, true},
+		{[]string{"-workers", "3"}, true},
+		{nil, true},
+	} {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		Workers(fs)
+		err := Parse(fs, tc.args)
+		if tc.ok != (err == nil) || (err != nil && ExitStatus("x", err, io.Discard) != 2) {
+			t.Errorf("Parse(%q) = %v, want ok=%v or a usage error", tc.args, err, tc.ok)
+		}
+	}
+	if err := Parse(flag.NewFlagSet("y", flag.ContinueOnError), nil); err != nil {
+		t.Errorf("Parse without -workers: %v", err)
+	}
+}

@@ -49,7 +49,9 @@ type Plan struct {
 	// execution starts (SetGap changes it mid-run); Deadline force-closes
 	// an execution that many ms after its start. All in ms.
 	Warmup, Gap, Deadline float64
-	// History receives the heartbeat detectors' transitions.
+	// History receives the heartbeat detectors' transitions and folds the
+	// QoS estimate from them; it keeps the transitions themselves only if
+	// the caller reads them (fd.History.Keep).
 	History *fd.History
 	// Up reports whether process id takes part in an execution starting at
 	// t0; nil selects the static set of processes not in Shape.Params.Crashed.

@@ -77,6 +77,7 @@ func RunCrashTransientContext(ctx context.Context, spec CrashTransientSpec) (*Cr
 	if err != nil {
 		return nil, err
 	}
+	plan.History = &fd.History{Keep: true} // DetectionTimes reads every transition
 	crashLocal := plan.Warmup + float64(spec.CrashAfter)*gap - 0.5
 	res.CrashAt = crashLocal
 	plan.Prepare = func() error {

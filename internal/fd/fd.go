@@ -8,16 +8,16 @@
 //   - Oracle: a perfect failure detector with a static suspicion list, used
 //     for class-1 runs (suspects nobody) and class-2 runs (suspects exactly
 //     the initially crashed process — "complete and accurate", §2.4).
-//   - History / QoS: recording of trust↔suspect transitions and estimation
-//     of the Chen-Toueg-Aguilera quality-of-service metrics (mistake
-//     recurrence time T_MR, mistake duration T_M, detection time T_D)
-//     using the equations of §4.
+//   - History / QoS: recording of trust↔suspect transitions, folded per
+//     ordered pair as they happen, and estimation of the
+//     Chen-Toueg-Aguilera quality-of-service metrics (mistake recurrence
+//     time T_MR, mistake duration T_M, detection time T_D) using the
+//     equations of §4.
 package fd
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"ctsan/internal/neko"
@@ -293,9 +293,46 @@ type Transition struct {
 // History accumulates failure-detector transitions across all processes of
 // an experiment. It is safe for concurrent use (real-time executors run
 // processes on separate goroutines).
+//
+// Each transition is folded into its ordered pair's QoS state as it is
+// recorded, so EstimateQoS reads n(n−1) running states, never the
+// transitions. The fold is exact because a pair (p, q) is only ever
+// recorded by observer p at p's own clock, which does not go backwards:
+// per pair, recording order is time order. A long heartbeat campaign
+// records millions of transitions, so the list itself is kept only with
+// Keep set — for the readers that need every instant (Events,
+// DetectionTimes).
 type History struct {
+	// Keep retains every transition for Events and DetectionTimes.
+	Keep bool
+
 	mu     sync.Mutex
 	events []Transition
+	count  int
+	pairs  [][]pairFold // [p][q], grown to the largest ids recorded
+}
+
+// pairFold is one ordered pair's running QoS state (§4): transition
+// counts, the closed suspicion time, and the suspicion still open.
+type pairFold struct {
+	nTS, nST  int
+	suspTime  float64
+	suspSince float64
+	suspected bool
+}
+
+// add folds one transition; a repeated state is not a transition.
+func (st *pairFold) add(suspected bool, at float64) {
+	switch {
+	case suspected && !st.suspected:
+		st.nTS++
+		st.suspected = true
+		st.suspSince = at
+	case !suspected && st.suspected:
+		st.nST++
+		st.suspected = false
+		st.suspTime += at - st.suspSince
+	}
 }
 
 // Reset discards all recorded transitions, retaining capacity, so one
@@ -303,30 +340,60 @@ type History struct {
 func (h *History) Reset() {
 	h.mu.Lock()
 	h.events = h.events[:0]
+	h.count = 0
+	for _, row := range h.pairs {
+		clear(row)
+	}
 	h.mu.Unlock()
 }
 
-// Record appends a transition.
+// Record adds a transition: it updates the pair's fold and, with Keep,
+// appends the transition to the list.
 func (h *History) Record(p, q neko.ProcessID, suspected bool, at float64) {
 	h.mu.Lock()
-	h.events = append(h.events, Transition{P: p, Q: q, Suspected: suspected, At: at})
+	h.count++
+	if h.Keep {
+		h.events = append(h.events, Transition{P: p, Q: q, Suspected: suspected, At: at})
+	}
+	if p >= 1 && q >= 1 { // no other id is ever part of a pair EstimateQoS reads
+		for int(p) >= len(h.pairs) {
+			h.pairs = append(h.pairs, nil)
+		}
+		if row := h.pairs[p]; int(q) >= len(row) {
+			h.pairs[p] = append(row, make([]pairFold, int(q)+1-len(row))...)
+		}
+		h.pairs[p][q].add(suspected, at)
+	}
 	h.mu.Unlock()
 }
 
-// Events returns a copy of the recorded transitions in recording order.
+// Events returns a copy of the recorded transitions in recording order. It
+// panics unless the history keeps them (Keep).
 func (h *History) Events() []Transition {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if !h.Keep {
+		panic("fd: Events of a History that does not keep its transitions (set Keep)")
+	}
 	cp := make([]Transition, len(h.events))
 	copy(cp, h.events)
 	return cp
 }
 
-// Len returns the number of recorded transitions.
+// Len returns the number of recorded transitions, kept or not.
 func (h *History) Len() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.events)
+	return h.count
+}
+
+// fold returns pair (p, q)'s state; a pair never recorded is mistake-free.
+// The caller holds h.mu.
+func (h *History) fold(p, q neko.ProcessID) pairFold {
+	if int(p) < len(h.pairs) && int(q) < len(h.pairs[p]) {
+		return h.pairs[p][q]
+	}
+	return pairFold{}
 }
 
 // QoS holds the estimated Chen et al. metrics for a failure detector:
@@ -355,51 +422,22 @@ func (q QoS) String() string {
 // where T_S is the total suspicion time and n_TS, n_ST the transition
 // counts. Pairs with no transitions get the censored value T_MR = 2·T_exp,
 // T_M = 0 (the paper notes that precise values are unnecessary when T_MR
-// is large, §5.4 footnote).
+// is large, §5.4 footnote). Each pair's state is the fold History keeps
+// as transitions are recorded; transitions naming an id outside 1..n
+// count nowhere.
 func EstimateQoS(h *History, texp float64, n int) QoS {
-	type pairKey struct{ p, q neko.ProcessID }
-	evs := h.Events()
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	type pairState struct {
-		nTS, nST  int
-		suspTime  float64
-		suspSince float64
-		suspected bool
-	}
-	states := make(map[pairKey]*pairState)
-	for p := neko.ProcessID(1); int(p) <= n; p++ {
-		for q := neko.ProcessID(1); int(q) <= n; q++ {
-			if p != q {
-				states[pairKey{p, q}] = &pairState{}
-			}
-		}
-	}
-	for _, e := range evs {
-		st, ok := states[pairKey{e.P, e.Q}]
-		if !ok {
-			continue
-		}
-		if e.Suspected && !st.suspected {
-			st.nTS++
-			st.suspected = true
-			st.suspSince = e.At
-		} else if !e.Suspected && st.suspected {
-			st.nST++
-			st.suspected = false
-			st.suspTime += e.At - st.suspSince
-		}
-	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	var out QoS
 	var sumTMR, sumTM float64
-	// Fold pairs in (p, q) order, not map order: float summation order must
-	// not depend on map iteration randomization, or identical campaigns
-	// would disagree in the last bit and break bit-exact reproducibility.
+	// Fold pairs in (p, q) order: float summation order is part of the
+	// result, bit for bit.
 	for p := neko.ProcessID(1); int(p) <= n; p++ {
 		for q := neko.ProcessID(1); int(q) <= n; q++ {
 			if p == q {
 				continue
 			}
-			st := states[pairKey{p, q}]
+			st := h.fold(p, q)
 			out.Pairs++
 			if st.suspected {
 				st.suspTime += texp - st.suspSince
@@ -427,7 +465,8 @@ func EstimateQoS(h *History, texp float64, n int) QoS {
 // DetectionTimes returns, for a process q crashed at time tc, the
 // detection time T_D observed by each other process: the instant of its
 // final trust→suspect transition regarding q, minus tc. Observers that
-// never (permanently) suspect q get +Inf.
+// never (permanently) suspect q get +Inf. The history must keep its
+// transitions (Keep).
 func DetectionTimes(h *History, q neko.ProcessID, tc float64, n int) map[neko.ProcessID]float64 {
 	last := make(map[neko.ProcessID]float64) // final suspect-start per observer
 	perm := make(map[neko.ProcessID]bool)

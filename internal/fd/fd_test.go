@@ -2,6 +2,7 @@ package fd
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"ctsan/internal/dist"
@@ -34,7 +35,7 @@ func buildFDCluster(t *testing.T, params netsim.Params, timeout, period float64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist := &History{}
+	hist := &History{Keep: true}
 	var hbs []*Heartbeat
 	for i := 1; i <= params.N; i++ {
 		stack := neko.NewStack(c.Context(neko.ProcessID(i)))
@@ -89,7 +90,7 @@ func TestAnyMessageResetsTimer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist := &History{}
+	hist := &History{Keep: true}
 	s1 := neko.NewStack(c.Context(1))
 	hb1 := NewHeartbeat(s1, 20, 1e6, hist)
 	c.Attach(1, s1)
@@ -185,7 +186,7 @@ func TestEstimateQoSHandComputed(t *testing.T) {
 // TestEstimateQoSOpenSuspicion: a suspicion still standing at the end of
 // the experiment counts its elapsed time.
 func TestEstimateQoSOpenSuspicion(t *testing.T) {
-	h := &History{}
+	h := &History{Keep: true}
 	h.Record(1, 2, true, 90) // suspected through t=100
 	q := EstimateQoS(h, 100, 2)
 	// nTS+nST = 1 → TMR = 200; TS = 10 → TM = 200·10/100 = 20.
@@ -231,4 +232,140 @@ func TestHeartbeatStop(t *testing.T) {
 		t.Fatalf("heartbeats continued after Stop: %d -> %d", before, after)
 	}
 	_ = hist
+}
+
+// referenceQoS is the fold EstimateQoS replaced: every transition kept,
+// copied, stable-sorted by time, and folded per pair through a map. The
+// online fold must reproduce it bit for bit on any transition sequence a
+// detector can record — one where each pair's times never decrease.
+func referenceQoS(evs []Transition, texp float64, n int) QoS {
+	type pairKey struct{ p, q neko.ProcessID }
+	evs = append([]Transition(nil), evs...)
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
+	type pairState struct {
+		nTS, nST  int
+		suspTime  float64
+		suspSince float64
+		suspected bool
+	}
+	states := make(map[pairKey]*pairState)
+	for p := neko.ProcessID(1); int(p) <= n; p++ {
+		for q := neko.ProcessID(1); int(q) <= n; q++ {
+			if p != q {
+				states[pairKey{p, q}] = &pairState{}
+			}
+		}
+	}
+	for _, e := range evs {
+		st, ok := states[pairKey{e.P, e.Q}]
+		if !ok {
+			continue
+		}
+		if e.Suspected && !st.suspected {
+			st.nTS++
+			st.suspected = true
+			st.suspSince = e.At
+		} else if !e.Suspected && st.suspected {
+			st.nST++
+			st.suspected = false
+			st.suspTime += e.At - st.suspSince
+		}
+	}
+	var out QoS
+	var sumTMR, sumTM float64
+	for p := neko.ProcessID(1); int(p) <= n; p++ {
+		for q := neko.ProcessID(1); int(q) <= n; q++ {
+			if p == q {
+				continue
+			}
+			st := states[pairKey{p, q}]
+			out.Pairs++
+			if st.suspected {
+				st.suspTime += texp - st.suspSince
+			}
+			transitions := st.nTS + st.nST
+			out.Transitions += transitions
+			if transitions == 0 {
+				out.MistakeFree++
+				sumTMR += 2 * texp
+				continue
+			}
+			tmr := 2 * texp / float64(transitions)
+			tm := tmr * st.suspTime / texp
+			sumTMR += tmr
+			sumTM += tm
+		}
+	}
+	if out.Pairs > 0 {
+		out.TMR = sumTMR / float64(out.Pairs)
+		out.TM = sumTM / float64(out.Pairs)
+	}
+	return out
+}
+
+// generatedTransitions records a random transition sequence the way a
+// cluster of heartbeat detectors would: observer p records (p, q) at its
+// own clock, which only moves forward — often not at all, so equal times
+// are common within a pair and across pairs. Ids range over -1..n+2, so
+// out-of-range observers and subjects and p == q all occur, and repeated
+// states (suspect while suspected) occur as often as real transitions.
+// texp is the last recorded instant or a little later, so suspicions left
+// open at the end are sometimes zero-length.
+func generatedTransitions(r *rng.Stream, h *History) (evs []Transition, texp float64, n int) {
+	n = 2 + r.Intn(6)
+	clock := make(map[neko.ProcessID]float64)
+	steps := []float64{0, 0, 0.25, 1, 3.5}
+	for k, m := 0, r.Intn(400); k < m; k++ {
+		p := neko.ProcessID(r.Intn(n+4) - 1)
+		q := neko.ProcessID(r.Intn(n+4) - 1)
+		clock[p] += steps[r.Intn(len(steps))]
+		e := Transition{P: p, Q: q, Suspected: r.Intn(2) == 0, At: clock[p]}
+		h.Record(e.P, e.Q, e.Suspected, e.At)
+		evs = append(evs, e)
+		texp = max(texp, e.At)
+	}
+	return evs, texp + steps[r.Intn(len(steps))], n
+}
+
+// TestOnlineFoldMatchesSortedReference: over generated sequences —
+// ties, out-of-range ids, repeated states, suspicions open at texp — the
+// per-pair fold History keeps gives the sorted reference's QoS bit for
+// bit, with or without Keep, fresh or after a Reset.
+func TestOnlineFoldMatchesSortedReference(t *testing.T) {
+	r := rng.New(17)
+	reused := &History{}
+	for trial := 0; trial < 500; trial++ {
+		kept := &History{Keep: true}
+		evs, texp, n := generatedTransitions(r, kept)
+		reused.Reset()
+		for _, e := range evs {
+			reused.Record(e.P, e.Q, e.Suspected, e.At)
+		}
+		want := referenceQoS(evs, texp, n)
+		for _, h := range []*History{kept, reused} {
+			if got := EstimateQoS(h, texp, n); got != want {
+				t.Fatalf("trial %d (n=%d, %d transitions, keep=%v): online fold %+v, sorted reference %+v",
+					trial, n, len(evs), h.Keep, got, want)
+			}
+			if h.Len() != len(evs) {
+				t.Fatalf("trial %d: Len %d, want %d", trial, h.Len(), len(evs))
+			}
+		}
+		if got := kept.Events(); len(got) != len(evs) || (len(evs) > 0 && got[len(got)-1] != evs[len(evs)-1]) {
+			t.Fatalf("trial %d: kept %d transitions, want %d", trial, len(got), len(evs))
+		}
+	}
+}
+
+// TestEventsNeedKeep: a history that folds only cannot pretend to hold
+// the transitions it never kept.
+func TestEventsNeedKeep(t *testing.T) {
+	h := &History{}
+	h.Record(1, 2, true, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Events of a fold-only history did not panic")
+		}
+	}()
+	h.Events()
 }

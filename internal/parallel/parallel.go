@@ -75,6 +75,10 @@ type loop struct {
 	n      int
 	chunk  int
 	chunks int
+	// order is the start order: the unit at position k is order[k]; nil
+	// starts units in index order. Chunks, draws and the error precedence
+	// count positions.
+	order []int
 
 	next atomic.Int64 // next chunk to start
 	// stop: an index failed, panicked, or was skipped on a canceled ctx,
@@ -82,7 +86,7 @@ type loop struct {
 	stop atomic.Bool
 
 	mu       sync.Mutex // guards the outcome, until every worker has left drain
-	errIdx   int
+	errPos   int
 	err      error
 	panicked *UnitPanic
 	cut      bool
@@ -110,8 +114,8 @@ func (l *loop) drain(worker int) {
 	}
 }
 
-// runChunk runs the indices of chunk c in order, checking ctx before each
-// and ending the loop at the first that fails, panics or finds ctx
+// runChunk runs the positions of chunk c in order, checking ctx before
+// each and ending the loop at the first that fails, panics or finds ctx
 // canceled. The chunk is bracketed by the obs worker-activity accounting:
 // a deferred recover frame, two clock reads and three atomic adds on one
 // cache line every worker shares — a hundred-odd nanoseconds, more under
@@ -119,7 +123,7 @@ func (l *loop) drain(worker int) {
 // emulated execution batch (milliseconds each, chunks of one); a SAN
 // replica is 5-15 µs, so its loops ask for chunks of many.
 func (l *loop) runChunk(worker, c int) {
-	i := c * l.chunk
+	k, i := c*l.chunk, 0 // position, and the unit there
 	h := obs.UnitStart()
 	defer func() {
 		obs.UnitEnd(h)
@@ -137,15 +141,18 @@ func (l *loop) runChunk(worker, c int) {
 			})
 		}
 	}()
-	for end := min(i+l.chunk, l.n); i < end; i++ {
+	for end := min(k+l.chunk, l.n); k < end; k++ {
+		if i = k; l.order != nil {
+			i = l.order[k]
+		}
 		if l.ctx.Err() != nil {
 			l.finish(func() { l.cut = true })
 			return
 		}
 		if err := l.fn(worker, i); err != nil {
 			l.finish(func() {
-				if l.err == nil || i < l.errIdx {
-					l.errIdx, l.err = i, err
+				if l.err == nil || k < l.errPos {
+					l.errPos, l.err = k, err
 				}
 			})
 			return
@@ -163,7 +170,7 @@ func (l *loop) finish(record func()) {
 
 // outcome reports the loop's result on the goroutine that opened it, once
 // every worker has left drain: a panic is re-raised, else the error of the
-// lowest failing index wins, else a cancellation that cost an index is
+// lowest failing position wins, else a cancellation that cost an index is
 // ctx.Err(). A loop whose every index ran is a success even if ctx was
 // canceled meanwhile — the result set is whole.
 func (l *loop) outcome() error {
@@ -180,12 +187,13 @@ func (l *loop) outcome() error {
 
 // Pool is a fixed set of workers, numbered 0..Workers()-1, sharing one
 // budget between a top-level loop and the loops its units open. A worker
-// draws top-level units first, in index order; once none is left to start
-// it does not idle while other workers are still inside theirs: it joins
-// the nested loops they have open (ForEachChunk) until the last top-level
-// unit has finished. So the wall time of a run tracks total work / width
-// whenever its last units are divisible, with no split of the budget
-// decided up front.
+// draws top-level units first, in the loop's start order; once none is
+// left to start it does not idle while other workers are still inside
+// theirs: it joins the nested loops they have open (ForEachChunk) until
+// the last top-level unit has finished. So the wall time of a run tracks
+// total work / width whenever its last units are divisible — which a
+// start order can arrange: indivisible units first, longest first, the
+// divisible ones after — with no split of the budget decided up front.
 //
 // One worker index serves both levels: two fn calls with the same worker
 // value never overlap, whichever loops they belong to, so per-worker
@@ -435,10 +443,27 @@ func Stream[T any](ctx context.Context, workers, n int, fn func(worker, i int) (
 	return ForEach(ctx, workers, n, ordered(n, fn, emit))
 }
 
-// StreamOn is Stream as p's top-level loop: fn may open nested loops on p
-// under the worker index it is passed. Units are still started in index
-// order, so emission order and per-worker unit sequences are what they
-// are without nesting.
-func StreamOn[T any](ctx context.Context, p *Pool, n int, fn func(worker, i int) (T, error), emit func(i int, v T) error) error {
-	return p.forEach(ctx, n, ordered(n, fn, emit))
+// StreamOn is Stream as p's top-level loop, over units 0..len(order)-1
+// started in the given order — a permutation of them: the unit at start
+// position k is order[k]. fn may open nested loops on p under the worker
+// index it is passed. Emission is still in index order, so the start
+// order moves when a result reaches emit, never which result, its content
+// or its place; a run that fails reports the error of the lowest failing
+// start position, so the error too depends only on the order, not on the
+// width.
+func StreamOn[T any](ctx context.Context, p *Pool, order []int, fn func(worker, i int) (T, error), emit func(i int, v T) error) error {
+	n := len(order)
+	seen := make([]bool, n)
+	for _, i := range order {
+		if i < 0 || i >= n || seen[i] {
+			return fmt.Errorf("parallel: start order is not a permutation of 0..%d", n-1)
+		}
+		seen[i] = true
+	}
+	if n == 0 {
+		return nil
+	}
+	l := newLoop(ctx, p.width, n, 1, ordered(n, fn, emit))
+	l.order = order
+	return p.run(l)
 }

@@ -301,3 +301,84 @@ func TestNestedLoopSpreadsOverAOneUnitRun(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamOnStartOrder: units start in the given order — on one worker
+// exactly that sequence — and are still emitted in index order, each
+// once; the error reported is the lowest failing start position's; a
+// panic names the unit, not its position; and an order that is not a
+// permutation is refused before anything runs.
+func TestStreamOnStartOrder(t *testing.T) {
+	order := []int{5, 2, 7, 0, 1, 3, 4, 6}
+	for _, w := range []int{1, 2, 8} {
+		var started []int
+		var mu sync.Mutex
+		var emitted []int
+		err := StreamOn(bg, NewPool(w), order, func(_, i int) (int, error) {
+			mu.Lock()
+			started = append(started, i)
+			mu.Unlock()
+			return i * 10, nil
+		}, func(i, v int) error {
+			if v != i*10 {
+				return fmt.Errorf("emit(%d) got %d", i, v)
+			}
+			emitted = append(emitted, i)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		for i, v := range emitted {
+			if v != i {
+				t.Fatalf("workers=%d: emitted %v, want index order", w, emitted)
+			}
+		}
+		if len(emitted) != len(order) || len(started) != len(order) {
+			t.Fatalf("workers=%d: started %v, emitted %v", w, started, emitted)
+		}
+		if w == 1 && fmt.Sprint(started) != fmt.Sprint(order) {
+			t.Fatalf("one worker started %v, want %v", started, order)
+		}
+	}
+
+	// Units 7 (position 2) and 1 (position 4) fail; 7 is reported at every
+	// width, also when 1's failure arrives first.
+	for _, w := range []int{1, 2, 8} {
+		err := StreamOn(bg, NewPool(w), order, func(_, i int) (int, error) {
+			switch i {
+			case 7:
+				time.Sleep(10 * time.Millisecond)
+				return 0, errors.New("unit 7")
+			case 1:
+				return 0, errors.New("unit 1")
+			}
+			return i, nil
+		}, func(int, int) error { return nil })
+		if err == nil || err.Error() != "unit 7" {
+			t.Errorf("workers=%d: err = %v, want the failure at the lowest start position (unit 7)", w, err)
+		}
+	}
+
+	func() {
+		defer func() {
+			if up, ok := recover().(*UnitPanic); !ok || up.Index != 7 {
+				t.Errorf("panic = %v, want *UnitPanic naming unit 7", up)
+			}
+		}()
+		StreamOn(bg, NewPool(1), order, func(_, i int) (int, error) {
+			if i == 7 {
+				panic("kaboom")
+			}
+			return i, nil
+		}, func(int, int) error { return nil })
+	}()
+
+	for _, bad := range [][]int{{0, 0}, {1, 2}, {-1, 0}} {
+		ran := false
+		err := StreamOn(bg, NewPool(2), bad, func(_, i int) (int, error) { ran = true; return i, nil },
+			func(int, int) error { return nil })
+		if err == nil || ran {
+			t.Errorf("order %v: err = %v, ran = %v; want a refusal before anything runs", bad, err, ran)
+		}
+	}
+}

@@ -296,7 +296,7 @@ func TestTailStudyRunsOnBothWorkers(t *testing.T) {
 	solvers := []*Solver{NewSolver(m), NewSolver(m)}
 	p := parallel.NewPool(2)
 	got := make([]*TransientResult, 2)
-	err := parallel.StreamOn(ctx, p, 2, func(w, i int) (*TransientResult, error) {
+	err := parallel.StreamOn(ctx, p, []int{0, 1}, func(w, i int) (*TransientResult, error) {
 		return solvers[i].TransientOn(ctx, p, w, rng.New(7), spec(replicas[i]))
 	}, func(i int, r *TransientResult) error {
 		got[i] = r

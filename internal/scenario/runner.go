@@ -159,6 +159,7 @@ func (r *replica) bind(s *Scenario, cfg RunConfig) error {
 	}
 	r.s, r.cfg, r.h = s, cfg, h
 	r.phaseFn = r.onPhase
+	r.history.Keep = true // the ground truth reads every suspicion's instant
 	r.plan = experiment.Plan{
 		Label:      "scenario " + s.Name,
 		Executions: cfg.Executions,

@@ -4,7 +4,9 @@
 # memory benchmark — and the SAN simulator's rows: the campaign baseline
 # (mostly model construction at 40 replicas), the quarter-size san-grid
 # study on two workers with its speed-up over one (BenchmarkSANGridTwoWorkers:
-# the row that sees a study ending on one point running alone), one n = 5
+# the row that sees a study ending on one point running alone) and the
+# tenth-size emu-grid study the same way (BenchmarkEmuGridTwoWorkers: six
+# indivisible chains, the row that sees the start order), one n = 5
 # realization including NewSim (BenchmarkSANEngine: construction,
 # compiling the net included),
 # the Reset+Run replica body on a toy model (BenchmarkSimReset) and on the
@@ -44,7 +46,7 @@ TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
 go test -run=- \
-    -bench 'BenchmarkScenarioCampaign(Serial|Parallel|Traced)|BenchmarkCluster(Reset|NewPerReplica)|BenchmarkCampaignMemory|BenchmarkDES(Schedule|ScheduleCancel|EqualTimePile)$|BenchmarkSANCampaignSerial|BenchmarkSANGridTwoWorkers|BenchmarkSANEngine$|BenchmarkSimReset$|BenchmarkSettleFanout|BenchmarkConsensusReplica' \
+    -bench 'BenchmarkScenarioCampaign(Serial|Parallel|Traced)|BenchmarkCluster(Reset|NewPerReplica)|BenchmarkCampaignMemory|BenchmarkDES(Schedule|ScheduleCancel|EqualTimePile)$|BenchmarkSANCampaignSerial|BenchmarkSANGridTwoWorkers|BenchmarkEmuGridTwoWorkers|BenchmarkSANEngine$|BenchmarkSimReset$|BenchmarkSettleFanout|BenchmarkConsensusReplica' \
     -benchmem -benchtime "$BENCHTIME" \
     ./internal/scenario/ ./internal/netsim/ ./internal/metrics/ ./internal/des/ ./internal/san/ ./internal/sanmodel/ ./campaign/ . \
     >"$TMP"
