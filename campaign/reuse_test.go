@@ -4,11 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand/v2"
 	"runtime"
 	"testing"
 	"time"
-
-	"ctsan/internal/rng"
 )
 
 // The per-worker keyed sets of engine assemblies (assemblies, run.go) are
@@ -45,41 +44,41 @@ const stormJSON = `{"name":"inline-storm","n":3,"timeout_t":20,"events":[
 // same harness shape, so at one worker the Latency point runs on the very
 // harness the injections just went through.
 func heterogeneousGrid(seed uint64, points int) []Point {
-	r := rng.New(seed)
+	r := rand.New(rand.NewPCG(seed, 0))
 	ns := []int{3, 5, 7}
 	var grid []Point
 	for len(grid) < points {
-		n := ns[r.Intn(len(ns))]
-		switch r.Intn(9) {
+		n := ns[r.IntN(len(ns))]
+		switch r.IntN(9) {
 		case 0:
-			grid = append(grid, SANPoint{N: n, Replicas: 8 + r.Intn(8)})
+			grid = append(grid, SANPoint{N: n, Replicas: 8 + r.IntN(8)})
 		case 1:
-			grid = append(grid, SANPoint{N: n, Replicas: 8 + r.Intn(8), Crashed: []int{1 + r.Intn(n)}})
+			grid = append(grid, SANPoint{N: n, Replicas: 8 + r.IntN(8), Crashed: []int{1 + r.IntN(n)}})
 		case 2:
-			grid = append(grid, SANPoint{N: n, Replicas: 6 + r.Intn(6), TMR: 30, TM: 2, FDExponential: r.Intn(2) == 0, Tmax: 1e5})
+			grid = append(grid, SANPoint{N: n, Replicas: 6 + r.IntN(6), TMR: 30, TM: 2, FDExponential: r.IntN(2) == 0, Tmax: 1e5})
 		case 3:
-			grid = append(grid, LatencyPoint{N: n, Executions: 10 + r.Intn(20)})
+			grid = append(grid, LatencyPoint{N: n, Executions: 10 + r.IntN(20)})
 		case 4:
-			grid = append(grid, LatencyPoint{N: n, Executions: 10 + r.Intn(20), Crashed: []int{1 + r.Intn(n)}})
+			grid = append(grid, LatencyPoint{N: n, Executions: 10 + r.IntN(20), Crashed: []int{1 + r.IntN(n)}})
 		case 5:
-			grid = append(grid, LatencyPoint{N: n, Executions: 10 + r.Intn(20), TimeoutT: []float64{10, 20, 30}[r.Intn(3)]})
+			grid = append(grid, LatencyPoint{N: n, Executions: 10 + r.IntN(20), TimeoutT: []float64{10, 20, 30}[r.IntN(3)]})
 		case 6:
 			// Registry scenarios at n=5, T=30: crash churn from 400 ms,
 			// partition from 500 ms — 70 executions reach both.
-			name := []string{"rolling-crash", "split-brain"}[r.Intn(2)]
+			name := []string{"rolling-crash", "split-brain"}[r.IntN(2)]
 			grid = append(grid,
-				ScenarioPoint{Name: name, Replicas: 1 + r.Intn(2), Executions: 70},
+				ScenarioPoint{Name: name, Replicas: 1 + r.IntN(2), Executions: 70},
 				LatencyPoint{N: 5, Executions: 15, TimeoutT: 30})
 		case 7:
 			grid = append(grid,
-				ScenarioPoint{Name: "inline-faults", SpecJSON: []byte(partitionJSON), Replicas: 1 + r.Intn(2), Executions: 40},
+				ScenarioPoint{Name: "inline-faults", SpecJSON: []byte(partitionJSON), Replicas: 1 + r.IntN(2), Executions: 40},
 				LatencyPoint{N: 5, Executions: 15, TimeoutT: 30})
 		case 8:
 			// n=3, T=20: workload phases from 400 ms (burst-load), pause
 			// storms and link rules from 300 ms (gc-storm, flaky-link), or
 			// the inline storm from the start.
 			p := ScenarioPoint{Name: "inline-storm", SpecJSON: []byte(stormJSON), Replicas: 2, Executions: 30}
-			if k := r.Intn(4); k < 3 {
+			if k := r.IntN(4); k < 3 {
 				p = ScenarioPoint{Name: []string{"burst-load", "gc-storm", "flaky-link"}[k], Replicas: 1, Executions: 60}
 			}
 			grid = append(grid, p, LatencyPoint{N: 3, Executions: 15, TimeoutT: 20})

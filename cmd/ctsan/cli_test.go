@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestTranscriptGolden replays testdata/cli: stdout bytes and exit
@@ -100,9 +103,12 @@ func TestCommandTableConformance(t *testing.T) {
 // command line must not accept, each a usage error that says what would
 // have been accepted. The first two used to run — the deterministic FD,
 // and no crash at all — and exit 0, and so did every -scale row, each
-// running every campaign at the floor size of 8.
+// running every campaign at the floor size of 8, and every negative
+// -cap, -throttle, -idle-exit and -crash-after (as no ring limit, no
+// pause, no idle limit, no crash); -transient -execs 3 crashed p1 before
+// the first execution and printed a NaN steady state.
 func TestInvalidFlagValuesAreUsageErrors(t *testing.T) {
-	spec := writeSpec(t)
+	spec, dir := writeSpec(t), t.TempDir()
 	for _, tc := range []struct {
 		args string
 		want string // in the message
@@ -137,9 +143,23 @@ func TestInvalidFlagValuesAreUsageErrors(t *testing.T) {
 		{"repro -workers -1", "-workers -1"},
 		{"scenario run -workers -1 paper-baseline", "-workers -1"},
 		{"scenario trace -workers -1 flaky-link", "-workers -1"},
+		{"scenario trace -cap -1 flaky-link", "-cap -1"},
+		{"worker -server http://127.0.0.1:1 -dir " + dir + " -throttle -1s", "-throttle -1s"},
+		{"worker -server http://127.0.0.1:1 -dir " + dir + " -idle-exit -1s", "-idle-exit -1s"},
+		{"shard -study " + spec + " -dir " + dir + " -range 0:1 -crash-after -1", "-crash-after -1"},
+		{"shard -study " + spec + " -dir " + dir + " -range 0:1 -throttle -1s", "-throttle -1s"},
+		{"run -study " + spec + " -dir " + dir + " -o " + dir + "/x -crash-after -1", "-crash-after -1"},
+		{"testbed -transient -execs 3", "at least 5"},
 	} {
-		code, stdout, stderr := ctsan(t, strings.Fields(tc.args)...)
-		if code != 2 || stdout != "" || !strings.Contains(stderr, tc.want) {
+		// A deadline, so that a value wrongly accepted (a worker with no
+		// idle limit, say) fails its row instead of running until the test
+		// binary times out.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		var out bytes.Buffer
+		var errb lockedBuffer
+		code := run(ctx, strings.Fields(tc.args), &out, &errb)
+		cancel()
+		if stdout, stderr := out.String(), errb.String(); code != 2 || stdout != "" || !strings.Contains(stderr, tc.want) {
 			t.Errorf("ctsan %s: exit %d, stdout %q, stderr %q; want a usage error mentioning %q",
 				tc.args, code, stdout, stderr, tc.want)
 		}

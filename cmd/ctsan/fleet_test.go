@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -267,6 +268,79 @@ func TestFleetWorkerKilledMidLease(t *testing.T) {
 	if stores := h.leaseStores(t, "live"); len(stores) != 0 {
 		t.Errorf("live worker kept stores of accepted leases: %v", stores)
 	}
+}
+
+// TestFleetWorkerSurvivesCoordinatorRestart: a discovering worker
+// freezes a fleet study's grid and holds one of its leases when the
+// coordinator dies and comes back on the same address, where a study
+// with another seed is submitted. The new daemon numbers its studies
+// from 1 again, so were ids to repeat across restarts the worker would
+// serve the new study with the old grid, every upload rejected, forever.
+// It must instead finish the new study with every record accepted — the
+// stream the daemon's own pool computes for it — and go idle.
+func TestFleetWorkerSurvivesCoordinatorRestart(t *testing.T) {
+	var logs lockedBuffer
+	cfg := server.Config{MaxActive: 1, QueueDepth: 8, CacheBytes: -1,
+		Logf: func(format string, args ...any) { fmt.Fprintf(&logs, format+"\n", args...) }}
+	var current atomic.Pointer[server.Server]
+	current.Store(server.New(cfg))
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		current.Load().Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	h := &fleetHarness{ts: ts, workerDirs: map[string]string{}}
+
+	h.submitFleet(t)
+	worker, wlogs := h.startWorker(t, "", "survivor", "-throttle", "200ms", "-idle-exit", "1s")
+	defer worker.Process.Kill() //nolint:errcheck // a no-op once it has exited
+	for deadline := time.Now().Add(60 * time.Second); !strings.Contains(wlogs.String(), "checkpointed"); {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker never started a lease:\n%s", wlogs)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// The restart: a new daemon answers on the same address.
+	current.Store(server.New(cfg))
+	id := h.submit(t, "?mode=fleet&seed=22")
+	exited := make(chan error, 1)
+	go func() { exited <- worker.Wait() }()
+	deadline := time.After(60 * time.Second)
+	for done := false; !done; {
+		if rejected(logs.String()) {
+			t.Fatalf("the new coordinator rejected uploads of the restarted worker:\n%s\nworker:\n%s", logs.String(), wlogs)
+		}
+		select {
+		case err := <-exited:
+			if err != nil {
+				t.Fatalf("worker exited with %v:\n%s", err, wlogs)
+			}
+			done = true
+		case <-deadline:
+			t.Fatalf("worker never finished the new study:\n%s", wlogs)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if st := h.status(t, id); st.Status != "done" {
+		t.Fatalf("new study after the worker went idle: %+v", st)
+	}
+	if got, want := h.stream(t, id), h.stream(t, h.submit(t, "?seed=22")); !bytes.Equal(got, want) {
+		t.Fatalf("fleet stream of the new study differs from the daemon's own run:\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// rejected reports whether a coordinator log holds an upload with
+// rejected records.
+func rejected(log string) bool {
+	for _, line := range strings.Split(log, "\n") {
+		var accepted, n int
+		if i := strings.Index(line, " upload: "); i >= 0 {
+			if _, err := fmt.Sscanf(line[i:], " upload: %d accepted, %d rejected", &accepted, &n); err == nil && n > 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestPinnedWorkerFailsOnPermanentRefusal: a worker pinned to a study

@@ -47,9 +47,10 @@
 // checkpoint file in -dir and skipping points that file already holds —
 // so a shard killed mid-run loses only the points in flight ("appending"
 // is a write per point and an fsync per 25 ms slice; see
-// campaign.RunShardRange for what a power cut can cost). `merge`
-// folds every checkpoint record in -dir, in grid-index order, verifying
-// each record's CRC and point-spec hash.
+// campaign.RunShardRange for what a power cut can cost). `merge` is the
+// supervisor's preload alone: the same ledger folds every checkpoint
+// record in -dir, in grid-index order, verifying each record's CRC and
+// point-spec hash, and merge fails unless that settles the whole grid.
 //
 // `worker` is the pull side of fleet dispatch: the same ledger, served
 // by a campaign service (ctsand, for studies submitted under
@@ -238,8 +239,13 @@ func cmdShard(ctx context.Context, args []string, _, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *rangeArg == "" || *dir == "" {
+	switch {
+	case *rangeArg == "" || *dir == "":
 		return cliflags.Usagef("-range and -dir are required")
+	case *throttle < 0:
+		return cliflags.Usagef("-throttle %v: want 0 (none) or a positive duration", *throttle)
+	case *crashAfter < 0:
+		return cliflags.Usagef("-crash-after %d: want 0 (no injected crash) or a positive count", *crashAfter)
 	}
 	r, err := shard.ParseRange(*rangeArg)
 	if err != nil {
@@ -303,6 +309,8 @@ func cmdRun(ctx context.Context, args []string, _, stderr io.Writer) error {
 		return cliflags.Usagef("-timeout %v: want 0 (none) or a positive duration", *timeout)
 	case *backoff < 0:
 		return cliflags.Usagef("-backoff %v: want 0 or a positive duration", *backoff)
+	case *crashAfter < 0:
+		return cliflags.Usagef("-crash-after %d: want 0 (no injected crash) or a positive count", *crashAfter)
 	}
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(stderr, "ctsan run: "+format+"\n", args...)
@@ -319,27 +327,13 @@ func cmdRun(ctx context.Context, args []string, _, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	hashes, err := campaign.StudyPointHashes(frozen)
-	if err != nil {
-		return err
-	}
-
-	// The fold: emitted in grid order under the ledger's lock, the very
-	// bytes an in-process campaign.JSONLWriter would write.
 	var results []byte
-	ledger := shard.NewLedger(hashes, slotLeaseTTL, leaseSizes(total, *shards), func(_ int, result []byte) {
-		results = append(append(results, result...), '\n')
-	})
-	stored, err := storedRecords(*dir, stderr)
+	ledger, pre, err := preload(frozen, *dir, leaseSizes(total, *shards), &results, stderr, logf)
 	if err != nil {
 		return err
 	}
-	pre := ledger.Preload(stored)
 	if len(pre.Accepted) > 0 {
 		logf("%d of %d points already checkpointed, skipping them", len(pre.Accepted), total)
-	}
-	if skipped := pre.Rejected + pre.Duplicate; skipped > 0 {
-		logf("skipped %d stale, duplicate, or corrupt records", skipped)
 	}
 
 	// attempt runs one lease as a `ctsan shard` subprocess and completes
@@ -472,6 +466,31 @@ func leaseSizes(total, shards int) func() int {
 // never expire underneath one; -timeout bounds an attempt instead.
 const slotLeaseTTL = 100 * 365 * 24 * time.Hour
 
+// preload opens the one fold of `run` and `merge`: a lease ledger over
+// the frozen grid whose in-order emission appends each result line to
+// *results — the very bytes an in-process campaign.JSONLWriter would
+// write — preloaded with every record checkpointed under dir. Records
+// the ledger had to skip are reported through logf. size is the lease
+// size policy (nil when no lease will be granted).
+func preload(frozen *campaign.Study, dir string, size func() int, results *[]byte, stderr io.Writer, logf func(string, ...any)) (*shard.Ledger, shard.Completion, error) {
+	hashes, err := campaign.StudyPointHashes(frozen)
+	if err != nil {
+		return nil, shard.Completion{}, err
+	}
+	ledger := shard.NewLedger(hashes, slotLeaseTTL, size, func(_ int, result []byte) {
+		*results = append(append(*results, result...), '\n')
+	})
+	stored, err := storedRecords(dir, stderr)
+	if err != nil {
+		return nil, shard.Completion{}, err
+	}
+	pre := ledger.Preload(stored)
+	if skipped := pre.Rejected + pre.Duplicate; skipped > 0 {
+		logf("skipped %d stale, duplicate, or corrupt records", skipped)
+	}
+	return ledger, pre, nil
+}
+
 // storedRecords loads every record line checkpointed under dir. Records
 // carry full-grid indices and point hashes, so neither resume nor merge
 // depends on which range a file was written for.
@@ -542,22 +561,20 @@ func cmdMerge(_ context.Context, args []string, stdout, stderr io.Writer) error 
 // merge folds every checkpoint record under dir and returns, in
 // grid-index order, the exact Result JSON bytes each point's shard
 // persisted — the same bytes an in-process campaign.JSONLWriter emits,
-// making sharded and unsharded runs byte-identical.
+// making sharded and unsharded runs byte-identical. It fails unless
+// every point has a valid record.
 func merge(frozen *campaign.Study, dir string, stderr io.Writer) ([]byte, error) {
-	lines, err := storedRecords(dir, stderr)
-	if err != nil {
-		return nil, err
-	}
-	records, skipped, err := campaign.MergeShardRecords(frozen, lines)
-	if err != nil {
-		return nil, err
-	}
-	if skipped > 0 {
-		fmt.Fprintf(stderr, "ctsan merge: skipped %d stale, duplicate, or corrupt records\n", skipped)
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(stderr, "ctsan merge: "+format+"\n", args...)
 	}
 	var merged []byte
-	for _, rec := range records {
-		merged = append(append(merged, rec.Result...), '\n')
+	ledger, pre, err := preload(frozen, dir, nil, &merged, stderr, logf)
+	if err != nil {
+		return nil, err
+	}
+	if !pre.Done {
+		return nil, fmt.Errorf("campaign: merge incomplete: %d of %d points missing (first missing index %d)",
+			ledger.Stats().Pending, len(frozen.Points), pre.Emitted)
 	}
 	return merged, nil
 }

@@ -177,6 +177,11 @@ func cmdTestbed(ctx context.Context, args []string, stdout, stderr io.Writer) er
 		return runThroughput(ctx, stdout, *n, *execs, *crash, *t, *fs.seed)
 	}
 	if *transient {
+		// The crash comes after execs/4 executions and its transient spans
+		// three: fewer than 5 leaves a steady state with nothing in it.
+		if *execs < 5 {
+			return cliflags.Usagef("-execs %d: -transient needs at least 5 (a steady state on each side of the crash)", *execs)
+		}
 		return runTransient(ctx, stdout, *n, *execs, *crash, *t, *fs.seed)
 	}
 

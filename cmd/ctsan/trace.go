@@ -30,6 +30,9 @@ func cmdScenarioTrace(ctx context.Context, args []string, out, stderr io.Writer)
 	if err := fs.parse(args); err != nil {
 		return err
 	}
+	if *cap < 0 {
+		return cliflags.Usagef("-cap %d: want 0 (the default ring) or a positive capacity", *cap)
+	}
 	s, err := traceScenario(*specFile, fs.Args())
 	if err != nil {
 		return err

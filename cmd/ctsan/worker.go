@@ -72,8 +72,13 @@ func cmdWorker(ctx context.Context, args []string, _, stderr io.Writer) error {
 	if err := cliflags.Parse(fs, args); err != nil {
 		return err
 	}
-	if *server == "" {
+	switch {
+	case *server == "":
 		return cliflags.Usagef("-server is required")
+	case *throttle < 0:
+		return cliflags.Usagef("-throttle %v: want 0 (none) or a positive duration", *throttle)
+	case *idleExit < 0:
+		return cliflags.Usagef("-idle-exit %v: want 0 (run until interrupted) or a positive duration", *idleExit)
 	}
 	base := strings.TrimRight(*server, "/")
 	if *name == "" {

@@ -76,6 +76,21 @@ func run(args []string) error {
 	if err := cliflags.CheckSeed(*seed); err != nil {
 		return err
 	}
+	// Zero keeps its documented meaning: a default, no cache, or no drain.
+	switch {
+	case *maxActive < 0:
+		return cliflags.Usagef("-max-active %d: want 0 (the default, 2) or a positive count", *maxActive)
+	case *queueDepth < 0:
+		return cliflags.Usagef("-queue %d: want 0 (the default, 16) or a positive depth", *queueDepth)
+	case *cacheMB < 0:
+		return cliflags.Usagef("-cache-mb %d: want 0 (no cache) or a positive budget", *cacheMB)
+	case *leaseTTL < 0:
+		return cliflags.Usagef("-lease-ttl %v: want 0 (the default, 15s) or a positive duration", *leaseTTL)
+	case *leaseTarget < 0:
+		return cliflags.Usagef("-lease-target %v: want 0 (the default, 1s) or a positive duration", *leaseTarget)
+	case *drainTimeout < 0:
+		return cliflags.Usagef("-drain-timeout %v: want 0 (cancel at once) or a positive duration", *drainTimeout)
+	}
 	cacheBytes := int64(*cacheMB) << 20
 	if *cacheMB <= 0 {
 		cacheBytes = -1 // disabled, not "default"

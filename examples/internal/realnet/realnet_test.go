@@ -119,7 +119,7 @@ func TestTCPNodeRoundtrip(t *testing.T) {
 	if err := a.Connect(2, b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	want := neko.Message{From: 1, To: 2, Type: "ct.ack", Payload: neko.Payload{Kind: neko.PayloadAck, Cid: 7, Round: 3, OK: true}, Size: 64}
+	want := neko.Message{From: 1, To: 2, Type: "ct.ack", Payload: neko.Payload{Kind: neko.PayloadAck, Cid: 7, Round: 3, OK: true}}
 	if err := a.Send(want); err != nil {
 		t.Fatal(err)
 	}

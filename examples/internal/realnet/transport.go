@@ -50,7 +50,6 @@ type wireMessage struct {
 	From, To neko.ProcessID
 	Type     string
 	Payload  neko.Payload
-	Size     int
 }
 
 // TCPNode is one endpoint of a TCP mesh: it owns a listener and one
@@ -131,7 +130,7 @@ func (n *TCPNode) accept() {
 				if err := dec.Decode(&wm); err != nil {
 					return
 				}
-				n.deliver(neko.Message{From: wm.From, To: wm.To, Type: wm.Type, Payload: wm.Payload, Size: wm.Size})
+				n.deliver(neko.Message{From: wm.From, To: wm.To, Type: wm.Type, Payload: wm.Payload})
 			}
 		}()
 	}
@@ -145,7 +144,7 @@ func (n *TCPNode) Send(m neko.Message) error {
 	if !ok {
 		return fmt.Errorf("realnet: no connection to p%d", m.To)
 	}
-	return enc.Encode(wireMessage{From: m.From, To: m.To, Type: m.Type, Payload: m.Payload, Size: m.Size})
+	return enc.Encode(wireMessage{From: m.From, To: m.To, Type: m.Type, Payload: m.Payload})
 }
 
 // Close implements Transport: closes the listener and all connections.

@@ -76,8 +76,6 @@ type Store struct {
 	size    int64
 	synced  int64
 	created bool
-	// dropped reports how many bytes of damaged tail Open discarded.
-	dropped int
 	// broken is set when the file can no longer be trusted to match
 	// records — a failed write that could not be rolled back, or a failed
 	// sync — so further writes and syncs are refused.
@@ -94,8 +92,8 @@ func Open(path string) (*Store, error) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	records, intact := Scan(data)
-	s := &Store{path: path, records: records, size: int64(intact), synced: int64(intact), created: err == nil, dropped: len(data) - intact}
-	if s.dropped > 0 {
+	s := &Store{path: path, records: records, size: int64(intact), synced: int64(intact), created: err == nil}
+	if intact < len(data) {
 		// Repair now: replace the file with the clean prefix atomically so
 		// a second crash cannot stack new corruption on old.
 		if err := atomicio.WriteFile(path, data[:intact], 0o644); err != nil {
@@ -144,10 +142,6 @@ func Scan(data []byte) (records [][]byte, intact int) {
 // Records returns the intact records, oldest first. The slices alias the
 // store's buffers; callers must not modify them.
 func (s *Store) Records() [][]byte { return s.records }
-
-// Dropped reports how many damaged tail bytes Open discarded (0 for a
-// clean file).
-func (s *Store) Dropped() int { return s.dropped }
 
 // Path returns the store's file path.
 func (s *Store) Path() string { return s.path }

@@ -125,9 +125,6 @@ func NewEngine(stack *neko.Stack, det neko.FailureDetector, opts Options) *Engin
 	return e
 }
 
-// Majority returns the majority threshold ⌈(n+1)/2⌉.
-func (e *Engine) Majority() int { return e.maj }
-
 // Coordinator returns the coordinator of round r (1-based rounds):
 // p_i coordinates rounds k·n + i (§2.1).
 func (e *Engine) Coordinator(r int) neko.ProcessID {
@@ -375,15 +372,6 @@ func (in *Instance) recycle() {
 	in.onAbort = nil
 	in.waitingProposal = false
 }
-
-// Decided reports whether the instance has decided, and the decision.
-func (in *Instance) Decided() (Decision, bool) { return in.decision, in.decided }
-
-// Aborted reports whether the instance hit Options.MaxRounds.
-func (in *Instance) Aborted() bool { return in.aborted }
-
-// Round returns the current round number.
-func (in *Instance) Round() int { return in.round }
 
 // startRound enters round r: phase 1 for participants, estimate collection
 // for the coordinator. May recurse (bounded by N) through immediate

@@ -306,8 +306,8 @@ func TestDuplicateProposePanics(t *testing.T) {
 func TestCoordinatorHelpers(t *testing.T) {
 	h := newHarness(t, quietParams(5), Options{}, nil)
 	e := h.engines[1]
-	if e.Majority() != 3 {
-		t.Fatalf("majority = %d", e.Majority())
+	if e.maj != 3 {
+		t.Fatalf("majority = %d", e.maj)
 	}
 	for _, c := range []struct {
 		round int

@@ -347,18 +347,6 @@ func (s *Sim) Cancel(h Handle) {
 	s.release(h.ev)
 }
 
-// Empty reports whether no live events remain.
-func (s *Sim) Empty() bool { return s.live == 0 }
-
-// PeekTime returns the time of the next event, or ok=false if none.
-func (s *Sim) PeekTime() (t float64, ok bool) {
-	ev := s.locate()
-	if ev == nil {
-		return 0, false
-	}
-	return ev.time, true
-}
-
 // Step executes the next event. It reports whether an event was executed.
 func (s *Sim) Step() bool { return s.StepUntil(math.Inf(1)) }
 

@@ -244,6 +244,18 @@ func (in *interp) exec(op, a, b byte) {
 	}
 }
 
+// Empty reports whether no live events remain.
+func (s *Sim) Empty() bool { return s.live == 0 }
+
+// PeekTime returns the time of the next event, or ok=false if none.
+func (s *Sim) PeekTime() (t float64, ok bool) {
+	ev := s.locate()
+	if ev == nil {
+		return 0, false
+	}
+	return ev.time, true
+}
+
 // check compares everything the API shows with the model.
 func (in *interp) check() {
 	s := &in.s

@@ -162,7 +162,7 @@ func TestHeartbeatPeriodDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h.heartbeats[0].Period(); got != 7 {
+	if got := h.shape.PeriodTh; got != 7 {
 		t.Fatalf("default T_h = %v, want 0.7·T (§5.4)", got)
 	}
 }

@@ -117,12 +117,6 @@ func (hb *Heartbeat) Reset(history *History) {
 	}
 }
 
-// Timeout returns the failure-detection timeout T.
-func (hb *Heartbeat) Timeout() float64 { return hb.timeout }
-
-// Period returns the heartbeat period T_h.
-func (hb *Heartbeat) Period() float64 { return hb.period }
-
 // Start implements neko.Protocol: begins heartbeat emission and arms the
 // suspicion timers for all peers.
 func (hb *Heartbeat) Start() {
@@ -308,7 +302,6 @@ type History struct {
 
 	mu     sync.Mutex
 	events []Transition
-	count  int
 	pairs  [][]pairFold // [p][q], grown to the largest ids recorded
 }
 
@@ -340,7 +333,6 @@ func (st *pairFold) add(suspected bool, at float64) {
 func (h *History) Reset() {
 	h.mu.Lock()
 	h.events = h.events[:0]
-	h.count = 0
 	for _, row := range h.pairs {
 		clear(row)
 	}
@@ -351,7 +343,6 @@ func (h *History) Reset() {
 // appends the transition to the list.
 func (h *History) Record(p, q neko.ProcessID, suspected bool, at float64) {
 	h.mu.Lock()
-	h.count++
 	if h.Keep {
 		h.events = append(h.events, Transition{P: p, Q: q, Suspected: suspected, At: at})
 	}
@@ -378,13 +369,6 @@ func (h *History) Events() []Transition {
 	cp := make([]Transition, len(h.events))
 	copy(cp, h.events)
 	return cp
-}
-
-// Len returns the number of recorded transitions, kept or not.
-func (h *History) Len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
 }
 
 // fold returns pair (p, q)'s state; a pair never recorded is mistake-free.

@@ -29,11 +29,6 @@ func (b Bimodal) Dist() dist.Mixture {
 	return dist.Bimodal(b.P1, b.Lo1, b.Hi1, b.Lo2, b.Hi2)
 }
 
-// Mean returns the mixture mean.
-func (b Bimodal) Mean() float64 {
-	return b.P1*(b.Lo1+b.Hi1)/2 + (1-b.P1)*(b.Lo2+b.Hi2)/2
-}
-
 // Shift returns the fit translated by -offset, clamped at floor. It is
 // used to derive the network occupancy t_net = end-to-end − 2·t_send.
 func (b Bimodal) Shift(offset, floor float64) Bimodal {

@@ -37,8 +37,8 @@ func TestFitRecoversPaperBimodal(t *testing.T) {
 			t.Errorf("%s = %v, want %v ± %v", c.name, c.v, c.want, c.tol)
 		}
 	}
-	if math.Abs(f.Mean()-truth.Mean()) > 0.01 {
-		t.Errorf("fit mean %v vs truth %v", f.Mean(), truth.Mean())
+	if math.Abs(f.Dist().Mean()-truth.Mean()) > 0.01 {
+		t.Errorf("fit mean %v vs truth %v", f.Dist().Mean(), truth.Mean())
 	}
 }
 

@@ -4,15 +4,13 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
-
-	"ctsan/internal/stats"
 )
 
 // FuzzDigestQuantile feeds adversarial sample orders and values into a
 // small-cap digest (so the fuzzer crosses the exact→sketch boundary
 // cheaply) and checks the query invariants that every consumer relies
 // on: results inside [Min, Max], monotone in q, NaN-free for non-empty
-// digests, and bit-identical to the ECDF path while exact.
+// digests, and bit-identical to the slice path while exact.
 func FuzzDigestQuantile(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
@@ -65,10 +63,9 @@ func FuzzDigestQuantile(f *testing.F) {
 			if !d.IsExact() {
 				t.Fatalf("spilled at %d samples with cap %d", len(raw), cap)
 			}
-			e := stats.NewECDF(raw)
 			for _, q := range qs {
-				if d.Quantile(q) != e.Quantile(q) {
-					t.Fatalf("q=%g: exact-mode digest %v != ECDF %v", q, d.Quantile(q), e.Quantile(q))
+				if d.Quantile(q) != sliceQuantile(raw, q) {
+					t.Fatalf("q=%g: exact-mode digest %v != slice path %v", q, d.Quantile(q), sliceQuantile(raw, q))
 				}
 			}
 		} else if d.IsExact() {

@@ -50,20 +50,6 @@ import (
 	"ctsan/internal/stats"
 )
 
-// Recorder is the write half of a digest: anything observations can be
-// folded into one at a time. Both *Digest and *stats.Accumulator satisfy
-// it; engines record through this interface instead of appending to
-// slices, so the observation layer is swappable (a tee, a trace, a
-// histogram) without touching the hot path.
-type Recorder interface {
-	Add(x float64)
-}
-
-var (
-	_ Recorder = (*Digest)(nil)
-	_ Recorder = (*stats.Accumulator)(nil)
-)
-
 // DefaultExactCap is the default exact-mode capacity: campaigns with at
 // most this many retained samples keep every sample (in insertion order)
 // and report exact, bit-stable quantiles. The value is chosen above the
@@ -179,15 +165,6 @@ func (d *Digest) N() int { return d.acc.N() }
 // Mean returns the sample mean (0 if empty).
 func (d *Digest) Mean() float64 { return d.acc.Mean() }
 
-// Var returns the unbiased sample variance.
-func (d *Digest) Var() float64 { return d.acc.Var() }
-
-// StdDev returns the sample standard deviation.
-func (d *Digest) StdDev() float64 { return d.acc.StdDev() }
-
-// StdErr returns the standard error of the mean.
-func (d *Digest) StdErr() float64 { return d.acc.StdErr() }
-
 // CI returns the half-width of the Student-t confidence interval for the
 // mean at the given level (e.g. 0.90).
 func (d *Digest) CI(level float64) float64 { return d.acc.CI(level) }
@@ -200,10 +177,6 @@ func (d *Digest) Max() float64 { return d.acc.Max() }
 
 // String formats the digest like an accumulator: "mean ± ci90 (n=N)".
 func (d *Digest) String() string { return d.acc.String() }
-
-// IsExact reports whether the digest still retains every sample, i.e.
-// quantiles are exact and Exact returns the full ordered stream.
-func (d *Digest) IsExact() bool { return d.sk == nil }
 
 // Exact returns the retained samples in insertion order, or nil once the
 // digest has spilled to its sketch. The slice is the digest's own
@@ -277,20 +250,6 @@ func (d *Digest) Quantiles(qs ...float64) []float64 {
 		out[i] = stats.QuantileSorted(sorted, q)
 	}
 	return out
-}
-
-// RetainedBytes reports the digest's retained sample storage in bytes
-// (exact buffer and sketch levels). It is the quantity
-// BenchmarkCampaignMemory compares against the len(samples)·8 of the
-// historical slice path.
-func (d *Digest) RetainedBytes() int {
-	b := 8 * cap(d.exact)
-	if d.sk != nil {
-		for _, lvl := range d.sk.levels {
-			b += 8 * cap(lvl)
-		}
-	}
-	return b
 }
 
 // sketch is a deterministic KLL-style compactor: level h holds samples

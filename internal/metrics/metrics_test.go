@@ -2,12 +2,19 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
 	"ctsan/internal/rng"
 	"ctsan/internal/stats"
 )
+
+// sliceQuantile is the historical slice path's q-quantile: sort a copy
+// of the sample and interpolate.
+func sliceQuantile(xs []float64, q float64) float64 {
+	return stats.QuantileSorted(slices.Sorted(slices.Values(xs)), q)
+}
 
 // quantileGrid is the set of quantile probes used throughout the tests,
 // covering the report percentiles (p50/p90/p99) plus the extremes.
@@ -47,10 +54,9 @@ func TestExactModeMatchesSlicePath(t *testing.T) {
 		d.Min() != acc.Min() || d.Max() != acc.Max() || d.CI(0.90) != acc.CI(0.90) {
 		t.Fatalf("digest moments diverge from sequential accumulator")
 	}
-	e := stats.NewECDF(xs)
 	for _, q := range quantileGrid {
-		if got, want := d.Quantile(q), e.Quantile(q); got != want {
-			t.Fatalf("q=%g: digest %v, ECDF %v (must be bit-identical)", q, got, want)
+		if got, want := d.Quantile(q), sliceQuantile(xs, q); got != want {
+			t.Fatalf("q=%g: digest %v, slice path %v (must be bit-identical)", q, got, want)
 		}
 	}
 	exact := d.Exact()
@@ -62,8 +68,8 @@ func TestExactModeMatchesSlicePath(t *testing.T) {
 			t.Fatalf("exact buffer reordered at %d", i)
 		}
 	}
-	if d.ECDF() == nil || d.ECDF().N() != len(xs) {
-		t.Fatal("exact-mode ECDF unavailable")
+	if d.ECDF() == nil || stats.KSDistance(d.ECDF(), stats.NewECDF(xs)) != 0 {
+		t.Fatal("exact-mode ECDF differs from the sample's")
 	}
 }
 
@@ -150,10 +156,10 @@ func TestExactToSketchCrossover(t *testing.T) {
 	}
 	// The ECDF degrades to a sketch-backed approximation, never nil:
 	// figure code must not crash when a campaign outgrows the cap.
-	if e := d.ECDF(); e == nil || e.N() == 0 {
+	if e := d.ECDF(); e == nil || e.At(math.Inf(1)) != 1 {
 		t.Fatal("sketched digest lost its ECDF")
-	} else if med := e.Quantile(0.5); math.Abs(med-d.Quantile(0.5)) > 0.05*math.Abs(d.Quantile(0.5))+0.05 {
-		t.Fatalf("approximate ECDF median %v far from digest median %v", med, d.Quantile(0.5))
+	} else if p := e.At(d.Quantile(0.5)); math.Abs(p-0.5) > 0.05 {
+		t.Fatalf("approximate ECDF puts the digest median %v at rank %v", d.Quantile(0.5), p)
 	}
 	// Moments stream through the accumulator and stay exact in both
 	// regimes.
@@ -338,4 +344,25 @@ func assertQuantilesClose(t *testing.T, d *Digest, xs []float64, eps float64) {
 		}
 		prev = v
 	}
+}
+
+// Var returns the unbiased sample variance.
+func (d *Digest) Var() float64 { return d.acc.Var() }
+
+// IsExact reports whether the digest still retains every sample, i.e.
+// quantiles are exact and Exact returns the full ordered stream.
+func (d *Digest) IsExact() bool { return d.sk == nil }
+
+// RetainedBytes reports the digest's retained sample storage in bytes
+// (exact buffer and sketch levels). It is the quantity
+// BenchmarkCampaignMemory compares against the len(samples)·8 of the
+// historical slice path.
+func (d *Digest) RetainedBytes() int {
+	b := 8 * cap(d.exact)
+	if d.sk != nil {
+		for _, lvl := range d.sk.levels {
+			b += 8 * cap(lvl)
+		}
+	}
+	return b
 }

@@ -17,11 +17,6 @@ import "fmt"
 // ProcessID identifies a process, 1-based as in the paper (p_1 … p_n).
 type ProcessID int
 
-// DefaultMessageSize is the assumed on-wire size of a protocol message in
-// bytes when Message.Size is zero. §2.5: "The size of a typical message is
-// around 100 bytes."
-const DefaultMessageSize = 100
-
 // PayloadKind discriminates the Payload union. The protocols crossing the
 // framework form a small closed set (heartbeats, the four Chandra–Toueg
 // message bodies, delay probes), so payloads travel as one flat value
@@ -74,15 +69,6 @@ type Message struct {
 	From, To ProcessID
 	Type     string
 	Payload  Payload
-	Size     int // bytes on the wire; 0 means DefaultMessageSize
-}
-
-// WireSize returns the message's size in bytes, applying the default.
-func (m Message) WireSize() int {
-	if m.Size > 0 {
-		return m.Size
-	}
-	return DefaultMessageSize
 }
 
 func (m Message) String() string {

@@ -98,15 +98,6 @@ type layerFunc func()
 
 func (f layerFunc) Start() { f() }
 
-func TestWireSize(t *testing.T) {
-	if (Message{}).WireSize() != DefaultMessageSize {
-		t.Errorf("default wire size = %d", (Message{}).WireSize())
-	}
-	if (Message{Size: 42}).WireSize() != 42 {
-		t.Error("explicit size ignored")
-	}
-}
-
 func TestMessageString(t *testing.T) {
 	m := Message{From: 1, To: 2, Type: "ct.ack"}
 	if got := m.String(); got != "ct.ack p1→p2" {

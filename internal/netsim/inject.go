@@ -267,6 +267,3 @@ func (c *Cluster) PhaseAt(t float64, name string) {
 func (c *Cluster) OnPhase(fn func(name string, at float64)) {
 	c.phaseFns = append(c.phaseFns, fn)
 }
-
-// Down reports whether process id is currently crashed.
-func (c *Cluster) Down(id neko.ProcessID) bool { return c.hostFor(id).down }

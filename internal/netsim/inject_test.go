@@ -282,3 +282,6 @@ func TestInjectionFreeRunUnperturbed(t *testing.T) {
 		}
 	}
 }
+
+// Down reports whether process id is currently crashed.
+func (c *Cluster) Down(id neko.ProcessID) bool { return c.hostFor(id).down }

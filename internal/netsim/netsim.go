@@ -433,9 +433,6 @@ func fillDefaults(p *Params, def Params) {
 	}
 }
 
-// Params returns the effective (defaulted) parameters.
-func (c *Cluster) Params() Params { return c.params }
-
 // Context returns the execution context for process id, to be passed to
 // protocol constructors before Attach.
 func (c *Cluster) Context(id neko.ProcessID) neko.Context { return c.hostFor(id) }

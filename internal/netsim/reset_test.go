@@ -348,3 +348,6 @@ func BenchmarkClusterNewPerReplica(b *testing.B) {
 		clusterWorkload(c)
 	}
 }
+
+// Params returns the effective (defaulted) parameters.
+func (c *Cluster) Params() Params { return c.params }

@@ -10,8 +10,8 @@
 // workers draw the units of a top-level loop (StreamOn, Do), a unit
 // may open a nested loop over its own indices (Pool.ForEachChunk), and a
 // worker with no top-level unit left to start joins the nested loops
-// still open instead of idling. ForEach, ForEachChunk, Map and Stream are
-// the same draw loop on a pool of their own.
+// still open instead of idling. ForEach, ForEachChunk and Stream are the
+// same draw loop on a pool of their own.
 //
 // Every entry point takes a context.Context and cancels cooperatively:
 // the pool checks the context between work units (a unit that has started
@@ -375,30 +375,6 @@ func (p *Pool) forEach(ctx context.Context, n int, fn func(worker, i int) error)
 	return p.run(newLoop(ctx, p.width, n, 1, fn))
 }
 
-// collect adapts a Map body to a loop body storing into out.
-func collect[T any](out []T, fn func(worker, i int) (T, error)) func(worker, i int) error {
-	return func(w, i int) error {
-		v, err := fn(w, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	}
-}
-
-// Map runs fn for every index and collects the results in index order, so
-// the returned slice is identical for any worker count. On error (or
-// cancellation) the partial results are discarded and the lowest-index
-// error — or ctx.Err() — is returned.
-func Map[T any](ctx context.Context, workers, n int, fn func(worker, i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	if err := ForEach(ctx, workers, n, collect(out, fn)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ordered adapts a Stream body and its emit to a loop body: each result is
 // buffered until the contiguous prefix before it is complete.
 func ordered[T any](n int, fn func(worker, i int) (T, error), emit func(i int, v T) error) func(worker, i int) error {
@@ -430,11 +406,12 @@ func ordered[T any](n int, fn func(worker, i int) (T, error), emit func(i int, v
 	}
 }
 
-// Stream is Map with streaming delivery: as soon as the contiguous prefix
-// of results is complete, each result is handed to emit(i, v) in strict
-// index order, regardless of which workers produced them or when. emit
-// calls are serialized (never concurrent with one another) but may run on
-// different worker goroutines; they must not block on the producers.
+// Stream runs fn for every index and delivers the results as they
+// settle: as soon as the contiguous prefix of results is complete, each
+// result is handed to emit(i, v) in strict index order, regardless of
+// which workers produced them or when. emit calls are serialized (never
+// concurrent with one another) but may run on different worker
+// goroutines; they must not block on the producers.
 //
 // An error from emit aborts the run like an error from fn. On error or
 // cancellation, results already emitted stay emitted — Stream makes no

@@ -236,37 +236,6 @@ func TestForEachUnitErrorBeatsCancellation(t *testing.T) {
 	}
 }
 
-func TestMapOrderIndependentOfWorkers(t *testing.T) {
-	square := func(_, i int) (int, error) { return i * i, nil }
-	ref, err := Map(bg, 1, 500, square)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 3, 16} {
-		got, err := Map(bg, w, 500, square)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", w, i, got[i], ref[i])
-			}
-		}
-	}
-}
-
-func TestMapError(t *testing.T) {
-	out, err := Map(bg, 4, 10, func(_, i int) (int, error) {
-		if i >= 5 {
-			return 0, errors.New("bad")
-		}
-		return i, nil
-	})
-	if err == nil || out != nil {
-		t.Fatalf("Map error mishandled: %v %v", out, err)
-	}
-}
-
 func TestStreamEmitsInIndexOrder(t *testing.T) {
 	// Whatever the completion order, emission must be 0, 1, 2, ... with
 	// every index delivered exactly once.

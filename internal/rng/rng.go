@@ -106,38 +106,6 @@ func (r *Stream) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Intn returns a uniform int in [0, n). It panics if n <= 0.
-func (r *Stream) Intn(n int) int {
-	if n <= 0 {
-		panic("rng: Intn with non-positive n")
-	}
-	// Lemire's multiply-shift rejection method, bias-free.
-	bound := uint64(n)
-	for {
-		v := r.Uint64()
-		hi, lo := mul128(v, bound)
-		if lo >= bound || lo >= (-bound)%bound {
-			return int(hi)
-		}
-	}
-}
-
-// mul128 returns the 128-bit product of a and b as (hi, lo).
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	ah, al := a>>32, a&mask
-	bh, bl := b>>32, b&mask
-	t := al * bl
-	lo = t & mask
-	c := t >> 32
-	t = ah*bl + c
-	c = t >> 32
-	t2 := al*bh + (t & mask)
-	lo |= (t2 & mask) << 32
-	hi = ah*bh + c + (t2 >> 32)
-	return hi, lo
-}
-
 // Exp returns an exponentially distributed sample with the given mean.
 // It panics if mean is negative; a zero mean returns 0.
 func (r *Stream) Exp(mean float64) float64 {

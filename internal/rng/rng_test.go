@@ -80,36 +80,6 @@ func TestFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestIntnBoundsAndUniformity(t *testing.T) {
-	r := New(9)
-	if err := quick.Check(func(k uint8) bool {
-		n := int(k%31) + 1
-		v := r.Intn(n)
-		return v >= 0 && v < n
-	}, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, 7)
-	const draws = 70000
-	for i := 0; i < draws; i++ {
-		counts[r.Intn(7)]++
-	}
-	for d, c := range counts {
-		if math.Abs(float64(c)-draws/7.0) > 600 {
-			t.Errorf("digit %d count %d deviates from %d", d, c, draws/7)
-		}
-	}
-}
-
-func TestIntnPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Intn(0) did not panic")
-		}
-	}()
-	New(1).Intn(0)
-}
-
 func TestExpMoments(t *testing.T) {
 	r := New(5)
 	const n = 200000
@@ -148,22 +118,6 @@ func TestUniform(t *testing.T) {
 	}
 	if v := r.Uniform(3, 3); v != 3 {
 		t.Fatalf("degenerate uniform = %v, want 3", v)
-	}
-}
-
-func TestMul128(t *testing.T) {
-	cases := []struct{ a, b, hi, lo uint64 }{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
-		{1 << 32, 1 << 32, 1, 0},
-	}
-	for _, c := range cases {
-		hi, lo := mul128(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul128(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
-		}
 	}
 }
 

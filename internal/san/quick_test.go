@@ -2,6 +2,7 @@ package san
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
@@ -10,6 +11,19 @@ import (
 	"ctsan/internal/dist"
 	"ctsan/internal/rng"
 )
+
+// intn draws a uniform int in [0, n) from r by Lemire's multiply-shift
+// rejection method, so the generated nets do not depend on a sampler the
+// simulator itself never uses.
+func intn(r *rng.Stream, n int) int {
+	bound := uint64(n)
+	for {
+		hi, lo := bits.Mul64(r.Uint64(), bound)
+		if lo >= bound || lo >= -bound%bound {
+			return int(hi)
+		}
+	}
+}
 
 // buildRandomModel constructs a random but well-formed SAN exercising
 // every engine feature: a ring of places connected by timed activities
@@ -25,12 +39,12 @@ import (
 // kept for keys only, and a key is written by more than arcs.
 func buildRandomModel(r *rng.Stream) (*Model, *Place) {
 	m := NewModel("random")
-	n := 3 + r.Intn(6)
+	n := 3 + intn(r, 6)
 	places := make([]*Place, n)
 	for i := range places {
 		init := 0
 		if r.Float64() < 0.5 {
-			init = 1 + r.Intn(2)
+			init = 1 + intn(r, 2)
 		}
 		places[i] = m.Place(name("p", i), init)
 	}
@@ -39,23 +53,23 @@ func buildRandomModel(r *rng.Stream) (*Model, *Place) {
 
 	// The contended pool: seizer j moves a token from its queue and one
 	// from the pool into busy_j; a timed serve returns the pool token.
-	pool := m.Place("pool", r.Intn(3))
-	k := 2 + r.Intn(4)
+	pool := m.Place("pool", intn(r, 3))
+	k := 2 + intn(r, 4)
 	queues := make([]*Place, k)
 	for j := range queues {
-		queues[j] = m.Place(name("q", j), r.Intn(3))
+		queues[j] = m.Place(name("q", j), intn(r, 3))
 		busy := m.Place(name("busy", j), 0)
-		seize := m.Instant(name("seize", j), 1+r.Intn(2)).Input(queues[j], pool).Output(busy)
+		seize := m.Instant(name("seize", j), 1+intn(r, 2)).Input(queues[j], pool).Output(busy)
 		if r.Float64() < 0.6 {
 			seize.FIFO(queues[j])
 		}
 		m.Timed(name("serve", j), Fixed(dist.U(0.05, 0.1+r.Float64()))).Input(busy).Output(pool, done)
 	}
-	shared := m.Place("shared", r.Intn(3))
+	shared := m.Place("shared", intn(r, 3))
 	busyShared := m.Place("busyShared", 0)
-	m.Instant("seizeShared", 1+r.Intn(2)).Input(shared, pool).FIFO(shared).Output(busyShared)
+	m.Instant("seizeShared", 1+intn(r, 2)).Input(shared, pool).FIFO(shared).Output(busyShared)
 	m.Timed("serveShared", Fixed(dist.U(0.05, 0.3))).Input(busyShared).Output(pool, done)
-	plain := m.Instant("takeShared", 1+r.Intn(2)).Input(shared, resource).Output(done)
+	plain := m.Instant("takeShared", 1+intn(r, 2)).Input(shared, resource).Output(done)
 	if r.Float64() < 0.5 {
 		plain.FIFO(resource)
 	}
@@ -83,7 +97,7 @@ func buildRandomModel(r *rng.Stream) (*Model, *Place) {
 		src := places[i]
 		dst := places[(i+1)%n]
 		var d dist.Dist
-		switch r.Intn(3) {
+		switch intn(r, 3) {
 		case 0:
 			d = dist.Det(0.1 + r.Float64())
 		case 1:
@@ -92,12 +106,12 @@ func buildRandomModel(r *rng.Stream) (*Model, *Place) {
 			d = dist.U(0.1, 0.2+r.Float64())
 		}
 		a := m.Timed(name("t", i), Fixed(d)).Input(src)
-		feed := queues[r.Intn(k)]
+		feed := queues[intn(r, k)]
 		if r.Float64() < 0.5 {
 			a.Case(0.4).Output(dst, feed).Gate("fillShared", fill)
 			a.Case(0.6).Output(dst, done).Gate("blipPool", blip(pool)).Gate("trimShared", trim)
 		} else {
-			a.Output(dst, done, feed).OutputGate("blipQueue", blip(queues[r.Intn(k)]))
+			a.Output(dst, done, feed).OutputGate("blipQueue", blip(queues[intn(r, k)]))
 			if r.Float64() < 0.5 {
 				a.OutputGate("fillShared", fill)
 			}
@@ -106,7 +120,7 @@ func buildRandomModel(r *rng.Stream) (*Model, *Place) {
 	// A gated instantaneous activity consuming the resource when a place
 	// is doubly marked; it also takes a pool token if there is one, behind
 	// the back of whichever seizers were enabled by it.
-	watch := places[r.Intn(n)]
+	watch := places[intn(r, n)]
 	sink := m.Place("sink", 0)
 	m.Instant("gated", 1).
 		Input(resource).

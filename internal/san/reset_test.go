@@ -53,21 +53,18 @@ func TestResetEquivalentToNewSim(t *testing.T) {
 
 // TestTransientDeterministicAcrossWorkers: the differential determinism
 // guarantee — for a fixed seed, the parallel engine produces byte-identical
-// samples to the serial reference (Workers: 1) at every worker count.
+// samples to the serial reference (one worker) at every worker count.
 func TestTransientDeterministicAcrossWorkers(t *testing.T) {
 	m, done := branching()
-	spec := func(workers int) TransientSpec {
-		return TransientSpec{
-			Replicas: 600,
-			Tmax:     3, // truncates some replicas, exercising that path too
-			Workers:  workers,
-			Stop:     func(mk *Marking) bool { return mk.Get(done) >= 2 },
-			Measure: func(mk *Marking, tt float64) float64 {
-				return tt + float64(mk.Get(done))
-			},
-		}
+	spec := TransientSpec{
+		Replicas: 600,
+		Tmax:     3, // truncates some replicas, exercising that path too
+		Stop:     func(mk *Marking) bool { return mk.Get(done) >= 2 },
+		Measure: func(mk *Marking, tt float64) float64 {
+			return tt + float64(mk.Get(done))
+		},
 	}
-	ref, err := NewSolver(m).Transient(context.Background(), rng.New(42), spec(1))
+	ref, err := NewSolver(m).Transient(context.Background(), rng.New(42), spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +72,7 @@ func TestTransientDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("weak reference: %d samples, %d truncated — tune the spec", ref.Digest.N(), ref.Truncated)
 	}
 	for _, w := range []int{2, 8} {
-		got, err := NewSolver(m).Transient(context.Background(), rng.New(42), spec(w))
+		got, err := NewSolver(m).Transient(context.Background(), rng.New(42), spec, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,13 +112,12 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 	}
 	reused := NewSolver(m)
 	for i, workers := range []int{1, 8, 2, 1, 8} {
-		spec.Workers = workers
 		seed := uint64(40 + i)
-		want, err := NewSolver(m).Transient(context.Background(), rng.New(seed), spec)
+		want, err := NewSolver(m).Transient(context.Background(), rng.New(seed), spec, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := reused.Transient(context.Background(), rng.New(seed), spec)
+		got, err := reused.Transient(context.Background(), rng.New(seed), spec, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,10 +162,9 @@ func TestTransientAllocsIndependentOfReplicas(t *testing.T) {
 			_, err := NewSolver(m).Transient(context.Background(), rng.New(5), TransientSpec{
 				Replicas: replicas,
 				Tmax:     1e6,
-				Workers:  1,
 				Stop:     func(mk *Marking) bool { return mk.Get(done) >= 1 },
 				Measure:  func(*Marking, float64) float64 { return math.NaN() },
-			})
+			}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -45,9 +45,6 @@ type Place struct {
 	initial int
 }
 
-// Name returns the place name.
-func (p *Place) Name() string { return p.name }
-
 // Marking is the state of a SAN: one non-negative integer per place.
 // Gate predicates and functions receive the live marking and address it
 // by *Place; the simulator's own arcs address the same vector by index.
@@ -89,19 +86,8 @@ const (
 // Get returns the number of tokens in p.
 func (mk *Marking) Get(p *Place) int { return mk.m[p.idx] }
 
-// OldestArrival returns the arrival time of the oldest token in p, or
-// +Inf if p is empty. Arrival order exists only where the model asked for
-// it: p must be the FIFO key of some activity (Activity.FIFO). Tokens of
-// any other place carry no arrival time, and asking for one panics — it
-// is a modeling bug, like a negative marking.
-func (mk *Marking) OldestArrival(p *Place) float64 {
-	if mk.flags[p.idx]&placeKeyed == 0 {
-		panic(fmt.Sprintf("san: OldestArrival of place %q, which is no activity's FIFO key", p.name))
-	}
-	return mk.oldest(int32(p.idx))
-}
-
-// oldest is OldestArrival for FIFO-key place i.
+// oldest is the arrival time of the oldest token in FIFO-key place i,
+// or +Inf if it is empty.
 func (mk *Marking) oldest(i int32) float64 {
 	if mk.m[i] == 0 {
 		return math.Inf(1)
@@ -263,9 +249,6 @@ type Activity struct {
 	fifoKey  *Place // see FIFO
 }
 
-// Name returns the activity name.
-func (a *Activity) Name() string { return a.name }
-
 // Input adds default input arcs: the activity is enabled only if each
 // listed place holds at least one token, and one token is removed from each
 // when the activity completes.
@@ -326,7 +309,7 @@ func (a *Activity) FIFO(q *Place) *Activity {
 }
 
 // Model is a SAN under construction. Build places and activities, then
-// Validate and simulate with NewSim or Transient.
+// Validate and simulate with NewSim or a Solver.
 type Model struct {
 	name       string
 	places     []*Place
@@ -340,9 +323,6 @@ type Model struct {
 func NewModel(name string) *Model {
 	return &Model{name: name, byName: make(map[string]bool)}
 }
-
-// Name returns the model name.
-func (m *Model) Name() string { return m.name }
 
 // Namespace returns a view of the model that prefixes all created names
 // with prefix + "."; places and activities land in the same flat model, so
@@ -416,12 +396,6 @@ func (m *Model) addActivity(name string, timed bool, delay DistFunc, prio int) *
 	root.activities = append(root.activities, a)
 	return a
 }
-
-// Places returns the model's places in creation order.
-func (m *Model) Places() []*Place { return m.rootModel().places }
-
-// Activities returns the model's activities in creation order.
-func (m *Model) Activities() []*Activity { return m.rootModel().activities }
 
 // Validate checks structural well-formedness: case probabilities sum to 1,
 // every activity has an effect, and gate predicates are present.

@@ -1,7 +1,9 @@
 package san
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -369,4 +371,41 @@ func TestFIFOKeyWrittenByGates(t *testing.T) {
 	}
 	defer expectPanic(t, "FIFO key")
 	s.Marking().OldestArrival(res) // nobody's key: no arrival order is kept
+}
+
+// Name returns the place name.
+func (p *Place) Name() string { return p.name }
+
+// OldestArrival returns the arrival time of the oldest token in p, or
+// +Inf if p is empty. Arrival order exists only where the model asked for
+// it: p must be the FIFO key of some activity (Activity.FIFO). Tokens of
+// any other place carry no arrival time, and asking for one panics — it
+// is a modeling bug, like a negative marking.
+func (mk *Marking) OldestArrival(p *Place) float64 {
+	if mk.flags[p.idx]&placeKeyed == 0 {
+		panic(fmt.Sprintf("san: OldestArrival of place %q, which is no activity's FIFO key", p.name))
+	}
+	return mk.oldest(int32(p.idx))
+}
+
+// Name returns the activity name.
+func (a *Activity) Name() string { return a.name }
+
+// Places returns the model's places in creation order.
+func (m *Model) Places() []*Place { return m.rootModel().places }
+
+// Activities returns the model's activities in creation order.
+func (m *Model) Activities() []*Activity { return m.rootModel().activities }
+
+// EnabledActivities returns the names of currently enabled activities,
+// sorted; useful in tests and debugging.
+func (s *Sim) EnabledActivities() []string {
+	var names []string
+	for i := range s.acts {
+		if s.enabled(&s.acts[i]) {
+			names = append(names, s.model.activities[i].name)
+		}
+	}
+	slices.Sort(names)
+	return names
 }

@@ -773,16 +773,3 @@ func (s *Sim) Run(tmax float64, stop func(mk *Marking) bool) (t float64, stopped
 	}
 	return s.sim.Now(), false
 }
-
-// EnabledActivities returns the names of currently enabled activities,
-// sorted; useful in tests and debugging.
-func (s *Sim) EnabledActivities() []string {
-	var names []string
-	for i := range s.acts {
-		if s.enabled(&s.acts[i]) {
-			names = append(names, s.model.activities[i].name)
-		}
-	}
-	slices.Sort(names)
-	return names
-}

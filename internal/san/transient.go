@@ -17,13 +17,6 @@ import (
 type TransientSpec struct {
 	Replicas int
 	Tmax     float64
-	// Workers sizes the pool Transient runs the study on when it is not
-	// part of a larger run: 0 (or negative) means one worker per CPU, 1
-	// forces the serial reference path. TransientOn runs on its caller's
-	// pool and does not consult it. Results are bit-identical for every
-	// worker count: replica i always draws from the parent stream's
-	// Child(i), and per-replica outcomes are folded in replica order.
-	Workers int
 	// Stop is the absorbing condition, e.g. "a decide place is marked".
 	Stop func(mk *Marking) bool
 	// Measure, if non-nil, overrides the recorded value for a replica
@@ -82,13 +75,6 @@ type solverWorker struct {
 
 // NewSolver returns a solver for m holding no simulators yet.
 func NewSolver(m *Model) *Solver { return &Solver{m: m} }
-
-// Transient is TransientOn on a pool of its own, spec.Workers wide.
-func (s *Solver) Transient(ctx context.Context, r *rng.Stream, spec TransientSpec) (*TransientResult, error) {
-	return parallel.Do(ctx, spec.Workers, func(p *parallel.Pool, w int) (*TransientResult, error) {
-		return s.TransientOn(ctx, p, w, r, spec)
-	})
-}
 
 // TransientOn runs the replicated transient study described by spec as a
 // loop nested in the unit its caller is running as worker `worker` of p:

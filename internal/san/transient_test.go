@@ -34,7 +34,7 @@ func TestTransientEstimatesMean(t *testing.T) {
 		Replicas: 4000,
 		Tmax:     1e6,
 		Stop:     func(mk *Marking) bool { return mk.Get(donePlace) == 1 },
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,11 @@ func TestTransientEstimatesMean(t *testing.T) {
 	if res.Truncated != 0 {
 		t.Fatalf("unexpected truncations: %d", res.Truncated)
 	}
-	if res.Digest.ECDF().N() != 4000 {
-		t.Fatalf("sample count %d", res.Digest.ECDF().N())
+	if res.Digest.N() != 4000 {
+		t.Fatalf("sample count %d", res.Digest.N())
 	}
 	// Exponential median = mean*ln2.
-	if med := res.Digest.ECDF().Quantile(0.5); math.Abs(med-2*math.Ln2) > 0.12 {
+	if med := res.Digest.Quantile(0.5); math.Abs(med-2*math.Ln2) > 0.12 {
 		t.Fatalf("median %v, want ~%v", med, 2*math.Ln2)
 	}
 }
@@ -60,7 +60,7 @@ func TestTransientTruncation(t *testing.T) {
 		Replicas: 500,
 		Tmax:     1, // most replicas exceed this horizon
 		Stop:     func(mk *Marking) bool { return mk.Get(donePlace) == 1 },
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestTransientMeasureDiscard(t *testing.T) {
 			}
 			return tt * 2
 		},
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +96,13 @@ func TestTransientMeasureDiscard(t *testing.T) {
 
 func TestTransientSpecValidation(t *testing.T) {
 	m := expModel(1)()
-	if _, err := NewSolver(m).Transient(context.Background(), rng.New(1), TransientSpec{Replicas: 0, Tmax: 1, Stop: func(*Marking) bool { return true }}); err == nil {
+	if _, err := NewSolver(m).Transient(context.Background(), rng.New(1), TransientSpec{Replicas: 0, Tmax: 1, Stop: func(*Marking) bool { return true }}, 0); err == nil {
 		t.Error("zero replicas accepted")
 	}
-	if _, err := NewSolver(m).Transient(context.Background(), rng.New(1), TransientSpec{Replicas: 1, Tmax: 1}); err == nil {
+	if _, err := NewSolver(m).Transient(context.Background(), rng.New(1), TransientSpec{Replicas: 1, Tmax: 1}, 0); err == nil {
 		t.Error("nil stop accepted")
 	}
-	if _, err := NewSolver(m).Transient(context.Background(), rng.New(1), TransientSpec{Replicas: 1, Tmax: 0, Stop: func(*Marking) bool { return true }}); err == nil {
+	if _, err := NewSolver(m).Transient(context.Background(), rng.New(1), TransientSpec{Replicas: 1, Tmax: 0, Stop: func(*Marking) bool { return true }}, 0); err == nil {
 		t.Error("zero Tmax accepted")
 	}
 }
@@ -182,8 +182,7 @@ func TestTransientChunkBoundaries(t *testing.T) {
 			t.Fatalf("reference accounts for %d of %d replicas", got, replicas)
 		}
 		for _, workers := range []int{1, 2, 8} {
-			spec.Workers = workers
-			got, err := NewSolver(m).Transient(context.Background(), rng.New(11), spec)
+			got, err := NewSolver(m).Transient(context.Background(), rng.New(11), spec, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +210,6 @@ func TestTransientCancelsInsideAChunk(t *testing.T) {
 		_, err := NewSolver(m).Transient(ctx, rng.New(3), TransientSpec{
 			Replicas: 10 * replicaChunk,
 			Tmax:     1e6,
-			Workers:  workers,
 			Stop:     func(mk *Marking) bool { return mk.Get(donePlace) == 1 },
 			Measure: func(_ *Marking, tt float64) float64 {
 				if measured.Add(1) == cancelAt {
@@ -219,7 +217,7 @@ func TestTransientCancelsInsideAChunk(t *testing.T) {
 				}
 				return tt
 			},
-		})
+		}, workers)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: canceled study returned %v", workers, err)
@@ -264,7 +262,6 @@ func TestTransientPanicNamesItsReplica(t *testing.T) {
 			_, _ = NewSolver(m).Transient(context.Background(), rng.New(9), TransientSpec{
 				Replicas: replicas,
 				Tmax:     1e6,
-				Workers:  workers,
 				Stop:     stop,
 				Measure: func(_ *Marking, tt float64) float64 {
 					if tt == victimTime {
@@ -272,7 +269,7 @@ func TestTransientPanicNamesItsReplica(t *testing.T) {
 					}
 					return tt
 				},
-			})
+			}, workers)
 		}()
 	}
 }
@@ -310,9 +307,7 @@ func TestTailStudyRunsOnBothWorkers(t *testing.T) {
 			t.Errorf("the long study ran no replica under worker index %d", w)
 		}
 	}
-	serial := spec(replicas[1])
-	serial.Workers = 1
-	ref, err := NewSolver(m).Transient(ctx, rng.New(7), serial)
+	ref, err := NewSolver(m).Transient(ctx, rng.New(7), spec(replicas[1]), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,4 +316,12 @@ func TestTailStudyRunsOnBothWorkers(t *testing.T) {
 		t.Errorf("helped study differs from the serial reference: %d truncated, n %d, mean %v; want %d, %d, %v",
 			got[1].Truncated, got[1].Digest.N(), got[1].Digest.Mean(), ref.Truncated, ref.Digest.N(), ref.Digest.Mean())
 	}
+}
+
+// Transient is TransientOn on a pool of its own, workers wide: 0 means
+// one worker per CPU, 1 the serial reference path.
+func (s *Solver) Transient(ctx context.Context, r *rng.Stream, spec TransientSpec, workers int) (*TransientResult, error) {
+	return parallel.Do(ctx, workers, func(p *parallel.Pool, w int) (*TransientResult, error) {
+		return s.TransientOn(ctx, p, w, r, spec)
+	})
 }

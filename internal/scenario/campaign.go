@@ -8,6 +8,7 @@ import (
 	"ctsan/internal/metrics"
 	"ctsan/internal/parallel"
 	"ctsan/internal/rng"
+	"ctsan/internal/trace"
 )
 
 // CampaignSpec fans a scenario × replica grid across the worker pool.
@@ -99,54 +100,7 @@ func RunCampaignContext(ctx context.Context, spec CampaignSpec) ([]*Report, erro
 // each time, so a shape is assembled once per worker rather than once per
 // campaign; the reports do not depend on what the sets held.
 func RunCampaignOn(ctx context.Context, p *parallel.Pool, worker int, sets []experiment.Harnesses, spec CampaignSpec) ([]*Report, error) {
-	if len(sets) < p.Workers() {
-		return nil, fmt.Errorf("scenario: %d harness sets for a pool of %d workers", len(sets), p.Workers())
-	}
-	if len(spec.Scenarios) == 0 {
-		return nil, fmt.Errorf("scenario: campaign with no scenarios (nothing to run)")
-	}
-	if spec.Replicas == 0 {
-		spec.Replicas = 1
-	}
-	if spec.Replicas < 1 {
-		return nil, fmt.Errorf("scenario: need at least 1 replica per scenario, got %d", spec.Replicas)
-	}
-	if spec.Executions < 0 {
-		return nil, fmt.Errorf("scenario: negative execution override %d", spec.Executions)
-	}
-	for i, s := range spec.Scenarios {
-		if s == nil {
-			return nil, fmt.Errorf("scenario: campaign scenario %d is nil", i)
-		}
-		if err := s.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	seeds := rng.New(spec.Seed ^ 0xca3faa16)
-	units := len(spec.Scenarios) * spec.Replicas
-	// Each worker owns one reusable replica (timeline buffers, transition
-	// log) over its harness set and rewinds it per grid unit instead of
-	// constructing per replica; moving to a different scenario rebinds it
-	// to the set's harness of the new shape. Reused and fresh assemblies
-	// are bit-identical (see replica), so the campaign stays deterministic
-	// at any worker count.
-	cfg := RunConfig{Executions: spec.Executions, MaxRounds: spec.MaxRounds, Deadline: spec.Deadline}
-	reps := make([]replica, len(sets))
-	for w := range reps {
-		reps[w].hs = &sets[w]
-	}
-	results := make([]*Result, units)
-	err := p.ForEachChunk(ctx, worker, units, 1, func(w, i int) (err error) {
-		s := spec.Scenarios[i/spec.Replicas]
-		rep := &reps[w]
-		if rep.s != s {
-			if err := rep.bind(s, cfg); err != nil {
-				return err
-			}
-		}
-		results[i], err = rep.run(ctx, seeds.Child(uint64(i)).Uint64())
-		return err
-	})
+	results, err := runUnits(ctx, p, worker, sets, &spec, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -187,6 +141,73 @@ func RunCampaignOn(ctx context.Context, p *parallel.Pool, worker int, sets []exp
 	}
 	return reports, nil
 }
+
+// runUnits is the campaign replica loop: it validates spec (defaulting
+// its replica count in place) and runs every (scenario, replica) unit of
+// the grid on p, nested in the unit its caller is running as worker
+// `worker`, returning the results in grid order. With newTracer set, each
+// worker's replica records into a ring of its own, made on the worker's
+// first unit and rewound per replica.
+func runUnits(ctx context.Context, p *parallel.Pool, worker int, sets []experiment.Harnesses, spec *CampaignSpec, newTracer func() *trace.Tracer) ([]*Result, error) {
+	if len(sets) < p.Workers() {
+		return nil, fmt.Errorf("scenario: %d harness sets for a pool of %d workers", len(sets), p.Workers())
+	}
+	if len(spec.Scenarios) == 0 {
+		return nil, fmt.Errorf("scenario: campaign with no scenarios (nothing to run)")
+	}
+	if spec.Replicas == 0 {
+		spec.Replicas = 1
+	}
+	if spec.Replicas < 1 {
+		return nil, fmt.Errorf("scenario: need at least 1 replica per scenario, got %d", spec.Replicas)
+	}
+	if spec.Executions < 0 {
+		return nil, fmt.Errorf("scenario: negative execution override %d", spec.Executions)
+	}
+	for i, s := range spec.Scenarios {
+		if s == nil {
+			return nil, fmt.Errorf("scenario: campaign scenario %d is nil", i)
+		}
+		if err := s.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	seeds := unitSeeds(spec.Seed)
+	units := len(spec.Scenarios) * spec.Replicas
+	// Each worker owns one reusable replica (timeline buffers, transition
+	// log, trace ring) over its harness set and rewinds it per grid unit
+	// instead of constructing per replica; moving to a different scenario
+	// rebinds it to the set's harness of the new shape. Reused and fresh
+	// assemblies are bit-identical (see replica), so the campaign stays
+	// deterministic at any worker count.
+	reps := make([]replica, len(sets))
+	for w := range reps {
+		reps[w].hs = &sets[w]
+	}
+	results := make([]*Result, units)
+	err := p.ForEachChunk(ctx, worker, units, 1, func(w, i int) (err error) {
+		s := spec.Scenarios[i/spec.Replicas]
+		rep := &reps[w]
+		if rep.s != s {
+			cfg := RunConfig{Executions: spec.Executions, MaxRounds: spec.MaxRounds, Deadline: spec.Deadline, Tracer: rep.cfg.Tracer}
+			if cfg.Tracer == nil && newTracer != nil {
+				cfg.Tracer = newTracer()
+			}
+			if err := rep.bind(s, cfg); err != nil {
+				return err
+			}
+		}
+		results[i], err = rep.run(ctx, seeds.Child(uint64(i)).Uint64())
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// unitSeeds is the stream whose Child(i) seeds grid unit i of a campaign.
+func unitSeeds(seed uint64) *rng.Stream { return rng.New(seed ^ 0xca3faa16) }
 
 // ReportTable renders campaign reports as an aligned text table using the
 // experiment report machinery.

@@ -52,17 +52,6 @@ type program struct {
 	hosts []neko.ProcessID
 }
 
-// compile resolves drawn instants and schedules every event of s against
-// c, returning a freshly allocated timeline (tests and one-shot callers;
-// the runner uses compileInto with a retained program).
-func (s *Scenario) compile(c *netsim.Cluster, r *rng.Stream) (*Timeline, error) {
-	var p program
-	if err := s.compileInto(&p, c, r); err != nil {
-		return nil, err
-	}
-	return &p.tl, nil
-}
-
 // compileInto resolves drawn instants and schedules every event of s
 // against c, rewinding and reusing p's buffers. Randomness comes from
 // per-event child streams of r (event i draws from r.Child(i)), so adding

@@ -73,14 +73,6 @@ type WrongSuspicion struct {
 	At   float64
 }
 
-// DecisionsPerSec returns the decision throughput of the replica.
-func (r *Result) DecisionsPerSec() float64 {
-	if r.Texp <= 0 {
-		return 0
-	}
-	return float64(r.Decided) / r.Texp * 1000
-}
-
 // replica is a scenario configured onto the one replica harness
 // (experiment.Harness): on top of a latency experiment it adds the
 // post-rewind step that attaches the tracer and compiles the timeline

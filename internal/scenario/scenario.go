@@ -31,7 +31,6 @@ package scenario
 
 import (
 	"fmt"
-	"math"
 
 	"ctsan/internal/dist"
 	"ctsan/internal/neko"
@@ -150,12 +149,6 @@ func (s *Scenario) WithInitialCrash(ps ...neko.ProcessID) *Scenario {
 	return s
 }
 
-// WithBackgroundPauses enables netsim's background whole-host pauses.
-func (s *Scenario) WithBackgroundPauses(every, dur dist.Dist) *Scenario {
-	s.PauseEvery, s.PauseDur = every, dur
-	return s
-}
-
 // Crash schedules a crash of p at time at.
 func (s *Scenario) Crash(at float64, p neko.ProcessID) *Scenario {
 	return s.add(Event{Kind: KindCrash, At: at, P: p})
@@ -209,16 +202,6 @@ func (s *Scenario) Jitter(d dist.Dist) *Scenario {
 func (s *Scenario) add(e Event) *Scenario {
 	s.Events = append(s.Events, e)
 	return s
-}
-
-// Horizon returns the latest fixed instant named by the timeline (event
-// times and window ends), ignoring jitter. Purely informational.
-func (s *Scenario) Horizon() float64 {
-	h := 0.0
-	for _, e := range s.Events {
-		h = math.Max(h, math.Max(e.At, e.Until))
-	}
-	return h
 }
 
 // Validate checks the scenario for structural errors: out-of-range

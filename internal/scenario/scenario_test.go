@@ -494,3 +494,14 @@ func benchCampaign(b *testing.B, workers int) {
 
 func BenchmarkScenarioCampaignSerial(b *testing.B)   { benchCampaign(b, 1) }
 func BenchmarkScenarioCampaignParallel(b *testing.B) { benchCampaign(b, 0) }
+
+// compile resolves drawn instants and schedules every event of s against
+// c, returning a freshly allocated timeline (tests and one-shot callers;
+// the runner uses compileInto with a retained program).
+func (s *Scenario) compile(c *netsim.Cluster, r *rng.Stream) (*Timeline, error) {
+	var p program
+	if err := s.compileInto(&p, c, r); err != nil {
+		return nil, err
+	}
+	return &p.tl, nil
+}

@@ -5,16 +5,16 @@ import (
 	"fmt"
 	"io"
 
+	"ctsan/internal/experiment"
 	"ctsan/internal/parallel"
-	"ctsan/internal/rng"
 	"ctsan/internal/trace"
 )
 
 // TraceSpec configures a traced campaign of one scenario: the replicas
 // run exactly as a CampaignSpec campaign of that single scenario would —
-// the same per-replica seed derivation, the same grid order — so trace
-// replica i is the execution behind replica i of `ctsan scenario run` at
-// the same seed.
+// on the same replica loop, with the same per-replica seed derivation and
+// grid order — so trace replica i is the execution behind replica i of
+// `ctsan scenario run` at the same seed.
 type TraceSpec struct {
 	Scenario *Scenario
 	// Replicas is the number of traced replicas (default 1).
@@ -44,58 +44,27 @@ type TracedReplica struct {
 	Result  *Result
 }
 
-// RunTraced executes every replica of the spec with tracing enabled.
-// Each worker owns one reusable replica assembly plus one trace ring,
-// both rewound per replica, so the traced campaign allocates per replica
-// only the end-of-run snapshot.
+// RunTraced executes every replica of the spec with tracing enabled, on
+// the campaign replica loop: each worker's replica records into one ring
+// of its own, rewound per replica, so the traced campaign allocates per
+// replica only the end-of-run snapshot.
 func RunTraced(ctx context.Context, spec TraceSpec) ([]*TracedReplica, error) {
-	if spec.Scenario == nil {
-		return nil, fmt.Errorf("scenario: traced run with no scenario")
+	grid := CampaignSpec{
+		Scenarios: []*Scenario{spec.Scenario}, Replicas: spec.Replicas, Executions: spec.Executions,
+		Seed: spec.Seed, MaxRounds: spec.MaxRounds, Deadline: spec.Deadline,
 	}
-	if err := spec.Scenario.Validate(); err != nil {
-		return nil, err
-	}
-	if spec.Replicas == 0 {
-		spec.Replicas = 1
-	}
-	if spec.Replicas < 1 {
-		return nil, fmt.Errorf("scenario: need at least 1 replica, got %d", spec.Replicas)
-	}
-	// The same derivation as RunCampaignContext with this scenario as the
-	// whole grid: flat unit index == replica index.
-	seeds := rng.New(spec.Seed ^ 0xca3faa16)
-	type workerState struct {
-		rep *replica
-		tr  *trace.Tracer
-	}
-	cache := make([]*workerState, parallel.Workers(spec.Workers))
-	results, err := parallel.Map(ctx, spec.Workers, spec.Replicas, func(w, i int) (*TracedReplica, error) {
-		ws := cache[w]
-		if ws == nil {
-			ws = &workerState{tr: trace.New(spec.Cap)}
-			rep, err := newReplica(spec.Scenario, RunConfig{
-				Executions: spec.Executions,
-				MaxRounds:  spec.MaxRounds,
-				Deadline:   spec.Deadline,
-				Tracer:     ws.tr,
-			})
-			if err != nil {
-				return nil, err
-			}
-			ws.rep = rep
-			cache[w] = ws
-		}
-		seed := seeds.Child(uint64(i)).Uint64()
-		res, err := ws.rep.run(ctx, seed)
-		if err != nil {
-			return nil, err
-		}
-		return &TracedReplica{Replica: i, Seed: seed, Result: res}, nil
+	results, err := parallel.Do(ctx, spec.Workers, func(p *parallel.Pool, w int) ([]*Result, error) {
+		return runUnits(ctx, p, w, make([]experiment.Harnesses, p.Workers()), &grid, func() *trace.Tracer { return trace.New(spec.Cap) })
 	})
 	if err != nil {
 		return nil, err
 	}
-	return results, nil
+	seeds := unitSeeds(spec.Seed)
+	reps := make([]*TracedReplica, len(results))
+	for i, res := range results {
+		reps[i] = &TracedReplica{Replica: i, Seed: seeds.Child(uint64(i)).Uint64(), Result: res}
+	}
+	return reps, nil
 }
 
 // explainRelevant reports whether e belongs in the causal window printed

@@ -571,17 +571,13 @@ func TestFleetSubmitWhileStatusPolled(t *testing.T) {
 	}
 
 	client := &http.Client{Timeout: 10 * time.Second}
-	status := func() (Status, error) {
-		var st Status
-		resp, err := client.Get(h.ts.URL + "/api/v1/studies/s000002") // the server's second study
+	get := func(path string, v any) error {
+		resp, err := client.Get(h.ts.URL + path)
 		if err != nil {
-			return st, err
+			return err
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode == http.StatusOK { // 404 until admitted
-			err = json.NewDecoder(resp.Body).Decode(&st)
-		}
-		return st, err
+		return json.NewDecoder(resp.Body).Decode(v)
 	}
 	stop := make(chan struct{})
 	var pollers sync.WaitGroup
@@ -595,7 +591,8 @@ func TestFleetSubmitWhileStatusPolled(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := status(); err != nil {
+				var all []Status // every study, the one being submitted as soon as it is admitted
+				if err := get("/api/v1/studies", &all); err != nil {
 					t.Errorf("status poll: %v (daemon wedged?)", err)
 					return
 				}
@@ -606,15 +603,17 @@ func TestFleetSubmitWhileStatusPolled(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v (daemon wedged?)", err)
 	}
+	var sub Status
+	err = json.NewDecoder(resp.Body).Decode(&sub)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusAccepted || err != nil {
+		t.Fatalf("submit: status %d (%v)", resp.StatusCode, err)
 	}
 	// Every point is cache-resident, so the pre-serve pass completes the
 	// study without a lease.
 	for deadline := time.Now().Add(10 * time.Second); ; {
-		st, err := status()
-		if err != nil {
+		var st Status
+		if err := get("/api/v1/studies/"+sub.ID, &st); err != nil {
 			t.Fatalf("status: %v (daemon wedged?)", err)
 		}
 		if st.Status == "done" {

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"sync"
@@ -271,6 +272,11 @@ type Server struct {
 	queue    chan *study
 	nextID   int
 	draining bool
+	// instance is a random tag of this process, part of every study id:
+	// a daemon restarted on the same address numbers its studies from 1
+	// again, and without the tag a fleet worker would take the new
+	// s000001 for the old one (and its cached grid and lease stores).
+	instance uint32
 
 	shutdownOnce sync.Once
 
@@ -289,11 +295,12 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.fill()
 	s := &Server{
-		cfg:     cfg,
-		budget:  max(1, parallel.Workers(cfg.Workers)/cfg.MaxActive),
-		cache:   NewCache(cfg.CacheBytes),
-		studies: map[string]*study{},
-		queue:   make(chan *study, cfg.QueueDepth),
+		cfg:      cfg,
+		budget:   max(1, parallel.Workers(cfg.Workers)/cfg.MaxActive),
+		cache:    NewCache(cfg.CacheBytes),
+		studies:  map[string]*study{},
+		queue:    make(chan *study, cfg.QueueDepth),
+		instance: rand.Uint32(),
 	}
 	s.runCtx, s.cancelRun = context.WithCancel(context.Background())
 	s.mux = s.routes()
@@ -562,7 +569,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.nextID++
-	st.id = fmt.Sprintf("s%06d", s.nextID)
+	st.id = fmt.Sprintf("s%06d-%08x", s.nextID, s.instance)
 	if mode == "fleet" {
 		st.newFleet(s.cfg.LeaseTTL, s.cfg.LeaseTarget)
 	}

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -90,17 +89,6 @@ func (s *RangeSet) Points() int {
 	return n
 }
 
-// Empty reports whether the set holds no indices.
-func (s *RangeSet) Empty() bool { return len(s.rs) == 0 }
-
-// Ranges returns a copy of the canonical range list (sorted, disjoint,
-// non-adjacent).
-func (s *RangeSet) Ranges() []Range {
-	out := make([]Range, len(s.rs))
-	copy(out, s.rs)
-	return out
-}
-
 // String renders the set as "a:b,c:d" for logs and errors.
 func (s *RangeSet) String() string {
 	parts := make([]string, len(s.rs))
@@ -111,18 +99,4 @@ func (s *RangeSet) String() string {
 		return "(empty)"
 	}
 	return strings.Join(parts, ",")
-}
-
-// check panics if the internal invariant (sorted, disjoint, non-adjacent,
-// non-empty ranges) is violated; tests call it after mutation sequences.
-func (s *RangeSet) check() error {
-	for i, r := range s.rs {
-		if r.Len() <= 0 {
-			return fmt.Errorf("rangeset: empty range %s at %d", r, i)
-		}
-		if i > 0 && s.rs[i-1].End >= r.Start {
-			return fmt.Errorf("rangeset: ranges %s and %s overlap or touch", s.rs[i-1], r)
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -115,4 +116,29 @@ func TestRangeSetRandomAgainstMap(t *testing.T) {
 			t.Fatalf("op %d: %d points, model %d", op, s.Points(), len(model))
 		}
 	}
+}
+
+// Empty reports whether the set holds no indices.
+func (s *RangeSet) Empty() bool { return len(s.rs) == 0 }
+
+// Ranges returns a copy of the canonical range list (sorted, disjoint,
+// non-adjacent).
+func (s *RangeSet) Ranges() []Range {
+	out := make([]Range, len(s.rs))
+	copy(out, s.rs)
+	return out
+}
+
+// check reports a violation of the internal invariant (sorted, disjoint,
+// non-adjacent, non-empty ranges); tests call it after mutation sequences.
+func (s *RangeSet) check() error {
+	for i, r := range s.rs {
+		if r.Len() <= 0 {
+			return fmt.Errorf("rangeset: empty range %s at %d", r, i)
+		}
+		if i > 0 && s.rs[i-1].End >= r.Start {
+			return fmt.Errorf("rangeset: ranges %s and %s overlap or touch", s.rs[i-1], r)
+		}
+	}
+	return nil
 }

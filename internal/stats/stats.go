@@ -38,13 +38,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += d * (x - a.mean)
 }
 
-// AddAll folds a slice of observations.
-func (a *Accumulator) AddAll(xs []float64) {
-	for _, x := range xs {
-		a.Add(x)
-	}
-}
-
 // Merge folds another accumulator into this one using the parallel
 // variance combination (Chan et al.), so per-replica accumulators built
 // independently can be reduced to exactly the campaign-level moments.
@@ -287,9 +280,6 @@ func NewECDF(sample []float64) *ECDF {
 	return &ECDF{sorted: s}
 }
 
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
 // At returns the fraction of the sample <= x.
 func (e *ECDF) At(x float64) float64 {
 	if len(e.sorted) == 0 {
@@ -304,16 +294,11 @@ func (e *ECDF) At(x float64) float64 {
 	return float64(i) / float64(len(e.sorted))
 }
 
-// Quantile returns the q-quantile (0<=q<=1) by linear interpolation.
-func (e *ECDF) Quantile(q float64) float64 {
-	return QuantileSorted(e.sorted, q)
-}
-
 // QuantileSorted interpolates the q-quantile of an already-sorted
-// sample. It is the single definition of the interpolation rule: both
-// ECDF.Quantile and the exact mode of metrics.Digest call it, so the
-// "digest quantiles are bit-identical to the slice path" contract
-// cannot drift between two copies of the formula.
+// sample. It is the single definition of the interpolation rule: the
+// exact mode of metrics.Digest calls it, and so do the tests that hold
+// digest quantiles bit-identical to the slice-and-sort path, so that
+// contract cannot drift between two copies of the formula.
 func QuantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {
@@ -351,18 +336,6 @@ func (e *ECDF) Grid(lo, hi float64, k int) (xs, ps []float64) {
 		ps[i] = e.At(x)
 	}
 	return xs, ps
-}
-
-// Mean returns the sample mean of the underlying data.
-func (e *ECDF) Mean() float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, v := range e.sorted {
-		s += v
-	}
-	return s / float64(len(e.sorted))
 }
 
 // KSDistance returns the Kolmogorov–Smirnov distance between two ECDFs,

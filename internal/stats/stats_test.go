@@ -321,3 +321,30 @@ func TestRegIncBeta(t *testing.T) {
 		}
 	}
 }
+
+// AddAll folds a slice of observations.
+func (a *Accumulator) AddAll(xs []float64) {
+	for _, x := range xs {
+		a.Add(x)
+	}
+}
+
+// N returns the sample size.
+func (e *ECDF) N() int { return len(e.sorted) }
+
+// Quantile returns the q-quantile (0<=q<=1) by linear interpolation.
+func (e *ECDF) Quantile(q float64) float64 {
+	return QuantileSorted(e.sorted, q)
+}
+
+// Mean returns the sample mean of the underlying data.
+func (e *ECDF) Mean() float64 {
+	if len(e.sorted) == 0 {
+		return math.NaN()
+	}
+	s := 0.0
+	for _, v := range e.sorted {
+		s += v
+	}
+	return s / float64(len(e.sorted))
+}

@@ -133,8 +133,9 @@ type Event struct {
 	S    string
 }
 
-// Tracer captures events into a bounded ring: the most recent Cap events
-// are retained, older ones are overwritten (Dropped counts them). Not
+// Tracer captures events into a bounded ring: the most recent events, as
+// many as its capacity (New's cap), are retained, older ones are
+// overwritten (Dropped counts them). Not
 // safe for concurrent use; a Tracer serves exactly one replica.
 type Tracer struct {
 	buf []Event
@@ -162,20 +163,14 @@ func (t *Tracer) Emit(e Event) {
 	t.n++
 }
 
-// Cap returns the ring capacity.
-func (t *Tracer) Cap() int { return len(t.buf) }
-
-// Len returns the number of events currently retained (≤ Cap).
+// Len returns the number of events currently retained (at most the ring
+// capacity).
 func (t *Tracer) Len() int {
 	if t.n < uint64(len(t.buf)) {
 		return int(t.n)
 	}
 	return len(t.buf)
 }
-
-// Total returns the number of events emitted since the last Reset,
-// including overwritten ones.
-func (t *Tracer) Total() uint64 { return t.n }
 
 // Dropped returns how many events were overwritten by ring wrap-around.
 func (t *Tracer) Dropped() uint64 {

@@ -198,3 +198,10 @@ func TestEventString(t *testing.T) {
 		t.Fatalf("missing silence duration: %q", s)
 	}
 }
+
+// Cap returns the ring capacity.
+func (t *Tracer) Cap() int { return len(t.buf) }
+
+// Total returns the number of events emitted since the last Reset,
+// including overwritten ones.
+func (t *Tracer) Total() uint64 { return t.n }

@@ -5,8 +5,12 @@
 # coordinator must expire and re-lease its range — and byte-compares
 # the coordinator's folded JSONL against a single-process `ctsan run`
 # of the same study. A killed worker may cost a lease of re-execution;
-# it must never change a result bit. Last, a worker pinned to a study
+# it must never change a result bit. Then a worker pinned to a study
 # the coordinator will never lease must fail at once, not retry forever.
+# Last, the coordinator itself is SIGKILLed and restarted on the same
+# address under a discovering worker that holds a lease: the worker must
+# serve the study submitted to the new daemon (another seed) with every
+# upload accepted, and its stream must equal `ctsan run` of that study.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -44,24 +48,31 @@ EOF
 /tmp/ctsan-fleet-smoke run -study "$SPEC" -seed 1 -shards 1 \
     -dir "$WORKDIR/ref" -o "$REF" 2>/dev/null
 
-# Short lease TTL so the killed worker's range re-leases quickly.
-/tmp/ctsand-fleet-smoke -addr 127.0.0.1:0 -lease-ttl 1s 2>"$LOG" &
-PID=$!
+start_ctsand() { # start_ctsand <addr>: sets PID and ADDR
+    : >"$LOG"
+    # Short lease TTL so the killed worker's range re-leases quickly.
+    /tmp/ctsand-fleet-smoke -addr "$1" -lease-ttl 1s 2>"$LOG" &
+    PID=$!
+    ADDR=""
+    i=0
+    while [ $i -lt 100 ]; do
+        ADDR="$(sed -n 's#.*listening on http://\([^/]*\)/.*#\1#p' "$LOG" | head -n 1)"
+        [ -n "$ADDR" ] && break
+        kill -0 "$PID" 2>/dev/null || { echo "ctsand exited early:" >&2; cat "$LOG" >&2; exit 1; }
+        sleep 0.1
+        i=$((i + 1))
+    done
+    [ -n "$ADDR" ] || { echo "ctsand never logged its address" >&2; cat "$LOG" >&2; exit 1; }
+    echo "campaign service at $ADDR" >&2
+}
 
-ADDR=""
-i=0
-while [ $i -lt 100 ]; do
-    ADDR="$(sed -n 's#.*listening on http://\([^/]*\)/.*#\1#p' "$LOG" | head -n 1)"
-    [ -n "$ADDR" ] && break
-    kill -0 "$PID" 2>/dev/null || { echo "ctsand exited early:" >&2; cat "$LOG" >&2; exit 1; }
-    sleep 0.1
-    i=$((i + 1))
-done
-[ -n "$ADDR" ] || { echo "ctsand never logged its address" >&2; cat "$LOG" >&2; exit 1; }
-echo "campaign service at $ADDR" >&2
+submit() { # submit <query>: prints the new study's id
+    curl -sf -X POST --data-binary @"$SPEC" "http://$ADDR/api/v1/studies$1" |
+        sed -n 's/.*"id":"\([^"]*\)".*/\1/p'
+}
 
-ID="$(curl -sf -X POST --data-binary @"$SPEC" "http://$ADDR/api/v1/studies?mode=fleet" |
-    sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
+start_ctsand 127.0.0.1:0
+ID="$(submit '?mode=fleet')"
 [ -n "$ID" ] || { echo "fleet submission rejected" >&2; exit 1; }
 
 fleet_field() { # fleet_field <name>
@@ -117,8 +128,7 @@ EXPIRED="$(fleet_field expired)"
 # A worker pinned to a study the coordinator will never lease — a
 # local-mode one (409) or an unknown id (404) — exits 1 with the
 # coordinator's reason instead of retrying until killed.
-LOCAL="$(curl -sf -X POST --data-binary @"$SPEC" "http://$ADDR/api/v1/studies" |
-    sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
+LOCAL="$(submit '')"
 [ -n "$LOCAL" ] || { echo "local submission rejected" >&2; exit 1; }
 refused() { # refused <study-id> <reason>
     /tmp/ctsan-fleet-smoke worker -server "http://$ADDR" -study-id "$1" \
@@ -152,4 +162,69 @@ wait "$PID" || RC=$?
 PID=""
 [ "$RC" = "0" ] || { echo "graceful shutdown exited $RC" >&2; cat "$LOG" >&2; exit 1; }
 
-echo "fleet smoke OK: $EXPIRED lease(s) expired after SIGKILL, stream byte-identical to ctsan run, pinned worker refused at once, clean drain" >&2
+# A coordinator restart. A fresh daemon numbers its studies from 1, so
+# the study the discovering worker holds a lease of (seed 3) and the one
+# submitted after the restart (seed 2) are each their daemon's first:
+# were ids to repeat across restarts, the worker would take the second
+# for the first and serve it with the first's grid, every upload
+# rejected, forever.
+/tmp/ctsan-fleet-smoke run -study "$SPEC" -seed 2 -shards 1 \
+    -dir "$WORKDIR/ref2" -o "$REF" 2>/dev/null
+start_ctsand 127.0.0.1:0
+BEFORE="$(submit '?mode=fleet&seed=3')"
+[ -n "$BEFORE" ] || { echo "fleet submission rejected" >&2; exit 1; }
+/tmp/ctsan-fleet-smoke worker -server "http://$ADDR" -name discoverer \
+    -dir "$WORKDIR/discoverer" -workers 1 -throttle 500ms -idle-exit 2s 2>"$WLOG" &
+WPID=$!
+i=0
+while [ $i -lt 300 ]; do
+    grep -q "checkpointed" "$WLOG" && break
+    kill -0 "$WPID" 2>/dev/null || { echo "discovering worker exited early:" >&2; cat "$WLOG" >&2; exit 1; }
+    sleep 0.1
+    i=$((i + 1))
+done
+grep -q "checkpointed" "$WLOG" || { echo "discovering worker never checkpointed a point" >&2; cat "$WLOG" >&2; exit 1; }
+
+kill -9 "$PID"
+wait "$PID" 2>/dev/null || true
+echo "ctsand SIGKILLed under a worker holding a lease of $BEFORE" >&2
+start_ctsand "$ADDR"
+AFTER="$(submit '?mode=fleet&seed=2')"
+[ -n "$AFTER" ] || { echo "fleet submission to the restarted daemon rejected" >&2; exit 1; }
+[ "$AFTER" != "$BEFORE" ] || { echo "restarted daemon reused study id $AFTER" >&2; exit 1; }
+
+# Every upload reply the restarted daemon sends must say "rejected":0
+# (it logs each one), until the worker has served the study and gone
+# idle.
+i=0
+while kill -0 "$WPID" 2>/dev/null; do
+    ! grep ' upload: ' "$LOG" | grep -qv ' accepted, 0 rejected' || {
+        echo "the restarted daemon rejected uploads of the worker:" >&2
+        cat "$LOG" "$WLOG" >&2
+        exit 1
+    }
+    [ $i -lt 1200 ] || { echo "discovering worker never went idle:" >&2; cat "$WLOG" >&2; exit 1; }
+    sleep 0.1
+    i=$((i + 1))
+done
+wait "$WPID" || { echo "discovering worker failed:" >&2; cat "$WLOG" >&2; exit 1; }
+WPID=""
+UPLOADS="$(grep -c ' upload: ' "$LOG" || true)"
+! grep ' upload: ' "$LOG" | grep -qv ' accepted, 0 rejected' && [ "$UPLOADS" -ge 1 ] || {
+    echo "restarted daemon rejected uploads (or got none):" >&2
+    cat "$LOG" "$WLOG" >&2
+    exit 1
+}
+curl -sfN "http://$ADDR/api/v1/studies/$AFTER/results" >"$FLEET"
+cmp "$FLEET" "$REF" || {
+    echo "fleet stream after the restart differs from ctsan run -seed 2" >&2
+    exit 1
+}
+
+kill -TERM "$PID"
+RC=0
+wait "$PID" || RC=$?
+PID=""
+[ "$RC" = "0" ] || { echo "graceful shutdown after the restart exited $RC" >&2; cat "$LOG" >&2; exit 1; }
+
+echo "fleet smoke OK: $EXPIRED lease(s) expired after SIGKILL, stream byte-identical to ctsan run, pinned worker refused at once, clean drain; after a ctsand restart the worker served the new study ($UPLOADS uploads, 0 rejected)" >&2
