@@ -45,10 +45,8 @@
 // Memory scales with the study, not with the execution count: every
 // engine folds its samples into a streaming digest (internal/metrics),
 // so a point running millions of executions retains kilobytes, and the
-// Summary percentiles stay exact — bit-identical to the historical
-// raw-slice path — for campaigns up to the digest's exact cap. The raw
-// sample slice earlier revisions carried on every Result is replaced by
-// the Samples method, which derives the ordered samples from the digest
+// Summary percentiles are exact for campaigns up to the digest's exact
+// cap. The Samples method derives the ordered samples from the digest
 // while it is exact and returns nil beyond the cap; Quantile queries the
 // digest directly at any scale.
 //
@@ -72,13 +70,12 @@
 // heap-boxed any, per-execution watchdogs are pooled, scenario timelines
 // compile once per replica binding, and the DES kernel schedules through
 // a calendar queue of linked, pooled event records with eager
-// cancellation — steady-state execution is
-// down to ~1.7 allocations per consensus execution and none per SAN
-// replica. Rewinding is bit-identical to fresh construction (see
-// PERFORMANCE.md, "Reusable emulation assemblies" and "Per-worker engine
-// assemblies"), which is why the determinism guarantee above survives
-// the reuse: a point's result does not depend on what its worker ran
-// before it.
+// cancellation; PERFORMANCE.md's layer table gives the current cost of
+// each layer. Rewinding is bit-identical to fresh construction (the
+// "Reset ≡ fresh" and "Keyed sets" properties of PERFORMANCE.md's
+// contract), which is why the determinism guarantee above survives the
+// reuse: a point's result does not depend on what its worker ran before
+// it.
 //
 // # Sharding and resume
 //

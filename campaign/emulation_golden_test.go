@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"ctsan/campaign"
-	"ctsan/internal/atomicio"
+	"ctsan/internal/checkpoint"
 	"ctsan/internal/experiment"
 )
 
@@ -63,7 +63,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	golden := filepath.Join("testdata", name)
 	if *update {
 		// Atomic replace: an interrupted -update must not leave a torn golden.
-		if err := atomicio.WriteFile(golden, got, 0o644); err != nil {
+		if err := checkpoint.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -36,7 +36,7 @@ import (
 	"strconv"
 	"strings"
 
-	"ctsan/internal/atomicio"
+	"ctsan/internal/checkpoint"
 )
 
 // Entry is one benchmark result.
@@ -112,7 +112,7 @@ func main() {
 	} else {
 		// Atomic replace: an interrupted run must not leave a torn
 		// BENCH_emulation.json for the next diff to choke on.
-		err = atomicio.WriteFile(*out, buf, 0o644)
+		err = checkpoint.WriteFile(*out, buf, 0o644)
 	}
 	if err != nil {
 		fatal(err)

@@ -89,7 +89,6 @@ import (
 	"time"
 
 	"ctsan/campaign"
-	"ctsan/internal/atomicio"
 	"ctsan/internal/checkpoint"
 	"ctsan/internal/cliflags"
 	"ctsan/internal/parallel"
@@ -438,7 +437,7 @@ func cmdRun(ctx context.Context, args []string, _, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("dispatch ended with %d of %d points missing", ledger.Stats().Pending, total)
 	}
-	if err := atomicio.WriteFile(*out, results, 0o644); err != nil {
+	if err := checkpoint.WriteFile(*out, results, 0o644); err != nil {
 		return err
 	}
 	logf("merged %d points into %s", total, *out)
@@ -551,7 +550,7 @@ func cmdMerge(_ context.Context, args []string, stdout, stderr io.Writer) error 
 	}
 	// Atomic replace: a crash during merge never leaves a half-written
 	// results file.
-	if err := atomicio.WriteFile(*out, merged, 0o644); err != nil {
+	if err := checkpoint.WriteFile(*out, merged, 0o644); err != nil {
 		return err
 	}
 	fmt.Fprintf(stderr, "ctsan merge: merged %d points into %s\n", len(frozen.Points), *out)

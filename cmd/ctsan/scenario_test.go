@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"ctsan/internal/atomicio"
+	"ctsan/internal/checkpoint"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -39,7 +39,7 @@ func TestRunJSONGolden(t *testing.T) {
 		}
 		// Atomic replace (temp+rename+fsync): a golden file must never be
 		// left torn by an interrupted -update run.
-		if err := atomicio.WriteFile(golden, []byte(got), 0o644); err != nil {
+		if err := checkpoint.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

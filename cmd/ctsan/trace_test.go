@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"ctsan/internal/atomicio"
+	"ctsan/internal/checkpoint"
 )
 
 // traceOut runs `scenario trace` with the given worker count and returns
@@ -44,7 +44,7 @@ func TestTraceGolden(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := atomicio.WriteFile(golden, []byte(got), 0o644); err != nil {
+		if err := checkpoint.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

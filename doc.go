@@ -23,7 +23,7 @@
 // (internal/parallel): replicas and campaign points fan out across the
 // CPUs, yet every result is bit-identical at any worker count because
 // each work unit draws from a per-index child random stream and results
-// are folded (and now streamed) in index order. Both engines reuse one
+// are folded and streamed in index order. Both engines reuse one
 // simulator assembly per worker instead of constructing per replica:
 // the SAN workers rewind a shared model's simulator (san.Sim.Reset),
 // and the emulation/scenario workers rewind a whole cluster + protocol
@@ -40,9 +40,9 @@
 // scenario timelines compile once per assembly and rewind in place, and
 // the DES kernel schedules through an adaptive calendar queue whose
 // nodes are the pooled event records themselves, linked and unlinked
-// (eagerly, on cancellation too) without moving memory — in
-// total ~1.7 allocations per consensus execution, all per-replica
-// bookkeeping. See PERFORMANCE.md for the scheme. One command-line
+// (eagerly, on cancellation too) without moving memory. PERFORMANCE.md's
+// layer table gives what each layer costs today and the test that pins
+// it. One command-line
 // front end, cmd/ctsan, reaches all of it — `ctsan repro`, `sanrun`,
 // `testbed`, `fdqos` for the paper's evaluation, `ctsan scenario …` for
 // fault injection, `ctsan run|shard|merge|worker` for dispatch — with
@@ -52,12 +52,12 @@
 // All three engines observe their samples through the streaming metrics
 // core (internal/metrics): per-execution latencies fold into a
 // constant-memory Digest — exact Welford moments plus quantiles that are
-// exact (and bit-identical to the historical sort-the-slice path) up to
-// a configurable cap and deterministically sketched beyond it — instead
-// of being retained as raw slices. campaign.Result.Samples is therefore
-// a method lazily derived from the digest: it returns the ordered
-// samples for campaigns under the exact cap and nil for the
-// million-execution campaigns that deliberately do not retain them.
+// exact (interpolated by the same rule as stats.ECDF) up to a
+// configurable cap and deterministically sketched beyond it — instead of
+// being retained as raw slices. campaign.Result.Samples is a method
+// derived from the digest: it returns the ordered samples for campaigns
+// under the exact cap and nil for the million-execution campaigns that
+// deliberately do not retain them.
 //
 // Above the emulator sits the declarative scenario layer
 // (internal/scenario): timelines of correlated adverse conditions —

@@ -1,16 +1,24 @@
 package ctsan
 
 import (
+	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"unicode"
 )
 
 // TestEveryExportHasACaller holds the rule "every capability has a
@@ -22,47 +30,26 @@ import (
 // module or standard-library interface that declares the method (that is
 // how fmt reaches String and encoding/json MarshalJSON). An export only
 // tests reach is an option or a second path nobody runs: delete it, move
-// it into the tests, or give it a caller. The allowlist names, for each
-// entry, the test that cannot observe its behaviour any other way.
+// it into the tests, or give it a caller. Each exported field of a
+// struct type of ctsan/internal/... that carries no json tag is written
+// by such a file — as a composite-literal key, in an assignment, through
+// &x.F, or by calling a method on it — or it is a knob nothing turns.
+// The allowlist names, for each entry, the test that cannot observe its
+// behaviour any other way.
 func TestEveryExportHasACaller(t *testing.T) {
 	allow := map[string]string{
-		"ctsan/internal/experiment.Harnesses.Len": "campaign's TestReusedAssembliesMatchOnePointStudies, TestIdleWorkerRunsReplicasOfTheLastPoint, TestEvictionKeepsResultsAndBound and TestFineGridBuildsSixAssemblies count the harnesses a worker retains",
-		"ctsan/internal/sanmodel.Models.Len":      "campaign's TestReusedAssembliesMatchOnePointStudies, TestIdleWorkerRunsReplicasOfTheLastPoint, TestEvictionKeepsResultsAndBound and TestFineGridBuildsSixAssemblies count the SAN models a worker retains",
-		"ctsan/internal/san.Sim.SetFullRescan":    "the reference path sanmodel's TestDepTrackingMatchesFullRescan and san's TestQuickDepTrackingEquivalence, TestQuickResetEquivalentToNewSim and TestTimedArmingOrder compare the dependency index against",
+		"ctsan/internal/experiment.Harnesses.Len":         "campaign's TestReusedAssembliesMatchOnePointStudies, TestIdleWorkerRunsReplicasOfTheLastPoint, TestEvictionKeepsResultsAndBound and TestFineGridBuildsSixAssemblies count the harnesses a worker retains",
+		"ctsan/internal/sanmodel.Models.Len":              "campaign's TestReusedAssembliesMatchOnePointStudies, TestIdleWorkerRunsReplicasOfTheLastPoint, TestEvictionKeepsResultsAndBound and TestFineGridBuildsSixAssemblies count the SAN models a worker retains",
+		"ctsan/internal/san.Sim.SetFullRescan":            "the reference path sanmodel's TestDepTrackingMatchesFullRescan and san's TestQuickDepTrackingEquivalence, TestQuickResetEquivalentToNewSim and TestTimedArmingOrder compare the dependency index against",
+		"ctsan/internal/experiment.LatencySpec.Params":    "the root BenchmarkAblationSchedulerQuantum runs Fig. 9(a)'s class-3 point without the scheduler grid (GridProb 0); its only product writer was ThroughputSpec.Params, which nothing set",
+		"ctsan/internal/netsim.Params.CrashedConsumeWire": "the full-path cost of a send to a crashed host, which the SAN model implicitly charges; ROADMAP 2b's stage table decides whether the default (false) makes a dead coordinator too cheap",
+		"ctsan/internal/sanmodel.Params.UnicastBroadcast": "an ablation: campaign/san_golden_test.go and sanmodel's differentials run it, and ROADMAP 1b would put it on SANPoint",
+		"ctsan/internal/sanmodel.Params.FDCorrelated":     "an ablation: campaign/san_golden_test.go and sanmodel's differentials run it, and ROADMAP 1b would put it on SANPoint",
 	}
-
-	out, err := exec.Command("go", "list", "-f", `{{.ImportPath}}|{{.Dir}}|{{join .GoFiles ","}}`, "./...").Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	m := &moduleImporter{
-		fset: token.NewFileSet(),
-		srcs: map[string][]string{},
-		pkgs: map[string]*types.Package{},
-		uses: map[string]bool{},
-	}
-	m.std = importer.ForCompiler(m.fset, "source", nil)
-	var paths []string
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		f := strings.Split(line, "|")
-		if len(f) != 3 || f[2] == "" {
-			continue
-		}
-		for _, name := range strings.Split(f[2], ",") {
-			m.srcs[f[0]] = append(m.srcs[f[0]], filepath.Join(f[1], name))
-		}
-		paths = append(paths, f[0])
-	}
-	for _, p := range paths {
-		if _, err := m.Import(p); err != nil {
-			t.Fatalf("type-check %s: %v", p, err)
-		}
-	}
-	if err := m.recordSatisfied(paths); err != nil {
-		t.Fatal(err)
-	}
+	m, paths := loadModule(t)
 
 	var dead []string
+	unwritten := map[string]bool{}
 	for _, p := range paths {
 		internal := strings.HasPrefix(p, "ctsan/internal/")
 		if p != "ctsan/campaign" && !internal {
@@ -82,13 +69,25 @@ func TestEveryExportHasACaller(t *testing.T) {
 					dead = append(dead, methodKey(fn))
 				}
 			}
+			st, ok := named.Underlying().(*types.Struct)
+			for i := 0; ok && i < st.NumFields(); i++ {
+				f := st.Field(i)
+				_, tagged := reflect.StructTag(st.Tag(i)).Lookup("json")
+				if key := p + "." + name + "." + f.Name(); f.Exported() && !f.Embedded() && !tagged && !m.writes[f] {
+					dead = append(dead, key)
+					unwritten[key] = true
+				}
+			}
 		}
 	}
 	sort.Strings(dead)
 	for _, key := range dead {
-		if reason := allow[key]; reason != "" {
-			t.Logf("%s is kept for its tests: %s", key, reason)
-		} else {
+		switch {
+		case allow[key] != "":
+			t.Logf("%s is kept for its tests: %s", key, allow[key])
+		case unwritten[key]:
+			t.Errorf("%s is an exported field no non-test file of the module writes", key)
+		default:
 			t.Errorf("%s is exported but no non-test file of the module uses it", key)
 		}
 	}
@@ -99,17 +98,230 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 }
 
+// TestPerformanceDocNamesResolve holds PERFORMANCE.md to the code it
+// describes. Outside fenced code blocks, every backticked pkg.Name or
+// pkg.Name.Member whose pkg is a package of the module (its last path
+// element, or its path below the module such as cmd/ctsan) names
+// something that exists now: a func, type, var, const, method or field,
+// exported or not, of the package's non-test or test files. A name whose
+// last element is lowercase may instead be a metric BENCHMARK.json
+// lists. The file has at most 300 lines, so it can only say what is true
+// now; history goes to CHANGES.md.
+func TestPerformanceDocNamesResolve(t *testing.T) {
+	const maxLines = 300
+	m, paths := loadModule(t)
+	doc, err := os.ReadFile("PERFORMANCE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(strings.TrimRight(string(doc), "\n"), "\n") + 1; n > maxLines {
+		t.Errorf("PERFORMANCE.md has %d lines, want at most %d: state the current design, put history in CHANGES.md", n, maxLines)
+	}
+	metrics := benchmarkMetrics(t)
+	pkgs := map[string][]string{} // "san" and "internal/san" -> "ctsan/internal/san"
+	for _, p := range paths {
+		pkgs[path.Base(p)] = append(pkgs[path.Base(p)], p)
+		if rel, ok := strings.CutPrefix(p, "ctsan/"); ok && rel != path.Base(p) {
+			pkgs[rel] = append(pkgs[rel], p)
+		}
+	}
+	testDecls, err := m.testDecls()
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, fenced := 0, false
+	for _, text := range strings.SplitAfter(string(doc), "\n") {
+		line++
+		if strings.HasPrefix(strings.TrimSpace(text), "```") {
+			fenced = !fenced
+		}
+		if fenced {
+			continue
+		}
+		for _, span := range codeSpan.FindAllStringSubmatch(text, -1) {
+			name := strings.TrimSuffix(span[1], "()")
+			f := docName.FindStringSubmatch(name)
+			if f == nil || pkgs[f[1]] == nil || fileName.MatchString(name) {
+				continue // not a name in the module, or a file such as trace.go
+			}
+			elems := strings.Split(f[2], ".")
+			if m.declares(pkgs[f[1]], elems, testDecls) {
+				continue
+			}
+			if last := elems[len(elems)-1]; unicode.IsLower(rune(last[0])) && metrics[name] {
+				continue
+			}
+			t.Errorf("PERFORMANCE.md:%d: `%s` is neither a declaration of %s nor a metric of BENCHMARK.json", line, span[1], strings.Join(pkgs[f[1]], " or "))
+		}
+	}
+}
+
+var (
+	codeSpan = regexp.MustCompile("`([^`\n]+)`")
+	docName  = regexp.MustCompile(`^([a-z][a-z0-9_/]*)\.([A-Za-z0-9_.-]+)$`)
+	fileName = regexp.MustCompile(`\.(go|golden|json|jsonl|md|pprof|sh|stdout|txt)$`)
+)
+
+// benchmarkMetrics is the set of metric names BENCHMARK.json declares.
+func benchmarkMetrics(t *testing.T) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reg struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(data, &reg); err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, m := range append(reg.EndToEnd, reg.PerLayer...) {
+		names[m.Name] = true
+	}
+	return names
+}
+
+// declares reports whether one of the packages declares elems[0] and, if
+// elems has a second element, a field or method of that name on it — in
+// its non-test files, as type-checked, or in its test files.
+func (m *moduleImporter) declares(paths, elems []string, testDecls map[string]bool) bool {
+	if len(elems) > 2 {
+		return false
+	}
+	for _, p := range paths {
+		if testDecls[p+"."+strings.Join(elems, ".")] {
+			return true
+		}
+		obj := m.pkgs[p].Scope().Lookup(elems[0])
+		if obj != nil && len(elems) == 1 {
+			return true
+		}
+		if obj != nil {
+			if member, _, _ := types.LookupFieldOrMethod(obj.Type(), true, obj.Pkg(), elems[1]); member != nil {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// testDecls parses the module's test files and returns what they
+// declare at package level, as "import/path.Name", with methods and
+// struct fields as "import/path.Type.Member".
+func (m *moduleImporter) testDecls() (map[string]bool, error) {
+	decls := map[string]bool{}
+	for p, files := range m.tests {
+		for _, file := range files {
+			f, err := parser.ParseFile(m.fset, file, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if recv := recvName(d); recv != "" {
+						decls[p+"."+recv+"."+d.Name.Name] = true
+					} else {
+						decls[p+"."+d.Name.Name] = true
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							decls[p+"."+s.Name.Name] = true
+							if st, ok := s.Type.(*ast.StructType); ok {
+								for _, field := range st.Fields.List {
+									for _, id := range field.Names {
+										decls[p+"."+s.Name.Name+"."+id.Name] = true
+									}
+								}
+							}
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								decls[p+"."+id.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return decls, nil
+}
+
+// loadModule type-checks every package of the module from its non-test
+// files, once per test binary, and returns the importer with the
+// packages' import paths.
+func loadModule(t *testing.T) (*moduleImporter, []string) {
+	t.Helper()
+	module.once.Do(func() { module.m, module.paths, module.err = typeCheckModule() })
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.m, module.paths
+}
+
+var module struct {
+	once  sync.Once
+	m     *moduleImporter
+	paths []string
+	err   error
+}
+
+func typeCheckModule() (*moduleImporter, []string, error) {
+	out, err := exec.Command("go", "list", "-f",
+		`{{.ImportPath}}|{{.Dir}}|{{join .GoFiles ","}}|{{join .TestGoFiles ","}},{{join .XTestGoFiles ","}}`, "./...").Output()
+	if err != nil {
+		return nil, nil, fmt.Errorf("go list: %v", err)
+	}
+	m := &moduleImporter{
+		fset:   token.NewFileSet(),
+		srcs:   map[string][]string{},
+		tests:  map[string][]string{},
+		pkgs:   map[string]*types.Package{},
+		uses:   map[string]bool{},
+		writes: map[*types.Var]bool{},
+	}
+	m.std = importer.ForCompiler(m.fset, "source", nil)
+	var paths []string
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.Split(line, "|")
+		if len(f) != 4 || f[2] == "" {
+			continue
+		}
+		for _, name := range strings.Split(f[2], ",") {
+			m.srcs[f[0]] = append(m.srcs[f[0]], filepath.Join(f[1], name))
+		}
+		for _, name := range strings.Split(f[3], ",") {
+			if name != "" {
+				m.tests[f[0]] = append(m.tests[f[0]], filepath.Join(f[1], name))
+			}
+		}
+		paths = append(paths, f[0])
+	}
+	for _, p := range paths {
+		if _, err := m.Import(p); err != nil {
+			return nil, nil, fmt.Errorf("type-check %s: %v", p, err)
+		}
+	}
+	return m, paths, m.recordSatisfied(paths)
+}
+
 // moduleImporter type-checks the module's own packages from their
 // non-test files, recording which package-level objects and methods they
-// use, and hands everything else to the standard library's source
-// importer.
+// use and which struct fields they write, and hands everything else to
+// the standard library's source importer.
 type moduleImporter struct {
 	fset   *token.FileSet
 	std    types.Importer
 	srcs   map[string][]string // import path -> non-test files
+	tests  map[string][]string // import path -> test files, not type-checked
 	pkgs   map[string]*types.Package
-	uses   map[string]bool    // "import/path.Name" or "import/path.Type.Method" used outside its own declaration
-	ifaces []*types.Interface // every interface the module's non-test files spell, named or literal
+	uses   map[string]bool     // "import/path.Name" or "import/path.Type.Method" used outside its own declaration
+	writes map[*types.Var]bool // struct fields some non-test file writes
+	ifaces []*types.Interface  // every interface the module's non-test files spell, named or literal
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
@@ -129,8 +341,9 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	pkg, err := (&types.Config{Importer: m}).Check(path, m.fset, files, info)
 	if err != nil {
@@ -141,6 +354,7 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 		for _, decl := range f.Decls {
 			m.record(info, path, decl)
 		}
+		m.recordWrites(info, f)
 	}
 	for _, tv := range info.Types {
 		if iface, ok := tv.Type.Underlying().(*types.Interface); ok {
@@ -157,20 +371,12 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 func (m *moduleImporter) record(info *types.Info, path string, decl ast.Decl) {
 	switch d := decl.(type) {
 	case *ast.FuncDecl:
-		own := path + "." + d.Name.Name
-		if d.Recv != nil {
-			recv := ""
-			ast.Inspect(d.Recv.List[0].Type, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && recv == "" {
-					recv = id.Name
-				}
-				return true
-			})
-			own = path + "." + recv
+		if recv := recvName(d); recv != "" {
+			own := path + "." + recv
 			m.recordUses(info, d, own, own+"."+d.Name.Name)
 			return
 		}
-		m.recordUses(info, d, own)
+		m.recordUses(info, d, path+"."+d.Name.Name)
 	case *ast.GenDecl:
 		for _, spec := range d.Specs {
 			switch s := spec.(type) {
@@ -207,6 +413,67 @@ func (m *moduleImporter) recordUses(info *types.Info, node ast.Node, own ...stri
 		}
 		return true
 	})
+}
+
+// recordWrites marks every struct field f writes: as a composite-literal
+// key (an unkeyed literal writes every field), on the left of an
+// assignment or ++/--, through &x.F, or as the operand of a method call
+// x.F.M(). Writing x.F[i] or x.F.G writes into F too.
+func (m *moduleImporter) recordWrites(info *types.Info, f *ast.File) {
+	write := func(e ast.Expr) {
+		for e != nil {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				if s := info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
+					m.writes[s.Obj().(*types.Var).Origin()] = true
+				}
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			default:
+				e = nil
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			st, _ := info.Types[n].Type.Underlying().(*types.Struct)
+			for i, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if v, ok := info.Uses[identOf(kv.Key)].(*types.Var); ok && v.IsField() {
+						m.writes[v.Origin()] = true
+					}
+				} else if st != nil {
+					m.writes[st.Field(i).Origin()] = true
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				write(lhs)
+			}
+		case *ast.IncDecStmt:
+			write(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				write(n.X)
+			}
+		case *ast.CallExpr:
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
+				if s := info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
+					write(sel.X)
+				}
+			}
+		}
+		return true
+	})
+}
+
+func identOf(e ast.Expr) *ast.Ident {
+	id, _ := e.(*ast.Ident)
+	return id
 }
 
 // recordSatisfied marks as used every method through which a named type
@@ -279,6 +546,20 @@ type multiUnwrapper interface{ Unwrap() []error }
 type iser interface{ Is(error) bool }
 type aser interface{ As(any) bool }
 `
+
+// recvName is the name of d's receiver type, "" for a plain function.
+func recvName(d *ast.FuncDecl) string {
+	recv := ""
+	if d.Recv != nil {
+		ast.Inspect(d.Recv.List[0].Type, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && recv == "" {
+				recv = id.Name
+			}
+			return true
+		})
+	}
+	return recv
+}
 
 // namedType is obj's defined type when obj declares a non-interface type.
 func namedType(obj types.Object) *types.Named {

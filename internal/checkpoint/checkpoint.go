@@ -35,9 +35,9 @@
 //
 // Open combines the two: it loads the intact prefix and, if anything was
 // discarded, immediately replaces the file with that clean prefix
-// (atomically through internal/atomicio, the one rewrite this package
-// does) so the next write lands on a record boundary and two crashes in
-// a row cannot compound.
+// (atomically through WriteFile, the one rewrite this package does) so
+// the next write lands on a record boundary and two crashes in a row
+// cannot compound.
 //
 // Two consequences of appending in place, both harmless to the callers:
 // a Load racing a write may see the new record's line half-written
@@ -58,7 +58,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"ctsan/internal/atomicio"
 	"ctsan/internal/obs"
 )
 
@@ -96,7 +95,7 @@ func Open(path string) (*Store, error) {
 	if intact < len(data) {
 		// Repair now: replace the file with the clean prefix atomically so
 		// a second crash cannot stack new corruption on old.
-		if err := atomicio.WriteFile(path, data[:intact], 0o644); err != nil {
+		if err := WriteFile(path, data[:intact], 0o644); err != nil {
 			return nil, err
 		}
 		obs.CheckpointBytes.Add(s.size)
@@ -210,7 +209,7 @@ func (s *Store) Sync() error {
 	if err == nil && s.synced == 0 {
 		// The first sync of this file: it may be one this store created,
 		// whose directory entry is not durable yet either.
-		err = atomicio.SyncDir(filepath.Dir(s.path))
+		err = syncDir(filepath.Dir(s.path))
 	}
 	if err != nil {
 		s.broken = fmt.Errorf("checkpoint: %s unusable after failed sync: %w", s.path, err)
@@ -273,5 +272,60 @@ func (s *Store) write(buf []byte) error {
 		}
 		return fmt.Errorf("checkpoint: %w", err)
 	}
+	return nil
+}
+
+// WriteFile atomically replaces the file at path with data: it writes a
+// temporary file in the same directory (rename is atomic only within one
+// filesystem), fsyncs it, renames it over path and fsyncs the directory,
+// so after a crash at any instant path holds the complete old content or
+// the complete new content, never a prefix. On error the temporary file
+// is removed and path is untouched. Open repairs a damaged tail with it,
+// and cmd/ctsan's merged output, cmd/benchjson's BENCH_emulation.json and
+// the golden -update writers go through it, so an interrupted run never
+// leaves a half-written artifact behind.
+func WriteFile(path string, data []byte, perm os.FileMode) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	tmpName := tmp.Name()
+	// Any failure from here on must not leave the temp file behind.
+	fail := func(err error) error {
+		tmp.Close()
+		os.Remove(tmpName)
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	if err := tmp.Chmod(perm); err != nil {
+		return fail(err)
+	}
+	if _, err := tmp.Write(data); err != nil {
+		return fail(err)
+	}
+	if err := tmp.Sync(); err != nil {
+		return fail(err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fail(err)
+	}
+	if err := os.Rename(tmpName, path); err != nil {
+		os.Remove(tmpName)
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory so a rename or a file creation is durable.
+// Some filesystems refuse to fsync directories; that error is ignored:
+// the entry is there, just not guaranteed durable, which is the best
+// such a system offers.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	defer d.Close()
+	_ = d.Sync()
 	return nil
 }

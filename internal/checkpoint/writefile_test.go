@@ -1,4 +1,4 @@
-package atomicio
+package checkpoint
 
 import (
 	"os"

@@ -83,6 +83,16 @@ func MeasureDelaysContext(ctx context.Context, spec DelaySpec) ([]float64, error
 	sender := &probeProto{spec: spec, sendAt: make(map[int]float64)}
 	sumDelay := make(map[int]float64)
 	gotCount := make(map[int]int)
+	// sendAt holds sender-local times while arrivals are stamped with the
+	// global clock; senderOffset (local − global, the same at any instant)
+	// reconciles the two so the measured delay is skew-free, like the
+	// paper's NTP-disciplined round-trip measurements.
+	senderOffset := cluster.Context(1).Now() - cluster.Now()
+	arrive := func(m *neko.Message) {
+		seq := int(m.Payload.Seq)
+		sumDelay[seq] += cluster.Now() + senderOffset - sender.sendAt[seq]
+		gotCount[seq]++
+	}
 	for i := 1; i <= spec.N; i++ {
 		id := neko.ProcessID(i)
 		stack := neko.NewStack(cluster.Context(id))
@@ -90,25 +100,9 @@ func MeasureDelaysContext(ctx context.Context, spec DelaySpec) ([]float64, error
 			sender.ctx = stack.Context()
 			stack.AddLayer(sender)
 		}
-		stack.HandleKind(neko.PayloadProbe, msgProbe, func(*neko.Message) {})
+		stack.HandleKind(neko.PayloadProbe, msgProbe, arrive)
 		cluster.Attach(id, stack)
 	}
-	// sendAt holds sender-local times while the delivery trace reports
-	// global times; senderOffset (local − global) reconciles the clocks so
-	// the measured delay is skew-free, like the paper's NTP-disciplined
-	// round-trip measurements.
-	senderOffset := 0.0
-	cluster.Trace(func(m neko.Message, at float64) {
-		if m.Type != msgProbe {
-			return
-		}
-		seq := int(m.Payload.Seq)
-		sumDelay[seq] += at + senderOffset - sender.sendAt[seq]
-		gotCount[seq]++
-	})
-	// The sender's local clock offset equals Now(local) - Now(global) at
-	// any instant; compute it before starting.
-	senderOffset = cluster.Context(1).Now() - cluster.Now()
 	cluster.Start()
 	// The probe timer chain suffers scheduler lateness (grid deferrals can
 	// add several ms per wake-up); budget generously so every probe fires.

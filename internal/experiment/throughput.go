@@ -7,7 +7,6 @@ import (
 
 	"ctsan/internal/consensus"
 	"ctsan/internal/neko"
-	"ctsan/internal/netsim"
 	"ctsan/internal/rng"
 	"ctsan/internal/stats"
 )
@@ -20,14 +19,11 @@ import (
 // necessarily start consensus at the same time."
 type ThroughputSpec struct {
 	N          int
-	Params     netsim.Params
 	Executions int     // chained consensus instances
 	Warmup     int     // leading instances excluded from the rate
 	FDMode     FDMode  // zero value: FDOracle
 	TimeoutT   float64 // FDHeartbeat
-	PeriodTh   float64
 	Crashed    []neko.ProcessID
-	MaxRounds  int
 	Seed       uint64
 }
 
@@ -65,8 +61,7 @@ func RunThroughputContext(ctx context.Context, spec ThroughputSpec) (*Throughput
 		return nil, fmt.Errorf("experiment: warmup %d must be below executions %d", spec.Warmup, spec.Executions)
 	}
 	shape, err := LatencySpec{
-		N: spec.N, Params: spec.Params, Crashed: spec.Crashed, MaxRounds: spec.MaxRounds,
-		FDMode: spec.FDMode, TimeoutT: spec.TimeoutT, PeriodTh: spec.PeriodTh,
+		N: spec.N, Crashed: spec.Crashed, FDMode: spec.FDMode, TimeoutT: spec.TimeoutT,
 	}.shape()
 	if err != nil {
 		return nil, err

@@ -101,8 +101,11 @@ func (d *Digest) UnmarshalBinary(data []byte) error {
 	if exactCap > math.MaxInt32 {
 		return fmt.Errorf("metrics: implausible exact cap %d", exactCap)
 	}
+	// n becomes an int below: the bound is MaxInt/2, not MaxInt64/2, so a
+	// 32-bit build refuses a count it would truncate (2^52+7 would decode
+	// as 7) instead of accepting an encoding it could never produce.
 	n := r.u64()
-	if n > math.MaxInt64/2 {
+	if n > math.MaxInt/2 {
 		return fmt.Errorf("metrics: implausible observation count %d", n)
 	}
 	mean, m2, mn, mx := r.f64(), r.f64(), r.f64(), r.f64()

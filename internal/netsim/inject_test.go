@@ -180,7 +180,7 @@ func TestLinkExtraDelayIsDirected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var at12, at21 float64
-	c.Trace(func(m neko.Message, at float64) {
+	onDeliver(c, func(m *neko.Message, at float64) {
 		if m.To == 2 {
 			at12 = at
 		} else {
@@ -261,7 +261,7 @@ func TestInjectionFreeRunUnperturbed(t *testing.T) {
 			}
 		}
 		var times []float64
-		c.Trace(func(m neko.Message, at float64) { times = append(times, at) })
+		onDeliver(c, func(_ *neko.Message, at float64) { times = append(times, at) })
 		c.Start()
 		ctx := c.Context(1)
 		c.StartAt(1, 0, func() {

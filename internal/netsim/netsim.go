@@ -162,8 +162,6 @@ type Cluster struct {
 	delivered uint64
 	// hubFree is when the shared medium next becomes idle.
 	hubFree float64
-	// traceFn, if set, observes every message delivery (for tests).
-	traceFn func(m neko.Message, at float64)
 	// tracer, if set, records structured execution events (message
 	// send/deliver/drop, timer arm/stop/fire, fault injections) into the
 	// replica's trace ring. Nil costs one branch per site.
@@ -340,12 +338,11 @@ func (c *Cluster) seed(r *rng.Stream) {
 // touched: the layers above (fd detectors, consensus engines) must be
 // rewound by their own reset hooks. Every outstanding timer handle is
 // invalidated wholesale; holders must discard handles without calling
-// Stop. Trace and phase observers are cleared, as on a fresh cluster.
+// Stop. The tracer and phase observers are cleared, as on a fresh cluster.
 func (c *Cluster) Reset(r *rng.Stream) {
 	c.sim.Reset()
 	c.delivered = 0
 	c.hubFree = 0
-	c.traceFn = nil
 	c.tracer = nil
 	c.group = nil
 	clear(c.links)
@@ -453,9 +450,6 @@ func (c *Cluster) Attach(id neko.ProcessID, s *neko.Stack) {
 	}
 	h.stack = s
 }
-
-// Trace registers an observer for every message delivery (test hook).
-func (c *Cluster) Trace(fn func(m neko.Message, at float64)) { c.traceFn = fn }
 
 // SetTracer attaches a structured execution tracer to the cluster and its
 // DES kernel (nil detaches both). Cluster.Reset detaches it again, so a
@@ -753,9 +747,6 @@ func (t *transit) recv() {
 		return
 	}
 	c.delivered++
-	if c.traceFn != nil {
-		c.traceFn(*m, c.sim.Now())
-	}
 	if c.tracer != nil {
 		c.tracer.Emit(trace.Event{T: c.sim.Now(), P: int32(m.To), Q: int32(m.From), Kind: trace.KindDeliver, S: m.Type})
 	}

@@ -18,6 +18,14 @@ func pingStack(ctx neko.Context, got *[]neko.Message) *neko.Stack {
 	return s
 }
 
+// onDeliver observes every message a live process receives, through a
+// Tap on each attached stack, with the instant of delivery.
+func onDeliver(c *Cluster, fn func(m *neko.Message, at float64)) {
+	for _, h := range c.hosts {
+		h.stack.Tap(func(m *neko.Message) { fn(m, c.Now()) })
+	}
+}
+
 // newTestCluster builds a 3-host cluster with stacks that record inbound
 // messages per process.
 func newTestCluster(t *testing.T, params Params) (*Cluster, []*[]neko.Message) {
@@ -62,7 +70,7 @@ func TestEndToEndDelayMatchesDecomposition(t *testing.T) {
 	}
 	c, _ := newTestCluster(t, params)
 	var deliveredAt float64
-	c.Trace(func(m neko.Message, at float64) { deliveredAt = at })
+	onDeliver(c, func(_ *neko.Message, at float64) { deliveredAt = at })
 	c.Start()
 	ctx := c.Context(1)
 	c.StartAt(1, 1.0, func() {
@@ -91,7 +99,7 @@ func TestHubSerializes(t *testing.T) {
 	}
 	c, _ := newTestCluster(t, params)
 	var times []float64
-	c.Trace(func(m neko.Message, at float64) { times = append(times, at) })
+	onDeliver(c, func(_ *neko.Message, at float64) { times = append(times, at) })
 	c.Start()
 	for _, src := range []neko.ProcessID{1, 2} {
 		src := src
@@ -125,7 +133,7 @@ func TestSenderCPUSerializes(t *testing.T) {
 		at float64
 	}
 	var recs []rec
-	c.Trace(func(m neko.Message, at float64) { recs = append(recs, rec{m.To, at}) })
+	onDeliver(c, func(m *neko.Message, at float64) { recs = append(recs, rec{m.To, at}) })
 	c.Start()
 	ctx := c.Context(1)
 	c.StartAt(1, 0, func() {
@@ -250,7 +258,7 @@ func TestDeterminism(t *testing.T) {
 			var sink []neko.Message
 			c.Attach(neko.ProcessID(i), pingStack(c.Context(neko.ProcessID(i)), &sink))
 		}
-		c.Trace(func(m neko.Message, at float64) { times = append(times, at) })
+		onDeliver(c, func(_ *neko.Message, at float64) { times = append(times, at) })
 		c.Start()
 		ctx := c.Context(1)
 		c.StartAt(1, 0, func() {
@@ -287,7 +295,7 @@ func TestFailedSendCostsSenderCPU(t *testing.T) {
 	}
 	c, _ := newTestCluster(t, params)
 	var deliveredAt float64
-	c.Trace(func(m neko.Message, at float64) { deliveredAt = at })
+	onDeliver(c, func(_ *neko.Message, at float64) { deliveredAt = at })
 	c.Start()
 	ctx := c.Context(1)
 	c.StartAt(1, 0, func() {

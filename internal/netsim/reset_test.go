@@ -27,10 +27,10 @@ func pingPongStack(c *Cluster, id neko.ProcessID) *neko.Stack {
 // feature is on the path.
 func exerciseCluster(c *Cluster) []float64 {
 	var trace []float64
-	c.Trace(func(_ neko.Message, at float64) { trace = append(trace, at) })
 	for id := neko.ProcessID(1); int(id) <= c.Params().N; id++ {
 		c.Attach(id, pingPongStack(c, id))
 	}
+	onDeliver(c, func(_ *neko.Message, at float64) { trace = append(trace, at) })
 	c.Start()
 	ctx1 := c.Context(1)
 	c.StartAt(1, 0, func() {
@@ -77,6 +77,8 @@ func TestClusterResetMatchesFresh(t *testing.T) {
 	for id := neko.ProcessID(1); id <= 3; id++ {
 		reused.Attach(id, pingPongStack(reused, id))
 	}
+	var got []float64 // the stacks, and so their taps, survive Reset
+	onDeliver(reused, func(_ *neko.Message, at float64) { got = append(got, at) })
 	for seed := uint64(1); seed <= 30; seed++ {
 		fresh, err := New(resetParams(3), rng.New(seed))
 		if err != nil {
@@ -88,8 +90,7 @@ func TestClusterResetMatchesFresh(t *testing.T) {
 		}
 
 		reused.Reset(rng.New(seed))
-		var got []float64
-		reused.Trace(func(_ neko.Message, at float64) { got = append(got, at) })
+		got = got[:0]
 		reused.Start()
 		ctx1 := reused.Context(1)
 		reused.StartAt(1, 0, func() {

@@ -26,9 +26,6 @@ type TraceSpec struct {
 	Workers int
 	// Seed is the campaign root seed.
 	Seed uint64
-	// MaxRounds / Deadline pass through to RunConfig (0 = defaults).
-	MaxRounds int
-	Deadline  float64
 	// Cap bounds each replica's trace ring (0 = trace.DefaultCap). When a
 	// replica emits more events than Cap the oldest are dropped and the
 	// JSONL dump carries a truncation meta line.
@@ -50,8 +47,7 @@ type TracedReplica struct {
 // replica only the end-of-run snapshot.
 func RunTraced(ctx context.Context, spec TraceSpec) ([]*TracedReplica, error) {
 	grid := CampaignSpec{
-		Scenarios: []*Scenario{spec.Scenario}, Replicas: spec.Replicas, Executions: spec.Executions,
-		Seed: spec.Seed, MaxRounds: spec.MaxRounds, Deadline: spec.Deadline,
+		Scenarios: []*Scenario{spec.Scenario}, Replicas: spec.Replicas, Executions: spec.Executions, Seed: spec.Seed,
 	}
 	results, err := parallel.Do(ctx, spec.Workers, func(p *parallel.Pool, w int) ([]*Result, error) {
 		return runUnits(ctx, p, w, make([]experiment.Harnesses, p.Workers()), &grid, func() *trace.Tracer { return trace.New(spec.Cap) })
