@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+
+	"ctsan/internal/experiment"
+	"ctsan/internal/sanmodel"
+	"ctsan/internal/scenario"
 )
 
 // mapCache is the simplest conforming PointCache: encoded shard-record
@@ -340,30 +345,7 @@ func (c *countingCache) Put(string, *Result)        { c.puts++ }
 // FrozenPoints: the sharded and fleet paths).
 func TestUnrunnablePointFailsBeforeAnyExecution(t *testing.T) {
 	good := SANPoint{N: 3, Replicas: 5}
-	for _, tc := range []struct {
-		bad  Point
-		want string
-	}{
-		{SANPoint{N: 3, Crashed: []int{9}}, "crashed process 9 out of range 1..3"},
-		{SANPoint{N: 3, Crashed: []int{1, 2}}, "majority-correct"},
-		{LatencyPoint{N: 3, Executions: 5, Crashed: []int{0}}, "crashed process 0 out of range 1..3"},
-		{LatencyPoint{N: 4, Executions: 5, Crashed: []int{1, 2}}, "majority-correct"},
-		{SANPoint{N: 3, TMR: 10, TM: 10}, "0 < TM < TMR"},
-		{SANPoint{N: 3, TMR: 10}, "0 < TM < TMR"},
-		{SANPoint{N: 3, TMR: 10, TM: 12, FDExponential: true}, "0 < TM < TMR"},
-		{SANPoint{N: 3, TMR: -1}, "negative FD QoS"},
-		{SANPoint{N: 3, TMR: 10, TM: -2}, "negative FD QoS"},
-		{SANPoint{N: 3, TSend: -1}, "negative t_send"},
-		{SANPoint{N: 3, Tmax: -1}, "negative horizon"},
-		{LatencyPoint{N: 3, Executions: 5, TimeoutT: 10, PeriodTh: -1}, "negative heartbeat period"},
-		{LatencyPoint{N: 3, Executions: 5, Gap: -5}, "negative gap"},
-		{LatencyPoint{N: 3, Executions: 5, Warmup: -50}, "warmup"},
-		{LatencyPoint{N: 3, Executions: 5, Deadline: -5}, "negative execution deadline"},
-		{LatencyPoint{N: 3, Executions: 5, MaxRounds: -1}, "negative round guard"},
-		{ScenarioPoint{Name: "paper-baseline", Deadline: -5}, "negative execution deadline"},
-		{ScenarioPoint{Name: "paper-baseline", MaxRounds: -1}, "negative round guard"},
-		{ScenarioPoint{Name: "hb", SpecJSON: []byte(`{"name":"hb","n":3,"timeout_t":10,"period_th":-1}`)}, "negative heartbeat period"},
-	} {
+	for _, tc := range unrunnablePoints {
 		study := NewStudy("bad-second", good, tc.bad)
 		var cache countingCache
 		err := Run(context.Background(), study, WithWorkers(1), WithPointCache(&cache))
@@ -380,4 +362,100 @@ func TestUnrunnablePointFailsBeforeAnyExecution(t *testing.T) {
 			t.Errorf("%+v: FrozenPoints error %v, want %q", tc.bad, err, tc.want)
 		}
 	}
+}
+
+// unrunnablePoints are points no engine can run, each with the substring
+// of the reason every caller must report.
+var unrunnablePoints = []struct {
+	bad  Point
+	want string
+}{
+	{SANPoint{N: 3, Crashed: []int{9}}, "crashed process 9 out of range 1..3"},
+	{SANPoint{N: 3, Crashed: []int{1, 2}}, "majority-correct"},
+	{LatencyPoint{N: 3, Executions: 5, Crashed: []int{0}}, "crashed process 0 out of range 1..3"},
+	{LatencyPoint{N: 4, Executions: 5, Crashed: []int{1, 2}}, "majority-correct"},
+	{SANPoint{N: 3, TMR: 10, TM: 10}, "0 < TM < TMR"},
+	{SANPoint{N: 3, TMR: 10}, "0 < TM < TMR"},
+	{SANPoint{N: 3, TMR: 10, TM: 12, FDExponential: true}, "0 < TM < TMR"},
+	{SANPoint{N: 3, TMR: -1}, "negative FD QoS"},
+	{SANPoint{N: 3, TMR: 10, TM: -2}, "negative FD QoS"},
+	{SANPoint{N: 3, TSend: -1}, "negative t_send"},
+	{SANPoint{N: 3, Tmax: -1}, "negative horizon"},
+	{LatencyPoint{N: 3, Executions: 5, TimeoutT: 10, PeriodTh: -1}, "negative heartbeat period"},
+	{LatencyPoint{N: 3, Executions: 5, Gap: -5}, "negative gap"},
+	{LatencyPoint{N: 3, Executions: 5, Warmup: -50}, "warmup"},
+	{LatencyPoint{N: 3, Executions: 5, Deadline: -5}, "negative execution deadline"},
+	{LatencyPoint{N: 3, Executions: 5, MaxRounds: -1}, "negative round guard"},
+	{ScenarioPoint{Name: "paper-baseline", Deadline: -5}, "negative execution deadline"},
+	{ScenarioPoint{Name: "paper-baseline", MaxRounds: -1}, "negative round guard"},
+	{ScenarioPoint{Name: "hb", SpecJSON: []byte(`{"name":"hb","n":3,"timeout_t":10,"period_th":-1}`)}, "negative heartbeat period"},
+}
+
+// TestEnginesRejectWhatFreezeRejects: freeze checks a point by asking its
+// engine, so each engine, handed the input the point's own builders make
+// (the ones freeze uses) without freezing first, must reject every
+// unrunnable point with the same reason, and none may panic: the latency
+// entry point, sanmodel.SimulateContext, and scenario.Run and
+// RunCampaignContext. A timeline the scenario parser itself refuses is
+// refused there, with the same reason.
+func TestEnginesRejectWhatFreezeRejects(t *testing.T) {
+	for _, tc := range unrunnablePoints {
+		for i, err := range engineErrors(t, tc.bad) {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%+v: engine call %d returned %v, want %q", tc.bad, i, err, tc.want)
+			}
+		}
+	}
+}
+
+// engineErrors hands p's engine input straight to its engine entry
+// points and returns what each reports; a panic counts as an error.
+func engineErrors(t *testing.T, p Point) []error {
+	t.Helper()
+	ctx := context.Background()
+	call := func(f func() error) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		return f()
+	}
+	switch q := p.(type) {
+	case LatencyPoint:
+		return []error{call(func() error {
+			_, err := experiment.RunLatencyContext(ctx, q.spec())
+			return err
+		})}
+	case SANPoint:
+		if q.Replicas == 0 {
+			q.Replicas = 5
+		}
+		return []error{call(func() error {
+			params, err := q.params()
+			if err != nil {
+				return err
+			}
+			_, err = sanmodel.SimulateContext(ctx, params, q.Replicas, q.horizon(), 1, 1)
+			return err
+		})}
+	case ScenarioPoint:
+		s, err := q.scenario()
+		if err != nil {
+			return []error{err}
+		}
+		grid := q.grid(s)
+		return []error{
+			call(func() error {
+				_, err := scenario.RunCampaignContext(ctx, grid)
+				return err
+			}),
+			call(func() error {
+				_, err := scenario.Run(s, scenario.RunConfig{Executions: grid.Executions, MaxRounds: grid.MaxRounds, Deadline: grid.Deadline})
+				return err
+			}),
+		}
+	}
+	t.Fatalf("no engine for %T", p)
+	return nil
 }

@@ -74,14 +74,21 @@ type Point interface {
 	Label() string
 	// freeze returns the point with every default Run would otherwise
 	// resolve lazily materialized under the study options — display
-	// label, derived seed, replica count — and validated: the one place
-	// a point is checked, before anything runs or is leased out. Sealing
-	// method: only this package implements Point.
-	freeze(o *options, index int) (Point, error)
-	// prepare returns the runner of a frozen point and, for a chain — a
-	// point no second worker can join — its estimated cost (chainCost);
-	// 0 marks a divisible point, whose replica loop idle workers join.
-	prepare() (pointRunner, float64, error)
+	// label, derived seed, replica count — and the frozen point prepared
+	// to run. It builds the engine input once and checks it with the
+	// engine's own rules: the one place a point is checked, before
+	// anything runs or is leased out. Sealing method: only this package
+	// implements Point.
+	freeze(o *options, index int) (Point, prepared, error)
+}
+
+// prepared is a frozen point ready to run: its runner over the engine
+// input freeze built and, for a chain — a point no second worker can
+// join — its estimated cost (chainCost); 0 marks a divisible point,
+// whose replica loop idle workers join.
+type prepared struct {
+	run   pointRunner
+	chain float64
 }
 
 // pointRunner executes one prepared point under a context, as worker w of

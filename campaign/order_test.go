@@ -18,18 +18,16 @@ import (
 // join — heaviest estimate first, then the divisible points, ties and
 // divisible points in index order; results still emitted in index order.
 
-// studyOrder is the start order Run gives a study: freeze, prepare, rank.
+// studyOrder is the start order Run gives a study: freeze, rank.
 func studyOrder(t *testing.T, s *Study) (order []int, labels []string) {
 	t.Helper()
-	frozen, err := Frozen(s)
+	frozen, prep, err := frozenWith(s, &options{seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	chains := make([]float64, len(frozen.Points))
+	chains := make([]float64, len(prep))
 	for i, p := range frozen.Points {
-		if _, chains[i], err = p.prepare(); err != nil {
-			t.Fatal(err)
-		}
+		chains[i] = prep[i].chain
 		labels = append(labels, p.Label())
 	}
 	return startOrder(chains), labels

@@ -31,7 +31,7 @@ type LatencyPoint struct {
 	Warmup float64
 	// TimeoutT > 0 runs the heartbeat failure detector with timeout T;
 	// PeriodTh is the heartbeat period (0 = 0.7·T, §5.4). TimeoutT == 0
-	// uses the perfect oracle.
+	// uses the perfect oracle, which reads no period.
 	TimeoutT float64
 	PeriodTh float64
 	// Crashed lists initially crashed processes (class-2 runs).
@@ -50,46 +50,15 @@ func (p LatencyPoint) Engine() Engine { return Emulation }
 // Label implements Point.
 func (p LatencyPoint) Label() string { return p.Name }
 
-func (p LatencyPoint) freeze(o *options, index int) (Point, error) {
+func (p LatencyPoint) freeze(o *options, index int) (Point, prepared, error) {
 	p.Name = label(p, index)
 	p.Seed = o.pointSeed(index, p.Seed)
-	switch {
-	case p.N < 2:
-		return nil, fmt.Errorf("need n >= 2, got %d", p.N)
-	case p.Executions < 1:
-		return nil, errors.New("need at least 1 execution")
-	case p.TimeoutT < 0:
-		return nil, fmt.Errorf("negative heartbeat timeout %g (0 selects the oracle FD)", p.TimeoutT)
-	case p.PeriodTh < 0:
-		return nil, fmt.Errorf("negative heartbeat period %g (0 selects 0.7·T)", p.PeriodTh)
-	case p.Gap < 0 || p.Warmup < 0:
-		return nil, fmt.Errorf("negative gap %g or warmup %g ms (0 selects the default)", p.Gap, p.Warmup)
+	spec := p.spec()
+	shape, plan, err := spec.Check()
+	if err != nil {
+		return nil, prepared{}, err
 	}
-	if err := checkGuards(p.MaxRounds, p.Deadline); err != nil {
-		return nil, err
-	}
-	return p, checkCrashed(p.N, p.Crashed)
-}
-
-func (p LatencyPoint) prepare() (pointRunner, float64, error) {
-	spec := experiment.LatencySpec{
-		N:          p.N,
-		Executions: p.Executions,
-		Gap:        p.Gap,
-		Warmup:     p.Warmup,
-		MaxRounds:  p.MaxRounds,
-		Deadline:   p.Deadline,
-		Seed:       p.Seed,
-	}
-	if p.TimeoutT > 0 {
-		spec.FDMode = experiment.FDHeartbeat
-		spec.TimeoutT = p.TimeoutT
-		spec.PeriodTh = p.PeriodTh
-	}
-	for _, id := range p.Crashed {
-		spec.Crashed = append(spec.Crashed, neko.ProcessID(id))
-	}
-	return func(ctx context.Context, a *assemblies, w int) (*Result, error) {
+	run := func(ctx context.Context, a *assemblies, w int) (*Result, error) {
 		res, err := a.harnesses[w].RunLatency(ctx, spec)
 		if err != nil {
 			return nil, err
@@ -109,7 +78,31 @@ func (p LatencyPoint) prepare() (pointRunner, float64, error) {
 			out.TMR, out.TM = res.QoS.TMR, res.QoS.TM
 		}
 		return out, nil
-	}, chainCost(p.Executions, p.N, p.Gap, p.TimeoutT, p.PeriodTh), nil
+	}
+	return p, prepared{run: run, chain: chainCost(shape, plan)}, nil
+}
+
+// spec is the latency campaign the point describes, for the Emulation
+// engine to default and check.
+func (p LatencyPoint) spec() experiment.LatencySpec {
+	spec := experiment.LatencySpec{
+		N:          p.N,
+		Executions: p.Executions,
+		Gap:        p.Gap,
+		Warmup:     p.Warmup,
+		MaxRounds:  p.MaxRounds,
+		Deadline:   p.Deadline,
+		Seed:       p.Seed,
+	}
+	if p.TimeoutT != 0 {
+		spec.FDMode = experiment.FDHeartbeat
+		spec.TimeoutT = p.TimeoutT
+		spec.PeriodTh = p.PeriodTh
+	}
+	for _, id := range p.Crashed {
+		spec.Crashed = append(spec.Crashed, neko.ProcessID(id))
+	}
+	return spec
 }
 
 // SANPoint is a SAN-engine point: a replicated transient study of the
@@ -154,30 +147,66 @@ func (p SANPoint) Engine() Engine { return SAN }
 // Label implements Point.
 func (p SANPoint) Label() string { return p.Name }
 
-func (p SANPoint) freeze(o *options, index int) (Point, error) {
+func (p SANPoint) freeze(o *options, index int) (Point, prepared, error) {
 	p.Name = label(p, index)
 	p.Seed = o.pointSeed(index, p.Seed)
 	p.Replicas = o.pointReplicas(p.Replicas, 1000)
-	switch {
-	case p.N < 2:
-		return nil, fmt.Errorf("need n >= 2, got %d", p.N)
-	case p.Replicas < 0:
-		return nil, fmt.Errorf("negative replica count %d", p.Replicas)
-	case p.TSend < 0:
-		return nil, fmt.Errorf("negative t_send %g (0 keeps the model default)", p.TSend)
-	case p.Tmax < 0:
-		return nil, fmt.Errorf("negative horizon Tmax %g (0 selects 1e7)", p.Tmax)
-	case p.TMR < 0 || p.TM < 0:
-		return nil, fmt.Errorf("negative FD QoS TMR=%g TM=%g (TMR 0 disables wrong suspicions)", p.TMR, p.TM)
-	case p.TMR > 0 && !(0 < p.TM && p.TM < p.TMR):
-		return nil, fmt.Errorf("FD QoS needs 0 < TM < TMR, got TM=%g TMR=%g", p.TM, p.TMR)
+	params, err := p.params()
+	if err != nil {
+		return nil, prepared{}, err
 	}
-	if p.Net != nil {
-		if err := errors.Join(checkFit("unicast", p.Net.Unicast), checkFit("broadcast", p.Net.Broadcast)); err != nil {
+	tmax := p.horizon()
+	if err := sanmodel.Check(params, p.Replicas, tmax); err != nil {
+		return nil, prepared{}, err
+	}
+	run := func(ctx context.Context, a *assemblies, w int) (*Result, error) {
+		res, err := a.models[w].Simulate(ctx, a.pool, w, params, p.Replicas, tmax, p.Seed)
+		if err != nil {
 			return nil, err
 		}
+		return &Result{
+			Engine:   SAN,
+			Seed:     p.Seed,
+			Replicas: p.Replicas,
+			digest:   &res.Digest,
+			Latency:  summarize(&res.Digest),
+			Aborted:  res.Truncated + res.Discarded,
+			raw:      res,
+		}, nil
 	}
-	return p, checkCrashed(p.N, p.Crashed)
+	return p, prepared{run: run}, nil
+}
+
+// params is the model the point describes, for sanmodel to check; only
+// the measured fits are checked here, before they become distributions.
+func (p SANPoint) params() (sanmodel.Params, error) {
+	params := sanmodel.DefaultParams(p.N)
+	if p.TSend != 0 {
+		params.TSend = p.TSend
+		params.TReceive = p.TSend
+	}
+	if p.Net != nil { // the fits are end to end: sending and receiving take 2·t_send of them
+		if err := errors.Join(checkFit("unicast", p.Net.Unicast), checkFit("broadcast", p.Net.Broadcast)); err != nil {
+			return sanmodel.Params{}, err
+		}
+		params.NetUnicast = p.Net.Unicast.Shift(2*params.TSend, 0.001).Dist()
+		params.NetBroadcast = p.Net.Broadcast.Shift(2*params.TSend, 0.001).Dist()
+	}
+	params.Crashed = append(params.Crashed, p.Crashed...)
+	kind := sanmodel.FDDeterministic
+	if p.FDExponential {
+		kind = sanmodel.FDExponential
+	}
+	params.FD = sanmodel.FDModel{TMR: p.TMR, TM: p.TM, Kind: kind}
+	return params, nil
+}
+
+// horizon is the point's simulation horizon in ms.
+func (p SANPoint) horizon() float64 {
+	if p.Tmax == 0 {
+		return 1e7
+	}
+	return p.Tmax
 }
 
 // NetFit is a measured network: the bi-modal uniform fits of unicast and
@@ -198,45 +227,6 @@ func checkFit(name string, b fit.Bimodal) error {
 	}
 	return fmt.Errorf("%s delay fit P1=%g U[%g,%g] U[%g,%g]: want finite values, 0 <= P1 <= 1 and 0 <= Lo <= Hi in both modes",
 		name, b.P1, b.Lo1, b.Hi1, b.Lo2, b.Hi2)
-}
-
-func (p SANPoint) prepare() (pointRunner, float64, error) {
-	params := sanmodel.DefaultParams(p.N)
-	if p.TSend > 0 {
-		params.TSend = p.TSend
-		params.TReceive = p.TSend
-	}
-	if p.Net != nil { // the fits are end to end: sending and receiving take 2·t_send of them
-		params.NetUnicast = p.Net.Unicast.Shift(2*params.TSend, 0.001).Dist()
-		params.NetBroadcast = p.Net.Broadcast.Shift(2*params.TSend, 0.001).Dist()
-	}
-	params.Crashed = append(params.Crashed, p.Crashed...)
-	if p.TMR > 0 {
-		kind := sanmodel.FDDeterministic
-		if p.FDExponential {
-			kind = sanmodel.FDExponential
-		}
-		params.FD = sanmodel.FDModel{TMR: p.TMR, TM: p.TM, Kind: kind}
-	}
-	tmax := p.Tmax
-	if tmax == 0 {
-		tmax = 1e7
-	}
-	return func(ctx context.Context, a *assemblies, w int) (*Result, error) {
-		res, err := a.models[w].Simulate(ctx, a.pool, w, params, p.Replicas, tmax, p.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Engine:   SAN,
-			Seed:     p.Seed,
-			Replicas: p.Replicas,
-			digest:   &res.Digest,
-			Latency:  summarize(&res.Digest),
-			Aborted:  res.Truncated + res.Discarded,
-			raw:      res,
-		}, nil
-	}, 0, nil
 }
 
 // ScenarioPoint is a Scenario-engine point: a named registry scenario —
@@ -283,28 +273,10 @@ func (p ScenarioPoint) scenario() (*scenario.Scenario, error) {
 	return nil, errors.New("need a registry scenario name or an inline SpecJSON")
 }
 
-func (p ScenarioPoint) freeze(o *options, index int) (Point, error) {
-	if _, err := p.scenario(); err != nil {
-		return nil, err
-	}
-	p.Name = label(p, index)
-	p.Seed = o.pointSeed(index, p.Seed)
-	p.Replicas = o.pointReplicas(p.Replicas, 1)
-	switch {
-	case p.Replicas < 1:
-		return nil, fmt.Errorf("need at least 1 replica, got %d", p.Replicas)
-	case p.Executions < 0:
-		return nil, fmt.Errorf("negative execution override %d", p.Executions)
-	}
-	return p, checkGuards(p.MaxRounds, p.Deadline)
-}
-
-func (p ScenarioPoint) prepare() (pointRunner, float64, error) {
-	s, err := p.scenario()
-	if err != nil {
-		return nil, 0, err
-	}
-	spec := scenario.CampaignSpec{
+// grid is the campaign the point describes over its resolved timeline s,
+// for the scenario engine to default and check.
+func (p ScenarioPoint) grid(s *scenario.Scenario) scenario.CampaignSpec {
+	return scenario.CampaignSpec{
 		Scenarios:  []*scenario.Scenario{s},
 		Replicas:   p.Replicas,
 		Executions: p.Executions,
@@ -312,15 +284,22 @@ func (p ScenarioPoint) prepare() (pointRunner, float64, error) {
 		MaxRounds:  p.MaxRounds,
 		Deadline:   p.Deadline,
 	}
-	chain := 0.0
-	if p.Replicas == 1 {
-		execs := p.Executions
-		if execs == 0 {
-			execs = s.Executions
-		}
-		chain = chainCost(execs, s.N, s.Gap, s.TimeoutT, s.PeriodTh)
+}
+
+func (p ScenarioPoint) freeze(o *options, index int) (Point, prepared, error) {
+	s, err := p.scenario()
+	if err != nil {
+		return nil, prepared{}, err
 	}
-	return func(ctx context.Context, a *assemblies, w int) (*Result, error) {
+	p.Name = label(p, index)
+	p.Seed = o.pointSeed(index, p.Seed)
+	p.Replicas = o.pointReplicas(p.Replicas, 1)
+	spec := p.grid(s)
+	shapes, plans, err := spec.Check()
+	if err != nil {
+		return nil, prepared{}, err
+	}
+	run := func(ctx context.Context, a *assemblies, w int) (*Result, error) {
 		reports, err := scenario.RunCampaignOn(ctx, a.pool, w, a.harnesses, spec)
 		if err != nil {
 			return nil, err
@@ -341,60 +320,31 @@ func (p ScenarioPoint) prepare() (pointRunner, float64, error) {
 			TM:              rep.TM,
 			raw:             rep,
 		}, nil
-	}, chain, nil
+	}
+	chain := 0.0
+	if spec.Replicas == 1 {
+		chain = chainCost(shapes[0], plans[0])
+	}
+	return p, prepared{run: run, chain: chain}, nil
 }
 
 // chainCost estimates what a chain — a point no second worker can join: a
 // LatencyPoint, or a ScenarioPoint of one replica — costs its one worker,
-// as the messages it sends: executions × (3(n−1) + n(n−1)·gap/Th), the
-// heartbeat term only when the detector runs (timeoutT > 0), with the
-// engines' defaults gap = 10 ms (§4) and Th = 0.7·T (§5.4). 3(n−1) is
-// what a first-round decision exchanges with each participant in
-// internal/consensus — proposal, ack, decision; counting the phase-1
-// estimates too, 4(n−1), rates heartbeat points lighter than their
-// measured times, as every heartbeat also re-arms a suspicion timer in
-// internal/fd. Only the ranking matters (startOrder), never the value.
-func chainCost(executions, n int, gap, timeoutT, periodTh float64) float64 {
+// as the messages it sends over the harness configuration it resolves
+// to: executions × (3(n−1) + n(n−1)·gap/Th), the heartbeat term only when
+// the detector runs. 3(n−1) is what a first-round decision exchanges with
+// each participant in internal/consensus — proposal, ack, decision;
+// counting the phase-1 estimates too, 4(n−1), rates heartbeat points
+// lighter than their measured times, as every heartbeat also re-arms a
+// suspicion timer in internal/fd. Only the ranking matters (startOrder),
+// never the value.
+func chainCost(shape experiment.Shape, plan experiment.Plan) float64 {
+	n := shape.Params.N
 	perExec := 3 * float64(n-1)
-	if timeoutT > 0 {
-		if gap == 0 {
-			gap = 10
-		}
-		if periodTh == 0 {
-			periodTh = 0.7 * timeoutT
-		}
-		perExec += float64(n*(n-1)) * gap / periodTh
+	if shape.TimeoutT > 0 {
+		perExec += float64(n*(n-1)) * plan.Gap / shape.PeriodTh
 	}
-	return float64(executions) * perExec
-}
-
-// checkCrashed validates an initially-crashed set against n processes:
-// ids in 1..n and a correct majority left (◇S consensus needs one to
-// terminate). The engines make the same checks, but only once the point
-// runs — after earlier points have already executed.
-func checkCrashed(n int, crashed []int) error {
-	for _, id := range crashed {
-		if id < 1 || id > n {
-			return fmt.Errorf("crashed process %d out of range 1..%d", id, n)
-		}
-	}
-	if len(crashed) >= (n+1)/2 {
-		return fmt.Errorf("%d crashes violate the majority-correct requirement for n=%d", len(crashed), n)
-	}
-	return nil
-}
-
-// checkGuards validates the per-execution guards of Emulation and
-// Scenario points; 0 selects each engine's default. A negative deadline
-// would force-close every execution before it starts.
-func checkGuards(maxRounds int, deadline float64) error {
-	if maxRounds < 0 {
-		return fmt.Errorf("negative round guard MaxRounds %d (0 selects 256)", maxRounds)
-	}
-	if deadline < 0 {
-		return fmt.Errorf("negative execution deadline %g ms (0 selects the default)", deadline)
-	}
-	return nil
+	return float64(plan.Executions) * perExec
 }
 
 // label resolves a point's display name, falling back to "engine[index]".

@@ -76,24 +76,20 @@ func Run(ctx context.Context, study *Study, opts ...Option) error {
 	return err
 }
 
-// run freezes, prepares, and executes the study (sink closing is Run's
-// job).
+// run freezes and executes the study (sink closing is Run's job).
 func run(ctx context.Context, study *Study, o *options) error {
 	if study == nil || len(study.Points) == 0 {
 		return errors.New("campaign: study with no points (nothing to run)")
 	}
 	// Freeze — and so validate — every point before anything runs: a typo
 	// in point 7 must not cost the six campaigns before it.
-	study, err := frozenWith(study, o)
+	study, prep, err := frozenWith(study, o)
 	if err != nil {
 		return err
 	}
-	runners := make([]pointRunner, len(study.Points))
-	chains := make([]float64, len(study.Points))
-	for i, p := range study.Points {
-		if runners[i], chains[i], err = p.prepare(); err != nil {
-			return fmt.Errorf("campaign: point %d (%s): %w", i, p.Label(), err)
-		}
+	chains := make([]float64, len(prep))
+	for i := range prep {
+		chains[i] = prep[i].chain
 	}
 
 	// With a result cache installed, every point's content hash is
@@ -115,7 +111,7 @@ func run(ctx context.Context, study *Study, o *options) error {
 		models:    make([]sanmodel.Models, pool.Workers()),
 	}
 
-	total := len(runners)
+	total := len(prep)
 	return parallel.StreamOn(ctx, pool, startOrder(chains),
 		func(w, i int) (*Result, error) {
 			var res *Result
@@ -127,7 +123,7 @@ func run(ctx context.Context, study *Study, o *options) error {
 			fresh := res == nil
 			if fresh {
 				var err error
-				if res, err = runners[i](ctx, o.built, w); err != nil {
+				if res, err = prep[i].run(ctx, o.built, w); err != nil {
 					return nil, fmt.Errorf("campaign: point %d (%s): %w", i, study.Points[i].Label(), err)
 				}
 			}

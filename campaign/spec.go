@@ -164,29 +164,31 @@ func Frozen(study *Study, opts ...Option) (*Study, error) {
 	for _, opt := range opts {
 		opt(o)
 	}
-	return frozenWith(study, o)
+	fz, _, err := frozenWith(study, o)
+	return fz, err
 }
 
-// frozenWith is Frozen over already-resolved options: the form run()
-// starts from, so execution, the cache key derivation and the public
-// freeze cannot disagree about how defaults materialize or which points
-// are valid.
-func frozenWith(study *Study, o *options) (*Study, error) {
+// frozenWith is Frozen over already-resolved options, returning each
+// frozen point prepared to run too: the form run() starts from, so
+// execution, the cache key derivation and the public freeze cannot
+// disagree about how defaults materialize or which points are valid.
+func frozenWith(study *Study, o *options) (*Study, []prepared, error) {
 	if study == nil || len(study.Points) == 0 {
-		return nil, fmt.Errorf("campaign: freeze of an empty study")
+		return nil, nil, fmt.Errorf("campaign: freeze of an empty study")
 	}
 	out := &Study{Name: study.Name, Points: make([]Point, len(study.Points))}
+	prep := make([]prepared, len(study.Points))
 	for i, p := range study.Points {
 		if p == nil {
-			return nil, fmt.Errorf("campaign: study point %d is nil", i)
+			return nil, nil, fmt.Errorf("campaign: study point %d is nil", i)
 		}
-		q, err := p.freeze(o, i)
+		q, pr, err := p.freeze(o, i)
 		if err != nil {
-			return nil, fmt.Errorf("campaign: point %d (%s): %w", i, label(p, i), err)
+			return nil, nil, fmt.Errorf("campaign: point %d (%s): %w", i, label(p, i), err)
 		}
-		out.Points[i] = q
+		out.Points[i], prep[i] = q, pr
 	}
-	return out, nil
+	return out, prep, nil
 }
 
 // FrozenPoint describes one materialized grid point of a frozen study:
@@ -219,7 +221,7 @@ func (s *Study) FrozenPoints(opts ...Option) ([]FrozenPoint, error) {
 
 // frozenPoints is FrozenPoints over resolved options.
 func frozenPoints(study *Study, o *options) ([]FrozenPoint, error) {
-	fz, err := frozenWith(study, o)
+	fz, _, err := frozenWith(study, o)
 	if err != nil {
 		return nil, err
 	}

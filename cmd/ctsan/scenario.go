@@ -35,21 +35,22 @@ func cmdScenarioDescribe(_ context.Context, args []string, stdout, stderr io.Wri
 	if fs.NArg() == 0 {
 		return cliflags.Usagef("need at least one scenario name (known: %v)", scenario.Names())
 	}
+	infos := map[string]scenario.Info{}
+	for _, info := range scenario.List() {
+		infos[info.Name] = info
+	}
 	for _, name := range fs.Args() {
 		s, err := scenario.Get(name)
 		if err != nil {
 			return err
 		}
+		info := infos[name] // the effective gap and period
 		fd := "perfect oracle"
-		if s.TimeoutT > 0 {
-			th := s.PeriodTh
-			if th == 0 {
-				th = 0.7 * s.TimeoutT
-			}
-			fd = fmt.Sprintf("heartbeat T=%g ms, Th=%g ms", s.TimeoutT, th)
+		if info.TimeoutT > 0 {
+			fd = fmt.Sprintf("heartbeat T=%g ms, Th=%g ms", info.TimeoutT, info.PeriodTh)
 		}
 		fmt.Fprintf(stdout, "%s\n  %s\n  n=%d, %d executions/replica, base gap %g ms, FD: %s\n",
-			s.Name, s.Doc, s.N, s.Executions, s.Gap, fd)
+			s.Name, s.Doc, s.N, s.Executions, info.Gap, fd)
 		if len(s.InitialCrashed) > 0 {
 			fmt.Fprintf(stdout, "  initially crashed: %v\n", s.InitialCrashed)
 		}

@@ -334,8 +334,9 @@ func (w *fleetWorker) serveLease(ctx context.Context, id string, grant *shard.Le
 	if err := os.Remove(store.Path()); err != nil {
 		w.logf("lease %s %s: %v", grant.Lease, r, err)
 	}
-	w.logf("lease %s %s: complete after upload (%d accepted, %d duplicate, %.1fs)",
-		grant.Lease, r, up.Accepted, up.Duplicate, time.Since(start).Seconds())
+	// Points not executed this attempt came from the lease store: a resume.
+	w.logf("lease %s %s: complete after upload (%d accepted, %d duplicate, %d from store, %.1fs)",
+		grant.Lease, r, up.Accepted, up.Duplicate, r.Len()-executed, time.Since(start).Seconds())
 	return nil
 }
 

@@ -49,7 +49,8 @@ const (
 	FDHeartbeat
 )
 
-// LatencySpec configures a latency campaign.
+// LatencySpec configures a latency campaign. Zero fields take the replica
+// harness's defaults (Check).
 type LatencySpec struct {
 	N          int
 	Params     netsim.Params // zero value: netsim defaults for N
@@ -58,17 +59,18 @@ type LatencySpec struct {
 	Warmup     float64       // time before the first execution, ms
 	FDMode     FDMode        // zero value: FDOracle
 	TimeoutT   float64       // heartbeat timeout T (FDHeartbeat)
-	PeriodTh   float64       // heartbeat period T_h; 0 means 0.7·T (§5.4)
+	PeriodTh   float64       // heartbeat period T_h (FDHeartbeat); 0 means 0.7·T (§5.4)
 	Crashed    []neko.ProcessID
 	MaxRounds  int     // per-execution abort threshold; 0 = 256
 	Deadline   float64 // per-execution wall deadline, ms; 0 = 500
 	Seed       uint64
 }
 
-// LatencyResult aggregates a latency campaign. Per-execution samples
-// stream into the Digest as executions close, so a campaign's retained
-// memory is bounded regardless of its execution count (exact up to
-// metrics.DefaultExactCap samples, sketched beyond).
+// LatencyResult aggregates one harness run: a latency campaign, or one
+// scenario replica. Per-execution samples stream into the Digest as
+// executions close, so a run's retained memory is bounded regardless of
+// its execution count (exact up to metrics.DefaultExactCap samples,
+// sketched beyond).
 type LatencyResult struct {
 	// Digest summarizes the first-decision latency of every completed
 	// execution (ms): moments, extremes, and quantiles.
@@ -77,7 +79,7 @@ type LatencyResult struct {
 	Rounds  stats.Accumulator
 	Aborted int     // executions where no process decided (MaxRounds/deadline)
 	Texp    float64 // total experiment duration (global ms), QoS denominator
-	QoS     fd.QoS  // valid for FDHeartbeat campaigns
+	QoS     fd.QoS  // valid for heartbeat runs
 	Events  uint64  // DES events executed (cost metric)
 }
 
@@ -89,33 +91,13 @@ func (r *LatencyResult) MeanRounds() float64 {
 	return r.Rounds.Mean()
 }
 
-// validate applies the run-time defaults and sanity-checks the spec.
-func (s *LatencySpec) validate() error {
-	if s.N < 2 {
-		return fmt.Errorf("experiment: need n >= 2, got %d", s.N)
-	}
-	if s.Executions < 1 {
-		return fmt.Errorf("experiment: need at least 1 execution")
-	}
-	if len(s.Crashed) >= (s.N+1)/2 {
-		return fmt.Errorf("experiment: %d crashes violate the majority-correct requirement for n=%d", len(s.Crashed), s.N)
-	}
-	if s.Gap == 0 {
-		s.Gap = 10
-	}
-	if s.Warmup == 0 {
-		s.Warmup = 20
-	}
-	if s.Deadline == 0 {
-		s.Deadline = 500
-	}
-	return nil
-}
-
-// shape resolves the spec's assembly-time fields (N, Params, Crashed, the
-// FD configuration, MaxRounds) into a harness shape: netsim defaults for
-// zero Params, the oracle for a zero FDMode.
-func (s LatencySpec) shape() (Shape, error) {
+// Check resolves the spec into the configuration of the replica harness
+// it runs on — the assembly shape (netsim defaults for zero Params; under
+// the oracle TimeoutT and PeriodTh are not read) and the run plan: an
+// empty timeline, the static up-set, a fixed gap — and reports the first
+// rule it breaks (the package-level Check). RunLatency makes the same
+// check.
+func (s LatencySpec) Check() (Shape, Plan, error) {
 	params := s.Params
 	if params.N == 0 {
 		params = netsim.DefaultParams(s.N)
@@ -126,36 +108,25 @@ func (s LatencySpec) shape() (Shape, error) {
 	switch s.FDMode {
 	case 0, FDOracle:
 	case FDHeartbeat:
-		if s.TimeoutT <= 0 {
-			return Shape{}, fmt.Errorf("experiment: heartbeat detector needs TimeoutT > 0")
+		if s.TimeoutT == 0 {
+			return Shape{}, Plan{}, fmt.Errorf("experiment: heartbeat detector needs a timeout T")
 		}
 		shape.TimeoutT, shape.PeriodTh = s.TimeoutT, s.PeriodTh
 	default:
-		return Shape{}, fmt.Errorf("experiment: unknown FD mode %d", s.FDMode)
+		return Shape{}, Plan{}, fmt.Errorf("experiment: unknown FD mode %d", s.FDMode)
 	}
-	return shape, nil
-}
-
-// plan validates the spec and resolves it into a configuration of the
-// replica harness: the assembly shape it needs and the run plan — an empty
-// timeline, the static up-set, a fixed gap.
-func (s LatencySpec) plan() (Shape, Plan, error) {
-	if err := s.validate(); err != nil {
-		return Shape{}, Plan{}, err
-	}
-	shape, err := s.shape()
-	if err != nil {
-		return Shape{}, Plan{}, err
-	}
-	return shape, Plan{
+	plan := Plan{
 		Label:      "experiment",
 		Seed:       s.Seed ^ 0x5eedc0de,
 		Executions: s.Executions,
 		Warmup:     s.Warmup,
 		Gap:        s.Gap,
 		Deadline:   s.Deadline,
-		History:    &fd.History{},
-	}, nil
+	}
+	if err := Check(&shape, &plan); err != nil {
+		return Shape{}, Plan{}, err
+	}
+	return shape, plan, nil
 }
 
 // RunLatency executes a latency campaign on the set's harness of the
@@ -164,7 +135,7 @@ func (s LatencySpec) plan() (Shape, Plan, error) {
 // checked between consensus executions, so a canceled campaign stops at
 // the next execution boundary and returns ctx.Err().
 func (hs *Harnesses) RunLatency(ctx context.Context, spec LatencySpec) (*LatencyResult, error) {
-	shape, plan, err := spec.plan()
+	shape, plan, err := spec.Check()
 	if err != nil {
 		return nil, err
 	}
@@ -172,18 +143,12 @@ func (hs *Harnesses) RunLatency(ctx context.Context, spec LatencySpec) (*Latency
 	if err != nil {
 		return nil, err
 	}
-	out, err := h.Run(ctx, plan)
+	plan.History = &fd.History{}
+	res, err := h.Run(ctx, plan)
 	if err != nil {
 		return nil, err
 	}
-	return &LatencyResult{
-		Digest:  out.Digest,
-		Rounds:  out.Rounds,
-		Aborted: out.Aborted,
-		Texp:    out.Texp,
-		QoS:     out.QoS,
-		Events:  out.Events,
-	}, nil
+	return &res, nil
 }
 
 // RunLatencyContext is RunLatency on a set of its own: the harness is

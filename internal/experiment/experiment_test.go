@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ctsan/internal/fd"
 	"ctsan/internal/neko"
 )
 
@@ -154,7 +155,7 @@ func TestClass3QoSShape(t *testing.T) {
 }
 
 func TestHeartbeatPeriodDefault(t *testing.T) {
-	shape, _, err := LatencySpec{N: 3, Executions: 1, FDMode: FDHeartbeat, TimeoutT: 10}.plan()
+	shape, _, err := LatencySpec{N: 3, Executions: 1, FDMode: FDHeartbeat, TimeoutT: 10}.Check()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,10 +249,11 @@ func TestRetainedMemoryIndependentOfExecutions(t *testing.T) {
 		{N: 5, Executions: 10_000, Seed: 1},
 		{N: 5, Executions: 10_000, Seed: 1, FDMode: FDHeartbeat, TimeoutT: 10},
 	} {
-		shape, plan, err := spec.plan()
+		shape, plan, err := spec.Check()
 		if err != nil {
 			t.Fatal(err)
 		}
+		plan.History = &fd.History{}
 		h, err := NewHarness(shape)
 		if err != nil {
 			t.Fatal(err)

@@ -8,12 +8,10 @@ import (
 	"ctsan/internal/consensus"
 	"ctsan/internal/fd"
 	"ctsan/internal/keyed"
-	"ctsan/internal/metrics"
 	"ctsan/internal/neko"
 	"ctsan/internal/netsim"
 	"ctsan/internal/obs"
 	"ctsan/internal/rng"
-	"ctsan/internal/stats"
 	"ctsan/internal/trace"
 )
 
@@ -29,6 +27,56 @@ type Shape struct {
 	TimeoutT, PeriodTh float64
 	// MaxRounds is the per-execution abort threshold (0 = 256).
 	MaxRounds int
+}
+
+// Check resolves shape and plan in place, each zero field taking the
+// harness default (MaxRounds 256, PeriodTh 0.7·T §5.4, Gap 10 ms §4,
+// Warmup 20 ms, Deadline 500 ms), and reports the first rule they break,
+// prefixed with the plan's Label: the one statement of what a harness runs.
+func Check(shape *Shape, plan *Plan) error {
+	err := shape.resolve()
+	if err == nil {
+		err = plan.resolve()
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", plan.Label, err)
+	}
+	return nil
+}
+
+// resolve checks the shape — at least two processes, initially crashed
+// ids in 1..n leaving a correct majority (◇S consensus needs one to
+// terminate), a heartbeat configuration the detector accepts, a
+// non-negative round guard — and applies its defaults.
+func (s *Shape) resolve() error {
+	n := s.Params.N
+	switch {
+	case n < 2:
+		return fmt.Errorf("need n >= 2, got %d", n)
+	case s.TimeoutT < 0:
+		return fmt.Errorf("negative heartbeat timeout %g (0 selects the oracle FD)", s.TimeoutT)
+	case s.PeriodTh < 0:
+		return fmt.Errorf("negative heartbeat period %g (0 selects 0.7·T)", s.PeriodTh)
+	case s.PeriodTh > 0 && s.TimeoutT == 0:
+		return fmt.Errorf("heartbeat period %g without a timeout", s.PeriodTh)
+	case s.MaxRounds < 0:
+		return fmt.Errorf("negative round guard MaxRounds %d (0 selects 256)", s.MaxRounds)
+	}
+	for _, id := range s.Params.Crashed {
+		if id < 1 || int(id) > n {
+			return fmt.Errorf("crashed process %d out of range 1..%d", id, n)
+		}
+	}
+	if len(s.Params.Crashed) >= (n+1)/2 {
+		return fmt.Errorf("%d crashes violate the majority-correct requirement for n=%d", len(s.Params.Crashed), n)
+	}
+	if s.MaxRounds == 0 {
+		s.MaxRounds = 256
+	}
+	if s.TimeoutT > 0 && s.PeriodTh == 0 {
+		s.PeriodTh = 0.7 * s.TimeoutT
+	}
+	return nil
 }
 
 // Plan configures one run of a Harness: the paper's measurement loop —
@@ -64,21 +112,28 @@ type Plan struct {
 	Trace func(k int, lat float64)
 }
 
-// Outcome aggregates one run. Per-execution samples stream into the
-// Digest as executions close, so a run retains bounded memory regardless
-// of its execution count.
-type Outcome struct {
-	// Digest summarizes the first-decision latency of every decided
-	// execution (ms); Rounds accumulates their deciding rounds.
-	Digest metrics.Digest
-	Rounds stats.Accumulator
-	// Aborted counts executions in which no process decided.
-	Aborted int
-	// Texp is the run's duration (global ms), Events the DES events executed.
-	Texp   float64
-	Events uint64
-	// QoS holds the Chen et al. metrics of a heartbeat run.
-	QoS fd.QoS
+// resolve checks the plan — at least one execution, no negative time —
+// and applies its defaults. A negative deadline would force-close every
+// execution before it starts.
+func (p *Plan) resolve() error {
+	switch {
+	case p.Executions < 1:
+		return fmt.Errorf("need at least 1 execution, got %d", p.Executions)
+	case p.Gap < 0 || p.Warmup < 0:
+		return fmt.Errorf("negative gap %g or warmup %g ms (0 selects the default)", p.Gap, p.Warmup)
+	case p.Deadline < 0:
+		return fmt.Errorf("negative execution deadline %g ms (0 selects the default)", p.Deadline)
+	}
+	if p.Gap == 0 {
+		p.Gap = 10
+	}
+	if p.Warmup == 0 {
+		p.Warmup = 20
+	}
+	if p.Deadline == 0 {
+		p.Deadline = 500
+	}
+	return nil
 }
 
 // Harness is the one reusable replica executor: a cluster, one protocol
@@ -114,7 +169,7 @@ type Harness struct {
 	// Per-run state.
 	ctx  context.Context
 	plan Plan
-	out  Outcome
+	out  LatencyResult
 	err  error
 	// Current execution state.
 	running  bool
@@ -130,11 +185,14 @@ type Harness struct {
 	val      int64
 }
 
-// NewHarness assembles a harness for shape. No randomness is drawn here
-// (netsim.NewIdle): Run rewinds the cluster from the plan's seed before
-// executing, so fresh and reused harnesses take the same path.
+// NewHarness assembles a harness for shape, resolved and checked as
+// Check does. No randomness is drawn here (netsim.NewIdle): Run rewinds
+// the cluster from the plan's seed before executing, so fresh and reused
+// harnesses take the same path.
 func NewHarness(shape Shape) (*Harness, error) {
-	shape.defaults()
+	if err := shape.resolve(); err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
+	}
 	cluster, err := netsim.NewIdle(shape.Params)
 	if err != nil {
 		return nil, err
@@ -172,15 +230,6 @@ func NewHarness(shape Shape) (*Harness, error) {
 	return h, nil
 }
 
-func (s *Shape) defaults() {
-	if s.MaxRounds == 0 {
-		s.MaxRounds = 256
-	}
-	if s.TimeoutT > 0 && s.PeriodTh == 0 {
-		s.PeriodTh = 0.7 * s.TimeoutT
-	}
-}
-
 // Harnesses is a worker's bounded set of assembled harnesses keyed by
 // Shape — the reuse rule of every campaign on the emulated cluster: a
 // harness is assembled when the worker first sees its shape, rewound
@@ -194,10 +243,9 @@ type Harnesses struct {
 	set keyed.Set[Shape, *Harness]
 }
 
-// For returns the harness assembled for shape, assembling it first when
-// the set holds none.
+// For returns the harness assembled for shape, as Check resolved it,
+// assembling it first when the set holds none.
 func (hs *Harnesses) For(shape Shape) (*Harness, error) {
-	shape.defaults()
 	return hs.set.Get(shape, NewHarness)
 }
 
@@ -272,10 +320,11 @@ func (c *execCall) run() {
 }
 
 // Run rewinds the whole assembly to the plan's seed — cluster randomness,
-// protocol state, pooled records — and executes the plan. The rewind
-// reproduces construction exactly. ctx is checked between executions: a
-// canceled run stops at the next execution boundary and returns ctx.Err().
-func (h *Harness) Run(ctx context.Context, plan Plan) (Outcome, error) {
+// protocol state, pooled records — and executes the plan, which Check has
+// resolved. The rewind reproduces construction exactly. ctx is checked
+// between executions: a canceled run stops at the next execution boundary
+// and returns ctx.Err().
+func (h *Harness) Run(ctx context.Context, plan Plan) (LatencyResult, error) {
 	h.root.Reseed(plan.Seed)
 	h.root.ChildInto(&h.clusterRand, 1)
 	h.cluster.Reset(&h.clusterRand)
@@ -288,21 +337,21 @@ func (h *Harness) Run(ctx context.Context, plan Plan) (Outcome, error) {
 	}
 	h.ctx = ctx
 	h.plan = plan
-	h.out = Outcome{}
+	h.out = LatencyResult{}
 	h.running = false
 	h.closed = false
 	h.err = nil
 
 	if plan.Prepare != nil {
 		if err := plan.Prepare(); err != nil {
-			return Outcome{}, err
+			return LatencyResult{}, err
 		}
 	}
 	h.cluster.Start()
 	h.startExec(0, plan.Warmup)
 	h.cluster.Run(h.stopFn)
 	if h.err != nil {
-		return Outcome{}, h.err
+		return LatencyResult{}, h.err
 	}
 	h.out.Texp = h.cluster.Now()
 	h.out.Events = h.cluster.Steps()

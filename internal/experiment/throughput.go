@@ -51,18 +51,12 @@ type ThroughputResult struct {
 // no process chains a further instance, the cluster run stops, and the
 // function returns ctx.Err().
 func RunThroughputContext(ctx context.Context, spec ThroughputSpec) (*ThroughputResult, error) {
-	if spec.N < 2 {
-		return nil, fmt.Errorf("experiment: throughput needs n >= 2")
-	}
-	if spec.Executions < 1 {
-		return nil, fmt.Errorf("experiment: throughput needs at least 1 execution")
-	}
 	if spec.Warmup >= spec.Executions {
 		return nil, fmt.Errorf("experiment: warmup %d must be below executions %d", spec.Warmup, spec.Executions)
 	}
-	shape, err := LatencySpec{
-		N: spec.N, Crashed: spec.Crashed, FDMode: spec.FDMode, TimeoutT: spec.TimeoutT,
-	}.shape()
+	shape, _, err := LatencySpec{
+		N: spec.N, Executions: spec.Executions, Crashed: spec.Crashed, FDMode: spec.FDMode, TimeoutT: spec.TimeoutT,
+	}.Check()
 	if err != nil {
 		return nil, err
 	}

@@ -56,11 +56,9 @@ func RunCrashTransientContext(ctx context.Context, spec CrashTransientSpec) (*Cr
 	// injected through the plan's Prepare step (running two campaigns would
 	// not be equivalent: FD state would reset between them).
 	res := &CrashTransientResult{}
-	gap := 10.0
 	shape, plan, err := LatencySpec{
 		N:          spec.N,
 		Executions: spec.Executions,
-		Gap:        gap,
 		FDMode:     FDHeartbeat,
 		TimeoutT:   spec.TimeoutT,
 		Seed:       spec.Seed,
@@ -69,7 +67,7 @@ func RunCrashTransientContext(ctx context.Context, spec CrashTransientSpec) (*Cr
 		// that the campaign proceeds but long enough to capture the
 		// detection-transient latencies (up to ~T + T_h).
 		Deadline: 3*spec.TimeoutT + 60,
-	}.plan()
+	}.Check()
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +76,7 @@ func RunCrashTransientContext(ctx context.Context, spec CrashTransientSpec) (*Cr
 		return nil, err
 	}
 	plan.History = &fd.History{Keep: true} // DetectionTimes reads every transition
-	crashLocal := plan.Warmup + float64(spec.CrashAfter)*gap - 0.5
+	crashLocal := plan.Warmup + float64(spec.CrashAfter)*plan.Gap - 0.5
 	res.CrashAt = crashLocal
 	plan.Prepare = func() error {
 		h.cluster.CrashAt(spec.CrashID, crashLocal)
@@ -135,11 +133,4 @@ func maxWindow(xs []float64, lo, hi int) float64 {
 		}
 	}
 	return best
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -8,9 +8,9 @@
 //
 //   - per-host CPU cost for sending and receiving each message, and a
 //     shared serial transmission medium (the hub) — the two contention
-//     points of the paper's network model (§3.3);
-//   - a receive-path latency tail (interrupt coalescing / protocol stack),
-//     which produces the bi-modal end-to-end delay of Fig. 6;
+//     points of the paper's network model (§3.3). A frame holds the hub
+//     for one draw of the §5.1 t_net fit, whose two modes are Fig. 6's
+//     bi-modal end-to-end delay (the receive-path tail, TailProb, is off);
 //   - OS timer coarseness: Linux 2.2 has a 10 ms jiffy; sleeps overshoot
 //     by U[0, granularity) and are sometimes deferred to the next absolute
 //     scheduler tick. This drives the failure-detector QoS curves (Fig. 8)
@@ -49,11 +49,13 @@ type Params struct {
 	// TSend is the CPU cost of pushing one message through the sending
 	// host's protocol stack; TReceive likewise on the receiving host.
 	TSend, TReceive dist.Dist
-	// TWire is the hub occupancy per frame (serialization at 100 Mbit/s
-	// plus preamble and inter-frame gap).
+	// TWire is the hub occupancy per frame: the paper's §5.1 t_net, the
+	// measured end-to-end delay minus 2·t_send. It is the whole network
+	// path, not the time to serialize a frame at 100 Mbit/s.
 	TWire dist.Dist
 	// TailProb is the probability that a message experiences extra
-	// receive-path latency drawn from Tail (the second mode of Fig. 6).
+	// receive-path latency drawn from Tail. DefaultParams sets 0: Fig. 6's
+	// second mode comes from TWire.
 	TailProb float64
 	Tail     dist.Dist
 
@@ -121,31 +123,36 @@ type Params struct {
 // executions, §5.2) incompatible with frequent long pauses. Enable them
 // via PauseEvery for failure-injection studies.
 func DefaultParams(n int) Params {
-	return Params{
-		N:        n,
-		TSend:    dist.U(0.020, 0.030),
-		TReceive: dist.U(0.020, 0.030),
-		TWire: dist.MustMixture(
-			dist.Component{P: 0.80, D: dist.U(0.050, 0.080)},
-			dist.Component{P: 0.20, D: dist.U(0.095, 0.300)},
-		),
-		TailProb:         0,
-		Tail:             dist.Det(0),
-		SleepGranularity: 10.0,
-		GridProb:         0.35,
-		ThreadJitter:     dist.Exp(0.3),
-		KernelLate:       dist.Exp(0.05),
-		WakeTailProb:     0.08,
-		WakeTail:         dist.U(2, 15),
-		PauseEvery:       dist.Det(0), // disabled
-		PauseDur: dist.MustMixture(
-			dist.Component{P: 0.80, D: dist.U(0.5, 6)},
-			dist.Component{P: 0.17, D: dist.U(6, 18)},
-			dist.Component{P: 0.03, D: dist.U(18, 34)},
-		),
-		ClockSkew:  dist.U(-0.05, 0.05),
-		FailedSend: dist.U(0.12, 0.18),
-	}
+	p := defaultParams
+	p.N = n
+	return p
+}
+
+// defaultParams is DefaultParams without N. Distributions are immutable
+// values, so every Params shares these and DefaultParams allocates nothing.
+var defaultParams = Params{
+	TSend:    dist.U(0.020, 0.030),
+	TReceive: dist.U(0.020, 0.030),
+	TWire: dist.MustMixture(
+		dist.Component{P: 0.80, D: dist.U(0.050, 0.080)},
+		dist.Component{P: 0.20, D: dist.U(0.095, 0.300)},
+	),
+	TailProb:         0,
+	Tail:             dist.Det(0),
+	SleepGranularity: 10.0,
+	GridProb:         0.35,
+	ThreadJitter:     dist.Exp(0.3),
+	KernelLate:       dist.Exp(0.05),
+	WakeTailProb:     0.08,
+	WakeTail:         dist.U(2, 15),
+	PauseEvery:       dist.Det(0), // disabled
+	PauseDur: dist.MustMixture(
+		dist.Component{P: 0.80, D: dist.U(0.5, 6)},
+		dist.Component{P: 0.17, D: dist.U(6, 18)},
+		dist.Component{P: 0.03, D: dist.U(18, 34)},
+	),
+	ClockSkew:  dist.U(-0.05, 0.05),
+	FailedSend: dist.U(0.12, 0.18),
 }
 
 // Cluster is an emulated cluster executing one neko.Stack per process in

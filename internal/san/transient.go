@@ -26,6 +26,18 @@ type TransientSpec struct {
 	Measure func(mk *Marking, t float64) float64
 }
 
+// Check reports the first rule the study's size breaks: at least one
+// replica and a positive horizon. TransientOn makes the same check.
+func (spec TransientSpec) Check() error {
+	switch {
+	case spec.Replicas < 1:
+		return fmt.Errorf("san: transient study needs at least 1 replica, got %d", spec.Replicas)
+	case !(spec.Tmax > 0):
+		return fmt.Errorf("san: zero or negative horizon Tmax %g", spec.Tmax)
+	}
+	return nil
+}
+
 // TransientResult aggregates the per-replica measures. Kept replicas
 // fold into the Digest in replica order, so retained memory is bounded
 // by the digest's exact cap regardless of the replica count. Every
@@ -99,14 +111,11 @@ func NewSolver(m *Model) *Solver { return &Solver{m: m} }
 // ctx.Err(). A panic in Stop, Measure or a gate surfaces as a
 // *parallel.UnitPanic whose Index is the replica.
 func (s *Solver) TransientOn(ctx context.Context, p *parallel.Pool, worker int, r *rng.Stream, spec TransientSpec) (*TransientResult, error) {
-	if spec.Replicas <= 0 {
-		return nil, fmt.Errorf("san: transient study needs at least 1 replica, got %d", spec.Replicas)
+	if err := spec.Check(); err != nil {
+		return nil, err
 	}
 	if spec.Stop == nil {
 		return nil, fmt.Errorf("san: transient study needs a stop condition")
-	}
-	if spec.Tmax <= 0 {
-		return nil, fmt.Errorf("san: transient study needs a positive Tmax")
 	}
 	outs := make([]replicaOutcome, spec.Replicas)
 	if n := p.Workers(); len(s.workers) < n {

@@ -297,20 +297,13 @@ func (b *builder) buildCorrelatedFD(crashed map[int]bool) {
 }
 
 // fdSojourns returns the Trust and Susp sojourn distributions implied by
-// the configured QoS metrics.
+// the configured QoS metrics, which Params.check bounds.
 func (b *builder) fdSojourns() (trustDist, suspDist dist.Dist) {
 	tm, tmr := b.p.FD.TM, b.p.FD.TMR
-	if tm <= 0 || tm >= tmr {
-		panic(fmt.Sprintf("sanmodel: invalid FD QoS TM=%g TMR=%g", tm, tmr))
-	}
-	switch b.p.FD.Kind {
-	case FDDeterministic:
-		return dist.Det(tmr - tm), dist.Det(tm)
-	case FDExponential:
+	if b.p.FD.Kind == FDExponential {
 		return dist.Exp(tmr - tm), dist.Exp(tm)
-	default:
-		panic(fmt.Sprintf("sanmodel: unknown FD distribution kind %d", b.p.FD.Kind))
 	}
+	return dist.Det(tmr - tm), dist.Det(tm)
 }
 
 // buildFD creates the two-state failure-detector submodels (§3.4, Fig. 5)

@@ -47,7 +47,7 @@ const (
 // FDModel are the QoS parameters feeding the failure-detector submodels.
 type FDModel struct {
 	// TMR is the mean mistake recurrence time, TM the mean mistake
-	// duration (ms). TMR <= 0 disables wrong suspicions entirely
+	// duration (ms). TMR 0 disables wrong suspicions entirely
 	// (class-1/class-2 runs).
 	TMR, TM float64
 	Kind    FDDistKind
@@ -106,8 +106,10 @@ func DefaultParams(n int) Params {
 
 // broadcastScale approximates how much larger the broadcast t_net is than
 // the unicast t_net for n destinations, consistent with the Fig. 6 curves
-// (broadcast-to-5 roughly doubles the unicast delay).
-func broadcastScale(n int) float64 { return 1 + 0.25*float64(n-1) }
+// (broadcast-to-5 roughly doubles the unicast delay). An n below 1, which
+// Check rejects, scales as n = 1, so DefaultParams never builds an
+// inverted interval.
+func broadcastScale(n int) float64 { return 1 + 0.25*float64(max(n, 1)-1) }
 
 // Model is the built SAN consensus model plus the handles needed to define
 // reward variables (stop conditions, latency measures).
@@ -180,19 +182,50 @@ type builder struct {
 	maj     int
 }
 
-// Build constructs the SAN model for the given parameters.
-func Build(p Params) (*Model, error) {
-	if p.N < 2 {
-		return nil, fmt.Errorf("sanmodel: need n >= 2, got %d", p.N)
+// Check reports the first rule a transient study of the model for p —
+// replicas replicas to horizon tmax — breaks: the model's own (Build) or
+// the solver's (san.TransientSpec.Check). Simulate makes both checks.
+func Check(p Params, replicas int, tmax float64) error {
+	if err := p.check(); err != nil {
+		return err
 	}
-	if p.TSend <= 0 || p.TReceive <= 0 {
-		return nil, fmt.Errorf("sanmodel: non-positive t_send/t_receive")
+	return san.TransientSpec{Replicas: replicas, Tmax: tmax}.Check()
+}
+
+// check reports the first rule p breaks: at least two processes, positive
+// CPU costs, both network delays, FD QoS the submodels of §3.4 can
+// represent (TMR 0 for none, else 0 < TM < TMR) with a known sojourn
+// kind, and initially crashed ids in 1..n leaving a correct majority.
+func (p *Params) check() error {
+	switch {
+	case p.N < 2:
+		return fmt.Errorf("sanmodel: need n >= 2, got %d", p.N)
+	case p.TSend <= 0 || p.TReceive <= 0:
+		return fmt.Errorf("sanmodel: zero or negative t_send %g or t_receive %g", p.TSend, p.TReceive)
+	case p.NetUnicast == nil || p.NetBroadcast == nil:
+		return fmt.Errorf("sanmodel: missing network delay distributions")
+	case p.FD.TMR < 0 || p.FD.TM < 0:
+		return fmt.Errorf("sanmodel: negative FD QoS TMR=%g TM=%g (TMR 0 disables wrong suspicions)", p.FD.TMR, p.FD.TM)
+	case p.FD.TMR > 0 && !(0 < p.FD.TM && p.FD.TM < p.FD.TMR):
+		return fmt.Errorf("sanmodel: FD QoS needs 0 < TM < TMR, got TM=%g TMR=%g", p.FD.TM, p.FD.TMR)
+	case p.FD.Kind != FDDeterministic && p.FD.Kind != FDExponential:
+		return fmt.Errorf("sanmodel: unknown FD distribution kind %d", p.FD.Kind)
 	}
-	if p.NetUnicast == nil || p.NetBroadcast == nil {
-		return nil, fmt.Errorf("sanmodel: missing network delay distributions")
+	for _, c := range p.Crashed {
+		if c < 1 || c > p.N {
+			return fmt.Errorf("sanmodel: crashed process %d out of range 1..%d", c, p.N)
+		}
 	}
 	if len(p.Crashed) >= (p.N+1)/2 {
-		return nil, fmt.Errorf("sanmodel: %d crashes violate majority-correct for n=%d", len(p.Crashed), p.N)
+		return fmt.Errorf("sanmodel: %d crashes violate the majority-correct requirement for n=%d", len(p.Crashed), p.N)
+	}
+	return nil
+}
+
+// Build constructs the SAN model for the given parameters.
+func Build(p Params) (*Model, error) {
+	if err := p.check(); err != nil {
+		return nil, err
 	}
 	if p.MaxRoundsGuard == 0 {
 		p.MaxRoundsGuard = 64 * p.N
@@ -203,9 +236,6 @@ func Build(p Params) (*Model, error) {
 	b.aborted = b.m.Place("Aborted", 0)
 	crashed := make(map[int]bool)
 	for _, c := range p.Crashed {
-		if c < 1 || c > p.N {
-			return nil, fmt.Errorf("sanmodel: crashed process %d out of range", c)
-		}
 		crashed[c] = true
 	}
 	for i := 1; i <= p.N; i++ {

@@ -161,17 +161,24 @@ func TestFDKindsDiffer(t *testing.T) {
 	}
 }
 
-func TestInvalidFDPanics(t *testing.T) {
-	p := DefaultParams(3)
-	p.FD = FDModel{TMR: 5, TM: 9} // TM > TMR
-	defer func() {
-		if recover() == nil {
-			t.Fatal("TM > TMR accepted")
+// TestInvalidFDRejected: QoS the §3.4 submodels cannot represent is an
+// error from Build and from a study, not a panic inside the builder.
+func TestInvalidFDRejected(t *testing.T) {
+	for _, fd := range []FDModel{
+		{TMR: 5, TM: 9}, // TM > TMR
+		{TMR: 5, TM: 5},
+		{TMR: 5},
+		{TMR: 5, TM: 2, Kind: FDDistKind(7)},
+	} {
+		p := DefaultParams(3)
+		p.FD = fd
+		if _, err := Build(p); err == nil {
+			t.Errorf("%+v: Build accepted", fd)
 		}
-	}()
-	_, _ = Build(p)
-	model, _ := Build(p)
-	_ = model
+		if _, err := SimulateContext(context.Background(), p, 5, 1e6, 1, 1); err == nil {
+			t.Errorf("%+v: SimulateContext accepted", fd)
+		}
+	}
 }
 
 // TestRoundsGuard: with all processes suspecting each other through an

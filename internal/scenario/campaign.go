@@ -79,11 +79,7 @@ type Report struct {
 // replica) pair owns a child random stream keyed by its flat grid index,
 // and the fold is serial. ctx cancels between grid units and between the
 // executions inside each replica; a canceled campaign returns ctx.Err().
-//
-// The spec is validated up front: an empty scenario list, a non-positive
-// replica count, a negative execution override, and invalid scenarios all
-// fail with a descriptive error instead of silently producing an empty
-// report.
+// The spec is checked (Check) before any replica runs.
 func RunCampaignContext(ctx context.Context, spec CampaignSpec) ([]*Report, error) {
 	return parallel.Do(ctx, spec.Workers, func(p *parallel.Pool, w int) ([]*Report, error) {
 		return RunCampaignOn(ctx, p, w, make([]experiment.Harnesses, p.Workers()), spec)
@@ -142,35 +138,50 @@ func RunCampaignOn(ctx context.Context, p *parallel.Pool, worker int, sets []exp
 	return reports, nil
 }
 
-// runUnits is the campaign replica loop: it validates spec (defaulting
-// its replica count in place) and runs every (scenario, replica) unit of
-// the grid on p, nested in the unit its caller is running as worker
-// `worker`, returning the results in grid order. With newTracer set, each
-// worker's replica records into a ring of its own, made on the worker's
-// first unit and rewound per replica.
-func runUnits(ctx context.Context, p *parallel.Pool, worker int, sets []experiment.Harnesses, spec *CampaignSpec, newTracer func() *trace.Tracer) ([]*Result, error) {
-	if len(sets) < p.Workers() {
-		return nil, fmt.Errorf("scenario: %d harness sets for a pool of %d workers", len(sets), p.Workers())
-	}
+// Check resolves the spec as RunCampaignOn does before it runs anything —
+// Replicas 0 selects 1 — and reports the first rule it breaks: no
+// scenarios, fewer than one replica, or a scenario that cannot run under
+// the spec's overrides (Validate's rules, a negative execution override,
+// the harness's guards). For each scenario, in order, it returns the
+// shape and plan of the replica harness its replicas run on.
+func (spec *CampaignSpec) Check() ([]experiment.Shape, []experiment.Plan, error) {
 	if len(spec.Scenarios) == 0 {
-		return nil, fmt.Errorf("scenario: campaign with no scenarios (nothing to run)")
+		return nil, nil, fmt.Errorf("scenario: campaign with no scenarios (nothing to run)")
 	}
 	if spec.Replicas == 0 {
 		spec.Replicas = 1
 	}
 	if spec.Replicas < 1 {
-		return nil, fmt.Errorf("scenario: need at least 1 replica per scenario, got %d", spec.Replicas)
+		return nil, nil, fmt.Errorf("scenario: need at least 1 replica per scenario, got %d", spec.Replicas)
 	}
-	if spec.Executions < 0 {
-		return nil, fmt.Errorf("scenario: negative execution override %d", spec.Executions)
-	}
+	cfg := RunConfig{Executions: spec.Executions, MaxRounds: spec.MaxRounds, Deadline: spec.Deadline}
+	shapes := make([]experiment.Shape, len(spec.Scenarios))
+	plans := make([]experiment.Plan, len(spec.Scenarios))
 	for i, s := range spec.Scenarios {
 		if s == nil {
-			return nil, fmt.Errorf("scenario: campaign scenario %d is nil", i)
+			return nil, nil, fmt.Errorf("scenario: campaign scenario %d is nil", i)
 		}
-		if err := s.Validate(); err != nil {
-			return nil, err
+		var err error
+		if shapes[i], plans[i], err = check(s, cfg); err != nil {
+			return nil, nil, err
 		}
+	}
+	return shapes, plans, nil
+}
+
+// runUnits is the campaign replica loop: it checks spec (Check, which
+// defaults its replica count in place) and runs every (scenario, replica)
+// unit of the grid on p, nested in the unit its caller is running as
+// worker `worker`, returning the results in grid order. With newTracer
+// set, each worker's replica records into a ring of its own, made on the
+// worker's first unit and rewound per replica.
+func runUnits(ctx context.Context, p *parallel.Pool, worker int, sets []experiment.Harnesses, spec *CampaignSpec, newTracer func() *trace.Tracer) ([]*Result, error) {
+	if len(sets) < p.Workers() {
+		return nil, fmt.Errorf("scenario: %d harness sets for a pool of %d workers", len(sets), p.Workers())
+	}
+	shapes, plans, err := spec.Check()
+	if err != nil {
+		return nil, err
 	}
 	seeds := unitSeeds(spec.Seed)
 	units := len(spec.Scenarios) * spec.Replicas
@@ -185,15 +196,15 @@ func runUnits(ctx context.Context, p *parallel.Pool, worker int, sets []experime
 		reps[w].hs = &sets[w]
 	}
 	results := make([]*Result, units)
-	err := p.ForEachChunk(ctx, worker, units, 1, func(w, i int) (err error) {
-		s := spec.Scenarios[i/spec.Replicas]
+	err = p.ForEachChunk(ctx, worker, units, 1, func(w, i int) (err error) {
+		si := i / spec.Replicas
 		rep := &reps[w]
-		if rep.s != s {
-			cfg := RunConfig{Executions: spec.Executions, MaxRounds: spec.MaxRounds, Deadline: spec.Deadline, Tracer: rep.cfg.Tracer}
-			if cfg.Tracer == nil && newTracer != nil {
-				cfg.Tracer = newTracer()
+		if s := spec.Scenarios[si]; rep.s != s {
+			tracer := rep.tracer
+			if tracer == nil && newTracer != nil {
+				tracer = newTracer()
 			}
-			if err := rep.bind(s, cfg); err != nil {
+			if err := rep.bind(s, shapes[si], plans[si], tracer); err != nil {
 				return err
 			}
 		}

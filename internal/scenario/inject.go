@@ -56,8 +56,9 @@ type program struct {
 // against c, rewinding and reusing p's buffers. Randomness comes from
 // per-event child streams of r (event i draws from r.Child(i)), so adding
 // draws to one event never perturbs another, and compilation is
-// deterministic in r for any event order. Validate must have passed.
-func (s *Scenario) compileInto(p *program, c *netsim.Cluster, r *rng.Stream) error {
+// deterministic in r for any event order. gap is the base execution gap,
+// in force until the first workload event. Validate must have passed.
+func (s *Scenario) compileInto(p *program, c *netsim.Cluster, r *rng.Stream, gap float64) error {
 	tl := &p.tl
 	if tl.down == nil {
 		tl.down = make(map[neko.ProcessID][]interval)
@@ -65,7 +66,7 @@ func (s *Scenario) compileInto(p *program, c *netsim.Cluster, r *rng.Stream) err
 	for pid, ivs := range tl.down {
 		tl.down[pid] = ivs[:0]
 	}
-	tl.phases = append(tl.phases[:0], phasePoint{at: 0, gap: s.Gap, label: "base"})
+	tl.phases = append(tl.phases[:0], phasePoint{at: 0, gap: gap, label: "base"})
 	for _, pid := range s.InitialCrashed {
 		tl.down[pid] = append(tl.down[pid], interval{0, math.Inf(1)})
 	}

@@ -54,9 +54,9 @@ func Names() []string {
 // Info is the registry listing of one scenario as plain data: what a
 // catalog UI (or the campaign service's /api/v1/scenarios endpoint)
 // needs to present the built-ins without constructing or executing
-// anything. The effective heartbeat period is materialized (PeriodTh is
-// 0.7·TimeoutT when unset), so consumers need no scenario-layer
-// defaulting rules.
+// anything. The base gap and the heartbeat period are the effective ones,
+// resolved by the replica harness (experiment.Check), so consumers need
+// no defaulting rules.
 type Info struct {
 	Name           string           `json:"name"`
 	Doc            string           `json:"doc"`
@@ -79,21 +79,21 @@ func List() []Info {
 		if err != nil {
 			continue // raced deregistration cannot happen for built-ins
 		}
-		info := Info{
+		shape, plan, err := check(s, RunConfig{})
+		if err != nil {
+			continue // a scenario no replica can run has no configuration to list
+		}
+		out = append(out, Info{
 			Name:           s.Name,
 			Doc:            s.Doc,
 			N:              s.N,
 			Executions:     s.Executions,
-			Gap:            s.Gap,
+			Gap:            plan.Gap,
 			TimeoutT:       s.TimeoutT,
-			PeriodTh:       s.PeriodTh,
+			PeriodTh:       shape.PeriodTh,
 			InitialCrashed: s.InitialCrashed,
 			Events:         len(s.Events),
-		}
-		if info.TimeoutT > 0 && info.PeriodTh == 0 {
-			info.PeriodTh = 0.7 * info.TimeoutT
-		}
-		out = append(out, info)
+		})
 	}
 	return out
 }

@@ -25,8 +25,8 @@ type RunConfig struct {
 	// (0 = 256).
 	MaxRounds int
 	// Deadline force-closes an execution after this many ms (0 = 3·T+60
-	// under the heartbeat detector, 500 under the oracle) so that
-	// partitions and crashes cannot hang a campaign.
+	// under the heartbeat detector, the harness default under the
+	// oracle) so that partitions and crashes cannot hang a campaign.
 	Deadline float64
 	// Tracer, when non-nil, records structured execution events from
 	// every layer (DES kernel, emulator, failure detectors, consensus)
@@ -86,14 +86,15 @@ type WrongSuspicion struct {
 // latency points — of equal shape share one assembly, across campaigns
 // when the caller keeps the sets (RunCampaignOn).
 type replica struct {
-	s   *Scenario
-	cfg RunConfig
-	hs  *experiment.Harnesses
-	h   *experiment.Harness
-	// plan holds the per-scenario run configuration; only Seed changes
-	// between runs. history, injRand and prog are retained so that run
-	// constructs nothing: the transition log, the injection randomness
-	// stream (reseeded in place) and the compiled timeline.
+	s      *Scenario
+	tracer *trace.Tracer
+	hs     *experiment.Harnesses
+	h      *experiment.Harness
+	// plan is the run configuration check resolved for the scenario,
+	// bound to this replica's hooks; only Seed changes between runs.
+	// history, injRand and prog are retained so that run constructs
+	// nothing: the transition log, the injection randomness stream
+	// (reseeded in place) and the compiled timeline.
 	plan    experiment.Plan
 	phaseFn func(name string, at float64)
 	history fd.History
@@ -110,30 +111,34 @@ func Run(s *Scenario, cfg RunConfig) (*Result, error) {
 	return r.run(context.Background(), cfg.Seed)
 }
 
-// newReplica returns a replica of s on a harness set of its own.
+// newReplica returns a replica of s under cfg on a harness set of its own.
 func newReplica(s *Scenario, cfg RunConfig) (*replica, error) {
+	shape, plan, err := check(s, cfg)
+	if err != nil {
+		return nil, err
+	}
 	r := &replica{hs: new(experiment.Harnesses)}
-	return r, r.bind(s, cfg)
+	return r, r.bind(s, shape, plan, cfg.Tracer)
 }
 
-// bind validates the scenario, applies config defaults and points the
-// replica at it, on the set's harness of the shape the scenario needs.
-func (r *replica) bind(s *Scenario, cfg RunConfig) error {
-	if err := s.Validate(); err != nil {
-		return err
+// check resolves one replica of s under cfg into the configuration of
+// the replica harness it runs on, and reports the first rule it breaks:
+// the scenario's own (validateTimeline), a negative execution override,
+// or the harness's (experiment.Check). The scenario's defaults apply
+// first: its own execution count and, under the heartbeat detector, a
+// deadline of 3·T + 60 ms, which outlasts a detection (~T + T_h).
+func check(s *Scenario, cfg RunConfig) (experiment.Shape, experiment.Plan, error) {
+	if err := s.validateTimeline(); err != nil {
+		return experiment.Shape{}, experiment.Plan{}, err
+	}
+	if cfg.Executions < 0 {
+		return experiment.Shape{}, experiment.Plan{}, fmt.Errorf("scenario %s: negative execution override %d", s.Name, cfg.Executions)
 	}
 	if cfg.Executions == 0 {
 		cfg.Executions = s.Executions
 	}
-	if cfg.Executions < 1 {
-		return fmt.Errorf("scenario %s: need at least 1 execution", s.Name)
-	}
-	if cfg.Deadline == 0 {
-		if s.TimeoutT > 0 {
-			cfg.Deadline = 3*s.TimeoutT + 60
-		} else {
-			cfg.Deadline = 500
-		}
+	if cfg.Deadline == 0 && s.TimeoutT > 0 {
+		cfg.Deadline = 3*s.TimeoutT + 60
 	}
 	params := netsim.DefaultParams(s.N)
 	params.Crashed = s.InitialCrashed
@@ -143,25 +148,28 @@ func (r *replica) bind(s *Scenario, cfg RunConfig) error {
 	if s.PauseDur != nil {
 		params.PauseDur = s.PauseDur
 	}
-	h, err := r.hs.For(experiment.Shape{
-		Params: params, TimeoutT: s.TimeoutT, PeriodTh: s.PeriodTh, MaxRounds: cfg.MaxRounds,
-	})
+	shape := experiment.Shape{Params: params, TimeoutT: s.TimeoutT, PeriodTh: s.PeriodTh, MaxRounds: cfg.MaxRounds}
+	plan := experiment.Plan{Label: "scenario " + s.Name, Executions: cfg.Executions, Gap: s.Gap, Deadline: cfg.Deadline}
+	if err := experiment.Check(&shape, &plan); err != nil {
+		return experiment.Shape{}, experiment.Plan{}, err
+	}
+	return shape, plan, nil
+}
+
+// bind points the replica at s, with the harness configuration check
+// resolved for it, on the set's harness of that shape.
+func (r *replica) bind(s *Scenario, shape experiment.Shape, plan experiment.Plan, tracer *trace.Tracer) error {
+	h, err := r.hs.For(shape)
 	if err != nil {
 		return err
 	}
-	r.s, r.cfg, r.h = s, cfg, h
+	r.s, r.tracer, r.h = s, tracer, h
 	r.phaseFn = r.onPhase
 	r.history.Keep = true // the ground truth reads every suspicion's instant
-	r.plan = experiment.Plan{
-		Label:      "scenario " + s.Name,
-		Executions: cfg.Executions,
-		Warmup:     20, // matches the latency experiment (§4)
-		Gap:        s.Gap,
-		Deadline:   cfg.Deadline,
-		History:    &r.history,
-		Up:         r.prog.tl.UpAt,
-		Prepare:    r.prepare,
-	}
+	plan.History = &r.history
+	plan.Up = r.prog.tl.UpAt
+	plan.Prepare = r.prepare
+	r.plan = plan
 	return nil
 }
 
@@ -171,12 +179,12 @@ func (r *replica) prepare() error {
 	// timeline compiles, so the injection-scheduling prefix is captured.
 	// Tracing consumes no randomness and emits in DES execution order, so
 	// the trace is a pure function of the replica seed (rule 6).
-	if tr := r.cfg.Tracer; tr != nil {
+	if tr := r.tracer; tr != nil {
 		tr.Reset()
 		r.h.SetTracer(tr)
 	}
 	r.h.Root().ChildInto(&r.injRand, 2)
-	if err := r.s.compileInto(&r.prog, r.h.Cluster(), &r.injRand); err != nil {
+	if err := r.s.compileInto(&r.prog, r.h.Cluster(), &r.injRand, r.plan.Gap); err != nil {
 		return err
 	}
 	// Workload phases arrive through the cluster's phase hook, so the gap
@@ -210,14 +218,14 @@ func (r *replica) run(ctx context.Context, seed uint64) (*Result, error) {
 			res.Suspicions++
 			if r.prog.tl.UpAt(e.Q, e.At) {
 				res.WrongSuspicions++
-				if r.cfg.Tracer != nil {
+				if r.tracer != nil {
 					res.Wrong = append(res.Wrong, WrongSuspicion{P: e.P, Q: e.Q, At: e.At})
 				}
 			}
 		}
 	}
-	if r.cfg.Tracer != nil {
-		res.Trace = r.cfg.Tracer.Snapshot()
+	if r.tracer != nil {
+		res.Trace = r.tracer.Snapshot()
 	}
 	return res, nil
 }

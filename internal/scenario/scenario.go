@@ -101,10 +101,11 @@ type Scenario struct {
 	// N is the number of processes (paper: odd 3..11).
 	N int `json:"n"`
 	// Executions is the default number of consensus executions per
-	// replica (RunConfig may override).
+	// replica (RunConfig may override; New and LoadJSON start at 200).
 	Executions int `json:"executions,omitempty"`
-	// Gap is the initial separation between execution starts in ms
-	// (default 10, §4); workload events change it mid-run.
+	// Gap is the initial separation between execution starts in ms (0
+	// selects the replica harness's default, §4); workload events change
+	// it mid-run.
 	Gap float64 `json:"gap,omitempty"`
 	// TimeoutT enables the real heartbeat failure detector with timeout T
 	// ms; 0 selects the perfect oracle detector (which suspects exactly
@@ -122,10 +123,15 @@ type Scenario struct {
 	Events []Event `json:"events,omitempty"`
 }
 
-// New starts a scenario for n processes with the paper's defaults: 10 ms
-// execution gap, perfect oracle failure detector, no injections.
+// defaultExecutions is a scenario's per-replica execution count when
+// neither the builder nor the JSON sets one.
+const defaultExecutions = 200
+
+// New starts a scenario for n processes with the paper's defaults: the
+// harness's execution gap, perfect oracle failure detector, no
+// injections.
 func New(name string, n int) *Scenario {
-	return &Scenario{Name: name, N: n, Gap: 10, Executions: 200}
+	return &Scenario{Name: name, N: n, Executions: defaultExecutions}
 }
 
 // WithDoc sets the one-line description.
@@ -204,34 +210,22 @@ func (s *Scenario) add(e Event) *Scenario {
 	return s
 }
 
-// Validate checks the scenario for structural errors: out-of-range
-// processes, malformed windows, kind-specific field misuse.
+// Validate reports the first rule the scenario breaks: its own — a name,
+// well-formed events, positive workload gaps — or the replica harness's
+// on the cluster, detector and base gap it describes (experiment.Check:
+// n, the initially crashed ids and a correct majority, T and Th).
 func (s *Scenario) Validate() error {
+	_, _, err := check(s, RunConfig{})
+	return err
+}
+
+// validateTimeline checks what only a scenario states: its name and its
+// events, kind by kind.
+func (s *Scenario) validateTimeline() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: empty name")
 	}
-	if s.N < 2 {
-		return fmt.Errorf("scenario %s: need n >= 2, got %d", s.Name, s.N)
-	}
-	if s.Gap <= 0 {
-		return fmt.Errorf("scenario %s: non-positive gap %g", s.Name, s.Gap)
-	}
-	if s.TimeoutT < 0 || (s.PeriodTh != 0 && s.TimeoutT == 0) {
-		return fmt.Errorf("scenario %s: heartbeat period without timeout", s.Name)
-	}
-	if s.PeriodTh < 0 {
-		return fmt.Errorf("scenario %s: negative heartbeat period %g", s.Name, s.PeriodTh)
-	}
-	if len(s.InitialCrashed) >= (s.N+1)/2 {
-		return fmt.Errorf("scenario %s: %d initial crashes violate the majority-correct requirement for n=%d",
-			s.Name, len(s.InitialCrashed), s.N)
-	}
 	inRange := func(p neko.ProcessID) bool { return p >= 1 && int(p) <= s.N }
-	for _, p := range s.InitialCrashed {
-		if !inRange(p) {
-			return fmt.Errorf("scenario %s: initial crash of p%d out of range 1..%d", s.Name, p, s.N)
-		}
-	}
 	for i, e := range s.Events {
 		bad := func(format string, args ...any) error {
 			return fmt.Errorf("scenario %s event %d (%s): %s", s.Name, i, e.Kind, fmt.Sprintf(format, args...))

@@ -64,11 +64,18 @@ func TestListMatchesRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 		if info.Doc != s.Doc || info.N != s.N || info.Executions != s.Executions ||
-			info.Gap != s.Gap || info.Events != len(s.Events) {
+			info.Events != len(s.Events) {
 			t.Errorf("%s: Info diverges from the scenario value", info.Name)
 		}
-		// The effective heartbeat period is materialized: no zero
-		// PeriodTh on a heartbeat scenario.
+		// The effective gap and heartbeat period are materialized: what
+		// the harness runs, no zero.
+		shape, plan, err := check(s, RunConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Gap != plan.Gap || info.Gap == 0 || info.PeriodTh != shape.PeriodTh {
+			t.Errorf("%s: gap %g, period %g; the harness runs %g, %g", info.Name, info.Gap, info.PeriodTh, plan.Gap, shape.PeriodTh)
+		}
 		if info.TimeoutT > 0 && info.PeriodTh == 0 {
 			t.Errorf("%s: PeriodTh not materialized", info.Name)
 		}
@@ -127,8 +134,9 @@ func TestLoadJSON(t *testing.T) {
 	if s.N != 5 || s.TimeoutT != 30 || len(s.Events) != 6 {
 		t.Fatalf("parsed scenario: %+v", s)
 	}
-	if s.Gap != 10 || s.Executions != 200 {
-		t.Fatalf("defaults not applied: gap=%g execs=%d", s.Gap, s.Executions)
+	// The execution count defaults here; the gap is left to the harness.
+	if s.Gap != 0 || s.Executions != 200 {
+		t.Fatalf("defaults: gap=%g execs=%d, want 0 and 200", s.Gap, s.Executions)
 	}
 	if s.PauseEvery == nil || math.Abs(s.PauseEvery.Mean()-50) > 1e-12 {
 		t.Fatalf("pause_every = %v", s.PauseEvery)
@@ -496,11 +504,16 @@ func BenchmarkScenarioCampaignSerial(b *testing.B)   { benchCampaign(b, 1) }
 func BenchmarkScenarioCampaignParallel(b *testing.B) { benchCampaign(b, 0) }
 
 // compile resolves drawn instants and schedules every event of s against
-// c, returning a freshly allocated timeline (tests and one-shot callers;
-// the runner uses compileInto with a retained program).
+// c under the base gap a replica would run with, returning a freshly
+// allocated timeline (the runner uses compileInto with a retained
+// program).
 func (s *Scenario) compile(c *netsim.Cluster, r *rng.Stream) (*Timeline, error) {
+	_, plan, err := check(s, RunConfig{})
+	if err != nil {
+		return nil, err
+	}
 	var p program
-	if err := s.compileInto(&p, c, r); err != nil {
+	if err := s.compileInto(&p, c, r, plan.Gap); err != nil {
 		return nil, err
 	}
 	return &p.tl, nil

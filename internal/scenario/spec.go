@@ -77,8 +77,7 @@ type scenarioJSON struct {
 }
 
 // LoadJSON parses a scenario from its declarative JSON form, applies the
-// builder defaults for omitted fields (gap 10 ms, 200 executions), and
-// validates it. Example:
+// builder's default for an omitted execution count, and validates it. Example:
 //
 //	{
 //	  "name": "my-partition", "n": 5, "timeout_t": 30,
@@ -125,11 +124,8 @@ func LoadJSON(data []byte) (*Scenario, error) {
 		}
 		s.Events = append(s.Events, e)
 	}
-	if s.Gap == 0 {
-		s.Gap = 10
-	}
 	if s.Executions == 0 {
-		s.Executions = 200
+		s.Executions = defaultExecutions
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -211,11 +211,11 @@ func (s *Server) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 	if st == nil {
 		return
 	}
-	body, err := readUpload(w, r, s.cfg.MaxUploadBytes)
+	body, err := readUpload(w, r, maxUploadBytes)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) || errors.Is(err, errUploadTooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "upload exceeds %d bytes", s.cfg.MaxUploadBytes)
+			writeError(w, http.StatusRequestEntityTooLarge, "upload exceeds %d bytes", maxUploadBytes)
 			return
 		}
 		writeError(w, http.StatusBadRequest, "read upload: %v", err)
@@ -277,6 +277,9 @@ func (s *Server) runFleetStudy(st *study) {
 		}
 	}
 }
+
+// maxUploadBytes bounds the decoded body of a fleet record upload.
+const maxUploadBytes = 256 << 20
 
 // errUploadTooLarge marks a decoded (post-gzip) body exceeding the
 // upload bound.

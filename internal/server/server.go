@@ -69,9 +69,6 @@ type Config struct {
 	// MaxSpecBytes bounds the request body of a study submission
 	// (default 8 MiB).
 	MaxSpecBytes int64
-	// MaxUploadBytes bounds the decoded body of a fleet record upload
-	// (default 256 MiB).
-	MaxUploadBytes int64
 	// LeaseTTL is how long a fleet lease lives without renewal before its
 	// range is re-leased (default 15s).
 	LeaseTTL time.Duration
@@ -100,9 +97,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxSpecBytes <= 0 {
 		c.MaxSpecBytes = 8 << 20
-	}
-	if c.MaxUploadBytes <= 0 {
-		c.MaxUploadBytes = 256 << 20
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 15 * time.Second
@@ -135,7 +129,6 @@ type study struct {
 	mu       sync.Mutex
 	status   string // "queued", "running", "done", "failed", "canceled"
 	errMsg   string
-	done     int
 	hits     int64
 	misses   int64
 	started  time.Time
@@ -174,7 +167,6 @@ func (st *study) snapshot() Status {
 		Status:      st.status,
 		Error:       st.errMsg,
 		Points:      len(st.points),
-		Done:        st.done,
 		Seed:        st.seed,
 		Replicas:    st.replicas,
 		Workers:     st.workers,
@@ -190,12 +182,14 @@ func (st *study) snapshot() Status {
 		s.Finished = st.finished.UTC().Format(time.RFC3339Nano)
 	}
 	st.mu.Unlock()
+	// Read after the status, outside st.mu (a leaf lock): a study's
+	// progress is what has reached its hub — after every other sink in a
+	// local study, folded by the ledger in a fleet one — and it turns
+	// "done" only after the last line has.
+	s.Done = st.hub.count()
 	if st.fleet != nil {
-		// Read after the status, outside st.mu (a leaf lock): a fleet
-		// study's progress is what its ledger has folded into the hub, and
-		// it turns "done" only after the last line has.
 		fs := st.fleet.Stats()
-		s.Mode, s.Fleet, s.Done = "fleet", &fs, st.hub.count()
+		s.Mode, s.Fleet = "fleet", &fs
 	}
 	return s
 }
@@ -204,12 +198,6 @@ func (st *study) setRunning() {
 	st.mu.Lock()
 	st.status = "running"
 	st.started = time.Now()
-	st.mu.Unlock()
-}
-
-func (st *study) setProgress(done int) {
-	st.mu.Lock()
-	st.done = done
 	st.mu.Unlock()
 }
 
@@ -394,7 +382,6 @@ func (s *Server) runStudy(st *study) {
 		campaign.WithReplicas(st.replicas),
 		campaign.WithWorkers(st.workers),
 		campaign.WithSink(&hubSink{hub: st.hub}),
-		campaign.WithProgress(func(done, total int, _ *campaign.Result) { st.setProgress(done) }),
 	}
 	switch {
 	case s.testCache != nil:
