@@ -51,13 +51,26 @@ func mustBeSynced(t *testing.T, store *checkpoint.Store) {
 	}
 }
 
-func openStore(t *testing.T) *checkpoint.Store {
+// openStore opens a fresh store and returns it with its path.
+func openStore(t *testing.T) (*checkpoint.Store, string) {
 	t.Helper()
-	store, err := checkpoint.Open(filepath.Join(t.TempDir(), "store.jsonl"))
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	store, err := checkpoint.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return store
+	return store, path
+}
+
+// storeLines reads the records of the store file at path, as a merge or
+// a resume does: a store keeps in memory only what Open found.
+func storeLines(t *testing.T, path string) [][]byte {
+	t.Helper()
+	lines, dropped, err := checkpoint.Load(path)
+	if err != nil || dropped != 0 {
+		t.Fatalf("load %s: dropped=%d err=%v", path, dropped, err)
+	}
+	return lines
 }
 
 func TestShardSyncPolicy(t *testing.T) {
@@ -70,7 +83,8 @@ func TestShardSyncPolicy(t *testing.T) {
 
 	t.Run("a point longer than the slice syncs alone", func(t *testing.T) {
 		stepClock(t, syncSlice+time.Millisecond)
-		store, before, seen := openStore(t), syncs(), 0
+		store, _ := openStore(t)
+		before, seen := syncs(), 0
 		onPoint := func(int, []byte) error {
 			// onPoint runs between a record's write and its sync: every
 			// earlier record has had its own fsync, this one not yet.
@@ -91,7 +105,8 @@ func TestShardSyncPolicy(t *testing.T) {
 
 	t.Run("a frozen clock syncs once, at Close", func(t *testing.T) {
 		stepClock(t, 0)
-		store, before := openStore(t), syncs()
+		store, _ := openStore(t)
+		before := syncs()
 		onPoint := func(i int, _ []byte) error {
 			if got := syncs() - before; got != 0 {
 				t.Errorf("%d syncs by point %d with the clock frozen", got, i)
@@ -109,7 +124,8 @@ func TestShardSyncPolicy(t *testing.T) {
 
 	t.Run("cancellation syncs what was written", func(t *testing.T) {
 		stepClock(t, 0)
-		store, before := openStore(t), syncs()
+		store, path := openStore(t)
+		before := syncs()
 		ctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 		onPoint := func(i int, _ []byte) error {
@@ -121,7 +137,7 @@ func TestShardSyncPolicy(t *testing.T) {
 		if err := RunShardRange(ctx, frozen, 0, points, store, onPoint, WithWorkers(1)); !errors.Is(err, context.Canceled) {
 			t.Fatalf("RunShardRange = %v, want context.Canceled", err)
 		}
-		if n := len(store.Records()); n < 2 || n == points {
+		if n := len(storeLines(t, path)); n < 2 || n == points {
 			t.Fatalf("canceled run left %d of %d records", n, points)
 		}
 		if got := syncs() - before; got != 1 {
@@ -142,14 +158,15 @@ func TestFailedSyncFailsTheAttempt(t *testing.T) {
 	}
 	points := len(frozen.Points)
 	ctx := context.Background()
-	full := openStore(t)
+	full, fullPath := openStore(t)
 	if err := RunShardRange(ctx, frozen, 0, points, full, nil, WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
+	fullLines := storeLines(t, fullPath)
 
 	stepClock(t, syncSlice) // every record syncs
-	store := openStore(t)
-	path, away := store.Path(), store.Path()+".away"
+	store, path := openStore(t)
+	away := path + ".away"
 	written := 0
 	onPoint := func(int, []byte) error {
 		if written++; written == 3 {
@@ -169,8 +186,8 @@ func TestFailedSyncFailsTheAttempt(t *testing.T) {
 	if serr := store.Sync(); serr == nil {
 		t.Fatal("Sync after a failed sync succeeded")
 	}
-	if len(store.Records()) != 3 {
-		t.Fatalf("broken store holds %d records, want the 3 written", len(store.Records()))
+	if n := len(storeLines(t, away)); n != 3 {
+		t.Fatalf("broken store's file holds %d records, want the 3 written", n)
 	}
 
 	if err := os.Rename(away, path); err != nil {
@@ -191,12 +208,12 @@ func TestFailedSyncFailsTheAttempt(t *testing.T) {
 	if err != nil || dropped != 0 || len(onDisk) != points {
 		t.Fatalf("retried store: %d records, dropped=%d err=%v", len(onDisk), dropped, err)
 	}
-	for i, rec := range full.Records()[:3] {
+	for i, rec := range fullLines[:3] {
 		if !bytes.Equal(onDisk[i], rec) {
 			t.Fatalf("record %d differs from the uninterrupted run", i)
 		}
 	}
-	sameRecords(t, frozen, onDisk, full.Records())
+	sameRecords(t, frozen, onDisk, fullLines)
 }
 
 // sameRecords fails unless two stores hold the same records, byte for
@@ -238,11 +255,12 @@ func TestPowerCutAtEveryUnsyncedByte(t *testing.T) {
 	}
 	points := len(frozen.Points)
 	ctx := context.Background()
-	full := openStore(t)
+	full, fullPath := openStore(t)
 	if err := RunShardRange(ctx, frozen, 0, points, full, nil, WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := MergeShardRecords(frozen, full.Records())
+	fullLines := storeLines(t, fullPath)
+	want, _, err := MergeShardRecords(frozen, fullLines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +281,7 @@ func TestPowerCutAtEveryUnsyncedByte(t *testing.T) {
 		m                  moment
 		lastSyncs, longest = syncs(), 0
 	)
-	store := openStore(t)
+	store, storePath := openStore(t)
 	observe := func(_ int, line []byte) error {
 		// An fsync since the previous point covered everything written
 		// up to then, and closed a slice.
@@ -274,7 +292,7 @@ func TestPowerCutAtEveryUnsyncedByte(t *testing.T) {
 		written := len(m.content) + len(line) + 1
 		m.writeRecs++
 		var err error
-		if m.content, err = os.ReadFile(store.Path()); err != nil {
+		if m.content, err = os.ReadFile(storePath); err != nil {
 			return err
 		}
 		if len(m.content) != written {
@@ -296,7 +314,7 @@ func TestPowerCutAtEveryUnsyncedByte(t *testing.T) {
 	for _, m := range moments {
 		boundary, rec := m.synced, m.syncedRecs // last record boundary at or before the cut
 		for cut := m.synced; cut <= len(m.content); cut++ {
-			if rec < m.writeRecs && cut == boundary+len(full.Records()[rec])+1 {
+			if rec < m.writeRecs && cut == boundary+len(fullLines[rec])+1 {
 				boundary, rec = cut, rec+1
 			}
 			what := fmt.Sprintf("after point %d, cut at %d (synced %d, written %d)", m.writeRecs-1, cut, m.synced, len(m.content))
@@ -305,13 +323,13 @@ func TestPowerCutAtEveryUnsyncedByte(t *testing.T) {
 				t.Fatalf("%s: %d records in %d bytes survive, want %d in %d", what, len(survivors), intact, rec, boundary)
 			}
 			for i, line := range survivors {
-				if !bytes.Equal(line, full.Records()[i]) {
+				if !bytes.Equal(line, fullLines[i]) {
 					t.Fatalf("%s: surviving record %d is not the uninterrupted run's", what, i)
 				}
 			}
 			missing := missingPoints(hashes, 0, points, survivors)
 			again := 0
-			for _, rec := range full.Records()[:m.writeRecs] {
+			for _, rec := range fullLines[:m.writeRecs] {
 				if slices.Contains(missing, recordIndex(t, rec)) {
 					again++
 				}
@@ -320,7 +338,7 @@ func TestPowerCutAtEveryUnsyncedByte(t *testing.T) {
 				t.Fatalf("%s: %d written points to re-execute, more than the %d written since the last sync", what, again, m.writeRecs-m.syncedRecs)
 			}
 			torn := cut - boundary
-			if torn > 1 && torn != len(full.Records()[rec])/2 && torn != len(full.Records()[rec]) {
+			if torn > 1 && torn != len(fullLines[rec])/2 && torn != len(fullLines[rec]) {
 				continue
 			}
 			// Open and resume for real.
@@ -350,7 +368,7 @@ func TestPowerCutAtEveryUnsyncedByte(t *testing.T) {
 				t.Fatalf("%s: resumed store dirty: dropped=%d err=%v", what, dropped, err)
 			}
 			for i := 0; i < rec; i++ {
-				if !bytes.Equal(onDisk[i], full.Records()[i]) {
+				if !bytes.Equal(onDisk[i], fullLines[i]) {
 					t.Fatalf("%s: surviving record %d not reused verbatim", what, i)
 				}
 			}
@@ -412,7 +430,7 @@ func TestFineGridSyncsPerSliceNotPerPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range [][2]int{{0, 180}, {180, 360}} {
-		store := openStore(t)
+		store, _ := openStore(t)
 		appends, before, start := obs.CheckpointAppends.Value(), syncs(), time.Now()
 		if err := RunShardRange(context.Background(), frozen, r[0], r[1], store, nil, WithWorkers(1)); err != nil {
 			t.Fatal(err)

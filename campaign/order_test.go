@@ -218,7 +218,7 @@ func TestShardCheckpointsAtCompletion(t *testing.T) {
 	}
 	cache := &blockingCache{hash: hashes[0], release: make(chan struct{})}
 	cache.held.Store(true)
-	store := openStore(t)
+	store, path := openStore(t)
 	stop := errors.New("stopped by onPoint")
 	completed := 0
 	onPoint := func(index int, _ []byte) error {
@@ -231,7 +231,7 @@ func TestShardCheckpointsAtCompletion(t *testing.T) {
 				t.Errorf("record %d was written only after point 0 completed", k)
 			}
 			var got []int
-			for _, line := range store.Records() {
+			for _, line := range storeLines(t, path) {
 				got = append(got, recordIndex(t, line))
 			}
 			if slices.Contains(got, 0) || len(got) != k {
@@ -246,7 +246,7 @@ func TestShardCheckpointsAtCompletion(t *testing.T) {
 	if !errors.Is(err, stop) || !strings.Contains(err.Error(), "stopped by onPoint") {
 		t.Fatalf("RunShardRange = %v, want the onPoint stop", err)
 	}
-	if n := len(store.Records()); n < k {
+	if n := len(storeLines(t, path)); n < k {
 		t.Fatalf("stopped shard holds %d records, want at least %d", n, k)
 	}
 }

@@ -248,25 +248,26 @@ var now = time.Now
 
 // RunShardRange executes points [start, end) of a frozen study,
 // checkpointing each completed point into store and skipping points the
-// store already holds valid records for, so a restarted shard
-// re-executes only what is missing. The frozen study must be the *full*
-// grid (records carry full-grid indices); opts typically just caps
-// workers, since seeds and replica counts are already pinned by Frozen.
+// store held valid records for when it was opened (store.Records()), so
+// a restarted shard, which opens its store afresh, re-executes only what
+// is missing. The frozen study must be the *full* grid (records carry
+// full-grid indices); opts typically just caps workers, since seeds and
+// replica counts are already pinned by Frozen.
 //
 // Durability is per time slice, not per point. Each record is written to
 // the store the moment its point completes, on the worker that ran it —
 // not when the point's turn to be emitted comes: points start in the
 // study's start order (see Run), so a point may complete while a lower
 // index still runs, and the store holds records in completion order
-// (merge and resume fold by index). From then on the record is in
-// store.Records() and visible to checkpoint.Load, and it outlives this
-// process however it dies (panic, SIGKILL, a supervisor's timeout); the
-// store is fsynced when syncSlice has passed since the previous fsync,
-// and once more before RunShardRange returns, on every exit path. So a
-// dead executor costs bounded re-execution, never a wrong result: process
-// death loses only the points in flight; power loss loses at most the
-// records of one slice, all written within syncSlice of each other, which
-// a resume finds missing (or torn, and drops) and re-executes.
+// (merge and resume fold by index). From then on the record is visible
+// to checkpoint.Load, and it outlives this process however it dies
+// (panic, SIGKILL, a supervisor's timeout); the store is fsynced when
+// syncSlice has passed since the previous fsync, and once more before
+// RunShardRange returns, on every exit path. So a dead executor costs
+// bounded re-execution, never a wrong result: process death loses only
+// the points in flight; power loss loses at most the records of one
+// slice, all written within syncSlice of each other, which a resume
+// finds missing (or torn, and drops) and re-executes.
 //
 // onPoint, when non-nil, observes each record line just after it is
 // written — "checkpointed" in the sense above: readable by a resume or a

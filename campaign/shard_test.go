@@ -231,14 +231,15 @@ func TestShardedRunMatchesSingleProcess(t *testing.T) {
 	ctx := context.Background()
 	var lines [][]byte
 	for _, r := range [][2]int{{0, 2}, {2, 3}, {3, 5}} {
-		store, err := checkpoint.Open(filepath.Join(dir, nameRange(r[0], r[1])))
+		path := filepath.Join(dir, nameRange(r[0], r[1]))
+		store, err := checkpoint.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := RunShardRange(ctx, frozen, r[0], r[1], store, nil, WithWorkers(2)); err != nil {
 			t.Fatal(err)
 		}
-		lines = append(lines, store.Records()...)
+		lines = append(lines, storeLines(t, path)...)
 	}
 	records, skipped, err := MergeShardRecords(frozen, lines)
 	if err != nil {
@@ -265,13 +266,11 @@ func TestShardResume(t *testing.T) {
 	ctx := context.Background()
 
 	// Reference: the full range in one uninterrupted shard.
-	full, err := checkpoint.Open(filepath.Join(t.TempDir(), "full"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	full, fullPath := openStore(t)
 	if err := RunShardRange(ctx, frozen, 0, 5, full, nil, WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
+	fullLines := storeLines(t, fullPath)
 
 	// Interrupted run: execute only [0,2), i.e. a crash after two points.
 	path := filepath.Join(t.TempDir(), "interrupted")
@@ -286,7 +285,7 @@ func TestShardResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if missing := missingPoints(hashes, 0, 5, store.Records()); len(missing) != 3 {
+	if missing := missingPoints(hashes, 0, 5, storeLines(t, path)); len(missing) != 3 {
 		t.Fatalf("missing = %v, want the 3 unexecuted points", missing)
 	}
 
@@ -306,11 +305,16 @@ func TestShardResume(t *testing.T) {
 	if executed != 3 {
 		t.Fatalf("resume executed %d points, want 3", executed)
 	}
-	sameRecords(t, frozen, store2.Records(), full.Records())
+	sameRecords(t, frozen, storeLines(t, path), fullLines)
 
-	// A second resume is a no-op.
+	// A second resume — a restarted shard opens its store afresh — is a
+	// no-op.
+	store3, err := checkpoint.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	executed = 0
-	if err := RunShardRange(ctx, frozen, 0, 5, store2, count, WithWorkers(1)); err != nil {
+	if err := RunShardRange(ctx, frozen, 0, 5, store3, count, WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
 	if executed != 0 {
@@ -322,12 +326,12 @@ func TestShardResume(t *testing.T) {
 	// with its newline intact. Either way the two records before the
 	// damage are reused verbatim, the rest re-execute, and the merged
 	// output is byte-identical to the uninterrupted run.
-	want, _, err := MergeShardRecords(frozen, full.Records())
+	want, _, err := MergeShardRecords(frozen, fullLines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	intact := append(bytes.Join(full.Records()[:2], []byte("\n")), '\n')
-	third := full.Records()[2]
+	intact := append(bytes.Join(fullLines[:2], []byte("\n")), '\n')
+	third := fullLines[2]
 	rotted := append([]byte(nil), third...)
 	rotted[len(rotted)/2] ^= 0x01
 	for _, damage := range []struct {
@@ -360,7 +364,7 @@ func TestShardResume(t *testing.T) {
 			t.Fatalf("%s: resumed store dirty: dropped=%d err=%v", name, dropped, err)
 		}
 		for i := 0; i < 2; i++ {
-			if !bytes.Equal(onDisk[i], full.Records()[i]) {
+			if !bytes.Equal(onDisk[i], fullLines[i]) {
 				t.Fatalf("%s: surviving record %d not reused verbatim", name, i)
 			}
 		}
@@ -499,11 +503,11 @@ func TestSingleSamplePointsSurviveTheStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := resultLines(t, frozen, WithSeed(3), WithWorkers(1))
-	store := openStore(t)
+	store, path := openStore(t)
 	if err := RunShardRange(context.Background(), frozen, 0, len(frozen.Points), store, nil, WithWorkers(1)); err != nil {
 		t.Fatalf("RunShardRange over single-sample points: %v", err)
 	}
-	records, skipped, err := MergeShardRecords(frozen, store.Records())
+	records, skipped, err := MergeShardRecords(frozen, storeLines(t, path))
 	if err != nil || skipped != 0 || len(records) != len(want) {
 		t.Fatalf("merge: %d records, %d skipped, err %v; want %d records", len(records), skipped, err, len(want))
 	}

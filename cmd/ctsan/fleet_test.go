@@ -27,7 +27,8 @@ import (
 type fleetHarness struct {
 	srv *server.Server
 	ts  *httptest.Server
-	// workerDirs maps each started worker's name to its -dir.
+	// workerDirs maps each started worker's name to the -dir it was
+	// given, which it must leave empty.
 	workerDirs map[string]string
 }
 
@@ -145,15 +146,24 @@ func (h *fleetHarness) startWorker(t *testing.T, id, name string, extra ...strin
 	return cmd, logs
 }
 
-// leaseStores lists the per-lease checkpoint files in a worker's -dir.
-func (h *fleetHarness) leaseStores(t *testing.T, worker string) []string {
+// requireEmptyDirs fails unless every started worker left its -dir
+// empty: a worker keeps its records in memory until the upload and
+// writes no file, killed or not.
+func (h *fleetHarness) requireEmptyDirs(t *testing.T) {
 	t.Helper()
-	stores, err := filepath.Glob(filepath.Join(h.workerDirs[worker], "*.jsonl"))
-	if err != nil {
-		t.Fatal(err)
+	for name, dir := range h.workerDirs {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			t.Errorf("worker %s wrote %s under its -dir", name, filepath.Join(dir, e.Name()))
+		}
 	}
-	return stores
 }
+
+// pointDone reports whether a worker log shows a completed point.
+func pointDone(log string) bool { return strings.Contains(log, " done (") }
 
 // TestFleetMatchesSingleProcess is the fleet acceptance differential at
 // the process level: three real worker subprocesses pull leases over
@@ -192,13 +202,7 @@ func TestFleetMatchesSingleProcess(t *testing.T) {
 	if !strings.Contains(all, ": starting (") || !strings.Contains(all, ": complete after upload (") {
 		t.Errorf("worker logs missing per-lease lines:\n%s", all)
 	}
-	// Every lease was uploaded and accepted, so no worker keeps a store:
-	// the -dir of a long-lived worker stays bounded.
-	for name := range h.workerDirs {
-		if stores := h.leaseStores(t, name); len(stores) != 0 {
-			t.Errorf("worker %s kept stores of accepted leases: %v", name, stores)
-		}
-	}
+	h.requireEmptyDirs(t)
 
 	// Warm path: a repeat submission is served wholly from the
 	// content-addressed cache — same bytes, zero leases, no workers.
@@ -224,13 +228,13 @@ func TestFleetWorkerKilledMidLease(t *testing.T) {
 
 	id := h.submitFleet(t)
 
-	// The victim throttles 30s after its first checkpointed point, so it
+	// The victim throttles 30s after its first completed point, so it
 	// sits mid-lease — renewing — when the kill lands.
 	victim, vlogs := h.startWorker(t, id, "victim", "-throttle", "30s")
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		st := h.status(t, id)
-		if st.Fleet != nil && st.Fleet.Granted >= 1 && strings.Contains(vlogs.String(), "checkpointed") {
+		if st.Fleet != nil && st.Fleet.Granted >= 1 && pointDone(vlogs.String()) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -260,14 +264,9 @@ func TestFleetWorkerKilledMidLease(t *testing.T) {
 	if st.Fleet.Expired < 1 || st.Fleet.Requeued < 1 {
 		t.Errorf("coordinator never expired the victim's lease: %+v", st.Fleet)
 	}
-	// Only an accepted upload retires a lease's store: the victim never
-	// uploaded, so its checkpoint survives for a restart to resume from.
-	if stores := h.leaseStores(t, "victim"); len(stores) != 1 {
-		t.Errorf("victim's interrupted lease store: %v, want exactly one", stores)
-	}
-	if stores := h.leaseStores(t, "live"); len(stores) != 0 {
-		t.Errorf("live worker kept stores of accepted leases: %v", stores)
-	}
+	// The victim died holding a completed point it never uploaded, and
+	// left nothing behind: the coordinator's re-lease was the whole cost.
+	h.requireEmptyDirs(t)
 }
 
 // TestFleetWorkerSurvivesCoordinatorRestart: a discovering worker
@@ -293,7 +292,7 @@ func TestFleetWorkerSurvivesCoordinatorRestart(t *testing.T) {
 	h.submitFleet(t)
 	worker, wlogs := h.startWorker(t, "", "survivor", "-throttle", "200ms", "-idle-exit", "1s")
 	defer worker.Process.Kill() //nolint:errcheck // a no-op once it has exited
-	for deadline := time.Now().Add(60 * time.Second); !strings.Contains(wlogs.String(), "checkpointed"); {
+	for deadline := time.Now().Add(60 * time.Second); !pointDone(wlogs.String()); {
 		if time.Now().After(deadline) {
 			t.Fatalf("worker never started a lease:\n%s", wlogs)
 		}
@@ -377,7 +376,7 @@ func TestWorkerDecodesTheCoordinatorsLeaseBodies(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	ctx := context.Background()
-	w := &fleetWorker{base: h.ts.URL, name: "decoder", dir: t.TempDir(), workers: 1,
+	w := &fleetWorker{base: h.ts.URL, name: "decoder", workers: 1,
 		client: &http.Client{}, studies: map[string]*workerStudy{}, stderr: io.Discard}
 
 	points := len(testStudy().Points)
@@ -420,6 +419,25 @@ func TestWorkerDecodesTheCoordinatorsLeaseBodies(t *testing.T) {
 	}
 	if *up != (shard.CompleteReply{Done: true}) {
 		t.Fatalf("empty upload to the finished study decoded as %+v", *up)
+	}
+}
+
+// TestWorkerRejectsGrantsOutsideTheGrid: a granted range arrives over
+// HTTP, so serveLease checks it against the frozen grid before slicing
+// it. A range past the end, one with a negative start and an empty or
+// reversed one are each an error naming the grid, not a panic.
+func TestWorkerRejectsGrantsOutsideTheGrid(t *testing.T) {
+	h := newFleetHarness(t, server.Config{MaxActive: 1, QueueDepth: 8, CacheBytes: -1})
+	id := h.submitFleet(t)
+	w := &fleetWorker{base: h.ts.URL, name: "bogus", workers: 1,
+		client: &http.Client{}, studies: map[string]*workerStudy{}, stderr: io.Discard}
+	points := len(testStudy().Points)
+	for _, r := range []shard.Range{{Start: 0, End: points + 1}, {Start: -1, End: 1}, {Start: 2, End: 2}, {Start: 3, End: 1}} {
+		grant := &shard.LeaseGrant{Lease: "L-bogus", Study: id, Start: r.Start, End: r.End, TTLMS: 1000}
+		err := w.serveLease(context.Background(), id, grant)
+		if want := fmt.Sprintf("outside study of %d points", points); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("grant %d:%d: error %v, want %q", r.Start, r.End, err, want)
+		}
 	}
 }
 

@@ -54,9 +54,11 @@
 //
 // `worker` is the pull side of fleet dispatch: the same ledger, served
 // by a campaign service (ctsand, for studies submitted under
-// ?mode=fleet). It leases ranges over HTTP, executes them through the
-// same checkpointed range runner `shard` uses, and uploads the records
-// for the coordinator's ledger to verify and fold.
+// ?mode=fleet). It leases ranges over HTTP, runs each as a sub-study of
+// the frozen grid, and uploads the range's records for the coordinator's
+// ledger to verify and fold. It writes no file: a worker that dies
+// mid-lease costs that lease, which the coordinator grants again once
+// it expires.
 //
 // The dispatch commands freeze the study deterministically from the same
 // (spec, seed, replicas) inputs, so the grid — per-point seeds

@@ -11,12 +11,10 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"ctsan/campaign"
-	"ctsan/internal/checkpoint"
 	"ctsan/internal/cliflags"
 	"ctsan/internal/shard"
 )
@@ -24,20 +22,20 @@ import (
 // ctsan worker: the pull side of fleet dispatch. The worker loops
 // lease → execute → upload against a campaign service (ctsand):
 //
-//	ctsan worker -server http://host:8080 -dir ckpt/
+//	ctsan worker -server http://host:8080
 //
 // Each lease is a contiguous frozen-point range. The worker freezes the
 // study locally from the coordinator's spec/seed/replicas — the same
 // deterministic step every ctsan process performs, so its grid is
-// identical to the coordinator's — executes the range through the exact
-// RunShardRange/checkpoint machinery `ctsan shard` uses (a worker
-// restarted on the same -dir resumes instead of re-executing), and
-// uploads the range's CRC-framed shard records in one gzip-compressed
-// batch; once the coordinator has accepted them the lease's store is
-// removed, so -dir holds only unfinished leases. A renewal goroutine
-// extends the lease at TTL/3 while execution runs; a worker that dies
-// mid-lease simply stops renewing, and the coordinator re-leases the
-// range at the deadline.
+// identical to the coordinator's — runs the range as a sub-study of that
+// grid through campaign.Run, encodes each result as the CRC-framed shard
+// record of its grid index, and uploads the range's records in one
+// gzip-compressed batch. The records live in memory until the upload:
+// the worker writes no file. A renewal goroutine extends the lease at
+// TTL/3 while execution runs; a worker that dies mid-lease simply stops
+// renewing, and the coordinator re-leases the range at the deadline, so
+// a dead worker costs at most one lease of re-execution. -dir is still
+// accepted and ignored.
 
 // errLeaseRefused marks a lease request the coordinator will never
 // grant — the study is unknown (404) or not fleet-dispatched (409) — so
@@ -54,10 +52,11 @@ type studyStatus struct {
 	Mode     string `json:"mode"`
 }
 
-// workerStudy caches one study's frozen grid across leases.
+// workerStudy caches one study's frozen grid, and the point hashes its
+// records carry, across leases.
 type workerStudy struct {
-	id     string
 	frozen *campaign.Study
+	hashes []string
 }
 
 func cmdWorker(ctx context.Context, args []string, _, stderr io.Writer) error {
@@ -65,7 +64,7 @@ func cmdWorker(ctx context.Context, args []string, _, stderr io.Writer) error {
 	server := fs.String("server", "", "campaign service base URL, e.g. http://localhost:8080 (required)")
 	studyID := fs.String("study-id", "", "serve only this study and exit when it is done (default: serve every fleet study)")
 	name := fs.String("name", "", "worker name in the coordinator's ledger (default worker-<pid>@<host>)")
-	dir := fs.String("dir", "", "checkpoint directory; leases resume across worker restarts (default a temp dir)")
+	fs.String("dir", "", "ignored: the worker writes no files (accepted so old command lines still parse)")
 	workers := cliflags.Workers(fs)
 	throttle := fs.Duration("throttle", 0, "pause after each checkpointed point (rate limiting and crash testing)")
 	idleExit := fs.Duration("idle-exit", 0, "exit after this long with no fleet work anywhere; 0 = run until interrupted (ignored with -study-id)")
@@ -80,40 +79,26 @@ func cmdWorker(ctx context.Context, args []string, _, stderr io.Writer) error {
 	case *idleExit < 0:
 		return cliflags.Usagef("-idle-exit %v: want 0 (run until interrupted) or a positive duration", *idleExit)
 	}
-	base := strings.TrimRight(*server, "/")
 	if *name == "" {
 		host, _ := os.Hostname()
 		*name = fmt.Sprintf("worker-%d@%s", os.Getpid(), host)
 	}
-	if *dir == "" {
-		tmp, err := os.MkdirTemp("", "ctsan-worker-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		*dir = tmp
-	}
-	if err := os.MkdirAll(*dir, 0o755); err != nil {
-		return err
-	}
 	w := &fleetWorker{
-		base:     base,
+		base:     strings.TrimRight(*server, "/"),
 		name:     *name,
-		dir:      *dir,
 		workers:  *workers,
 		throttle: *throttle,
 		client:   &http.Client{},
 		studies:  map[string]*workerStudy{},
 		stderr:   stderr,
 	}
-	fmt.Fprintf(stderr, "ctsan worker: %s serving %s\n", w.name, base)
+	fmt.Fprintf(stderr, "ctsan worker: %s serving %s\n", w.name, w.base)
 	return w.loop(ctx, *studyID, *idleExit)
 }
 
 type fleetWorker struct {
 	base     string
 	name     string
-	dir      string
 	workers  int
 	throttle time.Duration
 	client   *http.Client
@@ -135,7 +120,7 @@ func (w *fleetWorker) loop(ctx context.Context, pinned string, idleExit time.Dur
 	for ctx.Err() == nil {
 		id := pinned
 		if id == "" {
-			id = w.discover()
+			id = w.discover(ctx)
 		}
 		if id == "" {
 			if idleExit > 0 {
@@ -186,9 +171,9 @@ func (w *fleetWorker) loop(ctx context.Context, pinned string, idleExit time.Dur
 }
 
 // discover picks the oldest fleet study with work potentially pending.
-func (w *fleetWorker) discover() string {
+func (w *fleetWorker) discover(ctx context.Context) string {
 	var list []studyStatus
-	if err := w.getJSON("/api/v1/studies", &list); err != nil {
+	if err := w.call(ctx, http.MethodGet, "/api/v1/studies", nil, &list); err != nil {
 		return ""
 	}
 	for _, st := range list {
@@ -204,28 +189,20 @@ func (w *fleetWorker) discover() string {
 // lifting: freezing the same (spec, seed, replicas) yields the exact
 // grid — per-point seeds included — the coordinator verifies uploads
 // against.
-func (w *fleetWorker) study(id string) (*workerStudy, error) {
+func (w *fleetWorker) study(ctx context.Context, id string) (*workerStudy, error) {
 	if ws := w.studies[id]; ws != nil {
 		return ws, nil
 	}
 	var status studyStatus
-	if err := w.getJSON("/api/v1/studies/"+id, &status); err != nil {
+	if err := w.call(ctx, http.MethodGet, "/api/v1/studies/"+id, nil, &status); err != nil {
 		return nil, err
 	}
 	if status.Mode != "fleet" {
 		return nil, fmt.Errorf("study %s is %s-mode, not fleet", id, status.Mode)
 	}
-	res, err := w.client.Get(w.base + "/api/v1/studies/" + id + "/spec")
-	if err != nil {
+	var spec json.RawMessage
+	if err := w.call(ctx, http.MethodGet, "/api/v1/studies/"+id+"/spec", nil, &spec); err != nil {
 		return nil, err
-	}
-	spec, err := io.ReadAll(res.Body)
-	res.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	if res.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("spec fetch: %s", res.Status)
 	}
 	study, err := campaign.DecodeStudy(spec)
 	if err != nil {
@@ -236,32 +213,24 @@ func (w *fleetWorker) study(id string) (*workerStudy, error) {
 	if err != nil {
 		return nil, err
 	}
-	ws := &workerStudy{id: id, frozen: frozen}
+	hashes, err := campaign.StudyPointHashes(frozen)
+	if err != nil {
+		return nil, err
+	}
+	ws := &workerStudy{frozen: frozen, hashes: hashes}
 	w.studies[id] = ws
 	return ws, nil
 }
 
 // lease requests the next range for study id.
 func (w *fleetWorker) lease(ctx context.Context, id string) (*shard.LeaseResponse, error) {
-	u := w.base + "/api/v1/studies/" + id + "/lease?worker=" + url.QueryEscape(w.name)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	res, err := w.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(res.Body, 512))
-		if res.StatusCode == http.StatusNotFound || res.StatusCode == http.StatusConflict {
-			return nil, fmt.Errorf("%w: %s: %s", errLeaseRefused, res.Status, bytes.TrimSpace(body))
-		}
-		return nil, fmt.Errorf("lease: %s: %s", res.Status, bytes.TrimSpace(body))
-	}
 	var out shard.LeaseResponse
-	if err := json.NewDecoder(res.Body).Decode(&out); err != nil {
+	err := w.call(ctx, http.MethodPost, "/api/v1/studies/"+id+"/lease?worker="+url.QueryEscape(w.name), nil, &out)
+	var refused *statusError
+	if errors.As(err, &refused) && (refused.code == http.StatusNotFound || refused.code == http.StatusConflict) {
+		return nil, fmt.Errorf("%w: %v", errLeaseRefused, err)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -271,17 +240,17 @@ func (w *fleetWorker) lease(ctx context.Context, id string) (*shard.LeaseRespons
 // worker's unit of work. Per-lease logs mirror the shard supervisor's
 // format ("lease <id> <range>: starting (N points)" / "complete").
 func (w *fleetWorker) serveLease(ctx context.Context, id string, grant *shard.LeaseGrant) error {
-	ws, err := w.study(id)
+	ws, err := w.study(ctx, id)
 	if err != nil {
 		return err
 	}
 	r := shard.Range{Start: grant.Start, End: grant.End}
+	// The range arrives over HTTP: check it before slicing the grid.
+	if r.Start < 0 || r.End > len(ws.frozen.Points) || r.Start >= r.End {
+		return fmt.Errorf("lease %s: range %s outside study of %d points", grant.Lease, r, len(ws.frozen.Points))
+	}
 	start := time.Now()
 	w.logf("lease %s %s: starting (%d points)", grant.Lease, r, r.Len())
-	store, err := checkpoint.Open(filepath.Join(w.dir, fmt.Sprintf("%s-%06d-%06d.jsonl", id, r.Start, r.End)))
-	if err != nil {
-		return err
-	}
 
 	// Renew at TTL/3 for as long as execution runs. Renewal failures are
 	// not fatal: the upload of a late lease is verified like any other.
@@ -305,60 +274,57 @@ func (w *fleetWorker) serveLease(ctx context.Context, id string, grant *shard.Le
 		}
 	}()
 
-	executed := 0
-	onPoint := func(index int, line []byte) error {
-		executed++
-		w.logf("lease %s %s: point %d checkpointed (%d this attempt)", grant.Lease, r, index, executed)
-		if w.throttle > 0 {
-			time.Sleep(w.throttle)
-		}
-		return nil
-	}
-	err = campaign.RunShardRange(ctx, ws.frozen, r.Start, r.End, store, onPoint,
-		campaign.WithWorkers(w.workers))
+	// The range runs as a sub-study of the frozen grid: its points carry
+	// their pinned seeds and replica counts, so each result is the grid
+	// point's, at the sub-study's index.
+	sub := &campaign.Study{Name: ws.frozen.Name, Points: ws.frozen.Points[r.Start:r.End]}
+	results, err := campaign.RunCollect(ctx, sub, campaign.WithWorkers(w.workers),
+		campaign.WithProgress(func(done, _ int, res *campaign.Result) {
+			w.logf("lease %s %s: point %d done (%d of %d)", grant.Lease, r, r.Start+res.Index, done, r.Len())
+			if w.throttle > 0 {
+				time.Sleep(w.throttle)
+			}
+		}))
 	stopRenew()
 	<-renewDone
 	if err != nil {
 		return err
 	}
-	up, err := w.upload(ctx, id, grant.Lease, store.Records())
+	records := make([][]byte, len(results))
+	for i, res := range results {
+		res.Index = r.Start + i
+		if records[i], err = campaign.EncodeShardRecord(ws.hashes[res.Index], res); err != nil {
+			return err
+		}
+	}
+	up, err := w.upload(ctx, id, grant.Lease, records)
 	if err != nil {
 		return err
 	}
 	if up.Rejected > 0 {
-		return fmt.Errorf("lease %s: coordinator rejected %d of %d records", grant.Lease, up.Rejected, len(store.Records()))
+		return fmt.Errorf("lease %s: coordinator rejected %d of %d records", grant.Lease, up.Rejected, len(records))
 	}
-	// The coordinator holds every record now; the store only mattered for
-	// resuming this range, so drop it and keep -dir bounded. (Any error
-	// above keeps it: a re-granted range resumes from the checkpoint.)
-	if err := os.Remove(store.Path()); err != nil {
-		w.logf("lease %s %s: %v", grant.Lease, r, err)
-	}
-	// Points not executed this attempt came from the lease store: a resume.
-	w.logf("lease %s %s: complete after upload (%d accepted, %d duplicate, %d from store, %.1fs)",
-		grant.Lease, r, up.Accepted, up.Duplicate, r.Len()-executed, time.Since(start).Seconds())
+	w.logf("lease %s %s: complete after upload (%d accepted, %d duplicate, %.1fs)",
+		grant.Lease, r, up.Accepted, up.Duplicate, time.Since(start).Seconds())
 	return nil
 }
 
 // renew extends the lease; false means the coordinator no longer knows
 // it (expired or study over) and renewing should stop.
 func (w *fleetWorker) renew(ctx context.Context, id, lease string) bool {
-	u := w.base + "/api/v1/studies/" + id + "/lease/" + lease + "/renew"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
-	if err != nil {
+	err := w.call(ctx, http.MethodPost, "/api/v1/studies/"+id+"/lease/"+lease+"/renew", nil, nil)
+	var refused *statusError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &refused):
+		if refused.code == http.StatusGone {
+			w.logf("lease %s: expired at the coordinator, finishing anyway", lease)
+		}
 		return false
-	}
-	res, err := w.client.Do(req)
-	if err != nil {
+	default:
 		return ctx.Err() == nil // transient network error: keep trying
 	}
-	io.Copy(io.Discard, res.Body) //nolint:errcheck
-	res.Body.Close()
-	if res.StatusCode == http.StatusGone {
-		w.logf("lease %s: expired at the coordinator, finishing anyway", lease)
-		return false
-	}
-	return res.StatusCode == http.StatusOK
 }
 
 // upload posts the lease's records as one gzip-compressed JSONL batch.
@@ -372,39 +338,52 @@ func (w *fleetWorker) upload(ctx context.Context, id, lease string, records [][]
 	if err := gz.Close(); err != nil {
 		return nil, err
 	}
-	u := w.base + "/api/v1/studies/" + id + "/lease/" + lease + "/complete"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, &buf)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	req.Header.Set("Content-Encoding", "gzip")
-	res, err := w.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(res.Body, 512))
-		return nil, fmt.Errorf("upload: %s: %s", res.Status, bytes.TrimSpace(body))
-	}
 	var out shard.CompleteReply
-	if err := json.NewDecoder(res.Body).Decode(&out); err != nil {
+	if err := w.call(ctx, http.MethodPost, "/api/v1/studies/"+id+"/lease/"+lease+"/complete", &buf, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-func (w *fleetWorker) getJSON(path string, v any) error {
-	res, err := w.client.Get(w.base + path)
+// statusError is a coordinator reply other than 200 OK. Each endpoint
+// gives the code its own meaning: 404 and 409 refuse a lease for good,
+// 410 ends a lease's renewal.
+type statusError struct {
+	code int
+	msg  string
+}
+
+func (e *statusError) Error() string { return e.msg }
+
+// call sends one request to the coordinator and decodes the JSON body
+// of its 200 reply into out (nil discards it). Any other status is a
+// *statusError naming the request, the status and the start of the
+// reply's body. A request body is always an upload batch:
+// gzip-compressed JSONL.
+func (w *fleetWorker) call(ctx context.Context, method, path string, body io.Reader, out any) error {
+	req, err := http.NewRequestWithContext(ctx, method, w.base+path, body)
+	if err != nil {
+		return err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/x-ndjson")
+		req.Header.Set("Content-Encoding", "gzip")
+	}
+	res, err := w.client.Do(req)
 	if err != nil {
 		return err
 	}
 	defer res.Body.Close()
 	if res.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %s", path, res.Status)
+		excerpt, _ := io.ReadAll(io.LimitReader(res.Body, 512))
+		return &statusError{code: res.StatusCode,
+			msg: fmt.Sprintf("%s %s: %s: %s", method, path, res.Status, bytes.TrimSpace(excerpt))}
 	}
-	return json.NewDecoder(res.Body).Decode(v)
+	if out == nil {
+		_, err = io.Copy(io.Discard, res.Body) // drained, the connection is reused
+		return err
+	}
+	return json.NewDecoder(res.Body).Decode(out)
 }
 
 // sleepCtx sleeps d or until ctx is done, whichever is first.

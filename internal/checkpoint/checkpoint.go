@@ -6,10 +6,10 @@
 //
 //   - Write now, sync per slice. Write hands only the new records' bytes
 //     to one write(2) on an O_APPEND descriptor and returns: the records
-//     are in Records(), in the file and visible to Load, but not yet
-//     fsynced. Sync is the one durability point: a single fsync covering
-//     everything written since the previous one (plus the directory
-//     entry, the first time after the file was created). Append and
+//     are in the file and visible to Load, but not yet fsynced. Sync is
+//     the one durability point: a single fsync covering everything
+//     written since the previous one (plus the directory entry, the
+//     first time after the file was created). Append and
 //     AppendBatch are Write followed by Sync, durable on return. The
 //     descriptor is closed after each call, so a store holds no OS
 //     resource between calls, and earlier bytes are never rewritten.
@@ -66,8 +66,9 @@ import (
 // campaign layer gives every shard its own store file.
 type Store struct {
 	path string
-	// records holds every intact record, oldest first (without the
-	// newline): the ones Open read, then each Write's own copy.
+	// records holds the intact records Open read, oldest first (without
+	// the newline). Writes do not add to it: what a Write adds lives in
+	// the file only, so a long-lived writer holds nothing per record.
 	records [][]byte
 	// size is the byte length of the file, which is exactly the intact
 	// records with their newlines; synced is how much of it the last Sync
@@ -75,9 +76,9 @@ type Store struct {
 	size    int64
 	synced  int64
 	created bool
-	// broken is set when the file can no longer be trusted to match
-	// records — a failed write that could not be rolled back, or a failed
-	// sync — so further writes and syncs are refused.
+	// broken is set when the file can no longer be trusted to match size
+	// — a failed write that could not be rolled back, or a failed sync —
+	// so further writes and syncs are refused.
 	broken error
 }
 
@@ -138,20 +139,18 @@ func Scan(data []byte) (records [][]byte, intact int) {
 	return records, intact
 }
 
-// Records returns the intact records, oldest first. The slices alias the
-// store's buffers; callers must not modify them.
+// Records returns the intact records Open found, oldest first; records
+// written since are not among them (Load reads the whole file). The
+// slices alias the store's buffers; callers must not modify them.
 func (s *Store) Records() [][]byte { return s.records }
 
-// Path returns the store's file path.
-func (s *Store) Path() string { return s.path }
-
 // Write adds records to the end of the file with one write(2) and no
-// fsync. When it returns they are in Records() and readable by Load, and
-// they survive the death of this process; they survive a power cut only
-// after the next Sync. An error means none of them is in Records() and
-// the file was rolled back to match. Every record must be non-empty and
-// must not contain a newline (it is the line framing); a call with an
-// invalid record writes nothing.
+// fsync. When it returns they are readable by Load, and they survive the
+// death of this process; they survive a power cut only after the next
+// Sync. An error means none of them was written: the file was rolled
+// back. Every record must be non-empty and must not contain a newline
+// (it is the line framing); a call with an invalid record writes
+// nothing.
 func (s *Store) Write(records ...[]byte) error {
 	if len(records) == 0 {
 		return nil
@@ -169,7 +168,6 @@ func (s *Store) Write(records ...[]byte) error {
 		}
 		n += len(record) + 1
 	}
-	// buf is both the bytes written and the store's copy of the records.
 	buf := make([]byte, 0, n)
 	for _, record := range records {
 		buf = append(buf, record...)
@@ -179,11 +177,6 @@ func (s *Store) Write(records ...[]byte) error {
 		return err
 	}
 	s.size += int64(n)
-	off := 0
-	for _, record := range records {
-		s.records = append(s.records, buf[off:off+len(record)])
-		off += len(record) + 1
-	}
 	obs.CheckpointAppends.Add(int64(len(records)))
 	obs.CheckpointBytes.Add(int64(n))
 	return nil
@@ -230,8 +223,8 @@ func (s *Store) Append(record []byte) error {
 // exists for bulk writers — the result-cache spill persists whole LRU
 // generations — that want a durability point per batch. A crash
 // mid-batch keeps a prefix of the batch, in order. A write error means
-// none of it is in Records(); a sync error leaves it there, written but
-// of unknown durability, in a store that is broken from then on.
+// none of it was written; a sync error leaves it in the file, written
+// but of unknown durability, in a store that is broken from then on.
 func (s *Store) AppendBatch(records [][]byte) error {
 	if err := s.Write(records...); err != nil {
 		return err
@@ -247,10 +240,9 @@ var (
 )
 
 // write puts buf at the end of the file, creating it on first use. On
-// failure the file is rolled back to its last good length, so the
-// records in memory and the bytes on disk never disagree; if even that
-// fails the store refuses further writes rather than write after torn
-// bytes.
+// failure the file is rolled back to its last good length, so the file
+// ends on a record boundary; if even that fails the store refuses
+// further writes rather than write after torn bytes.
 func (s *Store) write(buf []byte) error {
 	flags := os.O_WRONLY | os.O_APPEND
 	if !s.created {

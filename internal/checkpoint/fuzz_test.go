@@ -78,7 +78,6 @@ func FuzzOpenRepairs(f *testing.F) {
 		if err := s.Append([]byte("after")); err != nil {
 			t.Fatal(err)
 		}
-		mustEqualRecords(t, "store after repair+append", s.Records(), want)
 		records, dropped, err := Load(path)
 		if err != nil || dropped != 0 {
 			t.Fatalf("store dirty after repair+append: dropped=%d err=%v", dropped, err)

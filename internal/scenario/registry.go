@@ -3,36 +3,14 @@ package scenario
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"ctsan/internal/dist"
 	"ctsan/internal/neko"
 )
 
-// The registry maps names to scenario builders. Builders (not values) are
-// registered so every Get returns a fresh Scenario the caller may mutate.
-var (
-	regMu    sync.Mutex
-	registry = map[string]func() *Scenario{}
-)
-
-// Register adds a named scenario builder. The built scenario's Name must
-// match the registered name and carry a non-empty Doc. Re-registering a
-// name panics: built-ins must stay unambiguous.
-func Register(name string, build func() *Scenario) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("scenario: duplicate registration of %q", name))
-	}
-	registry[name] = build
-}
-
 // Get returns a fresh instance of the named scenario.
 func Get(name string) (*Scenario, error) {
-	regMu.Lock()
 	build, ok := registry[name]
-	regMu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("scenario: unknown scenario %q (known: %v)", name, Names())
 	}
@@ -41,8 +19,6 @@ func Get(name string) (*Scenario, error) {
 
 // Names returns the registered scenario names, sorted.
 func Names() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
 	names := make([]string, 0, len(registry))
 	for n := range registry {
 		names = append(names, n)
@@ -75,10 +51,7 @@ func List() []Info {
 	names := Names()
 	out := make([]Info, 0, len(names))
 	for _, name := range names {
-		s, err := Get(name)
-		if err != nil {
-			continue // raced deregistration cannot happen for built-ins
-		}
+		s := registry[name]()
 		shape, plan, err := check(s, RunConfig{})
 		if err != nil {
 			continue // a scenario no replica can run has no configuration to list
@@ -98,26 +71,29 @@ func List() []Info {
 	return out
 }
 
-// Built-in scenarios. Each reproduces or extends a condition the paper
-// measures; docs cite the section the phenomenon comes from.
-func init() {
-	Register("paper-baseline", func() *Scenario {
+// registry maps each built-in scenario's name to its builder. Builders,
+// not values, so every Get returns a fresh Scenario the caller may
+// mutate; a built scenario's Name matches its key and its Doc is set.
+// Each reproduces or extends a condition the paper measures; docs cite
+// the section the phenomenon comes from.
+var registry = map[string]func() *Scenario{
+	"paper-baseline": func() *Scenario {
 		return New("paper-baseline", 3).
 			WithExecutions(400).
 			WithDoc("§4 class-1 methodology: n=3, no faults, oracle FD, 10 ms gaps; " +
 				"mean latency must reproduce the §5.2 measurement (~1.06 ms)")
-	})
+	},
 
-	Register("crash-n3-anomaly", func() *Scenario {
+	"crash-n3-anomaly": func() *Scenario {
 		return New("crash-n3-anomaly", 3).
 			WithExecutions(400).
 			WithInitialCrash(2).
 			WithDoc("§5.3/Table 1: participant p2 crashed from the start at n=3 — the one case " +
 				"where a participant crash *increases* measured latency, because the failed " +
 				"unicast to p2 delays the later unicast of the same broadcast")
-	})
+	},
 
-	Register("rolling-crash", func() *Scenario {
+	"rolling-crash": func() *Scenario {
 		s := New("rolling-crash", 5).
 			WithExecutions(350).
 			WithHeartbeat(30, 0).
@@ -128,9 +104,9 @@ func init() {
 		s.Crash(1400, 3).Recover(1900, 3)
 		s.Crash(2400, 4).Recover(2900, 4)
 		return s
-	})
+	},
 
-	Register("split-brain", func() *Scenario {
+	"split-brain": func() *Scenario {
 		s := New("split-brain", 5).
 			WithExecutions(250).
 			WithHeartbeat(30, 0).
@@ -141,9 +117,9 @@ func init() {
 		s.Partition(500, []neko.ProcessID{1, 2}, []neko.ProcessID{3, 4, 5})
 		s.Heal(1100)
 		return s
-	})
+	},
 
-	Register("gc-storm", func() *Scenario {
+	"gc-storm": func() *Scenario {
 		s := New("gc-storm", 3).
 			WithExecutions(300).
 			WithHeartbeat(20, 0).
@@ -152,9 +128,9 @@ func init() {
 				"produce the correlated wrong suspicions of §5.4")
 		s.PauseStorm(300, 1200, 0, dist.Exp(60), dist.U(5, 30))
 		return s
-	})
+	},
 
-	Register("burst-load", func() *Scenario {
+	"burst-load": func() *Scenario {
 		s := New("burst-load", 3).
 			WithExecutions(400).
 			WithHeartbeat(20, 0).
@@ -164,9 +140,9 @@ func init() {
 		s.WorkloadPhase(400, "burst", 2)
 		s.WorkloadPhase(1200, "calm", 15)
 		return s
-	})
+	},
 
-	Register("flaky-link", func() *Scenario {
+	"flaky-link": func() *Scenario {
 		s := New("flaky-link", 3).
 			WithExecutions(300).
 			WithHeartbeat(20, 0).
@@ -176,5 +152,5 @@ func init() {
 		s.DegradeLink(300, 1200, 1, 2, dist.Exp(2), 0.05)
 		s.DegradeLink(300, 1200, 2, 1, dist.Exp(2), 0.05)
 		return s
-	})
+	},
 }

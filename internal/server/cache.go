@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"container/list"
 	"path/filepath"
 	"sync"
@@ -22,7 +23,10 @@ import (
 // record is the same wire format the sharded executor checkpoints and
 // fleet workers upload — PutEncoded feeds verified worker records in
 // without a decode/re-encode round trip, and the spill store persists
-// them verbatim.
+// them verbatim. The byte budget bounds what the cache retains, with
+// one exception: the spill file's content as EnableSpill found it,
+// which the spill store holds for the cache's life. Otherwise entries
+// own their bytes, and the spill store keeps no copy of what it writes.
 //
 // Determinism makes the cache safe by construction: for a given hash
 // every Put stores identical statistics, so concurrent Puts, lost
@@ -66,12 +70,14 @@ const SpillFile = "pointcache.jsonl"
 
 // EnableSpill attaches a persistent spill store under dir and
 // warm-loads it: every intact record in dir/pointcache.jsonl is
-// CRC-validated and inserted (up to the byte budget; overflow lines
-// stay on disk only). From then on, entries evicted by the LRU bound
-// are appended to the store before they are dropped from memory, and
-// SpillAll persists the whole resident set — together they make the
-// cache's contents survive restarts. Returns how many records were
-// warm-loaded.
+// CRC-validated and inserted, up to the byte budget. The store keeps
+// the file's content as Open read it, overflow lines included, for the
+// life of the cache; the entries loaded share those bytes. From then
+// on, entries evicted by the LRU bound are appended to the file before
+// they are dropped from memory, and SpillAll persists the whole
+// resident set — together they make the cache's contents survive
+// restarts, and neither keeps a copy of what it writes. Returns how
+// many records were warm-loaded.
 func (c *Cache) EnableSpill(dir string) (loaded int, err error) {
 	if c == nil {
 		return 0, nil
@@ -209,8 +215,9 @@ func (c *Cache) Put(hash string, res *campaign.Result) {
 // PutEncoded inserts an already-encoded shard record — the fleet
 // ingest path, where the coordinator holds the verified worker upload
 // line and a decode/re-encode round trip would be pure waste. The
-// caller must have verified the record (VerifyShardRecord); the line
-// must not be modified after the call.
+// caller must have verified the record (VerifyShardRecord). The entry
+// keeps its own copy of line: an upload's lines are cut from one
+// decoded body, which an entry sharing them would pin whole.
 func (c *Cache) PutEncoded(hash string, line []byte) {
 	if c == nil || int64(len(line)) > c.max {
 		return
@@ -223,7 +230,7 @@ func (c *Cache) PutEncoded(hash string, line []byte) {
 		c.mu.Unlock()
 		return
 	}
-	c.items[hash] = c.ll.PushFront(&cacheEntry{hash: hash, line: line})
+	c.items[hash] = c.ll.PushFront(&cacheEntry{hash: hash, line: bytes.Clone(line)})
 	c.size += int64(len(line))
 	var evicted []*cacheEntry
 	for c.size > c.max {

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"ctsan/campaign"
+	"ctsan/internal/checkpoint"
 	"ctsan/internal/obs"
 )
 
@@ -154,6 +156,62 @@ func TestCacheSpillSyncsOncePerBatch(t *testing.T) {
 	}
 	if got := obs.CheckpointSyncs.Value() - syncs; got != 0 {
 		t.Errorf("a spill with nothing new synced %d times", got)
+	}
+}
+
+// TestCachePutEncodedKeepsItsOwnCopy: the fleet ingest path hands
+// PutEncoded lines cut from one decoded upload body. The entry must not
+// share that buffer, or one cached record pins the whole body and the
+// byte budget bounds nothing; so overwriting the caller's buffer after
+// the call leaves the cached record intact.
+func TestCachePutEncodedKeepsItsOwnCopy(t *testing.T) {
+	res := makeResult(t, 1)
+	want, _ := json.Marshal(res)
+	line, err := campaign.EncodeShardRecord("sha256:upload", res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append(line, make([]byte, 1<<20)...)
+	c := NewCache(1 << 20)
+	c.PutEncoded("sha256:upload", body[:len(line)])
+	for i := range body {
+		body[i] = 'x'
+	}
+	got, ok := c.Get("sha256:upload")
+	if !ok {
+		t.Fatal("record lost once the caller's buffer was reused")
+	}
+	if enc, _ := json.Marshal(got); string(enc) != string(want) {
+		t.Errorf("cached record changed with the caller's buffer:\n got: %s\nwant: %s", enc, want)
+	}
+}
+
+// TestCacheSpillKeepsNoRecordInMemory: a spill store that started empty
+// holds nothing in memory however much the cache evicts through it —
+// every spilled record lives in the file only, where Load finds it. A
+// long-lived daemon's cache is bounded by its budget, not by its
+// eviction history.
+func TestCacheSpillKeepsNoRecordInMemory(t *testing.T) {
+	res := makeResult(t, 1)
+	size := recordLen(t, "sha256:spill-000", res)
+	c := NewCache(int64(2 * size))
+	dir := t.TempDir()
+	if _, err := c.EnableSpill(dir); err != nil {
+		t.Fatal(err)
+	}
+	const puts = 200
+	for i := 0; i < puts; i++ {
+		c.Put(fmt.Sprintf("sha256:spill-%03d", i), res)
+	}
+	if n := len(c.spill.Records()); n != 0 {
+		t.Fatalf("spill store holds %d records in memory after %d Puts, want 0", n, puts)
+	}
+	if bytes, entries := c.Stats(); entries != 2 || bytes > int64(2*size) {
+		t.Fatalf("cache holds %d entries in %d bytes, want 2 within %d", entries, bytes, 2*size)
+	}
+	spilled, dropped, err := checkpoint.Load(filepath.Join(dir, SpillFile))
+	if err != nil || dropped != 0 || len(spilled) != puts-2 {
+		t.Fatalf("spill file: %d records, dropped=%d err=%v; want the %d evicted", len(spilled), dropped, err, puts-2)
 	}
 }
 

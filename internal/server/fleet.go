@@ -21,13 +21,15 @@ import (
 // state machine `ctsan run` drives in-process — served over HTTP:
 // workers (`ctsan worker -server <url>`) POST to the study's lease
 // endpoint and receive contiguous frozen-point ranges with deadlines,
-// execute them through the exact RunShardRange/checkpoint machinery the
-// sharded CLI uses, and upload the resulting CRC-framed shard records in
-// one batched body. The ledger verifies every record, folds the results
-// in grid-index order straight into the study's hub — bit-identical to
-// an in-process run by determinism rule 5 — and re-leases any range
-// whose deadline passes, so a SIGKILLed worker costs at most one lease
-// of re-execution, never a wrong result.
+// run each range as a sub-study of the frozen grid (campaign.Run), and
+// upload its results as CRC-framed shard records — the format the
+// sharded CLI checkpoints — in one batched body. The ledger verifies
+// every record, folds the results in grid-index order straight into the
+// study's hub — bit-identical to an in-process run by determinism rule
+// 5 — and re-leases any range whose deadline passes, so a SIGKILLed
+// worker costs at most one lease of re-execution, never a wrong result.
+// Accepted records live in the ledger's fold and the result cache; the
+// worker keeps none.
 //
 // Locks: the ledger's emit callback appends to the hub, so the order is
 // ledger, then hub, and nothing else nests. The handlers below hold no

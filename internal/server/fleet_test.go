@@ -25,7 +25,6 @@ import (
 type testWorker struct {
 	h    *testServer
 	name string
-	dir  string
 	// misbehave, when non-nil, transforms the upload lines (corruption
 	// and omission tests).
 	misbehave func([][]byte) [][]byte
@@ -44,8 +43,8 @@ func (w *testWorker) leaseOnce(t *testing.T, id string) shard.LeaseResponse {
 	return lr
 }
 
-// serve works the study to completion: lease, execute the range through
-// the real checkpointed range runner, gzip-upload the records.
+// serve works the study to completion: lease, execute the range as
+// `ctsan worker` does (rangeRecords), gzip-upload the records.
 func (w *testWorker) serve(t *testing.T, id string) {
 	t.Helper()
 	frozen, err := campaign.Frozen(testStudy(), campaign.WithSeed(1))
@@ -61,24 +60,40 @@ func (w *testWorker) serve(t *testing.T, id string) {
 		case lr.Lease == "":
 			time.Sleep(time.Duration(max(lr.RetryMS, 1)) * time.Millisecond)
 		default:
-			store, err := checkpoint.Open(filepath.Join(w.dir, fmt.Sprintf("%s-%s-%d-%d.jsonl", w.name, id, lr.Start, lr.End)))
-			if err != nil {
-				t.Errorf("worker %s: open store: %v", w.name, err)
-				return
-			}
-			err = campaign.RunShardRange(context.Background(), frozen, lr.Start, lr.End, store,
-				func(int, []byte) error { return nil }, campaign.WithWorkers(1))
+			lines, err := rangeRecords(frozen, lr.Start, lr.End)
 			if err != nil {
 				t.Errorf("worker %s: range %d:%d: %v", w.name, lr.Start, lr.End, err)
 				return
 			}
-			lines := store.Records()
 			if w.misbehave != nil {
 				lines = w.misbehave(lines)
 			}
 			w.upload(t, id, lr.Lease, lines)
 		}
 	}
+}
+
+// rangeRecords runs points [start, end) of a frozen grid as a sub-study
+// and encodes each result as the shard record of its grid index: the
+// batch `ctsan worker` uploads for a lease of that range.
+func rangeRecords(frozen *campaign.Study, start, end int) ([][]byte, error) {
+	hashes, err := campaign.StudyPointHashes(frozen)
+	if err != nil {
+		return nil, err
+	}
+	sub := &campaign.Study{Name: frozen.Name, Points: frozen.Points[start:end]}
+	results, err := campaign.RunCollect(context.Background(), sub, campaign.WithWorkers(1))
+	if err != nil {
+		return nil, err
+	}
+	records := make([][]byte, len(results))
+	for i, res := range results {
+		res.Index = start + i
+		if records[i], err = campaign.EncodeShardRecord(hashes[res.Index], res); err != nil {
+			return nil, err
+		}
+	}
+	return records, nil
 }
 
 func (w *testWorker) upload(t *testing.T, id, lease string, lines [][]byte) shard.CompleteReply {
@@ -127,7 +142,7 @@ func TestFleetDifferentialByteIdentity(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
-		w := &testWorker{h: h, name: fmt.Sprintf("w%d", i), dir: t.TempDir()}
+		w := &testWorker{h: h, name: fmt.Sprintf("w%d", i)}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -180,7 +195,7 @@ func TestCacheOffAccountingSameInBothModes(t *testing.T) {
 	lst := h.waitTerminal(t, local.ID)
 
 	fleet := h.mustSubmit(t, spec, "?mode=fleet")
-	(&testWorker{h: h, name: "w", dir: t.TempDir()}).serve(t, fleet.ID)
+	(&testWorker{h: h, name: "w"}).serve(t, fleet.ID)
 	fst := h.waitTerminal(t, fleet.ID)
 
 	for _, st := range []Status{lst, fst} {
@@ -205,7 +220,7 @@ func TestFleetLeaseExpiryRequeues(t *testing.T) {
 	h.waitRunning(t, st.ID)
 
 	// The doomed worker grabs the first lease and vanishes.
-	doomed := &testWorker{h: h, name: "doomed", dir: t.TempDir()}
+	doomed := &testWorker{h: h, name: "doomed"}
 	lr := doomed.leaseOnce(t, st.ID)
 	if lr.Lease == "" {
 		t.Fatalf("doomed worker got no lease: %+v", lr)
@@ -213,7 +228,7 @@ func TestFleetLeaseExpiryRequeues(t *testing.T) {
 
 	// A live worker completes the study; the doomed range re-leases to it
 	// after the TTL.
-	live := &testWorker{h: h, name: "live", dir: t.TempDir()}
+	live := &testWorker{h: h, name: "live"}
 	live.serve(t, st.ID)
 
 	if got := h.streamResults(t, st.ID); !bytes.Equal(got, want) {
@@ -242,7 +257,7 @@ func TestFleetUploadVerification(t *testing.T) {
 
 	// First worker corrupts every record; nothing lands, everything is
 	// requeued at upload time.
-	corrupt := &testWorker{h: h, name: "corrupt", dir: t.TempDir()}
+	corrupt := &testWorker{h: h, name: "corrupt"}
 	lr := corrupt.leaseOnce(t, st.ID)
 	if lr.Lease == "" {
 		t.Fatalf("no lease: %+v", lr)
@@ -260,7 +275,7 @@ func TestFleetUploadVerification(t *testing.T) {
 	}
 
 	// An honest worker still completes the identical study.
-	honest := &testWorker{h: h, name: "honest", dir: t.TempDir()}
+	honest := &testWorker{h: h, name: "honest"}
 	honest.serve(t, st.ID)
 	if got := h.streamResults(t, st.ID); !bytes.Equal(got, want) {
 		t.Errorf("stream after rejected upload differs from reference")
@@ -299,15 +314,10 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Execute the full grid once to have verified records on hand.
-	store, err := checkpoint.Open(filepath.Join(t.TempDir(), "all.jsonl"))
+	recs, err := rangeRecords(frozen, 0, len(points))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := campaign.RunShardRange(context.Background(), frozen, 0, len(points), store,
-		func(int, []byte) error { return nil }, campaign.WithWorkers(1)); err != nil {
-		t.Fatal(err)
-	}
-	recs := store.Records()
 	if len(recs) != 3 {
 		t.Fatalf("test study has %d records, want 3", len(recs))
 	}
@@ -426,12 +436,8 @@ func TestCacheSpillRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := checkpoint.Open(filepath.Join(t.TempDir(), "all.jsonl"))
+	grid, err := rangeRecords(frozen, 0, len(points))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := campaign.RunShardRange(context.Background(), frozen, 0, len(points), store,
-		func(int, []byte) error { return nil }, campaign.WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -440,7 +446,7 @@ func TestCacheSpillRoundTrip(t *testing.T) {
 	if _, err := c.EnableSpill(dir); err != nil {
 		t.Fatalf("EnableSpill: %v", err)
 	}
-	for i, rec := range store.Records() {
+	for i, rec := range grid {
 		c.PutEncoded(points[i].Hash, rec)
 	}
 	if err := c.SpillAll(); err != nil {
@@ -485,7 +491,7 @@ func TestCacheSpillRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bad.AppendBatch([][]byte{[]byte(`{"crc":"deadbeef","body":{}}`), store.Records()[0]}); err != nil {
+	if err := bad.AppendBatch([][]byte{[]byte(`{"crc":"deadbeef","body":{}}`), grid[0]}); err != nil {
 		t.Fatal(err)
 	}
 	c3 := NewCache(1 << 20)
@@ -645,15 +651,10 @@ func TestFleetStreamEndsAfterLastUpload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := checkpoint.Open(filepath.Join(t.TempDir(), "all.jsonl"))
+	recs, err := rangeRecords(frozen, 0, points)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := campaign.RunShardRange(context.Background(), frozen, 0, points, store,
-		func(int, []byte) error { return nil }, campaign.WithWorkers(1)); err != nil {
-		t.Fatal(err)
-	}
-	recs := store.Records()
 
 	h := newTestServer(t, Config{Workers: 1, MaxActive: 1, QueueDepth: 8, CacheBytes: -1})
 	w := &testWorker{h: h, name: "w"}

@@ -66,9 +66,6 @@ type Config struct {
 	CacheBytes int64
 	// DefaultSeed seeds submissions that do not pin one (default 1).
 	DefaultSeed uint64
-	// MaxSpecBytes bounds the request body of a study submission
-	// (default 8 MiB).
-	MaxSpecBytes int64
 	// LeaseTTL is how long a fleet lease lives without renewal before its
 	// range is re-leased (default 15s).
 	LeaseTTL time.Duration
@@ -94,9 +91,6 @@ func (c *Config) fill() {
 	}
 	if c.DefaultSeed == 0 {
 		c.DefaultSeed = 1
-	}
-	if c.MaxSpecBytes <= 0 {
-		c.MaxSpecBytes = 8 << 20
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 15 * time.Second
@@ -263,7 +257,7 @@ type Server struct {
 	// instance is a random tag of this process, part of every study id:
 	// a daemon restarted on the same address numbers its studies from 1
 	// again, and without the tag a fleet worker would take the new
-	// s000001 for the old one (and its cached grid and lease stores).
+	// s000001 for the old one (and its cached grid).
 	instance uint32
 
 	shutdownOnce sync.Once
@@ -475,11 +469,14 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxSpecBytes bounds the request body of a study submission.
+const maxSpecBytes = 8 << 20
+
 // handleSubmit is the admission path: decode and validate first (a
 // malformed spec is 400 even when the queue is full), then admit under
 // the queue bound, then 202 with the study's initial status.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, s.cfg.MaxSpecBytes)
+	body, err := readBody(w, r, maxSpecBytes)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

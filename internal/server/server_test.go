@@ -540,7 +540,7 @@ func TestEventsStream(t *testing.T) {
 
 // TestSubmitValidation walks the admission error surface.
 func TestSubmitValidation(t *testing.T) {
-	h := newTestServer(t, Config{Workers: 1, MaxActive: 1, QueueDepth: 4, CacheBytes: -1, MaxSpecBytes: 4096})
+	h := newTestServer(t, Config{Workers: 1, MaxActive: 1, QueueDepth: 4, CacheBytes: -1})
 	spec := testSpecBytes(t)
 	cases := []struct {
 		name  string
@@ -554,7 +554,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad seed", spec, "?seed=banana", http.StatusBadRequest},
 		{"zero seed", spec, "?seed=0", http.StatusBadRequest},
 		{"negative replicas", spec, "?replicas=-3", http.StatusBadRequest},
-		{"oversize body", bytes.Repeat([]byte{'x'}, 8192), "", http.StatusRequestEntityTooLarge},
+		{"oversize body", bytes.Repeat([]byte{'x'}, maxSpecBytes+1), "", http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -5,7 +5,9 @@
 # coordinator must expire and re-lease its range — and byte-compares
 # the coordinator's folded JSONL against a single-process `ctsan run`
 # of the same study. A killed worker may cost a lease of re-execution;
-# it must never change a result bit. Then a worker pinned to a study
+# it must never change a result bit, and no worker, the killed one
+# included, may write anything under its -dir (a worker holds a lease's
+# records in memory until the upload). Then a worker pinned to a study
 # the coordinator will never lease must fail at once, not retry forever.
 # Last, the coordinator itself is SIGKILLed and restarted on the same
 # address under a discovering worker that holds a lease: the worker must
@@ -48,6 +50,18 @@ EOF
 /tmp/ctsan-fleet-smoke run -study "$SPEC" -seed 1 -shards 1 \
     -dir "$WORKDIR/ref" -o "$REF" 2>/dev/null
 
+# Every worker's -dir exists and must stay empty.
+mkdir -p "$WORKDIR/victim" "$WORKDIR/survivor" "$WORKDIR/pinned" "$WORKDIR/discoverer"
+wrote_nothing() { # wrote_nothing <worker>...
+    for w in "$@"; do
+        [ -z "$(ls -A "$WORKDIR/$w")" ] || {
+            echo "worker $w wrote under its -dir:" >&2
+            ls -lA "$WORKDIR/$w" >&2
+            exit 1
+        }
+    done
+}
+
 start_ctsand() { # start_ctsand <addr>: sets PID and ADDR
     : >"$LOG"
     # Short lease TTL so the killed worker's range re-leases quickly.
@@ -80,8 +94,8 @@ fleet_field() { # fleet_field <name>
         sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"
 }
 
-# The victim worker throttles 30s after each checkpointed point, so it
-# is guaranteed to be holding (and renewing) a lease when the SIGKILL
+# The victim worker throttles 30s after each completed point, so it is
+# guaranteed to be holding (and renewing) a lease when the SIGKILL
 # lands.
 /tmp/ctsan-fleet-smoke worker -server "http://$ADDR" -study-id "$ID" \
     -name victim -dir "$WORKDIR/victim" -workers 1 -throttle 30s 2>"$VLOG" &
@@ -89,12 +103,12 @@ VPID=$!
 
 i=0
 while [ $i -lt 300 ]; do
-    grep -q "checkpointed" "$VLOG" && break
+    grep -q " done (" "$VLOG" && break
     kill -0 "$VPID" 2>/dev/null || { echo "victim exited early:" >&2; cat "$VLOG" >&2; exit 1; }
     sleep 0.1
     i=$((i + 1))
 done
-grep -q "checkpointed" "$VLOG" || { echo "victim never checkpointed a point" >&2; cat "$VLOG" >&2; exit 1; }
+grep -q " done (" "$VLOG" || { echo "victim never completed a point" >&2; cat "$VLOG" >&2; exit 1; }
 
 kill -9 "$VPID"
 wait "$VPID" 2>/dev/null || true
@@ -124,6 +138,7 @@ EXPIRED="$(fleet_field expired)"
     echo "coordinator never expired the victim's lease (expired=$EXPIRED)" >&2
     exit 1
 }
+wrote_nothing victim survivor
 
 # A worker pinned to a study the coordinator will never lease — a
 # local-mode one (409) or an unknown id (404) — exits 1 with the
@@ -178,12 +193,12 @@ BEFORE="$(submit '?mode=fleet&seed=3')"
 WPID=$!
 i=0
 while [ $i -lt 300 ]; do
-    grep -q "checkpointed" "$WLOG" && break
+    grep -q " done (" "$WLOG" && break
     kill -0 "$WPID" 2>/dev/null || { echo "discovering worker exited early:" >&2; cat "$WLOG" >&2; exit 1; }
     sleep 0.1
     i=$((i + 1))
 done
-grep -q "checkpointed" "$WLOG" || { echo "discovering worker never checkpointed a point" >&2; cat "$WLOG" >&2; exit 1; }
+grep -q " done (" "$WLOG" || { echo "discovering worker never completed a point" >&2; cat "$WLOG" >&2; exit 1; }
 
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
@@ -220,6 +235,7 @@ cmp "$FLEET" "$REF" || {
     echo "fleet stream after the restart differs from ctsan run -seed 2" >&2
     exit 1
 }
+wrote_nothing pinned discoverer
 
 kill -TERM "$PID"
 RC=0
@@ -227,4 +243,4 @@ wait "$PID" || RC=$?
 PID=""
 [ "$RC" = "0" ] || { echo "graceful shutdown after the restart exited $RC" >&2; cat "$LOG" >&2; exit 1; }
 
-echo "fleet smoke OK: $EXPIRED lease(s) expired after SIGKILL, stream byte-identical to ctsan run, pinned worker refused at once, clean drain; after a ctsand restart the worker served the new study ($UPLOADS uploads, 0 rejected)" >&2
+echo "fleet smoke OK: $EXPIRED lease(s) expired after SIGKILL, stream byte-identical to ctsan run, pinned worker refused at once, clean drain; after a ctsand restart the worker served the new study ($UPLOADS uploads, 0 rejected); no worker wrote a file" >&2
