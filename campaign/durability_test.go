@@ -63,12 +63,17 @@ func openStore(t *testing.T) (*checkpoint.Store, string) {
 }
 
 // storeLines reads the records of the store file at path, as a merge or
-// a resume does: a store keeps in memory only what Open found.
+// a resume does: a store keeps in memory only what Open found. Every
+// record must read as the reference reader reads it and be the bytes
+// the reference writer writes (requireOracleRead).
 func storeLines(t *testing.T, path string) [][]byte {
 	t.Helper()
 	lines, dropped, err := checkpoint.Load(path)
 	if err != nil || dropped != 0 {
 		t.Fatalf("load %s: dropped=%d err=%v", path, dropped, err)
+	}
+	for _, line := range lines {
+		requireOracleRead(t, line)
 	}
 	return lines
 }

@@ -1,12 +1,17 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"ctsan/internal/checkpoint"
 	"ctsan/internal/metrics"
@@ -27,6 +32,14 @@ import (
 // unsharded output are byte-identical), and "digest" is the full
 // metrics.Digest binary encoding, so merged statistics — not just the
 // flattened Summary — survive the process boundary bit-exactly.
+//
+// The writer (appendShardRecord) defines the layout: the keys above in
+// that order, no whitespace, lowercase CRC hex, strings escaped as
+// encoding/json escapes them, integers in decimal, the result compact,
+// the digest in padded standard base64. The reader (DecodeShardRecord)
+// accepts that layout and nothing else — whatever it accepts, the writer
+// reproduces byte for byte — so a record is read in one walk over its
+// fields rather than decoded as general JSON.
 //
 // ShardRecordVersion bumps are deliberate breaks: decoding rejects
 // unknown versions, which turns a format change into "re-run the shard"
@@ -61,12 +74,6 @@ type ShardRecord struct {
 	Digest []byte `json:"digest"`
 }
 
-// shardEnvelope frames a record line: CRC over the exact body bytes.
-type shardEnvelope struct {
-	CRC  string          `json:"crc"`
-	Body json.RawMessage `json:"body"`
-}
-
 // EncodeShardRecord serializes one completed point as a checkpoint line
 // (without trailing newline). pointHash must be the PointHash of the
 // frozen point that produced res.
@@ -94,47 +101,316 @@ func encodeShardRecord(pointHash string, index int, res *Result) ([]byte, error)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: encode digest: %w", err)
 	}
-	body, err := json.Marshal(ShardRecord{
-		V:         ShardRecordVersion,
-		Study:     res.Study,
-		Index:     index,
-		PointHash: pointHash,
-		Seed:      res.Seed,
-		Result:    resultJSON,
-		Digest:    digestBin,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("campaign: encode shard record: %w", err)
-	}
-	return []byte(fmt.Sprintf(`{"crc":"%08x","body":%s}`, crc32.Checksum(body, crcTable), body)), nil
+	// 160 bytes hold the keys, the quotes and two 20-digit integers.
+	size := 160 + len(res.Study) + len(pointHash) + len(resultJSON) + base64.StdEncoding.EncodedLen(len(digestBin))
+	return appendShardRecord(make([]byte, 0, size), res.Study, index, pointHash, res.Seed, resultJSON, digestBin), nil
 }
 
-// DecodeShardRecord parses and verifies one checkpoint line: envelope
-// shape, CRC over the body bytes, record version, and presence of the
-// embedded result. It does not know which point the record *should*
-// belong to — that is the caller's check, against PointHash.
+// The fixed parts of a record line, in writing order. recordHead is
+// written with a placeholder CRC, patched once the body is complete.
+const (
+	crcKey     = `{"crc":"`
+	bodyKey    = `","body":`
+	versionKey = `{"v":`
+	studyKey   = `,"study":`
+	recordHead = crcKey + "00000000" + bodyKey + versionKey + "1" + studyKey
+	indexKey   = `,"index":`
+	hashKey    = `,"point_hash":`
+	seedKey    = `,"seed":`
+	resultKey  = `,"result":`
+	digestKey  = `,"digest":"`
+	bodyEnd    = `"}`
+	// bodyAt is the offset of the body in a line.
+	bodyAt = len(crcKey) + 8 + len(bodyKey)
+)
+
+// appendShardRecord appends the record line of the given fields to dst.
+// result must be compact JSON as json.Marshal writes it; it is copied
+// verbatim.
+func appendShardRecord(dst []byte, study string, index int, pointHash string, seed uint64, result, digest []byte) []byte {
+	start := len(dst)
+	dst = append(dst, recordHead...)
+	dst = appendJSONString(dst, study)
+	dst = append(dst, indexKey...)
+	dst = strconv.AppendInt(dst, int64(index), 10)
+	dst = append(dst, hashKey...)
+	dst = appendJSONString(dst, pointHash)
+	dst = append(dst, seedKey...)
+	dst = strconv.AppendUint(dst, seed, 10)
+	dst = append(dst, resultKey...)
+	dst = append(dst, result...)
+	dst = append(dst, digestKey...)
+	dst = base64.StdEncoding.AppendEncode(dst, digest)
+	dst = append(dst, bodyEnd...)
+	putCRC(dst[start+len(crcKey):], crc32.Checksum(dst[start+bodyAt:], crcTable))
+	return append(dst, '}')
+}
+
+// putCRC writes crc as 8 lowercase hex digits, %08x.
+func putCRC(dst []byte, crc uint32) {
+	const hex = "0123456789abcdef"
+	for i := 7; i >= 0; i-- {
+		dst[i] = hex[crc&0xf]
+		crc >>= 4
+	}
+}
+
+// plainString reports whether s is written by json.Marshal as itself
+// between quotes: ASCII that it does not escape.
+func plainString[S string | []byte](s S) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= utf8.RuneSelf || !rawASCII[c] {
+			return false
+		}
+	}
+	return true
+}
+
+// rawASCII and stringEscapes are how json.Marshal writes a string, asked
+// of json.Marshal itself: rawASCII marks the ASCII bytes it writes as
+// themselves; stringEscapes holds every escape it writes (without the
+// backslash) — for the other ASCII bytes, for U+2028 and U+2029, and the
+// \ufffd that stands for a byte of invalid UTF-8.
+var rawASCII, stringEscapes = func() (raw [utf8.RuneSelf]bool, escapes map[string]bool) {
+	escapes = map[string]bool{}
+	for _, s := range []string{"\u2028", "\u2029", "\xff"} {
+		q, _ := json.Marshal(s) // a string always marshals
+		escapes[string(q[2:len(q)-1])] = true
+	}
+	for c := range raw {
+		q, _ := json.Marshal(string(rune(c))) // a string always marshals
+		if raw[c] = len(q) == 3; !raw[c] {
+			escapes[string(q[2:len(q)-1])] = true
+		}
+	}
+	return raw, escapes
+}()
+
+// marshaledString reports whether the quoted JSON string q is what
+// json.Marshal writes for some string: only its escapes, and raw only
+// the ASCII it does not escape and valid UTF-8 other than U+2028 and
+// U+2029.
+func marshaledString(q []byte) bool {
+	s := q[1 : len(q)-1]
+	for i := 0; i < len(s); {
+		switch c := s[i]; {
+		case c == '\\':
+			n := 2
+			if i+1 < len(s) && s[i+1] == 'u' {
+				n = 6
+			}
+			if i+n > len(s) || !stringEscapes[string(s[i+1:i+n])] {
+				return false
+			}
+			i += n
+		case c < utf8.RuneSelf:
+			if !rawASCII[c] {
+				return false
+			}
+			i++
+		default:
+			r, size := utf8.DecodeRune(s[i:])
+			if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+				return false
+			}
+			i += size
+		}
+	}
+	return true
+}
+
+// appendJSONString appends s as json.Marshal writes it.
+func appendJSONString(dst []byte, s string) []byte {
+	if plainString(s) {
+		dst = append(dst, '"')
+		dst = append(dst, s...)
+		return append(dst, '"')
+	}
+	quoted, _ := json.Marshal(s) // a string always marshals
+	return append(dst, quoted...)
+}
+
+// DecodeShardRecord parses and verifies one checkpoint line: the layout,
+// the CRC over the body bytes, the record version, a grid index that
+// fits an int, a seed that fits a uint64, a result that is a valid,
+// compact JSON object and a digest that is base64. It does not know
+// which point the record *should* belong to — that is the caller's
+// check, against PointHash. The record owns its bytes: nothing in it
+// shares line's array.
 func DecodeShardRecord(line []byte) (*ShardRecord, error) {
-	var env shardEnvelope
-	if err := json.Unmarshal(line, &env); err != nil {
-		return nil, fmt.Errorf("campaign: shard record envelope: %w", err)
+	if len(line) < bodyAt+1 || string(line[:len(crcKey)]) != crcKey ||
+		string(line[len(crcKey)+8:bodyAt]) != bodyKey || line[len(line)-1] != '}' {
+		return nil, fmt.Errorf("campaign: shard record envelope: not a {\"crc\":\"<8 hex>\",\"body\":{...}} line")
 	}
-	if len(env.Body) == 0 {
-		return nil, fmt.Errorf("campaign: shard record with no body")
+	stored, body := line[len(crcKey):len(crcKey)+8], line[bodyAt:len(line)-1]
+	var got [8]byte
+	putCRC(got[:], crc32.Checksum(body, crcTable))
+	if string(got[:]) != string(stored) {
+		return nil, fmt.Errorf("campaign: shard record CRC mismatch (stored %s, computed %s)", stored, got[:])
 	}
-	if got := fmt.Sprintf("%08x", crc32.Checksum(env.Body, crcTable)); got != env.CRC {
-		return nil, fmt.Errorf("campaign: shard record CRC mismatch (stored %s, computed %s)", env.CRC, got)
+	return readBody(body)
+}
+
+// strictBase64 decodes only the padded standard base64 the writer
+// emits: nonzero trailing bits are an error, not ignored.
+var strictBase64 = base64.StdEncoding.Strict()
+
+// readBody walks a CRC-checked record body in the writer's key order.
+func readBody(body []byte) (*ShardRecord, error) {
+	r := recordReader{rest: body}
+	if v := r.number(versionKey, math.MaxInt); r.err == nil && v != ShardRecordVersion {
+		return nil, fmt.Errorf("campaign: unsupported shard record version %d", v)
 	}
-	var rec ShardRecord
-	if err := json.Unmarshal(env.Body, &rec); err != nil {
-		return nil, fmt.Errorf("campaign: shard record body: %w", err)
+	rec := &ShardRecord{V: ShardRecordVersion, Study: r.string(studyKey)}
+	rec.Index = int(r.number(indexKey, math.MaxInt))
+	rec.PointHash = r.string(hashKey)
+	rec.Seed = r.number(seedKey, math.MaxUint64)
+	r.key(resultKey)
+	if r.err != nil {
+		return nil, r.err
 	}
-	if rec.V != ShardRecordVersion {
-		return nil, fmt.Errorf("campaign: unsupported shard record version %d", rec.V)
+	// The digest is the last field and base64 holds no quote, so its
+	// opening quote is the last one before the closing `"}`.
+	rest := r.rest
+	q := -1
+	if len(rest) >= len(bodyEnd) && string(rest[len(rest)-len(bodyEnd):]) == bodyEnd {
+		q = bytes.LastIndexByte(rest[:len(rest)-len(bodyEnd)], '"')
 	}
-	if len(rec.Result) == 0 {
+	if q < 0 || !bytes.HasSuffix(rest[:q+1], []byte(digestKey)) {
+		return nil, fmt.Errorf("campaign: shard record body: no %s...%s tail", digestKey, bodyEnd)
+	}
+	result, digest := rest[:q+1-len(digestKey)], rest[q+1:len(rest)-len(bodyEnd)]
+	if len(result) == 0 {
 		return nil, fmt.Errorf("campaign: shard record with no result")
 	}
-	return &rec, nil
+	if result[0] != '{' || !json.Valid(result) || !compactJSON(result) {
+		return nil, fmt.Errorf("campaign: shard record result is not a compact JSON object")
+	}
+	n := base64.StdEncoding.DecodedLen(len(digest))
+	buf := make([]byte, len(result)+n)
+	copy(buf, result)
+	n, err := strictBase64.Decode(buf[len(result):], digest)
+	if err != nil || base64.StdEncoding.EncodedLen(n) != len(digest) {
+		return nil, fmt.Errorf("campaign: shard record digest is not padded base64")
+	}
+	rec.Result = buf[:len(result):len(result)]
+	rec.Digest = buf[len(result) : len(result)+n : len(result)+n]
+	return rec, nil
+}
+
+// recordReader consumes a record body field by field. The first failure
+// sticks in err and turns every later step into a no-op.
+type recordReader struct {
+	rest []byte
+	err  error
+}
+
+func (r *recordReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("campaign: shard record body: "+format, args...)
+	}
+}
+
+// key consumes the literal k.
+func (r *recordReader) key(k string) bool {
+	if r.err != nil {
+		return false
+	}
+	if len(r.rest) < len(k) || string(r.rest[:len(k)]) != k {
+		r.fail("want %s", k)
+		return false
+	}
+	r.rest = r.rest[len(k):]
+	return true
+}
+
+// number consumes the key k and an unsigned JSON integer no larger than
+// max: digits without sign or leading zero.
+func (r *recordReader) number(k string, max uint64) uint64 {
+	if !r.key(k) {
+		return 0
+	}
+	i := 0
+	for i < len(r.rest) && '0' <= r.rest[i] && r.rest[i] <= '9' {
+		i++
+	}
+	digits := r.rest[:i]
+	if len(digits) == 0 || (digits[0] == '0' && len(digits) > 1) {
+		r.fail("%s is not an unsigned integer without leading zeros", k)
+		return 0
+	}
+	var v uint64
+	for _, c := range digits {
+		d := uint64(c - '0')
+		if v > (max-d)/10 {
+			r.fail("%s %s out of range", k, digits)
+			return 0
+		}
+		v = v*10 + d
+	}
+	r.rest = r.rest[i:]
+	return v
+}
+
+// string consumes the key k and a JSON string written as json.Marshal
+// writes it, returning its value.
+func (r *recordReader) string(k string) string {
+	if !r.key(k) {
+		return ""
+	}
+	end := -1
+	if len(r.rest) > 0 && r.rest[0] == '"' {
+		for i := 1; i < len(r.rest); i++ {
+			if r.rest[i] == '\\' {
+				i++
+			} else if r.rest[i] == '"' {
+				end = i + 1
+				break
+			}
+		}
+	}
+	if end < 0 {
+		r.fail("%s is not a string", k)
+		return ""
+	}
+	quoted := r.rest[:end]
+	r.rest = r.rest[end:]
+	if plainString(quoted[1 : end-1]) {
+		return string(quoted[1 : end-1])
+	}
+	var s string
+	if !marshaledString(quoted) {
+		r.fail("%s is not escaped as the writer escapes it", k)
+	} else if err := json.Unmarshal(quoted, &s); err != nil {
+		r.fail("%s: %v", k, err)
+	}
+	return s
+}
+
+// compactJSON reports whether the valid JSON b is what json.Marshal
+// makes of it: no whitespace between tokens and none of the characters
+// it escapes (<, >, &, U+2028, U+2029) written raw.
+func compactJSON(b []byte) bool {
+	inString := false
+	for i := 0; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '<' || c == '>' || c == '&':
+			return false
+		case c == 0xe2 && i+2 < len(b) && b[i+1] == 0x80 && (b[i+2] == 0xa8 || b[i+2] == 0xa9):
+			return false
+		case inString:
+			if c == '\\' {
+				i++
+			} else if c == '"' {
+				inString = false
+			}
+		case c == '"':
+			inString = true
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			return false
+		}
+	}
+	return true
 }
 
 // DecodeResult reconstructs the full Result from the record, including

@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"ctsan/internal/checkpoint"
 	"ctsan/internal/metrics"
@@ -157,10 +162,8 @@ func TestShardRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := DecodeShardRecord(line)
-		if err != nil {
-			t.Fatal(err)
-		}
+		requireOracleBytes(t, hashes[i], i, res, line)
+		rec := requireOracleRead(t, line)
 		if rec.Index != i || rec.PointHash != hashes[i] || rec.Seed != res.Seed {
 			t.Fatalf("record %d header mismatch: %+v", i, rec)
 		}
@@ -185,33 +188,183 @@ func TestShardRecordRoundTrip(t *testing.T) {
 }
 
 func TestShardRecordRejectsCorruption(t *testing.T) {
-	frozen, err := Frozen(NewStudy("s", SANPoint{N: 3, Replicas: 20}), WithSeed(1))
+	line := pristineRecord(t)
+	if _, err := DecodeShardRecord(line); err != nil {
+		t.Fatalf("pristine record rejected: %v", err)
+	}
+	for _, c := range corruptRecords(t, line) {
+		if _, err := DecodeShardRecord(c.line); err == nil {
+			t.Errorf("%s: accepted %q", c.name, c.line)
+		}
+		// The rows the reference reader took are the layout's tightenings:
+		// no writer ever emitted them.
+		if _, err := oracleDecodeShardRecord(c.line); (err == nil) != c.oldAccepts {
+			t.Errorf("%s: reference reader err = %v, want accepted = %v", c.name, err, c.oldAccepts)
+		}
+	}
+}
+
+// pristineRecord is the record of a one-point SAN study named "s".
+func pristineRecord(tb testing.TB) []byte {
+	tb.Helper()
+	frozen, err := Frozen(NewStudy("s", SANPoint{N: 3, Replicas: 10}), WithSeed(1))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	results, err := RunCollect(context.Background(), frozen, WithWorkers(1))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	hashes, _ := StudyPointHashes(frozen)
 	line, err := EncodeShardRecord(hashes[0], results[0])
 	if err != nil {
+		tb.Fatal(err)
+	}
+	return line
+}
+
+type corruptRecord struct {
+	name string
+	line []byte
+	// oldAccepts: the encoding/json reader this layout replaced accepted
+	// the line.
+	oldAccepts bool
+}
+
+// corruptRecords derives from a pristine record line lines the reader
+// must reject. Every line whose body was edited carries the CRC of its
+// new body, so it is the layout that rejects it, not the checksum.
+func corruptRecords(tb testing.TB, line []byte) []corruptRecord {
+	tb.Helper()
+	body := string(line[bodyAt : len(line)-1])
+	rec, err := oracleDecodeShardRecord(line)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	quoted := func(v any) string { q, _ := json.Marshal(v); return string(q) } // strings and []byte always marshal
+	keys := []string{"v", "study", "index", "point_hash", "seed", "result", "digest"}
+	vals := map[string]string{
+		"v": "1", "study": quoted(rec.Study), "index": strconv.Itoa(rec.Index), "point_hash": quoted(rec.PointHash),
+		"seed": strconv.FormatUint(rec.Seed, 10), "result": string(rec.Result), "digest": quoted(rec.Digest),
+	}
+	build := func(order []string, edit map[string]string, extra string) []byte {
+		var b strings.Builder
+		for i, k := range order {
+			v := vals[k]
+			if e, ok := edit[k]; ok {
+				v = e
+			}
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%q:%s", k, v)
+		}
+		return framed("{" + b.String() + extra + "}")
+	}
+	edited := func(k, v string) []byte { return build(keys, map[string]string{k: v}, "") }
+	if got := build(keys, nil, ""); !bytes.Equal(got, line) {
+		tb.Fatalf("rebuilt record differs from the pristine one:\n%s\n%s", got, line)
+	}
+	reordered := append([]string{"v", "index", "study"}, keys[3:]...)
+	digest := vals["digest"]
+	flipped := bytes.Clone(line)
+	flipped[len(flipped)/2] ^= 0x01
+	return []corruptRecord{
+		{"bit flip", flipped, false},
+		{"wrong CRC", []byte(`{"crc":"00000000","body":{}}`), false},
+		{"not JSON", []byte(`not json`), false},
+		{"index -1", edited("index", "-1"), true},
+		{"index 01", edited("index", "01"), false},
+		{"index -0", edited("index", "-0"), true},
+		{"index above MaxInt", edited("index", strconv.FormatUint(uint64(math.MaxInt)+1, 10)), false},
+		{"seed 2^64", edited("seed", "18446744073709551616"), false},
+		{"version 2", edited("v", "2"), false},
+		{"reordered keys", build(reordered, nil, ""), true},
+		{"unknown body key", build(keys, nil, `,"extra":1`), true},
+		{"duplicate body", fmt.Appendf(nil, `{"crc":"%08x","body":{},"body":%s}`, crc32.Checksum([]byte(body), crcTable), body), true},
+		{"trailing \\r", append(bytes.Clone(line), '\r'), true},
+		{"trailing space", append(bytes.Clone(line), ' '), true},
+		{"leading space", append([]byte(" "), line...), true},
+		{"space after a colon", framed(strings.Replace(body, `"seed":`, `"seed": `, 1)), true},
+		{"truncated digest", edited("digest", digest[:len(digest)-3]+`"`), false},
+		{"digest with nonzero padding bits", edited("digest", nonzeroPadding(tb, digest)), true},
+		{"result not JSON", edited("result", `{"study":}`), false},
+		{"result not an object", edited("result", `null`), true},
+		{"result not compact", edited("result", "{ }"), true},
+		{"study escaped unlike the writer", edited("study", `"\u0073"`), true},
+	}
+}
+
+// nonzeroPadding sets the lowest discarded bit of a padded base64 string
+// literal: the same bytes for a lenient decoder, never the writer's.
+func nonzeroPadding(tb testing.TB, quoted string) string {
+	tb.Helper()
+	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+	last := strings.LastIndexFunc(quoted, func(r rune) bool { return r != '"' && r != '=' })
+	if !strings.HasSuffix(quoted, `="`) || quoted[last] == '/' {
+		tb.Fatalf("digest %s has no padding bits to set", quoted)
+	}
+	next := alphabet[strings.IndexByte(alphabet, quoted[last])+1]
+	return quoted[:last] + string(next) + quoted[last+1:]
+}
+
+// framed wraps a body in the crc envelope with the body's own CRC.
+func framed(body string) []byte {
+	return fmt.Appendf(nil, `{"crc":"%08x","body":%s}`, crc32.Checksum([]byte(body), crcTable), body)
+}
+
+// TestShardRecordFixture: records written before the fixed-layout writer
+// and reader — one per engine (the emulation heartbeat FD too), and a
+// study name with characters JSON escapes (<, &, ", \, U+2028), a
+// non-ASCII rune and invalid UTF-8 over a point seeded near 2^64 — are
+// read with the fields the reference reader finds and rewritten byte for
+// byte, so checkpoint directories and cache spill files from then resume
+// and warm-load.
+func TestShardRecordFixture(t *testing.T) {
+	raw, err := os.ReadFile("testdata/records_v1.jsonl")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeShardRecord(line); err != nil {
-		t.Fatalf("pristine record rejected: %v", err)
+	// The fixture's studies, as they were named: a record keeps the name's
+	// invalid UTF-8 only as the \ufffd escapes json.Marshal wrote for it.
+	studies := []string{"records-v1", "odd <name> & \"quoted\" \\ é\u2028 \xff\xfe end"}
+	named := map[string]string{}
+	for _, name := range studies {
+		var decoded string
+		q, _ := json.Marshal(name)
+		if err := json.Unmarshal(q, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		named[decoded] = name
 	}
-	// Flip one bit inside the body: the CRC must catch it.
-	bad := append([]byte(nil), line...)
-	bad[len(bad)/2] ^= 0x01
-	if _, err := DecodeShardRecord(bad); err == nil {
-		t.Fatal("bit-flipped record accepted")
+	lines := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
+	engines := map[Engine]bool{}
+	maxSeed := uint64(0)
+	for i, line := range lines {
+		rec := requireOracleRead(t, line)
+		res, err := rec.DecodeResult()
+		if err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		engines[res.Engine] = true
+		maxSeed = max(maxSeed, rec.Seed)
+		name, ok := named[res.Study]
+		if !ok {
+			t.Fatalf("line %d: unknown study %q", i, res.Study)
+		}
+		res.Study = name
+		again, err := EncodeShardRecord(rec.PointHash, res)
+		if err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		if !bytes.Equal(again, line) {
+			t.Fatalf("line %d rewritten differently:\n got %s\nwant %s", i, again, line)
+		}
+		requireOracleBytes(t, rec.PointHash, rec.Index, res, line)
 	}
-	if _, err := DecodeShardRecord([]byte(`{"crc":"00000000","body":{}}`)); err == nil {
-		t.Fatal("wrong CRC accepted")
-	}
-	if _, err := DecodeShardRecord([]byte(`not json`)); err == nil {
-		t.Fatal("garbage accepted")
+	if len(lines) != 5 || len(engines) != 3 || maxSeed < math.MaxUint64-100 {
+		t.Fatalf("fixture: %d lines, engines %v, largest seed %d; want 5 lines, all three engines, a seed near 2^64",
+			len(lines), engines, maxSeed)
 	}
 }
 
@@ -428,41 +581,147 @@ func nameRange(a, b int) string {
 }
 
 // FuzzDecodeShardRecord: the record decoder faces checkpoint files that
-// survived crashes and bit rot; it must never panic and never accept a
-// line whose CRC does not hold.
+// survived crashes and bit rot, and uploads from any client; it must
+// never panic, and whatever it accepts the reference reader accepts with
+// the same fields, and the writer writes back byte for byte. Each input
+// is tried as given and with the CRC of its body, so the fuzzer reaches
+// the body's layout instead of stopping at the checksum.
 func FuzzDecodeShardRecord(f *testing.F) {
-	frozen, err := Frozen(NewStudy("s", SANPoint{N: 3, Replicas: 10}), WithSeed(1))
-	if err != nil {
-		f.Fatal(err)
-	}
-	results, err := RunCollect(context.Background(), frozen, WithWorkers(1))
-	if err != nil {
-		f.Fatal(err)
-	}
-	hashes, _ := StudyPointHashes(frozen)
-	line, err := EncodeShardRecord(hashes[0], results[0])
-	if err != nil {
-		f.Fatal(err)
-	}
+	line := pristineRecord(f)
 	f.Add(line)
 	f.Add(line[:len(line)/2])
-	flipped := append([]byte(nil), line...)
-	flipped[len(flipped)/3] ^= 0x20
-	f.Add(flipped)
-	f.Add([]byte(`{"crc":"00000000","body":{}}`))
+	for _, c := range corruptRecords(f, line) {
+		f.Add(c.line)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := DecodeShardRecord(data)
-		if err != nil {
-			return
+		fixed := bytes.Clone(data)
+		if len(fixed) > bodyAt {
+			putCRC(fixed[len(crcKey):], crc32.Checksum(fixed[bodyAt:len(fixed)-1], crcTable))
 		}
-		// Anything accepted must at least round-trip its digest; the
-		// result may still be rejected by DecodeResult's cross-checks.
-		if _, err := rec.DecodeResult(); err == nil {
-			if rec.Index < 0 {
-				t.Fatal("accepted record with negative index")
+		for _, line := range [][]byte{data, fixed} {
+			if _, err := DecodeShardRecord(line); err == nil {
+				rec := requireOracleRead(t, line)
+				rec.DecodeResult() //nolint:errcheck // must not panic
 			}
 		}
 	})
+}
+
+// The reference record writer and reader: the encoding/json ones the
+// fixed-layout appendShardRecord and DecodeShardRecord replaced, kept to
+// hold them to the same bytes and the same fields.
+
+// shardEnvelope frames a record line: CRC over the exact body bytes.
+type shardEnvelope struct {
+	CRC  string          `json:"crc"`
+	Body json.RawMessage `json:"body"`
+}
+
+func oracleEncodeShardRecord(pointHash string, index int, res *Result) ([]byte, error) {
+	at := *res
+	at.Index = index
+	resultJSON, err := json.Marshal(&at)
+	if err != nil {
+		return nil, err
+	}
+	digestBin, err := res.digest.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	return oracleEncodeRecord(ShardRecord{
+		V:         ShardRecordVersion,
+		Study:     res.Study,
+		Index:     index,
+		PointHash: pointHash,
+		Seed:      res.Seed,
+		Result:    resultJSON,
+		Digest:    digestBin,
+	})
+}
+
+func oracleEncodeRecord(rec ShardRecord) ([]byte, error) {
+	body, err := json.Marshal(rec)
+	if err != nil {
+		return nil, err
+	}
+	return []byte(fmt.Sprintf(`{"crc":"%08x","body":%s}`, crc32.Checksum(body, crcTable), body)), nil
+}
+
+func oracleDecodeShardRecord(line []byte) (*ShardRecord, error) {
+	var env shardEnvelope
+	if err := json.Unmarshal(line, &env); err != nil {
+		return nil, err
+	}
+	if len(env.Body) == 0 {
+		return nil, fmt.Errorf("no body")
+	}
+	if got := fmt.Sprintf("%08x", crc32.Checksum(env.Body, crcTable)); got != env.CRC {
+		return nil, fmt.Errorf("CRC mismatch (stored %s, computed %s)", env.CRC, got)
+	}
+	var rec ShardRecord
+	if err := json.Unmarshal(env.Body, &rec); err != nil {
+		return nil, err
+	}
+	if rec.V != ShardRecordVersion {
+		return nil, fmt.Errorf("version %d", rec.V)
+	}
+	if len(rec.Result) == 0 {
+		return nil, fmt.Errorf("no result")
+	}
+	return &rec, nil
+}
+
+// requireOracleBytes fails unless line is what the reference writer
+// makes of res at grid index `index`.
+func requireOracleBytes(tb testing.TB, pointHash string, index int, res *Result, line []byte) {
+	tb.Helper()
+	want, err := oracleEncodeShardRecord(pointHash, index, res)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !bytes.Equal(line, want) {
+		tb.Fatalf("record differs from the reference writer's:\n got %s\nwant %s", line, want)
+	}
+}
+
+// requireOracleRead reads line, which DecodeShardRecord must accept,
+// and fails unless the reference reader accepts it with the same fields,
+// the record owns its bytes, and both writers write the record back as
+// line.
+func requireOracleRead(tb testing.TB, line []byte) *ShardRecord {
+	tb.Helper()
+	scratch := bytes.Clone(line)
+	rec, err := DecodeShardRecord(scratch)
+	if err != nil {
+		tb.Fatalf("record rejected: %v\n%s", err, line)
+	}
+	clear(scratch) // a record sharing the line's bytes would change here
+	want, err := oracleDecodeShardRecord(line)
+	if err != nil {
+		tb.Fatalf("reader accepted a line the reference reader rejects (%v):\n%q", err, line)
+	}
+	if rec.V != want.V || rec.Study != want.Study || rec.Index != want.Index || rec.PointHash != want.PointHash ||
+		rec.Seed != want.Seed || !bytes.Equal(rec.Result, want.Result) || !bytes.Equal(rec.Digest, want.Digest) {
+		tb.Fatalf("reader and reference reader disagree, or the record shares the line's bytes:\n got %+v\nwant %+v", rec, want)
+	}
+	// A \ufffd escape in a string is how json.Marshal writes a byte of
+	// invalid UTF-8; it reads as U+FFFD, which both writers write raw.
+	// Such a line is written back as a line that reads the same.
+	lossy := strings.ContainsRune(rec.Study, utf8.RuneError) || strings.ContainsRune(rec.PointHash, utf8.RuneError)
+	again := appendShardRecord(nil, rec.Study, rec.Index, rec.PointHash, rec.Seed, rec.Result, rec.Digest)
+	if old, err := oracleEncodeRecord(*rec); err != nil || !bytes.Equal(old, again) {
+		tb.Fatalf("writer and reference writer disagree (%v):\n got %q\nwant %q", err, again, old)
+	}
+	switch {
+	case !lossy && !bytes.Equal(again, line):
+		tb.Fatalf("writer does not reproduce an accepted line:\n got %q\nwant %q", again, line)
+	case lossy:
+		back, err := DecodeShardRecord(again)
+		if err != nil || back.Study != rec.Study || back.PointHash != rec.PointHash {
+			tb.Fatalf("written-back line does not read the same (%v): %q", err, again)
+		}
+	}
+	return rec
 }
 
 // TestSingleSampleSummaryHasNoInterval: one sample has a mean and no

@@ -66,7 +66,7 @@ func cmdWorker(ctx context.Context, args []string, _, stderr io.Writer) error {
 	name := fs.String("name", "", "worker name in the coordinator's ledger (default worker-<pid>@<host>)")
 	fs.String("dir", "", "ignored: the worker writes no files (accepted so old command lines still parse)")
 	workers := cliflags.Workers(fs)
-	throttle := fs.Duration("throttle", 0, "pause after each checkpointed point (rate limiting and crash testing)")
+	throttle := fs.Duration("throttle", 0, "pause after each completed point (rate limiting and crash testing)")
 	idleExit := fs.Duration("idle-exit", 0, "exit after this long with no fleet work anywhere; 0 = run until interrupted (ignored with -study-id)")
 	if err := cliflags.Parse(fs, args); err != nil {
 		return err

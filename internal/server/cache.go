@@ -19,11 +19,12 @@ import (
 //
 // Entries are stored as encoded bytes, not live Results, deliberately:
 // Get decodes a fresh Result per hit (Run rewrites its identity fields
-// in place), the byte size gives an honest memory bound, and the stored
-// record is the same wire format the sharded executor checkpoints and
-// fleet workers upload — PutEncoded feeds verified worker records in
-// without a decode/re-encode round trip, and the spill store persists
-// them verbatim. The byte budget bounds what the cache retains, with
+// in place; the decode is one pass over the record's fixed layout, then
+// the Result JSON), the byte size gives an honest memory bound, and the
+// stored record is the same wire format the sharded executor
+// checkpoints and fleet workers upload — PutEncoded feeds verified
+// worker records in without a decode/re-encode round trip, and the
+// spill store persists them verbatim. The byte budget bounds what the cache retains, with
 // one exception: the spill file's content as EnableSpill found it,
 // which the spill store holds for the cache's life. Otherwise entries
 // own their bytes, and the spill store keeps no copy of what it writes.
@@ -69,8 +70,9 @@ func NewCache(maxBytes int64) *Cache {
 const SpillFile = "pointcache.jsonl"
 
 // EnableSpill attaches a persistent spill store under dir and
-// warm-loads it: every intact record in dir/pointcache.jsonl is
-// CRC-validated and inserted, up to the byte budget. The store keeps
+// warm-loads it: every intact record in dir/pointcache.jsonl — one that
+// campaign.DecodeShardRecord reads, layout and CRC — is inserted, up to
+// the byte budget. The store keeps
 // the file's content as Open read it, overflow lines included, for the
 // life of the cache; the entries loaded share those bytes. From then
 // on, entries evicted by the LRU bound are appended to the file before

@@ -94,7 +94,7 @@ type Ledger struct {
 	mu       sync.Mutex
 	pending  RangeSet
 	leases   map[string]*Lease
-	results  [][]byte // settled but not yet emitted; indices below flushed are settled too
+	results  [][]byte // settled but not yet emitted (each its own copy, never the upload's bytes); indices below flushed are settled too
 	grants   []int    // per point: leases that covered it
 	flushed  int
 	nextID   int
@@ -212,7 +212,8 @@ func (l *Ledger) Preload(lines [][]byte) Completion {
 // Complete ingests the record lines a holder produced for lease id — its
 // final word: the lease ends, fulfilled if its whole range is now
 // settled, otherwise its holes return to pending. Every line is verified
-// on its own (CRC, index bounds, point hash), so a corrupt or stale line
+// on its own (layout, CRC, index bounds, point hash:
+// campaign.VerifyShardRecord), so a corrupt or stale line
 // costs that line, never the batch; lines for an expired or unknown
 // lease are ingested like any others.
 func (l *Ledger) Complete(now time.Time, id string, lines [][]byte) Completion {

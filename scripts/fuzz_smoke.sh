@@ -14,9 +14,11 @@ while read -r pkg target; do
 done <<'TARGETS'
 ./internal/shard FuzzLedger
 ./campaign FuzzDecodeStudy
+./campaign FuzzDecodeShardRecord
 ./internal/checkpoint FuzzScan
 ./internal/checkpoint FuzzOpenRepairs
 ./internal/metrics FuzzDigestQuantile
+./internal/metrics FuzzDigestUnmarshalBinary
 ./internal/server FuzzSubmitStudy
 ./internal/des FuzzQueue
 TARGETS
