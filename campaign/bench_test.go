@@ -2,13 +2,10 @@ package campaign_test
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"ctsan/campaign"
-	"ctsan/internal/checkpoint"
-	"ctsan/internal/obs"
 )
 
 // discard is a sink that drops every result, so the benchmark measures
@@ -151,31 +148,4 @@ func BenchmarkFineGridCampaignSerial(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkFineGridShardRange is the same grid the way a shard process
-// runs it: RunShardRange into a fresh checkpoint store, every record
-// written as its point completes and fsynced once per time slice. On top
-// of BenchmarkFineGridCampaignSerial it pays record encoding, 750
-// write(2)s and syncs/op fsyncs — a dozen or so, where one fsync per
-// point was 750 and cost as much as the engines.
-func BenchmarkFineGridShardRange(b *testing.B) {
-	frozen, err := campaign.Frozen(fineGrid(750), campaign.WithSeed(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	dir := b.TempDir()
-	syncs := obs.CheckpointSyncs.Value()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		store, err := checkpoint.Open(filepath.Join(dir, fmt.Sprintf("store-%d.jsonl", i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := campaign.RunShardRange(bg, frozen, 0, len(frozen.Points), store, nil, campaign.WithWorkers(1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(obs.CheckpointSyncs.Value()-syncs)/float64(b.N), "syncs/op")
 }

@@ -155,7 +155,7 @@ type options struct {
 	// completed, when set, sees each result on the worker that produced
 	// it, the moment its point completes — in completion order, not index
 	// order, and before the result is buffered for emission. Calls are
-	// not serialized. An error fails the point. RunShardRange checkpoints
+	// not serialized. An error fails the point. RunRecords emits records
 	// through it.
 	completed func(i int, res *Result) error
 	// built is set by Run before the pool starts: the pool and what its

@@ -88,22 +88,16 @@
 // identical grid, and running a sub-range of it is bit-identical to the
 // same points inside a full 1-process run.
 //
-// On top of that, RunShardRange executes points [start, end) of a
-// frozen study with one checkpoint record per completed point, in the
-// order the points complete (a
-// CRC-framed JSONL line in an internal/checkpoint store, carrying the
+// On top of that, RunRecords executes listed grid indices of a frozen
+// study and hands its caller one shard record per completed point, in
+// the order the points complete: a CRC-framed JSONL line carrying the
 // point-spec hash, the public Result JSON verbatim, and the binary
-// metrics.Digest encoding). A record is written the moment its point
-// completes and the store is fsynced once per fixed 25 ms slice of wall
-// time (and when the range ends), so a grid of sub-millisecond points
-// runs at engine speed while a long point still gets an fsync to
-// itself. Points the store already holds are skipped on resume, so a
-// dead executor costs bounded re-execution, never a wrong result: a
-// shard that is killed loses only the points in flight (what it wrote
-// outlives the process), and a power cut loses at most the records of
-// one slice, which the resume re-executes. MergeShardRecords folds the union of
-// every shard's records back into the complete grid in index order —
-// the same serial fold order as an in-process run — rejecting corrupt
+// metrics.Digest encoding. Where a record goes is the caller's: `ctsan
+// shard` appends it to a checkpoint file (fsynced once per 25 ms slice,
+// skipping on resume the points the file already holds), and `ctsan
+// worker` uploads it. MergeShardRecords folds the union of every
+// shard's records back into the complete grid in index order — the
+// same serial fold order as an in-process run — rejecting corrupt
 // records (CRC), stale records (point-hash mismatch after a spec
 // edit), and duplicates, and failing loudly if any point is missing.
 // The merged output is byte-identical to an uninterrupted 1-process
@@ -130,7 +124,7 @@
 // The same pieces compose once more into fleet dispatch: the service
 // serves the same lease ledger `ctsan run` drives in-process to pulling
 // `ctsan worker` processes, which execute their leases via
-// RunShardRange and upload the checkpoint records. VerifyShardRecord is
+// RunRecords and upload the records. VerifyShardRecord is
 // the ledger's acceptance check — CRC plus the PointHash the
 // coordinator's own freeze derived for the index — and the fold is the
 // same grid-index order as MergeShardRecords, so a fleet of any size

@@ -195,13 +195,13 @@ func (c *blockingCache) Get(hash string) (*Result, bool) {
 
 func (*blockingCache) Put(string, *Result) {}
 
-// TestShardCheckpointsAtCompletion: a shard writes each record when its
-// point completes, not when the point's turn to be emitted comes. Point 0
-// (the heaviest chain, so it starts first) is held running on one worker
-// while the other completes points 1..k; onPoint stops the shard at the
-// k-th, and the store then already holds those k records — with point 0
-// still running. Checkpointing at emission would write nothing until
-// point 0 completed.
+// TestShardCheckpointsAtCompletion: RunRecords emits each record when
+// its point completes, not when the point's turn to be emitted comes —
+// so a shard checkpoints at completion. Point 0 (the heaviest chain, so
+// it starts first) is held running on one worker while the other
+// completes points 1..k; emit stops the run at the k-th, and k records
+// have then been emitted — with point 0 still running. Emitting at the
+// point's turn would emit nothing until point 0 completed.
 func TestShardCheckpointsAtCompletion(t *testing.T) {
 	const k = 3
 	points := []Point{LatencyPoint{Name: "held", N: 5, Executions: 30, TimeoutT: 10}}
@@ -218,35 +218,35 @@ func TestShardCheckpointsAtCompletion(t *testing.T) {
 	}
 	cache := &blockingCache{hash: hashes[0], release: make(chan struct{})}
 	cache.held.Store(true)
-	store, path := openStore(t)
-	stop := errors.New("stopped by onPoint")
-	completed := 0
-	onPoint := func(index int, _ []byte) error {
-		if completed++; completed < k {
+	stop := errors.New("stopped by emit")
+	var got []int
+	emit := func(index int, line []byte) error {
+		requireOracleRead(t, line)
+		if got = append(got, recordIndex(t, line)); len(got) < k {
 			return nil
 		}
-		if completed == k {
+		if len(got) == k {
 			defer close(cache.release)
 			if !cache.held.Load() {
-				t.Errorf("record %d was written only after point 0 completed", k)
+				t.Errorf("record %d was emitted only after point 0 completed", k)
 			}
-			var got []int
-			for _, line := range storeLines(t, path) {
-				got = append(got, recordIndex(t, line))
-			}
-			if slices.Contains(got, 0) || len(got) != k {
-				t.Errorf("store holds points %v at completion %d, want %d points other than 0", got, k, k)
+			if slices.Contains(got, 0) || !slices.Contains(got, index) {
+				t.Errorf("records of points %v emitted by completion %d, want %d points other than 0", got, k, k)
 			}
 			return stop
 		}
 		return nil
 	}
-	err = RunShardRange(context.Background(), frozen, 0, len(points), store, onPoint,
-		WithWorkers(2), WithPointCache(cache))
-	if !errors.Is(err, stop) || !strings.Contains(err.Error(), "stopped by onPoint") {
-		t.Fatalf("RunShardRange = %v, want the onPoint stop", err)
+	indices := make([]int, len(points))
+	for i := range indices {
+		indices[i] = i
 	}
-	if n := len(storeLines(t, path)); n < k {
-		t.Fatalf("stopped shard holds %d records, want at least %d", n, k)
+	err = RunRecords(context.Background(), frozen, hashes, indices, emit,
+		WithWorkers(2), WithPointCache(cache))
+	if !errors.Is(err, stop) || !strings.Contains(err.Error(), "stopped by emit") {
+		t.Fatalf("RunRecords = %v, want the emit stop", err)
+	}
+	if len(got) < k {
+		t.Fatalf("stopped run emitted %d records, want at least %d", len(got), k)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"runtime"
 	"testing"
@@ -85,6 +86,30 @@ func heterogeneousGrid(seed uint64, points int) []Point {
 		}
 	}
 	return grid
+}
+
+// tinyGrid is the shape of the benchmark's fine grid — SAN, Emulation and
+// Scenario points cycling over n = 3, 5, 7 — at a fraction of a
+// millisecond per point.
+func tinyGrid(points int) *Study {
+	s := NewStudy("tiny-grid")
+	for i := 0; i < points; i++ {
+		n := []int{3, 5, 7}[(i/3)%3]
+		switch i % 3 {
+		case 0:
+			s.Add(SANPoint{Name: fmt.Sprintf("san-%04d", i), N: n, Replicas: 10})
+		case 1:
+			s.Add(LatencyPoint{Name: fmt.Sprintf("emu-%04d", i), N: n, Executions: 20})
+		case 2:
+			p := ScenarioPoint{Name: "paper-baseline", Replicas: 1, Executions: 20}
+			if n != 3 {
+				p.Name = fmt.Sprintf("baseline-n%d", n)
+				p.SpecJSON = []byte(fmt.Sprintf(`{"name":%q,"n":%d}`, p.Name, n))
+			}
+			s.Add(p)
+		}
+	}
+	return s
 }
 
 // recordsAlone runs every frozen point alone in a one-point study — a

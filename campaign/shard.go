@@ -8,12 +8,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
-	"time"
 	"unicode/utf8"
 
-	"ctsan/internal/checkpoint"
 	"ctsan/internal/metrics"
 )
 
@@ -472,161 +471,54 @@ func VerifyShardRecord(hashes []string, line []byte) (*ShardRecord, error) {
 	return rec, nil
 }
 
-// siftRecords decodes checkpoint lines and keeps the first valid record
-// per in-range point whose hash matches the study's point at that index.
-// Invalid lines (CRC failures, foreign versions), out-of-range indices,
-// stale hashes, and duplicates are counted as skipped, never fatal: a
-// bad checkpoint record means re-executing a point, not failing a run.
-func siftRecords(hashes []string, lines [][]byte) (byIndex map[int]*ShardRecord, skipped int) {
-	byIndex = make(map[int]*ShardRecord)
-	for _, line := range lines {
-		rec, err := VerifyShardRecord(hashes, line)
-		if err != nil {
-			skipped++
-			continue
-		}
-		if _, dup := byIndex[rec.Index]; dup {
-			// Determinism makes duplicates identical; keep the first.
-			skipped++
-			continue
-		}
-		byIndex[rec.Index] = rec
-	}
-	return byIndex, skipped
-}
-
-// missingPoints reports which grid indices of [start, end) have no valid
-// checkpoint record among lines, given the study's per-index point
-// hashes. A shard whose range comes back empty is complete and can be
-// skipped on resume.
-func missingPoints(hashes []string, start, end int, lines [][]byte) (missing []int) {
-	byIndex, _ := siftRecords(hashes, lines)
-	for i := start; i < end; i++ {
-		if _, ok := byIndex[i]; !ok {
-			missing = append(missing, i)
-		}
-	}
-	return missing
-}
-
-// syncSlice is how much wall time one checkpoint fsync covers. A shard
-// writes every record the moment its point completes and fsyncs once the
-// slice that began at the previous fsync is this old: a grid of tiny
-// points pays one fsync per slice instead of one per point, while a
-// point that runs longer than the slice still gets an fsync to itself.
-// It is a constant on purpose — large enough to amortise the fsync over
-// tens of sub-millisecond points, small enough that what a power cut can
-// cost is noise next to restarting the shard process.
-const syncSlice = 25 * time.Millisecond
-
-// now is the clock syncSlice is measured on; tests replace it.
-var now = time.Now
-
-// RunShardRange executes points [start, end) of a frozen study,
-// checkpointing each completed point into store and skipping points the
-// store held valid records for when it was opened (store.Records()), so
-// a restarted shard, which opens its store afresh, re-executes only what
-// is missing. The frozen study must be the *full* grid (records carry
-// full-grid indices); opts typically just caps workers, since seeds and
-// replica counts are already pinned by Frozen.
+// RunRecords executes the listed grid indices of a frozen study as a
+// sub-study and encodes each result as the shard record of its grid
+// index. hashes are the study's point hashes (StudyPointHashes), passed
+// in so a caller that runs many ranges of one study hashes it once.
+// indices must be non-empty, increasing and inside the grid; they arrive
+// from a command line or over HTTP, so this is their one check. The
+// frozen study must be the *full* grid (records carry full-grid
+// indices); opts typically just cap workers, since seeds and replica
+// counts are already pinned by Frozen.
 //
-// Durability is per time slice, not per point. Each record is written to
-// the store the moment its point completes, on the worker that ran it —
-// not when the point's turn to be emitted comes: points start in the
-// study's start order (see Run), so a point may complete while a lower
-// index still runs, and the store holds records in completion order
-// (merge and resume fold by index). From then on the record is visible
-// to checkpoint.Load, and it outlives this process however it dies
-// (panic, SIGKILL, a supervisor's timeout); the store is fsynced when
-// syncSlice has passed since the previous fsync, and once more before
-// RunShardRange returns, on every exit path. So a dead executor costs
-// bounded re-execution, never a wrong result: process death loses only
-// the points in flight; power loss loses at most the records of one
-// slice, all written within syncSlice of each other, which a resume
-// finds missing (or torn, and drops) and re-executes.
-//
-// onPoint, when non-nil, observes each record line just after it is
-// written — "checkpointed" in the sense above: readable by a resume or a
-// merge, not necessarily fsynced yet. Calls are serialized, in the order
-// the records are written. It is the fault-injection hook the
-// crash-safety tests use, and a progress hook for supervisors.
-func RunShardRange(ctx context.Context, frozen *Study, start, end int, store *checkpoint.Store, onPoint func(index int, line []byte) error, opts ...Option) error {
-	if err := checkRange(frozen, start, end); err != nil {
-		return err
-	}
-	hashes, err := StudyPointHashes(frozen)
-	if err != nil {
-		return err
-	}
-	missing := missingPoints(hashes, start, end, store.Records())
-	if len(missing) == 0 {
-		return nil
-	}
-	sub := &Study{Name: frozen.Name, Points: make([]Point, len(missing))}
-	for li, gi := range missing {
-		sub.Points[li] = frozen.Points[gi]
-	}
-	w := &shardWriter{store: store, hashes: hashes, global: missing, onPoint: onPoint, sliceStart: now()}
-	err = Run(ctx, sub, append(opts, func(o *options) { o.completed = w.write })...)
-	// Whatever the last slice wrote is fsynced on every exit path,
-	// cancellation and failed points included.
-	if serr := store.Sync(); serr != nil && err == nil {
-		err = serr
-	}
-	return err
-}
-
-// checkRange validates a shard range against a study.
-func checkRange(s *Study, start, end int) error {
-	if s == nil {
+// emit receives each record line the moment its point completes, on the
+// worker that ran it — not when the point's turn to be emitted comes:
+// points start in the study's start order (see Run), so a point may
+// complete while a lower index still runs. Calls are serialized and come
+// in completion order. An error from emit fails the run. What a line
+// becomes — a file record, an upload — is the caller's.
+func RunRecords(ctx context.Context, frozen *Study, hashes []string, indices []int, emit func(index int, line []byte) error, opts ...Option) error {
+	switch {
+	case frozen == nil:
 		return fmt.Errorf("campaign: nil study")
+	case len(hashes) != len(frozen.Points):
+		return fmt.Errorf("campaign: %d point hashes for a study of %d points", len(hashes), len(frozen.Points))
+	case len(indices) == 0:
+		return fmt.Errorf("campaign: no index to run in study of %d points", len(frozen.Points))
 	}
-	if start < 0 || end > len(s.Points) || start >= end {
-		return fmt.Errorf("campaign: shard range %d:%d outside study of %d points", start, end, len(s.Points))
-	}
-	return nil
-}
-
-// shardWriter checkpoints each result the moment its point completes,
-// encoded under its full-grid index (global maps the sub-study of missing
-// points back to the grid). write runs on the worker that completed the
-// point, under mu; it writes the record at once and fsyncs only when the
-// current slice is syncSlice old — RunShardRange fsyncs what the last
-// slice left. Nothing is buffered in memory and there is no timer: the
-// clock is read in write.
-type shardWriter struct {
-	store   *checkpoint.Store
-	hashes  []string
-	global  []int
-	onPoint func(index int, line []byte) error
-
-	mu sync.Mutex
-	// sliceStart is when the current slice began: the previous fsync, or
-	// the start of the range.
-	sliceStart time.Time
-}
-
-func (s *shardWriter) write(i int, res *Result) error {
-	gi := s.global[i]
-	line, err := encodeShardRecord(s.hashes[gi], gi, res)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.store.Write(line); err != nil {
-		return err
-	}
-	if s.onPoint != nil {
-		if err := s.onPoint(gi, line); err != nil {
-			return err
+	sub := &Study{Name: frozen.Name, Points: make([]Point, len(indices))}
+	for k, gi := range indices {
+		if gi < 0 || gi >= len(frozen.Points) {
+			return fmt.Errorf("campaign: index %d outside study of %d points", gi, len(frozen.Points))
 		}
+		if k > 0 && gi <= indices[k-1] {
+			return fmt.Errorf("campaign: index %d after %d: indices must increase", gi, indices[k-1])
+		}
+		sub.Points[k] = frozen.Points[gi]
 	}
-	if t := now(); t.Sub(s.sliceStart) >= syncSlice {
-		s.sliceStart = t
-		return s.store.Sync()
-	}
-	return nil
+	var mu sync.Mutex
+	return Run(ctx, sub, append(opts, func(o *options) {
+		o.completed = func(k int, res *Result) error {
+			gi := indices[k]
+			line, err := encodeShardRecord(hashes[gi], gi, res)
+			if err != nil {
+				return err
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			return emit(gi, line)
+		}
+	})...)
 }
 
 // MergeShardRecords folds checkpoint lines (typically the union of every
@@ -641,20 +533,23 @@ func MergeShardRecords(frozen *Study, lines [][]byte) (records []*ShardRecord, s
 	if err != nil {
 		return nil, 0, err
 	}
-	byIndex, skipped := siftRecords(hashes, lines)
-	var missing []int
-	for i := range frozen.Points {
-		if _, ok := byIndex[i]; !ok {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) > 0 {
-		return nil, skipped, fmt.Errorf("campaign: merge incomplete: %d of %d points missing (first missing index %d)",
-			len(missing), len(frozen.Points), missing[0])
-	}
+	// The first valid record per point wins: determinism makes
+	// duplicates identical. Corrupt, stale and duplicate lines are
+	// skipped, never fatal.
 	records = make([]*ShardRecord, len(frozen.Points))
-	for i := range records {
-		records[i] = byIndex[i]
+	held := 0
+	for _, line := range lines {
+		rec, err := VerifyShardRecord(hashes, line)
+		if err != nil || records[rec.Index] != nil {
+			skipped++
+			continue
+		}
+		records[rec.Index] = rec
+		held++
+	}
+	if held < len(records) {
+		return nil, skipped, fmt.Errorf("campaign: merge incomplete: %d of %d points missing (first missing index %d)",
+			len(records)-held, len(records), slices.Index(records, nil))
 	}
 	return records, skipped, nil
 }

@@ -8,13 +8,11 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
 
-	"ctsan/internal/checkpoint"
 	"ctsan/internal/metrics"
 )
 
@@ -368,10 +366,44 @@ func TestShardRecordFixture(t *testing.T) {
 	}
 }
 
+// runRecords runs indices of frozen through RunRecords and returns the
+// record lines it emitted, in emission order. Each line must read as the
+// reference reader reads it and be the bytes the reference writer
+// writes (requireOracleRead), and carry the index it was emitted under.
+func runRecords(t *testing.T, frozen *Study, indices []int, opts ...Option) [][]byte {
+	t.Helper()
+	hashes, err := StudyPointHashes(frozen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines [][]byte
+	err = RunRecords(context.Background(), frozen, hashes, indices, func(index int, line []byte) error {
+		if rec := requireOracleRead(t, line); rec.Index != index {
+			t.Errorf("record of point %d emitted as point %d", rec.Index, index)
+		}
+		lines = append(lines, line)
+		return nil
+	}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lines
+}
+
+// recordIndex is the grid index a record line carries.
+func recordIndex(t *testing.T, line []byte) int {
+	t.Helper()
+	rec, err := DecodeShardRecord(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.Index
+}
+
 // TestShardedRunMatchesSingleProcess is the in-process differential core
 // of the crash-safe sharding layer: executing a frozen study as several
-// checkpointed shard ranges and merging the stores reproduces, byte for
-// byte, the JSONL a 1-process run emits.
+// ranges of record lines and merging them reproduces, byte for byte, the
+// JSONL a 1-process run emits.
 func TestShardedRunMatchesSingleProcess(t *testing.T) {
 	study := shardTestStudy()
 	frozen, err := Frozen(study, WithSeed(21))
@@ -380,19 +412,9 @@ func TestShardedRunMatchesSingleProcess(t *testing.T) {
 	}
 	ref := resultLines(t, study, WithSeed(21), WithWorkers(1))
 
-	dir := t.TempDir()
-	ctx := context.Background()
 	var lines [][]byte
-	for _, r := range [][2]int{{0, 2}, {2, 3}, {3, 5}} {
-		path := filepath.Join(dir, nameRange(r[0], r[1]))
-		store, err := checkpoint.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := RunShardRange(ctx, frozen, r[0], r[1], store, nil, WithWorkers(2)); err != nil {
-			t.Fatal(err)
-		}
-		lines = append(lines, storeLines(t, path)...)
+	for _, indices := range [][]int{{0, 1}, {2}, {3, 4}} {
+		lines = append(lines, runRecords(t, frozen, indices, WithWorkers(2))...)
 	}
 	records, skipped, err := MergeShardRecords(frozen, lines)
 	if err != nil {
@@ -408,127 +430,37 @@ func TestShardedRunMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// TestShardResume pins the resume semantics: a store already holding
-// some points causes only the missing ones to re-execute, and the final
-// merged set is unchanged.
-func TestShardResume(t *testing.T) {
+// TestRunRecordsRejectsBadIndices: the indices RunRecords is given come
+// from a command line or over HTTP, so it refuses, before running
+// anything, a list that is empty, leaves the grid, is out of order or
+// repeats a point, and hashes that are not the grid's.
+func TestRunRecordsRejectsBadIndices(t *testing.T) {
 	frozen, err := Frozen(shardTestStudy(), WithSeed(21))
 	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	// Reference: the full range in one uninterrupted shard.
-	full, fullPath := openStore(t)
-	if err := RunShardRange(ctx, frozen, 0, 5, full, nil, WithWorkers(1)); err != nil {
-		t.Fatal(err)
-	}
-	fullLines := storeLines(t, fullPath)
-
-	// Interrupted run: execute only [0,2), i.e. a crash after two points.
-	path := filepath.Join(t.TempDir(), "interrupted")
-	store, err := checkpoint.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RunShardRange(ctx, frozen, 0, 2, store, nil, WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
 	hashes, err := StudyPointHashes(frozen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if missing := missingPoints(hashes, 0, 5, storeLines(t, path)); len(missing) != 3 {
-		t.Fatalf("missing = %v, want the 3 unexecuted points", missing)
-	}
-
-	// Resume: re-open (crash forgets the process, not the file) and run
-	// the full range; executed points must be skipped, and the store must
-	// end up holding the uninterrupted one's records, byte for byte (in
-	// another order: each run writes in completion order).
-	executed := 0
-	store2, err := checkpoint.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := func(i int, line []byte) error { executed++; return nil }
-	if err := RunShardRange(ctx, frozen, 0, 5, store2, count, WithWorkers(1)); err != nil {
-		t.Fatal(err)
-	}
-	if executed != 3 {
-		t.Fatalf("resume executed %d points, want 3", executed)
-	}
-	sameRecords(t, frozen, storeLines(t, path), fullLines)
-
-	// A second resume — a restarted shard opens its store afresh — is a
-	// no-op.
-	store3, err := checkpoint.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	executed = 0
-	if err := RunShardRange(ctx, frozen, 0, 5, store3, count, WithWorkers(1)); err != nil {
-		t.Fatal(err)
-	}
-	if executed != 0 {
-		t.Fatalf("fully-checkpointed shard re-executed %d points", executed)
-	}
-
-	// Torn tails: the store appends in place, so a crash can leave the
-	// record in flight cut anywhere, and bit rot can break a record's CRC
-	// with its newline intact. Either way the two records before the
-	// damage are reused verbatim, the rest re-execute, and the merged
-	// output is byte-identical to the uninterrupted run.
-	want, _, err := MergeShardRecords(frozen, fullLines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	intact := append(bytes.Join(fullLines[:2], []byte("\n")), '\n')
-	third := fullLines[2]
-	rotted := append([]byte(nil), third...)
-	rotted[len(rotted)/2] ^= 0x01
-	for _, damage := range []struct {
-		name string
-		tail []byte
+	for _, tc := range []struct {
+		name    string
+		indices []int
+		hashes  []string
+		want    string
 	}{
-		{"cut after 1 byte", third[:1]},
-		{"cut mid-record", third[:len(third)/2]},
-		{"cut before the newline", third},
-		{"CRC mismatch", append(rotted, '\n')},
+		{"negative index", []int{-1, 0}, hashes, "index -1 outside study of 5 points"},
+		{"index past the grid", []int{3, 4, 5}, hashes, "index 5 outside study of 5 points"},
+		{"unsorted", []int{0, 2, 1}, hashes, "index 1 after 2: indices must increase"},
+		{"duplicate", []int{1, 1}, hashes, "index 1 after 1: indices must increase"},
+		{"empty", nil, hashes, "no index to run in study of 5 points"},
+		{"hashes of another grid", []int{0}, hashes[:4], "4 point hashes for a study of 5 points"},
 	} {
-		name := damage.name
-		path := filepath.Join(t.TempDir(), "torn")
-		if err := os.WriteFile(path, append(intact[:len(intact):len(intact)], damage.tail...), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		store, err := checkpoint.Open(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		executed = 0
-		if err := RunShardRange(ctx, frozen, 0, 5, store, count, WithWorkers(1)); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if executed != 3 {
-			t.Fatalf("%s: resume executed %d points, want 3", name, executed)
-		}
-		onDisk, dropped, err := checkpoint.Load(path)
-		if err != nil || dropped != 0 {
-			t.Fatalf("%s: resumed store dirty: dropped=%d err=%v", name, dropped, err)
-		}
-		for i := 0; i < 2; i++ {
-			if !bytes.Equal(onDisk[i], fullLines[i]) {
-				t.Fatalf("%s: surviving record %d not reused verbatim", name, i)
-			}
-		}
-		got, _, err := MergeShardRecords(frozen, onDisk)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for i := range want {
-			if !bytes.Equal(got[i].Result, want[i].Result) || !bytes.Equal(got[i].Digest, want[i].Digest) {
-				t.Fatalf("%s: merged point %d differs from the uninterrupted run", name, i)
-			}
+		emitted := 0
+		err := RunRecords(context.Background(), frozen, tc.hashes, tc.indices,
+			func(int, []byte) error { emitted++; return nil }, WithWorkers(1))
+		if err == nil || !strings.Contains(err.Error(), tc.want) || emitted != 0 {
+			t.Errorf("%s: RunRecords(%v) = %v after %d records, want %q before any", tc.name, tc.indices, err, emitted, tc.want)
 		}
 	}
 }
@@ -574,10 +506,6 @@ func TestMergeShardRecordsReportsMissingAndStale(t *testing.T) {
 	if records[0].Index != 0 || records[1].Index != 1 {
 		t.Fatal("merged records out of index order")
 	}
-}
-
-func nameRange(a, b int) string {
-	return "shard-" + string(rune('0'+a)) + "-" + string(rune('0'+b)) + ".jsonl"
 }
 
 // FuzzDecodeShardRecord: the record decoder faces checkpoint files that
@@ -749,8 +677,8 @@ func TestSingleSampleSummaryHasNoInterval(t *testing.T) {
 }
 
 // TestSingleSamplePointsSurviveTheStore: a one-replica SAN point and a
-// one-execution Emulation point run through RunShardRange into a store,
-// and come back through MergeShardRecords as the results of the
+// one-execution Emulation point run through RunRecords into record
+// lines, and come back through MergeShardRecords as the results of the
 // in-process run, n = 1 and ci90 = 0.
 func TestSingleSamplePointsSurviveTheStore(t *testing.T) {
 	study := NewStudy("tiny",
@@ -762,11 +690,7 @@ func TestSingleSamplePointsSurviveTheStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := resultLines(t, frozen, WithSeed(3), WithWorkers(1))
-	store, path := openStore(t)
-	if err := RunShardRange(context.Background(), frozen, 0, len(frozen.Points), store, nil, WithWorkers(1)); err != nil {
-		t.Fatalf("RunShardRange over single-sample points: %v", err)
-	}
-	records, skipped, err := MergeShardRecords(frozen, storeLines(t, path))
+	records, skipped, err := MergeShardRecords(frozen, runRecords(t, frozen, []int{0, 1}, WithWorkers(1)))
 	if err != nil || skipped != 0 || len(records) != len(want) {
 		t.Fatalf("merge: %d records, %d skipped, err %v; want %d records", len(records), skipped, err, len(want))
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -17,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"ctsan/campaign"
 	"ctsan/internal/server"
 	"ctsan/internal/shard"
 )
@@ -283,7 +285,20 @@ func TestFleetWorkerSurvivesCoordinatorRestart(t *testing.T) {
 		Logf: func(format string, args ...any) { fmt.Fprintf(&logs, format+"\n", args...) }}
 	var current atomic.Pointer[server.Server]
 	current.Store(server.New(cfg))
+	// batches are the record indices of every upload, in the order the
+	// coordinator reads them.
+	var (
+		mu      sync.Mutex
+		batches [][]int
+	)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/complete") {
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			mu.Lock()
+			batches = append(batches, uploadIndices(t, body))
+			mu.Unlock()
+		}
 		current.Load().Handler().ServeHTTP(w, r)
 	}))
 	t.Cleanup(ts.Close)
@@ -326,6 +341,47 @@ func TestFleetWorkerSurvivesCoordinatorRestart(t *testing.T) {
 	if got, want := h.stream(t, id), h.stream(t, h.submit(t, "?seed=22")); !bytes.Equal(got, want) {
 		t.Fatalf("fleet stream of the new study differs from the daemon's own run:\n got: %s\nwant: %s", got, want)
 	}
+	// Points complete in the study's start order, chains first; every
+	// batch lists its records in grid-index order all the same. Leases
+	// past the single-point probe are sized to a second of work, so at
+	// least one batch holds several points.
+	mu.Lock()
+	defer mu.Unlock()
+	longest := 0
+	for _, b := range batches {
+		longest = max(longest, len(b))
+		for i := 1; i < len(b); i++ {
+			if b[i] != b[i-1]+1 {
+				t.Fatalf("upload batch lists records of points %v, not in grid-index order", b)
+			}
+		}
+	}
+	if longest < 2 {
+		t.Fatalf("no upload batch held more than one record: %v", batches)
+	}
+}
+
+// uploadIndices reads the grid indices of the records of an upload body
+// (gzip-compressed JSONL), in order.
+func uploadIndices(t *testing.T, body []byte) []int {
+	gz, err := gzip.NewReader(bytes.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	lines, err := io.ReadAll(gz)
+	if err != nil {
+		t.Error(err)
+	}
+	var indices []int
+	for _, line := range bytes.Split(bytes.TrimSuffix(lines, []byte("\n")), []byte("\n")) {
+		if rec, err := campaign.DecodeShardRecord(line); err == nil {
+			indices = append(indices, rec.Index)
+		} else if len(line) > 0 {
+			t.Error(err)
+		}
+	}
+	return indices
 }
 
 // rejected reports whether a coordinator log holds an upload with
@@ -423,20 +479,29 @@ func TestWorkerDecodesTheCoordinatorsLeaseBodies(t *testing.T) {
 }
 
 // TestWorkerRejectsGrantsOutsideTheGrid: a granted range arrives over
-// HTTP, so serveLease checks it against the frozen grid before slicing
-// it. A range past the end, one with a negative start and an empty or
-// reversed one are each an error naming the grid, not a panic.
+// HTTP, and campaign.RunRecords checks its indices against the frozen
+// grid before running any. A range past the end, one with a negative
+// start and an empty or reversed one are each an error naming the grid,
+// not a panic.
 func TestWorkerRejectsGrantsOutsideTheGrid(t *testing.T) {
 	h := newFleetHarness(t, server.Config{MaxActive: 1, QueueDepth: 8, CacheBytes: -1})
 	id := h.submitFleet(t)
 	w := &fleetWorker{base: h.ts.URL, name: "bogus", workers: 1,
 		client: &http.Client{}, studies: map[string]*workerStudy{}, stderr: io.Discard}
 	points := len(testStudy().Points)
-	for _, r := range []shard.Range{{Start: 0, End: points + 1}, {Start: -1, End: 1}, {Start: 2, End: 2}, {Start: 3, End: 1}} {
-		grant := &shard.LeaseGrant{Lease: "L-bogus", Study: id, Start: r.Start, End: r.End, TTLMS: 1000}
+	for _, tc := range []struct {
+		r    shard.Range
+		want string
+	}{
+		{shard.Range{Start: 0, End: points + 1}, fmt.Sprintf("index %d outside study of %d points", points, points)},
+		{shard.Range{Start: -1, End: 1}, fmt.Sprintf("index -1 outside study of %d points", points)},
+		{shard.Range{Start: 2, End: 2}, fmt.Sprintf("no index to run in study of %d points", points)},
+		{shard.Range{Start: 3, End: 1}, fmt.Sprintf("no index to run in study of %d points", points)},
+	} {
+		grant := &shard.LeaseGrant{Lease: "L-bogus", Study: id, Start: tc.r.Start, End: tc.r.End, TTLMS: 1000}
 		err := w.serveLease(context.Background(), id, grant)
-		if want := fmt.Sprintf("outside study of %d points", points); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("grant %d:%d: error %v, want %q", r.Start, r.End, err, want)
+		if want := "campaign: " + tc.want; err == nil || err.Error() != want {
+			t.Errorf("grant %s: error %v, want %q", tc.r, err, want)
 		}
 	}
 }

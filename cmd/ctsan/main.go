@@ -43,12 +43,12 @@
 // subprocess checkpointed. A crashed, hung, or panicked shard leaves
 // holes; the ledger leases them again (after an exponential backoff,
 // up to -retries times) and folds results in grid-index order into -o.
-// `shard` executes one range, appending each completed point to a
-// checkpoint file in -dir and skipping points that file already holds —
-// so a shard killed mid-run loses only the points in flight ("appending"
-// is a write per point and an fsync per 25 ms slice; see
-// campaign.RunShardRange for what a power cut can cost). `merge` is the
-// supervisor's preload alone: the same ledger folds every checkpoint
+// `shard` executes one range through campaign.RunRecords, appending each
+// completed point to a checkpoint file in -dir and skipping points that
+// file already holds — so a shard killed mid-run loses only the points
+// in flight ("appending" is a write per point and an fsync per 25 ms
+// slice; see checkpointRange for what a power cut can cost). `merge` is
+// the supervisor's preload alone: the same ledger folds every checkpoint
 // record in -dir, in grid-index order, verifying each record's CRC and
 // point-spec hash, and merge fails unless that settles the whole grid.
 //
@@ -271,8 +271,100 @@ func cmdShard(ctx context.Context, args []string, _, stderr io.Writer) error {
 		}
 		return nil
 	}
-	return campaign.RunShardRange(ctx, frozen, r.Start, r.End, store, onPoint,
-		campaign.WithWorkers(*workers))
+	return checkpointRange(ctx, frozen, r, store, onPoint, campaign.WithWorkers(*workers))
+}
+
+// syncSlice is how much wall time one checkpoint fsync covers. A shard
+// writes every record the moment its point completes and fsyncs once the
+// slice that began at the previous fsync is this old: a grid of tiny
+// points pays one fsync per slice instead of one per point, while a
+// point that runs longer than the slice still gets an fsync to itself.
+// It is a constant on purpose — large enough to amortise the fsync over
+// tens of sub-millisecond points, small enough that what a power cut can
+// cost is noise next to restarting the shard process.
+const syncSlice = 25 * time.Millisecond
+
+// now is the clock syncSlice is measured on; tests replace it.
+var now = time.Now
+
+// checkpointRange is a shard's execution: it runs the points of r that
+// store held no valid record for when it was opened (store.Records()),
+// so a restarted shard, which opens its store afresh, re-executes only
+// what is missing, and writes each record to store the moment its point
+// completes (campaign.RunRecords), so the store lists records in
+// completion order (merge and resume fold by index).
+//
+// Durability is per time slice, not per point. A written record is
+// visible to checkpoint.Load and outlives this process however it dies
+// (panic, SIGKILL, a supervisor's timeout); the store is fsynced when
+// syncSlice has passed since the previous fsync, and once more before
+// checkpointRange returns, on every exit path. So a dead executor costs
+// bounded re-execution, never a wrong result: process death loses only
+// the points in flight; power loss loses at most the records of one
+// slice, all written within syncSlice of each other, which a resume
+// finds missing (or torn, and drops) and re-executes.
+//
+// onPoint, when non-nil, observes each record line between its write
+// and its slice's fsync — "checkpointed": readable by a resume or a
+// merge, not necessarily fsynced yet. Calls are serialized, in the order
+// the records are written. It is the fault-injection hook (-crash-after,
+// -throttle) and the progress log.
+func checkpointRange(ctx context.Context, frozen *campaign.Study, r shard.Range, store *checkpoint.Store, onPoint func(index int, line []byte) error, opts ...campaign.Option) error {
+	hashes, err := campaign.StudyPointHashes(frozen)
+	if err != nil {
+		return err
+	}
+	missing := missingPoints(hashes, r, store.Records())
+	if len(missing) == 0 {
+		return nil
+	}
+	sliceStart := now()
+	err = campaign.RunRecords(ctx, frozen, hashes, missing, func(index int, line []byte) error {
+		if err := store.Write(line); err != nil {
+			return err
+		}
+		if onPoint != nil {
+			if err := onPoint(index, line); err != nil {
+				return err
+			}
+		}
+		if t := now(); t.Sub(sliceStart) >= syncSlice {
+			sliceStart = t
+			return store.Sync()
+		}
+		return nil
+	}, opts...)
+	// Whatever the last slice wrote is fsynced on every exit path,
+	// cancellation and failed points included.
+	if serr := store.Sync(); serr != nil && err == nil {
+		err = serr
+	}
+	return err
+}
+
+// missingPoints lists the indices of r that have no valid record among
+// lines, given the study's per-index point hashes: a corrupt, stale or
+// foreign record does not count, so its point runs again.
+func missingPoints(hashes []string, r shard.Range, lines [][]byte) []int {
+	held := map[int]bool{}
+	for _, line := range lines {
+		if rec, err := campaign.VerifyShardRecord(hashes, line); err == nil {
+			held[rec.Index] = true
+		}
+	}
+	return slices.DeleteFunc(gridIndices(r, len(hashes)), func(i int) bool { return held[i] })
+}
+
+// gridIndices lists the indices of r for campaign.RunRecords, which
+// refuses any outside a grid of n points. It lists at most n+1: a longer
+// range holds an index outside the grid among them, so a bogus range is
+// refused without being sized.
+func gridIndices(r shard.Range, n int) []int {
+	var indices []int
+	for i := r.Start; i < r.End && len(indices) <= n; i++ {
+		indices = append(indices, i)
+	}
+	return indices
 }
 
 func cmdRun(ctx context.Context, args []string, _, stderr io.Writer) error {

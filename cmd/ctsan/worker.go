@@ -27,15 +27,15 @@ import (
 // Each lease is a contiguous frozen-point range. The worker freezes the
 // study locally from the coordinator's spec/seed/replicas — the same
 // deterministic step every ctsan process performs, so its grid is
-// identical to the coordinator's — runs the range as a sub-study of that
-// grid through campaign.Run, encodes each result as the CRC-framed shard
-// record of its grid index, and uploads the range's records in one
-// gzip-compressed batch. The records live in memory until the upload:
-// the worker writes no file. A renewal goroutine extends the lease at
-// TTL/3 while execution runs; a worker that dies mid-lease simply stops
-// renewing, and the coordinator re-leases the range at the deadline, so
-// a dead worker costs at most one lease of re-execution. -dir is still
-// accepted and ignored.
+// identical to the coordinator's — runs the range through
+// campaign.RunRecords, the executor `ctsan shard` uses too, which
+// encodes each result as the CRC-framed shard record of its grid index,
+// and uploads the range's records in one gzip-compressed batch. The
+// records live in memory until the upload: the worker writes no file. A
+// renewal goroutine extends the lease at TTL/3 while execution runs; a
+// worker that dies mid-lease simply stops renewing, and the coordinator
+// re-leases the range at the deadline, so a dead worker costs at most
+// one lease of re-execution. -dir is still accepted and ignored.
 
 // errLeaseRefused marks a lease request the coordinator will never
 // grant — the study is unknown (404) or not fleet-dispatched (409) — so
@@ -245,11 +245,7 @@ func (w *fleetWorker) serveLease(ctx context.Context, id string, grant *shard.Le
 		return err
 	}
 	r := shard.Range{Start: grant.Start, End: grant.End}
-	// The range arrives over HTTP: check it before slicing the grid.
-	if r.Start < 0 || r.End > len(ws.frozen.Points) || r.Start >= r.End {
-		return fmt.Errorf("lease %s: range %s outside study of %d points", grant.Lease, r, len(ws.frozen.Points))
-	}
-	start := time.Now()
+	start, done := time.Now(), 0
 	w.logf("lease %s %s: starting (%d points)", grant.Lease, r, r.Len())
 
 	// Renew at TTL/3 for as long as execution runs. Renewal failures are
@@ -275,27 +271,24 @@ func (w *fleetWorker) serveLease(ctx context.Context, id string, grant *shard.Le
 	}()
 
 	// The range runs as a sub-study of the frozen grid: its points carry
-	// their pinned seeds and replica counts, so each result is the grid
-	// point's, at the sub-study's index.
-	sub := &campaign.Study{Name: ws.frozen.Name, Points: ws.frozen.Points[r.Start:r.End]}
-	results, err := campaign.RunCollect(ctx, sub, campaign.WithWorkers(w.workers),
-		campaign.WithProgress(func(done, _ int, res *campaign.Result) {
-			w.logf("lease %s %s: point %d done (%d of %d)", grant.Lease, r, r.Start+res.Index, done, r.Len())
-			if w.throttle > 0 {
-				time.Sleep(w.throttle)
-			}
-		}))
+	// their pinned seeds and replica counts, so each record is the grid
+	// point's. Records are kept in grid-index order, the upload's order.
+	// The range arrives over HTTP; RunRecords refuses one outside the grid.
+	indices := gridIndices(r, len(ws.frozen.Points))
+	records := make([][]byte, len(indices))
+	err = campaign.RunRecords(ctx, ws.frozen, ws.hashes, indices, func(index int, line []byte) error {
+		records[index-r.Start] = line
+		done++
+		w.logf("lease %s %s: point %d done (%d of %d)", grant.Lease, r, index, done, len(records))
+		if w.throttle > 0 {
+			time.Sleep(w.throttle)
+		}
+		return nil
+	}, campaign.WithWorkers(w.workers))
 	stopRenew()
 	<-renewDone
 	if err != nil {
 		return err
-	}
-	records := make([][]byte, len(results))
-	for i, res := range results {
-		res.Index = r.Start + i
-		if records[i], err = campaign.EncodeShardRecord(ws.hashes[res.Index], res); err != nil {
-			return err
-		}
 	}
 	up, err := w.upload(ctx, id, grant.Lease, records)
 	if err != nil {

@@ -117,8 +117,8 @@
 // ?mode=fleet is not run on the local pool; the same ledger is served
 // over HTTP to pulling `ctsan worker` processes on any machines that
 // can reach it. Workers lease ranges (adaptively sized to ~1s of work),
-// execute them through the same RunShardRange checkpoint machinery the
-// shard CLI uses, and upload the records; leases of dead workers expire
+// execute them through campaign.RunRecords, the executor the shard CLI
+// uses, and upload the records; leases of dead workers expire
 // and are granted again, so a SIGKILLed worker costs one lease of
 // re-execution, never a wrong result.
 //

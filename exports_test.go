@@ -42,7 +42,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 		"ctsan/internal/sanmodel.Models.Len":              "campaign's TestReusedAssembliesMatchOnePointStudies, TestIdleWorkerRunsReplicasOfTheLastPoint, TestEvictionKeepsResultsAndBound and TestFineGridBuildsSixAssemblies count the SAN models a worker retains",
 		"ctsan/internal/san.Sim.SetFullRescan":            "the reference path sanmodel's TestDepTrackingMatchesFullRescan and san's TestQuickDepTrackingEquivalence, TestQuickResetEquivalentToNewSim and TestTimedArmingOrder compare the dependency index against",
 		"ctsan/internal/experiment.LatencySpec.Params":    "the root BenchmarkAblationSchedulerQuantum runs Fig. 9(a)'s class-3 point without the scheduler grid (GridProb 0); its only product writer was ThroughputSpec.Params, which nothing set",
-		"ctsan/internal/netsim.Params.CrashedConsumeWire": "the full-path cost of a send to a crashed host, which the SAN model implicitly charges; ROADMAP 2b's stage table decides whether the default (false) makes a dead coordinator too cheap",
+		"ctsan/internal/netsim.Params.CrashedConsumeWire": "the full-path cost of a send to a crashed host, which the SAN model implicitly charges: experiment.TestEnginesAgreeUnderZeroVariance sets it to align the emulator with the SAN exactly, and ROADMAP 2c decides whether the default (false) makes a dead coordinator too cheap",
 		"ctsan/internal/sanmodel.Params.UnicastBroadcast": "an ablation: campaign/san_golden_test.go and sanmodel's differentials run it, and ROADMAP 1b would put it on SANPoint",
 		"ctsan/internal/sanmodel.Params.FDCorrelated":     "an ablation: campaign/san_golden_test.go and sanmodel's differentials run it, and ROADMAP 1b would put it on SANPoint",
 	}

@@ -11,7 +11,8 @@ import (
 // start as one range covering the whole grid, leases take contiguous
 // chunks off the front, and expired leases merge their unfinished ranges
 // back in. Operations keep the canonical form, so TakeFront always hands
-// out a contiguous range — the shape RunShardRange executes natively.
+// out a contiguous range, which a shard or a worker runs as one
+// campaign.RunRecords call.
 //
 // The zero value is an empty set. RangeSet is not goroutine-safe; the
 // lease manager guards it with its own mutex.
