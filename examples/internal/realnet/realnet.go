@@ -7,7 +7,8 @@
 //   - a TCP mesh over the loopback interface, mirroring the paper's setup:
 //     "All messages were transmitted using TCP/IP; connections between
 //     each pair of machines were established at the beginning of the
-//     test" (§2.5). Messages are gob-encoded with a length prefix.
+//     test" (§2.5). Each neko.Message is gob-encoded as it is: it is plain
+//     data, so no gob.Register calls are needed.
 //
 // Each process runs a single event-loop goroutine; message handlers and
 // timer callbacks execute serialized on that loop, matching the execution
@@ -77,7 +78,7 @@ func (p *Proc) Now() float64 { return float64(time.Since(p.start)) / float64(tim
 func (p *Proc) Send(m neko.Message) {
 	m.From = p.id
 	if err := p.tr.Send(m); err != nil {
-		p.errFn(fmt.Errorf("realnet: p%d send %s: %w", p.id, m.Type, err))
+		p.errFn(fmt.Errorf("realnet: p%d send %s: %w", p.id, m.Payload.Kind, err))
 	}
 }
 

@@ -1,7 +1,9 @@
 package realnet
 
 import (
+	"encoding/gob"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -91,6 +93,34 @@ func TestTCPConsensus(t *testing.T) {
 	checkAgreement(t, runConsensus(t, c, n, 500), n)
 }
 
+// TestTCPMalformedFrameIsDropped: a frame whose payload kind lies outside
+// the closed set must be dropped by the receiving stack, not crash the
+// process loop; the cluster then still decides.
+func TestTCPMalformedFrameIsDropped(t *testing.T) {
+	const n = 3
+	c, err := NewTCPCluster(n, func(err error) { t.Log(err) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	conn, err := net.Dial("tcp", c.nodes[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := gob.NewEncoder(conn).Encode(neko.Message{From: 2, To: 1, Payload: neko.Payload{Kind: 200}}); err != nil {
+		t.Fatal(err)
+	}
+	// Wait until the frame is queued on p1's loop: it is dispatched there
+	// once runConsensus has attached the stack and started the loop.
+	for deadline := time.Now().Add(2 * time.Second); len(c.Proc(1).loop) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("malformed frame was not delivered to p1")
+		}
+	}
+	checkAgreement(t, runConsensus(t, c, n, 500), n)
+}
+
 func TestTCPFiveProcesses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -119,7 +149,7 @@ func TestTCPNodeRoundtrip(t *testing.T) {
 	if err := a.Connect(2, b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	want := neko.Message{From: 1, To: 2, Type: "ct.ack", Payload: neko.Payload{Kind: neko.PayloadAck, Cid: 7, Round: 3, OK: true}}
+	want := neko.Message{From: 1, To: 2, Payload: neko.Payload{Kind: neko.PayloadAck, Cid: 7, Round: 3, OK: true}}
 	if err := a.Send(want); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +169,7 @@ func TestSendToUnknownPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if err := a.Send(neko.Message{To: 9, Type: "x"}); err == nil {
+	if err := a.Send(neko.Message{To: 9}); err == nil {
 		t.Fatal("send to unconnected peer succeeded")
 	}
 	mesh := NewInProcMesh()

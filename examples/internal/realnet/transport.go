@@ -44,14 +44,6 @@ func (m *InProcMesh) Send(msg neko.Message) error {
 // Close implements Transport.
 func (m *InProcMesh) Close() error { return nil }
 
-// wireMessage is the gob envelope on TCP connections. Payload is the flat
-// neko.Payload union, so no gob.Register calls are needed.
-type wireMessage struct {
-	From, To neko.ProcessID
-	Type     string
-	Payload  neko.Payload
-}
-
 // TCPNode is one endpoint of a TCP mesh: it owns a listener and one
 // outbound connection per peer, established eagerly like the paper's
 // testbed (§2.5).
@@ -126,11 +118,11 @@ func (n *TCPNode) accept() {
 			defer n.wg.Done()
 			dec := gob.NewDecoder(conn)
 			for {
-				var wm wireMessage
-				if err := dec.Decode(&wm); err != nil {
+				var m neko.Message
+				if err := dec.Decode(&m); err != nil {
 					return
 				}
-				n.deliver(neko.Message{From: wm.From, To: wm.To, Type: wm.Type, Payload: wm.Payload})
+				n.deliver(m)
 			}
 		}()
 	}
@@ -144,7 +136,7 @@ func (n *TCPNode) Send(m neko.Message) error {
 	if !ok {
 		return fmt.Errorf("realnet: no connection to p%d", m.To)
 	}
-	return enc.Encode(wireMessage{From: m.From, To: m.To, Type: m.Type, Payload: m.Payload})
+	return enc.Encode(m)
 }
 
 // Close implements Transport: closes the listener and all connections.

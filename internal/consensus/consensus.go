@@ -33,14 +33,6 @@ import (
 	"ctsan/internal/trace"
 )
 
-// Message types used by the protocol.
-const (
-	MsgEstimate = "ct.estimate"
-	MsgPropose  = "ct.propose"
-	MsgAck      = "ct.ack"
-	MsgDecide   = "ct.decide"
-)
-
 // Estimate is the phase-1 message body (a view of the neko.Payload union
 // fields the estimate variant owns). It is kept as a named struct because
 // coordinators buffer estimates per round.
@@ -105,7 +97,7 @@ type Engine struct {
 func (e *Engine) SetTracer(tr *trace.Tracer) { e.tr = tr }
 
 // NewEngine creates a consensus engine on the stack, querying the given
-// failure detector. It registers handlers for all ct.* message types and
+// failure detector. It registers handlers for the four ct.* payload kinds and
 // subscribes to failure-detector changes.
 func NewEngine(stack *neko.Stack, det neko.FailureDetector, opts Options) *Engine {
 	ctx := stack.Context()
@@ -117,10 +109,10 @@ func NewEngine(stack *neko.Stack, det neko.FailureDetector, opts Options) *Engin
 		active:  make(map[uint64]*Instance),
 		pending: make(map[uint64][]neko.Message),
 	}
-	stack.HandleKind(neko.PayloadEstimate, MsgEstimate, e.route)
-	stack.HandleKind(neko.PayloadPropose, MsgPropose, e.route)
-	stack.HandleKind(neko.PayloadAck, MsgAck, e.route)
-	stack.HandleKind(neko.PayloadDecide, MsgDecide, e.route)
+	stack.Handle(neko.PayloadEstimate, e.route)
+	stack.Handle(neko.PayloadPropose, e.route)
+	stack.Handle(neko.PayloadAck, e.route)
+	stack.Handle(neko.PayloadDecide, e.route)
 	det.OnChange(e.onFDChange)
 	return e
 }
@@ -173,16 +165,9 @@ func (e *Engine) Propose(cid uint64, val int64, onDecide func(Decision), onAbort
 			}
 			in.handle(&m)
 		}
-		e.recycleBuf(buf)
+		e.bufFree = append(e.bufFree, buf[:0])
 	}
 	return in
-}
-
-// recycleBuf retires a drained pending buffer, dropping message payload
-// references so the pool does not pin them.
-func (e *Engine) recycleBuf(buf []neko.Message) {
-	clear(buf)
-	e.bufFree = append(e.bufFree, buf[:0])
 }
 
 // Forget discards a finished instance's state (sequential campaigns would
@@ -202,7 +187,7 @@ func (e *Engine) Forget(cid uint64) {
 	}
 	if buf, ok := e.pending[cid]; ok {
 		delete(e.pending, cid)
-		e.recycleBuf(buf)
+		e.bufFree = append(e.bufFree, buf[:0])
 	}
 }
 
@@ -220,7 +205,7 @@ func (e *Engine) Reset() {
 	}
 	for cid, buf := range e.pending {
 		delete(e.pending, cid)
-		e.recycleBuf(buf)
+		e.bufFree = append(e.bufFree, buf[:0])
 	}
 	e.tr = nil
 }
@@ -402,11 +387,7 @@ func (in *Instance) startRound(r int) {
 	if tr := in.e.tr; tr != nil {
 		tr.Emit(trace.Event{T: in.e.ctx.Now(), P: int32(in.e.ctx.ID()), Q: int32(c), Kind: trace.KindEstimate, A: int64(in.cid), B: int64(r)})
 	}
-	in.e.ctx.Send(neko.Message{
-		To:      c,
-		Type:    MsgEstimate,
-		Payload: neko.Payload{Kind: neko.PayloadEstimate, Cid: in.cid, Round: r, Val: in.est, TS: in.ts},
-	})
+	in.e.ctx.Send(neko.Message{To: c, Payload: neko.Payload{Kind: neko.PayloadEstimate, Cid: in.cid, Round: r, Val: in.est, TS: in.ts}})
 	// Phase 3: wait for the proposal unless the coordinator is already
 	// suspected (§2.4 class 2: a crashed coordinator is suspected from the
 	// beginning) or its proposal overtook our round start.
@@ -484,10 +465,7 @@ func (in *Instance) maybePropose(r int) {
 	if tr := in.e.tr; tr != nil {
 		tr.Emit(trace.Event{T: in.e.ctx.Now(), P: int32(in.e.ctx.ID()), Kind: trace.KindProposal, A: int64(in.cid), B: int64(r), X: float64(best.Val)})
 	}
-	neko.Broadcast(in.e.ctx, neko.Message{
-		Type:    MsgPropose,
-		Payload: neko.Payload{Kind: neko.PayloadPropose, Cid: in.cid, Round: r, Val: best.Val},
-	})
+	neko.Broadcast(in.e.ctx, neko.Message{Payload: neko.Payload{Kind: neko.PayloadPropose, Cid: in.cid, Round: r, Val: best.Val}})
 	in.maybeConclude(r)
 }
 
@@ -519,11 +497,7 @@ func (in *Instance) acceptProposal(r int, val int64, c neko.ProcessID) {
 	if tr := in.e.tr; tr != nil {
 		tr.Emit(trace.Event{T: in.e.ctx.Now(), P: int32(in.e.ctx.ID()), Q: int32(c), Kind: trace.KindAck, A: int64(in.cid), B: int64(r), X: 1})
 	}
-	in.e.ctx.Send(neko.Message{
-		To:      c,
-		Type:    MsgAck,
-		Payload: neko.Payload{Kind: neko.PayloadAck, Cid: in.cid, Round: r, OK: true},
-	})
+	in.e.ctx.Send(neko.Message{To: c, Payload: neko.Payload{Kind: neko.PayloadAck, Cid: in.cid, Round: r, OK: true}})
 	in.startRound(r + 1)
 }
 
@@ -536,11 +510,7 @@ func (in *Instance) rejectCoordinator(r int, c neko.ProcessID) {
 	if tr := in.e.tr; tr != nil {
 		tr.Emit(trace.Event{T: in.e.ctx.Now(), P: int32(in.e.ctx.ID()), Q: int32(c), Kind: trace.KindAck, A: int64(in.cid), B: int64(r), X: 0})
 	}
-	in.e.ctx.Send(neko.Message{
-		To:      c,
-		Type:    MsgAck,
-		Payload: neko.Payload{Kind: neko.PayloadAck, Cid: in.cid, Round: r, OK: false},
-	})
+	in.e.ctx.Send(neko.Message{To: c, Payload: neko.Payload{Kind: neko.PayloadAck, Cid: in.cid, Round: r, OK: false}})
 	in.startRound(r + 1)
 }
 
@@ -592,10 +562,7 @@ func (in *Instance) maybeConclude(r int) {
 	}
 	t.evaluated = true
 	if t.nacks == 0 {
-		neko.Broadcast(in.e.ctx, neko.Message{
-			Type:    MsgDecide,
-			Payload: neko.Payload{Kind: neko.PayloadDecide, Cid: in.cid, Val: in.est},
-		})
+		neko.Broadcast(in.e.ctx, neko.Message{Payload: neko.Payload{Kind: neko.PayloadDecide, Cid: in.cid, Val: in.est}})
 		in.deliverDecision(in.est, r)
 		return
 	}

@@ -266,13 +266,13 @@ func TestRouteDropsLateBuffersEarly(t *testing.T) {
 	e.Propose(0, 2, nil, nil)
 	e.Forget(0)
 
-	late := neko.Message{From: 3, To: 2, Type: MsgAck, Payload: neko.Payload{Kind: neko.PayloadAck, Cid: 0, Round: 1, OK: true}}
+	late := neko.Message{From: 3, To: 2, Payload: neko.Payload{Kind: neko.PayloadAck, Cid: 0, Round: 1, OK: true}}
 	e.route(&late)
 	if len(e.pending) != 0 {
 		t.Fatalf("late ack for forgotten instance 0 was buffered: %v", e.pending)
 	}
 
-	early := neko.Message{From: 1, To: 2, Type: MsgDecide, Payload: neko.Payload{Kind: neko.PayloadDecide, Cid: 1, Val: 77}}
+	early := neko.Message{From: 1, To: 2, Payload: neko.Payload{Kind: neko.PayloadDecide, Cid: 1, Val: 77}}
 	e.route(&early)
 	if len(e.pending[1]) != 1 {
 		t.Fatalf("early decide for instance 1 not buffered: %v", e.pending)

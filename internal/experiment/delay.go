@@ -33,8 +33,6 @@ type probeProto struct {
 	started bool
 }
 
-const msgProbe = "probe"
-
 // Start implements neko.Protocol.
 func (p *probeProto) Start() {
 	p.started = true
@@ -50,9 +48,9 @@ func (p *probeProto) emit() {
 	p.sendAt[seq] = p.ctx.Now()
 	pl := neko.Payload{Kind: neko.PayloadProbe, Seq: uint64(seq)}
 	if p.spec.Broadcast {
-		neko.Broadcast(p.ctx, neko.Message{Type: msgProbe, Payload: pl})
+		neko.Broadcast(p.ctx, neko.Message{Payload: pl})
 	} else {
-		p.ctx.Send(neko.Message{To: 2, Type: msgProbe, Payload: pl})
+		p.ctx.Send(neko.Message{To: 2, Payload: pl})
 	}
 	p.ctx.SetTimer(probeGap, p.emit)
 }
@@ -100,7 +98,7 @@ func MeasureDelaysContext(ctx context.Context, spec DelaySpec) ([]float64, error
 			sender.ctx = stack.Context()
 			stack.AddLayer(sender)
 		}
-		stack.HandleKind(neko.PayloadProbe, msgProbe, arrive)
+		stack.Handle(neko.PayloadProbe, arrive)
 		cluster.Attach(id, stack)
 	}
 	cluster.Start()

@@ -24,11 +24,6 @@ import (
 	"ctsan/internal/trace"
 )
 
-// MsgHeartbeat is the message type of heartbeats on the wire. Heartbeats
-// carry a neko.PayloadHB payload holding only a sequence number (content
-// is otherwise irrelevant, in the spirit of §3: only control matters).
-const MsgHeartbeat = "fd.hb"
-
 // Heartbeat is the push-style heartbeat failure detector. It is a
 // neko.Protocol layer and implements neko.FailureDetector.
 type Heartbeat struct {
@@ -93,7 +88,7 @@ func NewHeartbeat(stack *neko.Stack, timeoutT, periodTh float64, history *Histor
 		hb.expireFns[q] = func() { hb.expire(q) }
 	}
 	stack.Tap(hb.observe)
-	stack.HandleKind(neko.PayloadHB, MsgHeartbeat, func(*neko.Message) {}) // content is irrelevant; the tap did the work
+	stack.Handle(neko.PayloadHB, func(*neko.Message) {}) // content is irrelevant; the tap did the work
 	stack.AddLayer(hb)
 	return hb
 }
@@ -164,10 +159,7 @@ func (hb *Heartbeat) emit() {
 	if hb.tr != nil {
 		hb.tr.Emit(trace.Event{T: hb.ctx.Now(), P: int32(hb.ctx.ID()), Kind: trace.KindHBEmit, A: int64(hb.seq)})
 	}
-	neko.Broadcast(hb.ctx, neko.Message{
-		Type:    MsgHeartbeat,
-		Payload: neko.Payload{Kind: neko.PayloadHB, Seq: hb.seq},
-	})
+	neko.Broadcast(hb.ctx, neko.Message{Payload: neko.Payload{Kind: neko.PayloadHB, Seq: hb.seq}})
 	if hb.emitTimer != nil {
 		hb.emitTimer.Stop()
 	}

@@ -85,7 +85,8 @@ func TestCrashDetectedAndPermanent(t *testing.T) {
 func TestAnyMessageResetsTimer(t *testing.T) {
 	// p2 sends no heartbeats (period beyond horizon) but sends an
 	// application message before the timeout; p1 must not suspect it
-	// until T after that message.
+	// until T after that message. The message carries no kind, so no
+	// handler owns it: only the detector's tap sees it.
 	params := quietParams(2)
 	c, err := netsim.New(params, rng.New(3))
 	if err != nil {
@@ -96,12 +97,11 @@ func TestAnyMessageResetsTimer(t *testing.T) {
 	hb1 := NewHeartbeat(s1, 20, 1e6, hist)
 	c.Attach(1, s1)
 	s2 := neko.NewStack(c.Context(2))
-	s2.Handle("app", func(neko.Message) {})
 	ctx2 := c.Context(2)
 	c.Attach(2, s2)
 	c.Start()
 	// App message from p2 at t=15 (before the t=20 expiry).
-	c.StartAt(2, 15, func() { ctx2.Send(neko.Message{To: 1, Type: "app"}) })
+	c.StartAt(2, 15, func() { ctx2.Send(neko.Message{To: 1}) })
 	c.RunUntil(30)
 	if hb1.Suspects(2) {
 		t.Fatal("suspected despite fresh application message (§2.2)")
@@ -127,7 +127,6 @@ func TestSuspicionClearsOnMessage(t *testing.T) {
 	c.Attach(1, s1)
 	s2 := neko.NewStack(c.Context(2))
 	ctx2 := c.Context(2)
-	s2.Handle("app", func(neko.Message) {})
 	c.Attach(2, s2)
 	var changes []bool
 	hb1.OnChange(func(q neko.ProcessID, suspected bool) {
@@ -136,7 +135,7 @@ func TestSuspicionClearsOnMessage(t *testing.T) {
 		}
 	})
 	c.Start()
-	c.StartAt(2, 25, func() { ctx2.Send(neko.Message{To: 1, Type: "app"}) })
+	c.StartAt(2, 25, func() { ctx2.Send(neko.Message{To: 1}) })
 	c.RunUntil(50)
 	if len(changes) < 2 || changes[0] != true || changes[1] != false {
 		t.Fatalf("suspicion changes %v, want suspect then trust", changes)

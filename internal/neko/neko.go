@@ -6,7 +6,9 @@
 // (examples/internal/realnet, in-process channels or TCP).
 //
 // A Process is a Stack of protocol layers attached to an execution Context.
-// Protocols communicate through typed messages and timers. Time is a
+// Protocols communicate through messages and timers; a message is plain
+// data identified by its payload kind alone, which selects both its
+// handler and its name on the wire (PayloadKind.String). Time is a
 // float64 number of milliseconds — the unit used throughout the paper —
 // rather than time.Duration, because virtual-time executors schedule on a
 // continuous simulated clock; real-time executors convert at the boundary.
@@ -17,16 +19,18 @@ import "fmt"
 // ProcessID identifies a process, 1-based as in the paper (p_1 … p_n).
 type ProcessID int
 
-// PayloadKind discriminates the Payload union. The protocols crossing the
-// framework form a small closed set (heartbeats, the four Chandra–Toueg
-// message bodies, delay probes), so payloads travel as one flat value
-// instead of a heap-boxed `any` — steady-state message traffic then
-// allocates nothing, and executors can dispatch on the kind without
-// hashing the type string (see Stack.HandleKind).
+// PayloadKind discriminates the Payload union and is a message's only
+// identity: stacks dispatch on it, and its String is the message's name in
+// traces and logs. The protocols crossing the framework form a small
+// closed set (heartbeats, the four Chandra–Toueg message bodies, delay
+// probes), so payloads travel as one flat value instead of a heap-boxed
+// `any` — steady-state message traffic then allocates nothing, and
+// executors dispatch through an array indexed by kind (see Stack.Handle).
 type PayloadKind uint8
 
-// Payload kinds. PayloadNone marks content-free messages (pings, test
-// traffic); such messages dispatch by type string alone.
+// Payload kinds. PayloadNone marks content-free messages, which only tests
+// send: they reach a stack's taps and are then dropped, since no handler
+// can be registered for them.
 const (
 	PayloadNone PayloadKind = iota
 	PayloadHB
@@ -38,6 +42,24 @@ const (
 
 	numPayloadKinds
 )
+
+// kindNames are the wire names of the payload kinds, as traces print them.
+var kindNames = [numPayloadKinds]string{
+	PayloadHB:       "fd.hb",
+	PayloadEstimate: "ct.estimate",
+	PayloadPropose:  "ct.propose",
+	PayloadAck:      "ct.ack",
+	PayloadDecide:   "ct.decide",
+	PayloadProbe:    "probe",
+}
+
+// String returns the kind's wire name ("" for PayloadNone).
+func (k PayloadKind) String() string {
+	if k >= numPayloadKinds {
+		return fmt.Sprintf("PayloadKind(%d)", uint8(k))
+	}
+	return kindNames[k]
+}
 
 // Payload is the flat union of every protocol message body. Kind selects
 // the variant; each variant reads the fields it owns and ignores the
@@ -62,17 +84,18 @@ type Payload struct {
 	TS    int
 }
 
-// Message is a protocol message. Payload is a flat value: copying the
-// message copies the payload, so pooled executors recycle message records
-// without pinning heap objects.
+// Message is a protocol message: 64 bytes of plain data on 64-bit
+// platforms, with no field that can hold a pointer. Copying it copies the
+// payload, and a pooled record that still holds a stale message pins no
+// heap object, so executors recycle message records without scrubbing
+// them.
 type Message struct {
 	From, To ProcessID
-	Type     string
 	Payload  Payload
 }
 
 func (m Message) String() string {
-	return fmt.Sprintf("%s p%d→p%d", m.Type, m.From, m.To)
+	return fmt.Sprintf("%s p%d→p%d", m.Payload.Kind, m.From, m.To)
 }
 
 // TimerHandle identifies a pending timer so it can be cancelled. Handles
@@ -111,29 +134,23 @@ type Protocol interface {
 	Start()
 }
 
-// Stack dispatches inbound messages to protocol layers. Layers register
-// handlers for the message types they own, and taps that observe every
+// Stack dispatches inbound messages to protocol layers. Layers register a
+// handler for each payload kind they own, and taps that observe every
 // inbound message (the heartbeat failure detector taps all traffic because
 // "the reception of any message from q resets the timer", §2.2).
 type Stack struct {
-	ctx      Context
-	layers   []Protocol
-	handlers map[string]func(Message)
-	// kinds is the devirtualized fast path: messages carrying a typed
-	// payload dispatch through this array without hashing Type. Entries
-	// are registered by HandleKind alongside the string handler. Kind
-	// handlers and taps receive the message by pointer: the hot dispatch
-	// chain (executor -> tap -> handler -> protocol routing) would
-	// otherwise copy the ~100-byte Message at every hop. The pointee is
-	// only valid for the duration of the call.
+	ctx    Context
+	layers []Protocol
+	// kinds holds one handler per payload kind. Handlers and taps receive
+	// the message by pointer: the hot dispatch chain (executor -> tap ->
+	// handler -> protocol routing) would otherwise copy the Message at
+	// every hop. The pointee is only valid for the duration of the call.
 	kinds [numPayloadKinds]func(*Message)
 	taps  []func(*Message)
 }
 
 // NewStack creates an empty stack bound to an execution context.
-func NewStack(ctx Context) *Stack {
-	return &Stack{ctx: ctx, handlers: make(map[string]func(Message))}
-}
+func NewStack(ctx Context) *Stack { return &Stack{ctx: ctx} }
 
 // Context returns the execution context of the stack.
 func (s *Stack) Context() Context { return s.ctx }
@@ -142,34 +159,21 @@ func (s *Stack) Context() Context { return s.ctx }
 // order (bottom first).
 func (s *Stack) AddLayer(p Protocol) { s.layers = append(s.layers, p) }
 
-// Handle registers a handler for an exact message type. Registering a
-// duplicate type panics: message ownership must be unambiguous.
-func (s *Stack) Handle(msgType string, h func(Message)) {
-	if _, dup := s.handlers[msgType]; dup {
-		panic(fmt.Sprintf("neko: duplicate handler for message type %q", msgType))
-	}
-	s.handlers[msgType] = h
-}
-
-// HandleKind registers a handler for messages of one payload kind, and —
-// under msgType — for the string-dispatch path as well (transports and
-// tests that look messages up by type see the same handler). Hot
-// executors dispatch on the kind array; the map entry keeps string-keyed
-// delivery coherent. Duplicate registration of either the kind or the
-// type panics.
-func (s *Stack) HandleKind(k PayloadKind, msgType string, h func(*Message)) {
+// Handle registers the handler for messages of one payload kind. It
+// panics on PayloadNone, on a kind outside the closed set and on a
+// duplicate registration: message ownership must be unambiguous.
+func (s *Stack) Handle(k PayloadKind, h func(*Message)) {
 	if k == PayloadNone || k >= numPayloadKinds {
-		panic(fmt.Sprintf("neko: HandleKind with invalid payload kind %d", k))
+		panic(fmt.Sprintf("neko: Handle with invalid payload kind %d", k))
 	}
 	if s.kinds[k] != nil {
-		panic(fmt.Sprintf("neko: duplicate handler for payload kind %d", k))
+		panic(fmt.Sprintf("neko: duplicate handler for payload kind %s", k))
 	}
-	s.Handle(msgType, func(m Message) { h(&m) })
 	s.kinds[k] = h
 }
 
 // Tap registers an observer invoked for every inbound message, before the
-// type handler.
+// kind handler.
 func (s *Stack) Tap(fn func(*Message)) { s.taps = append(s.taps, fn) }
 
 // Start starts all layers in registration order.
@@ -179,26 +183,20 @@ func (s *Stack) Start() {
 	}
 }
 
-// Dispatch routes an inbound message: taps first, then the handler —
-// through the kind array when the payload carries a registered kind
-// (no string hashing on the hot protocol paths), falling back to the
-// type-string map otherwise. Messages without a handler are dropped
-// silently (a layer may have shut down); executors log them if
-// configured.
-// The message is passed by pointer down the hot path; handlers must not
+// Dispatch routes an inbound message: taps first, then the handler of its
+// payload kind. Messages without a handler are dropped silently (a layer
+// may have shut down, or the message carries no kind); so is a kind
+// outside the closed set, which only a malformed frame from a real-time
+// transport can carry. The message is passed by pointer; handlers must not
 // retain it past the call.
 func (s *Stack) Dispatch(m *Message) {
 	for _, tap := range s.taps {
 		tap(m)
 	}
-	if k := m.Payload.Kind; k != PayloadNone {
+	if k := m.Payload.Kind; k < numPayloadKinds {
 		if h := s.kinds[k]; h != nil {
 			h(m)
-			return
 		}
-	}
-	if h, ok := s.handlers[m.Type]; ok {
-		h(*m)
 	}
 }
 

@@ -33,7 +33,7 @@ func TestCrashRecoverRoundTrip(t *testing.T) {
 	c.Start()
 	ctx := c.Context(1)
 	send := func(at float64) {
-		c.AtGlobal(at, func() { ctx.Send(neko.Message{To: 2, Type: "ping"}) })
+		c.AtGlobal(at, func() { ctx.Send(neko.Message{To: 2}) })
 	}
 	send(5)  // before the crash: delivered
 	send(15) // while down: fails fast at the sender
@@ -109,8 +109,8 @@ func TestPartitionDropsAcrossGroupsOnly(t *testing.T) {
 	c.Start()
 	ctx := c.Context(1)
 	c.AtGlobal(20, func() {
-		ctx.Send(neko.Message{To: 2, Type: "ping"}) // same group: delivered
-		ctx.Send(neko.Message{To: 3, Type: "ping"}) // across: dropped at hub
+		ctx.Send(neko.Message{To: 2}) // same group: delivered
+		ctx.Send(neko.Message{To: 3}) // across: dropped at hub
 	})
 	c.RunUntil(100)
 	if got := len(*inboxes[2]); got != 1 {
@@ -132,7 +132,7 @@ func TestPartitionImplicitGroupAndHeal(t *testing.T) {
 	c.Start()
 	ctx := c.Context(1)
 	send := func(at float64, to neko.ProcessID) {
-		c.AtGlobal(at, func() { ctx.Send(neko.Message{To: to, Type: "ping"}) })
+		c.AtGlobal(at, func() { ctx.Send(neko.Message{To: to}) })
 	}
 	send(20, 2) // partitioned
 	send(20, 3) // implicit group is isolated from group 1 too
@@ -166,8 +166,8 @@ func TestLinkLossAndClear(t *testing.T) {
 	c.ClearLinkAt(30, 1, 2)
 	c.Start()
 	ctx := c.Context(1)
-	c.AtGlobal(10, func() { ctx.Send(neko.Message{To: 2, Type: "ping"}) })
-	c.AtGlobal(40, func() { ctx.Send(neko.Message{To: 2, Type: "ping"}) })
+	c.AtGlobal(10, func() { ctx.Send(neko.Message{To: 2}) })
+	c.AtGlobal(40, func() { ctx.Send(neko.Message{To: 2}) })
 	c.RunUntil(100)
 	if got := len(*inboxes[2]); got != 1 {
 		t.Fatalf("deliveries = %d, want 1 (lossy rule then cleared)", got)
@@ -189,8 +189,8 @@ func TestLinkExtraDelayIsDirected(t *testing.T) {
 	})
 	c.Start()
 	ctx1, ctx2 := c.Context(1), c.Context(2)
-	c.AtGlobal(10, func() { ctx1.Send(neko.Message{To: 2, Type: "ping"}) })
-	c.AtGlobal(10, func() { ctx2.Send(neko.Message{To: 1, Type: "ping"}) })
+	c.AtGlobal(10, func() { ctx1.Send(neko.Message{To: 2}) })
+	c.AtGlobal(10, func() { ctx2.Send(neko.Message{To: 1}) })
 	c.RunUntil(100)
 	// Base path is 0.03 ms; the degraded direction pays +5 ms. The reverse
 	// frame waits for the hub (0.01 ms occupied by the first frame).
@@ -266,7 +266,7 @@ func TestInjectionFreeRunUnperturbed(t *testing.T) {
 		ctx := c.Context(1)
 		c.StartAt(1, 0, func() {
 			for k := 0; k < 10; k++ {
-				neko.Broadcast(ctx, neko.Message{Type: "ping"})
+				neko.Broadcast(ctx, neko.Message{})
 			}
 		})
 		c.RunUntil(100)

@@ -186,11 +186,12 @@ type Cluster struct {
 	// phaseFns observe PhaseAt transitions (scenario workload hooks).
 	phaseFns []func(name string, at float64)
 	// dmsg is the message being dispatched to a stack. recv copies the
-	// transit payload here after releasing the record (handler sends reuse
-	// it), and hands the stack a pointer into this scratch slot rather
-	// than a stack local — a local's address would escape into the handler
-	// chain and put one allocation back on every delivery. recv only runs
-	// from DES steps, which never nest, so one slot suffices.
+	// transit's message here after releasing the record (handler sends
+	// reuse it), and hands the stack a pointer into this scratch slot
+	// rather than a stack local — a local's address would escape into the
+	// handler chain and put one allocation back on every delivery. recv
+	// only runs from DES steps, which never nest, so one slot suffices.
+	// A message is pointer-free, so the slot is never cleared.
 	dmsg neko.Message
 
 	// Record pools for the hot delivery and timer paths. Each record
@@ -362,16 +363,14 @@ func (c *Cluster) Reset(r *rng.Stream) {
 	c.seed(r)
 	// The wiped event queue held the callbacks of every in-flight pooled
 	// record; reclaim them all, invalidating their outstanding handles
-	// and dropping any retained message payloads.
+	// and dropping the closures they retain. Transits are reclaimed as
+	// they are: their messages are pointer-free and pin nothing.
 	for _, t := range c.timers.all {
 		t.gen++
 		t.released = true
 		t.fn = nil
 	}
 	c.timers.reclaimAll()
-	for _, tr := range c.transits.all {
-		tr.m = neko.Message{}
-	}
 	c.transits.reclaimAll()
 	for _, fc := range c.fires.all {
 		fc.t = nil
@@ -633,7 +632,8 @@ func (h *host) Now() float64 { return h.c.sim.Now() + h.clockOff }
 // sender CPU (TSend) → hub (TWire, FIFO) → receiver CPU (TReceive, plus
 // occasional Tail latency) → stack dispatch — the seven-step
 // decomposition of Fig. 3 in the paper. Its stage closures are allocated
-// once per record, so steady-state delivery allocates nothing.
+// once per record, so steady-state delivery allocates nothing. A record
+// returns to the pool without scrubbing: its message is plain data.
 type transit struct {
 	c                                *Cluster
 	src, dst                         *host
@@ -650,13 +650,6 @@ func (c *Cluster) makeTransit() *transit {
 	return t
 }
 
-// releaseTransit retires a transit record, dropping its payload
-// reference so the pool does not pin message contents.
-func (c *Cluster) releaseTransit(t *transit) {
-	t.m = neko.Message{}
-	c.transits.put(t)
-}
-
 // Send implements neko.Context. See transit for the pipeline.
 func (h *host) Send(m neko.Message) {
 	if m.To == h.id {
@@ -668,13 +661,13 @@ func (h *host) Send(m neko.Message) {
 	m.From = h.id
 	c := h.c
 	if c.tracer != nil {
-		c.tracer.Emit(trace.Event{T: c.sim.Now(), P: int32(m.From), Q: int32(m.To), Kind: trace.KindSend, S: m.Type})
+		c.tracer.Emit(trace.Event{T: c.sim.Now(), P: int32(m.From), Q: int32(m.To), Kind: trace.KindSend, S: m.Payload.Kind.String()})
 	}
 	// A send to an already-crashed peer fails fast (TCP reset): it costs
 	// the sender the exception path and never reaches the medium.
 	if !c.params.CrashedConsumeWire && c.hostFor(m.To).down {
 		if c.tracer != nil {
-			c.tracer.Emit(trace.Event{T: c.sim.Now(), P: int32(m.From), Q: int32(m.To), Kind: trace.KindDrop, B: trace.DropFailedSend, S: m.Type})
+			c.tracer.Emit(trace.Event{T: c.sim.Now(), P: int32(m.From), Q: int32(m.To), Kind: trace.KindDrop, B: trace.DropFailedSend, S: m.Payload.Kind.String()})
 		}
 		h.reserveCPU(c.params.FailedSend.Sample(h.netRand), nil)
 		return
@@ -704,18 +697,18 @@ func (t *transit) hub() {
 	c := t.c
 	if c.partitioned(t.m.From, t.m.To) {
 		if c.tracer != nil {
-			c.tracer.Emit(trace.Event{T: c.sim.Now(), P: int32(t.m.From), Q: int32(t.m.To), Kind: trace.KindDrop, B: trace.DropPartition, S: t.m.Type})
+			c.tracer.Emit(trace.Event{T: c.sim.Now(), P: int32(t.m.From), Q: int32(t.m.To), Kind: trace.KindDrop, B: trace.DropPartition, S: t.m.Payload.Kind.String()})
 		}
-		c.releaseTransit(t)
+		c.transits.put(t)
 		return
 	}
 	extra := 0.0
 	if rule, ok := c.links[linkKey{t.m.From, t.m.To}]; ok {
 		if rule.Loss > 0 && c.linkRand.Float64() < rule.Loss {
 			if c.tracer != nil {
-				c.tracer.Emit(trace.Event{T: c.sim.Now(), P: int32(t.m.From), Q: int32(t.m.To), Kind: trace.KindDrop, B: trace.DropLinkLoss, S: t.m.Type})
+				c.tracer.Emit(trace.Event{T: c.sim.Now(), P: int32(t.m.From), Q: int32(t.m.To), Kind: trace.KindDrop, B: trace.DropLinkLoss, S: t.m.Payload.Kind.String()})
 			}
-			c.releaseTransit(t)
+			c.transits.put(t)
 			return
 		}
 		if rule.ExtraDelay != nil {
@@ -745,20 +738,18 @@ func (t *transit) recv() {
 	c, dst := t.c, t.dst
 	c.dmsg = t.m
 	m := &c.dmsg
-	c.releaseTransit(t)
+	c.transits.put(t)
 	if dst.down || dst.stack == nil {
 		if c.tracer != nil {
-			c.tracer.Emit(trace.Event{T: c.sim.Now(), P: int32(m.To), Q: int32(m.From), Kind: trace.KindDrop, B: trace.DropDown, S: m.Type})
+			c.tracer.Emit(trace.Event{T: c.sim.Now(), P: int32(m.To), Q: int32(m.From), Kind: trace.KindDrop, B: trace.DropDown, S: m.Payload.Kind.String()})
 		}
-		c.dmsg = neko.Message{}
 		return
 	}
 	c.delivered++
 	if c.tracer != nil {
-		c.tracer.Emit(trace.Event{T: c.sim.Now(), P: int32(m.To), Q: int32(m.From), Kind: trace.KindDeliver, S: m.Type})
+		c.tracer.Emit(trace.Event{T: c.sim.Now(), P: int32(m.To), Q: int32(m.From), Kind: trace.KindDeliver, S: m.Payload.Kind.String()})
 	}
 	dst.stack.Dispatch(m)
-	c.dmsg = neko.Message{}
 }
 
 // simTimer implements neko.TimerHandle. Records are pooled per cluster:

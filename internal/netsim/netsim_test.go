@@ -10,11 +10,12 @@ import (
 	"ctsan/internal/rng"
 )
 
-// pingStack builds a minimal stack that records deliveries.
+// pingStack builds a minimal stack that records deliveries through a Tap.
+// The tests send kind-less messages, which reach the tap and are then
+// dropped by the stack.
 func pingStack(ctx neko.Context, got *[]neko.Message) *neko.Stack {
 	s := neko.NewStack(ctx)
 	s.Tap(func(m *neko.Message) { *got = append(*got, *m) })
-	s.Handle("ping", func(neko.Message) {})
 	return s
 }
 
@@ -74,7 +75,7 @@ func TestEndToEndDelayMatchesDecomposition(t *testing.T) {
 	c.Start()
 	ctx := c.Context(1)
 	c.StartAt(1, 1.0, func() {
-		ctx.Send(neko.Message{To: 2, Type: "ping"})
+		ctx.Send(neko.Message{To: 2})
 	})
 	c.RunUntil(10)
 	want := 1.0 + 0.025 + 0.09 + 0.025
@@ -104,7 +105,7 @@ func TestHubSerializes(t *testing.T) {
 	for _, src := range []neko.ProcessID{1, 2} {
 		src := src
 		ctx := c.Context(src)
-		c.StartAt(src, 0, func() { ctx.Send(neko.Message{To: 3, Type: "ping"}) })
+		c.StartAt(src, 0, func() { ctx.Send(neko.Message{To: 3}) })
 	}
 	c.RunUntil(10)
 	if len(times) != 2 {
@@ -137,7 +138,7 @@ func TestSenderCPUSerializes(t *testing.T) {
 	c.Start()
 	ctx := c.Context(1)
 	c.StartAt(1, 0, func() {
-		neko.Broadcast(ctx, neko.Message{Type: "ping"})
+		neko.Broadcast(ctx, neko.Message{})
 	})
 	c.RunUntil(10)
 	if len(recs) != 2 {
@@ -159,8 +160,8 @@ func TestCrashDropsDeliveryAndSkipsWire(t *testing.T) {
 	c.Start()
 	ctx := c.Context(1)
 	c.StartAt(1, 0, func() {
-		ctx.Send(neko.Message{To: 2, Type: "ping"})
-		ctx.Send(neko.Message{To: 3, Type: "ping"})
+		ctx.Send(neko.Message{To: 2})
+		ctx.Send(neko.Message{To: 3})
 	})
 	c.RunUntil(50)
 	if len(*inboxes[2]) != 0 {
@@ -243,7 +244,7 @@ func TestSendToSelfPanics(t *testing.T) {
 			t.Fatal("send to self did not panic")
 		}
 	}()
-	ctx.Send(neko.Message{To: 1, Type: "ping"})
+	ctx.Send(neko.Message{To: 1})
 }
 
 func TestDeterminism(t *testing.T) {
@@ -263,7 +264,7 @@ func TestDeterminism(t *testing.T) {
 		ctx := c.Context(1)
 		c.StartAt(1, 0, func() {
 			for k := 0; k < 20; k++ {
-				neko.Broadcast(ctx, neko.Message{Type: "ping"})
+				neko.Broadcast(ctx, neko.Message{})
 			}
 		})
 		c.RunUntil(100)
@@ -299,8 +300,8 @@ func TestFailedSendCostsSenderCPU(t *testing.T) {
 	c.Start()
 	ctx := c.Context(1)
 	c.StartAt(1, 0, func() {
-		ctx.Send(neko.Message{To: 2, Type: "ping"}) // fails fast, costs 0.5 CPU
-		ctx.Send(neko.Message{To: 3, Type: "ping"})
+		ctx.Send(neko.Message{To: 2}) // fails fast, costs 0.5 CPU
+		ctx.Send(neko.Message{To: 3})
 	})
 	c.RunUntil(10)
 	// p3's message waits for the failed-send CPU slot: 0.5 + 0.01 + 0.01 + 0.01.

@@ -8,16 +8,18 @@ import (
 	"ctsan/internal/rng"
 )
 
-// pingPongStack builds a stack on process id that echoes a "pong" back
-// for every inbound "ping", generating cross-host traffic through CPU,
-// hub and timers.
+// ping is a probe; pingPongStack answers it with a kind-less pong.
+var ping = neko.Message{Payload: neko.Payload{Kind: neko.PayloadProbe}}
+
+// pingPongStack builds a stack on process id that echoes a pong back for
+// every inbound ping, generating cross-host traffic through CPU, hub and
+// timers. Pongs carry no kind: they reach the taps and are dropped.
 func pingPongStack(c *Cluster, id neko.ProcessID) *neko.Stack {
 	s := neko.NewStack(c.Context(id))
 	ctx := c.Context(id)
-	s.Handle("ping", func(m neko.Message) {
-		ctx.Send(neko.Message{To: m.From, Type: "pong"})
+	s.Handle(neko.PayloadProbe, func(m *neko.Message) {
+		ctx.Send(neko.Message{To: m.From})
 	})
-	s.Handle("pong", func(neko.Message) {})
 	return s
 }
 
@@ -35,14 +37,14 @@ func exerciseCluster(c *Cluster) []float64 {
 	ctx1 := c.Context(1)
 	c.StartAt(1, 0, func() {
 		for k := 0; k < 5; k++ {
-			neko.Broadcast(ctx1, neko.Message{Type: "ping"})
+			neko.Broadcast(ctx1, ping)
 		}
 		// A timer that fires, re-arming once, and a timer that is stopped:
 		// both sides of the pooled record life cycle.
 		var rearmed bool
 		var tick func()
 		tick = func() {
-			neko.Broadcast(ctx1, neko.Message{Type: "ping"})
+			neko.Broadcast(ctx1, ping)
 			if !rearmed {
 				rearmed = true
 				ctx1.SetTimer(7, tick)
@@ -95,12 +97,12 @@ func TestClusterResetMatchesFresh(t *testing.T) {
 		ctx1 := reused.Context(1)
 		reused.StartAt(1, 0, func() {
 			for k := 0; k < 5; k++ {
-				neko.Broadcast(ctx1, neko.Message{Type: "ping"})
+				neko.Broadcast(ctx1, ping)
 			}
 			var rearmed bool
 			var tick func()
 			tick = func() {
-				neko.Broadcast(ctx1, neko.Message{Type: "ping"})
+				neko.Broadcast(ctx1, ping)
 				if !rearmed {
 					rearmed = true
 					ctx1.SetTimer(7, tick)
@@ -158,8 +160,8 @@ func TestClusterResetRestoresInjectionState(t *testing.T) {
 	ctx := c.Context(1)
 	c.PhaseAt(5, "leak-check") // fires; the old observer must be gone
 	c.StartAt(1, 0, func() {
-		ctx.Send(neko.Message{To: 2, Type: "ping"}) // crosses the old partition boundary
-		ctx.Send(neko.Message{To: 3, Type: "ping"}) // crosses the old degraded link
+		ctx.Send(neko.Message{To: 2, Payload: ping.Payload}) // crosses the old partition boundary
+		ctx.Send(neko.Message{To: 3, Payload: ping.Payload}) // crosses the old degraded link
 	})
 	before := c.Delivered()
 	c.RunUntil(100)
@@ -222,16 +224,16 @@ func TestSendSteadyStateAllocs(t *testing.T) {
 	}
 	got := 0
 	stack := neko.NewStack(c.Context(2))
-	stack.Handle("m", func(neko.Message) { got++ })
+	stack.Tap(func(*neko.Message) { got++ })
 	c.Attach(2, stack)
 	c.Start()
 	ctx := c.Context(1)
 	for i := 0; i < 64; i++ { // warm the pools
-		ctx.Send(neko.Message{To: 2, Type: "m"})
+		ctx.Send(neko.Message{To: 2})
 		c.Run(nil)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {
-		ctx.Send(neko.Message{To: 2, Type: "m"})
+		ctx.Send(neko.Message{To: 2})
 		c.Run(nil)
 	}); allocs > 0 {
 		t.Fatalf("steady-state send+deliver allocates %.1f objects/op, want 0", allocs)
@@ -253,14 +255,14 @@ func TestPayloadSteadyStateAllocs(t *testing.T) {
 	}
 	var got uint64
 	stack := neko.NewStack(c.Context(2))
-	stack.HandleKind(neko.PayloadEstimate, "est", func(m *neko.Message) {
+	stack.Handle(neko.PayloadEstimate, func(m *neko.Message) {
 		got += m.Payload.Seq + uint64(m.Payload.Round) + uint64(m.Payload.Val)
 	})
 	c.Attach(2, stack)
 	c.Start()
 	ctx := c.Context(1)
 	send := func(i uint64) {
-		ctx.Send(neko.Message{To: 2, Type: "est", Payload: neko.Payload{
+		ctx.Send(neko.Message{To: 2, Payload: neko.Payload{
 			Kind: neko.PayloadEstimate, Cid: i, Seq: i, Round: 3, Val: int64(i), TS: 1,
 		}})
 		c.Run(nil)
@@ -308,7 +310,7 @@ func clusterWorkload(c *Cluster) {
 	ctx := c.Context(1)
 	c.StartAt(1, 0, func() {
 		for k := 0; k < 5; k++ {
-			neko.Broadcast(ctx, neko.Message{Type: "ping"})
+			neko.Broadcast(ctx, ping)
 		}
 	})
 	c.RunUntil(50)

@@ -245,14 +245,14 @@ func TestJitterPastLinkWindowSkipsRule(t *testing.T) {
 	c := newCompileCluster(t, 2)
 	got := 0
 	stack := neko.NewStack(c.Context(2))
-	stack.Handle("ping", func(neko.Message) { got++ })
+	stack.Tap(func(*neko.Message) { got++ })
 	c.Attach(2, stack)
 	if _, err := s.compile(c, rng.New(1)); err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
 	ctx := c.Context(1)
-	c.AtGlobal(70, func() { ctx.Send(neko.Message{To: 2, Type: "ping"}) })
+	c.AtGlobal(70, func() { ctx.Send(neko.Message{To: 2}) })
 	c.RunUntil(200)
 	if got != 1 {
 		t.Fatalf("delivery after an empty jittered link window: got %d, want 1 "+

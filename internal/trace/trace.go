@@ -37,9 +37,9 @@ const (
 	KindFire                     // event fired (T = its due time)
 
 	// Cluster emulator (netsim) events.
-	KindSend      // message enters the send path (P = sender, Q = receiver, S = type)
-	KindDeliver   // message dispatched to the receiving stack (P = receiver, Q = sender, S = type)
-	KindDrop      // message lost (B = drop reason, see Drop* constants)
+	KindSend      // message enters the send path (P = sender, Q = receiver, S = payload kind name)
+	KindDeliver   // message dispatched to the receiving stack (P = receiver, Q = sender, S = payload kind name)
+	KindDrop      // message lost (B = drop reason, see Drop* constants, S = payload kind name)
 	KindTimerArm  // timer armed on P's host (X = ideal due time)
 	KindTimerStop // timer stopped on P's host
 	KindTimerFire // timer callback ran on P's host
@@ -120,10 +120,10 @@ func (k Kind) Name() string {
 // consensus events; ring order, not T, is the causal execution order. P
 // is the process the event happened at, Q a peer process (0 when not
 // applicable). A, B, X are kind-specific numeric payloads and S a
-// kind-specific string (message type, phase name) — see the Kind
-// constants for each kind's field meanings. Strings stored here are
-// static protocol constants, so copying the header into the ring does
-// not allocate.
+// kind-specific string: a message's payload kind name
+// (neko.PayloadKind.String) or a phase name — see the Kind constants for
+// each kind's field meanings. Strings stored here are static constants,
+// so copying the header into the ring does not allocate.
 type Event struct {
 	T    float64
 	P, Q int32
