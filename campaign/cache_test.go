@@ -14,49 +14,38 @@ import (
 	"ctsan/internal/scenario"
 )
 
-// mapCache is the simplest conforming PointCache: encoded shard-record
-// bytes in a map, decoded fresh per Get — the same storage scheme the
-// server's LRU uses, minus bounds and eviction.
+// mapCache is the simplest conforming PointCache: shard records in a
+// map — the same storage scheme the server's LRU uses, minus bounds and
+// eviction.
 type mapCache struct {
 	mu      sync.Mutex
 	entries map[string][]byte
 	gets    []string
 	hits    int
-	puts    []int // emitted indices, in Put order
+	puts    []int // indices of the stored records, in Put order
 }
 
 func newMapCache() *mapCache { return &mapCache{entries: map[string][]byte{}} }
 
-func (c *mapCache) Get(hash string) (*Result, bool) {
+func (c *mapCache) Get(hash string) ([]byte, bool) {
 	c.mu.Lock()
-	line, ok := c.entries[hash]
+	defer c.mu.Unlock()
+	record, ok := c.entries[hash]
 	c.gets = append(c.gets, hash)
 	if ok {
 		c.hits++
 	}
-	c.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	rec, err := DecodeShardRecord(line)
-	if err != nil {
-		return nil, false
-	}
-	res, err := rec.DecodeResult()
-	if err != nil {
-		return nil, false
-	}
-	return res, true
+	return record, ok
 }
 
-func (c *mapCache) Put(hash string, res *Result) {
-	line, err := EncodeShardRecord(hash, res)
+func (c *mapCache) Put(hash string, record []byte) {
+	rec, err := DecodeShardRecord(record)
 	if err != nil {
-		return
+		panic(fmt.Sprintf("Put of a record that does not decode: %v", err))
 	}
 	c.mu.Lock()
-	c.entries[hash] = line
-	c.puts = append(c.puts, res.Index)
+	c.entries[hash] = record
+	c.puts = append(c.puts, rec.Index)
 	c.mu.Unlock()
 }
 
@@ -184,26 +173,16 @@ func TestPointCacheRewritesIdentity(t *testing.T) {
 }
 
 // sentinelCache proves a hit really skips the engine: it serves a
-// pre-built result for every Get, so if the emitted result carries the
+// pre-built record for every Get, so if the emitted result carries the
 // sentinel's statistics the point cannot have executed.
 type sentinelCache struct {
 	line []byte
 	puts int
 }
 
-func (c *sentinelCache) Get(string) (*Result, bool) {
-	rec, err := DecodeShardRecord(c.line)
-	if err != nil {
-		return nil, false
-	}
-	res, err := rec.DecodeResult()
-	if err != nil {
-		return nil, false
-	}
-	return res, true
-}
+func (c *sentinelCache) Get(string) ([]byte, bool) { return c.line, true }
 
-func (c *sentinelCache) Put(string, *Result) { c.puts++ }
+func (c *sentinelCache) Put(string, []byte) { c.puts++ }
 
 func TestPointCacheHitSkipsExecution(t *testing.T) {
 	// Build a sentinel record from a tiny run with a recognizable seed.
@@ -333,8 +312,8 @@ func TestSinkErrorParallelSurfaces(t *testing.T) {
 // that found nothing, followed by a Put once the point has run.
 type countingCache struct{ gets, puts int }
 
-func (c *countingCache) Get(string) (*Result, bool) { c.gets++; return nil, false }
-func (c *countingCache) Put(string, *Result)        { c.puts++ }
+func (c *countingCache) Get(string) ([]byte, bool) { c.gets++; return nil, false }
+func (c *countingCache) Put(string, []byte)        { c.puts++ }
 
 // TestUnrunnablePointFailsBeforeAnyExecution: what only an engine used to
 // reject — a crashed id outside 1..n, no correct majority — or used to

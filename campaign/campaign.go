@@ -3,6 +3,8 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"slices"
 
 	"ctsan/internal/experiment"
 	"ctsan/internal/parallel"
@@ -131,6 +133,32 @@ type Study struct {
 	// Points are the grid cells, executed with deterministic per-index
 	// seeding; results are emitted in point-index order.
 	Points []Point
+
+	// frozen, set by Frozen on the study it returns, is that freeze:
+	// running, enumerating or hashing the study reuses it.
+	frozen *frozenGrid
+}
+
+// frozenGrid is what freezing a study made: each point prepared to run
+// and its PointHash, with its own copy of the points they were made
+// from.
+type frozenGrid struct {
+	points []Point
+	prep   []prepared
+	hashes []string
+}
+
+// grid returns the study's remembered freeze, or nil when it has none
+// or when Points are no longer the points that freeze was made from
+// (compared point by point, reflect.DeepEqual) — the study was given
+// other points, grew, or had a point replaced in place. Such a study freezes again, so a remembered prepared point or
+// hash never runs or keys the cache under another point's label.
+func (s *Study) grid() *frozenGrid {
+	g := s.frozen
+	if g == nil || !slices.EqualFunc(s.Points, g.points, func(p, q Point) bool { return reflect.DeepEqual(p, q) }) {
+		return nil
+	}
+	return g
 }
 
 // NewStudy builds a study from points.

@@ -182,7 +182,7 @@ type blockingCache struct {
 	held    atomic.Bool // the held point has not yet left Get
 }
 
-func (c *blockingCache) Get(hash string) (*Result, bool) {
+func (c *blockingCache) Get(hash string) ([]byte, bool) {
 	if hash == c.hash {
 		select {
 		case <-c.release:
@@ -193,7 +193,7 @@ func (c *blockingCache) Get(hash string) (*Result, bool) {
 	return nil, false
 }
 
-func (*blockingCache) Put(string, *Result) {}
+func (*blockingCache) Put(string, []byte) {}
 
 // TestShardCheckpointsAtCompletion: RunRecords emits each record when
 // its point completes, not when the point's turn to be emitted comes —

@@ -85,24 +85,38 @@ func EncodeShardRecord(pointHash string, res *Result) ([]byte, error) {
 
 // encodeShardRecord is EncodeShardRecord of res as the point at grid
 // index `index`, without touching res — a sub-study's result is still
-// owned by the run that will emit it under its sub-study index.
+// owned by the run that will emit it under its sub-study index. A cache
+// hit is decoded first.
 func encodeShardRecord(pointHash string, index int, res *Result) ([]byte, error) {
+	if res.hit != nil {
+		hit := *res
+		if err := hit.decode(); err != nil {
+			return nil, fmt.Errorf("campaign: cached result of point %d: %w", index, err)
+		}
+		res = &hit
+	}
+	record, _, err := marshalShardRecord(pointHash, index, res)
+	return record, err
+}
+
+// marshalShardRecord encodes res as the record of the point at grid
+// index `index`, returning the result JSON it holds as well.
+func marshalShardRecord(pointHash string, index int, res *Result) (record, resultJSON []byte, err error) {
 	if res.digest == nil {
-		return nil, fmt.Errorf("campaign: result of point %d carries no digest", index)
+		return nil, nil, fmt.Errorf("campaign: result of point %d carries no digest", index)
 	}
 	at := *res
 	at.Index = index
-	resultJSON, err := json.Marshal(&at)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: encode result: %w", err)
+	if resultJSON, err = json.Marshal(&at); err != nil {
+		return nil, nil, fmt.Errorf("campaign: encode result: %w", err)
 	}
 	digestBin, err := res.digest.MarshalBinary()
 	if err != nil {
-		return nil, fmt.Errorf("campaign: encode digest: %w", err)
+		return nil, nil, fmt.Errorf("campaign: encode digest: %w", err)
 	}
 	// 160 bytes hold the keys, the quotes and two 20-digit integers.
 	size := 160 + len(res.Study) + len(pointHash) + len(resultJSON) + base64.StdEncoding.EncodedLen(len(digestBin))
-	return appendShardRecord(make([]byte, 0, size), res.Study, index, pointHash, res.Seed, resultJSON, digestBin), nil
+	return appendShardRecord(make([]byte, 0, size), res.Study, index, pointHash, res.Seed, resultJSON, digestBin), resultJSON, nil
 }
 
 // The fixed parts of a record line, in writing order. recordHead is
@@ -143,6 +157,69 @@ func appendShardRecord(dst []byte, study string, index int, pointHash string, se
 	dst = append(dst, bodyEnd...)
 	putCRC(dst[start+len(crcKey):], crc32.Checksum(dst[start+bodyAt:], crcTable))
 	return append(dst, '}')
+}
+
+// A cache hit reuses a stored record (see PointCache). What a result
+// says of its point is content-addressed; only its identity — study,
+// point label and grid index, the first three fields of the result
+// object — belongs to the study that hits. cutHit cuts a stored record
+// after that identity, and hitLine writes the hitting study's identity
+// in front of the rest, escaped as json.Marshal escapes it: the bytes
+// are those of encoding the re-identified Result anew, made without
+// decoding or marshaling it.
+
+// The keys of a Result's identity, as json.Marshal writes them.
+const (
+	resultHead = `{"study":`
+	pointKey   = `,"point":`
+	engineKey  = `,"engine":`
+)
+
+// cutHit returns the result of a record line laid out as
+// appendShardRecord writes it, from the key after its identity to its
+// end: `,"engine":…}`. No key can occur inside a string json.Marshal
+// wrote, where every quote is escaped, so the first occurrence of a key
+// after the key before it is that key. ok is false for a line without
+// that layout.
+func cutHit(line []byte) (rest []byte, ok bool) {
+	if len(line) < len(recordHead) || string(line[:len(crcKey)]) != crcKey ||
+		string(line[len(crcKey)+8:len(recordHead)]) != recordHead[len(crcKey)+8:] || !bytes.HasSuffix(line, []byte(bodyEnd+"}")) {
+		return nil, false
+	}
+	next := func(from int, key string) int {
+		if from < 0 {
+			return -1
+		}
+		if i := bytes.Index(line[from:], []byte(key)); i >= 0 {
+			return from + i
+		}
+		return -1
+	}
+	h := next(len(recordHead), hashKey)
+	r := next(h, resultKey)
+	e := next(r, engineKey)
+	d := next(e, digestKey)
+	if d < 0 || !bytes.HasPrefix(line[r+len(resultKey):], []byte(resultHead)) {
+		return nil, false
+	}
+	return line[e:d], true
+}
+
+// hitLine is a hit as the JSONL line of point `index` of the study: the
+// identity, as json.Marshal writes the first three fields of a Result,
+// then the rest of the stored result and a newline.
+func hitLine(rest []byte, study, point string, index int) []byte {
+	// The keys, the quotes, a 20-digit index and the newline, for strings
+	// json.Marshal writes as themselves.
+	size := len(resultHead) + len(pointKey) + len(indexKey) + 4 + 20 + len(study) + len(point) + len(rest) + 1
+	dst := append(make([]byte, 0, size), resultHead...)
+	dst = appendJSONString(dst, study)
+	dst = append(dst, pointKey...)
+	dst = appendJSONString(dst, point)
+	dst = append(dst, indexKey...)
+	dst = strconv.AppendInt(dst, int64(index), 10)
+	dst = append(dst, rest...)
+	return append(dst, '\n')
 }
 
 // putCRC writes crc as 8 lowercase hex digits, %08x.
@@ -435,20 +512,15 @@ func (r *ShardRecord) DecodeResult() (*Result, error) {
 }
 
 // StudyPointHashes computes the PointHash of every point of a (frozen)
-// study, indexed by grid position.
+// study, indexed by grid position. A study Frozen made has them already.
 func StudyPointHashes(s *Study) ([]string, error) {
 	if s == nil {
 		return nil, fmt.Errorf("campaign: nil study")
 	}
-	hashes := make([]string, len(s.Points))
-	for i, p := range s.Points {
-		h, err := PointHash(p)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: point %d: %w", i, err)
-		}
-		hashes[i] = h
+	if g := s.grid(); g != nil {
+		return slices.Clone(g.hashes), nil
 	}
-	return hashes, nil
+	return pointHashes(s.Points)
 }
 
 // VerifyShardRecord decodes one checkpoint line and verifies it belongs
@@ -497,6 +569,11 @@ func RunRecords(ctx context.Context, frozen *Study, hashes []string, indices []i
 		return fmt.Errorf("campaign: no index to run in study of %d points", len(frozen.Points))
 	}
 	sub := &Study{Name: frozen.Name, Points: make([]Point, len(indices))}
+	g := frozen.grid()
+	var sg *frozenGrid
+	if g != nil {
+		sg = &frozenGrid{points: sub.Points, prep: make([]prepared, len(indices)), hashes: make([]string, len(indices))}
+	}
 	for k, gi := range indices {
 		if gi < 0 || gi >= len(frozen.Points) {
 			return fmt.Errorf("campaign: index %d outside study of %d points", gi, len(frozen.Points))
@@ -505,7 +582,11 @@ func RunRecords(ctx context.Context, frozen *Study, hashes []string, indices []i
 			return fmt.Errorf("campaign: index %d after %d: indices must increase", gi, indices[k-1])
 		}
 		sub.Points[k] = frozen.Points[gi]
+		if sg != nil {
+			sg.prep[k], sg.hashes[k] = g.prep[gi], hashes[gi]
+		}
 	}
+	sub.frozen = sg
 	var mu sync.Mutex
 	return Run(ctx, sub, append(opts, func(o *options) {
 		o.completed = func(k int, res *Result) error {

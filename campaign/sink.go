@@ -35,18 +35,28 @@ func (c *Collect) Close() error { return nil }
 // Lines), suitable for piping into jq or loading into dataframes while
 // the study is still running. The latency digest is not serialized —
 // only its Summary flattening (see Result.Samples and Result.Quantile
-// for programmatic access).
+// for programmatic access). Each line, newline included, reaches the
+// writer in one Write call.
 type JSONLWriter struct {
+	w   io.Writer
 	enc *json.Encoder
 }
 
 // NewJSONLWriter returns a JSONL sink writing to w.
 func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{enc: json.NewEncoder(w)}
+	return &JSONLWriter{w: w, enc: json.NewEncoder(w)}
 }
 
-// Emit implements Sink.
-func (j *JSONLWriter) Emit(r *Result) error { return j.enc.Encode(r) }
+// Emit implements Sink. A result whose line Run has already — a cache
+// hit, or a result it encoded for the cache — is written as those bytes,
+// which are what encoding it would write.
+func (j *JSONLWriter) Emit(r *Result) error {
+	if r.line != nil {
+		_, err := j.w.Write(r.line)
+		return err
+	}
+	return j.enc.Encode(r)
+}
 
 // Close implements Sink.
 func (j *JSONLWriter) Close() error { return nil }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"slices"
 )
 
 // Study spec wire format. Sharded and resumable campaigns (cmd/ctsan)
@@ -129,11 +130,24 @@ func decodePoint(ps pointSpec) (Point, error) {
 	return nil, fmt.Errorf("unknown engine %q", ps.Engine)
 }
 
+// Epoch is the results epoch: the generation of the numbers this code
+// computes. A change that moves a simulated statistic — one that
+// regenerates a golden — raises it, and testdata/epoch records it beside
+// a digest of those goldens. From epoch 1 on PointHash covers it, so a
+// record, cache entry or checkpoint made by code of another epoch
+// belongs to no point and the point runs again. At epoch 0 PointHash is
+// what it was before the epoch existed.
+const Epoch = 0
+
+// epoch is the epoch PointHash covers: Epoch, unless a test sets another.
+var epoch = Epoch
+
 // PointHash returns the canonical identity of a point spec:
 // "sha256:<hex>" over the point's serialized form (engine name plus the
 // JSON encoding of the concrete point struct, whose field order Go fixes
-// by declaration). Shard records carry it so resume and merge can verify
-// a checkpointed result really belongs to the point at its index.
+// by declaration) and, from epoch 1 on, the results epoch. Shard records
+// carry it so resume and merge can verify a checkpointed result really
+// belongs to the point at its index.
 func PointHash(p Point) (string, error) {
 	ps, err := encodePoint(p)
 	if err != nil {
@@ -143,7 +157,23 @@ func PointHash(p Point) (string, error) {
 	h.Write([]byte(ps.Engine))
 	h.Write([]byte{0})
 	h.Write(ps.Spec)
+	if epoch != 0 {
+		h.Write(fmt.Appendf(nil, "\x00epoch %d", epoch))
+	}
 	return fmt.Sprintf("sha256:%x", h.Sum(nil)), nil
+}
+
+// pointHashes returns the PointHash of every point, by grid index.
+func pointHashes(points []Point) ([]string, error) {
+	hashes := make([]string, len(points))
+	for i, p := range points {
+		h, err := PointHash(p)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: point %d: %w", i, err)
+		}
+		hashes[i] = h
+	}
+	return hashes, nil
 }
 
 // Frozen returns a copy of the study with every lazily-resolved per-point
@@ -159,13 +189,36 @@ func PointHash(p Point) (string, error) {
 // run (n < 2, a crashed id outside 1..n, no correct majority, an unknown
 // scenario, …) fails here, naming the point, before any other point has
 // executed or been leased to a worker.
+//
+// The returned study remembers this freeze — each point prepared to run,
+// and its PointHash — and Run, RunRecords, FrozenPoints, StudyPointHashes
+// and MergeShardRecords use it instead of freezing and hashing the grid
+// again, for as long as its Points equal the points it froze. Freezing
+// it again returns a copy that shares the freeze.
 func Frozen(study *Study, opts ...Option) (*Study, error) {
 	o := &options{seed: 1}
 	for _, opt := range opts {
 		opt(o)
 	}
-	fz, _, err := frozenWith(study, o)
-	return fz, err
+	return frozenHashed(study, o)
+}
+
+// frozenHashed is Frozen over resolved options.
+func frozenHashed(study *Study, o *options) (*Study, error) {
+	if study != nil && study.grid() != nil {
+		cp := *study
+		return &cp, nil
+	}
+	fz, prep, err := frozenWith(study, o)
+	if err != nil {
+		return nil, err
+	}
+	hashes, err := pointHashes(fz.Points)
+	if err != nil {
+		return nil, err
+	}
+	fz.frozen = &frozenGrid{points: slices.Clone(fz.Points), prep: prep, hashes: hashes}
+	return fz, nil
 }
 
 // frozenWith is Frozen over already-resolved options, returning each
@@ -221,17 +274,13 @@ func (s *Study) FrozenPoints(opts ...Option) ([]FrozenPoint, error) {
 
 // frozenPoints is FrozenPoints over resolved options.
 func frozenPoints(study *Study, o *options) ([]FrozenPoint, error) {
-	fz, _, err := frozenWith(study, o)
+	fz, err := frozenHashed(study, o)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]FrozenPoint, len(fz.Points))
 	for i, p := range fz.Points {
-		h, err := PointHash(p)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: point %d: %w", i, err)
-		}
-		fp := FrozenPoint{Index: i, Label: label(p, i), Engine: p.Engine(), Hash: h, Point: p}
+		fp := FrozenPoint{Index: i, Label: label(p, i), Engine: p.Engine(), Hash: fz.frozen.hashes[i], Point: p}
 		switch q := p.(type) {
 		case LatencyPoint:
 			fp.Seed, fp.Replicas = q.Seed, 1

@@ -123,3 +123,23 @@ func BenchmarkStatusHTTP(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkFineGridWarmHTTP measures what ROADMAP's north star times on
+// a repeated study: a warm resubmission of the 750-point fine grid, from
+// the POST to the last result byte, every point a cache hit. Its CPU
+// profile is the warm path's.
+func BenchmarkFineGridWarmHTTP(b *testing.B) {
+	const points = 750
+	_, ts := benchServer(b, Config{Workers: 2, MaxActive: 1, QueueDepth: 4, CacheBytes: 64 << 20})
+	spec, err := campaign.EncodeStudy(fineGrid(points))
+	if err != nil {
+		b.Fatal(err)
+	}
+	submitAndDrain(b, ts.URL, spec) // warm the cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submitAndDrain(b, ts.URL, spec)
+	}
+	b.ReportMetric(float64(b.N*points)/b.Elapsed().Seconds(), "points/s")
+}

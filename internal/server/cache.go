@@ -18,16 +18,18 @@ import (
 // around every point execution.
 //
 // Entries are stored as encoded bytes, not live Results, deliberately:
-// Get decodes a fresh Result per hit (Run rewrites its identity fields
-// in place; the decode is one pass over the record's fixed layout, then
-// the Result JSON), the byte size gives an honest memory bound, and the
-// stored record is the same wire format the sharded executor
-// checkpoints and fleet workers upload — PutEncoded feeds verified
-// worker records in without a decode/re-encode round trip, and the
-// spill store persists them verbatim. The byte budget bounds what the cache retains, with
-// one exception: the spill file's content as EnableSpill found it,
-// which the spill store holds for the cache's life. Otherwise entries
-// own their bytes, and the spill store keeps no copy of what it writes.
+// a hit hands the stored record to the run, which emits its result JSON
+// behind the hitting study's identity without decoding it; the byte
+// size gives an honest memory bound; and the stored record is the same
+// wire format the sharded executor checkpoints and fleet workers upload
+// — verified worker records go in without a decode/re-encode round
+// trip, and the spill store persists them verbatim. Every entry is a
+// record verified on its way in (encoded by the run, verified upload,
+// or decoded at warm-load), and none is ever modified. The byte budget
+// bounds what the cache retains, with one exception: the spill file's
+// content as EnableSpill found it, which the spill store holds for the
+// cache's life. Otherwise entries own their bytes, and the spill store
+// keeps no copy of what it writes.
 //
 // Determinism makes the cache safe by construction: for a given hash
 // every Put stores identical statistics, so concurrent Puts, lost
@@ -164,10 +166,9 @@ func (c *Cache) spillEntries(entries []*cacheEntry) error {
 	return nil
 }
 
-// Get implements campaign.PointCache: it decodes a fresh Result from
-// the stored record. A decode failure (impossible unless memory was
-// corrupted) is treated as a miss and the entry dropped.
-func (c *Cache) Get(hash string) (*campaign.Result, bool) {
+// Get implements campaign.PointCache: it returns the stored record,
+// which the caller must not modify.
+func (c *Cache) Get(hash string) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -183,45 +184,17 @@ func (c *Cache) Get(hash string) (*campaign.Result, bool) {
 		obs.CacheMisses.Add(1)
 		return nil, false
 	}
-	rec, err := campaign.DecodeShardRecord(line)
-	if err != nil {
-		c.drop(hash)
-		obs.CacheMisses.Add(1)
-		return nil, false
-	}
-	res, err := rec.DecodeResult()
-	if err != nil {
-		c.drop(hash)
-		obs.CacheMisses.Add(1)
-		return nil, false
-	}
 	obs.CacheHits.Add(1)
-	return res, true
+	return line, true
 }
 
-// Put implements campaign.PointCache: it encodes the result as a shard
-// record and inserts it, evicting least-recently-used entries past the
-// byte budget. Results that cannot be encoded, or single records larger
-// than the whole budget, are not cached.
-func (c *Cache) Put(hash string, res *campaign.Result) {
-	if c == nil {
-		return
-	}
-	line, err := campaign.EncodeShardRecord(hash, res)
-	if err != nil {
-		return
-	}
-	c.PutEncoded(hash, line)
-}
-
-// PutEncoded inserts an already-encoded shard record — the fleet
-// ingest path, where the coordinator holds the verified worker upload
-// line and a decode/re-encode round trip would be pure waste. The
-// caller must have verified the record (VerifyShardRecord). The entry
-// keeps its own copy of line: an upload's lines are cut from one
-// decoded body, which an entry sharing them would pin whole.
-func (c *Cache) PutEncoded(hash string, line []byte) {
-	if c == nil || int64(len(line)) > c.max {
+// Put implements campaign.PointCache: it inserts a verified shard
+// record, evicting least-recently-used entries past the byte budget. The
+// entry keeps its own copy of record: an upload's lines are cut from one
+// decoded body, which an entry sharing them would pin whole. A record
+// larger than the whole budget is not cached.
+func (c *Cache) Put(hash string, record []byte) {
+	if c == nil || int64(len(record)) > c.max {
 		return
 	}
 	c.mu.Lock()
@@ -232,8 +205,8 @@ func (c *Cache) PutEncoded(hash string, line []byte) {
 		c.mu.Unlock()
 		return
 	}
-	c.items[hash] = c.ll.PushFront(&cacheEntry{hash: hash, line: bytes.Clone(line)})
-	c.size += int64(len(line))
+	c.items[hash] = c.ll.PushFront(&cacheEntry{hash: hash, line: bytes.Clone(record)})
+	c.size += int64(len(record))
 	var evicted []*cacheEntry
 	for c.size > c.max {
 		back := c.ll.Back()
@@ -255,20 +228,6 @@ func (c *Cache) PutEncoded(hash string, line []byte) {
 	}
 	obs.CacheBytes.Set(size)
 	obs.CacheEntries.Set(entries)
-}
-
-// drop removes a corrupt entry.
-func (c *Cache) drop(hash string) {
-	c.mu.Lock()
-	if el, ok := c.items[hash]; ok {
-		e := el.Value.(*cacheEntry)
-		c.ll.Remove(el)
-		delete(c.items, hash)
-		c.size -= int64(len(e.line))
-		obs.CacheBytes.Set(c.size)
-		obs.CacheEntries.Set(int64(len(c.items)))
-	}
-	c.mu.Unlock()
 }
 
 // publishGauges refreshes the size gauges outside any lock ordering

@@ -1,8 +1,8 @@
 package server
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -13,56 +13,67 @@ import (
 	"ctsan/internal/obs"
 )
 
-// makeResult produces one real campaign Result (cache entries are
-// encoded shard records, so they need genuinely encodable results).
-func makeResult(t *testing.T, seed uint64) *campaign.Result {
+// makeRecord produces the shard record of one real campaign Result
+// under hash (cache entries are encoded shard records, so they need
+// genuinely encodable results).
+func makeRecord(t *testing.T, hash string, seed uint64) []byte {
 	t.Helper()
 	study := campaign.NewStudy("cache-unit", campaign.SANPoint{N: 3, Replicas: 5, Seed: seed})
 	results, err := campaign.RunCollect(context.Background(), study, campaign.WithWorkers(1))
 	if err != nil {
 		t.Fatalf("RunCollect: %v", err)
 	}
-	return results[0]
-}
-
-func recordLen(t *testing.T, hash string, res *campaign.Result) int {
-	t.Helper()
-	line, err := campaign.EncodeShardRecord(hash, res)
+	line, err := campaign.EncodeShardRecord(hash, results[0])
 	if err != nil {
 		t.Fatalf("EncodeShardRecord: %v", err)
 	}
-	return len(line)
+	return line
 }
 
-func TestCacheRoundTripFreshCopies(t *testing.T) {
+// TestCacheGetServesTheStoredRecord: a hit is the record Put stored —
+// its bytes, not a decoded copy — on every Get.
+func TestCacheGetServesTheStoredRecord(t *testing.T) {
 	c := NewCache(1 << 20)
-	res := makeResult(t, 1)
-	want, _ := json.Marshal(res)
-	c.Put("sha256:roundtrip", res)
+	want := makeRecord(t, "sha256:roundtrip", 1)
+	c.Put("sha256:roundtrip", bytes.Clone(want))
+	for i := 0; i < 2; i++ {
+		got, ok := c.Get("sha256:roundtrip")
+		if !ok {
+			t.Fatalf("Get %d after Put missed", i)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("Get %d returned other bytes:\n got: %s\nwant: %s", i, got, want)
+		}
+	}
+}
 
-	got1, ok := c.Get("sha256:roundtrip")
+// TestCachePutKeepsItsOwnCopy: an entry owns its bytes. An upload's
+// lines are cut from one body: an entry that shared a line would pin
+// the whole body, and change when the caller reused it.
+func TestCachePutKeepsItsOwnCopy(t *testing.T) {
+	line := makeRecord(t, "sha256:upload", 1)
+	want := bytes.Clone(line)
+	body := append(line, make([]byte, 1<<20)...)
+	c := NewCache(1 << 20)
+	c.Put("sha256:upload", body[:len(line)])
+	for i := range body {
+		body[i] = 'x'
+	}
+	got, ok := c.Get("sha256:upload")
 	if !ok {
-		t.Fatal("Get after Put missed")
+		t.Fatal("record lost once the caller's buffer was reused")
 	}
-	if enc, _ := json.Marshal(got1); string(enc) != string(want) {
-		t.Errorf("decoded result differs:\n got: %s\nwant: %s", enc, want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("cached record changed with the caller's buffer:\n got: %s\nwant: %s", got, want)
 	}
-	// Mutating the returned copy (as campaign.Run does when it rewrites
-	// identity fields) must not poison later hits.
-	got1.Study, got1.Point, got1.Index = "mangled", "mangled", 99
-	got1.Latency.Mean = -1
-	got2, ok := c.Get("sha256:roundtrip")
-	if !ok {
-		t.Fatal("second Get missed")
-	}
-	if enc, _ := json.Marshal(got2); string(enc) != string(want) {
-		t.Errorf("cache returned an aliased copy: %s", enc)
+	if cap(got) > 2*len(want) {
+		t.Errorf("cached record of %d bytes holds a buffer of %d", len(want), cap(got))
 	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	r1, r2, r3 := makeResult(t, 1), makeResult(t, 2), makeResult(t, 3)
-	size := recordLen(t, "sha256:h1", r1)
+	r1, r2, r3 := makeRecord(t, "sha256:h1", 1), makeRecord(t, "sha256:h2", 2), makeRecord(t, "sha256:h3", 3)
+	size := len(r1)
 	// Budget for two records (seeds differ, sizes match within a couple
 	// of bytes; the half-record slack absorbs that).
 	c := NewCache(int64(2*size + size/2))
@@ -98,7 +109,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheDuplicatePutKeepsOneEntry(t *testing.T) {
 	c := NewCache(1 << 20)
-	res := makeResult(t, 1)
+	res := makeRecord(t, "sha256:dup", 1)
 	c.Put("sha256:dup", res)
 	c.Put("sha256:dup", res)
 	bytes1, entries := c.Stats()
@@ -113,8 +124,8 @@ func TestCacheDuplicatePutKeepsOneEntry(t *testing.T) {
 }
 
 func TestCacheOversizeRecordSkipped(t *testing.T) {
-	res := makeResult(t, 1)
-	c := NewCache(int64(recordLen(t, "sha256:big", res) - 1))
+	res := makeRecord(t, "sha256:big", 1)
+	c := NewCache(int64(len(res) - 1))
 	c.Put("sha256:big", res)
 	if _, entries := c.Stats(); entries != 0 {
 		t.Errorf("oversize record was cached")
@@ -136,7 +147,8 @@ func TestCacheSpillSyncsOncePerBatch(t *testing.T) {
 	seed := uint64(1)
 	for batch, size := range []int{3, 1, 4} {
 		for i := 0; i < size; i++ {
-			c.Put(fmt.Sprintf("sha256:batch%d-%d", batch, i), makeResult(t, seed))
+			hash := fmt.Sprintf("sha256:batch%d-%d", batch, i)
+			c.Put(hash, makeRecord(t, hash, seed))
 			seed++
 		}
 		appends, syncs := obs.CheckpointAppends.Value(), obs.CheckpointSyncs.Value()
@@ -159,41 +171,14 @@ func TestCacheSpillSyncsOncePerBatch(t *testing.T) {
 	}
 }
 
-// TestCachePutEncodedKeepsItsOwnCopy: the fleet ingest path hands
-// PutEncoded lines cut from one decoded upload body. The entry must not
-// share that buffer, or one cached record pins the whole body and the
-// byte budget bounds nothing; so overwriting the caller's buffer after
-// the call leaves the cached record intact.
-func TestCachePutEncodedKeepsItsOwnCopy(t *testing.T) {
-	res := makeResult(t, 1)
-	want, _ := json.Marshal(res)
-	line, err := campaign.EncodeShardRecord("sha256:upload", res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := append(line, make([]byte, 1<<20)...)
-	c := NewCache(1 << 20)
-	c.PutEncoded("sha256:upload", body[:len(line)])
-	for i := range body {
-		body[i] = 'x'
-	}
-	got, ok := c.Get("sha256:upload")
-	if !ok {
-		t.Fatal("record lost once the caller's buffer was reused")
-	}
-	if enc, _ := json.Marshal(got); string(enc) != string(want) {
-		t.Errorf("cached record changed with the caller's buffer:\n got: %s\nwant: %s", enc, want)
-	}
-}
-
 // TestCacheSpillKeepsNoRecordInMemory: a spill store that started empty
 // holds nothing in memory however much the cache evicts through it —
 // every spilled record lives in the file only, where Load finds it. A
 // long-lived daemon's cache is bounded by its budget, not by its
 // eviction history.
 func TestCacheSpillKeepsNoRecordInMemory(t *testing.T) {
-	res := makeResult(t, 1)
-	size := recordLen(t, "sha256:spill-000", res)
+	res := makeRecord(t, "sha256:spill-000", 1)
+	size := len(res)
 	c := NewCache(int64(2 * size))
 	dir := t.TempDir()
 	if _, err := c.EnableSpill(dir); err != nil {
@@ -221,7 +206,7 @@ func TestCacheDisabledNil(t *testing.T) {
 		t.Fatalf("NewCache(0) = %v, want nil", c)
 	}
 	// The nil cache is a valid, always-missing PointCache.
-	c.Put("sha256:x", makeResult(t, 1))
+	c.Put("sha256:x", makeRecord(t, "sha256:x", 1))
 	if _, ok := c.Get("sha256:x"); ok {
 		t.Error("nil cache returned a hit")
 	}
@@ -232,7 +217,10 @@ func TestCacheDisabledNil(t *testing.T) {
 
 func TestCacheConcurrentAccess(t *testing.T) {
 	c := NewCache(1 << 20)
-	results := []*campaign.Result{makeResult(t, 1), makeResult(t, 2), makeResult(t, 3), makeResult(t, 4)}
+	var results [][]byte
+	for seed := uint64(1); seed <= 4; seed++ {
+		results = append(results, makeRecord(t, fmt.Sprintf("sha256:k%d", seed-1), seed))
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -96,28 +96,41 @@ func (st *study) newFleet(ttl, target time.Duration) {
 // restarted coordinator (or a repeated study) re-streams cached records
 // instead of re-dispatching them. The cached statistics are
 // content-addressed; identity (study name, point label, index) is
-// rewritten to this study's values exactly as the in-process cache hit
-// path does, so the streamed bytes stay byte-identical to a cold run. A
-// disabled cache is not looked up, so it counts no misses — as in local
-// mode.
+// rewritten to this study's values, so the streamed bytes stay
+// byte-identical to a cold run. A record that does not decode is a miss,
+// left to the leases. A disabled cache is not looked up, so it counts no
+// misses — as in local mode.
 func (st *study) cachedRecords(cache *Cache) [][]byte {
 	if cache == nil {
 		return nil
 	}
 	var lines [][]byte
 	for i, fp := range st.points {
-		res, hit := cache.Get(fp.Hash)
+		record, hit := cache.Get(fp.Hash)
 		if hit {
-			res.Study, res.Point, res.Index = st.spec.Name, fp.Label, i
-			line, err := campaign.EncodeShardRecord(fp.Hash, res)
-			if err == nil {
+			line, err := st.recordAt(i, record)
+			if hit = err == nil; hit {
 				lines = append(lines, line)
 			}
-			hit = err == nil
 		}
 		st.countLookup(hit)
 	}
 	return lines
+}
+
+// recordAt is a cached record as the record of the study's point i: its
+// result decoded, given this study's identity and encoded again.
+func (st *study) recordAt(i int, record []byte) ([]byte, error) {
+	rec, err := campaign.DecodeShardRecord(record)
+	if err != nil {
+		return nil, err
+	}
+	res, err := rec.DecodeResult()
+	if err != nil {
+		return nil, err
+	}
+	res.Study, res.Point, res.Index = st.spec.Name, st.points[i].Label, i
+	return campaign.EncodeShardRecord(st.points[i].Hash, res)
 }
 
 // --- HTTP surface and dispatch loop ---
@@ -233,7 +246,7 @@ func (s *Server) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 	obs.UploadRecords.Add(int64(len(out.Accepted)))
 	obs.UploadRejected.Add(int64(out.Rejected))
 	for _, rec := range out.Accepted {
-		s.cache.PutEncoded(st.points[rec.Index].Hash, rec.Line)
+		s.cache.Put(st.points[rec.Index].Hash, rec.Line)
 	}
 	s.cfg.Logf("study %s: lease %s upload: %d accepted, %d rejected, %d duplicate (%d/%d streamed)",
 		st.id, id, len(out.Accepted), out.Rejected, out.Duplicate, out.Emitted, len(st.points))

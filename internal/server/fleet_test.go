@@ -372,7 +372,8 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 	default:
 		t.Fatal("ledger did not signal done")
 	}
-	// The hub holds the records' Result lines in grid order.
+	// The hub holds the records' Result lines in grid order, each with
+	// its newline.
 	stream, _, _, _ := st.hub.snapshot(0)
 	if len(stream) != len(recs) {
 		t.Fatalf("hub holds %d lines, want %d", len(stream), len(recs))
@@ -382,7 +383,7 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(stream[i], dec.Result) {
+		if string(stream[i]) != string(dec.Result)+"\n" {
 			t.Errorf("streamed line %d differs from record result", i)
 		}
 	}
@@ -447,7 +448,7 @@ func TestCacheSpillRoundTrip(t *testing.T) {
 		t.Fatalf("EnableSpill: %v", err)
 	}
 	for i, rec := range grid {
-		c.PutEncoded(points[i].Hash, rec)
+		c.Put(points[i].Hash, rec)
 	}
 	if err := c.SpillAll(); err != nil {
 		t.Fatalf("SpillAll: %v", err)
@@ -463,9 +464,13 @@ func TestCacheSpillRoundTrip(t *testing.T) {
 		t.Fatalf("warm-loaded %d records, want %d", loaded, len(points))
 	}
 	for i, p := range points {
-		res, ok := c2.Get(p.Hash)
+		line, ok := c2.Get(p.Hash)
 		if !ok {
 			t.Fatalf("point %d missing after warm load", i)
+		}
+		res, err := campaign.DecodeShardRecord(line)
+		if err != nil {
+			t.Fatalf("point %d: warm-loaded record: %v", i, err)
 		}
 		if res.Seed != p.Seed {
 			t.Errorf("point %d: warm-loaded seed %d, want %d", i, res.Seed, p.Seed)

@@ -1,23 +1,21 @@
 package server
 
 import (
-	"encoding/json"
+	"bytes"
 	"sync"
-
-	"ctsan/campaign"
 )
 
-// hub is the per-study result log and broadcast point: the campaign's
-// Sink appends each result's JSON encoding as it streams out of Run (in
-// point-index order, already serialized by the campaign layer), and any
-// number of HTTP subscribers replay the log from the start and then
-// follow the live tail. Appends and finish wake waiting subscribers by
-// closing the current wake channel — the standard broadcast-by-channel-
-// replacement pattern, so a slow client never blocks the producer or
-// other subscribers.
+// hub is the per-study result log and broadcast point: the study's
+// campaign.JSONLWriter (local studies) or its lease ledger's fold (fleet
+// studies) appends each result line as it streams out, in point-index
+// order, and any number of HTTP subscribers replay the log from the
+// start and then follow the live tail. Appends and finish wake waiting
+// subscribers by closing the current wake channel — the standard
+// broadcast-by-channel-replacement pattern, so a slow client never
+// blocks the producer or other subscribers.
 type hub struct {
 	mu     sync.Mutex
-	lines  [][]byte // one marshaled Result per point, no trailing newline
+	lines  [][]byte // one result per point: its JSON and a newline, never modified
 	closed bool
 	errMsg string
 	wake   chan struct{}
@@ -25,8 +23,19 @@ type hub struct {
 
 func newHub() *hub { return &hub{wake: make(chan struct{})} }
 
-// append adds one result line and wakes subscribers.
-func (h *hub) append(line []byte) {
+// Write implements io.Writer for the study's campaign.JSONLWriter, which
+// writes each result line, newline included, in one call.
+func (h *hub) Write(p []byte) (int, error) {
+	h.append(bytes.TrimSuffix(p, []byte{'\n'}))
+	return len(p), nil
+}
+
+// append adds a copy of one result JSON, with its newline, and wakes
+// subscribers.
+func (h *hub) append(result []byte) {
+	line := make([]byte, len(result)+1)
+	copy(line, result)
+	line[len(result)] = '\n'
 	h.mu.Lock()
 	h.lines = append(h.lines, line)
 	close(h.wake)
@@ -67,22 +76,3 @@ func (h *hub) count() int {
 	defer h.mu.Unlock()
 	return len(h.lines)
 }
-
-// hubSink adapts a hub to campaign.Sink: each emitted result is
-// marshaled once, to the exact bytes campaign.JSONLWriter would emit
-// for the same result (json.Marshal with default escaping), so the
-// service's streamed JSONL is byte-identical to an in-process run.
-type hubSink struct {
-	hub *hub
-}
-
-func (s *hubSink) Emit(r *campaign.Result) error {
-	line, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	s.hub.append(line)
-	return nil
-}
-
-func (s *hubSink) Close() error { return nil }

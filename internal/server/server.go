@@ -103,14 +103,20 @@ func (c *Config) fill() {
 	}
 }
 
-// study is the server-side state of one submission.
+// study is the server-side state of one submission. Everything but its
+// id, hub, ledger and the fields under mu is fixed at admission — and
+// may be shared with the studies submitted with the same spec bytes
+// (Server.specs).
 type study struct {
-	id        string
-	spec      *campaign.Study
-	specBytes []byte
-	seed      uint64
-	replicas  int
-	workers   int
+	id       string
+	spec     *campaign.Study // as decoded
+	specText string
+	seed     uint64
+	replicas int
+	workers  int
+	// frozen is spec frozen under seed and replicas — the grid the study
+	// runs — and points enumerates it.
+	frozen    *campaign.Study
 	points    []campaign.FrozenPoint
 	hub       *hub
 	submitted time.Time
@@ -228,13 +234,13 @@ type countingCache struct {
 	st *study
 }
 
-func (cc *countingCache) Get(hash string) (*campaign.Result, bool) {
-	res, ok := cc.c.Get(hash)
+func (cc *countingCache) Get(hash string) ([]byte, bool) {
+	record, ok := cc.c.Get(hash)
 	cc.st.countLookup(ok)
-	return res, ok
+	return record, ok
 }
 
-func (cc *countingCache) Put(hash string, res *campaign.Result) { cc.c.Put(hash, res) }
+func (cc *countingCache) Put(hash string, record []byte) { cc.c.Put(hash, record) }
 
 // Server is the campaign service. Create with New, expose with
 // Handler, stop with Shutdown.
@@ -248,9 +254,15 @@ type Server struct {
 	cancelRun context.CancelFunc
 	wg        sync.WaitGroup // slot goroutines
 
-	mu       sync.Mutex
-	studies  map[string]*study
-	order    []string
+	mu      sync.Mutex
+	studies map[string]*study
+	order   []string
+	// specs indexes the retained studies by their spec bytes: per
+	// distinct spec, the first study admitted under each distinct seed
+	// and replica count. A resubmission of the same bytes reuses the
+	// decoded spec from it, and the frozen grid too when the seed and
+	// replica count match. An entry lives as long as its study.
+	specs    map[string][]*study
 	queue    chan *study
 	nextID   int
 	draining bool
@@ -281,6 +293,7 @@ func New(cfg Config) *Server {
 		budget:   max(1, parallel.Workers(cfg.Workers)/cfg.MaxActive),
 		cache:    NewCache(cfg.CacheBytes),
 		studies:  map[string]*study{},
+		specs:    map[string][]*study{},
 		queue:    make(chan *study, cfg.QueueDepth),
 		instance: rand.Uint32(),
 	}
@@ -371,11 +384,11 @@ func (s *Server) runStudy(st *study) {
 	}
 	obs.StudiesActive.Add(1)
 	s.cfg.Logf("study %s (%q): running %d points on %d workers", st.id, st.spec.Name, len(st.points), st.workers)
+	// The frozen grid carries the seed and replica counts; the hub
+	// receives the JSONL an in-process run writes.
 	opts := []campaign.Option{
-		campaign.WithSeed(st.seed),
-		campaign.WithReplicas(st.replicas),
 		campaign.WithWorkers(st.workers),
-		campaign.WithSink(&hubSink{hub: st.hub}),
+		campaign.WithSink(campaign.NewJSONLWriter(st.hub)),
 	}
 	switch {
 	case s.testCache != nil:
@@ -415,7 +428,7 @@ func (s *Server) runContained(st *study, opts []campaign.Option) (err error) {
 		s.cfg.Logf("study %s: %v", st.id, up)
 		err = fmt.Errorf("work unit %d panicked: %v", up.Index, up.Value)
 	}()
-	return campaign.Run(s.runCtx, st.spec, opts...)
+	return campaign.Run(s.runCtx, st.frozen, opts...)
 }
 
 //go:embed index.html
@@ -474,7 +487,9 @@ const maxSpecBytes = 8 << 20
 
 // handleSubmit is the admission path: decode and validate first (a
 // malformed spec is 400 even when the queue is full), then admit under
-// the queue bound, then 202 with the study's initial status.
+// the queue bound, then 202 with the study's initial status. Spec bytes
+// a retained study was submitted with are not decoded again, and under
+// its seed and replica count not frozen again either (Server.specs).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r, maxSpecBytes)
 	if err != nil {
@@ -486,31 +501,43 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	spec, err := campaign.DecodeStudy(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	s.mu.Lock()
+	prior := s.specs[string(body)]
+	s.mu.Unlock()
+	st := &study{
+		workers:   s.budget,
+		hub:       newHub(),
+		submitted: time.Now(),
+		status:    "queued",
 	}
-	if len(spec.Points) == 0 {
-		writeError(w, http.StatusBadRequest, "campaign: study with no points (nothing to run)")
-		return
+	if len(prior) > 0 {
+		st.spec, st.specText = prior[0].spec, prior[0].specText
+	} else {
+		if st.spec, err = campaign.DecodeStudy(body); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		if len(st.spec.Points) == 0 {
+			writeError(w, http.StatusBadRequest, "campaign: study with no points (nothing to run)")
+			return
+		}
+		st.specText = string(body)
 	}
-	seed := s.cfg.DefaultSeed
+	st.seed = s.cfg.DefaultSeed
 	if v := r.URL.Query().Get("seed"); v != "" {
-		seed, err = strconv.ParseUint(v, 10, 64)
+		st.seed, err = strconv.ParseUint(v, 10, 64)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "seed: %v", err)
 			return
 		}
 	}
-	if err := cliflags.CheckSeed(seed); err != nil {
+	if err := cliflags.CheckSeed(st.seed); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	replicas := 0
 	if v := r.URL.Query().Get("replicas"); v != "" {
-		replicas, err = strconv.Atoi(v)
-		if err != nil || replicas < 0 {
+		st.replicas, err = strconv.Atoi(v)
+		if err != nil || st.replicas < 0 {
 			writeError(w, http.StatusBadRequest, "replicas: not a non-negative integer: %q", v)
 			return
 		}
@@ -522,24 +549,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "mode: %q is not \"local\" or \"fleet\"", mode)
 		return
 	}
-	// Freeze the grid now: enumeration errors are submission errors, and
-	// the materialized points power the progress and cache surfaces.
-	points, err := spec.FrozenPoints(campaign.WithSeed(seed), campaign.WithReplicas(replicas))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	st := &study{
-		spec:      spec,
-		specBytes: body,
-		seed:      seed,
-		replicas:  replicas,
-		workers:   s.budget,
-		points:    points,
-		hub:       newHub(),
-		submitted: time.Now(),
-		status:    "queued",
+	if same := sameGrid(prior, st); same != nil {
+		st.frozen, st.points = same.frozen, same.points
+	} else {
+		// Freeze the grid now: enumeration errors are submission errors,
+		// and the materialized points power the progress and cache
+		// surfaces.
+		st.frozen, err = campaign.Frozen(st.spec, campaign.WithSeed(st.seed), campaign.WithReplicas(st.replicas))
+		if err == nil {
+			st.points, err = st.frozen.FrozenPoints()
+		}
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 	}
 	if mode == "fleet" {
 		st.workers = 0 // external workers execute; the slot only folds
@@ -561,9 +584,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case s.queue <- st:
 		s.studies[st.id] = st
 		s.order = append(s.order, st.id)
+		if same := s.specs[st.specText]; sameGrid(same, st) == nil {
+			s.specs[st.specText] = append(same, st)
+		}
 		s.mu.Unlock()
 		obs.QueueDepth.Add(1)
-		s.cfg.Logf("study %s (%q): admitted, %d points, seed %d", st.id, spec.Name, len(points), seed)
+		s.cfg.Logf("study %s (%q): admitted, %d points, seed %d", st.id, st.spec.Name, len(st.points), st.seed)
 		writeJSON(w, http.StatusAccepted, st.snapshot())
 	default:
 		s.nextID-- // not admitted; reuse the id
@@ -571,6 +597,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "campaign queue is full (%d queued)", s.cfg.QueueDepth)
 	}
+}
+
+// sameGrid returns the study among studies frozen under st's seed and
+// replica count, or nil.
+func sameGrid(studies []*study, st *study) *study {
+	for _, o := range studies {
+		if o.seed == st.seed && o.replicas == st.replicas {
+			return o
+		}
+	}
+	return nil
 }
 
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
@@ -599,7 +636,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 	if st := s.lookup(w, r); st != nil {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		w.Write(st.specBytes)
+		io.WriteString(w, st.specText)
 	}
 }
 
@@ -626,10 +663,10 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // handleResults streams the study's results as chunked JSONL: replay of
 // everything emitted so far, then the live tail, ending when the study
 // does. The bytes are exactly what campaign.JSONLWriter emits in
-// process — one json.Marshal(Result) per line — so a saved stream is
-// byte-comparable against a local run. A study that fails or is
-// canceled simply ends its stream early; the status endpoint carries
-// the error.
+// process, so a saved stream is byte-comparable against a local run.
+// Every subscriber writes the hub's lines as they are: they are shared.
+// A study that fails or is canceled simply ends its stream early; the
+// status endpoint carries the error.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	st := s.lookup(w, r)
 	if st == nil {
@@ -648,7 +685,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	for {
 		lines, done, _, wait := st.hub.snapshot(i)
 		for _, line := range lines {
-			if _, err := w.Write(append(line, '\n')); err != nil {
+			if _, err := w.Write(line); err != nil {
 				return
 			}
 			i++
@@ -689,7 +726,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		for _, line := range lines {
 			// Result JSON never contains newlines, so one data: line
 			// carries the whole object.
-			if _, err := fmt.Fprintf(w, "event: result\nid: %d\ndata: %s\n\n", i, line); err != nil {
+			if _, err := fmt.Fprintf(w, "event: result\nid: %d\ndata: %s\n\n", i, line[:len(line)-1]); err != nil {
 				return
 			}
 			i++
@@ -748,7 +785,7 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 			Results: make([]json.RawMessage, len(lines)),
 		}
 		for i, line := range lines {
-			body.Results[i] = json.RawMessage(line)
+			body.Results[i] = json.RawMessage(line[:len(line)-1])
 		}
 		writeJSON(w, http.StatusOK, body)
 	}
@@ -761,6 +798,9 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 // statsBody is the service-level stats surface (the per-process
 // counters live in /debug/vars).
 type statsBody struct {
+	// Epoch is the results epoch of the numbers the service computes
+	// and caches (campaign.Epoch).
+	Epoch    int            `json:"epoch"`
 	Studies  map[string]int `json:"studies"`
 	Queue    map[string]int `json:"queue"`
 	Workers  map[string]int `json:"workers"`
@@ -792,6 +832,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	bytes, entries := s.cache.Stats()
 	body := statsBody{
+		Epoch:   campaign.Epoch,
 		Studies: byStatus,
 		Queue:   map[string]int{"depth": depth, "capacity": s.cfg.QueueDepth},
 		Workers: map[string]int{

@@ -625,14 +625,14 @@ func TestSubmitRejectsUnrunnablePoints(t *testing.T) {
 // points blow up inside the worker pool.
 type panickyCache struct{ bad map[string]bool }
 
-func (c panickyCache) Get(hash string) (*campaign.Result, bool) {
+func (c panickyCache) Get(hash string) ([]byte, bool) {
 	if c.bad[hash] {
 		panic("injected point failure")
 	}
 	return nil, false
 }
 
-func (panickyCache) Put(string, *campaign.Result) {}
+func (panickyCache) Put(string, []byte) {}
 
 // TestPanickingPointFailsItsStudyOnly: a work unit that panics takes down
 // its own study — status "failed", the unit and the panic message in the

@@ -15,6 +15,7 @@ done <<'TARGETS'
 ./internal/shard FuzzLedger
 ./campaign FuzzDecodeStudy
 ./campaign FuzzDecodeShardRecord
+./campaign FuzzHitSplice
 ./internal/checkpoint FuzzScan
 ./internal/checkpoint FuzzOpenRepairs
 ./internal/metrics FuzzDigestQuantile

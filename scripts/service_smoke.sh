@@ -3,8 +3,11 @@
 # starts ctsand on an ephemeral port, submits the same small study
 # twice, and asserts (a) both result streams are byte-identical — the
 # determinism promise over HTTP — (b) the second run is served >= 90%
-# from the content-addressed result cache, and (c) SIGTERM drains the
-# service to a clean exit 0. Before any of that it submits two hostile
+# from the content-addressed result cache, (c) the same spec resubmitted
+# under a study name JSON escapes (a<b&c) is served from the cache too,
+# and two concurrent readers of its stream both get the bytes of a cold
+# run of the renamed spec on a second, cacheless daemon, and (d) SIGTERM
+# drains the service to a clean exit 0. Before any of that it submits two hostile
 # but well-formed specs that used to be accepted and then kill the
 # process from inside the worker pool; they must be refused with a 400
 # that says why, and the daemon must still be there for (a)-(c).
@@ -12,13 +15,20 @@ set -eu
 cd "$(dirname "$0")/.."
 
 LOG="$(mktemp)"
+COLDLOG="$(mktemp)"
 SPEC="$(mktemp)"
+RENAMED="$(mktemp)"
 R1="$(mktemp)"
 R2="$(mktemp)"
+R3="$(mktemp)"
+R4="$(mktemp)"
+COLD="$(mktemp)"
 PID=""
+COLDPID=""
 cleanup() {
     [ -n "$PID" ] && kill "$PID" 2>/dev/null || true
-    rm -f "$LOG" "$SPEC" "$R1" "$R2"
+    [ -n "$COLDPID" ] && kill "$COLDPID" 2>/dev/null || true
+    rm -f "$LOG" "$COLDLOG" "$SPEC" "$RENAMED" "$R1" "$R2" "$R3" "$R4" "$COLD"
 }
 trap cleanup EXIT
 
@@ -26,20 +36,26 @@ trap cleanup EXIT
 # compile step racing the address poll below.
 go build -o /tmp/ctsand-smoke ./cmd/ctsand
 
+# listening <pid> <log>: the address the daemon logs on startup (its
+# port is ephemeral); nothing, and the log on stderr, if it never does.
+listening() {
+    i=0
+    while [ $i -lt 100 ]; do
+        A="$(sed -n 's#.*listening on http://\([^/]*\)/.*#\1#p' "$2" | head -n 1)"
+        [ -n "$A" ] && { echo "$A"; return; }
+        kill -0 "$1" 2>/dev/null || { echo "ctsand exited early:" >&2; cat "$2" >&2; exit 1; }
+        sleep 0.1
+        i=$((i + 1))
+    done
+    echo "ctsand never logged its address" >&2
+    cat "$2" >&2
+    exit 1
+}
+
 /tmp/ctsand-smoke -addr 127.0.0.1:0 -workers 2 -max-active 1 2>"$LOG" &
 PID=$!
-
-# The bound port is ephemeral; the daemon logs it on startup.
-ADDR=""
-i=0
-while [ $i -lt 100 ]; do
-    ADDR="$(sed -n 's#.*listening on http://\([^/]*\)/.*#\1#p' "$LOG" | head -n 1)"
-    [ -n "$ADDR" ] && break
-    kill -0 "$PID" 2>/dev/null || { echo "ctsand exited early:" >&2; cat "$LOG" >&2; exit 1; }
-    sleep 0.1
-    i=$((i + 1))
-done
-[ -n "$ADDR" ] || { echo "ctsand never logged its address" >&2; cat "$LOG" >&2; exit 1; }
+ADDR="$(listening "$PID" "$LOG")"
+[ -n "$ADDR" ] || exit 1
 echo "campaign service at $ADDR" >&2
 
 cat >"$SPEC" <<'EOF'
@@ -66,8 +82,8 @@ hostile '{"engine":"emulation","spec":{"N":3,"Executions":5,"TimeoutT":10,"Perio
 curl -sf "http://$ADDR/healthz" >/dev/null ||
     { echo "ctsand stopped answering /healthz after the hostile submits:" >&2; cat "$LOG" >&2; exit 1; }
 
-submit() {
-    curl -sf -X POST --data-binary @"$SPEC" "http://$ADDR/api/v1/studies" |
+submit() { # submit [spec file [address]]
+    curl -sf -X POST --data-binary @"${1:-$SPEC}" "http://${2:-$ADDR}/api/v1/studies" |
         sed -n 's/.*"id":"\([^"]*\)".*/\1/p'
 }
 field() { # field <id> <name>
@@ -97,10 +113,40 @@ HITS="$(field "$ID2" cache_hits)"
     exit 1
 }
 
+# The renamed resubmission: every point a cache hit whose stored result
+# names the first study, so the new name is spliced in, escaped as
+# encoding/json escapes it.
+sed 's/"name":"smoke"/"name":"a<b\&c"/' "$SPEC" >"$RENAMED"
+grep -q '"name":"a<b&c"' "$RENAMED" || { echo "renamed spec lost its name" >&2; exit 1; }
+ID3="$(submit "$RENAMED")"
+[ -n "$ID3" ] || { echo "renamed submission rejected" >&2; exit 1; }
+curl -sfN "http://$ADDR/api/v1/studies/$ID3/results" >"$R3" &
+READ3=$!
+curl -sfN "http://$ADDR/api/v1/studies/$ID3/results" >"$R4" &
+READ4=$!
+wait "$READ3" || { echo "first concurrent read of the renamed study failed" >&2; exit 1; }
+wait "$READ4" || { echo "second concurrent read of the renamed study failed" >&2; exit 1; }
+HITS3="$(field "$ID3" cache_hits)"
+[ "$HITS3" = "$POINTS" ] || { echo "renamed resubmission: $HITS3 cache hits of $POINTS points" >&2; exit 1; }
+
+/tmp/ctsand-smoke -addr 127.0.0.1:0 -workers 2 -max-active 1 -cache-mb 0 2>"$COLDLOG" &
+COLDPID=$!
+COLDADDR="$(listening "$COLDPID" "$COLDLOG")"
+[ -n "$COLDADDR" ] || exit 1
+ID4="$(submit "$RENAMED" "$COLDADDR")"
+[ -n "$ID4" ] || { echo "renamed submission rejected by the cacheless daemon" >&2; exit 1; }
+curl -sfN "http://$COLDADDR/api/v1/studies/$ID4/results" >"$COLD"
+kill -TERM "$COLDPID"
+wait "$COLDPID" || true
+COLDPID=""
+grep -q '"study":"a\\u003cb\\u0026c"' "$COLD" || { echo "cold renamed stream does not name a<b&c escaped" >&2; exit 1; }
+cmp "$R3" "$COLD" || { echo "renamed warm stream (reader 1) differs from its cold run" >&2; exit 1; }
+cmp "$R4" "$COLD" || { echo "renamed warm stream (reader 2) differs from its cold run" >&2; exit 1; }
+
 kill -TERM "$PID"
 RC=0
 wait "$PID" || RC=$?
 PID=""
 [ "$RC" = "0" ] || { echo "graceful shutdown exited $RC" >&2; cat "$LOG" >&2; exit 1; }
 
-echo "service smoke OK: hostile specs refused (400), $HITS/$POINTS cache hits on warm run, streams byte-identical, clean drain" >&2
+echo "service smoke OK: hostile specs refused (400), $HITS/$POINTS cache hits on warm run, streams byte-identical, renamed resubmission read twice at once equals its cold run, clean drain" >&2
