@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -14,39 +13,22 @@ import (
 	"ctsan/internal/scenario"
 )
 
-// mapCache is the simplest conforming PointCache: shard records in a
-// map — the same storage scheme the server's LRU uses, minus bounds and
-// eviction.
-type mapCache struct {
+// executed observes which points of a run executed: the run's
+// completed hook, which sees each point the moment it completes.
+type executed struct {
 	mu      sync.Mutex
-	entries map[string][]byte
-	gets    []string
-	hits    int
-	puts    []int // indices of the stored records, in Put order
+	indices []int // in completion order
 }
 
-func newMapCache() *mapCache { return &mapCache{entries: map[string][]byte{}} }
-
-func (c *mapCache) Get(hash string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	record, ok := c.entries[hash]
-	c.gets = append(c.gets, hash)
-	if ok {
-		c.hits++
+func (e *executed) option() Option {
+	return func(o *options) {
+		o.completed = func(i int, _ *Result) error {
+			e.mu.Lock()
+			e.indices = append(e.indices, i)
+			e.mu.Unlock()
+			return nil
+		}
 	}
-	return record, ok
-}
-
-func (c *mapCache) Put(hash string, record []byte) {
-	rec, err := DecodeShardRecord(record)
-	if err != nil {
-		panic(fmt.Sprintf("Put of a record that does not decode: %v", err))
-	}
-	c.mu.Lock()
-	c.entries[hash] = record
-	c.puts = append(c.puts, rec.Index)
-	c.mu.Unlock()
 }
 
 func TestFrozenPointsMatchesManualDerivation(t *testing.T) {
@@ -103,123 +85,6 @@ func TestFrozenPointsMatchesManualDerivation(t *testing.T) {
 	}
 }
 
-// TestPointCacheWarmRunByteIdentical is the cache contract end to end:
-// a warm rerun of the same study serves every point from the cache and
-// emits byte-identical JSONL.
-func TestPointCacheWarmRunByteIdentical(t *testing.T) {
-	study := shardTestStudy()
-	cache := newMapCache()
-	opts := []Option{WithSeed(7), WithWorkers(2), WithPointCache(cache)}
-
-	cold := resultLines(t, study, opts...)
-	if cache.hits != 0 {
-		t.Fatalf("cold run hit the cache %d times", cache.hits)
-	}
-	if len(cache.entries) != len(study.Points) {
-		t.Fatalf("cold run cached %d of %d points", len(cache.entries), len(study.Points))
-	}
-
-	warm := resultLines(t, study, opts...)
-	if cache.hits != len(study.Points) {
-		t.Fatalf("warm run hit %d of %d points", cache.hits, len(study.Points))
-	}
-	for i := range cold {
-		if !bytes.Equal(cold[i], warm[i]) {
-			t.Fatalf("point %d: warm result diverged\ncold: %s\nwarm: %s", i, cold[i], warm[i])
-		}
-	}
-
-	// An uncached reference run must agree too: serving from cache can
-	// change no bit relative to plain execution.
-	ref := resultLines(t, study, WithSeed(7), WithWorkers(2))
-	for i := range ref {
-		if !bytes.Equal(ref[i], cold[i]) {
-			t.Fatalf("point %d: cached run diverged from uncached reference", i)
-		}
-	}
-}
-
-// TestPointCacheRewritesIdentity: the same frozen point appearing in a
-// differently-named study at a different grid index (same name and
-// pinned seed → same content hash, since the point hash covers only the
-// frozen point spec, not the study around it) is served from cache with
-// the hitting study's identity fields, leaving the statistics untouched.
-func TestPointCacheRewritesIdentity(t *testing.T) {
-	cache := newMapCache()
-	shared := SANPoint{Name: "shared", N: 3, Replicas: 40, Seed: 99}
-	a := NewStudy("study-a", shared)
-	b := NewStudy("study-b", SANPoint{N: 4, Replicas: 20}, shared)
-
-	ra, err := RunCollect(context.Background(), a, WithWorkers(1), WithPointCache(cache))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := RunCollect(context.Background(), b, WithWorkers(1), WithPointCache(cache))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache.hits != 1 {
-		t.Fatalf("expected the shared point to hit, got %d hits", cache.hits)
-	}
-	if rb[1].Study != "study-b" || rb[1].Point != "shared" || rb[1].Index != 1 {
-		t.Fatalf("cached result kept stale identity: %+v", rb[1])
-	}
-	if ra[0].Latency != rb[1].Latency || ra[0].Replicas != rb[1].Replicas {
-		t.Fatal("cached result changed the statistics")
-	}
-	if got, want := rb[1].Quantile(0.5), ra[0].Quantile(0.5); got != want {
-		t.Fatalf("cached digest quantile %g, want %g", got, want)
-	}
-}
-
-// sentinelCache proves a hit really skips the engine: it serves a
-// pre-built record for every Get, so if the emitted result carries the
-// sentinel's statistics the point cannot have executed.
-type sentinelCache struct {
-	line []byte
-	puts int
-}
-
-func (c *sentinelCache) Get(string) ([]byte, bool) { return c.line, true }
-
-func (c *sentinelCache) Put(string, []byte) { c.puts++ }
-
-func TestPointCacheHitSkipsExecution(t *testing.T) {
-	// Build a sentinel record from a tiny run with a recognizable seed.
-	donor := NewStudy("donor", SANPoint{N: 3, Replicas: 10, Seed: 424242})
-	results, err := RunCollect(context.Background(), donor, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fps, err := donor.FrozenPoints()
-	if err != nil {
-		t.Fatal(err)
-	}
-	line, err := EncodeShardRecord(fps[0].Hash, results[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := &sentinelCache{line: line}
-
-	// This point would run 5000 replicas at a different seed — if the
-	// emitted result shows the sentinel's seed and replica count, the
-	// engine never ran.
-	study := NewStudy("victim", SANPoint{N: 5, Replicas: 5000, Seed: 1})
-	got, err := RunCollect(context.Background(), study, WithWorkers(1), WithPointCache(cache))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Seed != 424242 || got[0].Replicas != 10 {
-		t.Fatalf("cache hit did not skip execution: %+v", got[0])
-	}
-	if got[0].Study != "victim" {
-		t.Fatalf("identity not rewritten: %q", got[0].Study)
-	}
-	if cache.puts != 0 {
-		t.Fatalf("hit path called Put %d times", cache.puts)
-	}
-}
-
 // failingSink errors on the result at a chosen index and records every
 // emission and close, pinning the Sink error contract: the study is
 // canceled (no unit after the failing emission starts on the serial
@@ -255,10 +120,10 @@ func TestSinkErrorCancelsStudy(t *testing.T) {
 		SANPoint{N: 3, Replicas: 20, TSend: 0.4},
 	)
 	sink := &failingSink{failAt: 1, err: sinkErr}
-	exec := newMapCache() // execution observer: Put records every point that ran
+	var exec executed
 
 	err := Run(context.Background(), study, WithWorkers(1),
-		WithSink(sink), WithPointCache(exec))
+		WithSink(sink), exec.option())
 	if err == nil {
 		t.Fatal("sink error did not surface from Run")
 	}
@@ -273,8 +138,8 @@ func TestSinkErrorCancelsStudy(t *testing.T) {
 	}
 	// Serial path: the failing emission happens inside unit 1; units 2+
 	// must never start once it fails.
-	if len(exec.puts) != 2 {
-		t.Fatalf("points executed after the sink failure: %v", exec.puts)
+	if len(exec.indices) != 2 {
+		t.Fatalf("points executed after the sink failure: %v", exec.indices)
 	}
 }
 
@@ -308,13 +173,6 @@ func TestSinkErrorParallelSurfaces(t *testing.T) {
 	}
 }
 
-// countingCache sees every execution of a cached run: a miss is a Get
-// that found nothing, followed by a Put once the point has run.
-type countingCache struct{ gets, puts int }
-
-func (c *countingCache) Get(string) ([]byte, bool) { c.gets++; return nil, false }
-func (c *countingCache) Put(string, []byte)        { c.puts++ }
-
 // TestUnrunnablePointFailsBeforeAnyExecution: what only an engine used to
 // reject — a crashed id outside 1..n, no correct majority — or used to
 // panic on (FD QoS with TM >= TMR, a negative heartbeat period) or to
@@ -326,13 +184,13 @@ func TestUnrunnablePointFailsBeforeAnyExecution(t *testing.T) {
 	good := SANPoint{N: 3, Replicas: 5}
 	for _, tc := range unrunnablePoints {
 		study := NewStudy("bad-second", good, tc.bad)
-		var cache countingCache
-		err := Run(context.Background(), study, WithWorkers(1), WithPointCache(&cache))
+		var exec executed
+		err := Run(context.Background(), study, WithWorkers(1), exec.option())
 		if err == nil || !strings.Contains(err.Error(), "point 1") || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: Run error %v, want point 1 rejected with %q", tc.bad, err, tc.want)
 		}
-		if cache.gets != 0 || cache.puts != 0 {
-			t.Errorf("%+v: %d lookups and %d executions before the error, want none", tc.bad, cache.gets, cache.puts)
+		if len(exec.indices) != 0 {
+			t.Errorf("%+v: %d executions before the error, want none", tc.bad, len(exec.indices))
 		}
 		if _, err := Frozen(study); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: Frozen error %v, want %q", tc.bad, err, tc.want)

@@ -179,7 +179,6 @@ type options struct {
 	replicas int
 	sinks    []Sink
 	progress func(done, total int, last *Result)
-	cache    PointCache
 	// completed, when set, sees each result on the worker that produced
 	// it, the moment its point completes — in completion order, not index
 	// order, and before the result is buffered for emission. Calls are

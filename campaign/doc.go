@@ -109,17 +109,13 @@
 // FrozenPoint per grid cell with its index, label, engine, derived
 // seed, replica count, and PointHash — for callers that enumerate or
 // address the grid without running it (the campaign service serves it
-// verbatim). The hash covers everything execution depends on, which
-// enables WithPointCache: Run consults a PointCache around every point,
-// serving hits (with identity fields rewritten to the requesting
-// study) and storing misses. Determinism is what makes the cache
-// transparent — identical hash means identical result bits — so
-// caching, like sharding, changes only where results come from, never
-// what they are. The HTTP campaign service (internal/server, cmd/
-// ctsand) composes these pieces: DecodeStudy admits specs, FrozenPoints
-// powers its grid surfaces, a byte-budgeted LRU over encoded shard
-// records implements PointCache, and a streaming Sink fans results to
-// any number of live subscribers.
+// verbatim). The hash covers everything execution depends on, so it
+// can key a cache of records, and ResultLine re-identifies a stored
+// record's result as the point of another study without decoding it.
+// The HTTP campaign service (internal/server, cmd/ctsand) composes
+// these pieces: DecodeStudy admits specs, FrozenPoints powers its grid
+// surfaces, a byte-budgeted LRU over encoded shard records serves the
+// points it holds through ResultLine, and RunRecords runs the rest.
 //
 // The same pieces compose once more into fleet dispatch: the service
 // serves the same lease ledger `ctsan run` drives in-process to pulling

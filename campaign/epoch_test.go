@@ -2,12 +2,11 @@ package campaign
 
 import (
 	"bufio"
-	"bytes"
-	"context"
 	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -102,7 +101,8 @@ func fixtureStudies(t *testing.T) []*Study {
 // belong to their points at epoch 0 and to none at epoch 1 — where
 // resume and merge (VerifyShardRecord, MergeShardRecords), the fleet
 // coordinator (the same check on uploads) and a cache warm-loaded with
-// them (keys are point hashes) all run those points again.
+// them (keys are point hashes, none of which is a point's now) all run
+// those points again.
 func TestNextEpochRefusesEveryRecord(t *testing.T) {
 	lines := fixtureRecords(t)
 	byStudy := [][][]byte{lines[:4], lines[4:]}
@@ -127,20 +127,14 @@ func TestNextEpochRefusesEveryRecord(t *testing.T) {
 		if _, skipped, err := MergeShardRecords(s, byStudy[i]); err == nil || skipped != len(byStudy[i]) {
 			t.Errorf("epoch 1 merged epoch-0 records of %q: skipped %d, %v", s.Name, skipped, err)
 		}
-		cache := newMapCache()
 		for _, line := range byStudy[i] {
 			rec, err := DecodeShardRecord(line)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cache.entries[rec.PointHash] = bytes.Clone(line)
-		}
-		if err := Run(context.Background(), s, WithWorkers(1), WithPointCache(cache)); err != nil {
-			t.Fatal(err)
-		}
-		if cache.hits != 0 || len(cache.puts) != len(s.Points) {
-			t.Errorf("epoch 1 served %d epoch-0 records of %q from the cache and ran %d of %d points",
-				cache.hits, s.Name, len(cache.puts), len(s.Points))
+			if slices.Contains(hashes, rec.PointHash) {
+				t.Errorf("epoch 1 keys an epoch-0 record of %q under one of its points: a cache would serve it", s.Name)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"slices"
 	"sync"
@@ -42,17 +43,16 @@ func reidentified(t testing.TB, line []byte, study, point string, index int) []b
 	return result
 }
 
-// checkHit holds the hit of the stored line, re-identified as point
+// checkHit holds the stored line's result line, re-identified as point
 // `index` of the study, to the reference.
 func checkHit(t testing.TB, line []byte, study, point string, index int) {
 	t.Helper()
-	rest, ok := cutHit(line)
+	got, ok := ResultLine(line, study, point, index)
 	if !ok {
-		t.Fatalf("cutHit refused a stored record: %s", line)
+		t.Fatalf("ResultLine refused a stored record: %s", line)
 	}
-	want := reidentified(t, line, study, point, index)
-	if got := hitLine(rest, study, point, index); string(got) != string(want)+"\n" {
-		t.Errorf("hit line as (%q, %q, %d):\n got %s\nwant %s", study, point, index, got, want)
+	if want := reidentified(t, line, study, point, index); string(got) != string(want)+"\n" {
+		t.Errorf("result line as (%q, %q, %d):\n got %s\nwant %s", study, point, index, got, want)
 	}
 }
 
@@ -92,52 +92,29 @@ func FuzzHitSplice(f *testing.F) {
 	})
 }
 
-// TestRunRecordsWritesAHitAsItsRecord: the records RunRecords writes
-// for hits on a cache another study filled are those it writes running
-// the points.
-func TestRunRecordsWritesAHitAsItsRecord(t *testing.T) {
-	study := shardTestStudy()
-	cache := newMapCache()
-	other := NewStudy("another <name>", slices.Clone(study.Points)...)
-	if _, err := RunCollect(context.Background(), other, WithSeed(4), WithPointCache(cache)); err != nil {
-		t.Fatal(err)
-	}
-	frozen, err := Frozen(study, WithSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hashes, err := StudyPointHashes(frozen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	records := func(opts ...Option) map[int][]byte {
-		out := map[int][]byte{}
-		err := RunRecords(context.Background(), frozen, hashes, []int{1, 2, 4}, func(index int, line []byte) error {
-			out[index] = line
-			return nil
-		}, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	cold := records()
-	cache.hits = 0
-	warm := records(WithPointCache(cache))
-	if cache.hits != len(cold) {
-		t.Errorf("%d cache hits, want %d", cache.hits, len(cold))
-	}
-	for index, want := range cold {
-		if !bytes.Equal(warm[index], want) {
-			t.Errorf("record of point %d from the cache:\n got %s\nwant %s", index, warm[index], want)
-		}
-	}
-}
-
-// TestCutHitRefusesOtherLayouts: what cutHit cannot cut at the writer's
-// seams is no hit (Run runs the point).
+// TestCutHitRefusesOtherLayouts: what ResultLine cannot cut at the
+// writer's seams is no result line, and no record either: with its CRC
+// made right, DecodeShardRecord refuses it — a valid record whose result
+// keys come in another order included — so no store, cache or upload
+// holds a record its reader would have to run again.
 func TestCutHitRefusesOtherLayouts(t *testing.T) {
 	line := fixtureRecords(t)[0]
+	rec, err := DecodeShardRecord(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Result, &fields); err != nil {
+		t.Fatal(err)
+	}
+	sorted, err := json.Marshal(fields) // the keys in sorted order: "aborted" first
+	if err != nil {
+		t.Fatal(err)
+	}
+	reordered := appendShardRecord(nil, rec.Study, rec.Index, rec.PointHash, rec.Seed, sorted, rec.Digest)
+	if _, err := oracleDecodeShardRecord(reordered); err != nil {
+		t.Fatalf("the reordered record is not a valid record: %v", err)
+	}
 	for _, bad := range [][]byte{
 		nil,
 		[]byte("{}"),
@@ -146,9 +123,17 @@ func TestCutHitRefusesOtherLayouts(t *testing.T) {
 		bytes.Replace(line, []byte(`,"engine":`), []byte(`,"machine":`), 1),
 		bytes.Replace(line, []byte(`,"digest":"`), []byte(`,"digests":"`), 1),
 		bytes.Replace(line, []byte(`"body":{"v":1`), []byte(`"body":{"v":2`), 1),
+		reordered,
 	} {
-		if _, ok := cutHit(bad); ok {
-			t.Errorf("cutHit accepted %q", bad)
+		if _, ok := ResultLine(bad, "s", "p", 0); ok {
+			t.Errorf("ResultLine accepted %q", bad)
+		}
+		fixed := bytes.Clone(bad)
+		if len(fixed) > bodyAt {
+			putCRC(fixed[len(crcKey):], crc32.Checksum(fixed[bodyAt:len(fixed)-1], crcTable))
+		}
+		if _, err := DecodeShardRecord(fixed); err == nil {
+			t.Errorf("DecodeShardRecord accepted %q", fixed)
 		}
 	}
 }
@@ -202,16 +187,15 @@ func TestFrozenStudyRunsItsFreeze(t *testing.T) {
 
 // TestFrozenStudyEditedInPlaceRunsTheEdit: a point of a frozen study
 // replaced in place runs as that point. The study freezes and hashes
-// again, so a cache the unedited study filled serves the other points
-// and misses the edited one: no remembered statistics come out under
-// the new point's label.
+// again, so the edited point's record is keyed by its own hash: no
+// remembered statistics come out under the new point's label.
 func TestFrozenStudyEditedInPlaceRunsTheEdit(t *testing.T) {
 	frozen, err := Frozen(shardTestStudy(), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := newMapCache()
-	if _, err := RunCollect(context.Background(), frozen, WithPointCache(cache)); err != nil {
+	before, err := StudyPointHashes(frozen)
+	if err != nil {
 		t.Fatal(err)
 	}
 	frozen.Points[2] = SANPoint{Name: "edited", N: 7, Replicas: 30, Seed: 11}
@@ -219,15 +203,11 @@ func TestFrozenStudyEditedInPlaceRunsTheEdit(t *testing.T) {
 		t.Fatal("a point replaced in place kept the freeze")
 	}
 	want := resultLines(t, NewStudy(frozen.Name, slices.Clone(frozen.Points)...), WithSeed(5), WithWorkers(1))
-	cache.hits = 0
-	got := resultLines(t, frozen, WithPointCache(cache), WithWorkers(2))
+	got := resultLines(t, frozen, WithWorkers(2))
 	for i := range want {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Errorf("point %d of the edited study:\n got %s\nwant %s", i, got[i], want[i])
 		}
-	}
-	if want := len(frozen.Points) - 1; cache.hits != want {
-		t.Errorf("%d cache hits, want %d: every point but the edited one", cache.hits, want)
 	}
 	hashes, err := StudyPointHashes(frozen)
 	if err != nil {
@@ -237,8 +217,8 @@ func TestFrozenStudyEditedInPlaceRunsTheEdit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(hashes, fresh) {
-		t.Errorf("hashes of the edited study %v, want %v", hashes, fresh)
+	if !slices.Equal(hashes, fresh) || hashes[2] == before[2] {
+		t.Errorf("hashes of the edited study %v, want %v, with point 2's other than %s", hashes, fresh, before[2])
 	}
 }
 
@@ -277,24 +257,20 @@ func TestSharedFreezeRunsConcurrently(t *testing.T) {
 }
 
 // TestKeptResultsEncodeAsChanged: what a sink keeps is the struct, and a
-// result changed after the run encodes as changed — also one Run encoded
-// for the cache, or served from it.
+// result changed after the run encodes as changed.
 func TestKeptResultsEncodeAsChanged(t *testing.T) {
-	cache := newMapCache()
-	for _, pass := range []string{"cold", "warm"} {
-		results, err := RunCollect(context.Background(), shardTestStudy(), WithWorkers(1), WithPointCache(cache))
-		if err != nil {
+	results, err := RunCollect(context.Background(), shardTestStudy(), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		r.Point = "changed"
+		var buf bytes.Buffer
+		if err := NewJSONLWriter(&buf).Emit(r); err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range results {
-			r.Point = "changed"
-			var buf bytes.Buffer
-			if err := NewJSONLWriter(&buf).Emit(r); err != nil {
-				t.Fatal(err)
-			}
-			if want, _ := json.Marshal(r); buf.String() != string(want)+"\n" {
-				t.Errorf("%s: a changed result wrote\n%s\nwant %s", pass, buf.Bytes(), want)
-			}
+		if want, _ := json.Marshal(r); buf.String() != string(want)+"\n" {
+			t.Errorf("a changed result wrote\n%s\nwant %s", buf.Bytes(), want)
 		}
 	}
 }

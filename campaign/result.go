@@ -93,34 +93,6 @@ type Result struct {
 	// raw is the engine-native result (*experiment.LatencyResult,
 	// *san.TransientResult, or *scenario.Report).
 	raw any
-
-	// line, while Run emits the result, is its JSONL line — the JSON
-	// encoding and a newline — when Run has it already: a cache hit's
-	// re-identified bytes, or the one encoding of a computed result that
-	// went into the cache.
-	line []byte
-	// hit, on a cache hit, is the stored record the fields above have
-	// not been decoded from yet (decode).
-	hit []byte
-}
-
-// decode fills in a cache hit's fields from its stored record, for a
-// consumer that reads the struct rather than the JSON line.
-func (r *Result) decode() error {
-	if r.hit == nil {
-		return nil
-	}
-	rec, err := DecodeShardRecord(r.hit)
-	if err != nil {
-		return err
-	}
-	full, err := rec.DecodeResult()
-	if err != nil {
-		return err
-	}
-	full.Study, full.Point, full.Index, full.line = r.Study, r.Point, r.Index, r.line
-	*r = *full
-	return nil
 }
 
 // Samples returns the retained latency samples in execution order. It

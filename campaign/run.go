@@ -84,24 +84,14 @@ func run(ctx context.Context, study *Study, o *options) error {
 	// Freeze — and so validate — every point before anything runs: a typo
 	// in point 7 must not cost the six campaigns before it. A study
 	// Frozen made is its own freeze: every default is materialized
-	// already, under any options, and its points are hashed.
+	// already, under any options.
 	var prep []prepared
-	var hashes []string
 	if g := study.grid(); g != nil {
-		prep, hashes = g.prep, g.hashes
+		prep = g.prep
 	} else {
 		var err error
 		if study, prep, err = frozenWith(study, o); err != nil {
 			return err
-		}
-		// With a result cache installed, every point's content hash is
-		// derived up front from the frozen points, so cache keys cover
-		// the effective seed and replica count, not just the
-		// user-written spec.
-		if o.cache != nil {
-			if hashes, err = pointHashes(study.Points); err != nil {
-				return err
-			}
 		}
 	}
 	chains := make([]float64, len(prep))
@@ -118,35 +108,15 @@ func run(ctx context.Context, study *Study, o *options) error {
 		models:    make([]sanmodel.Models, pool.Workers()),
 	}
 
-	// A cache hit is decoded only for a consumer that reads the struct:
-	// a sink other than a JSONLWriter, or a progress callback.
-	structs := o.progress != nil || slices.ContainsFunc(o.sinks, func(s Sink) bool {
-		_, lines := s.(*JSONLWriter)
-		return !lines
-	})
 	total := len(prep)
 	return parallel.StreamOn(ctx, pool, startOrder(chains),
 		func(w, i int) (*Result, error) {
-			// A result is identified for this study: a cached result's
-			// statistics are content-addressed, its identity is not.
-			name, point := study.Name, study.Points[i].Label()
-			var res *Result
-			if o.cache != nil {
-				res = cached(o.cache, hashes[i], name, point, i)
+			point := study.Points[i].Label()
+			res, err := prep[i].run(ctx, o.built, w)
+			if err != nil {
+				return nil, fmt.Errorf("campaign: point %d (%s): %w", i, point, err)
 			}
-			if res == nil {
-				var err error
-				if res, err = prep[i].run(ctx, o.built, w); err != nil {
-					return nil, fmt.Errorf("campaign: point %d (%s): %w", i, point, err)
-				}
-				res.Study, res.Point, res.Index = name, point, i
-				if o.cache != nil {
-					if record, js, err := marshalShardRecord(hashes[i], i, res); err == nil {
-						res.line = append(js, '\n')
-						o.cache.Put(hashes[i], record)
-					}
-				}
-			}
+			res.Study, res.Point, res.Index = study.Name, point, i
 			if o.completed != nil {
 				if err := o.completed(i, res); err != nil {
 					return nil, fmt.Errorf("campaign: point %d (%s): %w", i, point, err)
@@ -156,11 +126,6 @@ func run(ctx context.Context, study *Study, o *options) error {
 		},
 		func(i int, res *Result) error {
 			obs.Points.Add(1)
-			if structs {
-				if err := res.decode(); err != nil {
-					return fmt.Errorf("campaign: point %d (%s): cached result: %w", i, res.Point, err)
-				}
-			}
 			for _, s := range o.sinks {
 				if err := s.Emit(res); err != nil {
 					return fmt.Errorf("campaign: sink: %w", err)
@@ -169,26 +134,8 @@ func run(ctx context.Context, study *Study, o *options) error {
 			if o.progress != nil {
 				o.progress(i+1, total, res)
 			}
-			// What outlives the emission — a result a sink kept — is
-			// the struct, which the caller may change: the line is
-			// only good until then.
-			res.line = nil
 			return nil
 		})
-}
-
-// cached returns the result the cache holds for point `index` of the
-// study, identified as that point, or nil on a miss.
-func cached(c PointCache, hash, study, point string, index int) *Result {
-	record, ok := c.Get(hash)
-	if !ok {
-		return nil
-	}
-	rest, ok := cutHit(record)
-	if !ok {
-		return nil
-	}
-	return &Result{Study: study, Point: point, Index: index, line: hitLine(rest, study, point, index), hit: record}
 }
 
 // startOrder is the order a study's points start in, given each point's

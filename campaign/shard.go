@@ -85,38 +85,24 @@ func EncodeShardRecord(pointHash string, res *Result) ([]byte, error) {
 
 // encodeShardRecord is EncodeShardRecord of res as the point at grid
 // index `index`, without touching res — a sub-study's result is still
-// owned by the run that will emit it under its sub-study index. A cache
-// hit is decoded first.
+// owned by the run that will emit it under its sub-study index.
 func encodeShardRecord(pointHash string, index int, res *Result) ([]byte, error) {
-	if res.hit != nil {
-		hit := *res
-		if err := hit.decode(); err != nil {
-			return nil, fmt.Errorf("campaign: cached result of point %d: %w", index, err)
-		}
-		res = &hit
-	}
-	record, _, err := marshalShardRecord(pointHash, index, res)
-	return record, err
-}
-
-// marshalShardRecord encodes res as the record of the point at grid
-// index `index`, returning the result JSON it holds as well.
-func marshalShardRecord(pointHash string, index int, res *Result) (record, resultJSON []byte, err error) {
 	if res.digest == nil {
-		return nil, nil, fmt.Errorf("campaign: result of point %d carries no digest", index)
+		return nil, fmt.Errorf("campaign: result of point %d carries no digest", index)
 	}
 	at := *res
 	at.Index = index
-	if resultJSON, err = json.Marshal(&at); err != nil {
-		return nil, nil, fmt.Errorf("campaign: encode result: %w", err)
+	resultJSON, err := json.Marshal(&at)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: encode result: %w", err)
 	}
 	digestBin, err := res.digest.MarshalBinary()
 	if err != nil {
-		return nil, nil, fmt.Errorf("campaign: encode digest: %w", err)
+		return nil, fmt.Errorf("campaign: encode digest: %w", err)
 	}
 	// 160 bytes hold the keys, the quotes and two 20-digit integers.
 	size := 160 + len(res.Study) + len(pointHash) + len(resultJSON) + base64.StdEncoding.EncodedLen(len(digestBin))
-	return appendShardRecord(make([]byte, 0, size), res.Study, index, pointHash, res.Seed, resultJSON, digestBin), resultJSON, nil
+	return appendShardRecord(make([]byte, 0, size), res.Study, index, pointHash, res.Seed, resultJSON, digestBin), nil
 }
 
 // The fixed parts of a record line, in writing order. recordHead is
@@ -159,14 +145,14 @@ func appendShardRecord(dst []byte, study string, index int, pointHash string, se
 	return append(dst, '}')
 }
 
-// A cache hit reuses a stored record (see PointCache). What a result
-// says of its point is content-addressed; only its identity — study,
+// A stored record is reused under another identity: what a result says
+// of its point is content-addressed, and only its identity — study,
 // point label and grid index, the first three fields of the result
-// object — belongs to the study that hits. cutHit cuts a stored record
-// after that identity, and hitLine writes the hitting study's identity
-// in front of the rest, escaped as json.Marshal escapes it: the bytes
-// are those of encoding the re-identified Result anew, made without
-// decoding or marshaling it.
+// object — belongs to the study that reuses it. cutHit cuts a record
+// after that identity, and ResultLine writes the new identity in front
+// of the rest, escaped as json.Marshal escapes it: the bytes are those
+// of encoding the re-identified Result anew, made without decoding or
+// marshaling it.
 
 // The keys of a Result's identity, as json.Marshal writes them.
 const (
@@ -205,10 +191,16 @@ func cutHit(line []byte) (rest []byte, ok bool) {
 	return line[e:d], true
 }
 
-// hitLine is a hit as the JSONL line of point `index` of the study: the
-// identity, as json.Marshal writes the first three fields of a Result,
-// then the rest of the stored result and a newline.
-func hitLine(rest []byte, study, point string, index int) []byte {
+// ResultLine returns the JSONL line — the JSON encoding and a newline —
+// of the result in a record line, identified as point `index` of the
+// study: the identity as json.Marshal writes the first three fields of a
+// Result, then the rest of the stored result. ok is false for a line not
+// laid out as appendShardRecord writes it. The line owns its bytes.
+func ResultLine(record []byte, study, point string, index int) (line []byte, ok bool) {
+	rest, ok := cutHit(record)
+	if !ok {
+		return nil, false
+	}
 	// The keys, the quotes, a 20-digit index and the newline, for strings
 	// json.Marshal writes as themselves.
 	size := len(resultHead) + len(pointKey) + len(indexKey) + 4 + 20 + len(study) + len(point) + len(rest) + 1
@@ -219,7 +211,7 @@ func hitLine(rest []byte, study, point string, index int) []byte {
 	dst = append(dst, indexKey...)
 	dst = strconv.AppendInt(dst, int64(index), 10)
 	dst = append(dst, rest...)
-	return append(dst, '\n')
+	return append(dst, '\n'), true
 }
 
 // putCRC writes crc as 8 lowercase hex digits, %08x.
@@ -309,10 +301,11 @@ func appendJSONString(dst []byte, s string) []byte {
 // DecodeShardRecord parses and verifies one checkpoint line: the layout,
 // the CRC over the body bytes, the record version, a grid index that
 // fits an int, a seed that fits a uint64, a result that is a valid,
-// compact JSON object and a digest that is base64. It does not know
-// which point the record *should* belong to — that is the caller's
-// check, against PointHash. The record owns its bytes: nothing in it
-// shares line's array.
+// compact JSON object laid out as a Result's — its identity first, so
+// ResultLine can re-identify it — and a digest that is base64. It does
+// not know which point the record *should* belong to — that is the
+// caller's check, against PointHash. The record owns its bytes: nothing
+// in it shares line's array.
 func DecodeShardRecord(line []byte) (*ShardRecord, error) {
 	if len(line) < bodyAt+1 || string(line[:len(crcKey)]) != crcKey ||
 		string(line[len(crcKey)+8:bodyAt]) != bodyKey || line[len(line)-1] != '}' {
@@ -324,7 +317,14 @@ func DecodeShardRecord(line []byte) (*ShardRecord, error) {
 	if string(got[:]) != string(stored) {
 		return nil, fmt.Errorf("campaign: shard record CRC mismatch (stored %s, computed %s)", stored, got[:])
 	}
-	return readBody(body)
+	rec, err := readBody(body)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := cutHit(line); !ok {
+		return nil, fmt.Errorf("campaign: shard record result is not laid out as a Result's JSON (study, point, index, engine, ...)")
+	}
+	return rec, nil
 }
 
 // strictBase64 decodes only the padded standard base64 the writer

@@ -47,16 +47,8 @@ func NewJSONLWriter(w io.Writer) *JSONLWriter {
 	return &JSONLWriter{w: w, enc: json.NewEncoder(w)}
 }
 
-// Emit implements Sink. A result whose line Run has already — a cache
-// hit, or a result it encoded for the cache — is written as those bytes,
-// which are what encoding it would write.
-func (j *JSONLWriter) Emit(r *Result) error {
-	if r.line != nil {
-		_, err := j.w.Write(r.line)
-		return err
-	}
-	return j.enc.Encode(r)
-}
+// Emit implements Sink.
+func (j *JSONLWriter) Emit(r *Result) error { return j.enc.Encode(r) }
 
 // Close implements Sink.
 func (j *JSONLWriter) Close() error { return nil }

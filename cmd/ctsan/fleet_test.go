@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,7 +38,7 @@ type fleetHarness struct {
 func newFleetHarness(t *testing.T, cfg server.Config) *fleetHarness {
 	t.Helper()
 	srv := server.New(cfg)
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv.HTTPServer().Handler)
 	t.Cleanup(ts.Close)
 	return &fleetHarness{srv: srv, ts: ts, workerDirs: map[string]string{}}
 }
@@ -299,7 +300,7 @@ func TestFleetWorkerSurvivesCoordinatorRestart(t *testing.T) {
 			batches = append(batches, uploadIndices(t, body))
 			mu.Unlock()
 		}
-		current.Load().Handler().ServeHTTP(w, r)
+		current.Load().HTTPServer().Handler.ServeHTTP(w, r)
 	}))
 	t.Cleanup(ts.Close)
 	h := &fleetHarness{ts: ts, workerDirs: map[string]string{}}
@@ -421,6 +422,30 @@ func TestPinnedWorkerFailsOnPermanentRefusal(t *testing.T) {
 	}
 }
 
+// TestWorkerOfAnotherEpochGetsNoLease: a worker whose records are of the
+// next results epoch — none would verify at this coordinator — is
+// refused every lease with a 409 naming both epochs, and a worker pinned
+// to the study stops on it instead of computing records for nothing.
+func TestWorkerOfAnotherEpochGetsNoLease(t *testing.T) {
+	h := newFleetHarness(t, server.Config{MaxActive: 1, QueueDepth: 8, CacheBytes: -1})
+	id := h.submitFleet(t)
+	for h.status(t, id).Status != "running" {
+		time.Sleep(5 * time.Millisecond)
+	}
+	w := &fleetWorker{base: h.ts.URL, name: "next-epoch", epoch: campaign.Epoch + 1, workers: 1,
+		client: &http.Client{}, studies: map[string]*workerStudy{}, stderr: io.Discard}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err := w.loop(ctx, id, 0)
+	want := fmt.Sprintf("worker results epoch %d, coordinator results epoch %d", campaign.Epoch+1, campaign.Epoch)
+	if !errors.Is(err, errLeaseRefused) || !strings.Contains(err.Error(), "409") || !strings.Contains(err.Error(), want) {
+		t.Fatalf("pinned worker of the next epoch: %v; want a refused lease naming %q", err, want)
+	}
+	if st := h.status(t, id); st.Fleet == nil || st.Fleet.Granted != 0 {
+		t.Fatalf("the coordinator granted a lease to a worker of another epoch: %+v", st.Fleet)
+	}
+}
+
 // TestWorkerDecodesTheCoordinatorsLeaseBodies drives the worker's own
 // lease and upload calls against the real handlers: each of the three
 // lease shapes — a grant, {"retry_ms":N}, {"done":true} — and the upload
@@ -432,7 +457,7 @@ func TestWorkerDecodesTheCoordinatorsLeaseBodies(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	ctx := context.Background()
-	w := &fleetWorker{base: h.ts.URL, name: "decoder", workers: 1,
+	w := &fleetWorker{base: h.ts.URL, name: "decoder", epoch: campaign.Epoch, workers: 1,
 		client: &http.Client{}, studies: map[string]*workerStudy{}, stderr: io.Discard}
 
 	points := len(testStudy().Points)
@@ -486,7 +511,7 @@ func TestWorkerDecodesTheCoordinatorsLeaseBodies(t *testing.T) {
 func TestWorkerRejectsGrantsOutsideTheGrid(t *testing.T) {
 	h := newFleetHarness(t, server.Config{MaxActive: 1, QueueDepth: 8, CacheBytes: -1})
 	id := h.submitFleet(t)
-	w := &fleetWorker{base: h.ts.URL, name: "bogus", workers: 1,
+	w := &fleetWorker{base: h.ts.URL, name: "bogus", epoch: campaign.Epoch, workers: 1,
 		client: &http.Client{}, studies: map[string]*workerStudy{}, stderr: io.Discard}
 	points := len(testStudy().Points)
 	for _, tc := range []struct {

@@ -570,8 +570,8 @@ func preload(frozen *campaign.Study, dir string, size func() int, results *[]byt
 	if err != nil {
 		return nil, shard.Completion{}, err
 	}
-	ledger := shard.NewLedger(hashes, slotLeaseTTL, size, func(_ int, result []byte) {
-		*results = append(append(*results, result...), '\n')
+	ledger := shard.NewLedger(hashes, slotLeaseTTL, size, func(_ int, line []byte) {
+		*results = append(*results, line...)
 	})
 	stored, err := storedRecords(dir, stderr)
 	if err != nil {

@@ -35,11 +35,14 @@ import (
 // renewal goroutine extends the lease at TTL/3 while execution runs; a
 // worker that dies mid-lease simply stops renewing, and the coordinator
 // re-leases the range at the deadline, so a dead worker costs at most
-// one lease of re-execution. -dir is still accepted and ignored.
+// one lease of re-execution. Every lease request names the worker's
+// results epoch (campaign.Epoch): a coordinator of another epoch refuses
+// it, because none of the worker's records would verify there. -dir is
+// still accepted and ignored.
 
 // errLeaseRefused marks a lease request the coordinator will never
-// grant — the study is unknown (404) or not fleet-dispatched (409) — so
-// asking again cannot change the answer.
+// grant — the study is unknown (404), or not fleet-dispatched or of
+// another results epoch (409) — so asking again cannot change the answer.
 var errLeaseRefused = errors.New("lease refused")
 
 // studyStatus is the subset of the service's status JSON the worker
@@ -86,6 +89,7 @@ func cmdWorker(ctx context.Context, args []string, _, stderr io.Writer) error {
 	w := &fleetWorker{
 		base:     strings.TrimRight(*server, "/"),
 		name:     *name,
+		epoch:    campaign.Epoch,
 		workers:  *workers,
 		throttle: *throttle,
 		client:   &http.Client{},
@@ -97,8 +101,11 @@ func cmdWorker(ctx context.Context, args []string, _, stderr io.Writer) error {
 }
 
 type fleetWorker struct {
-	base     string
-	name     string
+	base string
+	name string
+	// epoch is the results epoch the worker's records are of, named in
+	// every lease request.
+	epoch    int
 	workers  int
 	throttle time.Duration
 	client   *http.Client
@@ -225,7 +232,8 @@ func (w *fleetWorker) study(ctx context.Context, id string) (*workerStudy, error
 // lease requests the next range for study id.
 func (w *fleetWorker) lease(ctx context.Context, id string) (*shard.LeaseResponse, error) {
 	var out shard.LeaseResponse
-	err := w.call(ctx, http.MethodPost, "/api/v1/studies/"+id+"/lease?worker="+url.QueryEscape(w.name), nil, &out)
+	path := fmt.Sprintf("/api/v1/studies/%s/lease?worker=%s&epoch=%d", id, url.QueryEscape(w.name), w.epoch)
+	err := w.call(ctx, http.MethodPost, path, nil, &out)
 	var refused *statusError
 	if errors.As(err, &refused) && (refused.code == http.StatusNotFound || refused.code == http.StatusConflict) {
 		return nil, fmt.Errorf("%w: %v", errLeaseRefused, err)

@@ -38,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -130,7 +129,7 @@ func run(args []string) error {
 	}
 	logf("campaign service listening on http://%s/", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := srv.HTTPServer()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -47,9 +47,9 @@ var (
 	// near the record size because the store never rewrites old bytes.
 	CheckpointBytes = expvar.NewInt("ctsan.checkpoint_bytes")
 	// CacheHits / CacheMisses / CacheEvictions count result-cache
-	// lookups that were served from memory, lookups that fell through to
-	// the engine, and entries dropped by the LRU bound (the campaign
-	// service's content-addressed point cache).
+	// lookups that were served from memory, lookups whose point was left
+	// to run (locally or on a fleet worker), and entries dropped by the
+	// LRU bound (the campaign service's content-addressed point cache).
 	CacheHits      = expvar.NewInt("ctsan.cache_hits")
 	CacheMisses    = expvar.NewInt("ctsan.cache_misses")
 	CacheEvictions = expvar.NewInt("ctsan.cache_evictions")

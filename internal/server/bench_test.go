@@ -17,7 +17,7 @@ import (
 func benchServer(b *testing.B, cfg Config) (*Server, *httptest.Server) {
 	b.Helper()
 	s := New(cfg)
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.HTTPServer().Handler)
 	b.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()

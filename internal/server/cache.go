@@ -14,18 +14,20 @@ import (
 // Cache is the service's content-addressed result cache: a bounded LRU
 // from campaign.PointHash (engine + fully materialized point spec,
 // derived seed included) to the encoded shard record of the completed
-// point. It implements campaign.PointCache, so campaign.Run consults it
-// around every point execution.
+// point. A study looks every point up once, before anything runs (its
+// preload), and puts the record of every point it computes or accepts
+// from a fleet worker.
 //
 // Entries are stored as encoded bytes, not live Results, deliberately:
-// a hit hands the stored record to the run, which emits its result JSON
-// behind the hitting study's identity without decoding it; the byte
+// a hit is the stored record's result JSON behind the hitting study's
+// identity (campaign.ResultLine), made without decoding it; the byte
 // size gives an honest memory bound; and the stored record is the same
 // wire format the sharded executor checkpoints and fleet workers upload
 // — verified worker records go in without a decode/re-encode round
 // trip, and the spill store persists them verbatim. Every entry is a
 // record verified on its way in (encoded by the run, verified upload,
-// or decoded at warm-load), and none is ever modified. The byte budget
+// or decoded at warm-load — all laid out so ResultLine splices them),
+// and none is ever modified. The byte budget
 // bounds what the cache retains, with one exception: the spill file's
 // content as EnableSpill found it, which the spill store holds for the
 // cache's life. Otherwise entries own their bytes, and the spill store
@@ -59,7 +61,7 @@ type cacheEntry struct {
 
 // NewCache returns a cache bounded to maxBytes of encoded records.
 // maxBytes <= 0 returns nil — the "cache disabled" value; a nil *Cache
-// is a valid, always-missing PointCache.
+// is a valid, always-missing cache.
 func NewCache(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		return nil
@@ -73,8 +75,8 @@ const SpillFile = "pointcache.jsonl"
 
 // EnableSpill attaches a persistent spill store under dir and
 // warm-loads it: every intact record in dir/pointcache.jsonl — one that
-// campaign.DecodeShardRecord reads, layout and CRC — is inserted, up to
-// the byte budget. The store keeps
+// campaign.DecodeShardRecord reads, layout and CRC, and so one that
+// campaign.ResultLine splices — is inserted, up to the byte budget. The store keeps
 // the file's content as Open read it, overflow lines included, for the
 // life of the cache; the entries loaded share those bytes. From then
 // on, entries evicted by the LRU bound are appended to the file before
@@ -166,8 +168,9 @@ func (c *Cache) spillEntries(entries []*cacheEntry) error {
 	return nil
 }
 
-// Get implements campaign.PointCache: it returns the stored record,
-// which the caller must not modify.
+// Get returns the stored record, which the caller must not modify.
+// Hits and misses are counted by the caller, which knows whether it
+// could serve the record.
 func (c *Cache) Get(hash string) ([]byte, bool) {
 	if c == nil {
 		return nil, false
@@ -180,16 +183,10 @@ func (c *Cache) Get(hash string) ([]byte, bool) {
 		line = el.Value.(*cacheEntry).line
 	}
 	c.mu.Unlock()
-	if !ok {
-		obs.CacheMisses.Add(1)
-		return nil, false
-	}
-	obs.CacheHits.Add(1)
-	return line, true
+	return line, ok
 }
 
-// Put implements campaign.PointCache: it inserts a verified shard
-// record, evicting least-recently-used entries past the byte budget. The
+// Put inserts a verified shard record, evicting least-recently-used entries past the byte budget. The
 // entry keeps its own copy of record: an upload's lines are cut from one
 // decoded body, which an entry sharing them would pin whole. A record
 // larger than the whole budget is not cached.

@@ -205,7 +205,7 @@ func TestCacheDisabledNil(t *testing.T) {
 	if c != nil {
 		t.Fatalf("NewCache(0) = %v, want nil", c)
 	}
-	// The nil cache is a valid, always-missing PointCache.
+	// The nil cache is a valid, always-missing cache.
 	c.Put("sha256:x", makeRecord(t, "sha256:x", 1))
 	if _, ok := c.Get("sha256:x"); ok {
 		t.Error("nil cache returned a hit")

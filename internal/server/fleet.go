@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -17,19 +18,20 @@ import (
 // Fleet dispatch: the coordinator side of multi-process campaigns.
 //
 // A study submitted with ?mode=fleet is not executed by the service's
-// own worker pool. Its grid becomes a shard.Ledger — the same lease
-// state machine `ctsan run` drives in-process — served over HTTP:
-// workers (`ctsan worker -server <url>`) POST to the study's lease
-// endpoint and receive contiguous frozen-point ranges with deadlines,
-// run each range as a sub-study of the frozen grid (campaign.Run), and
-// upload its results as CRC-framed shard records — the format the
-// sharded CLI checkpoints — in one batched body. The ledger verifies
-// every record, folds the results in grid-index order straight into the
-// study's hub — bit-identical to an in-process run by determinism rule
-// 5 — and re-leases any range whose deadline passes, so a SIGKILLed
-// worker costs at most one lease of re-execution, never a wrong result.
-// Accepted records live in the ledger's fold and the result cache; the
-// worker keeps none.
+// own worker pool. The points its preload did not settle are leased out
+// of its shard.Ledger — the same lease state machine `ctsan run` drives
+// in-process — over HTTP: workers (`ctsan worker -server <url>`) of the
+// coordinator's results epoch POST to the study's lease endpoint and
+// receive contiguous frozen-point ranges with deadlines, run each range
+// as a sub-study of the frozen grid (campaign.RunRecords), and upload
+// its results as CRC-framed shard records — the format the sharded CLI
+// checkpoints — in one batched body. The ledger verifies every record,
+// folds the results in grid-index order straight into the study's hub —
+// bit-identical to an in-process run by determinism rule 5 — and
+// re-leases any range whose deadline passes, so a SIGKILLed worker costs
+// at most one lease of re-execution, never a wrong result. Accepted
+// records live in the ledger's fold and the result cache; the worker
+// keeps none.
 //
 // Locks: the ledger's emit callback appends to the hub, so the order is
 // ledger, then hub, and nothing else nests. The handlers below hold no
@@ -80,59 +82,6 @@ func (z *leaseSizer) observe(points int, held time.Duration) {
 	}
 }
 
-// newFleet builds a fleet study's ledger, folding into its hub.
-func (st *study) newFleet(ttl, target time.Duration) {
-	hashes := make([]string, len(st.points))
-	for i, fp := range st.points {
-		hashes[i] = fp.Hash
-	}
-	st.sizer = &leaseSizer{target: target}
-	st.fleet = shard.NewLedger(hashes, ttl, st.sizer.size,
-		func(_ int, result []byte) { st.hub.append(result) })
-}
-
-// cachedRecords encodes every cache-resident point of the study as a
-// record line for the ledger to preload — the warm-fleet path: a
-// restarted coordinator (or a repeated study) re-streams cached records
-// instead of re-dispatching them. The cached statistics are
-// content-addressed; identity (study name, point label, index) is
-// rewritten to this study's values, so the streamed bytes stay
-// byte-identical to a cold run. A record that does not decode is a miss,
-// left to the leases. A disabled cache is not looked up, so it counts no
-// misses — as in local mode.
-func (st *study) cachedRecords(cache *Cache) [][]byte {
-	if cache == nil {
-		return nil
-	}
-	var lines [][]byte
-	for i, fp := range st.points {
-		record, hit := cache.Get(fp.Hash)
-		if hit {
-			line, err := st.recordAt(i, record)
-			if hit = err == nil; hit {
-				lines = append(lines, line)
-			}
-		}
-		st.countLookup(hit)
-	}
-	return lines
-}
-
-// recordAt is a cached record as the record of the study's point i: its
-// result decoded, given this study's identity and encoded again.
-func (st *study) recordAt(i int, record []byte) ([]byte, error) {
-	rec, err := campaign.DecodeShardRecord(record)
-	if err != nil {
-		return nil, err
-	}
-	res, err := rec.DecodeResult()
-	if err != nil {
-		return nil, err
-	}
-	res.Study, res.Point, res.Index = st.spec.Name, st.points[i].Label, i
-	return campaign.EncodeShardRecord(st.points[i].Hash, res)
-}
-
 // --- HTTP surface and dispatch loop ---
 
 func (st *study) statusNow() string {
@@ -147,7 +96,7 @@ func (s *Server) fleetLookup(w http.ResponseWriter, r *http.Request) *study {
 	if st == nil {
 		return nil
 	}
-	if st.fleet == nil {
+	if !st.fleet {
 		writeError(w, http.StatusConflict, "study %s is not fleet-dispatched (submit with ?mode=fleet)", st.id)
 		return nil
 	}
@@ -156,11 +105,20 @@ func (s *Server) fleetLookup(w http.ResponseWriter, r *http.Request) *study {
 
 // handleLease grants the next contiguous pending range to the calling
 // worker (?worker=<name> labels the ledger; the remote address is the
-// fallback). The response is always 200 with one of three JSON shapes:
-// a shard.LeaseGrant, {"done":true}, or {"retry_ms":N}.
+// fallback). The response is 200 with one of three JSON shapes: a
+// shard.LeaseGrant, {"done":true}, or {"retry_ms":N} — or 409 for a
+// worker that does not name the coordinator's results epoch
+// (?epoch=<campaign.Epoch>): none of its records would verify here.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	st := s.fleetLookup(w, r)
 	if st == nil {
+		return
+	}
+	if epoch := r.URL.Query().Get("epoch"); epoch != strconv.Itoa(campaign.Epoch) {
+		if epoch == "" {
+			epoch = "none"
+		}
+		writeError(w, http.StatusConflict, "worker results epoch %s, coordinator results epoch %d: no lease for another epoch", epoch, campaign.Epoch)
 		return
 	}
 	worker := r.URL.Query().Get("worker")
@@ -176,7 +134,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, shard.LeaseReply{Done: true})
 		return
 	}
-	l, retry, done := st.fleet.Grant(time.Now(), worker)
+	l, retry, done := st.ledger.Grant(time.Now(), worker)
 	switch {
 	case done:
 		writeJSON(w, http.StatusOK, shard.LeaseReply{Done: true})
@@ -204,7 +162,7 @@ func (s *Server) handleLeaseRenew(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("lease")
-	deadline, ok := st.fleet.Renew(time.Now(), id)
+	deadline, ok := st.ledger.Renew(time.Now(), id)
 	if !ok {
 		writeError(w, http.StatusGone, "lease %q is unknown or expired", id)
 		return
@@ -238,7 +196,7 @@ func (s *Server) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.PathValue("lease")
 	now := time.Now()
-	out := st.fleet.Complete(now, id, splitRecordLines(body))
+	out := st.ledger.Complete(now, id, splitRecordLines(body))
 	if out.Lease != nil && out.Holes == 0 {
 		st.sizer.observe(out.Lease.Len(), now.Sub(out.Lease.Granted))
 	}
@@ -253,42 +211,25 @@ func (s *Server) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, shard.CompleteReply{Accepted: len(out.Accepted), Rejected: out.Rejected, Duplicate: out.Duplicate, Done: out.Done})
 }
 
-// runFleetStudy is a fleet study's slot occupancy: preload every
-// cache-resident point (a repeated study streams without a single
-// lease), open the lease window, and wait for the workers to complete
-// the grid. The slot's local worker budget stays idle: fleet studies
-// cost the coordinator verification and folding only.
-func (s *Server) runFleetStudy(st *study) {
-	m := st.fleet
-	obs.StudiesActive.Add(1)
-	defer obs.StudiesActive.Add(-1)
-	warm := m.Preload(st.cachedRecords(s.cache))
-	st.setRunning() // leases are granted only from "running"
-	s.cfg.Logf("study %s (%q): fleet dispatch of %d points (%d cache-served)", st.id, st.spec.Name, len(st.points), len(warm.Accepted))
+// awaitLeases holds a fleet study's slot while workers lease and
+// complete what the preload left, until the ledger has folded the whole
+// grid or the service cancels its studies.
+func (s *Server) awaitLeases(st *study) error {
 	ticker := time.NewTicker(min(s.cfg.LeaseTTL/2, time.Second))
 	defer ticker.Stop()
 	for {
 		select {
-		case <-m.Done():
+		case <-st.ledger.Done():
 			// Done closes under the ledger's lock, after the last result
 			// line has reached the hub.
-			st.setFinished(nil)
-			final := st.snapshot()
-			st.hub.finish("")
-			s.cfg.Logf("study %s: done (%d points, %d leases granted, %d completed, %d expired)",
-				st.id, final.Points, final.Fleet.Granted, final.Fleet.Completed, final.Fleet.Expired)
-			return
+			return nil
 		case <-s.runCtx.Done():
-			m.Cancel()
-			err := s.runCtx.Err()
-			st.setFinished(err)
-			st.hub.finish(err.Error())
-			s.cfg.Logf("study %s: canceled (%v)", st.id, err)
-			return
+			st.ledger.Cancel()
+			return s.runCtx.Err()
 		case <-ticker.C:
 			// Expire overdue leases even when no worker is calling in, so
 			// the status surface and saturation gauge stay honest.
-			m.Tick(time.Now())
+			st.ledger.Tick(time.Now())
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 
 	"ctsan/campaign"
 	"ctsan/internal/checkpoint"
+	"ctsan/internal/obs"
 	"ctsan/internal/shard"
 )
 
@@ -25,6 +27,10 @@ import (
 type testWorker struct {
 	h    *testServer
 	name string
+	// study is the study it serves (testStudy() when nil), and leased
+	// the ranges it was granted.
+	study  *campaign.Study
+	leased []shard.Range
 	// misbehave, when non-nil, transforms the upload lines (corruption
 	// and omission tests).
 	misbehave func([][]byte) [][]byte
@@ -32,7 +38,7 @@ type testWorker struct {
 
 func (w *testWorker) leaseOnce(t *testing.T, id string) shard.LeaseResponse {
 	t.Helper()
-	resp, data := w.h.post(t, "/api/v1/studies/"+id+"/lease?worker="+w.name, nil)
+	resp, data := w.h.post(t, fmt.Sprintf("/api/v1/studies/%s/lease?worker=%s&epoch=%d", id, w.name, campaign.Epoch), nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("worker %s: lease status %d (%s)", w.name, resp.StatusCode, data)
 	}
@@ -47,7 +53,11 @@ func (w *testWorker) leaseOnce(t *testing.T, id string) shard.LeaseResponse {
 // `ctsan worker` does (rangeRecords), gzip-upload the records.
 func (w *testWorker) serve(t *testing.T, id string) {
 	t.Helper()
-	frozen, err := campaign.Frozen(testStudy(), campaign.WithSeed(1))
+	study := w.study
+	if study == nil {
+		study = testStudy()
+	}
+	frozen, err := campaign.Frozen(study, campaign.WithSeed(1))
 	if err != nil {
 		t.Errorf("worker %s: freeze: %v", w.name, err)
 		return
@@ -60,6 +70,7 @@ func (w *testWorker) serve(t *testing.T, id string) {
 		case lr.Lease == "":
 			time.Sleep(time.Duration(max(lr.RetryMS, 1)) * time.Millisecond)
 		default:
+			w.leased = append(w.leased, shard.Range{Start: lr.Start, End: lr.End})
 			lines, err := rangeRecords(frozen, lr.Start, lr.End)
 			if err != nil {
 				t.Errorf("worker %s: range %d:%d: %v", w.name, lr.Start, lr.End, err)
@@ -323,9 +334,9 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 	}
 
 	now := time.Now()
-	st := &study{points: points, hub: newHub()}
-	st.newFleet(time.Minute, time.Second)
-	m := st.fleet
+	st := &study{points: points, hub: newHub(), fleet: true}
+	st.newLedger(time.Minute, time.Second)
+	m := st.ledger
 	// complete is handleLeaseComplete's ledger half.
 	complete := func(at time.Time, lease string, lines [][]byte) shard.Completion {
 		out := m.Complete(at, lease, lines)
@@ -686,5 +697,233 @@ func TestFleetStreamEndsAfterLastUpload(t *testing.T) {
 			t.Fatalf("round %d: stream ended after %d lines, want %d", round, got, points)
 		}
 		h.waitTerminal(t, st.ID)
+	}
+}
+
+// reordered is a record line with its result's keys in sorted order
+// rather than a Result's: CRC, point hash and statistics all intact, as a
+// worker built with another JSON encoder would upload it.
+func reordered(t *testing.T, line []byte) []byte {
+	t.Helper()
+	rec, err := campaign.DecodeShardRecord(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Result, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Result, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Appendf(nil, `{"crc":"%08x","body":%s}`, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)), body)
+}
+
+// TestFleetRejectsRecordsTheSpliceCannotCut: an uploaded record whose
+// result is not laid out as a Result's — here its keys in another order —
+// is rejected like a corrupt one and its point leased again, so neither
+// the stream nor the cache ever holds it: the study streams the cold
+// bytes, and every cached record is one the preload can splice. (Such
+// records used to be accepted: the study ended done with a stream that
+// differed from the cold bytes, and the cache kept them.)
+func TestFleetRejectsRecordsTheSpliceCannotCut(t *testing.T) {
+	h := newTestServer(t, Config{Workers: 1, MaxActive: 1, QueueDepth: 4, CacheBytes: 32 << 20})
+	id := h.mustSubmit(t, testSpecBytes(t), "?mode=fleet").ID
+	h.waitRunning(t, id)
+	frozen, err := campaign.Frozen(testStudy(), campaign.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	liar := &testWorker{h: h, name: "reorderer"}
+	lr := liar.leaseOnce(t, id)
+	if lr.Lease == "" {
+		t.Fatalf("first lease: %+v", lr)
+	}
+	lines, err := rangeRecords(frozen, lr.Start, lr.End)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range lines {
+		lines[i] = reordered(t, lines[i])
+	}
+	if up := liar.upload(t, id, lr.Lease, lines); up.Accepted != 0 || up.Rejected != len(lines) {
+		t.Fatalf("upload of %d reordered records: %+v, want every one rejected", len(lines), up)
+	}
+	(&testWorker{h: h, name: "honest"}).serve(t, id)
+	if got, want := h.streamResults(t, id), referenceJSONL(t, 1); !bytes.Equal(got, want) {
+		t.Errorf("fleet stream after rejected records:\n%s\nwant\n%s", got, want)
+	}
+	if st := h.waitTerminal(t, id); st.Status != "done" {
+		t.Fatalf("study ended %+v", st)
+	}
+	points, err := testStudy().FrozenPoints(campaign.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fp := range points {
+		record, ok := h.s.cache.Get(fp.Hash)
+		if !ok {
+			t.Fatalf("point %d is not cached", fp.Index)
+		}
+		if _, ok := campaign.ResultLine(record, "s", "p", 0); !ok {
+			t.Errorf("the cache kept a record of point %d the splice cannot cut: %s", fp.Index, record)
+		}
+	}
+}
+
+// TestSpilledRecordTheSpliceCannotCutIsAMiss: a spill file holding a
+// valid record of a point whose result keys are in another order does
+// not warm-load it, so a study counts the point as a miss, runs it once
+// and caches its own record; the next study hits. (Such a record used to
+// be loaded, counted as a hit by every study, executed anyway and never
+// replaced.)
+func TestSpilledRecordTheSpliceCannotCutIsAMiss(t *testing.T) {
+	study := campaign.NewStudy("reordered", campaign.LatencyPoint{N: 3, Executions: 40})
+	spec, err := campaign.EncodeStudy(study)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen, err := campaign.Frozen(study, campaign.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := campaign.Run(context.Background(), frozen, campaign.WithSink(campaign.NewJSONLWriter(&want))); err != nil {
+		t.Fatal(err)
+	}
+	lines, err := rangeRecords(frozen, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, err := checkpoint.Open(filepath.Join(dir, SpillFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AppendBatch([][]byte{reordered(t, lines[0])}); err != nil {
+		t.Fatal(err)
+	}
+
+	h := newTestServer(t, Config{Workers: 1, MaxActive: 1, QueueDepth: 4, CacheBytes: 32 << 20})
+	if loaded, err := h.s.EnableCacheSpill(dir); err != nil || loaded != 0 {
+		t.Errorf("warm-loaded %d records (%v), want none", loaded, err)
+	}
+	for k, wantHits := range []int64{0, 1} {
+		before := obs.Executions.Value()
+		st := h.mustSubmit(t, spec, "")
+		if got := h.streamResults(t, st.ID); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("submission %d streamed\n%s\nwant\n%s", k, got, want.Bytes())
+		}
+		final := h.waitTerminal(t, st.ID)
+		if final.CacheHits != wantHits || final.CacheMisses != 1-wantHits {
+			t.Errorf("submission %d: %d hits, %d misses; want %d, %d", k, final.CacheHits, final.CacheMisses, wantHits, 1-wantHits)
+		}
+		if ran, want := obs.Executions.Value()-before, 40*(1-wantHits); ran != want {
+			t.Errorf("submission %d ran %d executions, want %d", k, ran, want)
+		}
+	}
+}
+
+// TestPartialWarmSameInBothModes is the one flow of both modes: with half
+// of a fine grid cached by another study, a local and a fleet submission
+// of the grid each stream the cold bytes and report the same hits and
+// misses, and only the misses run on the slot's workers (local) or are
+// leased (fleet).
+func TestPartialWarmSameInBothModes(t *testing.T) {
+	const points = 12
+	grid := fineGrid(points)
+	spec, err := campaign.EncodeStudy(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first half under another name: its points hash as the grid's.
+	half, err := campaign.EncodeStudy(campaign.NewStudy("fine-grid-half", grid.Points[:points/2]...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen, err := campaign.Frozen(grid, campaign.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cold bytes.Buffer
+	if err := campaign.Run(context.Background(), frozen, campaign.WithSink(campaign.NewJSONLWriter(&cold))); err != nil {
+		t.Fatal(err)
+	}
+	fps, err := frozen.FrozenPoints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"local", "fleet"} {
+		h := newTestServer(t, Config{Workers: 2, MaxActive: 1, QueueDepth: 4, CacheBytes: 32 << 20})
+		var mu sync.Mutex
+		ran := map[string]int{}
+		h.s.testRecord = func(hash string) {
+			mu.Lock()
+			ran[hash]++
+			mu.Unlock()
+		}
+		h.waitTerminal(t, h.mustSubmit(t, half, "").ID)
+		clear(ran)
+
+		st := h.mustSubmit(t, spec, "?mode="+mode)
+		w := &testWorker{h: h, name: "w", study: grid}
+		if mode == "fleet" {
+			w.serve(t, st.ID)
+		}
+		if got := h.streamResults(t, st.ID); !bytes.Equal(got, cold.Bytes()) {
+			t.Errorf("%s: partially warm stream\n%s\nwant\n%s", mode, got, cold.Bytes())
+		}
+		final := h.waitTerminal(t, st.ID)
+		if final.Status != "done" || final.CacheHits != points/2 || final.CacheMisses != points/2 {
+			t.Errorf("%s: %+v, want done with %d hits and %d misses", mode, final, points/2, points/2)
+		}
+		executed := map[int]int{}
+		for i, fp := range fps {
+			executed[i] = ran[fp.Hash]
+		}
+		for _, r := range w.leased {
+			for i := r.Start; i < r.End; i++ {
+				executed[i]++
+			}
+		}
+		for i := range fps {
+			want := 0
+			if i >= points/2 {
+				want = 1
+			}
+			if executed[i] != want {
+				t.Errorf("%s: point %d ran or was leased %d times, want %d", mode, i, executed[i], want)
+			}
+		}
+	}
+}
+
+// TestFleetRefusesWorkersOfAnotherEpoch: a lease request naming the next
+// results epoch, or none, is refused with a 409 naming both epochs, and
+// no lease is granted; the coordinator's own epoch is served.
+func TestFleetRefusesWorkersOfAnotherEpoch(t *testing.T) {
+	h := newTestServer(t, Config{Workers: 1, MaxActive: 1, QueueDepth: 4, CacheBytes: -1})
+	id := h.mustSubmit(t, testSpecBytes(t), "?mode=fleet").ID
+	h.waitRunning(t, id)
+	for _, c := range []struct{ query, worker string }{
+		{fmt.Sprintf("&epoch=%d", campaign.Epoch+1), fmt.Sprint(campaign.Epoch + 1)},
+		{"", "none"},
+	} {
+		resp, data := h.post(t, "/api/v1/studies/"+id+"/lease?worker=w"+c.query, nil)
+		want := fmt.Sprintf("worker results epoch %s, coordinator results epoch %d", c.worker, campaign.Epoch)
+		if resp.StatusCode != http.StatusConflict || !bytes.Contains(data, []byte(want)) {
+			t.Errorf("lease request with %q: %d %s; want 409 naming %q", c.query, resp.StatusCode, data, want)
+		}
+	}
+	if st := h.status(t, id); st.Fleet.Granted != 0 {
+		t.Fatalf("leases granted to workers of another epoch: %+v", st.Fleet)
+	}
+	(&testWorker{h: h, name: "same-epoch"}).serve(t, id)
+	if st := h.waitTerminal(t, id); st.Status != "done" {
+		t.Fatalf("study ended %+v", st)
 	}
 }

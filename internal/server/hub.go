@@ -1,14 +1,10 @@
 package server
 
-import (
-	"bytes"
-	"sync"
-)
+import "sync"
 
 // hub is the per-study result log and broadcast point: the study's
-// campaign.JSONLWriter (local studies) or its lease ledger's fold (fleet
-// studies) appends each result line as it streams out, in point-index
-// order, and any number of HTTP subscribers replay the log from the
+// lease ledger's fold appends each result line as it streams out, in
+// point-index order, and any number of HTTP subscribers replay the log from the
 // start and then follow the live tail. Appends and finish wake waiting
 // subscribers by closing the current wake channel — the standard
 // broadcast-by-channel-replacement pattern, so a slow client never
@@ -23,19 +19,9 @@ type hub struct {
 
 func newHub() *hub { return &hub{wake: make(chan struct{})} }
 
-// Write implements io.Writer for the study's campaign.JSONLWriter, which
-// writes each result line, newline included, in one call.
-func (h *hub) Write(p []byte) (int, error) {
-	h.append(bytes.TrimSuffix(p, []byte{'\n'}))
-	return len(p), nil
-}
-
-// append adds a copy of one result JSON, with its newline, and wakes
-// subscribers.
-func (h *hub) append(result []byte) {
-	line := make([]byte, len(result)+1)
-	copy(line, result)
-	line[len(result)] = '\n'
+// append adds one result line — its JSON and a newline, which the hub
+// keeps and nobody modifies — and wakes subscribers.
+func (h *hub) append(line []byte) {
 	h.mu.Lock()
 	h.lines = append(h.lines, line)
 	close(h.wake)

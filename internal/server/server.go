@@ -14,17 +14,22 @@
 //     each on an equal share of one shared worker pool — a
 //     million-point study occupies its slot and its share, it cannot
 //     starve the small studies running beside it.
-//   - Streaming: results are broadcast through a per-study hub as they
-//     leave campaign.Run (a campaign.Sink), in deterministic point
-//     order; any number of subscribers replay and follow. The JSONL
-//     stream is byte-identical to what campaign.JSONLWriter emits for
-//     the same study in process.
+//   - Streaming: every study, local or fleet, folds through a lease
+//     ledger (internal/shard) into a per-study hub, in deterministic
+//     point order; any number of subscribers replay and follow. The
+//     JSONL stream is byte-identical to what campaign.JSONLWriter emits
+//     for the same study in process.
 //   - Result cache: a content-addressed LRU (campaign.PointHash of the
 //     frozen point — engine, spec, materialized seed — to the encoded
 //     shard record) serves repeated points from memory instead of
 //     resimulating them, with hit/miss/eviction telemetry in
-//     internal/obs. Determinism makes this transparent: a hit changes
-//     no result bit, only the time to produce it.
+//     internal/obs. A study looks each point up once, before anything
+//     runs, and settles every hit in its ledger as the stored record's
+//     result line with the study's identity spliced in
+//     (campaign.ResultLine); only the misses run on the slot's workers
+//     (campaign.RunRecords, whose records fill the cache) or are leased
+//     to fleet workers. Determinism makes this transparent: a hit
+//     changes no result bit, only the time to produce it.
 //   - Graceful shutdown: Shutdown stops admission, lets running studies
 //     drain, and past the deadline cancels them through the same ctx
 //     plumbing that reaches every replica loop.
@@ -104,9 +109,9 @@ func (c *Config) fill() {
 }
 
 // study is the server-side state of one submission. Everything but its
-// id, hub, ledger and the fields under mu is fixed at admission — and
-// may be shared with the studies submitted with the same spec bytes
-// (Server.specs).
+// id, hashes, hub, ledger, sizer and the fields under mu is fixed at
+// admission — and may be shared with the studies submitted with the same
+// spec bytes (Server.specs).
 type study struct {
 	id       string
 	spec     *campaign.Study // as decoded
@@ -115,16 +120,19 @@ type study struct {
 	replicas int
 	workers  int
 	// frozen is spec frozen under seed and replicas — the grid the study
-	// runs — and points enumerates it.
+	// runs — points enumerates it and hashes are its point hashes.
 	frozen    *campaign.Study
 	points    []campaign.FrozenPoint
+	hashes    []string
 	hub       *hub
 	submitted time.Time
-	// fleet, when non-nil, marks the study as fleet-dispatched: it is
-	// executed by external workers pulling leases, not the local pool.
-	// The ledger folds straight into hub; sizer is its lease-size policy.
-	fleet *shard.Ledger
-	sizer *leaseSizer
+	// ledger settles the study's points and folds them into hub in grid
+	// order. fleet marks a study whose points the cache does not hold
+	// are leased to external workers rather than run on the slot's
+	// workers; sizer is its lease-size policy.
+	ledger *shard.Ledger
+	fleet  bool
+	sizer  *leaseSizer
 
 	mu       sync.Mutex
 	status   string // "queued", "running", "done", "failed", "canceled"
@@ -183,12 +191,11 @@ func (st *study) snapshot() Status {
 	}
 	st.mu.Unlock()
 	// Read after the status, outside st.mu (a leaf lock): a study's
-	// progress is what has reached its hub — after every other sink in a
-	// local study, folded by the ledger in a fleet one — and it turns
+	// progress is what its ledger has folded into its hub, and it turns
 	// "done" only after the last line has.
 	s.Done = st.hub.count()
-	if st.fleet != nil {
-		fs := st.fleet.Stats()
+	if st.fleet {
+		fs := st.ledger.Stats()
 		s.Mode, s.Fleet = "fleet", &fs
 	}
 	return s
@@ -217,33 +224,57 @@ func (st *study) setFinished(err error) {
 	st.mu.Unlock()
 }
 
-func (st *study) countLookup(hit bool) {
-	st.mu.Lock()
-	if hit {
-		st.hits++
-	} else {
-		st.misses++
+// newLedger builds the study's ledger, folding into its hub; a fleet
+// study's leases are sized by a leaseSizer aiming at target.
+func (st *study) newLedger(ttl, target time.Duration) {
+	st.hashes = make([]string, len(st.points))
+	for i, fp := range st.points {
+		st.hashes[i] = fp.Hash
 	}
+	var size func() int
+	if st.fleet {
+		st.sizer = &leaseSizer{target: target}
+		size = st.sizer.size
+	}
+	st.ledger = shard.NewLedger(st.hashes, ttl, size, func(_ int, line []byte) { st.hub.append(line) })
+}
+
+// preload looks every point of the study up in the cache, once, before
+// anything runs. A hit settles in the ledger as the stored record's
+// result line with this study's identity spliced in — content-addressed
+// statistics under this study's name, label and index, so the stream
+// stays byte-identical to a cold run. What is left, the misses, is
+// returned in grid order for the study to run or lease; a record that
+// does not splice is one of them. A disabled cache is not looked up, so
+// it counts no misses.
+func (st *study) preload(cache *Cache) (misses []int) {
+	if cache == nil {
+		misses = make([]int, len(st.points))
+		for i := range misses {
+			misses[i] = i
+		}
+		return misses
+	}
+	for i, fp := range st.points {
+		if record, ok := cache.Get(fp.Hash); ok {
+			if line, ok := campaign.ResultLine(record, st.spec.Name, fp.Label, i); ok {
+				st.ledger.Settle(i, line)
+				continue
+			}
+		}
+		misses = append(misses, i)
+	}
+	hits := len(st.points) - len(misses)
+	obs.CacheHits.Add(int64(hits))
+	obs.CacheMisses.Add(int64(len(misses)))
+	st.mu.Lock()
+	st.hits, st.misses = int64(hits), int64(len(misses))
 	st.mu.Unlock()
+	return misses
 }
 
-// countingCache layers per-study hit/miss accounting over the shared
-// cache.
-type countingCache struct {
-	c  *Cache
-	st *study
-}
-
-func (cc *countingCache) Get(hash string) ([]byte, bool) {
-	record, ok := cc.c.Get(hash)
-	cc.st.countLookup(ok)
-	return record, ok
-}
-
-func (cc *countingCache) Put(hash string, record []byte) { cc.c.Put(hash, record) }
-
-// Server is the campaign service. Create with New, expose with
-// Handler, stop with Shutdown.
+// Server is the campaign service. Create with New, serve with
+// HTTPServer, stop with Shutdown.
 type Server struct {
 	cfg    Config
 	budget int // per-study worker budget
@@ -279,10 +310,11 @@ type Server struct {
 	// it lets tests hold studies "running" deterministically to exercise
 	// queue admission and shutdown without timing assumptions.
 	testGate chan struct{}
-	// testCache, when non-nil, stands in for the point cache of local
-	// studies. Test-only: a cache whose Get panics is how tests make one
-	// point of one study blow up inside the worker pool.
-	testCache campaign.PointCache
+	// testRecord, when non-nil, sees the point hash of every record a
+	// local study computes, on the pool worker that ran the point.
+	// Test-only: it counts executions, and one that panics is how tests
+	// make one point of one study blow up inside the worker pool.
+	testRecord func(hash string)
 }
 
 // New builds the service and starts its MaxActive scheduler slots.
@@ -306,8 +338,31 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Handler returns the service's HTTP handler.
-func (s *Server) Handler() http.Handler { return s.mux }
+// The limits of the http.Server the service is served with
+// (HTTPServer): a client's request headers must arrive within
+// readHeaderTimeout and fit in maxHeaderBytes, and a keep-alive
+// connection idle for idleTimeout is closed, so a client that opens
+// connections and never finishes its headers holds nothing for long.
+// Nothing bounds a request once its headers are in, nor a response: a
+// /results or /events stream lasts as long as its study, and an upload
+// may carry maxUploadBytes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// HTTPServer returns the http.Server to serve the service with: its
+// handler under the limits above, and no write or whole-request read
+// timeout.
+func (s *Server) HTTPServer() *http.Server {
+	return &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
 
 // EnableCacheSpill makes the point cache persistent under dir (the
 // -cache-dir flag of ctsand): cached records already spilled there are
@@ -370,52 +425,59 @@ func (s *Server) slot() {
 	}
 }
 
+// runStudy is a study's slot occupancy, in either mode: the preload
+// settles every point the cache holds, then the misses run on the slot's
+// worker budget (local) or are leased to fleet workers (fleet), and the
+// study's ledger folds each settled point into the hub in grid order. A
+// fleet study leaves the slot's workers idle: it costs the coordinator
+// verification and folding only.
 func (s *Server) runStudy(st *study) {
-	if st.fleet != nil {
-		s.runFleetStudy(st)
-		return
-	}
-	st.setRunning()
+	obs.StudiesActive.Add(1)
+	defer obs.StudiesActive.Add(-1)
+	misses := st.preload(s.cache)
+	st.setRunning() // leases are granted only from "running"
 	if s.testGate != nil {
 		select {
 		case <-s.testGate:
 		case <-s.runCtx.Done():
 		}
 	}
-	obs.StudiesActive.Add(1)
-	s.cfg.Logf("study %s (%q): running %d points on %d workers", st.id, st.spec.Name, len(st.points), st.workers)
-	// The frozen grid carries the seed and replica counts; the hub
-	// receives the JSONL an in-process run writes.
-	opts := []campaign.Option{
-		campaign.WithWorkers(st.workers),
-		campaign.WithSink(campaign.NewJSONLWriter(st.hub)),
+	var err error
+	if st.fleet {
+		s.cfg.Logf("study %s (%q): fleet dispatch of %d points (%d cache-served)", st.id, st.spec.Name, len(st.points), len(st.points)-len(misses))
+		err = s.awaitLeases(st)
+	} else {
+		s.cfg.Logf("study %s (%q): running %d of %d points on %d workers", st.id, st.spec.Name, len(misses), len(st.points), st.workers)
+		err = s.runContained(st, misses)
 	}
-	switch {
-	case s.testCache != nil:
-		opts = append(opts, campaign.WithPointCache(s.testCache))
-	case s.cache != nil:
-		opts = append(opts, campaign.WithPointCache(&countingCache{c: s.cache, st: st}))
-	}
-	err := s.runContained(st, opts)
-	obs.StudiesActive.Add(-1)
 	st.setFinished(err)
 	final := st.snapshot()
-	if err != nil {
+	switch {
+	case err != nil:
 		st.hub.finish(err.Error())
 		s.cfg.Logf("study %s: %s (%v)", st.id, final.Status, err)
-		return
+	case st.fleet:
+		st.hub.finish("")
+		s.cfg.Logf("study %s: done (%d points, %d leases granted, %d completed, %d expired)",
+			st.id, final.Points, final.Fleet.Granted, final.Fleet.Completed, final.Fleet.Expired)
+	default:
+		st.hub.finish("")
+		s.cfg.Logf("study %s: done (%d points, %d cache hits)", st.id, final.Points, final.CacheHits)
 	}
-	st.hub.finish("")
-	s.cfg.Logf("study %s: done (%d points, %d cache hits)", st.id, final.Points, final.CacheHits)
 }
 
-// runContained is campaign.Run with a panicking work unit contained to
-// the study it belongs to. Submissions are validated at freeze, so a
-// panic inside the pool is an engine bug, not bad input — but the daemon
-// is shared: one tenant's study hitting it must end "failed", naming the
-// unit, while every other study keeps running. Anything that is not a
-// pool unit's panic is re-raised untouched.
-func (s *Server) runContained(st *study, opts []campaign.Option) (err error) {
+// runContained runs a local study's misses on the slot's worker budget,
+// as the sub-study campaign.RunRecords makes of them, with a panicking
+// work unit contained to the study it belongs to. Submissions are
+// validated at freeze, so a panic inside the pool is an engine bug, not
+// bad input — but the daemon is shared: one tenant's study hitting it
+// must end "failed", naming the unit, while every other study keeps
+// running. Anything that is not a pool unit's panic is re-raised
+// untouched.
+func (s *Server) runContained(st *study, misses []int) (err error) {
+	if len(misses) == 0 {
+		return nil
+	}
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -428,7 +490,26 @@ func (s *Server) runContained(st *study, opts []campaign.Option) (err error) {
 		s.cfg.Logf("study %s: %v", st.id, up)
 		err = fmt.Errorf("work unit %d panicked: %v", up.Index, up.Value)
 	}()
-	return campaign.Run(s.runCtx, st.frozen, opts...)
+	return campaign.RunRecords(s.runCtx, st.frozen, st.hashes, misses, func(index int, record []byte) error {
+		return s.settleRecord(st, index, record)
+	}, campaign.WithWorkers(st.workers))
+}
+
+// settleRecord takes the record of a point a local study computed, on
+// the pool worker that ran it: the record goes to the cache, and its
+// result line, identified as this study's point, settles in the ledger.
+func (s *Server) settleRecord(st *study, index int, record []byte) error {
+	fp := &st.points[index]
+	if s.testRecord != nil {
+		s.testRecord(fp.Hash)
+	}
+	line, ok := campaign.ResultLine(record, st.spec.Name, fp.Label, index)
+	if !ok {
+		return fmt.Errorf("record of point %d is not laid out as campaign writes records", index)
+	}
+	s.cache.Put(fp.Hash, record)
+	st.ledger.Settle(index, line)
+	return nil
 }
 
 //go:embed index.html
@@ -565,8 +646,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if mode == "fleet" {
+		st.fleet = true
 		st.workers = 0 // external workers execute; the slot only folds
 	}
+	st.newLedger(s.cfg.LeaseTTL, s.cfg.LeaseTarget)
 
 	s.mu.Lock()
 	if s.draining {
@@ -577,9 +660,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.nextID++
 	st.id = fmt.Sprintf("s%06d-%08x", s.nextID, s.instance)
-	if mode == "fleet" {
-		st.newFleet(s.cfg.LeaseTTL, s.cfg.LeaseTarget)
-	}
 	select {
 	case s.queue <- st:
 		s.studies[st.id] = st

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -62,7 +63,7 @@ type testServer struct {
 func newTestServer(t *testing.T, cfg Config) *testServer {
 	t.Helper()
 	s := New(cfg)
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.HTTPServer().Handler)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -280,7 +281,7 @@ func TestAdmissionQueueFullAndBudget(t *testing.T) {
 	s := New(Config{Workers: 8, MaxActive: 2, QueueDepth: 2, CacheBytes: -1})
 	gate := make(chan struct{})
 	s.testGate = gate
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.HTTPServer().Handler)
 	h := &testServer{s: s, ts: ts}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -354,7 +355,7 @@ func TestAdmissionQueueFullAndBudget(t *testing.T) {
 func TestGracefulShutdownDrains(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s := New(Config{Workers: 2, MaxActive: 2, QueueDepth: 4, CacheBytes: 1 << 20})
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.HTTPServer().Handler)
 	h := &testServer{s: s, ts: ts}
 
 	spec := testSpecBytes(t)
@@ -417,7 +418,7 @@ func waitGoroutines(t *testing.T, base int) {
 func TestShutdownDeadlineCancels(t *testing.T) {
 	s := New(Config{Workers: 1, MaxActive: 1, QueueDepth: 2, CacheBytes: -1})
 	s.testGate = make(chan struct{}) // never closed: the study blocks until canceled
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.HTTPServer().Handler)
 	h := &testServer{s: s, ts: ts}
 	t.Cleanup(ts.Close)
 
@@ -620,20 +621,6 @@ func TestSubmitRejectsUnrunnablePoints(t *testing.T) {
 	}
 }
 
-// panickyCache is a point cache whose lookup panics for the hashes in
-// bad and misses for every other: the test-side way to make chosen
-// points blow up inside the worker pool.
-type panickyCache struct{ bad map[string]bool }
-
-func (c panickyCache) Get(hash string) ([]byte, bool) {
-	if c.bad[hash] {
-		panic("injected point failure")
-	}
-	return nil, false
-}
-
-func (panickyCache) Put(string, []byte) {}
-
 // TestPanickingPointFailsItsStudyOnly: a work unit that panics takes down
 // its own study — status "failed", the unit and the panic message in the
 // error, the stream finished — and nothing else: a study running beside
@@ -657,8 +644,12 @@ func TestPanickingPointFailsItsStudyOnly(t *testing.T) {
 	s := New(Config{Workers: 2, MaxActive: 2, QueueDepth: 4, CacheBytes: -1})
 	gate := make(chan struct{})
 	s.testGate = gate
-	s.testCache = panickyCache{bad: map[string]bool{points[1].Hash: true}}
-	ts := httptest.NewServer(s.Handler())
+	s.testRecord = func(hash string) {
+		if hash == points[1].Hash {
+			panic("injected point failure")
+		}
+	}
+	ts := httptest.NewServer(s.HTTPServer().Handler)
 	h := &testServer{s: s, ts: ts}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -751,7 +742,7 @@ func TestDigestTooEarly(t *testing.T) {
 	s := New(Config{Workers: 1, MaxActive: 1, QueueDepth: 2, CacheBytes: -1})
 	gate := make(chan struct{})
 	s.testGate = gate
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.HTTPServer().Handler)
 	h := &testServer{s: s, ts: ts}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -802,5 +793,74 @@ func TestIndexAndDebugMounts(t *testing.T) {
 	var list []Status
 	if err := json.Unmarshal(data, &list); err != nil || len(list) != 1 {
 		t.Errorf("study list: %v (%s)", err, data)
+	}
+}
+
+// TestHTTPServerCutsSlowHeadersNotStreams: the server ctsand serves with
+// closes a connection whose request headers stop arriving, within the
+// header bound, and has no bound that cuts a response: a /results stream
+// of a study held running for several times the bound ends with the
+// study, carrying every result.
+func TestHTTPServerCutsSlowHeadersNotStreams(t *testing.T) {
+	s := New(Config{Workers: 1, MaxActive: 1, QueueDepth: 4, CacheBytes: -1})
+	hs := s.HTTPServer()
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 || hs.MaxHeaderBytes <= 0 || hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Fatalf("HTTPServer limits: header %v, idle %v, header bytes %d, read %v, write %v; want the first three set and no read or write timeout",
+			hs.ReadHeaderTimeout, hs.IdleTimeout, hs.MaxHeaderBytes, hs.ReadTimeout, hs.WriteTimeout)
+	}
+	const bound = 300 * time.Millisecond
+	hs.ReadHeaderTimeout = bound // the same server at a test's time scale
+	gate := make(chan struct{})
+	s.testGate = gate
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = hs
+	ts.Start()
+	h := &testServer{s: s, ts: ts}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+		ts.Close()
+	})
+
+	st := h.mustSubmit(t, testSpecBytes(t), "")
+	h.waitRunning(t, st.ID)
+	streamed := make(chan []byte)
+	go func() {
+		resp, err := http.Get(ts.URL + "/api/v1/studies/" + st.ID + "/results")
+		if err != nil {
+			t.Error(err)
+			streamed <- nil
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		streamed <- body
+	}()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: ctsand\r\nX-Half: a"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * bound))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("connection that stopped mid-header: read %d bytes, %v; want it closed", n, err)
+	}
+	if took := time.Since(start); took > 3*bound {
+		t.Errorf("connection that stopped mid-header closed after %v, bound %v", took, bound)
+	}
+
+	time.Sleep(3 * bound) // the stream outlives the header bound several times over
+	close(gate)
+	if got, want := <-streamed, referenceJSONL(t, 1); !bytes.Equal(got, want) {
+		t.Errorf("stream of a study held running past the bound:\n%s\nwant\n%s", got, want)
 	}
 }

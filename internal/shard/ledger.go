@@ -76,11 +76,12 @@ type Stats struct {
 // duplicate and leaseless batches included): determinism makes every
 // verified record for a point identical, so only the first one counts.
 //
-// The fold rule: emit(i, result) is called once per grid index, in index
-// order, as the contiguous settled prefix grows — under the ledger's
-// lock, so what emit writes is ordered exactly like the grid no matter
-// how batches interleave, and Done closes only after the last emit has
-// returned. emit must not call back into the ledger.
+// The fold rule: emit(i, line) is called once per grid index, in index
+// order, as the contiguous settled prefix grows, with the JSONL line of
+// the point's result (its JSON and a newline, which emit may keep) —
+// under the ledger's lock, so what emit writes is ordered exactly like
+// the grid no matter how batches interleave, and Done closes only after
+// the last emit has returned. emit must not call back into the ledger.
 //
 // The ledger has no transport and no policy: it is used in-process by
 // `ctsan run` (holders are subprocess slots) and behind HTTP by ctsand
@@ -89,12 +90,12 @@ type Ledger struct {
 	hashes []string
 	ttl    time.Duration
 	size   func() int
-	emit   func(index int, result []byte)
+	emit   func(index int, line []byte)
 
 	mu       sync.Mutex
 	pending  RangeSet
 	leases   map[string]*Lease
-	results  [][]byte // settled but not yet emitted (each its own copy, never the upload's bytes); indices below flushed are settled too
+	lines    [][]byte // settled but not yet emitted (each its own bytes, never the upload's); indices below flushed are settled too
 	grants   []int    // per point: leases that covered it
 	flushed  int
 	nextID   int
@@ -110,14 +111,14 @@ type Ledger struct {
 // are given, everything pending. A lease lives ttl without renewal;
 // size is asked (outside the lock) for the maximum point count of each
 // grant; emit receives the fold.
-func NewLedger(hashes []string, ttl time.Duration, size func() int, emit func(index int, result []byte)) *Ledger {
+func NewLedger(hashes []string, ttl time.Duration, size func() int, emit func(index int, line []byte)) *Ledger {
 	l := &Ledger{
 		hashes:  hashes,
 		ttl:     ttl,
 		size:    size,
 		emit:    emit,
 		leases:  map[string]*Lease{},
-		results: make([][]byte, len(hashes)),
+		lines:   make([][]byte, len(hashes)),
 		grants:  make([]int, len(hashes)),
 		holders: map[string]int{},
 		done:    make(chan struct{}),
@@ -132,7 +133,7 @@ func NewLedger(hashes []string, ttl time.Duration, size func() int, emit func(in
 // Done is closed once every point is settled and emitted.
 func (l *Ledger) Done() <-chan struct{} { return l.done }
 
-func (l *Ledger) settled(i int) bool { return i < l.flushed || l.results[i] != nil }
+func (l *Ledger) settled(i int) bool { return i < l.flushed || l.lines[i] != nil }
 
 // Grant leases the next contiguous pending range to holder. Exactly one
 // of the three returns is meaningful: a lease, done (the grid is settled
@@ -199,8 +200,8 @@ func (l *Ledger) Renew(now time.Time, id string) (deadline time.Time, ok bool) {
 }
 
 // Preload settles every point the lines hold a valid record for, before
-// or between leases: records already on disk when a run resumes, or
-// already in the cache when a study repeats.
+// or between leases: records already on disk when a run resumes or
+// merges.
 func (l *Ledger) Preload(lines [][]byte) Completion {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -246,11 +247,32 @@ func (l *Ledger) ingestLocked(lines [][]byte) Completion {
 			c.Duplicate++
 			continue
 		}
-		l.results[rec.Index] = rec.Result
-		l.pending.Remove(rec.Index) // present unless a live lease covers it
+		l.settleLocked(rec.Index, append(append(make([]byte, 0, len(rec.Result)+1), rec.Result...), '\n'))
 		c.Accepted = append(c.Accepted, Record{Index: rec.Index, Line: line})
 	}
 	return c
+}
+
+// Settle settles point index with line, the JSONL line of its result,
+// which the caller vouches for: no check of the line, and no copy — the
+// ledger, and then emit, keep it. It is the ingest for what needs no
+// verification: the result of a point the caller executed itself, or
+// one spliced from a record its cache verified on the way in. A point
+// already settled stays as it is.
+func (l *Ledger) Settle(index int, line []byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.settled(index) {
+		return
+	}
+	l.settleLocked(index, line)
+	var c Completion
+	l.foldLocked(&c)
+}
+
+func (l *Ledger) settleLocked(index int, line []byte) {
+	l.lines[index] = line
+	l.pending.Remove(index) // present unless a live lease covers it
 }
 
 // releaseLocked ends a lease and returns its unsettled points to the
@@ -289,9 +311,9 @@ func (l *Ledger) expireLocked(now time.Time) {
 // Done behind the last emit, and reports the cursor in c.
 func (l *Ledger) foldLocked(c *Completion) {
 	n := len(l.hashes)
-	for l.flushed < n && l.results[l.flushed] != nil {
-		l.emit(l.flushed, l.results[l.flushed])
-		l.results[l.flushed] = nil
+	for l.flushed < n && l.lines[l.flushed] != nil {
+		l.emit(l.flushed, l.lines[l.flushed])
+		l.lines[l.flushed] = nil
 		l.flushed++
 		if l.flushed == n {
 			close(l.done)

@@ -31,7 +31,7 @@ func TestParseRange(t *testing.T) {
 const gridSize = 12
 
 // grid is a frozen study's point hashes with, per index, the record line
-// an executor would checkpoint and the Result JSON inside it.
+// an executor would checkpoint and the JSONL line of the Result inside it.
 type grid struct {
 	hashes  []string
 	lines   [][]byte
@@ -69,7 +69,7 @@ var fixtures = sync.OnceValues(func() (own, foreign grid) {
 				panic(err)
 			}
 			g.lines = append(g.lines, line)
-			g.results = append(g.results, rec.Result)
+			g.results = append(g.results, append(rec.Result, '\n'))
 		}
 		return g
 	}
@@ -122,14 +122,14 @@ func newLedgerModel(t testing.TB, n int) *ledgerModel {
 	own, _ := fixtures()
 	m := &ledgerModel{t: t, n: n, own: own, now: time.Unix(1_000_000, 0), ttl: 10 * time.Second,
 		settled: make([]bool, n), leases: map[string]Lease{}, size: 1}
-	m.l = NewLedger(own.hashes[:n], m.ttl, func() int { return m.size }, func(i int, result []byte) {
-		// Strictly in order, exactly once, the record's own bytes, and
-		// never after Done.
+	m.l = NewLedger(own.hashes[:n], m.ttl, func() int { return m.size }, func(i int, line []byte) {
+		// Strictly in order, exactly once, the line of the record's own
+		// result, and never after Done.
 		if i != m.emitted {
 			t.Fatalf("emit(%d) but %d results emitted so far", i, m.emitted)
 		}
-		if !bytes.Equal(result, own.results[i]) {
-			t.Fatalf("emit(%d) delivered bytes that are not the record's result", i)
+		if !bytes.Equal(line, own.results[i]) {
+			t.Fatalf("emit(%d) delivered bytes that are not the line of the record's result", i)
 		}
 		select {
 		case <-m.l.done:
@@ -388,6 +388,10 @@ func runLedgerOps(t testing.TB, ops []byte) {
 				a := next() % m.n
 				lines, kinds, indices := batch(a, min(a+next()%4+1, m.n), next(), false)
 				m.deliver("l999999", lines, kinds, indices)
+			case arg%4 == 3: // a point settled by its line, leased or not
+				i := next() % m.n
+				m.l.Settle(i, bytes.Clone(m.own.results[i]))
+				m.settled[i] = true
 			default: // preload
 				a := next() % m.n
 				lines, kinds, indices := batch(a, min(a+next()%4+1, m.n), next(), false)
