@@ -100,9 +100,9 @@ func fixtureStudies(t *testing.T) []*Study {
 // TestNextEpochRefusesEveryRecord: the records of testdata/records_v1.jsonl
 // belong to their points at epoch 0 and to none at epoch 1 — where
 // resume and merge (VerifyShardRecord, MergeShardRecords), the fleet
-// coordinator (the same check on uploads) and a cache warm-loaded with
-// them (keys are point hashes, none of which is a point's now) all run
-// those points again.
+// coordinator (the same check on uploads) and a cache file holding them
+// (indexed by point hash, none of which is a point's now) all run those
+// points again.
 func TestNextEpochRefusesEveryRecord(t *testing.T) {
 	lines := fixtureRecords(t)
 	byStudy := [][][]byte{lines[:4], lines[4:]}

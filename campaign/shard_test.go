@@ -316,8 +316,8 @@ func framed(body string) []byte {
 // study name with characters JSON escapes (<, &, ", \, U+2028), a
 // non-ASCII rune and invalid UTF-8 over a point seeded near 2^64 — are
 // read with the fields the reference reader finds and rewritten byte for
-// byte, so checkpoint directories and cache spill files from then resume
-// and warm-load.
+// byte, so checkpoint directories and ctsand cache files from then
+// resume and serve.
 func TestShardRecordFixture(t *testing.T) {
 	raw, err := os.ReadFile("testdata/records_v1.jsonl")
 	if err != nil {

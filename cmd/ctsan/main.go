@@ -255,7 +255,8 @@ func cmdShard(ctx context.Context, args []string, _, stderr io.Writer) error {
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err
 	}
-	store, err := checkpoint.Open(storePath(*dir, r))
+	path := storePath(*dir, r)
+	store, err := checkpoint.Open(path)
 	if err != nil {
 		return err
 	}
@@ -271,50 +272,44 @@ func cmdShard(ctx context.Context, args []string, _, stderr io.Writer) error {
 		}
 		return nil
 	}
-	return checkpointRange(ctx, frozen, r, store, onPoint, campaign.WithWorkers(*workers))
+	return checkpointRange(ctx, frozen, r, path, store, onPoint, campaign.WithWorkers(*workers))
 }
 
-// syncSlice is how much wall time one checkpoint fsync covers. A shard
-// writes every record the moment its point completes and fsyncs once the
-// slice that began at the previous fsync is this old: a grid of tiny
-// points pays one fsync per slice instead of one per point, while a
-// point that runs longer than the slice still gets an fsync to itself.
-// It is a constant on purpose — large enough to amortise the fsync over
-// tens of sub-millisecond points, small enough that what a power cut can
-// cost is noise next to restarting the shard process.
-const syncSlice = 25 * time.Millisecond
-
-// now is the clock syncSlice is measured on; tests replace it.
+// now is the clock checkpoint.SyncSlice is measured on; tests replace it.
 var now = time.Now
 
 // checkpointRange is a shard's execution: it runs the points of r that
-// store held no valid record for when it was opened (store.Records()),
-// so a restarted shard, which opens its store afresh, re-executes only
-// what is missing, and writes each record to store the moment its point
-// completes (campaign.RunRecords), so the store lists records in
-// completion order (merge and resume fold by index).
+// the store file at path holds no valid record for (checkpoint.Load),
+// so a restarted shard re-executes only what is missing, and writes
+// each record to store, opened on path, the moment its point completes
+// (campaign.RunRecords), so the store lists records in completion order
+// (merge and resume fold by index).
 //
 // Durability is per time slice, not per point. A written record is
 // visible to checkpoint.Load and outlives this process however it dies
 // (panic, SIGKILL, a supervisor's timeout); the store is fsynced when
-// syncSlice has passed since the previous fsync, and once more before
-// checkpointRange returns, on every exit path. So a dead executor costs
-// bounded re-execution, never a wrong result: process death loses only
-// the points in flight; power loss loses at most the records of one
-// slice, all written within syncSlice of each other, which a resume
-// finds missing (or torn, and drops) and re-executes.
+// checkpoint.SyncSlice has passed since the previous fsync, and once
+// more before checkpointRange returns, on every exit path. So a dead
+// executor costs bounded re-execution, never a wrong result: process
+// death loses only the points in flight; power loss loses at most the
+// records of one slice, which a resume finds missing (or torn, and
+// drops) and re-executes.
 //
 // onPoint, when non-nil, observes each record line between its write
 // and its slice's fsync — "checkpointed": readable by a resume or a
 // merge, not necessarily fsynced yet. Calls are serialized, in the order
 // the records are written. It is the fault-injection hook (-crash-after,
 // -throttle) and the progress log.
-func checkpointRange(ctx context.Context, frozen *campaign.Study, r shard.Range, store *checkpoint.Store, onPoint func(index int, line []byte) error, opts ...campaign.Option) error {
+func checkpointRange(ctx context.Context, frozen *campaign.Study, r shard.Range, path string, store *checkpoint.Store, onPoint func(index int, line []byte) error, opts ...campaign.Option) error {
 	hashes, err := campaign.StudyPointHashes(frozen)
 	if err != nil {
 		return err
 	}
-	missing := missingPoints(hashes, r, store.Records())
+	held, _, err := checkpoint.Load(path)
+	if err != nil {
+		return err
+	}
+	missing := missingPoints(hashes, r, held)
 	if len(missing) == 0 {
 		return nil
 	}
@@ -328,7 +323,7 @@ func checkpointRange(ctx context.Context, frozen *campaign.Study, r shard.Range,
 				return err
 			}
 		}
-		if t := now(); t.Sub(sliceStart) >= syncSlice {
+		if t := now(); t.Sub(sliceStart) >= checkpoint.SyncSlice {
 			sliceStart = t
 			return store.Sync()
 		}

@@ -19,7 +19,7 @@ import (
 )
 
 // A shard's durability per time slice (checkpointRange): a record is
-// written the moment its point completes and fsynced once per syncSlice.
+// written the moment its point completes and fsynced once per checkpoint.SyncSlice.
 // These tests drive the policy on an injected clock — no sleeps — and
 // model the one failure it trades against: a power cut that keeps an
 // arbitrary prefix of what was written since the last fsync.
@@ -124,8 +124,8 @@ func TestShardSyncPolicy(t *testing.T) {
 	ctx := context.Background()
 
 	t.Run("a point longer than the slice syncs alone", func(t *testing.T) {
-		stepClock(t, syncSlice+time.Millisecond)
-		store, _ := openStore(t)
+		stepClock(t, checkpoint.SyncSlice+time.Millisecond)
+		store, path := openStore(t)
 		before, seen := syncs(), 0
 		onPoint := func(int, []byte) error {
 			// onPoint runs between a record's write and its sync: every
@@ -136,7 +136,7 @@ func TestShardSyncPolicy(t *testing.T) {
 			seen++
 			return nil
 		}
-		if err := checkpointRange(ctx, frozen, all, store, onPoint, oneWorker); err != nil {
+		if err := checkpointRange(ctx, frozen, all, path, store, onPoint, oneWorker); err != nil {
 			t.Fatal(err)
 		}
 		if got := syncs() - before; got != int64(points) {
@@ -147,7 +147,7 @@ func TestShardSyncPolicy(t *testing.T) {
 
 	t.Run("a frozen clock syncs once, at Close", func(t *testing.T) {
 		stepClock(t, 0)
-		store, _ := openStore(t)
+		store, path := openStore(t)
 		before := syncs()
 		onPoint := func(i int, _ []byte) error {
 			if got := syncs() - before; got != 0 {
@@ -155,7 +155,7 @@ func TestShardSyncPolicy(t *testing.T) {
 			}
 			return nil
 		}
-		if err := checkpointRange(ctx, frozen, all, store, onPoint, oneWorker); err != nil {
+		if err := checkpointRange(ctx, frozen, all, path, store, onPoint, oneWorker); err != nil {
 			t.Fatal(err)
 		}
 		if got := syncs() - before; got != 1 {
@@ -176,7 +176,7 @@ func TestShardSyncPolicy(t *testing.T) {
 			}
 			return nil
 		}
-		if err := checkpointRange(ctx, frozen, all, store, onPoint, oneWorker); !errors.Is(err, context.Canceled) {
+		if err := checkpointRange(ctx, frozen, all, path, store, onPoint, oneWorker); !errors.Is(err, context.Canceled) {
 			t.Fatalf("checkpointRange = %v, want context.Canceled", err)
 		}
 		if n := len(storeLines(t, path)); n < 2 || n == points {
@@ -198,12 +198,12 @@ func TestFailedSyncFailsTheAttempt(t *testing.T) {
 	points := all.Len()
 	ctx := context.Background()
 	full, fullPath := openStore(t)
-	if err := checkpointRange(ctx, frozen, all, full, nil, oneWorker); err != nil {
+	if err := checkpointRange(ctx, frozen, all, fullPath, full, nil, oneWorker); err != nil {
 		t.Fatal(err)
 	}
 	fullLines := storeLines(t, fullPath)
 
-	stepClock(t, syncSlice) // every record syncs
+	stepClock(t, checkpoint.SyncSlice) // every record syncs
 	store, path := openStore(t)
 	away := path + ".away"
 	written := 0
@@ -215,7 +215,7 @@ func TestFailedSyncFailsTheAttempt(t *testing.T) {
 		}
 		return nil
 	}
-	err := checkpointRange(ctx, frozen, all, store, onPoint, oneWorker)
+	err := checkpointRange(ctx, frozen, all, path, store, onPoint, oneWorker)
 	if err == nil {
 		t.Fatal("checkpointRange succeeded over a failed sync")
 	}
@@ -237,7 +237,7 @@ func TestFailedSyncFailsTheAttempt(t *testing.T) {
 		t.Fatal(err)
 	}
 	executed := 0
-	if err := checkpointRange(ctx, frozen, all, store, func(int, []byte) error { executed++; return nil }, oneWorker); err != nil {
+	if err := checkpointRange(ctx, frozen, all, path, store, func(int, []byte) error { executed++; return nil }, oneWorker); err != nil {
 		t.Fatal(err)
 	}
 	if executed != points-3 {
@@ -308,7 +308,7 @@ func TestPowerCutAtEveryUnsyncedByte(t *testing.T) {
 	all := shard.Range{Start: 0, End: points}
 	ctx := context.Background()
 	full, fullPath := openStore(t)
-	if err := checkpointRange(ctx, frozen, all, full, nil, oneWorker); err != nil {
+	if err := checkpointRange(ctx, frozen, all, fullPath, full, nil, oneWorker); err != nil {
 		t.Fatal(err)
 	}
 	fullLines := storeLines(t, fullPath)
@@ -353,7 +353,7 @@ func TestPowerCutAtEveryUnsyncedByte(t *testing.T) {
 		longest = max(longest, m.writeRecs-m.syncedRecs)
 		return nil
 	}
-	if err := checkpointRange(ctx, frozen, all, store, observe, oneWorker); err != nil {
+	if err := checkpointRange(ctx, frozen, all, storePath, store, observe, oneWorker); err != nil {
 		t.Fatal(err)
 	}
 	moments = append(moments, m) // the slice Close synced
@@ -409,7 +409,7 @@ func TestPowerCutAtEveryUnsyncedByte(t *testing.T) {
 				t.Fatalf("%s: Open left %d bytes on disk, want %d", what, fi.Size(), cut-torn)
 			}
 			executed := 0
-			if err := checkpointRange(ctx, frozen, all, resumed, func(int, []byte) error { executed++; return nil }, oneWorker); err != nil {
+			if err := checkpointRange(ctx, frozen, all, path, resumed, func(int, []byte) error { executed++; return nil }, oneWorker); err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
 			if executed != points-rec {
@@ -472,9 +472,9 @@ func TestFineGridSyncsPerSliceNotPerPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range []shard.Range{{Start: 0, End: 180}, {Start: 180, End: 360}} {
-		store, _ := openStore(t)
+		store, path := openStore(t)
 		appends, before, start := obs.CheckpointAppends.Value(), syncs(), time.Now()
-		if err := checkpointRange(context.Background(), frozen, r, store, nil, oneWorker); err != nil {
+		if err := checkpointRange(context.Background(), frozen, r, path, store, nil, oneWorker); err != nil {
 			t.Fatal(err)
 		}
 		elapsed := time.Since(start)
@@ -483,8 +483,8 @@ func TestFineGridSyncsPerSliceNotPerPoint(t *testing.T) {
 		if gotAppends != int64(r.Len()) {
 			t.Errorf("range %s counted %d appends, want one per point", r, gotAppends)
 		}
-		if limit := int64(elapsed/syncSlice) + 2; gotSyncs < 1 || gotSyncs > limit {
-			t.Errorf("range %s: %d syncs in %v, want 1..%d (one per %v slice, not one per point)", r, gotSyncs, elapsed, limit, syncSlice)
+		if limit := int64(elapsed/checkpoint.SyncSlice) + 2; gotSyncs < 1 || gotSyncs > limit {
+			t.Errorf("range %s: %d syncs in %v, want 1..%d (one per %v slice, not one per point)", r, gotSyncs, elapsed, limit, checkpoint.SyncSlice)
 		}
 		mustBeSynced(t, store)
 	}
@@ -499,7 +499,7 @@ func TestShardResume(t *testing.T) {
 
 	// Reference: the full range in one uninterrupted shard.
 	full, fullPath := openStore(t)
-	if err := checkpointRange(ctx, frozen, all, full, nil, oneWorker); err != nil {
+	if err := checkpointRange(ctx, frozen, all, fullPath, full, nil, oneWorker); err != nil {
 		t.Fatal(err)
 	}
 	fullLines := storeLines(t, fullPath)
@@ -510,7 +510,7 @@ func TestShardResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := checkpointRange(ctx, frozen, shard.Range{Start: 0, End: 2}, store, nil, oneWorker); err != nil {
+	if err := checkpointRange(ctx, frozen, shard.Range{Start: 0, End: 2}, path, store, nil, oneWorker); err != nil {
 		t.Fatal(err)
 	}
 	hashes, err := campaign.StudyPointHashes(frozen)
@@ -531,7 +531,7 @@ func TestShardResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := func(i int, line []byte) error { executed++; return nil }
-	if err := checkpointRange(ctx, frozen, all, store2, count, oneWorker); err != nil {
+	if err := checkpointRange(ctx, frozen, all, path, store2, count, oneWorker); err != nil {
 		t.Fatal(err)
 	}
 	if executed != 3 {
@@ -546,7 +546,7 @@ func TestShardResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	executed = 0
-	if err := checkpointRange(ctx, frozen, all, store3, count, oneWorker); err != nil {
+	if err := checkpointRange(ctx, frozen, all, path, store3, count, oneWorker); err != nil {
 		t.Fatal(err)
 	}
 	if executed != 0 {
@@ -585,7 +585,7 @@ func TestShardResume(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		executed = 0
-		if err := checkpointRange(ctx, frozen, all, store, count, oneWorker); err != nil {
+		if err := checkpointRange(ctx, frozen, all, path, store, count, oneWorker); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if executed != 3 {
@@ -630,11 +630,12 @@ func BenchmarkFineGridShardRange(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		store, err := checkpoint.Open(filepath.Join(dir, fmt.Sprintf("store-%d.jsonl", i)))
+		path := filepath.Join(dir, fmt.Sprintf("store-%d.jsonl", i))
+		store, err := checkpoint.Open(path)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := checkpointRange(context.Background(), frozen, all, store, nil, oneWorker); err != nil {
+		if err := checkpointRange(context.Background(), frozen, all, path, store, nil, oneWorker); err != nil {
 			b.Fatal(err)
 		}
 	}

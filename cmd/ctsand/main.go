@@ -21,10 +21,10 @@
 // the service coordinates external `ctsan worker` processes that pull
 // contiguous point ranges over the lease API (-lease-ttl, -lease-target
 // tune the ledger), verifies their uploaded records, and folds them
-// into the same byte-identical result stream. With -cache-dir the point
-// cache is persistent: evicted and resident entries spill to disk as
-// encoded shard records and are validated back in at startup, so a
-// restarted service serves repeated points without re-execution.
+// into the same byte-identical result stream. With -cache-dir every
+// cached record is also appended to a file there, once, and a point
+// memory no longer holds (evicted, or computed before a restart) is
+// read back from it, not run again: -cache-mb bounds memory only.
 //
 // With -debug the service's own listener also serves /debug/vars and
 // /debug/pprof — including the cache hit/miss/eviction and queue-depth
@@ -61,7 +61,7 @@ func run(args []string) error {
 		maxActive    = fs.Int("max-active", 2, "studies executing concurrently, each on workers/max-active goroutines")
 		queueDepth   = fs.Int("queue", 16, "admission queue depth; submissions beyond it get 429")
 		cacheMB      = fs.Int("cache-mb", 64, "content-addressed result cache budget in MiB (0 disables)")
-		cacheDir     = fs.String("cache-dir", "", "persist the point cache here: evictions and shutdown spill encoded records, startup warm-loads them")
+		cacheDir     = fs.String("cache-dir", "", "keep every cached record in a file here, read back when memory misses (needs -cache-mb > 0)")
 		leaseTTL     = fs.Duration("lease-ttl", 15*time.Second, "fleet lease lifetime without renewal before its range is re-leased")
 		leaseTarget  = fs.Duration("lease-target", time.Second, "wall time of work the adaptive lease sizer aims to put in one fleet lease")
 		seed         = cliflags.Seed(fs)
@@ -83,6 +83,8 @@ func run(args []string) error {
 		return cliflags.Usagef("-queue %d: want 0 (the default, 16) or a positive depth", *queueDepth)
 	case *cacheMB < 0:
 		return cliflags.Usagef("-cache-mb %d: want 0 (no cache) or a positive budget", *cacheMB)
+	case *cacheMB == 0 && *cacheDir != "":
+		return cliflags.Usagef("-cache-dir %s: -cache-mb 0 disables the cache it would hold", *cacheDir)
 	case *leaseTTL < 0:
 		return cliflags.Usagef("-lease-ttl %v: want 0 (the default, 15s) or a positive duration", *leaseTTL)
 	case *leaseTarget < 0:
@@ -112,7 +114,7 @@ func run(args []string) error {
 		if err := os.MkdirAll(*cacheDir, 0o755); err != nil {
 			return err
 		}
-		if _, err := srv.EnableCacheSpill(*cacheDir); err != nil {
+		if _, err := srv.OpenCacheDir(*cacheDir); err != nil {
 			return fmt.Errorf("-cache-dir: %w", err)
 		}
 	}

@@ -13,8 +13,10 @@ import (
 // value is a usage error (exit status 2) that says what would have been
 // accepted. Every row used to start the daemon — most of the values read
 // as defaults, a negative -drain-timeout as "cancel every running study
-// at once" — so a row that does not return promptly fails.
+// at once", a -cache-dir beside -cache-mb 0 as nothing at all — so a row
+// that does not return promptly fails.
 func TestInvalidFlagValuesAreUsageErrors(t *testing.T) {
+	cacheDir := t.TempDir()
 	for _, tc := range []struct {
 		args string
 		want string // in the message
@@ -22,6 +24,7 @@ func TestInvalidFlagValuesAreUsageErrors(t *testing.T) {
 		{"-max-active -1", "-max-active -1"},
 		{"-queue -3", "-queue -3"},
 		{"-cache-mb -5", "-cache-mb -5"},
+		{"-cache-mb 0 -cache-dir " + cacheDir, "-cache-dir " + cacheDir},
 		{"-lease-ttl -1s", "-lease-ttl -1s"},
 		{"-lease-target -2s", "-lease-target -2s"},
 		{"-drain-timeout -1s", "-drain-timeout -1s"},

@@ -110,8 +110,9 @@
 // the campaign ctx plumbing — and where determinism pays off twice: a
 // content-addressed result cache (campaign.PointHash of the frozen
 // point → encoded shard record) serves repeated points from memory —
-// and, with -cache-dir, across restarts — bit-identical to
-// resimulating them.
+// and, with -cache-dir, from one append-only record file read through
+// an index, so a point evicted from memory or computed before a restart
+// is served too — bit-identical to resimulating them.
 //
 // The service is also the fleet coordinator: a study submitted with
 // ?mode=fleet is not run on the local pool; the same ledger is served

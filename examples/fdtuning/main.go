@@ -66,9 +66,11 @@ func detectionTime(n int, timeout float64) float64 {
 	cluster.RunUntil(crashAt + 20*timeout + 200)
 	tds := fd.DetectionTimes(hist, 2, crashAt, n)
 	sum, cnt := 0.0, 0
-	for _, v := range tds {
-		sum += v
-		cnt++
+	for p := 1; p <= n; p++ {
+		if p != 2 {
+			sum += tds[p]
+			cnt++
+		}
 	}
 	return sum / float64(cnt)
 }

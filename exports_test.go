@@ -98,6 +98,56 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 }
 
+// TestContractIsStaticallyDeterministic reads the code for what sampled
+// runs cannot see (its first rule, R1): in the packages the determinism
+// contract covers (PERFORMANCE.md), no non-test file ranges over a map,
+// whose iteration order Go randomizes per loop, unless the allowlist says
+// why the loop's outcome cannot depend on that order. A sum over a map
+// breaks the contract's ordered folds (rule 2) only when the map has
+// enough entries and the order is unlucky. Entries are keyed by package,
+// function and loop header ("for k, v := range m"), not by position, so
+// a loop rewritten to use what it ranges differently needs its entry
+// rewritten too, and an entry whose loop is gone fails the test.
+func TestContractIsStaticallyDeterministic(t *testing.T) {
+	contract := []string{"des", "san", "sanmodel", "netsim", "neko", "fd", "consensus", "experiment", "scenario",
+		"metrics", "stats", "rng", "dist", "fit", "trace", "parallel", "shard"}
+	allow := map[string]string{
+		"ctsan/internal/consensus.Engine.Reset: for cid, in := range e.active":        "recycles every active instance onto the free list: the order picks only which record a later Propose reuses, and recycle clears every field an instance computes with",
+		"ctsan/internal/consensus.Engine.Reset: for cid, buf := range e.pending":      "returns every pending buffer, emptied, to the free list: the order picks only whose capacity a later instance reuses",
+		"ctsan/internal/consensus.Engine.onFDChange: for cid := range e.active":       "collects the active instance ids, which are sorted before any instance is notified",
+		"ctsan/internal/scenario.Names: for n := range registry":                      "collects the names, which are sorted before they are returned",
+		"ctsan/internal/scenario.Scenario.compileInto: for pid, ivs := range tl.down": "empties each process's crash intervals; an iteration touches its own key only",
+		"ctsan/internal/shard.Ledger.Grant: for _, o := range l.leases":               "the earliest lease deadline, for a retry hint on the wall clock: a minimum",
+		"ctsan/internal/shard.Ledger.Cancel: for _, o := range l.leases":              "releases every lease: the pending RangeSet merges ranges into the same set in any order, and holder counts are integers",
+		"ctsan/internal/shard.Ledger.expireLocked: for _, o := range l.leases":        "releases the expired leases: the pending RangeSet merges ranges into the same set in any order, and the counts are integers",
+	}
+	m, _ := loadModule(t)
+	found := map[string]bool{}
+	for _, name := range contract {
+		for _, key := range m.mapRanges["ctsan/internal/"+name] {
+			found[key] = true
+		}
+	}
+	for _, key := range m.mapRanges["ctsan/campaign"] {
+		found[key] = true
+	}
+	var keys []string
+	for key := range found {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		if allow[key] == "" {
+			t.Errorf("%s: a range over a map in a package of the determinism contract (rule R1); iterate in a fixed order, or allowlist it with the reason its outcome cannot depend on the order", key)
+		}
+	}
+	for key := range allow {
+		if !found[key] {
+			t.Errorf("allowlist entry %q names no range over a map any more: remove the entry", key)
+		}
+	}
+}
+
 // TestPerformanceDocNamesResolve holds PERFORMANCE.md to the code it
 // describes. Outside fenced code blocks, every backticked pkg.Name or
 // pkg.Name.Member whose pkg is a package of the module (its last path
@@ -283,6 +333,8 @@ func typeCheckModule() (*moduleImporter, []string, error) {
 		pkgs:   map[string]*types.Package{},
 		uses:   map[string]bool{},
 		writes: map[*types.Var]bool{},
+
+		mapRanges: map[string][]string{},
 	}
 	m.std = importer.ForCompiler(m.fset, "source", nil)
 	var paths []string
@@ -322,6 +374,10 @@ type moduleImporter struct {
 	uses   map[string]bool     // "import/path.Name" or "import/path.Type.Method" used outside its own declaration
 	writes map[*types.Var]bool // struct fields some non-test file writes
 	ifaces []*types.Interface  // every interface the module's non-test files spell, named or literal
+	// mapRanges lists, per import path, the range statements over a map
+	// in its non-test files, as "import/path.Func: for k, v := range expr"
+	// (methods as "import/path.Type.Method: …").
+	mapRanges map[string][]string
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
@@ -355,6 +411,7 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 			m.record(info, path, decl)
 		}
 		m.recordWrites(info, f)
+		m.recordMapRanges(info, path, f)
 	}
 	for _, tv := range info.Types {
 		if iface, ok := tv.Type.Underlying().(*types.Interface); ok {
@@ -469,6 +526,66 @@ func (m *moduleImporter) recordWrites(info *types.Info, f *ast.File) {
 		}
 		return true
 	})
+}
+
+// recordMapRanges lists the range statements over a map in f under the
+// package-level declaration that holds them.
+func (m *moduleImporter) recordMapRanges(info *types.Info, path string, f *ast.File) {
+	for _, decl := range f.Decls {
+		name := ""
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			name = d.Name.Name
+			if recv := recvName(d); recv != "" {
+				name = recv + "." + name
+			}
+		case *ast.GenDecl:
+			ast.Inspect(d, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && name == "" {
+					name = id.Name
+				}
+				return name == ""
+			})
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			r, ok := n.(*ast.RangeStmt)
+			if !ok {
+				return true
+			}
+			_, isMap := info.Types[r.X].Type.Underlying().(*types.Map)
+			// maps.Keys, Values and All iterate in the map's order too.
+			if call, ok := r.X.(*ast.CallExpr); ok {
+				if fn, ok := calleeOf(info, call); ok && fn.Pkg() != nil && fn.Pkg().Path() == "maps" {
+					isMap = true
+				}
+			}
+			if isMap {
+				loop := "for "
+				if r.Key != nil {
+					loop += types.ExprString(r.Key)
+					if r.Value != nil {
+						loop += ", " + types.ExprString(r.Value)
+					}
+					loop += " " + r.Tok.String() + " "
+				}
+				m.mapRanges[path] = append(m.mapRanges[path], path+"."+name+": "+loop+"range "+types.ExprString(r.X))
+			}
+			return true
+		})
+	}
+}
+
+// calleeOf is the function call calls by name (pkg.F, x.M or F).
+func calleeOf(info *types.Info, call *ast.CallExpr) (*types.Func, bool) {
+	var id *ast.Ident
+	switch f := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	}
+	fn, ok := info.Uses[id].(*types.Func)
+	return fn, ok
 }
 
 func identOf(e ast.Expr) *ast.Ident {

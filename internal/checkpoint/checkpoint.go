@@ -20,9 +20,9 @@
 //     kernel crash loses at most what was written since the last Sync,
 //     of which the kernel may have flushed any prefix, again possibly
 //     torn. Neither can damage a record before the last synced one. How
-//     much sits between two Syncs is the writer's choice: the sharded
-//     campaign sink syncs once per fixed time slice, the result-cache
-//     spill once per batch.
+//     much sits between two Syncs is the writer's choice; both writers
+//     in this module, a shard's checkpoint and ctsand's point-cache
+//     file, sync once per SyncSlice.
 //
 //   - Corruption-tolerant loads. Load never fails on damaged content: it
 //     returns the longest prefix of intact records and stops at the
@@ -57,19 +57,25 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"ctsan/internal/obs"
 )
 
-// Store is an append-only JSONL record file. It is not safe for
-// concurrent use by multiple goroutines or processes; the sharded
-// campaign layer gives every shard its own store file.
+// SyncSlice is how much wall time one fsync covers: a writer writes each
+// record as it has it and fsyncs once the slice begun at the previous
+// fsync is this old, so tiny records share an fsync and a slow one gets
+// its own. Large enough to amortise the fsync over tens of
+// sub-millisecond points, small enough that a power cut costs noise.
+const SyncSlice = 25 * time.Millisecond
+
+// Store is an append-only JSONL record file. It holds no record in
+// memory: what Open found and what Write adds live in the file only,
+// where Load reads them. It is not safe for concurrent use by multiple
+// goroutines or processes; the sharded campaign layer gives every shard
+// its own store file.
 type Store struct {
 	path string
-	// records holds the intact records Open read, oldest first (without
-	// the newline). Writes do not add to it: what a Write adds lives in
-	// the file only, so a long-lived writer holds nothing per record.
-	records [][]byte
 	// size is the byte length of the file, which is exactly the intact
 	// records with their newlines; synced is how much of it the last Sync
 	// covered (or Open found). created is false until the file exists.
@@ -91,8 +97,8 @@ func Open(path string) (*Store, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	records, intact := Scan(data)
-	s := &Store{path: path, records: records, size: int64(intact), synced: int64(intact), created: err == nil}
+	_, intact := Scan(data)
+	s := &Store{path: path, size: int64(intact), synced: int64(intact), created: err == nil}
 	if intact < len(data) {
 		// Repair now: replace the file with the clean prefix atomically so
 		// a second crash cannot stack new corruption on old.
@@ -138,11 +144,6 @@ func Scan(data []byte) (records [][]byte, intact int) {
 	}
 	return records, intact
 }
-
-// Records returns the intact records Open found, oldest first; records
-// written since are not among them (Load reads the whole file). The
-// slices alias the store's buffers; callers must not modify them.
-func (s *Store) Records() [][]byte { return s.records }
 
 // Write adds records to the end of the file with one write(2) and no
 // fsync. When it returns they are readable by Load, and they survive the
@@ -219,9 +220,8 @@ func (s *Store) Append(record []byte) error {
 	return s.AppendBatch([][]byte{record})
 }
 
-// AppendBatch durably adds records with one write and one fsync. It
-// exists for bulk writers — the result-cache spill persists whole LRU
-// generations — that want a durability point per batch. A crash
+// AppendBatch durably adds records with one write and one fsync, for a
+// writer that wants a durability point per batch. A crash
 // mid-batch keeps a prefix of the batch, in order. A write error means
 // none of it was written; a sync error leaves it in the file, written
 // but of unknown durability, in a store that is broken from then on.

@@ -27,19 +27,19 @@ func TestAppendAndReload(t *testing.T) {
 		t.Fatalf("clean file reported %d dropped bytes (%v)", dropped, err)
 	}
 	mustEqualRecords(t, "Load after appends", got, want)
-	re, err := Open(path)
-	if err != nil {
+	if _, err := Open(path); err != nil {
 		t.Fatal(err)
 	}
-	mustEqualRecords(t, "Records after reopen", re.Records(), want)
+	mustEqualRecords(t, "Load after reopen", loaded(t, path), want)
 }
 
 func TestOpenMissingFileIsEmpty(t *testing.T) {
-	s, err := Open(filepath.Join(t.TempDir(), "absent.jsonl"))
+	path := filepath.Join(t.TempDir(), "absent.jsonl")
+	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Records()) != 0 {
+	if len(loaded(t, path)) != 0 {
 		t.Fatal("missing file must open as an empty store")
 	}
 	if err := s.Append([]byte("x")); err != nil {
@@ -87,8 +87,8 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Records()) != 2 {
-		t.Fatalf("got %d records, want the 2 intact ones", len(s.Records()))
+	if n := len(loaded(t, path)); n != 2 {
+		t.Fatalf("got %d records, want the 2 intact ones", n)
 	}
 	// Open must have repaired the file on disk.
 	data, err := os.ReadFile(path)
@@ -118,12 +118,11 @@ func TestOpenStopsAtEmptyLine(t *testing.T) {
 	if err := os.WriteFile(path, []byte("a\n\nb\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(path)
-	if err != nil {
+	if _, err := Open(path); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Records()) != 1 || string(s.Records()[0]) != "a" {
-		t.Fatalf("records = %q, want just [a]", s.Records())
+	if got := loaded(t, path); len(got) != 1 || string(got[0]) != "a" {
+		t.Fatalf("records = %q, want just [a]", got)
 	}
 }
 
@@ -141,9 +140,10 @@ func TestAppendRejectsUnframeableRecords(t *testing.T) {
 }
 
 func TestWritesLeaveRecordsAsOpenFound(t *testing.T) {
-	// Records is what Open read and nothing more: Write and AppendBatch put
-	// their records in the file only, so a long-lived writer (the result
-	// cache's spill) holds no copy of what it wrote. Load reads them all.
+	// The records Open found stay as they were, and Write and AppendBatch
+	// put theirs after them, in the file only: a store holds no record in
+	// memory, so a long-lived writer (ctsand's point-cache file) holds no
+	// copy of what it found or wrote. Load reads them all.
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	found := [][]byte{[]byte(`{"i":0}`), []byte(`{"i":1}`)}
 	if err := os.WriteFile(path, []byte("{\"i\":0}\n{\"i\":1}\n"), 0o644); err != nil {
@@ -157,11 +157,10 @@ func TestWritesLeaveRecordsAsOpenFound(t *testing.T) {
 	if err := s.Write(written[0]); err != nil {
 		t.Fatal(err)
 	}
-	mustEqualRecords(t, "Records after Write", s.Records(), found)
+	mustEqualRecords(t, "Load after Write", loaded(t, path), append(found, written[0]))
 	if err := s.AppendBatch(written[1:]); err != nil {
 		t.Fatal(err)
 	}
-	mustEqualRecords(t, "Records after AppendBatch", s.Records(), found)
 	got, dropped, err := Load(path)
 	if err != nil || dropped != 0 {
 		t.Fatalf("Load after writes: dropped=%d err=%v", dropped, err)
@@ -190,6 +189,16 @@ func TestAppendIsAtomicAgainstReaders(t *testing.T) {
 			t.Fatalf("after append %d: %d records, %d dropped", i, len(records), dropped)
 		}
 	}
+}
+
+// loaded is what Load reads at path, which must hold no damaged tail.
+func loaded(t *testing.T, path string) [][]byte {
+	t.Helper()
+	records, dropped, err := Load(path)
+	if err != nil || dropped != 0 {
+		t.Fatalf("Load %s: dropped=%d err=%v", path, dropped, err)
+	}
+	return records
 }
 
 // mustEqualRecords fails unless got is exactly want, record by record.
@@ -249,7 +258,7 @@ func TestCrashAtEveryByteOfBatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
-		mustEqualRecords(t, fmt.Sprintf("cut %d: Open", cut), s.Records(), want)
+		mustEqualRecords(t, fmt.Sprintf("cut %d: Open", cut), loaded(t, path), want)
 		if fi, err := os.Stat(path); err != nil {
 			t.Fatal(err)
 		} else if fi.Size() != int64(whole) {
@@ -421,7 +430,7 @@ func TestFailedSyncPoisonsStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustEqualRecords(t, "fresh Open after a failed sync", re.Records(), want)
+	mustEqualRecords(t, "fresh Open after a failed sync", loaded(t, path), want)
 	next := []byte(`{"i":3}`)
 	if err := re.Append(next); err != nil {
 		t.Fatal(err)

@@ -28,6 +28,7 @@ package consensus
 
 import (
 	"fmt"
+	"slices"
 
 	"ctsan/internal/neko"
 	"ctsan/internal/trace"
@@ -246,13 +247,23 @@ func (e *Engine) route(m *neko.Message) {
 	e.pending[cid] = buf
 }
 
-// onFDChange forwards suspicion changes to all active instances.
+// onFDChange forwards a new suspicion to the active instances in id
+// order, the order of what they send (rule 2); one forgotten by an
+// earlier one's callback is skipped.
 func (e *Engine) onFDChange(q neko.ProcessID, suspected bool) {
 	if !suspected {
 		return
 	}
-	for _, in := range e.active {
-		in.onSuspicion(q)
+	var buf [8]uint64 // on the stack: a suspicion is not worth an allocation
+	cids := buf[:0]
+	for cid := range e.active {
+		cids = append(cids, cid)
+	}
+	slices.Sort(cids)
+	for _, cid := range cids {
+		if in := e.active[cid]; in != nil {
+			in.onSuspicion(q)
+		}
 	}
 }
 

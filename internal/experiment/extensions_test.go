@@ -114,6 +114,26 @@ func TestCrashTransient(t *testing.T) {
 	}
 }
 
+// TestCrashTransientDetectionTimeIsOneBitPattern: the mean detection
+// time folds the ten observers' T_D in process-id order, so one spec
+// gives one bit pattern however often it runs (determinism rule 2). At
+// this spec a fold in map iteration order gave two patterns, about one
+// run in three.
+func TestCrashTransientDetectionTimeIsOneBitPattern(t *testing.T) {
+	spec := CrashTransientSpec{N: 11, CrashID: 1, CrashAfter: 10, Executions: 20, TimeoutT: 20, Seed: 2}
+	patterns := map[uint64]int{}
+	for range 20 {
+		res, err := RunCrashTransientContext(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		patterns[math.Float64bits(res.DetectionTime)]++
+	}
+	if len(patterns) != 1 {
+		t.Fatalf("20 runs of one spec gave %d bit patterns of DetectionTime: %v", len(patterns), patterns)
+	}
+}
+
 // TestExtensionsCancellation: the §6 extension harnesses were the last
 // SIGINT-kill exceptions — both must now stop at instance/execution
 // boundaries and surface the clean context error.

@@ -95,9 +95,9 @@ func RunCrashTransientContext(ctx context.Context, spec CrashTransientSpec) (*Cr
 	}
 	tds := fd.DetectionTimes(plan.History, spec.CrashID, crashLocal, spec.N)
 	sum, cnt := 0.0, 0
-	for p, td := range tds {
-		if p == spec.CrashID || math.IsInf(td, 1) {
-			continue
+	for _, td := range tds {
+		if math.IsInf(td, 1) {
+			continue // entries 0 and CrashID, and observers that never suspect
 		}
 		sum += td
 		cnt++

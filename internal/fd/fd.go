@@ -439,37 +439,24 @@ func EstimateQoS(h *History, texp float64, n int) QoS {
 }
 
 // DetectionTimes returns, for a process q crashed at time tc, the
-// detection time T_D observed by each other process: the instant of its
-// final trust→suspect transition regarding q, minus tc. Observers that
-// never (permanently) suspect q get +Inf. The history must keep its
+// detection time T_D observed by each other process p, at index p: the
+// instant of p's final trust→suspect transition regarding q, minus tc.
+// Observers that never (permanently) suspect q get +Inf, and so do the
+// unused entries 0 and q. A slice, so that a sum over it runs in id
+// order and rounds the same way every time. The history must keep its
 // transitions (Keep).
-func DetectionTimes(h *History, q neko.ProcessID, tc float64, n int) map[neko.ProcessID]float64 {
-	last := make(map[neko.ProcessID]float64) // final suspect-start per observer
-	perm := make(map[neko.ProcessID]bool)
-	for _, e := range h.Events() {
-		if e.Q != q {
-			continue
-		}
-		if e.Suspected {
-			last[e.P] = e.At
-			perm[e.P] = true
-		} else {
-			perm[e.P] = false
-		}
+func DetectionTimes(h *History, q neko.ProcessID, tc float64, n int) []float64 {
+	out := make([]float64, n+1)
+	for p := range out {
+		out[p] = math.Inf(1)
 	}
-	out := make(map[neko.ProcessID]float64, n-1)
-	for p := neko.ProcessID(1); int(p) <= n; p++ {
-		if p == q {
-			continue
-		}
-		if perm[p] {
-			d := last[p] - tc
-			if d < 0 {
-				d = 0
-			}
-			out[p] = d
-		} else {
-			out[p] = math.Inf(1)
+	for _, e := range h.Events() {
+		switch {
+		case e.Q != q:
+		case e.Suspected:
+			out[e.P] = max(e.At-tc, 0)
+		default:
+			out[e.P] = math.Inf(1)
 		}
 	}
 	return out

@@ -71,7 +71,8 @@ func TestCrashDetectedAndPermanent(t *testing.T) {
 		t.Fatal("crashed process not suspected (completeness)")
 	}
 	tds := DetectionTimes(hist, 2, crashAt, 3)
-	for p, td := range tds {
+	for _, p := range []int{1, 3} {
+		td := tds[p]
 		if math.IsInf(td, 1) {
 			t.Fatalf("p%d never permanently suspected the crashed process", p)
 		}

@@ -47,16 +47,15 @@ var (
 	// near the record size because the store never rewrites old bytes.
 	CheckpointBytes = expvar.NewInt("ctsan.checkpoint_bytes")
 	// CacheHits / CacheMisses / CacheEvictions count result-cache
-	// lookups that were served from memory, lookups whose point was left
-	// to run (locally or on a fleet worker), and entries dropped by the
-	// LRU bound (the campaign service's content-addressed point cache).
+	// lookups that were served, lookups whose point was left to run
+	// (locally or on a fleet worker), and entries the LRU bound dropped
+	// from memory (the campaign service's content-addressed point cache).
+	// CacheDiskHits counts the lookups that missed memory and were read
+	// from ctsand's -cache-dir record file.
 	CacheHits      = expvar.NewInt("ctsan.cache_hits")
 	CacheMisses    = expvar.NewInt("ctsan.cache_misses")
 	CacheEvictions = expvar.NewInt("ctsan.cache_evictions")
-	// CacheSpills / CacheWarmLoads count encoded records persisted to the
-	// point-cache spill store and records validated back in at startup.
-	CacheSpills    = expvar.NewInt("ctsan.cache_spills")
-	CacheWarmLoads = expvar.NewInt("ctsan.cache_warm_loads")
+	CacheDiskHits  = expvar.NewInt("ctsan.cache_disk_hits")
 	// Dispatch counters (shard.Ledger, under `ctsan run` and ctsand
 	// alike): LeasesGranted counts ranges handed to shard subprocesses or
 	// fleet workers, LeasesCompleted leases whose full range came back

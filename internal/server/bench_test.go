@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ctsan/campaign"
+	"ctsan/internal/obs"
 )
 
 // benchServer is a harness without testing.T plumbing for benchmarks.
@@ -141,5 +142,30 @@ func BenchmarkFineGridWarmHTTP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		submitAndDrain(b, ts.URL, spec)
 	}
+	b.ReportMetric(float64(b.N*points)/b.Elapsed().Seconds(), "points/s")
+}
+
+// BenchmarkFineGridColdCacheDir is a cold 750-point fine grid through a
+// daemon with a cache directory and 128 KiB of memory: most records are
+// evicted while the study runs, and each is appended to the file once.
+// syncs/op is the file's fsyncs per study: one per 25 ms slice at most,
+// where a spill on eviction made one per evicted record.
+func BenchmarkFineGridColdCacheDir(b *testing.B) {
+	const points = 750
+	spec, err := campaign.EncodeStudy(fineGrid(points))
+	if err != nil {
+		b.Fatal(err)
+	}
+	syncs := obs.CheckpointSyncs.Value()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, ts := benchServer(b, Config{Workers: 2, MaxActive: 1, QueueDepth: 4, CacheBytes: 128 << 10})
+		if _, err := s.OpenCacheDir(b.TempDir()); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		submitAndDrain(b, ts.URL, spec)
+	}
+	b.ReportMetric(float64(obs.CheckpointSyncs.Value()-syncs)/float64(b.N), "syncs/op")
 	b.ReportMetric(float64(b.N*points)/b.Elapsed().Seconds(), "points/s")
 }

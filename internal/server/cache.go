@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"container/list"
+	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"ctsan/campaign"
 	"ctsan/internal/checkpoint"
@@ -24,14 +26,16 @@ import (
 // size gives an honest memory bound; and the stored record is the same
 // wire format the sharded executor checkpoints and fleet workers upload
 // — verified worker records go in without a decode/re-encode round
-// trip, and the spill store persists them verbatim. Every entry is a
+// trip, and the record file holds them verbatim. Every entry is a
 // record verified on its way in (encoded by the run, verified upload,
-// or decoded at warm-load — all laid out so ResultLine splices them),
-// and none is ever modified. The byte budget
-// bounds what the cache retains, with one exception: the spill file's
-// content as EnableSpill found it, which the spill store holds for the
-// cache's life. Otherwise entries own their bytes, and the spill store
-// keeps no copy of what it writes.
+// or decoded when read from the file), owns its bytes, and is never
+// modified.
+//
+// With a record file (open; ctsand's -cache-dir) the LRU is the hot tier
+// over it: every record Put is appended once, fsynced at most once per
+// checkpoint.SyncSlice, and a memory miss is one read through an index
+// of where each record lies, which promotes it. Eviction drops memory
+// only.
 //
 // Determinism makes the cache safe by construction: for a given hash
 // every Put stores identical statistics, so concurrent Puts, lost
@@ -43,20 +47,30 @@ type Cache struct {
 	size  int64
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
+	// index locates every record of file (which the cache only reads)
+	// by point hash; both are nil without a file.
+	index map[string]span
+	file  *os.File
 
-	// Spill state (EnableSpill): evicted and shut-down entries are
-	// persisted as encoded records through a checkpoint store, so a
-	// restarted service warm-loads its cache instead of re-executing.
-	// spillMu guards the store and the onDisk set; it is never taken
-	// while holding mu (a batch append fsyncs — too slow for the lookup path).
-	spillMu sync.Mutex
-	spill   *checkpoint.Store
-	onDisk  map[string]bool
+	// diskMu serializes appends to store, which end (the file's length)
+	// and synced (when the sync slice began) describe. It is taken before
+	// mu, never while holding it: an append may fsync.
+	diskMu sync.Mutex
+	store  *checkpoint.Store
+	end    int64
+	synced time.Time
+	now    func() time.Time // tests replace the clock
 }
 
 type cacheEntry struct {
 	hash string
 	line []byte
+}
+
+// span is where a record lies in the file, its newline excluded.
+type span struct {
+	off int64
+	n   int
 }
 
 // NewCache returns a cache bounded to maxBytes of encoded records.
@@ -66,132 +80,144 @@ func NewCache(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		return nil
 	}
-	return &Cache{max: maxBytes, ll: list.New(), items: map[string]*list.Element{}}
+	return &Cache{max: maxBytes, ll: list.New(), items: map[string]*list.Element{}, now: time.Now}
 }
 
-// SpillFile is the point-cache spill file name inside the -cache-dir
-// directory.
-const SpillFile = "pointcache.jsonl"
+// cacheFile is the record file's name inside ctsand's -cache-dir.
+const cacheFile = "pointcache.jsonl"
 
-// EnableSpill attaches a persistent spill store under dir and
-// warm-loads it: every intact record in dir/pointcache.jsonl — one that
-// campaign.DecodeShardRecord reads, layout and CRC, and so one that
-// campaign.ResultLine splices — is inserted, up to the byte budget. The store keeps
-// the file's content as Open read it, overflow lines included, for the
-// life of the cache; the entries loaded share those bytes. From then
-// on, entries evicted by the LRU bound are appended to the file before
-// they are dropped from memory, and SpillAll persists the whole
-// resident set — together they make the cache's contents survive
-// restarts, and neither keeps a copy of what it writes. Returns how
-// many records were warm-loaded.
-func (c *Cache) EnableSpill(dir string) (loaded int, err error) {
-	if c == nil {
-		return 0, nil
-	}
-	store, err := checkpoint.Open(filepath.Join(dir, SpillFile))
+// open puts the cache over the record file in dir, creating it if
+// absent, and returns how many records it indexed: every one
+// campaign.DecodeShardRecord accepts, by where it lies, not its bytes.
+// Nothing is loaded into the LRU; a damaged tail is cut off
+// (checkpoint.Open).
+func (c *Cache) open(dir string) (int, error) {
+	path := filepath.Join(dir, cacheFile)
+	// Create the file first, so that the store appends to the file the
+	// read descriptor, opened after the store's repair, reads.
+	f, err := os.OpenFile(path, os.O_RDONLY|os.O_CREATE, 0o644)
 	if err != nil {
 		return 0, err
 	}
-	c.spillMu.Lock()
-	defer c.spillMu.Unlock()
-	c.spill = store
-	c.onDisk = make(map[string]bool, len(store.Records()))
-	for _, line := range store.Records() {
-		rec, err := campaign.DecodeShardRecord(line)
-		if err != nil {
-			continue // damaged or foreign line: ignore, never trust
-		}
-		c.onDisk[rec.PointHash] = true
-		c.mu.Lock()
-		_, exists := c.items[rec.PointHash]
-		fits := c.size+int64(len(line)) <= c.max
-		if !exists && fits {
-			// Share the bytes: the store never rewrites a record it holds,
-			// and the cache never modifies a line.
-			c.items[rec.PointHash] = c.ll.PushBack(&cacheEntry{hash: rec.PointHash, line: line})
-			c.size += int64(len(line))
-			loaded++
-		}
-		c.mu.Unlock()
+	f.Close()
+	store, err := checkpoint.Open(path)
+	if err != nil {
+		return 0, err
 	}
-	c.publishGauges()
-	obs.CacheWarmLoads.Add(int64(loaded))
-	return loaded, nil
+	records, _, err := checkpoint.Load(path)
+	if err != nil {
+		return 0, err
+	}
+	if f, err = os.Open(path); err != nil {
+		return 0, err
+	}
+	index := make(map[string]span, len(records))
+	end := int64(0)
+	for _, line := range records {
+		if rec, err := campaign.DecodeShardRecord(line); err == nil {
+			index[rec.PointHash] = span{end, len(line)}
+		}
+		end += int64(len(line)) + 1
+	}
+	c.diskMu.Lock()
+	c.store, c.end, c.synced = store, end, c.now()
+	c.mu.Lock()
+	c.index, c.file = index, f
+	c.mu.Unlock()
+	c.diskMu.Unlock()
+	return len(index), nil
 }
 
-// SpillAll persists every resident entry not already on disk — the
-// shutdown path, making a clean restart fully warm. Safe to call with
-// spill disabled (no-op).
-func (c *Cache) SpillAll() error {
+// close fsyncs the file and closes it; the cache is memory only from
+// then on. Safe to call again, and on a cache without a file.
+func (c *Cache) close() error {
 	if c == nil {
 		return nil
 	}
+	c.diskMu.Lock()
+	defer c.diskMu.Unlock()
+	if c.store == nil {
+		return nil
+	}
+	err := c.store.Sync()
 	c.mu.Lock()
-	entries := make([]*cacheEntry, 0, c.ll.Len())
-	for el := c.ll.Back(); el != nil; el = el.Prev() {
-		entries = append(entries, el.Value.(*cacheEntry))
-	}
+	c.file.Close()
+	c.store, c.index, c.file = nil, nil, nil
 	c.mu.Unlock()
-	return c.spillEntries(entries)
+	return err
 }
 
-// spillEntries appends the not-yet-persisted entries to the spill store
-// as one batch (one write, one fsync). A crash mid-batch keeps a prefix
-// of it, which is fine: the records are independent and CRC-checked,
-// and onDisk is rebuilt at startup from what decodes. Entry lines are
-// immutable once cached, so reading them outside mu is safe.
-func (c *Cache) spillEntries(entries []*cacheEntry) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	c.spillMu.Lock()
-	defer c.spillMu.Unlock()
-	if c.spill == nil {
-		return nil
-	}
-	batch := make([][]byte, 0, len(entries))
-	for _, e := range entries {
-		if !c.onDisk[e.hash] {
-			batch = append(batch, e.line)
-		}
-	}
-	if len(batch) == 0 {
-		return nil
-	}
-	if err := c.spill.AppendBatch(batch); err != nil {
-		return err
-	}
-	for _, e := range entries {
-		c.onDisk[e.hash] = true
-	}
-	obs.CacheSpills.Add(int64(len(batch)))
-	return nil
-}
-
-// Get returns the stored record, which the caller must not modify.
-// Hits and misses are counted by the caller, which knows whether it
-// could serve the record.
+// Get returns the stored record, which the caller must not modify: from
+// memory, or else read from the file and made the most recently used
+// entry. Hits and misses are counted by the caller, which knows whether
+// it could serve the record.
 func (c *Cache) Get(hash string) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
-	el, ok := c.items[hash]
-	var line []byte
-	if ok {
+	if el, ok := c.items[hash]; ok {
 		c.ll.MoveToFront(el)
-		line = el.Value.(*cacheEntry).line
+		line := el.Value.(*cacheEntry).line
+		c.mu.Unlock()
+		return line, true
+	}
+	at, ok := c.index[hash]
+	f := c.file
+	c.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	line := make([]byte, at.n)
+	if _, err := f.ReadAt(line, at.off); err == nil {
+		if rec, err := campaign.DecodeShardRecord(line); err == nil && rec.PointHash == hash {
+			obs.CacheDiskHits.Add(1)
+			c.insert(hash, line)
+			return line, true
+		}
+	}
+	// Not the record the index was built from (an offset bug, or a file
+	// changed underneath): never trust it; the point runs again.
+	c.mu.Lock()
+	if c.index[hash] == at {
+		delete(c.index, hash)
 	}
 	c.mu.Unlock()
-	return line, ok
+	return nil, false
 }
 
-// Put inserts a verified shard record, evicting least-recently-used entries past the byte budget. The
-// entry keeps its own copy of record: an upload's lines are cut from one
-// decoded body, which an entry sharing them would pin whole. A record
-// larger than the whole budget is not cached.
+// Put inserts a verified shard record, evicting least-recently-used
+// entries past the byte budget, and appends it to the file unless the
+// index has it. The append is best effort: a record that could not be
+// written only costs a future recomputation. The entry keeps its own
+// copy of record: an upload's lines are cut from one decoded body, which
+// an entry sharing them would pin whole.
 func (c *Cache) Put(hash string, record []byte) {
-	if c == nil || int64(len(record)) > c.max {
+	if c == nil {
+		return
+	}
+	c.diskMu.Lock()
+	c.mu.Lock()
+	_, held := c.index[hash]
+	c.mu.Unlock()
+	if c.store != nil && !held && c.store.Write(record) == nil {
+		c.mu.Lock()
+		c.index[hash] = span{c.end, len(record)}
+		c.mu.Unlock()
+		c.end += int64(len(record)) + 1
+		if t := c.now(); t.Sub(c.synced) >= checkpoint.SyncSlice {
+			c.synced = t
+			c.store.Sync() //nolint:errcheck // a failed sync refuses every later write
+		}
+	}
+	c.diskMu.Unlock()
+	c.insert(hash, bytes.Clone(record))
+}
+
+// insert makes line, which the cache owns from now on, the most recently
+// used entry, unless it is cached already or larger than the budget.
+func (c *Cache) insert(hash string, line []byte) {
+	if int64(len(line)) > c.max {
 		return
 	}
 	c.mu.Lock()
@@ -202,43 +228,23 @@ func (c *Cache) Put(hash string, record []byte) {
 		c.mu.Unlock()
 		return
 	}
-	c.items[hash] = c.ll.PushFront(&cacheEntry{hash: hash, line: bytes.Clone(record)})
-	c.size += int64(len(record))
-	var evicted []*cacheEntry
-	for c.size > c.max {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*cacheEntry)
-		c.ll.Remove(back)
+	c.items[hash] = c.ll.PushFront(&cacheEntry{hash: hash, line: line})
+	c.size += int64(len(line))
+	evicted := 0
+	for ; c.size > c.max; evicted++ {
+		e := c.ll.Remove(c.ll.Back()).(*cacheEntry)
 		delete(c.items, e.hash)
 		c.size -= int64(len(e.line))
-		evicted = append(evicted, e)
 	}
 	size, entries := c.size, int64(len(c.items))
 	c.mu.Unlock()
-	if len(evicted) > 0 {
-		obs.CacheEvictions.Add(int64(len(evicted)))
-		// Best effort: a failed spill only costs future recomputation.
-		c.spillEntries(evicted) //nolint:errcheck
-	}
+	obs.CacheEvictions.Add(int64(evicted))
 	obs.CacheBytes.Set(size)
 	obs.CacheEntries.Set(entries)
 }
 
-// publishGauges refreshes the size gauges outside any lock ordering
-// concerns (reads under mu).
-func (c *Cache) publishGauges() {
-	c.mu.Lock()
-	size, entries := c.size, int64(len(c.items))
-	c.mu.Unlock()
-	obs.CacheBytes.Set(size)
-	obs.CacheEntries.Set(entries)
-}
-
-// Stats reports the cache's current size for the service stats
-// endpoint.
+// Stats reports the cache's current size in memory for the service
+// stats endpoint.
 func (c *Cache) Stats() (bytes int64, entries int) {
 	if c == nil {
 		return 0, 0

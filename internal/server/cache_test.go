@@ -3,10 +3,15 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"ctsan/campaign"
 	"ctsan/internal/checkpoint"
@@ -135,68 +140,321 @@ func TestCacheOversizeRecordSkipped(t *testing.T) {
 	}
 }
 
-// TestCacheSpillSyncsOncePerBatch: the spill store is written through
-// AppendBatch, which stays durable on return — one fsync per batch,
-// however many records it carries, the first batch (which creates the
-// file) included. Nothing to spill means nothing to sync.
-func TestCacheSpillSyncsOncePerBatch(t *testing.T) {
-	c := NewCache(1 << 20)
-	if _, err := c.EnableSpill(t.TempDir()); err != nil {
+// openCache returns a cache of maxBytes over a fresh record file, closed
+// when the test ends, and the file's path.
+func openCache(t *testing.T, maxBytes int64) (*Cache, string) {
+	t.Helper()
+	c := NewCache(maxBytes)
+	dir := t.TempDir()
+	if _, err := c.open(dir); err != nil {
 		t.Fatal(err)
 	}
-	seed := uint64(1)
-	for batch, size := range []int{3, 1, 4} {
-		for i := 0; i < size; i++ {
-			hash := fmt.Sprintf("sha256:batch%d-%d", batch, i)
-			c.Put(hash, makeRecord(t, hash, seed))
-			seed++
-		}
-		appends, syncs := obs.CheckpointAppends.Value(), obs.CheckpointSyncs.Value()
-		if err := c.SpillAll(); err != nil {
+	t.Cleanup(func() { c.close() })
+	return c, filepath.Join(dir, cacheFile)
+}
+
+// recordsUnder encodes result as the shard record of each of n made-up
+// point hashes: records of one length, each valid for its own hash.
+func recordsUnder(t testing.TB, result *campaign.Result, n int) (hashes []string, records [][]byte) {
+	for i := 0; i < n; i++ {
+		hash := fmt.Sprintf("sha256:%064x", i)
+		line, err := campaign.EncodeShardRecord(hash, result)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := obs.CheckpointAppends.Value() - appends; got != int64(size) {
-			t.Errorf("batch %d: %d records appended, want %d", batch, got, size)
-		}
-		if got := obs.CheckpointSyncs.Value() - syncs; got != 1 {
-			t.Errorf("batch %d of %d records: %d syncs, want 1", batch, size, got)
-		}
+		hashes, records = append(hashes, hash), append(records, line)
 	}
-	syncs := obs.CheckpointSyncs.Value()
-	if err := c.SpillAll(); err != nil {
+	return hashes, records
+}
+
+// oneResult is one real campaign Result to encode records of.
+func oneResult(t testing.TB) *campaign.Result {
+	results, err := campaign.RunCollect(context.Background(), campaign.NewStudy("cache-unit", campaign.SANPoint{N: 3, Replicas: 5, Seed: 1}), campaign.WithWorkers(1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := obs.CheckpointSyncs.Value() - syncs; got != 0 {
-		t.Errorf("a spill with nothing new synced %d times", got)
+	return results[0]
+}
+
+// TestCacheServesEvictedRecordsFromFile: with room for two records in
+// memory, all ten Put are served, the evicted ones read from the file,
+// and each record is appended once: a read promotes, it does not append.
+func TestCacheServesEvictedRecordsFromFile(t *testing.T) {
+	hashes, records := recordsUnder(t, oneResult(t), 10)
+	c, path := openCache(t, int64(2*len(records[0])))
+	for i, hash := range hashes {
+		c.Put(hash, records[i])
+	}
+	disk := obs.CacheDiskHits.Value()
+	for round := 0; round < 2; round++ {
+		for i, hash := range hashes {
+			got, ok := c.Get(hash)
+			if !ok || !bytes.Equal(got, records[i]) {
+				t.Fatalf("round %d: Get(%d) = %v, other bytes %v", round, i, ok, !bytes.Equal(got, records[i]))
+			}
+		}
+	}
+	if got := obs.CacheDiskHits.Value() - disk; got != 20 {
+		t.Errorf("%d disk hits, want 20 (a two-record LRU read in cycles of ten)", got)
+	}
+	if _, entries := c.Stats(); entries != 2 {
+		t.Errorf("%d entries in memory, want 2", entries)
+	}
+	onDisk, dropped, err := checkpoint.Load(path)
+	if err != nil || dropped != 0 || len(onDisk) != len(records) {
+		t.Fatalf("file: %d records, dropped=%d err=%v; want the %d Put, once each", len(onDisk), dropped, err, len(records))
 	}
 }
 
-// TestCacheSpillKeepsNoRecordInMemory: a spill store that started empty
-// holds nothing in memory however much the cache evicts through it —
-// every spilled record lives in the file only, where Load finds it. A
-// long-lived daemon's cache is bounded by its budget, not by its
-// eviction history.
-func TestCacheSpillKeepsNoRecordInMemory(t *testing.T) {
-	res := makeRecord(t, "sha256:spill-000", 1)
-	size := len(res)
-	c := NewCache(int64(2 * size))
-	dir := t.TempDir()
-	if _, err := c.EnableSpill(dir); err != nil {
+// TestCacheFileSyncsOncePerSlice drives the file's fsync policy on an
+// injected clock: a record Put after a whole slice syncs itself and
+// every record before it, one Put within the slice syncs nothing, and
+// close syncs what the last slice wrote — once.
+func TestCacheFileSyncsOncePerSlice(t *testing.T) {
+	hashes, records := recordsUnder(t, oneResult(t), 8)
+	at := time.Unix(1_000_000, 0)
+	c := NewCache(1 << 20)
+	c.now = func() time.Time { return at }
+	if _, err := c.open(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
-	const puts = 200
-	for i := 0; i < puts; i++ {
-		c.Put(fmt.Sprintf("sha256:spill-%03d", i), res)
+	for i, step := range []time.Duration{0, 5, 5, 14, 1, 30, 0, 24} {
+		at = at.Add(step * time.Millisecond)
+		syncs := obs.CheckpointSyncs.Value()
+		c.Put(hashes[i], records[i])
+		// Slices begin at open (t=0) and at the syncs of records 4 and 5.
+		want := int64(0)
+		if i == 4 || i == 5 {
+			want = 1
+		}
+		if got := obs.CheckpointSyncs.Value() - syncs; got != want {
+			t.Errorf("Put %d at %v: %d syncs, want %d", i, at.Sub(time.Unix(1_000_000, 0)), got, want)
+		}
 	}
-	if n := len(c.spill.Records()); n != 0 {
-		t.Fatalf("spill store holds %d records in memory after %d Puts, want 0", n, puts)
+	syncs := obs.CheckpointSyncs.Value()
+	c.Put(hashes[0], records[0]) // in the file already: no write, no sync
+	if err := c.close(); err != nil {
+		t.Fatal(err)
 	}
-	if bytes, entries := c.Stats(); entries != 2 || bytes > int64(2*size) {
-		t.Fatalf("cache holds %d entries in %d bytes, want 2 within %d", entries, bytes, 2*size)
+	if err := c.close(); err != nil {
+		t.Fatal(err)
 	}
-	spilled, dropped, err := checkpoint.Load(filepath.Join(dir, SpillFile))
-	if err != nil || dropped != 0 || len(spilled) != puts-2 {
-		t.Fatalf("spill file: %d records, dropped=%d err=%v; want the %d evicted", len(spilled), dropped, err, puts-2)
+	if got := obs.CheckpointSyncs.Value() - syncs; got != 1 {
+		t.Errorf("close synced %d times, want once", got)
+	}
+}
+
+// TestCacheFileKeepsNoRecordInMemory opens a cache over a file of 20,000
+// records and measures what it keeps: the index, not the records, and
+// nothing in the LRU until a record is asked for.
+func TestCacheFileKeepsNoRecordInMemory(t *testing.T) {
+	const n = 20_000
+	hashes, records := recordsUnder(t, oneResult(t), n)
+	dir := t.TempDir()
+	store, err := checkpoint.Open(filepath.Join(dir, cacheFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AppendBatch(records); err != nil {
+		t.Fatal(err)
+	}
+	size := len(records[0])
+	records = nil
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := liveHeap()
+	c := NewCache(1 << 20)
+	indexed, err := c.open(dir)
+	if err != nil || indexed != n {
+		t.Fatalf("open indexed %d records (%v), want %d", indexed, err, n)
+	}
+	perRecord := (float64(liveHeap()) - float64(before)) / n
+	t.Logf("%d records of %d bytes: %.0f bytes of live heap per record", n, size, perRecord)
+	if perRecord > 256 {
+		t.Errorf("open keeps %.0f bytes per record, want <= 256 (the record is %d)", perRecord, size)
+	}
+	if bytes, entries := c.Stats(); bytes != 0 || entries != 0 {
+		t.Errorf("open loaded %d entries (%d bytes) into memory, want none", entries, bytes)
+	}
+	if _, ok := c.Get(hashes[n/2]); !ok {
+		t.Error("an indexed record missed")
+	}
+	c.close()
+}
+
+// TestCacheFileMissesWhatItCannotTrust: a damaged line, a record the
+// splice cannot cut and a record under another point's key are each a
+// miss, whether the file held them when it was opened or they appeared
+// underneath an open cache. A record found untrustworthy on read leaves
+// the index, and the record its point puts next is appended and served.
+func TestCacheFileMissesWhatItCannotTrust(t *testing.T) {
+	hashes, records := recordsUnder(t, oneResult(t), 4)
+	flipped := func(line []byte) []byte {
+		out := bytes.Clone(line)
+		out[len(out)/2] ^= 0x01
+		return out
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, cacheFile)
+	store, err := checkpoint.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AppendBatch([][]byte{records[0], flipped(records[1]), reordered(t, records[2])}); err != nil {
+		t.Fatal(err)
+	}
+	// A budget below one record keeps nothing in memory: every Get reads
+	// the file.
+	c := NewCache(int64(len(records[0]) - 1))
+	if indexed, err := c.open(dir); err != nil || indexed != 1 {
+		t.Fatalf("open indexed %d records (%v), want only the intact one", indexed, err)
+	}
+	defer c.close()
+	if _, ok := c.Get(hashes[1]); ok {
+		t.Error("a damaged line in the file was a hit")
+	}
+	if _, ok := c.Get(hashes[2]); ok {
+		t.Error("a record the splice cannot cut was a hit")
+	}
+	if _, ok := c.Get(hashes[0]); !ok {
+		t.Fatal("the intact record missed")
+	}
+
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, under := range []struct {
+		what string
+		line []byte
+	}{
+		{"a record under another point's key", records[3]},
+		{"a line damaged underneath", flipped(records[0])},
+	} {
+		// Written over point 0's record, where the index places it.
+		c.mu.Lock()
+		at := c.index[hashes[0]].off
+		c.mu.Unlock()
+		if _, err := f.WriteAt(under.line, at); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.Get(hashes[0]); ok {
+			t.Errorf("%s: a hit", under.what)
+		}
+		c.mu.Lock()
+		_, indexed := c.index[hashes[0]]
+		c.mu.Unlock()
+		if indexed {
+			t.Errorf("%s: still in the index", under.what)
+		}
+		c.Put(hashes[0], records[0]) // the point ran again
+		if got, ok := c.Get(hashes[0]); !ok || !bytes.Equal(got, records[0]) {
+			t.Errorf("%s: the record put again is not served from the file", under.what)
+		}
+	}
+}
+
+// TestCacheFileOfAnotherEpochIsAllMisses: a file written at results
+// epoch 0 opens at epoch 1 as all misses — its records stay indexed
+// under their epoch-0 point hashes, which no point has at epoch 1 (from
+// epoch 1 on PointHash covers the epoch; campaign.PointHash).
+func TestCacheFileOfAnotherEpochIsAllMisses(t *testing.T) {
+	frozen, err := campaign.Frozen(testStudy(), campaign.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := frozen.FrozenPoints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := rangeRecords(frozen, 0, len(points))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	c := NewCache(1 << 20)
+	if _, err := c.open(dir); err != nil {
+		t.Fatal(err)
+	}
+	for i, fp := range points {
+		c.Put(fp.Hash, grid[i])
+	}
+	c.close()
+	reopened := NewCache(1 << 20)
+	if indexed, err := reopened.open(dir); err != nil || indexed != len(points) {
+		t.Fatalf("open indexed %d records (%v), want %d", indexed, err, len(points))
+	}
+	defer reopened.close()
+	for _, fp := range points {
+		if epochHash(t, fp, 0) != fp.Hash {
+			t.Fatalf("point %d: epochHash disagrees with campaign.PointHash at epoch 0", fp.Index)
+		}
+		if _, ok := reopened.Get(epochHash(t, fp, 1)); ok {
+			t.Errorf("point %d at epoch 1: an epoch-0 record was a hit", fp.Index)
+		}
+		if _, ok := reopened.Get(fp.Hash); !ok {
+			t.Errorf("point %d at epoch 0: its record missed", fp.Index)
+		}
+	}
+}
+
+// epochHash is campaign.PointHash of fp's point at results epoch e.
+func epochHash(t *testing.T, fp campaign.FrozenPoint, e int) string {
+	t.Helper()
+	spec, err := json.Marshal(fp.Point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write([]byte(fp.Engine.String()))
+	h.Write([]byte{0})
+	h.Write(spec)
+	if e != 0 {
+		h.Write(fmt.Appendf(nil, "\x00epoch %d", e))
+	}
+	return fmt.Sprintf("sha256:%x", h.Sum(nil))
+}
+
+// TestCacheDiskGetsRacePuts runs reads from the file against Puts that
+// append and evict, for the race detector: four writers put disjoint
+// records into a two-record LRU while four readers read all of them
+// back, every read a hit once its record is in.
+func TestCacheDiskGetsRacePuts(t *testing.T) {
+	hashes, records := recordsUnder(t, oneResult(t), 64)
+	c, path := openCache(t, int64(2*len(records[0])))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(hashes); i += 4 {
+				c.Put(hashes[i], records[i])
+			}
+		}(w)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < 3*len(hashes); k++ {
+				i := (k*7 + w) % len(hashes)
+				if got, ok := c.Get(hashes[i]); ok && !bytes.Equal(got, records[i]) {
+					t.Errorf("Get(%d) served other bytes", i)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, hash := range hashes {
+		if got, ok := c.Get(hash); !ok || !bytes.Equal(got, records[i]) {
+			t.Fatalf("after the race: Get(%d) = %v", i, ok)
+		}
+	}
+	if onDisk, _, err := checkpoint.Load(path); err != nil || len(onDisk) != len(records) {
+		t.Fatalf("file holds %d records (%v), want each of the %d once", len(onDisk), err, len(records))
 	}
 }
 

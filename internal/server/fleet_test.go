@@ -436,9 +436,10 @@ func TestFleetAdaptiveLeaseSizing(t *testing.T) {
 	}
 }
 
-// TestCacheSpillRoundTrip pins the persistent point cache: spilled
-// records survive a cache restart, warm-load with validation, and a
-// damaged spill line is skipped rather than trusted.
+// TestCacheSpillRoundTrip pins the persistent point cache: the records
+// a cache was given survive it in its file, a fresh cache over the file
+// indexes them without loading any and serves each from the file, and a
+// damaged line is skipped rather than trusted.
 func TestCacheSpillRoundTrip(t *testing.T) {
 	frozen, err := campaign.Frozen(testStudy(), campaign.WithSeed(1))
 	if err != nil {
@@ -455,55 +456,59 @@ func TestCacheSpillRoundTrip(t *testing.T) {
 
 	dir := t.TempDir()
 	c := NewCache(1 << 20)
-	if _, err := c.EnableSpill(dir); err != nil {
-		t.Fatalf("EnableSpill: %v", err)
+	if _, err := c.open(dir); err != nil {
+		t.Fatalf("open: %v", err)
 	}
 	for i, rec := range grid {
 		c.Put(points[i].Hash, rec)
 	}
-	if err := c.SpillAll(); err != nil {
-		t.Fatalf("SpillAll: %v", err)
+	if err := c.close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 
-	// A fresh cache over the same dir warm-loads every record.
+	// A fresh cache over the same dir indexes every record and serves it.
 	c2 := NewCache(1 << 20)
-	loaded, err := c2.EnableSpill(dir)
+	indexed, err := c2.open(dir)
 	if err != nil {
-		t.Fatalf("EnableSpill(reload): %v", err)
+		t.Fatalf("open (reopen): %v", err)
 	}
-	if loaded != len(points) {
-		t.Fatalf("warm-loaded %d records, want %d", loaded, len(points))
+	defer c2.close()
+	if indexed != len(points) {
+		t.Fatalf("indexed %d records, want %d", indexed, len(points))
+	}
+	if _, entries := c2.Stats(); entries != 0 {
+		t.Fatalf("open loaded %d entries into memory, want none", entries)
 	}
 	for i, p := range points {
 		line, ok := c2.Get(p.Hash)
 		if !ok {
-			t.Fatalf("point %d missing after warm load", i)
+			t.Fatalf("point %d missing from the reopened file", i)
 		}
 		res, err := campaign.DecodeShardRecord(line)
 		if err != nil {
-			t.Fatalf("point %d: warm-loaded record: %v", i, err)
+			t.Fatalf("point %d: record read back: %v", i, err)
 		}
 		if res.Seed != p.Seed {
-			t.Errorf("point %d: warm-loaded seed %d, want %d", i, res.Seed, p.Seed)
+			t.Errorf("point %d: record read back has seed %d, want %d", i, res.Seed, p.Seed)
 		}
 	}
 
-	// SpillAll again writes nothing new (all already on disk): the spill
-	// file keeps exactly one line per unique record.
-	if err := c2.SpillAll(); err != nil {
-		t.Fatal(err)
+	// Putting them again writes nothing new: the file keeps exactly one
+	// line per unique record.
+	for i, rec := range grid {
+		c2.Put(points[i].Hash, rec)
 	}
-	recs, _, err := checkpoint.Load(filepath.Join(dir, SpillFile))
+	recs, _, err := checkpoint.Load(filepath.Join(dir, cacheFile))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != len(points) {
-		t.Errorf("spill file holds %d records after double spill, want %d", len(recs), len(points))
+		t.Errorf("file holds %d records after a second Put of each, want %d", len(recs), len(points))
 	}
 
-	// Corrupt spill content is skipped on load, not trusted.
+	// Corrupt content is skipped by the index, not trusted.
 	dir2 := t.TempDir()
-	bad, err := checkpoint.Open(filepath.Join(dir2, SpillFile))
+	bad, err := checkpoint.Open(filepath.Join(dir2, cacheFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,27 +516,28 @@ func TestCacheSpillRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	c3 := NewCache(1 << 20)
-	loaded, err = c3.EnableSpill(dir2)
+	indexed, err = c3.open(dir2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded != 1 {
-		t.Errorf("loaded %d records from a half-corrupt spill, want 1", loaded)
+	defer c3.close()
+	if indexed != 1 {
+		t.Errorf("indexed %d records of a half-corrupt file, want 1", indexed)
 	}
 }
 
-// TestServerCacheSpillAcrossRestart runs a study on one server with
-// spill enabled, shuts it down, and checks a second server over the
-// same directory serves the repeat study entirely from cache.
-func TestServerCacheSpillAcrossRestart(t *testing.T) {
+// TestServerCacheFileAcrossRestart runs a study on one server with a
+// cache directory, shuts it down, and checks a second server over the
+// same directory serves the repeat study entirely from the file.
+func TestServerCacheFileAcrossRestart(t *testing.T) {
 	spec := testSpecBytes(t)
 	want := referenceJSONL(t, 1)
 	points := len(testStudy().Points)
 	dir := t.TempDir()
 
 	h1 := newTestServer(t, Config{Workers: 2, MaxActive: 1, QueueDepth: 4, CacheBytes: 32 << 20})
-	if _, err := h1.s.EnableCacheSpill(dir); err != nil {
-		t.Fatalf("EnableCacheSpill: %v", err)
+	if _, err := h1.s.OpenCacheDir(dir); err != nil {
+		t.Fatalf("OpenCacheDir: %v", err)
 	}
 	st := h1.mustSubmit(t, spec, "")
 	h1.streamResults(t, st.ID)
@@ -543,13 +549,14 @@ func TestServerCacheSpillAcrossRestart(t *testing.T) {
 	}
 
 	h2 := newTestServer(t, Config{Workers: 2, MaxActive: 1, QueueDepth: 4, CacheBytes: 32 << 20})
-	loaded, err := h2.s.EnableCacheSpill(dir)
+	records, err := h2.s.OpenCacheDir(dir)
 	if err != nil {
-		t.Fatalf("EnableCacheSpill(restart): %v", err)
+		t.Fatalf("OpenCacheDir(restart): %v", err)
 	}
-	if loaded != points {
-		t.Fatalf("restart warm-loaded %d records, want %d", loaded, points)
+	if records != points {
+		t.Fatalf("restart indexed %d records, want %d", records, points)
 	}
+	disk := obs.CacheDiskHits.Value()
 	warm := h2.mustSubmit(t, spec, "")
 	if got := h2.streamResults(t, warm.ID); !bytes.Equal(got, want) {
 		t.Errorf("post-restart stream differs from reference")
@@ -557,6 +564,67 @@ func TestServerCacheSpillAcrossRestart(t *testing.T) {
 	final := h2.waitTerminal(t, warm.ID)
 	if final.CacheHits != int64(points) || final.CacheMisses != 0 {
 		t.Errorf("post-restart study: hits=%d misses=%d, want %d/0", final.CacheHits, final.CacheMisses, points)
+	}
+	if got := obs.CacheDiskHits.Value() - disk; got != int64(points) {
+		t.Errorf("post-restart study read %d records from the file, want %d", got, points)
+	}
+}
+
+// TestEvictedPointsServedWithoutRestart is the fine grid through a
+// daemon whose memory holds a fraction of it: the cold study appends
+// every record once and fsyncs at most once per slice, and its
+// resubmission is served whole — from memory where the record stayed,
+// from the file where it was evicted — with nothing executed and the
+// cold bytes streamed.
+func TestEvictedPointsServedWithoutRestart(t *testing.T) {
+	const points = 750
+	spec, err := campaign.EncodeStudy(fineGrid(points))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newTestServer(t, Config{Workers: 2, MaxActive: 1, QueueDepth: 4, CacheBytes: 128 << 10})
+	if _, err := h.s.OpenCacheDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	appends, syncs, start := obs.CheckpointAppends.Value(), obs.CheckpointSyncs.Value(), time.Now()
+	cold := submitAndRead(t, h.ts.URL, spec, "")
+	wall := time.Since(start)
+	gotAppends, gotSyncs := obs.CheckpointAppends.Value()-appends, obs.CheckpointSyncs.Value()-syncs
+	t.Logf("cold: %d appends, %d syncs in %v", gotAppends, gotSyncs, wall)
+	if gotAppends != points {
+		t.Errorf("cold study appended %d records, want one per point", gotAppends)
+	}
+	if limit := int64(wall/checkpoint.SyncSlice) + 2; gotSyncs > limit {
+		t.Errorf("cold study: %d syncs in %v, want <= %d (one per %v slice)", gotSyncs, wall, limit, checkpoint.SyncSlice)
+	}
+	if _, entries := h.s.cache.Stats(); entries >= points {
+		t.Fatalf("memory holds %d of %d records: the budget no longer forces evictions", entries, points)
+	}
+
+	executions, disk := obs.Executions.Value(), obs.CacheDiskHits.Value()
+	resp, err := http.Post(h.ts.URL+"/api/v1/studies", "application/json", bytes.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Status
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.streamResults(t, st.ID); !bytes.Equal(got, cold) {
+		t.Error("resubmission streamed other bytes than the cold study")
+	}
+	final := h.waitTerminal(t, st.ID)
+	t.Logf("resubmission: %d hits, %d misses, %d read from the file", final.CacheHits, final.CacheMisses, obs.CacheDiskHits.Value()-disk)
+	if final.CacheHits != points || final.CacheMisses != 0 {
+		t.Errorf("resubmission: %d hits, %d misses; want %d, 0", final.CacheHits, final.CacheMisses, points)
+	}
+	if ran := obs.Executions.Value() - executions; ran != 0 {
+		t.Errorf("resubmission ran %d executions, want none", ran)
+	}
+	if obs.CacheDiskHits.Value() == disk {
+		t.Error("no record was read from the file")
 	}
 }
 
@@ -775,9 +843,9 @@ func TestFleetRejectsRecordsTheSpliceCannotCut(t *testing.T) {
 	}
 }
 
-// TestSpilledRecordTheSpliceCannotCutIsAMiss: a spill file holding a
+// TestSpilledRecordTheSpliceCannotCutIsAMiss: a cache file holding a
 // valid record of a point whose result keys are in another order does
-// not warm-load it, so a study counts the point as a miss, runs it once
+// not index it, so a study counts the point as a miss, runs it once
 // and caches its own record; the next study hits. (Such a record used to
 // be loaded, counted as a hit by every study, executed anyway and never
 // replaced.)
@@ -800,7 +868,7 @@ func TestSpilledRecordTheSpliceCannotCutIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	store, err := checkpoint.Open(filepath.Join(dir, SpillFile))
+	store, err := checkpoint.Open(filepath.Join(dir, cacheFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -809,8 +877,8 @@ func TestSpilledRecordTheSpliceCannotCutIsAMiss(t *testing.T) {
 	}
 
 	h := newTestServer(t, Config{Workers: 1, MaxActive: 1, QueueDepth: 4, CacheBytes: 32 << 20})
-	if loaded, err := h.s.EnableCacheSpill(dir); err != nil || loaded != 0 {
-		t.Errorf("warm-loaded %d records (%v), want none", loaded, err)
+	if records, err := h.s.OpenCacheDir(dir); err != nil || records != 0 {
+		t.Errorf("indexed %d records (%v), want none", records, err)
 	}
 	for k, wantHits := range []int64{0, 1} {
 		before := obs.Executions.Value()

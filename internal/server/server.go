@@ -21,8 +21,9 @@
 //     for the same study in process.
 //   - Result cache: a content-addressed LRU (campaign.PointHash of the
 //     frozen point — engine, spec, materialized seed — to the encoded
-//     shard record) serves repeated points from memory instead of
-//     resimulating them, with hit/miss/eviction telemetry in
+//     shard record), with a cache directory (OpenCacheDir) the hot tier
+//     over one append-only record file, serves repeated points instead
+//     of resimulating them, with hit/miss/eviction telemetry in
 //     internal/obs. A study looks each point up once, before anything
 //     runs, and settles every hit in its ledger as the stored record's
 //     result line with the study's identity spliced in
@@ -364,20 +365,17 @@ func (s *Server) HTTPServer() *http.Server {
 	}
 }
 
-// EnableCacheSpill makes the point cache persistent under dir (the
-// -cache-dir flag of ctsand): cached records already spilled there are
-// validated and warm-loaded now, LRU evictions spill instead of
-// discarding, and Shutdown persists the resident set. A disabled cache
-// (CacheBytes < 0) makes this a no-op.
-func (s *Server) EnableCacheSpill(dir string) (loaded int, err error) {
-	loaded, err = s.cache.EnableSpill(dir)
-	if err != nil {
-		return 0, err
+// OpenCacheDir puts the enabled point cache over its record file in dir
+// (ctsand's -cache-dir) and returns how many records the file holds;
+// Shutdown fsyncs and closes it.
+func (s *Server) OpenCacheDir(dir string) (records int, err error) {
+	if s.cache == nil {
+		return 0, errors.New("the point cache is disabled")
 	}
-	if loaded > 0 {
-		s.cfg.Logf("cache: warm-loaded %d spilled records from %s", loaded, dir)
+	if records, err = s.cache.open(dir); err == nil {
+		s.cfg.Logf("cache: %d records in %s", records, dir)
 	}
-	return loaded, nil
+	return records, err
 }
 
 // Shutdown stops admission (submissions get 503), waits for queued and
@@ -408,8 +406,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-drained
 	}
 	s.cancelRun() // release the context either way
-	if err := s.cache.SpillAll(); err != nil {
-		s.cfg.Logf("cache: final spill failed: %v", err)
+	if err := s.cache.close(); err != nil {
+		s.cfg.Logf("cache: final sync failed: %v", err)
 		return err
 	}
 	return nil

@@ -10,13 +10,15 @@
 # ledger's counters and must both advance while shards finish one after
 # another.
 #
-# A second stage checks the checkpoint store's write cost the same way:
-# a ctsand with a 1 MiB point cache and -cache-dir spills evicted
-# records through the store while a 600-point study runs, and
+# A second stage checks the point-cache file the same way: a ctsand
+# with a 1 MiB point cache and -cache-dir appends each of a 600-point
+# study's records to its file once, through the checkpoint store, and
 # ctsan.checkpoint_bytes / ctsan.checkpoint_appends must stay within 2x
-# the mean record size of the spill file — appends cost O(record), not
+# the mean record size of the file — appends cost O(record), not
 # O(file). It is the production twin of the benchmark's
-# checkpoint.wchar_bytes_per_point.
+# checkpoint.wchar_bytes_per_point. The study overflows the memory
+# budget, so its resubmission must be served whole, the evicted records
+# read back from the file: 600 hits, and the first stream's bytes.
 #
 # The campaign itself is sized to outlive the sampling and then killed:
 # this script gates the telemetry surface, not campaign completion
@@ -127,8 +129,8 @@ go build -o /tmp/ctsand-smoke ./cmd/ctsand
 PID=$!
 wait_addr
 
-# 600 distinct ~2.7 kB records overflow the 1 MiB cache, so a few hundred
-# evictions are appended to the spill store one at a time.
+# 600 distinct ~2.7 kB records overflow the 1 MiB cache; every one is
+# appended to the cache file once, as its point completes.
 {
     printf '{"v":1,"name":"debug-smoke","points":['
     i=1
@@ -143,18 +145,32 @@ ID="$(curl -sf -X POST --data-binary @"$WORK/spec.json" "http://$ADDR/api/v1/stu
     sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
 [ -n "$ID" ] || { echo "study submission rejected" >&2; exit 1; }
 # The results stream follows the live tail to completion.
-curl -sfN "http://$ADDR/api/v1/studies/$ID/results" >/dev/null
+curl -sfN "http://$ADDR/api/v1/studies/$ID/results" >"$WORK/first.jsonl"
 
 APPENDS="$(counter checkpoint_appends)"
 BYTES="$(counter checkpoint_bytes)"
 [ -n "$APPENDS" ] && [ -n "$BYTES" ] || { echo "checkpoint counters missing from /debug/vars" >&2; exit 1; }
-[ "$APPENDS" -ge 100 ] || { echo "only $APPENDS spill appends; the study no longer overflows the cache" >&2; exit 1; }
-SPILL="$WORK/cache/pointcache.jsonl"
-FILE_BYTES="$(wc -c <"$SPILL")"
-FILE_RECORDS="$(wc -l <"$SPILL")"
+[ "$APPENDS" -eq 600 ] || { echo "$APPENDS cache-file appends for 600 records; want each once" >&2; exit 1; }
+FILE="$WORK/cache/pointcache.jsonl"
+FILE_BYTES="$(wc -c <"$FILE")"
+FILE_RECORDS="$(wc -l <"$FILE")"
 # bytes/appends <= 2 * file_bytes/file_records, cross-multiplied.
 [ $((BYTES * FILE_RECORDS)) -le $((2 * FILE_BYTES * APPENDS)) ] || {
     echo "checkpoint store wrote $BYTES bytes for $APPENDS appends; mean record is $((FILE_BYTES / FILE_RECORDS)) bytes" >&2
     exit 1
 }
 echo "debug smoke OK: $APPENDS checkpoint appends wrote $BYTES bytes ($((BYTES / APPENDS)) per append, mean record $((FILE_BYTES / FILE_RECORDS)))" >&2
+
+# The resubmission: every point a hit, the evicted ones read from the
+# file, and the first stream's bytes.
+DISK1="$(counter cache_disk_hits)"
+ID2="$(curl -sf -X POST --data-binary @"$WORK/spec.json" "http://$ADDR/api/v1/studies" |
+    sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
+[ -n "$ID2" ] || { echo "resubmission rejected" >&2; exit 1; }
+curl -sfN "http://$ADDR/api/v1/studies/$ID2/results" >"$WORK/second.jsonl"
+cmp "$WORK/first.jsonl" "$WORK/second.jsonl" || { echo "resubmission streamed other bytes than the first study" >&2; exit 1; }
+HITS="$(curl -sf "http://$ADDR/api/v1/studies/$ID2" | sed -n 's/.*"cache_hits":\([0-9]*\).*/\1/p')"
+[ "$HITS" = 600 ] || { echo "resubmission: $HITS cache hits of 600 points" >&2; exit 1; }
+DISK2="$(counter cache_disk_hits)"
+[ "$DISK2" -gt "$DISK1" ] || { echo "no record was read from the cache file; the study no longer overflows the cache" >&2; exit 1; }
+echo "debug smoke OK: resubmission served 600/600 from the cache, $((DISK2 - DISK1)) read back from the file, stream byte-identical" >&2
