@@ -255,8 +255,8 @@ func cmdShard(ctx context.Context, args []string, _, stderr io.Writer) error {
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err
 	}
-	path := storePath(*dir, r)
-	store, err := checkpoint.Open(path)
+	var held [][]byte
+	store, err := checkpoint.OpenEach(storePath(*dir, r), func(_ int64, line []byte) { held = append(held, line) })
 	if err != nil {
 		return err
 	}
@@ -272,40 +272,36 @@ func cmdShard(ctx context.Context, args []string, _, stderr io.Writer) error {
 		}
 		return nil
 	}
-	return checkpointRange(ctx, frozen, r, path, store, onPoint, campaign.WithWorkers(*workers))
+	return checkpointRange(ctx, frozen, r, held, store, onPoint, campaign.WithWorkers(*workers))
 }
 
 // now is the clock checkpoint.SyncSlice is measured on; tests replace it.
 var now = time.Now
 
-// checkpointRange is a shard's execution: it runs the points of r that
-// the store file at path holds no valid record for (checkpoint.Load),
-// so a restarted shard re-executes only what is missing, and writes
-// each record to store, opened on path, the moment its point completes
-// (campaign.RunRecords), so the store lists records in completion order
-// (merge and resume fold by index).
+// checkpointRange is a shard's execution. held is what the store's one
+// read of its file found (checkpoint.OpenEach); the points of r it holds
+// no valid record for run, so a restarted shard re-executes only what is
+// missing. Each record is written to store the moment its point
+// completes (campaign.RunRecords), so the store lists records in
+// completion order (merge and resume fold by index).
 //
-// Durability is per time slice, not per point. A written record is
-// visible to checkpoint.Load and outlives this process however it dies
-// (panic, SIGKILL, a supervisor's timeout); the store is fsynced when
-// checkpoint.SyncSlice has passed since the previous fsync, and once
-// more before checkpointRange returns, on every exit path. So a dead
-// executor costs bounded re-execution, never a wrong result: process
-// death loses only the points in flight; power loss loses at most the
-// records of one slice, which a resume finds missing (or torn, and
-// drops) and re-executes.
+// Durability is per time slice, not per point. A written record is in
+// the file for a merge or a resume to read, and outlives this process
+// however it dies (panic, SIGKILL, a supervisor's timeout); the store is
+// fsynced when checkpoint.SyncSlice has passed since the previous fsync,
+// and once more before checkpointRange returns, on every exit path. So a
+// dead executor costs bounded re-execution, never a wrong result:
+// process death loses only the points in flight; power loss loses at
+// most the records of one slice, which a resume finds missing (or torn,
+// and drops) and re-executes.
 //
 // onPoint, when non-nil, observes each record line between its write
 // and its slice's fsync — "checkpointed": readable by a resume or a
 // merge, not necessarily fsynced yet. Calls are serialized, in the order
 // the records are written. It is the fault-injection hook (-crash-after,
 // -throttle) and the progress log.
-func checkpointRange(ctx context.Context, frozen *campaign.Study, r shard.Range, path string, store *checkpoint.Store, onPoint func(index int, line []byte) error, opts ...campaign.Option) error {
+func checkpointRange(ctx context.Context, frozen *campaign.Study, r shard.Range, held [][]byte, store *checkpoint.Store, onPoint func(index int, line []byte) error, opts ...campaign.Option) error {
 	hashes, err := campaign.StudyPointHashes(frozen)
-	if err != nil {
-		return err
-	}
-	held, _, err := checkpoint.Load(path)
 	if err != nil {
 		return err
 	}

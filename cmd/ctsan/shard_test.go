@@ -64,6 +64,14 @@ func openStore(t *testing.T) (*checkpoint.Store, string) {
 	return store, path
 }
 
+// reopenStore opens the store file at path as a restarted shard does:
+// the store, and the records its one read of the file found.
+func reopenStore(path string) (*checkpoint.Store, [][]byte, error) {
+	var held [][]byte
+	store, err := checkpoint.OpenEach(path, func(_ int64, line []byte) { held = append(held, line) })
+	return store, held, err
+}
+
 // storeLines reads the records of the store file at path, as a merge or
 // a resume does: a store keeps in memory only what Open found. Every
 // line must be a shard record.
@@ -125,7 +133,7 @@ func TestShardSyncPolicy(t *testing.T) {
 
 	t.Run("a point longer than the slice syncs alone", func(t *testing.T) {
 		stepClock(t, checkpoint.SyncSlice+time.Millisecond)
-		store, path := openStore(t)
+		store, _ := openStore(t)
 		before, seen := syncs(), 0
 		onPoint := func(int, []byte) error {
 			// onPoint runs between a record's write and its sync: every
@@ -136,7 +144,7 @@ func TestShardSyncPolicy(t *testing.T) {
 			seen++
 			return nil
 		}
-		if err := checkpointRange(ctx, frozen, all, path, store, onPoint, oneWorker); err != nil {
+		if err := checkpointRange(ctx, frozen, all, nil, store, onPoint, oneWorker); err != nil {
 			t.Fatal(err)
 		}
 		if got := syncs() - before; got != int64(points) {
@@ -147,7 +155,7 @@ func TestShardSyncPolicy(t *testing.T) {
 
 	t.Run("a frozen clock syncs once, at Close", func(t *testing.T) {
 		stepClock(t, 0)
-		store, path := openStore(t)
+		store, _ := openStore(t)
 		before := syncs()
 		onPoint := func(i int, _ []byte) error {
 			if got := syncs() - before; got != 0 {
@@ -155,7 +163,7 @@ func TestShardSyncPolicy(t *testing.T) {
 			}
 			return nil
 		}
-		if err := checkpointRange(ctx, frozen, all, path, store, onPoint, oneWorker); err != nil {
+		if err := checkpointRange(ctx, frozen, all, nil, store, onPoint, oneWorker); err != nil {
 			t.Fatal(err)
 		}
 		if got := syncs() - before; got != 1 {
@@ -176,7 +184,7 @@ func TestShardSyncPolicy(t *testing.T) {
 			}
 			return nil
 		}
-		if err := checkpointRange(ctx, frozen, all, path, store, onPoint, oneWorker); !errors.Is(err, context.Canceled) {
+		if err := checkpointRange(ctx, frozen, all, nil, store, onPoint, oneWorker); !errors.Is(err, context.Canceled) {
 			t.Fatalf("checkpointRange = %v, want context.Canceled", err)
 		}
 		if n := len(storeLines(t, path)); n < 2 || n == points {
@@ -198,7 +206,7 @@ func TestFailedSyncFailsTheAttempt(t *testing.T) {
 	points := all.Len()
 	ctx := context.Background()
 	full, fullPath := openStore(t)
-	if err := checkpointRange(ctx, frozen, all, fullPath, full, nil, oneWorker); err != nil {
+	if err := checkpointRange(ctx, frozen, all, nil, full, nil, oneWorker); err != nil {
 		t.Fatal(err)
 	}
 	fullLines := storeLines(t, fullPath)
@@ -215,7 +223,7 @@ func TestFailedSyncFailsTheAttempt(t *testing.T) {
 		}
 		return nil
 	}
-	err := checkpointRange(ctx, frozen, all, path, store, onPoint, oneWorker)
+	err := checkpointRange(ctx, frozen, all, nil, store, onPoint, oneWorker)
 	if err == nil {
 		t.Fatal("checkpointRange succeeded over a failed sync")
 	}
@@ -232,12 +240,12 @@ func TestFailedSyncFailsTheAttempt(t *testing.T) {
 	if err := os.Rename(away, path); err != nil {
 		t.Fatal(err)
 	}
-	store, err = checkpoint.Open(path)
+	store, held, err := reopenStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	executed := 0
-	if err := checkpointRange(ctx, frozen, all, path, store, func(int, []byte) error { executed++; return nil }, oneWorker); err != nil {
+	if err := checkpointRange(ctx, frozen, all, held, store, func(int, []byte) error { executed++; return nil }, oneWorker); err != nil {
 		t.Fatal(err)
 	}
 	if executed != points-3 {
@@ -308,7 +316,7 @@ func TestPowerCutAtEveryUnsyncedByte(t *testing.T) {
 	all := shard.Range{Start: 0, End: points}
 	ctx := context.Background()
 	full, fullPath := openStore(t)
-	if err := checkpointRange(ctx, frozen, all, fullPath, full, nil, oneWorker); err != nil {
+	if err := checkpointRange(ctx, frozen, all, nil, full, nil, oneWorker); err != nil {
 		t.Fatal(err)
 	}
 	fullLines := storeLines(t, fullPath)
@@ -353,7 +361,7 @@ func TestPowerCutAtEveryUnsyncedByte(t *testing.T) {
 		longest = max(longest, m.writeRecs-m.syncedRecs)
 		return nil
 	}
-	if err := checkpointRange(ctx, frozen, all, storePath, store, observe, oneWorker); err != nil {
+	if err := checkpointRange(ctx, frozen, all, nil, store, observe, oneWorker); err != nil {
 		t.Fatal(err)
 	}
 	moments = append(moments, m) // the slice Close synced
@@ -399,7 +407,7 @@ func TestPowerCutAtEveryUnsyncedByte(t *testing.T) {
 			if err := os.WriteFile(path, m.content[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			resumed, err := checkpoint.Open(path)
+			resumed, held, err := reopenStore(path)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
@@ -409,7 +417,7 @@ func TestPowerCutAtEveryUnsyncedByte(t *testing.T) {
 				t.Fatalf("%s: Open left %d bytes on disk, want %d", what, fi.Size(), cut-torn)
 			}
 			executed := 0
-			if err := checkpointRange(ctx, frozen, all, path, resumed, func(int, []byte) error { executed++; return nil }, oneWorker); err != nil {
+			if err := checkpointRange(ctx, frozen, all, held, resumed, func(int, []byte) error { executed++; return nil }, oneWorker); err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
 			if executed != points-rec {
@@ -472,9 +480,9 @@ func TestFineGridSyncsPerSliceNotPerPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range []shard.Range{{Start: 0, End: 180}, {Start: 180, End: 360}} {
-		store, path := openStore(t)
+		store, _ := openStore(t)
 		appends, before, start := obs.CheckpointAppends.Value(), syncs(), time.Now()
-		if err := checkpointRange(context.Background(), frozen, r, path, store, nil, oneWorker); err != nil {
+		if err := checkpointRange(context.Background(), frozen, r, nil, store, nil, oneWorker); err != nil {
 			t.Fatal(err)
 		}
 		elapsed := time.Since(start)
@@ -499,7 +507,7 @@ func TestShardResume(t *testing.T) {
 
 	// Reference: the full range in one uninterrupted shard.
 	full, fullPath := openStore(t)
-	if err := checkpointRange(ctx, frozen, all, fullPath, full, nil, oneWorker); err != nil {
+	if err := checkpointRange(ctx, frozen, all, nil, full, nil, oneWorker); err != nil {
 		t.Fatal(err)
 	}
 	fullLines := storeLines(t, fullPath)
@@ -510,7 +518,7 @@ func TestShardResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := checkpointRange(ctx, frozen, shard.Range{Start: 0, End: 2}, path, store, nil, oneWorker); err != nil {
+	if err := checkpointRange(ctx, frozen, shard.Range{Start: 0, End: 2}, nil, store, nil, oneWorker); err != nil {
 		t.Fatal(err)
 	}
 	hashes, err := campaign.StudyPointHashes(frozen)
@@ -526,12 +534,12 @@ func TestShardResume(t *testing.T) {
 	// end up holding the uninterrupted one's records, byte for byte (in
 	// another order: each run writes in completion order).
 	executed := 0
-	store2, err := checkpoint.Open(path)
+	store2, held, err := reopenStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	count := func(i int, line []byte) error { executed++; return nil }
-	if err := checkpointRange(ctx, frozen, all, path, store2, count, oneWorker); err != nil {
+	if err := checkpointRange(ctx, frozen, all, held, store2, count, oneWorker); err != nil {
 		t.Fatal(err)
 	}
 	if executed != 3 {
@@ -541,12 +549,12 @@ func TestShardResume(t *testing.T) {
 
 	// A second resume — a restarted shard opens its store afresh — is a
 	// no-op.
-	store3, err := checkpoint.Open(path)
+	store3, held, err := reopenStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	executed = 0
-	if err := checkpointRange(ctx, frozen, all, path, store3, count, oneWorker); err != nil {
+	if err := checkpointRange(ctx, frozen, all, held, store3, count, oneWorker); err != nil {
 		t.Fatal(err)
 	}
 	if executed != 0 {
@@ -580,12 +588,12 @@ func TestShardResume(t *testing.T) {
 		if err := os.WriteFile(path, append(intact[:len(intact):len(intact)], damage.tail...), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		store, err := checkpoint.Open(path)
+		store, held, err := reopenStore(path)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		executed = 0
-		if err := checkpointRange(ctx, frozen, all, path, store, count, oneWorker); err != nil {
+		if err := checkpointRange(ctx, frozen, all, held, store, count, oneWorker); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if executed != 3 {
@@ -635,7 +643,7 @@ func BenchmarkFineGridShardRange(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := checkpointRange(context.Background(), frozen, all, path, store, nil, oneWorker); err != nil {
+		if err := checkpointRange(context.Background(), frozen, all, nil, store, nil, oneWorker); err != nil {
 			b.Fatal(err)
 		}
 	}

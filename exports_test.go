@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -99,18 +100,38 @@ func TestEveryExportHasACaller(t *testing.T) {
 }
 
 // TestContractIsStaticallyDeterministic reads the code for what sampled
-// runs cannot see (its first rule, R1): in the packages the determinism
-// contract covers (PERFORMANCE.md), no non-test file ranges over a map,
-// whose iteration order Go randomizes per loop, unless the allowlist says
-// why the loop's outcome cannot depend on that order. A sum over a map
-// breaks the contract's ordered folds (rule 2) only when the map has
-// enough entries and the order is unlucky. Entries are keyed by package,
-// function and loop header ("for k, v := range m"), not by position, so
-// a loop rewritten to use what it ranges differently needs its entry
-// rewritten too, and an entry whose loop is gone fails the test.
+// runs cannot see. In the packages the determinism contract covers
+// (PERFORMANCE.md), no non-test file does any of the following unless
+// the allowlist says why the outcome cannot depend on it:
+//
+//   - R1: range over a map, whose iteration order Go randomizes per
+//     loop. A sum over a map breaks the contract's ordered folds (rule 2)
+//     only when the map has enough entries and the order is unlucky.
+//   - R2: read the wall clock or wait on it (time.Now, Since, Until,
+//     Sleep, timers, tickers). A clock the code needs is an argument,
+//     as shard.Ledger's is.
+//   - R3: import math/rand, or ask the machine its CPU count
+//     (runtime.NumCPU, runtime.GOMAXPROCS): randomness is drawn from rng
+//     streams, and only parallel sizes its pool from the machine.
+//   - R4: sort with a comparator and an unstable algorithm (sort.Slice,
+//     sort.Sort, slices.SortFunc). Unless the order is total, how ties
+//     land may change between Go releases; each site says why its order
+//     is total or why tied elements cannot change the result.
+//
+// Entries are keyed by package, function and construct ("for k, v :=
+// range m", "time.Now", "sort.Slice(items)", "import math/rand"), not by
+// position, so code rewritten to use what it names differently needs its
+// entry rewritten too, and an entry whose construct is gone fails the
+// test.
 func TestContractIsStaticallyDeterministic(t *testing.T) {
 	contract := []string{"des", "san", "sanmodel", "netsim", "neko", "fd", "consensus", "experiment", "scenario",
 		"metrics", "stats", "rng", "dist", "fit", "trace", "parallel", "shard"}
+	rules := map[string]string{
+		"R1": "a range over a map; iterate in a fixed order, or allowlist it with the reason its outcome cannot depend on the order",
+		"R2": "the wall clock; take the time as an argument instead",
+		"R3": "math/rand or the CPU count; draw from an rng stream, and leave sizing the pool to parallel",
+		"R4": "an unstable sort by a comparator; make the order total and allowlist it saying so, or say why ties cannot change the result",
+	}
 	allow := map[string]string{
 		"ctsan/internal/consensus.Engine.Reset: for cid, in := range e.active":        "recycles every active instance onto the free list: the order picks only which record a later Propose reuses, and recycle clears every field an instance computes with",
 		"ctsan/internal/consensus.Engine.Reset: for cid, buf := range e.pending":      "returns every pending buffer, emptied, to the free list: the order picks only whose capacity a later instance reuses",
@@ -120,16 +141,22 @@ func TestContractIsStaticallyDeterministic(t *testing.T) {
 		"ctsan/internal/shard.Ledger.Grant: for _, o := range l.leases":               "the earliest lease deadline, for a retry hint on the wall clock: a minimum",
 		"ctsan/internal/shard.Ledger.Cancel: for _, o := range l.leases":              "releases every lease: the pending RangeSet merges ranges into the same set in any order, and holder counts are integers",
 		"ctsan/internal/shard.Ledger.expireLocked: for _, o := range l.leases":        "releases the expired leases: the pending RangeSet merges ranges into the same set in any order, and the counts are integers",
+
+		"ctsan/internal/parallel.Workers: runtime.GOMAXPROCS": "the pool's default width: a result is byte-identical at any worker count (rule 1)",
+
+		"ctsan/internal/fit.FitBimodal: sort.Slice(gaps)":           "a total order: equal gaps break ties on k, the split position, which is unique",
+		"ctsan/internal/metrics.sketch.grid: sort.Slice(items)":     "tied items carry the same value v, and the output is a sequence of values: the weights of a tie sum to the same rank range in any order",
+		"ctsan/internal/metrics.sketch.quantile: sort.Slice(items)": "tied items carry the same value v, and the answer interpolates between values: the weights of a tie sum to the same rank range in any order",
 	}
 	m, _ := loadModule(t)
-	found := map[string]bool{}
+	found := map[string]string{}
 	for _, name := range contract {
-		for _, key := range m.mapRanges["ctsan/internal/"+name] {
-			found[key] = true
+		for _, h := range m.hazards["ctsan/internal/"+name] {
+			found[h.key] = h.rule
 		}
 	}
-	for _, key := range m.mapRanges["ctsan/campaign"] {
-		found[key] = true
+	for _, h := range m.hazards["ctsan/campaign"] {
+		found[h.key] = h.rule
 	}
 	var keys []string
 	for key := range found {
@@ -138,12 +165,12 @@ func TestContractIsStaticallyDeterministic(t *testing.T) {
 	sort.Strings(keys)
 	for _, key := range keys {
 		if allow[key] == "" {
-			t.Errorf("%s: a range over a map in a package of the determinism contract (rule R1); iterate in a fixed order, or allowlist it with the reason its outcome cannot depend on the order", key)
+			t.Errorf("%s: rule %s of the determinism contract: %s", key, found[key], rules[found[key]])
 		}
 	}
 	for key := range allow {
-		if !found[key] {
-			t.Errorf("allowlist entry %q names no range over a map any more: remove the entry", key)
+		if found[key] == "" {
+			t.Errorf("allowlist entry %q names nothing the contract's rules forbid any more: remove the entry", key)
 		}
 	}
 }
@@ -334,7 +361,7 @@ func typeCheckModule() (*moduleImporter, []string, error) {
 		uses:   map[string]bool{},
 		writes: map[*types.Var]bool{},
 
-		mapRanges: map[string][]string{},
+		hazards: map[string][]hazard{},
 	}
 	m.std = importer.ForCompiler(m.fset, "source", nil)
 	var paths []string
@@ -374,10 +401,9 @@ type moduleImporter struct {
 	uses   map[string]bool     // "import/path.Name" or "import/path.Type.Method" used outside its own declaration
 	writes map[*types.Var]bool // struct fields some non-test file writes
 	ifaces []*types.Interface  // every interface the module's non-test files spell, named or literal
-	// mapRanges lists, per import path, the range statements over a map
-	// in its non-test files, as "import/path.Func: for k, v := range expr"
-	// (methods as "import/path.Type.Method: …").
-	mapRanges map[string][]string
+	// hazards lists, per import path, what its non-test files do that
+	// TestContractIsStaticallyDeterministic's rules forbid.
+	hazards map[string][]hazard
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
@@ -411,7 +437,7 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 			m.record(info, path, decl)
 		}
 		m.recordWrites(info, f)
-		m.recordMapRanges(info, path, f)
+		m.recordHazards(info, path, f)
 	}
 	for _, tv := range info.Types {
 		if iface, ok := tv.Type.Underlying().(*types.Interface); ok {
@@ -528,9 +554,31 @@ func (m *moduleImporter) recordWrites(info *types.Info, f *ast.File) {
 	})
 }
 
-// recordMapRanges lists the range statements over a map in f under the
-// package-level declaration that holds them.
-func (m *moduleImporter) recordMapRanges(info *types.Info, path string, f *ast.File) {
+// hazard is one construct a rule of TestContractIsStaticallyDeterministic
+// forbids, keyed "import/path.Func: construct" (methods as
+// "import/path.Type.Method: …", imports as "import/path: import p").
+type hazard struct{ rule, key string }
+
+// clockFuncs (R2) and machineFuncs (R3) are the functions those rules
+// forbid; unstableSorts (R4) are the sorts by a comparator that may
+// order ties differently from one Go release to the next.
+var (
+	clockFuncs = map[string]bool{"time.Now": true, "time.Since": true, "time.Until": true, "time.Sleep": true,
+		"time.After": true, "time.AfterFunc": true, "time.NewTimer": true, "time.NewTicker": true, "time.Tick": true}
+	machineFuncs  = map[string]bool{"runtime.NumCPU": true, "runtime.GOMAXPROCS": true}
+	unstableSorts = map[string]bool{"sort.Slice": true, "sort.Sort": true, "slices.SortFunc": true}
+)
+
+// recordHazards lists, under the package-level declaration that holds
+// them, f's ranges over a map (R1), uses of the wall clock (R2), imports
+// of math/rand and CPU counts (R3) and unstable sorts by a comparator
+// (R4).
+func (m *moduleImporter) recordHazards(info *types.Info, path string, f *ast.File) {
+	for _, imp := range f.Imports {
+		if p, _ := strconv.Unquote(imp.Path.Value); p == "math/rand" || p == "math/rand/v2" {
+			m.hazards[path] = append(m.hazards[path], hazard{"R3", path + ": import " + p})
+		}
+	}
 	for _, decl := range f.Decls {
 		name := ""
 		switch d := decl.(type) {
@@ -547,28 +595,47 @@ func (m *moduleImporter) recordMapRanges(info *types.Info, path string, f *ast.F
 				return name == ""
 			})
 		}
+		add := func(rule, what string) {
+			m.hazards[path] = append(m.hazards[path], hazard{rule, path + "." + name + ": " + what})
+		}
 		ast.Inspect(decl, func(n ast.Node) bool {
-			r, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
-			}
-			_, isMap := info.Types[r.X].Type.Underlying().(*types.Map)
-			// maps.Keys, Values and All iterate in the map's order too.
-			if call, ok := r.X.(*ast.CallExpr); ok {
-				if fn, ok := calleeOf(info, call); ok && fn.Pkg() != nil && fn.Pkg().Path() == "maps" {
-					isMap = true
-				}
-			}
-			if isMap {
-				loop := "for "
-				if r.Key != nil {
-					loop += types.ExprString(r.Key)
-					if r.Value != nil {
-						loop += ", " + types.ExprString(r.Value)
+			switch n := n.(type) {
+			case *ast.RangeStmt:
+				_, isMap := info.Types[n.X].Type.Underlying().(*types.Map)
+				// maps.Keys, Values and All iterate in the map's order too.
+				if call, ok := n.X.(*ast.CallExpr); ok {
+					if fn, ok := calleeOf(info, call); ok && fn.Pkg() != nil && fn.Pkg().Path() == "maps" {
+						isMap = true
 					}
-					loop += " " + r.Tok.String() + " "
 				}
-				m.mapRanges[path] = append(m.mapRanges[path], path+"."+name+": "+loop+"range "+types.ExprString(r.X))
+				if isMap {
+					loop := "for "
+					if n.Key != nil {
+						loop += types.ExprString(n.Key)
+						if n.Value != nil {
+							loop += ", " + types.ExprString(n.Value)
+						}
+						loop += " " + n.Tok.String() + " "
+					}
+					add("R1", loop+"range "+types.ExprString(n.X))
+				}
+			case *ast.Ident:
+				// A use, called or not: var now = time.Now reads the clock
+				// wherever now is called.
+				if fn, ok := info.Uses[n].(*types.Func); ok && fn.Pkg() != nil && fn.Type().(*types.Signature).Recv() == nil {
+					switch qual := fn.Pkg().Path() + "." + fn.Name(); {
+					case clockFuncs[qual]:
+						add("R2", qual)
+					case machineFuncs[qual]:
+						add("R3", qual)
+					}
+				}
+			case *ast.CallExpr:
+				if fn, ok := calleeOf(info, n); ok && fn.Pkg() != nil && len(n.Args) > 0 {
+					if qual := fn.Pkg().Path() + "." + fn.Name(); unstableSorts[qual] {
+						add("R4", qual+"("+types.ExprString(n.Args[0])+")")
+					}
+				}
 			}
 			return true
 		})

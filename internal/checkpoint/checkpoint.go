@@ -33,11 +33,14 @@
 //     guarantees line integrity, so a resumed run re-executes damaged
 //     work instead of aborting.
 //
-// Open combines the two: it loads the intact prefix and, if anything was
-// discarded, immediately replaces the file with that clean prefix
-// (atomically through WriteFile, the one rewrite this package does) so
-// the next write lands on a record boundary and two crashes in a row
-// cannot compound.
+// Open combines the two: it reads the file once, keeps the intact
+// prefix and, if anything was discarded, immediately replaces the file
+// with that clean prefix (atomically through WriteFile, the one rewrite
+// this package does) so the next write lands on a record boundary and
+// two crashes in a row cannot compound. OpenEach hands the opener each
+// intact record and its offset during that read (a shard's resume,
+// ctsand's cache index), and Size is where the next record lands: the
+// framing is this package's alone.
 //
 // Two consequences of appending in place, both harmless to the callers:
 // a Load racing a write may see the new record's line half-written
@@ -70,10 +73,10 @@ import (
 const SyncSlice = 25 * time.Millisecond
 
 // Store is an append-only JSONL record file. It holds no record in
-// memory: what Open found and what Write adds live in the file only,
-// where Load reads them. It is not safe for concurrent use by multiple
-// goroutines or processes; the sharded campaign layer gives every shard
-// its own store file.
+// memory: what Open found (OpenEach hands it over during the read) and
+// what Write adds live in the file only, where Load reads them. It is
+// not safe for concurrent use by multiple goroutines or processes; the
+// sharded campaign layer gives every shard its own store file.
 type Store struct {
 	path string
 	// size is the byte length of the file, which is exactly the intact
@@ -93,11 +96,21 @@ type Store struct {
 // is an empty store, ready to write; the file appears with the first
 // Write.
 func Open(path string) (*Store, error) {
+	return OpenEach(path, func(int64, []byte) {})
+}
+
+// OpenEach is Open that also hands each intact record to each, in file
+// order, with the offset of its first byte, during the one read Open
+// does: a caller that needs what the file holds (a resume, an index of
+// where records lie) reads it once. record aliases the bytes read: each
+// must not modify it, and whatever keeps it keeps the whole read alive.
+// On error, what each was given is void.
+func OpenEach(path string, each func(off int64, record []byte)) (*Store, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	_, intact := Scan(data)
+	intact := scan(data, each)
 	s := &Store{path: path, size: int64(intact), synced: int64(intact), created: err == nil}
 	if intact < len(data) {
 		// Repair now: replace the file with the clean prefix atomically so
@@ -131,6 +144,14 @@ func Load(path string) (records [][]byte, droppedBytes int, err error) {
 // never writes one, so it marks foreign damage). It returns the records
 // and the byte length of the intact prefix.
 func Scan(data []byte) (records [][]byte, intact int) {
+	intact = scan(data, func(_ int64, record []byte) { records = append(records, record) })
+	return records, intact
+}
+
+// scan is Scan's walk: it calls each with every intact record and the
+// offset of its first byte, and returns the length of the intact prefix.
+func scan(data []byte, each func(off int64, record []byte)) int {
+	intact := 0
 	for intact < len(data) {
 		nl := bytes.IndexByte(data[intact:], '\n')
 		if nl < 0 {
@@ -139,10 +160,10 @@ func Scan(data []byte) (records [][]byte, intact int) {
 		if nl == 0 {
 			break // empty line: not a record this store could have produced
 		}
-		records = append(records, data[intact:intact+nl])
+		each(int64(intact), data[intact:intact+nl])
 		intact += nl + 1
 	}
-	return records, intact
+	return intact
 }
 
 // Write adds records to the end of the file with one write(2) and no
@@ -181,6 +202,12 @@ func (s *Store) Write(records ...[]byte) error {
 	obs.CheckpointAppends.Add(int64(len(records)))
 	obs.CheckpointBytes.Add(int64(n))
 	return nil
+}
+
+// Size is the byte length of the file as this store wrote it: the
+// offset at which the next written record begins.
+func (s *Store) Size() int64 {
+	return s.size
 }
 
 // Sync makes everything written so far durable with one fsync of the

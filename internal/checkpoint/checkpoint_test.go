@@ -168,6 +168,47 @@ func TestWritesLeaveRecordsAsOpenFound(t *testing.T) {
 	mustEqualRecords(t, "Load after writes", got, append(found, written...))
 }
 
+func TestOpenEachHandsOverRecordsAtTheirOffsets(t *testing.T) {
+	// OpenEach hands over, during its one read, exactly the records a
+	// Load of the repaired file finds, in file order, each at the offset
+	// where it lies; Size is where the next written record lands, so a
+	// caller indexing the file never counts the framing itself.
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	if err := os.WriteFile(path, []byte("{\"i\":0}\n{\"i\":10}\n{\"i\":2,\"torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var offsets []int64
+	var records [][]byte
+	s, err := OpenEach(path, func(off int64, record []byte) {
+		offsets = append(offsets, off)
+		records = append(records, record)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualRecords(t, "OpenEach", records, loaded(t, path))
+	if want := []int64{0, 8}; fmt.Sprint(offsets) != fmt.Sprint(want) {
+		t.Fatalf("offsets %v, want %v", offsets, want)
+	}
+	if s.Size() != 17 {
+		t.Fatalf("Size after open = %d, want the 17 intact bytes", s.Size())
+	}
+	at := s.Size()
+	if err := s.Write([]byte(`{"i":3}`)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(data[at : at+7]); got != `{"i":3}` {
+		t.Fatalf("record written at Size = %q", got)
+	}
+	if s.Size() != int64(len(data)) {
+		t.Fatalf("Size after Write = %d, want the file's %d bytes", s.Size(), len(data))
+	}
+}
+
 func TestAppendIsAtomicAgainstReaders(t *testing.T) {
 	// Once an append has returned, a fresh Load sees every record whole:
 	// the bytes were written and fsynced in place before Append came back.

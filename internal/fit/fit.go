@@ -140,7 +140,10 @@ func FitBimodal(samples []float64) (Bimodal, error) {
 	for k := 1; k < n; k++ {
 		gaps = append(gaps, gapSplit{gap: s[k] - s[k-1], k: k})
 	}
-	sort.Slice(gaps, func(i, j int) bool { return gaps[i].gap > gaps[j].gap })
+	// Ties break on k: which equal gaps make the cut below is not the sort's choice.
+	sort.Slice(gaps, func(i, j int) bool {
+		return gaps[i].gap > gaps[j].gap || gaps[i].gap == gaps[j].gap && gaps[i].k < gaps[j].k
+	})
 	for _, g := range gaps[:min(64, len(gaps))] {
 		consider(g.k)
 	}

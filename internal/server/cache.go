@@ -34,8 +34,10 @@ import (
 // With a record file (open; ctsand's -cache-dir) the LRU is the hot tier
 // over it: every record Put is appended once, fsynced at most once per
 // checkpoint.SyncSlice, and a memory miss is one read through an index
-// of where each record lies, which promotes it. Eviction drops memory
-// only.
+// of where each record lies, served but not promoted: the LRU holds what
+// the daemon most recently computed or accepted, so a preload walking a
+// study larger than memory does not evict the entries it is about to
+// hit. Eviction drops memory only.
 //
 // Determinism makes the cache safe by construction: for a given hash
 // every Put stores identical statistics, so concurrent Puts, lost
@@ -52,12 +54,11 @@ type Cache struct {
 	index map[string]span
 	file  *os.File
 
-	// diskMu serializes appends to store, which end (the file's length)
-	// and synced (when the sync slice began) describe. It is taken before
-	// mu, never while holding it: an append may fsync.
+	// diskMu serializes appends to store; synced is when its sync slice
+	// began. It is taken before mu, never while holding it: an append may
+	// fsync.
 	diskMu sync.Mutex
 	store  *checkpoint.Store
-	end    int64
 	synced time.Time
 	now    func() time.Time // tests replace the clock
 }
@@ -89,8 +90,8 @@ const cacheFile = "pointcache.jsonl"
 // open puts the cache over the record file in dir, creating it if
 // absent, and returns how many records it indexed: every one
 // campaign.DecodeShardRecord accepts, by where it lies, not its bytes.
-// Nothing is loaded into the LRU; a damaged tail is cut off
-// (checkpoint.Open).
+// The file is read once (checkpoint.OpenEach), nothing is loaded into
+// the LRU, and a damaged tail is cut off.
 func (c *Cache) open(dir string) (int, error) {
 	path := filepath.Join(dir, cacheFile)
 	// Create the file first, so that the store appends to the file the
@@ -100,27 +101,20 @@ func (c *Cache) open(dir string) (int, error) {
 		return 0, err
 	}
 	f.Close()
-	store, err := checkpoint.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	records, _, err := checkpoint.Load(path)
+	index := map[string]span{}
+	store, err := checkpoint.OpenEach(path, func(off int64, line []byte) {
+		if rec, err := campaign.DecodeShardRecord(line); err == nil {
+			index[rec.PointHash] = span{off, len(line)}
+		}
+	})
 	if err != nil {
 		return 0, err
 	}
 	if f, err = os.Open(path); err != nil {
 		return 0, err
 	}
-	index := make(map[string]span, len(records))
-	end := int64(0)
-	for _, line := range records {
-		if rec, err := campaign.DecodeShardRecord(line); err == nil {
-			index[rec.PointHash] = span{end, len(line)}
-		}
-		end += int64(len(line)) + 1
-	}
 	c.diskMu.Lock()
-	c.store, c.end, c.synced = store, end, c.now()
+	c.store, c.synced = store, c.now()
 	c.mu.Lock()
 	c.index, c.file = index, f
 	c.mu.Unlock()
@@ -148,8 +142,8 @@ func (c *Cache) close() error {
 }
 
 // Get returns the stored record, which the caller must not modify: from
-// memory, or else read from the file and made the most recently used
-// entry. Hits and misses are counted by the caller, which knows whether
+// memory, or else read from the file and served without entering the
+// LRU. Hits and misses are counted by the caller, which knows whether
 // it could serve the record.
 func (c *Cache) Get(hash string) ([]byte, bool) {
 	if c == nil {
@@ -172,7 +166,6 @@ func (c *Cache) Get(hash string) ([]byte, bool) {
 	if _, err := f.ReadAt(line, at.off); err == nil {
 		if rec, err := campaign.DecodeShardRecord(line); err == nil && rec.PointHash == hash {
 			obs.CacheDiskHits.Add(1)
-			c.insert(hash, line)
 			return line, true
 		}
 	}
@@ -186,44 +179,41 @@ func (c *Cache) Get(hash string) ([]byte, bool) {
 	return nil, false
 }
 
-// Put inserts a verified shard record, evicting least-recently-used
-// entries past the byte budget, and appends it to the file unless the
-// index has it. The append is best effort: a record that could not be
-// written only costs a future recomputation. The entry keeps its own
-// copy of record: an upload's lines are cut from one decoded body, which
-// an entry sharing them would pin whole.
+// Put inserts a verified shard record as the most recently used entry,
+// evicting least-recently-used entries past the byte budget, and appends
+// it to the file unless the index has it. A record larger than the
+// budget is not kept in memory. The append is best effort: a record that
+// could not be written only costs a future recomputation. The entry
+// keeps its own copy of record: an upload's lines are cut from one
+// decoded body, which an entry sharing them would pin whole.
 func (c *Cache) Put(hash string, record []byte) {
 	if c == nil {
 		return
 	}
 	c.diskMu.Lock()
-	c.mu.Lock()
-	_, held := c.index[hash]
-	c.mu.Unlock()
-	if c.store != nil && !held && c.store.Write(record) == nil {
+	if c.store != nil {
 		c.mu.Lock()
-		c.index[hash] = span{c.end, len(record)}
+		_, held := c.index[hash]
 		c.mu.Unlock()
-		c.end += int64(len(record)) + 1
-		if t := c.now(); t.Sub(c.synced) >= checkpoint.SyncSlice {
-			c.synced = t
-			c.store.Sync() //nolint:errcheck // a failed sync refuses every later write
+		if off := c.store.Size(); !held && c.store.Write(record) == nil {
+			c.mu.Lock()
+			c.index[hash] = span{off, len(record)}
+			c.mu.Unlock()
+			if t := c.now(); t.Sub(c.synced) >= checkpoint.SyncSlice {
+				c.synced = t
+				c.store.Sync() //nolint:errcheck // a failed sync refuses every later write
+			}
 		}
 	}
 	c.diskMu.Unlock()
-	c.insert(hash, bytes.Clone(record))
-}
-
-// insert makes line, which the cache owns from now on, the most recently
-// used entry, unless it is cached already or larger than the budget.
-func (c *Cache) insert(hash string, line []byte) {
-	if int64(len(line)) > c.max {
+	if int64(len(record)) > c.max {
 		return
 	}
+	line := bytes.Clone(record)
 	c.mu.Lock()
 	if el, ok := c.items[hash]; ok {
-		// Deterministic duplicate (or a re-Put after eviction raced a
-		// Get): refresh recency, keep the existing bytes.
+		// Deterministic duplicate: refresh recency, keep the existing
+		// bytes.
 		c.ll.MoveToFront(el)
 		c.mu.Unlock()
 		return

@@ -55,10 +55,3 @@ func (h *hub) snapshot(from int) (lines [][]byte, done bool, errMsg string, wait
 	}
 	return lines, h.closed, h.errMsg, h.wake
 }
-
-// count returns the number of results appended so far.
-func (h *hub) count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.lines)
-}

@@ -194,7 +194,8 @@ func (st *study) snapshot() Status {
 	// Read after the status, outside st.mu (a leaf lock): a study's
 	// progress is what its ledger has folded into its hub, and it turns
 	// "done" only after the last line has.
-	s.Done = st.hub.count()
+	lines, _, _, _ := st.hub.snapshot(0)
+	s.Done = len(lines)
 	if st.fleet {
 		fs := st.ledger.Stats()
 		s.Mode, s.Fleet = "fleet", &fs
@@ -746,78 +747,62 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // A study that fails or is canceled simply ends its stream early; the
 // status endpoint carries the error.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	st := s.lookup(w, r)
-	if st == nil {
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	flush := func() {
-		if fl != nil {
-			fl.Flush()
-		}
-	}
-	i := 0
-	for {
-		lines, done, _, wait := st.hub.snapshot(i)
-		for _, line := range lines {
-			if _, err := w.Write(line); err != nil {
-				return
-			}
-			i++
-		}
-		flush()
-		if done {
-			return
-		}
-		select {
-		case <-wait:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	s.follow(w, r, "application/x-ndjson", func(_ int, line []byte) error {
+		_, err := w.Write(line)
+		return err
+	}, nil)
 }
 
 // handleEvents is the same stream as Server-Sent Events: one "result"
 // event per point, then a terminal "done" or "error" event, for
 // browsers and EventSource clients.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	s.follow(w, r, "text/event-stream", func(i int, line []byte) error {
+		// Result JSON never contains newlines, so one data: line carries
+		// the whole object.
+		_, err := fmt.Fprintf(w, "event: result\nid: %d\ndata: %s\n\n", i, line[:len(line)-1])
+		return err
+	}, func(results int, errMsg string) {
+		if errMsg != "" {
+			msg, _ := json.Marshal(errorBody{Error: errMsg})
+			fmt.Fprintf(w, "event: error\ndata: %s\n\n", msg)
+		} else {
+			fmt.Fprintf(w, "event: done\ndata: {\"results\": %d}\n\n", results)
+		}
+	})
+}
+
+// follow is the one loop behind both result streams: it answers with
+// contentType, hands write every result line of the study's hub with its
+// index — the replay, then each line as it is emitted — flushing after
+// each batch, and returns when the study ends, the request's context
+// does or a write fails. end, when non-nil, writes the stream's last
+// bytes once the study has ended, given how many results it had and its
+// error ("" when it completed).
+func (s *Server) follow(w http.ResponseWriter, r *http.Request, contentType string, write func(i int, line []byte) error, end func(results int, errMsg string)) {
 	st := s.lookup(w, r)
 	if st == nil {
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
-	flush := func() {
-		if fl != nil {
-			fl.Flush()
-		}
-	}
-	flush()
-	i := 0
-	for {
+	for i := 0; ; {
 		lines, done, errMsg, wait := st.hub.snapshot(i)
 		for _, line := range lines {
-			// Result JSON never contains newlines, so one data: line
-			// carries the whole object.
-			if _, err := fmt.Fprintf(w, "event: result\nid: %d\ndata: %s\n\n", i, line[:len(line)-1]); err != nil {
+			if err := write(i, line); err != nil {
 				return
 			}
 			i++
 		}
-		flush()
+		if done && end != nil {
+			end(i, errMsg)
+		}
+		if fl != nil {
+			fl.Flush()
+		}
 		if done {
-			if errMsg != "" {
-				msg, _ := json.Marshal(errorBody{Error: errMsg})
-				fmt.Fprintf(w, "event: error\ndata: %s\n\n", msg)
-			} else {
-				fmt.Fprintf(w, "event: done\ndata: {\"results\": %d}\n\n", i)
-			}
-			flush()
 			return
 		}
 		select {
