@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync/atomic"
 
 	"ctsan/internal/experiment"
 	"ctsan/internal/parallel"
@@ -94,23 +95,29 @@ type prepared struct {
 }
 
 // pointRunner executes one prepared point under a context, as worker w of
-// the run's pool, on the run's engine assemblies.
-type pointRunner func(ctx context.Context, a *assemblies, w int) (*Result, error)
+// the run's pool, on the run's executor.
+type pointRunner func(ctx context.Context, e *executor, w int) (*Result, error)
 
-// assemblies is what the pool workers of one Run retain across its points:
-// the engine assemblies each has built so far, in bounded sets keyed by
-// shape (internal/keyed), one set per kind and pool worker. A point whose
-// shape the worker has seen builds nothing — the retained assembly is
-// rewound, bit-identically to a fresh one — so a study pays for each
-// distinct shape once per worker, not once per point. The pool never
-// overlaps two calls under one worker index, at either level, so entry w
-// of each slice is worker w's alone and needs no locking. Nothing here
-// outlives the Run that made it.
-type assemblies struct {
-	// pool is the run's one worker budget: points are its top-level
-	// units, and SAN and Scenario points open their replica loops on it,
-	// so a worker with no point left to start runs replicas of the points
-	// still in flight.
+// executor is what a Run executes on: its pool and what the pool's
+// workers retain across points — the engine assemblies each has built
+// so far, in bounded sets keyed by shape (internal/keyed), one set per
+// kind and pool worker. A point whose shape the worker has seen builds
+// nothing — the retained assembly is rewound, bit-identically to a fresh
+// one — so a study pays for each distinct shape once per worker, not
+// once per point. The pool never overlaps two calls under one worker
+// index, at either level, so entry w of each slice is worker w's alone
+// and needs no locking.
+//
+// A Run makes its own executor, and nothing of it outlives the Run. One
+// made by SharedExecutor serves every Run it is passed to, one Run at a
+// time, so a process that runs many small studies — a fleet worker's
+// leases — pays for each shape once in its life; it holds no goroutine
+// between Runs, and what it retains is bounded by the sets' capacity.
+type executor struct {
+	// pool is the one worker budget: points are its top-level units, and
+	// SAN and Scenario points open their replica loops on it, so a worker
+	// with no point left to start runs replicas of the points still in
+	// flight.
 	pool *parallel.Pool
 	// harnesses holds each worker's replica harnesses: a Latency point
 	// runs on its worker's set, a Scenario replica on the set of whichever
@@ -122,6 +129,22 @@ type assemblies struct {
 	// that has run its replicas: the worker whose point it is, and any
 	// that joined at the study's tail.
 	models []sanmodel.Models
+	// busy is held by the Run executing on the executor.
+	busy atomic.Bool
+}
+
+// newExecutor returns an executor of Workers(workers) pool workers that
+// has built nothing yet.
+func newExecutor(workers int) *executor {
+	e := &executor{pool: parallel.NewPool(workers)}
+	e.empty()
+	return e
+}
+
+// empty drops every retained assembly.
+func (e *executor) empty() {
+	e.harnesses = make([]experiment.Harnesses, e.pool.Workers())
+	e.models = make([]sanmodel.Models, e.pool.Workers())
 }
 
 // Study is a named grid of points, executed by Run. The zero value is
@@ -185,9 +208,10 @@ type options struct {
 	// not serialized. An error fails the point. RunRecords emits records
 	// through it.
 	completed func(i int, res *Result) error
-	// built is set by Run before the pool starts: the pool and what its
-	// workers retain, dropped with the options when Run returns.
-	built *assemblies
+	// exec is what the run executes on: the executor SharedExecutor
+	// passed in, or else one Run makes for itself before the pool starts,
+	// dropped with the options when Run returns.
+	exec *executor
 }
 
 // Option configures a Run call.
@@ -204,6 +228,21 @@ func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
 // are left: 0 (the default) means one worker per CPU, 1 forces the serial
 // reference path. Results do not depend on the count.
 func WithWorkers(w int) Option { return func(o *options) { o.workers = w } }
+
+// SharedExecutor returns an option that runs every Run it is passed to on
+// one executor of Workers(workers) pool workers, made here: the pool and
+// the engine assemblies its workers build are kept from one Run to the
+// next, so a later study pays nothing for a shape an earlier one built.
+// Results are those of a Run on its own executor, bit for bit. The
+// executor serves one Run at a time: a Run passed it while another runs
+// on it fails without running anything, as does one whose WithWorkers
+// asks for another width. A Run that fails leaves it holding no
+// assembly. What it retains between Runs is bounded by the per-worker
+// sets' capacity (internal/keyed), and it holds no goroutine.
+func SharedExecutor(workers int) Option {
+	e := newExecutor(workers)
+	return func(o *options) { o.exec = e }
+}
 
 // WithReplicas sets the default replica count for SAN and Scenario points
 // that do not set their own (default: 1000 for SAN, 1 for Scenario).

@@ -119,13 +119,14 @@
 //
 // The same pieces compose once more into fleet dispatch: the service
 // serves the same lease ledger `ctsan run` drives in-process to pulling
-// `ctsan worker` processes, which execute their leases via
-// RunRecords and upload the records. VerifyShardRecord is
-// the ledger's acceptance check — CRC plus the PointHash the
-// coordinator's own freeze derived for the index — and the fold is the
-// same grid-index order as MergeShardRecords, so a fleet of any size
-// (surviving any number of worker crashes via lease expiry) streams
-// bytes identical to one in-process Run.
+// `ctsan worker` processes, which execute their leases via RunRecords
+// on one executor per process (SharedExecutor) and upload the records.
+// The ledger accepts a record that CheckShardRecord accepts (layout and
+// CRC, without a copy) and that carries the PointHash the coordinator's
+// own freeze derived for its index, and folds in the same grid-index
+// order as MergeShardRecords, so a fleet of any size (surviving any
+// number of worker crashes via lease expiry) streams bytes identical to
+// one in-process Run.
 //
 // # Observability
 //

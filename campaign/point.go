@@ -58,8 +58,8 @@ func (p LatencyPoint) freeze(o *options, index int) (Point, prepared, error) {
 	if err != nil {
 		return nil, prepared{}, err
 	}
-	run := func(ctx context.Context, a *assemblies, w int) (*Result, error) {
-		res, err := a.harnesses[w].RunLatency(ctx, spec)
+	run := func(ctx context.Context, e *executor, w int) (*Result, error) {
+		res, err := e.harnesses[w].RunLatency(ctx, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -159,8 +159,8 @@ func (p SANPoint) freeze(o *options, index int) (Point, prepared, error) {
 	if err := sanmodel.Check(params, p.Replicas, tmax); err != nil {
 		return nil, prepared{}, err
 	}
-	run := func(ctx context.Context, a *assemblies, w int) (*Result, error) {
-		res, err := a.models[w].Simulate(ctx, a.pool, w, params, p.Replicas, tmax, p.Seed)
+	run := func(ctx context.Context, e *executor, w int) (*Result, error) {
+		res, err := e.models[w].Simulate(ctx, e.pool, w, params, p.Replicas, tmax, p.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -299,8 +299,8 @@ func (p ScenarioPoint) freeze(o *options, index int) (Point, prepared, error) {
 	if err != nil {
 		return nil, prepared{}, err
 	}
-	run := func(ctx context.Context, a *assemblies, w int) (*Result, error) {
-		reports, err := scenario.RunCampaignOn(ctx, a.pool, w, a.harnesses, spec)
+	run := func(ctx context.Context, e *executor, w int) (*Result, error) {
+		reports, err := scenario.RunCampaignOn(ctx, e.pool, w, e.harnesses, spec)
 		if err != nil {
 			return nil, err
 		}

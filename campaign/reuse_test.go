@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// The per-worker keyed sets of engine assemblies (assemblies, run.go) are
+// The per-worker keyed sets of engine assemblies (executor, campaign.go) are
 // invisible in results by construction: a retained assembly is rewound
 // bit-identically to a fresh one. These tests hold that on generated
 // grids, at and beyond the sets' capacity, and pin what the sets buy
@@ -138,8 +138,8 @@ func captureOptions(dst **options) Option { return func(o *options) { *dst = o }
 // retained reports the largest number of assemblies of one kind any
 // pool worker holds.
 func retained(o *options) (most int) {
-	for w := range o.built.models {
-		most = max(most, o.built.models[w].Len(), o.built.harnesses[w].Len())
+	for w := range o.exec.models {
+		most = max(most, o.exec.models[w].Len(), o.exec.harnesses[w].Len())
 	}
 	return most
 }
@@ -227,12 +227,12 @@ func TestIdleWorkerRunsReplicasOfTheLastPoint(t *testing.T) {
 	if _, err := RunCollect(context.Background(), study, WithWorkers(2), captureOptions(&o)); err != nil {
 		t.Fatal(err)
 	}
-	for w := range o.built.harnesses {
-		if n := o.built.harnesses[w].Len(); n != 1 {
+	for w := range o.exec.harnesses {
+		if n := o.exec.harnesses[w].Len(); n != 1 {
 			t.Errorf("worker %d holds %d harnesses after the study, want 1: both workers run replicas of the Scenario point", w, n)
 		}
 	}
-	if a, b := o.built.models[0].Len(), o.built.models[1].Len(); a+b != 1 {
+	if a, b := o.exec.models[0].Len(), o.exec.models[1].Len(); a+b != 1 {
 		t.Errorf("workers hold %d and %d SAN models, want one between them", a, b)
 	}
 }
@@ -261,7 +261,7 @@ func TestEvictionKeepsResultsAndBound(t *testing.T) {
 	if _, err := RunCollect(context.Background(), NewStudy("evict", grid...), WithWorkers(1), captureOptions(&o)); err != nil {
 		t.Fatal(err)
 	}
-	if m, h := o.built.models[0].Len(), o.built.harnesses[0].Len(); m != setCapacity || h != setCapacity {
+	if m, h := o.exec.models[0].Len(), o.exec.harnesses[0].Len(); m != setCapacity || h != setCapacity {
 		t.Errorf("after %d shapes per kind the worker retains %d models and %d harnesses, want %d of each", shapes, m, h, setCapacity)
 	}
 }
@@ -275,7 +275,7 @@ func TestFineGridBuildsSixAssemblies(t *testing.T) {
 	if _, err := RunCollect(context.Background(), tinyGrid(18), WithWorkers(1), captureOptions(&o)); err != nil {
 		t.Fatal(err)
 	}
-	if m, h := o.built.models[0].Len(), o.built.harnesses[0].Len(); m != 3 || h != 3 {
+	if m, h := o.exec.models[0].Len(), o.exec.harnesses[0].Len(); m != 3 || h != 3 {
 		t.Errorf("fine grid built %d SAN models and %d harnesses on its worker, want 3 and 3", m, h)
 	}
 }

@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"slices"
 
-	"ctsan/internal/experiment"
 	"ctsan/internal/obs"
 	"ctsan/internal/parallel"
 	"ctsan/internal/rng"
-	"ctsan/internal/sanmodel"
 )
 
 // pointSeed resolves the effective seed of point `index`: an explicit
@@ -99,20 +97,26 @@ func run(ctx context.Context, study *Study, o *options) error {
 		chains[i] = prep[i].chain
 	}
 
-	// One pool and one set of retained engine assemblies per pool worker,
-	// alive for exactly this run.
-	pool := parallel.NewPool(o.workers)
-	o.built = &assemblies{
-		pool:      pool,
-		harnesses: make([]experiment.Harnesses, pool.Workers()),
-		models:    make([]sanmodel.Models, pool.Workers()),
+	e := o.exec
+	switch {
+	case e == nil:
+		// One pool and one set of retained engine assemblies per pool
+		// worker, alive for exactly this run.
+		e = newExecutor(o.workers)
+		o.exec = e
+	case o.workers != 0 && parallel.Workers(o.workers) != e.pool.Workers():
+		return fmt.Errorf("campaign: %d workers asked of a shared executor of %d", parallel.Workers(o.workers), e.pool.Workers())
 	}
+	if !e.busy.CompareAndSwap(false, true) {
+		return errors.New("campaign: the shared executor is running another study")
+	}
+	defer e.busy.Store(false)
 
 	total := len(prep)
-	return parallel.StreamOn(ctx, pool, startOrder(chains),
+	err := parallel.StreamOn(ctx, e.pool, startOrder(chains),
 		func(w, i int) (*Result, error) {
 			point := study.Points[i].Label()
-			res, err := prep[i].run(ctx, o.built, w)
+			res, err := prep[i].run(ctx, e, w)
 			if err != nil {
 				return nil, fmt.Errorf("campaign: point %d (%s): %w", i, point, err)
 			}
@@ -136,6 +140,12 @@ func run(ctx context.Context, study *Study, o *options) error {
 			}
 			return nil
 		})
+	if err != nil {
+		// A failed point may have left an assembly mid-run: the next Run
+		// on a shared executor starts from nothing.
+		e.empty()
+	}
+	return err
 }
 
 // startOrder is the order a study's points start in, given each point's

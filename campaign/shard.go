@@ -307,24 +307,75 @@ func appendJSONString(dst []byte, s string) []byte {
 // caller's check, against PointHash. The record owns its bytes: nothing
 // in it shares line's array.
 func DecodeShardRecord(line []byte) (*ShardRecord, error) {
+	f, err := checkRecord(line)
+	if err != nil {
+		return nil, err
+	}
+	rec := &ShardRecord{V: ShardRecordVersion, Index: f.index, Seed: f.seed}
+	if rec.Study, err = unquote(f.study); err != nil {
+		return nil, err
+	}
+	if rec.PointHash, err = unquote(f.hash); err != nil {
+		return nil, err
+	}
+	buf := make([]byte, len(f.result)+base64.StdEncoding.DecodedLen(len(f.digest)))
+	copy(buf, f.result)
+	n, err := strictBase64.Decode(buf[len(f.result):], f.digest)
+	if err != nil {
+		return nil, err
+	}
+	rec.Result = buf[:len(f.result):len(f.result)]
+	rec.Digest = buf[len(f.result) : len(f.result)+n : len(f.result)+n]
+	return rec, nil
+}
+
+// CheckShardRecord is DecodeShardRecord without a copy: it accepts
+// exactly the lines DecodeShardRecord accepts, and returns the record's
+// grid index, its point hash and its result JSON — which is line's own
+// bytes, not a copy. It is the check of a reader that keeps the line
+// itself, or only where it lies, rather than the decoded record.
+func CheckShardRecord(line []byte) (index int, pointHash string, result []byte, err error) {
+	f, err := checkRecord(line)
+	if err != nil {
+		return 0, "", nil, err
+	}
+	if pointHash, err = unquote(f.hash); err != nil {
+		return 0, "", nil, err
+	}
+	return f.index, pointHash, f.result, nil
+}
+
+// recordFields are the fields of a checked record line, each sharing
+// the line's array: study and hash as the quoted JSON strings the writer
+// wrote, digest as its base64 text.
+type recordFields struct {
+	study, hash    []byte
+	index          int
+	seed           uint64
+	result, digest []byte
+}
+
+// checkRecord runs every check DecodeShardRecord makes on line, copying
+// none of it.
+func checkRecord(line []byte) (recordFields, error) {
 	if len(line) < bodyAt+1 || string(line[:len(crcKey)]) != crcKey ||
 		string(line[len(crcKey)+8:bodyAt]) != bodyKey || line[len(line)-1] != '}' {
-		return nil, fmt.Errorf("campaign: shard record envelope: not a {\"crc\":\"<8 hex>\",\"body\":{...}} line")
+		return recordFields{}, fmt.Errorf("campaign: shard record envelope: not a {\"crc\":\"<8 hex>\",\"body\":{...}} line")
 	}
 	stored, body := line[len(crcKey):len(crcKey)+8], line[bodyAt:len(line)-1]
 	var got [8]byte
 	putCRC(got[:], crc32.Checksum(body, crcTable))
 	if string(got[:]) != string(stored) {
-		return nil, fmt.Errorf("campaign: shard record CRC mismatch (stored %s, computed %s)", stored, got[:])
+		return recordFields{}, fmt.Errorf("campaign: shard record CRC mismatch (stored %s, computed %s)", stored, string(got[:]))
 	}
-	rec, err := readBody(body)
+	f, err := readBody(body)
 	if err != nil {
-		return nil, err
+		return recordFields{}, err
 	}
 	if _, ok := cutHit(line); !ok {
-		return nil, fmt.Errorf("campaign: shard record result is not laid out as a Result's JSON (study, point, index, engine, ...)")
+		return recordFields{}, fmt.Errorf("campaign: shard record result is not laid out as a Result's JSON (study, point, index, engine, ...)")
 	}
-	return rec, nil
+	return f, nil
 }
 
 // strictBase64 decodes only the padded standard base64 the writer
@@ -332,18 +383,18 @@ func DecodeShardRecord(line []byte) (*ShardRecord, error) {
 var strictBase64 = base64.StdEncoding.Strict()
 
 // readBody walks a CRC-checked record body in the writer's key order.
-func readBody(body []byte) (*ShardRecord, error) {
+func readBody(body []byte) (recordFields, error) {
 	r := recordReader{rest: body}
 	if v := r.number(versionKey, math.MaxInt); r.err == nil && v != ShardRecordVersion {
-		return nil, fmt.Errorf("campaign: unsupported shard record version %d", v)
+		return recordFields{}, fmt.Errorf("campaign: unsupported shard record version %d", v)
 	}
-	rec := &ShardRecord{V: ShardRecordVersion, Study: r.string(studyKey)}
-	rec.Index = int(r.number(indexKey, math.MaxInt))
-	rec.PointHash = r.string(hashKey)
-	rec.Seed = r.number(seedKey, math.MaxUint64)
+	f := recordFields{study: r.string(studyKey)}
+	f.index = int(r.number(indexKey, math.MaxInt))
+	f.hash = r.string(hashKey)
+	f.seed = r.number(seedKey, math.MaxUint64)
 	r.key(resultKey)
 	if r.err != nil {
-		return nil, r.err
+		return recordFields{}, r.err
 	}
 	// The digest is the last field and base64 holds no quote, so its
 	// opening quote is the last one before the closing `"}`.
@@ -353,25 +404,51 @@ func readBody(body []byte) (*ShardRecord, error) {
 		q = bytes.LastIndexByte(rest[:len(rest)-len(bodyEnd)], '"')
 	}
 	if q < 0 || !bytes.HasSuffix(rest[:q+1], []byte(digestKey)) {
-		return nil, fmt.Errorf("campaign: shard record body: no %s...%s tail", digestKey, bodyEnd)
+		return recordFields{}, fmt.Errorf("campaign: shard record body: no %s...%s tail", digestKey, bodyEnd)
 	}
-	result, digest := rest[:q+1-len(digestKey)], rest[q+1:len(rest)-len(bodyEnd)]
-	if len(result) == 0 {
-		return nil, fmt.Errorf("campaign: shard record with no result")
+	f.result, f.digest = rest[:q+1-len(digestKey)], rest[q+1:len(rest)-len(bodyEnd)]
+	if len(f.result) == 0 {
+		return recordFields{}, fmt.Errorf("campaign: shard record with no result")
 	}
-	if result[0] != '{' || !json.Valid(result) || !compactJSON(result) {
-		return nil, fmt.Errorf("campaign: shard record result is not a compact JSON object")
+	if f.result[0] != '{' || !json.Valid(f.result) || !compactJSON(f.result) {
+		return recordFields{}, fmt.Errorf("campaign: shard record result is not a compact JSON object")
 	}
-	n := base64.StdEncoding.DecodedLen(len(digest))
-	buf := make([]byte, len(result)+n)
-	copy(buf, result)
-	n, err := strictBase64.Decode(buf[len(result):], digest)
-	if err != nil || base64.StdEncoding.EncodedLen(n) != len(digest) {
-		return nil, fmt.Errorf("campaign: shard record digest is not padded base64")
+	if !paddedBase64(f.digest) {
+		return recordFields{}, fmt.Errorf("campaign: shard record digest is not padded base64")
 	}
-	rec.Result = buf[:len(result):len(result)]
-	rec.Digest = buf[len(result) : len(result)+n : len(result)+n]
-	return rec, nil
+	return f, nil
+}
+
+// paddedBase64 reports whether strictBase64 decodes all of b, decoding
+// it piecewise into a buffer on the stack: padding only at the end, no
+// line breaks (which the decoder would skip), no stray trailing bits.
+func paddedBase64(b []byte) bool {
+	const piece = 1024 // a whole number of 4-byte quanta
+	var buf [piece / 4 * 3]byte
+	for len(b) > 0 {
+		p := b[:min(len(b), piece)]
+		if len(p) < len(b) && bytes.IndexByte(p, '=') >= 0 {
+			return false
+		}
+		n, err := strictBase64.Decode(buf[:], p)
+		if err != nil || base64.StdEncoding.EncodedLen(n) != len(p) {
+			return false
+		}
+		b = b[len(p):]
+	}
+	return true
+}
+
+// unquote returns the value of a JSON string the reader checked.
+func unquote(q []byte) (string, error) {
+	if plainString(q[1 : len(q)-1]) {
+		return string(q[1 : len(q)-1]), nil
+	}
+	var s string
+	if err := json.Unmarshal(q, &s); err != nil {
+		return "", fmt.Errorf("campaign: shard record body: %v", err)
+	}
+	return s, nil
 }
 
 // recordReader consumes a record body field by field. The first failure
@@ -429,10 +506,10 @@ func (r *recordReader) number(k string, max uint64) uint64 {
 }
 
 // string consumes the key k and a JSON string written as json.Marshal
-// writes it, returning its value.
-func (r *recordReader) string(k string) string {
+// writes it, returning it quoted, as written.
+func (r *recordReader) string(k string) []byte {
 	if !r.key(k) {
-		return ""
+		return nil
 	}
 	end := -1
 	if len(r.rest) > 0 && r.rest[0] == '"' {
@@ -447,20 +524,14 @@ func (r *recordReader) string(k string) string {
 	}
 	if end < 0 {
 		r.fail("%s is not a string", k)
-		return ""
+		return nil
 	}
 	quoted := r.rest[:end]
 	r.rest = r.rest[end:]
-	if plainString(quoted[1 : end-1]) {
-		return string(quoted[1 : end-1])
-	}
-	var s string
-	if !marshaledString(quoted) {
+	if !plainString(quoted[1:end-1]) && !marshaledString(quoted) {
 		r.fail("%s is not escaped as the writer escapes it", k)
-	} else if err := json.Unmarshal(quoted, &s); err != nil {
-		r.fail("%s: %v", k, err)
 	}
-	return s
+	return quoted
 }
 
 // compactJSON reports whether the valid JSON b is what json.Marshal

@@ -186,13 +186,23 @@ func TestShardRecordRoundTrip(t *testing.T) {
 }
 
 func TestShardRecordRejectsCorruption(t *testing.T) {
-	line := pristineRecord(t)
+	for _, line := range [][]byte{pristineRecord(t), recordOf(t, 150)} { // a digest of 192 and of 1684 characters
+		testRejectsCorruption(t, line)
+	}
+}
+
+// testRejectsCorruption holds the readers to the rows corruptRecords
+// derives from line, a record they accept.
+func testRejectsCorruption(t *testing.T, line []byte) {
 	if _, err := DecodeShardRecord(line); err != nil {
 		t.Fatalf("pristine record rejected: %v", err)
 	}
 	for _, c := range corruptRecords(t, line) {
 		if _, err := DecodeShardRecord(c.line); err == nil {
 			t.Errorf("%s: accepted %q", c.name, c.line)
+		}
+		if _, _, _, err := CheckShardRecord(c.line); err == nil {
+			t.Errorf("%s: CheckShardRecord accepted %q", c.name, c.line)
 		}
 		// The rows the reference reader took are the layout's tightenings:
 		// no writer ever emitted them.
@@ -202,10 +212,40 @@ func TestShardRecordRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestCheckShardRecordCopiesNothing: CheckShardRecord takes what
+// DecodeShardRecord takes, reports the same index, hash and result, and
+// returns the result as a slice of the line — on a record whose digest
+// is shorter than the piece its base64 is checked in, and on one whose
+// digest spans several pieces.
+func TestCheckShardRecordCopiesNothing(t *testing.T) {
+	for _, replicas := range []int{10, 150} {
+		line := recordOf(t, replicas)
+		rec, err := DecodeShardRecord(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		index, hash, result, err := CheckShardRecord(line)
+		if err != nil || index != rec.Index || hash != rec.PointHash || !bytes.Equal(result, rec.Result) {
+			t.Fatalf("replicas %d: CheckShardRecord = %d, %s, %s, %v; DecodeShardRecord read %d, %s, %s",
+				replicas, index, hash, result, err, rec.Index, rec.PointHash, rec.Result)
+		}
+		if at := bytes.Index(line, result); at < 0 || &line[at] != &result[0] {
+			t.Fatalf("replicas %d: the result is a copy, not the line's bytes", replicas)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { CheckShardRecord(line) }); allocs > 1 {
+			t.Errorf("replicas %d: CheckShardRecord allocates %.0f objects, want at most the point hash", replicas, allocs)
+		}
+	}
+}
+
 // pristineRecord is the record of a one-point SAN study named "s".
-func pristineRecord(tb testing.TB) []byte {
+func pristineRecord(tb testing.TB) []byte { return recordOf(tb, 10) }
+
+// recordOf is the record of a one-point SAN study named "s" of the
+// given replicas.
+func recordOf(tb testing.TB, replicas int) []byte {
 	tb.Helper()
-	frozen, err := Frozen(NewStudy("s", SANPoint{N: 3, Replicas: 10}), WithSeed(1))
+	frozen, err := Frozen(NewStudy("s", SANPoint{N: 3, Replicas: replicas}), WithSeed(1))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -267,7 +307,7 @@ func corruptRecords(tb testing.TB, line []byte) []corruptRecord {
 	digest := vals["digest"]
 	flipped := bytes.Clone(line)
 	flipped[len(flipped)/2] ^= 0x01
-	return []corruptRecord{
+	rows := []corruptRecord{
 		{"bit flip", flipped, false},
 		{"wrong CRC", []byte(`{"crc":"00000000","body":{}}`), false},
 		{"not JSON", []byte(`not json`), false},
@@ -291,6 +331,15 @@ func corruptRecords(tb testing.TB, line []byte) []corruptRecord {
 		{"result not compact", edited("result", "{ }"), true},
 		{"study escaped unlike the writer", edited("study", `"\u0073"`), true},
 	}
+	if len(digest) > 1100 {
+		// CheckShardRecord reads a digest in pieces of 1024 characters:
+		// padding that ends the first piece, and line breaks the decoder
+		// skips, shifting the pieces by a whole quantum.
+		rows = append(rows,
+			corruptRecord{"digest padded at the end of a piece", edited("digest", digest[:1021]+"AA=="+digest[1025:]), false},
+			corruptRecord{"digest with line breaks", edited("digest", digest[:101]+"\n\n\n\n"+digest[101:]), false})
+	}
+	return rows
 }
 
 // nonzeroPadding sets the lowest discarded bit of a padded base64 string
@@ -527,7 +576,12 @@ func FuzzDecodeShardRecord(f *testing.F) {
 			putCRC(fixed[len(crcKey):], crc32.Checksum(fixed[bodyAt:len(fixed)-1], crcTable))
 		}
 		for _, line := range [][]byte{data, fixed} {
-			if _, err := DecodeShardRecord(line); err == nil {
+			index, hash, result, cerr := CheckShardRecord(line)
+			rec, err := DecodeShardRecord(line)
+			if (err == nil) != (cerr == nil) || err == nil && (index != rec.Index || hash != rec.PointHash || !bytes.Equal(result, rec.Result)) {
+				t.Fatalf("CheckShardRecord = %d, %q, %v and DecodeShardRecord = %+v, %v disagree on %q", index, hash, cerr, rec, err, line)
+			}
+			if err == nil {
 				rec := requireOracleRead(t, line)
 				rec.DecodeResult() //nolint:errcheck // must not panic
 			}

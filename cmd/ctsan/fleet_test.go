@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -294,6 +293,9 @@ func TestFleetWorkerSurvivesCoordinatorRestart(t *testing.T) {
 	)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/complete") {
+			if enc := r.Header.Get("Content-Encoding"); enc != "" {
+				t.Errorf("worker upload has Content-Encoding %q, want plain JSONL", enc)
+			}
 			body, _ := io.ReadAll(r.Body)
 			r.Body = io.NopCloser(bytes.NewReader(body))
 			mu.Lock()
@@ -363,19 +365,10 @@ func TestFleetWorkerSurvivesCoordinatorRestart(t *testing.T) {
 }
 
 // uploadIndices reads the grid indices of the records of an upload body
-// (gzip-compressed JSONL), in order.
+// (plain JSONL), in order.
 func uploadIndices(t *testing.T, body []byte) []int {
-	gz, err := gzip.NewReader(bytes.NewReader(body))
-	if err != nil {
-		t.Error(err)
-		return nil
-	}
-	lines, err := io.ReadAll(gz)
-	if err != nil {
-		t.Error(err)
-	}
 	var indices []int
-	for _, line := range bytes.Split(bytes.TrimSuffix(lines, []byte("\n")), []byte("\n")) {
+	for _, line := range bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n")) {
 		if rec, err := campaign.DecodeShardRecord(line); err == nil {
 			indices = append(indices, rec.Index)
 		} else if len(line) > 0 {
@@ -432,7 +425,7 @@ func TestWorkerOfAnotherEpochGetsNoLease(t *testing.T) {
 	for h.status(t, id).Status != "running" {
 		time.Sleep(5 * time.Millisecond)
 	}
-	w := &fleetWorker{base: h.ts.URL, name: "next-epoch", epoch: campaign.Epoch + 1, workers: 1,
+	w := &fleetWorker{base: h.ts.URL, name: "next-epoch", epoch: campaign.Epoch + 1, exec: campaign.SharedExecutor(1),
 		client: &http.Client{}, studies: map[string]*workerStudy{}, stderr: io.Discard}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -457,7 +450,7 @@ func TestWorkerDecodesTheCoordinatorsLeaseBodies(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	ctx := context.Background()
-	w := &fleetWorker{base: h.ts.URL, name: "decoder", epoch: campaign.Epoch, workers: 1,
+	w := &fleetWorker{base: h.ts.URL, name: "decoder", epoch: campaign.Epoch, exec: campaign.SharedExecutor(1),
 		client: &http.Client{}, studies: map[string]*workerStudy{}, stderr: io.Discard}
 
 	points := len(testStudy().Points)
@@ -511,7 +504,7 @@ func TestWorkerDecodesTheCoordinatorsLeaseBodies(t *testing.T) {
 func TestWorkerRejectsGrantsOutsideTheGrid(t *testing.T) {
 	h := newFleetHarness(t, server.Config{MaxActive: 1, QueueDepth: 8, CacheBytes: -1})
 	id := h.submitFleet(t)
-	w := &fleetWorker{base: h.ts.URL, name: "bogus", epoch: campaign.Epoch, workers: 1,
+	w := &fleetWorker{base: h.ts.URL, name: "bogus", epoch: campaign.Epoch, exec: campaign.SharedExecutor(1),
 		client: &http.Client{}, studies: map[string]*workerStudy{}, stderr: io.Discard}
 	points := len(testStudy().Points)
 	for _, tc := range []struct {

@@ -533,10 +533,11 @@ func cmdRun(ctx context.Context, args []string, _, stderr io.Writer) error {
 // a fresh grid. The first `shards` grants are sized total/shards, the
 // first total%shards of them taking one extra point, so they cover the
 // grid exactly; later grants (the holes a failed attempt left) are
-// bounded by the same size.
-func leaseSizes(total, shards int) func() int {
+// bounded by the same size. The pending and worker counts the ledger
+// passes play no part.
+func leaseSizes(total, shards int) func(int, int) int {
 	var grants atomic.Int64
-	return func() int {
+	return func(int, int) int {
 		if int(grants.Add(1)) <= total%shards {
 			return total/shards + 1
 		}
@@ -556,7 +557,7 @@ const slotLeaseTTL = 100 * 365 * 24 * time.Hour
 // write — preloaded with every record checkpointed under dir. Records
 // the ledger had to skip are reported through logf. size is the lease
 // size policy (nil when no lease will be granted).
-func preload(frozen *campaign.Study, dir string, size func() int, results *[]byte, stderr io.Writer, logf func(string, ...any)) (*shard.Ledger, shard.Completion, error) {
+func preload(frozen *campaign.Study, dir string, size func(int, int) int, results *[]byte, stderr io.Writer, logf func(string, ...any)) (*shard.Ledger, shard.Completion, error) {
 	hashes, err := campaign.StudyPointHashes(frozen)
 	if err != nil {
 		return nil, shard.Completion{}, err

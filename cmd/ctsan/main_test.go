@@ -308,7 +308,7 @@ func TestLeaseSizes(t *testing.T) {
 	} {
 		size := leaseSizes(tc.total, tc.shards)
 		for i, want := range tc.want {
-			if got := size(); got != want {
+			if got := size(0, 0); got != want {
 				t.Errorf("leaseSizes(%d,%d) grant %d = %d points, want %v", tc.total, tc.shards, i, got, tc.want)
 			}
 		}
@@ -324,13 +324,13 @@ func TestLeaseSizesCoverGridExactly(t *testing.T) {
 			size := leaseSizes(total, shards)
 			sum, lo, hi := 0, total, 0
 			for i := 0; i < min(shards, total); i++ {
-				n := size()
+				n := size(0, 0)
 				sum, lo, hi = sum+n, min(lo, n), max(hi, n)
 			}
 			if sum != total || hi-lo > 1 {
 				t.Fatalf("leaseSizes(%d,%d): first grants cover %d points, sizes %d..%d", total, shards, sum, lo, hi)
 			}
-			if n := size(); n < 1 || n > hi {
+			if n := size(0, 0); n < 1 || n > hi {
 				t.Fatalf("leaseSizes(%d,%d): later grant of %d points", total, shards, n)
 			}
 		}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -28,10 +27,16 @@ import (
 // study locally from the coordinator's spec/seed/replicas — the same
 // deterministic step every ctsan process performs, so its grid is
 // identical to the coordinator's — runs the range through
-// campaign.RunRecords, the executor `ctsan shard` uses too, which
+// campaign.RunRecords, the range executor `ctsan shard` uses too, which
 // encodes each result as the CRC-framed shard record of its grid index,
-// and uploads the range's records in one gzip-compressed batch. The
-// records live in memory until the upload: the worker writes no file. A
+// and uploads the range's records in one plain JSONL batch (gzip would
+// halve the bytes of a loopback or LAN upload at a cost of tens of
+// microseconds per record). Every lease runs on one executor the worker
+// holds for its life (campaign.SharedExecutor): the pool and the engine
+// assemblies its workers built for one lease serve the next, so a grid
+// leased in small ranges builds each shape once per worker process, as
+// one Run would. The records live in memory until the upload: the
+// worker writes no file. A
 // renewal goroutine extends the lease at TTL/3 while execution runs; a
 // worker that dies mid-lease simply stops renewing, and the coordinator
 // re-leases the range at the deadline, so a dead worker costs at most
@@ -90,7 +95,7 @@ func cmdWorker(ctx context.Context, args []string, _, stderr io.Writer) error {
 		base:     strings.TrimRight(*server, "/"),
 		name:     *name,
 		epoch:    campaign.Epoch,
-		workers:  *workers,
+		exec:     campaign.SharedExecutor(*workers),
 		throttle: *throttle,
 		client:   &http.Client{},
 		studies:  map[string]*workerStudy{},
@@ -105,8 +110,9 @@ type fleetWorker struct {
 	name string
 	// epoch is the results epoch the worker's records are of, named in
 	// every lease request.
-	epoch    int
-	workers  int
+	epoch int
+	// exec is the executor every lease runs on, one at a time.
+	exec     campaign.Option
 	throttle time.Duration
 	client   *http.Client
 	studies  map[string]*workerStudy
@@ -142,6 +148,14 @@ func (w *fleetWorker) loop(ctx context.Context, pinned string, idleExit time.Dur
 			continue
 		}
 		idleSince = time.Time{}
+		if w.studies[id] == nil {
+			// The grid is fetched before the first lease, so that lease's
+			// clock, which sizes the next grants, runs on its point, not
+			// on the grid's download and freeze. A study that cannot be
+			// fetched is answered by the lease request: refused, or
+			// granted and fetched again.
+			w.study(ctx, id) //nolint:errcheck // the lease request answers a failed fetch
+		}
 		resp, err := w.lease(ctx, id)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -282,17 +296,19 @@ func (w *fleetWorker) serveLease(ctx context.Context, id string, grant *shard.Le
 	// their pinned seeds and replica counts, so each record is the grid
 	// point's. Records are kept in grid-index order, the upload's order.
 	// The range arrives over HTTP; RunRecords refuses one outside the grid.
+	// A point's line is logged only as part of a -throttle pause: at
+	// engine speed a line per point costs more than some points.
 	indices := gridIndices(r, len(ws.frozen.Points))
 	records := make([][]byte, len(indices))
 	err = campaign.RunRecords(ctx, ws.frozen, ws.hashes, indices, func(index int, line []byte) error {
 		records[index-r.Start] = line
-		done++
-		w.logf("lease %s %s: point %d done (%d of %d)", grant.Lease, r, index, done, len(records))
 		if w.throttle > 0 {
+			done++
+			w.logf("lease %s %s: point %d done (%d of %d)", grant.Lease, r, index, done, len(records))
 			time.Sleep(w.throttle)
 		}
 		return nil
-	}, campaign.WithWorkers(w.workers))
+	}, w.exec)
 	stopRenew()
 	<-renewDone
 	if err != nil {
@@ -328,19 +344,18 @@ func (w *fleetWorker) renew(ctx context.Context, id, lease string) bool {
 	}
 }
 
-// upload posts the lease's records as one gzip-compressed JSONL batch.
+// upload posts the lease's records as one JSONL batch.
 func (w *fleetWorker) upload(ctx context.Context, id, lease string, records [][]byte) (*shard.CompleteReply, error) {
-	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
+	size := 0
 	for _, rec := range records {
-		gz.Write(rec)          //nolint:errcheck // bytes.Buffer cannot fail
-		gz.Write([]byte{'\n'}) //nolint:errcheck
+		size += len(rec) + 1
 	}
-	if err := gz.Close(); err != nil {
-		return nil, err
+	body := make([]byte, 0, size)
+	for _, rec := range records {
+		body = append(append(body, rec...), '\n')
 	}
 	var out shard.CompleteReply
-	if err := w.call(ctx, http.MethodPost, "/api/v1/studies/"+id+"/lease/"+lease+"/complete", &buf, &out); err != nil {
+	if err := w.call(ctx, http.MethodPost, "/api/v1/studies/"+id+"/lease/"+lease+"/complete", bytes.NewReader(body), &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -359,8 +374,7 @@ func (e *statusError) Error() string { return e.msg }
 // call sends one request to the coordinator and decodes the JSON body
 // of its 200 reply into out (nil discards it). Any other status is a
 // *statusError naming the request, the status and the start of the
-// reply's body. A request body is always an upload batch:
-// gzip-compressed JSONL.
+// reply's body. A request body is always an upload batch: JSONL.
 func (w *fleetWorker) call(ctx context.Context, method, path string, body io.Reader, out any) error {
 	req, err := http.NewRequestWithContext(ctx, method, w.base+path, body)
 	if err != nil {
@@ -368,7 +382,6 @@ func (w *fleetWorker) call(ctx context.Context, method, path string, body io.Rea
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/x-ndjson")
-		req.Header.Set("Content-Encoding", "gzip")
 	}
 	res, err := w.client.Do(req)
 	if err != nil {

@@ -117,6 +117,10 @@ func TestEveryExportHasACaller(t *testing.T) {
 //     sort.Sort, slices.SortFunc). Unless the order is total, how ties
 //     land may change between Go releases; each site says why its order
 //     is total or why tied elements cannot change the result.
+//   - R6: start a goroutine or wait in a select. Concurrency is the
+//     pool's (parallel), whose schedules the contract makes invisible in
+//     results; code elsewhere that spawns or races goroutines would not
+//     be held to it.
 //
 // Entries are keyed by package, function and construct ("for k, v :=
 // range m", "time.Now", "sort.Slice(items)", "import math/rand"), not by
@@ -131,6 +135,7 @@ func TestContractIsStaticallyDeterministic(t *testing.T) {
 		"R2": "the wall clock; take the time as an argument instead",
 		"R3": "math/rand or the CPU count; draw from an rng stream, and leave sizing the pool to parallel",
 		"R4": "an unstable sort by a comparator; make the order total and allowlist it saying so, or say why ties cannot change the result",
+		"R6": "a go statement or a select; run concurrent work on a parallel.Pool",
 	}
 	allow := map[string]string{
 		"ctsan/internal/consensus.Engine.Reset: for cid, in := range e.active":        "recycles every active instance onto the free list: the order picks only which record a later Propose reuses, and recycle clears every field an instance computes with",
@@ -143,6 +148,8 @@ func TestContractIsStaticallyDeterministic(t *testing.T) {
 		"ctsan/internal/shard.Ledger.expireLocked: for _, o := range l.leases":        "releases the expired leases: the pending RangeSet merges ranges into the same set in any order, and the counts are integers",
 
 		"ctsan/internal/parallel.Workers: runtime.GOMAXPROCS": "the pool's default width: a result is byte-identical at any worker count (rule 1)",
+
+		"ctsan/internal/parallel.Pool.run: go (func() literal)": "the pool's workers, one goroutine each for one top-level loop: the pool is where the contract's concurrency lives, and no result depends on its schedule (rule 1)",
 
 		"ctsan/internal/fit.FitBimodal: sort.Slice(gaps)":           "a total order: equal gaps break ties on k, the split position, which is unique",
 		"ctsan/internal/metrics.sketch.grid: sort.Slice(items)":     "tied items carry the same value v, and the output is a sequence of values: the weights of a tie sum to the same rank range in any order",
@@ -571,8 +578,8 @@ var (
 
 // recordHazards lists, under the package-level declaration that holds
 // them, f's ranges over a map (R1), uses of the wall clock (R2), imports
-// of math/rand and CPU counts (R3) and unstable sorts by a comparator
-// (R4).
+// of math/rand and CPU counts (R3), unstable sorts by a comparator (R4),
+// and go statements and selects (R6).
 func (m *moduleImporter) recordHazards(info *types.Info, path string, f *ast.File) {
 	for _, imp := range f.Imports {
 		if p, _ := strconv.Unquote(imp.Path.Value); p == "math/rand" || p == "math/rand/v2" {
@@ -630,6 +637,10 @@ func (m *moduleImporter) recordHazards(info *types.Info, path string, f *ast.Fil
 						add("R3", qual)
 					}
 				}
+			case *ast.GoStmt:
+				add("R6", "go "+types.ExprString(n.Call.Fun))
+			case *ast.SelectStmt:
+				add("R6", "select")
 			case *ast.CallExpr:
 				if fn, ok := calleeOf(info, n); ok && fn.Pkg() != nil && len(n.Args) > 0 {
 					if qual := fn.Pkg().Path() + "." + fn.Name(); unstableSorts[qual] {

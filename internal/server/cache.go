@@ -89,9 +89,9 @@ const cacheFile = "pointcache.jsonl"
 
 // open puts the cache over the record file in dir, creating it if
 // absent, and returns how many records it indexed: every one
-// campaign.DecodeShardRecord accepts, by where it lies, not its bytes.
-// The file is read once (checkpoint.OpenEach), nothing is loaded into
-// the LRU, and a damaged tail is cut off.
+// campaign.CheckShardRecord accepts, by where it lies, not its bytes.
+// The file is read once (checkpoint.OpenEach), no record is copied or
+// loaded into the LRU, and a damaged tail is cut off.
 func (c *Cache) open(dir string) (int, error) {
 	path := filepath.Join(dir, cacheFile)
 	// Create the file first, so that the store appends to the file the
@@ -103,8 +103,8 @@ func (c *Cache) open(dir string) (int, error) {
 	f.Close()
 	index := map[string]span{}
 	store, err := checkpoint.OpenEach(path, func(off int64, line []byte) {
-		if rec, err := campaign.DecodeShardRecord(line); err == nil {
-			index[rec.PointHash] = span{off, len(line)}
+		if _, hash, _, err := campaign.CheckShardRecord(line); err == nil {
+			index[hash] = span{off, len(line)}
 		}
 	})
 	if err != nil {
@@ -164,7 +164,7 @@ func (c *Cache) Get(hash string) ([]byte, bool) {
 	}
 	line := make([]byte, at.n)
 	if _, err := f.ReadAt(line, at.off); err == nil {
-		if rec, err := campaign.DecodeShardRecord(line); err == nil && rec.PointHash == hash {
+		if _, got, _, err := campaign.CheckShardRecord(line); err == nil && got == hash {
 			obs.CacheDiskHits.Add(1)
 			return line, true
 		}

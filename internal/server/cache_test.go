@@ -249,9 +249,10 @@ func TestCacheFileSyncsOncePerSlice(t *testing.T) {
 // TestCacheFileKeepsNoRecordInMemory opens a cache over a file of 20,000
 // records and measures what it keeps: the index, not the records, and
 // nothing in the LRU until a record is asked for. It also measures what
-// the open allocates on the way: the file read once, and a decode per
-// record to learn its point hash, under 2.5 times the file's bytes (a
-// second read of the file alone would add one more).
+// the open allocates on the way: the file read once, and a check per
+// record that copies nothing but its point hash, under 1.5 times the
+// file's bytes (a second read of the file, or a copy of every record,
+// would add one more).
 func TestCacheFileKeepsNoRecordInMemory(t *testing.T) {
 	const n = 20_000
 	hashes, records := recordsUnder(t, oneResult(t), n)
@@ -289,8 +290,8 @@ func TestCacheFileKeepsNoRecordInMemory(t *testing.T) {
 	if perRecord > 256 {
 		t.Errorf("open keeps %.0f bytes per record, want <= 256 (the record is %d)", perRecord, size)
 	}
-	if allocated >= 2.5 {
-		t.Errorf("open allocated %.2f× the file's bytes, want < 2.5×: the file is read more than once", allocated)
+	if allocated >= 1.5 {
+		t.Errorf("open allocated %.2f× the file's bytes, want < 1.5×: the file is read more than once, or its records copied", allocated)
 	}
 	if bytes, entries := c.Stats(); bytes != 0 || entries != 0 {
 		t.Errorf("open loaded %d entries (%d bytes) into memory, want none", entries, bytes)

@@ -23,9 +23,11 @@ import (
 // in-process — over HTTP: workers (`ctsan worker -server <url>`) of the
 // coordinator's results epoch POST to the study's lease endpoint and
 // receive contiguous frozen-point ranges with deadlines, run each range
-// as a sub-study of the frozen grid (campaign.RunRecords), and upload
-// its results as CRC-framed shard records — the format the sharded CLI
-// checkpoints — in one batched body. The ledger verifies every record,
+// as a sub-study of the frozen grid (campaign.RunRecords, on the one
+// executor a worker keeps for all its leases), and upload its results
+// as CRC-framed shard records — the format the sharded CLI checkpoints —
+// in one JSONL body, plain (what `ctsan worker` sends) or
+// Content-Encoding: gzip. The ledger verifies every record,
 // folds the results in grid-index order straight into the study's hub —
 // bit-identical to an in-process run by determinism rule 5 — and
 // re-leases any range whose deadline passes, so a SIGKILLed worker costs
@@ -48,18 +50,26 @@ const maxLeasePoints = 1024
 // study is a single-point probe; afterwards it targets a fixed wall time
 // of work per lease from an EWMA of the observed per-point grant-to-
 // complete time, so HTTP round-trips amortize over fast grids while a
-// straggler can only hold back one target-sized range.
+// straggler can only hold back one target-sized range. No grant takes
+// more than half an even share of what is pending, ⌈pending/(2·workers)⌉
+// — factoring (Hummel, Schonberg & Flynn, CACM 35(8), 1992): grants
+// shrink as the study's end nears, so the workers finish together
+// instead of one running a target-sized last range while the others
+// have nothing left.
 type leaseSizer struct {
 	target   time.Duration
 	avgPoint atomic.Int64 // ns; 0 until a fulfilled lease has calibrated it
 }
 
-func (z *leaseSizer) size() int {
+// size is the next grant's point count, given the points pending and the
+// workers that would then hold a lease.
+func (z *leaseSizer) size(pending, workers int) int {
 	avg := z.avgPoint.Load()
 	if avg <= 0 {
 		return 1
 	}
-	return int(min(max(int64(z.target)/avg, 1), maxLeasePoints))
+	n := int(min(max(int64(z.target)/avg, 1), maxLeasePoints))
+	return min(n, max((pending+2*workers-1)/(2*workers), 1))
 }
 
 // observe calibrates on a fulfilled lease. The wall time includes the

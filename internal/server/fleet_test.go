@@ -314,13 +314,16 @@ func TestFleetUploadVerification(t *testing.T) {
 // the handlers do (newFleet wires it to the sizer and the hub): a lease
 // answered with only part of its range requeues exactly the holes, late
 // duplicates are dropped, and the hub receives the reference bytes in
-// grid order regardless of arrival order.
+// grid order regardless of arrival order. The grid has five points, so
+// that the lease after the probe, capped at half of the four pending,
+// spans two.
 func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
-	frozen, err := campaign.Frozen(testStudy(), campaign.WithSeed(1))
+	grid := testStudy().Add(campaign.SANPoint{N: 3, Replicas: 10}, campaign.SANPoint{N: 5, Replicas: 10})
+	frozen, err := campaign.Frozen(grid, campaign.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := testStudy().FrozenPoints(campaign.WithSeed(1))
+	points, err := grid.FrozenPoints(campaign.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,8 +332,8 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 3 {
-		t.Fatalf("test study has %d records, want 3", len(recs))
+	if len(recs) != 5 {
+		t.Fatalf("test grid has %d records, want 5", len(recs))
 	}
 
 	now := time.Now()
@@ -350,7 +353,8 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 		t.Fatalf("first grant = %+v, done=%v; want single-point probe 0:1", g, done)
 	}
 	// Complete the probe; the EWMA calibrates and the next lease covers
-	// more than one point (the elapsed time is ~0, so size clamps up).
+	// more than one point (the elapsed time is ~0, so the target allows
+	// any size, and half of the four pending points is two).
 	streamed := func() int { lines, _, _, _ := st.hub.snapshot(0); return len(lines) }
 	out := complete(now.Add(time.Millisecond), g.ID, recs[:1])
 	if len(out.Accepted) != 1 || out.Emitted != 1 || streamed() != 1 {
@@ -366,18 +370,27 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 	if len(out.Accepted) != 1 || out.Done || out.Holes != 1 || out.Emitted != 1 || streamed() != 1 {
 		t.Fatalf("partial completion: %+v", out)
 	}
-	if fs := m.Stats(); fs.Pending != 1 || fs.Requeued != 1 {
+	if fs := m.Stats(); fs.Pending != 3 || fs.Requeued != 1 {
 		t.Fatalf("after partial upload: %+v", fs)
 	}
-	// The hole re-leases; completing it releases BOTH remaining lines in
-	// grid order, and a late duplicate of record 2 is dropped.
+	// The hole re-leases; completing it releases lines 1 and 2 in grid
+	// order, and a late duplicate of record 2 is dropped.
 	g3, _, _ := m.Grant(now, "w2")
 	if g3 == nil || g3.Start != 1 || g3.End != 2 || g3.Attempt != 2 {
 		t.Fatalf("re-lease = %+v, want 1:2 on its second attempt", g3)
 	}
 	out = complete(now.Add(3*time.Millisecond), g3.ID, [][]byte{recs[1], recs[2]})
-	if len(out.Accepted) != 1 || out.Duplicate != 1 || !out.Done || out.Emitted != 3 {
+	if len(out.Accepted) != 1 || out.Duplicate != 1 || out.Done || out.Emitted != 3 {
 		t.Fatalf("hole completion: %+v", out)
+	}
+	g4, _, _ := m.Grant(now, "w2")
+	if g4 == nil || g4.Start != 3 || g4.End != 4 {
+		t.Fatalf("grant after the hole = %+v, want 3:4, half of the two pending", g4)
+	}
+	complete(now.Add(4*time.Millisecond), g4.ID, recs[3:4])
+	g5, _, _ := m.Grant(now, "w2")
+	if out = complete(now.Add(5*time.Millisecond), g5.ID, recs[4:5]); !out.Done || out.Emitted != 5 {
+		t.Fatalf("last completion: %+v", out)
 	}
 	select {
 	case <-m.Done():
@@ -402,22 +415,29 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 }
 
 // TestFleetAdaptiveLeaseSizing pins the sizing rule: single-point probe
-// until calibrated, then target/avg clamped to [1, maxLeasePoints].
+// until calibrated, then target/avg clamped to [1, maxLeasePoints] and
+// to ⌈pending/(2·workers)⌉.
 func TestFleetAdaptiveLeaseSizing(t *testing.T) {
 	z := &leaseSizer{target: time.Second}
 	cases := []struct {
-		avg  time.Duration
-		want int
+		avg              time.Duration
+		pending, workers int
+		want             int
 	}{
-		{0, 1}, // uncalibrated: probe
-		{100 * time.Millisecond, 10},
-		{2 * time.Second, 1},               // slower than target: floor
-		{time.Microsecond, maxLeasePoints}, // faster than target/max: ceiling
+		{0, 750, 1, 1}, // uncalibrated: probe
+		{100 * time.Millisecond, 1 << 20, 1, 10},
+		{2 * time.Second, 1 << 20, 1, 1},               // slower than target: floor
+		{time.Microsecond, 1 << 20, 1, maxLeasePoints}, // faster than target/max: ceiling
+		{time.Microsecond, 750, 1, 375},                // half of what is pending
+		{time.Microsecond, 749, 2, 188},                // half an even share
+		{100 * time.Millisecond, 749, 2, 10},           // the target binds first
+		{time.Microsecond, 3, 2, 1},
+		{time.Microsecond, 0, 2, 1}, // everything leased: the grant is empty anyway
 	}
 	for _, tc := range cases {
 		z.avgPoint.Store(int64(tc.avg))
-		if got := z.size(); got != tc.want {
-			t.Errorf("size(avg=%v) = %d, want %d", tc.avg, got, tc.want)
+		if got := z.size(tc.pending, tc.workers); got != tc.want {
+			t.Errorf("size(avg=%v, pending %d, workers %d) = %d, want %d", tc.avg, tc.pending, tc.workers, got, tc.want)
 		}
 	}
 	// A fulfilled lease calibrates: first observation as is, later ones

@@ -233,7 +233,7 @@ func (st *study) newLedger(ttl, target time.Duration) {
 	for i, fp := range st.points {
 		st.hashes[i] = fp.Hash
 	}
-	var size func() int
+	var size func(int, int) int
 	if st.fleet {
 		st.sizer = &leaseSizer{target: target}
 		size = st.sizer.size

@@ -89,7 +89,7 @@ type Stats struct {
 type Ledger struct {
 	hashes []string
 	ttl    time.Duration
-	size   func() int
+	size   func(pending, workers int) int
 	emit   func(index int, line []byte)
 
 	mu       sync.Mutex
@@ -109,9 +109,11 @@ type Ledger struct {
 
 // NewLedger returns the ledger of a grid whose per-index point hashes
 // are given, everything pending. A lease lives ttl without renewal;
-// size is asked (outside the lock) for the maximum point count of each
-// grant; emit receives the fold.
-func NewLedger(hashes []string, ttl time.Duration, size func() int, emit func(index int, line []byte)) *Ledger {
+// size is asked, under the lock, for the maximum point count of each
+// grant, given the points pending and the workers that would then hold
+// a lease (the live holders, the asker included), and must not call
+// back into the ledger; emit receives the fold.
+func NewLedger(hashes []string, ttl time.Duration, size func(pending, workers int) int, emit func(index int, line []byte)) *Ledger {
 	l := &Ledger{
 		hashes:  hashes,
 		ttl:     ttl,
@@ -140,14 +142,17 @@ func (l *Ledger) settled(i int) bool { return i < l.flushed || l.lines[i] != nil
 // or the ledger canceled — the holder should move on), or a retry hint
 // when everything unsettled is currently leased out.
 func (l *Ledger) Grant(now time.Time, holder string) (lease *Lease, retryIn time.Duration, done bool) {
-	n := l.size()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.canceled || l.flushed == len(l.hashes) {
 		return nil, 0, true
 	}
 	l.expireLocked(now)
-	r := l.pending.TakeFront(n)
+	workers := len(l.holders)
+	if l.holders[holder] == 0 {
+		workers++
+	}
+	r := l.pending.TakeFront(l.size(l.pending.Points(), workers))
 	if r.Len() == 0 {
 		// Come back around the earliest deadline: an expiry means work.
 		retry := l.ttl / 4
@@ -213,10 +218,11 @@ func (l *Ledger) Preload(lines [][]byte) Completion {
 // Complete ingests the record lines a holder produced for lease id — its
 // final word: the lease ends, fulfilled if its whole range is now
 // settled, otherwise its holes return to pending. Every line is verified
-// on its own (layout, CRC, index bounds, point hash:
-// campaign.VerifyShardRecord), so a corrupt or stale line
-// costs that line, never the batch; lines for an expired or unknown
-// lease are ingested like any others.
+// on its own (layout and CRC by campaign.CheckShardRecord, then index
+// bounds and point hash), so a corrupt or stale line costs that line,
+// never the batch; lines for an expired or unknown lease are ingested
+// like any others. A point's result line is the one copy made of a
+// line.
 func (l *Ledger) Complete(now time.Time, id string, lines [][]byte) Completion {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -238,17 +244,17 @@ func (l *Ledger) Complete(now time.Time, id string, lines [][]byte) Completion {
 func (l *Ledger) ingestLocked(lines [][]byte) Completion {
 	var c Completion
 	for _, line := range lines {
-		rec, err := campaign.VerifyShardRecord(l.hashes, line)
-		if err != nil {
+		index, hash, result, err := campaign.CheckShardRecord(line)
+		if err != nil || index >= len(l.hashes) || hash != l.hashes[index] {
 			c.Rejected++
 			continue
 		}
-		if l.settled(rec.Index) {
+		if l.settled(index) {
 			c.Duplicate++
 			continue
 		}
-		l.settleLocked(rec.Index, append(append(make([]byte, 0, len(rec.Result)+1), rec.Result...), '\n'))
-		c.Accepted = append(c.Accepted, Record{Index: rec.Index, Line: line})
+		l.settleLocked(index, append(append(make([]byte, 0, len(result)+1), result...), '\n'))
+		c.Accepted = append(c.Accepted, Record{Index: index, Line: line})
 	}
 	return c
 }

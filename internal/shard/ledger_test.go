@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -122,7 +123,7 @@ func newLedgerModel(t testing.TB, n int) *ledgerModel {
 	own, _ := fixtures()
 	m := &ledgerModel{t: t, n: n, own: own, now: time.Unix(1_000_000, 0), ttl: 10 * time.Second,
 		settled: make([]bool, n), leases: map[string]Lease{}, size: 1}
-	m.l = NewLedger(own.hashes[:n], m.ttl, func() int { return m.size }, func(i int, line []byte) {
+	m.l = NewLedger(own.hashes[:n], m.ttl, func(int, int) int { return m.size }, func(i int, line []byte) {
 		// Strictly in order, exactly once, the line of the record's own
 		// result, and never after Done.
 		if i != m.emitted {
@@ -460,7 +461,7 @@ func FuzzLedger(f *testing.F) {
 func fullGrid(size int) (own grid, l *Ledger, emitted *[][]byte) {
 	own, _ = fixtures()
 	emitted = new([][]byte)
-	l = NewLedger(own.hashes, time.Minute, func() int { return size },
+	l = NewLedger(own.hashes, time.Minute, func(int, int) int { return size },
 		func(_ int, result []byte) { *emitted = append(*emitted, result) })
 	return own, l, emitted
 }
@@ -494,6 +495,30 @@ func TestLedgerPreloadSkipsSettledRanges(t *testing.T) {
 	}
 	if st := l.Stats(); st.Granted != 2 || st.Completed != 2 || st.Requeued != 0 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestLedgerSizesGrantsByPendingAndWorkers: the size policy is told, at
+// each grant, the points pending and the workers that would then hold a
+// lease — the live holders, the asker counted once.
+func TestLedgerSizesGrantsByPendingAndWorkers(t *testing.T) {
+	own, _ := fixtures()
+	type ask struct{ pending, workers int }
+	var asked []ask
+	l := NewLedger(own.hashes, time.Minute, func(pending, workers int) int {
+		asked = append(asked, ask{pending, workers})
+		return 2
+	}, func(int, []byte) {})
+	now := time.Now()
+	a1, _, _ := l.Grant(now, "a")
+	l.Grant(now, "b")
+	l.Grant(now, "a")
+	l.Complete(now, a1.ID, own.lines[a1.Start:a1.End])
+	l.Grant(now, "c")
+	n := len(own.hashes)
+	want := []ask{{n, 1}, {n - 2, 2}, {n - 4, 2}, {n - 6, 3}}
+	if !slices.Equal(asked, want) {
+		t.Fatalf("size asked with %v, want %v", asked, want)
 	}
 }
 
