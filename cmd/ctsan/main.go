@@ -339,8 +339,9 @@ func checkpointRange(ctx context.Context, frozen *campaign.Study, r shard.Range,
 func missingPoints(hashes []string, r shard.Range, lines [][]byte) []int {
 	held := map[int]bool{}
 	for _, line := range lines {
-		if rec, err := campaign.VerifyShardRecord(hashes, line); err == nil {
-			held[rec.Index] = true
+		index, hash, _, err := campaign.CheckShardRecord(line)
+		if err == nil && index < len(hashes) && hash == hashes[index] {
+			held[index] = true
 		}
 	}
 	return slices.DeleteFunc(gridIndices(r, len(hashes)), func(i int) bool { return held[i] })
@@ -498,7 +499,7 @@ func cmdRun(ctx context.Context, args []string, _, stderr io.Writer) error {
 				if stop {
 					return
 				}
-				l, _, _ := ledger.Grant(time.Now(), fmt.Sprintf("slot-%d", slot))
+				l, _ := ledger.Grant(time.Now(), fmt.Sprintf("slot-%d", slot))
 				if l == nil {
 					return
 				}

@@ -29,18 +29,19 @@ import (
 // identical to the coordinator's — runs the range through
 // campaign.RunRecords, the range executor `ctsan shard` uses too, which
 // encodes each result as the CRC-framed shard record of its grid index,
-// and uploads the range's records in one plain JSONL batch (gzip would
-// halve the bytes of a loopback or LAN upload at a cost of tens of
-// microseconds per record). Every lease runs on one executor the worker
+// and uploads the range's records in one plain JSONL batch, the one
+// body ctsand takes (gzip would halve the bytes of a loopback or LAN
+// upload at a cost of tens of microseconds per record). A worker that
+// finds every point leased out waits the retry_ms the coordinator sends
+// (200 ms) and asks again. Every lease runs on one executor the worker
 // holds for its life (campaign.SharedExecutor): the pool and the engine
 // assemblies its workers built for one lease serve the next, so a grid
 // leased in small ranges builds each shape once per worker process, as
 // one Run would. The records live in memory until the upload: the
-// worker writes no file. A
-// renewal goroutine extends the lease at TTL/3 while execution runs; a
-// worker that dies mid-lease simply stops renewing, and the coordinator
-// re-leases the range at the deadline, so a dead worker costs at most
-// one lease of re-execution. Every lease request names the worker's
+// worker writes no file. A renewal goroutine extends the lease at TTL/3
+// while execution runs; a worker that dies mid-lease simply stops
+// renewing, and the coordinator re-leases the range at the deadline, so
+// a dead worker costs at most one lease of re-execution. Every lease request names the worker's
 // results epoch (campaign.Epoch): a coordinator of another epoch refuses
 // it, because none of the worker's records would verify there. -dir is
 // still accepted and ignored.

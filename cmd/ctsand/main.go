@@ -20,8 +20,10 @@
 // Studies submitted with ?mode=fleet are not run on the local pool:
 // the service coordinates external `ctsan worker` processes that pull
 // contiguous point ranges over the lease API (-lease-ttl, -lease-target
-// tune the ledger), verifies their uploaded records, and folds them
-// into the same byte-identical result stream. With -cache-dir every
+// tune the ledger; a worker that finds every point leased out is told
+// to ask again in 200 ms), verifies the records they upload as plain
+// JSONL, and folds them into the same byte-identical result stream.
+// With -cache-dir every
 // cached record is also appended to a file there, once, and a point
 // memory no longer holds (evicted, or computed before a restart) is
 // read back from it, not run again: -cache-mb bounds memory only.

@@ -143,9 +143,8 @@ func TestContractIsStaticallyDeterministic(t *testing.T) {
 		"ctsan/internal/consensus.Engine.onFDChange: for cid := range e.active":       "collects the active instance ids, which are sorted before any instance is notified",
 		"ctsan/internal/scenario.Names: for n := range registry":                      "collects the names, which are sorted before they are returned",
 		"ctsan/internal/scenario.Scenario.compileInto: for pid, ivs := range tl.down": "empties each process's crash intervals; an iteration touches its own key only",
-		"ctsan/internal/shard.Ledger.Grant: for _, o := range l.leases":               "the earliest lease deadline, for a retry hint on the wall clock: a minimum",
-		"ctsan/internal/shard.Ledger.Cancel: for _, o := range l.leases":              "releases every lease: the pending RangeSet merges ranges into the same set in any order, and holder counts are integers",
-		"ctsan/internal/shard.Ledger.expireLocked: for _, o := range l.leases":        "releases the expired leases: the pending RangeSet merges ranges into the same set in any order, and the counts are integers",
+		"ctsan/internal/shard.Ledger.Cancel: for _, o := range l.leases":              "releases every lease: each clears its own points' leased flags, the pending count is a sum and the front a minimum, and holder counts are integers",
+		"ctsan/internal/shard.Ledger.expireLocked: for _, o := range l.leases":        "releases the expired leases: each clears its own points' leased flags, the pending count is a sum and the front a minimum, and the counts are integers",
 
 		"ctsan/internal/parallel.Workers: runtime.GOMAXPROCS": "the pool's default width: a result is byte-identical at any worker count (rule 1)",
 

@@ -28,7 +28,6 @@ func quietParams(n int) netsim.Params {
 		TSend:        dist.Det(0.025),
 		TReceive:     dist.Det(0.025),
 		TWire:        dist.Det(0.09),
-		Tail:         dist.Det(0),
 		GridProb:     0,
 		ThreadJitter: dist.Det(0),
 		KernelLate:   dist.Det(0),

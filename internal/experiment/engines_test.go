@@ -44,7 +44,6 @@ func zeroVariance(n int, crashed []int) (netsim.Params, sanmodel.Params) {
 		TSend:        dist.Det(zvCPU),
 		TReceive:     dist.Det(zvCPU),
 		TWire:        dist.Det(zvWire),
-		Tail:         dist.Det(0),
 		ThreadJitter: dist.Det(0),
 		KernelLate:   dist.Det(0),
 		WakeTail:     dist.Det(0),

@@ -20,7 +20,6 @@ func quietParams(n int) netsim.Params {
 		TSend:        dist.Det(0.01),
 		TReceive:     dist.Det(0.01),
 		TWire:        dist.Det(0.01),
-		Tail:         dist.Det(0),
 		GridProb:     0,
 		ThreadJitter: dist.Det(0),
 		KernelLate:   dist.Det(0),

@@ -17,7 +17,6 @@ func detParams(n int) Params {
 		TSend:        dist.Det(0.01),
 		TReceive:     dist.Det(0.01),
 		TWire:        dist.Det(0.01),
-		Tail:         dist.Det(0),
 		GridProb:     0,
 		KernelLate:   dist.Det(0),
 		ThreadJitter: dist.Det(0),

@@ -10,7 +10,7 @@
 //     shared serial transmission medium (the hub) — the two contention
 //     points of the paper's network model (§3.3). A frame holds the hub
 //     for one draw of the §5.1 t_net fit, whose two modes are Fig. 6's
-//     bi-modal end-to-end delay (the receive-path tail, TailProb, is off);
+//     bi-modal end-to-end delay;
 //   - OS timer coarseness: Linux 2.2 has a 10 ms jiffy; sleeps overshoot
 //     by U[0, granularity) and are sometimes deferred to the next absolute
 //     scheduler tick. This drives the failure-detector QoS curves (Fig. 8)
@@ -53,11 +53,6 @@ type Params struct {
 	// measured end-to-end delay minus 2·t_send. It is the whole network
 	// path, not the time to serialize a frame at 100 Mbit/s.
 	TWire dist.Dist
-	// TailProb is the probability that a message experiences extra
-	// receive-path latency drawn from Tail. DefaultParams sets 0: Fig. 6's
-	// second mode comes from TWire.
-	TailProb float64
-	Tail     dist.Dist
 
 	// SleepGranularity is the OS timer coarseness: a timer armed for d ms
 	// fires after d + U[0, SleepGranularity) + kernel latency. Linux 2.2
@@ -137,8 +132,6 @@ var defaultParams = Params{
 		dist.Component{P: 0.80, D: dist.U(0.050, 0.080)},
 		dist.Component{P: 0.20, D: dist.U(0.095, 0.300)},
 	),
-	TailProb:         0,
-	Tail:             dist.Det(0),
 	SleepGranularity: 10.0,
 	GridProb:         0.35,
 	ThreadJitter:     dist.Exp(0.3),
@@ -400,12 +393,6 @@ func fillDefaults(p *Params, def Params) {
 	}
 	if p.TWire == nil {
 		p.TWire = def.TWire
-	}
-	if p.Tail == nil {
-		p.Tail = def.Tail
-		if p.TailProb == 0 {
-			p.TailProb = def.TailProb
-		}
 	}
 	if p.SleepGranularity == 0 {
 		p.SleepGranularity = def.SleepGranularity
@@ -724,12 +711,7 @@ func (t *transit) hub() {
 
 // deliver runs step 5-6: receiving queue + CPU_j for t_receive.
 func (t *transit) deliver() {
-	c := t.c
-	cost := c.params.TReceive.Sample(t.dst.netRand)
-	if c.params.TailProb > 0 && t.dst.netRand.Float64() < c.params.TailProb {
-		cost += c.params.Tail.Sample(t.dst.netRand)
-	}
-	t.dst.reserveCPU(cost, t.recvFn)
+	t.dst.reserveCPU(t.c.params.TReceive.Sample(t.dst.netRand), t.recvFn)
 }
 
 // recv runs step 7: the message is received by p_j. The record is

@@ -63,8 +63,6 @@ func TestEndToEndDelayMatchesDecomposition(t *testing.T) {
 		TSend:      dist.Det(0.025),
 		TReceive:   dist.Det(0.025),
 		TWire:      dist.Det(0.09),
-		TailProb:   0,
-		Tail:       dist.Det(0),
 		GridProb:   0,
 		KernelLate: dist.Det(0),
 		ClockSkew:  dist.Det(0),
@@ -92,8 +90,6 @@ func TestHubSerializes(t *testing.T) {
 		TSend:      dist.Det(0.01),
 		TReceive:   dist.Det(0.01),
 		TWire:      dist.Det(0.1),
-		TailProb:   0,
-		Tail:       dist.Det(0),
 		GridProb:   0,
 		KernelLate: dist.Det(0),
 		ClockSkew:  dist.Det(0),
@@ -126,7 +122,6 @@ func TestSenderCPUSerializes(t *testing.T) {
 		GridProb:   0,
 		KernelLate: dist.Det(0),
 		ClockSkew:  dist.Det(0),
-		Tail:       dist.Det(0),
 	}
 	c, _ := newTestCluster(t, params)
 	type rec struct {
@@ -292,7 +287,6 @@ func TestFailedSendCostsSenderCPU(t *testing.T) {
 		GridProb:   0,
 		KernelLate: dist.Det(0),
 		ClockSkew:  dist.Det(0),
-		Tail:       dist.Det(0),
 	}
 	c, _ := newTestCluster(t, params)
 	var deliveredAt float64
@@ -319,7 +313,6 @@ func TestPausesDeferTimers(t *testing.T) {
 		KernelLate:   dist.Det(0),
 		ThreadJitter: dist.Det(0),
 		ClockSkew:    dist.Det(0),
-		Tail:         dist.Det(0),
 	}
 	c, _ := newTestCluster(t, params)
 	var firedAt float64

@@ -58,12 +58,10 @@ func exerciseCluster(c *Cluster) []float64 {
 }
 
 // resetParams enables every stochastic feature Reset must redraw:
-// background pauses, receive tails, and clock skew (always on).
+// background pauses and clock skew (always on).
 func resetParams(n int) Params {
 	p := Params{N: n}
 	p.PauseEvery = dist.Exp(40)
-	p.TailProb = 0.1
-	p.Tail = dist.U(0.5, 2)
 	return p
 }
 

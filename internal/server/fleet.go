@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"compress/gzip"
 	"errors"
 	"io"
 	"net/http"
@@ -26,9 +25,8 @@ import (
 // as a sub-study of the frozen grid (campaign.RunRecords, on the one
 // executor a worker keeps for all its leases), and upload its results
 // as CRC-framed shard records — the format the sharded CLI checkpoints —
-// in one JSONL body, plain (what `ctsan worker` sends) or
-// Content-Encoding: gzip. The ledger verifies every record,
-// folds the results in grid-index order straight into the study's hub —
+// in one plain JSONL body. The ledger verifies every record, folds the
+// results in grid-index order straight into the study's hub —
 // bit-identical to an in-process run by determinism rule 5 — and
 // re-leases any range whose deadline passes, so a SIGKILLed worker costs
 // at most one lease of re-execution, never a wrong result. Accepted
@@ -113,11 +111,17 @@ func (s *Server) fleetLookup(w http.ResponseWriter, r *http.Request) *study {
 	return st
 }
 
+// leaseRetryMS is how long a worker is told to wait before asking again
+// when a study has nothing to lease yet: it is queued, or everything
+// unsettled is leased out. A wait that short ends with the study: a
+// pinned worker learns it is done within a beat of the last upload.
+const leaseRetryMS = 200
+
 // handleLease grants the next contiguous pending range to the calling
 // worker (?worker=<name> labels the ledger; the remote address is the
 // fallback). The response is 200 with one of three JSON shapes: a
-// shard.LeaseGrant, {"done":true}, or {"retry_ms":N} — or 409 for a
-// worker that does not name the coordinator's results epoch
+// shard.LeaseGrant, {"done":true}, or {"retry_ms":leaseRetryMS} — or
+// 409 for a worker that does not name the coordinator's results epoch
 // (?epoch=<campaign.Epoch>): none of its records would verify here.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	st := s.fleetLookup(w, r)
@@ -137,19 +141,19 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	switch st.statusNow() {
 	case "queued":
-		writeJSON(w, http.StatusOK, shard.LeaseReply{RetryMS: 200})
+		writeJSON(w, http.StatusOK, shard.LeaseReply{RetryMS: leaseRetryMS})
 		return
 	case "running":
 	default: // done, failed, canceled: nothing left to lease
 		writeJSON(w, http.StatusOK, shard.LeaseReply{Done: true})
 		return
 	}
-	l, retry, done := st.ledger.Grant(time.Now(), worker)
+	l, done := st.ledger.Grant(time.Now(), worker)
 	switch {
 	case done:
 		writeJSON(w, http.StatusOK, shard.LeaseReply{Done: true})
 	case l == nil:
-		writeJSON(w, http.StatusOK, shard.LeaseReply{RetryMS: retry.Milliseconds()})
+		writeJSON(w, http.StatusOK, shard.LeaseReply{RetryMS: leaseRetryMS})
 	default:
 		s.cfg.Logf("study %s: lease %s %s granted to %s (%d points)", st.id, l.ID, l.Range, worker, l.Len())
 		writeJSON(w, http.StatusOK, shard.LeaseGrant{
@@ -184,8 +188,8 @@ func (s *Server) handleLeaseRenew(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleLeaseComplete ingests a worker's batched record upload (JSONL of
-// encoded shard records, optionally Content-Encoding: gzip). Every line
+// handleLeaseComplete ingests a worker's batched record upload (plain
+// JSONL of encoded shard records, read by readUpload). Every line
 // is verified independently — CRC, index bounds, PointHash against the
 // frozen grid — so a corrupt line is rejected without poisoning the
 // batch, and verified records from an expired lease are still accepted.
@@ -194,14 +198,8 @@ func (s *Server) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 	if st == nil {
 		return
 	}
-	body, err := readUpload(w, r, maxUploadBytes)
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) || errors.Is(err, errUploadTooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "upload exceeds %d bytes", maxUploadBytes)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "read upload: %v", err)
+	body, ok := readUpload(w, r, maxUploadBytes)
+	if !ok {
 		return
 	}
 	id := r.PathValue("lease")
@@ -244,35 +242,30 @@ func (s *Server) awaitLeases(st *study) error {
 	}
 }
 
-// maxUploadBytes bounds the decoded body of a fleet record upload.
+// maxUploadBytes bounds the body of a fleet record upload.
 const maxUploadBytes = 256 << 20
 
-// errUploadTooLarge marks a decoded (post-gzip) body exceeding the
-// upload bound.
-var errUploadTooLarge = errors.New("decoded upload too large")
-
-// readUpload reads a record upload, transparently decoding
-// Content-Encoding: gzip, bounding both the wire bytes and the decoded
-// bytes by limit.
-func readUpload(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+// readUpload reads a record upload: plain JSONL of at most limit bytes.
+// On failure it has answered the request — 415 for a body in any
+// Content-Encoding (workers send none), 413 past limit, 400 for a body
+// that breaks off — and returns ok false.
+func readUpload(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
 	defer r.Body.Close()
-	var src io.Reader = http.MaxBytesReader(w, r.Body, limit)
-	if r.Header.Get("Content-Encoding") == "gzip" {
-		gz, err := gzip.NewReader(src)
-		if err != nil {
-			return nil, err
-		}
-		defer gz.Close()
-		src = gz
+	if enc := r.Header.Get("Content-Encoding"); enc != "" && enc != "identity" {
+		writeError(w, http.StatusUnsupportedMediaType, "upload Content-Encoding %q: send plain JSONL", enc)
+		return nil, false
 	}
-	body, err := io.ReadAll(io.LimitReader(src, limit+1))
-	if err != nil {
-		return nil, err
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "upload exceeds %d bytes", limit)
+		return nil, false
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "read upload: %v", err)
+		return nil, false
 	}
-	if int64(len(body)) > limit {
-		return nil, errUploadTooLarge
-	}
-	return body, nil
+	return body, true
 }
 
 // splitRecordLines splits an upload body into its non-empty lines.

@@ -2,14 +2,15 @@ package server
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -50,7 +51,7 @@ func (w *testWorker) leaseOnce(t *testing.T, id string) shard.LeaseResponse {
 }
 
 // serve works the study to completion: lease, execute the range as
-// `ctsan worker` does (rangeRecords), gzip-upload the records.
+// `ctsan worker` does (rangeRecords), upload the records.
 func (w *testWorker) serve(t *testing.T, id string) {
 	t.Helper()
 	study := w.study
@@ -110,18 +111,11 @@ func rangeRecords(frozen *campaign.Study, start, end int) ([][]byte, error) {
 func (w *testWorker) upload(t *testing.T, id, lease string, lines [][]byte) shard.CompleteReply {
 	t.Helper()
 	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
 	for _, line := range lines {
-		gz.Write(line)
-		gz.Write([]byte{'\n'})
+		buf.Write(line)
+		buf.WriteByte('\n')
 	}
-	gz.Close()
-	req, err := http.NewRequest(http.MethodPost, w.h.ts.URL+"/api/v1/studies/"+id+"/lease/"+lease+"/complete", &buf)
-	if err != nil {
-		t.Fatalf("upload request: %v", err)
-	}
-	req.Header.Set("Content-Encoding", "gzip")
-	res, err := http.DefaultClient.Do(req)
+	res, err := http.Post(w.h.ts.URL+"/api/v1/studies/"+id+"/lease/"+lease+"/complete", "application/x-ndjson", &buf)
 	if err != nil {
 		t.Fatalf("upload: %v", err)
 	}
@@ -254,6 +248,44 @@ func TestFleetLeaseExpiryRequeues(t *testing.T) {
 	}
 }
 
+// TestFleetRetryIsShortWhenAllLeased: a worker that finds every point
+// leased out is told to come back within leaseRetryMS at the default
+// TTL, not after a fraction of the TTL, so a pinned worker learns soon
+// that its study is done.
+func TestFleetRetryIsShortWhenAllLeased(t *testing.T) {
+	h := newTestServer(t, Config{Workers: 1, MaxActive: 1, QueueDepth: 4, CacheBytes: -1})
+	st := h.mustSubmit(t, testSpecBytes(t), "?mode=fleet")
+	h.waitRunning(t, st.ID)
+	for i := 0; ; i++ {
+		// Every grant before a lease is fulfilled is a one-point probe.
+		lr := (&testWorker{h: h, name: fmt.Sprintf("w%d", i)}).leaseOnce(t, st.ID)
+		if lr.Lease != "" {
+			continue
+		}
+		if lr.Done || lr.RetryMS <= 0 || lr.RetryMS > leaseRetryMS {
+			t.Fatalf("after %d grants: %+v, want retry_ms in (0, %d]", i, lr.LeaseReply, leaseRetryMS)
+		}
+		if got := h.status(t, st.ID).Fleet; got.Pending != 0 || got.Leases != i {
+			t.Fatalf("answered retry_ms with %+v", got)
+		}
+		break
+	}
+	// The ledger takes records from anyone: one batch settles the grid
+	// under the held leases, and the study ends.
+	frozen, err := campaign.Frozen(testStudy(), campaign.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, err := rangeRecords(frozen, 0, len(frozen.Points))
+	if err != nil {
+		t.Fatal(err)
+	}
+	(&testWorker{h: h, name: "late"}).upload(t, st.ID, "l999999", lines)
+	if final := h.waitTerminal(t, st.ID); final.Status != "done" {
+		t.Fatalf("study ended %+v", final)
+	}
+}
+
 // TestFleetUploadVerification pins the trust boundary: corrupt lines,
 // records for the wrong grid, and empty uploads are rejected per line
 // with the lease's unfinished points requeued — a broken worker cannot
@@ -348,7 +380,7 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 		}
 		return out
 	}
-	g, _, done := m.Grant(now, "w")
+	g, done := m.Grant(now, "w")
 	if done || g == nil || g.Start != 0 || g.End != 1 {
 		t.Fatalf("first grant = %+v, done=%v; want single-point probe 0:1", g, done)
 	}
@@ -360,7 +392,7 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 	if len(out.Accepted) != 1 || out.Emitted != 1 || streamed() != 1 {
 		t.Fatalf("probe completion: %+v", out)
 	}
-	g2, _, _ := m.Grant(now, "w")
+	g2, _ := m.Grant(now, "w")
 	if g2 == nil || g2.Start != 1 || g2.End != 3 {
 		t.Fatalf("second grant = %+v, want calibrated range 1:3", g2)
 	}
@@ -375,7 +407,7 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 	}
 	// The hole re-leases; completing it releases lines 1 and 2 in grid
 	// order, and a late duplicate of record 2 is dropped.
-	g3, _, _ := m.Grant(now, "w2")
+	g3, _ := m.Grant(now, "w2")
 	if g3 == nil || g3.Start != 1 || g3.End != 2 || g3.Attempt != 2 {
 		t.Fatalf("re-lease = %+v, want 1:2 on its second attempt", g3)
 	}
@@ -383,12 +415,12 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 	if len(out.Accepted) != 1 || out.Duplicate != 1 || out.Done || out.Emitted != 3 {
 		t.Fatalf("hole completion: %+v", out)
 	}
-	g4, _, _ := m.Grant(now, "w2")
+	g4, _ := m.Grant(now, "w2")
 	if g4 == nil || g4.Start != 3 || g4.End != 4 {
 		t.Fatalf("grant after the hole = %+v, want 3:4, half of the two pending", g4)
 	}
 	complete(now.Add(4*time.Millisecond), g4.ID, recs[3:4])
-	g5, _, _ := m.Grant(now, "w2")
+	g5, _ := m.Grant(now, "w2")
 	if out = complete(now.Add(5*time.Millisecond), g5.ID, recs[4:5]); !out.Done || out.Emitted != 5 {
 		t.Fatalf("last completion: %+v", out)
 	}
@@ -1017,5 +1049,33 @@ func TestFleetRefusesWorkersOfAnotherEpoch(t *testing.T) {
 	(&testWorker{h: h, name: "same-epoch"}).serve(t, id)
 	if st := h.waitTerminal(t, id); st.Status != "done" {
 		t.Fatalf("study ended %+v", st)
+	}
+}
+
+// TestReadUploadTakesPlainBodiesWithinTheLimit: an upload is read as
+// sent, up to the limit; one byte more is 413, and an encoded body is
+// 415, whatever it holds.
+func TestReadUploadTakesPlainBodiesWithinTheLimit(t *testing.T) {
+	const limit = 16
+	for _, c := range []struct {
+		body, encoding string
+		status         int
+	}{
+		{strings.Repeat("x", limit), "", http.StatusOK},
+		{strings.Repeat("x", limit), "identity", http.StatusOK},
+		{strings.Repeat("x", limit+1), "", http.StatusRequestEntityTooLarge},
+		{"x", "gzip", http.StatusUnsupportedMediaType},
+		{"x", "br", http.StatusUnsupportedMediaType},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/complete", strings.NewReader(c.body))
+		if c.encoding != "" {
+			req.Header.Set("Content-Encoding", c.encoding)
+		}
+		rec := httptest.NewRecorder()
+		body, ok := readUpload(rec, req, limit)
+		if ok != (c.status == http.StatusOK) || rec.Code != c.status || (ok && string(body) != c.body) {
+			t.Errorf("%d-byte body, Content-Encoding %q: ok %v, status %d, body %q; want status %d",
+				len(c.body), c.encoding, ok, rec.Code, body, c.status)
+		}
 	}
 }

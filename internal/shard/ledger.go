@@ -54,8 +54,8 @@ type Stats struct {
 	Pending int `json:"pending"`
 	Leases  int `json:"leases"`
 	// Granted/Completed/Expired count leases over the ledger's life;
-	// Requeued counts points returned to the pending set by lease expiry
-	// or partial completions.
+	// Requeued counts points returned to pending by lease expiry or
+	// partial completions.
 	Granted   int64 `json:"granted"`
 	Completed int64 `json:"completed"`
 	Expired   int64 `json:"expired"`
@@ -67,7 +67,7 @@ type Stats struct {
 // Ledger is the dispatch state machine of one frozen study grid: it
 // hands out contiguous index ranges as leases, verifies the record lines
 // that come back, returns what a dead or partial holder left unsettled
-// to the pending set, and releases results strictly in grid-index order.
+// to pending, and releases results strictly in grid-index order.
 //
 // Every point is in exactly one of three states — pending, covered by a
 // live lease, or settled by a verified record — and moves only forward
@@ -92,15 +92,18 @@ type Ledger struct {
 	size   func(pending, workers int) int
 	emit   func(index int, line []byte)
 
-	mu       sync.Mutex
-	pending  RangeSet
-	leases   map[string]*Lease
-	lines    [][]byte // settled but not yet emitted (each its own bytes, never the upload's); indices below flushed are settled too
-	grants   []int    // per point: leases that covered it
-	flushed  int
-	nextID   int
-	canceled bool
-	holders  map[string]int // holder -> outstanding leases
+	mu     sync.Mutex
+	leases map[string]*Lease
+	lines  [][]byte // settled but not yet emitted (each its own bytes, never the upload's); indices below flushed are settled too
+	leased []bool   // per point: a live lease covers it
+	grants []int    // per point: leases that covered it
+	// pending counts the unsettled, unleased points; none lies below
+	// front.
+	pending, front int
+	flushed        int
+	nextID         int
+	canceled       bool
+	holders        map[string]int // holder -> outstanding leases
 
 	granted, completed, expired, requeued int64
 
@@ -121,11 +124,12 @@ func NewLedger(hashes []string, ttl time.Duration, size func(pending, workers in
 		emit:    emit,
 		leases:  map[string]*Lease{},
 		lines:   make([][]byte, len(hashes)),
+		leased:  make([]bool, len(hashes)),
 		grants:  make([]int, len(hashes)),
+		pending: len(hashes),
 		holders: map[string]int{},
 		done:    make(chan struct{}),
 	}
-	l.pending.Add(Range{Start: 0, End: len(hashes)})
 	if len(hashes) == 0 {
 		close(l.done)
 	}
@@ -137,35 +141,36 @@ func (l *Ledger) Done() <-chan struct{} { return l.done }
 
 func (l *Ledger) settled(i int) bool { return i < l.flushed || l.lines[i] != nil }
 
-// Grant leases the next contiguous pending range to holder. Exactly one
-// of the three returns is meaningful: a lease, done (the grid is settled
-// or the ledger canceled — the holder should move on), or a retry hint
-// when everything unsettled is currently leased out.
-func (l *Ledger) Grant(now time.Time, holder string) (lease *Lease, retryIn time.Duration, done bool) {
+func (l *Ledger) isPending(i int) bool { return !l.leased[i] && !l.settled(i) }
+
+// Grant leases the lowest run of pending points to holder, as many as
+// the size policy allows. A nil lease means the grid is settled or the
+// ledger canceled (done: the holder should move on), or that everything
+// unsettled is leased out right now (when to ask again is the holder's
+// policy).
+func (l *Ledger) Grant(now time.Time, holder string) (lease *Lease, done bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.canceled || l.flushed == len(l.hashes) {
-		return nil, 0, true
+		return nil, true
 	}
 	l.expireLocked(now)
+	for l.front < len(l.hashes) && !l.isPending(l.front) {
+		l.front++
+	}
 	workers := len(l.holders)
 	if l.holders[holder] == 0 {
 		workers++
 	}
-	r := l.pending.TakeFront(l.size(l.pending.Points(), workers))
-	if r.Len() == 0 {
-		// Come back around the earliest deadline: an expiry means work.
-		retry := l.ttl / 4
-		for _, o := range l.leases {
-			if d := o.Deadline.Sub(now); d > 0 && d < retry {
-				retry = d
-			}
-		}
-		if retry < 50*time.Millisecond {
-			retry = 50 * time.Millisecond
-		}
-		return nil, retry, false
+	r := Range{Start: l.front, End: l.front}
+	size := l.size(l.pending, workers)
+	for r.End < len(l.hashes) && r.Len() < size && l.isPending(r.End) {
+		r.End++
 	}
+	if r.Len() == 0 {
+		return nil, false
+	}
+	l.front = r.End
 	l.nextID++
 	o := &Lease{
 		ID:       fmt.Sprintf("l%06d", l.nextID),
@@ -174,7 +179,9 @@ func (l *Ledger) Grant(now time.Time, holder string) (lease *Lease, retryIn time
 		Granted:  now,
 		Deadline: now.Add(l.ttl),
 	}
+	l.pending -= r.Len()
 	for i := r.Start; i < r.End; i++ {
+		l.leased[i] = true
 		l.grants[i]++
 		if l.grants[i] > o.Attempt {
 			o.Attempt = l.grants[i]
@@ -186,7 +193,7 @@ func (l *Ledger) Grant(now time.Time, holder string) (lease *Lease, retryIn time
 	obs.LeasesGranted.Add(1)
 	obs.FleetWorkersBusy.Set(int64(len(l.holders)))
 	out := *o
-	return &out, 0, false
+	return &out, false
 }
 
 // Renew extends a lease's deadline by the TTL. False means the lease is
@@ -278,11 +285,13 @@ func (l *Ledger) Settle(index int, line []byte) {
 
 func (l *Ledger) settleLocked(index int, line []byte) {
 	l.lines[index] = line
-	l.pending.Remove(index) // present unless a live lease covers it
+	if !l.leased[index] {
+		l.pending--
+	}
 }
 
-// releaseLocked ends a lease and returns its unsettled points to the
-// pending set, reporting how many there were.
+// releaseLocked ends a lease and returns its unsettled points to
+// pending, reporting how many there were.
 func (l *Ledger) releaseLocked(o *Lease) (holes int) {
 	delete(l.leases, o.ID)
 	if l.holders[o.Holder] <= 1 {
@@ -292,11 +301,13 @@ func (l *Ledger) releaseLocked(o *Lease) (holes int) {
 	}
 	obs.FleetWorkersBusy.Set(int64(len(l.holders)))
 	for i := o.Start; i < o.End; i++ {
+		l.leased[i] = false
 		if !l.settled(i) {
-			l.pending.Add(Range{Start: i, End: i + 1})
+			l.front = min(l.front, i)
 			holes++
 		}
 	}
+	l.pending += holes
 	l.requeued += int64(holes)
 	obs.LeasePointsRequeued.Add(int64(holes))
 	return holes
@@ -352,7 +363,7 @@ func (l *Ledger) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return Stats{
-		Pending:     l.pending.Points(),
+		Pending:     l.pending,
 		Leases:      len(l.leases),
 		Granted:     l.granted,
 		Completed:   l.completed,

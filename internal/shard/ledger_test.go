@@ -161,36 +161,52 @@ func (m *ledgerModel) unsettled(r Range) int {
 	return holes
 }
 
+// pending reports whether point i is unsettled and no live lease of the
+// model covers it.
+func (m *ledgerModel) pending(i int) bool {
+	if m.settled[i] {
+		return false
+	}
+	for _, o := range m.leases {
+		if i >= o.Start && i < o.End {
+			return false
+		}
+	}
+	return true
+}
+
 func (m *ledgerModel) grant(holder string) *Lease {
-	o, retry, done := m.l.Grant(m.now, holder)
+	o, done := m.l.Grant(m.now, holder)
 	if m.canceled || m.unsettled(Range{0, m.n}) == 0 {
 		if !done || o != nil {
-			m.t.Fatalf("Grant on a finished ledger = %+v, retry %v, done %v; want done", o, retry, done)
+			m.t.Fatalf("Grant on a finished ledger = %+v, done %v; want done", o, done)
 		}
 		return nil
 	}
 	m.expire()
+	// The grant the model expects: the maximal pending run from the
+	// lowest pending index, cut at size.
+	want := Range{Start: 0, End: m.n}
+	for want.Start < m.n && !m.pending(want.Start) {
+		want.Start++
+	}
+	for end := want.Start; end < m.n; end++ {
+		if end-want.Start == m.size || !m.pending(end) {
+			want.End = end
+			break
+		}
+	}
 	switch {
 	case done:
 		m.t.Fatalf("Grant said done with %d points unsettled", m.unsettled(Range{0, m.n}))
 	case o == nil:
-		if retry <= 0 {
-			m.t.Fatalf("Grant returned neither lease, done nor a retry hint")
+		if want.Start < m.n {
+			m.t.Fatalf("Grant returned neither lease nor done, but point %d is pending", want.Start)
 		}
 		return nil
 	}
-	if o.Len() < 1 || o.Len() > m.size {
-		m.t.Fatalf("Grant of %s with size %d", o.Range, m.size)
-	}
-	for i := o.Start; i < o.End; i++ {
-		if m.settled[i] {
-			m.t.Fatalf("Grant of %s covers settled point %d", o.Range, i)
-		}
-	}
-	for _, other := range m.leases {
-		if o.Start < other.End && other.Start < o.End {
-			m.t.Fatalf("Grant of %s overlaps live lease %s %s", o.Range, other.ID, other.Range)
-		}
+	if o.Range != want || want.Len() == 0 {
+		m.t.Fatalf("Grant of %s with size %d, want the lowest pending run cut at size, %s", o.Range, m.size, want)
 	}
 	if !o.Deadline.Equal(m.now.Add(m.ttl)) || o.Attempt < 1 {
 		m.t.Fatalf("Grant: %+v at %v", o, m.now)
@@ -252,9 +268,6 @@ func (m *ledgerModel) check() {
 	l := m.l
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.pending.check(); err != nil {
-		m.t.Fatal(err)
-	}
 	if len(l.leases) != len(m.leases) {
 		m.t.Fatalf("ledger holds %d leases, model %d", len(l.leases), len(m.leases))
 	}
@@ -265,18 +278,15 @@ func (m *ledgerModel) check() {
 	if l.flushed != prefix || m.emitted != prefix {
 		m.t.Fatalf("fold cursor %d, emitted %d, settled prefix %d", l.flushed, m.emitted, prefix)
 	}
-	pending := map[int]bool{}
-	for _, r := range l.pending.Ranges() {
-		for i := r.Start; i < r.End; i++ {
-			pending[i] = true
+	for id := range l.leases {
+		if _, ok := m.leases[id]; !ok {
+			m.t.Fatalf("ledger holds lease %s the model does not", id)
 		}
 	}
+	pending := 0
 	for i := 0; i < m.n; i++ {
 		leased := 0
-		for id, o := range l.leases {
-			if _, ok := m.leases[id]; !ok {
-				m.t.Fatalf("ledger holds lease %s the model does not", id)
-			}
+		for _, o := range l.leases {
 			if i >= o.Start && i < o.End {
 				leased++
 			}
@@ -284,18 +294,18 @@ func (m *ledgerModel) check() {
 		if l.settled(i) != m.settled[i] {
 			m.t.Fatalf("point %d: ledger settled=%v, model %v", i, l.settled(i), m.settled[i])
 		}
-		states := 0
-		if m.settled[i] {
-			states++
-		} else {
-			states += leased
+		if l.leased[i] != (leased > 0) || leased > 1 {
+			m.t.Fatalf("point %d: leased=%v, covered by %d live leases", i, l.leased[i], leased)
 		}
-		if pending[i] {
-			states++
+		if m.pending(i) {
+			pending++
+			if i < l.front {
+				m.t.Fatalf("point %d is pending below the front %d", i, l.front)
+			}
 		}
-		if states != 1 || leased > 1 {
-			m.t.Fatalf("point %d: settled=%v pending=%v leases=%d — not exactly one state", i, m.settled[i], pending[i], leased)
-		}
+	}
+	if l.pending != pending {
+		m.t.Fatalf("ledger counts %d points pending, model %d", l.pending, pending)
 	}
 	select {
 	case <-l.done:
@@ -418,7 +428,7 @@ func runLedgerOps(t testing.TB, ops []byte) {
 		}
 		m.check()
 	}
-	if o, _, done := m.l.Grant(m.now, "late"); !done || o != nil {
+	if o, done := m.l.Grant(m.now, "late"); !done || o != nil {
 		t.Fatal("Grant after done did not say done")
 	}
 	if st := m.l.Stats(); st.Pending != 0 {
@@ -477,7 +487,7 @@ func TestLedgerPreloadSkipsSettledRanges(t *testing.T) {
 	}
 	var granted []Range
 	for {
-		o, _, done := l.Grant(now, "slot")
+		o, done := l.Grant(now, "slot")
 		if done {
 			break
 		}
@@ -510,7 +520,7 @@ func TestLedgerSizesGrantsByPendingAndWorkers(t *testing.T) {
 		return 2
 	}, func(int, []byte) {})
 	now := time.Now()
-	a1, _, _ := l.Grant(now, "a")
+	a1, _ := l.Grant(now, "a")
 	l.Grant(now, "b")
 	l.Grant(now, "a")
 	l.Complete(now, a1.ID, own.lines[a1.Start:a1.End])
@@ -529,8 +539,8 @@ func TestLedgerSizesGrantsByPendingAndWorkers(t *testing.T) {
 func TestLedgerRequeuesHolesAndCountsAttempts(t *testing.T) {
 	own, l, _ := fullGrid(6)
 	now := time.Now()
-	a, _, _ := l.Grant(now, "a")
-	b, _, _ := l.Grant(now, "b")
+	a, _ := l.Grant(now, "a")
+	b, _ := l.Grant(now, "b")
 	if a.Range != (Range{0, 6}) || b.Range != (Range{6, 12}) || a.Attempt != 1 || b.Attempt != 1 {
 		t.Fatalf("fresh grants %+v %+v", a, b)
 	}
@@ -544,7 +554,7 @@ func TestLedgerRequeuesHolesAndCountsAttempts(t *testing.T) {
 		if c.Holes != 6-got || c.Done {
 			t.Fatalf("attempt %d completion: %+v", attempt, c)
 		}
-		if a, _, _ = l.Grant(now, "a"); a == nil || a.Range != (Range{got, 6}) || a.Attempt != attempt+1 {
+		if a, _ = l.Grant(now, "a"); a == nil || a.Range != (Range{got, 6}) || a.Attempt != attempt+1 {
 			t.Fatalf("re-grant after attempt %d: %+v", attempt, a)
 		}
 	}
@@ -564,14 +574,14 @@ func TestLedgerRequeuesHolesAndCountsAttempts(t *testing.T) {
 func TestLedgerTrustsRecordsNotHolders(t *testing.T) {
 	own, l, _ := fullGrid(gridSize)
 	now := time.Now()
-	o, _, _ := l.Grant(now, "liar")
+	o, _ := l.Grant(now, "liar")
 	if c := l.Complete(now, o.ID, nil); c.Holes != gridSize || c.Lease == nil {
 		t.Fatalf("empty-handed completion: %+v", c)
 	}
 	if st := l.Stats(); st.Pending != gridSize || st.Completed != 0 {
 		t.Fatalf("after the lie: %+v", st)
 	}
-	o, _, _ = l.Grant(now, "crasher")
+	o, _ = l.Grant(now, "crasher")
 	if o.Attempt != 2 {
 		t.Fatalf("second grant: %+v", o)
 	}
@@ -585,5 +595,187 @@ func TestLedgerTrustsRecordsNotHolders(t *testing.T) {
 	}
 	if st := l.Stats(); st.Completed != 1 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestLedgerCoalescesAdjacentExpiredLeases: the ranges adjacent leases
+// leave when they expire are pending again as one run, and the next
+// grant takes it whole.
+func TestLedgerCoalescesAdjacentExpiredLeases(t *testing.T) {
+	own, _ := fixtures()
+	size := 3
+	l := NewLedger(own.hashes, time.Minute, func(int, int) int { return size }, func(int, []byte) {})
+	now := time.Now()
+	l.Grant(now, "a")
+	l.Grant(now, "b")
+	size = gridSize
+	c, _ := l.Grant(now, "c")
+	if c.Range != (Range{6, 12}) {
+		t.Fatalf("third grant %s, want 6:12", c.Range)
+	}
+	now = now.Add(time.Minute / 2)
+	l.Renew(now, c.ID)
+	now = now.Add(time.Minute / 2) // a and b expire, c lives
+	o, _ := l.Grant(now, "d")
+	if o == nil || o.Range != (Range{0, 6}) || o.Attempt != 2 {
+		t.Fatalf("grant after a and b expired: %+v, want 0:6 on its second attempt", o)
+	}
+	if st := l.Stats(); st.Expired != 2 || st.Requeued != 6 || st.Pending != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestLedgerSettledPointSplitsNextGrant: a point settled inside a
+// pending run ends the grant below it; the next grant starts above it.
+func TestLedgerSettledPointSplitsNextGrant(t *testing.T) {
+	own, l, _ := fullGrid(gridSize)
+	now := time.Now()
+	l.Settle(5, bytes.Clone(own.results[5]))
+	l.Settle(0, bytes.Clone(own.results[0]))
+	var granted []Range
+	for {
+		o, _ := l.Grant(now, "a")
+		if o == nil {
+			break
+		}
+		granted = append(granted, o.Range)
+	}
+	if !slices.Equal(granted, []Range{{1, 5}, {6, 12}}) {
+		t.Fatalf("granted %v, want 1:5 and 6:12", granted)
+	}
+}
+
+// TestLedgerGrantsLowestPendingRun: a grant takes the pending run at the
+// lowest index, not the longest one, cut at the size policy, and the
+// rest of a cut run comes next.
+func TestLedgerGrantsLowestPendingRun(t *testing.T) {
+	own, _ := fixtures()
+	size := 4
+	l := NewLedger(own.hashes, time.Minute, func(int, int) int { return size }, func(int, []byte) {})
+	now := time.Now()
+	a, _ := l.Grant(now, "a")
+	l.Grant(now, "b") // 4:8, held throughout
+	c, _ := l.Grant(now, "c")
+	l.Complete(now, c.ID, own.lines[8:9])                                     // holes 9:12
+	l.Complete(now, a.ID, [][]byte{own.lines[0], own.lines[1], own.lines[3]}) // hole 2:3
+	var granted []Range
+	for _, size = range []int{gridSize, 2, gridSize, gridSize} {
+		o, done := l.Grant(now, "d")
+		if done {
+			t.Fatal("Grant said done while b holds 4:8")
+		}
+		if o != nil {
+			granted = append(granted, o.Range)
+		}
+	}
+	if !slices.Equal(granted, []Range{{2, 3}, {9, 11}, {11, 12}}) {
+		t.Fatalf("granted %v, want 2:3, then 9:11 and 11:12", granted)
+	}
+}
+
+// TestLedgerSettleAllocatesNothing: settling a point is a store and a
+// count, however the pending points lie; a settle that splits a pending
+// run allocates nothing.
+func TestLedgerSettleAllocatesNothing(t *testing.T) {
+	const runs = 100
+	n := 2 * (runs + 2)
+	l := NewLedger(make([]string, n), time.Minute, func(int, int) int { return 1 }, func(int, []byte) {})
+	line := []byte("{}\n")
+	next := n - 2
+	if allocs := testing.AllocsPerRun(runs, func() {
+		l.Settle(next, line)
+		next -= 2
+	}); allocs != 0 {
+		t.Fatalf("Settle allocates %v objects per call", allocs)
+	}
+}
+
+// TestLedgerRandomAgainstMap drives a ledger's pending set with random
+// ops against a plain map-of-indices model: a lease ended without
+// records returns its unsettled points, a settle removes one, and a grant
+// must take the lowest pending run, cut at the size asked for.
+func TestLedgerRandomAgainstMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const span = 64
+	line := []byte("{}\n")
+	now := time.Now()
+	var (
+		l       *Ledger
+		size    int
+		model   map[int]bool
+		settled []bool
+		leases  []*Lease
+	)
+	reset := func() {
+		l = NewLedger(make([]string, span), time.Hour, func(int, int) int { return size }, func(int, []byte) {})
+		model = map[int]bool{}
+		for i := 0; i < span; i++ {
+			model[i] = true
+		}
+		settled = make([]bool, span)
+		leases = nil
+	}
+	reset()
+	for op := 0; op < 4000; op++ {
+		switch rng.Intn(3) {
+		case 0:
+			if len(leases) == 0 {
+				continue
+			}
+			k := rng.Intn(len(leases))
+			o := leases[k]
+			leases = slices.Delete(leases, k, k+1)
+			c := l.Complete(now, o.ID, nil)
+			holes := 0
+			for i := o.Start; i < o.End; i++ {
+				if !settled[i] {
+					model[i] = true
+					holes++
+				}
+			}
+			if c.Lease == nil || c.Holes != holes {
+				t.Fatalf("op %d: ending %s left %d holes (lease %v), model %d", op, o.Range, c.Holes, c.Lease != nil, holes)
+			}
+		case 1:
+			i := rng.Intn(span)
+			l.Settle(i, line)
+			settled[i] = true
+			delete(model, i)
+		case 2:
+			size = 1 + rng.Intn(5)
+			o, done := l.Grant(now, "h")
+			want := Range{Start: span, End: span}
+			for i := 0; i < span; i++ {
+				if model[i] {
+					want = Range{Start: i, End: i}
+					break
+				}
+			}
+			for want.End < span && want.Len() < size && model[want.End] {
+				want.End++
+			}
+			if want.Len() == 0 {
+				if o != nil {
+					t.Fatalf("op %d: granted %s with nothing pending", op, o.Range)
+				}
+				if done != !slices.Contains(settled, false) {
+					t.Fatalf("op %d: Grant said done=%v", op, done)
+				}
+				if done {
+					reset()
+				}
+				break
+			}
+			if o == nil || o.Range != want {
+				t.Fatalf("op %d: Grant(size %d) = %+v, want %s", op, size, o, want)
+			}
+			for i := o.Start; i < o.End; i++ {
+				delete(model, i)
+			}
+			leases = append(leases, o)
+		}
+		if st := l.Stats(); st.Pending != len(model) || st.Leases != len(leases) {
+			t.Fatalf("op %d: %d pending and %d leases, model %d and %d", op, st.Pending, st.Leases, len(model), len(leases))
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package shard is the dispatch core of multi-process campaigns: index
-// ranges (Range, RangeSet) and the lease Ledger that hands them out,
-// verifies what comes back, survives a dead executor and folds results
-// in grid-index order.
+// ranges (Range) and the lease Ledger that hands them out, verifies what
+// comes back, survives a dead executor and folds results in grid-index
+// order.
 //
 // There is one mechanism and two users. `ctsan run -shards N` drives a
 // Ledger in-process: its slots take leases, run each as an isolated
