@@ -15,12 +15,13 @@ type discard struct{}
 func (discard) Emit(*campaign.Result) error { return nil }
 func (discard) Close() error                { return nil }
 
-// BenchmarkSANCampaignSerial is the committed perf baseline of the SAN
-// campaign path (scripts/bench_emulation.sh → BENCH_emulation.json): a
-// small transient study on the serial reference path, covering the point
-// fan-out, the calendar-queue simulator, and the streaming digest — so a
-// regression in the SAN engine (ROADMAP item 5's calendar-queue
-// follow-up) trips the same drift gate as the emulation path.
+// BenchmarkSANCampaignSerial times the SAN campaign path: a small
+// transient study on the serial reference path, covering the point
+// fan-out, the calendar-queue simulator, and the streaming digest. It is
+// a row of scripts/bench_ab.sh, so a regression in the SAN engine trips
+// the same same-host time gate as the emulation path; its allocations
+// are the row campaign.allocs_per_study.san_study of the root
+// testdata/costs.golden.
 func BenchmarkSANCampaignSerial(b *testing.B) {
 	study := campaign.NewStudy("bench-san",
 		campaign.SANPoint{N: 3, Replicas: 40},

@@ -340,7 +340,7 @@ func (p ScenarioPoint) freeze(o *options, index int) (Point, prepared, error) {
 // never the value.
 func chainCost(shape experiment.Shape, plan experiment.Plan) float64 {
 	n := shape.Params.N
-	perExec := 3 * float64(n-1)
+	perExec := float64(3 * float64(n-1))
 	if shape.TimeoutT > 0 {
 		perExec += float64(n*(n-1)) * plan.Gap / shape.PeriodTh
 	}

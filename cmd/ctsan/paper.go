@@ -510,13 +510,13 @@ func (r *repro) plan() *reproPlan {
 		for _, T := range f.TGrid {
 			if r.want("fig8") || r.want("fig9a") || r.want("fig9b") && slices.Contains(f.SimNs, n) {
 				p.class3 = append(p.class3, p.add(campaign.LatencyPoint{Name: fmt.Sprintf("meas n=%d T=%g", n, T),
-					N: n, Executions: f.QoSExecs, TimeoutT: T, Seed: r.seed + uint64(n)*1000 + uint64(T*10)}))
+					N: n, Executions: f.QoSExecs, TimeoutT: T, Seed: r.seed + uint64(n)*1000 + uint64(float64(T*10))}))
 			}
 		}
 	}
 	if r.want("fig7b") {
 		for _, ts := range f.TSendSweep {
-			p.fig7b = append(p.fig7b, p.add(r.simulated(fmt.Sprintf("sim n=5 tsend=%g", ts), 5, ts, nil, r.seed+uint64(ts*1e4))))
+			p.fig7b = append(p.fig7b, p.add(r.simulated(fmt.Sprintf("sim n=5 tsend=%g", ts), 5, ts, nil, r.seed+uint64(float64(ts*1e4)))))
 		}
 	}
 	if r.want("table1") {

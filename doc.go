@@ -136,8 +136,11 @@
 // wrong suspicion. Campaign-level telemetry (internal/obs) — execution
 // and point counters, lease grants and expiries, checkpoint appends and
 // bytes, worker utilization — is exported via expvar and
-// net/http/pprof when a command is given -debug-addr, and cmd/benchjson gates
-// BENCH_emulation.json drift in CI.
+// net/http/pprof when a command is given -debug-addr. What each layer
+// costs on fixed workloads (events, firings, bytes, allocations) is the
+// table testdata/costs.golden, held by TestCosts in costs_test.go;
+// time is compared against the base commit on one host by
+// scripts/bench_ab.sh.
 //
 // See ROADMAP.md for the layout, the north star and the open items,
 // PERFORMANCE.md for the determinism contract and the measured

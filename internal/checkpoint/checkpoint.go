@@ -300,9 +300,9 @@ func (s *Store) write(buf []byte) error {
 // so after a crash at any instant path holds the complete old content or
 // the complete new content, never a prefix. On error the temporary file
 // is removed and path is untouched. Open repairs a damaged tail with it,
-// and cmd/ctsan's merged output, cmd/benchjson's BENCH_emulation.json and
-// the golden -update writers go through it, so an interrupted run never
-// leaves a half-written artifact behind.
+// and cmd/ctsan's merged output and the golden -update writers go
+// through it, so an interrupted run never leaves a half-written artifact
+// behind.
 func WriteFile(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")

@@ -136,9 +136,9 @@ func (m Mixture) Sample(r *rng.Stream) float64 {
 
 // Mean returns the probability-weighted mean of the components.
 func (m Mixture) Mean() float64 {
-	s := 0.0
+	var s float64
 	for _, c := range m.comps {
-		s += c.P * c.D.Mean()
+		s += float64(c.P * c.D.Mean())
 	}
 	return s
 }

@@ -104,7 +104,7 @@ func MeasureDelaysContext(ctx context.Context, spec DelaySpec) ([]float64, error
 	cluster.Start()
 	// The probe timer chain suffers scheduler lateness (grid deferrals can
 	// add several ms per wake-up); budget generously so every probe fires.
-	deadline := float64(spec.Count)*(probeGap+8) + 100
+	deadline := float64(float64(spec.Count)*(probeGap+8)) + 100
 	cluster.RunUntil(deadline)
 
 	want := 1

@@ -66,7 +66,7 @@ func RunCrashTransientContext(ctx context.Context, spec CrashTransientSpec) (*Cr
 		// crashed process never reports); keep the deadline short enough
 		// that the campaign proceeds but long enough to capture the
 		// detection-transient latencies (up to ~T + T_h).
-		Deadline: 3*spec.TimeoutT + 60,
+		Deadline: float64(3*spec.TimeoutT) + 60,
 	}.Check()
 	if err != nil {
 		return nil, err
@@ -76,7 +76,7 @@ func RunCrashTransientContext(ctx context.Context, spec CrashTransientSpec) (*Cr
 		return nil, err
 	}
 	plan.History = &fd.History{Keep: true} // DetectionTimes reads every transition
-	crashLocal := plan.Warmup + float64(spec.CrashAfter)*plan.Gap - 0.5
+	crashLocal := plan.Warmup + float64(float64(spec.CrashAfter)*plan.Gap) - 0.5
 	res.CrashAt = crashLocal
 	plan.Prepare = func() error {
 		h.cluster.CrashAt(spec.CrashID, crashLocal)

@@ -107,7 +107,7 @@ func FitBimodal(samples []float64) (Bimodal, error) {
 		}
 		for i := 0; i < n; i += step {
 			x := s[i]
-			model := b.P1*ucdf(x, b.Lo1, b.Hi1) + (1-b.P1)*ucdf(x, b.Lo2, b.Hi2)
+			model := float64(b.P1*ucdf(x, b.Lo1, b.Hi1)) + float64((1-b.P1)*ucdf(x, b.Lo2, b.Hi2))
 			emp := float64(i+1) / float64(n)
 			if d := math.Abs(model - emp); d > worst {
 				worst = d

@@ -351,7 +351,7 @@ func (s *sketch) grid(m int) []float64 {
 	for i := 0; i < m; i++ {
 		var rank uint64
 		if m > 1 {
-			rank = uint64(float64(i) / float64(m-1) * float64(w-1))
+			rank = uint64(float64(float64(i) / float64(m-1) * float64(w-1)))
 		}
 		for rank >= cum && idx+1 < len(items) {
 			idx++
@@ -389,7 +389,7 @@ func (s *sketch) quantile(q float64) float64 {
 	if q >= 1 {
 		return items[len(items)-1].v
 	}
-	pos := q * float64(w-1)
+	pos := float64(q * float64(w-1))
 	lo := uint64(pos)
 	frac := pos - float64(lo)
 	at := func(rank uint64) float64 {
@@ -407,5 +407,5 @@ func (s *sketch) quantile(q float64) float64 {
 		return va
 	}
 	vb := at(lo + 1)
-	return va*(1-frac) + vb*frac
+	return float64(va*(1-frac)) + float64(vb*frac)
 }

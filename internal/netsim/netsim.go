@@ -592,7 +592,7 @@ func (h *host) wakeLateness(ideal float64) float64 {
 	late := p.ThreadJitter.Sample(h.schedRand)
 	if p.GridProb > 0 && h.schedRand.Float64() < p.GridProb {
 		g := p.SleepGranularity
-		next := math.Ceil((ideal-h.gridPhase)/g)*g + h.gridPhase
+		next := float64(math.Ceil((ideal-h.gridPhase)/g)*g) + h.gridPhase
 		if d := next - ideal; d > late {
 			late = d
 		}

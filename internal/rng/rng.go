@@ -103,7 +103,7 @@ func (r *Stream) ChildInto(dst *Stream, id uint64) {
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 func (r *Stream) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Exp returns an exponentially distributed sample with the given mean.
@@ -124,5 +124,5 @@ func (r *Stream) Uniform(lo, hi float64) float64 {
 	if hi < lo {
 		panic("rng: Uniform with hi < lo")
 	}
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }

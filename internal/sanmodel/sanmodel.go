@@ -109,7 +109,7 @@ func DefaultParams(n int) Params {
 // (broadcast-to-5 roughly doubles the unicast delay). An n below 1, which
 // Check rejects, scales as n = 1, so DefaultParams never builds an
 // inverted interval.
-func broadcastScale(n int) float64 { return 1 + 0.25*float64(max(n, 1)-1) }
+func broadcastScale(n int) float64 { return 1 + float64(0.25*float64(max(n, 1)-1)) }
 
 // Model is the built SAN consensus model plus the handles needed to define
 // reward variables (stop conditions, latency measures).

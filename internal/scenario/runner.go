@@ -138,7 +138,7 @@ func check(s *Scenario, cfg RunConfig) (experiment.Shape, experiment.Plan, error
 		cfg.Executions = s.Executions
 	}
 	if cfg.Deadline == 0 && s.TimeoutT > 0 {
-		cfg.Deadline = 3*s.TimeoutT + 60
+		cfg.Deadline = float64(3*s.TimeoutT) + 60
 	}
 	params := netsim.DefaultParams(s.N)
 	params.Crashed = s.InitialCrashed

@@ -116,7 +116,7 @@ func WriteExplain(w io.Writer, rep *TracedReplica, windowMS float64) (int, error
 		}
 		p, q := int32(ws.P), int32(ws.Q)
 		printed := 0
-		for _, e := range tr.Window(ws.At-windowMS, ws.At+windowMS/4) {
+		for _, e := range tr.Window(ws.At-windowMS, ws.At+float64(windowMS/4)) {
 			if !explainRelevant(e, p, q) {
 				continue
 			}

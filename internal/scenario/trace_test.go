@@ -242,7 +242,7 @@ func TestWriteExplain(t *testing.T) {
 // BenchmarkScenarioCampaignTraced mirrors BenchmarkScenarioCampaignSerial
 // (same scenario, replica count, executions, serial workers) with the
 // tracer attached: the ns/op delta between the two is the cost of
-// enabled tracing, tracked per commit in BENCH_emulation.json.
+// enabled tracing, a row of scripts/bench_ab.sh.
 func BenchmarkScenarioCampaignTraced(b *testing.B) {
 	s, err := Get("gc-storm")
 	if err != nil {

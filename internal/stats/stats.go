@@ -35,7 +35,7 @@ func (a *Accumulator) Add(x float64) {
 	}
 	d := x - a.mean
 	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
+	a.m2 += float64(d * (x - a.mean))
 }
 
 // Merge folds another accumulator into this one using the parallel
@@ -127,7 +127,7 @@ func (a *Accumulator) CI(level float64) float64 {
 	if a.n < 2 {
 		return math.Inf(1)
 	}
-	return tQuantile(1-(1-level)/2, a.n-1) * a.StdErr()
+	return tQuantile(1-float64((1-level)/2), a.n-1) * a.StdErr()
 }
 
 // String formats the accumulator as "mean ± halfwidth (n=N)" at 90%.
@@ -190,9 +190,9 @@ func tCDF(t float64, df int) float64 {
 	if t < 0 {
 		return 1 - tCDF(-t, df)
 	}
-	x := float64(df) / (float64(df) + t*t)
+	x := float64(df) / (float64(df) + float64(t*t))
 	// P(T<=t) = 1 - 0.5 * I_x(df/2, 1/2)
-	return 1 - 0.5*regIncBeta(float64(df)/2, 0.5, x)
+	return 1 - float64(0.5*regIncBeta(float64(df)/2, 0.5, x))
 }
 
 // regIncBeta computes the regularized incomplete beta function I_x(a,b)
@@ -206,12 +206,12 @@ func regIncBeta(a, b, x float64) float64 {
 	}
 	lbeta := lgamma(a) + lgamma(b) - lgamma(a+b)
 	if x < (a+1)/(a+b+2) {
-		front := math.Exp(a*math.Log(x)+b*math.Log(1-x)-lbeta) / a
+		front := math.Exp(float64(a*math.Log(x))+float64(b*math.Log(1-x))-lbeta) / a
 		return front * betacf(a, b, x)
 	}
 	// Symmetry I_x(a,b) = 1 - I_{1-x}(b,a) for the fast-converging branch.
-	front := math.Exp(a*math.Log(x)+b*math.Log(1-x)-lbeta) / b
-	return 1 - front*betacf(b, a, 1-x)
+	front := math.Exp(float64(a*math.Log(x))+float64(b*math.Log(1-x))-lbeta) / b
+	return 1 - float64(front*betacf(b, a, 1-x))
 }
 
 // betacf evaluates the continued fraction for the incomplete beta function.
@@ -231,9 +231,9 @@ func betacf(a, b, x float64) float64 {
 	h := d
 	for m := 1; m <= maxIter; m++ {
 		fm := float64(m)
-		m2 := 2 * fm
+		m2 := float64(2 * fm)
 		aa := fm * (b - fm) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -244,7 +244,7 @@ func betacf(a, b, x float64) float64 {
 		d = 1 / d
 		h *= d * c
 		aa = -(a + fm) * (qab + fm) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -253,7 +253,7 @@ func betacf(a, b, x float64) float64 {
 			c = fpmin
 		}
 		d = 1 / d
-		del := d * c
+		del := float64(d * c)
 		h *= del
 		if math.Abs(del-1) < eps {
 			break
@@ -310,7 +310,7 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	if q >= 1 {
 		return sorted[n-1]
 	}
-	pos := q * float64(n-1)
+	pos := float64(q * float64(n-1))
 	i := int(pos)
 	frac := pos - float64(i)
 	if i+1 >= n {
@@ -319,7 +319,7 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	// The weighted sum can round an ulp outside its two neighbours (always
 	// when they are equal and frac is inexact); a quantile never leaves them.
 	lo, hi := sorted[i], sorted[i+1]
-	return min(max(lo*(1-frac)+hi*frac, lo), hi)
+	return min(max(float64(lo*(1-frac))+float64(hi*frac), lo), hi)
 }
 
 // Grid evaluates the ECDF on an evenly spaced grid of k+1 points spanning
