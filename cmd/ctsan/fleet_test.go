@@ -174,8 +174,7 @@ func pointDone(log string) bool { return strings.Contains(log, " done (") }
 // completes from cache without granting a single lease.
 func TestFleetMatchesSingleProcess(t *testing.T) {
 	want := reference(t)
-	h := newFleetHarness(t, server.Config{MaxActive: 1, QueueDepth: 8, CacheBytes: 32 << 20,
-		LeaseTarget: 100 * time.Millisecond})
+	h := newFleetHarness(t, server.Config{MaxActive: 1, QueueDepth: 8, CacheBytes: 32 << 20})
 
 	id := h.submitFleet(t)
 	var cmds []*exec.Cmd

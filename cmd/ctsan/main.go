@@ -11,7 +11,7 @@
 //	ctsan run    -study spec.json -shards 4 -dir ckpt/ -o results.jsonl
 //	ctsan shard  -study spec.json -range 0:12 -dir ckpt/
 //	ctsan merge  -study spec.json -dir ckpt/ -o results.jsonl
-//	ctsan worker -server http://host:8080 -dir ckpt/
+//	ctsan worker -server http://host:8080
 //
 // Paper reproduction — each a thin shell over the campaign API or the
 // figure functions of internal/experiment:
@@ -74,6 +74,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -275,7 +276,8 @@ func cmdShard(ctx context.Context, args []string, _, stderr io.Writer) error {
 	return checkpointRange(ctx, frozen, r, held, store, onPoint, campaign.WithWorkers(*workers))
 }
 
-// now is the clock checkpoint.SyncSlice is measured on; tests replace it.
+// now is the clock a shard's sync slices are measured on; tests replace
+// it.
 var now = time.Now
 
 // checkpointRange is a shard's execution. held is what the store's one
@@ -288,7 +290,7 @@ var now = time.Now
 // Durability is per time slice, not per point. A written record is in
 // the file for a merge or a resume to read, and outlives this process
 // however it dies (panic, SIGKILL, a supervisor's timeout); the store is
-// fsynced when checkpoint.SyncSlice has passed since the previous fsync,
+// fsynced once per checkpoint.SyncSlice (checkpoint.Store.SyncPerSlice)
 // and once more before checkpointRange returns, on every exit path. So a
 // dead executor costs bounded re-execution, never a wrong result:
 // process death loses only the points in flight; power loss loses at
@@ -309,7 +311,9 @@ func checkpointRange(ctx context.Context, frozen *campaign.Study, r shard.Range,
 	if len(missing) == 0 {
 		return nil
 	}
-	sliceStart := now()
+	if err := store.SyncPerSlice(now()); err != nil {
+		return err
+	}
 	err = campaign.RunRecords(ctx, frozen, hashes, missing, func(index int, line []byte) error {
 		if err := store.Write(line); err != nil {
 			return err
@@ -319,11 +323,7 @@ func checkpointRange(ctx context.Context, frozen *campaign.Study, r shard.Range,
 				return err
 			}
 		}
-		if t := now(); t.Sub(sliceStart) >= checkpoint.SyncSlice {
-			sliceStart = t
-			return store.Sync()
-		}
-		return nil
+		return store.SyncPerSlice(now())
 	}, opts...)
 	// Whatever the last slice wrote is fsynced on every exit path,
 	// cancellation and failed points included.
@@ -412,8 +412,7 @@ func cmdRun(ctx context.Context, args []string, _, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var results []byte
-	ledger, pre, err := preload(frozen, *dir, leaseSizes(total, *shards), &results, stderr, logf)
+	ledger, pre, err := preload(frozen, *dir, leaseSizes(total, *shards), stderr, logf)
 	if err != nil {
 		return err
 	}
@@ -523,7 +522,8 @@ func cmdRun(ctx context.Context, args []string, _, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("dispatch ended with %d of %d points missing", ledger.Stats().Pending, total)
 	}
-	if err := checkpoint.WriteFile(*out, results, 0o644); err != nil {
+	lines, _ := ledger.Lines(0)
+	if err := checkpoint.WriteFile(*out, bytes.Join(lines, nil), 0o644); err != nil {
 		return err
 	}
 	logf("merged %d points into %s", total, *out)
@@ -553,19 +553,15 @@ func leaseSizes(total, shards int) func(int, int) int {
 const slotLeaseTTL = 100 * 365 * 24 * time.Hour
 
 // preload opens the one fold of `run` and `merge`: a lease ledger over
-// the frozen grid whose in-order emission appends each result line to
-// *results — the very bytes an in-process campaign.JSONLWriter would
-// write — preloaded with every record checkpointed under dir. Records
-// the ledger had to skip are reported through logf. size is the lease
-// size policy (nil when no lease will be granted).
-func preload(frozen *campaign.Study, dir string, size func(int, int) int, results *[]byte, stderr io.Writer, logf func(string, ...any)) (*shard.Ledger, shard.Completion, error) {
+// the frozen grid, preloaded with every record checkpointed under dir.
+// Records the ledger had to skip are reported through logf. size is the
+// lease size policy (nil when no lease will be granted).
+func preload(frozen *campaign.Study, dir string, size func(int, int) int, stderr io.Writer, logf func(string, ...any)) (*shard.Ledger, shard.Completion, error) {
 	hashes, err := campaign.StudyPointHashes(frozen)
 	if err != nil {
 		return nil, shard.Completion{}, err
 	}
-	ledger := shard.NewLedger(hashes, slotLeaseTTL, size, func(_ int, line []byte) {
-		*results = append(*results, line...)
-	})
+	ledger := shard.NewLedger(hashes, slotLeaseTTL, size)
 	stored, err := storedRecords(dir, stderr)
 	if err != nil {
 		return nil, shard.Completion{}, err
@@ -653,8 +649,7 @@ func merge(frozen *campaign.Study, dir string, stderr io.Writer) ([]byte, error)
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(stderr, "ctsan merge: "+format+"\n", args...)
 	}
-	var merged []byte
-	ledger, pre, err := preload(frozen, dir, nil, &merged, stderr, logf)
+	ledger, pre, err := preload(frozen, dir, nil, stderr, logf)
 	if err != nil {
 		return nil, err
 	}
@@ -662,5 +657,6 @@ func merge(frozen *campaign.Study, dir string, stderr io.Writer) ([]byte, error)
 		return nil, fmt.Errorf("campaign: merge incomplete: %d of %d points missing (first missing index %d)",
 			ledger.Stats().Pending, len(frozen.Points), pre.Emitted)
 	}
-	return merged, nil
+	lines, _ := ledger.Lines(0)
+	return bytes.Join(lines, nil), nil
 }

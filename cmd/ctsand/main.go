@@ -1,6 +1,6 @@
 // Command ctsand is the campaign service daemon: the HTTP front end to
 // the campaign engine (internal/server). Concurrent users POST v1 study
-// specs — the same JSON `ctsan freeze` emits and every CLI consumes —
+// specs — the JSON every ctsan dispatch command reads with -study —
 // browse the scenario registry, stream per-point results live (JSONL or
 // SSE), and fetch final digests. Repeated points are served from a
 // content-addressed in-memory result cache; determinism makes a cache
@@ -19,14 +19,14 @@
 //
 // Studies submitted with ?mode=fleet are not run on the local pool:
 // the service coordinates external `ctsan worker` processes that pull
-// contiguous point ranges over the lease API (-lease-ttl, -lease-target
-// tune the ledger; a worker that finds every point leased out is told
-// to ask again in 200 ms), verifies the records they upload as plain
-// JSONL, and folds them into the same byte-identical result stream.
-// With -cache-dir every
-// cached record is also appended to a file there, once, and a point
-// memory no longer holds (evicted, or computed before a restart) is
-// read back from it, not run again: -cache-mb bounds memory only.
+// contiguous point ranges over the lease API (a lease lives -lease-ttl
+// without renewal and aims at 1 s of work; a worker that finds every
+// point leased out is told to ask again in 200 ms), verifies the
+// records they upload as plain JSONL, and folds them into the same
+// byte-identical result stream. With -cache-dir every cached record is
+// also appended to a file there, once, and a point memory no longer
+// holds (evicted, or computed before a restart) is read back from it,
+// not run again: -cache-mb bounds memory only.
 //
 // With -debug the service's own listener also serves /debug/vars and
 // /debug/pprof — including the cache hit/miss/eviction and queue-depth
@@ -65,7 +65,6 @@ func run(args []string) error {
 		cacheMB      = fs.Int("cache-mb", 64, "content-addressed result cache budget in MiB (0 disables)")
 		cacheDir     = fs.String("cache-dir", "", "keep every cached record in a file here, read back when memory misses (needs -cache-mb > 0)")
 		leaseTTL     = fs.Duration("lease-ttl", 15*time.Second, "fleet lease lifetime without renewal before its range is re-leased")
-		leaseTarget  = fs.Duration("lease-target", time.Second, "wall time of work the adaptive lease sizer aims to put in one fleet lease")
 		seed         = cliflags.Seed(fs)
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget before running studies are canceled")
 		debug        = fs.Bool("debug", true, "serve /debug/vars and /debug/pprof on the service listener")
@@ -89,8 +88,6 @@ func run(args []string) error {
 		return cliflags.Usagef("-cache-dir %s: -cache-mb 0 disables the cache it would hold", *cacheDir)
 	case *leaseTTL < 0:
 		return cliflags.Usagef("-lease-ttl %v: want 0 (the default, 15s) or a positive duration", *leaseTTL)
-	case *leaseTarget < 0:
-		return cliflags.Usagef("-lease-target %v: want 0 (the default, 1s) or a positive duration", *leaseTarget)
 	case *drainTimeout < 0:
 		return cliflags.Usagef("-drain-timeout %v: want 0 (cancel at once) or a positive duration", *drainTimeout)
 	}
@@ -108,7 +105,6 @@ func run(args []string) error {
 		CacheBytes:  cacheBytes,
 		DefaultSeed: *seed,
 		LeaseTTL:    *leaseTTL,
-		LeaseTarget: *leaseTarget,
 		Debug:       *debug,
 		Logf:        logf,
 	})

@@ -26,7 +26,6 @@ func TestInvalidFlagValuesAreUsageErrors(t *testing.T) {
 		{"-cache-mb -5", "-cache-mb -5"},
 		{"-cache-mb 0 -cache-dir " + cacheDir, "-cache-dir " + cacheDir},
 		{"-lease-ttl -1s", "-lease-ttl -1s"},
-		{"-lease-target -2s", "-lease-target -2s"},
 		{"-drain-timeout -1s", "-drain-timeout -1s"},
 	} {
 		done := make(chan error, 1)

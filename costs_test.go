@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -27,6 +28,7 @@ import (
 	"ctsan/internal/metrics"
 	"ctsan/internal/neko"
 	"ctsan/internal/netsim"
+	"ctsan/internal/obs"
 	"ctsan/internal/rng"
 	"ctsan/internal/san"
 	"ctsan/internal/sanmodel"
@@ -641,7 +643,38 @@ func recordCosts(t *testing.T) []cost {
 	}
 	return []cost{
 		exact("records.bytes_per_point.fine_grid", float64(bytesOut)/float64(len(indices))),
+		exact("records.syncs.slice_schedule", sliceSyncs(t)),
 	}
+}
+
+// sliceSyncs is the fsyncs of the sync-per-slice policy on a fixed
+// clock: a fresh store begins its first slice, takes eight records
+// 0, 5, 5, 14, 1, 30, 0 and 24 ms apart, each followed by
+// checkpoint.Store.SyncPerSlice, and is closed with a Sync. The slices
+// end at the fifth and sixth records, and the close syncs the last two.
+func sliceSyncs(t *testing.T) float64 {
+	store, err := checkpoint.Open(filepath.Join(t.TempDir(), "slices.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Unix(1_000_000, 0)
+	before := obs.CheckpointSyncs.Value()
+	if err := store.SyncPerSlice(at); err != nil {
+		t.Fatal(err)
+	}
+	for i, step := range []time.Duration{0, 5, 5, 14, 1, 30, 0, 24} {
+		at = at.Add(step * time.Millisecond)
+		if err := store.Write([]byte(fmt.Sprintf(`{"record":%d}`, i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.SyncPerSlice(at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return float64(obs.CheckpointSyncs.Value() - before)
 }
 
 // fleetCosts: one lease round trip against ctsand's handler: a worker

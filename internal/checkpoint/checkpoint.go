@@ -22,7 +22,7 @@
 //     torn. Neither can damage a record before the last synced one. How
 //     much sits between two Syncs is the writer's choice; both writers
 //     in this module, a shard's checkpoint and ctsand's point-cache
-//     file, sync once per SyncSlice.
+//     file, sync once per SyncSlice through SyncPerSlice.
 //
 //   - Corruption-tolerant loads. Load never fails on damaged content: it
 //     returns the longest prefix of intact records and stops at the
@@ -85,6 +85,9 @@ type Store struct {
 	size    int64
 	synced  int64
 	created bool
+	// sliceStart is when the current sync slice began (SyncPerSlice);
+	// zero until the first call.
+	sliceStart time.Time
 	// broken is set when the file can no longer be trusted to match size
 	// — a failed write that could not be rolled back, or a failed sync —
 	// so further writes and syncs are refused.
@@ -239,6 +242,22 @@ func (s *Store) Sync() error {
 	s.synced = s.size
 	obs.CheckpointSyncs.Add(1)
 	return nil
+}
+
+// SyncPerSlice is the sync-per-slice policy, given the writer's clock:
+// it fsyncs (Sync) when SyncSlice has passed since the current slice
+// began, and a new slice begins at that fsync. The first call only
+// begins the first slice, so a writer calls it once before its first
+// Write, and then after each.
+func (s *Store) SyncPerSlice(now time.Time) error {
+	if s.sliceStart.IsZero() {
+		s.sliceStart = now
+	}
+	if now.Sub(s.sliceStart) < SyncSlice {
+		return nil
+	}
+	s.sliceStart = now
+	return s.Sync()
 }
 
 // Append durably adds one record: Write, then Sync, so not even a power

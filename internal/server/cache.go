@@ -54,13 +54,11 @@ type Cache struct {
 	index map[string]span
 	file  *os.File
 
-	// diskMu serializes appends to store; synced is when its sync slice
-	// began. It is taken before mu, never while holding it: an append may
-	// fsync.
+	// diskMu serializes appends to store. It is taken before mu, never
+	// while holding it: an append may fsync.
 	diskMu sync.Mutex
 	store  *checkpoint.Store
-	synced time.Time
-	now    func() time.Time // tests replace the clock
+	now    func() time.Time // the sync slices' clock; tests replace it
 }
 
 type cacheEntry struct {
@@ -113,8 +111,9 @@ func (c *Cache) open(dir string) (int, error) {
 	if f, err = os.Open(path); err != nil {
 		return 0, err
 	}
+	store.SyncPerSlice(c.now()) //nolint:errcheck // nothing written yet: it begins the first slice
 	c.diskMu.Lock()
-	c.store, c.synced = store, c.now()
+	c.store = store
 	c.mu.Lock()
 	c.index, c.file = index, f
 	c.mu.Unlock()
@@ -199,10 +198,7 @@ func (c *Cache) Put(hash string, record []byte) {
 			c.mu.Lock()
 			c.index[hash] = span{off, len(record)}
 			c.mu.Unlock()
-			if t := c.now(); t.Sub(c.synced) >= checkpoint.SyncSlice {
-				c.synced = t
-				c.store.Sync() //nolint:errcheck // a failed sync refuses every later write
-			}
+			c.store.SyncPerSlice(c.now()) //nolint:errcheck // a failed sync refuses every later write
 		}
 	}
 	c.diskMu.Unlock()

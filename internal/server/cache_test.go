@@ -512,41 +512,3 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		t.Errorf("entries = %d, want %d", entries, len(results))
 	}
 }
-
-func TestHubReplayFollowAndFinish(t *testing.T) {
-	h := newHub()
-	h.append([]byte(`{"i":0}`))
-	h.append([]byte(`{"i":1}`))
-
-	lines, done, _, _ := h.snapshot(0)
-	if len(lines) != 2 || done {
-		t.Fatalf("snapshot(0): %d lines, done=%v", len(lines), done)
-	}
-	// A caught-up subscriber gets a wait handle that opens on the next
-	// append.
-	lines, done, _, wait := h.snapshot(2)
-	if len(lines) != 0 || done {
-		t.Fatalf("snapshot(2): %d lines, done=%v", len(lines), done)
-	}
-	select {
-	case <-wait:
-		t.Fatal("wait channel closed before any append")
-	default:
-	}
-	h.append([]byte(`{"i":2}`))
-	select {
-	case <-wait:
-	default:
-		t.Fatal("append did not wake the subscriber")
-	}
-
-	h.finish("boom")
-	h.finish("ignored") // idempotent: first error wins
-	lines, done, errMsg, _ := h.snapshot(0)
-	if !done || errMsg != "boom" {
-		t.Fatalf("after finish: done=%v err=%q", done, errMsg)
-	}
-	if len(lines) != 3 {
-		t.Fatalf("%d lines, want 3", len(lines))
-	}
-}

@@ -26,16 +26,16 @@ import (
 // executor a worker keeps for all its leases), and upload its results
 // as CRC-framed shard records — the format the sharded CLI checkpoints —
 // in one plain JSONL body. The ledger verifies every record, folds the
-// results in grid-index order straight into the study's hub —
-// bit-identical to an in-process run by determinism rule 5 — and
+// results in grid-index order into the study's result log — its own
+// lines, bit-identical to an in-process run by determinism rule 5 — and
 // re-leases any range whose deadline passes, so a SIGKILLed worker costs
 // at most one lease of re-execution, never a wrong result. Accepted
-// records live in the ledger's fold and the result cache; the worker
-// keeps none.
+// records live in the ledger and the result cache; the worker keeps
+// none.
 //
-// Locks: the ledger's emit callback appends to the hub, so the order is
-// ledger, then hub, and nothing else nests. The handlers below hold no
-// lock of their own across a ledger call.
+// Locks: the ledger's and the study's st.mu, a leaf; neither is taken
+// while the other is held. The handlers below hold no lock of their own
+// across a ledger call.
 
 // FleetStatus is the fleet block of a study's Status: the live lease
 // ledger.
@@ -44,9 +44,14 @@ type FleetStatus = shard.Stats
 // maxLeasePoints caps one lease however fast the grid runs.
 const maxLeasePoints = 1024
 
+// leaseTarget is the wall time of work the lease sizer aims to put in
+// one lease: long enough that HTTP round-trips amortize, short enough
+// that a straggler holds back one small range.
+const leaseTarget = time.Second
+
 // leaseSizer is the daemon's lease-size policy: the first lease per
-// study is a single-point probe; afterwards it targets a fixed wall time
-// of work per lease from an EWMA of the observed per-point grant-to-
+// study is a single-point probe; afterwards it targets leaseTarget of
+// work per lease from an EWMA of the observed per-point grant-to-
 // complete time, so HTTP round-trips amortize over fast grids while a
 // straggler can only hold back one target-sized range. No grant takes
 // more than half an even share of what is pending, ⌈pending/(2·workers)⌉
@@ -55,7 +60,6 @@ const maxLeasePoints = 1024
 // instead of one running a target-sized last range while the others
 // have nothing left.
 type leaseSizer struct {
-	target   time.Duration
 	avgPoint atomic.Int64 // ns; 0 until a fulfilled lease has calibrated it
 }
 
@@ -66,7 +70,7 @@ func (z *leaseSizer) size(pending, workers int) int {
 	if avg <= 0 {
 		return 1
 	}
-	n := int(min(max(int64(z.target)/avg, 1), maxLeasePoints))
+	n := int(min(max(int64(leaseTarget)/avg, 1), maxLeasePoints))
 	return min(n, max((pending+2*workers-1)/(2*workers), 1))
 }
 
@@ -228,8 +232,8 @@ func (s *Server) awaitLeases(st *study) error {
 	for {
 		select {
 		case <-st.ledger.Done():
-			// Done closes under the ledger's lock, after the last result
-			// line has reached the hub.
+			// Done closes under the ledger's lock, once the last result
+			// line has folded.
 			return nil
 		case <-s.runCtx.Done():
 			st.ledger.Cancel()

@@ -343,10 +343,10 @@ func TestFleetUploadVerification(t *testing.T) {
 }
 
 // TestFleetPartialUploadRequeuesHoles drives a fleet study's ledger as
-// the handlers do (newFleet wires it to the sizer and the hub): a lease
-// answered with only part of its range requeues exactly the holes, late
-// duplicates are dropped, and the hub receives the reference bytes in
-// grid order regardless of arrival order. The grid has five points, so
+// the handlers do (newLedger wires it to the sizer): a lease answered
+// with only part of its range requeues exactly the holes, late
+// duplicates are dropped, and the ledger's lines are the reference bytes
+// in grid order regardless of arrival order. The grid has five points, so
 // that the lease after the probe, capped at half of the four pending,
 // spans two.
 func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
@@ -369,8 +369,8 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 	}
 
 	now := time.Now()
-	st := &study{points: points, hub: newHub(), fleet: true}
-	st.newLedger(time.Minute, time.Second)
+	st := &study{points: points, fleet: true}
+	st.newLedger(time.Minute)
 	m := st.ledger
 	// complete is handleLeaseComplete's ledger half.
 	complete := func(at time.Time, lease string, lines [][]byte) shard.Completion {
@@ -387,7 +387,7 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 	// Complete the probe; the EWMA calibrates and the next lease covers
 	// more than one point (the elapsed time is ~0, so the target allows
 	// any size, and half of the four pending points is two).
-	streamed := func() int { lines, _, _, _ := st.hub.snapshot(0); return len(lines) }
+	streamed := func() int { lines, _ := m.Lines(0); return len(lines) }
 	out := complete(now.Add(time.Millisecond), g.ID, recs[:1])
 	if len(out.Accepted) != 1 || out.Emitted != 1 || streamed() != 1 {
 		t.Fatalf("probe completion: %+v", out)
@@ -429,11 +429,11 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 	default:
 		t.Fatal("ledger did not signal done")
 	}
-	// The hub holds the records' Result lines in grid order, each with
-	// its newline.
-	stream, _, _, _ := st.hub.snapshot(0)
+	// The ledger holds the records' Result lines in grid order, each
+	// with its newline.
+	stream, _ := m.Lines(0)
 	if len(stream) != len(recs) {
-		t.Fatalf("hub holds %d lines, want %d", len(stream), len(recs))
+		t.Fatalf("ledger holds %d lines, want %d", len(stream), len(recs))
 	}
 	for i, rec := range recs {
 		dec, err := campaign.DecodeShardRecord(rec)
@@ -450,7 +450,7 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 // until calibrated, then target/avg clamped to [1, maxLeasePoints] and
 // to ⌈pending/(2·workers)⌉.
 func TestFleetAdaptiveLeaseSizing(t *testing.T) {
-	z := &leaseSizer{target: time.Second}
+	z := &leaseSizer{}
 	cases := []struct {
 		avg              time.Duration
 		pending, workers int
@@ -685,8 +685,8 @@ func TestEvictedPointsServedWithoutRestart(t *testing.T) {
 }
 
 // wideStudy is a grid of n three-replica SAN points: trivial to execute,
-// but wide enough that per-point coordinator work (cache pre-serve, hub
-// appends) spans a scheduling quantum.
+// but wide enough that per-point coordinator work (cache pre-serve,
+// folds) spans a scheduling quantum.
 func wideStudy(n int) *campaign.Study {
 	st := campaign.NewStudy("wide")
 	for i := 0; i < n; i++ {
@@ -775,9 +775,9 @@ func TestFleetSubmitWhileStatusPolled(t *testing.T) {
 
 // TestFleetStreamEndsAfterLastUpload is the regression test for the
 // truncated fleet stream: the upload that completes the grid signals the
-// dispatch loop, which must not finish the hub before that upload's own
-// lines have been appended. A subscriber attached before the upload must
-// read exactly one line per point before EOF, every time.
+// dispatch loop, which must not end the study before that upload's own
+// lines have folded. A subscriber attached before the upload must read
+// exactly one line per point before EOF, every time.
 func TestFleetStreamEndsAfterLastUpload(t *testing.T) {
 	const points = 400
 	study := wideStudy(points)
@@ -801,8 +801,9 @@ func TestFleetStreamEndsAfterLastUpload(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		st := h.mustSubmit(t, spec, "?mode=fleet")
 		h.waitRunning(t, st.ID)
-		// The response headers arrive once the handler has taken its first
-		// hub snapshot, so the subscriber is following the live tail.
+		// The response headers arrive once the handler has taken the
+		// ledger's lines a first time, so the subscriber is following the
+		// live tail.
 		stream, err := http.Get(h.ts.URL + "/api/v1/studies/" + st.ID + "/results")
 		if err != nil {
 			t.Fatal(err)

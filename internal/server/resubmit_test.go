@@ -64,8 +64,8 @@ func submitAndRead(tb testing.TB, url string, spec []byte, query string) []byte 
 }
 
 // TestConcurrentStreamsOfOneStudyAgree: any number of subscribers replay
-// one study's hub at once, and every stream is the bytes of the cold
-// in-process run. The hub's lines are shared by all of them: a
+// one study's result lines at once, and every stream is the bytes of the
+// cold in-process run. The ledger's lines are shared by all of them: a
 // subscriber that wrote its newline into a line's spare capacity raced
 // every other one (go test -race).
 func TestConcurrentStreamsOfOneStudyAgree(t *testing.T) {

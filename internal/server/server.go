@@ -15,10 +15,11 @@
 //     million-point study occupies its slot and its share, it cannot
 //     starve the small studies running beside it.
 //   - Streaming: every study, local or fleet, folds through a lease
-//     ledger (internal/shard) into a per-study hub, in deterministic
-//     point order; any number of subscribers replay and follow. The
-//     JSONL stream is byte-identical to what campaign.JSONLWriter emits
-//     for the same study in process.
+//     ledger (internal/shard), in deterministic point order, and the
+//     ledger is its result log: any number of subscribers replay its
+//     folded lines and follow the fold. The JSONL stream is
+//     byte-identical to what campaign.JSONLWriter emits for the same
+//     study in process.
 //   - Result cache: a content-addressed LRU (campaign.PointHash of the
 //     frozen point — engine, spec, materialized seed — to the encoded
 //     shard record), with a cache directory (OpenCacheDir) the hot tier
@@ -75,10 +76,6 @@ type Config struct {
 	// LeaseTTL is how long a fleet lease lives without renewal before its
 	// range is re-leased (default 15s).
 	LeaseTTL time.Duration
-	// LeaseTarget is the wall time of work the adaptive lease sizer aims
-	// to put in one lease (default 1s): long enough that HTTP round-trips
-	// amortize, short enough that a straggler holds back one small range.
-	LeaseTarget time.Duration
 	// Debug mounts /debug/vars and /debug/pprof on the service mux.
 	Debug bool
 	// Logf, when non-nil, receives one line per lifecycle event.
@@ -101,16 +98,13 @@ func (c *Config) fill() {
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 15 * time.Second
 	}
-	if c.LeaseTarget <= 0 {
-		c.LeaseTarget = time.Second
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
 }
 
 // study is the server-side state of one submission. Everything but its
-// id, hashes, hub, ledger, sizer and the fields under mu is fixed at
+// id, hashes, ledger, sizer, end and the fields under mu is fixed at
 // admission — and may be shared with the studies submitted with the same
 // spec bytes (Server.specs).
 type study struct {
@@ -125,15 +119,18 @@ type study struct {
 	frozen    *campaign.Study
 	points    []campaign.FrozenPoint
 	hashes    []string
-	hub       *hub
 	submitted time.Time
-	// ledger settles the study's points and folds them into hub in grid
-	// order. fleet marks a study whose points the cache does not hold
-	// are leased to external workers rather than run on the slot's
-	// workers; sizer is its lease-size policy.
+	// ledger settles the study's points, folds them in grid order and
+	// keeps the folded result lines: it is the study's result log.
+	// fleet marks a study whose points the cache does not hold are
+	// leased to external workers rather than run on the slot's workers;
+	// sizer is its lease-size policy.
 	ledger *shard.Ledger
 	fleet  bool
 	sizer  *leaseSizer
+	// end closes once the study is terminal, after status and errMsg
+	// have their final values: past it they are read without mu.
+	end chan struct{}
 
 	mu       sync.Mutex
 	status   string // "queued", "running", "done", "failed", "canceled"
@@ -192,9 +189,9 @@ func (st *study) snapshot() Status {
 	}
 	st.mu.Unlock()
 	// Read after the status, outside st.mu (a leaf lock): a study's
-	// progress is what its ledger has folded into its hub, and it turns
-	// "done" only after the last line has.
-	lines, _, _, _ := st.hub.snapshot(0)
+	// progress is what its ledger has folded, and it turns "done" only
+	// after the last line has been.
+	lines, _ := st.ledger.Lines(0)
 	s.Done = len(lines)
 	if st.fleet {
 		fs := st.ledger.Stats()
@@ -224,21 +221,22 @@ func (st *study) setFinished(err error) {
 		st.errMsg = err.Error()
 	}
 	st.mu.Unlock()
+	close(st.end)
 }
 
-// newLedger builds the study's ledger, folding into its hub; a fleet
-// study's leases are sized by a leaseSizer aiming at target.
-func (st *study) newLedger(ttl, target time.Duration) {
+// newLedger builds the study's ledger; a fleet study's leases are sized
+// by a leaseSizer.
+func (st *study) newLedger(ttl time.Duration) {
 	st.hashes = make([]string, len(st.points))
 	for i, fp := range st.points {
 		st.hashes[i] = fp.Hash
 	}
 	var size func(int, int) int
 	if st.fleet {
-		st.sizer = &leaseSizer{target: target}
+		st.sizer = &leaseSizer{}
 		size = st.sizer.size
 	}
-	st.ledger = shard.NewLedger(st.hashes, ttl, size, func(_ int, line []byte) { st.hub.append(line) })
+	st.ledger = shard.NewLedger(st.hashes, ttl, size)
 }
 
 // preload looks every point of the study up in the cache, once, before
@@ -383,8 +381,8 @@ func (s *Server) OpenCacheDir(dir string) (records int, err error) {
 // running studies to drain, and once ctx is done cancels the remainder
 // through the campaign ctx plumbing — every replica loop observes the
 // cancellation at its next unit boundary. It returns after all studies
-// have reached a terminal status; streams are finished, so subscribers
-// unblock. Safe to call more than once.
+// have reached a terminal status, so every subscriber's stream has an
+// end. Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutdownOnce.Do(func() {
 		s.mu.Lock()
@@ -427,7 +425,7 @@ func (s *Server) slot() {
 // runStudy is a study's slot occupancy, in either mode: the preload
 // settles every point the cache holds, then the misses run on the slot's
 // worker budget (local) or are leased to fleet workers (fleet), and the
-// study's ledger folds each settled point into the hub in grid order. A
+// study's ledger folds each settled point in grid order. A
 // fleet study leaves the slot's workers idle: it costs the coordinator
 // verification and folding only.
 func (s *Server) runStudy(st *study) {
@@ -453,14 +451,11 @@ func (s *Server) runStudy(st *study) {
 	final := st.snapshot()
 	switch {
 	case err != nil:
-		st.hub.finish(err.Error())
 		s.cfg.Logf("study %s: %s (%v)", st.id, final.Status, err)
 	case st.fleet:
-		st.hub.finish("")
 		s.cfg.Logf("study %s: done (%d points, %d leases granted, %d completed, %d expired)",
 			st.id, final.Points, final.Fleet.Granted, final.Fleet.Completed, final.Fleet.Expired)
 	default:
-		st.hub.finish("")
 		s.cfg.Logf("study %s: done (%d points, %d cache hits)", st.id, final.Points, final.CacheHits)
 	}
 }
@@ -586,9 +581,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	st := &study{
 		workers:   s.budget,
-		hub:       newHub(),
 		submitted: time.Now(),
 		status:    "queued",
+		end:       make(chan struct{}),
 	}
 	if len(prior) > 0 {
 		st.spec, st.specText = prior[0].spec, prior[0].specText
@@ -648,7 +643,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		st.fleet = true
 		st.workers = 0 // external workers execute; the slot only folds
 	}
-	st.newLedger(s.cfg.LeaseTTL, s.cfg.LeaseTarget)
+	st.newLedger(s.cfg.LeaseTTL)
 
 	s.mu.Lock()
 	if s.draining {
@@ -743,7 +738,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // everything emitted so far, then the live tail, ending when the study
 // does. The bytes are exactly what campaign.JSONLWriter emits in
 // process, so a saved stream is byte-comparable against a local run.
-// Every subscriber writes the hub's lines as they are: they are shared.
+// Every subscriber writes the ledger's lines as they are: they are shared.
 // A study that fails or is canceled simply ends its stream early; the
 // status endpoint carries the error.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
@@ -773,12 +768,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // follow is the one loop behind both result streams: it answers with
-// contentType, hands write every result line of the study's hub with its
-// index — the replay, then each line as it is emitted — flushing after
-// each batch, and returns when the study ends, the request's context
-// does or a write fails. end, when non-nil, writes the stream's last
-// bytes once the study has ended, given how many results it had and its
-// error ("" when it completed).
+// contentType, hands write every result line the study's ledger has
+// folded with its index — the replay, then each line as it is folded —
+// flushing after each batch, and returns when the study ends, the
+// request's context does or a write fails. end, when non-nil, writes the
+// stream's last bytes once the study has ended, given how many results
+// it had and its error ("" when it completed). Each round reads whether
+// the study has ended before it takes the lines, so the lines a study
+// folded before it ended are all written before its end.
 func (s *Server) follow(w http.ResponseWriter, r *http.Request, contentType string, write func(i int, line []byte) error, end func(results int, errMsg string)) {
 	st := s.lookup(w, r)
 	if st == nil {
@@ -789,7 +786,13 @@ func (s *Server) follow(w http.ResponseWriter, r *http.Request, contentType stri
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
 	for i := 0; ; {
-		lines, done, errMsg, wait := st.hub.snapshot(i)
+		done := false
+		select {
+		case <-st.end:
+			done = true
+		default:
+		}
+		lines, wait := st.ledger.Lines(i)
 		for _, line := range lines {
 			if err := write(i, line); err != nil {
 				return
@@ -797,7 +800,7 @@ func (s *Server) follow(w http.ResponseWriter, r *http.Request, contentType stri
 			i++
 		}
 		if done && end != nil {
-			end(i, errMsg)
+			end(i, st.errMsg)
 		}
 		if fl != nil {
 			fl.Flush()
@@ -807,6 +810,7 @@ func (s *Server) follow(w http.ResponseWriter, r *http.Request, contentType stri
 		}
 		select {
 		case <-wait:
+		case <-st.end:
 		case <-r.Context().Done():
 			return
 		}
@@ -839,7 +843,7 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 	case "failed", "canceled":
 		writeJSON(w, http.StatusConflict, status)
 	default:
-		lines, _, _, _ := st.hub.snapshot(0)
+		lines, _ := st.ledger.Lines(0)
 		body := digestBody{
 			ID:      status.ID,
 			Name:    status.Name,

@@ -664,11 +664,37 @@ func TestPanickingPointFailsItsStudyOnly(t *testing.T) {
 	good := h.mustSubmit(t, testSpecBytes(t), "")
 	h.waitRunning(t, bad.ID)
 	h.waitRunning(t, good.ID)
+	// Follow the failing study's events from before it runs: the headers
+	// arrive once the handler has read the (empty) fold a first time.
+	events, err := http.Get(h.ts.URL + "/api/v1/studies/" + bad.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer events.Body.Close()
 	close(gate)
 
-	if st := h.waitTerminal(t, bad.ID); st.Status != "failed" ||
+	st := h.waitTerminal(t, bad.ID)
+	if st.Status != "failed" ||
 		!strings.Contains(st.Error, "work unit 1 panicked") || !strings.Contains(st.Error, "injected point failure") {
 		t.Errorf("panicking study ended %q with error %q; want failed, naming unit 1 and the panic", st.Status, st.Error)
+	}
+	// On its one worker the study folds point 0 before point 1 panics.
+	// The live stream carries that line, then ends with the error event.
+	if st.Done != 1 {
+		t.Errorf("panicking study folded %d points before it failed, want 1", st.Done)
+	}
+	data, err := io.ReadAll(events.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := json.Marshal(errorBody{Error: st.Error})
+	var want strings.Builder
+	for i, line := range splitLines(h.streamResults(t, bad.ID)) {
+		fmt.Fprintf(&want, "event: result\nid: %d\ndata: %s\n\n", i, line)
+	}
+	fmt.Fprintf(&want, "event: error\ndata: %s\n\n", msg)
+	if string(data) != want.String() {
+		t.Errorf("panicking study's events:\n%s\nwant its folded lines, then its error:\n%s", data, want.String())
 	}
 	if st := h.waitTerminal(t, good.ID); st.Status != "done" || st.Done != 3 {
 		t.Errorf("study beside the panic ended %+v, want done with 3 points", st)

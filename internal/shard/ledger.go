@@ -76,34 +76,39 @@ type Stats struct {
 // duplicate and leaseless batches included): determinism makes every
 // verified record for a point identical, so only the first one counts.
 //
-// The fold rule: emit(i, line) is called once per grid index, in index
-// order, as the contiguous settled prefix grows, with the JSONL line of
-// the point's result (its JSON and a newline, which emit may keep) —
-// under the ledger's lock, so what emit writes is ordered exactly like
-// the grid no matter how batches interleave, and Done closes only after
-// the last emit has returned. emit must not call back into the ledger.
+// The fold rule: the ledger is the grid's result log. It keeps the JSONL
+// line of every settled point's result (its JSON and a newline) for its
+// whole life, and releases them only as the contiguous settled prefix —
+// the fold — grows: Lines hands a reader the folded lines in grid-index
+// order, however batches interleave, and Done closes once the fold has
+// reached the end of the grid.
 //
 // The ledger has no transport and no policy: it is used in-process by
-// `ctsan run` (holders are subprocess slots) and behind HTTP by ctsand
-// (holders are fleet workers).
+// `ctsan run` and `ctsan merge` (holders are subprocess slots) and
+// behind HTTP by ctsand (holders are fleet workers).
 type Ledger struct {
 	hashes []string
 	ttl    time.Duration
 	size   func(pending, workers int) int
-	emit   func(index int, line []byte)
 
 	mu     sync.Mutex
 	leases map[string]*Lease
-	lines  [][]byte // settled but not yet emitted (each its own bytes, never the upload's); indices below flushed are settled too
+	lines  [][]byte // per point: its result line once settled (its own bytes, never the upload's); nil until then
 	leased []bool   // per point: a live lease covers it
 	grants []int    // per point: leases that covered it
 	// pending counts the unsettled, unleased points; none lies below
 	// front.
 	pending, front int
-	flushed        int
-	nextID         int
-	canceled       bool
-	holders        map[string]int // holder -> outstanding leases
+	// flushed is the fold cursor: lines[:flushed] is the settled prefix.
+	flushed int
+	// wake, when a reader asked for it (Lines), closes at the next fold
+	// advance or Cancel; nil otherwise, so a settle nobody waits on
+	// allocates nothing.
+	wake chan struct{}
+
+	nextID   int
+	canceled bool
+	holders  map[string]int // holder -> outstanding leases
 
 	granted, completed, expired, requeued int64
 
@@ -115,13 +120,12 @@ type Ledger struct {
 // size is asked, under the lock, for the maximum point count of each
 // grant, given the points pending and the workers that would then hold
 // a lease (the live holders, the asker included), and must not call
-// back into the ledger; emit receives the fold.
-func NewLedger(hashes []string, ttl time.Duration, size func(pending, workers int) int, emit func(index int, line []byte)) *Ledger {
+// back into the ledger.
+func NewLedger(hashes []string, ttl time.Duration, size func(pending, workers int) int) *Ledger {
 	l := &Ledger{
 		hashes:  hashes,
 		ttl:     ttl,
 		size:    size,
-		emit:    emit,
 		leases:  map[string]*Lease{},
 		lines:   make([][]byte, len(hashes)),
 		leased:  make([]bool, len(hashes)),
@@ -136,10 +140,34 @@ func NewLedger(hashes []string, ttl time.Duration, size func(pending, workers in
 	return l
 }
 
-// Done is closed once every point is settled and emitted.
+// Done is closed once every point is settled and folded.
 func (l *Ledger) Done() <-chan struct{} { return l.done }
 
-func (l *Ledger) settled(i int) bool { return i < l.flushed || l.lines[i] != nil }
+// Lines returns the folded result lines from index from on, in grid
+// order, and a channel that closes at the next fold advance or Cancel.
+// The lines are shared and never modified: a reader must not modify
+// them, and the slice cannot reach past the fold.
+func (l *Ledger) Lines(from int) (lines [][]byte, wait <-chan struct{}) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.wake == nil {
+		l.wake = make(chan struct{})
+	}
+	if from < l.flushed {
+		lines = l.lines[from:l.flushed:l.flushed]
+	}
+	return lines, l.wake
+}
+
+func (l *Ledger) settled(i int) bool { return l.lines[i] != nil }
+
+// wakeLocked closes the channel readers wait on, if one was asked for.
+func (l *Ledger) wakeLocked() {
+	if l.wake != nil {
+		close(l.wake)
+		l.wake = nil
+	}
+}
 
 func (l *Ledger) isPending(i int) bool { return !l.leased[i] && !l.settled(i) }
 
@@ -268,10 +296,10 @@ func (l *Ledger) ingestLocked(lines [][]byte) Completion {
 
 // Settle settles point index with line, the JSONL line of its result,
 // which the caller vouches for: no check of the line, and no copy — the
-// ledger, and then emit, keep it. It is the ingest for what needs no
-// verification: the result of a point the caller executed itself, or
-// one spliced from a record its cache verified on the way in. A point
-// already settled stays as it is.
+// ledger keeps it and its readers share it. It is the ingest for what
+// needs no verification: the result of a point the caller executed
+// itself, or one spliced from a record its cache verified on the way
+// in. A point already settled stays as it is.
 func (l *Ledger) Settle(index int, line []byte) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -324,14 +352,16 @@ func (l *Ledger) expireLocked(now time.Time) {
 	}
 }
 
-// foldLocked advances the fold cursor over the settled prefix, closes
-// Done behind the last emit, and reports the cursor in c.
+// foldLocked advances the fold cursor over the settled prefix, wakes
+// the readers if it moved, closes Done once it reaches the end, and
+// reports the cursor in c.
 func (l *Ledger) foldLocked(c *Completion) {
-	n := len(l.hashes)
+	n, from := len(l.hashes), l.flushed
 	for l.flushed < n && l.lines[l.flushed] != nil {
-		l.emit(l.flushed, l.lines[l.flushed])
-		l.lines[l.flushed] = nil
 		l.flushed++
+	}
+	if l.flushed > from {
+		l.wakeLocked()
 		if l.flushed == n {
 			close(l.done)
 		}
@@ -346,15 +376,16 @@ func (l *Ledger) Tick(now time.Time) {
 	l.mu.Unlock()
 }
 
-// Cancel ends dispatch: outstanding leases are released and Grant
-// answers done from now on. Records that still arrive are folded as
-// usual.
+// Cancel ends dispatch: outstanding leases are released, Grant answers
+// done from now on and waiting readers are woken. Records that still
+// arrive are folded as usual.
 func (l *Ledger) Cancel() {
 	l.mu.Lock()
 	l.canceled = true
 	for _, o := range l.leases {
 		l.releaseLocked(o)
 	}
+	l.wakeLocked()
 	l.mu.Unlock()
 }
 

@@ -113,7 +113,7 @@ type ledgerModel struct {
 	// so late batches can name an expired one.
 	leases map[string]Lease
 	all    []string
-	// emitted is how many results emit has delivered.
+	// emitted is how many folded lines the model has read (fold).
 	emitted  int
 	canceled bool
 	size     int
@@ -123,23 +123,30 @@ func newLedgerModel(t testing.TB, n int) *ledgerModel {
 	own, _ := fixtures()
 	m := &ledgerModel{t: t, n: n, own: own, now: time.Unix(1_000_000, 0), ttl: 10 * time.Second,
 		settled: make([]bool, n), leases: map[string]Lease{}, size: 1}
-	m.l = NewLedger(own.hashes[:n], m.ttl, func(int, int) int { return m.size }, func(i int, line []byte) {
-		// Strictly in order, exactly once, the line of the record's own
-		// result, and never after Done.
-		if i != m.emitted {
-			t.Fatalf("emit(%d) but %d results emitted so far", i, m.emitted)
-		}
-		if !bytes.Equal(line, own.results[i]) {
-			t.Fatalf("emit(%d) delivered bytes that are not the line of the record's result", i)
-		}
-		select {
-		case <-m.l.done:
-			t.Fatalf("emit(%d) after Done closed", i)
-		default:
-		}
-		m.emitted++
-	})
+	m.l = NewLedger(own.hashes[:n], m.ttl, func(int, int) int { return m.size })
 	return m
+}
+
+// fold reads the lines folded since the last read: in order, each the
+// line of the record's own result, and the replay from 0 is the same
+// lines as they were read.
+func (m *ledgerModel) fold() {
+	lines, _ := m.l.Lines(m.emitted)
+	for k, line := range lines {
+		if i := m.emitted + k; !bytes.Equal(line, m.own.results[i]) {
+			m.t.Fatalf("Lines: line %d is not the line of the record's result", i)
+		}
+	}
+	m.emitted += len(lines)
+	all, _ := m.l.Lines(0)
+	if len(all) != m.emitted || cap(all) != m.emitted {
+		m.t.Fatalf("Lines(0) holds %d lines (cap %d), the fold %d", len(all), cap(all), m.emitted)
+	}
+	for i, line := range all {
+		if !bytes.Equal(line, m.own.results[i]) {
+			m.t.Fatalf("Lines(0): line %d changed since it folded", i)
+		}
+	}
 }
 
 // expire mirrors expireLocked: leases at or past their deadline end.
@@ -247,6 +254,7 @@ func (m *ledgerModel) deliver(id string, lines [][]byte, kinds []int, indices []
 		}
 		m.expire()
 	}
+	m.fold()
 	if len(got.Accepted) != len(want.Accepted) || got.Rejected != want.Rejected || got.Duplicate != want.Duplicate {
 		m.t.Fatalf("delivery under %q: accepted %d rejected %d duplicate %d, want %d/%d/%d",
 			id, len(got.Accepted), got.Rejected, got.Duplicate, len(want.Accepted), want.Rejected, want.Duplicate)
@@ -257,7 +265,7 @@ func (m *ledgerModel) deliver(id string, lines [][]byte, kinds []int, indices []
 		}
 	}
 	if got.Emitted != m.emitted || got.Done != (m.emitted == m.n) {
-		m.t.Fatalf("Completion says emitted %d done %v; emit saw %d of %d", got.Emitted, got.Done, m.emitted, m.n)
+		m.t.Fatalf("Completion says emitted %d done %v; Lines hold %d of %d", got.Emitted, got.Done, m.emitted, m.n)
 	}
 }
 
@@ -265,6 +273,7 @@ func (m *ledgerModel) deliver(id string, lines [][]byte, kinds []int, indices []
 // partition the grid, the fold cursor is the settled prefix, and Done is
 // closed exactly when nothing remains.
 func (m *ledgerModel) check() {
+	m.fold()
 	l := m.l
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -349,6 +358,10 @@ func runLedgerOps(t testing.TB, ops []byte) {
 		return lines, kinds, indices
 	}
 	for len(ops) > 0 {
+		// A reader caught up with the fold waits on wait: it must open
+		// exactly when this operation advances the fold or cancels.
+		before, canceled := m.emitted, false
+		_, wait := m.l.Lines(before)
 		switch op := next(); op % 8 {
 		case 0, 1: // grant
 			m.size = next()%5 + 1
@@ -393,7 +406,7 @@ func runLedgerOps(t testing.TB, ops []byte) {
 			switch arg := next(); {
 			case arg%16 == 0: // cancel
 				m.l.Cancel()
-				m.canceled = true
+				m.canceled, canceled = true, true
 				clear(m.leases)
 			case arg%2 == 0: // leaseless batch under a made-up ID
 				a := next() % m.n
@@ -410,6 +423,16 @@ func runLedgerOps(t testing.TB, ops []byte) {
 			}
 		}
 		m.check()
+		select {
+		case <-wait:
+			if m.emitted == before && !canceled {
+				t.Fatalf("wait opened at fold %d with no advance and no Cancel", before)
+			}
+		default:
+			if m.emitted > before || canceled {
+				t.Fatalf("wait still shut after the fold went %d -> %d (canceled %v)", before, m.emitted, canceled)
+			}
+		}
 	}
 	// Drain: honest holders finish whatever is left. A canceled ledger
 	// grants nothing, but records that arrive anyway still fold.
@@ -467,20 +490,17 @@ func FuzzLedger(f *testing.F) {
 // (timeouts, backoff, cancellation) where the policy now lives.
 
 // fullGrid returns a ledger over the whole fixture grid granting
-// size-point leases, and the lines it emits.
-func fullGrid(size int) (own grid, l *Ledger, emitted *[][]byte) {
+// size-point leases.
+func fullGrid(size int) (own grid, l *Ledger) {
 	own, _ = fixtures()
-	emitted = new([][]byte)
-	l = NewLedger(own.hashes, time.Minute, func(int, int) int { return size },
-		func(_ int, result []byte) { *emitted = append(*emitted, result) })
-	return own, l, emitted
+	return own, NewLedger(own.hashes, time.Minute, func(int, int) int { return size })
 }
 
 // TestLedgerPreloadSkipsSettledRanges: records that exist before
 // dispatch — a resumed run's checkpoints — are never leased again, and
 // are folded from the preloaded bytes.
 func TestLedgerPreloadSkipsSettledRanges(t *testing.T) {
-	own, l, emitted := fullGrid(4)
+	own, l := fullGrid(4)
 	now := time.Now()
 	if c := l.Preload(own.lines[4:8]); len(c.Accepted) != 4 || c.Emitted != 0 {
 		t.Fatalf("preload of 4:8: %+v", c)
@@ -500,7 +520,7 @@ func TestLedgerPreloadSkipsSettledRanges(t *testing.T) {
 	if len(granted) != 2 || granted[0] != (Range{0, 4}) || granted[1] != (Range{8, 12}) {
 		t.Fatalf("granted %v, want 0:4 and 8:12 only", granted)
 	}
-	if !bytes.Equal(bytes.Join(*emitted, nil), bytes.Join(own.results, nil)) {
+	if lines, _ := l.Lines(0); !bytes.Equal(bytes.Join(lines, nil), bytes.Join(own.results, nil)) {
 		t.Fatal("fold differs from the grid's results in index order")
 	}
 	if st := l.Stats(); st.Granted != 2 || st.Completed != 2 || st.Requeued != 0 {
@@ -518,7 +538,7 @@ func TestLedgerSizesGrantsByPendingAndWorkers(t *testing.T) {
 	l := NewLedger(own.hashes, time.Minute, func(pending, workers int) int {
 		asked = append(asked, ask{pending, workers})
 		return 2
-	}, func(int, []byte) {})
+	})
 	now := time.Now()
 	a1, _ := l.Grant(now, "a")
 	l.Grant(now, "b")
@@ -537,7 +557,7 @@ func TestLedgerSizesGrantsByPendingAndWorkers(t *testing.T) {
 // holes, which come back as a lease on their next attempt; a healthy
 // range beside it is granted once.
 func TestLedgerRequeuesHolesAndCountsAttempts(t *testing.T) {
-	own, l, _ := fullGrid(6)
+	own, l := fullGrid(6)
 	now := time.Now()
 	a, _ := l.Grant(now, "a")
 	b, _ := l.Grant(now, "b")
@@ -572,7 +592,7 @@ func TestLedgerRequeuesHolesAndCountsAttempts(t *testing.T) {
 // that reach the ledger by another road fulfil a lease whose holder
 // then delivers nothing new.
 func TestLedgerTrustsRecordsNotHolders(t *testing.T) {
-	own, l, _ := fullGrid(gridSize)
+	own, l := fullGrid(gridSize)
 	now := time.Now()
 	o, _ := l.Grant(now, "liar")
 	if c := l.Complete(now, o.ID, nil); c.Holes != gridSize || c.Lease == nil {
@@ -604,7 +624,7 @@ func TestLedgerTrustsRecordsNotHolders(t *testing.T) {
 func TestLedgerCoalescesAdjacentExpiredLeases(t *testing.T) {
 	own, _ := fixtures()
 	size := 3
-	l := NewLedger(own.hashes, time.Minute, func(int, int) int { return size }, func(int, []byte) {})
+	l := NewLedger(own.hashes, time.Minute, func(int, int) int { return size })
 	now := time.Now()
 	l.Grant(now, "a")
 	l.Grant(now, "b")
@@ -628,7 +648,7 @@ func TestLedgerCoalescesAdjacentExpiredLeases(t *testing.T) {
 // TestLedgerSettledPointSplitsNextGrant: a point settled inside a
 // pending run ends the grant below it; the next grant starts above it.
 func TestLedgerSettledPointSplitsNextGrant(t *testing.T) {
-	own, l, _ := fullGrid(gridSize)
+	own, l := fullGrid(gridSize)
 	now := time.Now()
 	l.Settle(5, bytes.Clone(own.results[5]))
 	l.Settle(0, bytes.Clone(own.results[0]))
@@ -651,7 +671,7 @@ func TestLedgerSettledPointSplitsNextGrant(t *testing.T) {
 func TestLedgerGrantsLowestPendingRun(t *testing.T) {
 	own, _ := fixtures()
 	size := 4
-	l := NewLedger(own.hashes, time.Minute, func(int, int) int { return size }, func(int, []byte) {})
+	l := NewLedger(own.hashes, time.Minute, func(int, int) int { return size })
 	now := time.Now()
 	a, _ := l.Grant(now, "a")
 	l.Grant(now, "b") // 4:8, held throughout
@@ -673,13 +693,133 @@ func TestLedgerGrantsLowestPendingRun(t *testing.T) {
 	}
 }
 
+// TestLedgerLinesReplayAndWake: Lines replays the fold from any index
+// and reaches no further, and its wait channel opens at a fold advance
+// and at Cancel, never at a settle above a gap.
+func TestLedgerLinesReplayAndWake(t *testing.T) {
+	own, l := fullGrid(gridSize)
+	shut := func(wait <-chan struct{}) bool {
+		select {
+		case <-wait:
+			return false
+		default:
+			return true
+		}
+	}
+	replays := func(folded int) {
+		t.Helper()
+		for from := 0; from <= gridSize; from++ {
+			lines, _ := l.Lines(from)
+			want := own.results[min(from, folded):folded]
+			if len(lines) != len(want) || cap(lines) != len(want) {
+				t.Fatalf("Lines(%d) holds %d lines (cap %d), want the %d folded", from, len(lines), cap(lines), len(want))
+			}
+			for k := range want {
+				if !bytes.Equal(lines[k], want[k]) {
+					t.Fatalf("Lines(%d)[%d] is not line %d's result", from, k, from+k)
+				}
+			}
+		}
+	}
+	lines, wait := l.Lines(0)
+	if len(lines) != 0 || !shut(wait) {
+		t.Fatalf("fresh ledger: %d lines, wait open %v", len(lines), !shut(wait))
+	}
+	l.Settle(2, bytes.Clone(own.results[2]))
+	if !shut(wait) {
+		t.Fatal("a settle above the gap at 0 opened wait")
+	}
+	replays(0)
+	l.Settle(0, bytes.Clone(own.results[0]))
+	if shut(wait) {
+		t.Fatal("the fold advanced to 1 and wait stayed shut")
+	}
+	replays(1)
+	_, wait = l.Lines(1)
+	l.Preload(own.lines[1:2])
+	if shut(wait) {
+		t.Fatal("the fold advanced to 3 and wait stayed shut")
+	}
+	replays(3)
+	_, wait = l.Lines(3)
+	l.Settle(5, bytes.Clone(own.results[5]))
+	l.Cancel()
+	if shut(wait) {
+		t.Fatal("Cancel left wait shut")
+	}
+	_, wait = l.Lines(3)
+	l.Settle(4, bytes.Clone(own.results[4]))
+	if !shut(wait) {
+		t.Fatal("a settle above the gap at 3 opened wait after Cancel")
+	}
+	l.Preload(own.lines)
+	if shut(wait) {
+		t.Fatal("records folded after Cancel and wait stayed shut")
+	}
+	select {
+	case <-l.Done():
+	default:
+		t.Fatal("the whole grid folded and Done is open")
+	}
+	replays(gridSize)
+}
+
+// TestLedgerReadersFollowConcurrentFolds: readers following Lines and
+// its wait channel while several goroutines settle and preload the grid
+// in scrambled orders each read every result line once, in grid order.
+func TestLedgerReadersFollowConcurrentFolds(t *testing.T) {
+	own, _ := fixtures()
+	rnd := rand.New(rand.NewSource(3))
+	for round := 0; round < 50; round++ {
+		l := NewLedger(own.hashes, time.Minute, nil)
+		var wg sync.WaitGroup
+		read := make([][]byte, 4)
+		for r := range read {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < gridSize; {
+					lines, wait := l.Lines(i)
+					for _, line := range lines {
+						read[r] = append(read[r], line...)
+					}
+					if i += len(lines); i < gridSize {
+						<-wait
+					}
+				}
+			}()
+		}
+		for w := 0; w < 3; w++ {
+			order := rnd.Perm(gridSize)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, i := range order {
+					if w == 0 {
+						l.Preload(own.lines[i : i+1])
+					} else {
+						l.Settle(i, bytes.Clone(own.results[i]))
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		want := bytes.Join(own.results, nil)
+		for r, got := range read {
+			if !bytes.Equal(got, want) {
+				t.Fatalf("round %d: reader %d read %d bytes that are not the grid's results in order", round, r, len(got))
+			}
+		}
+	}
+}
+
 // TestLedgerSettleAllocatesNothing: settling a point is a store and a
 // count, however the pending points lie; a settle that splits a pending
 // run allocates nothing.
 func TestLedgerSettleAllocatesNothing(t *testing.T) {
 	const runs = 100
 	n := 2 * (runs + 2)
-	l := NewLedger(make([]string, n), time.Minute, func(int, int) int { return 1 }, func(int, []byte) {})
+	l := NewLedger(make([]string, n), time.Minute, func(int, int) int { return 1 })
 	line := []byte("{}\n")
 	next := n - 2
 	if allocs := testing.AllocsPerRun(runs, func() {
@@ -707,7 +847,7 @@ func TestLedgerRandomAgainstMap(t *testing.T) {
 		leases  []*Lease
 	)
 	reset := func() {
-		l = NewLedger(make([]string, span), time.Hour, func(int, int) int { return size }, func(int, []byte) {})
+		l = NewLedger(make([]string, span), time.Hour, func(int, int) int { return size })
 		model = map[int]bool{}
 		for i := 0; i < span; i++ {
 			model[i] = true
