@@ -8,13 +8,6 @@ import (
 	"ctsan/campaign"
 )
 
-// discard is a sink that drops every result, so the benchmark measures
-// the campaign + SAN-engine path, not result retention.
-type discard struct{}
-
-func (discard) Emit(*campaign.Result) error { return nil }
-func (discard) Close() error                { return nil }
-
 // BenchmarkSANCampaignSerial times the SAN campaign path: a small
 // transient study on the serial reference path, covering the point
 // fan-out, the calendar-queue simulator, and the streaming digest. It is
@@ -33,7 +26,6 @@ func BenchmarkSANCampaignSerial(b *testing.B) {
 		if err := campaign.Run(bg, study,
 			campaign.WithSeed(uint64(i)+1),
 			campaign.WithWorkers(1),
-			campaign.WithSink(discard{}),
 		); err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +81,6 @@ func twoWorkers(b *testing.B, study *campaign.Study) {
 		if err := campaign.Run(bg, study,
 			campaign.WithSeed(1),
 			campaign.WithWorkers(workers),
-			campaign.WithSink(discard{}),
 		); err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +135,6 @@ func BenchmarkFineGridCampaignSerial(b *testing.B) {
 		if err := campaign.Run(bg, study,
 			campaign.WithSeed(1),
 			campaign.WithWorkers(1),
-			campaign.WithSink(discard{}),
 		); err != nil {
 			b.Fatal(err)
 		}

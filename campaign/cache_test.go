@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"ctsan/internal/experiment"
+	"ctsan/internal/obs"
 	"ctsan/internal/sanmodel"
 	"ctsan/internal/scenario"
 )
@@ -85,91 +87,69 @@ func TestFrozenPointsMatchesManualDerivation(t *testing.T) {
 	}
 }
 
-// failingSink errors on the result at a chosen index and records every
-// emission and close, pinning the Sink error contract: the study is
-// canceled (no unit after the failing emission starts on the serial
-// path), the error surfaces from Run wrapped for errors.Is, no further
-// Emit calls arrive, and Close still runs exactly once.
-type failingSink struct {
-	failAt  int
-	err     error
-	emitted []int
-	closes  int
-}
-
-func (s *failingSink) Emit(r *Result) error {
-	if r.Index == s.failAt {
-		return s.err
+// failingEmit runs every point of study through RunRecords with an emit
+// that fails on point failAt's record with emitErr — how `ctsan shard`'s
+// store.Write and ctsand's settleRecord fail a run. It returns every index
+// emit was called with, in call order, and RunRecords' error.
+func failingEmit(t *testing.T, study *Study, failAt int, emitErr error, opts ...Option) ([]int, error) {
+	t.Helper()
+	frozen, err := Frozen(study)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.emitted = append(s.emitted, r.Index)
-	return nil
-}
-
-func (s *failingSink) Close() error {
-	s.closes++
-	return nil
-}
-
-func TestSinkErrorCancelsStudy(t *testing.T) {
-	sinkErr := errors.New("disk full")
-	study := NewStudy("sink-error",
-		SANPoint{N: 3, Replicas: 20},
-		SANPoint{N: 3, Replicas: 20, TSend: 0.05},
-		SANPoint{N: 3, Replicas: 20, TSend: 0.1},
-		SANPoint{N: 3, Replicas: 20, TSend: 0.2},
-		SANPoint{N: 3, Replicas: 20, TSend: 0.4},
-	)
-	sink := &failingSink{failAt: 1, err: sinkErr}
-	var exec executed
-
-	err := Run(context.Background(), study, WithWorkers(1),
-		WithSink(sink), exec.option())
-	if err == nil {
-		t.Fatal("sink error did not surface from Run")
+	hashes, err := StudyPointHashes(frozen)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, sinkErr) {
-		t.Fatalf("error %v does not wrap the sink error", err)
+	indices := make([]int, len(frozen.Points))
+	for i := range indices {
+		indices[i] = i
 	}
-	if len(sink.emitted) != 1 || sink.emitted[0] != 0 {
-		t.Fatalf("emissions after the failure: %v", sink.emitted)
-	}
-	if sink.closes != 1 {
-		t.Fatalf("Close called %d times", sink.closes)
-	}
-	// Serial path: the failing emission happens inside unit 1; units 2+
-	// must never start once it fails.
-	if len(exec.indices) != 2 {
-		t.Fatalf("points executed after the sink failure: %v", exec.indices)
-	}
-}
-
-// TestSinkErrorParallelSurfaces pins the same contract on the pooled
-// path: the error surfaces, emissions stop at the failure point, and
-// every sink is still closed.
-func TestSinkErrorParallelSurfaces(t *testing.T) {
-	sinkErr := errors.New("downstream gone")
-	study := shardTestStudy()
-	sink := &failingSink{failAt: 2, err: sinkErr}
-	var collect Collect
-	err := Run(context.Background(), study, WithWorkers(4),
-		WithSink(sink), WithSink(&collect))
-	if !errors.Is(err, sinkErr) {
-		t.Fatalf("error %v does not wrap the sink error", err)
-	}
-	if sink.closes != 1 {
-		t.Fatalf("Close called %d times", sink.closes)
-	}
-	for _, idx := range sink.emitted {
-		if idx >= 2 {
-			t.Fatalf("emission %d arrived after the failing index", idx)
+	var calls []int // RunRecords serializes emit
+	err = RunRecords(context.Background(), frozen, hashes, indices, func(i int, _ []byte) error {
+		calls = append(calls, i)
+		if i == failAt {
+			return emitErr
 		}
+		return nil
+	}, opts...)
+	return calls, err
+}
+
+// TestRecordEmitErrorCancelsStudy pins the error contract of RunRecords'
+// emit on the serial path: the error surfaces wrapped for errors.Is, no
+// emit follows the failing one, and no point starts after the failing
+// point (each of these Emulation points counts its 10 executions).
+func TestRecordEmitErrorCancelsStudy(t *testing.T) {
+	emitErr := errors.New("disk full")
+	study := NewStudy("emit-error")
+	for range 5 {
+		study.Add(LatencyPoint{N: 3, Executions: 10})
 	}
-	// The second sink saw the failing result or earlier ones only; the
-	// emission loop dies with the first sink error.
-	for _, r := range collect.Results {
-		if r.Index > 2 {
-			t.Fatalf("second sink received index %d after the failure", r.Index)
-		}
+	before := obs.Executions.Value()
+	calls, err := failingEmit(t, study, 1, emitErr, WithWorkers(1))
+	if !errors.Is(err, emitErr) {
+		t.Fatalf("error %v does not wrap the emit error", err)
+	}
+	if !slices.Equal(calls, []int{0, 1}) {
+		t.Fatalf("emits %v, want [0 1]", calls)
+	}
+	if ran := obs.Executions.Value() - before; ran != 20 {
+		t.Fatalf("%d executions, want the 20 of points 0 and 1", ran)
+	}
+}
+
+// TestRecordEmitErrorParallelSurfaces pins the same contract on the
+// pooled path, where other points are still running when the emit fails:
+// the error surfaces, and no emit follows the failing one.
+func TestRecordEmitErrorParallelSurfaces(t *testing.T) {
+	emitErr := errors.New("downstream gone")
+	calls, err := failingEmit(t, shardTestStudy(), 2, emitErr, WithWorkers(4))
+	if !errors.Is(err, emitErr) {
+		t.Fatalf("error %v does not wrap the emit error", err)
+	}
+	if k := slices.Index(calls, 2); k != len(calls)-1 {
+		t.Fatalf("emits %v: want the failing point 2's last", calls)
 	}
 }
 

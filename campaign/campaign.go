@@ -200,7 +200,6 @@ type options struct {
 	seed     uint64
 	workers  int
 	replicas int
-	sinks    []Sink
 	progress func(done, total int, last *Result)
 	// completed, when set, sees each result on the worker that produced
 	// it, the moment its point completes — in completion order, not index
@@ -248,9 +247,11 @@ func SharedExecutor(workers int) Option {
 // that do not set their own (default: 1000 for SAN, 1 for Scenario).
 func WithReplicas(r int) Option { return func(o *options) { o.replicas = r } }
 
-// WithProgress installs a progress callback invoked after each result is
-// emitted to the sinks: done results so far, the study's total point
-// count, and the result just emitted.
+// WithProgress installs the run's in-order result hook, called once per
+// point as its result is delivered: done results so far, the study's
+// total point count, and the result just delivered. A later WithProgress
+// replaces an earlier one; RunCollect keeps the caller's and collects
+// behind it.
 //
 // The callback's ordering guarantees are part of the API:
 //
@@ -260,8 +261,6 @@ func WithReplicas(r int) Option { return func(o *options) { o.replicas = r } }
 //   - Deterministic order: calls arrive in point-index order (done is
 //     exactly 1, 2, …, total) regardless of the worker count or which
 //     point finished computing first.
-//   - After the sinks: when the callback for point i runs, every sink
-//     has already accepted point i's result.
 //
 // Calls may run on different worker goroutines — only the ordering, not
 // the goroutine identity, is guaranteed. The callback executes inside
@@ -270,9 +269,3 @@ func WithReplicas(r int) Option { return func(o *options) { o.replicas = r } }
 func WithProgress(fn func(done, total int, last *Result)) Option {
 	return func(o *options) { o.progress = fn }
 }
-
-// WithSink attaches a streaming result sink; repeat to attach several.
-// Each sink receives every result exactly once, in point-index order, and
-// is closed when the run ends (also on error or cancellation, so partial
-// output is flushed).
-func WithSink(s Sink) Option { return func(o *options) { o.sinks = append(o.sinks, s) } }

@@ -261,38 +261,6 @@ func TestPrepareFailsFast(t *testing.T) {
 	}
 }
 
-// closeCounter counts Close calls so tests can pin the exactly-once
-// sink-close contract.
-type closeCounter struct {
-	campaign.Collect
-	closes int
-}
-
-func (c *closeCounter) Close() error { c.closes++; return nil }
-
-// TestSinksClosedOnPrepareError: Close must be called exactly once even
-// when the run fails before any point executes (a custom sink holding a
-// file handle must be released).
-func TestSinksClosedOnPrepareError(t *testing.T) {
-	var sink closeCounter
-	err := campaign.Run(bg, campaign.NewStudy("bad",
-		campaign.ScenarioPoint{Name: "no-such-scenario"},
-	), campaign.WithSink(&sink))
-	if err == nil {
-		t.Fatal("prepare error expected")
-	}
-	if sink.closes != 1 {
-		t.Fatalf("sink closed %d times on prepare error, want exactly 1", sink.closes)
-	}
-	var empty closeCounter
-	if err := campaign.Run(bg, campaign.NewStudy("empty"), campaign.WithSink(&empty)); err == nil {
-		t.Fatal("empty study must error")
-	}
-	if empty.closes != 1 {
-		t.Fatalf("sink closed %d times on empty study, want exactly 1", empty.closes)
-	}
-}
-
 // TestNegativeTimeoutRejected: a negative heartbeat timeout must fail
 // loudly, not silently fall back to the oracle detector.
 func TestNegativeTimeoutRejected(t *testing.T) {
@@ -313,30 +281,47 @@ func TestEmptyStudyRejected(t *testing.T) {
 	}
 }
 
-// TestSinksReceiveOrderedStream checks multi-sink fan-out and that the
-// JSONL sink emits one parseable line per point, in index order.
-func TestSinksReceiveOrderedStream(t *testing.T) {
-	var buf strings.Builder
-	var collected campaign.Collect
-	study := campaign.NewStudy("sinks",
+// jsonl runs the study through RunCollect and returns its JSON Lines:
+// json.Marshal of each result and a newline, in point order — the bytes
+// every surface that prints results streams.
+func jsonl(t *testing.T, study *campaign.Study, opts ...campaign.Option) []byte {
+	t.Helper()
+	results, err := campaign.RunCollect(bg, study, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	for _, r := range results {
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(append(line, '\n'))
+	}
+	return buf.Bytes()
+}
+
+// TestRunCollectOrderedStream: RunCollect returns every result in index
+// order on a parallel run, each one JSON line naming its point, and the
+// caller's progress callback still fires once per point.
+func TestRunCollectOrderedStream(t *testing.T) {
+	study := campaign.NewStudy("collect",
 		campaign.SANPoint{Name: "a", N: 3, Replicas: 60, Tmax: 1e6},
 		campaign.SANPoint{Name: "b", N: 3, Replicas: 60, Tmax: 1e6},
 		campaign.SANPoint{Name: "c", N: 3, Replicas: 60, Tmax: 1e6},
 	)
-	err := campaign.Run(bg, study,
+	var progressed []string
+	lines := strings.Split(strings.TrimSpace(string(jsonl(t, study,
 		campaign.WithWorkers(8),
-		campaign.WithSink(&collected),
-		campaign.WithSink(campaign.NewJSONLWriter(&buf)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 || len(collected.Results) != 3 {
-		t.Fatalf("expected 3 results in both sinks, got %d lines / %d collected", len(lines), len(collected.Results))
+		campaign.WithProgress(func(_, _ int, last *campaign.Result) {
+			progressed = append(progressed, last.Point)
+		})))), "\n")
+	if len(lines) != 3 || len(progressed) != 3 {
+		t.Fatalf("expected 3 results, got %d lines / %d progress calls", len(lines), len(progressed))
 	}
 	for i, want := range []string{"a", "b", "c"} {
-		if collected.Results[i].Point != want {
-			t.Fatalf("collect order: position %d is %q", i, collected.Results[i].Point)
+		if progressed[i] != want {
+			t.Fatalf("progress order: position %d is %q", i, progressed[i])
 		}
 		if !strings.Contains(lines[i], `"point":"`+want+`"`) {
 			t.Fatalf("jsonl line %d does not mention point %q: %s", i, want, lines[i])
@@ -344,18 +329,11 @@ func TestSinksReceiveOrderedStream(t *testing.T) {
 	}
 }
 
-// countingSink counts emissions; safe without a lock because sink calls
-// are serialized (the same guarantee the progress test verifies).
-type countingSink struct{ n *int }
-
-func (s countingSink) Emit(*campaign.Result) error { *s.n++; return nil }
-func (s countingSink) Close() error                { return nil }
-
 // TestProgressOrderingGuarantees pins the WithProgress contract on a
-// parallel campaign: calls are sequential (never concurrent), arrive in
-// point-index order with done counting 1..total, and each call sees the
-// result the sinks just accepted. A sink that records emission order
-// cross-checks the "after the sinks" clause.
+// parallel campaign: calls are sequential (never concurrent) and arrive
+// in point-index order with done counting 1..total. Run through
+// RunCollect, the caller's callback still sees every call, and RunCollect
+// returns the very results the callback saw, in the same order.
 func TestProgressOrderingGuarantees(t *testing.T) {
 	const points = 12
 	study := campaign.NewStudy("progress")
@@ -368,14 +346,10 @@ func TestProgressOrderingGuarantees(t *testing.T) {
 	var (
 		inCallback atomic.Int32
 		calls      []int // done values, in call order
-		results    []string
-		sunk       int
+		results    []*campaign.Result
 	)
-	var collected campaign.Collect
-	err := campaign.Run(bg, study,
+	collected, err := campaign.RunCollect(bg, study,
 		campaign.WithWorkers(8),
-		campaign.WithSink(countingSink{&sunk}),
-		campaign.WithSink(&collected),
 		campaign.WithProgress(func(done, total int, last *campaign.Result) {
 			// Sequential: no other callback may be in flight.
 			if inCallback.Add(1) != 1 {
@@ -388,24 +362,24 @@ func TestProgressOrderingGuarantees(t *testing.T) {
 			if total != points {
 				t.Errorf("total = %d, want %d", total, points)
 			}
-			if sunk != done {
-				t.Errorf("callback for done=%d ran with only %d results sunk", done, sunk)
-			}
 			calls = append(calls, done)
-			results = append(results, last.Point)
+			results = append(results, last)
 		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(calls) != points {
-		t.Fatalf("%d progress calls, want %d", len(calls), points)
+	if len(calls) != points || len(collected) != points {
+		t.Fatalf("%d progress calls and %d results collected, want %d", len(calls), len(collected), points)
 	}
 	for i, done := range calls {
 		if done != i+1 {
 			t.Fatalf("call %d reported done=%d, want %d (point-index order)", i, done, i+1)
 		}
-		if results[i] != names[i] {
-			t.Fatalf("call %d carried result %q, want %q", i, results[i], names[i])
+		if results[i].Point != names[i] {
+			t.Fatalf("call %d carried result %q, want %q", i, results[i].Point, names[i])
+		}
+		if collected[i] != results[i] {
+			t.Fatalf("RunCollect's result %d is not the one the callback saw", i)
 		}
 	}
 }

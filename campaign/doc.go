@@ -12,10 +12,11 @@
 //	    campaign.LatencyPoint{Name: "meas-n5", N: 5, Executions: 1000},
 //	    campaign.ScenarioPoint{Name: "gc-storm", Replicas: 4},
 //	)
+//	enc := json.NewEncoder(os.Stdout)
 //	err := campaign.Run(ctx, study,
 //	    campaign.WithSeed(1),
 //	    campaign.WithWorkers(0), // one per CPU
-//	    campaign.WithSink(campaign.NewJSONLWriter(os.Stdout)),
+//	    campaign.WithProgress(func(_, _ int, r *campaign.Result) { enc.Encode(r) }),
 //	)
 //
 // Run fans the points (and the Monte-Carlo replicas inside them) across
@@ -25,22 +26,24 @@
 //   - determinism: every result is bit-identical for a given seed — each
 //     point draws from a child random stream keyed by its index, and the
 //     per-point folds are serial (see PERFORMANCE.md);
-//   - ordered streaming: sinks receive results in point-index order, as
-//     soon as the contiguous prefix is complete — early points stream out
-//     while later points still run. Points start in a fixed order of the
-//     study's own (the chains no second worker can join heaviest first,
-//     then the divisible points, see Run), so a study ends level; the
-//     order decides when results arrive, never which or in what order;
+//   - ordered streaming: the WithProgress callback receives results in
+//     point-index order, as soon as the contiguous prefix is complete —
+//     early points stream out while later points still run. Points
+//     start in a fixed order of the study's own (the chains no second
+//     worker can join heaviest first, then the divisible points, see
+//     Run), so a study ends level; the order decides when results
+//     arrive, never which or in what order;
 //   - cancellation: the context is honored between points, between
 //     replicas, and between consensus executions, so Ctrl-C (or a test
 //     timeout) stops a campaign promptly with ctx.Err().
 //
 // Results are engine-uniform (Result with a latency Summary, abort
-// counts, failure-detector QoS where measured); Sink implementations
-// Collect and JSONLWriter cover programmatic and pipeline
-// consumption. The ctsan commands that build a study from flags
-// (testbed, sanrun, fdqos, scenario run) are thin shells over this
-// package.
+// counts, failure-detector QoS where measured). A result's JSON line is
+// json.Marshal of it plus a newline — the bytes every command and the
+// campaign service stream — and RunCollect gathers a whole study's
+// results in point order for programmatic use. The ctsan commands that
+// build a study from flags (testbed, sanrun, fdqos, scenario run) are
+// thin shells over this package.
 //
 // Memory scales with the study, not with the execution count: every
 // engine folds its samples into a streaming digest (internal/metrics),
@@ -95,15 +98,18 @@
 // metrics.Digest encoding. Where a record goes is the caller's: `ctsan
 // shard` appends it to a checkpoint file (fsynced once per 25 ms slice,
 // skipping on resume the points the file already holds), and `ctsan
-// worker` uploads it. MergeShardRecords folds the union of every
-// shard's records back into the complete grid in index order — the
-// same serial fold order as an in-process run — rejecting corrupt
-// records (CRC), stale records (point-hash mismatch after a spec
-// edit), and duplicates, and failing loudly if any point is missing.
-// The merged output is byte-identical to an uninterrupted 1-process
-// campaign; cmd/ctsan wraps this in a lease/execute/fold CLI
-// (internal/shard's Ledger) with subprocess isolation, retry, and
-// SIGKILL-resume differential tests.
+// worker` uploads it. The records fold back into the complete grid
+// through the lease ledger (internal/shard's Ledger): `ctsan run` and
+// `ctsan merge` hand it every record a checkpoint directory holds
+// (Ledger.Preload), and it folds in index order — the same serial fold
+// order as an in-process run — rejecting corrupt records (CRC), stale
+// records (point-hash mismatch after a spec edit), and duplicates, so
+// the merged output is byte-identical to an uninterrupted 1-process
+// campaign, and merge fails loudly if any point is missing. `ctsan run`
+// adds subprocess isolation and re-leases the holes a crashed shard
+// leaves, under SIGKILL-resume differential tests. MergeShardRecords is
+// the same fold as one call over a set of lines, for callers that hold
+// a store's records without a ledger.
 //
 // FrozenPoints exposes the same materialization as a value — one
 // FrozenPoint per grid cell with its index, label, engine, derived
@@ -131,11 +137,11 @@
 // # Observability
 //
 // Campaign execution is observable without touching determinism.
-// WithProgress delivers a serialized, point-index-ordered callback
-// after each result reaches the sinks (its ordering guarantees are part
-// of the API — see the option's doc). Process-wide telemetry counters
-// (points and executions completed, dispatch leases, checkpoint
-// appends and bytes, worker utilization) tick in internal/obs and are
+// WithProgress delivers a serialized, point-index-ordered callback with
+// each result (its ordering guarantees are part of the API — see the
+// option's doc). Process-wide telemetry counters (points and executions
+// completed, dispatch leases, checkpoint appends and bytes, worker
+// utilization) tick in internal/obs and are
 // served over expvar + pprof when a CLI runs with -debug-addr; they
 // read wall clocks and so live deliberately outside the bit-identical
 // contract — nothing in a Result depends on them. Per-event execution

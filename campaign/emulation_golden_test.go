@@ -31,10 +31,7 @@ func TestEmulationGolden(t *testing.T) {
 		campaign.LatencyPoint{Name: "crash1-n5", N: 5, Executions: 60, Crashed: []int{1}},
 		campaign.LatencyPoint{Name: "heartbeat-n3-T10", N: 3, Executions: 60, TimeoutT: 10},
 	)
-	if err := campaign.Run(bg, study, campaign.WithSeed(1), campaign.WithWorkers(1),
-		campaign.WithSink(campaign.NewJSONLWriter(&buf))); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(jsonl(t, study, campaign.WithSeed(1), campaign.WithWorkers(1)))
 	tr, err := experiment.RunCrashTransientContext(bg, experiment.CrashTransientSpec{
 		N: 3, CrashID: 1, CrashAfter: 10, Executions: 25, TimeoutT: 10, Seed: 1,
 	})

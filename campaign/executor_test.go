@@ -164,7 +164,8 @@ func TestSharedExecutorServesOneRunAtATime(t *testing.T) {
 }
 
 // TestFailedRunEmptiesSharedExecutor: a Run that fails may leave an
-// assembly mid-run, so it leaves the executor holding none.
+// assembly mid-run, so it leaves the executor holding none — here a
+// RunRecords whose emit fails.
 func TestFailedRunEmptiesSharedExecutor(t *testing.T) {
 	var o *options
 	exec := SharedExecutor(1)
@@ -172,7 +173,7 @@ func TestFailedRunEmptiesSharedExecutor(t *testing.T) {
 	if err := Run(context.Background(), study, exec, captureOptions(&o)); err != nil || builds(o.exec) != 2 {
 		t.Fatalf("first Run: %v, holding %d assemblies", err, builds(o.exec))
 	}
-	err := Run(context.Background(), study, exec, WithSink(&failingSink{failAt: 0, err: errors.New("sink full")}))
+	_, err := failingEmit(t, study, 0, errors.New("store full"), exec)
 	if err == nil || builds(o.exec) != 0 {
 		t.Fatalf("failing Run: %v, executor left holding %d assemblies", err, builds(o.exec))
 	}

@@ -235,42 +235,40 @@ func TestSharedFreezeRunsConcurrently(t *testing.T) {
 	}
 	want := resultLines(t, study, WithSeed(3), WithWorkers(1))
 	var wg sync.WaitGroup
-	outs := make([][]byte, 3)
+	outs := make([][]*Result, 3)
 	for k := range outs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf bytes.Buffer
-			if err := Run(context.Background(), frozen, WithWorkers(2), WithSink(NewJSONLWriter(&buf))); err != nil {
+			var err error
+			if outs[k], err = RunCollect(context.Background(), frozen, WithWorkers(2)); err != nil {
 				t.Error(err)
 			}
-			outs[k] = buf.Bytes()
 		}()
 	}
 	wg.Wait()
-	wantOut := append(bytes.Join(want, []byte("\n")), '\n')
 	for k, out := range outs {
-		if !bytes.Equal(out, wantOut) {
-			t.Errorf("concurrent run %d of one freeze:\n got %s\nwant %s", k, out, wantOut)
+		if got := encodeResults(t, out); !slices.EqualFunc(got, want, bytes.Equal) {
+			t.Errorf("concurrent run %d of one freeze:\n got %s\nwant %s", k, got, want)
 		}
 	}
 }
 
-// TestKeptResultsEncodeAsChanged: what a sink keeps is the struct, and a
-// result changed after the run encodes as changed.
+// TestKeptResultsEncodeAsChanged: what RunCollect returns is the struct,
+// and a result changed after the run encodes as changed — nothing holds
+// an encoding made during the run.
 func TestKeptResultsEncodeAsChanged(t *testing.T) {
 	results, err := RunCollect(context.Background(), shardTestStudy(), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range results {
+		before, _ := json.Marshal(r)
+		old, _ := json.Marshal(r.Point)
 		r.Point = "changed"
-		var buf bytes.Buffer
-		if err := NewJSONLWriter(&buf).Emit(r); err != nil {
-			t.Fatal(err)
-		}
-		if want, _ := json.Marshal(r); buf.String() != string(want)+"\n" {
-			t.Errorf("a changed result wrote\n%s\nwant %s", buf.Bytes(), want)
+		want := bytes.Replace(before, append([]byte(`"point":`), old...), []byte(`"point":"changed"`), 1)
+		if got, _ := json.Marshal(r); !bytes.Equal(got, want) {
+			t.Errorf("a changed result wrote\n%s\nwant %s", got, want)
 		}
 	}
 }

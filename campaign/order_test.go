@@ -106,20 +106,15 @@ func TestReorderedStudyDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("start order %v no longer moves index 0", order)
 	}
 	run := func(workers int) []byte {
-		var buf bytes.Buffer
 		var done []int
-		err := Run(context.Background(), reorderedStudy(),
+		lines := resultLines(t, reorderedStudy(),
 			WithSeed(3), WithWorkers(workers),
-			WithSink(NewJSONLWriter(&buf)),
 			WithProgress(func(d, total int, last *Result) {
 				if last.Index != d-1 || total != len(order) {
 					t.Errorf("workers=%d: progress (%d/%d) carried point %d", workers, d, total, last.Index)
 				}
 				done = append(done, d)
 			}))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
 		for k, d := range done {
 			if d != k+1 {
 				t.Fatalf("workers=%d: progress calls %v, want 1..%d", workers, done, len(order))
@@ -128,7 +123,7 @@ func TestReorderedStudyDeterministicAcrossWorkers(t *testing.T) {
 		if len(done) != len(order) {
 			t.Fatalf("workers=%d: %d progress calls, want %d", workers, len(done), len(order))
 		}
-		return buf.Bytes()
+		return bytes.Join(lines, []byte("\n"))
 	}
 	want := run(1)
 	for _, w := range []int{2, 8} {

@@ -49,7 +49,7 @@ func summarize(d *metrics.Digest) Summary {
 }
 
 // Result is the outcome of one study point, shaped identically across
-// engines so sinks, tables, and downstream analyses need no per-engine
+// engines so JSON lines, tables, and downstream analyses need no per-engine
 // cases. Engine-specific detail stays reachable through Raw.
 type Result struct {
 	// Study and Point identify the cell; Index is the point's position in

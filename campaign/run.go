@@ -36,9 +36,9 @@ func (o *options) pointReplicas(explicit, engineDefault int) int {
 }
 
 // Run executes every point of the study on one deterministic worker pool
-// and streams results to the attached sinks in point-index order: result i
-// is delivered as soon as results 0..i are complete, while later points
-// may still run, and the emission order (and every result bit) is
+// and hands results to the WithProgress callback in point-index order:
+// result i is delivered as soon as results 0..i are complete, while later
+// points may still run, and the emission order (and every result bit) is
 // independent of the worker count. Points start in the study's start
 // order (startOrder): the chains — points no second worker can join, an
 // Emulation point or a one-replica Scenario point, each one sequential
@@ -52,20 +52,13 @@ func (o *options) pointReplicas(explicit, engineDefault int) int {
 // ctx cancels the study cooperatively: between points, between the
 // Monte-Carlo replicas inside SAN and Scenario points, and between the
 // consensus executions inside Emulation points. A canceled run returns
-// ctx.Err() (after closing the sinks, so partial output is flushed).
+// ctx.Err().
 func Run(ctx context.Context, study *Study, opts ...Option) error {
 	o := &options{seed: 1}
 	for _, opt := range opts {
 		opt(o)
 	}
 	err := run(ctx, study, o)
-	// Sinks are closed on every exit path — success, validation error,
-	// point failure, cancellation — so partial output is always flushed.
-	for _, s := range o.sinks {
-		if cerr := s.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("campaign: sink close: %w", cerr)
-		}
-	}
 	// Cancellation surfaces as the clean context error, not a wrapped
 	// point failure.
 	if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
@@ -74,7 +67,7 @@ func Run(ctx context.Context, study *Study, opts ...Option) error {
 	return err
 }
 
-// run freezes and executes the study (sink closing is Run's job).
+// run freezes and executes the study.
 func run(ctx context.Context, study *Study, o *options) error {
 	if study == nil || len(study.Points) == 0 {
 		return errors.New("campaign: study with no points (nothing to run)")
@@ -130,11 +123,6 @@ func run(ctx context.Context, study *Study, o *options) error {
 		},
 		func(i int, res *Result) error {
 			obs.Points.Add(1)
-			for _, s := range o.sinks {
-				if err := s.Emit(res); err != nil {
-					return fmt.Errorf("campaign: sink: %w", err)
-				}
-			}
 			if o.progress != nil {
 				o.progress(i+1, total, res)
 			}
@@ -167,13 +155,23 @@ func startOrder(chains []float64) []int {
 	return order
 }
 
-// RunCollect is Run with an implicit Collect sink: it returns every
-// result in point-index order. Use it when the study is small enough that
-// fold-at-end is fine; attach sinks to Run for streaming consumption.
+// RunCollect is Run returning every result in point-index order, after
+// any WithProgress callback the caller passed has seen it. Use it when
+// the study is small enough that fold-at-end is fine; pass WithProgress to
+// Run for streaming consumption.
 func RunCollect(ctx context.Context, study *Study, opts ...Option) ([]*Result, error) {
-	var c Collect
-	if err := Run(ctx, study, append(opts, WithSink(&c))...); err != nil {
+	var results []*Result
+	collect := func(o *options) {
+		progress := o.progress
+		o.progress = func(done, total int, last *Result) {
+			if progress != nil {
+				progress(done, total, last)
+			}
+			results = append(results, last)
+		}
+	}
+	if err := Run(ctx, study, append(opts, collect)...); err != nil {
 		return nil, err
 	}
-	return c.Results, nil
+	return results, nil
 }

@@ -36,10 +36,7 @@ func TestSANGolden(t *testing.T) {
 			campaign.SANPoint{Name: "c3-n5-short-tmax", N: 5, Replicas: 120, TMR: 8, TM: 3, FDExponential: true, Tmax: 1.2},
 			campaign.SANPoint{Name: "c1-n3-slow-send", N: 3, Replicas: 120, TSend: 0.2},
 		)
-		if err := campaign.Run(bg, study, campaign.WithSeed(1), campaign.WithWorkers(workers),
-			campaign.WithSink(campaign.NewJSONLWriter(&buf))); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(jsonl(t, study, campaign.WithSeed(1), campaign.WithWorkers(workers)))
 		ablations := []struct {
 			name string
 			p    func() sanmodel.Params

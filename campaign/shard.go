@@ -26,11 +26,12 @@ import (
 // stored record is detected at decode time and the record is discarded —
 // the point is simply re-executed on resume, never folded in corrupted.
 // The body carries the result twice, deliberately: "result" is the
-// public Result JSON (the very bytes a 1-process `campaign.JSONLWriter`
-// would emit for this point, re-emitted verbatim by merge so sharded and
-// unsharded output are byte-identical), and "digest" is the full
-// metrics.Digest binary encoding, so merged statistics — not just the
-// flattened Summary — survive the process boundary bit-exactly.
+// public Result JSON (the very bytes json.Marshal gives for the result a
+// 1-process RunCollect returns for this point, re-emitted verbatim by
+// merge so sharded and unsharded output are byte-identical), and
+// "digest" is the full metrics.Digest binary encoding, so merged
+// statistics — not just the flattened Summary — survive the process
+// boundary bit-exactly.
 //
 // The writer (appendShardRecord) defines the layout: the keys above in
 // that order, no whitespace, lowercase CRC hex, strings escaped as
@@ -65,8 +66,8 @@ type ShardRecord struct {
 	// Seed is the point's effective seed, duplicated out of the result
 	// for cheap validation.
 	Seed uint64 `json:"seed"`
-	// Result is the public Result JSON, byte-for-byte what the in-process
-	// JSONL sink emits.
+	// Result is the public Result JSON, byte-for-byte json.Marshal of the
+	// in-process result.
 	Result json.RawMessage `json:"result"`
 	// Digest is the binary metrics.Digest encoding ([]byte marshals as
 	// base64 in JSON).
@@ -628,8 +629,11 @@ func VerifyShardRecord(hashes []string, line []byte) (*ShardRecord, error) {
 // worker that ran it — not when the point's turn to be emitted comes:
 // points start in the study's start order (see Run), so a point may
 // complete while a lower index still runs. Calls are serialized and come
-// in completion order. An error from emit fails the run. What a line
-// becomes — a file record, an upload — is the caller's.
+// in completion order. An error from emit fails the run, and emit is not
+// called again: a point still running when it failed completes into the
+// same error, so a failed store or upload sees no record after its
+// failure. What a line becomes — a file record, an upload — is the
+// caller's.
 func RunRecords(ctx context.Context, frozen *Study, hashes []string, indices []int, emit func(index int, line []byte) error, opts ...Option) error {
 	switch {
 	case frozen == nil:
@@ -658,7 +662,10 @@ func RunRecords(ctx context.Context, frozen *Study, hashes []string, indices []i
 		}
 	}
 	sub.frozen = sg
-	var mu sync.Mutex
+	var (
+		mu      sync.Mutex
+		emitErr error // the error emit failed the run with
+	)
 	return Run(ctx, sub, append(opts, func(o *options) {
 		o.completed = func(k int, res *Result) error {
 			gi := indices[k]
@@ -668,7 +675,10 @@ func RunRecords(ctx context.Context, frozen *Study, hashes []string, indices []i
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			return emit(gi, line)
+			if emitErr == nil {
+				emitErr = emit(gi, line)
+			}
+			return emitErr
 		}
 	})...)
 }

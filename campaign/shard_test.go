@@ -37,6 +37,12 @@ func resultLines(t *testing.T, study *Study, opts ...Option) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return encodeResults(t, results)
+}
+
+// encodeResults is the JSON line of each result, without its newline.
+func encodeResults(t *testing.T, results []*Result) [][]byte {
+	t.Helper()
 	lines := make([][]byte, len(results))
 	for i, r := range results {
 		buf, err := json.Marshal(r)

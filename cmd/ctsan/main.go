@@ -642,9 +642,10 @@ func cmdMerge(_ context.Context, args []string, stdout, stderr io.Writer) error 
 
 // merge folds every checkpoint record under dir and returns, in
 // grid-index order, the exact Result JSON bytes each point's shard
-// persisted — the same bytes an in-process campaign.JSONLWriter emits,
-// making sharded and unsharded runs byte-identical. It fails unless
-// every point has a valid record.
+// persisted — json.Marshal of the result an in-process
+// campaign.RunCollect returns for that point, making sharded and
+// unsharded runs byte-identical. It fails unless every point has a valid
+// record.
 func merge(frozen *campaign.Study, dir string, stderr io.Writer) ([]byte, error) {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(stderr, "ctsan merge: "+format+"\n", args...)

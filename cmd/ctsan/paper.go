@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -48,26 +49,18 @@ func (f *campaignFlags) parse(args []string) error {
 	return cliflags.CheckSeed(*f.seed)
 }
 
-// run executes the study on -workers goroutines, serving the debug
-// listener for its duration when one was asked for.
-func (f *campaignFlags) run(ctx context.Context, study *campaign.Study, opts ...campaign.Option) error {
+// collect executes the study on -workers goroutines, serving the debug
+// listener for its duration when one was asked for, and returns every
+// result in point order.
+func (f *campaignFlags) collect(ctx context.Context, study *campaign.Study, opts ...campaign.Option) ([]*campaign.Result, error) {
 	stopDebug, err := cliflags.StartDebug(*f.debugAddr, func(format string, args ...any) {
 		fmt.Fprintf(f.Output(), f.Name()+": "+format+"\n", args...)
 	})
 	if err != nil {
-		return err
-	}
-	defer stopDebug()
-	return campaign.Run(ctx, study, append(opts, campaign.WithWorkers(*f.workers))...)
-}
-
-// collect is run returning every result in point order.
-func (f *campaignFlags) collect(ctx context.Context, study *campaign.Study, opts ...campaign.Option) ([]*campaign.Result, error) {
-	var c campaign.Collect
-	if err := f.run(ctx, study, append(opts, campaign.WithSink(&c))...); err != nil {
 		return nil, err
 	}
-	return c.Results, nil
+	defer stopDebug()
+	return campaign.RunCollect(ctx, study, append(opts, campaign.WithWorkers(*f.workers))...)
 }
 
 // crashedFlag resolves a -crash value against the process count: 0 is no
@@ -125,14 +118,19 @@ func cmdSanrun(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		FDExponential: *fdKind == "exp",
 		Seed:          *fs.seed,
 	})
-	if *asJSON {
-		return fs.run(ctx, study, campaign.WithSink(campaign.NewJSONLWriter(stdout)))
-	}
 	results, err := fs.collect(ctx, study)
 	if err != nil {
 		return err
 	}
 	r := results[0]
+	if *asJSON {
+		line, err := json.Marshal(r)
+		if err != nil {
+			return err
+		}
+		_, err = stdout.Write(append(line, '\n'))
+		return err
+	}
 	fmt.Fprintf(stdout, "SAN model latency over %d replicas (n=%d):\n", r.Latency.N, *n)
 	fmt.Fprintf(stdout, "  mean   %.3f ms ± %.3f (90%% CI)\n", r.Latency.Mean, r.Latency.CI90)
 	fmt.Fprintf(stdout, "  median %.3f ms   p90 %.3f ms   max %.3f ms\n", r.Latency.P50, r.Latency.P90, r.Latency.Max)
@@ -302,12 +300,13 @@ func cmdFdqos(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		})
 	}
 	fmt.Fprintf(stdout, "%8s %10s %10s %12s %10s %8s\n", "T [ms]", "T_MR [ms]", "T_M [ms]", "latency[ms]", "mf pairs", "aborted")
-	return fs.run(ctx, study, campaign.WithProgress(func(_, _ int, r *campaign.Result) {
+	_, err := fs.collect(ctx, study, campaign.WithProgress(func(_, _ int, r *campaign.Result) {
 		res := r.Raw().(*experiment.LatencyResult)
 		fmt.Fprintf(stdout, "%8.1f %10.2f %10.2f %12.3f %7d/%-3d %8d\n",
 			ts[r.Index], res.QoS.TMR, res.QoS.TM, res.Digest.Mean(),
 			res.QoS.MistakeFree, res.QoS.Pairs, res.Aborted)
 	}))
+	return err
 }
 
 // artifacts are the values repro's -what accepts.

@@ -10,10 +10,10 @@
 // model), Emulation (measurement campaigns on the emulated cluster of
 // §4), and Scenario (declarative fault/workload timelines). One
 // campaign.Run(ctx, study, opts...) call executes any mix of them with
-// functional options (WithSeed, WithWorkers, WithReplicas, WithProgress,
-// WithSink), streaming per-point results to Sink implementations
-// (Collect, JSONLWriter) in deterministic point-index order,
-// and honoring context cancellation down to execution and replica
+// functional options (WithSeed, WithWorkers, WithReplicas, WithProgress),
+// streaming per-point results to the WithProgress callback in
+// deterministic point-index order (RunCollect gathers them), and
+// honoring context cancellation down to execution and replica
 // boundaries. See campaign's package example for the same latency study
 // run on both the model and the emulator.
 //

@@ -2,8 +2,6 @@ package server
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -254,22 +252,11 @@ const maxUploadBytes = 256 << 20
 // Content-Encoding (workers send none), 413 past limit, 400 for a body
 // that breaks off — and returns ok false.
 func readUpload(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
-	defer r.Body.Close()
 	if enc := r.Header.Get("Content-Encoding"); enc != "" && enc != "identity" {
 		writeError(w, http.StatusUnsupportedMediaType, "upload Content-Encoding %q: send plain JSONL", enc)
 		return nil, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	var tooLarge *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooLarge):
-		writeError(w, http.StatusRequestEntityTooLarge, "upload exceeds %d bytes", limit)
-		return nil, false
-	case err != nil:
-		writeError(w, http.StatusBadRequest, "read upload: %v", err)
-		return nil, false
-	}
-	return body, true
+	return readBody(w, r, "upload", limit)
 }
 
 // splitRecordLines splits an upload body into its non-empty lines.

@@ -916,10 +916,7 @@ func TestSpilledRecordTheSpliceCannotCutIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	if err := campaign.Run(context.Background(), frozen, campaign.WithSink(campaign.NewJSONLWriter(&want))); err != nil {
-		t.Fatal(err)
-	}
+	want := jsonl(t, frozen)
 	lines, err := rangeRecords(frozen, 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -940,8 +937,8 @@ func TestSpilledRecordTheSpliceCannotCutIsAMiss(t *testing.T) {
 	for k, wantHits := range []int64{0, 1} {
 		before := obs.Executions.Value()
 		st := h.mustSubmit(t, spec, "")
-		if got := h.streamResults(t, st.ID); !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("submission %d streamed\n%s\nwant\n%s", k, got, want.Bytes())
+		if got := h.streamResults(t, st.ID); !bytes.Equal(got, want) {
+			t.Errorf("submission %d streamed\n%s\nwant\n%s", k, got, want)
 		}
 		final := h.waitTerminal(t, st.ID)
 		if final.CacheHits != wantHits || final.CacheMisses != 1-wantHits {
@@ -974,10 +971,7 @@ func TestPartialWarmSameInBothModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cold bytes.Buffer
-	if err := campaign.Run(context.Background(), frozen, campaign.WithSink(campaign.NewJSONLWriter(&cold))); err != nil {
-		t.Fatal(err)
-	}
+	cold := jsonl(t, frozen)
 	fps, err := frozen.FrozenPoints()
 	if err != nil {
 		t.Fatal(err)
@@ -999,8 +993,8 @@ func TestPartialWarmSameInBothModes(t *testing.T) {
 		if mode == "fleet" {
 			w.serve(t, st.ID)
 		}
-		if got := h.streamResults(t, st.ID); !bytes.Equal(got, cold.Bytes()) {
-			t.Errorf("%s: partially warm stream\n%s\nwant\n%s", mode, got, cold.Bytes())
+		if got := h.streamResults(t, st.ID); !bytes.Equal(got, cold) {
+			t.Errorf("%s: partially warm stream\n%s\nwant\n%s", mode, got, cold)
 		}
 		final := h.waitTerminal(t, st.ID)
 		if final.Status != "done" || final.CacheHits != points/2 || final.CacheMisses != points/2 {

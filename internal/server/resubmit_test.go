@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -126,17 +125,13 @@ func TestRenamedResubmissionIsItsColdRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	if err := campaign.Run(context.Background(), decoded, campaign.WithSeed(1), campaign.WithWorkers(1),
-		campaign.WithSink(campaign.NewJSONLWriter(&want))); err != nil {
-		t.Fatal(err)
-	}
+	want := jsonl(t, decoded, campaign.WithSeed(1), campaign.WithWorkers(1))
 	// A fleet study preloads the hits as records of its own, and streams
 	// them without a lease.
 	for _, query := range []string{"", "?mode=fleet"} {
 		st := h.mustSubmit(t, renamed, query)
-		if got := h.streamResults(t, st.ID); !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("renamed warm stream (%q) differs from its cold run:\n got: %s\nwant: %s", query, got, want.Bytes())
+		if got := h.streamResults(t, st.ID); !bytes.Equal(got, want) {
+			t.Errorf("renamed warm stream (%q) differs from its cold run:\n got: %s\nwant: %s", query, got, want)
 		}
 		if st := h.waitTerminal(t, st.ID); st.CacheHits != int64(len(study.Points)) {
 			t.Errorf("renamed resubmission (%q): %d cache hits, want %d", query, st.CacheHits, len(study.Points))

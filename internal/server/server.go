@@ -18,8 +18,8 @@
 //     ledger (internal/shard), in deterministic point order, and the
 //     ledger is its result log: any number of subscribers replay its
 //     folded lines and follow the fold. The JSONL stream is
-//     byte-identical to what campaign.JSONLWriter emits for the same
-//     study in process.
+//     byte-identical to the same study run in process: json.Marshal of
+//     each result campaign.RunCollect returns, one per line.
 //   - Result cache: a content-addressed LRU (campaign.PointHash of the
 //     frozen point — engine, spec, materialized seed — to the encoded
 //     shard record), with a cache directory (OpenCacheDir) the hot tier
@@ -566,16 +566,11 @@ const maxSpecBytes = 8 << 20
 // a retained study was submitted with are not decoded again, and under
 // its seed and replica count not frozen again either (Server.specs).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, maxSpecBytes)
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "study spec exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
+	body, ok := readBody(w, r, "study spec", maxSpecBytes)
+	if !ok {
 		return
 	}
+	var err error
 	s.mu.Lock()
 	prior := s.specs[string(body)]
 	s.mu.Unlock()
@@ -684,9 +679,22 @@ func sameGrid(studies []*study, st *study) *study {
 	return nil
 }
 
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+// readBody reads a request body of at most limit bytes, named what in
+// the errors it answers. On failure it has answered the request — 413
+// past limit, 400 for a body that breaks off — and returns ok false.
+func readBody(w http.ResponseWriter, r *http.Request, what string, limit int64) (body []byte, ok bool) {
 	defer r.Body.Close()
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "%s exceeds %d bytes", what, limit)
+		return nil, false
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "read %s: %v", what, err)
+		return nil, false
+	}
+	return body, true
 }
 
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *study {
@@ -736,8 +744,9 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 // handleResults streams the study's results as chunked JSONL: replay of
 // everything emitted so far, then the live tail, ending when the study
-// does. The bytes are exactly what campaign.JSONLWriter emits in
-// process, so a saved stream is byte-comparable against a local run.
+// does. The bytes are exactly json.Marshal of each result of the study
+// run in process, one per line, so a saved stream is byte-comparable
+// against a local run.
 // Every subscriber writes the ledger's lines as they are: they are shared.
 // A study that fails or is canceled simply ends its stream early; the
 // status endpoint carries the error.

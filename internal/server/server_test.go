@@ -44,13 +44,25 @@ func testSpecBytes(t *testing.T) []byte {
 // returns the JSONL bytes the service must reproduce exactly.
 func referenceJSONL(t *testing.T, workers int) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	err := campaign.Run(context.Background(), testStudy(),
-		campaign.WithSeed(1),
-		campaign.WithWorkers(workers),
-		campaign.WithSink(campaign.NewJSONLWriter(&buf)))
+	return jsonl(t, testStudy(), campaign.WithSeed(1), campaign.WithWorkers(workers))
+}
+
+// jsonl runs the study in process through campaign.RunCollect and returns
+// its JSON Lines: json.Marshal of each result and a newline, in point
+// order.
+func jsonl(t *testing.T, study *campaign.Study, opts ...campaign.Option) []byte {
+	t.Helper()
+	results, err := campaign.RunCollect(context.Background(), study, opts...)
 	if err != nil {
-		t.Fatalf("reference Run: %v", err)
+		t.Fatalf("reference run: %v", err)
+	}
+	var buf bytes.Buffer
+	for _, r := range results {
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(append(line, '\n'))
 	}
 	return buf.Bytes()
 }
