@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ctsan/campaign"
+	"ctsan/internal/scenario"
 )
 
 // BenchmarkSANCampaignSerial times the SAN campaign path: a small
@@ -70,6 +71,19 @@ func BenchmarkEmuGridTwoWorkers(b *testing.B) {
 		campaign.LatencyPoint{Name: "c3-n3-T10", N: 3, Executions: small, TimeoutT: 10},
 		campaign.LatencyPoint{Name: "c3-n5-T10", N: 5, Executions: small, TimeoutT: 10},
 	))
+}
+
+// BenchmarkFaultScenariosTwoWorkers is the benchmark's `fault-scenarios`
+// study (benchmark/workloads.go) at a fifth of its size on two workers —
+// every registry scenario, 21 replicas each: the scenario harness's
+// per-replica rewind, timelines, crashes, partitions, pause storms and
+// heartbeat timers. ns/op and speedup as in BenchmarkSANGridTwoWorkers.
+func BenchmarkFaultScenariosTwoWorkers(b *testing.B) {
+	study := campaign.NewStudy("fault-scenarios")
+	for _, name := range scenario.Names() {
+		study.Add(campaign.ScenarioPoint{Name: name, Replicas: 105 / 5})
+	}
+	twoWorkers(b, study)
 }
 
 // twoWorkers times study on two workers (ns/op) and reports the one-worker

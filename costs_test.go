@@ -469,6 +469,9 @@ func emulationCosts(t *testing.T) []cost {
 		k := c.spec.Executions
 		res := run(k)
 		rows = append(rows, exact("experiment.events_per_exec."+c.name, float64(res.Events)/float64(k)))
+		if c.spec.FDMode == experiment.FDHeartbeat {
+			rows = append(rows, timerCosts(func(m string) string { return "experiment." + m + "_per_exec." + c.name }, res.Timers, float64(k))...)
+		}
 		if allocRows() {
 			run(2 * k)
 			one, two := mallocs(func() { run(k) }), mallocs(func() { run(2 * k) })
@@ -476,6 +479,19 @@ func emulationCosts(t *testing.T) []cost {
 		}
 	}
 	return rows
+}
+
+// timerCosts are the rows of what a workload's emulator timers cost,
+// each over per: arms, scheduler latenesses drawn, wake-ups, and the
+// event-queue inserts plus removes made for timers. name makes a row's
+// name from its metric.
+func timerCosts(name func(metric string) string, tc netsim.TimerCounts, per float64) []cost {
+	return []cost{
+		exact(name("timer_arms"), float64(tc.Arms)/per),
+		exact(name("lateness_draws"), float64(tc.Draws)/per),
+		exact(name("timer_wakeups"), float64(tc.Wakeups)/per),
+		exact(name("timer_queue_ops"), float64(tc.QueueOps)/per),
+	}
 }
 
 // scenarioCosts: the gc-storm campaign of 8 replicas × 150 executions on
@@ -507,10 +523,12 @@ func scenarioCosts(t *testing.T) []cost {
 	for _, r := range traced() {
 		events += len(r.Result.Trace.Events) + int(r.Result.Trace.Dropped)
 	}
+	rep := untraced()[0]
 	rows := []cost{
-		exact("scenario.decided.gc_storm", float64(untraced()[0].Decided)),
+		exact("scenario.decided.gc_storm", float64(rep.Decided)),
 		exact("scenario.trace_events.gc_storm", float64(events)),
 	}
+	rows = append(rows, timerCosts(func(m string) string { return "scenario." + m + ".gc_storm" }, rep.Timers, 1)...)
 	rows = append(rows, studyAllocs("scenario.allocs_per_campaign.gc_storm", 1, func() { untraced() })...)
 	rows = append(rows, studyAllocs("scenario.allocs_per_campaign.gc_storm_traced", 1, func() { traced() })...)
 	return rows

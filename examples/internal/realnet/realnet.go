@@ -88,13 +88,21 @@ type realTimer struct{ t *time.Timer }
 // Stop implements neko.TimerHandle.
 func (rt *realTimer) Stop() { rt.t.Stop() }
 
+// Reset implements neko.TimerHandle: the timer posts its callback to the
+// event loop d ms from now, whether or not it has fired. As with Stop, a
+// callback already posted still runs.
+func (rt *realTimer) Reset(d float64) { rt.t.Reset(duration(d)) }
+
 // SetTimer implements neko.Context: fn runs on the process event loop.
 func (p *Proc) SetTimer(d float64, fn func()) neko.TimerHandle {
-	t := time.AfterFunc(time.Duration(d*float64(time.Millisecond)), func() {
+	t := time.AfterFunc(duration(d), func() {
 		p.post(fn)
 	})
 	return &realTimer{t: t}
 }
+
+// duration converts milliseconds to a time.Duration.
+func duration(ms float64) time.Duration { return time.Duration(ms * float64(time.Millisecond)) }
 
 // post enqueues fn on the event loop; drops it if the process stopped.
 func (p *Proc) post(fn func()) {

@@ -36,6 +36,16 @@
 // implementations this replaces. Bucket geometry (width, ring size) only
 // ever changes internal layout, never the surfacing order.
 //
+// An event may also be filed lazily (AtLazy): keyed at a lower bound of
+// its real key, by an owner (Lazy) that names the real key only when the
+// event reaches the head of the queue. Re-filing it there counts no step,
+// moves no clock and writes no trace record, so a timer that is re-armed
+// many times and rarely fires (the emulator's heartbeat suspicion timers)
+// computes its costly due time only for the arms still current at their
+// lower bound — the lazy re-arm of hashed timing wheels (Varghese &
+// Lauck, SOSP 1987) — while every event still runs at the key it would
+// have had if filed at once.
+//
 // Once the pool is warm, scheduling and firing events performs no heap
 // allocation, which matters for the Monte-Carlo campaigns that execute
 // hundreds of millions of events. Handles carry a generation number so
@@ -60,6 +70,7 @@ type event struct {
 	vb   int64 // virtual bucket: floor(time / width) at insertion
 	next *event
 	fn   func()
+	lazy Lazy   // owner of a provisional key (AtLazy); nil for an ordinary event
 	gen  uint64 // incremented on every recycle
 }
 
@@ -92,6 +103,19 @@ type Handle struct {
 // a new generation, so a matching generation implies the event is queued.
 func (h Handle) Valid() bool {
 	return h.ev != nil && h.gen == h.ev.gen
+}
+
+// Time returns the key time of the event h refers to; meaningful only
+// while h is Valid.
+func (h Handle) Time() float64 { return h.ev.time }
+
+// Lazy is the owner of a lazily filed event (AtLazy).
+type Lazy interface {
+	// Due is called when the owner's event, keyed (t, seq), heads the
+	// queue. It returns the key the event belongs at now: the same key
+	// runs the event, a later one re-files it there. A key before
+	// (t, seq) panics.
+	Due(t float64, seq uint64) (float64, uint64)
 }
 
 // Calendar geometry and adaptation constants. The ring starts small and
@@ -157,6 +181,7 @@ func (s *Sim) alloc() *event {
 // every outstanding Handle to it by bumping the generation.
 func (s *Sim) release(ev *event) {
 	ev.fn = nil
+	ev.lazy = nil
 	ev.gen++
 	ev.next = s.free
 	s.free = ev
@@ -325,6 +350,40 @@ func (s *Sim) At(t float64, fn func()) Handle {
 	return Handle{ev: ev, gen: ev.gen}
 }
 
+// Reserve takes the sequence number the next At would take, scheduling
+// nothing: the tie-break of an event that AtLazy files, now or later.
+func (s *Sim) Reserve() uint64 {
+	q := s.seq
+	s.seq++
+	return q
+}
+
+// AtLazy files fn at the provisional key (t, seq), a lower bound of its
+// real key, owned by l: seq comes from Reserve, and when the event heads
+// the queue l.Due names its key — the event runs there, at its real key,
+// exactly as if At had filed it there. Unlike At, AtLazy writes no trace
+// record: the owner knows the due time the schedule record carries. (At
+// repeats this body rather than calling it: BenchmarkDESSchedule read
+// 20-23 ns/op inline and 24-30 through the call, on a shared 2-vCPU
+// host.)
+func (s *Sim) AtLazy(t float64, seq uint64, fn func(), l Lazy) Handle {
+	if !(t >= s.now) {
+		panic("des: scheduling event in the past or at NaN")
+	}
+	if len(s.buckets) == 0 {
+		s.buckets = make([]bucket, initialBuckets)
+		s.mask = initialBuckets - 1
+		s.width, s.invWidth = 1, 1
+	}
+	ev := s.alloc()
+	ev.time, ev.seq, ev.fn, ev.lazy = t, seq, fn, l
+	s.insert(ev)
+	if s.live++; s.live >= 2*len(s.buckets) {
+		s.rebucket(2*len(s.buckets), s.width)
+	}
+	return Handle{ev: ev, gen: ev.gen}
+}
+
 // After schedules fn to run d milliseconds from now.
 func (s *Sim) After(d float64, fn func()) Handle {
 	if d < 0 {
@@ -336,9 +395,8 @@ func (s *Sim) After(d float64, fn func()) Handle {
 // Cancel prevents a scheduled event from firing. Cancelling an already
 // fired or cancelled event is a no-op. The record is unlinked from its
 // home bucket on the spot (a short walk of that bucket), so workloads
-// that cancel far more events than they fire — the heartbeat failure
-// detector re-arms a timer on every observed message — never accumulate
-// dead nodes for the pop path to skip over.
+// that cancel far more events than they fire never accumulate dead
+// nodes for the pop path to skip over.
 func (s *Sim) Cancel(h Handle) {
 	if !h.Valid() {
 		return
@@ -357,6 +415,11 @@ func (s *Sim) StepUntil(tmax float64) bool {
 	ev := s.locate()
 	if ev == nil || ev.time > tmax {
 		return false
+	}
+	if ev.lazy != nil {
+		if ev = s.settle(ev, tmax); ev == nil {
+			return false
+		}
 	}
 	s.curVB = ev.vb
 	s.buckets[int(ev.vb&s.mask)].head = ev.next
@@ -381,6 +444,34 @@ func (s *Sim) StepUntil(tmax float64) bool {
 	s.release(ev)
 	fn()
 	return true
+}
+
+// settle re-files the lazy event ev heading the queue, and every lazy
+// event heading it after, at the key its owner gives, until the head is
+// an event to run at or before tmax, which it returns (nil if none is).
+// A re-file unlinks the head and inserts it at its later key; it counts
+// no step, moves no clock and writes no trace record.
+func (s *Sim) settle(ev *event, tmax float64) *event {
+	for {
+		t, seq := ev.lazy.Due(ev.time, ev.seq)
+		if t == ev.time && seq == ev.seq {
+			return ev
+		}
+		if t < ev.time || t == ev.time && seq < ev.seq {
+			panic("des: lazy event re-filed before its key")
+		}
+		// The cursor stays: the clock has not moved, so an event may
+		// still be filed before ev's old bucket.
+		s.buckets[int(ev.vb&s.mask)].head = ev.next
+		ev.time, ev.seq = t, seq
+		s.insert(ev)
+		if ev = s.locate(); ev.time > tmax {
+			return nil
+		}
+		if ev.lazy == nil {
+			return ev
+		}
+	}
 }
 
 // Run executes events until the queue is empty or until stop returns true

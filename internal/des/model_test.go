@@ -16,6 +16,13 @@ import (
 // Steps, PeekTime, handle validity). TestQueueAgainstModel feeds it
 // generated programs shaped to reach the kernel's rare paths;
 // FuzzQueue feeds it anything.
+//
+// Lazy timers (lazyTimer) file their events as the emulator's timers do:
+// each arm reserves a sequence number and files at its lower bound, or
+// leaves the timer's queued event where it is, and the model files the
+// arm's real key. Re-files happen inside the kernel, so the model sees
+// only their effect: every event still fires at its real key, and no
+// re-file moves Now, Steps or PeekTime.
 
 const (
 	opAfterDense   = iota // one event a/64 ms ahead (a = 0: a tie with now)
@@ -31,6 +38,8 @@ const (
 	opRearmer             // an event whose callback schedules another
 	opCanceller           // an event whose callback cancels some handle
 	opReset               // Reset, then reuse the same Sim
+	opLazyArm             // arm a new lazy timer, or re-arm one a ms ahead with lateness b
+	opLazyStop            // stop lazy timer a
 	numOps
 )
 
@@ -67,14 +76,87 @@ type interp struct {
 
 	handles []Handle
 	acts    []action
-	queued  []bool // handles[i] is scheduled, by the model's account
-	probe   int    // rotating cursor of the per-instruction validity sample
-	rearm   bool   // opStepMany: every fired event schedules a successor
+	queued  []bool       // handles[i] is scheduled, by the model's account
+	owner   []*lazyTimer // the lazy timer whose arm id i is; nil for an ordinary event
+	lazy    []*lazyTimer
+	probe   int  // rotating cursor of the per-instruction validity sample
+	rearm   bool // opStepMany: every fired event schedules a successor
 
 	// What the programs reached, for TestQueueAgainstModel's coverage asserts.
 	maxLive, maxPile, liveCancels, pileCancels int
 	pileFrom, pileLen                          int // handle ids of the latest pile
 	ringGrowths, widthUps, widthDowns, resets  int
+	lazyStays, lazyMoves, refiles, lazyFires   int
+	lazyRestarts                               int // re-arms inside the timer's own callback
+}
+
+// lazyTimer owns one lazily filed event for successive arms. Arm id has
+// the lower bound ideal and the real key (due, seq); the model files the
+// real key, the kernel the lower bound, and Due moves the event from one
+// to the other.
+type lazyTimer struct {
+	in         *interp
+	h          Handle
+	id         int // the current arm's id; -1 before the first
+	ideal, due float64
+	seq        uint64
+	restarts   int // the callback re-arms the timer this many more times
+}
+
+// Due implements Lazy: an event filed for a replaced arm moves to the
+// current arm's lower bound, the current arm's to its real key.
+func (lt *lazyTimer) Due(t float64, seq uint64) (float64, uint64) {
+	in := lt.in
+	if in.s.Now() != in.now || in.s.Steps() != in.steps {
+		in.t.Fatalf("a re-file saw Now %v Steps %d; model now %v steps %d", in.s.Now(), in.s.Steps(), in.now, in.steps)
+	}
+	nt := lt.due
+	if seq != lt.seq {
+		nt = lt.ideal
+	}
+	if nt != t || seq != lt.seq {
+		in.refiles++
+	}
+	return nt, lt.seq
+}
+
+func (lt *lazyTimer) fire() {
+	in := lt.in
+	in.lazyFires++
+	in.fire(lt.id)
+	if lt.restarts > 0 {
+		lt.restarts--
+		in.lazyRestarts++
+		in.arm(lt, float64(lt.id%7)/8, float64(lt.id%5)/16)
+	}
+}
+
+// arm re-arms lt d ms from now with lateness late: the emulator's arm.
+func (in *interp) arm(lt *lazyTimer, d, late float64) {
+	if lt.id >= 0 && in.queued[lt.id] {
+		in.unqueue(lt.id)
+	}
+	lt.id = len(in.handles)
+	in.handles = append(in.handles, Handle{})
+	in.acts = append(in.acts, action{})
+	in.queued = append(in.queued, true)
+	in.owner = append(in.owner, lt)
+	lt.ideal, lt.due = in.now+d, in.now+d+late
+	if lt.seq = in.s.Reserve(); lt.seq != in.seq {
+		in.t.Fatalf("Reserve = %d, model seq %d", lt.seq, in.seq)
+	}
+	in.seq++
+	switch {
+	case lt.h.Valid() && lt.h.Time() <= lt.ideal:
+		in.lazyStays++
+	default:
+		if lt.h.Valid() {
+			in.lazyMoves++
+		}
+		in.s.Cancel(lt.h)
+		lt.h = in.s.AtLazy(lt.ideal, lt.seq, lt.fire, lt)
+	}
+	in.file(modelEvent{time: lt.due, seq: lt.seq, id: lt.id})
 }
 
 // newInterp makes an interpreter that stops reading its program once
@@ -89,6 +171,7 @@ func (in *interp) schedule(d float64, act action) {
 	t := in.now + d
 	in.acts = append(in.acts, act)
 	in.queued = append(in.queued, true)
+	in.owner = append(in.owner, nil)
 	fn := func() { in.fire(id) }
 	var h Handle
 	if id%2 == 0 {
@@ -100,13 +183,29 @@ func (in *interp) schedule(d float64, act action) {
 	if !h.Valid() {
 		in.t.Fatalf("handle %d invalid right after scheduling", id)
 	}
-	e := modelEvent{time: t, seq: in.seq, id: id}
+	in.file(modelEvent{time: t, seq: in.seq, id: id})
 	in.seq++
-	at := sort.Search(len(in.queue), func(i int) bool { return in.queue[i].time > t })
+}
+
+// file inserts e, the newest sequence number, into the model queue.
+func (in *interp) file(e modelEvent) {
+	at := sort.Search(len(in.queue), func(i int) bool { return in.queue[i].time > e.time })
 	in.queue = append(in.queue, modelEvent{})
 	copy(in.queue[at+1:], in.queue[at:])
 	in.queue[at] = e
 	in.maxLive = max(in.maxLive, len(in.queue))
+}
+
+// unqueue takes the queued event id out of the model.
+func (in *interp) unqueue(id int) {
+	in.queued[id] = false
+	for i := range in.queue {
+		if in.queue[i].id == id {
+			in.queue = append(in.queue[:i], in.queue[i+1:]...)
+			return
+		}
+	}
+	in.t.Fatalf("model lost queued event %d", id)
 }
 
 // fire is every event's callback: the event running must be the model's
@@ -141,6 +240,15 @@ func (in *interp) fire(id int) {
 }
 
 func (in *interp) cancel(id int) {
+	if lt := in.owner[id]; lt != nil {
+		// A lazy timer's Stop: only its current arm is ever queued.
+		if id == lt.id && in.queued[id] {
+			in.s.Cancel(lt.h)
+			in.unqueue(id)
+			in.liveCancels++
+		}
+		return
+	}
 	wasQueued := in.queued[id]
 	if in.handles[id].Valid() != wasQueued {
 		in.t.Fatalf("handle %d Valid() = %v, model says queued = %v", id, !wasQueued, wasQueued)
@@ -152,18 +260,11 @@ func (in *interp) cancel(id int) {
 	if !wasQueued {
 		return
 	}
-	in.queued[id] = false
 	in.liveCancels++
 	if id >= in.pileFrom && id < in.pileFrom+in.pileLen {
 		in.pileCancels++
 	}
-	for i := range in.queue {
-		if in.queue[i].id == id {
-			in.queue = append(in.queue[:i], in.queue[i+1:]...)
-			return
-		}
-	}
-	in.t.Fatalf("model lost queued event %d", id)
+	in.unqueue(id)
 }
 
 func (in *interp) step() {
@@ -241,15 +342,30 @@ func (in *interp) exec(op, a, b byte) {
 		in.now, in.seq, in.steps = 0, 0, 0
 		in.resets++
 		in.checkHandles(0, len(in.handles))
+	case opLazyArm:
+		if len(in.lazy) < 1+int(b)%16 {
+			in.lazy = append(in.lazy, &lazyTimer{in: in, id: -1, restarts: 3 * int(b%2)})
+		}
+		in.arm(in.lazy[int(a)%len(in.lazy)], float64(a)/32, float64(b%16)/4)
+	case opLazyStop:
+		if len(in.lazy) > 0 {
+			if lt := in.lazy[int(a)%len(in.lazy)]; lt.id >= 0 {
+				in.cancel(lt.id)
+			}
+		}
 	}
 }
 
 // Empty reports whether no live events remain.
 func (s *Sim) Empty() bool { return s.live == 0 }
 
-// PeekTime returns the time of the next event, or ok=false if none.
+// PeekTime returns the time of the next event to run, or ok=false if
+// none: lazy events heading the queue are re-filed first.
 func (s *Sim) PeekTime() (t float64, ok bool) {
 	ev := s.locate()
+	if ev != nil && ev.lazy != nil {
+		ev = s.settle(ev, math.Inf(1))
+	}
 	if ev == nil {
 		return 0, false
 	}
@@ -265,7 +381,7 @@ func (in *interp) check() {
 	}
 	pt, ok := s.PeekTime()
 	if ok != (len(in.queue) > 0) || ok && pt != in.queue[0].time {
-		in.t.Fatalf("PeekTime = %v, %v with model queue %d long", pt, ok, len(in.queue))
+		in.t.Fatalf("PeekTime = %v, %v with model queue %d long: %+v", pt, ok, len(in.queue), in.queue[:min(3, len(in.queue))])
 	}
 	if n := len(in.handles); n > 0 {
 		in.probe %= n
@@ -277,6 +393,12 @@ func (in *interp) check() {
 
 func (in *interp) checkHandles(from, to int) {
 	for id := from; id < to; id++ {
+		if lt := in.owner[id]; lt != nil {
+			if id == lt.id && lt.h.Valid() != in.queued[id] {
+				in.t.Fatalf("lazy arm %d: handle Valid() = %v, model says queued = %v", id, !in.queued[id], in.queued[id])
+			}
+			continue
+		}
 		if in.handles[id].Valid() != in.queued[id] {
 			in.t.Fatalf("handle %d Valid() = %v, model says queued = %v", id, !in.queued[id], in.queued[id])
 		}
@@ -358,7 +480,13 @@ func genProgram(seed uint64, rounds int) []byte {
 	}
 	for round := 0; round < rounds; round++ {
 		random(300, opAfterDense, opAfterDense, opAfterSparse, opPile, opCancelRecent, opCancelAny,
-			opStep, opStep, opStep, opRunUntil, opRearmer, opCanceller, opAfterFar)
+			opStep, opStep, opStep, opRunUntil, opRearmer, opCanceller, opAfterFar, opLazyArm, opLazyStop)
+		// Heartbeat-like: lazy timers re-armed far more often than they
+		// fire, among ordinary traffic.
+		for i := 0; i < 2000; i++ {
+			random(1, opLazyArm, opLazyArm, opLazyArm, opLazyStop, opAfterDense, opCancelRecent)
+			random(1, opStep, opStep, opRunUntil)
+		}
 		// Sparse: a handful of events hundreds of ms apart, > rewidthPeriod fired.
 		for i := 0; i < 5000; i++ {
 			emit(opAfterSparse, 32+byteOf()/2, 0)
@@ -404,6 +532,10 @@ func TestQueueAgainstModel(t *testing.T) {
 		}
 		if in.resets == 0 {
 			t.Errorf("seed %d: the Sim was never Reset and reused", seed)
+		}
+		if in.lazyStays == 0 || in.lazyMoves == 0 || in.refiles == 0 || in.lazyFires == 0 || in.lazyRestarts == 0 {
+			t.Errorf("seed %d: lazy re-arms stayed %d and moved %d times, %d re-files, %d lazy fires, %d re-arms in a callback; want all",
+				seed, in.lazyStays, in.lazyMoves, in.refiles, in.lazyFires, in.lazyRestarts)
 		}
 	}
 }

@@ -122,16 +122,39 @@ func Bimodal(p1, lo1, hi1, lo2, hi2 float64) Mixture {
 }
 
 // Sample draws the component by one uniform variate, then samples it.
-func (m Mixture) Sample(r *rng.Stream) float64 {
+func (m Mixture) Sample(r *rng.Stream) float64 { return m.pick(r).Sample(r) }
+
+// pick draws the component: the first whose cumulative probability
+// exceeds one uniform variate, the last if rounding leaves none.
+func (m Mixture) pick(r *rng.Stream) Dist {
 	u := r.Float64()
 	acc := 0.0
-	for i, c := range m.comps {
-		acc += c.P
-		if u < acc || i == len(m.comps)-1 {
-			return c.D.Sample(r)
+	for _, c := range m.comps[:len(m.comps)-1] {
+		if acc += c.P; u < acc {
+			return c.D
 		}
 	}
-	return 0 // unreachable: NewMixture requires at least one component
+	return m.comps[len(m.comps)-1].D
+}
+
+// Skip advances r exactly as d.Sample(r) would, making the same draws
+// but not the transforms that turn them into a sample (an exponential's
+// logarithm): what a caller that replays the draws later from a copy of
+// r needs of r now.
+func Skip(d Dist, r *rng.Stream) {
+	switch d := d.(type) {
+	case det:
+	case uniform:
+		r.Uint64()
+	case expDist:
+		if d > 0 {
+			r.Uint64()
+		}
+	case Mixture:
+		Skip(d.pick(r), r)
+	default:
+		d.Sample(r)
+	}
 }
 
 // Mean returns the probability-weighted mean of the components.

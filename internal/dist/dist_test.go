@@ -184,3 +184,32 @@ func TestDetConsumesNoRandomness(t *testing.T) {
 		t.Fatal("Det.Sample advanced the stream")
 	}
 }
+
+// twoDraws is a distribution of no family Skip knows: Skip samples it.
+type twoDraws struct{}
+
+func (twoDraws) Sample(r *rng.Stream) float64 { return r.Float64() + r.Float64() }
+func (twoDraws) Mean() float64                { return 1 }
+
+// TestSkipLeavesTheStreamWhereSampleDoes: after Skip, a stream is in the
+// state Sample leaves it in, for every family, a mixture of mixtures
+// whose branches draw different numbers of variates, and a distribution
+// of no family.
+func TestSkipLeavesTheStreamWhereSampleDoes(t *testing.T) {
+	nested := MustMixture(
+		Component{P: 0.3, D: Det(2)},
+		Component{P: 0.3, D: Exp(0)},
+		Component{P: 0.2, D: MustMixture(Component{P: 0.5, D: U(0, 1)}, Component{P: 0.5, D: Exp(3)})},
+		Component{P: 0.2, D: Bimodal(0.8, 0.1, 0.13, 0.145, 0.35)},
+	)
+	for _, d := range []Dist{Det(1), U(0.02, 0.03), Exp(0), Exp(0.3), nested, twoDraws{}} {
+		for seed := uint64(1); seed <= 500; seed++ {
+			sampled, skipped := rng.New(seed), rng.New(seed)
+			d.Sample(sampled)
+			Skip(d, skipped)
+			if *sampled != *skipped {
+				t.Fatalf("%v, seed %d: Skip left the stream elsewhere than Sample", d, seed)
+			}
+		}
+	}
+}

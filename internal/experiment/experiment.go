@@ -81,6 +81,8 @@ type LatencyResult struct {
 	Texp    float64 // total experiment duration (global ms), QoS denominator
 	QoS     fd.QoS  // valid for heartbeat runs
 	Events  uint64  // DES events executed (cost metric)
+	// Timers is what the cluster's timers cost over the run.
+	Timers netsim.TimerCounts
 }
 
 // MeanRounds returns the average deciding round.

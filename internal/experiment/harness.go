@@ -360,11 +360,15 @@ func (h *Harness) Run(ctx context.Context, plan Plan) (LatencyResult, error) {
 	h.cluster.Start()
 	h.startExec(0, plan.Warmup)
 	h.cluster.Run(h.stopFn)
+	// One bump per run, not per execution: the counter is shared by every
+	// worker. Every closed execution counts, canceled runs' too.
+	obs.Executions.Add(int64(h.out.Digest.N() + h.out.Aborted))
 	if h.err != nil {
 		return LatencyResult{}, h.err
 	}
 	h.out.Texp = h.cluster.Now()
 	h.out.Events = h.cluster.Steps()
+	h.out.Timers = h.cluster.TimerCounts()
 	for _, hb := range h.heartbeats {
 		hb.Stop()
 	}
@@ -462,7 +466,6 @@ func (h *Harness) closeExec(k int) {
 		return
 	}
 	h.closed = true
-	obs.Executions.Add(1)
 	if h.decided {
 		lat := h.firstAt - h.execT0
 		h.out.Digest.Add(lat)

@@ -28,8 +28,9 @@ import (
 // neko.Protocol layer and implements neko.FailureDetector.
 type Heartbeat struct {
 	ctx     neko.Context
-	timeout float64 // T: suspect after this long without any message
-	period  float64 // T_h: heartbeat emission period
+	self    neko.ProcessID // ctx.ID(), read on every observed message
+	timeout float64        // T: suspect after this long without any message
+	period  float64        // T_h: heartbeat emission period
 	seq     uint64
 	// state per monitored process (1-based, self unused)
 	suspected []bool
@@ -43,9 +44,8 @@ type Heartbeat struct {
 	// the detector's hot path and must not allocate.
 	expireFns []func()
 	emitFn    func()
-	// emitTimer is the handle of the pending emission timer. It is
-	// stopped (a no-op that recycles the executor's fired record) before
-	// each re-arm, never while pending — cancelling a pending emission
+	// emitTimer is the handle of the emission timer. It is re-armed only
+	// once fired, never while pending — cancelling a pending emission
 	// would change the executed-event count.
 	emitTimer neko.TimerHandle
 	// tr, if set, records heartbeat emissions/receptions and suspicion
@@ -74,6 +74,7 @@ func NewHeartbeat(stack *neko.Stack, timeoutT, periodTh float64, history *Histor
 	ctx := stack.Context()
 	hb := &Heartbeat{
 		ctx:       ctx,
+		self:      ctx.ID(),
 		timeout:   timeoutT,
 		period:    periodTh,
 		suspected: make([]bool, ctx.N()+1),
@@ -147,10 +148,8 @@ func (hb *Heartbeat) Stop() {
 	}
 }
 
-// emit broadcasts one heartbeat and schedules the next emission. The
-// previous emission's handle — necessarily fired by now — is stopped
-// first so pooling executors recycle its record; stopping a fired timer
-// never cancels an event, so the event count is unchanged.
+// emit broadcasts one heartbeat and schedules the next emission by
+// re-arming the previous emission's handle, necessarily fired by now.
 func (hb *Heartbeat) emit() {
 	if hb.stopped {
 		return
@@ -161,7 +160,8 @@ func (hb *Heartbeat) emit() {
 	}
 	neko.Broadcast(hb.ctx, neko.Message{Payload: neko.Payload{Kind: neko.PayloadHB, Seq: hb.seq}})
 	if hb.emitTimer != nil {
-		hb.emitTimer.Stop()
+		hb.emitTimer.Reset(hb.period)
+		return
 	}
 	hb.emitTimer = hb.ctx.SetTimer(hb.period, hb.emitFn)
 }
@@ -169,12 +169,13 @@ func (hb *Heartbeat) emit() {
 // observe is the stack tap: any message from q resets q's timer and clears
 // a standing suspicion (§2.2).
 func (hb *Heartbeat) observe(m *neko.Message) {
-	if hb.stopped || m.From == hb.ctx.ID() || m.From < 1 || int(m.From) > hb.ctx.N() {
+	if hb.stopped || m.From == hb.self || m.From < 1 || int(m.From) >= len(hb.lastMsg) {
 		return
 	}
-	hb.lastMsg[m.From] = hb.ctx.Now()
+	now := hb.ctx.Now()
+	hb.lastMsg[m.From] = now
 	if hb.tr != nil && m.Payload.Kind == neko.PayloadHB {
-		hb.tr.Emit(trace.Event{T: hb.ctx.Now(), P: int32(hb.ctx.ID()), Q: int32(m.From), Kind: trace.KindHBRecv, A: int64(m.Payload.Seq)})
+		hb.tr.Emit(trace.Event{T: now, P: int32(hb.self), Q: int32(m.From), Kind: trace.KindHBRecv, A: int64(m.Payload.Seq)})
 	}
 	if hb.suspected[m.From] {
 		hb.suspected[m.From] = false
@@ -183,13 +184,14 @@ func (hb *Heartbeat) observe(m *neko.Message) {
 	hb.armTimer(m.From)
 }
 
-// armTimer (re)arms the suspicion timer for q at T from now. The
-// callback is the preallocated expireFns[q]; Stop of the previous handle
-// recycles the executor's timer record, so the re-arm — performed on
-// every observed message — is allocation-free.
+// armTimer (re)arms the suspicion timer for q at T from now. It runs on
+// every observed message, so it re-arms q's handle (Reset) rather than
+// stopping it and arming a new one: the emulator then defers the
+// wake-up's work until the timer is due, and nothing allocates.
 func (hb *Heartbeat) armTimer(q neko.ProcessID) {
 	if t := hb.timers[q]; t != nil {
-		t.Stop()
+		t.Reset(hb.timeout)
+		return
 	}
 	hb.timers[q] = hb.ctx.SetTimer(hb.timeout, hb.expireFns[q])
 }
@@ -200,8 +202,8 @@ func (hb *Heartbeat) expire(q neko.ProcessID) {
 		return
 	}
 	// The timer may fire late (scheduler); if a message from q arrived in
-	// the meantime, armTimer already replaced the handle and Stop()
-	// prevents this call. Still, re-check the guard condition.
+	// the meantime, armTimer already re-armed the handle, which prevents
+	// this call. Still, re-check the guard condition.
 	if hb.ctx.Now()-hb.lastMsg[q] < hb.timeout {
 		return
 	}

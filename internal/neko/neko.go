@@ -98,11 +98,22 @@ func (m Message) String() string {
 	return fmt.Sprintf("%s p%d→p%d", m.Payload.Kind, m.From, m.To)
 }
 
-// TimerHandle identifies a pending timer so it can be cancelled. Handles
-// are opaque to protocols and single-use: Stop must be called at most
-// once, and a handle must not be used after Stop returns — executors may
-// recycle timer records (the virtual-time emulator pools them).
-type TimerHandle interface{ Stop() }
+// TimerHandle identifies a timer so it can be cancelled or re-armed.
+// Handles are opaque to protocols and valid until Stop: Stop must be
+// called at most once, and a handle must not be used after Stop returns —
+// executors may recycle timer records (the virtual-time emulator pools
+// them).
+type TimerHandle interface {
+	// Stop cancels the timer if it has not fired.
+	Stop()
+	// Reset re-arms the timer to run its callback d ms from now, pending
+	// or fired: what Stop followed by SetTimer(d, callback) does, except
+	// that the handle stays valid. A protocol that re-arms one timer on
+	// every message (the heartbeat detector) calls Reset, so an executor
+	// can defer a re-armed timer's work until it is due (the emulator
+	// draws a wake-up's scheduler lateness only then).
+	Reset(d float64)
+}
 
 // Context is the execution environment a protocol sees: identity, clock,
 // message transmission and timers. Implementations: the virtual-time

@@ -26,7 +26,8 @@ func (f *fakeContext) SetTimer(d float64, fn func()) TimerHandle {
 
 type fakeTimer struct{}
 
-func (fakeTimer) Stop() {}
+func (fakeTimer) Stop()         {}
+func (fakeTimer) Reset(float64) {}
 
 var _ Context = (*fakeContext)(nil)
 

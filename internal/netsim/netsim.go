@@ -73,7 +73,9 @@ type Params struct {
 	// sample. Message processing is unaffected — the I/O path keeps its
 	// dynamic priority — so these delays starve the heartbeat sender
 	// thread and produce the correlated wrong suspicions of §5.4 without
-	// disturbing class-1 latency.
+	// disturbing class-1 latency. ThreadJitter, KernelLate and WakeTail
+	// must not draw negative values: a timer's ideal instant is the
+	// lower bound its wake-up waits at until the lateness is drawn.
 	WakeTailProb float64
 	WakeTail     dist.Dist
 
@@ -197,7 +199,30 @@ type Cluster struct {
 	calls    pool[guardedCall]
 	pauses   pool[pauseCall]
 	injects  pool[injectCall]
+
+	// timerCounts tallies the timer path since the last Reset.
+	timerCounts TimerCounts
 }
+
+// TimerCounts is what a cluster's timers cost it over one run: the cost
+// table (testdata/costs.golden) holds them exact per workload.
+type TimerCounts struct {
+	Arms     uint64 // SetTimer and Reset calls
+	Draws    uint64 // scheduler latenesses computed
+	Wakeups  uint64 // timer wake-up events executed
+	QueueOps uint64 // event-queue inserts plus removes made for timers
+}
+
+// Add adds o to c.
+func (c *TimerCounts) Add(o TimerCounts) {
+	c.Arms += o.Arms
+	c.Draws += o.Draws
+	c.Wakeups += o.Wakeups
+	c.QueueOps += o.QueueOps
+}
+
+// TimerCounts returns the timer tallies since the last Reset.
+func (c *Cluster) TimerCounts() TimerCounts { return c.timerCounts }
 
 // pool is a LIFO free list over every record ever created for one
 // cluster. all retains them so Reset can reclaim in-flight records after
@@ -343,6 +368,7 @@ func (c *Cluster) seed(r *rng.Stream) {
 func (c *Cluster) Reset(r *rng.Stream) {
 	c.sim.Reset()
 	c.delivered = 0
+	c.timerCounts = TimerCounts{}
 	c.hubFree = 0
 	c.tracer = nil
 	c.group = nil
@@ -583,25 +609,44 @@ func (h *host) pauseBody() {
 	h.scheduleNextPause()
 }
 
-// wakeLateness samples the scheduler-induced delay of a timer wake-up
-// requested for absolute time ideal: thread-scheduling jitter, plus an
-// occasional deferral to the host's next absolute scheduler tick (the
-// 10 ms jiffy grid of Linux 2.2), plus kernel wake-up latency.
-func (h *host) wakeLateness(ideal float64) float64 {
+// wakeLateness samples, from r, the scheduler-induced delay of a timer
+// wake-up requested for absolute time ideal: thread-scheduling jitter,
+// plus an occasional deferral to the host's next absolute scheduler tick
+// (the 10 ms jiffy grid of Linux 2.2), plus kernel wake-up latency. A
+// timer draws it from a copy of schedRand taken at the arm, and a
+// re-armed one only if the arm is still current at ideal (simTimer.Due);
+// skipLateness keeps schedRand itself where this draw would leave it.
+func (h *host) wakeLateness(r *rng.Stream, ideal float64) float64 {
 	p := &h.c.params
-	late := p.ThreadJitter.Sample(h.schedRand)
-	if p.GridProb > 0 && h.schedRand.Float64() < p.GridProb {
+	h.c.timerCounts.Draws++
+	late := p.ThreadJitter.Sample(r)
+	if p.GridProb > 0 && r.Float64() < p.GridProb {
 		g := p.SleepGranularity
 		next := float64(math.Ceil((ideal-h.gridPhase)/g)*g) + h.gridPhase
 		if d := next - ideal; d > late {
 			late = d
 		}
 	}
-	if p.WakeTailProb > 0 && h.schedRand.Float64() < p.WakeTailProb {
-		late += p.WakeTail.Sample(h.schedRand)
+	if p.WakeTailProb > 0 && r.Float64() < p.WakeTailProb {
+		late += p.WakeTail.Sample(r)
 	}
-	late += p.KernelLate.Sample(h.schedRand)
+	late += p.KernelLate.Sample(r)
 	return late
+}
+
+// skipLateness advances schedRand exactly as wakeLateness would, without
+// its transforms: the grid deferral's draw only decides a branch that
+// draws nothing more.
+func (h *host) skipLateness() {
+	p, r := &h.c.params, h.schedRand
+	dist.Skip(p.ThreadJitter, r)
+	if p.GridProb > 0 {
+		r.Uint64()
+	}
+	if p.WakeTailProb > 0 && r.Float64() < p.WakeTailProb {
+		dist.Skip(p.WakeTail, r)
+	}
+	dist.Skip(p.KernelLate, r)
 }
 
 // --- neko.Context implementation ---
@@ -736,9 +781,21 @@ func (t *transit) recv() {
 
 // simTimer implements neko.TimerHandle. Records are pooled per cluster:
 // Stop retires the record to the free list immediately, and Cluster.Reset
-// reclaims all of them, so a handle is valid for one arm→fire/stop cycle
-// only (the neko.TimerHandle contract). gen disambiguates incarnations
-// for the pooled fire callbacks, exactly as des event records do.
+// reclaims all of them, so a handle is valid from SetTimer until Stop
+// (the neko.TimerHandle contract). gen disambiguates arms for the pooled
+// fire callbacks, exactly as des event records do.
+//
+// A timer's wake-up is filed lazily (des.Sim.AtLazy). An arm takes the
+// sequence number the wake-up would take and keeps a copy of schedRand as
+// it stood. With no event of the record queued, it draws the lateness
+// from the copy at once and files the wake-up at its due time. Otherwise
+// it advances schedRand past the draws the wake-up would make
+// (skipLateness) and leaves the queued event where it is, if that is at
+// or before the arm's ideal instant, or moves it there. Due draws the
+// lateness from the copy only when the event reaches the ideal instant of
+// an arm still current. So every wake-up runs at the key an eager draw
+// would have given it, and a heartbeat timer re-armed on every message
+// pays neither the draw nor the queue churn.
 type simTimer struct {
 	h        *host
 	handle   des.Handle
@@ -748,6 +805,13 @@ type simTimer struct {
 	released bool
 	fn       func()
 	fireFn   func()
+	// The current arm: its ideal instant and sequence number, schedRand
+	// as it stood at the arm, and the due time, once drawn.
+	ideal float64
+	seq   uint64
+	late  rng.Stream
+	due   float64
+	drawn bool
 }
 
 func (c *Cluster) makeTimer() *simTimer {
@@ -770,11 +834,96 @@ func (t *simTimer) Stop() {
 		return
 	}
 	t.stopped = true
-	if c := t.h.c; c.tracer != nil {
+	c := t.h.c
+	if c.tracer != nil {
 		c.tracer.Emit(trace.Event{T: c.sim.Now(), P: int32(t.h.id), Kind: trace.KindTimerStop})
 	}
-	t.h.c.sim.Cancel(t.handle)
-	t.h.c.releaseTimer(t)
+	t.cancel()
+	c.releaseTimer(t)
+}
+
+// Reset implements neko.TimerHandle: it re-arms the timer as Stop and a
+// SetTimer of the same callback would, trace records included, on the
+// same record.
+func (t *simTimer) Reset(d float64) {
+	if t.released {
+		panic("netsim: Reset of a stopped timer")
+	}
+	c := t.h.c
+	if c.tracer != nil {
+		c.tracer.Emit(trace.Event{T: c.sim.Now(), P: int32(t.h.id), Kind: trace.KindTimerStop})
+	}
+	t.gen++ // a wake-up already waiting for the CPU belongs to the old arm
+	t.h.arm(t, d)
+}
+
+// cancel takes the timer's event, if queued, off the event queue.
+func (t *simTimer) cancel() {
+	if t.handle.Valid() {
+		t.h.c.timerCounts.QueueOps++
+		t.h.c.sim.Cancel(t.handle)
+	}
+}
+
+// arm files t's wake-up for d ms from now (see simTimer).
+func (h *host) arm(t *simTimer, d float64) {
+	if d < 0 {
+		d = 0
+	}
+	c := h.c
+	c.timerCounts.Arms++
+	t.epoch = h.epoch
+	t.ideal, t.seq = c.sim.Now()+d, c.sim.Reserve()
+	t.late, t.drawn = *h.schedRand, false
+	queued := t.handle.Valid()
+	if queued {
+		h.skipLateness()
+	} else {
+		t.draw() // nothing queued to leave in place: nothing to defer
+		*h.schedRand = t.late
+	}
+	if c.tracer != nil {
+		c.tracer.Emit(trace.Event{T: c.sim.Now(), P: int32(h.id), Kind: trace.KindTimerArm, X: t.ideal})
+		c.tracer.Emit(trace.Event{T: c.sim.Now(), Kind: trace.KindSchedule, X: t.draw()})
+	}
+	switch {
+	case !queued:
+		t.file(t.due)
+	case t.handle.Time() > t.ideal:
+		t.cancel()
+		t.file(t.ideal)
+	}
+	// Otherwise the queued event stays, re-keyed when it heads the queue.
+}
+
+// file queues t's wake-up at the provisional key (at, t.seq).
+func (t *simTimer) file(at float64) {
+	t.h.c.timerCounts.QueueOps++
+	t.handle = t.h.c.sim.AtLazy(at, t.seq, t.fireFn, t)
+}
+
+// draw returns the current arm's due time, drawing its lateness from the
+// schedRand copy the first time.
+func (t *simTimer) draw() float64 {
+	if !t.drawn {
+		t.due = t.ideal + t.h.wakeLateness(&t.late, t.ideal)
+		t.drawn = true
+	}
+	return t.due
+}
+
+// Due implements des.Lazy. An event filed for an arm that a later one
+// replaced moves to the current arm's ideal instant; the current arm's
+// event moves to its due time, drawn now, and runs there.
+func (t *simTimer) Due(at float64, seq uint64) (float64, uint64) {
+	due := t.ideal
+	if seq == t.seq || t.drawn {
+		due = t.draw()
+	}
+	if due != at || seq != t.seq {
+		t.h.c.timerCounts.QueueOps += 2
+	}
+	return due, t.seq
 }
 
 // fire is the timer's wake-up event: the callback needs the CPU (zero
@@ -782,6 +931,7 @@ func (t *simTimer) Stop() {
 // is routed through reserveCPU via a pooled fireCall that remembers which
 // incarnation of the record armed it.
 func (t *simTimer) fire() {
+	t.h.c.timerCounts.Wakeups++
 	fc := t.h.c.fires.get()
 	fc.t, fc.gen = t, t.gen
 	t.h.reserveCPU(0, fc.runFn)
@@ -824,20 +974,12 @@ func (fc *fireCall) run() {
 // timer armed before a crash never fires, even if the host has recovered
 // by its due time (crashes wipe the process's pending timers).
 func (h *host) SetTimer(d float64, fn func()) neko.TimerHandle {
-	if d < 0 {
-		d = 0
-	}
-	ideal := h.c.sim.Now() + d
-	if c := h.c; c.tracer != nil {
-		c.tracer.Emit(trace.Event{T: c.sim.Now(), P: int32(h.id), Kind: trace.KindTimerArm, X: ideal})
-	}
 	t := h.c.timers.get()
 	t.h = h
-	t.epoch = h.epoch
 	t.stopped = false
 	t.released = false
 	t.fn = fn
-	t.handle = h.c.sim.At(ideal+h.wakeLateness(ideal), t.fireFn)
+	h.arm(t, d)
 	return t
 }
 

@@ -29,7 +29,8 @@ var start = time.Now()
 // Counters, published as expvar ints (visible in /debug/vars):
 var (
 	// Executions counts completed consensus executions across all
-	// engines (emulation experiments and scenario replicas).
+	// engines (emulation experiments and scenario replicas), added once
+	// per harness run: a long Emulation point shows at its end.
 	Executions = expvar.NewInt("ctsan.executions_completed")
 	// Points counts completed campaign grid points.
 	Points = expvar.NewInt("ctsan.points_completed")

@@ -14,7 +14,10 @@
 // it is fast, has a 2^256-1 period and passes BigCrush.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Stream is a deterministic pseudo-random number stream. The zero value is
 // not useful; construct streams with New or Child. A Stream is not safe for
@@ -60,19 +63,14 @@ func (r *Stream) Reseed(seed uint64) {
 	}
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *Stream) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ t, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Child derives a new independent stream from this one, keyed by id. The

@@ -6,6 +6,7 @@ import (
 
 	"ctsan/internal/experiment"
 	"ctsan/internal/metrics"
+	"ctsan/internal/netsim"
 	"ctsan/internal/parallel"
 	"ctsan/internal/rng"
 	"ctsan/internal/trace"
@@ -71,6 +72,9 @@ type Report struct {
 	// to the old sort-the-slice path, and Digest.Exact still exposes the
 	// ordered samples.
 	Digest metrics.Digest `json:"-"`
+	// Timers sums what the replicas' timers cost (the cost table's rows);
+	// it is not part of the JSON report schema either.
+	Timers netsim.TimerCounts `json:"-"`
 }
 
 // RunCampaignContext executes every (scenario, replica) pair of the grid
@@ -117,6 +121,7 @@ func RunCampaignOn(ctx context.Context, p *parallel.Pool, worker int, sets []exp
 			rep.Suspicions += res.Suspicions
 			rep.WrongSuspicions += res.WrongSuspicions
 			rep.DESEvents += res.Events
+			rep.Timers.Add(res.Timers)
 			tmr += res.QoS.TMR
 			tm += res.QoS.TM
 		}

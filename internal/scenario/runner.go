@@ -51,6 +51,8 @@ type Result struct {
 	// executed.
 	Texp   float64
 	Events uint64
+	// Timers is what the cluster's timers cost over the run.
+	Timers netsim.TimerCounts
 	// QoS holds the Chen et al. failure-detector metrics (heartbeat
 	// scenarios only).
 	QoS fd.QoS
@@ -211,6 +213,7 @@ func (r *replica) run(ctx context.Context, seed uint64) (*Result, error) {
 		Aborted: out.Aborted,
 		Texp:    out.Texp,
 		Events:  out.Events,
+		Timers:  out.Timers,
 		QoS:     out.QoS,
 	}
 	for _, e := range r.history.Events() {

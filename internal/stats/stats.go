@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // Accumulator computes running mean and variance with Welford's method.
@@ -127,7 +128,30 @@ func (a *Accumulator) CI(level float64) float64 {
 	if a.n < 2 {
 		return math.Inf(1)
 	}
-	return tQuantile(1-float64((1-level)/2), a.n-1) * a.StdErr()
+	return ciQuantile(level, a.n-1) * a.StdErr()
+}
+
+// t90 memoises the Student-t quantile of two-sided 90% intervals — the
+// level every result reports — by degrees of freedom below len(t90), as
+// the float's bits; 0 is not computed yet (the quantile is positive). A
+// quantile is a pure function of df, so the first caller to meet a df
+// stores it and every later one reads the same bits; two workers that
+// race store the same value. The zero table costs nothing at start-up.
+var t90 [1 << 14]atomic.Uint64
+
+// ciQuantile is the Student-t quantile of a two-sided interval at level
+// with df degrees of freedom, read from t90 at level 0.90.
+func ciQuantile(level float64, df int) float64 {
+	p := 1 - float64((1-level)/2)
+	if level != 0.90 || df >= len(t90) {
+		return tQuantile(p, df)
+	}
+	if b := t90[df].Load(); b != 0 {
+		return math.Float64frombits(b)
+	}
+	q := tQuantile(p, df)
+	t90[df].Store(math.Float64bits(q))
+	return q
 }
 
 // String formats the accumulator as "mean ± halfwidth (n=N)" at 90%.

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -347,4 +348,51 @@ func (e *ECDF) Mean() float64 {
 		s += v
 	}
 	return s / float64(len(e.sorted))
+}
+
+// TestCIQuantileMemoBitIdentical: the memoised 90% quantile is the direct
+// computation's, bit for bit, on the call that fills the table and on the
+// call that reads it, for df 1…10,000; other levels, and df past the
+// table, compute directly.
+func TestCIQuantileMemoBitIdentical(t *testing.T) {
+	for df := 1; df <= 10_000; df++ {
+		want := math.Float64bits(tQuantile(1-float64((1-0.90)/2), df))
+		for pass := 0; pass < 2; pass++ {
+			if got := math.Float64bits(ciQuantile(0.90, df)); got != want {
+				t.Fatalf("df %d, pass %d: memoised %x, direct %x", df, pass, got, want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		level float64
+		df    int
+	}{{0.95, 7}, {0.99, 30}, {0.90, len(t90)}, {0.90, 1 << 20}} {
+		want := tQuantile(1-float64((1-c.level)/2), c.df)
+		if got := ciQuantile(c.level, c.df); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("level %g df %d: %v, direct %v", c.level, c.df, got, want)
+		}
+	}
+}
+
+// TestCIQuantileMemoConcurrent: two workers filling the table at once
+// read the direct values (and, under -race, race on nothing).
+func TestCIQuantileMemoConcurrent(t *testing.T) {
+	const from, to = 10_001, 10_400 // past the other test's range: both fill
+	errs := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		go func() {
+			for df := from; df < to; df++ {
+				if got, want := ciQuantile(0.90, df), tQuantile(0.95, df); math.Float64bits(got) != math.Float64bits(want) {
+					errs <- fmt.Errorf("df %d: %v, direct %v", df, got, want)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < 2; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
 }

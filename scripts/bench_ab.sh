@@ -16,7 +16,8 @@
 # beside 8 and 512 idle seizers, Reset+Run of a toy net, the consensus-net
 # replica at c1_n5, c1_n7 and c3_n5, one n = 5 realization with NewSim),
 # and the campaign path (a small SAN study serial, the quarter-size
-# san-grid and tenth-size emu-grid studies on two workers).
+# san-grid, tenth-size emu-grid and fifth-size fault-scenarios studies on
+# two workers).
 #
 # Each pair runs every package on both sides back to back, in the order
 # base, tree on odd pairs and tree, base on even ones, so slow drift of
@@ -32,7 +33,7 @@ if [ $# -ne 1 ]; then
     exit 2
 fi
 
-ROWS='BenchmarkScenarioCampaign(Serial|Parallel|Traced)|BenchmarkCluster(Reset|NewPerReplica)|BenchmarkCampaignMemory|BenchmarkDES(Schedule|ScheduleCancel|EqualTimePile)$|BenchmarkSANCampaignSerial|BenchmarkSANGridTwoWorkers|BenchmarkEmuGridTwoWorkers|BenchmarkSANEngine$|BenchmarkSimReset$|BenchmarkSettleFanout|BenchmarkConsensusReplica'
+ROWS='BenchmarkScenarioCampaign(Serial|Parallel|Traced)|BenchmarkCluster(Reset|NewPerReplica)|BenchmarkCampaignMemory|BenchmarkDES(Schedule|ScheduleCancel|EqualTimePile)$|BenchmarkSANCampaignSerial|BenchmarkSANGridTwoWorkers|BenchmarkEmuGridTwoWorkers|BenchmarkFaultScenariosTwoWorkers|BenchmarkSANEngine$|BenchmarkSimReset$|BenchmarkSettleFanout|BenchmarkConsensusReplica'
 PKGS='internal/scenario internal/netsim internal/metrics internal/des internal/san internal/sanmodel campaign .'
 PAIRS=10
 BENCHTIME=300ms
